@@ -1,23 +1,24 @@
-//! Packets/sec throughput of the bmv2 software switch — the three engines
-//! (direct-threaded default, compiled pc-loop, tree-walking interpreter),
-//! scalar and batched, per application, plus a batch-size sweep.
+//! Packets/sec throughput of the bmv2 software switch — the two engines
+//! (direct-threaded production path, tree-walking interpreter oracle), per
+//! application, through `process_into` and through `process_batch`.
 //!
 //! Run `cargo run --release -p netcl-bench --bin throughput` to reproduce
-//! `BENCH_switch.json` at the repository root. Two other modes:
+//! the `apps` section of `BENCH_switch.json` at the repository root. Two
+//! other modes:
 //!
 //! - `--smoke`: a seconds-scale CI sanity run that prints results without
 //!   writing the file;
-//! - `--gate`: measures at moderate scale and fails (exit 1) if the
-//!   batched pipeline is slower than the previous scalar default — the
-//!   compiled pc-loop — on any app (`batched_speedup` < 1.0), or if
-//!   AGG's compiled-engine throughput dropped more than 10% below the
-//!   checked-in `BENCH_switch.json` baseline.
+//! - `--gate`: measures at moderate scale and fails (exit 1) if AGG's
+//!   threaded throughput dropped more than 10% below the checked-in
+//!   `BENCH_switch.json` baseline. Batched ÷ scalar is not gated: both
+//!   entry points run the same per-packet routine, so the ratio is 1.0 ±
+//!   noise.
 //!
-//! In every mode the binary first checks that the threaded backend, the
-//! compiled pc-loop, and the interpreter oracle agree packet-for-packet on
-//! each app — scalar and batched: outputs, outcomes, counters, and
-//! registers — and exits nonzero on any divergence, so CI's smoke run
-//! doubles as the threaded/compiled/batched differential gate.
+//! In every mode the binary first checks that the threaded engine and the
+//! interpreter oracle agree packet-for-packet on each app, and that
+//! `process_batch` agrees with a `process_into` loop: outputs, outcomes,
+//! counters, and registers. It exits nonzero on any divergence, so CI's
+//! smoke run doubles as the threaded/interpreted differential gate.
 //!
 //! Each application processes a small rotating set of representative
 //! packets through one long-lived `Switch`, reusing one packet and one
@@ -31,9 +32,6 @@ use netcl_apps::{agg, cache, calc, paxos};
 use netcl_bmv2::{Engine, PacketBatch, Switch, DEFAULT_BATCH};
 use netcl_runtime::managed::ManagedMemory;
 use netcl_runtime::message::{pack, Message};
-
-/// The sweep grid (satellite: 64 was a fixed guess; measure instead).
-const SWEEP_SIZES: [usize; 4] = [16, 64, 256, 1024];
 
 struct BenchApp {
     name: &'static str,
@@ -163,50 +161,32 @@ fn measure_batch(sw: &mut Switch, packets: &[Vec<u8>], total: usize, batch_size:
     done as f64 / start.elapsed().as_secs_f64()
 }
 
-/// The engine/batching differential gate: five freshly-built copies of the
-/// app process the same packet sequence — scalar on each engine, batched
-/// on both fast engines — and every observable must match the compiled
-/// scalar reference: outcomes, output bytes, `SwitchCounters`, and final
-/// register state.
+/// The engine/batching differential gate: three freshly-built copies of
+/// the app process the same packet sequence — `process_into` on each
+/// engine, `process_batch` on the threaded one — and every observable must
+/// match the threaded `process_into` reference: outcomes, output bytes,
+/// `SwitchCounters`, and final register state.
 fn verify_engines_agree(build: fn() -> BenchApp) -> bool {
-    let reference = build();
-    let name = reference.name;
-    let packets = reference.packets.clone();
-    let mut scalar_compiled = build();
-    scalar_compiled.switch.set_engine(Engine::Compiled);
-    let mut scalar_threaded = build();
-    scalar_threaded.switch.set_engine(Engine::Threaded);
-    let mut scalar_interp = build();
-    scalar_interp.switch.set_engine(Engine::Interpreted);
-    let mut batched_threaded = build();
-    batched_threaded.switch.set_engine(Engine::Threaded);
-    let mut batched_compiled = build();
-    batched_compiled.switch.set_engine(Engine::Compiled);
+    let mut scalar = build();
+    let name = scalar.name;
+    let packets = scalar.packets.clone();
+    let mut interp = build();
+    interp.switch.set_engine(Engine::Interpreted);
+    let mut batched = build();
 
-    let mut pkt = scalar_compiled.switch.new_packet();
+    let mut pkt = scalar.switch.new_packet();
     let mut out = Vec::new();
-    let mut pkt2 = scalar_threaded.switch.new_packet();
-    let mut out2 = Vec::new();
-    let mut batch_t = PacketBatch::new();
-    let mut batch_c = PacketBatch::new();
+    let mut batch = PacketBatch::new();
     // Cycle the set several times so register state evolves across rounds.
     for round in 0..5 {
-        batch_t.clear();
-        batch_c.clear();
+        batch.clear();
         for w in &packets {
-            batch_t.push(w);
-            batch_c.push(w);
+            batch.push(w);
         }
-        batched_threaded.switch.process_batch(&mut batch_t);
-        batched_compiled.switch.process_batch(&mut batch_c);
+        batched.switch.process_batch(&mut batch);
         for (i, w) in packets.iter().enumerate() {
-            let r = scalar_compiled.switch.process_into(w, &mut pkt, &mut out);
-            let rt = scalar_threaded.switch.process_into(w, &mut pkt2, &mut out2);
-            let ri = scalar_interp.switch.process(w).map(|(_, o)| o);
-            if rt != r || (r.is_ok() && out2 != out) {
-                eprintln!("DIVERGENCE {name} round {round} packet {i}: threaded vs compiled");
-                return false;
-            }
+            let r = scalar.switch.process_into(w, &mut pkt, &mut out);
+            let ri = interp.switch.process(w).map(|(_, o)| o);
             match (&r, &ri) {
                 (Ok(()), Ok(oi)) if *oi == out => {}
                 (Err(e), Err(ei)) if e == ei => {}
@@ -215,44 +195,32 @@ fn verify_engines_agree(build: fn() -> BenchApp) -> bool {
                     return false;
                 }
             }
-            for (label, batch) in [("threaded", &batch_t), ("compiled", &batch_c)] {
-                if &r != batch.outcome(i) {
-                    eprintln!(
-                        "DIVERGENCE {name} round {round} packet {i}: scalar {r:?} vs \
-                         batched-{label} {:?}",
-                        batch.outcome(i)
-                    );
-                    return false;
-                }
-                if r.is_ok() && out.as_slice() != batch.output(i) {
-                    eprintln!(
-                        "DIVERGENCE {name} round {round} packet {i}: \
-                         batched-{label} output bytes differ"
-                    );
-                    return false;
-                }
+            if &r != batch.outcome(i) {
+                eprintln!(
+                    "DIVERGENCE {name} round {round} packet {i}: scalar {r:?} vs batched {:?}",
+                    batch.outcome(i)
+                );
+                return false;
+            }
+            if r.is_ok() && out.as_slice() != batch.output(i) {
+                eprintln!("DIVERGENCE {name} round {round} packet {i}: batched output differs");
+                return false;
             }
         }
     }
     let regs = |sw: &Switch| -> Vec<(String, Vec<u64>)> {
         sw.registers().map(|(n, c)| (n.to_string(), c.to_vec())).collect()
     };
-    let all: [(&str, &BenchApp); 4] = [
-        ("scalar-threaded", &scalar_threaded),
-        ("scalar-interpreted", &scalar_interp),
-        ("batched-threaded", &batched_threaded),
-        ("batched-compiled", &batched_compiled),
-    ];
-    for (label, app) in all {
-        if scalar_compiled.switch.counters() != app.switch.counters() {
+    for (label, app) in [("interpreted", &interp), ("batched", &batched)] {
+        if scalar.switch.counters() != app.switch.counters() {
             eprintln!(
                 "DIVERGENCE {name}: counters {:?} vs {label} {:?}",
-                scalar_compiled.switch.counters(),
+                scalar.switch.counters(),
                 app.switch.counters()
             );
             return false;
         }
-        if regs(&scalar_compiled.switch) != regs(&app.switch) {
+        if regs(&scalar.switch) != regs(&app.switch) {
             eprintln!("DIVERGENCE {name}: register state differs from {label}");
             return false;
         }
@@ -291,79 +259,45 @@ fn netobs_histograms_json() -> String {
 
 struct Row {
     name: &'static str,
-    compiled_pps: f64,
     threaded_pps: f64,
     batched_pps: f64,
     interpreted_pps: f64,
-    /// `(batch size, pps)` over the sweep grid (threaded engine).
-    sweep: Vec<(usize, f64)>,
-    /// Data-plane counters from the compiled measurement (warmup included),
-    /// captured before the other engine runs so they describe one window.
+    /// Data-plane counters from the threaded measurement (warmup included),
+    /// captured before the other measurements so they describe one window.
     counters: netcl_bmv2::SwitchCounters,
     /// Per-table `(name, hits, misses)` for the same window.
     tables: Vec<(String, u64, u64)>,
 }
 
-/// Measures one app across engines (scalar), batched at the default size,
-/// and optionally across the sweep grid.
-fn measure_row(build: fn() -> BenchApp, compiled_n: usize, interp_n: usize, sweep: bool) -> Row {
+/// Measures one app: threaded through `process_into`, threaded through
+/// `process_batch` at the default size, and the interpreter.
+fn measure_row(build: fn() -> BenchApp, threaded_n: usize, interp_n: usize) -> Row {
     let mut app = build();
-    app.switch.set_engine(Engine::Compiled);
     app.switch.reset_counters();
-    let compiled_pps = measure(&mut app.switch, &app.packets, compiled_n);
+    let threaded_pps = measure(&mut app.switch, &app.packets, threaded_n);
     let counters = app.switch.counters().clone();
     let tables: Vec<(String, u64, u64)> =
         app.switch.table_stats().map(|(n, h, m)| (n.to_string(), h, m)).collect();
-    app.switch.set_engine(Engine::Threaded);
-    let threaded_pps = measure(&mut app.switch, &app.packets, compiled_n);
-    let batched_pps = measure_batch(&mut app.switch, &app.packets, compiled_n, DEFAULT_BATCH);
-    let mut sweep_rows = Vec::new();
-    if sweep {
-        for size in SWEEP_SIZES {
-            let pps = if size == DEFAULT_BATCH {
-                batched_pps
-            } else {
-                measure_batch(&mut app.switch, &app.packets, compiled_n, size)
-            };
-            sweep_rows.push((size, pps));
-        }
-    }
+    let batched_pps = measure_batch(&mut app.switch, &app.packets, threaded_n, DEFAULT_BATCH);
     app.switch.set_engine(Engine::Interpreted);
     let interpreted_pps = measure(&mut app.switch, &app.packets, interp_n);
-    Row {
-        name: app.name,
-        compiled_pps,
-        threaded_pps,
-        batched_pps,
-        interpreted_pps,
-        sweep: sweep_rows,
-        counters,
-        tables,
-    }
+    Row { name: app.name, threaded_pps, batched_pps, interpreted_pps, counters, tables }
 }
 
 fn print_row(r: &Row) {
     println!(
-        "{:<6} compiled {:>12.0} pps   threaded {:>12.0} pps ({:.2}x)   \
-         batched {:>12.0} pps ({:.2}x over compiled scalar)   interpreted {:>12.0} pps   \
+        "{:<6} threaded {:>12.0} pps   batched {:>12.0} pps   interpreted {:>12.0} pps ({:.1}x)   \
          ({} pkts, {} hits, {} misses, {} reg-actions)",
         r.name,
-        r.compiled_pps,
         r.threaded_pps,
-        r.threaded_pps / r.compiled_pps,
         r.batched_pps,
-        r.batched_pps / r.compiled_pps,
         r.interpreted_pps,
+        r.threaded_pps / r.interpreted_pps,
         r.counters.packets,
         r.counters.total_hits(),
         r.counters.total_misses(),
         r.counters.reg_action_execs,
     );
-    if !r.sweep.is_empty() {
-        let cells: Vec<String> =
-            r.sweep.iter().map(|(s, p)| format!("{s}: {:.2}M", p / 1e6)).collect();
-        println!("       batch sweep  {}", cells.join("   "));
-    }
 }
 
 /// Pulls one numeric field out of an app's block in the checked-in
@@ -384,62 +318,36 @@ fn baseline_field(json: &str, app: &str, field: &str) -> Option<f64> {
     num.parse().ok()
 }
 
-/// The CI regression gate (satellite task): the batched pipeline (on the
-/// default threaded engine) must beat the previous scalar default (the
-/// compiled pc-loop, PR-4's baseline) on every app, and AGG's
-/// compiled-engine throughput must stay within 10% of the checked-in
-/// baseline. The same-engine batched/threaded ratio is *not* gated: the
-/// two sit within measurement noise of each other (batching's job is to
-/// not cost anything while enabling the phase-split cache locality and
-/// per-window amortization), and gating a ~1.00x ratio flakes.
+/// The CI regression gate: AGG's threaded throughput must stay within 10%
+/// of the checked-in baseline.
 fn run_gate(rows: &[Row]) -> i32 {
-    let mut failures = 0;
-    for r in rows {
-        let speedup = r.batched_pps / r.compiled_pps;
-        println!(
-            "gate: {:<6} batched_speedup {:.2}x (compiled scalar {:.0} pps)",
-            r.name, speedup, r.compiled_pps
-        );
-        if speedup < 1.0 {
-            eprintln!(
-                "gate FAIL: {} batched ({:.0} pps) slower than compiled scalar ({:.0} pps)",
-                r.name, r.batched_pps, r.compiled_pps
-            );
-            failures += 1;
-        }
-    }
-    match std::fs::read_to_string("BENCH_switch.json") {
-        Ok(json) => {
-            let Some(baseline) = baseline_field(&json, "AGG", "compiled_pps") else {
-                eprintln!("gate FAIL: no AGG compiled_pps in checked-in BENCH_switch.json");
-                return 1;
-            };
-            let agg = rows.iter().find(|r| r.name == "AGG").expect("AGG row");
-            println!(
-                "gate: AGG compiled {:.0} pps vs baseline {:.0} pps ({:.2}x)",
-                agg.compiled_pps,
-                baseline,
-                agg.compiled_pps / baseline
-            );
-            if agg.compiled_pps < 0.9 * baseline {
-                eprintln!(
-                    "gate FAIL: AGG compiled_pps {:.0} dropped >10% below baseline {:.0}",
-                    agg.compiled_pps, baseline
-                );
-                failures += 1;
-            }
-        }
+    let json = match std::fs::read_to_string("BENCH_switch.json") {
+        Ok(json) => json,
         Err(e) => {
             eprintln!("gate FAIL: cannot read BENCH_switch.json baseline: {e}");
-            failures += 1;
+            return 1;
         }
+    };
+    let Some(baseline) = baseline_field(&json, "AGG", "threaded_pps") else {
+        eprintln!("gate FAIL: no AGG threaded_pps in checked-in BENCH_switch.json");
+        return 1;
+    };
+    let agg = rows.iter().find(|r| r.name == "AGG").expect("AGG row");
+    println!(
+        "gate: AGG threaded {:.0} pps vs baseline {:.0} pps ({:.2}x)",
+        agg.threaded_pps,
+        baseline,
+        agg.threaded_pps / baseline
+    );
+    if agg.threaded_pps < 0.9 * baseline {
+        eprintln!(
+            "gate FAIL: AGG threaded_pps {:.0} dropped >10% below baseline {:.0}",
+            agg.threaded_pps, baseline
+        );
+        return 1;
     }
-    if failures == 0 {
-        println!("bench regression gate: pass");
-        0
-    } else {
-        1
-    }
+    println!("bench regression gate: pass");
+    0
 }
 
 fn main() {
@@ -455,7 +363,7 @@ fn main() {
             }
         }
     }
-    let (compiled_n, interp_n) = if smoke {
+    let (threaded_n, interp_n) = if smoke {
         (2_000, 200)
     } else if gate {
         (150_000, 5_000)
@@ -465,20 +373,20 @@ fn main() {
 
     let builders: [fn() -> BenchApp; 4] = [calc_app, agg_app, cache_app, pacc_app];
 
-    // The differential gate runs first, in every mode: CI fails if any
-    // engine — threaded, compiled, interpreted, batched or scalar —
-    // diverges on any app.
+    // The differential gate runs first, in every mode: CI fails if the
+    // engines, or the batched and per-packet entry points, diverge on any
+    // app.
     for build in builders {
         if !verify_engines_agree(build) {
             eprintln!("error: execution engines diverged");
             std::process::exit(1);
         }
     }
-    println!("engine differential gate (threaded ≡ compiled ≡ interpreted, batched ≡ scalar): all apps agree");
+    println!("engine differential gate (threaded ≡ interpreted, batched ≡ scalar): all apps agree");
 
     let mut rows = Vec::new();
     for build in builders {
-        let row = measure_row(build, compiled_n, interp_n, !smoke && !gate);
+        let row = measure_row(build, threaded_n, interp_n);
         print_row(&row);
         rows.push(row);
     }
@@ -491,32 +399,19 @@ fn main() {
         return;
     }
     let mut json = String::from("{\n  \"benchmark\": \"bmv2_throughput\",\n");
-    json.push_str(&format!("  \"packets_per_measurement\": {compiled_n},\n"));
+    json.push_str(&format!("  \"packets_per_measurement\": {threaded_n},\n"));
     json.push_str(&format!("  \"default_batch\": {DEFAULT_BATCH},\n"));
     json.push_str("  \"apps\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"app\": \"{}\", \"compiled_pps\": {:.0}, \"threaded_pps\": {:.0}, \
-             \"threaded_speedup\": {:.2}, \"batched_pps\": {:.0}, \"batched_speedup\": {:.2}, \
-             \"batch_parity\": {:.2}, \"interpreted_pps\": {:.0}, \"speedup\": {:.2},\n",
+            "    {{\"app\": \"{}\", \"threaded_pps\": {:.0}, \"batched_pps\": {:.0}, \
+             \"interpreted_pps\": {:.0}, \"speedup\": {:.2},\n",
             r.name,
-            r.compiled_pps,
             r.threaded_pps,
-            r.threaded_pps / r.compiled_pps,
             r.batched_pps,
-            r.batched_pps / r.compiled_pps,
-            r.batched_pps / r.threaded_pps,
             r.interpreted_pps,
-            r.compiled_pps / r.interpreted_pps,
+            r.threaded_pps / r.interpreted_pps,
         ));
-        json.push_str("     \"batch_sweep\": [");
-        for (j, (size, pps)) in r.sweep.iter().enumerate() {
-            json.push_str(&format!(
-                "{}{{\"batch\": {size}, \"pps\": {pps:.0}}}",
-                if j > 0 { ", " } else { "" },
-            ));
-        }
-        json.push_str("],\n");
         let c = &r.counters;
         json.push_str(&format!(
             "     \"breakdown\": {{\"packets\": {}, \"errors\": {}, \"table_hits\": {}, \

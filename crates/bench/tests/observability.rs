@@ -4,7 +4,7 @@
 //! [`netcl_net::NetStats`].
 
 use netcl_apps::agg;
-use netcl_bmv2::Switch;
+use netcl_bmv2::{Engine, Switch};
 use netcl_net::{LinkSpec, NetworkBuilder, NodeId, ObsConfig};
 
 fn agg_cfg() -> agg::AggConfig {
@@ -20,7 +20,7 @@ fn switch_counters_match_netstats() {
     let unit = netcl_apps::compile("agg.ncl", &agg::netcl_source(&cfg));
     let switch = Switch::new(unit.devices[0].tna_p4.clone());
 
-    let workers: Vec<u16> = (0..cfg.num_workers).map(|w| 100 + w as u16).collect();
+    let workers: Vec<u32> = (0..cfg.num_workers).map(|w| 100 + w).collect();
     let mut topo = netcl_net::topo::star(1, &workers, LinkSpec::default());
     topo.multicast_group(42, workers.iter().map(|&w| NodeId::Host(w)).collect());
     let mut builder = NetworkBuilder::new(topo)
@@ -35,7 +35,7 @@ fn switch_counters_match_netstats() {
     // multicasts the aggregate back to the group.
     for c in 0..4u32 {
         for w in 0..cfg.num_workers {
-            net.send_from_host(100 + w as u16, (c as u64) * 10_000, agg::chunk_packet(&cfg, w, c));
+            net.send_from_host(100 + w, (c as u64) * 10_000, agg::chunk_packet(&cfg, w, c));
         }
     }
     net.run(10_000);
@@ -68,7 +68,7 @@ fn engines_agree_on_counters() {
     let unit = netcl_apps::compile("agg.ncl", &agg::netcl_source(&cfg));
     let mut fast = Switch::new(unit.devices[0].tna_p4.clone());
     let mut oracle = Switch::new(unit.devices[0].tna_p4.clone());
-    oracle.set_interpreted(true);
+    oracle.set_engine(Engine::Interpreted);
     for c in 0..2u32 {
         for w in 0..cfg.num_workers {
             let wire = agg::chunk_packet(&cfg, w, c);

@@ -5,13 +5,9 @@
 //!
 //! - a single **arena** of wire bytes — pushed buffers are copied
 //!   back-to-back so a burst of packets is one contiguous allocation;
-//! - a pool of dense-slot scratch [`Packet`]s, shaped once per batch call
-//!   against the program's slot table instead of once per packet. The
-//!   stop-predicate path borrows only the first (processing is
-//!   sequential); the phase-split fast path
-//!   ([`Switch::process_batch`](crate::Switch::process_batch))
-//!   borrows one per packet so parse, execute, and deparse can each sweep
-//!   the whole batch (DESIGN.md §14);
+//! - one dense-slot scratch [`Packet`], shaped once per batch call against
+//!   the program's slot table instead of once per packet and shared by
+//!   every slot (processing is sequential);
 //! - per-packet **output buffers**, recycled through a spare pool so the
 //!   steady state allocates nothing;
 //! - per-packet **outcomes** (`Result<(), SwitchError>`), the same value a
@@ -33,13 +29,6 @@ use crate::switch::SwitchError;
 /// comfortably in cache; larger sizes measured no further gain.
 pub const DEFAULT_BATCH: usize = 256;
 
-/// How many packets each phase of the split pipeline sweeps before moving
-/// on (see [`crate::Switch::process_batch`]). Bounds the live parsed-state
-/// working set — `PHASE_WINDOW` scratch packets, not one per batch slot —
-/// so the exec phase re-reads L1-warm state no matter how large the
-/// caller's batch is.
-pub(crate) const PHASE_WINDOW: usize = 32;
-
 /// A batch of wire packets plus the per-packet state needed to run them
 /// through a [`Switch`](crate::Switch) with amortized setup.
 #[derive(Default)]
@@ -59,11 +48,6 @@ pub struct PacketBatch {
     outcomes: Vec<Result<(), SwitchError>>,
     /// Retired output allocations, reused by later pushes/takes.
     spare: Vec<Vec<u8>>,
-    /// Whether any stored outcome may be an `Err`. While every batch
-    /// comes back clean, [`PacketBatch::prepare_split`] skips rewriting
-    /// the outcome vector entirely — the fast path records only errors,
-    /// so an all-`Ok` steady state touches no outcome memory at all.
-    dirty: bool,
 }
 
 impl PacketBatch {
@@ -153,62 +137,8 @@ impl PacketBatch {
         (&self.arena[s as usize..(s + l) as usize], &mut self.pkts[0], &mut self.outs[i])
     }
 
-    /// Shapes the scratch-packet pool (one [`Packet`] per *window* slot,
-    /// [`PHASE_WINDOW`] at most) and the per-slot output/outcome vectors
-    /// for the phase-split fast path. Outcomes are only rewritten when a
-    /// previous batch recorded an error: the fast path records errors
-    /// sparsely, so the common all-`Ok` steady state never touches the
-    /// outcome vector here or per packet.
-    pub(crate) fn prepare_split(&mut self, slots: &Arc<SlotTable>) {
-        let n = self.ranges.len();
-        let pool = n.clamp(1, PHASE_WINDOW);
-        while self.pkts.len() < pool {
-            self.pkts.push(Packet::with_slots(Arc::clone(slots)));
-        }
-        for p in &mut self.pkts[..pool] {
-            p.ensure_slots(slots);
-        }
-        while self.outs.len() < n {
-            self.outs.push(self.spare.pop().unwrap_or_default());
-        }
-        if self.outcomes.len() < n {
-            self.outcomes.resize(n, Ok(()));
-        } else if self.dirty {
-            for o in &mut self.outcomes {
-                *o = Ok(());
-            }
-            self.dirty = false;
-        }
-    }
-
-    /// Split-borrows the whole batch into `(arena, ranges, window
-    /// packets, outputs, outcomes)` so the phase-split path can sweep one
-    /// phase across every packet. Call [`PacketBatch::prepare_split`]
-    /// first.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn phase_parts(
-        &mut self,
-    ) -> (&[u8], &[(u32, u32)], &mut [Packet], &mut [Vec<u8>], &mut [Result<(), SwitchError>]) {
-        let n = self.ranges.len();
-        let pool = self.pkts.len().min(n.max(1));
-        (
-            &self.arena,
-            &self.ranges,
-            &mut self.pkts[..pool],
-            &mut self.outs[..n],
-            &mut self.outcomes[..n],
-        )
-    }
-
-    /// Marks stored outcomes as containing errors, forcing the next
-    /// [`PacketBatch::prepare_split`] to reset them.
-    pub(crate) fn note_errors(&mut self) {
-        self.dirty = true;
-    }
-
     /// Records packet `i`'s pipeline outcome.
     pub(crate) fn set_outcome(&mut self, i: usize, r: Result<(), SwitchError>) {
-        self.dirty |= r.is_err();
         self.outcomes[i] = r;
     }
 }

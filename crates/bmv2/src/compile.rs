@@ -8,15 +8,18 @@
 //! * a [`SlotTable`] interning every canonical field/metadata path into a
 //!   dense [`FieldSlot`] and every header instance into a [`HeaderId`],
 //!   with deparse layouts resolved up front;
-//! * postfix expression programs (`EOp`) evaluated on a reusable stack;
+//! * postfix expression programs (`EOp`), folded into closure trees by
+//!   the threaded lowering;
 //! * flat statement op arrays (`COp`) with relative branch skips instead
 //!   of nested statement trees;
 //! * a compiled parser FSM (`CParser`) whose extracts are pre-flattened
 //!   `(slot, width)` plans.
 //!
-//! The compiled form is semantically identical to the interpreter — the
-//! interpreter stays available behind [`crate::Switch::set_interpreted`] as
-//! the differential-test oracle. Any entity the interpreter would only
+//! The compiled form is the lowering front half: nothing executes it
+//! directly — [`mod@crate::threaded`] lowers it once more into closure
+//! arrays, and that is the production engine. It is semantically identical
+//! to the interpreter, which stays selectable with
+//! [`crate::Switch::set_engine`] as the differential-test oracle. Any entity the interpreter would only
 //! discover to be missing at execution time (unknown action, table, parser
 //! state, ...) lowers to a `COp::Fail`/`StateRef::Unknown` carrying the
 //! interpreter's exact error message, so errors surface at the same moment
@@ -123,7 +126,8 @@ pub struct Span {
     pub len: u32,
 }
 
-/// Postfix expression ops, evaluated against a value/width stack.
+/// Postfix expression ops over a conceptual `(value, width)` stack; the
+/// threaded lowering folds each program into one closure tree.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum EOp {
     /// Push a literal `(value, width)`.
@@ -176,7 +180,8 @@ pub(crate) enum ExternFn {
     Intrinsic(u32),
 }
 
-/// Flat statement ops executed by a program counter over a [`Span`].
+/// Flat statement ops over a [`Span`], with relative branch skips; the
+/// threaded lowering resolves them to absolute successor pcs.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum COp {
     /// Evaluate and store.
@@ -387,7 +392,8 @@ pub(crate) struct CParser {
     pub states: Vec<CState>,
 }
 
-/// Everything the compiled fast path needs, produced once per program.
+/// Everything the threaded lowering and the control plane need, produced
+/// once per program.
 #[derive(Debug)]
 pub struct CompiledProgram {
     /// The slot table (shared with packets).

@@ -9,7 +9,7 @@
 //! compiled program first (table exists, key arity matches, action known)
 //! and either every operation lands or none does.
 //!
-//! Updates mutate the runtime table state that all three execution engines
+//! Updates mutate the runtime table state that both execution engines
 //! share, so a live update is engine-uniform by construction; the
 //! differential tests still assert it, through the applied/rejected
 //! counters ([`SwitchCounters::table_updates`] /

@@ -17,18 +17,20 @@
 //! backs the NetCL `_managed_` memory API (§V-B).
 //!
 //! Programs are lowered once at [`Switch::new`] by [`mod@compile`] into
-//! flat, index-addressed op arrays, and lowered once more by
-//! [`mod@threaded`] into direct-threaded closure arrays — the default
-//! engine. Per-packet execution walks those arrays with zero heap
-//! allocation for interned fields. [`Switch::set_engine`] selects among
-//! the three engines; the original tree-walking interpreter remains the
-//! differential-testing oracle.
+//! flat, index-addressed op arrays (the lowering front half, never
+//! executed directly), and lowered once more by [`mod@threaded`] into
+//! direct-threaded closure arrays — the production engine. Per-packet
+//! execution walks those arrays with zero heap allocation for interned
+//! fields. There are exactly two engines: [`Switch::set_engine`] selects
+//! between threaded and the original tree-walking interpreter, which
+//! remains the differential-testing oracle.
 //!
-//! DESIGN.md §10 describes the compiled fast path; §12 the data-plane
-//! counters ([`Switch::counters`]) every engine maintains identically; §13
+//! DESIGN.md §10 describes the lowering front half; §12 the data-plane
+//! counters ([`Switch::counters`]) both engines maintain identically; §13
 //! the batched entry point ([`Switch::process_batch`]) and the [`mod@peephole`]
-//! pass over the compiled op stream; §14 the direct-threaded backend and
-//! the phase-split batch execution; §16 the runtime control plane
+//! pass over the compiled op stream; §14 the direct-threaded backend (and
+//! why the pc-loop executor and the phase-split batch loop were removed);
+//! §16 the runtime control plane
 //! ([`mod@ctrl`]): validated, atomic table-update batches applied to a
 //! running switch without a reload.
 

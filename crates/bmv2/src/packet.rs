@@ -82,7 +82,7 @@ pub struct Packet {
     /// First-validation order (deparse emits valid headers in this order).
     order: Vec<HeaderId>,
     /// Overflow for unknown paths; `None` until first needed, never touched
-    /// by the compiled path.
+    /// by the threaded engine.
     dynamic: Option<Box<DynPaths>>,
     /// Bytes following the parsed headers.
     pub payload: Vec<u8>,

@@ -75,7 +75,7 @@ fn written_slots(cp: &CompiledProgram) -> Vec<bool> {
 
 /// Rewrite 2: folds loads of never-written slots. Safe because
 /// `Packet::reset` zeroes every interned slot value and clears every
-/// metadata presence bit at pipeline entry, and the compiled engine only
+/// metadata presence bit at pipeline entry, and the lowered op stream only
 /// writes slots through the sites `written_slots` scans.
 fn fold_unwritten_loads(cp: &mut CompiledProgram) -> u64 {
     let written = written_slots(cp);
@@ -227,7 +227,7 @@ fn fuse_assign_branches(cp: &mut CompiledProgram) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use crate::switch::Switch;
+    use crate::switch::{Engine, Switch};
     use netcl_p4::ast::*;
 
     /// `flag = (h.a == 5); if (flag) b = 1 else b = 2` — the canonical
@@ -297,7 +297,7 @@ mod tests {
         assert!(stats.folded >= 1, "never-written `unused` load should fold: {stats:?}");
 
         let mut oracle = Switch::new(program());
-        oracle.set_interpreted(true);
+        oracle.set_engine(Engine::Interpreted);
         for a in [5u16, 6, 0, 0xFFFF] {
             let (_, fo) = fast.process(&wire(a, 9)).unwrap();
             let (_, oo) = oracle.process(&wire(a, 9)).unwrap();

@@ -1,30 +1,28 @@
 //! The switch: parser FSM, ingress execution, deparser, and state.
 //!
-//! Three execution engines share one runtime state (selected with
+//! Two execution engines share one runtime state (selected with
 //! [`Switch::set_engine`]):
 //!
-//! * the **threaded** fast path (default): the flat op stream lowered
-//!   once more into direct-threaded closure arrays by
-//!   [`mod@crate::threaded`] — no per-op `match`, pre-resolved slots,
-//!   masks, and register/table handles (DESIGN.md §14);
-//! * the **compiled** pc-loop: flat op arrays produced by
-//!   [`mod@crate::compile`], slot-addressed packet fields, zero per-packet
-//!   heap allocation for already-interned fields;
+//! * the **threaded** production path (default): the flat op stream that
+//!   [`mod@crate::compile`] produces, lowered once more into direct-threaded
+//!   closure arrays by [`mod@crate::threaded`] — no per-op `match`,
+//!   pre-resolved slots, masks, and register/table handles (DESIGN.md §14);
 //! * the **tree-walking interpreter**: re-evaluates the AST per packet
 //!   through the string compatibility layer. It is intentionally kept
-//!   simple and serves as the differential oracle for the other two.
+//!   simple and serves as the differential oracle for the threaded engine.
 //!
-//! All three count, mutate, and fail identically — the differential
-//! proptests and the chaos matrix hold them to byte-for-byte equal
-//! outputs, errors, [`SwitchCounters`], and register state.
+//! Both count, mutate, and fail identically — the differential proptests
+//! and the chaos matrix hold them to byte-for-byte equal outputs, errors,
+//! [`SwitchCounters`], and register state. Every entry point
+//! ([`Switch::process_into`], [`Switch::process_batch`],
+//! [`Switch::process_batch_from`]) runs each packet through the same
+//! private per-packet routine, which holds the only engine dispatch.
 
 use std::sync::Arc;
 
 use crate::batch::PacketBatch;
-use crate::compile::{
-    self, CExtract, COp, CTransition, CompiledProgram, Dest, EOp, ExternFn, Span, StateRef,
-};
-use crate::eval::{bin_value, canonical, eval, instance_of, mask_of};
+use crate::compile::{self, CompiledProgram};
+use crate::eval::{canonical, eval, instance_of, mask_of};
 use crate::packet::{read_field, write_field, FieldError, Packet, PacketError};
 use crate::threaded::{self, ThreadedProgram};
 use netcl_ir::interp::eval_intrinsic;
@@ -35,8 +33,6 @@ use netcl_p4::ast::*;
 pub enum Engine {
     /// Tree-walking AST interpreter (the differential oracle).
     Interpreted,
-    /// Flat-op pc-loop produced by [`mod@crate::compile`].
-    Compiled,
     /// Direct-threaded closure arrays (the default; DESIGN.md §14).
     #[default]
     Threaded,
@@ -47,7 +43,6 @@ impl Engine {
     pub fn name(self) -> &'static str {
         match self {
             Engine::Interpreted => "interpreted",
-            Engine::Compiled => "compiled",
             Engine::Threaded => "threaded",
         }
     }
@@ -86,15 +81,15 @@ fn field_err(e: FieldError, header: &str) -> SwitchError {
 
 /// Per-switch data-plane counters (DESIGN.md §12). Always on — each is a
 /// single integer increment on an already-taken branch, which the
-/// throughput benchmark bounds at < 2% — and they count identically on the
-/// compiled and interpreted engines, so the differential tests compare
-/// them too. Reset by [`Switch::reset_counters`] and by device restarts
-/// (a fresh switch starts from zero, like real hardware).
+/// throughput benchmark bounds at < 2% — and they count identically on
+/// both engines, so the differential tests compare them too. Reset by
+/// [`Switch::reset_counters`] and by device restarts (a fresh switch
+/// starts from zero, like real hardware).
 #[derive(Debug, Default, Clone)]
 pub struct SwitchCounters {
     /// Which engine accumulated these counts ([`Engine::name`]): shows up
-    /// in telemetry and Perfetto traces so interpreted/compiled/threaded
-    /// runs are distinguishable. Deliberately **excluded from equality**:
+    /// in telemetry and Perfetto traces so interpreted and threaded runs
+    /// are distinguishable. Deliberately **excluded from equality**:
     /// the differential tests compare counters across engines, and the
     /// label is the one field that legitimately differs.
     pub backend: &'static str,
@@ -122,7 +117,7 @@ pub struct SwitchCounters {
     pub update_rejects: u64,
     /// Per-tenant sub-views (DESIGN.md §17), keyed by tenant id. Empty
     /// until [`Switch::set_tenants`] configures the comp→tenant map;
-    /// maintained identically by all three engines and both batch paths,
+    /// maintained by the one per-packet routine both engines run under,
     /// so they participate in the differential contract like every other
     /// counter.
     pub tenants: std::collections::BTreeMap<u16, TenantCounters>,
@@ -180,8 +175,8 @@ impl SwitchCounters {
     }
 }
 
-/// Mutable per-switch state shared by both engines, plus the compiled
-/// path's reusable scratch buffers (all stack-disciplined so re-entrant
+/// Mutable per-switch state shared by both engines, plus the threaded
+/// engine's reusable scratch buffers (all stack-disciplined so re-entrant
 /// table/action execution never allocates in steady state).
 pub(crate) struct RuntimeState {
     /// Register cells, by [`CompiledProgram`] register index.
@@ -189,16 +184,13 @@ pub(crate) struct RuntimeState {
     /// Table entries, by table-state index (shared by name).
     pub(crate) tables: Vec<Vec<TableEntry>>,
     pub(crate) rng: u64,
-    /// Postfix evaluation stack (compiled engine only; the threaded engine
-    /// evaluates through closure trees and never touches it).
-    pub(crate) stack: Vec<(u64, u32)>,
     /// Table key values for in-flight applies.
     pub(crate) keys: Vec<u64>,
     /// Action args / RA operands / extern arg values.
     pub(crate) scratch: Vec<u64>,
     /// Saved `(slot, value, present)` for action-parameter bindings.
     pub(crate) param_saves: Vec<(compile::FieldSlot, u64, bool)>,
-    /// Data-plane counters (lives here so the compiled path's free
+    /// Data-plane counters (lives here so the threaded engine's free
     /// functions can increment through `st`).
     pub(crate) counters: SwitchCounters,
 }
@@ -209,7 +201,6 @@ impl RuntimeState {
             registers: cp.regs.iter().map(|r| vec![0u64; r.size]).collect(),
             tables: cp.table_states.iter().map(|t| t.entries.clone()).collect(),
             rng: 0x9E37_79B9_97F4_A7C1,
-            stack: Vec::new(),
             keys: Vec::new(),
             scratch: Vec::new(),
             param_saves: Vec::new(),
@@ -379,18 +370,6 @@ impl Switch {
         self.engine
     }
 
-    /// Back-compat engine toggle: `true` selects the interpreter oracle,
-    /// `false` the compiled pc-loop (what the pre-[`Engine`] flag meant —
-    /// note *not* the threaded default; use [`Switch::set_engine`]).
-    pub fn set_interpreted(&mut self, interpreted: bool) {
-        self.set_engine(if interpreted { Engine::Interpreted } else { Engine::Compiled });
-    }
-
-    /// Whether the interpreter oracle is selected.
-    pub fn interpreted(&self) -> bool {
-        self.engine == Engine::Interpreted
-    }
-
     /// A packet shaped for this switch's slot table, for reuse with
     /// [`Switch::process_into`].
     pub fn new_packet(&self) -> Packet {
@@ -486,7 +465,7 @@ impl Switch {
     }
 
     /// Runs one packet, reusing the caller's packet and output buffer. On
-    /// the compiled path this performs no heap allocation for fields the
+    /// the threaded engine this performs no heap allocation for fields the
     /// program interned (errors and payload growth aside).
     pub fn process_into(
         &mut self,
@@ -494,52 +473,34 @@ impl Switch {
         pkt: &mut Packet,
         out: &mut Vec<u8>,
     ) -> Result<(), SwitchError> {
-        let watch = self.timing.as_ref().map(|_| netcl_obs::Stopwatch::start());
-        let r = self.process_inner(wire, pkt, out);
-        if let (Some(w), Some(h)) = (watch, self.timing.as_mut()) {
-            h.record(w.elapsed_ns());
-        }
-        if r.is_err() {
-            self.st.counters.errors += 1;
-        }
-        r
+        pkt.ensure_slots(&self.compiled.slots);
+        self.run_one(wire, pkt, out)
     }
 
-    fn process_inner(
+    /// The one per-packet routine behind every entry point: count, reset
+    /// the caller's (already shaped) packet and output, run the selected
+    /// engine, attribute to the tenant, time, and count a failure. This is
+    /// the only place the engine is dispatched on.
+    fn run_one(
         &mut self,
         wire: &[u8],
         pkt: &mut Packet,
         out: &mut Vec<u8>,
     ) -> Result<(), SwitchError> {
+        let watch = self.timing.as_ref().map(|_| netcl_obs::Stopwatch::start());
         self.packets_processed += 1;
         self.st.counters.packets += 1;
         // Tenant attribution brackets the engine run: the comp byte names
         // the tenant, and the reg-action delta across the run is exactly
         // the tenant's (kernels dispatch exclusively on comp).
         let tenant = self.tenancy.as_deref().and_then(|t| t.of_wire(wire));
-        let ra_before = if tenant.is_some() { self.st.counters.reg_action_execs } else { 0 };
+        let ra_before = self.st.counters.reg_action_execs;
         out.clear();
-        pkt.ensure_slots(&self.compiled.slots);
         pkt.reset();
         let r = match self.engine {
-            Engine::Interpreted => {
-                let mut run = |sw: &mut Switch| -> Result<(), SwitchError> {
-                    sw.parse_interp(wire, pkt)?;
-                    let controls = sw.program.controls.clone();
-                    for control in &controls {
-                        let apply = control.apply.clone();
-                        sw.exec_stmts(&apply, control, pkt)?;
-                    }
-                    sw.deparse_interp(pkt, out)
-                };
-                run(self)
-            }
-            // Split borrows: the program forms and the runtime state are
+            Engine::Interpreted => self.run_interp(wire, pkt, out),
+            // Split borrows: the lowered program and the runtime state are
             // disjoint fields, so no per-packet `Arc` refcount traffic.
-            Engine::Compiled => {
-                let Switch { compiled, st, .. } = self;
-                run_compiled(compiled, wire, pkt, out, st)
-            }
             Engine::Threaded => {
                 let Switch { threaded, st, .. } = self;
                 threaded::run_threaded(threaded, wire, pkt, out, st)
@@ -551,74 +512,30 @@ impl Switch {
             e.packets += 1;
             e.reg_action_execs += delta;
         }
+        if let (Some(w), Some(h)) = (watch, self.timing.as_mut()) {
+            h.record(w.elapsed_ns());
+        }
+        if r.is_err() {
+            self.st.counters.errors += 1;
+        }
         r
     }
 
     // ---- batched processing (DESIGN.md §13) -----------------------------
 
     /// Runs every packet of `batch` through the pipeline, in order,
-    /// recording per-packet outcomes and outputs in the batch. Semantically
-    /// identical to calling [`Switch::process_into`] once per packet — the
-    /// differential tests assert outputs, errors, and counters match — but
-    /// executed **phase-split** on the compiled/threaded engines: parse
-    /// sweeps the whole batch over the contiguous wire arena, then the op
-    /// stream runs per packet *in order* (register/RNG mutation order is
-    /// observable), then deparse sweeps again. Parse and deparse touch no
-    /// cross-packet state, so hoisting them is unobservable, and each
-    /// phase runs its one specialized loop branch-predictably over the
-    /// batch instead of interleaving three (DESIGN.md §14).
-    ///
-    /// Falls back to the per-packet loop when the interpreter oracle or
-    /// per-packet timing is active (timing needs a whole-pipeline stopwatch
-    /// per packet).
+    /// recording per-packet outcomes and outputs in the batch. Identical
+    /// to calling [`Switch::process_into`] once per packet — it is the same
+    /// per-packet routine — with packet shaping, output buffers and the
+    /// wire arena amortized over the batch.
     pub fn process_batch(&mut self, batch: &mut PacketBatch) {
-        if self.engine == Engine::Interpreted || self.timing.is_some() {
-            let _ = self.process_batch_from(batch, 0, |_| false);
-            return;
-        }
-        let Switch { compiled, threaded, st, packets_processed, engine, tenancy, .. } = self;
-        let cp: &CompiledProgram = compiled;
-        let tenancy = tenancy.as_deref();
-        batch.prepare_split(&cp.slots);
-        let n = batch.len();
-        // Each engine gets its own monomorphized phase loops (the closure
-        // args devirtualize at the call sites below).
-        let errors = {
-            let parts = batch.phase_parts();
-            match engine {
-                Engine::Threaded => run_phases(
-                    parts,
-                    st,
-                    tenancy,
-                    |wire, pkt, _| threaded::parse_threaded(threaded, wire, pkt),
-                    |pkt, st| threaded::exec_threaded(threaded, pkt, st),
-                    |pkt, out| threaded::deparse_threaded(threaded, pkt, out),
-                ),
-                _ => run_phases(
-                    parts,
-                    st,
-                    tenancy,
-                    |wire, pkt, st| parse_compiled(cp, wire, pkt, st),
-                    |pkt, st| {
-                        cp.applies.iter().try_for_each(|&region| exec_region(cp, region, pkt, st))
-                    },
-                    |pkt, out| deparse_compiled(cp, pkt, out),
-                ),
-            }
-        };
-        if errors > 0 {
-            batch.note_errors();
-        }
-        st.counters.packets += n as u64;
-        st.counters.errors += errors;
-        *packets_processed += n as u64;
+        let _ = self.process_batch_from(batch, 0, |_| false);
     }
 
     /// Batched processing with an early-stop predicate, for callers that
     /// must interleave work mid-batch (the simulator stops at a packet
-    /// requesting recirculation, finishes its extra passes scalar-style,
-    /// then resumes — preserving the exact scalar order of register and RNG
-    /// mutations).
+    /// requesting recirculation, finishes its extra passes, then resumes —
+    /// preserving the exact order of register and RNG mutations).
     ///
     /// Packets `start..batch.len()` are processed in order. After each
     /// *successful* packet, `stop` inspects its output; returning `true`
@@ -632,70 +549,16 @@ impl Switch {
         mut stop: impl FnMut(&[u8]) -> bool,
     ) -> Option<usize> {
         batch.prepare(&self.compiled.slots);
-        let end = batch.len();
-        if self.engine == Engine::Interpreted {
-            // The oracle runs the scalar entry point per packet: it exists
-            // to be obviously equivalent, not fast.
-            for i in start..end {
-                let (r, hit) = {
-                    let (wire, pkt, out) = batch.slot_mut(i);
-                    let r = self.process_into(wire, pkt, out);
-                    let hit = r.is_ok() && stop(out);
-                    (r, hit)
-                };
-                batch.set_outcome(i, r);
-                if hit {
-                    return Some(i);
-                }
-            }
-            return None;
-        }
-        let Switch { compiled, threaded, st, timing, packets_processed, engine, tenancy, .. } =
-            self;
-        let cp: &CompiledProgram = compiled;
-        let tenancy = tenancy.as_deref();
-        let mut done = 0u64;
-        let mut stopped = None;
-        for i in start..end {
-            done += 1;
-            let watch = timing.as_ref().map(|_| netcl_obs::Stopwatch::start());
-            let (r, hit) = {
-                let (wire, pkt, out) = batch.slot_mut(i);
-                // `prepare` already shaped the packet; skip `ensure_slots`.
-                out.clear();
-                pkt.reset();
-                let tenant = tenancy.and_then(|t| t.of_wire(wire));
-                let ra_before = if tenant.is_some() { st.counters.reg_action_execs } else { 0 };
-                let r = match engine {
-                    Engine::Threaded => threaded::run_threaded(threaded, wire, pkt, out, st),
-                    _ => run_compiled(cp, wire, pkt, out, st),
-                };
-                if let Some(tid) = tenant {
-                    let delta = st.counters.reg_action_execs - ra_before;
-                    let e = st.counters.tenants.entry(tid).or_default();
-                    e.packets += 1;
-                    e.reg_action_execs += delta;
-                }
-                let hit = r.is_ok() && stop(out);
-                (r, hit)
-            };
-            if let (Some(w), Some(h)) = (watch, timing.as_mut()) {
-                h.record(w.elapsed_ns());
-            }
-            if r.is_err() {
-                st.counters.errors += 1;
-            }
+        for i in start..batch.len() {
+            let (wire, pkt, out) = batch.slot_mut(i);
+            let r = self.run_one(wire, pkt, out);
+            let hit = r.is_ok() && stop(out);
             batch.set_outcome(i, r);
             if hit {
-                stopped = Some(i);
-                break;
+                return Some(i);
             }
         }
-        // Bulk counter update: totals match the scalar per-packet
-        // increments for every packet actually attempted.
-        st.counters.packets += done;
-        *packets_processed += done;
-        stopped
+        None
     }
 
     // ---- interpreter oracle ---------------------------------------------
@@ -703,6 +566,21 @@ impl Switch {
     fn header_def(&self, instance: &str) -> Option<&HeaderDef> {
         let ty = format!("{instance}_t");
         self.program.headers.iter().find(|h| h.name == ty)
+    }
+
+    /// One full parse → ingress → deparse run on the interpreter.
+    fn run_interp(
+        &mut self,
+        wire: &[u8],
+        pkt: &mut Packet,
+        out: &mut Vec<u8>,
+    ) -> Result<(), SwitchError> {
+        self.parse_interp(wire, pkt)?;
+        let controls = self.program.controls.clone();
+        for control in &controls {
+            self.exec_stmts(&control.apply, control, pkt)?;
+        }
+        self.deparse_interp(pkt, out)
     }
 
     fn parse_interp(&self, wire: &[u8], pkt: &mut Packet) -> Result<(), SwitchError> {
@@ -1025,479 +903,6 @@ impl Switch {
     }
 }
 
-// ---- compiled fast path -------------------------------------------------
-
-/// The phase-split batch pipeline, monomorphized per engine via the three
-/// phase closures. Sweeps [`crate::batch::PHASE_WINDOW`]-sized windows: within a window
-/// every packet is parsed, then executed strictly in order, then
-/// deparsed — so each phase runs one specialized loop branch-predictably,
-/// while the live parsed state stays bounded (the window's scratch
-/// packets) and L1-warm for the exec pass no matter the batch size.
-/// Windows run in packet order, so the observable order of register/RNG
-/// mutations is exactly the scalar loop's.
-#[allow(clippy::type_complexity)]
-fn run_phases<P, E, D>(
-    parts: (&[u8], &[(u32, u32)], &mut [Packet], &mut [Vec<u8>], &mut [Result<(), SwitchError>]),
-    st: &mut RuntimeState,
-    tenancy: Option<&Tenancy>,
-    parse: P,
-    exec: E,
-    deparse: D,
-) -> u64
-where
-    P: Fn(&[u8], &mut Packet, &mut RuntimeState) -> Result<(), SwitchError>,
-    E: Fn(&mut Packet, &mut RuntimeState) -> Result<(), SwitchError>,
-    D: Fn(&Packet, &mut Vec<u8>) -> Result<(), SwitchError>,
-{
-    let (arena, ranges, pkts, outs, outcomes) = parts;
-    let n = ranges.len();
-    let window = pkts.len();
-    let mut errors = 0u64;
-    let mut base = 0usize;
-    // Looks up the wire's tenant again per phase rather than buffering the
-    // phase-1 result: the comp byte is one arena load and keeping the two
-    // phases stateless preserves the window-scratch memory bound.
-    let tenant_of = |i: usize| {
-        tenancy.and_then(|t| {
-            let (s, l) = ranges[i];
-            t.of_wire(&arena[s as usize..(s + l) as usize])
-        })
-    };
-    while base < n {
-        let hi = (base + window).min(n);
-        // Phase 1: parse the window off the shared arena. Per-tenant packet
-        // counts are credited here for every attempted packet — parse
-        // failures included — matching the scalar loop, which counts the
-        // packet before the engine runs.
-        for i in base..hi {
-            let pkt = &mut pkts[i - base];
-            pkt.reset();
-            let (s, l) = ranges[i];
-            if let Err(e) = parse(&arena[s as usize..(s + l) as usize], pkt, st) {
-                outcomes[i] = Err(e);
-                errors += 1;
-            }
-            if let Some(tid) = tenant_of(i) {
-                st.counters.tenants.entry(tid).or_default().packets += 1;
-            }
-        }
-        // Phase 2: execute, strictly in packet order. Register actions run
-        // only here (never in parse/deparse), so bracketing exec with a
-        // before/after delta attributes exactly the scalar loop's share —
-        // parse-failed packets executed zero actions there too.
-        for i in base..hi {
-            if outcomes[i].is_err() {
-                continue;
-            }
-            let tenant = tenant_of(i);
-            let ra_before = if tenant.is_some() { st.counters.reg_action_execs } else { 0 };
-            if let Err(e) = exec(&mut pkts[i - base], st) {
-                outcomes[i] = Err(e);
-                errors += 1;
-            }
-            if let Some(tid) = tenant {
-                let delta = st.counters.reg_action_execs - ra_before;
-                st.counters.tenants.entry(tid).or_default().reg_action_execs += delta;
-            }
-        }
-        // Phase 3: deparse the survivors (outputs cleared for every
-        // attempted packet, exactly like the scalar loop).
-        for i in base..hi {
-            let out = &mut outs[i];
-            out.clear();
-            if outcomes[i].is_err() {
-                continue;
-            }
-            if let Err(e) = deparse(&pkts[i - base], out) {
-                outcomes[i] = Err(e);
-                errors += 1;
-            }
-        }
-        base = hi;
-    }
-    errors
-}
-
-/// One full parse → ingress → deparse run on the compiled engine. Shared
-/// by the scalar ([`Switch::process_into`]) and batched
-/// ([`Switch::process_batch`]) entry points so they cannot drift apart.
-fn run_compiled(
-    cp: &CompiledProgram,
-    wire: &[u8],
-    pkt: &mut Packet,
-    out: &mut Vec<u8>,
-    st: &mut RuntimeState,
-) -> Result<(), SwitchError> {
-    parse_compiled(cp, wire, pkt, st)?;
-    for &region in &cp.applies {
-        exec_region(cp, region, pkt, st)?;
-    }
-    deparse_compiled(cp, pkt, out)
-}
-
-/// Evaluates a postfix expression region against the reusable stack.
-/// Re-entrant: operates relative to the current stack top.
-fn eval_ref(
-    cp: &CompiledProgram,
-    r: Span,
-    pkt: &Packet,
-    stack: &mut Vec<(u64, u32)>,
-) -> (u64, u32) {
-    let base = stack.len();
-    for op in &cp.eops[r.start as usize..(r.start + r.len) as usize] {
-        match *op {
-            EOp::Const(v, w) => stack.push((v, w)),
-            EOp::Load(s, w) => stack.push((pkt.value(s), w)),
-            EOp::LoadBare { meta, hdr, width } => {
-                let v = if pkt.meta_present(meta) { pkt.value(meta) } else { pkt.value(hdr) };
-                stack.push((v, width));
-            }
-            EOp::LoadValid(i) => stack.push((pkt.is_valid_id(i) as u64, 1)),
-            EOp::Bin(op) => {
-                let (vb, wb) = stack.pop().expect("postfix underflow");
-                let top = stack.last_mut().expect("postfix underflow");
-                *top = bin_value(op, top.0, top.1, vb, wb);
-            }
-            EOp::Not => {
-                let top = stack.last_mut().expect("postfix underflow");
-                *top = ((top.0 == 0) as u64, 1);
-            }
-            EOp::BitNot => {
-                let top = stack.last_mut().expect("postfix underflow");
-                *top = ((!top.0) & mask_of(top.1), top.1);
-            }
-            EOp::Cast(bits) => {
-                let top = stack.last_mut().expect("postfix underflow");
-                *top = (top.0 & mask_of(bits), bits);
-            }
-            EOp::Slice(hi, lo) => {
-                let top = stack.last_mut().expect("postfix underflow");
-                let width = hi - lo + 1;
-                *top = ((top.0 >> lo) & mask_of(width), width);
-            }
-        }
-    }
-    debug_assert_eq!(stack.len(), base + 1, "unbalanced postfix expression");
-    stack.pop().expect("postfix produced no value")
-}
-
-fn assign_to(pkt: &mut Packet, dst: Dest, v: u64) {
-    match dst {
-        Dest::None => {}
-        Dest::Header(s, w) => pkt.set_value(s, v & mask_of(w)),
-        Dest::Meta(s, w) => pkt.set_meta_slot(s, v & mask_of(w)),
-    }
-}
-
-fn fail(cp: &CompiledProgram, id: u32) -> SwitchError {
-    SwitchError::Unknown(cp.fail_msg(id).to_string())
-}
-
-fn parse_compiled(
-    cp: &CompiledProgram,
-    wire: &[u8],
-    pkt: &mut Packet,
-    st: &mut RuntimeState,
-) -> Result<(), SwitchError> {
-    let Some(parser) = &cp.parser else {
-        pkt.payload.extend_from_slice(wire);
-        return Ok(());
-    };
-    let mut cursor = 0usize;
-    let mut state = parser.start;
-    let mut hops = 0;
-    loop {
-        if matches!(state, StateRef::Accept | StateRef::Reject) {
-            break;
-        }
-        hops += 1;
-        if hops > 64 {
-            return Err(SwitchError::Unknown("parser loop".into()));
-        }
-        let si = match state {
-            StateRef::State(i) => i as usize,
-            StateRef::Unknown(m) => return Err(fail(cp, m)),
-            _ => unreachable!(),
-        };
-        let cstate = &parser.states[si];
-        for ex in &cstate.extracts {
-            match *ex {
-                CExtract::Unknown(m) => return Err(fail(cp, m)),
-                CExtract::Header(inst) => {
-                    let plan = cp.slots.layout(inst).expect("extract compiled for known header");
-                    for &(slot, bits) in plan {
-                        let v = read_field(wire, &mut cursor, bits)
-                            .map_err(|e| field_err(e, pkt.instance_name(inst)))?;
-                        pkt.set_value(slot, v);
-                    }
-                    pkt.set_valid_id(inst, true);
-                }
-            }
-        }
-        state = match &cstate.transition {
-            CTransition::Accept => StateRef::Accept,
-            CTransition::Reject => StateRef::Reject,
-            CTransition::Direct(t) => *t,
-            CTransition::Select { selector, cases, default } => {
-                let (v, _) = eval_ref(cp, *selector, pkt, &mut st.stack);
-                cases.iter().find(|(c, _)| *c == v).map(|(_, t)| *t).unwrap_or(*default)
-            }
-        };
-    }
-    pkt.payload.extend_from_slice(&wire[cursor..]);
-    Ok(())
-}
-
-fn deparse_compiled(
-    cp: &CompiledProgram,
-    pkt: &Packet,
-    out: &mut Vec<u8>,
-) -> Result<(), SwitchError> {
-    for &inst in pkt.order_ids() {
-        if !pkt.is_valid_id(inst) {
-            continue;
-        }
-        let Some(plan) = cp.slots.layout(inst) else {
-            return Err(SwitchError::Unknown(format!("header `{}`", pkt.instance_name(inst))));
-        };
-        for &(slot, bits) in plan {
-            write_field(out, pkt.value(slot), bits)
-                .map_err(|e| field_err(e, pkt.instance_name(inst)))?;
-        }
-    }
-    out.extend_from_slice(&pkt.payload);
-    Ok(())
-}
-
-fn exec_region(
-    cp: &CompiledProgram,
-    region: Span,
-    pkt: &mut Packet,
-    st: &mut RuntimeState,
-) -> Result<(), SwitchError> {
-    let start = region.start as usize;
-    let end = start + region.len as usize;
-    let mut pc = start;
-    while pc < end {
-        match cp.cops[pc] {
-            COp::Assign { dst, expr } => {
-                let (v, _) = eval_ref(cp, expr, pkt, &mut st.stack);
-                assign_to(pkt, dst, v);
-            }
-            COp::CallAction(a) => call_action(cp, a, 0, 0, pkt, st)?,
-            COp::ApplyTable(t) => {
-                apply_table_compiled(cp, t, pkt, st)?;
-            }
-            COp::ExecRegAction { dst, ra, index } => exec_reg_action(cp, dst, ra, index, pkt, st)?,
-            COp::HashGet { dst, hash, args } => {
-                let ch = &cp.hashes[hash as usize];
-                let mut key = 0u64;
-                let mut key_bits = 0u32;
-                for ai in args.start..args.start + args.len {
-                    let (v, w) = eval_ref(cp, cp.args[ai as usize], pkt, &mut st.stack);
-                    key |= (v & mask_of(w)) << key_bits.min(63);
-                    key_bits += w;
-                }
-                let key_bytes = key_bits.div_ceil(8).max(1);
-                let v = ch.algo.compute(key, key_bytes, ch.out_bits.min(64) as u8);
-                assign_to(pkt, dst, v);
-            }
-            COp::ExternCall { dst, func, args } => {
-                st.counters.extern_calls += 1;
-                let vbase = st.scratch.len();
-                for ai in args.start..args.start + args.len {
-                    let (v, _) = eval_ref(cp, cp.args[ai as usize], pkt, &mut st.stack);
-                    st.scratch.push(v);
-                }
-                let v = match func {
-                    ExternFn::Random => {
-                        st.rng = st.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                        let mut z = st.rng;
-                        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                        z ^ (z >> 31)
-                    }
-                    ExternFn::Intrinsic(i) => {
-                        let (target, name) = &cp.externs[i as usize];
-                        eval_intrinsic(target, name, &st.scratch[vbase..])
-                    }
-                };
-                st.scratch.truncate(vbase);
-                assign_to(pkt, dst, v);
-            }
-            COp::BranchExpr { cond, else_skip } => {
-                if eval_ref(cp, cond, pkt, &mut st.stack).0 == 0 {
-                    pc += else_skip as usize;
-                }
-            }
-            COp::AssignBranch { dst, expr, else_skip } => {
-                let (v, _) = eval_ref(cp, expr, pkt, &mut st.stack);
-                assign_to(pkt, dst, v);
-                // Branch on the stored (masked) value, exactly as the
-                // unfused pair re-read it.
-                let stored = match dst {
-                    Dest::Header(s, _) | Dest::Meta(s, _) => pkt.value(s),
-                    Dest::None => v,
-                };
-                if stored == 0 {
-                    pc += else_skip as usize;
-                }
-            }
-            COp::BranchTable { table, want_hit, else_skip } => {
-                let hit = apply_table_compiled(cp, table, pkt, st)?;
-                if hit != want_hit {
-                    pc += else_skip as usize;
-                }
-            }
-            COp::Jump(n) => pc += n as usize,
-            COp::SetValid(i) => pkt.set_valid_id(i, true),
-            COp::SetInvalid(i) => pkt.set_valid_id(i, false),
-            COp::Fail(m) => return Err(fail(cp, m)),
-        }
-        pc += 1;
-    }
-    Ok(())
-}
-
-/// Invokes a compiled action. `args_base`/`args_len` index the scratch
-/// buffer (stack discipline keeps nested calls allocation-free).
-fn call_action(
-    cp: &CompiledProgram,
-    action: u32,
-    args_base: usize,
-    args_len: usize,
-    pkt: &mut Packet,
-    st: &mut RuntimeState,
-) -> Result<(), SwitchError> {
-    let a = &cp.actions[action as usize];
-    st.counters.action_calls += 1;
-    let save_base = st.param_saves.len();
-    for &(slot, _) in &a.params {
-        st.param_saves.push((slot, pkt.value(slot), pkt.meta_present(slot)));
-    }
-    for (i, &(slot, w)) in a.params.iter().take(args_len).enumerate() {
-        let v = st.scratch[args_base + i];
-        pkt.set_meta_slot(slot, v & mask_of(w));
-    }
-    let r = exec_region(cp, a.body, pkt, st);
-    if r.is_ok() {
-        // The interpreter restores bindings only on success; match it.
-        for i in save_base..st.param_saves.len() {
-            let (slot, val, present) = st.param_saves[i];
-            if present {
-                pkt.set_meta_slot(slot, val);
-            } else {
-                pkt.clear_meta_slot(slot);
-            }
-        }
-    }
-    st.param_saves.truncate(save_base);
-    r
-}
-
-/// Applies a compiled table; returns hit/miss.
-fn apply_table_compiled(
-    cp: &CompiledProgram,
-    table: u32,
-    pkt: &mut Packet,
-    st: &mut RuntimeState,
-) -> Result<bool, SwitchError> {
-    let t = &cp.tables[table as usize];
-    let kbase = st.keys.len();
-    for &(kref, _) in &t.keys {
-        let v = eval_ref(cp, kref, pkt, &mut st.stack).0;
-        st.keys.push(v);
-    }
-    let nkeys = st.keys.len() - kbase;
-    let state = t.state as usize;
-    let mut hit_idx = None;
-    {
-        let entries = &st.tables[state];
-        let keys = &st.keys[kbase..];
-        for (ei, e) in entries.iter().enumerate() {
-            let matches = e.keys.len() == nkeys
-                && e.keys.iter().zip(keys).all(|(ek, kv)| match ek {
-                    EntryKey::Value(v) => v == kv,
-                    EntryKey::Range(lo, hi) => lo <= kv && kv <= hi,
-                });
-            if matches {
-                hit_idx = Some(ei);
-                break;
-            }
-        }
-    }
-    st.keys.truncate(kbase);
-    match hit_idx {
-        Some(_) => st.counters.table_hits[state] += 1,
-        None => st.counters.table_misses[state] += 1,
-    }
-    match hit_idx {
-        Some(ei) => {
-            // Entry actions resolve by name in the applying table's scope
-            // (runtime entries may name any action; unknown ones are
-            // silently skipped, as in the interpreter).
-            let aid = t.action_ids.get(st.tables[state][ei].action.as_str()).copied();
-            if let Some(aid) = aid {
-                let abase = st.scratch.len();
-                {
-                    let RuntimeState { tables, scratch, .. } = st;
-                    scratch.extend_from_slice(&tables[state][ei].args);
-                }
-                let n_args = st.scratch.len() - abase;
-                let r = call_action(cp, aid, abase, n_args, pkt, st);
-                st.scratch.truncate(abase);
-                r?;
-            }
-            Ok(true)
-        }
-        None => {
-            if let Some(aid) = t.default_action {
-                call_action(cp, aid, 0, 0, pkt, st)?;
-            }
-            Ok(false)
-        }
-    }
-}
-
-fn exec_reg_action(
-    cp: &CompiledProgram,
-    dst: Dest,
-    ra: u32,
-    index: Span,
-    pkt: &mut Packet,
-    st: &mut RuntimeState,
-) -> Result<(), SwitchError> {
-    let cra = &cp.reg_actions[ra as usize];
-    st.counters.reg_action_execs += 1;
-    let (idx, _) = eval_ref(cp, index, pkt, &mut st.stack);
-    let cond = match cra.cond {
-        Some(c) => eval_ref(cp, c, pkt, &mut st.stack).0 != 0,
-        None => true,
-    };
-    let bits = cra.elem_bits;
-    let obase = st.scratch.len();
-    for ai in cra.operands.start..cra.operands.start + cra.operands.len {
-        let v = eval_ref(cp, cp.args[ai as usize], pkt, &mut st.stack).0 & mask_of(bits);
-        st.scratch.push(v);
-    }
-    let sty = netcl_sema::Ty::Int { bits: (bits as u8).clamp(8, 64), signed: false };
-    let (new, ret) = {
-        let RuntimeState { registers, scratch, .. } = st;
-        let cells = &mut registers[cra.reg as usize];
-        let i = (idx as usize).min(cells.len().saturating_sub(1));
-        let old = cells.get(i).copied().unwrap_or(0);
-        let (new, ret) = cra.op.execute(old, cond, &scratch[obase..], sty);
-        if let Some(cell) = cells.get_mut(i) {
-            *cell = new & mask_of(bits);
-        }
-        (new, ret)
-    };
-    let _ = new;
-    st.scratch.truncate(obase);
-    assign_to(pkt, dst, ret);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1615,20 +1020,21 @@ mod tests {
         let r = sw.process(&[0x01]);
         assert!(matches!(r, Err(SwitchError::Packet(PacketError::Truncated { .. }))));
         // The interpreter agrees.
-        sw.set_interpreted(true);
+        sw.set_engine(Engine::Interpreted);
         let r = sw.process(&[0x01]);
         assert!(matches!(r, Err(SwitchError::Packet(PacketError::Truncated { .. }))));
     }
 
-    /// The compiled path and the interpreter oracle agree byte-for-byte on
-    /// outputs and register state, including across control-plane updates.
+    /// The threaded engine and the interpreter oracle agree byte-for-byte
+    /// on outputs and register state, including across control-plane
+    /// updates.
     #[test]
-    fn compiled_matches_interpreter() {
+    fn threaded_matches_interpreter() {
         let mut fast = Switch::new(counting_program());
         let mut oracle = Switch::new(counting_program());
-        oracle.set_interpreted(true);
-        assert!(!fast.interpreted());
-        assert!(oracle.interpreted());
+        oracle.set_engine(Engine::Interpreted);
+        assert_eq!(fast.engine(), Engine::Threaded);
+        assert_eq!(oracle.engine(), Engine::Interpreted);
 
         let extra =
             TableEntry { keys: vec![EntryKey::Value(3)], action: "setv".into(), args: vec![42] };
@@ -1691,7 +1097,7 @@ mod tests {
         }];
         let mut fast = Switch::new(p.clone());
         let mut oracle = Switch::new(p);
-        oracle.set_interpreted(true);
+        oracle.set_engine(Engine::Interpreted);
         // Not taken: no error.
         assert!(fast.process(&wire(2, 0)).is_ok());
         assert!(oracle.process(&wire(2, 0)).is_ok());
@@ -1844,18 +1250,18 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v,
         let br: Vec<_> = batched.registers().map(|(n, c)| (n.to_string(), c.to_vec())).collect();
         let sr: Vec<_> = scalar.registers().map(|(n, c)| (n.to_string(), c.to_vec())).collect();
         assert_eq!(br, sr, "register state diverges");
-        // One timing sample per attempted packet, like the scalar path.
+        // One timing sample per attempted packet.
         assert_eq!(batched.timing().unwrap().count(), wires.len() as u64);
     }
 
     /// The interpreter oracle exposes the same batched entry point and
-    /// agrees with the compiled engine batch-for-batch.
+    /// agrees with the threaded engine batch-for-batch.
     #[test]
     fn process_batch_interpreter_oracle_agrees() {
         let wires = [wire(7, 0), vec![0xAB], wire(8, 1), wire(7, 2)];
         let mut fast = Switch::new(counting_program());
         let mut oracle = Switch::new(counting_program());
-        oracle.set_interpreted(true);
+        oracle.set_engine(Engine::Interpreted);
         let (mut fb, mut ob) = (PacketBatch::new(), PacketBatch::new());
         for w in &wires {
             fb.push(w);
@@ -2000,8 +1406,8 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v,
         w
     }
 
-    /// All three engines attribute per-tenant packets, reg actions, and
-    /// table stats identically; unmapped comps stay unattributed.
+    /// Both engines attribute per-tenant packets, reg actions, and table
+    /// stats identically; unmapped comps stay unattributed.
     #[test]
     fn tenant_counters_uniform_across_engines() {
         let run = |engine: Engine| {
@@ -2013,7 +1419,7 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v,
             }
             sw
         };
-        let switches = [Engine::Interpreted, Engine::Compiled, Engine::Threaded].map(run);
+        let switches = [Engine::Interpreted, Engine::Threaded].map(run);
         for sw in &switches {
             let e = sw.engine().name();
             assert_eq!(
@@ -2040,11 +1446,11 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v,
         }
         // Per-tenant maps are inside `SwitchCounters`' differential contract.
         assert_eq!(switches[0].counters(), switches[1].counters());
-        assert_eq!(switches[1].counters(), switches[2].counters());
     }
 
-    /// Both batch paths credit tenants exactly like the scalar loop, parse
-    /// errors included, and `clear_tenants` stops attribution.
+    /// The batch entry point credits tenants exactly like per-packet
+    /// `process_into` calls, parse errors included, and `clear_tenants`
+    /// stops attribution.
     #[test]
     fn tenant_counters_batch_matches_scalar() {
         // The 9-byte wire carries a readable comp byte but truncates the
@@ -2071,16 +1477,7 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v,
             batch.push(w);
         }
         batched.process_batch(&mut batch);
-        assert_eq!(batched.counters(), scalar.counters(), "phase-split batch diverges");
-
-        let mut resumable = Switch::new(tenant_program());
-        resumable.set_tenants(&[(1, 0), (2, 1)]);
-        let mut batch2 = PacketBatch::new();
-        for w in &wires {
-            batch2.push(w);
-        }
-        assert_eq!(resumable.process_batch_from(&mut batch2, 0, |_| false), None);
-        assert_eq!(resumable.counters(), scalar.counters(), "resumable batch diverges");
+        assert_eq!(batched.counters(), scalar.counters(), "batch diverges");
 
         assert_eq!(
             scalar.tenant_counters(1),

@@ -1,9 +1,10 @@
 //! Direct-threaded execution backend (ROADMAP perf item #1, DESIGN.md §14).
 //!
-//! The compiled engine in `switch.rs` is still an interpreter: a pc-loop
-//! `match` over `COp` plus a postfix stack walk per expression
-//! (`EOp`). Profiles of the stateful apps (AGG runs ~36 `RegisterAction`
-//! executions per packet) show that dispatch — not arithmetic — dominates.
+//! Executing the flat `COp`/`EOp` stream directly means a pc-loop `match`
+//! per op plus a postfix stack walk per expression. Profiles of the
+//! stateful apps (AGG runs ~36 `RegisterAction` executions per packet)
+//! showed that dispatch — not arithmetic — dominates, so that executor was
+//! retired and the stream is only ever run in the lowered form below.
 //!
 //! This module lowers a `CompiledProgram` **once at load time** into:
 //!
@@ -22,10 +23,10 @@
 //!
 //! Closures (rather than generated machine code) keep the backend safe,
 //! portable, and load-time cheap; see DESIGN.md §14 for the trade-off
-//! discussion. Semantics are bit-for-bit those of the compiled engine and
-//! the tree-walking interpreter: every arm below mirrors its counterpart
-//! in `switch.rs`/`eval.rs`, and the differential proptests
-//! (`tests/properties.rs`) plus the chaos matrix hold all three engines to
+//! discussion. Semantics are bit-for-bit those of the tree-walking
+//! interpreter: every arm below mirrors its counterpart in
+//! `switch.rs`/`eval.rs`, and the differential proptests
+//! (`tests/properties.rs`) plus the chaos matrix hold the two engines to
 //! identical outputs, errors, `SwitchCounters`, and register state.
 
 use std::collections::HashMap;
@@ -280,7 +281,7 @@ enum TExtract {
 enum TNext {
     Accept,
     State(usize),
-    /// Unknown state name, failing lazily like the compiled engine.
+    /// Unknown state name, failing lazily like the interpreter.
     Unknown(String),
 }
 
@@ -1067,21 +1068,10 @@ pub(crate) fn run_threaded(
     st: &mut RuntimeState,
 ) -> Result<(), SwitchError> {
     parse_threaded(tp, wire, pkt)?;
-    exec_threaded(tp, pkt, st)?;
-    deparse_threaded(tp, pkt, out)
-}
-
-/// Runs every control's apply region (the ingress phase alone — the
-/// batched path drives the three phases separately).
-pub(crate) fn exec_threaded(
-    tp: &ThreadedProgram,
-    pkt: &mut Packet,
-    st: &mut RuntimeState,
-) -> Result<(), SwitchError> {
     for &(start, end) in tp.applies.iter() {
         run_region(tp, start, end, pkt, st)?;
     }
-    Ok(())
+    deparse_threaded(tp, pkt, out)
 }
 
 /// The direct-threaded dispatch loop: no `match`, each op hands back the
@@ -1100,8 +1090,8 @@ fn run_region(
     Ok(())
 }
 
-/// Invokes a lowered action (args index the shared scratch buffer, same
-/// stack discipline as the compiled engine).
+/// Invokes a lowered action (args index the shared scratch buffer, under
+/// stack discipline so nested calls stay allocation-free).
 fn call_action(
     tp: &ThreadedProgram,
     action: u32,
@@ -1260,12 +1250,8 @@ fn extract_plan(
 }
 
 /// The lowered parser FSM. Control flow — hop limit, lazy unknown-state
-/// errors — mirrors the compiled engine's loop exactly.
-pub(crate) fn parse_threaded(
-    tp: &ThreadedProgram,
-    wire: &[u8],
-    pkt: &mut Packet,
-) -> Result<(), SwitchError> {
+/// errors — mirrors the interpreter's loop exactly.
+fn parse_threaded(tp: &ThreadedProgram, wire: &[u8], pkt: &mut Packet) -> Result<(), SwitchError> {
     let Some(parser) = &tp.parser else {
         pkt.payload.extend_from_slice(wire);
         return Ok(());
@@ -1310,7 +1296,7 @@ pub(crate) fn parse_threaded(
 
 /// Deparses valid headers in first-validation order through the
 /// precomputed plans (per-header `reserve`, offset writes).
-pub(crate) fn deparse_threaded(
+fn deparse_threaded(
     tp: &ThreadedProgram,
     pkt: &Packet,
     out: &mut Vec<u8>,

@@ -33,6 +33,7 @@ use crate::topo::{NodeId, Topology};
 use netcl_bmv2::Switch;
 use netcl_obs::trace::Trace;
 use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -604,30 +605,36 @@ impl ShardedNetwork {
                 let res_tx = res_tx.clone();
                 scope.spawn(move || {
                     while let Ok((horizon, budget, xs, flows)) = rx.recv() {
-                        for (at, seq, ev) in flows {
-                            sh.inject_external(at, seq, ev);
-                        }
-                        if cfg!(debug_assertions) {
-                            for ev in &xs {
-                                debug_assert!(
-                                    ev.time >= sh.now(),
-                                    "lookahead violation: arrival at {} for t={} but shard {i} already at {}",
-                                    ev.target,
-                                    ev.time,
-                                    sh.now()
-                                );
+                        // A panic in a host handler or a switch is caught
+                        // here and reported like any other round result:
+                        // the coordinator waits for one report per shard,
+                        // so a worker dying silently would hang the run.
+                        let report = catch_unwind(AssertUnwindSafe(|| {
+                            for (at, seq, ev) in flows {
+                                sh.inject_external(at, seq, ev);
                             }
-                        }
-                        sh.stage_xs(xs);
-                        // Live-event footprint entering the round, after
-                        // this round's deliveries landed.
-                        let live = sh.queue_len() as u64;
-                        let t0 = Instant::now();
-                        let did = sh.run_until(horizon, budget);
-                        let busy = t0.elapsed().as_nanos() as u64;
-                        let out = sh.take_xs_out();
-                        let next = sh.next_event_time();
-                        if res_tx.send((i, did, busy, out, next, live)).is_err() {
+                            if cfg!(debug_assertions) {
+                                for ev in &xs {
+                                    debug_assert!(
+                                        ev.time >= sh.now(),
+                                        "lookahead violation: arrival at {} for t={} but shard {i} already at {}",
+                                        ev.target,
+                                        ev.time,
+                                        sh.now()
+                                    );
+                                }
+                            }
+                            sh.stage_xs(xs);
+                            // Live-event footprint entering the round,
+                            // after this round's deliveries landed.
+                            let live = sh.queue_len() as u64;
+                            let t0 = Instant::now();
+                            let did = sh.run_until(horizon, budget);
+                            let busy = t0.elapsed().as_nanos() as u64;
+                            (did, busy, sh.take_xs_out(), sh.next_event_time(), live)
+                        }));
+                        let failed = report.is_err();
+                        if res_tx.send((i, report)).is_err() || failed {
                             break;
                         }
                     }
@@ -716,7 +723,21 @@ impl ShardedNetwork {
                 let mut round_live = 0u64;
                 let mut moved = false;
                 for _ in 0..nsh {
-                    let (i, did, busy, out, next, live) = res_rx.recv().unwrap();
+                    let (i, report) = res_rx.recv().expect("every worker reports every round");
+                    let (did, busy, out, next, live) = report.unwrap_or_else(|cause| {
+                        // Unwinding drops the command channels, so the
+                        // other workers exit and the scope joins them
+                        // before this panic leaves `run`.
+                        let why = cause
+                            .downcast_ref::<&str>()
+                            .map(|s| s.to_string())
+                            .or_else(|| cause.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "non-string panic payload".to_string());
+                        panic!(
+                            "shard {i} worker panicked in round {} (horizon {}): {why}",
+                            *rounds, horizons[i]
+                        )
+                    });
                     round += did;
                     busy_ns[i] += busy;
                     round_max = round_max.max(busy);
@@ -737,6 +758,15 @@ impl ShardedNetwork {
             }
             drop(cmd_txs); // workers exit their recv loops
         });
+        // Stopping at the `max_events` cap leaves hand-offs and pumped
+        // flows undelivered: stage them in their owner shards so the next
+        // `run` call continues from exactly this state.
+        for (sh, (xs, flows)) in self.shards.iter_mut().zip(pending.into_iter().zip(flow_pend)) {
+            for (at, seq, ev) in flows {
+                sh.inject_external(at, seq, ev);
+            }
+            sh.stage_xs(xs);
+        }
         total
     }
 

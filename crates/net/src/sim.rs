@@ -111,7 +111,7 @@ enum KernelOutcome {
     /// The pipeline rejected the packet on its `passes`-th pass.
     Reject { passes: u64 },
     /// The post-kernel header was unreadable: the message vanishes
-    /// silently (matches the scalar path).
+    /// silently.
     Vanish { passes: u64 },
     /// All 8 passes asked to repeat: recirculation cap drop.
     CapExceeded,
@@ -133,7 +133,7 @@ fn single_pass_outcome(batch: &mut PacketBatch, i: usize, runtime: DeviceRuntime
 }
 
 /// Applies runtime forwarding to a final (non-repeat) kernel output,
-/// rewriting the header in place — the scalar path's post-loop bookkeeping.
+/// rewriting the header in place.
 fn finish_forward(
     mut msg: Message,
     mut wire: Vec<u8>,
@@ -151,9 +151,10 @@ fn finish_forward(
     KernelOutcome::Forward { wire, fwd, act_code, passes, src: msg.src, dst: msg.dst }
 }
 
-/// Completes a recirculating packet's extra passes scalar-style: the batch
-/// ran pass 0; passes 1..8 ping-pong through the node's scratch buffers,
-/// mutating registers and the per-switch RNG in exactly the scalar order.
+/// Completes a recirculating packet's extra passes before the burst
+/// resumes: the batch ran pass 0; passes 1..8 ping-pong through the node's
+/// scratch buffers, so registers and the per-switch RNG mutate in packet
+/// order.
 fn finish_recirculation(node: &mut DeviceNode, batch: &mut PacketBatch, i: usize) -> KernelOutcome {
     let mut wire = batch.take_output(i);
     let mut passes = 1u64;
@@ -492,7 +493,6 @@ impl NetworkBuilder {
             failed: HashSet::new(),
             restart_hooks: self.restart_hooks,
             obs,
-            scalar_delivery: false,
             routes,
             owned,
             xs_out: Vec::new(),
@@ -556,10 +556,6 @@ pub struct Network {
     restart_hooks: HashMap<u16, RestartHook>,
     /// Wall-clock observability; `None` (the default) costs nothing.
     obs: Option<NetObs>,
-    /// When set, deliveries run through the scalar `device_receive` path
-    /// instead of `device_receive_batch` — kept for the batched/scalar
-    /// equivalence tests (DESIGN.md §13).
-    scalar_delivery: bool,
     /// Memoized routing trees — one per active destination over a dense
     /// node index, invalidated whenever the downed-link set changes (see
     /// `route.rs`). Pure memoization: the run's observable behavior
@@ -838,15 +834,6 @@ impl Network {
         self.failed.contains(&id)
     }
 
-    /// Forces deliveries through the scalar per-packet path instead of
-    /// [`Switch::process_batch`]. The batched path (the default) is proven
-    /// byte-for-byte equivalent — `NetStats`, `SwitchCounters`, traces —
-    /// by the equivalence tests; this switch exists so they can keep
-    /// proving it.
-    pub fn set_scalar_delivery(&mut self, scalar: bool) {
-        self.scalar_delivery = scalar;
-    }
-
     /// Draws from `node`'s chaos RNG stream (splitmix64, lazily seeded
     /// from `seed ⊕ tag(node)`). Streams are per-node so a shard owning
     /// the node reproduces the scalar run's draws regardless of how other
@@ -1028,13 +1015,7 @@ impl Network {
                         n += 1;
                         batch.push(b);
                     }
-                    if self.scalar_delivery {
-                        for b in batch.drain(..) {
-                            self.device_receive(d, b);
-                        }
-                    } else {
-                        self.device_receive_batch(d, &mut batch);
-                    }
+                    self.device_receive_batch(d, &mut batch);
                 }
                 EventOrd::Arrive(NodeId::Host(h)) => self.host_receive(h, bytes),
                 EventOrd::Timer(NodeId::Host(h), token) => self.host_timer(h, token),
@@ -1235,124 +1216,27 @@ impl Network {
         }
     }
 
-    fn device_receive(&mut self, dev: u16, bytes: Vec<u8>) {
-        if self.failed.contains(&dev) {
-            // A failed device blackholes everything that reaches it.
-            self.stats.fault_drops += 1;
-            self.stats.node(NodeId::Device(dev)).dropped += 1;
-            self.trace_instant("drop.fault", NodeId::Device(dev), self.clock);
-            return;
-        }
-        if !self.devices.contains_key(&dev) {
-            return;
-        }
-        let Ok(mut msg) = Message::read_header(&bytes) else {
-            // Corrupted beyond header recognition: the shim parser rejects.
-            self.stats.node(NodeId::Device(dev)).dropped += 1;
-            return;
-        };
-        self.stats.node(NodeId::Device(dev)).delivered += 1;
-        let node = self.devices.get_mut(&dev).expect("checked above");
-        let backend = node.switch.engine().name();
-        let runtime = node.runtime;
-        if !runtime.should_compute(&msg) {
-            // No implicit computation: transit toward the target (§IV).
-            let fwd = runtime.transit(&msg);
-            let now = self.clock;
-            self.apply_forward(dev, fwd, now, bytes);
-            return;
-        }
-        // Execute the kernel (with recirculation for repeat(), capped),
-        // ping-ponging between the wire buffer and the node's scratch so
-        // recirculation passes reuse the same allocations.
-        let mut wire = bytes;
-        let mut latency = 0u64;
-        let mut passes = 0u64;
-        let mut result = None;
-        for pass in 0..8 {
-            self.stats.kernel_executions += 1;
-            if pass > 0 {
-                self.stats.recirculations += 1;
-            }
-            passes += 1;
-            latency += node.latency_ns;
-            if node.switch.process_into(&wire, &mut node.pkt, &mut node.out).is_err() {
-                // Malformed (possibly corrupted) packet: the pipeline
-                // rejects it.
-                self.stats.node(NodeId::Device(dev)).dropped += 1;
-                self.trace_instant("drop.reject", NodeId::Device(dev), self.clock);
-                return;
-            }
-            std::mem::swap(&mut wire, &mut node.out);
-            let Ok(m2) = Message::read_header(&wire) else { return };
-            let action = ActionKind::from_code(m2.action).unwrap_or(ActionKind::Pass);
-            msg = m2;
-            if action != ActionKind::Repeat {
-                // Apply runtime forwarding and rewrite the header in place.
-                let target = msg.target;
-                let act_code = msg.action;
-                let fwd = node.runtime.forward(&mut msg, action, target);
-                // Clear the per-hop action fields for the next node.
-                msg.action = 0;
-                msg.target = 0;
-                msg.write_header_into(&mut wire[..netcl_runtime::NCL_HEADER_BYTES]);
-                result = Some((fwd, act_code));
-                break;
-            }
-        }
-        match result {
-            Some((fwd, act_code)) => {
-                // The kernel latency delays *this* message's departure; it
-                // must not warp the global clock (which would shift every
-                // other in-flight event's frame of reference).
-                let depart = self.clock + latency;
-                if let Some(tr) = self.obs.as_mut().and_then(|o| o.trace.as_mut()) {
-                    tr.complete(
-                        "kernel",
-                        "device",
-                        0,
-                        tid_of(NodeId::Device(dev)),
-                        self.clock,
-                        latency,
-                        vec![
-                            ("action", Value::U64(act_code as u64)),
-                            ("recircs", Value::U64(passes - 1)),
-                            ("src", Value::U64(msg.src as u64)),
-                            ("dst", Value::U64(msg.dst as u64)),
-                            ("backend", Value::Str(backend.to_string())),
-                        ],
-                    );
-                }
-                self.apply_forward(dev, fwd, depart, wire);
-            }
-            // Recirculation cap exceeded: drop.
-            None => {
-                self.stats.kernel_drops += 1;
-                self.stats.node(NodeId::Device(dev)).dropped += 1;
-                self.trace_instant("drop.kernel", NodeId::Device(dev), self.clock);
-            }
-        }
-    }
-
-    /// Batched delivery: runs a same-timestamp burst of arrivals at one
-    /// device through [`Switch::process_batch_from`] while reproducing the
-    /// scalar path's observable behavior byte for byte (DESIGN.md §13).
+    /// The one delivery path: runs a same-timestamp burst of arrivals at
+    /// one device (a burst of one included) through
+    /// [`Switch::process_batch_from`] (DESIGN.md §13).
     ///
-    /// Three phases keep determinism:
+    /// Three phases make the result independent of how arrivals are split
+    /// into bursts — every observable effect happens in message order, as
+    /// if each arrival had been delivered on its own (the burst-split
+    /// invariance test in this module holds it to that):
     ///
     /// - **A (classify, message order):** parse headers and split arrivals
     ///   into drops, transits, and kernel inputs. No stats, traces, or
     ///   event pushes happen yet.
     /// - **B (compute, packet order):** one `process_batch_from` call per
     ///   contiguous run of kernel inputs. Register and per-switch RNG
-    ///   mutations happen here in exactly the scalar packet order; a packet
-    ///   asking to recirculate stops the batch, finishes its extra passes
-    ///   scalar-style through the node's scratch buffers, and the batch
-    ///   resumes after it.
+    ///   mutations happen here in packet order; a packet asking to
+    ///   recirculate stops the batch, finishes its extra passes through the
+    ///   node's scratch buffers, and the batch resumes after it.
     /// - **C (effects, message order):** stats, trace events, and forwards
     ///   — and therefore every event-queue `seq` and every Network-RNG draw
-    ///   inside `transmit` — replay in the same order the scalar loop would
-    ///   have produced them.
+    ///   inside `transmit` — happen in arrival order, after the whole
+    ///   burst's compute.
     fn device_receive_batch(&mut self, dev: u16, arrivals: &mut Vec<Vec<u8>>) {
         if self.failed.contains(&dev) {
             // A failed device blackholes everything that reaches it.
@@ -1507,7 +1391,7 @@ impl Network {
                     self.transmit(NodeId::Device(dev), m, at, copy);
                 }
             }
-            Forward::Recirculate => unreachable!("handled in device_receive"),
+            Forward::Recirculate => unreachable!("handled in device_receive_batch"),
         }
     }
 
@@ -1925,104 +1809,161 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
         assert_eq!(*fired.lock().unwrap(), vec![(100, 1), (500, 2), (900, 3)]);
     }
 
-    /// The batched delivery path must be observationally identical to the
-    /// scalar one — same `NetStats`, same `SwitchCounters`, same replies at
-    /// the same timestamps — even with every chaos link impairment (loss,
-    /// corruption, duplication, jitter, reordering) drawing from the RNG
-    /// streams.
-    #[test]
-    fn batched_delivery_matches_scalar() {
-        let run = |scalar: bool| {
-            let unit = netcl::Compiler::new(netcl::CompileOptions::default())
-                .compile("cache.ncl", CACHE_SRC)
-                .unwrap();
-            let spec = unit.model.kernels[0].specification();
-            let switch = Switch::new(unit.devices[0].tna_p4.clone());
-            let topo = star(1, &[1, 2], LinkSpec::chaos(0.1));
-            let mut net = NetworkBuilder::new(topo)
-                .seed(42)
-                .device(1, switch, 500)
-                .sink_host(1)
-                .sink_host(2)
-                .build();
-            net.set_scalar_delivery(scalar);
-            for round in 0..20u64 {
-                for key in [1u64, 2, 9] {
-                    // Hit keys reflect at the switch; misses pass through
-                    // to the sink host, so both forward paths run.
-                    let m = Message::new(1, 2, 1, 1);
-                    let packed = pack(&m, &spec, &[Some(&[1]), Some(&[key]), None, None]).unwrap();
-                    net.send_from_host(1, round * 1000, packed);
-                }
-            }
-            net.run(10_000);
-            let counters = net.switch(1).unwrap().counters().clone();
-            let received: Vec<_> = net.host_received(1).to_vec();
-            (net.stats.clone(), counters, received)
-        };
-        let batched = run(false);
-        let scalar = run(true);
-        assert!(batched.0 == scalar.0, "NetStats diverged:\n{:#?}\nvs\n{:#?}", batched.0, scalar.0);
-        assert_eq!(batched.1, scalar.1, "SwitchCounters diverged");
-        assert_eq!(batched.2, scalar.2, "host deliveries diverged");
-        assert!(batched.0.link_losses > 0, "chaos links should actually fire");
+    /// Everything a delivery leaves behind.
+    struct Delivered {
+        stats: NetStats,
+        counters: netcl_bmv2::SwitchCounters,
+        registers: Vec<(String, Vec<u64>)>,
+        trace: Option<Trace>,
+        /// Queued events, in pop order.
+        queued: Vec<(u64, EventSrc, NodeOrd)>,
     }
 
-    /// `ncl::repeat()` recirculation under batched delivery: a packet that
-    /// stops the batch mid-way finishes its extra passes scalar-style and
-    /// the rest of the burst resumes — with stats equal to the scalar path.
+    /// Hands `arrivals` to device 1 of a fresh chaos-link network at t=1000,
+    /// cut into sub-bursts after every arrival whose bit is set in `cuts`
+    /// (0 = one burst, all ones = all singletons), and snapshots the result.
+    fn deliver_split(p4: &netcl_p4::ast::P4Program, arrivals: &[Vec<u8>], cuts: u32) -> Delivered {
+        let topo = star(1, &[1, 2], LinkSpec::chaos(0.3));
+        let mut net = NetworkBuilder::new(topo)
+            .seed(42)
+            .device(1, Switch::new(p4.clone()), 500)
+            .sink_host(1)
+            .sink_host(2)
+            .observe(ObsConfig { trace: true, ..Default::default() })
+            .build();
+        net.clock = 1000;
+        net.cur_node = Some(NodeId::Device(1));
+        let mut burst = Vec::new();
+        for (i, bytes) in arrivals.iter().enumerate() {
+            burst.push(bytes.clone());
+            if cuts >> i & 1 == 1 || i + 1 == arrivals.len() {
+                net.device_receive_batch(1, &mut burst);
+                assert!(burst.is_empty(), "delivery consumes its burst");
+            }
+        }
+        let sw = net.switch(1).unwrap();
+        let counters = sw.counters().clone();
+        let registers = sw.registers().map(|(n, c)| (n.to_string(), c.to_vec())).collect();
+        let trace = net.take_trace();
+        let mut queued = Vec::new();
+        while let Some(Reverse(e)) = net.events.pop() {
+            queued.push(e);
+        }
+        Delivered { stats: net.stats.clone(), counters, registers, trace, queued }
+    }
+
+    /// Burst-split invariance: delivering an arrival list as one burst and
+    /// as every possible split into sub-bursts — all singletons included,
+    /// which is per-message delivery — must leave identical `NetStats`,
+    /// `SwitchCounters`, registers, trace, and queued events (keys, times,
+    /// bytes, pop order). Chaos links make every forward draw from the
+    /// network RNG, so an effect applied out of arrival order changes the
+    /// queue. Returns the one-burst result for scenario assertions.
+    fn assert_burst_split_invariant(
+        p4: &netcl_p4::ast::P4Program,
+        arrivals: &[Vec<u8>],
+    ) -> Delivered {
+        let whole = deliver_split(p4, arrivals, 0);
+        for cuts in 1..1u32 << (arrivals.len() - 1) {
+            let split = deliver_split(p4, arrivals, cuts);
+            assert_eq!(whole.stats, split.stats, "cuts {cuts:#b}: NetStats diverged");
+            assert_eq!(whole.counters, split.counters, "cuts {cuts:#b}: SwitchCounters diverged");
+            assert_eq!(whole.registers, split.registers, "cuts {cuts:#b}: registers diverged");
+            assert!(whole.trace == split.trace, "cuts {cuts:#b}: trace diverged");
+            assert_eq!(whole.queued, split.queued, "cuts {cuts:#b}: queued events diverged");
+        }
+        whole
+    }
+
+    /// The CACHE fixture under a mix of every delivery outcome: hits that
+    /// reflect, misses that forward, a transit toward an absent device
+    /// (unroutable) and one toward a host, an unreadable header, and a
+    /// packet the pipeline rejects.
     #[test]
-    fn batched_recirculation_matches_scalar() {
+    fn delivery_is_burst_split_invariant() {
+        let unit = netcl::Compiler::new(netcl::CompileOptions::default())
+            .compile("cache.ncl", CACHE_SRC)
+            .unwrap();
+        let spec = unit.model.kernels[0].specification();
+        let get = |to: u16, key: u64| {
+            pack(&Message::new(1, 2, 1, to), &spec, &[Some(&[1]), Some(&[key]), None, None])
+                .unwrap()
+        };
+        // Readable header addressed to this device, arguments cut short.
+        let mut reject = get(1, 1);
+        reject.truncate(netcl_runtime::NCL_HEADER_BYTES + 1);
+        let arrivals = [
+            get(1, 1),
+            vec![0xFF; 3],
+            get(1, 9),
+            get(7, 1),
+            reject,
+            get(1, 2),
+            get(netcl_runtime::device::NO_DEVICE, 2),
+            get(1, 9),
+        ];
+        let Delivered { stats, counters, trace, queued, .. } =
+            assert_burst_split_invariant(&unit.devices[0].tna_p4, &arrivals);
+        assert_eq!(stats.kernel_executions, 5, "four computes and the reject");
+        assert_eq!(counters.errors, 1, "the truncated packet is rejected");
+        assert_eq!(stats.per_node[&NodeId::Device(1)].dropped, 3, "header, reject, unroutable");
+        assert_eq!(stats.unroutable, 1, "the transit toward absent device 7");
+        assert!(
+            stats.link_losses + stats.duplicates + stats.reordered > 0,
+            "chaos links should actually fire"
+        );
+        assert!(!queued.is_empty(), "forwards were queued");
+        let names: Vec<&str> = trace.as_ref().unwrap().events().map(|e| e.name.as_str()).collect();
+        assert!(names.contains(&"kernel") && names.contains(&"drop.reject"), "{names:?}");
+    }
+
+    /// `ncl::repeat()` recirculation: a packet that stops the batch mid-way
+    /// finishes its extra passes before the burst resumes, however the
+    /// burst is split. Every pass draws a ticket from a register, so a
+    /// pass run out of packet order would change the replies.
+    #[test]
+    fn recirculation_is_burst_split_invariant() {
         const REPEAT_SRC: &str = r#"
-_kernel(1) _at(1) void spin(unsigned k, unsigned &n) {
+_managed_ unsigned ticket[1];
+_kernel(1) _at(1) void spin(unsigned &k, unsigned &n) {
+  k = ncl::atomic_sadd_new(&ticket[0], 1);
   n = n + 1;
   if (n < 3) return ncl::repeat();
   return ncl::reflect();
 }
 "#;
-        let run = |scalar: bool| {
-            let unit = netcl::Compiler::new(netcl::CompileOptions::default())
-                .compile("spin.ncl", REPEAT_SRC)
-                .unwrap();
-            let spec = unit.model.kernels[0].specification();
-            let switch = Switch::new(unit.devices[0].tna_p4.clone());
-            let topo = star(1, &[1, 2], LinkSpec::default());
-            let mut net =
-                NetworkBuilder::new(topo).device(1, switch, 500).sink_host(1).sink_host(2).build();
-            net.set_scalar_delivery(scalar);
-            // A same-timestamp burst: every compute packet recirculates
-            // (stopping the batch), and a transit message for an absent
-            // device rides along in the middle of it.
-            for _ in 0..3 {
-                let m = Message::new(1, 2, 1, 1);
-                let packed = pack(&m, &spec, &[Some(&[5]), Some(&[0])]).unwrap();
-                net.send_from_host(1, 1000, packed);
-            }
-            let transit = Message::new(1, 2, 1, 7);
-            net.send_from_host(1, 1000, pack(&transit, &spec, &[Some(&[5]), Some(&[0])]).unwrap());
-            net.run(10_000);
-            let counters = net.switch(1).unwrap().counters().clone();
-            let received: Vec<_> = net.host_received(1).to_vec();
-            (net.stats.clone(), counters, received)
-        };
-        let batched = run(false);
-        let scalar = run(true);
-        assert!(batched.0 == scalar.0, "NetStats diverged:\n{:#?}\nvs\n{:#?}", batched.0, scalar.0);
-        assert_eq!(batched.1, scalar.1, "SwitchCounters diverged");
-        assert_eq!(batched.2, scalar.2, "host deliveries diverged");
-        assert_eq!(batched.0.recirculations, 6, "each of 3 packets recirculates twice");
-        assert_eq!(batched.0.kernel_executions, 9, "3 packets x 3 passes");
-        // The replies carry the recirculation count in the payload.
-        let spec = netcl::Compiler::new(netcl::CompileOptions::default())
+        let unit = netcl::Compiler::new(netcl::CompileOptions::default())
             .compile("spin.ncl", REPEAT_SRC)
-            .unwrap()
-            .model
-            .kernels[0]
-            .specification();
-        for (_, bytes) in &batched.2 {
-            let mut n = Vec::new();
-            unpack(bytes, &spec, &mut [None, Some(&mut n)]).unwrap();
+            .unwrap();
+        let spec = unit.model.kernels[0].specification();
+        let spin =
+            |to: u16| pack(&Message::new(1, 2, 1, to), &spec, &[Some(&[0]), Some(&[0])]).unwrap();
+        // Every compute packet recirculates (stopping the batch), and a
+        // transit message for an absent device rides along mid-burst.
+        let arrivals = [spin(1), spin(1), spin(7), spin(1)];
+        let Delivered { stats, registers, queued, .. } =
+            assert_burst_split_invariant(&unit.devices[0].tna_p4, &arrivals);
+        assert_eq!(stats.recirculations, 6, "each of 3 packets recirculates twice");
+        assert_eq!(stats.kernel_executions, 9, "3 packets x 3 passes");
+        assert!(registers.iter().any(|(_, cells)| cells.contains(&9)), "9 tickets: {registers:?}");
+        // The replies carry the pass count and their last ticket: passes
+        // ran in packet order, so the tickets are 3, 6, 9 (a duplicated
+        // reply repeats its ticket).
+        let mut tickets = Vec::new();
+        for (_, _, NodeOrd(bytes, ord)) in &queued {
+            if *ord != EventOrd::Arrive(NodeId::Host(1)) {
+                continue;
+            }
+            let (mut k, mut n) = (Vec::new(), Vec::new());
+            unpack(bytes, &spec, &mut [Some(&mut k), Some(&mut n)]).unwrap();
             assert_eq!(n[0], 3);
+            tickets.push(k[0]);
         }
+        tickets.sort_unstable();
+        tickets.dedup();
+        assert!(
+            !tickets.is_empty() && tickets.iter().all(|t| [3, 6, 9].contains(t)),
+            "{tickets:?}"
+        );
     }
 }

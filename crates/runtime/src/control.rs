@@ -20,7 +20,7 @@
 //!
 //! [`DeviceRestart`]: netcl_bmv2::Switch
 //!
-//! Engine uniformity: all three execution engines read the same runtime
+//! Engine uniformity: both execution engines read the same runtime
 //! table store, so an applied update is visible to the threaded default
 //! and the interpreter oracle alike; the chaos matrix asserts the
 //! resulting packet streams, counters, and stats are byte-identical.
@@ -407,9 +407,8 @@ _kernel(1) _at(1) void b(unsigned k, unsigned &v, char &hit) {
     /// updates.
     #[test]
     fn update_is_engine_uniform() {
-        let engines = [Engine::Threaded, Engine::Compiled, Engine::Interpreted];
         let mut results = Vec::new();
-        for engine in engines {
+        for engine in [Engine::Threaded, Engine::Interpreted] {
             let (unit, mut sw, cp) = compiled();
             sw.set_engine(engine);
             cp.insert(&mut sw, "cache", &LookupEntry::Exact { key: 3, value: 33 }).unwrap();
@@ -418,8 +417,6 @@ _kernel(1) _at(1) void b(unsigned k, unsigned &v, char &hit) {
             results.push((out, sw.counters().clone()));
         }
         assert_eq!(results[0].0, results[1].0);
-        assert_eq!(results[0].0, results[2].0);
-        assert_eq!(results[0].1, results[1].1, "counters differ threaded vs compiled");
-        assert_eq!(results[0].1, results[2].1, "counters differ threaded vs interpreted");
+        assert_eq!(results[0].1, results[1].1, "counters differ threaded vs interpreted");
     }
 }

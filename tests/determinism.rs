@@ -173,7 +173,8 @@ fn sharded_matches_scalar_all_apps() {
 /// Zipf flow schedule delivered lazily through a flow source — scalar,
 /// and sharded on both window runners — produces the same `NetStats`,
 /// device counters, and host byte streams as `send_from_host`-ing every
-/// flow before `run()`. Also pins `FlowStream` to `zipf_flows`: the lazy
+/// flow before `run()` — whether the sharded run is one `run` call or
+/// many capped ones. Also pins `FlowStream` to `zipf_flows`: the lazy
 /// iterator must replicate the materialized generator draw-for-draw.
 #[test]
 fn streamed_flows_equal_materialized_all_apps() {
@@ -232,28 +233,83 @@ fn streamed_flows_equal_materialized_all_apps() {
             }
         };
         assert_eq!(materialized, streamed_scalar, "{}: scalar streamed diverged", app.name);
-        for threaded in [false, true] {
-            let sharded = {
-                let mut net =
-                    star_builder(dev, p4, 9).build_sharded(two_shards(dev)).expect("valid");
-                net.set_threaded(threaded);
-                net.set_flow_source(source());
-                net.run(500_000);
-                RunOutcome {
-                    stats: net.stats(),
-                    counters: net.switch(dev).unwrap().counters().clone(),
-                    received: (1..=4).map(|h| net.host_received(h).to_vec()).collect(),
-                }
+        // Each sharded runner once in a single `run` call and once sliced
+        // into many capped calls: `run(max_events)` is resumable, so a cap
+        // landing mid-window — cross-shard arrivals in flight, pumped
+        // flows not yet delivered — must lose and reorder nothing.
+        for (threaded, slice) in [(false, u64::MAX), (false, 7), (true, u64::MAX), (true, 7)] {
+            let mut net = star_builder(dev, p4, 9).build_sharded(two_shards(dev)).expect("valid");
+            net.set_threaded(threaded);
+            net.set_flow_source(source());
+            let mut calls = 0u64;
+            while net.run(slice) > 0 {
+                calls += 1;
+            }
+            assert!(slice == u64::MAX || calls > 10, "{}: run(7) must slice the run", app.name);
+            let sharded = RunOutcome {
+                stats: net.stats(),
+                counters: net.switch(dev).unwrap().counters().clone(),
+                received: (1..=4).map(|h| net.host_received(h).to_vec()).collect(),
             };
             assert_eq!(
                 materialized,
                 sharded,
-                "{}: sharded streamed ({}) diverged",
+                "{}: sharded streamed ({}, {calls} run calls) diverged",
                 app.name,
                 if threaded { "threaded" } else { "sequential" }
             );
         }
     }
+}
+
+/// A panic inside a shard worker (here: a host handler) fails the run with
+/// a panic naming the shard, instead of leaving the coordinator waiting
+/// forever for that shard's round report.
+#[test]
+fn worker_panic_fails_the_run_instead_of_hanging() {
+    let unit = compile("calc.ncl", &netcl_apps::calc::netcl_source());
+    let p4 = unit.devices[0].tna_p4.clone();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut seen = 0u32;
+        let bomb =
+            Box::new(move |_now: u64, _ev: netcl_net::HostEvent, _out: &mut netcl_net::Outbox| {
+                seen += 1;
+                if seen == 3 {
+                    panic!("handler gave up on message {seen}");
+                }
+            });
+        // Host 2 (the panicking one) lives in shard 1, away from the device.
+        let mut net = NetworkBuilder::new(star(1, &[1, 2], LinkSpec::default()))
+            .device(1, Switch::new(p4), 500)
+            .sink_host(1)
+            .host(2, bomb)
+            .build_sharded(Partition::new(vec![
+                vec![NodeId::Device(1), NodeId::Host(1)],
+                vec![NodeId::Host(2)],
+            ]))
+            .expect("valid partition");
+        net.set_threaded(true);
+        for i in 0..8u64 {
+            // Plain host-to-host transit through the device.
+            let m = Message::new(1, 2, 1, netcl_runtime::device::NO_DEVICE);
+            let mut bytes = Vec::new();
+            m.write_header(&mut bytes);
+            bytes.extend([i as u8; 16]);
+            net.send_from_host(1, i * 10_000, bytes);
+        }
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.run(u64::MAX)));
+        let _ = done_tx.send(result.map_err(|cause| {
+            cause.downcast_ref::<String>().cloned().unwrap_or_else(|| "non-string panic".into())
+        }));
+    });
+    let result = done_rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the run must end, not hang, when a worker panics");
+    let msg = result.expect_err("the worker's panic must surface from run()");
+    assert!(msg.contains("shard 1"), "names the shard: {msg}");
+    assert!(msg.contains("round") && msg.contains("horizon"), "names round and horizon: {msg}");
+    assert!(msg.contains("handler gave up on message 3"), "carries the cause: {msg}");
 }
 
 /// Multi-hop chains: h1 — dev1 — dev2 — h2 with one node group per shard.

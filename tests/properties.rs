@@ -70,63 +70,6 @@ proptest! {
         prop_assert_eq!(calc::result_of(&reply).unwrap(), calc::reference(op, a as u64, b as u64));
     }
 
-    /// For every Table III application, the compiled fast path and the
-    /// tree-walking interpreter oracle agree packet-for-packet on random
-    /// wire bytes: same output bytes, same error (drop) decisions, and the
-    /// same final register state.
-    #[test]
-    fn compiled_matches_interpreter_all_apps(seed in any::<u64>()) {
-        static PROGRAMS: std::sync::OnceLock<Vec<(String, netcl_p4::P4Program)>> =
-            std::sync::OnceLock::new();
-        let programs = PROGRAMS.get_or_init(|| {
-            netcl_apps::all_apps()
-                .into_iter()
-                .map(|app| {
-                    let unit = Compiler::new(CompileOptions::default())
-                        .compile(app.name, &app.netcl_source)
-                        .unwrap();
-                    let p4 = unit.device(app.device).expect("kernel device").tna_p4.clone();
-                    (app.name.to_string(), p4)
-                })
-                .collect()
-        });
-        let mut rng = seed;
-        let mut next = move || {
-            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = rng;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        for (name, program) in programs {
-            let mut fast = Switch::new(program.clone());
-            fast.set_engine(Engine::Compiled);
-            let mut oracle = Switch::new(program.clone());
-            oracle.set_interpreted(true);
-            for _ in 0..6 {
-                let len = (next() % 160) as usize;
-                let wire: Vec<u8> = (0..len).map(|_| next() as u8).collect();
-                match (fast.process(&wire), oracle.process(&wire)) {
-                    (Ok((_, of)), Ok((_, oo))) => {
-                        prop_assert_eq!(&of, &oo, "{name}: output bytes diverge on {wire:?}")
-                    }
-                    (Err(ef), Err(eo)) => {
-                        prop_assert_eq!(&ef, &eo, "{name}: errors diverge on {wire:?}")
-                    }
-                    (rf, ro) => prop_assert!(
-                        false,
-                        "{name}: only one engine errored on {wire:?}: {rf:?} vs {ro:?}"
-                    ),
-                }
-            }
-            let fr: Vec<(String, Vec<u64>)> =
-                fast.registers().map(|(n, c)| (n.to_string(), c.to_vec())).collect();
-            let or: Vec<(String, Vec<u64>)> =
-                oracle.registers().map(|(n, c)| (n.to_string(), c.to_vec())).collect();
-            prop_assert_eq!(fr, or, "{name}: register state diverges");
-        }
-    }
-
     /// For every Table III application (plus a synthetic recirculating
     /// kernel), `Switch::process_batch` over a batch of random wires —
     /// valid, truncated, and garbage alike — produces exactly the outcomes,
@@ -171,9 +114,8 @@ proptest! {
             z ^ (z >> 31)
         };
         for (name, program) in programs {
-            // Both fast engines must hold batched ≡ scalar (the threaded
-            // default takes the phase-split path; so does compiled).
-            for engine in [Engine::Threaded, Engine::Compiled] {
+            // Both engines must hold batched ≡ scalar.
+            for engine in [Engine::Threaded, Engine::Interpreted] {
                 let mut scalar = Switch::new(program.clone());
                 scalar.set_engine(engine);
                 let mut batched = Switch::new(program.clone());
@@ -218,13 +160,13 @@ proptest! {
         }
     }
 
-    /// The direct-threaded backend ≡ the compiled pc-loop ≡ the
-    /// tree-walking interpreter, packet for packet, for every Table III
-    /// application plus a recirculating `ncl::repeat` kernel, on random
-    /// wires (valid, truncated, and garbage alike): same output bytes,
-    /// same error values, same `SwitchCounters`, same final registers.
+    /// The direct-threaded backend ≡ the tree-walking interpreter, packet
+    /// for packet, for every Table III application plus a recirculating
+    /// `ncl::repeat` kernel, on random wires (valid, truncated, and garbage
+    /// alike): same output bytes, same error values, same
+    /// `SwitchCounters`, same final registers.
     #[test]
-    fn threaded_matches_compiled_and_interpreter_all_apps(seed in any::<u64>()) {
+    fn threaded_matches_interpreter_all_apps(seed in any::<u64>()) {
         static PROGRAMS: std::sync::OnceLock<Vec<(String, netcl_p4::P4Program)>> =
             std::sync::OnceLock::new();
         let programs = PROGRAMS.get_or_init(|| {
@@ -263,51 +205,37 @@ proptest! {
         for (name, program) in programs {
             let mut threaded = Switch::new(program.clone());
             prop_assert_eq!(threaded.engine(), Engine::Threaded, "threaded is the default");
-            let mut compiled = Switch::new(program.clone());
-            compiled.set_engine(Engine::Compiled);
             let mut oracle = Switch::new(program.clone());
             oracle.set_engine(Engine::Interpreted);
             for _ in 0..6 {
                 let len = (next() % 160) as usize;
                 let wire: Vec<u8> = (0..len).map(|_| next() as u8).collect();
                 let rt = threaded.process(&wire);
-                let rc = compiled.process(&wire);
                 let ro = oracle.process(&wire);
-                match (&rt, &rc, &ro) {
-                    (Ok((_, ot)), Ok((_, oc)), Ok((_, oo))) => {
-                        prop_assert_eq!(ot, oc, "{name}: threaded/compiled outputs on {wire:?}");
+                match (&rt, &ro) {
+                    (Ok((_, ot)), Ok((_, oo))) => {
                         prop_assert_eq!(ot, oo, "{name}: threaded/oracle outputs on {wire:?}");
                     }
-                    (Err(et), Err(ec), Err(eo)) => {
-                        prop_assert_eq!(et, ec, "{name}: threaded/compiled errors on {wire:?}");
+                    (Err(et), Err(eo)) => {
                         prop_assert_eq!(et, eo, "{name}: threaded/oracle errors on {wire:?}");
                     }
                     _ => prop_assert!(
                         false,
-                        "{name}: engines disagree about failing {wire:?}: \
-                         {rt:?} vs {rc:?} vs {ro:?}"
+                        "{name}: engines disagree about failing {wire:?}: {rt:?} vs {ro:?}"
                     ),
                 }
             }
-            prop_assert_eq!(
-                threaded.counters(), compiled.counters(),
-                "{}: threaded/compiled counters diverge", name
-            );
             prop_assert_eq!(
                 threaded.counters(), oracle.counters(),
                 "{}: threaded/oracle counters diverge", name
             );
             // The backend label is the one field that must differ.
             prop_assert_eq!(threaded.counters().backend, "threaded");
-            prop_assert_eq!(compiled.counters().backend, "compiled");
             prop_assert_eq!(oracle.counters().backend, "interpreted");
             let tr: Vec<(String, Vec<u64>)> =
                 threaded.registers().map(|(n, c)| (n.to_string(), c.to_vec())).collect();
-            let cr: Vec<(String, Vec<u64>)> =
-                compiled.registers().map(|(n, c)| (n.to_string(), c.to_vec())).collect();
             let orr: Vec<(String, Vec<u64>)> =
                 oracle.registers().map(|(n, c)| (n.to_string(), c.to_vec())).collect();
-            prop_assert_eq!(&tr, &cr, "{}: threaded/compiled registers diverge", name);
             prop_assert_eq!(&tr, &orr, "{}: threaded/oracle registers diverge", name);
         }
     }
