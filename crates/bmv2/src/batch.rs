@@ -1,5 +1,7 @@
-//! Packet batches: the unit of work the simulator and benchmarks hand to
+//! Packet batches: the unit of work replay drivers and benchmarks hand to
 //! [`Switch::process_batch`](crate::Switch::process_batch) (DESIGN.md §13).
+//! The simulator delivers message by message through
+//! [`Switch::process_into`](crate::Switch::process_into) instead.
 //!
 //! A [`PacketBatch`] owns four structures:
 //!
@@ -8,14 +10,14 @@
 //! - one dense-slot scratch [`Packet`], shaped once per batch call against
 //!   the program's slot table instead of once per packet and shared by
 //!   every slot (processing is sequential);
-//! - per-packet **output buffers**, recycled through a spare pool so the
-//!   steady state allocates nothing;
+//! - per-packet **output buffers**, kept across [`PacketBatch::clear`] so
+//!   the steady state allocates nothing;
 //! - per-packet **outcomes** (`Result<(), SwitchError>`), the same value a
 //!   scalar [`process_into`](crate::Switch::process_into) call returns.
 //!
 //! The batch itself knows nothing about a program: the switch shapes the
 //! packet pool on entry (`prepare`), so one batch can be reused across
-//! switches — a device restart in the simulator simply reshapes it.
+//! switches.
 
 use std::sync::Arc;
 
@@ -46,8 +48,6 @@ pub struct PacketBatch {
     /// What the pipeline said about each slot, exactly as `process_into`
     /// would have returned it.
     outcomes: Vec<Result<(), SwitchError>>,
-    /// Retired output allocations, reused by later pushes/takes.
-    spare: Vec<Vec<u8>>,
 }
 
 impl PacketBatch {
@@ -71,13 +71,6 @@ impl PacketBatch {
         let start = self.arena.len() as u32;
         self.arena.extend_from_slice(wire);
         self.ranges.push((start, wire.len() as u32));
-    }
-
-    /// Donates a retired buffer's allocation to the spare pool (e.g. the
-    /// incoming event buffer whose bytes were just `push`ed).
-    pub fn recycle(&mut self, mut buf: Vec<u8>) {
-        buf.clear();
-        self.spare.push(buf);
     }
 
     /// Clears the queued packets while keeping every allocation (arena,
@@ -108,13 +101,6 @@ impl PacketBatch {
         &self.outs[i]
     }
 
-    /// Moves packet `i`'s output out, replacing it with a spare buffer so
-    /// the slot stays usable.
-    pub fn take_output(&mut self, i: usize) -> Vec<u8> {
-        let spare = self.spare.pop().unwrap_or_default();
-        std::mem::replace(&mut self.outs[i], spare)
-    }
-
     /// Shapes the scratch packet and sizes the parallel vectors for
     /// `len()` packets against `slots`. Cheap when already shaped:
     /// `ensure_slots` is one pointer comparison per batch.
@@ -124,8 +110,8 @@ impl PacketBatch {
             self.pkts.push(Packet::with_slots(Arc::clone(slots)));
         }
         self.pkts[0].ensure_slots(slots);
-        while self.outs.len() < n {
-            self.outs.push(self.spare.pop().unwrap_or_default());
+        if self.outs.len() < n {
+            self.outs.resize_with(n, Vec::new);
         }
         self.outcomes.resize(n, Ok(()));
     }
@@ -160,20 +146,15 @@ mod tests {
     }
 
     #[test]
-    fn clear_recycles_outputs_and_take_output_swaps_spares() {
+    fn clear_keeps_output_allocations() {
         let mut b = PacketBatch::new();
         b.push(&[9]);
         b.prepare(&Arc::new(SlotTable::default()));
         b.outs[0].extend_from_slice(&[7, 7]);
-        let out = b.take_output(0);
-        assert_eq!(out, vec![7, 7]);
-        b.recycle(out);
         b.clear();
         assert!(b.is_empty());
-        // The recycled allocations are reused, not reallocated.
         b.push(&[1]);
-        b.push(&[2]);
         b.prepare(&Arc::new(SlotTable::default()));
-        assert!(b.outs.iter().any(|o| o.capacity() >= 2));
+        assert!(b.output(0).is_empty() && b.outs[0].capacity() >= 2);
     }
 }

@@ -14,9 +14,9 @@
 //! Both count, mutate, and fail identically — the differential proptests
 //! and the chaos matrix hold them to byte-for-byte equal outputs, errors,
 //! [`SwitchCounters`], and register state. Every entry point
-//! ([`Switch::process_into`], [`Switch::process_batch`],
-//! [`Switch::process_batch_from`]) runs each packet through the same
-//! private per-packet routine, which holds the only engine dispatch.
+//! ([`Switch::process_into`], [`Switch::process_batch`]) runs each packet
+//! through the same private per-packet routine, which holds the only
+//! engine dispatch.
 
 use std::sync::Arc;
 
@@ -529,36 +529,12 @@ impl Switch {
     /// per-packet routine — with packet shaping, output buffers and the
     /// wire arena amortized over the batch.
     pub fn process_batch(&mut self, batch: &mut PacketBatch) {
-        let _ = self.process_batch_from(batch, 0, |_| false);
-    }
-
-    /// Batched processing with an early-stop predicate, for callers that
-    /// must interleave work mid-batch (the simulator stops at a packet
-    /// requesting recirculation, finishes its extra passes, then resumes —
-    /// preserving the exact order of register and RNG mutations).
-    ///
-    /// Packets `start..batch.len()` are processed in order. After each
-    /// *successful* packet, `stop` inspects its output; returning `true`
-    /// halts the batch and this returns `Some(i)` with packet `i` already
-    /// processed and packets `i+1..` untouched. Returns `None` once the
-    /// batch is exhausted.
-    pub fn process_batch_from(
-        &mut self,
-        batch: &mut PacketBatch,
-        start: usize,
-        mut stop: impl FnMut(&[u8]) -> bool,
-    ) -> Option<usize> {
         batch.prepare(&self.compiled.slots);
-        for i in start..batch.len() {
+        for i in 0..batch.len() {
             let (wire, pkt, out) = batch.slot_mut(i);
             let r = self.run_one(wire, pkt, out);
-            let hit = r.is_ok() && stop(out);
             batch.set_outcome(i, r);
-            if hit {
-                return Some(i);
-            }
         }
-        None
     }
 
     // ---- interpreter oracle ---------------------------------------------
@@ -1274,26 +1250,6 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v,
             assert_eq!(fb.output(i), ob.output(i), "output diverges at {i}");
         }
         assert_eq!(fast.counters(), oracle.counters(), "counters diverge");
-    }
-
-    /// `process_batch_from` halts at the first packet the predicate flags,
-    /// leaves the rest untouched, and resumes exactly where it stopped.
-    #[test]
-    fn process_batch_from_stops_and_resumes() {
-        let mut sw = Switch::new(counting_program());
-        let mut batch = PacketBatch::new();
-        for w in [wire(1, 0), wire(7, 0), wire(2, 0)] {
-            batch.push(&w);
-        }
-        // Stop on the table hit (v rewritten to 99).
-        let stopped = sw.process_batch_from(&mut batch, 0, |out| out == wire(7, 99));
-        assert_eq!(stopped, Some(1));
-        assert_eq!(sw.counters().packets, 2, "third packet untouched");
-        assert_eq!(sw.register_read("R", 0), Some(2));
-        let stopped = sw.process_batch_from(&mut batch, 2, |_| false);
-        assert_eq!(stopped, None);
-        assert_eq!(sw.counters().packets, 3);
-        assert_eq!(batch.output(2), wire(2, 0));
     }
 
     /// Reusing one batch across calls keeps outputs and outcomes correct

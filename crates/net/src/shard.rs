@@ -25,10 +25,17 @@
 //! the scalar run, and the merged run is byte-identical to
 //! [`NetworkBuilder::build`] + [`Network::run`] with the same
 //! `(seed, schedule)`. The determinism suite (`tests/determinism.rs`)
-//! asserts this for every app, both shard runners, under chaos.
+//! asserts this for every app, both round executors, under chaos.
+//!
+//! One planner (`Coordinator::drive`) decides every round and one
+//! per-shard step (`shard_round`) runs it; the executor only chooses
+//! *where* the steps run — on worker threads (production) or inline (the
+//! 1-shard path, and the reference the suite diffs the threads against).
 
 use crate::fault::Fault;
-use crate::sim::{ExternalEvent, FlowSource, NetObs, NetStats, Network, NetworkBuilder, XsEvent};
+use crate::sim::{
+    EventOrd, EventSrc, FlowPump, FlowSource, NetObs, NetStats, Network, NetworkBuilder, XsEvent,
+};
 use crate::topo::{NodeId, Topology};
 use netcl_bmv2::Switch;
 use netcl_obs::trace::Trace;
@@ -37,7 +44,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::Instant;
 
-// The threaded runner hands each shard to its own thread.
+// The threaded executor hands each shard to its own thread.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Network>();
@@ -52,16 +59,6 @@ pub struct Partition {
 impl Partition {
     /// A partition from explicit per-shard node groups.
     pub fn new(groups: Vec<Vec<NodeId>>) -> Partition {
-        Partition { groups }
-    }
-
-    /// Deals `nodes` round-robin across `shards` groups — a quick way to
-    /// shard an arbitrary topology for tests.
-    pub fn round_robin(nodes: &[NodeId], shards: usize) -> Partition {
-        let mut groups = vec![Vec::new(); shards.max(1)];
-        for (i, &n) in nodes.iter().enumerate() {
-            groups[i % shards.max(1)].push(n);
-        }
         Partition { groups }
     }
 
@@ -103,11 +100,6 @@ impl Partition {
             groups[lightest].extend(nodes);
         }
         (Partition { groups }, loads)
-    }
-
-    /// [`Self::balanced_with_weights`] without the load report.
-    pub fn balanced(units: Vec<(Vec<NodeId>, u64)>, shards: usize) -> Partition {
-        Self::balanced_with_weights(units, shards).0
     }
 
     /// A stable 64-bit digest of the assignment (shard index and node
@@ -239,19 +231,18 @@ impl NetworkBuilder {
             };
             shards.push(b.build_part_with(Some(owned), routes.clone()));
         }
-        Ok(ShardedNetwork {
-            shards,
+        let co = Coordinator {
             shard_of,
             dist,
             ext_seq: 0,
-            threaded: true,
             rounds: 0,
             busy_ns: vec![0; nsh],
             critical_path_ns: 0,
             peak_queue: 0,
-            flow_source: None,
-            next_flow: None,
-        })
+            flows: FlowPump::default(),
+            inbox: (0..nsh).map(|_| Inbox::default()).collect(),
+        };
+        Ok(ShardedNetwork { shards, co, threaded: true })
     }
 }
 
@@ -298,6 +289,15 @@ fn lookahead_matrix(
     Ok(dist)
 }
 
+/// Cap (ns past the globally earliest event) on how far the streamed
+/// injector pre-pumps flows each round. Flows inside the conservative
+/// window are known-future external events, so injecting them eagerly is
+/// free — and essential: clamping every horizon at the *next* flow would
+/// shrink rounds to one inter-arrival gap (~ns) and serialize the run on
+/// round overhead. The cap bounds live memory to O(window / mean gap)
+/// flows when horizons are unbounded (single shard, drained queues).
+const PUMP_WINDOW_NS: u64 = 65_536;
+
 /// Per-shard horizons for one window. Shard `s` must not advance past the
 /// earliest arrival it does not yet know about. Such an arrival is a chain
 /// starting at some shard's pending event and ending at `s`:
@@ -310,15 +310,6 @@ fn lookahead_matrix(
 ///
 /// The shard holding the globally earliest event always gets a horizon
 /// past it (inter-shard distances are ≥ 1), so every round progresses.
-/// Cap (ns past the globally earliest event) on how far the streamed
-/// injector pre-pumps flows each round. Flows inside the conservative
-/// window are known-future external events, so injecting them eagerly is
-/// free — and essential: clamping every horizon at the *next* flow would
-/// shrink rounds to one inter-arrival gap (~ns) and serialize the run on
-/// round overhead. The cap bounds live memory to O(window / mean gap)
-/// flows when horizons are unbounded (single shard, drained queues).
-const PUMP_WINDOW_NS: u64 = 65_536;
-
 fn horizons_of(dist: &[Vec<u64>], nexts: &[Option<u64>]) -> Vec<u64> {
     (0..nexts.len())
         .map(|s| {
@@ -341,21 +332,73 @@ fn horizons_of(dist: &[Vec<u64>], nexts: &[Option<u64>]) -> Vec<u64> {
         .collect()
 }
 
-/// A set of shard networks advancing in conservative-lookahead windows.
-///
-/// Mirrors the driver surface of [`Network`] (sends, timers, faults,
-/// accessors); stats and observability are merged across shards on
-/// demand, in shard-index order, via [`NetStats::accumulate`] — whose
-/// order-independence is itself under test.
-pub struct ShardedNetwork {
-    shards: Vec<Network>,
+/// The shard that owns `node`. A node the partition does not know — a
+/// driver injection naming a host outside the topology — resolves to shard
+/// 0: topology and routing are replicated and counters merge, so any shard
+/// reproduces the scalar run's unroutable drop.
+fn owner(shard_of: &HashMap<NodeId, usize>, node: NodeId) -> usize {
+    shard_of.get(&node).copied().unwrap_or(0)
+}
+
+/// What waits at the coordinator for one shard between rounds: cross-shard
+/// arrivals and pumped flows, each already carrying the key the scalar run
+/// would assign. Handed to the shard with its next round's command, or
+/// flushed into it when `run` returns.
+#[derive(Default)]
+struct Inbox {
+    xs: Vec<XsEvent>,
+    flows: Vec<(u64, EventSrc, u32, Vec<u8>)>,
+}
+
+impl Inbox {
+    fn earliest(&self) -> Option<u64> {
+        self.xs.iter().map(|e| e.time).chain(self.flows.iter().map(|f| f.0)).min()
+    }
+
+    fn deliver(self, sh: &mut Network) {
+        for (at, key, host, bytes) in self.flows {
+            sh.push_keyed(at, key, EventOrd::HostSend(NodeId::Host(host)), bytes);
+        }
+        sh.stage_xs(self.xs);
+    }
+}
+
+/// One shard's result for one round: events processed, wall-clock busy
+/// nanoseconds, outbound cross-shard arrivals, the shard's next event time,
+/// and its live-event footprint entering the round.
+type Report = (u64, u64, Vec<XsEvent>, Option<u64>, u64);
+
+/// One shard's share of one round, and the only place a shard is stepped:
+/// take delivery of the inbox, then run every event before `horizon`.
+fn shard_round(sh: &mut Network, horizon: u64, budget: u64, inbox: Inbox) -> Report {
+    for ev in &inbox.xs {
+        debug_assert!(
+            ev.time >= sh.now(),
+            "lookahead violation: arrival at {} for t={} but its shard is already at {}",
+            ev.target,
+            ev.time,
+            sh.now()
+        );
+    }
+    inbox.deliver(sh);
+    let live = sh.queue_len() as u64;
+    let t0 = Instant::now();
+    let did = sh.run_until(horizon, budget);
+    let busy = t0.elapsed().as_nanos() as u64;
+    (did, busy, sh.take_xs_out(), sh.next_event_time(), live)
+}
+
+/// Everything about a sharded run that is not a shard: who owns what, the
+/// lookahead matrix, the flow pump, the inboxes, and the run's accounting.
+/// Kept apart from the shards so the planner can run while worker threads
+/// hold the shards.
+struct Coordinator {
     shard_of: HashMap<NodeId, usize>,
     /// `dist[t][s]`: lookahead bound from shard `t` to shard `s`.
     dist: Vec<Vec<u64>>,
-    /// Driver-injection counter, kept at the wrapper so injection keys
-    /// match the scalar run's no matter which shard owns the target.
+    /// Driver-injection counter, kept here so injection keys match the
+    /// scalar run's no matter which shard owns the target.
     ext_seq: u64,
-    threaded: bool,
     /// Synchronization rounds executed.
     rounds: u64,
     /// Cumulative wall-clock busy time per shard.
@@ -364,25 +407,184 @@ pub struct ShardedNetwork {
     /// ideal machine with one core per shard would need (the bench reports
     /// events/sec against both this and actual wall time).
     critical_path_ns: u64,
-    /// High-water mark of live events across all shards, sampled at round
-    /// starts — the memory proxy showing streamed injection holds O(live
-    /// events), not O(schedule).
+    /// High-water mark of live events across all shards, sampled as each
+    /// round starts — the memory proxy showing streamed injection holds
+    /// O(live events), not O(schedule).
     peak_queue: u64,
-    /// Streamed driver injections ([`Self::set_flow_source`]), pulled and
-    /// routed to owner shards as rounds reach each flow's time.
-    flow_source: Option<FlowSource>,
-    /// The next not-yet-injected flow — a one-flow lookahead. Flows due
-    /// inside the conservative window are pumped eagerly before each
-    /// round ([`PUMP_WINDOW_NS`]); only then does the remaining flow
-    /// clamp horizons (no shard may run past an uninjected flow).
-    next_flow: Option<(u64, u32, Vec<u8>)>,
+    /// Streamed driver injections ([`ShardedNetwork::set_flow_source`]).
+    /// Flows due inside the conservative window are pumped eagerly before
+    /// each round ([`PUMP_WINDOW_NS`]); only then does the next flow clamp
+    /// horizons (no shard may run past an uninjected flow).
+    flows: FlowPump,
+    inbox: Vec<Inbox>,
+}
+
+impl Coordinator {
+    /// Pulls every flow due at or before `upto` into its owner's inbox,
+    /// with the `External` keys a scalar run would assign.
+    fn pump(&mut self, upto: u64) {
+        self.flows.drain_upto(upto, |at, host, bytes| {
+            self.ext_seq += 1;
+            let inbox = &mut self.inbox[owner(&self.shard_of, NodeId::Host(host))];
+            inbox.flows.push((at, EventSrc::External(self.ext_seq), host, bytes));
+        });
+    }
+
+    /// A shard's effective next event: the earliest of its own queue head
+    /// and anything waiting in its inbox.
+    fn effective(&self, nexts: &[Option<u64>]) -> Vec<Option<u64>> {
+        nexts
+            .iter()
+            .zip(&self.inbox)
+            .map(|(n, inbox)| n.iter().copied().chain(inbox.earliest()).min())
+            .collect()
+    }
+
+    /// The round planner. Until the run drains or ~`max_events` are
+    /// processed, plans one round — per-shard horizons and inboxes — and
+    /// hands it to `exec(round, horizons, budget, inboxes)`, which runs
+    /// [`shard_round`] once per shard and returns `(shard, report)` pairs
+    /// in any order. `nexts` are the shards' next event times on entry.
+    fn drive(
+        &mut self,
+        mut nexts: Vec<Option<u64>>,
+        max_events: u64,
+        mut exec: impl FnMut(u64, &[u64], u64, Vec<Inbox>) -> Vec<(usize, Report)>,
+    ) -> u64 {
+        let mut total = 0u64;
+        while total < max_events {
+            let mut eff = self.effective(&nexts);
+            let g = eff.iter().flatten().copied().min();
+            let flow = self.flows.next_at();
+            if let Some(f) = flow.filter(|&f| g.is_none_or(|g| f <= g)) {
+                // Every pending event is at or after the next flow: pull
+                // in all flows due by the earliest event (at least one)
+                // and plan again with them waiting.
+                self.pump(g.unwrap_or(f));
+                continue;
+            }
+            let Some(g) = g else { break };
+            if flow.is_some() {
+                // Eager pump: take in every flow due inside this round's
+                // conservative window (capped), so the window is bounded
+                // by lookahead, not by the flow inter-arrival gap.
+                let h_min = horizons_of(&self.dist, &eff).into_iter().min().unwrap_or(u64::MAX);
+                self.pump(h_min.min(g.saturating_add(PUMP_WINDOW_NS)));
+                eff = self.effective(&nexts);
+            }
+            let mut horizons = horizons_of(&self.dist, &eff);
+            if let Some(f) = self.flows.next_at() {
+                // No shard may run past the next uninjected flow. The
+                // pumps above guarantee f is strictly after the earliest
+                // event, so the round still progresses.
+                for h in &mut horizons {
+                    *h = (*h).min(f);
+                }
+            }
+            let inboxes = self.inbox.iter_mut().map(std::mem::take).collect();
+            let (mut round, mut round_max, mut live, mut moved) = (0u64, 0u64, 0u64, false);
+            for (i, (did, busy, out, next, shard_live)) in
+                exec(self.rounds, &horizons, max_events - total, inboxes)
+            {
+                round += did;
+                self.busy_ns[i] += busy;
+                round_max = round_max.max(busy);
+                live += shard_live;
+                nexts[i] = next;
+                // Hand-off order across shards is irrelevant: event keys
+                // are unique and `stage_xs` sorts, so the merged order is
+                // the same total order whatever the insertion sequence.
+                for ev in out {
+                    self.inbox[owner(&self.shard_of, ev.target)].xs.push(ev);
+                    moved = true;
+                }
+            }
+            total += round;
+            self.rounds += 1;
+            self.critical_path_ns += round_max;
+            self.peak_queue = self.peak_queue.max(live);
+            if round == 0 && !moved {
+                break;
+            }
+        }
+        total
+    }
+}
+
+/// The threaded executor: one scoped worker per shard, each stepping its
+/// shard with [`shard_round`] whenever the planner sends it a round.
+fn run_on_workers(
+    shards: &mut [Network],
+    co: &mut Coordinator,
+    nexts: Vec<Option<u64>>,
+    max_events: u64,
+) -> u64 {
+    let nsh = shards.len();
+    let (res_tx, res_rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        let mut cmd_txs = Vec::with_capacity(nsh);
+        for (i, sh) in shards.iter_mut().enumerate() {
+            let (tx, rx) = mpsc::channel::<(u64, u64, Inbox)>();
+            cmd_txs.push(tx);
+            let res_tx = res_tx.clone();
+            scope.spawn(move || {
+                while let Ok((horizon, budget, inbox)) = rx.recv() {
+                    // A panic in a host handler or a switch is caught here
+                    // and reported like any other round result: the
+                    // coordinator waits for one report per shard, so a
+                    // worker dying silently would hang the run.
+                    let report =
+                        catch_unwind(AssertUnwindSafe(|| shard_round(sh, horizon, budget, inbox)));
+                    let failed = report.is_err();
+                    if res_tx.send((i, report)).is_err() || failed {
+                        break;
+                    }
+                }
+            });
+        }
+        // Returning (or unwinding) drops the command channels, so the
+        // workers leave their recv loops and the scope joins them.
+        co.drive(nexts, max_events, |round, horizons, budget, inboxes| {
+            for ((tx, &h), inbox) in cmd_txs.iter().zip(horizons).zip(inboxes) {
+                tx.send((h, budget, inbox)).expect("workers outlive the command channels");
+            }
+            let report = |_| {
+                let (i, report) = res_rx.recv().expect("every worker reports every round");
+                let report = report.unwrap_or_else(|cause| {
+                    let why = cause
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| cause.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_string());
+                    panic!(
+                        "shard {i} worker panicked in round {round} (horizon {}): {why}",
+                        horizons[i]
+                    )
+                });
+                (i, report)
+            };
+            (0..nsh).map(report).collect()
+        })
+    })
+}
+
+/// A set of shard networks advancing in conservative-lookahead windows.
+///
+/// Mirrors the driver surface of [`Network`] (sends, timers, faults,
+/// accessors); stats and observability are merged across shards on
+/// demand, in shard-index order, via [`NetStats::accumulate`] — whose
+/// order-independence is itself under test.
+pub struct ShardedNetwork {
+    shards: Vec<Network>,
+    co: Coordinator,
+    threaded: bool,
 }
 
 impl std::fmt::Debug for ShardedNetwork {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedNetwork")
             .field("shards", &self.shards.len())
-            .field("rounds", &self.rounds)
+            .field("rounds", &self.co.rounds)
             .field("threaded", &self.threaded)
             .finish_non_exhaustive()
     }
@@ -394,30 +596,39 @@ impl ShardedNetwork {
         self.shards.len()
     }
 
-    /// Selects the threaded (default) or sequential window runner. Both
-    /// produce byte-identical results; the sequential one exists so the
-    /// determinism suite can diff them.
+    /// Selects where rounds execute: on one worker thread per shard (the
+    /// default) or inline on the calling thread. One planner drives both,
+    /// so results and [`Self::rounds`] are identical; the inline executor
+    /// exists so the determinism suite can diff the threads against it.
     pub fn set_threaded(&mut self, threaded: bool) {
         self.threaded = threaded;
     }
 
-    /// Injects a send from a host at an absolute time (same key the
-    /// scalar run would assign to this injection).
+    /// The shard that answers for `node` (see [`owner`]).
+    fn home(&self, node: NodeId) -> &Network {
+        &self.shards[owner(&self.co.shard_of, node)]
+    }
+
+    fn home_mut(&mut self, node: NodeId) -> &mut Network {
+        &mut self.shards[owner(&self.co.shard_of, node)]
+    }
+
+    /// Injects a driver event into the owner of `host`, with the key the
+    /// scalar run would assign to this injection.
+    fn inject(&mut self, host: u32, at_ns: u64, ord: EventOrd, bytes: Vec<u8>) {
+        self.co.ext_seq += 1;
+        let key = EventSrc::External(self.co.ext_seq);
+        self.home_mut(NodeId::Host(host)).push_keyed(at_ns, key, ord, bytes);
+    }
+
+    /// Injects a send from a host at an absolute time.
     pub fn send_from_host(&mut self, host: u32, at_ns: u64, bytes: Vec<u8>) {
-        self.ext_seq += 1;
-        let shard = self.shard_of[&NodeId::Host(host)];
-        self.shards[shard].inject_external(
-            at_ns,
-            self.ext_seq,
-            ExternalEvent::HostSend(host, bytes),
-        );
+        self.inject(host, at_ns, EventOrd::HostSend(NodeId::Host(host)), bytes);
     }
 
     /// Arms a host timer at an absolute time.
     pub fn set_host_timer(&mut self, host: u32, at_ns: u64, token: u64) {
-        self.ext_seq += 1;
-        let shard = self.shard_of[&NodeId::Host(host)];
-        self.shards[shard].inject_external(at_ns, self.ext_seq, ExternalEvent::Timer(host, token));
+        self.inject(host, at_ns, EventOrd::Timer(NodeId::Host(host), token), Vec::new());
     }
 
     /// Schedules a fault mid-run, replicated into every shard with the
@@ -440,21 +651,7 @@ impl ShardedNetwork {
     /// Applies a rule update to a device now, on its owner shard, through
     /// the journaled path (see [`Network::apply_update`]).
     pub fn apply_update(&mut self, device: u16, update: netcl_bmv2::TableUpdate) -> bool {
-        match self.shard_of.get(&NodeId::Device(device)) {
-            Some(&s) => self.shards[s].apply_update(device, update),
-            None => false,
-        }
-    }
-
-    /// Runs until every shard drains or ~`max_events` are processed
-    /// (a soft cap: each window may overshoot by one shard window).
-    /// Returns the number of events processed across all shards.
-    pub fn run(&mut self, max_events: u64) -> u64 {
-        if self.threaded && self.shards.len() > 1 {
-            self.run_threaded(max_events)
-        } else {
-            self.run_sequential(max_events)
-        }
+        self.home_mut(NodeId::Device(device)).apply_update(device, update)
     }
 
     /// Attaches a lazy flow schedule (see [`Network::set_flow_source`]):
@@ -463,309 +660,29 @@ impl ShardedNetwork {
     /// schedule via [`Self::send_from_host`] up front, with memory bounded
     /// by live events instead of schedule length. Call before any other
     /// driver injection.
-    pub fn set_flow_source(&mut self, mut source: FlowSource) {
-        self.next_flow = source();
-        self.flow_source = Some(source);
+    pub fn set_flow_source(&mut self, source: FlowSource) {
+        self.co.flows = FlowPump::new(source);
     }
 
-    /// Injects every flow due at or before `upto` into its owner shard,
-    /// with the same `External` keys a scalar run would assign.
-    fn pump_flows(&mut self, upto: u64) {
-        while let Some((at, ..)) = self.next_flow {
-            if at > upto {
-                break;
-            }
-            let (at, host, bytes) = self.next_flow.take().expect("checked above");
-            self.ext_seq += 1;
-            let shard = self.shard_of[&NodeId::Host(host)];
-            self.shards[shard].inject_external(
-                at,
-                self.ext_seq,
-                ExternalEvent::HostSend(host, bytes),
-            );
-            self.next_flow = self.flow_source.as_mut().and_then(|s| s());
-        }
-    }
-
-    fn run_sequential(&mut self, max_events: u64) -> u64 {
-        let mut total = 0u64;
-        while total < max_events {
-            let g = self.shards.iter().filter_map(|s| s.next_event_time()).min();
-            match (g, self.next_flow.as_ref().map(|f| f.0)) {
-                (None, None) => break,
-                (g, Some(f)) if g.is_none_or(|g| f <= g) => {
-                    // Every pending event is at or after the next flow:
-                    // stream in all flows due by the earliest event (at
-                    // least one) and recompute the round with them queued.
-                    self.pump_flows(g.unwrap_or(f));
-                    continue;
-                }
-                _ => {}
-            }
-            if self.next_flow.is_some() {
-                // Eager pump: inject every flow due inside this round's
-                // conservative window (capped), so the window is bounded
-                // by lookahead, not by the flow inter-arrival gap.
-                let nexts: Vec<Option<u64>> =
-                    self.shards.iter().map(|s| s.next_event_time()).collect();
-                let h_min = horizons_of(&self.dist, &nexts).into_iter().min().unwrap_or(u64::MAX);
-                let cap = g.expect("matched above").saturating_add(PUMP_WINDOW_NS);
-                self.pump_flows(h_min.min(cap));
-            }
-            let nexts: Vec<Option<u64>> = self.shards.iter().map(|s| s.next_event_time()).collect();
-            let mut horizons = horizons_of(&self.dist, &nexts);
-            if let Some((f, ..)) = self.next_flow {
-                // No shard may run past the next uninjected flow. The
-                // pumps above guarantee f is strictly after the earliest
-                // event, so the round still progresses.
-                for h in &mut horizons {
-                    *h = (*h).min(f);
-                }
-            }
-            let live: u64 = self.shards.iter().map(|s| s.queue_len() as u64).sum();
-            self.peak_queue = self.peak_queue.max(live);
-            let mut round = 0u64;
-            let mut round_max = 0u64;
-            for (i, sh) in self.shards.iter_mut().enumerate() {
-                let t0 = Instant::now();
-                round += sh.run_until(horizons[i], max_events - total);
-                let busy = t0.elapsed().as_nanos() as u64;
-                self.busy_ns[i] += busy;
-                round_max = round_max.max(busy);
-            }
-            let moved = self.route_xs();
-            total += round;
-            self.rounds += 1;
-            self.critical_path_ns += round_max;
-            if round == 0 && !moved {
-                break;
-            }
-        }
-        total
-    }
-
-    /// Routes every shard's outbound cross-shard arrivals to their owners,
-    /// coalesced into one staged batch per destination shard
-    /// ([`Network::stage_xs`]) — one sort-and-merge per shard per round
-    /// instead of a heap push per event. Delivery order across shards is
-    /// irrelevant to the outcome: event keys are unique, so the merged
-    /// order is the same total order whatever the insertion sequence.
-    fn route_xs(&mut self) -> bool {
-        let mut moved = false;
-        let nsh = self.shards.len();
-        let mut per_shard: Vec<Vec<XsEvent>> = (0..nsh).map(|_| Vec::new()).collect();
-        for i in 0..nsh {
-            for ev in self.shards[i].take_xs_out() {
-                let t = self.shard_of[&ev.target];
-                debug_assert!(
-                    ev.time >= self.shards[t].now(),
-                    "lookahead violation: arrival at {} for t={} but shard {t} already at {}",
-                    ev.target,
-                    ev.time,
-                    self.shards[t].now()
-                );
-                per_shard[t].push(ev);
-                moved = true;
-            }
-        }
-        for (t, batch) in per_shard.into_iter().enumerate() {
-            self.shards[t].stage_xs(batch);
-        }
-        moved
-    }
-
-    fn run_threaded(&mut self, max_events: u64) -> u64 {
-        let nsh = self.shards.len();
-        let dist = &self.dist;
-        let shard_of = &self.shard_of;
-        let busy_ns = &mut self.busy_ns;
-        let rounds = &mut self.rounds;
-        let critical_path_ns = &mut self.critical_path_ns;
-        let peak_queue = &mut self.peak_queue;
-        let ext_seq = &mut self.ext_seq;
-        let flow_source = &mut self.flow_source;
-        let next_flow = &mut self.next_flow;
-        let mut total = 0u64;
-        // Own next-event times, updated from worker reports; arrivals in
-        // flight between shards live in `pending` until the next window,
-        // and streamed flows awaiting delivery to their owner shard in
-        // `flow_pend` (the workers hold the shards, so the wrapper hands
-        // both over with each round's command).
-        let mut nexts: Vec<Option<u64>> = self.shards.iter().map(|s| s.next_event_time()).collect();
-        let mut pending: Vec<Vec<XsEvent>> = (0..nsh).map(|_| Vec::new()).collect();
-        let mut flow_pend: Vec<Vec<(u64, u64, ExternalEvent)>> =
-            (0..nsh).map(|_| Vec::new()).collect();
-        let (res_tx, res_rx) = mpsc::channel();
-        std::thread::scope(|scope| {
-            let mut cmd_txs = Vec::with_capacity(nsh);
-            for (i, sh) in self.shards.iter_mut().enumerate() {
-                let (tx, rx) =
-                    mpsc::channel::<(u64, u64, Vec<XsEvent>, Vec<(u64, u64, ExternalEvent)>)>();
-                cmd_txs.push(tx);
-                let res_tx = res_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((horizon, budget, xs, flows)) = rx.recv() {
-                        // A panic in a host handler or a switch is caught
-                        // here and reported like any other round result:
-                        // the coordinator waits for one report per shard,
-                        // so a worker dying silently would hang the run.
-                        let report = catch_unwind(AssertUnwindSafe(|| {
-                            for (at, seq, ev) in flows {
-                                sh.inject_external(at, seq, ev);
-                            }
-                            if cfg!(debug_assertions) {
-                                for ev in &xs {
-                                    debug_assert!(
-                                        ev.time >= sh.now(),
-                                        "lookahead violation: arrival at {} for t={} but shard {i} already at {}",
-                                        ev.target,
-                                        ev.time,
-                                        sh.now()
-                                    );
-                                }
-                            }
-                            sh.stage_xs(xs);
-                            // Live-event footprint entering the round,
-                            // after this round's deliveries landed.
-                            let live = sh.queue_len() as u64;
-                            let t0 = Instant::now();
-                            let did = sh.run_until(horizon, budget);
-                            let busy = t0.elapsed().as_nanos() as u64;
-                            (did, busy, sh.take_xs_out(), sh.next_event_time(), live)
-                        }));
-                        let failed = report.is_err();
-                        if res_tx.send((i, report)).is_err() || failed {
-                            break;
-                        }
-                    }
-                });
-            }
-            while total < max_events {
-                // A shard's effective next event is the earliest of its own
-                // queue head and anything waiting to be delivered to it —
-                // cross-shard arrivals or streamed flows.
-                let eff: Vec<Option<u64>> = (0..nsh)
-                    .map(|i| {
-                        let mut m = nexts[i];
-                        for ev in &pending[i] {
-                            m = Some(m.map_or(ev.time, |x| x.min(ev.time)));
-                        }
-                        for (at, ..) in &flow_pend[i] {
-                            m = Some(m.map_or(*at, |x| x.min(*at)));
-                        }
-                        m
-                    })
-                    .collect();
-                let g = eff.iter().flatten().copied().min();
-                if let Some(f) = next_flow.as_ref().map(|f| f.0) {
-                    if g.is_none_or(|g| f <= g) {
-                        // Every pending event is at or after the next flow:
-                        // pull in all flows due by the earliest event (at
-                        // least one) and recompute with them pending.
-                        let upto = g.unwrap_or(f);
-                        loop {
-                            match next_flow.as_ref() {
-                                Some((at, ..)) if *at <= upto => {}
-                                _ => break,
-                            }
-                            let (at, host, bytes) = next_flow.take().expect("checked above");
-                            *ext_seq += 1;
-                            flow_pend[shard_of[&NodeId::Host(host)]].push((
-                                at,
-                                *ext_seq,
-                                ExternalEvent::HostSend(host, bytes),
-                            ));
-                            *next_flow = flow_source.as_mut().and_then(|s| s());
-                        }
-                        continue;
-                    }
-                }
-                if eff.iter().all(Option::is_none) {
-                    break;
-                }
-                let mut eff = eff;
-                if next_flow.is_some() {
-                    // Eager pump: stage every flow due inside this round's
-                    // conservative window (capped) — same threshold the
-                    // sequential runner computes, so rounds line up.
-                    let h_min = horizons_of(dist, &eff).into_iter().min().unwrap_or(u64::MAX);
-                    let upto = g.expect("events exist here").saturating_add(PUMP_WINDOW_NS);
-                    let upto = h_min.min(upto);
-                    loop {
-                        match next_flow.as_ref() {
-                            Some((at, ..)) if *at <= upto => {}
-                            _ => break,
-                        }
-                        let (at, host, bytes) = next_flow.take().expect("checked above");
-                        *ext_seq += 1;
-                        let t = shard_of[&NodeId::Host(host)];
-                        flow_pend[t].push((at, *ext_seq, ExternalEvent::HostSend(host, bytes)));
-                        eff[t] = Some(eff[t].map_or(at, |x| x.min(at)));
-                        *next_flow = flow_source.as_mut().and_then(|s| s());
-                    }
-                }
-                let mut horizons = horizons_of(dist, &eff);
-                if let Some((f, ..)) = next_flow {
-                    // No shard may run past the next uninjected flow.
-                    for h in &mut horizons {
-                        *h = (*h).min(*f);
-                    }
-                }
-                for (i, tx) in cmd_txs.iter().enumerate() {
-                    let xs = std::mem::take(&mut pending[i]);
-                    let flows = std::mem::take(&mut flow_pend[i]);
-                    // A worker only exits when the command channel drops,
-                    // so sends cannot fail mid-run.
-                    tx.send((horizons[i], max_events - total, xs, flows)).unwrap();
-                }
-                let mut round = 0u64;
-                let mut round_max = 0u64;
-                let mut round_live = 0u64;
-                let mut moved = false;
-                for _ in 0..nsh {
-                    let (i, report) = res_rx.recv().expect("every worker reports every round");
-                    let (did, busy, out, next, live) = report.unwrap_or_else(|cause| {
-                        // Unwinding drops the command channels, so the
-                        // other workers exit and the scope joins them
-                        // before this panic leaves `run`.
-                        let why = cause
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| cause.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
-                        panic!(
-                            "shard {i} worker panicked in round {} (horizon {}): {why}",
-                            *rounds, horizons[i]
-                        )
-                    });
-                    round += did;
-                    busy_ns[i] += busy;
-                    round_max = round_max.max(busy);
-                    round_live += live;
-                    nexts[i] = next;
-                    for ev in out {
-                        pending[shard_of[&ev.target]].push(ev);
-                        moved = true;
-                    }
-                }
-                total += round;
-                *rounds += 1;
-                *critical_path_ns += round_max;
-                *peak_queue = (*peak_queue).max(round_live);
-                if round == 0 && !moved {
-                    break;
-                }
-            }
-            drop(cmd_txs); // workers exit their recv loops
-        });
+    /// Runs until every shard drains or ~`max_events` are processed
+    /// (a soft cap: each window may overshoot by one shard window).
+    /// Returns the number of events processed across all shards.
+    pub fn run(&mut self, max_events: u64) -> u64 {
+        let ShardedNetwork { shards, co, threaded } = self;
+        let nexts = shards.iter().map(|s| s.next_event_time()).collect();
+        let total = if *threaded && shards.len() > 1 {
+            run_on_workers(shards, co, nexts, max_events)
+        } else {
+            co.drive(nexts, max_events, |_, horizons, budget, inboxes| {
+                let steps = shards.iter_mut().zip(horizons).zip(inboxes).enumerate();
+                steps.map(|(i, ((sh, &h), inbox))| (i, shard_round(sh, h, budget, inbox))).collect()
+            })
+        };
         // Stopping at the `max_events` cap leaves hand-offs and pumped
-        // flows undelivered: stage them in their owner shards so the next
+        // flows undelivered: put them in their owner shards so the next
         // `run` call continues from exactly this state.
-        for (sh, (xs, flows)) in self.shards.iter_mut().zip(pending.into_iter().zip(flow_pend)) {
-            for (at, seq, ev) in flows {
-                sh.inject_external(at, seq, ev);
-            }
-            sh.stage_xs(xs);
+        for (sh, inbox) in shards.iter_mut().zip(&mut co.inbox) {
+            std::mem::take(inbox).deliver(sh);
         }
         total
     }
@@ -817,53 +734,45 @@ impl ShardedNetwork {
 
     /// Messages a host received, with arrival timestamps.
     pub fn host_received(&self, id: u32) -> &[(u64, Vec<u8>)] {
-        match self.shard_of.get(&NodeId::Host(id)) {
-            Some(&s) => self.shards[s].host_received(id),
-            None => &[],
-        }
+        self.home(NodeId::Host(id)).host_received(id)
     }
 
     /// Direct control-plane access to a device's switch (on its owner).
     pub fn switch_mut(&mut self, id: u16) -> Option<&mut Switch> {
-        let s = *self.shard_of.get(&NodeId::Device(id))?;
-        self.shards[s].switch_mut(id)
+        self.home_mut(NodeId::Device(id)).switch_mut(id)
     }
 
     /// Immutable switch access.
     pub fn switch(&self, id: u16) -> Option<&Switch> {
-        let s = *self.shard_of.get(&NodeId::Device(id))?;
-        self.shards[s].switch(id)
+        self.home(NodeId::Device(id)).switch(id)
     }
 
     /// Whether device `id` is currently failed (fault state is replicated,
     /// so any shard could answer; the owner is canonical).
     pub fn device_failed(&self, id: u16) -> bool {
-        match self.shard_of.get(&NodeId::Device(id)) {
-            Some(&s) => self.shards[s].device_failed(id),
-            None => false,
-        }
+        self.home(NodeId::Device(id)).device_failed(id)
     }
 
     /// Synchronization rounds executed so far.
     pub fn rounds(&self) -> u64 {
-        self.rounds
+        self.co.rounds
     }
 
     /// Cumulative wall-clock busy nanoseconds per shard.
     pub fn busy_ns(&self) -> &[u64] {
-        &self.busy_ns
+        &self.co.busy_ns
     }
 
     /// Sum over rounds of the slowest shard's busy time — the run's
     /// critical path on an ideal one-core-per-shard machine.
     pub fn critical_path_ns(&self) -> u64 {
-        self.critical_path_ns
+        self.co.critical_path_ns
     }
 
     /// High-water mark of live events across all shards, sampled at round
     /// starts. With a flow source attached this is the run's memory
     /// footprint proxy — O(live events) rather than O(schedule length).
     pub fn peak_queue(&self) -> u64 {
-        self.peak_queue
+        self.co.peak_queue
     }
 }

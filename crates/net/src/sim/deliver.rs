@@ -1,0 +1,268 @@
+//! Delivery: moving one message one hop, and what happens where it lands.
+//!
+//! Invariants:
+//! - One routine per landing place handles one message at a time;
+//!   same-timestamp arrivals are just consecutive calls in pop order.
+//! - Chaos draws for a hop come from the *sending* node's RNG stream, and
+//!   every push made while handling a message is keyed by the node it is
+//!   handled at, so a shard owning that node reproduces the scalar run.
+
+use netcl_obs::Value;
+use netcl_runtime::device::Forward;
+use netcl_runtime::message::Message;
+use netcl_sema::builtins::ActionKind;
+
+use super::stats::tid_of;
+use super::{EventOrd, HostEvent, Network, Outbox};
+use crate::topo::{link_key, NodeId};
+
+impl Network {
+    /// Whether a single hop is currently traversable (link up, not crossing
+    /// an active partition cut).
+    fn hop_open(&self, from: NodeId, to: NodeId) -> bool {
+        if self.downed.contains(&link_key(from, to)) {
+            return false;
+        }
+        match &self.island {
+            Some(island) => island.contains(&from) == island.contains(&to),
+            None => true,
+        }
+    }
+
+    pub(super) fn host_transmit(&mut self, host: u32, bytes: Vec<u8>) {
+        // Route toward the computing device (or destination host).
+        let Ok(msg) = Message::read_header(&bytes) else { return };
+        let target = if msg.to != netcl_runtime::device::NO_DEVICE {
+            NodeId::Device(msg.to)
+        } else {
+            NodeId::Host(msg.dst as u32)
+        };
+        let now = self.clock;
+        self.transmit(NodeId::Host(host), target, now, bytes);
+    }
+
+    /// Moves a message one hop toward `target`, departing at `at` (≥ the
+    /// current clock; device forwards depart after their kernel latency).
+    fn transmit(&mut self, from: NodeId, target: NodeId, at: u64, bytes: Vec<u8>) {
+        if from == target {
+            if let NodeId::Host(h) = target {
+                self.push(at, EventOrd::Arrive(NodeId::Host(h)), bytes);
+            }
+            return;
+        }
+        let hop = self.routes.hop(from, target, &self.downed);
+        let Some((hop, link)) = hop.filter(|(h, _)| self.hop_open(from, *h)) else {
+            // No traversable route. Distinguish a topology gap (a bug in
+            // the experiment setup) from a scheduled fault eating the path.
+            if self.downed.is_empty() && self.island.is_none() {
+                self.stats.unroutable += 1;
+            } else {
+                self.stats.fault_drops += 1;
+            }
+            self.stats.node(from).dropped += 1;
+            self.trace_instant("drop.fault", from, at);
+            return;
+        };
+        if link.loss > 0.0 && self.rand01(from) < link.loss {
+            self.stats.link_losses += 1;
+            self.stats.node(hop).dropped += 1;
+            self.trace_instant("drop.loss", hop, at);
+            return;
+        }
+        let mut bytes = bytes;
+        if link.corrupt > 0.0 && self.rand01(from) < link.corrupt && !bytes.is_empty() {
+            let bit = self.rand_u64(from) as usize % (bytes.len() * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            self.stats.corrupted += 1;
+        }
+        let copies = if link.duplicate > 0.0 && self.rand01(from) < link.duplicate {
+            self.stats.duplicates += 1;
+            2
+        } else {
+            1
+        };
+        // Gray degradation stretches transit and jitter by the multiplier
+        // without touching the RNG draw sequence — per-node streams stay
+        // byte-identical whether or not a degrade window is active.
+        let slow = if self.degraded.is_empty() {
+            1
+        } else {
+            *self.degraded.get(&link_key(from, hop)).unwrap_or(&1)
+        };
+        if slow > 1 {
+            self.stats.degraded_transits += 1;
+        }
+        for i in 0..copies {
+            let mut arrive = at + slow * link.transit_ns(bytes.len());
+            if link.jitter_ns > 0 {
+                arrive += self.rand_u64(from) % (slow * link.jitter_ns + 1);
+            }
+            if link.reorder > 0.0 && self.rand01(from) < link.reorder {
+                arrive += link.reorder_ns;
+                self.stats.reordered += 1;
+            }
+            // The last copy moves the buffer — the common lossless single
+            // delivery stays allocation-free.
+            let payload = if i + 1 == copies { std::mem::take(&mut bytes) } else { bytes.clone() };
+            self.push(arrive, EventOrd::Arrive(hop), payload);
+        }
+    }
+
+    /// The one delivery routine (DESIGN.md §13): one message arriving at one
+    /// device. A failed device blackholes it; an unreadable header drops it;
+    /// a message computed elsewhere transits at `clock`; otherwise the kernel
+    /// runs — again while it asks to `Repeat`, up to 8 passes — and the
+    /// final header decides the forward, departing after the passes'
+    /// latency. Compute touches only switch state and the effects after it
+    /// only network state.
+    pub(super) fn device_receive(&mut self, dev: u16, mut wire: Vec<u8>) {
+        let here = NodeId::Device(dev);
+        if self.failed.contains(&dev) {
+            self.stats.fault_drops += 1;
+            self.stats.node(here).dropped += 1;
+            self.trace_instant("drop.fault", here, self.clock);
+            return;
+        }
+        let Some(node) = self.devices.get_mut(&dev) else { return };
+        let Ok(msg) = Message::read_header(&wire) else {
+            self.stats.node(here).dropped += 1;
+            return;
+        };
+        self.stats.node(here).delivered += 1;
+        let runtime = node.runtime;
+        if !runtime.should_compute(&msg) {
+            let now = self.clock;
+            return self.apply_forward(dev, runtime.transit(&msg), now, wire);
+        }
+        // `Ok`: the final pass's header. `Err(Some(name))`: a counted drop,
+        // named on the trace. `Err(None)`: the kernel left an unreadable
+        // header and the message vanishes silently.
+        let mut passes = 0u64;
+        let last = loop {
+            passes += 1;
+            if node.switch.process_into(&wire, &mut node.pkt, &mut node.out).is_err() {
+                break Err(Some("drop.reject"));
+            }
+            std::mem::swap(&mut wire, &mut node.out);
+            let Ok(msg) = Message::read_header(&wire) else { break Err(None) };
+            if ActionKind::from_code(msg.action) != Some(ActionKind::Repeat) {
+                break Ok(msg);
+            }
+            if passes == 8 {
+                self.stats.kernel_drops += 1;
+                break Err(Some("drop.kernel"));
+            }
+        };
+        let latency = passes * node.latency_ns;
+        let backend = node.switch.engine().name();
+        self.stats.kernel_executions += passes;
+        self.stats.recirculations += passes - 1;
+        let mut msg = match last {
+            Ok(msg) => msg,
+            Err(why) => {
+                if let Some(name) = why {
+                    self.stats.node(here).dropped += 1;
+                    self.trace_instant(name, here, self.clock);
+                }
+                return;
+            }
+        };
+        let action = ActionKind::from_code(msg.action).unwrap_or(ActionKind::Pass);
+        let (act_code, target) = (msg.action, msg.target);
+        let fwd = runtime.forward(&mut msg, action, target);
+        // Clear the per-hop action fields for the next node.
+        msg.action = 0;
+        msg.target = 0;
+        msg.write_header_into(&mut wire[..netcl_runtime::NCL_HEADER_BYTES]);
+        if let Some(tr) = self.obs.as_mut().and_then(|o| o.trace.as_mut()) {
+            tr.complete(
+                "kernel",
+                "device",
+                0,
+                tid_of(here),
+                self.clock,
+                latency,
+                vec![
+                    ("action", Value::U64(act_code as u64)),
+                    ("recircs", Value::U64(passes - 1)),
+                    ("src", Value::U64(msg.src as u64)),
+                    ("dst", Value::U64(msg.dst as u64)),
+                    ("backend", Value::Str(backend.to_string())),
+                ],
+            );
+        }
+        let depart = self.clock + latency;
+        self.apply_forward(dev, fwd, depart, wire);
+    }
+
+    fn apply_forward(&mut self, dev: u16, fwd: Forward, at: u64, bytes: Vec<u8>) {
+        match fwd {
+            Forward::Drop => {
+                self.stats.kernel_drops += 1;
+                self.stats.node(NodeId::Device(dev)).dropped += 1;
+            }
+            Forward::ToHost(h) => {
+                self.transmit(NodeId::Device(dev), NodeId::Host(h as u32), at, bytes)
+            }
+            Forward::ToDevice(d) => {
+                self.transmit(NodeId::Device(dev), NodeId::Device(d), at, bytes)
+            }
+            Forward::Multicast(gid) => {
+                let members = self.topology.groups.get(&gid).cloned().unwrap_or_default();
+                for m in members {
+                    let mut copy = bytes.clone();
+                    // A device member of the group becomes the computing
+                    // target of its copy (P4xos: the leader multicasts
+                    // phase-2A to the acceptor set).
+                    if let NodeId::Device(d) = m {
+                        if let Ok(mut msg) = Message::read_header(&copy) {
+                            msg.to = d;
+                            msg.write_header_into(&mut copy[..netcl_runtime::NCL_HEADER_BYTES]);
+                        }
+                    }
+                    self.transmit(NodeId::Device(dev), m, at, copy);
+                }
+            }
+            Forward::Recirculate => unreachable!("handled in device_receive"),
+        }
+    }
+
+    pub(super) fn host_receive(&mut self, host: u32, bytes: Vec<u8>) {
+        self.stats.delivered += 1;
+        self.stats.node(NodeId::Host(host)).delivered += 1;
+        let now = self.clock;
+        self.trace_instant("deliver", NodeId::Host(host), now);
+        let Some(node) = self.hosts.get_mut(&host) else { return };
+        node.received.push((now, bytes.clone()));
+        let process_ns = node.process_ns;
+        self.host_handle(host, HostEvent::Message(bytes), process_ns);
+    }
+
+    pub(super) fn host_timer(&mut self, host: u32, token: u64) {
+        self.host_handle(host, HostEvent::Timer(token), 0);
+    }
+
+    /// Runs the host's handler (if any) on `ev`; what it sends and arms
+    /// goes out `delay` after now.
+    fn host_handle(&mut self, host: u32, ev: HostEvent, delay: u64) {
+        let now = self.clock;
+        let Some(mut handler) = self.hosts.get_mut(&host).and_then(|n| n.handler.take()) else {
+            return;
+        };
+        let mut outbox = Outbox::default();
+        handler(now, ev, &mut outbox);
+        if let Some(node) = self.hosts.get_mut(&host) {
+            node.handler = Some(handler);
+        }
+        self.flush_outbox(host, now + delay, outbox);
+    }
+
+    fn flush_outbox(&mut self, host: u32, base: u64, outbox: Outbox) {
+        for (delay, bytes) in outbox.sends {
+            self.push(base + delay, EventOrd::HostSend(NodeId::Host(host)), bytes);
+        }
+        for (delay, token) in outbox.timers {
+            self.push(base + delay, EventOrd::Timer(NodeId::Host(host), token), Vec::new());
+        }
+    }
+}

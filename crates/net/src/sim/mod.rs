@@ -1,18 +1,36 @@
-//! The event-driven simulator core.
+//! The event-driven simulator core: the [`Network`], its event keys, and
+//! the event loop. Statistics live in `stats.rs`, construction in
+//! `builder.rs`, per-message delivery in `deliver.rs`.
+//!
+//! Invariants:
+//! - Events run in `(time, EventSrc)` order. Keys are unique and locally
+//!   derivable (schedule index, driver call order, per-node push counter),
+//!   so the order is total and the same in a scalar run and in every shard.
+//! - The heap and the staged cross-shard queue are two sources of one
+//!   sequence: `run_until` always takes the globally smallest key.
+//! - [`Network::run`] is the scalar oracle: a flow source is pumped exactly
+//!   when simulated time reaches each flow, which is the interleaving an
+//!   up-front injection would have had.
+
+mod builder;
+mod deliver;
+mod stats;
+
+pub use builder::NetworkBuilder;
+pub use stats::{NetObs, NetStats, NodeCounters, ObsConfig};
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use netcl_bmv2::{Packet, PacketBatch, Switch, TableUpdate};
-use netcl_obs::{Histogram, Stopwatch, Trace, Value};
-use netcl_runtime::device::{DeviceRuntime, Forward};
-use netcl_runtime::message::Message;
-use netcl_sema::builtins::ActionKind;
+use netcl_bmv2::{Packet, Switch, TableUpdate};
+use netcl_obs::{Stopwatch, Trace};
+use netcl_runtime::device::DeviceRuntime;
 
-use crate::fault::{Fault, FaultSchedule};
+use crate::fault::Fault;
 use crate::route::RouteCache;
 use crate::topo::{link_key, NodeId, Topology};
+use stats::tid_of;
 
 /// Events delivered to a host handler.
 #[derive(Debug, Clone)]
@@ -62,6 +80,41 @@ pub type RestartHook = Box<dyn FnMut(&mut Switch) + Send>;
 /// `Send` so the sharded wrapper can hold it alongside shard threads.
 pub type FlowSource = Box<dyn FnMut() -> Option<(u64, u32, Vec<u8>)> + Send>;
 
+/// A [`FlowSource`] plus its lookahead of one: the next not-yet-injected
+/// flow, whose time bounds how far a run may advance. The one place flows
+/// are pulled — [`Network::run`] and the sharded round planner both drain
+/// it, and differ only in where a drained flow goes.
+#[derive(Default)]
+pub(crate) struct FlowPump {
+    source: Option<FlowSource>,
+    next: Option<(u64, u32, Vec<u8>)>,
+}
+
+impl FlowPump {
+    pub(crate) fn new(mut source: FlowSource) -> FlowPump {
+        FlowPump { next: source(), source: Some(source) }
+    }
+
+    /// Injection time of the next flow; `None` once the source is dry.
+    pub(crate) fn next_at(&self) -> Option<u64> {
+        self.next.as_ref().map(|f| f.0)
+    }
+
+    /// Hands every flow due at or before `upto` to `inject(at, host,
+    /// bytes)`, in source order.
+    pub(crate) fn drain_upto(&mut self, upto: u64, mut inject: impl FnMut(u64, u32, Vec<u8>)) {
+        while self.next_at().is_some_and(|at| at <= upto) {
+            let (at, host, bytes) = self.next.take().expect("checked above");
+            self.next = self.source.as_mut().and_then(|s| s());
+            debug_assert!(
+                self.next_at().is_none_or(|n| n >= at),
+                "flow times must be nondecreasing"
+            );
+            inject(at, host, bytes);
+        }
+    }
+}
+
 // `Outbox` is exactly the send/timer surface the host reliability helper
 // needs, so wire it up as its transport.
 impl netcl_runtime::reliable::Transport for Outbox {
@@ -79,103 +132,11 @@ struct DeviceNode {
     runtime: DeviceRuntime,
     /// Per-packet processing latency (from the Tofino model's Fig. 13 path).
     latency_ns: u64,
-    /// Reusable packet and output buffer so steady-state processing does
-    /// not allocate per packet.
+    /// Reusable packet and output buffer. A delivery swaps the arriving
+    /// wire buffer with `out` after each pass, so steady-state processing
+    /// does not allocate per message.
     pkt: Packet,
     out: Vec<u8>,
-    /// Reusable delivery batch for [`Switch::process_batch`] (DESIGN.md
-    /// §13). Reshapes itself automatically after a device restart swaps the
-    /// program.
-    batch: PacketBatch,
-    /// Scratch for the per-message delivery plan, reused across batches.
-    plan: Vec<BatchPlan>,
-}
-
-/// What phase A of batched delivery decided about one arrival, consumed in
-/// message order by phase C (see `device_receive_batch`).
-enum BatchPlan {
-    /// Header unreadable: count a drop.
-    HeaderDrop,
-    /// Not for this device: forward with the original bytes at `clock`.
-    Transit(Forward, Vec<u8>),
-    /// The next kernel input of the device batch (inputs are pushed and
-    /// consumed in message order); the outcome is filled in by phase B.
-    Compute,
-}
-
-/// How one kernel input left phase B of batched delivery.
-enum KernelOutcome {
-    /// Final pass produced a forward: rewritten wire, forward decision,
-    /// original action code, total passes, and src/dst for tracing.
-    Forward { wire: Vec<u8>, fwd: Forward, act_code: u8, passes: u64, src: u16, dst: u16 },
-    /// The pipeline rejected the packet on its `passes`-th pass.
-    Reject { passes: u64 },
-    /// The post-kernel header was unreadable: the message vanishes
-    /// silently.
-    Vanish { passes: u64 },
-    /// All 8 passes asked to repeat: recirculation cap drop.
-    CapExceeded,
-}
-
-/// Resolves a batch slot that finished in a single pass (phase B).
-fn single_pass_outcome(batch: &mut PacketBatch, i: usize, runtime: DeviceRuntime) -> KernelOutcome {
-    if batch.outcome(i).is_err() {
-        return KernelOutcome::Reject { passes: 1 };
-    }
-    let wire = batch.take_output(i);
-    match Message::read_header(&wire) {
-        Err(_) => {
-            batch.recycle(wire);
-            KernelOutcome::Vanish { passes: 1 }
-        }
-        Ok(msg) => finish_forward(msg, wire, runtime, 1),
-    }
-}
-
-/// Applies runtime forwarding to a final (non-repeat) kernel output,
-/// rewriting the header in place.
-fn finish_forward(
-    mut msg: Message,
-    mut wire: Vec<u8>,
-    runtime: DeviceRuntime,
-    passes: u64,
-) -> KernelOutcome {
-    let action = ActionKind::from_code(msg.action).unwrap_or(ActionKind::Pass);
-    let target = msg.target;
-    let act_code = msg.action;
-    let fwd = runtime.forward(&mut msg, action, target);
-    // Clear the per-hop action fields for the next node.
-    msg.action = 0;
-    msg.target = 0;
-    msg.write_header_into(&mut wire[..netcl_runtime::NCL_HEADER_BYTES]);
-    KernelOutcome::Forward { wire, fwd, act_code, passes, src: msg.src, dst: msg.dst }
-}
-
-/// Completes a recirculating packet's extra passes before the burst
-/// resumes: the batch ran pass 0; passes 1..8 ping-pong through the node's
-/// scratch buffers, so registers and the per-switch RNG mutate in packet
-/// order.
-fn finish_recirculation(node: &mut DeviceNode, batch: &mut PacketBatch, i: usize) -> KernelOutcome {
-    let mut wire = batch.take_output(i);
-    let mut passes = 1u64;
-    for _ in 1..8 {
-        passes += 1;
-        if node.switch.process_into(&wire, &mut node.pkt, &mut node.out).is_err() {
-            batch.recycle(wire);
-            return KernelOutcome::Reject { passes };
-        }
-        std::mem::swap(&mut wire, &mut node.out);
-        let Ok(msg) = Message::read_header(&wire) else {
-            batch.recycle(wire);
-            return KernelOutcome::Vanish { passes };
-        };
-        let action = ActionKind::from_code(msg.action).unwrap_or(ActionKind::Pass);
-        if action != ActionKind::Repeat {
-            return finish_forward(msg, wire, node.runtime, passes);
-        }
-    }
-    batch.recycle(wire);
-    KernelOutcome::CapExceeded
 }
 
 struct HostNode {
@@ -184,330 +145,6 @@ struct HostNode {
     /// Host-side processing cost before a handler's sends go out (socket +
     /// kernel path; the paper attributes its end-to-end deltas to this).
     process_ns: u64,
-}
-
-/// Per-node delivery breakdown.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NodeCounters {
-    /// Messages delivered to (hosts) or processed at (devices) this node.
-    pub delivered: u64,
-    /// Messages dropped at this node or on their way into it.
-    pub dropped: u64,
-}
-
-/// Simulation statistics. `PartialEq`/`Eq` back the determinism contract:
-/// two runs with the same `(seed, fault schedule)` must produce *identical*
-/// stats, which the chaos suite asserts to make failing seeds replayable.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct NetStats {
-    /// Messages delivered to hosts.
-    pub delivered: u64,
-    /// Messages dropped by kernels (`ncl::drop()`).
-    pub kernel_drops: u64,
-    /// Messages lost on links.
-    pub link_losses: u64,
-    /// Device kernel executions.
-    pub kernel_executions: u64,
-    /// Total traffic events processed (sends, arrivals, timers).
-    /// Scheduled-fault applications are control-plane actions — replicated
-    /// into every shard of a sharded run — and are deliberately not
-    /// counted, so this field merges shard-exactly.
-    pub events: u64,
-    /// Messages with no route to their target (topology gap). Stays 0 on
-    /// well-formed topologies with no scheduled faults.
-    pub unroutable: u64,
-    /// Messages dropped by scheduled faults: downed links with no detour,
-    /// partitions, and failed devices.
-    pub fault_drops: u64,
-    /// Extra copies created by link duplication.
-    pub duplicates: u64,
-    /// Messages delivered with a flipped bit.
-    pub corrupted: u64,
-    /// Messages held back by the reorder distribution.
-    pub reordered: u64,
-    /// Device restarts executed.
-    pub device_restarts: u64,
-    /// Recirculation passes (kernel executions beyond a message's first).
-    pub recirculations: u64,
-    /// Control-plane rule-update batches applied to a live device
-    /// ([`Network::schedule_update`]); counted only where the device
-    /// lives, so shards merge exactly.
-    pub rule_updates: u64,
-    /// Rule-update batches that did not land: the target device was failed
-    /// (blackholed) at delivery time, or the batch failed validation.
-    pub rule_update_rejects: u64,
-    /// Transits that crossed a gray-degraded link
-    /// ([`Fault::LinkDegrade`]) — delivered, just slower.
-    pub degraded_transits: u64,
-    /// Per-node delivered/dropped breakdown (keyed deterministically).
-    pub per_node: BTreeMap<NodeId, NodeCounters>,
-}
-
-impl NetStats {
-    fn node(&mut self, n: NodeId) -> &mut NodeCounters {
-        self.per_node.entry(n).or_default()
-    }
-
-    /// Folds another run's counters into this one (per-node breakdown
-    /// included) — for aggregating over a seed matrix.
-    pub fn accumulate(&mut self, other: &NetStats) {
-        self.delivered += other.delivered;
-        self.kernel_drops += other.kernel_drops;
-        self.link_losses += other.link_losses;
-        self.kernel_executions += other.kernel_executions;
-        self.events += other.events;
-        self.unroutable += other.unroutable;
-        self.fault_drops += other.fault_drops;
-        self.duplicates += other.duplicates;
-        self.corrupted += other.corrupted;
-        self.reordered += other.reordered;
-        self.device_restarts += other.device_restarts;
-        self.recirculations += other.recirculations;
-        self.rule_updates += other.rule_updates;
-        self.rule_update_rejects += other.rule_update_rejects;
-        self.degraded_transits += other.degraded_transits;
-        for (n, c) in &other.per_node {
-            let e = self.per_node.entry(*n).or_default();
-            e.delivered += c.delivered;
-            e.dropped += c.dropped;
-        }
-    }
-}
-
-/// What [`NetworkBuilder::observe`] turns on. Observability is strictly
-/// opt-out-by-default: a network built without `observe` never reads the
-/// wall clock and allocates nothing for telemetry (the <2% throughput
-/// budget in DESIGN.md §12 is for the *enabled* case).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ObsConfig {
-    /// Also record a per-message Chrome `trace_event` timeline
-    /// ([`Network::take_trace`]); histograms alone are much cheaper.
-    pub trace: bool,
-    /// Bound the trace to the most recent N data events
-    /// ([`Trace::bounded`]): long chaos runs stay O(capacity) instead of
-    /// O(run length). `None` keeps every event. Track-naming metadata is
-    /// exempt, and stats/counters are unaffected either way.
-    pub trace_capacity: Option<usize>,
-}
-
-/// Wall-clock observability for a run. Kept *outside* [`NetStats`] on
-/// purpose: stats are `Eq` and back the chaos determinism contract, while
-/// everything in here depends on host wall time and would differ between
-/// two otherwise-identical runs.
-#[derive(Debug, Default, Clone)]
-pub struct NetObs {
-    /// Event-queue depth, sampled after each event is popped.
-    pub queue_depth: Histogram,
-    /// Wall-clock nanoseconds spent processing each event.
-    pub event_wall_ns: Histogram,
-    /// The message timeline (simulated time), when tracing was requested.
-    pub trace: Option<Trace>,
-}
-
-/// Trace thread-track id for a node: devices use their id, hosts are
-/// offset so the tracks never collide.
-fn tid_of(n: NodeId) -> u32 {
-    match n {
-        NodeId::Device(d) => d as u32,
-        NodeId::Host(h) => 0x1_0000 + h,
-    }
-}
-
-/// Builder for a [`Network`] (or, via
-/// [`build_sharded`](NetworkBuilder::build_sharded) in [`crate::shard`],
-/// a set of shard networks over the same configuration).
-#[derive(Default)]
-pub struct NetworkBuilder {
-    /// `Arc` so the sharded builder replicates the topology into every
-    /// shard by reference — at 10⁵ hosts a deep clone per shard is ~100 MB
-    /// of pure duplication. Shards only read it (routing, group fan-out).
-    pub(crate) topology: Arc<Topology>,
-    pub(crate) devices: Vec<(u16, Switch, u64)>,
-    pub(crate) hosts: Vec<(u32, Option<HostHandler>, u64)>,
-    pub(crate) seed: u64,
-    pub(crate) faults: Vec<(u64, Fault)>,
-    pub(crate) updates: Vec<(u64, u16, TableUpdate)>,
-    pub(crate) restart_hooks: HashMap<u16, RestartHook>,
-    pub(crate) obs: Option<ObsConfig>,
-    pub(crate) engine: Option<netcl_bmv2::Engine>,
-}
-
-impl NetworkBuilder {
-    /// Starts from a topology.
-    pub fn new(topology: Topology) -> NetworkBuilder {
-        NetworkBuilder { topology: Arc::new(topology), seed: 0x5DEECE66D, ..Default::default() }
-    }
-
-    /// Adds a device running `switch`, with per-packet latency.
-    pub fn device(mut self, id: u16, switch: Switch, latency_ns: u64) -> Self {
-        self.devices.push((id, switch, latency_ns));
-        self
-    }
-
-    /// Adds a host with an event handler.
-    pub fn host(mut self, id: u32, handler: HostHandler) -> Self {
-        self.hosts.push((id, Some(handler), 2000));
-        self
-    }
-
-    /// Adds a passive host (messages recorded, no reaction).
-    pub fn sink_host(mut self, id: u32) -> Self {
-        self.hosts.push((id, None, 2000));
-        self
-    }
-
-    /// Sets the fault-RNG seed. Together with the fault schedule this fully
-    /// determines a run: same `(seed, schedule)` → identical [`NetStats`].
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Schedules one fault at an absolute simulated time.
-    pub fn fault(mut self, at_ns: u64, fault: Fault) -> Self {
-        self.faults.push((at_ns, fault));
-        self
-    }
-
-    /// Schedules a whole [`FaultSchedule`].
-    pub fn faults(mut self, schedule: FaultSchedule) -> Self {
-        self.faults.extend(schedule.events().iter().cloned());
-        self
-    }
-
-    /// Schedules a control-plane rule update: the [`TableUpdate`] batch is
-    /// applied atomically to device `device`'s switch at `at_ns`
-    /// (DESIGN.md §16). Applied updates are journaled and replayed after a
-    /// [`Fault::DeviceRestart`], so live rule changes survive where a full
-    /// reload would lose them.
-    pub fn update(mut self, at_ns: u64, device: u16, update: TableUpdate) -> Self {
-        self.updates.push((at_ns, device, update));
-        self
-    }
-
-    /// Registers a hook run after device `id` restarts, with factory state
-    /// already restored — the place to repopulate `_managed_` memory
-    /// through the control plane.
-    pub fn on_restart(mut self, id: u16, hook: RestartHook) -> Self {
-        self.restart_hooks.insert(id, hook);
-        self
-    }
-
-    /// Enables observability (queue-depth and event-latency histograms;
-    /// optionally a Perfetto-loadable trace) for the built network.
-    pub fn observe(mut self, cfg: ObsConfig) -> Self {
-        self.obs = Some(cfg);
-        self
-    }
-
-    /// Selects the execution engine for every device in the network
-    /// (default: each switch keeps its own setting — normally
-    /// [`netcl_bmv2::Engine::Threaded`]). Device restarts preserve it.
-    pub fn engine(mut self, engine: netcl_bmv2::Engine) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
-    /// Builds the network.
-    pub fn build(self) -> Network {
-        self.build_part(None)
-    }
-
-    /// Builds a network that owns only `owned` nodes (one shard); `None`
-    /// owns everything. The shard runner routes `xs_out` arrivals.
-    pub(crate) fn build_part(self, owned: Option<HashSet<NodeId>>) -> Network {
-        let routes = RouteCache::new(&self.topology);
-        self.build_part_with(owned, routes)
-    }
-
-    /// [`Self::build_part`] with a pre-built route cache — the sharded
-    /// builder constructs one cache and clones it into every shard, so the
-    /// precomputed switch forest is built once and shared (`Arc`).
-    pub(crate) fn build_part_with(
-        self,
-        owned: Option<HashSet<NodeId>>,
-        routes: RouteCache,
-    ) -> Network {
-        let obs = self.obs.map(|cfg| {
-            let trace = cfg.trace.then(|| {
-                let mut t = match cfg.trace_capacity {
-                    Some(c) => Trace::bounded(c),
-                    None => Trace::new(),
-                };
-                t.name_process(0, "netcl-sim");
-                let mut dev_ids: Vec<u16> = self.devices.iter().map(|(id, ..)| *id).collect();
-                dev_ids.sort_unstable();
-                for id in dev_ids {
-                    t.name_thread(0, tid_of(NodeId::Device(id)), format!("device {id}"));
-                }
-                let mut host_ids: Vec<u32> = self.hosts.iter().map(|(id, ..)| *id).collect();
-                host_ids.sort_unstable();
-                for id in host_ids {
-                    t.name_thread(0, tid_of(NodeId::Host(id)), format!("host {id}"));
-                }
-                t
-            });
-            NetObs { trace, ..NetObs::default() }
-        });
-        let mut devices = HashMap::new();
-        for (id, mut switch, latency_ns) in self.devices {
-            if let Some(engine) = self.engine {
-                switch.set_engine(engine);
-            }
-            let pkt = switch.new_packet();
-            devices.insert(
-                id,
-                DeviceNode {
-                    switch,
-                    runtime: DeviceRuntime::new(id),
-                    latency_ns,
-                    pkt,
-                    out: Vec::new(),
-                    batch: PacketBatch::new(),
-                    plan: Vec::new(),
-                },
-            );
-        }
-        let mut hosts = HashMap::new();
-        for (id, handler, process_ns) in self.hosts {
-            hosts.insert(id, HostNode { handler, received: Vec::new(), process_ns });
-        }
-        let mut net = Network {
-            topology: self.topology,
-            devices,
-            hosts,
-            events: BinaryHeap::new(),
-            clock: 0,
-            ext_seq: 0,
-            node_seq: HashMap::new(),
-            cur_node: None,
-            seed: self.seed,
-            rngs: HashMap::new(),
-            stats: NetStats::default(),
-            fault_list: Vec::new(),
-            update_list: Vec::new(),
-            applied_updates: HashMap::new(),
-            downed: HashSet::new(),
-            degraded: HashMap::new(),
-            island: None,
-            failed: HashSet::new(),
-            restart_hooks: self.restart_hooks,
-            obs,
-            routes,
-            owned,
-            xs_out: Vec::new(),
-            xs_in: VecDeque::new(),
-            flow_source: None,
-            next_flow: None,
-        };
-        for (at, fault) in self.faults {
-            net.schedule_fault(at, fault);
-        }
-        for (at, dev, update) in self.updates {
-            net.schedule_update(at, dev, update);
-        }
-        net
-    }
 }
 
 /// The running simulation.
@@ -573,16 +210,11 @@ pub struct Network {
     /// ([`Network::stage_xs`]) and kept sorted by `(time, key)`. A second
     /// event source merged with the heap during `run_until`: staged
     /// batches arrive pre-sorted, so draining them is O(1) per event
-    /// instead of O(log n) heap churn, and same-timestamp arrivals flow
-    /// straight into the device batch path.
+    /// instead of O(log n) heap churn.
     xs_in: VecDeque<XsEvent>,
     /// Streamed driver injections ([`Network::set_flow_source`]); pulled
     /// as the run loop reaches each flow's injection time.
-    flow_source: Option<FlowSource>,
-    /// The next not-yet-injected flow from `flow_source` (its lookahead
-    /// of one — flow times are nondecreasing, so this bounds the run
-    /// horizon).
-    next_flow: Option<(u64, u32, Vec<u8>)>,
+    flows: FlowPump,
 }
 
 /// Deterministic event provenance, the same-timestamp tiebreaker.
@@ -611,7 +243,7 @@ pub(crate) enum EventSrc {
 struct NodeOrd(Vec<u8>, EventOrd);
 
 #[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
-enum EventOrd {
+pub(crate) enum EventOrd {
     Arrive(NodeId),
     Timer(NodeId, u64),
     HostSend(NodeId),
@@ -634,12 +266,6 @@ pub(crate) struct XsEvent {
     pub(crate) src: EventSrc,
     pub(crate) target: NodeId,
     pub(crate) bytes: Vec<u8>,
-}
-
-/// A driver injection routed to a shard by the sharded wrapper.
-pub(crate) enum ExternalEvent {
-    HostSend(u32, Vec<u8>),
-    Timer(u32, u64),
 }
 
 impl Network {
@@ -702,8 +328,11 @@ impl Network {
 
     /// Pushes a fully-keyed event, routing arrivals at non-owned nodes to
     /// the cross-shard outbox. Only arrivals can cross shards: sends and
-    /// timers are always pushed by (or injected at) the node itself.
-    fn push_keyed(&mut self, time: u64, src: EventSrc, ord: EventOrd, bytes: Vec<u8>) {
+    /// timers are always pushed by (or injected at) the node itself. The
+    /// sharded wrapper injects driver events here under `External` keys it
+    /// numbers itself, so they match a scalar run's whichever shard owns
+    /// the host.
+    pub(crate) fn push_keyed(&mut self, time: u64, src: EventSrc, ord: EventOrd, bytes: Vec<u8>) {
         if let Some(owned) = &self.owned {
             if let EventOrd::Arrive(target) = ord {
                 if !owned.contains(&target) {
@@ -720,8 +349,7 @@ impl Network {
     /// scalar run would assign. The batch is sorted once and merged into
     /// the staging queue; `run_until` then drains it interleaved with the
     /// heap in global `(time, key)` order. One sort per batch replaces a
-    /// heap push per event, and a burst of same-timestamp arrivals at one
-    /// device reaches `process_batch` in one contiguous run.
+    /// heap push per event.
     pub(crate) fn stage_xs(&mut self, mut batch: Vec<XsEvent>) {
         if batch.is_empty() {
             return;
@@ -746,30 +374,11 @@ impl Network {
         }
     }
 
-    /// Injects a driver event (send or timer) with an explicit external
-    /// sequence number, used by the sharded wrapper to keep injection keys
-    /// identical to a scalar run's.
-    pub(crate) fn inject_external(&mut self, time: u64, ext_seq: u64, ord: ExternalEvent) {
-        let src = EventSrc::External(ext_seq);
-        match ord {
-            ExternalEvent::HostSend(h, bytes) => {
-                self.push_keyed(time, src, EventOrd::HostSend(NodeId::Host(h)), bytes)
-            }
-            ExternalEvent::Timer(h, token) => {
-                self.push_keyed(time, src, EventOrd::Timer(NodeId::Host(h), token), Vec::new())
-            }
-        }
-    }
-
     /// Earliest pending event time across the heap and the staged
     /// cross-shard queue, if any.
     pub(crate) fn next_event_time(&self) -> Option<u64> {
         let heap = self.events.peek().map(|Reverse((t, ..))| *t);
-        let staged = self.xs_in.front().map(|e| e.time);
-        match (heap, staged) {
-            (Some(h), Some(s)) => Some(h.min(s)),
-            (h, s) => h.or(s),
-        }
+        heap.into_iter().chain(self.xs_in.front().map(|e| e.time)).min()
     }
 
     /// Pending events not yet processed — the live-event footprint the
@@ -872,22 +481,8 @@ impl Network {
     ///
     /// Call before any other driver injection: streamed flows consume
     /// `External` key numbers in yield order as they are pumped.
-    pub fn set_flow_source(&mut self, mut source: FlowSource) {
-        self.next_flow = source();
-        self.flow_source = Some(source);
-    }
-
-    /// Injects every flow due at or before `upto`.
-    fn pump_flows(&mut self, upto: u64) {
-        while let Some((at, ..)) = self.next_flow {
-            if at > upto {
-                break;
-            }
-            let (at, host, bytes) = self.next_flow.take().expect("checked above");
-            debug_assert!(at >= self.clock, "flow times must be nondecreasing");
-            self.send_from_host(host, at, bytes);
-            self.next_flow = self.flow_source.as_mut().and_then(|s| s());
-        }
+    pub fn set_flow_source(&mut self, source: FlowSource) {
+        self.flows = FlowPump::new(source);
     }
 
     /// Runs until the event queue (and any attached flow source) drains or
@@ -900,18 +495,14 @@ impl Network {
     pub fn run(&mut self, max_events: u64) -> u64 {
         let mut n = 0;
         while n < max_events {
-            match self.next_flow {
-                Some((f, ..)) => {
-                    n += self.run_until(f, max_events - n);
-                    if n >= max_events {
-                        break;
-                    }
-                    self.pump_flows(f);
-                }
-                None => {
-                    n += self.run_until(u64::MAX, max_events - n);
-                    break;
-                }
+            let Some(f) = self.flows.next_at() else {
+                return n + self.run_until(u64::MAX, max_events - n);
+            };
+            n += self.run_until(f, max_events - n);
+            if n < max_events {
+                let mut flows = std::mem::take(&mut self.flows);
+                flows.drain_upto(f, |at, host, bytes| self.send_from_host(host, at, bytes));
+                self.flows = flows;
             }
         }
         n
@@ -922,7 +513,6 @@ impl Network {
     /// number of events processed.
     pub(crate) fn run_until(&mut self, horizon: u64, max_events: u64) -> u64 {
         let mut n = 0;
-        let mut batch: Vec<Vec<u8>> = Vec::new();
         while n < max_events {
             // Two event sources — the heap and the staged cross-shard
             // queue — merged in global `(time, key)` order. Keys are
@@ -971,52 +561,7 @@ impl Network {
             };
             match ord {
                 EventOrd::HostSend(NodeId::Host(h)) => self.host_transmit(h, bytes),
-                EventOrd::Arrive(NodeId::Device(d)) => {
-                    // Batch all same-timestamp arrivals at this device: they
-                    // are processed back-to-back in pop order, so a burst
-                    // stays in the switch's warm scratch buffers instead of
-                    // interleaving heap pops with processing.
-                    batch.clear();
-                    batch.push(bytes);
-                    while n < max_events {
-                        // Continue the batch only while the *globally next*
-                        // event (across both sources) is a same-timestamp
-                        // arrival at this device — anything else would
-                        // reorder the merged pop sequence.
-                        let hk = self.events.peek().map(|Reverse((t, s, _))| (*t, *s));
-                        let sk = self.xs_in.front().map(|e| (e.time, e.src));
-                        let staged = match (hk, sk) {
-                            (None, None) => break,
-                            (Some(h), Some(s)) => s < h,
-                            (h, _) => h.is_none(),
-                        };
-                        let hit = if staged {
-                            let e = self.xs_in.front().expect("peeked");
-                            e.time == time && e.target == NodeId::Device(d)
-                        } else {
-                            matches!(
-                                self.events.peek(),
-                                Some(Reverse((t, _, NodeOrd(_, EventOrd::Arrive(NodeId::Device(d2))))))
-                                    if *t == time && *d2 == d
-                            )
-                        };
-                        if !hit {
-                            break;
-                        }
-                        let b = if staged {
-                            self.xs_in.pop_front().expect("peeked").bytes
-                        } else {
-                            let Some(Reverse((_, _, NodeOrd(b, _)))) = self.events.pop() else {
-                                break;
-                            };
-                            b
-                        };
-                        self.stats.events += 1;
-                        n += 1;
-                        batch.push(b);
-                    }
-                    self.device_receive_batch(d, &mut batch);
-                }
+                EventOrd::Arrive(NodeId::Device(d)) => self.device_receive(d, bytes),
                 EventOrd::Arrive(NodeId::Host(h)) => self.host_receive(h, bytes),
                 EventOrd::Timer(NodeId::Host(h), token) => self.host_timer(h, token),
                 EventOrd::Fault(idx) => self.apply_fault(idx),
@@ -1124,323 +669,13 @@ impl Network {
             }
         }
     }
-
-    /// Whether a single hop is currently traversable (link up, not crossing
-    /// an active partition cut).
-    fn hop_open(&self, from: NodeId, to: NodeId) -> bool {
-        if self.downed.contains(&link_key(from, to)) {
-            return false;
-        }
-        match &self.island {
-            Some(island) => island.contains(&from) == island.contains(&to),
-            None => true,
-        }
-    }
-
-    fn host_transmit(&mut self, host: u32, bytes: Vec<u8>) {
-        // Route toward the computing device (or destination host).
-        let Ok(msg) = Message::read_header(&bytes) else { return };
-        let target = if msg.to != netcl_runtime::device::NO_DEVICE {
-            NodeId::Device(msg.to)
-        } else {
-            NodeId::Host(msg.dst as u32)
-        };
-        let now = self.clock;
-        self.transmit(NodeId::Host(host), target, now, bytes);
-    }
-
-    /// Moves a message one hop toward `target`, departing at `at` (≥ the
-    /// current clock; device forwards depart after their kernel latency).
-    fn transmit(&mut self, from: NodeId, target: NodeId, at: u64, bytes: Vec<u8>) {
-        if from == target {
-            if let NodeId::Host(h) = target {
-                self.push(at, EventOrd::Arrive(NodeId::Host(h)), bytes);
-            }
-            return;
-        }
-        let hop = self.routes.hop(from, target, &self.downed);
-        let Some((hop, link)) = hop.filter(|(h, _)| self.hop_open(from, *h)) else {
-            // No traversable route. Distinguish a topology gap (a bug in
-            // the experiment setup) from a scheduled fault eating the path.
-            if self.downed.is_empty() && self.island.is_none() {
-                self.stats.unroutable += 1;
-            } else {
-                self.stats.fault_drops += 1;
-            }
-            self.stats.node(from).dropped += 1;
-            self.trace_instant("drop.fault", from, at);
-            return;
-        };
-        if link.loss > 0.0 && self.rand01(from) < link.loss {
-            self.stats.link_losses += 1;
-            self.stats.node(hop).dropped += 1;
-            self.trace_instant("drop.loss", hop, at);
-            return;
-        }
-        let mut bytes = bytes;
-        if link.corrupt > 0.0 && self.rand01(from) < link.corrupt && !bytes.is_empty() {
-            let bit = self.rand_u64(from) as usize % (bytes.len() * 8);
-            bytes[bit / 8] ^= 1 << (bit % 8);
-            self.stats.corrupted += 1;
-        }
-        let copies = if link.duplicate > 0.0 && self.rand01(from) < link.duplicate {
-            self.stats.duplicates += 1;
-            2
-        } else {
-            1
-        };
-        // Gray degradation stretches transit and jitter by the multiplier
-        // without touching the RNG draw sequence — per-node streams stay
-        // byte-identical whether or not a degrade window is active.
-        let slow = if self.degraded.is_empty() {
-            1
-        } else {
-            *self.degraded.get(&link_key(from, hop)).unwrap_or(&1)
-        };
-        if slow > 1 {
-            self.stats.degraded_transits += 1;
-        }
-        for i in 0..copies {
-            let mut arrive = at + slow * link.transit_ns(bytes.len());
-            if link.jitter_ns > 0 {
-                arrive += self.rand_u64(from) % (slow * link.jitter_ns + 1);
-            }
-            if link.reorder > 0.0 && self.rand01(from) < link.reorder {
-                arrive += link.reorder_ns;
-                self.stats.reordered += 1;
-            }
-            // The last copy moves the buffer — the common lossless single
-            // delivery stays allocation-free.
-            let payload = if i + 1 == copies { std::mem::take(&mut bytes) } else { bytes.clone() };
-            self.push(arrive, EventOrd::Arrive(hop), payload);
-        }
-    }
-
-    /// The one delivery path: runs a same-timestamp burst of arrivals at
-    /// one device (a burst of one included) through
-    /// [`Switch::process_batch_from`] (DESIGN.md §13).
-    ///
-    /// Three phases make the result independent of how arrivals are split
-    /// into bursts — every observable effect happens in message order, as
-    /// if each arrival had been delivered on its own (the burst-split
-    /// invariance test in this module holds it to that):
-    ///
-    /// - **A (classify, message order):** parse headers and split arrivals
-    ///   into drops, transits, and kernel inputs. No stats, traces, or
-    ///   event pushes happen yet.
-    /// - **B (compute, packet order):** one `process_batch_from` call per
-    ///   contiguous run of kernel inputs. Register and per-switch RNG
-    ///   mutations happen here in packet order; a packet asking to
-    ///   recirculate stops the batch, finishes its extra passes through the
-    ///   node's scratch buffers, and the batch resumes after it.
-    /// - **C (effects, message order):** stats, trace events, and forwards
-    ///   — and therefore every event-queue `seq` and every Network-RNG draw
-    ///   inside `transmit` — happen in arrival order, after the whole
-    ///   burst's compute.
-    fn device_receive_batch(&mut self, dev: u16, arrivals: &mut Vec<Vec<u8>>) {
-        if self.failed.contains(&dev) {
-            // A failed device blackholes everything that reaches it.
-            for _ in arrivals.drain(..) {
-                self.stats.fault_drops += 1;
-                self.stats.node(NodeId::Device(dev)).dropped += 1;
-                self.trace_instant("drop.fault", NodeId::Device(dev), self.clock);
-            }
-            return;
-        }
-        if !self.devices.contains_key(&dev) {
-            arrivals.clear();
-            return;
-        }
-        let node = self.devices.get_mut(&dev).expect("checked above");
-        let runtime = node.runtime;
-        let latency_ns = node.latency_ns;
-        let mut batch = std::mem::take(&mut node.batch);
-        let mut plan = std::mem::take(&mut node.plan);
-        batch.clear();
-        plan.clear();
-
-        // Phase A.
-        for bytes in arrivals.drain(..) {
-            match Message::read_header(&bytes) {
-                Err(_) => plan.push(BatchPlan::HeaderDrop),
-                Ok(msg) if !runtime.should_compute(&msg) => {
-                    plan.push(BatchPlan::Transit(runtime.transit(&msg), bytes));
-                }
-                Ok(_) => {
-                    plan.push(BatchPlan::Compute);
-                    batch.push(&bytes);
-                    batch.recycle(bytes);
-                }
-            }
-        }
-
-        // Phase B.
-        let mut results: Vec<KernelOutcome> = Vec::with_capacity(batch.len());
-        let mut start = 0usize;
-        while start < batch.len() {
-            let node = self.devices.get_mut(&dev).expect("checked above");
-            let stopped = node.switch.process_batch_from(&mut batch, start, |out| {
-                matches!(
-                    Message::read_header(out),
-                    Ok(m) if ActionKind::from_code(m.action).unwrap_or(ActionKind::Pass)
-                        == ActionKind::Repeat
-                )
-            });
-            let upto = stopped.unwrap_or(batch.len());
-            for i in results.len()..upto {
-                results.push(single_pass_outcome(&mut batch, i, runtime));
-            }
-            let Some(i) = stopped else { break };
-            results.push(finish_recirculation(node, &mut batch, i));
-            start = i + 1;
-        }
-
-        // Phase C.
-        let backend = self.devices.get(&dev).map(|n| n.switch.engine().name()).unwrap_or("unknown");
-        let mut outcomes = results.into_iter();
-        for entry in plan.drain(..) {
-            match entry {
-                BatchPlan::HeaderDrop => {
-                    self.stats.node(NodeId::Device(dev)).dropped += 1;
-                }
-                BatchPlan::Transit(fwd, bytes) => {
-                    self.stats.node(NodeId::Device(dev)).delivered += 1;
-                    let now = self.clock;
-                    self.apply_forward(dev, fwd, now, bytes);
-                }
-                BatchPlan::Compute => {
-                    self.stats.node(NodeId::Device(dev)).delivered += 1;
-                    match outcomes.next().expect("one outcome per kernel input") {
-                        KernelOutcome::Forward { wire, fwd, act_code, passes, src, dst } => {
-                            self.stats.kernel_executions += passes;
-                            self.stats.recirculations += passes - 1;
-                            let latency = passes * latency_ns;
-                            let depart = self.clock + latency;
-                            if let Some(tr) = self.obs.as_mut().and_then(|o| o.trace.as_mut()) {
-                                tr.complete(
-                                    "kernel",
-                                    "device",
-                                    0,
-                                    tid_of(NodeId::Device(dev)),
-                                    self.clock,
-                                    latency,
-                                    vec![
-                                        ("action", Value::U64(act_code as u64)),
-                                        ("recircs", Value::U64(passes - 1)),
-                                        ("src", Value::U64(src as u64)),
-                                        ("dst", Value::U64(dst as u64)),
-                                        ("backend", Value::Str(backend.to_string())),
-                                    ],
-                                );
-                            }
-                            self.apply_forward(dev, fwd, depart, wire);
-                        }
-                        KernelOutcome::Reject { passes } => {
-                            self.stats.kernel_executions += passes;
-                            self.stats.recirculations += passes - 1;
-                            self.stats.node(NodeId::Device(dev)).dropped += 1;
-                            self.trace_instant("drop.reject", NodeId::Device(dev), self.clock);
-                        }
-                        KernelOutcome::Vanish { passes } => {
-                            self.stats.kernel_executions += passes;
-                            self.stats.recirculations += passes - 1;
-                        }
-                        KernelOutcome::CapExceeded => {
-                            self.stats.kernel_executions += 8;
-                            self.stats.recirculations += 7;
-                            self.stats.kernel_drops += 1;
-                            self.stats.node(NodeId::Device(dev)).dropped += 1;
-                            self.trace_instant("drop.kernel", NodeId::Device(dev), self.clock);
-                        }
-                    }
-                }
-            }
-        }
-        // Return the scratch to the node for the next burst.
-        if let Some(node) = self.devices.get_mut(&dev) {
-            node.batch = batch;
-            node.plan = plan;
-        }
-    }
-
-    fn apply_forward(&mut self, dev: u16, fwd: Forward, at: u64, bytes: Vec<u8>) {
-        match fwd {
-            Forward::Drop => {
-                self.stats.kernel_drops += 1;
-                self.stats.node(NodeId::Device(dev)).dropped += 1;
-            }
-            Forward::ToHost(h) => {
-                self.transmit(NodeId::Device(dev), NodeId::Host(h as u32), at, bytes)
-            }
-            Forward::ToDevice(d) => {
-                self.transmit(NodeId::Device(dev), NodeId::Device(d), at, bytes)
-            }
-            Forward::Multicast(gid) => {
-                let members = self.topology.groups.get(&gid).cloned().unwrap_or_default();
-                for m in members {
-                    let mut copy = bytes.clone();
-                    // A device member of the group becomes the computing
-                    // target of its copy (P4xos: the leader multicasts
-                    // phase-2A to the acceptor set).
-                    if let NodeId::Device(d) = m {
-                        if let Ok(mut msg) = Message::read_header(&copy) {
-                            msg.to = d;
-                            msg.write_header_into(&mut copy[..netcl_runtime::NCL_HEADER_BYTES]);
-                        }
-                    }
-                    self.transmit(NodeId::Device(dev), m, at, copy);
-                }
-            }
-            Forward::Recirculate => unreachable!("handled in device_receive_batch"),
-        }
-    }
-
-    fn host_receive(&mut self, host: u32, bytes: Vec<u8>) {
-        self.stats.delivered += 1;
-        self.stats.node(NodeId::Host(host)).delivered += 1;
-        let now = self.clock;
-        self.trace_instant("deliver", NodeId::Host(host), now);
-        let Some(node) = self.hosts.get_mut(&host) else { return };
-        node.received.push((now, bytes.clone()));
-        let process_ns = node.process_ns;
-        if let Some(mut handler) = node.handler.take() {
-            let mut outbox = Outbox::default();
-            handler(now, HostEvent::Message(bytes), &mut outbox);
-            if let Some(node) = self.hosts.get_mut(&host) {
-                node.handler = Some(handler);
-            }
-            self.flush_outbox(host, now + process_ns, outbox);
-        }
-    }
-
-    fn host_timer(&mut self, host: u32, token: u64) {
-        let now = self.clock;
-        let Some(node) = self.hosts.get_mut(&host) else { return };
-        if let Some(mut handler) = node.handler.take() {
-            let mut outbox = Outbox::default();
-            handler(now, HostEvent::Timer(token), &mut outbox);
-            if let Some(node) = self.hosts.get_mut(&host) {
-                node.handler = Some(handler);
-            }
-            self.flush_outbox(host, now, outbox);
-        }
-    }
-
-    fn flush_outbox(&mut self, host: u32, base: u64, outbox: Outbox) {
-        for (delay, bytes) in outbox.sends {
-            self.push(base + delay, EventOrd::HostSend(NodeId::Host(host)), bytes);
-        }
-        for (delay, token) in outbox.timers {
-            self.push(base + delay, EventOrd::Timer(NodeId::Host(host), token), Vec::new());
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topo::{star, LinkSpec};
-    use netcl_runtime::message::{pack, unpack};
+    use netcl_runtime::message::{pack, unpack, Message};
 
     const CACHE_SRC: &str = r#"
 _managed_ _lookup_ ncl::kv<unsigned, unsigned> cache[64] = {{1,42}, {2,43}};
@@ -1553,10 +788,10 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
         assert_eq!(net.stats.delivered, 0);
     }
 
-    /// A burst of same-timestamp queries is batched at the device: all of
+    /// Same-timestamp queries at one device are delivered one by one: all of
     /// them compute and all replies arrive, in send order.
     #[test]
-    fn same_timestamp_burst_batched_at_device() {
+    fn same_timestamp_queries_all_served_in_send_order() {
         let (mut net, spec) = build_cache_network();
         for _ in 0..8 {
             query(&mut net, &spec, 1000, 1); // all land at the same instant
@@ -1702,7 +937,7 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
         net.send_from_host(1, 0, packed);
         net.run(100);
         let obs = net.obs().expect("observability enabled");
-        assert!(obs.queue_depth.count() > 0, "queue depth sampled per event");
+        assert_eq!(obs.queue_depth.count(), net.stats.events, "queue depth sampled per event");
         assert_eq!(obs.queue_depth.count(), obs.event_wall_ns.count());
         let trace = net.take_trace().expect("trace recorded");
         let names: Vec<&str> = trace.events().map(|e| e.name.as_str()).collect();
@@ -1791,6 +1026,30 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
         assert_eq!(meta(&trace_ring), meta(&trace_full));
     }
 
+    /// The flow pump drains in source order, includes flows due exactly at
+    /// the bound, stops at the first later one, and goes quiet once the
+    /// source is exhausted.
+    #[test]
+    fn flow_pump_drains_upto_inclusive_then_runs_dry() {
+        let mut times = [10u64, 20, 20, 30].into_iter();
+        let mut pump =
+            FlowPump::new(Box::new(move || times.next().map(|at| (at, 1, vec![at as u8]))));
+        let mut drained = Vec::new();
+        assert_eq!(pump.next_at(), Some(10));
+        pump.drain_upto(9, |at, _, _| drained.push(at));
+        assert!(drained.is_empty(), "nothing is due before 10");
+        pump.drain_upto(20, |at, host, bytes| {
+            assert_eq!((host, bytes), (1, vec![at as u8]));
+            drained.push(at);
+        });
+        assert_eq!(drained, [10, 20, 20], "both flows at the bound, in source order");
+        assert_eq!(pump.next_at(), Some(30));
+        pump.drain_upto(u64::MAX, |at, _, _| drained.push(at));
+        assert_eq!((drained.last(), pump.next_at()), (Some(&30), None));
+        pump.drain_upto(u64::MAX, |_, _, _| panic!("an exhausted source yields nothing"));
+        FlowPump::default().drain_upto(u64::MAX, |_, _, _| panic!("no source attached"));
+    }
+
     #[test]
     fn timers_fire_in_order() {
         let topo = star(1, &[1], LinkSpec::default());
@@ -1809,78 +1068,35 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
         assert_eq!(*fired.lock().unwrap(), vec![(100, 1), (500, 2), (900, 3)]);
     }
 
-    /// Everything a delivery leaves behind.
-    struct Delivered {
-        stats: NetStats,
-        counters: netcl_bmv2::SwitchCounters,
-        registers: Vec<(String, Vec<u64>)>,
-        trace: Option<Trace>,
-        /// Queued events, in pop order.
-        queued: Vec<(u64, EventSrc, NodeOrd)>,
-    }
-
-    /// Hands `arrivals` to device 1 of a fresh chaos-link network at t=1000,
-    /// cut into sub-bursts after every arrival whose bit is set in `cuts`
-    /// (0 = one burst, all ones = all singletons), and snapshots the result.
-    fn deliver_split(p4: &netcl_p4::ast::P4Program, arrivals: &[Vec<u8>], cuts: u32) -> Delivered {
-        let topo = star(1, &[1, 2], LinkSpec::chaos(0.3));
-        let mut net = NetworkBuilder::new(topo)
+    /// Queues `arrivals` at device 1 of a fresh star network, all at t=1000
+    /// and keyed in slice order, and runs exactly that timestamp.
+    fn deliver_at_once(
+        p4: &netcl_p4::ast::P4Program,
+        link: LinkSpec,
+        arrivals: &[Vec<u8>],
+    ) -> Network {
+        let mut net = NetworkBuilder::new(star(1, &[1, 2], link))
             .seed(42)
             .device(1, Switch::new(p4.clone()), 500)
             .sink_host(1)
             .sink_host(2)
             .observe(ObsConfig { trace: true, ..Default::default() })
             .build();
-        net.clock = 1000;
-        net.cur_node = Some(NodeId::Device(1));
-        let mut burst = Vec::new();
         for (i, bytes) in arrivals.iter().enumerate() {
-            burst.push(bytes.clone());
-            if cuts >> i & 1 == 1 || i + 1 == arrivals.len() {
-                net.device_receive_batch(1, &mut burst);
-                assert!(burst.is_empty(), "delivery consumes its burst");
-            }
+            let at_dev = EventOrd::Arrive(NodeId::Device(1));
+            net.push_keyed(1000, EventSrc::External(i as u64), at_dev, bytes.clone());
         }
-        let sw = net.switch(1).unwrap();
-        let counters = sw.counters().clone();
-        let registers = sw.registers().map(|(n, c)| (n.to_string(), c.to_vec())).collect();
-        let trace = net.take_trace();
-        let mut queued = Vec::new();
-        while let Some(Reverse(e)) = net.events.pop() {
-            queued.push(e);
-        }
-        Delivered { stats: net.stats.clone(), counters, registers, trace, queued }
+        assert_eq!(net.run_until(1001, u64::MAX), arrivals.len() as u64);
+        net
     }
 
-    /// Burst-split invariance: delivering an arrival list as one burst and
-    /// as every possible split into sub-bursts — all singletons included,
-    /// which is per-message delivery — must leave identical `NetStats`,
-    /// `SwitchCounters`, registers, trace, and queued events (keys, times,
-    /// bytes, pop order). Chaos links make every forward draw from the
-    /// network RNG, so an effect applied out of arrival order changes the
-    /// queue. Returns the one-burst result for scenario assertions.
-    fn assert_burst_split_invariant(
-        p4: &netcl_p4::ast::P4Program,
-        arrivals: &[Vec<u8>],
-    ) -> Delivered {
-        let whole = deliver_split(p4, arrivals, 0);
-        for cuts in 1..1u32 << (arrivals.len() - 1) {
-            let split = deliver_split(p4, arrivals, cuts);
-            assert_eq!(whole.stats, split.stats, "cuts {cuts:#b}: NetStats diverged");
-            assert_eq!(whole.counters, split.counters, "cuts {cuts:#b}: SwitchCounters diverged");
-            assert_eq!(whole.registers, split.registers, "cuts {cuts:#b}: registers diverged");
-            assert!(whole.trace == split.trace, "cuts {cuts:#b}: trace diverged");
-            assert_eq!(whole.queued, split.queued, "cuts {cuts:#b}: queued events diverged");
-        }
-        whole
-    }
-
-    /// The CACHE fixture under a mix of every delivery outcome: hits that
-    /// reflect, misses that forward, a transit toward an absent device
-    /// (unroutable) and one toward a host, an unreadable header, and a
-    /// packet the pipeline rejects.
+    /// The CACHE fixture under a mix of every delivery outcome, all at one
+    /// timestamp: hits that reflect, misses that forward, a transit toward
+    /// an absent device (unroutable) and one toward a host, an unreadable
+    /// header, and a packet the pipeline rejects. Each message's effects —
+    /// stats, trace, forwards and their chaos draws — land in pop order.
     #[test]
-    fn delivery_is_burst_split_invariant() {
+    fn same_timestamp_outcome_mix_is_delivered_in_pop_order() {
         let unit = netcl::Compiler::new(netcl::CompileOptions::default())
             .compile("cache.ncl", CACHE_SRC)
             .unwrap();
@@ -1902,27 +1118,35 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
             get(netcl_runtime::device::NO_DEVICE, 2),
             get(1, 9),
         ];
-        let Delivered { stats, counters, trace, queued, .. } =
-            assert_burst_split_invariant(&unit.devices[0].tna_p4, &arrivals);
+        let mut net = deliver_at_once(&unit.devices[0].tna_p4, LinkSpec::chaos(0.3), &arrivals);
+        let stats = net.stats.clone();
         assert_eq!(stats.kernel_executions, 5, "four computes and the reject");
-        assert_eq!(counters.errors, 1, "the truncated packet is rejected");
+        assert_eq!(net.switch(1).unwrap().counters().errors, 1, "the truncated packet");
         assert_eq!(stats.per_node[&NodeId::Device(1)].dropped, 3, "header, reject, unroutable");
         assert_eq!(stats.unroutable, 1, "the transit toward absent device 7");
         assert!(
             stats.link_losses + stats.duplicates + stats.reordered > 0,
             "chaos links should actually fire"
         );
-        assert!(!queued.is_empty(), "forwards were queued");
-        let names: Vec<&str> = trace.as_ref().unwrap().events().map(|e| e.name.as_str()).collect();
-        assert!(names.contains(&"kernel") && names.contains(&"drop.reject"), "{names:?}");
+        // The device's trace track is the effect order: hit, (header drop is
+        // silent), miss, unroutable transit, reject, hit, (host transit is
+        // silent), miss.
+        let trace = net.take_trace().unwrap();
+        let at_dev: Vec<&str> = trace
+            .events()
+            .filter(|e| e.tid == tid_of(NodeId::Device(1)) && matches!(e.ph, 'X' | 'i'))
+            .map(|e| e.name.as_str())
+            .collect();
+        assert_eq!(at_dev, ["kernel", "kernel", "drop.fault", "drop.reject", "kernel", "kernel"]);
+        assert!(!net.events.is_empty(), "forwards were queued");
     }
 
-    /// `ncl::repeat()` recirculation: a packet that stops the batch mid-way
-    /// finishes its extra passes before the burst resumes, however the
-    /// burst is split. Every pass draws a ticket from a register, so a
-    /// pass run out of packet order would change the replies.
+    /// `ncl::repeat()` recirculation: each of three same-timestamp packets
+    /// finishes all its passes before the next one starts. Every pass draws
+    /// a ticket from a register, so a pass run out of arrival order would
+    /// change the replies.
     #[test]
-    fn recirculation_is_burst_split_invariant() {
+    fn same_timestamp_recirculations_draw_tickets_in_arrival_order() {
         const REPEAT_SRC: &str = r#"
 _managed_ unsigned ticket[1];
 _kernel(1) _at(1) void spin(unsigned &k, unsigned &n) {
@@ -1938,32 +1162,24 @@ _kernel(1) _at(1) void spin(unsigned &k, unsigned &n) {
         let spec = unit.model.kernels[0].specification();
         let spin =
             |to: u16| pack(&Message::new(1, 2, 1, to), &spec, &[Some(&[0]), Some(&[0])]).unwrap();
-        // Every compute packet recirculates (stopping the batch), and a
-        // transit message for an absent device rides along mid-burst.
+        // A transit message for an absent device rides along mid-way.
         let arrivals = [spin(1), spin(1), spin(7), spin(1)];
-        let Delivered { stats, registers, queued, .. } =
-            assert_burst_split_invariant(&unit.devices[0].tna_p4, &arrivals);
-        assert_eq!(stats.recirculations, 6, "each of 3 packets recirculates twice");
-        assert_eq!(stats.kernel_executions, 9, "3 packets x 3 passes");
-        assert!(registers.iter().any(|(_, cells)| cells.contains(&9)), "9 tickets: {registers:?}");
-        // The replies carry the pass count and their last ticket: passes
-        // ran in packet order, so the tickets are 3, 6, 9 (a duplicated
-        // reply repeats its ticket).
+        let mut net = deliver_at_once(&unit.devices[0].tna_p4, LinkSpec::default(), &arrivals);
+        assert_eq!(net.stats.recirculations, 6, "each of 3 packets recirculates twice");
+        assert_eq!(net.stats.kernel_executions, 9, "3 packets x 3 passes");
+        assert_eq!(net.stats.unroutable, 1, "the transit toward absent device 7");
+        let sw = net.switch(1).unwrap();
+        assert!(sw.registers().any(|(_, cells)| cells.contains(&9)), "9 tickets drawn");
+        // Lossless links: one reply per packet, queued in arrival order and
+        // carrying the pass count and the packet's last ticket.
         let mut tickets = Vec::new();
-        for (_, _, NodeOrd(bytes, ord)) in &queued {
-            if *ord != EventOrd::Arrive(NodeId::Host(1)) {
-                continue;
-            }
+        while let Some(Reverse((_, _, NodeOrd(bytes, ord)))) = net.events.pop() {
+            assert_eq!(ord, EventOrd::Arrive(NodeId::Host(1)));
             let (mut k, mut n) = (Vec::new(), Vec::new());
-            unpack(bytes, &spec, &mut [Some(&mut k), Some(&mut n)]).unwrap();
+            unpack(&bytes, &spec, &mut [Some(&mut k), Some(&mut n)]).unwrap();
             assert_eq!(n[0], 3);
             tickets.push(k[0]);
         }
-        tickets.sort_unstable();
-        tickets.dedup();
-        assert!(
-            !tickets.is_empty() && tickets.iter().all(|t| [3, 6, 9].contains(t)),
-            "{tickets:?}"
-        );
+        assert_eq!(tickets, [3, 6, 9]);
     }
 }

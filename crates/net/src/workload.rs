@@ -143,38 +143,14 @@ pub struct Flow {
     pub key: u64,
 }
 
-/// Generates `count` flows: sources drawn uniformly from `hosts`, keys
-/// from `zipf`, injection times spaced by uniform gaps in
-/// `[0, 2·mean_gap_ns)` so the long-run rate is one flow per
-/// `mean_gap_ns`. Deterministic per seed.
-pub fn zipf_flows(
-    seed: u64,
-    hosts: &[u32],
-    zipf: &Zipf,
-    count: usize,
-    mean_gap_ns: u64,
-) -> Vec<Flow> {
-    assert!(!hosts.is_empty(), "need at least one source host");
-    let mut rng = WorkloadRng::new(seed);
-    let mut at = 0u64;
-    let mut flows = Vec::with_capacity(count);
-    for _ in 0..count {
-        at += rng.below(2 * mean_gap_ns.max(1)) + 1;
-        flows.push(Flow {
-            at_ns: at,
-            src: hosts[rng.below(hosts.len() as u64) as usize],
-            key: zipf.sample(&mut rng),
-        });
-    }
-    flows
-}
-
-/// The lazy twin of [`zipf_flows`]: an iterator yielding the *identical*
-/// flow sequence — same RNG, same per-flow draw order (gap, source, key) —
-/// one flow at a time. Feeding it through a
-/// [`crate::sim::FlowSource`] gives runs byte-identical to materializing
-/// the schedule, with memory O(live events): the enabling piece for
-/// 10⁶-flow drives of the 10⁵-host fat-tree.
+/// A deterministic flow generator: `count` flows, sources drawn uniformly
+/// from `hosts`, keys from `zipf`, injection times spaced by uniform gaps
+/// in `[1, 2·mean_gap_ns]` so the long-run rate is about one flow per
+/// `mean_gap_ns`. An iterator, so a run can pull flows one at a time
+/// through a [`crate::sim::FlowSource`] with memory O(live events) — the
+/// enabling piece for 10⁶-flow drives of the 10⁵-host fat-tree — or
+/// `collect()` the schedule up front; the determinism suite holds the two
+/// to byte-identical results.
 #[derive(Debug, Clone)]
 pub struct FlowStream {
     rng: WorkloadRng,
@@ -186,8 +162,7 @@ pub struct FlowStream {
 }
 
 impl FlowStream {
-    /// A stream equivalent to `zipf_flows(seed, hosts, zipf, count,
-    /// mean_gap_ns)`.
+    /// A stream fully determined by its arguments.
     pub fn new(
         seed: u64,
         hosts: &[u32],
@@ -215,8 +190,8 @@ impl Iterator for FlowStream {
             return None;
         }
         self.remaining -= 1;
-        // Draw order must match zipf_flows exactly: gap, then source,
-        // then key — the equivalence tests diff the two schedules.
+        // Draw order — gap, then source, then key — is part of what a
+        // seed means: reordering it changes every recorded schedule.
         self.at += self.rng.below(2 * self.mean_gap_ns.max(1)) + 1;
         Some(Flow {
             at_ns: self.at,
@@ -228,8 +203,8 @@ impl Iterator for FlowStream {
 
 /// A k-ary fat-tree (Al-Fares et al.): k pods, each with k/2 edge and k/2
 /// agg switches; (k/2)² core switches; k³/4 hosts. Hosts and switches get
-/// dense ids, and [`FatTree::partition`] shards the tree by pod — the
-/// natural cut, since pods only meet at the core.
+/// dense ids, and [`FatTree::partition_balanced`] shards the tree by pod
+/// — the natural cut, since pods only meet at the core.
 #[derive(Debug, Clone)]
 pub struct FatTree {
     /// Arity (even, ≥ 2).
@@ -310,32 +285,13 @@ impl FatTree {
         self.hosts.len()
     }
 
-    /// Shards the tree by pod: pod `p`'s hosts, edge, and agg switches go
-    /// to shard `p mod shards`; core switches are dealt round-robin. All
-    /// inter-shard links are then agg↔core (or edge↔agg for co-resident
-    /// pods), each with the tree's uniform link latency as lookahead.
-    pub fn partition(&self, shards: usize) -> Partition {
-        let shards = shards.max(1);
-        let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
-        for (p, pod_hosts) in self.hosts_by_pod.iter().enumerate() {
-            let g = &mut groups[p % shards];
-            g.extend(pod_hosts.iter().map(|&h| NodeId::Host(h)));
-            g.extend(self.edge_by_pod[p].iter().map(|&d| NodeId::Device(d)));
-            g.extend(self.agg_by_pod[p].iter().map(|&d| NodeId::Device(d)));
-        }
-        for (i, &c) in self.core.iter().enumerate() {
-            groups[i % shards].push(NodeId::Device(c));
-        }
-        Partition::new(groups)
-    }
-
     /// Shards the tree by *measured event weight* instead of pod index.
     ///
-    /// [`Self::partition`] deals pods round-robin, which balances nodes
-    /// but not events: under a Zipf workload the pods holding the popular
-    /// destinations do several times the work of the rest, and the
-    /// busiest shard caps the critical-path speedup (~38% event share at
-    /// 8 shards on the k=36 bench). This variant traces each flow's
+    /// Dealing pods round-robin balances nodes but not events: under a
+    /// Zipf workload the pods holding the popular destinations do several
+    /// times the work of the rest, and the busiest shard caps the
+    /// critical-path speedup (~38% event share at 8 shards on the k=36
+    /// bench). This traces each flow's
     /// round-trip — source host up to its executing switch and back —
     /// through the real routing tables in `routes`, charges one event
     /// unit per node touched, and then packs pods (plus individual core
@@ -427,10 +383,10 @@ mod tests {
     #[test]
     fn flows_deterministic_per_seed() {
         let z = Zipf::new(1000, 1.0);
-        let a = zipf_flows(7, &[1, 2, 3], &z, 200, 1000);
-        let b = zipf_flows(7, &[1, 2, 3], &z, 200, 1000);
+        let flows = |seed| FlowStream::new(seed, &[1, 2, 3], &z, 200, 1000).collect::<Vec<_>>();
+        let (a, b, c) = (flows(7), flows(7), flows(8));
+        assert_eq!(a.len(), 200);
         assert_eq!(a, b);
-        let c = zipf_flows(8, &[1, 2, 3], &z, 200, 1000);
         assert_ne!(a, c, "different seed, different flows");
         // Injection times strictly increase.
         assert!(a.windows(2).all(|w| w[0].at_ns < w[1].at_ns));
@@ -462,14 +418,5 @@ mod tests {
     fn fat_tree_rejects_odd_arity() {
         assert!(FatTree::new(3, LinkSpec::default()).is_err());
         assert!(FatTree::new(0, LinkSpec::default()).is_err());
-    }
-
-    #[test]
-    fn fat_tree_partition_covers_every_node() {
-        let ft = FatTree::new(4, LinkSpec::default()).unwrap();
-        for shards in [1, 2, 3, 4] {
-            let p = ft.partition(shards);
-            assert_eq!(p.num_shards(), shards);
-        }
     }
 }

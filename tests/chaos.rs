@@ -383,8 +383,8 @@ fn sharded_equals_scalar_under_gray_degraded_links() {
 /// duplication, jitter, reordering, a device failure, and a restart —
 /// across a seed matrix: the threaded engine and the interpreter oracle
 /// must produce field-for-field equal `NetStats` and `SwitchCounters`.
-/// (That a burst behaves like its messages delivered one at a time is the
-/// burst-split invariance property in `crates/net/src/sim.rs`.)
+/// (Same-timestamp arrivals are delivered one at a time in pop order; the
+/// order tests in `crates/net/src/sim/mod.rs` pin that.)
 #[test]
 fn burst_delivery_is_engine_uniform_under_chaos_all_apps() {
     use netcl_bmv2::{Engine, Switch};

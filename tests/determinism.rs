@@ -5,9 +5,11 @@
 //! the shard runner (DESIGN.md §15) verbatim.
 //!
 //! Each equivalence is asserted three ways per app and seed: scalar
-//! (plain [`netcl_net::Network`]), sharded with the sequential window
-//! runner, and sharded with the threaded runner — so a divergence blames
-//! either the window protocol or thread scheduling, never both at once.
+//! (plain [`netcl_net::Network`], the oracle), sharded with rounds executed
+//! inline, and sharded with rounds executed on worker threads — so a
+//! divergence blames either the window protocol or thread scheduling,
+//! never both at once. One planner drives both executors, so they must
+//! also report the same number of rounds.
 //!
 //! CI runs this suite twice with different `NETCL_DETERMINISM_SEED`
 //! bases and unconstrained `--test-threads`, so a lucky interleaving
@@ -15,7 +17,6 @@
 
 use netcl_bmv2::{Switch, SwitchCounters};
 use netcl_net::topo::star;
-use netcl_net::workload::zipf_flows;
 use netcl_net::{
     Fault, Flow, FlowStream, LinkSpec, NetStats, NetworkBuilder, NodeCounters, NodeId, Partition,
     ShardedNetwork, Zipf,
@@ -48,8 +49,9 @@ struct RunOutcome {
 
 /// The shared driver: hosts 1..=4 on one kernel device, same-timestamp
 /// bursts of pseudo-random payloads from two different source hosts, a
-/// device outage mid-run. Identical injection sequence for scalar and
-/// sharded runs.
+/// device outage mid-run, and one send from a host the topology does not
+/// know (unroutable in every runner). Identical injection sequence for
+/// scalar and sharded runs.
 fn drive_star<N>(
     net: &mut N,
     dev: u16,
@@ -67,6 +69,9 @@ fn drive_star<N>(
             send(net, src as u32, round * 5_000, bytes);
         }
     }
+    let mut stray = Vec::new();
+    Message::new(1, 2, 1, dev).write_header(&mut stray);
+    send(net, 9_999, 7_500, stray);
     run(net, 500_000);
 }
 
@@ -98,15 +103,16 @@ fn sharded_outcome(
     seed: u64,
     partition: Partition,
     threaded: bool,
-) -> RunOutcome {
+) -> (RunOutcome, u64) {
     let mut net = star_builder(dev, p4, seed).build_sharded(partition).expect("valid partition");
     net.set_threaded(threaded);
     drive_star(&mut net, dev, |n, h, at, b| n.send_from_host(h, at, b), |n, max| n.run(max));
-    RunOutcome {
+    let outcome = RunOutcome {
         stats: net.stats(),
         counters: net.switch(dev).unwrap().counters().clone(),
         received: (1..=4).map(|h| net.host_received(h).to_vec()).collect(),
-    }
+    };
+    (outcome, net.rounds())
 }
 
 /// Device with hosts 1 and 3 in shard 0; hosts 2 and 4 in shard 1 — every
@@ -130,8 +136,8 @@ fn max_shards(dev: u16) -> Partition {
 }
 
 /// The headline acceptance criterion: for every Table III app, a ≥2-shard
-/// run — sequential and threaded — is byte-identical to the scalar run
-/// across at least 8 chaos seeds.
+/// run — inline and threaded, in the same number of rounds — is
+/// byte-identical to the scalar run across at least 8 chaos seeds.
 #[test]
 fn sharded_matches_scalar_all_apps() {
     for app in netcl_apps::all_apps() {
@@ -146,23 +152,25 @@ fn sharded_matches_scalar_all_apps() {
                 app.name
             );
             assert_eq!(scalar.stats.device_restarts, 1, "{}", app.name);
-            for threaded in [false, true] {
-                let two = sharded_outcome(dev, p4, seed, two_shards(dev), threaded);
-                assert_eq!(
-                    scalar,
-                    two,
-                    "{}: 2-shard ({}) diverged from scalar at seed {seed}",
-                    app.name,
-                    if threaded { "threaded" } else { "sequential" }
-                );
-                let five = sharded_outcome(dev, p4, seed, max_shards(dev), threaded);
-                assert_eq!(
-                    scalar,
-                    five,
-                    "{}: 5-shard ({}) diverged from scalar at seed {seed}",
-                    app.name,
-                    if threaded { "threaded" } else { "sequential" }
-                );
+            assert_eq!(
+                scalar.stats.per_node[&NodeId::Host(9_999)].dropped,
+                1,
+                "{}: the send from unknown host 9999 is unroutable",
+                app.name
+            );
+            for partition in [two_shards(dev), max_shards(dev)] {
+                let shards = partition.num_shards();
+                let (inline, inline_rounds) =
+                    sharded_outcome(dev, p4, seed, partition.clone(), false);
+                let (threads, thread_rounds) = sharded_outcome(dev, p4, seed, partition, true);
+                for (sharded, how) in [(inline, "inline"), (threads, "threaded")] {
+                    assert_eq!(
+                        scalar, sharded,
+                        "{}: {shards}-shard ({how}) diverged from scalar at seed {seed}",
+                        app.name
+                    );
+                }
+                assert_eq!(inline_rounds, thread_rounds, "{}: {shards}-shard rounds", app.name);
             }
         }
     }
@@ -171,22 +179,21 @@ fn sharded_matches_scalar_all_apps() {
 /// Streamed flow injection (ISSUE 10) is observationally identical to
 /// materializing the same schedule up front: for every Table III app, a
 /// Zipf flow schedule delivered lazily through a flow source — scalar,
-/// and sharded on both window runners — produces the same `NetStats`,
+/// and sharded on both round executors — produces the same `NetStats`,
 /// device counters, and host byte streams as `send_from_host`-ing every
 /// flow before `run()` — whether the sharded run is one `run` call or
-/// many capped ones. Also pins `FlowStream` to `zipf_flows`: the lazy
-/// iterator must replicate the materialized generator draw-for-draw.
+/// many capped ones. One flow comes from a host the topology does not
+/// know: unroutable everywhere, a panic nowhere.
 #[test]
 fn streamed_flows_equal_materialized_all_apps() {
     let hosts = [1u32, 2, 3, 4];
     let zipf = Zipf::new(8, 0.9);
     let seed = seed_base() ^ 0xF10A;
-    let flows = zipf_flows(seed, &hosts, &zipf, 80, 4_000);
-    assert_eq!(
-        flows,
-        FlowStream::new(seed, &hosts, &zipf, 80, 4_000).collect::<Vec<Flow>>(),
-        "FlowStream must replicate zipf_flows exactly"
-    );
+    let schedule = || {
+        let stream = FlowStream::new(seed, &hosts, &zipf, 80, 4_000);
+        stream.enumerate().map(|(i, f)| if i == 40 { Flow { src: 9_999, ..f } } else { f })
+    };
+    let flows: Vec<Flow> = schedule().collect();
     // One flow rendered to bytes: a kernel message whose payload is a
     // pure function of the flow, long enough to exercise parsing.
     let render = |f: &Flow, dev: u16| {
@@ -217,8 +224,14 @@ fn streamed_flows_equal_materialized_all_apps() {
             "{}: flows must reach the kernel",
             app.name
         );
+        assert_eq!(
+            materialized.stats.per_node[&NodeId::Host(9_999)].dropped,
+            1,
+            "{}: the flow from unknown host 9999 is unroutable",
+            app.name
+        );
         let source = || {
-            let mut stream = FlowStream::new(seed, &hosts, &zipf, 80, 4_000);
+            let mut stream = schedule();
             Box::new(move || stream.next().map(|f| (f.at_ns, f.src, render(&f, dev))))
                 as netcl_net::FlowSource
         };
@@ -233,11 +246,12 @@ fn streamed_flows_equal_materialized_all_apps() {
             }
         };
         assert_eq!(materialized, streamed_scalar, "{}: scalar streamed diverged", app.name);
-        // Each sharded runner once in a single `run` call and once sliced
-        // into many capped calls: `run(max_events)` is resumable, so a cap
+        // Each executor once in a single `run` call and once sliced into
+        // many capped calls: `run(max_events)` is resumable, so a cap
         // landing mid-window — cross-shard arrivals in flight, pumped
         // flows not yet delivered — must lose and reorder nothing.
-        for (threaded, slice) in [(false, u64::MAX), (false, 7), (true, u64::MAX), (true, 7)] {
+        let mut rounds = Vec::new();
+        for (threaded, slice) in [(false, u64::MAX), (true, u64::MAX), (false, 7), (true, 7)] {
             let mut net = star_builder(dev, p4, 9).build_sharded(two_shards(dev)).expect("valid");
             net.set_threaded(threaded);
             net.set_flow_source(source());
@@ -256,9 +270,12 @@ fn streamed_flows_equal_materialized_all_apps() {
                 sharded,
                 "{}: sharded streamed ({}, {calls} run calls) diverged",
                 app.name,
-                if threaded { "threaded" } else { "sequential" }
+                if threaded { "threaded" } else { "inline" }
             );
+            rounds.push(net.rounds());
         }
+        assert_eq!(rounds[0], rounds[1], "{}: whole-run rounds, inline vs threaded", app.name);
+        assert_eq!(rounds[2], rounds[3], "{}: sliced-run rounds, inline vs threaded", app.name);
     }
 }
 
@@ -359,6 +376,7 @@ fn sharded_matches_scalar_across_multi_hop_chain() {
         vec![NodeId::Device(1)],
         vec![NodeId::Device(2), NodeId::Host(2)],
     ]);
+    let mut rounds = Vec::new();
     for threaded in [false, true] {
         let mut net = build().build_sharded(partition.clone()).unwrap();
         net.set_threaded(threaded);
@@ -366,20 +384,22 @@ fn sharded_matches_scalar_across_multi_hop_chain() {
         net.run(200_000);
         assert_eq!(scalar.0, net.stats(), "stats diverged (threaded={threaded})");
         assert_eq!(scalar.1, net.host_received(2).to_vec(), "payloads diverged");
+        rounds.push(net.rounds());
     }
+    assert_eq!(rounds[0], rounds[1], "inline and threaded executors plan the same rounds");
 }
 
-/// The sequential and threaded window runners agree with each other on a
-/// freshly-built pair of networks (not just each against scalar), over a
-/// seed sweep wider than the scalar comparison's.
+/// The inline and threaded round executors agree with each other — results
+/// and round count — on a freshly-built pair of networks (not just each
+/// against scalar), over a seed sweep wider than the scalar comparison's.
 #[test]
-fn threaded_runner_equals_sequential_runner() {
+fn threaded_executor_equals_inline_executor() {
     let unit = compile("calc.ncl", &netcl_apps::calc::netcl_source());
     let p4 = &unit.devices[0].tna_p4;
     for seed in seed_base()..seed_base() + 16 {
         let a = sharded_outcome(1, p4, seed, two_shards(1), false);
         let b = sharded_outcome(1, p4, seed, two_shards(1), true);
-        assert_eq!(a, b, "runners diverged at seed {seed}");
+        assert_eq!(a, b, "executors diverged at seed {seed}");
     }
 }
 

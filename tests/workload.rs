@@ -132,14 +132,17 @@ proptest! {
         }
     }
 
-    /// The pod partition covers every node exactly once, for any shard
-    /// count from 1 to 2k — including counts that don't divide the pod or
-    /// core count evenly.
+    /// The fat-tree partition covers every node exactly once, for any
+    /// shard count from 1 to 2k — including counts that don't divide the
+    /// pod or core count evenly, and counts beyond the number of units.
     #[test]
     fn fat_tree_partition_is_exact_cover(half_k in 1u16..=4, shards in 1usize..=16) {
         let k = half_k * 2;
         let ft = FatTree::new(k, LinkSpec::default()).unwrap();
-        let p = ft.partition(shards);
+        let routes = PrecomputedRoutes::new(&ft.topology);
+        // Every host queries pod 0's first edge switch.
+        let flows = ft.hosts.iter().map(|&h| (h, ft.edge_by_pod[0][0]));
+        let (p, _) = ft.partition_balanced(&routes, flows, shards);
         prop_assert_eq!(p.num_shards(), shards);
         let mut seen: HashSet<NodeId> = HashSet::new();
         let mut total = 0usize;
