@@ -11,7 +11,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use netcl_bmv2::Switch;
+use netcl_bmv2::{Switch, TableUpdate};
 use netcl_net::{HostEvent, LinkSpec, NetworkBuilder, Outbox};
 use netcl_p4::ast::*;
 use netcl_runtime::managed::ManagedMemory;
@@ -617,14 +617,13 @@ pub fn populate_handwritten(
     key: u64,
     value: &[u64],
 ) {
-    sw.table_insert(
-        "cache_index",
-        TableEntry {
-            keys: vec![EntryKey::Value(key)],
-            action: "set_idx".into(),
-            args: vec![slot as u64],
-        },
-    );
+    let entry = TableEntry {
+        keys: vec![EntryKey::Value(key)],
+        action: "set_idx".into(),
+        args: vec![slot as u64],
+    };
+    sw.apply_update(&TableUpdate::new().insert("cache_index", entry))
+        .expect("the handwritten program declares cache_index/set_idx");
     for (i, &v) in value.iter().enumerate() {
         sw.register_write(&format!("Val{i}"), slot as usize, v);
     }

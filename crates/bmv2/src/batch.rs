@@ -84,12 +84,6 @@ impl PacketBatch {
         self.outcomes.clear();
     }
 
-    /// The input wire bytes of packet `i`.
-    pub fn wire(&self, i: usize) -> &[u8] {
-        let (s, l) = self.ranges[i];
-        &self.arena[s as usize..(s + l) as usize]
-    }
-
     /// The pipeline outcome of packet `i` (meaningful once processed).
     pub fn outcome(&self, i: usize) -> &Result<(), SwitchError> {
         &self.outcomes[i]
@@ -140,9 +134,10 @@ mod tests {
         b.push(&[]);
         b.push(&[4, 5]);
         assert_eq!(b.len(), 3);
-        assert_eq!(b.wire(0), &[1, 2, 3]);
-        assert_eq!(b.wire(1), &[] as &[u8]);
-        assert_eq!(b.wire(2), &[4, 5]);
+        b.prepare(&Arc::new(SlotTable::default()));
+        assert_eq!(b.slot_mut(0).0, &[1, 2, 3]);
+        assert_eq!(b.slot_mut(1).0, &[] as &[u8]);
+        assert_eq!(b.slot_mut(2).0, &[4, 5]);
     }
 
     #[test]

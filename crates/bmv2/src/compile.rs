@@ -230,18 +230,6 @@ pub(crate) enum COp {
         /// Relative skip when the condition is false.
         else_skip: u32,
     },
-    /// Peephole-fused `Assign` + `BranchExpr` whose condition was a single
-    /// load of the assigned slot: evaluate, store, branch on the stored
-    /// (masked) value without re-reading it (see [`mod@crate::peephole`]).
-    AssignBranch {
-        /// Destination slot (never [`Dest::None`] — fusion requires a
-        /// loadable destination).
-        dst: Dest,
-        /// Right-hand side.
-        expr: Span,
-        /// Relative skip when the stored value is zero.
-        else_skip: u32,
-    },
     /// `if (t.apply().hit / miss)`: applies the table (with side effects),
     /// then branches.
     BranchTable {
@@ -421,44 +409,12 @@ pub struct CompiledProgram {
     /// Canonical path → declared width (locals first, headers overwrite) —
     /// also serves the interpreter's width function.
     pub(crate) field_widths: HashMap<String, u32>,
-    /// What the peephole pass did to this program.
-    pub(crate) peephole: crate::peephole::PeepholeStats,
 }
 
 impl CompiledProgram {
     /// The deferred-error message for a `Fail` op.
     pub(crate) fn fail_msg(&self, id: u32) -> &str {
         &self.fail_msgs[id as usize]
-    }
-
-    /// What the peephole pass did at compile time (tests and telemetry).
-    pub fn peephole_stats(&self) -> crate::peephole::PeepholeStats {
-        self.peephole
-    }
-
-    /// A per-variant histogram of the lowered op stream (perf diagnostics:
-    /// what a given app's data plane is made of).
-    pub fn op_histogram(&self) -> Vec<(&'static str, usize)> {
-        let mut counts: std::collections::BTreeMap<&'static str, usize> = Default::default();
-        for op in &self.cops {
-            let name = match op {
-                COp::Assign { .. } => "Assign",
-                COp::AssignBranch { .. } => "AssignBranch",
-                COp::BranchExpr { .. } => "BranchExpr",
-                COp::BranchTable { .. } => "BranchTable",
-                COp::Jump(_) => "Jump",
-                COp::CallAction(_) => "CallAction",
-                COp::ApplyTable(_) => "ApplyTable",
-                COp::ExecRegAction { .. } => "ExecRegAction",
-                COp::HashGet { .. } => "HashGet",
-                COp::ExternCall { .. } => "ExternCall",
-                COp::SetValid(_) => "SetValid",
-                COp::SetInvalid(_) => "SetInvalid",
-                COp::Fail(_) => "Fail",
-            };
-            *counts.entry(name).or_default() += 1;
-        }
-        counts.into_iter().collect()
     }
 }
 
@@ -526,7 +482,7 @@ pub fn compile(program: &P4Program) -> CompiledProgram {
         c.compile_control(control);
     }
     let parser = program.parser.as_ref().map(|p| c.compile_parser(p));
-    let mut cp = CompiledProgram {
+    CompiledProgram {
         slots: Arc::new(c.slots),
         eops: c.eops,
         cops: c.cops,
@@ -544,10 +500,7 @@ pub fn compile(program: &P4Program) -> CompiledProgram {
         table_states: c.table_states,
         table_index: c.table_index,
         field_widths: c.field_widths,
-        peephole: crate::peephole::PeepholeStats::default(),
-    };
-    cp.peephole = crate::peephole::optimize(&mut cp);
-    cp
+    }
 }
 
 impl Compiler<'_> {

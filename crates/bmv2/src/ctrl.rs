@@ -179,20 +179,16 @@ impl Switch {
             return Err(e);
         }
         for op in &update.ops {
+            // Validation resolved every table name, so indexing cannot miss.
+            let entries = &mut self.st.tables[self.compiled.table_index[op.table()] as usize];
             match op {
-                TableOp::Insert { table, entry } => {
-                    self.table_insert(table, entry.clone());
+                TableOp::Insert { entry, .. } => entries.push(entry.clone()),
+                TableOp::Modify { entry, .. } => {
+                    entries.retain(|e| e.keys != entry.keys);
+                    entries.push(entry.clone());
                 }
-                TableOp::Modify { table, entry } => {
-                    self.table_delete(table, &entry.keys);
-                    self.table_insert(table, entry.clone());
-                }
-                TableOp::Delete { table, key } => {
-                    self.table_delete(table, key);
-                }
-                TableOp::Set { table, entries } => {
-                    self.table_set(table, entries.clone());
-                }
+                TableOp::Delete { key, .. } => entries.retain(|e| e.keys != *key),
+                TableOp::Set { entries: rows, .. } => *entries = rows.clone(),
             }
         }
         self.st.counters.table_updates += update.ops.len() as u64;

@@ -13,13 +13,14 @@
 //! 3. valid headers deparse back to bytes in extraction order.
 //!
 //! Register and table state persist across packets, and a control-plane
-//! interface ([`Switch::register_write`], [`Switch::table_insert`], ...)
+//! interface ([`Switch::register_write`] for registers,
+//! [`Switch::apply_update`] — the only way to change a table — for rules)
 //! backs the NetCL `_managed_` memory API (§V-B).
 //!
-//! Programs are lowered once at [`Switch::new`] by [`mod@compile`] into
-//! flat, index-addressed op arrays (the lowering front half, never
-//! executed directly), and lowered once more by [`mod@threaded`] into
-//! direct-threaded closure arrays — the production engine. Per-packet
+//! Programs are lowered in two steps at [`Switch::new`]: [`mod@compile`]
+//! produces flat, index-addressed op arrays (the lowering front half, never
+//! executed directly), and [`mod@threaded`] consumes them as they are to
+//! build direct-threaded closure arrays — the production engine. Per-packet
 //! execution walks those arrays with zero heap allocation for interned
 //! fields. There are exactly two engines: [`Switch::set_engine`] selects
 //! between threaded and the original tree-walking interpreter, which
@@ -27,10 +28,10 @@
 //!
 //! DESIGN.md §10 describes the lowering front half; §12 the data-plane
 //! counters ([`Switch::counters`]) both engines maintain identically; §13
-//! the batched entry point ([`Switch::process_batch`]) and the [`mod@peephole`]
-//! pass over the compiled op stream; §14 the direct-threaded backend (and
-//! why the pc-loop executor and the phase-split batch loop were removed);
-//! §16 the runtime control plane
+//! the batched entry point ([`Switch::process_batch`]) and why the
+//! load-time peephole pass was removed; §14 the direct-threaded backend
+//! (and why the pc-loop executor and the phase-split batch loop were
+//! removed); §16 the runtime control plane
 //! ([`mod@ctrl`]): validated, atomic table-update batches applied to a
 //! running switch without a reload.
 
@@ -39,7 +40,6 @@ pub mod compile;
 pub mod ctrl;
 pub mod eval;
 pub mod packet;
-pub mod peephole;
 pub mod switch;
 pub mod threaded;
 
@@ -47,5 +47,4 @@ pub use batch::{PacketBatch, DEFAULT_BATCH};
 pub use compile::{compile, CompiledProgram, FieldSlot, HeaderId, SlotTable};
 pub use ctrl::{TableOp, TableUpdate, UpdateError};
 pub use packet::{FieldError, Packet, PacketError};
-pub use peephole::PeepholeStats;
 pub use switch::{Engine, Switch, SwitchCounters, SwitchError};

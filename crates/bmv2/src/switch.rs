@@ -39,7 +39,7 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Stable lowercase label, used on [`SwitchCounters`] and trace spans.
+    /// Stable lowercase label, used on trace spans and in reports.
     pub fn name(self) -> &'static str {
         match self {
             Engine::Interpreted => "interpreted",
@@ -85,14 +85,8 @@ fn field_err(e: FieldError, header: &str) -> SwitchError {
 /// both engines, so the differential tests compare them too. Reset by
 /// [`Switch::reset_counters`] and by device restarts (a fresh switch
 /// starts from zero, like real hardware).
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SwitchCounters {
-    /// Which engine accumulated these counts ([`Engine::name`]): shows up
-    /// in telemetry and Perfetto traces so interpreted and threaded runs
-    /// are distinguishable. Deliberately **excluded from equality**:
-    /// the differential tests compare counters across engines, and the
-    /// label is the one field that legitimately differs.
-    pub backend: &'static str,
     /// Packets entering the pipeline (parse attempts).
     pub packets: u64,
     /// Packets rejected with an error (parse failure or a deferred
@@ -136,28 +130,9 @@ pub struct TenantCounters {
     pub reg_action_execs: u64,
 }
 
-/// Equality ignores the `backend` label (see its doc).
-impl PartialEq for SwitchCounters {
-    fn eq(&self, other: &Self) -> bool {
-        self.packets == other.packets
-            && self.errors == other.errors
-            && self.table_hits == other.table_hits
-            && self.table_misses == other.table_misses
-            && self.reg_action_execs == other.reg_action_execs
-            && self.action_calls == other.action_calls
-            && self.extern_calls == other.extern_calls
-            && self.table_updates == other.table_updates
-            && self.update_rejects == other.update_rejects
-            && self.tenants == other.tenants
-    }
-}
-
-impl Eq for SwitchCounters {}
-
 impl SwitchCounters {
-    fn new(cp: &CompiledProgram, backend: &'static str) -> SwitchCounters {
+    fn new(cp: &CompiledProgram) -> SwitchCounters {
         SwitchCounters {
-            backend,
             table_hits: vec![0; cp.table_states.len()],
             table_misses: vec![0; cp.table_states.len()],
             ..SwitchCounters::default()
@@ -196,7 +171,7 @@ pub(crate) struct RuntimeState {
 }
 
 impl RuntimeState {
-    fn new(cp: &CompiledProgram, backend: &'static str) -> RuntimeState {
+    fn new(cp: &CompiledProgram) -> RuntimeState {
         RuntimeState {
             registers: cp.regs.iter().map(|r| vec![0u64; r.size]).collect(),
             tables: cp.table_states.iter().map(|t| t.entries.clone()).collect(),
@@ -204,7 +179,7 @@ impl RuntimeState {
             keys: Vec::new(),
             scratch: Vec::new(),
             param_saves: Vec::new(),
-            counters: SwitchCounters::new(cp, backend),
+            counters: SwitchCounters::new(cp),
         }
     }
 }
@@ -239,9 +214,6 @@ pub struct Switch {
     pub(crate) st: RuntimeState,
     /// Which engine `process` runs ([`Switch::set_engine`]).
     engine: Engine,
-    /// Packets processed (telemetry). Mirrors `counters().packets`; kept
-    /// as a field for existing callers.
-    pub packets_processed: u64,
     /// Opt-in per-packet wall-time histogram ([`Switch::set_timing`]).
     timing: Option<netcl_obs::Histogram>,
     /// Per-tenant attribution config; `None` (the default) costs nothing
@@ -256,15 +228,13 @@ impl Switch {
     pub fn new(program: P4Program) -> Switch {
         let compiled = Arc::new(compile::compile(&program));
         let threaded = threaded::lower(&compiled);
-        let engine = Engine::default();
-        let st = RuntimeState::new(&compiled, engine.name());
+        let st = RuntimeState::new(&compiled);
         Switch {
             program,
             compiled,
             threaded,
             st,
-            engine,
-            packets_processed: 0,
+            engine: Engine::default(),
             timing: None,
             tenancy: None,
         }
@@ -280,8 +250,7 @@ impl Switch {
 
     /// Zeroes all counters (e.g. between a warmup and a measured run).
     pub fn reset_counters(&mut self) {
-        self.st.counters = SwitchCounters::new(&self.compiled, self.engine.name());
-        self.packets_processed = 0;
+        self.st.counters = SwitchCounters::new(&self.compiled);
     }
 
     /// Per-table `(name, hits, misses)`, in table-state order. Duplicated
@@ -359,10 +328,9 @@ impl Switch {
     }
 
     /// Selects the execution engine. Registers, tables, and counters carry
-    /// over; only the counters' backend label changes.
+    /// over.
     pub fn set_engine(&mut self, engine: Engine) {
         self.engine = engine;
-        self.st.counters.backend = engine.name();
     }
 
     /// The currently selected engine.
@@ -404,41 +372,6 @@ impl Switch {
             .iter()
             .zip(&self.st.registers)
             .map(|(r, cells)| (r.name.as_str(), cells.as_slice()))
-    }
-
-    /// Inserts a table entry (control-plane `_managed_ _lookup_` update).
-    pub fn table_insert(&mut self, table: &str, entry: TableEntry) -> bool {
-        match self.compiled.table_index.get(table) {
-            Some(&i) => {
-                self.st.tables[i as usize].push(entry);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Removes entries matching `key` from a table.
-    pub fn table_delete(&mut self, table: &str, key: &[EntryKey]) -> usize {
-        match self.compiled.table_index.get(table) {
-            Some(&i) => {
-                let t = &mut self.st.tables[i as usize];
-                let before = t.len();
-                t.retain(|e| e.keys != key);
-                before - t.len()
-            }
-            None => 0,
-        }
-    }
-
-    /// Replaces every entry of a table.
-    pub fn table_set(&mut self, table: &str, entries: Vec<TableEntry>) -> bool {
-        match self.compiled.table_index.get(table) {
-            Some(&i) => {
-                self.st.tables[i as usize] = entries;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Tables whose names start with `prefix` (lookup duplication creates
@@ -488,7 +421,6 @@ impl Switch {
         out: &mut Vec<u8>,
     ) -> Result<(), SwitchError> {
         let watch = self.timing.as_ref().map(|_| netcl_obs::Stopwatch::start());
-        self.packets_processed += 1;
         self.st.counters.packets += 1;
         // Tenant attribution brackets the engine run: the comp byte names
         // the tenant, and the reg-action delta across the run is exactly
@@ -882,6 +814,7 @@ impl Switch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctrl::TableUpdate;
     use netcl_sema::builtins::{AtomicOp, AtomicRmw};
 
     /// A tiny hand-built program: parse one header, count packets in a
@@ -970,13 +903,13 @@ mod tests {
     #[test]
     fn control_plane_table_updates() {
         let mut sw = Switch::new(counting_program());
-        assert!(sw.table_insert(
-            "t",
-            TableEntry { keys: vec![EntryKey::Value(8)], action: "setv".into(), args: vec![11] }
-        ));
+        let entry =
+            TableEntry { keys: vec![EntryKey::Value(8)], action: "setv".into(), args: vec![11] };
+        assert_eq!(sw.apply_update(&TableUpdate::new().insert("t", entry)), Ok(1));
         let (_, out) = sw.process(&wire(8, 0)).unwrap();
         assert_eq!(out, wire(8, 11));
-        assert_eq!(sw.table_delete("t", &[EntryKey::Value(8)]), 1);
+        let evict = TableUpdate::new().delete("t", vec![EntryKey::Value(8)]);
+        assert_eq!(sw.apply_update(&evict), Ok(1));
         let (_, out) = sw.process(&wire(8, 0)).unwrap();
         assert_eq!(out, wire(8, 0));
     }
@@ -1014,8 +947,9 @@ mod tests {
 
         let extra =
             TableEntry { keys: vec![EntryKey::Value(3)], action: "setv".into(), args: vec![42] };
-        assert!(fast.table_insert("t", extra.clone()));
-        assert!(oracle.table_insert("t", extra));
+        let extra = TableUpdate::new().insert("t", extra);
+        assert_eq!(fast.apply_update(&extra), Ok(1));
+        assert_eq!(oracle.apply_update(&extra), Ok(1));
 
         for (k, v) in [(7u16, 0u16), (8, 5), (3, 1), (7, 7), (0xFFFF, 0xFFFF)] {
             let (pf, of) = fast.process(&wire(k, v)).unwrap();
@@ -1222,7 +1156,6 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v,
             }
         }
         assert_eq!(batched.counters(), scalar.counters(), "counters diverge");
-        assert_eq!(batched.packets_processed, scalar.packets_processed);
         let br: Vec<_> = batched.registers().map(|(n, c)| (n.to_string(), c.to_vec())).collect();
         let sr: Vec<_> = scalar.registers().map(|(n, c)| (n.to_string(), c.to_vec())).collect();
         assert_eq!(br, sr, "register state diverges");

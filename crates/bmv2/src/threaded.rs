@@ -635,30 +635,6 @@ fn lower_op(cp: &CompiledProgram, i: usize, op: &COp) -> Lowered {
             let (c, _) = lower_operand(cp, cond);
             Lowered::Br { cond: c, taken: next, not_taken: i + else_skip as usize + 1 }
         }
-        COp::AssignBranch { dst, expr, else_skip } => {
-            let d = lower_dest(dst);
-            let (e, _) = lower_operand(cp, expr);
-            let not_taken = i + else_skip as usize + 1;
-            Ctl(Box::new(move |_, pkt, _| {
-                let v = e.read(pkt);
-                // The branch tests the *stored* (masked) value, exactly as
-                // the unfused pair re-read it.
-                let stored = match d {
-                    TDest::Header(s, m) => {
-                        let mv = v & m;
-                        pkt.set_value(s, mv);
-                        mv
-                    }
-                    TDest::Meta(s, m) => {
-                        let mv = v & m;
-                        pkt.set_meta_slot(s, mv);
-                        mv
-                    }
-                    TDest::None => v,
-                };
-                Ok(if stored == 0 { not_taken } else { next })
-            }))
-        }
         COp::BranchTable { table, want_hit, else_skip } => {
             let not_taken = i + else_skip as usize + 1;
             Ctl(Box::new(move |tp, pkt, st| {
@@ -921,9 +897,7 @@ fn assemble_ops(cp: &CompiledProgram, lowered: Vec<Lowered>) -> Box<[OpFn]> {
                 boundary[i + k as usize + 1] = true;
                 boundary[i + 1] = true;
             }
-            COp::BranchExpr { else_skip, .. }
-            | COp::AssignBranch { else_skip, .. }
-            | COp::BranchTable { else_skip, .. } => {
+            COp::BranchExpr { else_skip, .. } | COp::BranchTable { else_skip, .. } => {
                 boundary[i + else_skip as usize + 1] = true;
                 boundary[i + 1] = true;
             }

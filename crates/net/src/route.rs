@@ -1,7 +1,7 @@
 //! Dense routing cache for the simulator's forwarding hot path.
 //!
-//! [`Topology::next_hop_avoiding`] answers one `(source, target)` query
-//! with one BFS over `HashMap` adjacency — fine for a handful of nodes,
+//! The reference [`Topology::routing_tree`] answers one destination with
+//! one BFS over `HashMap` adjacency — fine for a handful of nodes,
 //! ruinous for a 10⁴-host fat-tree where a Zipf workload routes to
 //! thousands of distinct destinations over millions of hops. This cache
 //! indexes the topology densely once and then answers every hop toward a
@@ -419,26 +419,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Reachability agrees with `next_hop_avoiding`, and both routes have
-    /// equal length (tie-breaks may differ between forward and reverse
-    /// BFS; distances cannot).
-    #[test]
-    fn cache_reachability_matches_next_hop_avoiding() {
-        let topo = diamond();
-        let down = HashSet::from([
-            link_key(NodeId::Device(1), NodeId::Device(2)),
-            link_key(NodeId::Device(1), NodeId::Device(3)),
-        ]);
-        let mut cache = RouteCache::new(&topo);
-        assert!(cache.hop(NodeId::Host(1), NodeId::Host(2), &down).is_none());
-        assert!(topo.next_hop_avoiding(NodeId::Host(1), NodeId::Host(2), &down).is_none());
-        assert_eq!(
-            cache.hop(NodeId::Device(2), NodeId::Host(2), &down).map(|(h, _)| h),
-            Some(NodeId::Device(4)),
-            "the severed cut only isolates d1's side"
-        );
     }
 
     /// Evicting at the cap only costs rebuilds: answers are identical

@@ -359,7 +359,9 @@ impl Inbox {
         for (at, key, host, bytes) in self.flows {
             sh.push_keyed(at, key, EventOrd::HostSend(NodeId::Host(host)), bytes);
         }
-        sh.stage_xs(self.xs);
+        for ev in self.xs {
+            sh.accept_xs(ev);
+        }
     }
 }
 
@@ -492,8 +494,8 @@ impl Coordinator {
                 live += shard_live;
                 nexts[i] = next;
                 // Hand-off order across shards is irrelevant: event keys
-                // are unique and `stage_xs` sorts, so the merged order is
-                // the same total order whatever the insertion sequence.
+                // are unique and the owner's heap orders by them, so the
+                // pop order is the same whatever the insertion sequence.
                 for ev in out {
                     self.inbox[owner(&self.shard_of, ev.target)].xs.push(ev);
                     moved = true;
@@ -650,7 +652,7 @@ impl ShardedNetwork {
 
     /// Applies a rule update to a device now, on its owner shard, through
     /// the journaled path (see [`Network::apply_update`]).
-    pub fn apply_update(&mut self, device: u16, update: netcl_bmv2::TableUpdate) -> bool {
+    pub fn apply_update(&mut self, device: u16, update: &netcl_bmv2::TableUpdate) -> bool {
         self.home_mut(NodeId::Device(device)).apply_update(device, update)
     }
 

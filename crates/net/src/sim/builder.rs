@@ -5,7 +5,7 @@
 //! which fixes their `EventSrc::Control` keys — identically in the whole
 //! network and in every shard built from the same configuration.
 
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
 use netcl_bmv2::{Switch, TableUpdate};
@@ -196,7 +196,6 @@ impl NetworkBuilder {
             routes,
             owned,
             xs_out: Vec::new(),
-            xs_in: VecDeque::new(),
             flows: FlowPump::default(),
         };
         for (at, fault) in self.faults {

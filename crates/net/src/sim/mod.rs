@@ -6,8 +6,9 @@
 //! - Events run in `(time, EventSrc)` order. Keys are unique and locally
 //!   derivable (schedule index, driver call order, per-node push counter),
 //!   so the order is total and the same in a scalar run and in every shard.
-//! - The heap and the staged cross-shard queue are two sources of one
-//!   sequence: `run_until` always takes the globally smallest key.
+//! - One heap per network is the only event source. Cross-shard arrivals
+//!   are pushed onto it under the key the sending shard assigned, so pop
+//!   order never depends on how an event got there.
 //! - [`Network::run`] is the scalar oracle: a flow source is pumped exactly
 //!   when simulated time reaches each flow, which is the interleaving an
 //!   up-front injection would have had.
@@ -20,7 +21,7 @@ pub use builder::NetworkBuilder;
 pub use stats::{NetObs, NetStats, NodeCounters, ObsConfig};
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
 use netcl_bmv2::{Packet, Switch, TableUpdate};
@@ -206,12 +207,6 @@ pub struct Network {
     owned: Option<HashSet<NodeId>>,
     /// Outbound cross-shard arrivals produced by the current window.
     xs_out: Vec<XsEvent>,
-    /// Inbound cross-shard arrivals, staged in batches by the shard runner
-    /// ([`Network::stage_xs`]) and kept sorted by `(time, key)`. A second
-    /// event source merged with the heap during `run_until`: staged
-    /// batches arrive pre-sorted, so draining them is O(1) per event
-    /// instead of O(log n) heap churn.
-    xs_in: VecDeque<XsEvent>,
     /// Streamed driver injections ([`Network::set_flow_source`]); pulled
     /// as the run loop reaches each flow's injection time.
     flows: FlowPump,
@@ -344,47 +339,23 @@ impl Network {
         self.events.push(Reverse((time, src, NodeOrd(bytes, ord))));
     }
 
-    /// Stages a batch of cross-shard arrivals — how the shard runner
-    /// delivers one window's hand-offs, already carrying the keys the
-    /// scalar run would assign. The batch is sorted once and merged into
-    /// the staging queue; `run_until` then drains it interleaved with the
-    /// heap in global `(time, key)` order. One sort per batch replaces a
-    /// heap push per event.
-    pub(crate) fn stage_xs(&mut self, mut batch: Vec<XsEvent>) {
-        if batch.is_empty() {
-            return;
-        }
-        batch.sort_unstable_by_key(|e| (e.time, e.src));
-        match self.xs_in.back() {
-            // Common case: everything staged earlier has earlier keys
-            // (lookahead windows only move forward) — pure append.
-            Some(back) if (back.time, back.src) > (batch[0].time, batch[0].src) => {
-                let old: Vec<XsEvent> = std::mem::take(&mut self.xs_in).into();
-                let mut old = old.into_iter().peekable();
-                let mut new = batch.into_iter().peekable();
-                while let (Some(a), Some(b)) = (old.peek(), new.peek()) {
-                    let next =
-                        if (a.time, a.src) <= (b.time, b.src) { old.next() } else { new.next() };
-                    self.xs_in.extend(next);
-                }
-                self.xs_in.extend(old);
-                self.xs_in.extend(new);
-            }
-            _ => self.xs_in.extend(batch),
-        }
+    /// Takes delivery of one cross-shard arrival under the key its sending
+    /// shard assigned. Straight onto the heap, not through `push_keyed`:
+    /// the coordinator already routed it to its owner. Keys are unique and
+    /// totally ordered, so pop order is independent of arrival order.
+    pub(crate) fn accept_xs(&mut self, e: XsEvent) {
+        self.events.push(Reverse((e.time, e.src, NodeOrd(e.bytes, EventOrd::Arrive(e.target)))));
     }
 
-    /// Earliest pending event time across the heap and the staged
-    /// cross-shard queue, if any.
+    /// Earliest pending event time, if any.
     pub(crate) fn next_event_time(&self) -> Option<u64> {
-        let heap = self.events.peek().map(|Reverse((t, ..))| *t);
-        heap.into_iter().chain(self.xs_in.front().map(|e| e.time)).min()
+        self.events.peek().map(|Reverse((t, ..))| *t)
     }
 
     /// Pending events not yet processed — the live-event footprint the
     /// streamed-injection bench reports as its memory proxy.
     pub(crate) fn queue_len(&self) -> usize {
-        self.events.len() + self.xs_in.len()
+        self.events.len()
     }
 
     /// Drains the cross-shard arrivals produced by the last window.
@@ -426,16 +397,6 @@ impl Network {
             EventOrd::RuleUpdate(idx),
             Vec::new(),
         );
-    }
-
-    /// Applies a rule update to a device *now*, through the same journaled
-    /// path a scheduled update takes: counted in
-    /// [`NetStats::rule_updates`] / [`NetStats::rule_update_rejects`] and
-    /// replayed after a device restart. Returns whether the batch landed.
-    /// A device this network does not own (sharding) is a no-op `false` —
-    /// the owner shard counts it.
-    pub fn apply_update(&mut self, device: u16, update: TableUpdate) -> bool {
-        self.apply_rule_update_inner(device, &update)
     }
 
     /// Whether device `id` is currently failed.
@@ -514,30 +475,10 @@ impl Network {
     pub(crate) fn run_until(&mut self, horizon: u64, max_events: u64) -> u64 {
         let mut n = 0;
         while n < max_events {
-            // Two event sources — the heap and the staged cross-shard
-            // queue — merged in global `(time, key)` order. Keys are
-            // unique, so the merge is a total order regardless of which
-            // side an event arrived on.
-            let heap_key = self.events.peek().map(|Reverse((t, s, _))| (*t, *s));
-            let staged_key = self.xs_in.front().map(|e| (e.time, e.src));
-            let take_staged = match (heap_key, staged_key) {
-                (None, None) => break,
-                (Some(h), Some(s)) => s < h,
-                (h, _) => h.is_none(),
-            };
-            let key_time = if take_staged { staged_key } else { heap_key }.expect("source").0;
-            if key_time >= horizon {
+            if self.next_event_time().is_none_or(|t| t >= horizon) {
                 break;
             }
-            let (time, bytes, ord) = if take_staged {
-                let e = self.xs_in.pop_front().expect("peeked");
-                (e.time, e.bytes, EventOrd::Arrive(e.target))
-            } else {
-                let Some(Reverse((time, _, NodeOrd(bytes, ord)))) = self.events.pop() else {
-                    break;
-                };
-                (time, bytes, ord)
-            };
+            let Reverse((time, _, NodeOrd(bytes, ord))) = self.events.pop().expect("peeked");
             self.clock = self.clock.max(time);
             if !matches!(ord, EventOrd::Fault(_) | EventOrd::RuleUpdate(_)) {
                 self.stats.events += 1;
@@ -545,7 +486,7 @@ impl Network {
             n += 1;
             let watch = self.obs.as_ref().map(|_| Stopwatch::start());
             if let Some(o) = self.obs.as_mut() {
-                let depth = (self.events.len() + self.xs_in.len()) as u64;
+                let depth = self.events.len() as u64;
                 o.queue_depth.record(depth);
                 if let Some(tr) = o.trace.as_mut() {
                     tr.counter("queue_depth", 0, time, depth);
@@ -565,7 +506,10 @@ impl Network {
                 EventOrd::Arrive(NodeId::Host(h)) => self.host_receive(h, bytes),
                 EventOrd::Timer(NodeId::Host(h), token) => self.host_timer(h, token),
                 EventOrd::Fault(idx) => self.apply_fault(idx),
-                EventOrd::RuleUpdate(idx) => self.apply_rule_update(idx),
+                EventOrd::RuleUpdate(idx) => {
+                    let (dev, update) = self.update_list[idx].clone();
+                    self.apply_update(dev, &update);
+                }
                 _ => {}
             }
             self.cur_node = None;
@@ -576,16 +520,15 @@ impl Network {
         n
     }
 
-    fn apply_rule_update(&mut self, idx: usize) {
-        let (dev, update) = self.update_list[idx].clone();
-        self.apply_rule_update_inner(dev, &update);
-    }
-
-    /// The one rule-update path (scheduled and immediate): validate-then-
-    /// apply on the owner, count it, and journal successes for replay
-    /// after a restart. Non-owned devices (sharding) are a silent no-op —
-    /// the schedule is replicated, the application is not.
-    fn apply_rule_update_inner(&mut self, dev: u16, update: &TableUpdate) -> bool {
+    /// The one rule-update path, immediate (a controller calling it between
+    /// `run` slices) and scheduled (the `RuleUpdate` event arm): validate-
+    /// then-apply on the owner, count it in [`NetStats::rule_updates`] /
+    /// [`NetStats::rule_update_rejects`], and journal successes for replay
+    /// after a restart. Returns whether the batch landed. A device this
+    /// network does not own (sharding) is a silent no-op `false` — the
+    /// schedule is replicated, the application is not, and the owner shard
+    /// counts it.
+    pub fn apply_update(&mut self, dev: u16, update: &TableUpdate) -> bool {
         if !self.devices.contains_key(&dev) {
             return false;
         }

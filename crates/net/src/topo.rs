@@ -137,49 +137,6 @@ impl Topology {
         self.links.get(&n).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
-    /// Next hop from `from` toward `to` (BFS shortest path), with the link.
-    pub fn next_hop(&self, from: NodeId, to: NodeId) -> Option<(NodeId, LinkSpec)> {
-        self.next_hop_avoiding(from, to, &HashSet::new())
-    }
-
-    /// Next hop from `from` toward `to`, routing around the links in
-    /// `down` (order-normalized endpoint pairs, as [`link_key`] builds).
-    /// This is how the simulator reroutes around scheduled link failures.
-    pub fn next_hop_avoiding(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        down: &HashSet<(NodeId, NodeId)>,
-    ) -> Option<(NodeId, LinkSpec)> {
-        if from == to {
-            return None;
-        }
-        // BFS from `from`; record parents.
-        let mut parent: HashMap<NodeId, (NodeId, LinkSpec)> = HashMap::new();
-        let mut queue = VecDeque::from([from]);
-        while let Some(n) = queue.pop_front() {
-            if n == to {
-                break;
-            }
-            for &(next, spec) in self.neighbors(n) {
-                if next != from && !parent.contains_key(&next) && !down.contains(&link_key(n, next))
-                {
-                    parent.insert(next, (n, spec));
-                    queue.push_back(next);
-                }
-            }
-        }
-        // Walk back from `to` to the first hop.
-        let mut cur = to;
-        let mut hop = None;
-        while cur != from {
-            let &(prev, spec) = parent.get(&cur)?;
-            hop = Some((cur, spec));
-            cur = prev;
-        }
-        hop
-    }
-
     /// Every node's next hop toward `to` (with the link), from one reverse
     /// BFS — shortest paths, equal-length ties broken by a deterministic
     /// per-(destination, node) hash (`ecmp_rank`) over the candidates in
@@ -298,11 +255,10 @@ mod tests {
     #[test]
     fn star_routes_through_device() {
         let t = star(1, &[1, 2, 3], LinkSpec::default());
-        let (hop, _) = t.next_hop(NodeId::Host(1), NodeId::Host(3)).unwrap();
-        assert_eq!(hop, NodeId::Device(1));
-        let (hop, _) = t.next_hop(NodeId::Device(1), NodeId::Host(2)).unwrap();
-        assert_eq!(hop, NodeId::Host(2));
-        assert!(t.next_hop(NodeId::Host(1), NodeId::Host(1)).is_none());
+        let to3 = t.routing_tree(NodeId::Host(3), &HashSet::new());
+        assert_eq!(to3[&NodeId::Host(1)].0, NodeId::Device(1));
+        assert_eq!(to3[&NodeId::Device(1)].0, NodeId::Host(3));
+        assert!(!to3.contains_key(&NodeId::Host(3)), "the destination has no next hop");
     }
 
     #[test]
@@ -312,10 +268,9 @@ mod tests {
         t.link(NodeId::Host(1), NodeId::Device(1), LinkSpec::default());
         t.link(NodeId::Device(1), NodeId::Device(2), LinkSpec::default());
         t.link(NodeId::Device(2), NodeId::Host(2), LinkSpec::default());
-        let (hop, _) = t.next_hop(NodeId::Host(1), NodeId::Host(2)).unwrap();
-        assert_eq!(hop, NodeId::Device(1));
-        let (hop, _) = t.next_hop(NodeId::Device(1), NodeId::Host(2)).unwrap();
-        assert_eq!(hop, NodeId::Device(2));
+        let to2 = t.routing_tree(NodeId::Host(2), &HashSet::new());
+        assert_eq!(to2[&NodeId::Host(1)].0, NodeId::Device(1));
+        assert_eq!(to2[&NodeId::Device(1)].0, NodeId::Device(2));
     }
 
     #[test]
@@ -323,7 +278,7 @@ mod tests {
         let mut t = Topology::new();
         t.link(NodeId::Host(1), NodeId::Device(1), LinkSpec::default());
         t.link(NodeId::Host(9), NodeId::Device(9), LinkSpec::default());
-        assert!(t.next_hop(NodeId::Host(1), NodeId::Host(9)).is_none());
+        assert!(!t.routing_tree(NodeId::Host(9), &HashSet::new()).contains_key(&NodeId::Host(1)));
     }
 
     #[test]
@@ -337,11 +292,11 @@ mod tests {
         t.link(NodeId::Device(2), NodeId::Host(2), LinkSpec::default());
         let mut down = HashSet::new();
         down.insert(link_key(NodeId::Device(2), NodeId::Device(1)));
-        let (hop, _) = t.next_hop_avoiding(NodeId::Device(1), NodeId::Host(2), &down).unwrap();
+        let hop = t.routing_tree(NodeId::Host(2), &down)[&NodeId::Device(1)].0;
         assert_eq!(hop, NodeId::Device(3), "detours around the downed link");
         // Severing the backup too makes the destination unreachable.
         down.insert(link_key(NodeId::Device(1), NodeId::Device(3)));
-        assert!(t.next_hop_avoiding(NodeId::Device(1), NodeId::Host(2), &down).is_none());
+        assert!(!t.routing_tree(NodeId::Host(2), &down).contains_key(&NodeId::Device(1)));
     }
 
     #[test]

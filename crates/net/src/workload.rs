@@ -410,8 +410,8 @@ mod tests {
         assert_eq!(ft.edge_by_pod.iter().map(Vec::len).sum::<usize>(), 8);
         assert_eq!(ft.agg_by_pod.iter().map(Vec::len).sum::<usize>(), 8);
         // Any-to-any routing works across pods.
-        let (hop, _) = ft.topology.next_hop(NodeId::Host(0), NodeId::Host(15)).unwrap();
-        assert!(matches!(hop, NodeId::Device(_)));
+        let to15 = ft.topology.routing_tree(NodeId::Host(15), &Default::default());
+        assert!(matches!(to15[&NodeId::Host(0)].0, NodeId::Device(_)));
     }
 
     #[test]

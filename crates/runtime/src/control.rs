@@ -25,7 +25,7 @@
 //! and the interpreter oracle alike; the chaos matrix asserts the
 //! resulting packet streams, counters, and stats are byte-identical.
 
-use crate::managed::{ManagedError, ManagedMemory};
+use crate::managed::{to_table_entry, ManagedError, ManagedMemory};
 use netcl_bmv2::{Switch, TableUpdate, UpdateError};
 use netcl_ir::Module;
 use netcl_p4::ast::{EntryKey, TableEntry};
@@ -178,23 +178,15 @@ impl ControlPlane {
         &self,
         sw: &Switch,
         name: &str,
-        mut op: impl FnMut(TableUpdate, String, &str) -> TableUpdate,
+        op: impl FnMut(TableUpdate, String, &str) -> TableUpdate,
     ) -> Result<TableUpdate, ControlError> {
-        let name = self.scoped_name(name);
-        let mut update = TableUpdate::new();
-        for t in self.mm.lookup_tables(sw, &name)? {
-            if let Some(tenant) = self.scope {
-                if netcl_util::tenant::of(&t) != Some(tenant) {
-                    return Err(ControlError::CrossTenant { tenant, table: t });
-                }
+        let update = self.mm.lookup_batch(sw, &self.scoped_name(name), op)?;
+        if let Some(tenant) = self.scope {
+            if let Some(op) =
+                update.ops.iter().find(|op| netcl_util::tenant::of(op.table()) != Some(tenant))
+            {
+                return Err(ControlError::CrossTenant { tenant, table: op.table().to_string() });
             }
-            let action = sw
-                .program()
-                .controls
-                .iter()
-                .find_map(|c| c.table(&t).and_then(|td| td.actions.first().cloned()))
-                .unwrap_or_default();
-            update = op(update, t, &action);
         }
         Ok(update)
     }
@@ -239,26 +231,6 @@ impl ControlPlane {
     ) -> Result<usize, ControlError> {
         let u = self.build_replace(sw, name, entries)?;
         Ok(sw.apply_update(&u)?)
-    }
-}
-
-fn to_table_entry(e: &LookupEntry, action: &str) -> TableEntry {
-    match *e {
-        LookupEntry::Member { key } => TableEntry {
-            keys: vec![EntryKey::Value(key)],
-            action: action.to_string(),
-            args: vec![],
-        },
-        LookupEntry::Exact { key, value } => TableEntry {
-            keys: vec![EntryKey::Value(key)],
-            action: action.to_string(),
-            args: vec![value],
-        },
-        LookupEntry::Range { lo, hi, value } => TableEntry {
-            keys: vec![EntryKey::Range(lo, hi)],
-            action: action.to_string(),
-            args: vec![value],
-        },
     }
 }
 

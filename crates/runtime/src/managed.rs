@@ -5,14 +5,19 @@
 //! array across registers (§VI-B), so the resolver consults the compiled
 //! module's origin metadata to find the physical register and flat element
 //! index. Lookup-table updates fan out to every MAT materialized for the
-//! table (one per access site).
+//! table (one per access site) as **one** atomic
+//! [`TableUpdate`] batch: the crate-private `lookup_batch` is the only
+//! place that fan-out and the entries' action are resolved, and it serves
+//! [`ManagedMemory::lookup_insert`] and every
+//! [`crate::control::ControlPlane`] builder alike.
 //!
 //! All operations run through the device's control plane — the switch's
-//! `register_read`/`register_write`/`table_*` interface — making them the
-//! reliable slow path the paper prescribes for "kernel configurations,
-//! resets, checkpointing, and so on".
+//! `register_read`/`register_write` and its validated, counted
+//! `apply_update` — making them the reliable slow path the paper
+//! prescribes for "kernel configurations, resets, checkpointing, and so
+//! on".
 
-use netcl_bmv2::Switch;
+use netcl_bmv2::{Switch, TableUpdate};
 use netcl_ir::Module;
 use netcl_p4::ast::{EntryKey, TableEntry};
 use netcl_sema::model::LookupEntry;
@@ -152,62 +157,43 @@ impl ManagedMemory {
         }
     }
 
-    /// Inserts an entry into a `_managed_ _lookup_` table (all MATs
-    /// materialized for it).
+    /// Inserts an entry into a `_managed_ _lookup_` table: one atomic,
+    /// validated batch over all MATs materialized for it, so either every
+    /// access site serves the key afterwards or none does.
     pub fn lookup_insert(
         &self,
         sw: &mut Switch,
         name: &str,
         entry: LookupEntry,
     ) -> Result<(), ManagedError> {
-        let tables = self.lookup_tables(sw, name)?;
-        for t in &tables {
+        let batch = self
+            .lookup_batch(sw, name, |u, t, action| u.insert(t, to_table_entry(&entry, action)))?;
+        sw.apply_update(&batch)
+            .map(drop)
+            .map_err(|e| ManagedError::UnknownMemory(format!("{name} ({e})")))
+    }
+
+    /// Builds one batch covering every MAT of the managed lookup `name`:
+    /// `op` appends a MAT's operation given the table and the action its
+    /// entries invoke (the first the table declares). A table declaring no
+    /// action yields `""`, which `apply_update` rejects as unknown.
+    pub(crate) fn lookup_batch(
+        &self,
+        sw: &Switch,
+        name: &str,
+        mut op: impl FnMut(TableUpdate, String, &str) -> TableUpdate,
+    ) -> Result<TableUpdate, ManagedError> {
+        let mut update = TableUpdate::new();
+        for t in self.lookup_tables(sw, name)? {
             let action = sw
                 .program()
                 .controls
                 .iter()
-                .find_map(|c| c.table(t).and_then(|td| td.actions.first().cloned()))
+                .find_map(|c| c.table(&t).and_then(|td| td.actions.first().cloned()))
                 .unwrap_or_default();
-            sw.table_insert(t, to_table_entry(&entry, &action));
+            update = op(update, t, &action);
         }
-        Ok(())
-    }
-
-    /// Removes entries with the given key from a managed lookup table.
-    pub fn lookup_remove(
-        &self,
-        sw: &mut Switch,
-        name: &str,
-        key: u64,
-    ) -> Result<usize, ManagedError> {
-        let tables = self.lookup_tables(sw, name)?;
-        let mut removed = 0;
-        for t in &tables {
-            removed += sw.table_delete(t, &[EntryKey::Value(key)]);
-        }
-        Ok(removed / tables.len().max(1))
-    }
-
-    /// Replaces a managed lookup table's entries wholesale.
-    pub fn lookup_set(
-        &self,
-        sw: &mut Switch,
-        name: &str,
-        entries: &[LookupEntry],
-    ) -> Result<(), ManagedError> {
-        let tables = self.lookup_tables(sw, name)?;
-        for t in &tables {
-            let action = sw
-                .program()
-                .controls
-                .iter()
-                .find_map(|c| c.table(t).and_then(|td| td.actions.first().cloned()))
-                .unwrap_or_default();
-            let rows: Vec<TableEntry> =
-                entries.iter().map(|e| to_table_entry(e, &action)).collect();
-            sw.table_set(t, rows);
-        }
-        Ok(())
+        Ok(update)
     }
 
     /// The match-action tables materialized for a managed lookup (one per
@@ -247,7 +233,8 @@ fn flatten(dims: &[usize], indices: &[usize]) -> Result<usize, ManagedError> {
     Ok(flat)
 }
 
-fn to_table_entry(e: &LookupEntry, action: &str) -> TableEntry {
+/// The table entry a source-level lookup entry becomes, invoking `action`.
+pub(crate) fn to_table_entry(e: &LookupEntry, action: &str) -> TableEntry {
     match *e {
         LookupEntry::Member { key } => TableEntry {
             keys: vec![EntryKey::Value(key)],
@@ -331,21 +318,43 @@ _kernel(1) _at(1) void k(unsigned key, unsigned &v, char &hit, unsigned &t) {
         assert!(mm.read(&sw, "counts", &[0]).is_err());
     }
 
+    /// A lookup read at two (mutually exclusive) sites materializes two
+    /// MATs; one `lookup_insert` reaches both through one counted
+    /// `apply_update` batch (NetCache-style population from the host).
     #[test]
-    fn managed_lookup_insert_and_remove() {
-        let (unit, mut sw, mm) = compiled();
-        let (v, hit, _) = run_key(&unit, &mut sw, 1);
-        assert_eq!((v, hit), (42, 1), "static entry");
-        let (_, hit, _) = run_key(&unit, &mut sw, 9);
-        assert_eq!(hit, 0);
-        // Cache insertion from the host (NetCache-style population).
+    fn lookup_insert_is_one_counted_batch_over_every_mat() {
+        const TWO_SITES: &str = r#"
+_managed_ _lookup_ ncl::kv<unsigned, unsigned> cache[8] = {{1, 42}};
+_kernel(1) _at(1) void k(unsigned key, char site, unsigned &v, char &hit) {
+  if (site == 0) hit = ncl::lookup(cache, key, v);
+  else hit = ncl::lookup(cache, key + 1, v);
+}
+"#;
+        let unit = netcl::Compiler::new(netcl::CompileOptions::default())
+            .compile("two.ncl", TWO_SITES)
+            .unwrap();
+        let spec = unit.model.kernels[0].specification();
+        let mut sw = Switch::new(unit.devices[0].tna_p4.clone());
+        let mm = ManagedMemory::new(&unit.devices[0].tna_ir);
+        let mats = mm.lookup_tables(&sw, "cache").unwrap().len();
+        assert_eq!(mats, 2, "one MAT per access site");
+        let ask = |sw: &mut Switch, key: u64, site: u64| {
+            let m = Message::new(1, 2, 1, 1);
+            let packed = pack(&m, &spec, &[Some(&[key]), Some(&[site]), None, None]).unwrap();
+            let (_, out) = sw.process(&packed).unwrap();
+            let (mut v, mut hit) = (Vec::new(), Vec::new());
+            unpack(&out, &spec, &mut [None, None, Some(&mut v), Some(&mut hit)]).unwrap();
+            (v[0], hit[0])
+        };
+        assert_eq!(ask(&mut sw, 1, 0), (42, 1), "static entry");
+        assert_eq!(ask(&mut sw, 9, 0).1, 0);
+        assert_eq!(ask(&mut sw, 8, 1).1, 0);
+
         mm.lookup_insert(&mut sw, "cache", LookupEntry::Exact { key: 9, value: 77 }).unwrap();
-        let (v, hit, _) = run_key(&unit, &mut sw, 9);
-        assert_eq!((v, hit), (77, 1));
-        // Eviction.
-        assert_eq!(mm.lookup_remove(&mut sw, "cache", 9).unwrap(), 1);
-        let (_, hit, _) = run_key(&unit, &mut sw, 9);
-        assert_eq!(hit, 0);
+        assert_eq!(sw.counters().table_updates, mats as u64, "one counted op per MAT");
+        assert_eq!(sw.counters().update_rejects, 0);
+        assert_eq!(ask(&mut sw, 9, 0), (77, 1), "the first site serves the new key");
+        assert_eq!(ask(&mut sw, 8, 1), (77, 1), "and so does the second");
     }
 
     #[test]

@@ -439,14 +439,6 @@ fn burst_delivery_is_engine_uniform_under_chaos_all_apps() {
                 threaded,
                 oracle
             );
-            for (run, engine) in [(&threaded, Engine::Threaded), (&oracle, Engine::Interpreted)] {
-                assert_eq!(
-                    run.1.backend,
-                    engine.name(),
-                    "{}: counters must carry the engine label",
-                    app.name
-                );
-            }
             assert!(threaded.0.kernel_executions > 0, "{}: no kernel traffic", app.name);
             assert_eq!(threaded.0.device_restarts, 1, "{}: restart fault must fire", app.name);
             assert!(

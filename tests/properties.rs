@@ -229,9 +229,9 @@ proptest! {
                 threaded.counters(), oracle.counters(),
                 "{}: threaded/oracle counters diverge", name
             );
-            // The backend label is the one field that must differ.
-            prop_assert_eq!(threaded.counters().backend, "threaded");
-            prop_assert_eq!(oracle.counters().backend, "interpreted");
+            // The two switches really ran different engines.
+            prop_assert_eq!(threaded.engine().name(), "threaded");
+            prop_assert_eq!(oracle.engine().name(), "interpreted");
             let tr: Vec<(String, Vec<u64>)> =
                 threaded.registers().map(|(n, c)| (n.to_string(), c.to_vec())).collect();
             let orr: Vec<(String, Vec<u64>)> =

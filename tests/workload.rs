@@ -84,7 +84,8 @@ proptest! {
     /// Fat-trees of random even arity are well-formed: the Al-Fares counts
     /// hold (k³/4 hosts, (k/2)² core, k·k/2 edge and agg switches), no
     /// link appears twice, and every host can route to every other host —
-    /// walking `next_hop` from src reaches dst within the tree's diameter.
+    /// walking the destination's routing tree (the route the simulator
+    /// takes) from src reaches dst within the tree's diameter.
     #[test]
     fn fat_tree_is_well_formed(half_k in 1u16..=4, seed in any::<u64>()) {
         let k = half_k * 2;
@@ -108,8 +109,9 @@ proptest! {
             prop_assert_eq!(unique.len(), peers.len(), "duplicate link at {:?}", node);
         }
 
-        // Random host pairs route end-to-end: hop-by-hop next_hop walks
-        // terminate at the destination within the fat-tree diameter (6).
+        // Random host pairs route end-to-end: hop-by-hop walks down the
+        // destination's routing tree terminate within the fat-tree
+        // diameter (6).
         let mut rng = WorkloadRng::new(seed);
         for _ in 0..16 {
             let a = ft.hosts[rng.below(ft.hosts.len() as u64) as usize];
@@ -118,14 +120,11 @@ proptest! {
                 continue;
             }
             let dst = NodeId::Host(b);
+            let tree = ft.topology.routing_tree(dst, &HashSet::new());
             let mut at = NodeId::Host(a);
             let mut hops = 0;
             while at != dst {
-                let (next, _) = ft
-                    .topology
-                    .next_hop(at, dst)
-                    .unwrap_or_else(|| panic!("no route {at:?} → {dst:?}"));
-                at = next;
+                at = tree.get(&at).unwrap_or_else(|| panic!("no route {at:?} → {dst:?}")).0;
                 hops += 1;
                 prop_assert!(hops <= 6, "route {a} → {b} exceeds fat-tree diameter");
             }
