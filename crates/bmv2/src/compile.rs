@@ -1,6 +1,6 @@
 //! Load-time compilation of a [`P4Program`] into flat, index-addressed form.
 //!
-//! The tree-walking interpreter in `switch.rs` re-resolves every field path,
+//! The tree-walking interpreter in `interp.rs` re-resolves every field path,
 //! action name, and register handle per packet, allocating `String`s and
 //! probing `HashMap`s on the hot path. This module walks the program **once**
 //! at switch construction and produces:

@@ -1,4 +1,11 @@
-//! Runtime table reconfiguration: validated, atomic update batches.
+//! The control surface of a running switch: validated, atomic table-update
+//! batches and register access.
+//!
+//! Invariants:
+//! - [`Switch::apply_update`] is the only way a table changes after load:
+//!   there is no per-entry mutator to bypass its validation, atomicity or
+//!   counting.
+//! - A batch that fails validation changes nothing.
 //!
 //! Production switches change match-action rules constantly; reloading the
 //! program to do it wipes every register and table (exactly what a device
@@ -229,6 +236,48 @@ impl Switch {
             }
         }
         Ok(())
+    }
+}
+
+/// Register access and table discovery (backs `_managed_` memory, §V-B).
+impl Switch {
+    /// Reads one register element.
+    pub fn register_read(&self, name: &str, index: usize) -> Option<u64> {
+        let i = *self.compiled.reg_index.get(name)?;
+        self.st.registers[i as usize].get(index).copied()
+    }
+
+    /// Writes one register element.
+    pub fn register_write(&mut self, name: &str, index: usize, value: u64) -> bool {
+        let Some(&i) = self.compiled.reg_index.get(name) else { return false };
+        match self.st.registers[i as usize].get_mut(index) {
+            Some(cell) => {
+                *cell = value;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// All registers with their current contents (diagnostics and
+    /// differential tests).
+    pub fn registers(&self) -> impl Iterator<Item = (&str, &[u64])> {
+        self.compiled
+            .regs
+            .iter()
+            .zip(&self.st.registers)
+            .map(|(r, cells)| (r.name.as_str(), cells.as_slice()))
+    }
+
+    /// Tables whose names start with `prefix` (lookup duplication creates
+    /// `name`, `name__dup1`, ... that must be updated together).
+    pub fn tables_with_prefix(&self, prefix: &str) -> Vec<String> {
+        self.compiled
+            .table_states
+            .iter()
+            .filter(|t| t.name.starts_with(prefix))
+            .map(|t| t.name.clone())
+            .collect()
     }
 }
 

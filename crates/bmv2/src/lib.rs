@@ -37,8 +37,10 @@
 
 pub mod batch;
 pub mod compile;
+mod counters;
 pub mod ctrl;
 pub mod eval;
+mod interp;
 pub mod packet;
 pub mod switch;
 pub mod threaded;

@@ -25,7 +25,7 @@
 //! portable, and load-time cheap; see DESIGN.md §14 for the trade-off
 //! discussion. Semantics are bit-for-bit those of the tree-walking
 //! interpreter: every arm below mirrors its counterpart in
-//! `switch.rs`/`eval.rs`, and the differential proptests
+//! `interp.rs`/`eval.rs`, and the differential proptests
 //! (`tests/properties.rs`) plus the chaos matrix hold the two engines to
 //! identical outputs, errors, `SwitchCounters`, and register state.
 
