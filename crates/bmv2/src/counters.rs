@@ -178,8 +178,6 @@ mod tests {
     use netcl_p4::ast::*;
     use netcl_sema::builtins::{AtomicOp, AtomicRmw};
 
-    // ---- per-tenant accounting (DESIGN.md §17) --------------------------
-
     /// A hand-built merged two-tenant program. The header mimics the NCL
     /// shim: 8 bytes of preamble, then the comp byte at wire offset 8.
     /// Comp 1 is tenant 0's kernel (one reg action on `t0__A`); comp 2 is

@@ -28,10 +28,10 @@
 //!
 //! DESIGN.md §10 describes the lowering front half; §12 the data-plane
 //! counters ([`Switch::counters`]) both engines maintain identically; §13
-//! the batched entry point ([`Switch::process_batch`]) and why the
-//! load-time peephole pass was removed; §14 the direct-threaded backend
-//! (and why the pc-loop executor and the phase-split batch loop were
-//! removed); §16 the runtime control plane
+//! the batched entry point ([`Switch::process_batch`]) and why nothing
+//! rewrites the op stream between those two steps; §14 the
+//! direct-threaded backend (and why the pc-loop executor and the
+//! phase-split batch loop were removed); §16 the runtime control plane
 //! ([`mod@ctrl`]): validated, atomic table-update batches applied to a
 //! running switch without a reload.
 

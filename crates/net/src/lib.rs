@@ -7,8 +7,10 @@
 //! the NetCL device runtime applies Table II forwarding; hosts are
 //! event-driven application handlers with timers (retransmission etc.).
 //!
-//! The simulator is deterministic: a seeded RNG drives loss injection, and
-//! events at equal timestamps process in insertion order.
+//! The simulator is deterministic: seeded per-node RNG streams drive loss
+//! injection, and events at equal timestamps process in `EventSrc` key
+//! order — fault schedule index, driver call order, per-node push counter —
+//! which a sharded run reproduces exactly (DESIGN.md §15).
 //!
 //! DESIGN.md §11 specifies the fault model and the determinism contract;
 //! §12 covers the opt-in observability layer ([`NetworkBuilder::observe`]).
