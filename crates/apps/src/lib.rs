@@ -90,7 +90,7 @@ pub fn all_apps() -> Vec<App> {
 /// and base forwarding, no kernels.
 pub fn empty_program() -> netcl_p4::P4Program {
     let unit = compile("empty.ncl", "_net_ unsigned unused_;\n");
-    unit.devices[0].tna_p4.clone()
+    netcl_p4::P4Program::clone(&unit.devices[0].tna_p4)
 }
 
 /// Counts the non-blank, non-comment lines of a NetCL source (Table III's

@@ -281,7 +281,7 @@ pub struct PaxosChaosResult {
 /// safety is unaffected by duplication). Returns the result plus the final
 /// `NetStats` for the replay-determinism contract.
 pub fn run_paxos_chaos(
-    programs: &[(u16, P4Program)],
+    programs: &[(u16, Arc<P4Program>)],
     proposals: u64,
     link: LinkSpec,
     seed: u64,

@@ -24,7 +24,7 @@
 //! - `--gate`: fails (exit 1) if the 1-of-N mutation run does not serve
 //!   exactly N−1 unit hits from the cache (a silent cache miss), if any
 //!   served artifact differs from its cold compile, or if the incremental
-//!   row is less than 5x the cold row.
+//!   row is less than [`GATE_MIN_SPEEDUP`] times the cold row.
 //!
 //! In every mode the binary cross-checks the mutated unit byte-for-byte
 //! (printed P4, both dialects) against a cold compile of the same source,
@@ -44,6 +44,12 @@ use netcl_obs::Event;
 /// The variant-generator seed (splitmix64 stream). Recorded in
 /// EXPERIMENTS.md so the workload is reproducible from the number alone.
 const GEN_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// `--gate`'s floor on incremental over cold at its 120-unit size: half of
+/// the 33x measured there with shared artifacts (EXPERIMENTS.md). A cache
+/// that deep-copies what it serves measures 8x, so the copy coming back
+/// fails the gate.
+const GATE_MIN_SPEEDUP: f64 = 16.0;
 
 const FAMILIES: [&str; 4] = ["calc", "agg", "cache", "pacc"];
 
@@ -278,8 +284,10 @@ fn main() {
             );
             failures += 1;
         }
-        if speedup < 5.0 {
-            eprintln!("gate FAIL: incremental only {speedup:.1}x cold (needs ≥5x)");
+        if speedup < GATE_MIN_SPEEDUP {
+            eprintln!(
+                "gate FAIL: incremental only {speedup:.1}x cold (needs ≥{GATE_MIN_SPEEDUP}x)"
+            );
             failures += 1;
         }
         if failures == 0 {

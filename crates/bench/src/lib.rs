@@ -205,7 +205,7 @@ pub fn report_fig13() -> String {
             .expect("compiles");
         let dev = unit.device(app.device).unwrap();
         for (label, p) in [
-            (format!("{} (gen)", app.name), &dev.tna_p4),
+            (format!("{} (gen)", app.name), &*dev.tna_p4),
             (format!("{} (hand)", app.name), &app.handwritten),
         ] {
             if let Ok(r) = fit(p) {
@@ -476,7 +476,7 @@ pub fn report_chaos(seeds: u64) -> String {
     let paxos_unit = Compiler::new(CompileOptions::default())
         .compile("paxos.ncl", &paxos::full_source())
         .expect("paxos compiles");
-    let programs: Vec<(u16, netcl_p4::ast::P4Program)> =
+    let programs: Vec<(u16, Arc<netcl_p4::ast::P4Program>)> =
         paxos_unit.devices.iter().map(|d| (d.device, d.tna_p4.clone())).collect();
     let acceptor_outage = FaultSchedule::new().device_outage(paxos::ACCEPTOR_DEV, 30_000, 120_000);
     for (scen, link, faults) in [

@@ -14,6 +14,7 @@ use crate::packet::{read_field, write_field, FieldError, Packet, PacketError};
 use crate::switch::{Switch, SwitchError};
 use netcl_ir::interp::eval_intrinsic;
 use netcl_p4::ast::*;
+use std::sync::Arc;
 
 fn field_err(e: FieldError, header: &str) -> SwitchError {
     match e {
@@ -36,15 +37,17 @@ impl Switch {
         out: &mut Vec<u8>,
     ) -> Result<(), SwitchError> {
         self.parse_interp(wire, pkt)?;
-        let controls = self.program.controls.clone();
-        for control in &controls {
+        // A second handle on the program, so that walking it does not
+        // borrow `self`, which executing a statement mutates.
+        let program = Arc::clone(&self.program);
+        for control in &program.controls {
             self.exec_stmts(&control.apply, control, pkt)?;
         }
         self.deparse_interp(pkt, out)
     }
 
     fn parse_interp(&self, wire: &[u8], pkt: &mut Packet) -> Result<(), SwitchError> {
-        let Some(parser) = self.program.parser.clone() else {
+        let Some(parser) = &self.program.parser else {
             pkt.payload.extend_from_slice(wire);
             return Ok(());
         };

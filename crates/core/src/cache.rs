@@ -2,22 +2,50 @@
 //!
 //! `ncc` compiles workloads of many translation units; editing one kernel
 //! should not pay the pass pipeline and codegen for the other 999. A
-//! [`CompileCache`] keeps two content-addressed maps:
+//! [`CompileCache`] keeps two content-addressed maps and a set:
 //!
-//! * **unit cache** — keyed by FNV-1a over (options fingerprint, unit
-//!   name, source text). A hit returns the whole [`CompiledUnit`] without
-//!   touching the frontend.
-//! * **device cache** — keyed by FNV-1a over (options fingerprint, the
-//!   printed post-sema base IR for that device). A hit skips the §VI-B
+//! * **unit cache** — keyed by a 64-bit hash over (options fingerprint,
+//!   unit name, source text) and *verified*: the entry keeps the name and
+//!   the source it was compiled from, and a lookup whose key matches but
+//!   whose text does not is a miss. A hit returns the [`CompiledUnit`]
+//!   without touching the frontend.
+//! * **device cache** — keyed by a 64-bit hash over (options fingerprint,
+//!   the printed header of the post-sema base IR for that device, the
+//!   lookup-entry data, the device's kernel keys). A hit skips the §VI-B
 //!   pass pipeline and P4 codegen for that device; editing one kernel of
 //!   a multi-device unit therefore re-runs the backend only for the
-//!   devices that kernel is `_at(...)`. The printed IR embeds the device
-//!   id (codegen specializes on it), so distinct devices never alias.
-//! * **kernel seen-set** — FNV-1a over (options fingerprint, device, the
-//!   kernel's printed IR). Pure attribution: [`ReuseStats`] reports how
-//!   many kernels of a recompile were already known, so a one-kernel
-//!   edit is visible as exactly one cold kernel while its siblings (and
-//!   their devices' artifacts) stay cache-hit.
+//!   devices that kernel is `_at(...)`. The header and every kernel key
+//!   embed the device id (codegen specializes on it), so distinct devices
+//!   never alias.
+//! * **kernel seen-set** — a hash over (options fingerprint, device, the
+//!   kernel's printed IR). Attribution: [`ReuseStats`] reports how many
+//!   kernels of a recompile were already known, so a one-kernel edit is
+//!   visible as exactly one cold kernel while its siblings (and their
+//!   devices' artifacts) stay cache-hit. The same hashes make up the
+//!   device key, so a kernel is printed once per compile.
+//!
+//! **One copy of each artifact.** The heavy parts of a result — the two
+//! IR modules and two P4 programs of a [`CompiledDevice`], and the unit's
+//! `Model` — are immutable behind `Arc`. The device map, the unit map and
+//! every unit handed to a caller point at the same allocations. What a
+//! serve does own is small: the `Vec` of devices, `device`, `reuse`,
+//! `timings`, `warnings` and any `PassReport`s (the serve path rewrites
+//! `device` and `from_cache`, so those stay by value). A unit hit therefore
+//! costs two reads of the source text (hash it, then compare it), one
+//! allocation for the device `Vec`, four reference-count bumps per device
+//! and one for the model — independent of how large the artifacts are
+//! (`tests/cache_alloc.rs` is the gate). Nothing a caller does to a served
+//! unit (`Arc::make_mut`, pushing devices) reaches the cache's copy.
+//!
+//! **Which entries are verified.** A unit key hashes text the user
+//! controls, and the preimage is small (~0.7 KB against ~150 KB of
+//! artifacts), so the entry keeps it and a 64-bit collision can never
+//! serve one unit's program for another. Device entries stay
+//! hash-addressed: their preimage is the whole printed base IR, which
+//! would cost about one more module per entry to keep and to compare, it
+//! is compiler-canonical text rather than arbitrary input, and a device
+//! lookup happens only after a verified unit miss; at 10⁶ entries the
+//! birthday bound on a 64-bit key is below 3 × 10⁻⁸.
 //!
 //! Keys are content hashes, so a mutated source simply misses and
 //! recompiles; nothing is ever invalidated in place. Served artifacts are
@@ -72,10 +100,19 @@ pub struct CacheStats {
 /// the kernels that caused it.
 #[derive(Debug, Default)]
 pub struct CompileCache {
-    units: HashMap<u64, CompiledUnit>,
+    units: HashMap<u64, UnitEntry>,
     devices: HashMap<u64, CompiledDevice>,
     kernels: std::collections::HashSet<u64>,
     stats: CacheStats,
+}
+
+/// A cached unit beside the text it was compiled from, which a lookup
+/// compares before serving it (module docs, "Which entries are verified").
+#[derive(Debug)]
+struct UnitEntry {
+    name: String,
+    source: String,
+    unit: CompiledUnit,
 }
 
 impl CompileCache {
@@ -107,9 +144,14 @@ impl CompileCache {
         self.stats = CacheStats::default();
     }
 
-    /// Whole-unit lookup; counts the hit or miss.
-    pub(crate) fn unit(&mut self, key: u64) -> Option<CompiledUnit> {
-        let hit = self.units.get(&key).cloned();
+    /// Whole-unit lookup; counts the hit or miss. An entry under `key`
+    /// that was compiled from other text is a miss.
+    pub(crate) fn unit(&mut self, key: u64, name: &str, source: &str) -> Option<CompiledUnit> {
+        let hit = self
+            .units
+            .get(&key)
+            .filter(|e| e.name == name && e.source == source)
+            .map(|e| e.unit.clone());
         match hit {
             Some(_) => self.stats.unit_hits += 1,
             None => self.stats.unit_misses += 1,
@@ -117,8 +159,8 @@ impl CompileCache {
         hit
     }
 
-    pub(crate) fn put_unit(&mut self, key: u64, unit: CompiledUnit) {
-        self.units.insert(key, unit);
+    pub(crate) fn put_unit(&mut self, key: u64, name: &str, source: &str, unit: CompiledUnit) {
+        self.units.insert(key, UnitEntry { name: name.into(), source: source.into(), unit });
     }
 
     /// Per-device lookup; counts the hit or miss.
@@ -148,26 +190,34 @@ impl CompileCache {
     }
 }
 
-/// 64-bit FNV-1a, written out so the cache has no hasher dependency and
-/// keys are stable across runs (the bench compares reuse counts to
-/// expectations recorded in CI).
-struct Fnv1a(u64);
+/// The cache's 64-bit key hash, written out so the cache has no hasher
+/// dependency and keys are stable across runs (the bench compares reuse
+/// counts to expectations recorded in CI). It takes eight bytes per step —
+/// xor, multiply, fold the high half down — because hashing the source is
+/// most of what a unit hit costs.
+struct KeyHasher(u64);
 
-impl Fnv1a {
-    fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self
+impl KeyHasher {
+    fn new() -> KeyHasher {
+        KeyHasher(0xcbf2_9ce4_8422_2325)
     }
 
     fn write_u64(&mut self, v: u64) -> &mut Self {
-        self.write(&v.to_le_bytes())
+        self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 ^= self.0 >> 32;
+        self
+    }
+
+    /// Hashes `bytes` and then their length, so that consecutive writes
+    /// cannot run into each other.
+    fn write(&mut self, bytes: &[u8]) -> &mut Self {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_le_bytes(w.try_into().expect("chunks of eight")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        self.write_u64(u64::from_le_bytes(tail)).write_u64(bytes.len() as u64)
     }
 }
 
@@ -175,7 +225,7 @@ impl Fnv1a {
 /// Two compilers with equal fingerprints produce byte-identical output for
 /// equal input, so fingerprints partition the cache key space.
 pub(crate) fn options_fingerprint(options: &CompileOptions) -> u64 {
-    let mut h = Fnv1a::new();
+    let mut h = KeyHasher::new();
     h.write(&[match options.target {
         EmitTarget::Tna => 0u8,
         EmitTarget::V1Model => 1,
@@ -206,22 +256,22 @@ pub(crate) fn options_fingerprint(options: &CompileOptions) -> u64 {
 
 /// Unit key: options fingerprint + unit name + full source text.
 pub(crate) fn unit_key(fingerprint: u64, name: &str, source: &str) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_u64(fingerprint)
-        .write_u64(name.len() as u64)
-        .write(name.as_bytes())
-        .write(source.as_bytes());
+    let mut h = KeyHasher::new();
+    h.write_u64(fingerprint).write(name.as_bytes()).write(source.as_bytes());
     h.0
 }
 
-/// Device key: options fingerprint + the printed post-sema base IR + the
-/// lookup-entry data (the printer records only entry *counts*, but the
-/// generated MATs embed the values). The pass pipeline and codegen are
-/// pure functions of these inputs, so equal keys imply equal artifacts.
-pub(crate) fn device_key(fingerprint: u64, base: &netcl_ir::Module) -> u64 {
+/// Device key: options fingerprint + the printed header of the post-sema
+/// base IR (unit name, device, globals) + the lookup-entry data (the
+/// printer records only entry *counts*, but the generated MATs embed the
+/// values) + `kernel_keys`, the [`kernel_key`] of every kernel of `base`
+/// in order. Together these cover everything `print_module` shows, and
+/// the pass pipeline and codegen are pure functions of that, so equal keys
+/// imply equal artifacts.
+pub(crate) fn device_key(fingerprint: u64, base: &netcl_ir::Module, kernel_keys: &[u64]) -> u64 {
     use netcl_sema::model::LookupEntry;
-    let mut h = Fnv1a::new();
-    h.write_u64(fingerprint).write(netcl_ir::print::print_module(base).as_bytes());
+    let mut h = KeyHasher::new();
+    h.write_u64(fingerprint).write(netcl_ir::print::print_module_header(base).as_bytes());
     for g in &base.globals {
         for e in &g.entries {
             match e {
@@ -235,16 +285,19 @@ pub(crate) fn device_key(fingerprint: u64, base: &netcl_ir::Module) -> u64 {
             };
         }
     }
+    for &k in kernel_keys {
+        h.write_u64(k);
+    }
     h.0
 }
 
 /// Kernel key: options fingerprint + device id + the kernel's printed
 /// post-sema IR. This is the unit of change attribution: a device key is
-/// (conceptually) the combination of its kernels' keys and its globals,
-/// so a device misses exactly when one of its kernels' keys is cold or a
-/// global changed. A comment-only edit leaves every kernel key hot.
+/// the combination of its kernels' keys and its globals, so a device
+/// misses exactly when one of its kernels' keys is cold or a global
+/// changed. A comment-only edit leaves every kernel key hot.
 pub(crate) fn kernel_key(fingerprint: u64, device: u16, f: &netcl_ir::Function) -> u64 {
-    let mut h = Fnv1a::new();
+    let mut h = KeyHasher::new();
     h.write_u64(fingerprint)
         .write(&device.to_le_bytes())
         .write(netcl_ir::print::print_function(f).as_bytes());
@@ -255,6 +308,7 @@ pub(crate) fn kernel_key(fingerprint: u64, device: u16, f: &netcl_ir::Function) 
 mod tests {
     use super::*;
     use crate::compiler::{tests::FIG4_CACHE, Compiler};
+    use std::sync::Arc;
 
     #[test]
     fn unit_hit_serves_identical_artifacts() {
@@ -278,6 +332,131 @@ mod tests {
         );
         let st = cache.stats();
         assert_eq!((st.unit_hits, st.unit_misses), (1, 1));
+    }
+
+    /// The four shared artifacts of a device, as raw pointers: equal
+    /// pointers mean one allocation.
+    fn artifacts(d: &CompiledDevice) -> [*const (); 4] {
+        [
+            Arc::as_ptr(&d.tna_ir).cast(),
+            Arc::as_ptr(&d.v1_ir).cast(),
+            Arc::as_ptr(&d.tna_p4).cast(),
+            Arc::as_ptr(&d.v1_p4).cast(),
+        ]
+    }
+
+    #[test]
+    fn serves_share_one_copy_of_each_artifact() {
+        let cc = Compiler::new(CompileOptions::default());
+        let mut cache = CompileCache::new();
+        let cold = cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
+        // The unit entry and the device entry point at the cold compile's
+        // own allocations.
+        let in_units = &cache.units.values().next().unwrap().unit;
+        let in_devices = cache.devices.values().next().unwrap();
+        assert_eq!(artifacts(&in_units.devices[0]), artifacts(&cold.devices[0]));
+        assert_eq!(artifacts(in_devices), artifacts(&cold.devices[0]));
+        assert!(Arc::ptr_eq(&in_units.model, &cold.model));
+
+        let a = cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
+        let b = cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
+        assert!(a.reuse.unit_hit && b.reuse.unit_hit);
+        assert_eq!(artifacts(&a.devices[0]), artifacts(&b.devices[0]));
+        assert_eq!(artifacts(&a.devices[0]), artifacts(&cold.devices[0]));
+        assert!(Arc::ptr_eq(&a.model, &b.model));
+    }
+
+    #[test]
+    fn comment_only_edit_shares_the_previous_revisions_artifacts() {
+        let cc = Compiler::new(CompileOptions::default());
+        let mut cache = CompileCache::new();
+        let first = cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
+        let edited = format!("{FIG4_CACHE}// retuned\n");
+        let second = cc.compile_incremental("fig4.ncl", &edited, &mut cache).unwrap();
+        // A new unit (fresh frontend run, fresh model) around the same
+        // device artifacts.
+        assert!(!second.reuse.unit_hit);
+        assert!(!Arc::ptr_eq(&first.model, &second.model));
+        assert_eq!(artifacts(&first.devices[0]), artifacts(&second.devices[0]));
+        assert_eq!((cache.unit_count(), cache.device_count()), (2, 1));
+    }
+
+    #[test]
+    fn mutating_a_served_unit_does_not_reach_the_cache() {
+        let cc = Compiler::new(CompileOptions::default());
+        let mut cache = CompileCache::new();
+        cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
+        let mut served = cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
+        Arc::make_mut(&mut served.devices[0].tna_p4).controls.clear();
+        Arc::make_mut(&mut served.devices[0].tna_ir).kernels.clear();
+        served.devices[0].device = 99;
+        let extra = served.devices[0].clone();
+        served.devices.push(extra);
+
+        let next = cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
+        let cold = cc.compile("fig4.ncl", FIG4_CACHE).unwrap();
+        assert!(next.reuse.unit_hit);
+        let rendered = |u: &CompiledUnit| -> Vec<(u16, String, String, String)> {
+            u.devices
+                .iter()
+                .map(|d| {
+                    (
+                        d.device,
+                        netcl_p4::print::print_program(&d.tna_p4),
+                        netcl_p4::print::print_program(&d.v1_p4),
+                        netcl_ir::print::print_module(&d.tna_ir),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(rendered(&next), rendered(&cold));
+    }
+
+    #[test]
+    fn unit_entry_under_a_colliding_key_is_not_served() {
+        // Plant unit B under unit A's key, as a 64-bit collision would.
+        const B: &str = "_kernel(1) _at(1) void b(unsigned x, unsigned &o) { o = x + 1; }\n";
+        let cc = Compiler::new(CompileOptions::default());
+        let mut cache = CompileCache::new();
+        let key_a = unit_key(options_fingerprint(&CompileOptions::default()), "a.ncl", FIG4_CACHE);
+        cache.put_unit(key_a, "b.ncl", B, cc.compile("b.ncl", B).unwrap());
+
+        let a = cc.compile_incremental("a.ncl", FIG4_CACHE, &mut cache).unwrap();
+        assert!(!a.reuse.unit_hit, "served another unit's artifacts on a key match alone");
+        let cold = cc.compile("a.ncl", FIG4_CACHE).unwrap();
+        assert_eq!(
+            netcl_p4::print::print_program(&a.devices[0].tna_p4),
+            netcl_p4::print::print_program(&cold.devices[0].tna_p4),
+        );
+        let st = cache.stats();
+        assert_eq!((st.unit_hits, st.unit_misses), (0, 1));
+        // The recompile took the slot over: A now hits.
+        assert!(cc.compile_incremental("a.ncl", FIG4_CACHE, &mut cache).unwrap().reuse.unit_hit);
+    }
+
+    #[test]
+    fn key_hash_separates_neighbouring_inputs() {
+        // Every single-bit flip of a 40-byte input, every truncation of
+        // it, and every way of splitting it into two writes hash apart.
+        let base: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37)).collect();
+        let key = |parts: &[&[u8]]| {
+            let mut h = KeyHasher::new();
+            for p in parts {
+                h.write(p);
+            }
+            h.0
+        };
+        let mut seen = std::collections::HashSet::new();
+        assert!(seen.insert(key(&[&base])));
+        for bit in 0..base.len() * 8 {
+            let mut flipped = base.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(seen.insert(key(&[&flipped])), "bit {bit}");
+        }
+        for len in 0..base.len() {
+            assert!(seen.insert(key(&[&base[..len]])), "prefix {len}");
+            assert!(seen.insert(key(&[&base[..len], &base[len..]])), "split {len}");
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! lowering, the §VI-B pass pipeline, and P4 code generation — and reports
 //! per-phase timings (the `ncc` rows of Table IV).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netcl_ir::Module;
@@ -67,18 +68,23 @@ impl CompileTimings {
 }
 
 /// The output for one device.
+///
+/// The four artifacts are immutable and shared: cloning a device — which
+/// is all a [`CompileCache`] hit does — bumps four reference counts. Take
+/// an owned copy with `P4Program::clone(&d.tna_p4)` (or `Arc::make_mut`)
+/// when one is really needed; neither reaches the cache's copy.
 #[derive(Clone, Debug)]
 pub struct CompiledDevice {
     /// Device id.
     pub device: u16,
     /// Tofino-legal IR (post Tofino pipeline) — the allocator's input.
-    pub tna_ir: Module,
+    pub tna_ir: Arc<Module>,
     /// v1model-legal IR (common pipeline only).
-    pub v1_ir: Module,
+    pub v1_ir: Arc<Module>,
     /// Generated TNA P4.
-    pub tna_p4: P4Program,
+    pub tna_p4: Arc<P4Program>,
     /// Generated v1model P4.
-    pub v1_p4: P4Program,
+    pub v1_p4: Arc<P4Program>,
     /// Per-pass telemetry for the Tofino pipeline (when
     /// [`CompileOptions::pass_report`] is set).
     pub tna_pass_report: Option<PassReport>,
@@ -89,8 +95,9 @@ pub struct CompiledDevice {
 /// A fully compiled translation unit.
 #[derive(Clone, Debug)]
 pub struct CompiledUnit {
-    /// The semantic model (kernel specifications for the host runtime).
-    pub model: Model,
+    /// The semantic model (kernel specifications for the host runtime),
+    /// shared with the cache like the device artifacts.
+    pub model: Arc<Model>,
     /// Per-device outputs.
     pub devices: Vec<CompiledDevice>,
     /// Phase timings. On a cache hit these are the *original* run's
@@ -167,7 +174,7 @@ impl Compiler {
         let fingerprint = cache::options_fingerprint(&self.options);
         let ukey = cache::unit_key(fingerprint, name, source);
         if let Some(c) = cache.as_deref_mut() {
-            if let Some(mut unit) = c.unit(ukey) {
+            if let Some(mut unit) = c.unit(ukey, name, source) {
                 unit.reuse = ReuseStats {
                     unit_hit: true,
                     devices_total: unit.devices.len(),
@@ -226,21 +233,23 @@ impl Compiler {
             // Kernel-level attribution: record each kernel's IR hash so
             // the reuse stats show *which* edits caused a device miss — a
             // one-kernel edit reports one cold kernel, and its siblings'
-            // devices stay served from the device cache below.
-            if let Some(c) = cache.as_deref_mut() {
-                for f in &base.kernels {
+            // devices stay served from the device cache below. The device
+            // key is built from the same hashes, so a kernel is printed
+            // once per compile.
+            let dkey = cache.as_deref_mut().map(|c| {
+                let kernel_keys: Vec<u64> =
+                    base.kernels.iter().map(|f| cache::kernel_key(fingerprint, dev, f)).collect();
+                for &k in &kernel_keys {
                     reuse.kernels_total += 1;
-                    if c.kernel(cache::kernel_key(fingerprint, dev, f)) {
-                        reuse.kernels_reused += 1;
-                    }
+                    reuse.kernels_reused += c.kernel(k) as usize;
                 }
-            }
+                cache::device_key(fingerprint, &base, &kernel_keys)
+            });
 
             // Device-level reuse: the pass pipeline and codegen are pure
             // functions of (base IR, flags, target), so an unchanged base
             // IR means the cached artifact is byte-identical to what a
             // fresh run would produce.
-            let dkey = cache.as_ref().map(|_| cache::device_key(fingerprint, &base));
             if let (Some(c), Some(k)) = (cache.as_deref_mut(), dkey) {
                 if let Some(mut d) = c.device(k) {
                     d.device = dev;
@@ -316,10 +325,10 @@ impl Compiler {
 
             let compiled = CompiledDevice {
                 device: dev,
-                tna_ir,
-                v1_ir,
-                tna_p4,
-                v1_p4,
+                tna_ir: Arc::new(tna_ir),
+                v1_ir: Arc::new(v1_ir),
+                tna_p4: Arc::new(tna_p4),
+                v1_p4: Arc::new(v1_p4),
                 tna_pass_report,
                 v1_pass_report,
             };
@@ -335,10 +344,15 @@ impl Compiler {
             .filter(|d| d.severity == netcl_util::Severity::Warning)
             .map(|d| d.render(&unit.source_map))
             .collect();
-        let out =
-            CompiledUnit { model: analysis.model, devices: out_devices, timings, warnings, reuse };
+        let out = CompiledUnit {
+            model: Arc::new(analysis.model),
+            devices: out_devices,
+            timings,
+            warnings,
+            reuse,
+        };
         if let Some(c) = cache {
-            c.put_unit(ukey, out.clone());
+            c.put_unit(ukey, name, source, out.clone());
         }
         Ok(out)
     }

@@ -33,11 +33,15 @@
 //!
 //! For workloads of many units, [`Compiler::compile_incremental`] reuses
 //! unchanged artifacts through a content-addressed [`CompileCache`]:
-//! whole units are keyed by source text, per-device artifacts by the
-//! printed post-sema base IR, so an edit recompiles only what it touched.
-//! Served results carry [`compiler::CompiledUnit::reuse`] and mark their
-//! pass reports `from_cache` (the `compile_throughput` bench gates on
-//! this).
+//! whole units are keyed by source text (and checked against it),
+//! per-device artifacts by the printed post-sema base IR, so an edit
+//! recompiles only what it touched. The IR modules, P4 programs and model
+//! of a result are immutable behind `Arc` and shared between the cache
+//! and every unit it serves; a hit costs a hash of the source, one small
+//! allocation and a few reference counts, whatever the size of the unit
+//! (`tests/cache_alloc.rs` holds it to that). Served results carry
+//! [`compiler::CompiledUnit::reuse`] and mark their pass reports
+//! `from_cache` (the `compile_throughput` bench gates on this).
 //!
 //! DESIGN.md §4 walks the pipeline stage by stage; §12 documents the
 //! per-pass telemetry behind [`CompileOptions::pass_report`] and

@@ -22,6 +22,8 @@
 //! (code `E0502`, naming tenant and exhausted resource) — never a panic,
 //! never a silent mis-allocation.
 
+use std::sync::Arc;
+
 use netcl_ir::merge::{self, MergedTenants, TenantMapEntry, TenantUnit};
 use netcl_ir::Module;
 use netcl_p4::ast::{P4Program, Target};
@@ -230,10 +232,10 @@ fn build_device(base: Module, options: &CompileOptions) -> Result<CompiledDevice
 
     Ok(CompiledDevice {
         device,
-        tna_ir,
-        v1_ir,
-        tna_p4,
-        v1_p4,
+        tna_ir: Arc::new(tna_ir),
+        v1_ir: Arc::new(v1_ir),
+        tna_p4: Arc::new(tna_p4),
+        v1_p4: Arc::new(v1_p4),
         tna_pass_report: None,
         v1_pass_report: None,
     })

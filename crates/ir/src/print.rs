@@ -10,6 +10,18 @@ use std::fmt::Write;
 
 /// Prints a module.
 pub fn print_module(m: &Module) -> String {
+    let mut out = print_module_header(m);
+    for k in &m.kernels {
+        out.push('\n');
+        out.push_str(&print_function(k));
+    }
+    out
+}
+
+/// Prints everything of a module but its kernels: the name, the device and
+/// the globals. ([`print_module`] is this followed by each kernel's
+/// [`print_function`].)
+pub fn print_module_header(m: &Module) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "; module {} (device {})", m.name, m.device);
     for (i, g) in m.globals.iter().enumerate() {
@@ -35,10 +47,6 @@ pub fn print_module(m: &Module) -> String {
                 format!(" {} entries", g.entries.len())
             }
         );
-    }
-    for k in &m.kernels {
-        out.push('\n');
-        out.push_str(&print_function(k));
     }
     out
 }

@@ -630,13 +630,19 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
 }
 "#;
 
-    fn build_cache_network() -> (Network, netcl_sema::Specification) {
+    /// [`CACHE_SRC`] compiled: its generated TNA program and the kernel's
+    /// message specification.
+    fn compiled_cache() -> (Arc<netcl_p4::ast::P4Program>, netcl_sema::Specification) {
         let unit = netcl::Compiler::new(netcl::CompileOptions::default())
             .compile("cache.ncl", CACHE_SRC)
             .unwrap();
-        let spec = unit.model.kernels[0].specification();
-        let report = netcl_tofino::fit(&unit.devices[0].tna_p4).unwrap();
-        let switch = Switch::new(unit.devices[0].tna_p4.clone());
+        (unit.devices[0].tna_p4.clone(), unit.model.kernels[0].specification())
+    }
+
+    fn build_cache_network() -> (Network, netcl_sema::Specification) {
+        let (p4, spec) = compiled_cache();
+        let report = netcl_tofino::fit(&p4).unwrap();
+        let switch = Switch::new(p4);
         let topo = star(1, &[1, 2], LinkSpec::default());
 
         // Host 2 is the KVS server: answer misses with v = k * 1000.
@@ -715,11 +721,8 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
 
     #[test]
     fn link_loss_drops_messages() {
-        let unit = netcl::Compiler::new(netcl::CompileOptions::default())
-            .compile("cache.ncl", CACHE_SRC)
-            .unwrap();
-        let spec = unit.model.kernels[0].specification();
-        let switch = Switch::new(unit.devices[0].tna_p4.clone());
+        let (p4, spec) = compiled_cache();
+        let switch = Switch::new(p4);
         let topo = star(1, &[1, 2], LinkSpec { loss: 1.0, ..Default::default() });
         let mut net =
             NetworkBuilder::new(topo).device(1, switch, 500).sink_host(1).sink_host(2).build();
@@ -757,11 +760,8 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
     /// kernel execution.
     #[test]
     fn kernel_latency_does_not_warp_concurrent_flows() {
-        let unit = netcl::Compiler::new(netcl::CompileOptions::default())
-            .compile("cache.ncl", CACHE_SRC)
-            .unwrap();
-        let spec = unit.model.kernels[0].specification();
-        let switch = Switch::new(unit.devices[0].tna_p4.clone());
+        let (p4, spec) = compiled_cache();
+        let switch = Switch::new(p4);
         let topo = star(1, &[1, 2], LinkSpec::default());
         let mut net =
             NetworkBuilder::new(topo).device(1, switch, 500).sink_host(1).sink_host(2).build();
@@ -835,10 +835,7 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
 
     #[test]
     fn restart_hook_runs_against_fresh_switch() {
-        let unit = netcl::Compiler::new(netcl::CompileOptions::default())
-            .compile("cache.ncl", CACHE_SRC)
-            .unwrap();
-        let switch = Switch::new(unit.devices[0].tna_p4.clone());
+        let switch = Switch::new(compiled_cache().0);
         let topo = star(1, &[1], LinkSpec::default());
         let ran = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
         let ran2 = ran.clone();
@@ -863,11 +860,8 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
     /// run as a Perfetto-loadable trace plus histograms.
     #[test]
     fn observe_records_trace_and_histograms() {
-        let unit = netcl::Compiler::new(netcl::CompileOptions::default())
-            .compile("cache.ncl", CACHE_SRC)
-            .unwrap();
-        let spec = unit.model.kernels[0].specification();
-        let switch = Switch::new(unit.devices[0].tna_p4.clone());
+        let (p4, spec) = compiled_cache();
+        let switch = Switch::new(p4);
         let topo = star(1, &[1, 2], LinkSpec::default());
         let mut net = NetworkBuilder::new(topo)
             .device(1, switch, 500)
@@ -898,11 +892,8 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
     #[test]
     fn stats_identical_with_and_without_obs() {
         let run = |observe: bool| {
-            let unit = netcl::Compiler::new(netcl::CompileOptions::default())
-                .compile("cache.ncl", CACHE_SRC)
-                .unwrap();
-            let spec = unit.model.kernels[0].specification();
-            let switch = Switch::new(unit.devices[0].tna_p4.clone());
+            let (p4, spec) = compiled_cache();
+            let switch = Switch::new(p4);
             let topo = star(1, &[1, 2], LinkSpec::default());
             let mut b = NetworkBuilder::new(topo).device(1, switch, 500).sink_host(1).sink_host(2);
             if observe {
@@ -927,11 +918,8 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
     #[test]
     fn bounded_trace_caps_memory_without_changing_stats() {
         let run = |capacity: Option<usize>| {
-            let unit = netcl::Compiler::new(netcl::CompileOptions::default())
-                .compile("cache.ncl", CACHE_SRC)
-                .unwrap();
-            let spec = unit.model.kernels[0].specification();
-            let switch = Switch::new(unit.devices[0].tna_p4.clone());
+            let (p4, spec) = compiled_cache();
+            let switch = Switch::new(p4);
             let topo = star(1, &[1, 2], LinkSpec::default());
             let mut net = NetworkBuilder::new(topo)
                 .device(1, switch, 500)
@@ -1040,10 +1028,7 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
     /// stats, trace, forwards and their chaos draws — land in pop order.
     #[test]
     fn same_timestamp_outcome_mix_is_delivered_in_pop_order() {
-        let unit = netcl::Compiler::new(netcl::CompileOptions::default())
-            .compile("cache.ncl", CACHE_SRC)
-            .unwrap();
-        let spec = unit.model.kernels[0].specification();
+        let (p4, spec) = compiled_cache();
         let get = |to: u16, key: u64| {
             pack(&Message::new(1, 2, 1, to), &spec, &[Some(&[1]), Some(&[key]), None, None])
                 .unwrap()
@@ -1061,7 +1046,7 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
             get(netcl_runtime::device::NO_DEVICE, 2),
             get(1, 9),
         ];
-        let mut net = deliver_at_once(&unit.devices[0].tna_p4, LinkSpec::chaos(0.3), &arrivals);
+        let mut net = deliver_at_once(&p4, LinkSpec::chaos(0.3), &arrivals);
         let stats = net.stats.clone();
         assert_eq!(stats.kernel_executions, 5, "four computes and the reject");
         assert_eq!(net.switch(1).unwrap().counters().errors, 1, "the truncated packet");

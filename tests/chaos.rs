@@ -73,7 +73,7 @@ fn agg_sums_exactly_once_under_chaos() {
 #[test]
 fn paxos_never_chooses_two_values_under_chaos() {
     let unit = compile("paxos.ncl", &paxos::full_source());
-    let programs: Vec<(u16, netcl_p4::ast::P4Program)> =
+    let programs: Vec<(u16, Arc<netcl_p4::ast::P4Program>)> =
         unit.devices.iter().map(|d| (d.device, d.tna_p4.clone())).collect();
     for seed in 0..seed_matrix() {
         let (r, stats) =
@@ -89,7 +89,7 @@ fn paxos_never_chooses_two_values_under_chaos() {
 #[test]
 fn paxos_survives_acceptor_restart() {
     let unit = compile("paxos.ncl", &paxos::full_source());
-    let programs: Vec<(u16, netcl_p4::ast::P4Program)> =
+    let programs: Vec<(u16, Arc<netcl_p4::ast::P4Program>)> =
         unit.devices.iter().map(|d| (d.device, d.tna_p4.clone())).collect();
     let faults = FaultSchedule::new().device_outage(paxos::ACCEPTOR_DEV, 30_000, 120_000);
     for seed in 0..seed_matrix().min(16) {

@@ -6,6 +6,7 @@ use netcl::{CompileOptions, Compiler};
 use netcl_bmv2::{Engine, Switch};
 use netcl_runtime::message::{pack, unpack, Message};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_ty() -> impl Strategy<Value = Ty> {
     prop_oneof![Just(Ty::U8), Just(Ty::U16), Just(Ty::U32), Just(Ty::U64), Just(Ty::Bool),]
@@ -56,7 +57,7 @@ proptest! {
         let op = ops[op_idx];
         // Compile once per process.
         use std::sync::OnceLock;
-        static PROGRAM: OnceLock<netcl_p4::P4Program> = OnceLock::new();
+        static PROGRAM: OnceLock<Arc<netcl_p4::P4Program>> = OnceLock::new();
         let program = PROGRAM.get_or_init(|| {
             Compiler::new(CompileOptions::default())
                 .compile("calc.ncl", &calc::netcl_source())
@@ -78,10 +79,10 @@ proptest! {
     #[test]
     fn process_batch_matches_scalar_loop_all_apps(seed in any::<u64>()) {
         use netcl_bmv2::PacketBatch;
-        static PROGRAMS: std::sync::OnceLock<Vec<(String, netcl_p4::P4Program)>> =
+        static PROGRAMS: std::sync::OnceLock<Vec<(String, Arc<netcl_p4::P4Program>)>> =
             std::sync::OnceLock::new();
         let programs = PROGRAMS.get_or_init(|| {
-            let mut ps: Vec<(String, netcl_p4::P4Program)> = netcl_apps::all_apps()
+            let mut ps: Vec<(String, Arc<netcl_p4::P4Program>)> = netcl_apps::all_apps()
                 .into_iter()
                 .map(|app| {
                     let unit = Compiler::new(CompileOptions::default())
@@ -167,10 +168,10 @@ proptest! {
     /// `SwitchCounters`, same final registers.
     #[test]
     fn threaded_matches_interpreter_all_apps(seed in any::<u64>()) {
-        static PROGRAMS: std::sync::OnceLock<Vec<(String, netcl_p4::P4Program)>> =
+        static PROGRAMS: std::sync::OnceLock<Vec<(String, Arc<netcl_p4::P4Program>)>> =
             std::sync::OnceLock::new();
         let programs = PROGRAMS.get_or_init(|| {
-            let mut ps: Vec<(String, netcl_p4::P4Program)> = netcl_apps::all_apps()
+            let mut ps: Vec<(String, Arc<netcl_p4::P4Program>)> = netcl_apps::all_apps()
                 .into_iter()
                 .map(|app| {
                     let unit = Compiler::new(CompileOptions::default())
