@@ -1,9 +1,11 @@
 //! The evaluation harness: regenerates every table and figure of §VII.
 //!
 //! Each `report_*` function reproduces one artifact and returns it as
-//! formatted text; the `src/bin/*` binaries print them, and the Criterion
-//! benches in `benches/` measure the time-sensitive rows. `EXPERIMENTS.md`
-//! records these outputs against the paper's numbers.
+//! formatted text; [`REPORTS`] declares them by name and the `report`
+//! binary prints the ones it is asked for. `EXPERIMENTS.md` records these
+//! outputs against the paper's numbers. How fast the repository itself
+//! runs is not measured here but by the `netcl_e2e` benchmark
+//! (`src/bin/netcl_e2e/README.md`).
 
 use netcl::{CompileOptions, Compiler, EmitTarget};
 use netcl_apps::{agg, all_apps, cache, empty_program, netcl_loc};
@@ -11,6 +13,27 @@ use netcl_p4::classify::{classify, Category};
 use netcl_p4::print::{loc, print_program};
 use netcl_tofino::{fit, ResourceKind};
 use std::fmt::Write;
+
+/// One reproduced artifact: the name `report <NAME>` takes and the function
+/// that renders it.
+pub type Report = (&'static str, fn() -> String);
+
+/// Every report, in paper order — the order `report all` prints them in.
+/// The chaos report sums 8 seeds per row here; the `chaos` binary takes
+/// other seed counts.
+pub const REPORTS: &[Report] = &[
+    ("table3", report_table3),
+    ("fig12", report_fig12),
+    ("table4", report_table4),
+    ("table5", report_table5),
+    ("table6", report_table6),
+    ("fig13", report_fig13),
+    ("fig14_agg", report_fig14_agg),
+    ("fig14_cache", report_fig14_cache),
+    ("ablations", report_ablations),
+    ("ablate_duplication", report_ablate_duplication),
+    ("chaos", || report_chaos(8)),
+];
 
 /// Geometric mean.
 pub fn geomean(xs: &[f64]) -> f64 {
@@ -63,8 +86,9 @@ pub fn report_fig12() -> String {
 }
 
 /// Table IV: compilation times — `ncc` vs the Tofino allocator (our
-/// `bf-p4c`), averaged over `runs`.
-pub fn report_table4(runs: u32) -> String {
+/// `bf-p4c`), averaged over 5 runs.
+pub fn report_table4() -> String {
+    let runs = 5;
     let mut out = String::new();
     let _ = writeln!(out, "Table IV — Compilation times (milliseconds, avg of {runs})");
     let _ = writeln!(
@@ -229,15 +253,17 @@ pub fn report_fig13() -> String {
     out
 }
 
-/// Figure 14 (left): end-to-end AGG throughput for several worker counts.
-pub fn report_fig14_agg(worker_counts: &[u32], chunks: u32) -> String {
+/// Figure 14 (left): end-to-end AGG throughput for 2, 4 and 6 workers
+/// streaming 32 chunks each.
+pub fn report_fig14_agg() -> String {
+    let (worker_counts, chunks) = ([2, 4, 6], 32);
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Figure 14 (left) — AGG throughput (aggregated tensor elements/s per worker)"
     );
     let _ = writeln!(out, "{:<9} {:>14} {:>14} {:>9}", "WORKERS", "NetCL", "handwritten", "ratio");
-    for &w in worker_counts {
+    for w in worker_counts {
         let cfg = agg::AggConfig { num_workers: w, num_slots: 8, slot_size: 16 };
         let unit = Compiler::new(CompileOptions::default())
             .compile("agg.ncl", &agg::netcl_source(&cfg))

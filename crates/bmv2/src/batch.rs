@@ -25,8 +25,8 @@ use crate::compile::SlotTable;
 use crate::packet::Packet;
 use crate::switch::SwitchError;
 
-/// Default batch size for batched delivery. Chosen by the bench's
-/// batch-size sweep (EXPERIMENTS.md): per-packet cost is flat from 64 up
+/// Default batch size for batched delivery. Chosen by PR 5's batch-size
+/// sweep (EXPERIMENTS.md, "Self-measurement"): per-packet cost is flat from 64 up
 /// on every Table III app, while 256 keeps arena + packet-pool footprint
 /// comfortably in cache; larger sizes measured no further gain.
 pub const DEFAULT_BATCH: usize = 256;

@@ -14,8 +14,9 @@ use crate::compile::CompiledProgram;
 use crate::switch::Switch;
 
 /// Per-switch data-plane counters (DESIGN.md §12). Always on — each is a
-/// single integer increment on an already-taken branch, which the
-/// throughput benchmark bounds at < 2% — and they count identically on
+/// single integer increment on an already-taken branch, so there is no
+/// counters-off build to price them against; their cost is inside every
+/// `netcl_e2e` `switch_replay` sample — and they count identically on
 /// both engines, so the differential tests compare them too. Reset by
 /// [`Switch::reset_counters`] and by device restarts (a fresh switch
 /// starts from zero, like real hardware).

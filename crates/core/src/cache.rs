@@ -51,8 +51,9 @@
 //! recompiles; nothing is ever invalidated in place. Served artifacts are
 //! marked by [`CompiledUnit::reuse`] and by `from_cache` on any embedded
 //! `PassReport`s, so telemetry consumers can tell a replayed report from a
-//! live pipeline run. The `compile_throughput` bench gates on
-//! [`CacheStats`] to prove there is no silent cache miss.
+//! live pipeline run. `tests/incremental.rs` counts [`CacheStats`] across a
+//! one-unit edit of a 34-unit workload to prove there is no silent cache
+//! miss.
 
 use std::collections::HashMap;
 
@@ -191,8 +192,9 @@ impl CompileCache {
 }
 
 /// The cache's 64-bit key hash, written out so the cache has no hasher
-/// dependency and keys are stable across runs (the bench compares reuse
-/// counts to expectations recorded in CI). It takes eight bytes per step —
+/// dependency and keys are stable across runs (`tests/incremental.rs` and
+/// `netcl_e2e`'s `compile_edit` gate hold reuse counts to exact
+/// expectations). It takes eight bytes per step —
 /// xor, multiply, fold the high half down — because hashing the source is
 /// most of what a unit hit costs.
 struct KeyHasher(u64);

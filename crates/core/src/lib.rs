@@ -41,7 +41,8 @@
 //! allocation and a few reference counts, whatever the size of the unit
 //! (`tests/cache_alloc.rs` holds it to that). Served results carry
 //! [`compiler::CompiledUnit::reuse`] and mark their pass reports
-//! `from_cache` (the `compile_throughput` bench gates on this).
+//! `from_cache` (`tests/incremental.rs` counts the hits of a one-unit edit;
+//! `cache::tests::cached_pass_reports_are_marked`).
 //!
 //! DESIGN.md §4 walks the pipeline stage by stage; §12 documents the
 //! per-pass telemetry behind [`CompileOptions::pass_report`] and

@@ -13,8 +13,9 @@
 //! switch with it) and a **solo** [`CompiledDevice`] built from
 //! [`netcl_ir::merge::MergedTenants::solo`] — the dedicated-switch
 //! baseline that is wire-compatible with the merged deployment (same comp
-//! bytes, same namespaced state). The isolation tests and the
-//! `multi_tenant` benchmark compare the two byte-for-byte.
+//! bytes, same namespaced state). The isolation tests
+//! (`tests/chaos.rs::tenant_isolation_*`) compare the two byte-for-byte,
+//! and `crates/bench/tests/tenancy.rs` counter-for-counter.
 //!
 //! Budget enforcement is part of the driver: the merged TNA program is
 //! fitted with [`netcl_tofino::allocate_with_budgets`], so an over-budget

@@ -26,7 +26,7 @@
 //! precomputed forest — lives in one [`RouteCore`] behind an `Arc`: at
 //! k=74 (10⁵ hosts) the forest alone is ~190 MB, and a sharded run clones
 //! the cache into every shard. Only the per-destination memo table is
-//! per-clone. [`PrecomputedRoutes`] exposes the core publicly so a bench
+//! per-clone. [`PrecomputedRoutes`] exposes the core publicly so a caller
 //! building the same topology at several shard counts pays for the forest
 //! once.
 //!
@@ -126,8 +126,9 @@ pub(crate) struct RouteCache {
 
 /// A route cache built once and shared across network builds — the public
 /// handle for [`crate::NetworkBuilder::build_sharded_with`]. Building the
-/// k=74 forest costs seconds and ~190 MB; a bench sweeping shard counts
-/// over one topology should pay that exactly once.
+/// k=74 forest costs seconds and ~190 MB; a caller sweeping shard counts
+/// over one topology (`tests/determinism.rs`'s fat-tree identity) should
+/// pay that exactly once.
 pub struct PrecomputedRoutes {
     pub(crate) cache: RouteCache,
 }

@@ -102,31 +102,6 @@ impl Partition {
         (Partition { groups }, loads)
     }
 
-    /// A stable 64-bit digest of the assignment (shard index and node
-    /// list order both count). Recorded next to benchmark rows so a run
-    /// can be replayed against the exact partition that produced it.
-    pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over a canonical byte walk of the groups.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        for (i, g) in self.groups.iter().enumerate() {
-            eat(i as u64);
-            eat(g.len() as u64);
-            for &n in g {
-                eat(match n {
-                    NodeId::Host(x) => (1u64 << 48) | x as u64,
-                    NodeId::Device(x) => (2u64 << 48) | x as u64,
-                });
-            }
-        }
-        h
-    }
-
     /// The node → shard map, rejecting duplicate assignments.
     fn shard_of(&self) -> Result<HashMap<NodeId, usize>, String> {
         let mut m = HashMap::new();
@@ -153,7 +128,7 @@ impl NetworkBuilder {
 
     /// [`Self::build_sharded`] with a route cache precomputed by
     /// [`crate::PrecomputedRoutes::new`] **from this same topology**. A
-    /// bench sweeping shard counts over one fat-tree rebuilds the network
+    /// caller sweeping shard counts over one fat-tree rebuilds the network
     /// per count; the switch forest (seconds and ~190 MB at 10⁵ hosts) is
     /// identical every time and should be paid for once.
     pub fn build_sharded_with(
@@ -406,8 +381,9 @@ struct Coordinator {
     /// Cumulative wall-clock busy time per shard.
     busy_ns: Vec<u64>,
     /// Sum over rounds of the slowest shard's busy time — the wall time an
-    /// ideal machine with one core per shard would need (the bench reports
-    /// events/sec against both this and actual wall time).
+    /// ideal machine with one core per shard would need. A projection:
+    /// `netcl_e2e` exports it as `net.shard.critical_path_s` beside the
+    /// wall clock, never in place of it.
     critical_path_ns: u64,
     /// High-water mark of live events across all shards, sampled as each
     /// round starts — the memory proxy showing streamed injection holds

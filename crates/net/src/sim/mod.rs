@@ -352,8 +352,8 @@ impl Network {
         self.events.peek().map(|Reverse((t, ..))| *t)
     }
 
-    /// Pending events not yet processed — the live-event footprint the
-    /// streamed-injection bench reports as its memory proxy.
+    /// Pending events not yet processed — the live-event footprint
+    /// `ShardedNetwork::peak_queue` samples as a run's memory proxy.
     pub(crate) fn queue_len(&self) -> usize {
         self.events.len()
     }

@@ -103,8 +103,8 @@ impl NetStats {
 
 /// What [`NetworkBuilder::observe`](super::NetworkBuilder::observe) turns on. Observability is strictly
 /// opt-out-by-default: a network built without `observe` never reads the
-/// wall clock and allocates nothing for telemetry (the <2% throughput
-/// budget in DESIGN.md §12 is for the *enabled* case).
+/// wall clock and allocates nothing for telemetry, and results are
+/// identical either way (`sim::tests::stats_identical_with_and_without_obs`).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ObsConfig {
     /// Also record a per-message Chrome `trace_event` timeline

@@ -76,11 +76,6 @@ impl Zipf {
         Zipf { cdf, s }
     }
 
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// The configured skew parameter.
     pub fn skew(&self) -> f64 {
         self.s
@@ -289,9 +284,9 @@ impl FatTree {
     ///
     /// Dealing pods round-robin balances nodes but not events: under a
     /// Zipf workload the pods holding the popular destinations do several
-    /// times the work of the rest, and the busiest shard caps the
-    /// critical-path speedup (~38% event share at 8 shards on the k=36
-    /// bench). This traces each flow's
+    /// times the work of the rest (~38 % of events on the busiest of 8
+    /// shards at k=36), and the busiest shard bounds what sharding can
+    /// gain. This traces each flow's
     /// round-trip — source host up to its executing switch and back —
     /// through the real routing tables in `routes`, charges one event
     /// unit per node touched, and then packs pods (plus individual core
@@ -299,10 +294,10 @@ impl FatTree {
     /// ([`Partition::balanced_with_weights`]).
     ///
     /// `flows` yields `(source host, executing device)` pairs — for the
-    /// CALC bench, the destination's edge switch. The result is a pure
-    /// function of (topology, flow schedule, routing), so a recorded
-    /// [`Partition::fingerprint`] replays exactly. Returns the partition
-    /// and per-shard weight loads (for event-share reporting).
+    /// CALC fat-tree workloads, the destination's edge switch. The result
+    /// is a pure function of (topology, flow schedule, routing). Returns
+    /// the partition and per-shard weight loads (for event-share
+    /// reporting).
     pub fn partition_balanced(
         &self,
         routes: &crate::PrecomputedRoutes,

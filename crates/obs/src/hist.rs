@@ -134,18 +134,6 @@ impl Histogram {
         })
     }
 
-    /// Summarizes into an [`crate::Event`] with count/sum/min/max/p50/p99
-    /// fields — the JSONL export form.
-    pub fn to_event(&self, name: impl Into<String>, ts_ns: u64) -> crate::Event {
-        crate::Event::new(name, ts_ns)
-            .field("count", self.count())
-            .field("sum", self.sum())
-            .field("min", self.min())
-            .field("max", self.max())
-            .field("p50", self.quantile(0.5))
-            .field("p99", self.quantile(0.99))
-    }
-
     /// One-line console summary.
     pub fn pretty(&self) -> String {
         format!(
@@ -227,15 +215,5 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn event_export() {
-        let mut h = Histogram::new();
-        h.record(7);
-        let e = h.to_event("sim.queue_depth", 9);
-        let line = e.to_json();
-        assert!(line.contains("\"count\":1"));
-        assert!(line.contains("\"sum\":7"));
     }
 }

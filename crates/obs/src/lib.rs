@@ -13,8 +13,7 @@
 //! The design contract is *zero overhead when disabled*: nothing in this
 //! crate installs global state or background threads. Instrumented code
 //! holds an `Option<...>` (or a plain integer counter) and the disabled
-//! path is a branch on `None` — the throughput benchmark in
-//! `EXPERIMENTS.md` holds the enabled-counters regression under 2%.
+//! path is a branch on `None`.
 
 pub mod hist;
 pub mod trace;

@@ -6,14 +6,14 @@
 //! ([`netcl_tofino::TenantUsage`]), it packs N tenants onto M switches by
 //! first-fit-decreasing on each tenant's dominant resource fraction — the
 //! classic bin-packing heuristic (≤ 11/9·OPT + 1 bins) — and reports the
-//! plan together with utilization figures so the `multi_tenant` benchmark
-//! can grade placement quality.
+//! plan. `crates/bench/tests/tenancy.rs` runs it on the footprints of the
+//! real AGG + CACHE merge.
 //!
 //! The planner is intentionally capacity-based: it treats a switch as a
 //! pipe-total pool of SRAM/TCAM/SALUs/tables rather than re-running stage
 //! allocation per candidate bin. Callers that need a hard guarantee verify
 //! the winning assignment with [`netcl_tofino::allocate_with_budgets`] on
-//! the merged program — the benchmark and tests do exactly that.
+//! the merged program, as `netcl::compile_tenants` does.
 
 use netcl_tofino::{AllocationReport, TenantUsage, TofinoSpec};
 
@@ -157,19 +157,6 @@ impl SwitchPlan {
         self.salus += fp.salus;
         self.tables += fp.tables;
     }
-
-    /// Dominant-resource utilization of this switch, in [0, 1].
-    pub fn utilization(&self, spec: &TofinoSpec) -> f64 {
-        let caps = Capacity::of(spec);
-        [
-            self.sram_bits as f64 / caps.sram_bits.max(1) as f64,
-            self.tcam_bits as f64 / caps.tcam_bits.max(1) as f64,
-            self.salus as f64 / caps.salus.max(1) as f64,
-            self.tables as f64 / caps.tables.max(1) as f64,
-        ]
-        .into_iter()
-        .fold(0.0, f64::max)
-    }
 }
 
 /// A complete assignment of tenants to switches.
@@ -178,8 +165,6 @@ pub struct Placement {
     /// Per-switch plans, indexed by switch id; empty switches are kept so
     /// indices line up with the topology.
     pub switches: Vec<SwitchPlan>,
-    /// The spec planned against.
-    pub spec: TofinoSpec,
 }
 
 impl Placement {
@@ -191,23 +176,6 @@ impl Placement {
     /// The switch holding `tenant`, if placed.
     pub fn switch_of(&self, tenant: u16) -> Option<usize> {
         self.switches.iter().find(|s| s.tenants.contains(&tenant)).map(|s| s.switch)
-    }
-
-    /// Mean dominant-resource utilization over the switches actually used
-    /// — the benchmark's placement-quality figure (higher = tighter
-    /// packing; 1/used-count would mean every switch holds one tenant's
-    /// dominant share exactly).
-    pub fn mean_utilization(&self) -> f64 {
-        let used: Vec<f64> = self
-            .switches
-            .iter()
-            .filter(|s| !s.tenants.is_empty())
-            .map(|s| s.utilization(&self.spec))
-            .collect();
-        if used.is_empty() {
-            return 0.0;
-        }
-        used.iter().sum::<f64>() / used.len() as f64
     }
 }
 
@@ -260,7 +228,7 @@ pub fn plan(
         };
         sw.commit(fp);
     }
-    Ok(Placement { switches, spec: spec.clone() })
+    Ok(Placement { switches })
 }
 
 #[cfg(test)]
@@ -283,7 +251,6 @@ mod tests {
         assert_eq!(p.switches_used(), 2);
         assert_eq!(p.switch_of(3), Some(1));
         assert_eq!(p.switch_of(9), None);
-        assert!(p.mean_utilization() > 0.99, "{}", p.mean_utilization());
     }
 
     #[test]
@@ -311,7 +278,6 @@ mod tests {
         let spec = TofinoSpec::tiny();
         let p = plan(&[], 2, &spec).unwrap();
         assert_eq!(p.switches_used(), 0);
-        assert_eq!(p.mean_utilization(), 0.0);
         let e = PlaceError::NoCapacity { tenant: 3, switches: 2 };
         assert!(e.to_string().contains("tenant 3"));
     }

@@ -14,14 +14,21 @@
 //! CI runs this suite twice with different `NETCL_DETERMINISM_SEED`
 //! bases and unconstrained `--test-threads`, so a lucky interleaving
 //! cannot hide scheduling nondeterminism.
+//!
+//! The star topologies above put every node one hop from the device; the
+//! fat-tree tests at the end run the same contract where it is meant to
+//! be used — a partitioned multi-hop fabric, up to 101 306 hosts.
 
+use std::sync::Arc;
+
+use netcl_apps::calc;
 use netcl_bmv2::{Switch, SwitchCounters};
 use netcl_net::topo::star;
 use netcl_net::{
-    Fault, Flow, FlowStream, LinkSpec, NetStats, NetworkBuilder, NodeCounters, NodeId, Partition,
-    ShardedNetwork, Zipf,
+    FatTree, Fault, Flow, FlowStream, LinkSpec, NetStats, NetworkBuilder, NodeCounters, NodeId,
+    Partition, PrecomputedRoutes, ShardedNetwork, Zipf,
 };
-use netcl_runtime::message::Message;
+use netcl_runtime::message::{pack, unpack, Message};
 
 fn compile(name: &str, src: &str) -> netcl::CompiledUnit {
     netcl::Compiler::new(netcl::CompileOptions::default()).compile(name, src).unwrap()
@@ -570,4 +577,166 @@ fn sharded_obs_merges_across_shards() {
         .collect();
     assert!(names.iter().any(|n| n.contains("device 1")), "{names:?}");
     assert!(names.iter().any(|n| n.contains("host 2")), "{names:?}");
+}
+
+// ---------------------------------------------------------------------------
+// Fat-tree identity (DESIGN.md §15)
+// ---------------------------------------------------------------------------
+
+/// What a fat-tree run leaves behind: the merged stats and the timestamped
+/// byte stream of every host that received anything.
+type FatTreeOutcome = (NetStats, Vec<(u32, Vec<(u64, Vec<u8>)>)>);
+
+/// Streams `flows` CALC requests through `ft`, whose switch `d` runs
+/// `program_of(d)`, at every shard count in `shard_counts`, once on worker
+/// threads and once inline. Every 16th
+/// wire-addressable host is a client; a flow goes to a Zipf(0.99)-popular
+/// host (ranks scattered over the pods) and names that host's edge switch
+/// as its computing device, with the Zipf key and the injection time as
+/// operands. The partition is the event-weight-balanced one the schedule
+/// itself predicts.
+///
+/// Asserts that every run delivers every flow with nothing unroutable,
+/// that all runs are byte-identical — `NetStats` and every host's stream —
+/// that both executors plan the same rounds, and that at 8 shards the
+/// busiest one handles at most a quarter of the events (event counts are
+/// deterministic, so this is the partitioner's balance on real traffic,
+/// not a timing: 18.0 % at k=8, 13.0 % at k=74). Returns the first run's
+/// outcome.
+fn fat_tree_identity(
+    ft: &FatTree,
+    flows: usize,
+    shard_counts: &[usize],
+    program_of: &dyn Fn(u16) -> Arc<netcl_p4::P4Program>,
+) -> FatTreeOutcome {
+    let half = (ft.k / 2) as usize;
+    let clients: Vec<u32> = ft.hosts.iter().copied().step_by(16).filter(|&h| h < 1 << 16).collect();
+    let zipf = Zipf::new(ft.num_hosts(), 0.99);
+    // Host index → (wire address, edge switch). Host ids above the 16-bit
+    // wire space fold into it: still a host of the tree.
+    let targets: Arc<Vec<(u16, u16)>> = Arc::new(
+        (0..ft.num_hosts())
+            .map(|i| {
+                (ft.hosts[i] as u16, ft.edge_by_pod[i / (half * half)][i % (half * half) / half])
+            })
+            .collect(),
+    );
+    // The prime multiplier keeps the Zipf head from sitting in pod 0.
+    let target_of = |targets: &[(u16, u16)], key: u64| {
+        targets[((key as usize - 1) * 2_654_435_761) % targets.len()]
+    };
+    let stream = || FlowStream::new(7, &clients, &zipf, flows, 10);
+    let routes = PrecomputedRoutes::new(&ft.topology);
+    let spec = calc::spec();
+
+    let run = |shards: usize, threaded: bool| {
+        let pairs = stream().map(|f| (f.src, target_of(&targets, f.key).1));
+        let (partition, _) = ft.partition_balanced(&routes, pairs, shards);
+        let mut b = NetworkBuilder::new(ft.topology.clone()).seed(1);
+        for &d in ft.edge_by_pod.iter().chain(&ft.agg_by_pod).flatten().chain(&ft.core) {
+            b = b.device(d, Switch::new(program_of(d)), 500);
+        }
+        for &h in &ft.hosts {
+            b = b.sink_host(h);
+        }
+        let mut net = b.build_sharded_with(partition, &routes).expect("an exact cover");
+        net.set_threaded(threaded);
+        let (mut stream, targets, spec) = (stream(), Arc::clone(&targets), spec.clone());
+        net.set_flow_source(Box::new(move || {
+            stream.next().map(|f| {
+                let (dst, dev) = target_of(&targets, f.key);
+                let m = Message::new(f.src as u16, dst, 1, dev);
+                let args = [Some(&[calc::OP_ADD][..]), Some(&[f.key]), Some(&[f.at_ns]), None];
+                (f.at_ns, f.src, pack(&m, &spec, &args).expect("a CALC request packs"))
+            })
+        }));
+        net.run(u64::MAX);
+        let stats = net.stats();
+        assert_eq!(stats.unroutable, 0, "{shards} shard(s): a fat-tree routes everything");
+        assert_eq!(stats.delivered, flows as u64, "{shards} shard(s): one delivery per flow");
+        if shards == 8 {
+            let busiest = net.shard_stats().iter().map(|s| s.events).max().expect("8 shards");
+            assert!(
+                busiest * 4 <= stats.events,
+                "busiest of 8 shards handled {busiest} of {} events (> 25 %)",
+                stats.events
+            );
+        }
+        let received = ft
+            .hosts
+            .iter()
+            .map(|&h| (h, net.host_received(h).to_vec()))
+            .filter(|(_, stream)| !stream.is_empty())
+            .collect();
+        ((stats, received), net.rounds())
+    };
+
+    let mut first: Option<FatTreeOutcome> = None;
+    for &shards in shard_counts {
+        let mut planned = Vec::new();
+        for threaded in [true, false] {
+            let (outcome, rounds) = run(shards, threaded);
+            planned.push(rounds);
+            match &first {
+                None => first = Some(outcome),
+                // Not `assert_eq!`: a failure would print every stream.
+                Some(first) => assert!(
+                    *first == outcome,
+                    "{shards} shard(s), threaded={threaded}: diverged from the first run"
+                ),
+            }
+        }
+        assert_eq!(planned[0], planned[1], "{shards} shard(s): rounds, threads vs inline");
+    }
+    first.expect("at least one shard count")
+}
+
+/// k=8 (128 hosts, 80 switches), 2 000 flows, 1 / 2 / 4 / 8 shards, with
+/// CALC placed `_at` every switch and each switch loading the program
+/// compiled for its own id — a generated program computes only on messages
+/// addressed to the device it was compiled for, so one `_at(1)` program on
+/// every switch would forward these flows without running the kernel.
+/// Every flow's reply must unpack to `a + b`.
+#[test]
+fn fat_tree_shard_counts_agree_and_every_flow_computes() {
+    let flows = 2_000;
+    let ft = FatTree::new(8, LinkSpec::default()).unwrap();
+    let switches = ft.core.len() + 2 * ft.edge_by_pod.iter().map(Vec::len).sum::<usize>();
+    let ids: Vec<String> = (0..switches).map(|d| d.to_string()).collect();
+    let source = calc::netcl_source();
+    assert!(source.contains("_at(1)"), "CALC's placement is no longer `_at(1)`");
+    let unit = compile("calc.ncl", &source.replace("_at(1)", &format!("_at({})", ids.join(", "))));
+    let own = |d: u16| unit.device(d).expect("CALC is placed at every switch").tna_p4.clone();
+
+    let (stats, received) = fat_tree_identity(&ft, flows, &[1, 2, 4, 8], &own);
+    assert_eq!(stats.kernel_executions, flows as u64, "one kernel execution per flow");
+    let spec = calc::spec();
+    let (mut a, mut b, mut sum) = (Vec::new(), Vec::new(), Vec::new());
+    let mut replies = 0;
+    for (host, stream) in &received {
+        for (at, bytes) in stream {
+            unpack(bytes, &spec, &mut [None, Some(&mut a), Some(&mut b), Some(&mut sum)])
+                .unwrap_or_else(|e| panic!("host {host} at {at} ns: {e:?}"));
+            assert_eq!(sum[0], calc::reference(calc::OP_ADD, a[0], b[0]), "host {host}: a + b");
+            replies += 1;
+        }
+    }
+    assert_eq!(replies, flows);
+}
+
+/// The 10⁵-host point: k=74 (101 306 hosts, 6 845 switches), 2 000 flows,
+/// 1 and 8 shards. This proves **scale, routing and identity, not
+/// compute**: every switch shares CALC's one `_at(1)` program (6 845
+/// per-device compiles is not a smoke), no flow is addressed to device 1,
+/// so every switch forwards and the kernel body never runs — the test
+/// above is the one that computes. `#[ignore]`d for its build time; CI
+/// runs it with `--release -- --ignored`.
+#[test]
+#[ignore = "builds a 101 306-host network four times; run in release"]
+fn fat_tree_100k_hosts_route_and_shard_identically() {
+    let ft = FatTree::new(74, LinkSpec::default()).unwrap();
+    assert_eq!(ft.num_hosts(), 101_306);
+    let unit = compile("calc.ncl", &calc::netcl_source());
+    let shared = unit.devices[0].tna_p4.clone();
+    fat_tree_identity(&ft, 2_000, &[1, 8], &|_| shared.clone());
 }

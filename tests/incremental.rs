@@ -49,6 +49,55 @@ fn check_incremental(name: &str, base: &str, mutated: &str) -> CompiledUnit {
     warm
 }
 
+/// A one-unit edit of an N-unit workload, re-driven whole through the warm
+/// cache, costs exactly one compile: `unit_hits` grows by N − 1,
+/// `unit_misses` by 1, and the one unit not served is the edited one,
+/// byte-identical to its cold compile. Counts, not a speed-up ratio, so a
+/// silent cache miss fails on any host (how cheap a hit is has its own
+/// gate in `tests/cache_alloc.rs`).
+#[test]
+fn one_unit_edit_of_a_workload_recompiles_exactly_that_unit() {
+    let cache_cfg = |i: u32, threshold: u32| cache::CacheConfig {
+        threshold,
+        sketch_cols: 64 << (i % 3),
+        ..Default::default()
+    };
+    let mut units: Vec<(String, String)> = Vec::new();
+    for i in 0..16u32 {
+        let agg_cfg = agg::AggConfig { num_workers: 2 + i % 4, num_slots: 2 + i / 4, slot_size: 8 };
+        units.push((format!("agg_{i}.ncl"), agg::netcl_source(&agg_cfg)));
+        units.push((format!("cache_{i}.ncl"), cache::netcl_source(&cache_cfg(i, 16 + i))));
+    }
+    units.push(("calc.ncl".into(), calc::netcl_source()));
+    units.push(("paxos.ncl".into(), paxos::full_source()));
+    let n = units.len() as u64;
+
+    let cc = Compiler::new(CompileOptions::default());
+    let mut cache = CompileCache::new();
+    for (name, source) in &units {
+        let cold = cc.compile_incremental(name, source, &mut cache).expect("compiles");
+        assert!(!cold.reuse.unit_hit, "{name}: the workload's units are pairwise distinct");
+    }
+
+    let edited = 17;
+    assert_eq!(units[edited].0, "cache_8.ncl");
+    units[edited].1 = cache::netcl_source(&cache_cfg(8, 999));
+    let before = cache.stats();
+    let misses: Vec<CompiledUnit> = units
+        .iter()
+        .map(|(name, source)| cc.compile_incremental(name, source, &mut cache).expect("compiles"))
+        .filter(|unit| !unit.reuse.unit_hit)
+        .collect();
+    let after = cache.stats();
+    assert_eq!(after.unit_hits - before.unit_hits, n - 1, "every untouched unit is a hit");
+    assert_eq!(after.unit_misses - before.unit_misses, 1, "only the edited unit misses");
+    let [recompiled] = misses.as_slice() else {
+        panic!("{} units were not served from the cache, expected 1", misses.len());
+    };
+    let (name, source) = &units[edited];
+    assert_eq!(rendered(recompiled), rendered(&cc.compile(name, source).expect("cold compiles")));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

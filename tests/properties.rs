@@ -4,6 +4,7 @@ use netcl::sema::model::{SpecItem, Specification};
 use netcl::sema::Ty;
 use netcl::{CompileOptions, Compiler};
 use netcl_bmv2::{Engine, Switch};
+use netcl_net::WorkloadRng;
 use netcl_runtime::message::{pack, unpack, Message};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -16,6 +17,54 @@ fn arb_spec() -> impl Strategy<Value = Specification> {
     proptest::collection::vec((arb_ty(), 1u32..5), 1..6).prop_map(|items| Specification {
         items: items.into_iter().map(|(ty, count)| SpecItem { count, ty }).collect(),
     })
+}
+
+/// What the two engine differentials below run: every Table III
+/// application's kernel device, plus a recirculating kernel (`ncl::repeat()`
+/// — no Table III app recirculates), each as `(name, device, program)`.
+/// Compiled once per process.
+fn differential_programs() -> &'static [(String, u16, Arc<netcl_p4::P4Program>)] {
+    static PROGRAMS: std::sync::OnceLock<Vec<(String, u16, Arc<netcl_p4::P4Program>)>> =
+        std::sync::OnceLock::new();
+    PROGRAMS.get_or_init(|| {
+        let cc = Compiler::new(CompileOptions::default());
+        let mut ps: Vec<_> = netcl_apps::all_apps()
+            .into_iter()
+            .map(|app| {
+                let unit = cc.compile(app.name, &app.netcl_source).unwrap();
+                let p4 = unit.device(app.device).expect("kernel device").tna_p4.clone();
+                (app.name.to_string(), app.device, p4)
+            })
+            .collect();
+        let spin = cc
+            .compile(
+                "spin.ncl",
+                "_kernel(1) _at(1) void spin(unsigned k, unsigned &n) {\n\
+                   n = n + 1;\n\
+                   if (n < 3) return ncl::repeat();\n\
+                   return ncl::reflect();\n\
+                 }\n",
+            )
+            .unwrap();
+        ps.push(("spin".to_string(), 1, spin.devices[0].tna_p4.clone()));
+        ps
+    })
+}
+
+/// One wire for the engine differentials: up to 160 random bytes, and on
+/// every other draw behind a well-formed NCL header naming computation 1
+/// at `device` — so the kernel body runs on arbitrary (possibly truncated)
+/// arguments, not just the parser and the transit path, which is all that
+/// purely random bytes ever reach.
+fn differential_wire(rng: &mut WorkloadRng, device: u16) -> Vec<u8> {
+    let mut wire = Vec::new();
+    if rng.below(2) == 0 {
+        let (src, dst) = (rng.next_u64() as u16, rng.next_u64() as u16);
+        Message::new(src, dst, 1, device).write_header(&mut wire);
+    }
+    let len = rng.below(160) as usize;
+    wire.extend((0..len).map(|_| rng.next_u64() as u8));
+    wire
 }
 
 proptest! {
@@ -73,60 +122,24 @@ proptest! {
 
     /// For every Table III application (plus a synthetic recirculating
     /// kernel), `Switch::process_batch` over a batch of random wires —
-    /// valid, truncated, and garbage alike — produces exactly the outcomes,
+    /// kernel-addressed, truncated, and garbage alike
+    /// ([`differential_wire`]) — produces exactly the outcomes,
     /// output bytes, `SwitchCounters`, and register state of a scalar
     /// `process_into` loop over the same wires.
     #[test]
     fn process_batch_matches_scalar_loop_all_apps(seed in any::<u64>()) {
         use netcl_bmv2::PacketBatch;
-        static PROGRAMS: std::sync::OnceLock<Vec<(String, Arc<netcl_p4::P4Program>)>> =
-            std::sync::OnceLock::new();
-        let programs = PROGRAMS.get_or_init(|| {
-            let mut ps: Vec<(String, Arc<netcl_p4::P4Program>)> = netcl_apps::all_apps()
-                .into_iter()
-                .map(|app| {
-                    let unit = Compiler::new(CompileOptions::default())
-                        .compile(app.name, &app.netcl_source)
-                        .unwrap();
-                    let p4 = unit.device(app.device).expect("kernel device").tna_p4.clone();
-                    (app.name.to_string(), p4)
-                })
-                .collect();
-            // `ncl::repeat()` coverage: no Table III app recirculates.
-            let spin = Compiler::new(CompileOptions::default())
-                .compile(
-                    "spin.ncl",
-                    "_kernel(1) _at(1) void spin(unsigned k, unsigned &n) {\n\
-                       n = n + 1;\n\
-                       if (n < 3) return ncl::repeat();\n\
-                       return ncl::reflect();\n\
-                     }\n",
-                )
-                .unwrap();
-            ps.push(("spin".to_string(), spin.devices[0].tna_p4.clone()));
-            ps
-        });
-        let mut rng = seed;
-        let mut next = move || {
-            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = rng;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        for (name, program) in programs {
+        let programs = differential_programs();
+        let mut rng = WorkloadRng::new(seed);
+        for (name, device, program) in programs {
             // Both engines must hold batched ≡ scalar.
             for engine in [Engine::Threaded, Engine::Interpreted] {
                 let mut scalar = Switch::new(program.clone());
                 scalar.set_engine(engine);
                 let mut batched = Switch::new(program.clone());
                 batched.set_engine(engine);
-                let wires: Vec<Vec<u8>> = (0..8)
-                    .map(|_| {
-                        let len = (next() % 160) as usize;
-                        (0..len).map(|_| next() as u8).collect()
-                    })
-                    .collect();
+                let wires: Vec<Vec<u8>> =
+                    (0..8).map(|_| differential_wire(&mut rng, *device)).collect();
                 let mut batch = PacketBatch::new();
                 for w in &wires {
                     batch.push(w);
@@ -163,54 +176,21 @@ proptest! {
 
     /// The direct-threaded backend ≡ the tree-walking interpreter, packet
     /// for packet, for every Table III application plus a recirculating
-    /// `ncl::repeat` kernel, on random wires (valid, truncated, and garbage
-    /// alike): same output bytes, same error values, same
+    /// `ncl::repeat` kernel, on random wires (kernel-addressed, truncated,
+    /// and garbage alike — [`differential_wire`]): same output bytes, same
+    /// error values, same
     /// `SwitchCounters`, same final registers.
     #[test]
     fn threaded_matches_interpreter_all_apps(seed in any::<u64>()) {
-        static PROGRAMS: std::sync::OnceLock<Vec<(String, Arc<netcl_p4::P4Program>)>> =
-            std::sync::OnceLock::new();
-        let programs = PROGRAMS.get_or_init(|| {
-            let mut ps: Vec<(String, Arc<netcl_p4::P4Program>)> = netcl_apps::all_apps()
-                .into_iter()
-                .map(|app| {
-                    let unit = Compiler::new(CompileOptions::default())
-                        .compile(app.name, &app.netcl_source)
-                        .unwrap();
-                    let p4 = unit.device(app.device).expect("kernel device").tna_p4.clone();
-                    (app.name.to_string(), p4)
-                })
-                .collect();
-            // `ncl::repeat()` coverage: no Table III app recirculates.
-            let spin = Compiler::new(CompileOptions::default())
-                .compile(
-                    "spin.ncl",
-                    "_kernel(1) _at(1) void spin(unsigned k, unsigned &n) {\n\
-                       n = n + 1;\n\
-                       if (n < 3) return ncl::repeat();\n\
-                       return ncl::reflect();\n\
-                     }\n",
-                )
-                .unwrap();
-            ps.push(("spin".to_string(), spin.devices[0].tna_p4.clone()));
-            ps
-        });
-        let mut rng = seed;
-        let mut next = move || {
-            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = rng;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        for (name, program) in programs {
+        let programs = differential_programs();
+        let mut rng = WorkloadRng::new(seed);
+        for (name, device, program) in programs {
             let mut threaded = Switch::new(program.clone());
             prop_assert_eq!(threaded.engine(), Engine::Threaded, "threaded is the default");
             let mut oracle = Switch::new(program.clone());
             oracle.set_engine(Engine::Interpreted);
             for _ in 0..6 {
-                let len = (next() % 160) as usize;
-                let wire: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+                let wire = differential_wire(&mut rng, *device);
                 let rt = threaded.process(&wire);
                 let ro = oracle.process(&wire);
                 match (&rt, &ro) {

@@ -158,7 +158,7 @@ proptest! {
 
     /// The LPT packer honors the classic guarantee — busiest shard ≤
     /// total/shards + heaviest unit — and is a pure function of its
-    /// input: same units, same fingerprint and same predicted loads.
+    /// input: same units, same groups and same predicted loads.
     #[test]
     fn lpt_packing_is_bounded_and_deterministic(
         weights in proptest::collection::vec(0u64..1_000, 1..48),
@@ -169,7 +169,7 @@ proptest! {
         };
         let (p, loads) = Partition::balanced_with_weights(units(&weights), shards);
         let (p2, loads2) = Partition::balanced_with_weights(units(&weights), shards);
-        prop_assert_eq!(p.fingerprint(), p2.fingerprint());
+        prop_assert_eq!(p.groups(), p2.groups());
         prop_assert_eq!(&loads, &loads2);
         prop_assert_eq!(loads.len(), shards.max(1));
         let total: u64 = weights.iter().sum();
@@ -191,7 +191,7 @@ proptest! {
     /// The event-weight-balanced fat-tree partitioner (ISSUE 10): on
     /// random arities, shard counts, and Zipf flow sets, the partition is
     /// an exact node cover, deterministic per (topology, workload) — same
-    /// fingerprint on re-trace — and its busiest shard carries at most
+    /// groups on re-trace — and its busiest shard carries at most
     /// the LPT bound (total/shards + heaviest unit, units measured by
     /// giving each one its own shard).
     #[test]
@@ -205,7 +205,7 @@ proptest! {
         let routes = PrecomputedRoutes::new(&ft.topology);
         let zipf = Zipf::new(ft.num_hosts(), 0.99);
         let half = (k / 2) as usize;
-        // The same scatter the sim_sharded bench applies to Zipf ranks.
+        // The same scatter the fat-tree workloads apply to Zipf ranks.
         let pairs: Vec<(u32, u16)> = FlowStream::new(seed, &ft.hosts, &zipf, 200, 10)
             .map(|f| {
                 let idx = ((f.key as usize - 1) * 2_654_435_761) % ft.num_hosts();
@@ -228,7 +228,7 @@ proptest! {
 
         // Deterministic per input.
         let (p2, loads2) = ft.partition_balanced(&routes, pairs.iter().copied(), shards);
-        prop_assert_eq!(p.fingerprint(), p2.fingerprint());
+        prop_assert_eq!(p.groups(), p2.groups());
         prop_assert_eq!(&loads, &loads2);
 
         // LPT bound, with unit weights observed by isolating every unit
