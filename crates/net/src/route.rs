@@ -1,53 +1,44 @@
-//! Dense routing cache for the simulator's forwarding hot path.
+//! The node identity and the dense routing cache behind the simulator's
+//! forwarding hot path.
 //!
 //! The reference [`Topology::routing_tree`] answers one destination with
-//! one BFS over `HashMap` adjacency — fine for a handful of nodes,
-//! ruinous for a 10⁴-host fat-tree where a Zipf workload routes to
-//! thousands of distinct destinations over millions of hops. This cache
-//! indexes the topology densely once and then answers every hop toward a
-//! destination from one reverse BFS over that index: a *routing tree* of
-//! `u32` parent pointers, ~4 bytes per node instead of a `HashMap` entry.
-//! Trees are memoized per destination, capped ([`TREE_CAP`]) so a scan
-//! over every host cannot hold the whole forest, and invalidated when the
-//! downed-link set changes.
+//! one BFS over `HashMap` adjacency — fine for a handful of nodes, ruinous
+//! for a 10⁴-host fat-tree routing to thousands of destinations over
+//! millions of hops. [`RouteCore`] indexes the topology once — CSR
+//! adjacency over `u32` indices, `LinkSpec`s in a parallel array touched
+//! only to answer a query — and every hop is read from a *routing tree* of
+//! `u32` parent pointers.
 //!
-//! Adjacency is stored in CSR form — one flat offsets array and one flat
-//! targets array, with `LinkSpec`s in a parallel array touched only to
-//! answer a query. A tree build is a BFS over the two `u32` arrays
-//! (~300 KB of sequential traffic on a k=36 fat-tree instead of ~5 MB of
-//! nested-`Vec` pointer chasing). Profiling showed builds, not lookups,
-//! dominate sharded runs — each shard lazily rebuilding the same trees —
-//! so the fault-free case is served by a switch-level [`Forest`]
-//! precomputed once and shared across shards; the lazy per-destination
-//! path here remains for degraded states, whose trees depend on the
-//! downed-link set.
-//!
-//! The immutable indexed topology — CSR arrays, leaf marks, and the
-//! precomputed forest — lives in one [`RouteCore`] behind an `Arc`: at
-//! k=74 (10⁵ hosts) the forest alone is ~190 MB, and a sharded run clones
-//! the cache into every shard. Only the per-destination memo table is
-//! per-clone. [`PrecomputedRoutes`] exposes the core publicly so a caller
-//! building the same topology at several shard counts pays for the forest
-//! once.
-//!
-//! Determinism: tree contents are a pure function of (topology, downed
-//! set) — equal-cost ties are broken by the [`ecmp_rank`] hash over
-//! candidates in neighbor-list insertion order, which `clone()` preserves,
-//! so every shard of a sharded run computes identical trees, and all three
-//! builders (reference [`Topology::routing_tree`], the lazy builder here,
-//! and the forest) agree hop for hop.
+//! Invariants:
+//! - One node identity. A topology node's dense index is its position in
+//!   [`Topology::nodes`], i.e. `NodeId` order; [`RouteCore::index`] (two
+//!   plain arrays, host id → index and device id → index) is the only
+//!   id → index lookup in the crate, and the simulator's node table, the
+//!   shard owner table and the trees here are all indexed by it.
+//! - One tree builder ([`RouteCore::fill_tree`]). Equal-cost ties are broken
+//!   by the [`ecmp_rank`] hash over candidates in neighbor-list order, so
+//!   tree contents are a pure function of (topology, downed set), every
+//!   shard computes identical trees, and the cache agrees hop for hop with
+//!   the reference (tested on the diamond and a k=4 fat-tree).
+//! - The fault-free case is served by a switch-level [`Forest`] built once
+//!   and shared (`Arc`) by every clone — at k=74 it is ~190 MB, and per-shard
+//!   rebuilds of the same trees once dominated sharded runs. Trees for
+//!   degraded states depend on the downed-link set: they are memoized per
+//!   clone, capped ([`TREE_CAP`]) and dropped whenever that set changes.
+//!   [`PrecomputedRoutes`] is the public handle, so a caller building one
+//!   topology at several shard counts pays for the forest once.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::topo::{ecmp_rank, link_key, LinkSpec, NodeId, Topology};
 
-/// Maximum memoized routing trees before the forest is reset. At the cap
-/// a k=36 fat-tree's forest is ~50 MB; a reset only costs rebuilds.
+/// Maximum memoized routing trees before the memo table is reset. At the
+/// cap a k=36 fat-tree's trees are ~50 MB; a reset only costs rebuilds.
 pub(crate) const TREE_CAP: usize = 1024;
 
-/// Sentinel parent index: unreachable (or the destination itself).
-const NONE: u32 = u32::MAX;
+/// Sentinel index: no node (unreachable, the destination itself, no such id).
+pub(crate) const NONE: u32 = u32::MAX;
 
 /// Every switch-to-switch routing tree of a connected topology, built once
 /// at network construction and shared immutably across shards. Trees are a
@@ -56,7 +47,7 @@ const NONE: u32 = u32::MAX;
 /// Leaves stay out of the domain: degree-1 sources are answered
 /// structurally and degree-1 targets are aliased to their uplink.
 #[derive(Debug)]
-pub(crate) struct Forest {
+struct Forest {
     /// Dense node index → switch slot (`NONE` for leaves).
     slot: Vec<u32>,
     /// Switch slots count.
@@ -67,14 +58,16 @@ pub(crate) struct Forest {
     parents: Vec<u32>,
 }
 
-/// The immutable, shareable part of the route cache: the dense topology
-/// index and the precomputed fault-free forest.
-#[derive(Debug)]
+/// The immutable, shareable part of the route cache: the node identity,
+/// the CSR adjacency and the precomputed fault-free forest.
+#[derive(Debug, Default)]
 pub(crate) struct RouteCore {
-    /// Node → dense index.
-    idx: HashMap<NodeId, u32>,
-    /// Dense index → node (insertion order of [`Topology::nodes`]).
-    nodes: Vec<NodeId>,
+    /// Host id → dense index and device id → dense index, `NONE` where the
+    /// topology has no such node.
+    host_ix: Vec<u32>,
+    dev_ix: Vec<u32>,
+    /// Dense index → node, in `NodeId` order ([`Topology::nodes`] sorts).
+    pub(crate) nodes: Vec<NodeId>,
     /// CSR offsets: node i's neighbors are `adj_to[adj_off[i]..adj_off[i+1]]`,
     /// preserving the topology's neighbor-list order.
     adj_off: Vec<u32>,
@@ -96,6 +89,15 @@ pub(crate) struct RouteCore {
 }
 
 impl RouteCore {
+    /// The dense index of `n`; `None` for an id the topology does not have.
+    pub(crate) fn index(&self, n: NodeId) -> Option<u32> {
+        let i = match n {
+            NodeId::Host(h) => self.host_ix.get(h as usize),
+            NodeId::Device(d) => self.dev_ix.get(d as usize),
+        };
+        i.copied().filter(|&i| i != NONE)
+    }
+
     /// Node i's neighbor indices.
     fn neigh(&self, i: u32) -> &[u32] {
         &self.adj_to[self.adj_off[i as usize] as usize..self.adj_off[i as usize + 1] as usize]
@@ -112,16 +114,74 @@ impl RouteCore {
         }
         self.nodes[ti as usize]
     }
+
+    /// Writes one routing tree: `set(i, p)` for every node `i` that reaches
+    /// `ti` around the links in `down`, `p` being its next hop — a reverse
+    /// BFS for the levels, then an [`ecmp_rank`]-selected neighbor one level
+    /// closer. Pure `u32` CSR traversal; `dist` (one entry per node) and
+    /// `order` are scratch.
+    ///
+    /// On a connected fault-free topology the BFS never descends into
+    /// degree-1 nodes: sources there are answered by the shortcut in
+    /// [`RouteCache::hop`] and targets there are leaf-aliased, so their
+    /// entries are never read — and skipping them shrinks a fat-tree build
+    /// from every host to just the switch core (~8× on k=36).
+    fn fill_tree(
+        &self,
+        ti: u32,
+        down: &HashSet<(NodeId, NodeId)>,
+        dist: &mut [u32],
+        order: &mut Vec<u32>,
+        mut set: impl FnMut(u32, u32),
+    ) {
+        let skip_leaves = self.connected && down.is_empty();
+        let closed = |a: u32, b: u32| {
+            !down.is_empty()
+                && down.contains(&link_key(self.nodes[a as usize], self.nodes[b as usize]))
+        };
+        // Pass 1: BFS levels from the target; `order` is the visit queue.
+        dist.fill(NONE);
+        dist[ti as usize] = 0;
+        order.clear();
+        order.push(ti);
+        let mut head = 0;
+        while let Some(&p) = order.get(head) {
+            head += 1;
+            for &m in self.neigh(p) {
+                if dist[m as usize] == NONE
+                    && !(skip_leaves && self.leaf[m as usize])
+                    && !closed(m, p)
+                {
+                    dist[m as usize] = dist[p as usize] + 1;
+                    order.push(m);
+                }
+            }
+        }
+        // Pass 2: hashed pick among each reached node's candidates, keyed on
+        // the target's ECMP alias so leaf-target trees equal their uplink's.
+        let root = self.ecmp_root(ti);
+        for &i in &order[1..] {
+            let want = dist[i as usize] - 1;
+            let cands =
+                self.neigh(i).iter().filter(|&&m| dist[m as usize] == want && !closed(m, i));
+            let len = cands.clone().count() as u64;
+            let pick = (ecmp_rank(root, self.nodes[i as usize]) % len) as usize;
+            set(i, *cands.clone().nth(pick).expect("pick < len"));
+        }
+    }
 }
 
 /// Routing state for one simulated network: an `Arc`-shared [`RouteCore`]
 /// plus this clone's private memo table for degraded-state trees.
 #[derive(Debug, Clone)]
 pub(crate) struct RouteCache {
-    core: Arc<RouteCore>,
-    /// destination → parent-pointer tree (`tree[i]` is the dense index of
-    /// node i's next hop toward the destination).
-    trees: HashMap<NodeId, Vec<u32>>,
+    pub(crate) core: Arc<RouteCore>,
+    /// Destination index → parent-pointer tree (`tree[i]` is the dense
+    /// index of node i's next hop toward the destination). An empty entry
+    /// is not built yet; the table is empty until the first miss.
+    trees: Vec<Vec<u32>>,
+    /// Trees currently built, for [`TREE_CAP`].
+    built: usize,
 }
 
 /// A route cache built once and shared across network builds — the public
@@ -153,53 +213,66 @@ impl RouteCache {
     /// simulator's is fixed at build time).
     pub fn new(topo: &Topology) -> RouteCache {
         let nodes = topo.nodes();
-        let idx: HashMap<NodeId, u32> =
-            nodes.iter().enumerate().map(|(i, &n)| (n, i as u32)).collect();
-        let mut adj_off = Vec::with_capacity(nodes.len() + 1);
-        let mut adj_to = Vec::new();
-        let mut adj_spec = Vec::new();
-        adj_off.push(0);
-        for &n in &nodes {
+        let (mut host_ix, mut dev_ix) = (Vec::new(), Vec::new());
+        for (i, &n) in nodes.iter().enumerate() {
+            let (table, id) = match n {
+                NodeId::Host(h) => (&mut host_ix, h as usize),
+                NodeId::Device(d) => (&mut dev_ix, d as usize),
+            };
+            // Sorted input: ids arrive ascending per kind.
+            table.resize(id, NONE);
+            table.push(i as u32);
+        }
+        let mut core =
+            RouteCore { host_ix, dev_ix, nodes, adj_off: vec![0], ..RouteCore::default() };
+        for &n in &core.nodes {
             for &(m, spec) in topo.neighbors(n) {
-                adj_to.push(idx[&m]);
-                adj_spec.push(spec);
+                core.adj_to.push(core.index(m).expect("a neighbor is a topology node"));
+                core.adj_spec.push(spec);
             }
-            adj_off.push(adj_to.len() as u32);
+            core.adj_off.push(core.adj_to.len() as u32);
         }
-        let leaf: Vec<bool> = (0..nodes.len()).map(|i| adj_off[i + 1] - adj_off[i] == 1).collect();
-        // One forward BFS answers connectivity (the graph is undirected).
-        let mut visited = vec![false; nodes.len()];
-        let mut reached = 0usize;
-        if !nodes.is_empty() {
-            visited[0] = true;
-            reached = 1;
-            let mut queue = VecDeque::from([0u32]);
-            while let Some(n) = queue.pop_front() {
-                for &m in &adj_to[adj_off[n as usize] as usize..adj_off[n as usize + 1] as usize] {
-                    if !visited[m as usize] {
-                        visited[m as usize] = true;
-                        reached += 1;
-                        queue.push_back(m);
-                    }
-                }
+        let n = core.nodes.len();
+        core.leaf = (0..n as u32).map(|i| core.neigh(i).len() == 1).collect();
+        // One tree toward node 0 answers connectivity (the graph is
+        // undirected): its BFS visits every node, or the graph is split.
+        let none = HashSet::new();
+        let (mut dist, mut order) = (vec![NONE; n], Vec::new());
+        if n > 0 {
+            core.fill_tree(0, &none, &mut dist, &mut order, |_, _| {});
+        }
+        core.connected = order.len() == n;
+        if core.connected {
+            // The fault-free switch forest: one tree per non-leaf node,
+            // over the switch subgraph only.
+            let sw: Vec<u32> = (0..n as u32).filter(|&i| !core.leaf[i as usize]).collect();
+            let n_sw = sw.len();
+            let mut slot = vec![NONE; n];
+            for (s, &i) in sw.iter().enumerate() {
+                slot[i as usize] = s as u32;
             }
+            let mut parents = vec![NONE; n_sw * n_sw];
+            for (t, &ti) in sw.iter().enumerate() {
+                let row = &mut parents[t * n_sw..(t + 1) * n_sw];
+                core.fill_tree(ti, &none, &mut dist, &mut order, |i, p| {
+                    row[slot[i as usize] as usize] = p;
+                });
+            }
+            core.forest = Some(Forest { slot, n_sw, parents });
         }
-        let connected = reached == nodes.len();
-        let core =
-            RouteCore { idx, nodes, adj_off, adj_to, adj_spec, leaf, connected, forest: None };
-        let forest = connected.then(|| build_forest(&core));
-        let core = RouteCore { forest, ..core };
-        RouteCache { core: Arc::new(core), trees: HashMap::new() }
+        RouteCache { core: Arc::new(core), trees: Vec::new(), built: 0 }
     }
 
     /// Drops every memoized tree — call when the downed-link set changes.
     pub fn invalidate(&mut self) {
         self.trees.clear();
+        self.built = 0;
     }
 
-    /// The next hop (and link) from `from` toward `target`, avoiding the
-    /// links in `down`. `None` when unreachable. Equivalent to
-    /// [`Topology::routing_tree`] on every query, just cheaper.
+    /// The next hop (and link) from dense index `fi` toward `ti`, avoiding
+    /// the links in `down`. `None` when unreachable or either index is past
+    /// the topology. Equivalent to [`Topology::routing_tree`] on every
+    /// query, just cheaper.
     ///
     /// Leaf aliasing: a degree-1 target (a host on its access switch) is
     /// answered from its sole neighbor's tree — every shortest path to a
@@ -210,36 +283,36 @@ impl RouteCache {
     /// switch.
     pub fn hop(
         &mut self,
-        from: NodeId,
-        target: NodeId,
+        fi: u32,
+        ti: u32,
         down: &HashSet<(NodeId, NodeId)>,
-    ) -> Option<(NodeId, LinkSpec)> {
+    ) -> Option<(u32, LinkSpec)> {
         let core = &self.core;
-        let &fi = core.idx.get(&from)?;
-        let &ti = core.idx.get(&target)?;
+        if fi.max(ti) as usize >= core.nodes.len() {
+            return None;
+        }
         // Degree-1 source on a connected fault-free topology: the only
         // egress is the uplink, and the target is reachable through it by
         // connectivity — no tree needed. This keeps 10⁴ hosts out of the
         // tree domain entirely (paired with the leaf-skipping build).
         if fi != ti && core.connected && down.is_empty() {
             if let [ei] = *core.neigh(fi) {
-                let spec = core.adj_spec[core.adj_off[fi as usize] as usize];
-                return Some((core.nodes[ei as usize], spec));
+                return Some((ei, core.adj_spec[core.adj_off[fi as usize] as usize]));
             }
         }
         if let [ei] = *core.neigh(ti) {
-            if down.contains(&link_key(core.nodes[ei as usize], target)) {
+            if !down.is_empty()
+                && down.contains(&link_key(core.nodes[ei as usize], core.nodes[ti as usize]))
+            {
                 return None;
             }
             if fi == ei {
-                let spec = core.adj_spec[core.adj_off[ti as usize] as usize];
-                return Some((target, spec));
+                return Some((ti, core.adj_spec[core.adj_off[ti as usize] as usize]));
             }
             // Guard against two-node topologies where the uplink is
             // itself a leaf (mutual aliasing would recurse forever).
             if core.neigh(ei).len() > 1 {
-                let uplink = core.nodes[ei as usize];
-                return self.hop(from, uplink, down);
+                return self.hop(fi, ei, down);
             }
         }
         // Fault-free fast path: the precomputed shared forest. Leaf
@@ -250,126 +323,26 @@ impl RouteCache {
                 f.parents[f.slot[ti as usize] as usize * f.n_sw + f.slot[fi as usize] as usize]
             }
             _ => {
-                if !self.trees.contains_key(&target) {
-                    if self.trees.len() >= TREE_CAP {
-                        self.trees.clear();
-                    }
-                    let tree = build_tree(&self.core, target, down);
-                    self.trees.insert(target, tree);
+                if self.built >= TREE_CAP {
+                    self.invalidate();
                 }
-                self.trees[&target][fi as usize]
+                let n = self.core.nodes.len();
+                self.trees.resize(n, Vec::new());
+                let tree = &mut self.trees[ti as usize];
+                if tree.is_empty() {
+                    tree.resize(n, NONE);
+                    let (mut dist, mut order) = (vec![NONE; n], Vec::new());
+                    self.core
+                        .fill_tree(ti, down, &mut dist, &mut order, |i, p| tree[i as usize] = p);
+                    self.built += 1;
+                }
+                tree[fi as usize]
             }
         };
-        let core = &self.core;
-        if pi == NONE {
-            return None;
-        }
-        let range = core.adj_off[fi as usize] as usize..core.adj_off[fi as usize + 1] as usize;
-        let k = range.clone().find(|&k| core.adj_to[k] == pi)?;
-        Some((core.nodes[pi as usize], core.adj_spec[k]))
+        // `NONE` — unreachable — is no one's neighbor.
+        let k = self.core.neigh(fi).iter().position(|&m| m == pi)?;
+        Some((pi, self.core.adj_spec[self.core.adj_off[fi as usize] as usize + k]))
     }
-}
-
-/// Builds the fault-free switch forest: one hashed-ECMP routing tree per
-/// non-leaf node, over the switch subgraph only.
-fn build_forest(core: &RouteCore) -> Forest {
-    let n = core.nodes.len();
-    let sw: Vec<u32> = (0..n as u32).filter(|&i| !core.leaf[i as usize]).collect();
-    let n_sw = sw.len();
-    let mut slot = vec![NONE; n];
-    for (s, &i) in sw.iter().enumerate() {
-        slot[i as usize] = s as u32;
-    }
-    let mut parents = vec![NONE; n_sw * n_sw];
-    let mut dist = vec![u32::MAX; n];
-    let mut queue = VecDeque::new();
-    for (t, &ti) in sw.iter().enumerate() {
-        let row = &mut parents[t * n_sw..(t + 1) * n_sw];
-        // Pass 1: BFS levels over the switch subgraph (leaves skipped:
-        // a degree-1 node is never an intermediate hop).
-        dist.fill(u32::MAX);
-        dist[ti as usize] = 0;
-        queue.clear();
-        queue.push_back(ti);
-        while let Some(p) = queue.pop_front() {
-            let d = dist[p as usize] + 1;
-            for &m in core.neigh(p) {
-                if !core.leaf[m as usize] && dist[m as usize] == u32::MAX {
-                    dist[m as usize] = d;
-                    queue.push_back(m);
-                }
-            }
-        }
-        // Pass 2: hashed pick among each node's one-level-closer
-        // neighbors. Forest targets are switches (degree > 1), so the
-        // ECMP root is the target itself.
-        let root = core.nodes[ti as usize];
-        for &i in &sw {
-            if i == ti || dist[i as usize] == u32::MAX {
-                continue;
-            }
-            let want = dist[i as usize] - 1;
-            let cands = core.neigh(i).iter().filter(|&&m| dist[m as usize] == want);
-            let len = cands.clone().count() as u64;
-            let pick = (ecmp_rank(root, core.nodes[i as usize]) % len) as usize;
-            row[slot[i as usize] as usize] = *cands.clone().nth(pick).expect("pick < len");
-        }
-    }
-    Forest { slot, n_sw, parents }
-}
-
-/// Reverse BFS from `target` with hashed-ECMP tie-breaks: each discovered
-/// node's parent is a [`ecmp_rank`]-selected neighbor one step closer to
-/// the destination. Pure `u32` CSR traversal; `LinkSpec`s are never
-/// touched here.
-///
-/// On a connected fault-free topology the BFS never descends into
-/// degree-1 nodes: sources there are answered by the shortcut in
-/// [`RouteCache::hop`] and targets there are leaf-aliased, so their
-/// entries are never read — and skipping them shrinks a fat-tree build
-/// from every host to just the switch core (~8× on k=36).
-fn build_tree(core: &RouteCore, target: NodeId, down: &HashSet<(NodeId, NodeId)>) -> Vec<u32> {
-    let n = core.nodes.len();
-    let mut parent = vec![NONE; n];
-    let Some(&ti) = core.idx.get(&target) else { return parent };
-    let check_down = !down.is_empty();
-    let skip_leaves = core.connected && !check_down;
-    // Pass 1: BFS levels from the target.
-    let mut dist = vec![u32::MAX; n];
-    dist[ti as usize] = 0;
-    let mut queue = VecDeque::from([ti]);
-    while let Some(p) = queue.pop_front() {
-        let d = dist[p as usize] + 1;
-        for &m in core.neigh(p) {
-            if (skip_leaves && core.leaf[m as usize]) || dist[m as usize] != u32::MAX {
-                continue;
-            }
-            if check_down
-                && down.contains(&link_key(core.nodes[m as usize], core.nodes[p as usize]))
-            {
-                continue;
-            }
-            dist[m as usize] = d;
-            queue.push_back(m);
-        }
-    }
-    // Pass 2: hashed pick among each reachable node's candidates, keyed on
-    // the target's ECMP alias so leaf-target trees equal their uplink's.
-    let root = core.ecmp_root(ti);
-    for i in 0..n as u32 {
-        if i == ti || dist[i as usize] == u32::MAX || (skip_leaves && core.leaf[i as usize]) {
-            continue;
-        }
-        let want = dist[i as usize] - 1;
-        let open = |m: u32| {
-            !check_down || !down.contains(&link_key(core.nodes[m as usize], core.nodes[i as usize]))
-        };
-        let cands = core.neigh(i).iter().filter(|&&m| dist[m as usize] == want && open(m));
-        let len = cands.clone().count() as u64;
-        let pick = (ecmp_rank(root, core.nodes[i as usize]) % len) as usize;
-        parent[i as usize] = *cands.clone().nth(pick).expect("pick < len");
-    }
-    parent
 }
 
 #[cfg(test)]
@@ -389,34 +362,49 @@ mod tests {
         t
     }
 
+    /// `cache.hop` between two topology nodes, by id.
+    fn hop(
+        cache: &mut RouteCache,
+        from: NodeId,
+        to: NodeId,
+        down: &HashSet<(NodeId, NodeId)>,
+    ) -> Option<NodeId> {
+        let ix = |n| cache.core.index(n).expect("a topology node");
+        let (fi, ti) = (ix(from), ix(to));
+        cache.hop(fi, ti, down).map(|(h, _)| cache.core.nodes[h as usize])
+    }
+
     /// The dense cache agrees exactly with the reference
     /// [`Topology::routing_tree`] — same hops, same hashed tie-breaks —
-    /// for every (source, target) pair, with and without downed links.
+    /// for every (source, target) pair, with and without downed links: on
+    /// the diamond, and on the k=4 fat-tree the benchmark's shape scales
+    /// up (forest path, leaf-target aliasing, real ECMP ties; the downed
+    /// links are an agg uplink and a host uplink).
     #[test]
     fn cache_matches_reference_routing_tree() {
-        let topo = diamond();
-        let downs = [
-            HashSet::new(),
-            HashSet::from([link_key(NodeId::Device(1), NodeId::Device(2))]),
-            HashSet::from([
-                link_key(NodeId::Device(1), NodeId::Device(2)),
-                link_key(NodeId::Device(1), NodeId::Device(3)),
-            ]),
+        let d = NodeId::Device;
+        let ft = crate::workload::FatTree::new(4, LinkSpec::default()).unwrap();
+        let (edge, agg) = (ft.edge_by_pod[0][0], ft.agg_by_pod[0][0]);
+        let cases = [
+            (diamond(), [link_key(d(1), d(2)), link_key(d(1), d(3))]),
+            (ft.topology, [link_key(d(agg), d(ft.core[0])), link_key(NodeId::Host(0), d(edge))]),
         ];
-        for down in &downs {
-            let mut cache = RouteCache::new(&topo);
-            for target in topo.nodes() {
-                let reference = topo.routing_tree(target, down);
-                for from in topo.nodes() {
-                    if from == target {
-                        continue;
+        for (topo, links) in &cases {
+            for n_down in 0..=links.len() {
+                let down: HashSet<_> = links[..n_down].iter().copied().collect();
+                let mut cache = RouteCache::new(topo);
+                for target in topo.nodes() {
+                    let reference = topo.routing_tree(target, &down);
+                    for from in topo.nodes() {
+                        if from == target {
+                            continue;
+                        }
+                        assert_eq!(
+                            hop(&mut cache, from, target, &down),
+                            reference.get(&from).map(|&(h, _)| h),
+                            "hop {from:?} → {target:?} with {n_down} downed links"
+                        );
                     }
-                    assert_eq!(
-                        cache.hop(from, target, down).map(|(h, _)| h),
-                        reference.get(&from).map(|&(h, _)| h),
-                        "hop {from:?} → {target:?} with {} downed links",
-                        down.len()
-                    );
                 }
             }
         }
@@ -429,9 +417,9 @@ mod tests {
         let topo = diamond();
         let mut cache = RouteCache::new(&topo);
         let none = HashSet::new();
-        let before = cache.hop(NodeId::Host(1), NodeId::Host(2), &none).map(|(h, _)| h);
+        let before = hop(&mut cache, NodeId::Host(1), NodeId::Host(2), &none);
         cache.invalidate();
-        assert_eq!(cache.hop(NodeId::Host(1), NodeId::Host(2), &none).map(|(h, _)| h), before);
+        assert_eq!(hop(&mut cache, NodeId::Host(1), NodeId::Host(2), &none), before);
     }
 
     /// Hashed ECMP actually spreads: across many destinations behind the
@@ -454,8 +442,7 @@ mod tests {
         let none = HashSet::new();
         let mut used = HashSet::new();
         for h in 10..40u32 {
-            let (hop, _) = cache.hop(NodeId::Device(1), NodeId::Host(h), &none).unwrap();
-            used.insert(hop);
+            used.insert(hop(&mut cache, NodeId::Device(1), NodeId::Host(h), &none).unwrap());
         }
         // Every host behind d4 aliases to d4's tree, so d1's hop is the
         // same for all of them; spreading shows up across *destinations*

@@ -18,11 +18,14 @@
 //! (CMB/YAWNS-style) synchronization: windows of independent work
 //! separated by barriers where cross-shard arrivals are exchanged.
 //!
-//! Determinism is inherited, not re-proven: event keys (`EventSrc`) are
-//! locally derivable and unique, chaos RNG streams are per sending node,
-//! and the fault schedule is replicated into every shard with identical
-//! keys — so each shard reproduces exactly the per-node event sequence of
-//! the scalar run, and the merged run is byte-identical to
+//! Every shard shares one node identity — the dense index of `route.rs`,
+//! by which the owner table here, each shard's node table and every
+//! hand-off name a node — so nothing is re-resolved at a boundary.
+//! Determinism is inherited, not re-proven: event keys (`EventSrc`) name
+//! nodes by id, are locally derivable and unique, chaos RNG streams are per
+//! sending node, and the fault schedule is replicated into every shard with
+//! identical keys — so each shard reproduces exactly the per-node event
+//! sequence of the scalar run, and the merged run is byte-identical to
 //! [`NetworkBuilder::build`] + [`Network::run`] with the same
 //! `(seed, schedule)`. The determinism suite (`tests/determinism.rs`)
 //! asserts this for every app, both round executors, under chaos.
@@ -33,15 +36,16 @@
 //! 1-shard path, and the reference the suite diffs the threads against).
 
 use crate::fault::Fault;
+use crate::route::{RouteCore, NONE};
 use crate::sim::{
-    EventOrd, EventSrc, FlowPump, FlowSource, NetObs, NetStats, Network, NetworkBuilder, XsEvent,
+    Event, EventKind, EventSrc, FlowPump, FlowSource, NetObs, NetStats, Network, NetworkBuilder,
 };
 use crate::topo::{NodeId, Topology};
+use crate::PrecomputedRoutes;
 use netcl_bmv2::Switch;
 use netcl_obs::trace::Trace;
-use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 // The threaded executor hands each shard to its own thread.
@@ -102,17 +106,42 @@ impl Partition {
         (Partition { groups }, loads)
     }
 
-    /// The node → shard map, rejecting duplicate assignments.
-    fn shard_of(&self) -> Result<HashMap<NodeId, usize>, String> {
-        let mut m = HashMap::new();
-        for (i, g) in self.groups.iter().enumerate() {
+    /// The shard of every topology node, by dense index: each must be in
+    /// exactly one group. Ids the topology does not have are skipped —
+    /// shard 0 answers for those (see [`Owners::home`]).
+    fn owners(&self, core: &RouteCore) -> Result<Vec<u32>, String> {
+        let mut owner = vec![NONE; core.nodes.len()];
+        for (s, g) in self.groups.iter().enumerate() {
             for &n in g {
-                if m.insert(n, i).is_some() {
+                let Some(i) = core.index(n) else { continue };
+                if owner[i as usize] != NONE {
                     return Err(format!("node {n} assigned to more than one shard"));
                 }
+                owner[i as usize] = s as u32;
             }
         }
-        Ok(m)
+        match owner.iter().position(|&o| o == NONE) {
+            Some(i) => Err(format!("topology node {} not assigned to any shard", core.nodes[i])),
+            None => Ok(owner),
+        }
+    }
+}
+
+/// Who runs what in a sharded network: the shared node identity plus the
+/// shard of every topology node, by dense index.
+struct Owners {
+    core: Arc<RouteCore>,
+    shard: Vec<u32>,
+}
+
+impl Owners {
+    /// The shard that answers for `node`. An id the topology does not have
+    /// — a host declared but never linked, a driver injection naming an
+    /// unknown host — resolves to shard 0: topology and routing are
+    /// replicated and counters merge, so any shard reproduces the scalar
+    /// run's unroutable drop.
+    fn home(&self, node: NodeId) -> usize {
+        self.core.index(node).map_or(0, |i| self.shard[i as usize] as usize)
     }
 }
 
@@ -123,7 +152,8 @@ impl NetworkBuilder {
     /// crossing a shard boundary must have nonzero latency (the lookahead
     /// window collapses otherwise).
     pub fn build_sharded(self, partition: Partition) -> Result<ShardedNetwork, String> {
-        self.build_sharded_inner(partition, None)
+        let routes = PrecomputedRoutes::new(&self.topology);
+        self.build_sharded_with(partition, &routes)
     }
 
     /// [`Self::build_sharded`] with a route cache precomputed by
@@ -134,36 +164,29 @@ impl NetworkBuilder {
     pub fn build_sharded_with(
         self,
         partition: Partition,
-        routes: &crate::PrecomputedRoutes,
+        routes: &PrecomputedRoutes,
     ) -> Result<ShardedNetwork, String> {
-        self.build_sharded_inner(partition, Some(routes.cache.clone()))
-    }
-
-    fn build_sharded_inner(
-        self,
-        partition: Partition,
-        routes: Option<crate::route::RouteCache>,
-    ) -> Result<ShardedNetwork, String> {
-        if partition.num_shards() == 0 {
+        let nsh = partition.num_shards();
+        if nsh == 0 {
             return Err("partition has no shards".into());
         }
-        let shard_of = partition.shard_of()?;
-        for n in self.topology.nodes() {
-            if !shard_of.contains_key(&n) {
-                return Err(format!("topology node {n} not assigned to any shard"));
-            }
+        let core = &routes.cache.core;
+        let owners = Owners { shard: partition.owners(core)?, core: Arc::clone(core) };
+        // Topology nodes are all assigned by now; an id the topology does
+        // not have must at least be named by the partition.
+        let assigned = |n: NodeId| {
+            core.index(n).is_some() || partition.groups.iter().flatten().any(|&m| m == n)
+        };
+        if let Some((id, ..)) = self.devices.iter().find(|d| !assigned(NodeId::Device(d.0))) {
+            return Err(format!("device {id} not assigned to any shard"));
         }
-        for (id, ..) in &self.devices {
-            if !shard_of.contains_key(&NodeId::Device(*id)) {
-                return Err(format!("device {id} not assigned to any shard"));
-            }
+        if let Some((id, _)) = self.hosts.iter().find(|h| !assigned(NodeId::Host(h.0))) {
+            return Err(format!("host {id} not assigned to any shard"));
         }
-        for (id, ..) in &self.hosts {
-            if !shard_of.contains_key(&NodeId::Host(*id)) {
-                return Err(format!("host {id} not assigned to any shard"));
-            }
+        if let Some(id) = self.restart_hooks.keys().find(|&&id| !assigned(NodeId::Device(id))) {
+            return Err(format!("restart hook for device {id}, which no shard owns"));
         }
-        let dist = lookahead_matrix(&self.topology, &shard_of, partition.num_shards())?;
+        let dist = lookahead_matrix(&self.topology, &owners, nsh)?;
 
         // Split the configuration by owner. The full topology, seed, and
         // fault schedule are replicated into every shard: topology for
@@ -172,42 +195,35 @@ impl NetworkBuilder {
         // *state* (downed links, partitions, failed devices) match the
         // scalar run in every shard. Devices, hosts, and restart hooks go
         // only to their owner.
-        let nsh = partition.num_shards();
-        let mut dev_split: Vec<Vec<_>> = (0..nsh).map(|_| Vec::new()).collect();
-        for (id, sw, lat) in self.devices {
-            dev_split[shard_of[&NodeId::Device(id)]].push((id, sw, lat));
-        }
-        let mut host_split: Vec<Vec<_>> = (0..nsh).map(|_| Vec::new()).collect();
-        for (id, h, lat) in self.hosts {
-            host_split[shard_of[&NodeId::Host(id)]].push((id, h, lat));
-        }
-        let mut hook_split: Vec<HashMap<_, _>> = (0..nsh).map(|_| HashMap::new()).collect();
-        for (id, hook) in self.restart_hooks {
-            hook_split[shard_of[&NodeId::Device(id)]].insert(id, hook);
-        }
-        let routes = routes.unwrap_or_else(|| crate::route::RouteCache::new(&self.topology));
-        let mut shards = Vec::with_capacity(nsh);
-        for (i, (devices, (hosts, restart_hooks))) in
-            dev_split.into_iter().zip(host_split.into_iter().zip(hook_split)).enumerate()
-        {
-            let owned: HashSet<NodeId> = partition.groups[i].iter().copied().collect();
-            let b = NetworkBuilder {
+        let mut parts: Vec<NetworkBuilder> = (0..nsh)
+            .map(|_| NetworkBuilder {
                 topology: self.topology.clone(),
-                devices,
-                hosts,
                 seed: self.seed,
                 faults: self.faults.clone(),
                 // Rule-update schedules replicate like faults so update
                 // keys agree in every shard; application is owner-only.
                 updates: self.updates.clone(),
-                restart_hooks,
                 obs: self.obs,
                 engine: self.engine,
-            };
-            shards.push(b.build_part_with(Some(owned), routes.clone()));
+                ..NetworkBuilder::default()
+            })
+            .collect();
+        for dev in self.devices {
+            parts[owners.home(NodeId::Device(dev.0))].devices.push(dev);
         }
+        for host in self.hosts {
+            parts[owners.home(NodeId::Host(host.0))].hosts.push(host);
+        }
+        for (id, hook) in self.restart_hooks {
+            parts[owners.home(NodeId::Device(id))].restart_hooks.insert(id, hook);
+        }
+        let shards = parts
+            .into_iter()
+            .enumerate()
+            .map(|(i, b)| b.build_part_with(Some((&owners.shard, i as u32)), routes.cache.clone()))
+            .collect();
         let co = Coordinator {
-            shard_of,
+            owners,
             dist,
             ext_seq: 0,
             rounds: 0,
@@ -225,19 +241,15 @@ impl NetworkBuilder {
 /// between adjacent shards is the minimum latency among the links crossing
 /// that boundary; Floyd–Warshall closes the matrix so chains through
 /// intermediate shards are bounded too.
-fn lookahead_matrix(
-    topo: &Topology,
-    shard_of: &HashMap<NodeId, usize>,
-    nsh: usize,
-) -> Result<Vec<Vec<u64>>, String> {
+fn lookahead_matrix(topo: &Topology, owners: &Owners, nsh: usize) -> Result<Vec<Vec<u64>>, String> {
     let mut dist = vec![vec![u64::MAX; nsh]; nsh];
     for (s, row) in dist.iter_mut().enumerate() {
         row[s] = 0;
     }
     for node in topo.nodes() {
-        let a = shard_of[&node];
+        let a = owners.home(node);
         for &(nb, spec) in topo.neighbors(node) {
-            let b = shard_of[&nb];
+            let b = owners.home(nb);
             if a == b {
                 continue;
             }
@@ -307,21 +319,13 @@ fn horizons_of(dist: &[Vec<u64>], nexts: &[Option<u64>]) -> Vec<u64> {
         .collect()
 }
 
-/// The shard that owns `node`. A node the partition does not know — a
-/// driver injection naming a host outside the topology — resolves to shard
-/// 0: topology and routing are replicated and counters merge, so any shard
-/// reproduces the scalar run's unroutable drop.
-fn owner(shard_of: &HashMap<NodeId, usize>, node: NodeId) -> usize {
-    shard_of.get(&node).copied().unwrap_or(0)
-}
-
 /// What waits at the coordinator for one shard between rounds: cross-shard
 /// arrivals and pumped flows, each already carrying the key the scalar run
 /// would assign. Handed to the shard with its next round's command, or
 /// flushed into it when `run` returns.
 #[derive(Default)]
 struct Inbox {
-    xs: Vec<XsEvent>,
+    xs: Vec<Event>,
     flows: Vec<(u64, EventSrc, u32, Vec<u8>)>,
 }
 
@@ -332,10 +336,11 @@ impl Inbox {
 
     fn deliver(self, sh: &mut Network) {
         for (at, key, host, bytes) in self.flows {
-            sh.push_keyed(at, key, EventOrd::HostSend(NodeId::Host(host)), bytes);
+            let host = sh.intern(NodeId::Host(host));
+            sh.push_keyed(at, key, EventKind::HostSend(host, bytes));
         }
         for ev in self.xs {
-            sh.accept_xs(ev);
+            sh.accept(ev);
         }
     }
 }
@@ -343,7 +348,7 @@ impl Inbox {
 /// One shard's result for one round: events processed, wall-clock busy
 /// nanoseconds, outbound cross-shard arrivals, the shard's next event time,
 /// and its live-event footprint entering the round.
-type Report = (u64, u64, Vec<XsEvent>, Option<u64>, u64);
+type Report = (u64, u64, Vec<Event>, Option<u64>, u64);
 
 /// One shard's share of one round, and the only place a shard is stepped:
 /// take delivery of the inbox, then run every event before `horizon`.
@@ -351,8 +356,8 @@ fn shard_round(sh: &mut Network, horizon: u64, budget: u64, inbox: Inbox) -> Rep
     for ev in &inbox.xs {
         debug_assert!(
             ev.time >= sh.now(),
-            "lookahead violation: arrival at {} for t={} but its shard is already at {}",
-            ev.target,
+            "lookahead violation: {:?} for t={} but its shard is already at {}",
+            ev.kind,
             ev.time,
             sh.now()
         );
@@ -370,7 +375,7 @@ fn shard_round(sh: &mut Network, horizon: u64, budget: u64, inbox: Inbox) -> Rep
 /// Kept apart from the shards so the planner can run while worker threads
 /// hold the shards.
 struct Coordinator {
-    shard_of: HashMap<NodeId, usize>,
+    owners: Owners,
     /// `dist[t][s]`: lookahead bound from shard `t` to shard `s`.
     dist: Vec<Vec<u64>>,
     /// Driver-injection counter, kept here so injection keys match the
@@ -403,8 +408,8 @@ impl Coordinator {
     fn pump(&mut self, upto: u64) {
         self.flows.drain_upto(upto, |at, host, bytes| {
             self.ext_seq += 1;
-            let inbox = &mut self.inbox[owner(&self.shard_of, NodeId::Host(host))];
-            inbox.flows.push((at, EventSrc::External(self.ext_seq), host, bytes));
+            let home = self.owners.home(NodeId::Host(host));
+            self.inbox[home].flows.push((at, EventSrc::External(self.ext_seq), host, bytes));
         });
     }
 
@@ -473,7 +478,10 @@ impl Coordinator {
                 // are unique and the owner's heap orders by them, so the
                 // pop order is the same whatever the insertion sequence.
                 for ev in out {
-                    self.inbox[owner(&self.shard_of, ev.target)].xs.push(ev);
+                    let EventKind::Arrive(target, _) = ev.kind else {
+                        unreachable!("only arrivals cross shards: {ev:?}")
+                    };
+                    self.inbox[self.owners.shard[target as usize] as usize].xs.push(ev);
                     moved = true;
                 }
             }
@@ -582,31 +590,34 @@ impl ShardedNetwork {
         self.threaded = threaded;
     }
 
-    /// The shard that answers for `node` (see [`owner`]).
+    /// The shard that answers for `node` (see [`Owners::home`]).
     fn home(&self, node: NodeId) -> &Network {
-        &self.shards[owner(&self.co.shard_of, node)]
+        &self.shards[self.co.owners.home(node)]
     }
 
     fn home_mut(&mut self, node: NodeId) -> &mut Network {
-        &mut self.shards[owner(&self.co.shard_of, node)]
+        &mut self.shards[self.co.owners.home(node)]
     }
 
-    /// Injects a driver event into the owner of `host`, with the key the
-    /// scalar run would assign to this injection.
-    fn inject(&mut self, host: u32, at_ns: u64, ord: EventOrd, bytes: Vec<u8>) {
+    /// Injects a driver event into the owner of `host` — `kind` is given
+    /// the host's index there — with the key the scalar run would assign
+    /// to this injection.
+    fn inject(&mut self, host: u32, at_ns: u64, kind: impl FnOnce(u32) -> EventKind) {
         self.co.ext_seq += 1;
         let key = EventSrc::External(self.co.ext_seq);
-        self.home_mut(NodeId::Host(host)).push_keyed(at_ns, key, ord, bytes);
+        let home = self.home_mut(NodeId::Host(host));
+        let host = home.intern(NodeId::Host(host));
+        home.push_keyed(at_ns, key, kind(host));
     }
 
     /// Injects a send from a host at an absolute time.
     pub fn send_from_host(&mut self, host: u32, at_ns: u64, bytes: Vec<u8>) {
-        self.inject(host, at_ns, EventOrd::HostSend(NodeId::Host(host)), bytes);
+        self.inject(host, at_ns, |host| EventKind::HostSend(host, bytes));
     }
 
     /// Arms a host timer at an absolute time.
     pub fn set_host_timer(&mut self, host: u32, at_ns: u64, token: u64) {
-        self.inject(host, at_ns, EventOrd::Timer(NodeId::Host(host), token), Vec::new());
+        self.inject(host, at_ns, |host| EventKind::Timer(host, token));
     }
 
     /// Schedules a fault mid-run, replicated into every shard with the

@@ -15,6 +15,7 @@ use netcl_runtime::device::DeviceRuntime;
 use super::stats::tid_of;
 use super::{
     DeviceNode, FlowPump, HostHandler, HostNode, NetObs, NetStats, Network, ObsConfig, RestartHook,
+    Slot,
 };
 use crate::fault::{Fault, FaultSchedule};
 use crate::route::RouteCache;
@@ -30,7 +31,7 @@ pub struct NetworkBuilder {
     /// of pure duplication. Shards only read it (routing, group fan-out).
     pub(crate) topology: Arc<Topology>,
     pub(crate) devices: Vec<(u16, Switch, u64)>,
-    pub(crate) hosts: Vec<(u32, Option<HostHandler>, u64)>,
+    pub(crate) hosts: Vec<(u32, Option<HostHandler>)>,
     pub(crate) seed: u64,
     pub(crate) faults: Vec<(u64, Fault)>,
     pub(crate) updates: Vec<(u64, u16, TableUpdate)>,
@@ -53,13 +54,13 @@ impl NetworkBuilder {
 
     /// Adds a host with an event handler.
     pub fn host(mut self, id: u32, handler: HostHandler) -> Self {
-        self.hosts.push((id, Some(handler), 2000));
+        self.hosts.push((id, Some(handler)));
         self
     }
 
     /// Adds a passive host (messages recorded, no reaction).
     pub fn sink_host(mut self, id: u32) -> Self {
-        self.hosts.push((id, None, 2000));
+        self.hosts.push((id, None));
         self
     }
 
@@ -121,13 +122,15 @@ impl NetworkBuilder {
         self.build_part_with(None, routes)
     }
 
-    /// Builds a network that owns only `owned` nodes (one shard); `None`
-    /// owns everything. The sharded builder constructs one route cache and
-    /// clones it into every shard, so the precomputed switch forest is
-    /// built once and shared (`Arc`); the round driver routes `xs_out`.
+    /// Builds one shard — a network that runs only the nodes `part`'s owner
+    /// table (shard by dense index) gives to its shard number, plus any
+    /// declared here that the topology lacks; `None` runs everything. The
+    /// sharded builder clones one route cache into every shard, so the node
+    /// identity and the switch forest are built once and shared (`Arc`);
+    /// the round driver routes `xs_out`.
     pub(crate) fn build_part_with(
-        self,
-        owned: Option<HashSet<NodeId>>,
+        mut self,
+        part: Option<(&[u32], u32)>,
         routes: RouteCache,
     ) -> Network {
         let obs = self.obs.map(|cfg| {
@@ -151,53 +154,47 @@ impl NetworkBuilder {
             });
             NetObs { trace, ..NetObs::default() }
         });
-        let mut devices = HashMap::new();
+        let nodes = routes.core.nodes.iter().enumerate();
+        let slots = nodes
+            .map(|(i, &n)| Slot::new(n, self.seed, part.is_none_or(|(o, s)| o[i] == s)))
+            .collect();
+        let mut net = Network {
+            topology: self.topology,
+            slots,
+            events: BinaryHeap::new(),
+            clock: 0,
+            ext_seq: 0,
+            seed: self.seed,
+            stats: NetStats::default(),
+            fault_list: Vec::new(),
+            update_list: Vec::new(),
+            downed: HashSet::new(),
+            degraded: HashMap::new(),
+            island: None,
+            obs,
+            routes,
+            xs_out: Vec::new(),
+            flows: FlowPump::default(),
+        };
         for (id, mut switch, latency_ns) in self.devices {
             if let Some(engine) = self.engine {
                 switch.set_engine(engine);
             }
-            let pkt = switch.new_packet();
-            devices.insert(
-                id,
-                DeviceNode {
-                    switch,
-                    runtime: DeviceRuntime::new(id),
-                    latency_ns,
-                    pkt,
-                    out: Vec::new(),
-                },
-            );
+            let i = net.intern(NodeId::Device(id));
+            net.slots[i as usize].device = Some(Box::new(DeviceNode {
+                pkt: switch.new_packet(),
+                switch,
+                runtime: DeviceRuntime::new(id),
+                latency_ns,
+                out: Vec::new(),
+                journal: Vec::new(),
+                restart_hook: self.restart_hooks.remove(&id),
+            }));
         }
-        let mut hosts = HashMap::new();
-        for (id, handler, process_ns) in self.hosts {
-            hosts.insert(id, HostNode { handler, received: Vec::new(), process_ns });
+        for (id, handler) in self.hosts {
+            let i = net.intern(NodeId::Host(id));
+            net.slots[i as usize].host = Some(HostNode { handler, received: Vec::new() });
         }
-        let mut net = Network {
-            topology: self.topology,
-            devices,
-            hosts,
-            events: BinaryHeap::new(),
-            clock: 0,
-            ext_seq: 0,
-            node_seq: HashMap::new(),
-            cur_node: None,
-            seed: self.seed,
-            rngs: HashMap::new(),
-            stats: NetStats::default(),
-            fault_list: Vec::new(),
-            update_list: Vec::new(),
-            applied_updates: HashMap::new(),
-            downed: HashSet::new(),
-            degraded: HashMap::new(),
-            island: None,
-            failed: HashSet::new(),
-            restart_hooks: self.restart_hooks,
-            obs,
-            routes,
-            owned,
-            xs_out: Vec::new(),
-            flows: FlowPump::default(),
-        };
         for (at, fault) in self.faults {
             net.schedule_fault(at, fault);
         }

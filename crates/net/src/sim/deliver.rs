@@ -7,26 +7,23 @@
 //!   every push made while handling a message is keyed by the node it is
 //!   handled at, so a shard owning that node reproduces the scalar run.
 
+use std::sync::Arc;
+
 use netcl_obs::Value;
 use netcl_runtime::device::Forward;
 use netcl_runtime::message::Message;
 use netcl_sema::builtins::ActionKind;
 
 use super::stats::tid_of;
-use super::{EventOrd, HostEvent, Network, Outbox};
+use super::{EventKind, HostEvent, Network, Outbox, HOST_PROCESS_NS};
 use crate::topo::{link_key, NodeId};
 
 impl Network {
-    /// Whether a single hop is currently traversable (link up, not crossing
-    /// an active partition cut).
+    /// Whether a single hop is traversable under the active faults (link
+    /// up, not crossing the partition cut).
     fn hop_open(&self, from: NodeId, to: NodeId) -> bool {
-        if self.downed.contains(&link_key(from, to)) {
-            return false;
-        }
-        match &self.island {
-            Some(island) => island.contains(&from) == island.contains(&to),
-            None => true,
-        }
+        !self.downed.contains(&link_key(from, to))
+            && self.island.as_ref().is_none_or(|i| i.contains(&from) == i.contains(&to))
     }
 
     pub(super) fn host_transmit(&mut self, host: u32, bytes: Vec<u8>) {
@@ -38,38 +35,42 @@ impl Network {
             NodeId::Host(msg.dst as u32)
         };
         let now = self.clock;
-        self.transmit(NodeId::Host(host), target, now, bytes);
+        self.transmit(host, target, now, bytes);
     }
 
-    /// Moves a message one hop toward `target`, departing at `at` (≥ the
-    /// current clock; device forwards depart after their kernel latency).
-    fn transmit(&mut self, from: NodeId, target: NodeId, at: u64, bytes: Vec<u8>) {
-        if from == target {
-            if let NodeId::Host(h) = target {
-                self.push(at, EventOrd::Arrive(NodeId::Host(h)), bytes);
+    /// Moves a message one hop from node `from` toward `target` — an id off
+    /// the wire, possibly one no node has — departing at `at` (≥ the current
+    /// clock; device forwards depart after their kernel latency).
+    fn transmit(&mut self, from: u32, target: NodeId, at: u64, mut bytes: Vec<u8>) {
+        let here = self.slots[from as usize].id;
+        if here == target {
+            if let NodeId::Host(_) = target {
+                self.push_from(from, at, EventKind::Arrive(from, bytes));
             }
             return;
         }
-        let hop = self.routes.hop(from, target, &self.downed);
-        let Some((hop, link)) = hop.filter(|(h, _)| self.hop_open(from, *h)) else {
+        let faulted = !self.downed.is_empty() || self.island.is_some();
+        let hop = self.index_of(target).and_then(|t| self.routes.hop(from, t, &self.downed));
+        let open = |&(h, _): &_| !faulted || self.hop_open(here, self.slots[h as usize].id);
+        let Some((hop, link)) = hop.filter(open) else {
             // No traversable route. Distinguish a topology gap (a bug in
             // the experiment setup) from a scheduled fault eating the path.
-            if self.downed.is_empty() && self.island.is_none() {
-                self.stats.unroutable += 1;
-            } else {
+            if faulted {
                 self.stats.fault_drops += 1;
+            } else {
+                self.stats.unroutable += 1;
             }
-            self.stats.node(from).dropped += 1;
-            self.trace_instant("drop.fault", from, at);
+            self.stats.node(here).dropped += 1;
+            self.trace_instant("drop.fault", here, at);
             return;
         };
         if link.loss > 0.0 && self.rand01(from) < link.loss {
+            let hop = self.slots[hop as usize].id;
             self.stats.link_losses += 1;
             self.stats.node(hop).dropped += 1;
             self.trace_instant("drop.loss", hop, at);
             return;
         }
-        let mut bytes = bytes;
         if link.corrupt > 0.0 && self.rand01(from) < link.corrupt && !bytes.is_empty() {
             let bit = self.rand_u64(from) as usize % (bytes.len() * 8);
             bytes[bit / 8] ^= 1 << (bit % 8);
@@ -87,7 +88,7 @@ impl Network {
         let slow = if self.degraded.is_empty() {
             1
         } else {
-            *self.degraded.get(&link_key(from, hop)).unwrap_or(&1)
+            *self.degraded.get(&link_key(here, self.slots[hop as usize].id)).unwrap_or(&1)
         };
         if slow > 1 {
             self.stats.degraded_transits += 1;
@@ -104,7 +105,7 @@ impl Network {
             // The last copy moves the buffer — the common lossless single
             // delivery stays allocation-free.
             let payload = if i + 1 == copies { std::mem::take(&mut bytes) } else { bytes.clone() };
-            self.push(arrive, EventOrd::Arrive(hop), payload);
+            self.push_from(from, arrive, EventKind::Arrive(hop, payload));
         }
     }
 
@@ -115,15 +116,16 @@ impl Network {
     /// final header decides the forward, departing after the passes'
     /// latency. Compute touches only switch state and the effects after it
     /// only network state.
-    pub(super) fn device_receive(&mut self, dev: u16, mut wire: Vec<u8>) {
-        let here = NodeId::Device(dev);
-        if self.failed.contains(&dev) {
+    pub(super) fn device_receive(&mut self, dev: u32, mut wire: Vec<u8>) {
+        let slot = &mut self.slots[dev as usize];
+        let here = slot.id;
+        if slot.failed {
             self.stats.fault_drops += 1;
             self.stats.node(here).dropped += 1;
             self.trace_instant("drop.fault", here, self.clock);
             return;
         }
-        let Some(node) = self.devices.get_mut(&dev) else { return };
+        let Some(node) = slot.device.as_deref_mut() else { return };
         let Ok(msg) = Message::read_header(&wire) else {
             self.stats.node(here).dropped += 1;
             return;
@@ -195,22 +197,21 @@ impl Network {
         self.apply_forward(dev, fwd, depart, wire);
     }
 
-    fn apply_forward(&mut self, dev: u16, fwd: Forward, at: u64, bytes: Vec<u8>) {
+    fn apply_forward(&mut self, dev: u32, fwd: Forward, at: u64, mut bytes: Vec<u8>) {
         match fwd {
             Forward::Drop => {
                 self.stats.kernel_drops += 1;
-                self.stats.node(NodeId::Device(dev)).dropped += 1;
+                self.stats.node(self.slots[dev as usize].id).dropped += 1;
             }
-            Forward::ToHost(h) => {
-                self.transmit(NodeId::Device(dev), NodeId::Host(h as u32), at, bytes)
-            }
-            Forward::ToDevice(d) => {
-                self.transmit(NodeId::Device(dev), NodeId::Device(d), at, bytes)
-            }
+            Forward::ToHost(h) => self.transmit(dev, NodeId::Host(h as u32), at, bytes),
+            Forward::ToDevice(d) => self.transmit(dev, NodeId::Device(d), at, bytes),
             Forward::Multicast(gid) => {
-                let members = self.topology.groups.get(&gid).cloned().unwrap_or_default();
-                for m in members {
-                    let mut copy = bytes.clone();
+                let topology = Arc::clone(&self.topology);
+                let members = topology.groups.get(&gid).map_or(&[][..], Vec::as_slice);
+                for (k, &m) in members.iter().enumerate() {
+                    // The last member's copy is the buffer itself.
+                    let last = k + 1 == members.len();
+                    let mut copy = if last { std::mem::take(&mut bytes) } else { bytes.clone() };
                     // A device member of the group becomes the computing
                     // target of its copy (P4xos: the leader multicasts
                     // phase-2A to the acceptor set).
@@ -220,7 +221,7 @@ impl Network {
                             msg.write_header_into(&mut copy[..netcl_runtime::NCL_HEADER_BYTES]);
                         }
                     }
-                    self.transmit(NodeId::Device(dev), m, at, copy);
+                    self.transmit(dev, m, at, copy);
                 }
             }
             Forward::Recirculate => unreachable!("handled in device_receive"),
@@ -228,41 +229,35 @@ impl Network {
     }
 
     pub(super) fn host_receive(&mut self, host: u32, bytes: Vec<u8>) {
+        let (here, now) = (self.slots[host as usize].id, self.clock);
         self.stats.delivered += 1;
-        self.stats.node(NodeId::Host(host)).delivered += 1;
-        let now = self.clock;
-        self.trace_instant("deliver", NodeId::Host(host), now);
-        let Some(node) = self.hosts.get_mut(&host) else { return };
-        node.received.push((now, bytes.clone()));
-        let process_ns = node.process_ns;
-        self.host_handle(host, HostEvent::Message(bytes), process_ns);
-    }
-
-    pub(super) fn host_timer(&mut self, host: u32, token: u64) {
-        self.host_handle(host, HostEvent::Timer(token), 0);
+        self.stats.node(here).delivered += 1;
+        self.trace_instant("deliver", here, now);
+        let Some(node) = &mut self.slots[host as usize].host else { return };
+        // A sink keeps the message itself; a handler gets its own.
+        let handled = node.handler.is_some().then(|| bytes.clone());
+        node.received.push((now, bytes));
+        if let Some(bytes) = handled {
+            self.host_handle(host, HostEvent::Message(bytes), HOST_PROCESS_NS);
+        }
     }
 
     /// Runs the host's handler (if any) on `ev`; what it sends and arms
     /// goes out `delay` after now.
-    fn host_handle(&mut self, host: u32, ev: HostEvent, delay: u64) {
+    pub(super) fn host_handle(&mut self, host: u32, ev: HostEvent, delay: u64) {
         let now = self.clock;
-        let Some(mut handler) = self.hosts.get_mut(&host).and_then(|n| n.handler.take()) else {
+        let Some(handler) =
+            self.slots[host as usize].host.as_mut().and_then(|h| h.handler.as_mut())
+        else {
             return;
         };
         let mut outbox = Outbox::default();
         handler(now, ev, &mut outbox);
-        if let Some(node) = self.hosts.get_mut(&host) {
-            node.handler = Some(handler);
+        for (delay_ns, bytes) in outbox.sends {
+            self.push_from(host, now + delay + delay_ns, EventKind::HostSend(host, bytes));
         }
-        self.flush_outbox(host, now + delay, outbox);
-    }
-
-    fn flush_outbox(&mut self, host: u32, base: u64, outbox: Outbox) {
-        for (delay, bytes) in outbox.sends {
-            self.push(base + delay, EventOrd::HostSend(NodeId::Host(host)), bytes);
-        }
-        for (delay, token) in outbox.timers {
-            self.push(base + delay, EventOrd::Timer(NodeId::Host(host), token), Vec::new());
+        for (delay_ns, token) in outbox.timers {
+            self.push_from(host, now + delay + delay_ns, EventKind::Timer(host, token));
         }
     }
 }

@@ -1,8 +1,14 @@
-//! The event-driven simulator core: the [`Network`], its event keys, and
-//! the event loop. Statistics live in `stats.rs`, construction in
-//! `builder.rs`, per-message delivery in `deliver.rs`.
+//! The event-driven simulator core: the [`Network`], its node table, its
+//! event keys, and the event loop. Statistics live in `stats.rs`,
+//! construction in `builder.rs`, per-message delivery in `deliver.rs`.
 //!
 //! Invariants:
+//! - A node has one identity in here: its dense index — the one `route.rs`
+//!   gives a topology node, or a slot this network appended past that range
+//!   for an id the topology lacks. All per-node state is in that slot;
+//!   events, routing and hand-offs name nodes by index. `NodeId` stays at
+//!   the API edge, in `EventSrc` keys, in fault state and in
+//!   [`NetStats::per_node`]: nothing observable depends on the indexing.
 //! - Events run in `(time, EventSrc)` order. Keys are unique and locally
 //!   derivable (schedule index, driver call order, per-node push counter),
 //!   so the order is total and the same in a scalar run and in every shard.
@@ -20,7 +26,7 @@ mod stats;
 pub use builder::NetworkBuilder;
 pub use stats::{NetObs, NetStats, NodeCounters, ObsConfig};
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -30,7 +36,7 @@ use netcl_runtime::device::DeviceRuntime;
 
 use crate::fault::Fault;
 use crate::route::RouteCache;
-use crate::topo::{link_key, NodeId, Topology};
+use crate::topo::{link_key, mix64, NodeId, Topology};
 use stats::tid_of;
 
 /// Events delivered to a host handler.
@@ -138,48 +144,75 @@ struct DeviceNode {
     /// does not allocate per message.
     pkt: Packet,
     out: Vec<u8>,
+    /// Applied rule updates, replayed (after the restart hook) when the
+    /// device restarts — live rule changes survive the factory reset
+    /// (DESIGN.md §16).
+    journal: Vec<TableUpdate>,
+    restart_hook: Option<RestartHook>,
 }
 
 struct HostNode {
     handler: Option<HostHandler>,
     received: Vec<(u64, Vec<u8>)>,
-    /// Host-side processing cost before a handler's sends go out (socket +
-    /// kernel path; the paper attributes its end-to-end deltas to this).
-    process_ns: u64,
+}
+
+/// Host-side processing cost before a handler's sends go out (socket +
+/// kernel path; the paper attributes its end-to-end deltas to this).
+const HOST_PROCESS_NS: u64 = 2000;
+
+/// Everything kept per node, at the node's dense index.
+struct Slot {
+    id: NodeId,
+    /// Push counter ([`EventSrc::Node`]).
+    seq: u64,
+    /// Chaos RNG cursor (splitmix64), seeded from `seed ⊕ tag(id)`. Draws
+    /// for a transmit come from the *sending* node's stream, so a shard
+    /// owning that node reproduces the scalar run's draws (DESIGN.md §15).
+    rng: u64,
+    /// Whether this network runs the node; arrivals at any other go to
+    /// `xs_out` for the shard runner to route. Always true unsharded.
+    owned: bool,
+    /// Device currently failed (blackholing traffic).
+    failed: bool,
+    /// What the builder declared here, by the kind of `id`. The device is
+    /// boxed to keep slots host-sized: a 10⁵-host fat-tree holds one per
+    /// node in every shard.
+    host: Option<HostNode>,
+    device: Option<Box<DeviceNode>>,
+}
+
+impl Slot {
+    fn new(id: NodeId, seed: u64, owned: bool) -> Slot {
+        let tag = match id {
+            NodeId::Host(h) => 0x486F_7374_0000_0000u64 | h as u64,
+            NodeId::Device(d) => 0x4465_7663_0000_0000u64 | d as u64,
+        };
+        // One splitmix step decorrelates the per-node seeds.
+        let rng = mix64(seed ^ tag);
+        Slot { id, seq: 0, rng, owned, failed: false, host: None, device: None }
+    }
 }
 
 /// The running simulation.
 pub struct Network {
     topology: Arc<Topology>,
-    devices: HashMap<u16, DeviceNode>,
-    hosts: HashMap<u32, HostNode>,
-    events: BinaryHeap<Reverse<(u64, EventSrc, NodeOrd)>>,
+    /// The node table: topology nodes at their route index, then ids the
+    /// topology lacks, in first-use order.
+    slots: Vec<Slot>,
+    events: BinaryHeap<Reverse<Event>>,
     clock: u64,
     /// Driver-injection counter ([`EventSrc::External`]).
     ext_seq: u64,
-    /// Per-node push counters ([`EventSrc::Node`]).
-    node_seq: HashMap<NodeId, u64>,
-    /// The node whose event is currently being processed; its counter and
-    /// RNG stream serve any pushes and draws made during processing.
-    cur_node: Option<NodeId>,
-    /// The run seed; per-node RNG streams are derived from it lazily.
+    /// The run seed; per-node RNG streams are derived from it.
     seed: u64,
-    /// Per-node chaos RNG streams. Draws for a transmit happen on the
-    /// *sending* node's stream, so a shard owning that node reproduces the
-    /// scalar run's draws exactly (DESIGN.md §15).
-    rngs: HashMap<NodeId, u64>,
     /// Statistics.
     pub stats: NetStats,
-    /// Scheduled faults, referenced by index from `EventOrd::Fault`.
+    /// Scheduled faults, referenced by index from `EventKind::Fault`.
     fault_list: Vec<Fault>,
     /// Scheduled rule updates, referenced by index from
-    /// `EventOrd::RuleUpdate`. Replicated into every shard (like faults)
+    /// `EventKind::RuleUpdate`. Replicated into every shard (like faults)
     /// so indices — and therefore event keys — agree everywhere.
     update_list: Vec<(u16, TableUpdate)>,
-    /// Per-device journal of applied updates, replayed (after the restart
-    /// hook) when the device restarts — live rule changes survive the
-    /// factory reset (DESIGN.md §16).
-    applied_updates: HashMap<u16, Vec<TableUpdate>>,
     /// Links currently down (order-normalized endpoint pairs).
     downed: HashSet<(NodeId, NodeId)>,
     /// Links currently gray-degraded (order-normalized endpoint pairs →
@@ -189,24 +222,16 @@ pub struct Network {
     degraded: HashMap<(NodeId, NodeId), u64>,
     /// Active partition: one island of nodes, cut off from the rest.
     island: Option<HashSet<NodeId>>,
-    /// Devices currently failed (blackholing traffic).
-    failed: HashSet<u16>,
-    restart_hooks: HashMap<u16, RestartHook>,
     /// Wall-clock observability; `None` (the default) costs nothing.
     obs: Option<NetObs>,
-    /// Memoized routing trees — one per active destination over a dense
-    /// node index, invalidated whenever the downed-link set changes (see
-    /// `route.rs`). Pure memoization: the run's observable behavior
-    /// depends only on the tree contents, which are a deterministic
-    /// function of (topology, downed set) — this is what makes 10⁴-host
-    /// fat-tree workloads simulable.
+    /// The shared node identity and routing (`route.rs`), with trees
+    /// memoized per destination while links are down and invalidated
+    /// whenever the downed-link set changes. Pure memoization: the run's
+    /// observable behavior depends only on the tree contents, which are a
+    /// deterministic function of (topology, downed set).
     routes: RouteCache,
-    /// When `Some`, this network is one shard: it owns only these nodes,
-    /// and arrivals pushed toward any other node land in `xs_out` for the
-    /// shard runner to route. `None` (the default) owns everything.
-    owned: Option<HashSet<NodeId>>,
     /// Outbound cross-shard arrivals produced by the current window.
-    xs_out: Vec<XsEvent>,
+    xs_out: Vec<Event>,
     /// Streamed driver injections ([`Network::set_flow_source`]); pulled
     /// as the run loop reaches each flow's injection time.
     flows: FlowPump,
@@ -221,7 +246,8 @@ pub struct Network {
 /// `(n, per-node counter)`. A shard therefore assigns every event exactly
 /// the key the scalar run would, which is what makes sharded execution
 /// byte-identical (DESIGN.md §15). Keys are unique, so heap order is a
-/// total order independent of push order.
+/// total order independent of push order — and of indexing: the node is
+/// named by id.
 #[derive(PartialEq, Eq, PartialOrd, Ord, Clone, Copy, Debug)]
 pub(crate) enum EventSrc {
     /// Scheduled fault, keyed by its index in the fault list.
@@ -232,16 +258,45 @@ pub(crate) enum EventSrc {
     Node(NodeId, u64),
 }
 
-// BinaryHeap payload must be Ord; EventSrc keys are unique so the payload
-// wrapper below is never actually compared.
-#[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
-struct NodeOrd(Vec<u8>, EventOrd);
+/// A queued event, ordered by `(time, src)` alone: keys are unique, so what
+/// happens never takes part in the order. Only arrivals (at topology nodes)
+/// cross a shard boundary, under the key the sending shard pushed them with.
+#[derive(Debug)]
+pub(crate) struct Event {
+    pub(crate) time: u64,
+    src: EventSrc,
+    pub(crate) kind: EventKind,
+}
 
-#[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub(crate) enum EventOrd {
-    Arrive(NodeId),
-    Timer(NodeId, u64),
-    HostSend(NodeId),
+impl Ord for Event {
+    fn cmp(&self, other: &Event) -> Ordering {
+        (self.time, self.src).cmp(&(other.time, other.src))
+    }
+}
+
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Event) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Event) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Event {}
+
+/// What happens, and at which node (by dense index).
+#[derive(Debug)]
+pub(crate) enum EventKind {
+    /// These wire bytes land at the node.
+    Arrive(u32, Vec<u8>),
+    /// The host puts these wire bytes on its uplink.
+    HostSend(u32, Vec<u8>),
+    /// The host's timer fires with this token.
+    Timer(u32, u64),
     Fault(usize),
     RuleUpdate(usize),
 }
@@ -253,35 +308,48 @@ pub(crate) enum EventOrd {
 /// documented, and identical in every shard.
 const RULE_UPDATE_KEY_BIT: u64 = 1 << 63;
 
-/// An event that crossed a shard boundary: always an arrival, carrying the
-/// deterministic key it was pushed with on the sending shard.
-#[derive(Debug)]
-pub(crate) struct XsEvent {
-    pub(crate) time: u64,
-    pub(crate) src: EventSrc,
-    pub(crate) target: NodeId,
-    pub(crate) bytes: Vec<u8>,
-}
-
 impl Network {
     /// Current simulated time in nanoseconds.
     pub fn now(&self) -> u64 {
         self.clock
     }
 
+    /// The dense index of `n`: the shared lookup for a topology node, else
+    /// this network's own slots past that range.
+    fn index_of(&self, n: NodeId) -> Option<u32> {
+        let core = &self.routes.core;
+        core.index(n).or_else(|| {
+            let extra = self.slots[core.nodes.len()..].iter().position(|s| s.id == n)?;
+            Some((core.nodes.len() + extra) as u32)
+        })
+    }
+
+    /// [`Self::index_of`], appending a slot for an id first seen now: it
+    /// has no links, so whatever it sends is unroutable.
+    pub(crate) fn intern(&mut self, n: NodeId) -> u32 {
+        self.index_of(n).unwrap_or_else(|| {
+            self.slots.push(Slot::new(n, self.seed, true));
+            self.slots.len() as u32 - 1
+        })
+    }
+
     /// Messages a host received, with arrival timestamps.
     pub fn host_received(&self, id: u32) -> &[(u64, Vec<u8>)] {
-        self.hosts.get(&id).map(|h| h.received.as_slice()).unwrap_or(&[])
+        let host =
+            self.index_of(NodeId::Host(id)).and_then(|i| self.slots[i as usize].host.as_ref());
+        host.map_or(&[], |h| &h.received)
     }
 
     /// Direct control-plane access to a device's switch.
     pub fn switch_mut(&mut self, id: u16) -> Option<&mut Switch> {
-        self.devices.get_mut(&id).map(|d| &mut d.switch)
+        let i = self.index_of(NodeId::Device(id))?;
+        self.slots[i as usize].device.as_mut().map(|d| &mut d.switch)
     }
 
     /// Immutable switch access.
     pub fn switch(&self, id: u16) -> Option<&Switch> {
-        self.devices.get(&id).map(|d| &d.switch)
+        let i = self.index_of(NodeId::Device(id))?;
+        self.slots[i as usize].device.as_ref().map(|d| &d.switch)
     }
 
     /// The run's observability data, when enabled via
@@ -303,22 +371,20 @@ impl Network {
         }
     }
 
-    /// Pushes an event with a deterministic key: pushes made while an event
-    /// at node `n` is being processed are keyed `(n, per-node counter)`;
-    /// pushes from outside the event loop are driver injections.
-    fn push(&mut self, time: u64, ord: EventOrd, bytes: Vec<u8>) {
-        let src = match self.cur_node {
-            Some(n) => {
-                let c = self.node_seq.entry(n).or_default();
-                *c += 1;
-                EventSrc::Node(n, *c)
-            }
-            None => {
-                self.ext_seq += 1;
-                EventSrc::External(self.ext_seq)
-            }
-        };
-        self.push_keyed(time, src, ord, bytes);
+    /// Pushes an event made while processing one at node `at`, keyed `(at,
+    /// per-node counter)`.
+    fn push_from(&mut self, at: u32, time: u64, kind: EventKind) {
+        let slot = &mut self.slots[at as usize];
+        slot.seq += 1;
+        let src = EventSrc::Node(slot.id, slot.seq);
+        self.push_keyed(time, src, kind);
+    }
+
+    /// Pushes a driver injection at `host`, keyed by call order.
+    fn inject(&mut self, host: u32, time: u64, kind: impl FnOnce(u32) -> EventKind) {
+        let host = self.intern(NodeId::Host(host));
+        self.ext_seq += 1;
+        self.push_keyed(time, EventSrc::External(self.ext_seq), kind(host));
     }
 
     /// Pushes a fully-keyed event, routing arrivals at non-owned nodes to
@@ -327,29 +393,26 @@ impl Network {
     /// sharded wrapper injects driver events here under `External` keys it
     /// numbers itself, so they match a scalar run's whichever shard owns
     /// the host.
-    pub(crate) fn push_keyed(&mut self, time: u64, src: EventSrc, ord: EventOrd, bytes: Vec<u8>) {
-        if let Some(owned) = &self.owned {
-            if let EventOrd::Arrive(target) = ord {
-                if !owned.contains(&target) {
-                    self.xs_out.push(XsEvent { time, src, target, bytes });
-                    return;
-                }
-            }
+    pub(crate) fn push_keyed(&mut self, time: u64, src: EventSrc, kind: EventKind) {
+        let remote = matches!(kind, EventKind::Arrive(to, _) if !self.slots[to as usize].owned);
+        let event = Event { time, src, kind };
+        if remote {
+            self.xs_out.push(event);
+        } else {
+            self.accept(event);
         }
-        self.events.push(Reverse((time, src, NodeOrd(bytes, ord))));
     }
 
-    /// Takes delivery of one cross-shard arrival under the key its sending
-    /// shard assigned. Straight onto the heap, not through `push_keyed`:
-    /// the coordinator already routed it to its owner. Keys are unique and
-    /// totally ordered, so pop order is independent of arrival order.
-    pub(crate) fn accept_xs(&mut self, e: XsEvent) {
-        self.events.push(Reverse((e.time, e.src, NodeOrd(e.bytes, EventOrd::Arrive(e.target)))));
+    /// Queues an event this network runs: `push_keyed` found it so, or the
+    /// coordinator routed a cross-shard arrival to its owner. Keys are unique
+    /// and totally ordered, so pop order is independent of arrival order.
+    pub(crate) fn accept(&mut self, event: Event) {
+        self.events.push(Reverse(event));
     }
 
     /// Earliest pending event time, if any.
     pub(crate) fn next_event_time(&self) -> Option<u64> {
-        self.events.peek().map(|Reverse((t, ..))| *t)
+        self.events.peek().map(|Reverse(e)| e.time)
     }
 
     /// Pending events not yet processed — the live-event footprint
@@ -359,18 +422,18 @@ impl Network {
     }
 
     /// Drains the cross-shard arrivals produced by the last window.
-    pub(crate) fn take_xs_out(&mut self) -> Vec<XsEvent> {
+    pub(crate) fn take_xs_out(&mut self) -> Vec<Event> {
         std::mem::take(&mut self.xs_out)
     }
 
     /// Injects a send from a host at an absolute time.
     pub fn send_from_host(&mut self, host: u32, at_ns: u64, bytes: Vec<u8>) {
-        self.push(at_ns, EventOrd::HostSend(NodeId::Host(host)), bytes);
+        self.inject(host, at_ns, |host| EventKind::HostSend(host, bytes));
     }
 
     /// Arms a host timer at an absolute time.
     pub fn set_host_timer(&mut self, host: u32, at_ns: u64, token: u64) {
-        self.push(at_ns, EventOrd::Timer(NodeId::Host(host), token), Vec::new());
+        self.inject(host, at_ns, |host| EventKind::Timer(host, token));
     }
 
     /// Schedules a fault at an absolute simulated time (also available on
@@ -380,7 +443,7 @@ impl Network {
     pub fn schedule_fault(&mut self, at_ns: u64, fault: Fault) {
         let idx = self.fault_list.len();
         self.fault_list.push(fault);
-        self.push_keyed(at_ns, EventSrc::Control(idx as u64), EventOrd::Fault(idx), Vec::new());
+        self.push_keyed(at_ns, EventSrc::Control(idx as u64), EventKind::Fault(idx));
     }
 
     /// Schedules a control-plane rule update at an absolute simulated time
@@ -391,45 +454,24 @@ impl Network {
     pub fn schedule_update(&mut self, at_ns: u64, device: u16, update: TableUpdate) {
         let idx = self.update_list.len();
         self.update_list.push((device, update));
-        self.push_keyed(
-            at_ns,
-            EventSrc::Control(RULE_UPDATE_KEY_BIT | idx as u64),
-            EventOrd::RuleUpdate(idx),
-            Vec::new(),
-        );
+        let key = EventSrc::Control(RULE_UPDATE_KEY_BIT | idx as u64);
+        self.push_keyed(at_ns, key, EventKind::RuleUpdate(idx));
     }
 
     /// Whether device `id` is currently failed.
     pub fn device_failed(&self, id: u16) -> bool {
-        self.failed.contains(&id)
+        self.index_of(NodeId::Device(id)).is_some_and(|i| self.slots[i as usize].failed)
     }
 
-    /// Draws from `node`'s chaos RNG stream (splitmix64, lazily seeded
-    /// from `seed ⊕ tag(node)`). Streams are per-node so a shard owning
-    /// the node reproduces the scalar run's draws regardless of how other
-    /// shards' events interleave globally.
-    fn rand_u64(&mut self, node: NodeId) -> u64 {
-        let tag = match node {
-            NodeId::Host(h) => 0x486F_7374_0000_0000u64 | h as u64,
-            NodeId::Device(d) => 0x4465_7663_0000_0000u64 | d as u64,
-        };
-        let seed = self.seed;
-        let state = self.rngs.entry(node).or_insert_with(|| {
-            // One splitmix step decorrelates the per-node seeds.
-            let mut z = seed ^ tag;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        });
+    /// Draws from node `n`'s chaos RNG stream.
+    fn rand_u64(&mut self, n: u32) -> u64 {
+        let state = &mut self.slots[n as usize].rng;
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix64(*state)
     }
 
-    fn rand01(&mut self, node: NodeId) -> f64 {
-        self.rand_u64(node) as f64 / u64::MAX as f64
+    fn rand01(&mut self, n: u32) -> f64 {
+        self.rand_u64(n) as f64 / u64::MAX as f64
     }
 
     /// Attaches a lazy flow schedule: `source` yields driver injections
@@ -478,9 +520,9 @@ impl Network {
             if self.next_event_time().is_none_or(|t| t >= horizon) {
                 break;
             }
-            let Reverse((time, _, NodeOrd(bytes, ord))) = self.events.pop().expect("peeked");
+            let Reverse(Event { time, kind, .. }) = self.events.pop().expect("peeked");
             self.clock = self.clock.max(time);
-            if !matches!(ord, EventOrd::Fault(_) | EventOrd::RuleUpdate(_)) {
+            if !matches!(kind, EventKind::Fault(_) | EventKind::RuleUpdate(_)) {
                 self.stats.events += 1;
             }
             n += 1;
@@ -492,27 +534,19 @@ impl Network {
                     tr.counter("queue_depth", 0, time, depth);
                 }
             }
-            // Pushes and RNG draws made while processing this event are
-            // attributed to the node it happens at (the deterministic key
-            // and stream scheme above).
-            self.cur_node = match &ord {
-                EventOrd::HostSend(n) | EventOrd::Arrive(n) => Some(*n),
-                EventOrd::Timer(n, _) => Some(*n),
-                EventOrd::Fault(_) | EventOrd::RuleUpdate(_) => None,
-            };
-            match ord {
-                EventOrd::HostSend(NodeId::Host(h)) => self.host_transmit(h, bytes),
-                EventOrd::Arrive(NodeId::Device(d)) => self.device_receive(d, bytes),
-                EventOrd::Arrive(NodeId::Host(h)) => self.host_receive(h, bytes),
-                EventOrd::Timer(NodeId::Host(h), token) => self.host_timer(h, token),
-                EventOrd::Fault(idx) => self.apply_fault(idx),
-                EventOrd::RuleUpdate(idx) => {
+            match kind {
+                EventKind::HostSend(host, bytes) => self.host_transmit(host, bytes),
+                EventKind::Arrive(n, bytes) => match self.slots[n as usize].id {
+                    NodeId::Device(_) => self.device_receive(n, bytes),
+                    NodeId::Host(_) => self.host_receive(n, bytes),
+                },
+                EventKind::Timer(host, token) => self.host_handle(host, HostEvent::Timer(token), 0),
+                EventKind::Fault(idx) => self.apply_fault(idx),
+                EventKind::RuleUpdate(idx) => {
                     let (dev, update) = self.update_list[idx].clone();
                     self.apply_update(dev, &update);
                 }
-                _ => {}
             }
-            self.cur_node = None;
             if let (Some(w), Some(o)) = (watch, self.obs.as_mut()) {
                 o.event_wall_ns.record(w.elapsed_ns());
             }
@@ -525,25 +559,19 @@ impl Network {
     /// then-apply on the owner, count it in [`NetStats::rule_updates`] /
     /// [`NetStats::rule_update_rejects`], and journal successes for replay
     /// after a restart. Returns whether the batch landed. A device this
-    /// network does not own (sharding) is a silent no-op `false` — the
+    /// network does not run (sharding) is a silent no-op `false` — the
     /// schedule is replicated, the application is not, and the owner shard
     /// counts it.
     pub fn apply_update(&mut self, dev: u16, update: &TableUpdate) -> bool {
-        if !self.devices.contains_key(&dev) {
-            return false;
-        }
-        if self.failed.contains(&dev) {
-            // The controller cannot reach a failed device: the batch is
-            // lost, not queued (and not journaled — it never landed).
-            self.stats.rule_update_rejects += 1;
-            self.trace_instant("update.reject", NodeId::Device(dev), self.clock);
-            return false;
-        }
-        let node = self.devices.get_mut(&dev).expect("checked above");
-        let applied = node.switch.apply_update(update).is_ok();
+        let Some(i) = self.index_of(NodeId::Device(dev)) else { return false };
+        let slot = &mut self.slots[i as usize];
+        let Some(node) = &mut slot.device else { return false };
+        // The controller cannot reach a failed device: the batch is lost,
+        // not queued (and not journaled — it never landed).
+        let applied = !slot.failed && node.switch.apply_update(update).is_ok();
         if applied {
+            node.journal.push(update.clone());
             self.stats.rule_updates += 1;
-            self.applied_updates.entry(dev).or_default().push(update.clone());
             self.trace_instant("update.apply", NodeId::Device(dev), self.clock);
         } else {
             self.stats.rule_update_rejects += 1;
@@ -579,11 +607,14 @@ impl Network {
                 self.degraded.remove(&link_key(a, b));
             }
             Fault::DeviceFail(d) => {
-                self.failed.insert(d);
+                let i = self.intern(NodeId::Device(d));
+                self.slots[i as usize].failed = true;
             }
             Fault::DeviceRestart(d) => {
-                self.failed.remove(&d);
-                if let Some(node) = self.devices.get_mut(&d) {
+                let Some(i) = self.index_of(NodeId::Device(d)) else { return };
+                let slot = &mut self.slots[i as usize];
+                slot.failed = false;
+                if let Some(node) = slot.device.as_deref_mut() {
                     // Factory state: zeroed registers, program-initial
                     // tables — everything volatile is gone. The selected
                     // execution engine is configuration, not volatile
@@ -595,18 +626,15 @@ impl Network {
                     self.stats.device_restarts += 1;
                     // The registered controller hook repopulates `_managed_`
                     // memory through the control plane.
-                    if let Some(mut hook) = self.restart_hooks.remove(&d) {
+                    if let Some(hook) = &mut node.restart_hook {
                         hook(&mut node.switch);
-                        self.restart_hooks.insert(d, hook);
                     }
                     // Replay journaled rule updates *after* the hook: the
                     // hook restores the checkpoint, the journal re-applies
                     // every live rule change made since — a reload no
                     // longer loses them (DESIGN.md §16).
-                    if let Some(journal) = self.applied_updates.get(&d) {
-                        for u in journal {
-                            let _ = node.switch.apply_update(u);
-                        }
+                    for u in &node.journal {
+                        let _ = node.switch.apply_update(u);
                     }
                 }
             }
@@ -981,6 +1009,43 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
         FlowPump::default().drain_upto(u64::MAX, |_, _, _| panic!("no source attached"));
     }
 
+    proptest::proptest! {
+        /// The node identity on random fat-trees: id → index → id round-trips
+        /// and the table is laid out by it, index order is `NodeId` order,
+        /// ids the topology lacks resolve to nothing, and a host declared on
+        /// the builder but never linked gets a slot past the topology's
+        /// range, from where whatever it sends is unroutable.
+        #[test]
+        fn node_index_round_trips_and_strays_land_past_the_topology(
+            half_k in 1u16..=4,
+            beyond in 0u32..1000,
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let ft = crate::FatTree::new(2 * half_k, LinkSpec::default()).unwrap();
+            let (nodes, stray) = (ft.topology.nodes(), ft.num_hosts() as u32 + beyond);
+            let mut net = NetworkBuilder::new(ft.topology).sink_host(stray).build();
+            let core = net.routes.core.clone();
+            prop_assert_eq!(&core.nodes, &nodes);
+            prop_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "indices follow NodeId order");
+            for (i, &n) in nodes.iter().enumerate() {
+                prop_assert_eq!(core.index(n), Some(i as u32));
+                prop_assert_eq!(net.slots[i].id, n);
+            }
+            for unknown in [NodeId::Host(stray), NodeId::Host(u32::MAX), NodeId::Device(u16::MAX)] {
+                prop_assert_eq!(core.index(unknown), None);
+            }
+            prop_assert_eq!(net.index_of(NodeId::Device(u16::MAX)), None);
+            prop_assert_eq!(net.index_of(NodeId::Host(stray)), Some(nodes.len() as u32));
+            let mut to_host_0 = vec![0; netcl_runtime::NCL_HEADER_BYTES];
+            Message::new(0, 0, 1, netcl_runtime::device::NO_DEVICE).write_header_into(&mut to_host_0);
+            net.send_from_host(stray, 0, to_host_0);
+            prop_assert_eq!(net.run(10), 1);
+            prop_assert_eq!((net.stats.unroutable, net.stats.delivered), (1, 0));
+            prop_assert_eq!(net.stats.per_node[&NodeId::Host(stray)].dropped, 1);
+            prop_assert_eq!(net.slots.len(), nodes.len() + 1, "no second slot for the same id");
+        }
+    }
+
     #[test]
     fn timers_fire_in_order() {
         let topo = star(1, &[1], LinkSpec::default());
@@ -1013,9 +1078,10 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
             .sink_host(2)
             .observe(ObsConfig { trace: true, ..Default::default() })
             .build();
+        let dev = net.intern(NodeId::Device(1));
         for (i, bytes) in arrivals.iter().enumerate() {
-            let at_dev = EventOrd::Arrive(NodeId::Device(1));
-            net.push_keyed(1000, EventSrc::External(i as u64), at_dev, bytes.clone());
+            let at_dev = EventKind::Arrive(dev, bytes.clone());
+            net.push_keyed(1000, EventSrc::External(i as u64), at_dev);
         }
         assert_eq!(net.run_until(1001, u64::MAX), arrivals.len() as u64);
         net
@@ -1101,8 +1167,9 @@ _kernel(1) _at(1) void spin(unsigned &k, unsigned &n) {
         // Lossless links: one reply per packet, queued in arrival order and
         // carrying the pass count and the packet's last ticket.
         let mut tickets = Vec::new();
-        while let Some(Reverse((_, _, NodeOrd(bytes, ord)))) = net.events.pop() {
-            assert_eq!(ord, EventOrd::Arrive(NodeId::Host(1)));
+        while let Some(Reverse(Event { kind, .. })) = net.events.pop() {
+            let EventKind::Arrive(at, bytes) = kind else { panic!("not an arrival: {kind:?}") };
+            assert_eq!(net.slots[at as usize].id, NodeId::Host(1));
             let (mut k, mut n) = (Vec::new(), Vec::new());
             unpack(&bytes, &spec, &mut [Some(&mut k), Some(&mut n)]).unwrap();
             assert_eq!(n[0], 3);

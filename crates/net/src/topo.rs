@@ -222,7 +222,12 @@ pub(crate) fn ecmp_rank(root: NodeId, node: NodeId) -> u64 {
             NodeId::Device(d) => (2u64 << 48) | d as u64,
         }
     }
-    let mut z = tag(root).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ tag(node).rotate_left(17);
+    mix64(tag(root).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ tag(node).rotate_left(17))
+}
+
+/// The splitmix64 output function: the one bit mixer behind the ECMP rank,
+/// the simulator's per-node chaos streams and the workload RNG.
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

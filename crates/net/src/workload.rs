@@ -13,7 +13,7 @@
 use std::collections::HashSet;
 
 use crate::shard::Partition;
-use crate::topo::{LinkSpec, NodeId, Topology};
+use crate::topo::{mix64, LinkSpec, NodeId, Topology};
 
 /// A small deterministic RNG (splitmix64) for workload generation —
 /// deliberately separate from the simulator's per-node chaos streams so
@@ -32,10 +32,7 @@ impl WorkloadRng {
     /// Next 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix64(self.state)
     }
 
     /// Uniform in `[0, 1)`.
@@ -304,23 +301,18 @@ impl FatTree {
         flows: impl Iterator<Item = (u32, u16)>,
         shards: usize,
     ) -> (Partition, Vec<u64>) {
-        let half = (self.k / 2) as usize;
-        let ndevs = half * half + self.k as usize * self.k as usize;
-        let mut host_w = vec![0u64; self.hosts.len()];
-        let mut dev_w = vec![0u64; ndevs];
         let mut cache = routes.cache.clone();
+        let core = cache.core.clone();
+        let ix = |n: NodeId| core.index(n).expect("a node of this fat-tree") as usize;
+        // Event weight per node, by dense index.
+        let mut w = vec![0u64; core.nodes.len()];
         let down = HashSet::new();
-        let charge = |w: &mut Vec<u64>, hw: &mut Vec<u64>, n: NodeId| match n {
-            NodeId::Device(d) => w[d as usize] += 1,
-            NodeId::Host(h) => hw[h as usize] += 1,
-        };
         for (src, dev) in flows {
             // The injection event itself, then one arrival per hop of the
             // round trip: up to the executing switch, reply back down.
-            host_w[src as usize] += 1;
-            for (from, to) in
-                [(NodeId::Host(src), NodeId::Device(dev)), (NodeId::Device(dev), NodeId::Host(src))]
-            {
+            let (src, dev) = (ix(NodeId::Host(src)) as u32, ix(NodeId::Device(dev)) as u32);
+            w[src as usize] += 1;
+            for (from, to) in [(src, dev), (dev, src)] {
                 let mut cur = from;
                 // A fat-tree round trip is ≤ 6 hops; the bound only guards
                 // against a malformed routing loop.
@@ -329,7 +321,7 @@ impl FatTree {
                         break;
                     }
                     let Some((hop, _)) = cache.hop(cur, to, &down) else { break };
-                    charge(&mut dev_w, &mut host_w, hop);
+                    w[hop as usize] += 1;
                     cur = hop;
                 }
             }
@@ -339,16 +331,11 @@ impl FatTree {
             let mut nodes: Vec<NodeId> = pod_hosts.iter().map(|&h| NodeId::Host(h)).collect();
             nodes.extend(self.edge_by_pod[p].iter().map(|&d| NodeId::Device(d)));
             nodes.extend(self.agg_by_pod[p].iter().map(|&d| NodeId::Device(d)));
-            let w = pod_hosts.iter().map(|&h| host_w[h as usize]).sum::<u64>()
-                + self.edge_by_pod[p]
-                    .iter()
-                    .chain(&self.agg_by_pod[p])
-                    .map(|&d| dev_w[d as usize])
-                    .sum::<u64>();
-            units.push((nodes, w));
+            let weight = nodes.iter().map(|&n| w[ix(n)]).sum();
+            units.push((nodes, weight));
         }
         for &c in &self.core {
-            units.push((vec![NodeId::Device(c)], dev_w[c as usize]));
+            units.push((vec![NodeId::Device(c)], w[ix(NodeId::Device(c))]));
         }
         Partition::balanced_with_weights(units, shards)
     }

@@ -456,6 +456,13 @@ fn build_sharded_validates_partitions() {
     let err = builder().build_sharded(duplicated).unwrap_err();
     assert!(err.contains("more than one shard"), "{err}");
 
+    // A restart hook naming a device no shard owns is the same kind of
+    // mistake as an unassigned device: an error, not a panic.
+    let cover =
+        Partition::new(vec![vec![NodeId::Device(1), NodeId::Host(1)], vec![NodeId::Host(2)]]);
+    let err = builder().on_restart(7, Box::new(|_| {})).build_sharded(cover).unwrap_err();
+    assert!(err.contains("restart hook for device 7, which no shard owns"), "{err}");
+
     let zero = LinkSpec { latency_ns: 0, ..LinkSpec::default() };
     let net = NetworkBuilder::new(star(1, &[1, 2], zero))
         .device(1, Switch::new(p4.clone()), 500)
