@@ -435,7 +435,7 @@ pub fn handwritten(cfg: &AggConfig) -> P4Program {
         target: Target::Tna,
         headers,
         parser: Some(parser),
-        controls: vec![c],
+        controls: vec![c].into(),
     }
 }
 

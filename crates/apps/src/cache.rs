@@ -604,7 +604,7 @@ pub fn handwritten(cfg: &CacheConfig) -> P4Program {
         target: Target::Tna,
         headers,
         parser: Some(parser),
-        controls: vec![c],
+        controls: vec![c].into(),
     }
 }
 

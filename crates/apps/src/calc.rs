@@ -210,7 +210,7 @@ pub fn handwritten() -> P4Program {
         target: Target::Tna,
         headers,
         parser: Some(parser),
-        controls: vec![c],
+        controls: vec![c].into(),
     }
 }
 

@@ -493,7 +493,7 @@ pub fn handwritten_leader() -> P4Program {
         target: Target::Tna,
         headers: common_headers(),
         parser: Some(common_parser()),
-        controls: vec![c],
+        controls: vec![c].into(),
     }
 }
 
@@ -594,7 +594,7 @@ pub fn handwritten_acceptor_at(acc: u16) -> P4Program {
         target: Target::Tna,
         headers: common_headers(),
         parser: Some(common_parser()),
-        controls: vec![c],
+        controls: vec![c].into(),
     }
 }
 
@@ -753,7 +753,7 @@ pub fn handwritten_learner() -> P4Program {
         target: Target::Tna,
         headers: common_headers(),
         parser: Some(common_parser()),
-        controls: vec![c],
+        controls: vec![c].into(),
     }
 }
 

@@ -478,7 +478,7 @@ pub fn compile(program: &P4Program) -> CompiledProgram {
     };
     c.build_widths();
     c.build_layouts();
-    for control in &program.controls {
+    for control in program.controls.iter() {
         c.compile_control(control);
     }
     let parser = program.parser.as_ref().map(|p| c.compile_parser(p));
@@ -507,7 +507,7 @@ impl Compiler<'_> {
     /// Mirrors `Switch::new`'s width map exactly: control locals first,
     /// header fields overwrite.
     fn build_widths(&mut self) {
-        for c in &self.program.controls {
+        for c in self.program.controls.iter() {
             for (n, w) in &c.locals {
                 self.field_widths.insert(n.clone(), *w);
             }

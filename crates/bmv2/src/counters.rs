@@ -258,7 +258,8 @@ mod tests {
                         els: vec![],
                     },
                 ],
-            }],
+            }]
+            .into(),
         }
     }
 

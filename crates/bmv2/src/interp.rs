@@ -40,7 +40,7 @@ impl Switch {
         // A second handle on the program, so that walking it does not
         // borrow `self`, which executing a statement mutates.
         let program = Arc::clone(&self.program);
-        for control in &program.controls {
+        for control in program.controls.iter() {
             self.exec_stmts(&control.apply, control, pkt)?;
         }
         self.deparse_interp(pkt, out)

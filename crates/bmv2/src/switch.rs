@@ -345,7 +345,8 @@ mod tests {
                     },
                     Stmt::ApplyTable("t".into()),
                 ],
-            }],
+            }]
+            .into(),
         }
     }
 
@@ -468,7 +469,7 @@ mod tests {
     fn unknown_action_fails_lazily_like_interpreter() {
         let mut p = counting_program();
         // Reference a missing action, but only behind a miss-only branch.
-        p.controls[0].apply = vec![Stmt::If {
+        Arc::make_mut(&mut p.controls)[0].apply = vec![Stmt::If {
             cond: Expr::Bin(
                 P4BinOp::Eq,
                 Box::new(Expr::field(&["hdr", "h", "k"])),

@@ -389,7 +389,7 @@ mod tests {
         let mut cache = CompileCache::new();
         cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
         let mut served = cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
-        Arc::make_mut(&mut served.devices[0].tna_p4).controls.clear();
+        Arc::make_mut(&mut Arc::make_mut(&mut served.devices[0].tna_p4).controls).clear();
         Arc::make_mut(&mut served.devices[0].tna_ir).kernels.clear();
         served.devices[0].device = 99;
         let extra = served.devices[0].clone();

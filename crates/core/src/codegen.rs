@@ -66,7 +66,7 @@ pub fn generate(module: &Module, target: Target) -> Result<P4Program, CodegenErr
     let dispatch = cg.kernels()?;
     cg.control.apply = dispatch;
     let mut program = cg.program;
-    program.controls.push(cg.control);
+    program.controls = vec![cg.control].into();
     Ok(program)
 }
 
@@ -312,11 +312,11 @@ impl InlinePlan {
         let mut uses: HashMap<ValueId, Vec<(BlockId, usize)>> = HashMap::new();
         for (bid, b) in f.blocks.iter_enumerated() {
             for (i, inst) in b.insts.iter().enumerate() {
-                for op in inst.kind.operands() {
+                inst.kind.for_each_operand(|op| {
                     if let Operand::Value(v) = op {
                         uses.entry(v).or_default().push((bid, i));
                     }
-                }
+                });
             }
             let term_ops: Vec<Operand> = match &b.term {
                 Terminator::CondBr { cond, .. } => vec![*cond],

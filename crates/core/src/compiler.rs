@@ -263,44 +263,49 @@ impl Compiler {
             let want_tna = self.options.target != EmitTarget::V1Model;
             let want_v1 = self.options.target != EmitTarget::Tna;
 
-            // One pipeline runner for both targets: telemetry-collecting
-            // when requested, bare otherwise.
-            let pipeline = |ir: &mut Module,
-                            target: PipelineTarget,
-                            diags: &mut DiagnosticSink|
-             -> (Result<(), ()>, Option<PassReport>) {
-                if self.options.pass_report {
-                    let (r, rep) = netcl_passes::run_pipeline_with_report(
-                        ir,
-                        target,
-                        &self.options.flags,
-                        diags,
-                    );
-                    (r, Some(rep))
-                } else {
-                    (netcl_passes::run_pipeline(ir, target, &self.options.flags, diags), None)
-                }
-            };
-
             let t0 = Instant::now();
-            let mut tna_ir = base.clone();
-            let mut tna_pass_report = None;
-            if want_tna {
-                let (r, rep) = pipeline(&mut tna_ir, PipelineTarget::Tofino, &mut diags);
-                tna_pass_report = rep;
-                if r.is_err() {
-                    return Err(render(&diags, &unit.source_map));
-                }
+            // A dialect that is not emitted keeps the lowered module as is.
+            let unprocessed = (!(want_tna && want_v1)).then(|| base.clone());
+            // The common stage reads neither the target nor the flags, so
+            // it runs once; each dialect continues from a copy of its
+            // result, and of its report entries (DESIGN.md §4, §12).
+            let mut shared = base;
+            let mut common_report =
+                self.options.pass_report.then(|| PassReport::begin("common", &shared));
+            if netcl_passes::run_common_stage(&mut shared, &mut diags, common_report.as_mut())
+                .is_err()
+            {
+                return Err(render(&diags, &unit.source_map));
             }
-            let mut v1_ir = base;
-            let mut v1_pass_report = None;
-            if want_v1 {
-                let (r, rep) = pipeline(&mut v1_ir, PipelineTarget::V1Model, &mut diags);
-                v1_pass_report = rep;
-                if r.is_err() {
-                    return Err(render(&diags, &unit.source_map));
-                }
-            }
+            let mut dialect = |ir: Option<Module>, target: PipelineTarget| {
+                let Some(mut ir) = ir else {
+                    return Ok((unprocessed.clone().expect("kept when a dialect is off"), None));
+                };
+                let mut report = common_report.clone();
+                netcl_passes::run_target_stage(
+                    &mut ir,
+                    target,
+                    &self.options.flags,
+                    &mut diags,
+                    report.as_mut(),
+                )
+                .map(|()| {
+                    if let Some(report) = &mut report {
+                        report.finish(&ir);
+                    }
+                    (ir, report)
+                })
+            };
+            let Ok((tna_ir, tna_pass_report)) =
+                dialect(want_tna.then(|| shared.clone()), PipelineTarget::Tofino)
+            else {
+                return Err(render(&diags, &unit.source_map));
+            };
+            let Ok((v1_ir, v1_pass_report)) =
+                dialect(want_v1.then_some(shared), PipelineTarget::V1Model)
+            else {
+                return Err(render(&diags, &unit.source_map));
+            };
             timings.passes += t0.elapsed();
 
             let t0 = Instant::now();

@@ -255,45 +255,41 @@ impl InstKind {
         }
     }
 
-    /// Iterates over all operands.
-    pub fn operands(&self) -> Vec<Operand> {
-        let mut out = Vec::new();
+    /// Visits every operand in order, without allocating.
+    pub fn for_each_operand(&self, mut f: impl FnMut(Operand)) {
         match self {
             InstKind::Bin { a, b, .. } | InstKind::Icmp { a, b, .. } => {
-                out.push(*a);
-                out.push(*b);
+                f(*a);
+                f(*b);
             }
-            InstKind::Un { a, .. } | InstKind::Cast { a, .. } | InstKind::Hash { a, .. } => {
-                out.push(*a)
-            }
+            InstKind::Un { a, .. } | InstKind::Cast { a, .. } | InstKind::Hash { a, .. } => f(*a),
             InstKind::Select { cond, a, b } => {
-                out.push(*cond);
-                out.push(*a);
-                out.push(*b);
+                f(*cond);
+                f(*a);
+                f(*b);
             }
-            InstKind::Phi { incoming } => out.extend(incoming.iter().map(|(_, v)| *v)),
-            InstKind::LocalLoad { index, .. } | InstKind::ArgRead { index, .. } => out.push(*index),
+            InstKind::Phi { incoming } => incoming.iter().for_each(|(_, v)| f(*v)),
+            InstKind::LocalLoad { index, .. } | InstKind::ArgRead { index, .. } => f(*index),
             InstKind::LocalStore { index, value, .. } | InstKind::ArgWrite { index, value, .. } => {
-                out.push(*index);
-                out.push(*value);
+                f(*index);
+                f(*value);
             }
-            InstKind::MemRead { mem } => out.extend(mem.indices.iter().copied()),
+            InstKind::MemRead { mem } => mem.indices.iter().for_each(|i| f(*i)),
             InstKind::MemWrite { mem, value } => {
-                out.extend(mem.indices.iter().copied());
-                out.push(*value);
+                mem.indices.iter().for_each(|i| f(*i));
+                f(*value);
             }
             InstKind::AtomicRmw { mem, cond, operands, .. } => {
-                out.extend(mem.indices.iter().copied());
+                mem.indices.iter().for_each(|i| f(*i));
                 if let Some(c) = cond {
-                    out.push(*c);
+                    f(*c);
                 }
-                out.extend(operands.iter().copied());
+                operands.iter().for_each(|o| f(*o));
             }
-            InstKind::Lookup { key, .. } => out.push(*key),
+            InstKind::Lookup { key, .. } => f(*key),
             InstKind::Rand | InstKind::MsgField { .. } => {}
-            InstKind::Intrinsic { args, .. } => out.extend(args.iter().copied()),
+            InstKind::Intrinsic { args, .. } => args.iter().for_each(|a| f(*a)),
         }
-        out
     }
 
     /// Rewrites every operand through `f` (used by inlining and peepholes).
@@ -733,12 +729,17 @@ mod tests {
             cond: Some(Op::imm(1, IrTy::I1)),
             operands: vec![Op::imm(7, IrTy::I32)],
         };
-        assert_eq!(k.operands().len(), 3);
+        let operands = |k: &InstKind| {
+            let mut out = Vec::new();
+            k.for_each_operand(|o| out.push(o));
+            out
+        };
+        assert_eq!(operands(&k).len(), 3);
         k.map_operands(|o| match o {
             Op::Const(v, t) => Op::Const(v + 1, t),
             other => other,
         });
-        assert_eq!(k.operands()[0].as_const(), Some(4));
+        assert_eq!(operands(&k)[0].as_const(), Some(4));
     }
 
     #[test]

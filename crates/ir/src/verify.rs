@@ -163,7 +163,7 @@ impl<'a> Verifier<'a> {
                     }
                     continue;
                 }
-                for op in inst.kind.operands() {
+                inst.kind.for_each_operand(|op| {
                     if let Operand::Value(v) = op {
                         match def_site.get(&v) {
                             None => self.err(Some(bid), format!("use of undefined {v:?}")),
@@ -178,7 +178,7 @@ impl<'a> Verifier<'a> {
                             }
                         }
                     }
-                }
+                });
                 self.check_types(bid, inst);
             }
             if let Terminator::CondBr { cond, .. } = &b.term {

@@ -1,6 +1,7 @@
 //! Typed P4-16 subset AST.
 
 use netcl_sema::builtins::{AtomicOp, HashKind};
+use std::sync::Arc;
 
 /// Which P4 architecture dialect a program is written against.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -24,7 +25,10 @@ pub struct P4Program {
     /// Parser (single ingress parser in our subset).
     pub parser: Option<ParserDef>,
     /// Controls (ingress control carries the NetCL runtime + kernels).
-    pub controls: Vec<ControlDef>,
+    /// They are nearly all of a program's weight, and shared: cloning a
+    /// program copies its name, headers and parser and bumps one count.
+    /// Edit through `Arc::make_mut`, which copies only if shared.
+    pub controls: Arc<Vec<ControlDef>>,
 }
 
 /// `Target` with a default for `Default` derives.

@@ -131,7 +131,7 @@ pub fn classify(p: &P4Program) -> Breakdown {
         }
         add(Category::Parsers, n);
     }
-    for c in &p.controls {
+    for c in p.controls.iter() {
         add(Category::Declarations, 2); // control signature + closing
         add(Category::Control, c.locals.len());
         add(Category::RegisterActions, c.registers.len());
@@ -255,7 +255,8 @@ mod tests {
                     size: 4,
                 }],
                 apply: vec![Stmt::ApplyTable("cache".into())],
-            }],
+            }]
+            .into(),
         }
     }
 

@@ -292,7 +292,7 @@ impl Parser {
                 }
                 Tok::Ident(kw) if kw == "control" => {
                     self.bump();
-                    p.controls.push(self.control()?);
+                    std::sync::Arc::make_mut(&mut p.controls).push(self.control()?);
                 }
                 Tok::Ident(kw) if kw == "struct" || kw == "typedef" => {
                     // struct defs are layout-only in our subset; skip body.
@@ -1191,7 +1191,8 @@ parser P(packet_in pkt, out headers_t hdr) {
                         els: vec![],
                     },
                 ],
-            }],
+            }]
+            .into(),
         };
         let text1 = print_program(&prog);
         let parsed = parse_program(&text1).unwrap_or_else(|e| panic!("{e}\n{text1}"));

@@ -30,7 +30,7 @@ pub fn print_program(p: &P4Program) -> String {
     if let Some(parser) = &p.parser {
         w.parser(parser);
     }
-    for c in &p.controls {
+    for c in p.controls.iter() {
         w.control(c, p.target);
     }
     w.out
@@ -438,7 +438,7 @@ mod tests {
                 stack: 1,
             }],
             parser: None,
-            controls: vec![sample_control()],
+            controls: vec![sample_control()].into(),
         };
         let text = print_program(&p);
         assert!(text.contains("#include <tna.p4>"));
@@ -471,7 +471,7 @@ mod tests {
         let p = P4Program {
             name: "t".into(),
             target: Target::Tna,
-            controls: vec![ctrl],
+            controls: vec![ctrl].into(),
             ..Default::default()
         };
         let text = print_program(&p);

@@ -5,7 +5,6 @@
 //! remaining loop (a `while` the unroller could not remove, or irreducible
 //! flow) rejects the program.
 
-use netcl_ir::dom::reverse_postorder;
 use netcl_ir::func::{BlockId, Function, InstKind, Terminator};
 use netcl_util::idx::Idx;
 use std::collections::HashMap;
@@ -89,30 +88,69 @@ fn has_phis(f: &Function, b: BlockId) -> bool {
     f.blocks[b].insts.iter().any(|i| matches!(i.kind, InstKind::Phi { .. }))
 }
 
+/// Which blocks the entry reaches, indexed by block. Out-of-range targets
+/// are skipped; the verifier reports them.
+pub(crate) fn reachable_blocks(f: &Function) -> Vec<bool> {
+    let mut reachable = vec![false; f.blocks.len()];
+    let mut stack = vec![f.entry];
+    reachable[f.entry.index()] = true;
+    while let Some(b) = stack.pop() {
+        for_each_successor(&f.blocks[b].term, |s| {
+            if s.index() < reachable.len() && !std::mem::replace(&mut reachable[s.index()], true) {
+                stack.push(s);
+            }
+        });
+    }
+    reachable
+}
+
+fn for_each_successor(term: &Terminator, mut visit: impl FnMut(BlockId)) {
+    match *term {
+        Terminator::Br(b) => visit(b),
+        Terminator::CondBr { then_bb, else_bb, .. } => {
+            visit(then_bb);
+            visit(else_bb);
+        }
+        _ => {}
+    }
+}
+
 /// Merges `a → b` when `a` ends in an unconditional branch to `b` and `b`
 /// has exactly one predecessor.
+///
+/// One pass in block order suffices: a merge retires `b` and hands its
+/// out-edges to `a`, so no other block's reachability or live in-edge count
+/// changes, and the only new candidate is `a` itself (followed at once).
 fn merge_straight_lines(f: &mut Function) -> bool {
+    let mut reachable = reachable_blocks(f);
+    // In-edges from reachable blocks (unreachable predecessors don't block
+    // merging); a condbr with both arms on one block counts twice.
+    let mut live_preds = vec![0u32; f.blocks.len()];
+    for (bid, b) in f.blocks.iter_enumerated() {
+        if reachable[bid.index()] {
+            for_each_successor(&b.term, |s| {
+                if let Some(n) = live_preds.get_mut(s.index()) {
+                    *n += 1;
+                }
+            });
+        }
+    }
     let mut changed = false;
-    loop {
-        let reachable: std::collections::HashSet<BlockId> =
-            reverse_postorder(f).into_iter().collect();
-        let preds = f.predecessors();
-        let mut merged = false;
-        for a in f.blocks.indices().collect::<Vec<_>>() {
-            if !reachable.contains(&a) {
-                continue;
-            }
-            let Terminator::Br(b) = f.blocks[a].term else { continue };
-            // Unreachable predecessors don't block merging.
-            let live_preds = preds[b].iter().filter(|p| reachable.contains(p)).count();
-            if b == a || live_preds != 1 || b == f.entry || has_phis(f, b) {
-                continue;
+    for a in f.blocks.indices() {
+        if !reachable[a.index()] {
+            continue;
+        }
+        while let Terminator::Br(b) = f.blocks[a].term {
+            if b == a || live_preds.get(b.index()) != Some(&1) || b == f.entry || has_phis(f, b) {
+                break;
             }
             // Splice b into a.
             let mut b_insts = std::mem::take(&mut f.blocks[b].insts);
             let b_term = std::mem::replace(&mut f.blocks[b].term, Terminator::Br(b));
             f.blocks[a].insts.append(&mut b_insts);
             f.blocks[a].term = b_term;
+            reachable[b.index()] = false;
+            live_preds[b.index()] = 0;
             // φ-nodes in b's successors must re-home their incoming edge.
             for s in f.blocks[a].term.successors() {
                 for inst in &mut f.blocks[s].insts {
@@ -125,14 +163,10 @@ fn merge_straight_lines(f: &mut Function) -> bool {
                     }
                 }
             }
-            merged = true;
             changed = true;
-            break; // preds are stale; recompute
-        }
-        if !merged {
-            return changed;
         }
     }
+    changed
 }
 
 /// Checks that the reachable CFG is a DAG. Returns a description of the
@@ -172,7 +206,7 @@ pub fn check_dag(f: &Function) -> Result<(), String> {
 
 /// Number of reachable blocks (handy in tests).
 pub fn reachable_block_count(f: &Function) -> usize {
-    reverse_postorder(f).len()
+    reachable_blocks(f).iter().filter(|&&r| r).count()
 }
 
 #[cfg(test)]

@@ -3,11 +3,11 @@
 //! Removes side-effect-free instructions with no used results and blocks
 //! unreachable from the entry (fixing up φ-nodes of their successors).
 
-use netcl_ir::dom::reverse_postorder;
-use netcl_ir::func::{Function, InstKind, Terminator};
+use crate::cfg::reachable_blocks;
+use netcl_ir::func::{BlockId, Function, InstKind, Terminator};
 use netcl_ir::types::Operand;
 use netcl_ir::ValueId;
-use std::collections::HashSet;
+use netcl_util::idx::Idx;
 
 /// Runs DCE on `f`; returns whether anything was removed.
 pub fn run_on_function(f: &mut Function) -> bool {
@@ -16,45 +16,46 @@ pub fn run_on_function(f: &mut Function) -> bool {
     changed
 }
 
+/// One backward worklist from the roots — operands of side-effecting
+/// instructions and of terminators — over a liveness bitmap indexed by
+/// `ValueId`: a value is live when a kept instruction reads it, and an
+/// instruction is kept when it has side effects or a live result.
 fn remove_dead_instructions(f: &mut Function) -> bool {
-    // Compute the live set by backwards propagation to handle chains of
-    // dead instructions in one pass (iterate until fixpoint).
-    let mut used: HashSet<ValueId> = HashSet::new();
-    loop {
-        let mut grew = false;
-        for b in f.blocks.iter() {
-            for inst in &b.insts {
-                let keep =
-                    inst.kind.has_side_effects() || inst.results.iter().any(|r| used.contains(r));
-                if keep {
-                    for op in inst.kind.operands() {
-                        if let Operand::Value(v) = op {
-                            grew |= used.insert(v);
-                        }
-                    }
-                }
-            }
-            match &b.term {
-                Terminator::CondBr { cond: Operand::Value(v), .. } => {
-                    grew |= used.insert(*v);
-                }
-                Terminator::Ret(a) => {
-                    if let Some(Operand::Value(v)) = a.target {
-                        grew |= used.insert(v);
-                    }
-                }
-                _ => {}
+    let mut def_site: Vec<Option<(BlockId, usize)>> = vec![None; f.values.len()];
+    let mut live = vec![false; f.values.len()];
+    let mut work = Vec::new();
+    let mut mark = |op: Operand, work: &mut Vec<ValueId>| {
+        if let Operand::Value(v) = op {
+            if !std::mem::replace(&mut live[v.index()], true) {
+                work.push(v);
             }
         }
-        if !grew {
-            break;
+    };
+    for (bid, b) in f.blocks.iter_enumerated() {
+        for (i, inst) in b.insts.iter().enumerate() {
+            for r in &inst.results {
+                def_site[r.index()] = Some((bid, i));
+            }
+            if inst.kind.has_side_effects() {
+                inst.kind.for_each_operand(|op| mark(op, &mut work));
+            }
+        }
+        match &b.term {
+            Terminator::CondBr { cond, .. } => mark(*cond, &mut work),
+            Terminator::Ret(a) => a.target.into_iter().for_each(|op| mark(op, &mut work)),
+            _ => {}
+        }
+    }
+    while let Some(v) = work.pop() {
+        if let Some((b, i)) = def_site[v.index()] {
+            f.blocks[b].insts[i].kind.for_each_operand(|op| mark(op, &mut work));
         }
     }
     let mut changed = false;
     for b in f.blocks.iter_mut() {
         let before = b.insts.len();
         b.insts.retain(|inst| {
-            inst.kind.has_side_effects() || inst.results.iter().any(|r| used.contains(r))
+            inst.kind.has_side_effects() || inst.results.iter().any(|r| live[r.index()])
         });
         changed |= b.insts.len() != before;
     }
@@ -62,35 +63,27 @@ fn remove_dead_instructions(f: &mut Function) -> bool {
 }
 
 fn remove_unreachable_blocks(f: &mut Function) -> bool {
-    let reachable: HashSet<_> = reverse_postorder(f).into_iter().collect();
-    if reachable.len() == f.blocks.len() {
+    let reachable = reachable_blocks(f);
+    if reachable.iter().all(|&r| r) {
         return false;
     }
     let mut changed = false;
     // Empty out unreachable blocks (ids stay stable; empty blocks with a
     // self-branch are ignored by all later passes and the printer).
-    let ids: Vec<_> = f.blocks.indices().collect();
-    for bid in ids {
-        if !reachable.contains(&bid) {
-            let b = &mut f.blocks[bid];
-            if !b.insts.is_empty() || !matches!(b.term, Terminator::Br(x) if x == bid) {
-                b.insts.clear();
-                b.term = Terminator::Br(bid); // inert self-loop marker
-                changed = true;
+    for (bid, b) in f.blocks.indices().zip(f.blocks.iter_mut()) {
+        if reachable[bid.index()] {
+            // Drop φ incomings that came from now-unreachable blocks.
+            for inst in &mut b.insts {
+                if let InstKind::Phi { incoming } = &mut inst.kind {
+                    let before = incoming.len();
+                    incoming.retain(|(p, _)| reachable[p.index()]);
+                    changed |= incoming.len() != before;
+                }
             }
-        }
-    }
-    // Drop φ incomings that came from now-unreachable blocks.
-    for bid in f.blocks.indices().collect::<Vec<_>>() {
-        if !reachable.contains(&bid) {
-            continue;
-        }
-        for inst in &mut f.blocks[bid].insts {
-            if let InstKind::Phi { incoming } = &mut inst.kind {
-                let before = incoming.len();
-                incoming.retain(|(p, _)| reachable.contains(p));
-                changed |= incoming.len() != before;
-            }
+        } else if !b.insts.is_empty() || !matches!(b.term, Terminator::Br(x) if x == bid) {
+            b.insts.clear();
+            b.term = Terminator::Br(bid); // inert self-loop marker
+            changed = true;
         }
     }
     changed

@@ -40,7 +40,8 @@ fn value_key(kind: &InstKind) -> Option<String> {
         Operand::Value(v) => format!("v{}", v.0),
         Operand::Const(c, t) => format!("c{c}:{t}"),
     };
-    let ops: Vec<String> = kind.operands().iter().map(fmt_op).collect();
+    let mut ops: Vec<String> = Vec::new();
+    kind.for_each_operand(|o| ops.push(fmt_op(&o)));
     let head = match kind {
         InstKind::Bin { op, a, b } => {
             // Canonicalize commutative operand order.
@@ -112,12 +113,15 @@ pub fn hoist_common_values(f: &mut Function) -> usize {
         // Operand availability: every value operand's def must dominate the
         // NCD or live in it.
         let kind = f.blocks[sites[0].0].insts[sites[0].1].kind.clone();
-        let available = kind.operands().iter().all(|op| match op {
-            Operand::Const(..) => true,
-            Operand::Value(v) => match defs.get(v) {
-                Some(&db) => db == ncd || dt.dominates(db, ncd),
-                None => false,
-            },
+        let mut available = true;
+        kind.for_each_operand(|op| {
+            available &= match op {
+                Operand::Const(..) => true,
+                Operand::Value(v) => match defs.get(&v) {
+                    Some(&db) => db == ncd || dt.dominates(db, ncd),
+                    None => false,
+                },
+            }
         });
         if !available {
             continue;
@@ -181,24 +185,16 @@ pub fn speculate(f: &mut Function) -> usize {
             // must form a dominator chain), or the entry for constant ops.
             let mut target = f.entry;
             let mut ok = true;
-            for op in kind.operands() {
-                if let Operand::Value(v) = op {
+            kind.for_each_operand(|op| {
+                if let (true, Operand::Value(v)) = (ok, op) {
                     match defs.get(&v) {
-                        Some(&db) => {
-                            if dt.dominates(target, db) {
-                                target = db;
-                            } else if !dt.dominates(db, target) {
-                                ok = false; // defs not on one dominator chain
-                                break;
-                            }
-                        }
-                        None => {
-                            ok = false;
-                            break;
-                        }
+                        Some(&db) if dt.dominates(target, db) => target = db,
+                        // Defs not on one dominator chain.
+                        Some(&db) => ok = dt.dominates(db, target),
+                        None => ok = false,
                     }
                 }
-            }
+            });
             if !ok || target == bid || !dt.dominates(target, bid) {
                 i += 1;
                 continue;

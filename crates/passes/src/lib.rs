@@ -89,8 +89,18 @@ pub enum PipelineTarget {
     V1Model,
 }
 
-/// Runs the full pipeline in paper order. Returns `Err` (with diagnostics in
-/// `diags`) when a target restriction rejects the program.
+impl PipelineTarget {
+    fn label(self) -> &'static str {
+        match self {
+            PipelineTarget::Tofino => "tna",
+            PipelineTarget::V1Model => "v1model",
+        }
+    }
+}
+
+/// Runs the full pipeline in paper order: [`run_common_stage`], then
+/// [`run_target_stage`]. Returns `Err` (with diagnostics in `diags`) when a
+/// target restriction rejects the program.
 #[allow(clippy::result_unit_err)] // errors are reported through `diags`
 pub fn run_pipeline(
     module: &mut Module,
@@ -98,7 +108,8 @@ pub fn run_pipeline(
     flags: &PassFlags,
     diags: &mut DiagnosticSink,
 ) -> Result<(), ()> {
-    run_pipeline_inner(module, target, flags, diags, Recorder(None))
+    run_common_stage(module, diags, None)?;
+    run_target_stage(module, target, flags, diags, None)
 }
 
 /// [`run_pipeline`] with per-pass telemetry: wall time, IR deltas, and
@@ -110,25 +121,26 @@ pub fn run_pipeline_with_report(
     flags: &PassFlags,
     diags: &mut DiagnosticSink,
 ) -> (Result<(), ()>, PassReport) {
-    let label = match target {
-        PipelineTarget::Tofino => "tna",
-        PipelineTarget::V1Model => "v1model",
-    };
-    let mut report = PassReport::begin(label, module);
-    let r = run_pipeline_inner(module, target, flags, diags, Recorder(Some(&mut report)));
+    let mut report = PassReport::begin(target.label(), module);
+    let r = run_common_stage(module, diags, Some(&mut report))
+        .and_then(|()| run_target_stage(module, target, flags, diags, Some(&mut report)));
     report.finish(module);
     (r, report)
 }
 
-fn run_pipeline_inner(
+/// The target-independent half of the pipeline: "peephole optimization,
+/// instruction simplification and DCE passes. The main goal is for the CFG
+/// to become a DAG." It is a function of the module alone — it takes neither
+/// a [`PipelineTarget`] nor [`PassFlags`] — so a driver emitting both
+/// dialects runs it once on the base IR and clones the result (DESIGN.md
+/// §4). A `report` begun on the module gains this half's entries.
+#[allow(clippy::result_unit_err)] // errors are reported through `diags`
+pub fn run_common_stage(
     module: &mut Module,
-    target: PipelineTarget,
-    flags: &PassFlags,
     diags: &mut DiagnosticSink,
-    mut rec: Recorder<'_>,
+    report: Option<&mut PassReport>,
 ) -> Result<(), ()> {
-    // Common stage: "peephole optimization, instruction simplification and
-    // DCE passes. The main goal is for the CFG to become a DAG."
+    let mut rec = Recorder(report);
     for f in module.kernels.iter_mut() {
         for _ in 0..4 {
             let mut changed = rec.on_fn("fold", f, fold::fold_function);
@@ -161,7 +173,27 @@ fn run_pipeline_inner(
             }
         }
     }
+    Ok(())
+}
 
+/// The target half: the Tofino stage (for [`PipelineTarget::Tofino`]),
+/// codegen preparation and the closing verification, on a module
+/// [`run_common_stage`] accepted. A `report` carrying the common half's
+/// entries continues as `target`'s report, exactly as if
+/// [`run_pipeline_with_report`] had run both halves on this module; the
+/// caller [`PassReport::finish`]es it.
+#[allow(clippy::result_unit_err)] // errors are reported through `diags`
+pub fn run_target_stage(
+    module: &mut Module,
+    target: PipelineTarget,
+    flags: &PassFlags,
+    diags: &mut DiagnosticSink,
+    mut report: Option<&mut PassReport>,
+) -> Result<(), ()> {
+    if let Some(report) = report.as_deref_mut() {
+        report.target = target.label();
+    }
+    let mut rec = Recorder(report);
     if target == PipelineTarget::Tofino {
         rec.on_module("partition", module, partition::partition_module);
         if flags.duplicate_lookup {

@@ -200,13 +200,13 @@ fn canonical_reorder(f: &mut Function) {
         let mut last_arg: HashMap<u32, usize> = HashMap::new();
         let mut last_local: HashMap<netcl_ir::LocalId, usize> = HashMap::new();
         for (i, inst) in b.insts.iter().enumerate() {
-            for op in inst.kind.operands() {
+            inst.kind.for_each_operand(|op| {
                 if let Operand::Value(v) = op {
                     if let Some(&d) = def_site.get(&v) {
                         deps[i].push(d);
                     }
                 }
-            }
+            });
             if let Some(m) = inst.kind.touches_global() {
                 if let Some(&d) = last_mem.get(&m) {
                     deps[i].push(d);

@@ -17,6 +17,13 @@
 //! * running out of stages rejects the program — exactly how `bf-p4c`
 //!   behaves (§VI-B: "there are no guarantees that a given program will fit
 //!   an RMT pipeline").
+//!
+//! An allocation lowers the program once into a `Plan` — field paths
+//! interned to dense ids, register / action / table names resolved to
+//! indices, each unit's demand and read set precomputed — and every repin
+//! round then walks that plan over reused vectors (DESIGN.md §4a). The
+//! rounds and every placement decision are those of a walk over the AST:
+//! `tests/fit_golden.rs` holds the reports byte for byte.
 
 use std::collections::HashMap;
 
@@ -163,49 +170,35 @@ pub fn allocate_with_budgets(
         return Err(AllocError::PhvOverflow { used: phv.used_bits(), capacity: phv.capacity_bits });
     }
 
+    // Names, field paths and demands are resolved once; every round below
+    // runs over the lowered plan.
+    let plan = Plan::lower(program);
+    let mut round = Round::new(spec, &plan);
+
     // Iterate until register pinning reaches a fixpoint. Each round repins
     // one register monotonically later, so rounds are bounded by
     // #registers × #stages.
     let nregs: usize = program.controls.iter().map(|c| c.registers.len()).sum();
-    let mut pins: HashMap<String, u32> = HashMap::new();
+    let mut pins: Vec<Option<u32>> = vec![None; plan.registers.len()];
     for _round in 0..((nregs + 2) * spec.stages as usize) {
-        let mut a = Allocator {
-            spec,
-            program,
-            stages: vec![StageUse::default(); spec.stages as usize],
-            avail: HashMap::new(),
-            reg_stage: pins.clone(),
-            reg_sram_counted: Default::default(),
-            repin: None,
-            tenant_use: HashMap::new(),
-        };
-        for control in &program.controls {
-            a.walk(&control.apply, control, 0)?;
+        round.reset(&pins);
+        for &apply in &plan.applies {
+            round.walk(apply, 0)?;
         }
-        if let Some((reg, stage)) = a.repin {
+        if let Some((reg, stage)) = round.repin {
             // A register access needed a later stage than the register got;
             // pin it later and retry from scratch.
-            if stage >= spec.stages || pins.get(&reg).copied() == Some(stage) {
-                return Err(AllocError::RegisterStageConflict { register: reg });
+            if stage >= spec.stages || pins[reg as usize] == Some(stage) {
+                return Err(AllocError::RegisterStageConflict {
+                    register: plan.registers[reg as usize].name.to_string(),
+                });
             }
-            pins.insert(reg, stage);
+            pins[reg as usize] = Some(stage);
             continue;
         }
         // Tenant accumulation belongs to this (final, successful) round
         // only: repin rounds above restart from scratch.
-        let mut tenants: Vec<TenantUsage> = a
-            .tenant_use
-            .into_iter()
-            .map(|(tenant, u)| TenantUsage {
-                tenant,
-                sram_bits: u.sram_bits,
-                tcam_bits: u.tcam_bits,
-                salus: u.salus,
-                tables: u.tables,
-                first_stage: u.first_stage,
-                last_stage: u.last_stage,
-            })
-            .collect();
+        let mut tenants: Vec<TenantUsage> = round.tenant_use.iter().flatten().copied().collect();
         tenants.sort_by_key(|t| t.tenant);
         for t in &tenants {
             let Some(b) = budgets.budget_for(t.tenant) else { continue };
@@ -228,7 +221,7 @@ pub fn allocate_with_budgets(
                 return Err(over("stages", t.stage_span() as u64, b.stages as u64));
             }
         }
-        let stages_used = a
+        let stages_used = round
             .stages
             .iter()
             .rposition(|s| !s.is_empty())
@@ -241,7 +234,7 @@ pub fn allocate_with_budgets(
         return Ok(AllocationReport {
             program: program.name.clone(),
             stages_used,
-            per_stage: a.stages,
+            per_stage: round.stages,
             phv,
             spec: spec.clone(),
             latency_cycles,
@@ -250,33 +243,6 @@ pub fn allocate_with_budgets(
         });
     }
     Err(AllocError::RegisterStageConflict { register: "<unresolved>".into() })
-}
-
-/// Running per-tenant totals during one allocation round.
-#[derive(Default)]
-struct TenantAcc {
-    sram_bits: u64,
-    tcam_bits: u64,
-    salus: u32,
-    tables: u32,
-    first_stage: u32,
-    last_stage: u32,
-    touched: bool,
-}
-
-struct Allocator<'a> {
-    spec: &'a TofinoSpec,
-    program: &'a P4Program,
-    stages: Vec<StageUse>,
-    /// Field path → first stage where its value is readable.
-    avail: HashMap<String, u32>,
-    /// Register → assigned stage.
-    reg_stage: HashMap<String, u32>,
-    reg_sram_counted: std::collections::HashSet<String>,
-    /// Set when a register needs re-pinning to a later stage.
-    repin: Option<(String, u32)>,
-    /// Per-tenant usage, attributed by `t<id>__` name prefix.
-    tenant_use: HashMap<u16, TenantAcc>,
 }
 
 /// Resource demand of a single unit.
@@ -290,42 +256,498 @@ struct Demand {
     tables: u32,
 }
 
-impl<'a> Allocator<'a> {
-    fn avail_of(&self, fields: &[String]) -> u32 {
-        fields.iter().map(|f| self.avail.get(f).copied().unwrap_or(0)).max().unwrap_or(0)
+/// What is being placed, rendered only when placement fails.
+#[derive(Clone, Copy)]
+enum Unit<'a> {
+    Move,
+    Alu,
+    Extern,
+    Hash,
+    Header,
+    Register(&'a str),
+    Table(&'a str),
+}
+
+impl Unit<'_> {
+    fn describe(self) -> String {
+        match self {
+            Unit::Move => "move".into(),
+            Unit::Alu => "ALU op".into(),
+            Unit::Extern => "extern".into(),
+            Unit::Hash => "hash".into(),
+            Unit::Header => "header op".into(),
+            Unit::Register(name) => format!("register `{name}`"),
+            Unit::Table(name) => format!("table `{name}`"),
+        }
+    }
+}
+
+/// A half-open index range into one of the plan's arenas.
+#[derive(Clone, Copy)]
+struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    fn of<T>(arena: &[T], start: usize) -> Span {
+        Span { start: start as u32, end: arena.len() as u32 }
     }
 
-    fn define(&mut self, field: String, stage: u32) {
-        let e = self.avail.entry(field).or_insert(0);
+    fn slice<T>(self, arena: &[T]) -> &[T] {
+        &arena[self.start as usize..self.end as usize]
+    }
+}
+
+/// One statement of an apply block or action body, with every name
+/// resolved: fields are ids into [`Round::avail`], registers ids into
+/// [`Plan::registers`], and so on.
+#[derive(Clone, Copy)]
+enum Op {
+    /// A statement the allocator skips (it names a unit the control lacks),
+    /// kept so statement positions match the source.
+    Nop,
+    /// A pure move, width cast or 1-bit flag computation into `dst`.
+    Move {
+        reads: Span,
+        dst: u32,
+    },
+    /// Any other assignment, costing `vliw` operations.
+    Alu {
+        reads: Span,
+        dst: u32,
+        vliw: u32,
+    },
+    Extern {
+        reads: Span,
+        dst: Option<u32>,
+    },
+    Hash {
+        reads: Span,
+        dst: u32,
+    },
+    /// A `RegisterAction` execution on `reg`, whose register holds `sram`
+    /// bits.
+    Exec {
+        reads: Span,
+        reg: u32,
+        sram: u64,
+        dst: Option<u32>,
+    },
+    Table(u32),
+    /// A direct action call: the body is [`Plan::actions`]`[i]`.
+    Call(u32),
+    If {
+        cond: Cond,
+        then: Span,
+        els: Span,
+    },
+    Header,
+}
+
+/// What gates an `if`.
+#[derive(Clone, Copy)]
+enum Cond {
+    /// A table applied in the condition (`None`: one the control lacks).
+    Table(Option<u32>),
+    Reads(Span),
+}
+
+struct RegisterPlan<'a> {
+    name: &'a str,
+    /// Index into [`Plan::tenants`].
+    tenant: Option<u32>,
+}
+
+struct TablePlan<'a> {
+    name: &'a str,
+    reads: Span,
+    demand: Demand,
+    tenant: Option<u32>,
+    /// Fields its actions assign.
+    defines: Span,
+}
+
+/// A [`P4Program`] lowered for placement: what [`Round::walk`] visits once
+/// per repin round, built once per allocation.
+#[derive(Default)]
+struct Plan<'a> {
+    ops: Vec<Op>,
+    /// Field-id lists: read sets and table define sets.
+    fields: Vec<u32>,
+    field_count: usize,
+    /// Registers by name, across controls (a pin follows the name).
+    registers: Vec<RegisterPlan<'a>>,
+    tables: Vec<TablePlan<'a>>,
+    /// Action bodies, all controls' in declaration order.
+    actions: Vec<Span>,
+    /// Tenants any register or table name carries.
+    tenants: Vec<u16>,
+    /// One apply block per control.
+    applies: Vec<Span>,
+}
+
+/// The name tables lowering resolves through; gone once the plan is built.
+struct Lowering<'a> {
+    plan: Plan<'a>,
+    field_ids: HashMap<String, u32>,
+    register_ids: HashMap<&'a str, u32>,
+    /// Header field name → width, first declaration winning.
+    header_bits: HashMap<&'a str, u32>,
+    /// Scratch for rendering a field path before interning it.
+    path: String,
+}
+
+/// One control's name tables.
+struct ControlNames<'a> {
+    control: &'a ControlDef,
+    locals: HashMap<&'a str, u32>,
+    /// Where this control's actions and tables start in the plan.
+    action_base: u32,
+    table_base: u32,
+}
+
+impl ControlNames<'_> {
+    /// The plan index of the control's first table called `name`.
+    fn table(&self, name: &str) -> Option<u32> {
+        let i = self.control.tables.iter().position(|t| t.name == name)?;
+        Some(self.table_base + i as u32)
+    }
+
+    /// The plan index of the control's first action called `name`.
+    fn action(&self, name: &str) -> Option<u32> {
+        let i = self.control.actions.iter().position(|a| a.name == name)?;
+        Some(self.action_base + i as u32)
+    }
+}
+
+impl<'a> Plan<'a> {
+    fn lower(program: &'a P4Program) -> Plan<'a> {
+        let mut header_bits = HashMap::new();
+        for h in &program.headers {
+            for (name, bits) in &h.fields {
+                header_bits.entry(name.as_str()).or_insert(*bits);
+            }
+        }
+        let mut l = Lowering {
+            plan: Plan::default(),
+            field_ids: HashMap::new(),
+            register_ids: HashMap::new(),
+            header_bits,
+            path: String::new(),
+        };
+        for control in program.controls.iter() {
+            l.control(control);
+        }
+        l.plan.field_count = l.field_ids.len();
+        l.plan
+    }
+}
+
+impl<'a> Lowering<'a> {
+    fn control(&mut self, control: &'a ControlDef) {
+        let mut locals = HashMap::with_capacity(control.locals.len());
+        for (name, bits) in &control.locals {
+            locals.entry(name.as_str()).or_insert(*bits);
+        }
+        let names = ControlNames {
+            control,
+            locals,
+            action_base: self.plan.actions.len() as u32,
+            table_base: self.plan.tables.len() as u32,
+        };
+        for t in &control.tables {
+            let table = self.table(t, &names);
+            self.plan.tables.push(table);
+        }
+        for a in &control.actions {
+            let body = self.block(&a.body, &names);
+            self.plan.actions.push(body);
+        }
+        let apply = self.block(&control.apply, &names);
+        self.plan.applies.push(apply);
+    }
+
+    fn tenant(&mut self, name: &str) -> Option<u32> {
+        let tenant = netcl_util::tenant::of(name)?;
+        let known = self.plan.tenants.iter().position(|&t| t == tenant);
+        Some(known.unwrap_or_else(|| {
+            self.plan.tenants.push(tenant);
+            self.plan.tenants.len() - 1
+        }) as u32)
+    }
+
+    fn register(&mut self, name: &'a str) -> u32 {
+        if let Some(&id) = self.register_ids.get(name) {
+            return id;
+        }
+        let id = self.plan.registers.len() as u32;
+        let tenant = self.tenant(name);
+        self.plan.registers.push(RegisterPlan { name, tenant });
+        self.register_ids.insert(name, id);
+        id
+    }
+
+    /// Interns the path rendered in `self.path`.
+    fn intern_path(&mut self) -> u32 {
+        if let Some(&id) = self.field_ids.get(self.path.as_str()) {
+            return id;
+        }
+        let id = self.field_ids.len() as u32;
+        self.field_ids.insert(self.path.clone(), id);
+        id
+    }
+
+    fn render_path(&mut self, segs: &[PathSeg]) {
+        use std::fmt::Write;
+        self.path.clear();
+        for (i, s) in segs.iter().enumerate() {
+            if i > 0 {
+                self.path.push('.');
+            }
+            self.path.push_str(&s.name);
+            if let Some(index) = s.index {
+                let _ = write!(self.path, "[{index}]");
+            }
+        }
+    }
+
+    /// The field a statement writes.
+    fn written(&mut self, e: &Expr) -> u32 {
+        use std::fmt::Write;
+        match e {
+            Expr::Field(segs) => self.render_path(segs),
+            other => {
+                self.path.clear();
+                let _ = write!(self.path, "{other:?}");
+            }
+        }
+        self.intern_path()
+    }
+
+    /// Appends the fields `e` reads to the plan's field arena.
+    fn collect_reads(&mut self, e: &Expr) {
+        match e {
+            Expr::Field(segs) if !segs.iter().any(|s| s.name.starts_with('$')) => {
+                self.render_path(segs);
+                let id = self.intern_path();
+                self.plan.fields.push(id);
+            }
+            Expr::Field(_) => {}
+            Expr::Bin(_, a, b) => {
+                self.collect_reads(a);
+                self.collect_reads(b);
+            }
+            Expr::Not(x) | Expr::BitNot(x) | Expr::Cast(_, x) | Expr::Slice(x, _, _) => {
+                self.collect_reads(x)
+            }
+            _ => {}
+        }
+    }
+
+    fn reads<'e>(&mut self, exprs: impl IntoIterator<Item = &'e Expr>) -> Span {
+        let start = self.plan.fields.len();
+        for e in exprs {
+            self.collect_reads(e);
+        }
+        Span::of(&self.plan.fields, start)
+    }
+
+    /// Bit width of a key expression (header field lookup, else 32).
+    fn expr_bits(&self, e: &Expr, names: &ControlNames<'a>) -> u64 {
+        match e {
+            Expr::Field(segs) => {
+                let last = segs.last().map(|s| s.name.as_str()).unwrap_or("");
+                let meta = segs.first().is_some_and(|s| s.name == "meta");
+                let bits = meta
+                    .then(|| names.locals.get(last))
+                    .flatten()
+                    .or_else(|| self.header_bits.get(last));
+                bits.map_or(32, |&b| b as u64)
+            }
+            Expr::Const(_, bits) => *bits as u64,
+            Expr::Cast(bits, _) => *bits as u64,
+            _ => 32,
+        }
+    }
+
+    fn table(&mut self, t: &'a TableDef, names: &ControlNames<'a>) -> TablePlan<'a> {
+        let control = names.control;
+        let reads = self.reads(t.keys.iter().map(|(k, _)| k));
+        let key_bits: u64 = t.keys.iter().map(|(k, _)| self.expr_bits(k, names)).sum();
+        let actions = || t.actions.iter().filter_map(|a| control.action(a));
+        let action_data_bits: u64 = actions()
+            .map(|a| a.params.iter().map(|(_, b)| *b as u64).sum::<u64>())
+            .max()
+            .unwrap_or(0);
+        let rows = (t.size.max(t.entries.len() as u32)).max(1) as u64;
+        // Entry overhead: action select + validity.
+        let row_bits = key_bits + action_data_bits + 8;
+        let ternary = t
+            .keys
+            .iter()
+            .any(|(_, mk)| matches!(mk, MatchKind::Ternary | MatchKind::Range | MatchKind::Lpm));
+        let demand = Demand {
+            tables: 1,
+            sram_bits: if ternary { action_data_bits * rows } else { row_bits * rows },
+            tcam_bits: if ternary { (key_bits + 2) * rows } else { 0 },
+            // Action bodies execute in this stage's VLIW.
+            vliw: actions().map(|a| a.body.len() as u32).max().unwrap_or(0).max(1),
+            ..Default::default()
+        };
+        // Action writes become available after the table's stage.
+        let start = self.plan.fields.len();
+        for a in actions() {
+            for st in &a.body {
+                if let Stmt::Assign(dst, _) = st {
+                    let id = self.written(dst);
+                    self.plan.fields.push(id);
+                }
+            }
+        }
+        let defines = Span::of(&self.plan.fields, start);
+        TablePlan { name: &t.name, reads, demand, tenant: self.tenant(&t.name), defines }
+    }
+
+    /// Lowers a statement list into one contiguous run of ops (nested
+    /// blocks land before it).
+    fn block(&mut self, stmts: &'a [Stmt], names: &ControlNames<'a>) -> Span {
+        let ops: Vec<Op> = stmts.iter().map(|s| self.stmt(s, names)).collect();
+        let start = self.plan.ops.len();
+        self.plan.ops.extend(ops);
+        Span::of(&self.plan.ops, start)
+    }
+
+    fn stmt(&mut self, stmt: &'a Stmt, names: &ControlNames<'a>) -> Op {
+        let control = names.control;
+        match stmt {
+            Stmt::Assign(dst, rhs) => {
+                let reads = self.reads([rhs]);
+                // 1-bit flag computations are gateway/predicate work: they
+                // evaluate within the stage their inputs arrive in, like
+                // Tofino's per-stage gateway comparators.
+                let flag_dst = self.expr_bits(dst, names) == 1;
+                let dst = self.written(dst);
+                if is_move(rhs) || flag_dst {
+                    Op::Move { reads, dst }
+                } else {
+                    Op::Alu { reads, dst, vliw: op_count(rhs) }
+                }
+            }
+            Stmt::ExternCall { dst, args, .. } => {
+                let reads = self.reads(args);
+                Op::Extern { reads, dst: dst.as_ref().map(|d| self.written(d)) }
+            }
+            Stmt::HashGet { dst, args, .. } => {
+                let reads = self.reads(args);
+                Op::Hash { reads, dst: self.written(dst) }
+            }
+            Stmt::ExecuteRegisterAction { dst, ra, index } => {
+                let Some(radef) = control.register_action(ra) else { return Op::Nop };
+                let reads =
+                    self.reads(std::iter::once(index).chain(&radef.cond).chain(&radef.operands));
+                let sram = control
+                    .register(&radef.register)
+                    .map_or(0, |r| r.elem_bits as u64 * r.size as u64);
+                Op::Exec {
+                    reads,
+                    reg: self.register(&radef.register),
+                    sram,
+                    dst: dst.as_ref().map(|d| self.written(d)),
+                }
+            }
+            Stmt::ApplyTable(t) => names.table(t).map_or(Op::Nop, Op::Table),
+            Stmt::CallAction(name) => names.action(name).map_or(Op::Nop, Op::Call),
+            Stmt::If { cond, then, els } => {
+                let cond = match table_in_cond(cond) {
+                    Some(t) => Cond::Table(names.table(t)),
+                    None => Cond::Reads(self.reads([cond])),
+                };
+                Op::If { cond, then: self.block(then, names), els: self.block(els, names) }
+            }
+            Stmt::SetValid(_) | Stmt::SetInvalid(_) | Stmt::Exit => Op::Header,
+        }
+    }
+}
+
+/// One repin round's state over a [`Plan`]; [`Round::reset`] reuses the
+/// buffers for the next round.
+struct Round<'a> {
+    spec: &'a TofinoSpec,
+    plan: &'a Plan<'a>,
+    stages: Vec<StageUse>,
+    /// Field → first stage where its value is readable.
+    avail: Vec<u32>,
+    /// `avail` as it was on entry to each enclosing `if`, innermost last.
+    snapshots: Vec<u32>,
+    /// Register → assigned stage.
+    reg_stage: Vec<Option<u32>>,
+    reg_sram_counted: Vec<bool>,
+    /// Set when a register needs re-pinning to a later stage.
+    repin: Option<(u32, u32)>,
+    /// Per-tenant usage, indexed like [`Plan::tenants`]; `None` until a
+    /// unit of the tenant is placed.
+    tenant_use: Vec<Option<TenantUsage>>,
+}
+
+impl<'a> Round<'a> {
+    fn new(spec: &'a TofinoSpec, plan: &'a Plan<'a>) -> Round<'a> {
+        Round {
+            spec,
+            plan,
+            stages: vec![StageUse::default(); spec.stages as usize],
+            avail: vec![0; plan.field_count],
+            snapshots: Vec::new(),
+            reg_stage: vec![None; plan.registers.len()],
+            reg_sram_counted: vec![false; plan.registers.len()],
+            repin: None,
+            tenant_use: vec![None; plan.tenants.len()],
+        }
+    }
+
+    fn reset(&mut self, pins: &[Option<u32>]) {
+        self.stages.fill(StageUse::default());
+        self.avail.fill(0);
+        self.snapshots.clear();
+        self.reg_stage.copy_from_slice(pins);
+        self.reg_sram_counted.fill(false);
+        self.repin = None;
+        self.tenant_use.fill(None);
+    }
+
+    fn avail_of(&self, reads: Span) -> u32 {
+        reads.slice(&self.plan.fields).iter().map(|&f| self.avail[f as usize]).max().unwrap_or(0)
+    }
+
+    fn define(&mut self, field: u32, stage: u32) {
+        let e = &mut self.avail[field as usize];
         *e = (*e).max(stage + 1);
     }
 
-    /// Credits a placed unit to its owning tenant, recovered from the
-    /// unit's name prefix. Non-tenant names are shared infrastructure and
-    /// accrue to nobody.
-    fn attribute(&mut self, name: &str, stage: u32, d: Demand) {
-        let Some(tenant) = netcl_util::tenant::of(name) else { return };
-        let u = self.tenant_use.entry(tenant).or_default();
+    /// Credits a placed unit to its owning tenant. Units outside every
+    /// tenant's namespace are shared infrastructure and accrue to nobody.
+    fn attribute(&mut self, tenant: Option<u32>, stage: u32, d: Demand) {
+        let Some(tenant) = tenant else { return };
+        let u = self.tenant_use[tenant as usize].get_or_insert(TenantUsage {
+            tenant: self.plan.tenants[tenant as usize],
+            first_stage: stage,
+            last_stage: stage,
+            ..Default::default()
+        });
         u.sram_bits += d.sram_bits;
         u.tcam_bits += d.tcam_bits;
         u.salus += d.salus;
         u.tables += d.tables;
-        if u.touched {
-            u.first_stage = u.first_stage.min(stage);
-            u.last_stage = u.last_stage.max(stage);
-        } else {
-            u.first_stage = stage;
-            u.last_stage = stage;
-            u.touched = true;
-        }
+        u.first_stage = u.first_stage.min(stage);
+        u.last_stage = u.last_stage.max(stage);
     }
 
     /// Places a unit at the earliest stage ≥ `min` with room for `d`.
-    fn place(&mut self, what: &str, min: u32, d: Demand) -> Result<u32, AllocError> {
+    fn place(&mut self, what: Unit<'_>, min: u32, d: Demand) -> Result<u32, AllocError> {
         let mut s = min;
         loop {
             if s >= self.spec.stages {
-                return Err(AllocError::OutOfStages { what: what.to_string(), needed_stage: s });
+                return Err(AllocError::OutOfStages { what: what.describe(), needed_stage: s });
             }
             let u = &self.stages[s as usize];
             let fits = u.sram_bits + d.sram_bits <= self.spec.sram_bits_per_stage
@@ -348,9 +770,9 @@ impl<'a> Allocator<'a> {
         }
     }
 
-    fn walk(&mut self, stmts: &[Stmt], control: &ControlDef, gate: u32) -> Result<(), AllocError> {
-        for stmt in stmts {
-            self.stmt(stmt, control, gate)?;
+    fn walk(&mut self, block: Span, gate: u32) -> Result<(), AllocError> {
+        for i in block.start..block.end {
+            self.op(self.plan.ops[i as usize], gate)?;
             if self.repin.is_some() {
                 return Ok(()); // abort round; restart with new pin
             }
@@ -358,79 +780,55 @@ impl<'a> Allocator<'a> {
         Ok(())
     }
 
-    fn stmt(&mut self, stmt: &Stmt, control: &ControlDef, gate: u32) -> Result<(), AllocError> {
-        match stmt {
-            Stmt::Assign(dst, rhs) => {
-                let reads = fields_of(rhs);
-                let min = gate.max(self.avail_of(&reads));
-                // 1-bit flag computations are gateway/predicate work: they
-                // evaluate within the stage their inputs arrive in, like
-                // Tofino's per-stage gateway comparators.
-                let flag_dst = expr_bits(dst, self.program, control) == 1;
-                if is_move(rhs) || flag_dst {
-                    // Pure moves and width casts are folded into their
-                    // consumer's crossbar input on Tofino: the destination
-                    // is usable as soon as the source is, and no stage hop
-                    // is paid. One VLIW slot still performs the copy.
-                    self.place(
-                        "move",
-                        min.saturating_sub(0),
-                        Demand { vliw: 1, ..Default::default() },
-                    )?;
-                    let e = self.avail.entry(field_path(dst)).or_insert(0);
-                    *e = (*e).max(min);
-                    return Ok(());
-                }
-                let d = Demand { vliw: op_count(rhs), ..Default::default() };
-                let s = self.place("ALU op", min, d)?;
-                self.define(field_path(dst), s);
+    fn op(&mut self, op: Op, gate: u32) -> Result<(), AllocError> {
+        let vliw = |vliw| Demand { vliw, ..Default::default() };
+        match op {
+            Op::Nop => {}
+            Op::Move { reads, dst } => {
+                // Pure moves and width casts are folded into their
+                // consumer's crossbar input on Tofino: the destination is
+                // usable as soon as the source is, and no stage hop is
+                // paid. One VLIW slot still performs the copy.
+                let min = gate.max(self.avail_of(reads));
+                self.place(Unit::Move, min, vliw(1))?;
+                let e = &mut self.avail[dst as usize];
+                *e = (*e).max(min);
             }
-            Stmt::ExternCall { dst, args, .. } => {
-                let mut reads = Vec::new();
-                for a in args {
-                    reads.extend(fields_of(a));
-                }
-                let min = gate.max(self.avail_of(&reads));
-                let s = self.place("extern", min, Demand { vliw: 1, ..Default::default() })?;
+            Op::Alu { reads, dst, vliw: ops } => {
+                let min = gate.max(self.avail_of(reads));
+                let s = self.place(Unit::Alu, min, vliw(ops))?;
+                self.define(dst, s);
+            }
+            Op::Extern { reads, dst } => {
+                let min = gate.max(self.avail_of(reads));
+                let s = self.place(Unit::Extern, min, vliw(1))?;
                 if let Some(d) = dst {
-                    self.define(field_path(d), s);
+                    self.define(d, s);
                 }
             }
-            Stmt::HashGet { dst, args, .. } => {
-                let mut reads = Vec::new();
-                for a in args {
-                    reads.extend(fields_of(a));
-                }
-                let min = gate.max(self.avail_of(&reads));
-                let s = self.place("hash", min, Demand { hash_units: 1, ..Default::default() })?;
-                self.define(field_path(dst), s);
+            Op::Hash { reads, dst } => {
+                let min = gate.max(self.avail_of(reads));
+                let s =
+                    self.place(Unit::Hash, min, Demand { hash_units: 1, ..Default::default() })?;
+                self.define(dst, s);
             }
-            Stmt::ExecuteRegisterAction { dst, ra, index } => {
-                let Some(radef) = control.register_action(ra) else { return Ok(()) };
-                let mut reads = fields_of(index);
-                if let Some(c) = &radef.cond {
-                    reads.extend(fields_of(c));
-                }
-                for o in &radef.operands {
-                    reads.extend(fields_of(o));
-                }
-                let min = gate.max(self.avail_of(&reads));
-                let reg_name = radef.register.clone();
-                let reg = control.register(&reg_name);
+            Op::Exec { reads, reg, sram, dst } => {
+                let min = gate.max(self.avail_of(reads));
+                let register = &self.plan.registers[reg as usize];
                 // Register SRAM counted once, on the register's stage.
-                let first_placement = !self.reg_sram_counted.contains(&reg_name);
-                let sram = if first_placement {
-                    reg.map(|r| r.elem_bits as u64 * r.size as u64).unwrap_or(0)
-                } else {
-                    0
+                let first_placement = !self.reg_sram_counted[reg as usize];
+                let d = Demand {
+                    salus: 1,
+                    sram_bits: if first_placement { sram } else { 0 },
+                    ..Default::default()
                 };
-                match self.reg_stage.get(&reg_name).copied() {
+                let stage = match self.reg_stage[reg as usize] {
                     Some(fixed) if min > fixed => {
                         // Data deps need the register later than it sits.
-                        self.repin = Some((reg_name, min));
+                        self.repin = Some((reg, min));
                         return Ok(());
                     }
-                    Some(fixed) if (fixed as usize) < self.stages.len() => {
+                    Some(fixed) => {
                         // Execute at the register's stage. The register's
                         // single SALU is shared by all its RegisterActions
                         // (mutually-exclusive accesses use the same ALU);
@@ -438,173 +836,81 @@ impl<'a> Allocator<'a> {
                         // the SALU and SRAM — including registers pre-pinned
                         // by an earlier repin round.
                         if first_placement {
-                            if self.stages[fixed as usize].salus + 1 > self.spec.salus_per_stage {
+                            let u = &mut self.stages[fixed as usize];
+                            if u.salus + 1 > self.spec.salus_per_stage {
                                 // No SALU left at the pinned stage: push the
-                                // register later and retry the round.
-                                self.repin = Some((reg_name, fixed + 1));
+                                // register later and retry the round, unless
+                                // that walks it off the pipeline.
+                                if fixed + 1 >= self.spec.stages {
+                                    return Err(AllocError::OutOfStages {
+                                        what: Unit::Register(register.name).describe(),
+                                        needed_stage: fixed + 1,
+                                    });
+                                }
+                                self.repin = Some((reg, fixed + 1));
                                 return Ok(());
                             }
-                            let u = &mut self.stages[fixed as usize];
                             u.salus += 1;
-                            u.sram_bits += sram;
-                            self.attribute(
-                                &reg_name,
-                                fixed,
-                                Demand { salus: 1, sram_bits: sram, ..Default::default() },
-                            );
+                            u.sram_bits += d.sram_bits;
+                            self.attribute(register.tenant, fixed, d);
                         }
-                        if let Some(d) = dst {
-                            self.define(field_path(d), fixed);
-                        }
-                    }
-                    Some(_) => {
-                        return Err(AllocError::RegisterStageConflict { register: reg_name });
+                        fixed
                     }
                     None => {
-                        let d = Demand { salus: 1, sram_bits: sram, ..Default::default() };
-                        let s = self.place(&format!("register `{reg_name}`"), min, d)?;
-                        self.reg_stage.insert(reg_name.clone(), s);
-                        if first_placement {
-                            self.attribute(&reg_name, s, d);
-                        }
-                        if let Some(d) = dst {
-                            self.define(field_path(d), s);
-                        }
+                        let s = self.place(Unit::Register(register.name), min, d)?;
+                        self.reg_stage[reg as usize] = Some(s);
+                        self.attribute(register.tenant, s, d);
+                        s
                     }
+                };
+                if let Some(d) = dst {
+                    self.define(d, stage);
                 }
-                self.reg_sram_counted.insert(radef.register.clone());
+                self.reg_sram_counted[reg as usize] = true;
             }
-            Stmt::ApplyTable(t) => {
-                self.table(t, control, gate)?;
+            Op::Table(t) => {
+                self.table(t, gate)?;
             }
-            Stmt::CallAction(name) => {
-                if let Some(a) = control.action(name) {
-                    let body = a.body.clone();
-                    self.walk(&body, control, gate)?;
-                }
-            }
-            Stmt::If { cond, then, els } => {
-                // Tables applied in the condition.
-                let g = if let Some(t) = table_in_cond(cond) {
-                    let s = self.table(&t, control, gate)?;
-                    s + 1
-                } else {
-                    gate.max(self.avail_of(&fields_of(cond)))
+            Op::Call(action) => self.walk(self.plan.actions[action as usize], gate)?,
+            Op::If { cond, then, els } => {
+                let g = match cond {
+                    Cond::Table(Some(t)) => self.table(t, gate)? + 1,
+                    Cond::Table(None) => gate + 1,
+                    Cond::Reads(reads) => gate.max(self.avail_of(reads)),
                 };
                 // Branches see the same availability; merge maxwise after.
-                let snapshot = self.avail.clone();
-                self.walk(then, control, g)?;
+                let base = self.snapshots.len();
+                self.snapshots.extend_from_slice(&self.avail);
+                self.walk(then, g)?;
                 if self.repin.is_some() {
                     return Ok(());
                 }
-                let then_avail = std::mem::replace(&mut self.avail, snapshot);
-                self.walk(els, control, g)?;
-                for (k, v) in then_avail {
-                    let e = self.avail.entry(k).or_insert(0);
-                    *e = (*e).max(v);
+                self.avail.swap_with_slice(&mut self.snapshots[base..]);
+                self.walk(els, g)?;
+                for (e, &then_avail) in self.avail.iter_mut().zip(&self.snapshots[base..]) {
+                    *e = (*e).max(then_avail);
                 }
+                self.snapshots.truncate(base);
             }
-            Stmt::SetValid(_) | Stmt::SetInvalid(_) | Stmt::Exit => {
-                self.place("header op", gate, Demand { vliw: 1, ..Default::default() })?;
+            Op::Header => {
+                self.place(Unit::Header, gate, vliw(1))?;
             }
         }
         Ok(())
     }
 
     /// Allocates a table application; returns its stage.
-    fn table(&mut self, name: &str, control: &ControlDef, gate: u32) -> Result<u32, AllocError> {
-        let Some(t) = control.table(name) else { return Ok(gate) };
-        let mut reads = Vec::new();
-        for (k, _) in &t.keys {
-            reads.extend(fields_of(k));
-        }
-        let min = gate.max(self.avail_of(&reads));
-        let key_bits: u64 = t.keys.iter().map(|(k, _)| expr_bits(k, self.program, control)).sum();
-        let action_data_bits: u64 = t
-            .actions
-            .iter()
-            .filter_map(|a| control.action(a))
-            .map(|a| a.params.iter().map(|(_, b)| *b as u64).sum::<u64>())
-            .max()
-            .unwrap_or(0);
-        let rows = (t.size.max(t.entries.len() as u32)).max(1) as u64;
-        // Entry overhead: action select + validity.
-        let row_bits = key_bits + action_data_bits + 8;
-        let ternary = t
-            .keys
-            .iter()
-            .any(|(_, mk)| matches!(mk, MatchKind::Ternary | MatchKind::Range | MatchKind::Lpm));
-        let d = Demand {
-            tables: 1,
-            sram_bits: if ternary { action_data_bits * rows } else { row_bits * rows },
-            tcam_bits: if ternary { (key_bits + 2) * rows } else { 0 },
-            // Action bodies execute in this stage's VLIW.
-            vliw: t
-                .actions
-                .iter()
-                .filter_map(|a| control.action(a))
-                .map(|a| a.body.len() as u32)
-                .max()
-                .unwrap_or(0)
-                .max(1),
-            ..Default::default()
-        };
-        let s = self.place(&format!("table `{name}`"), min, d)?;
+    fn table(&mut self, table: u32, gate: u32) -> Result<u32, AllocError> {
+        let t = &self.plan.tables[table as usize];
+        let min = gate.max(self.avail_of(t.reads));
+        let s = self.place(Unit::Table(t.name), min, t.demand)?;
         // Table SRAM/TCAM and the logical-table slot belong to the owning
         // tenant; the VLIW move slots are shared dispatch cost.
-        self.attribute(&t.name, s, Demand { vliw: 0, ..d });
-        // Action writes become available after this stage.
-        for aname in &t.actions {
-            if let Some(a) = control.action(aname) {
-                for st in &a.body {
-                    if let Stmt::Assign(dst, _) = st {
-                        self.define(field_path(dst), s);
-                    }
-                }
-            }
+        self.attribute(t.tenant, s, t.demand);
+        for &field in t.defines.slice(&self.plan.fields) {
+            self.define(field, s);
         }
         Ok(s)
-    }
-}
-
-/// Collects field paths read by an expression.
-fn fields_of(e: &Expr) -> Vec<String> {
-    let mut out = Vec::new();
-    collect_fields(e, &mut out);
-    out
-}
-
-fn collect_fields(e: &Expr, out: &mut Vec<String>) {
-    match e {
-        Expr::Field(segs) if !segs.iter().any(|s| s.name.starts_with('$')) => {
-            out.push(path_string(segs));
-        }
-        Expr::Field(_) => {}
-        Expr::Bin(_, a, b) => {
-            collect_fields(a, out);
-            collect_fields(b, out);
-        }
-        Expr::Not(x) | Expr::BitNot(x) | Expr::Cast(_, x) | Expr::Slice(x, _, _) => {
-            collect_fields(x, out)
-        }
-        _ => {}
-    }
-}
-
-fn path_string(segs: &[PathSeg]) -> String {
-    segs.iter()
-        .map(|s| match s.index {
-            Some(i) => format!("{}[{i}]", s.name),
-            None => s.name.clone(),
-        })
-        .collect::<Vec<_>>()
-        .join(".")
-}
-
-fn field_path(e: &Expr) -> String {
-    match e {
-        Expr::Field(segs) => path_string(segs),
-        other => format!("{other:?}"),
     }
 }
 
@@ -622,31 +928,6 @@ fn op_count(e: &Expr) -> u32 {
     inner(e).max(1)
 }
 
-/// Bit width of a key expression (header field lookup, else 32).
-fn expr_bits(e: &Expr, program: &P4Program, control: &ControlDef) -> u64 {
-    match e {
-        Expr::Field(segs) => {
-            let last = segs.last().map(|s| s.name.as_str()).unwrap_or("");
-            // meta local?
-            if segs.first().map(|s| s.name.as_str()) == Some("meta") {
-                if let Some((_, bits)) = control.locals.iter().find(|(n, _)| n == last) {
-                    return *bits as u64;
-                }
-            }
-            // header field: search all headers.
-            for h in &program.headers {
-                if let Some((_, bits)) = h.fields.iter().find(|(n, _)| n == last) {
-                    return *bits as u64;
-                }
-            }
-            32
-        }
-        Expr::Const(_, bits) => *bits as u64,
-        Expr::Cast(bits, _) => *bits as u64,
-        _ => 32,
-    }
-}
-
 /// True for register-to-register moves and pure width casts, which Tofino
 /// folds into the consumer's operand crossbar.
 fn is_move(e: &Expr) -> bool {
@@ -657,9 +938,9 @@ fn is_move(e: &Expr) -> bool {
     }
 }
 
-fn table_in_cond(e: &Expr) -> Option<String> {
+fn table_in_cond(e: &Expr) -> Option<&str> {
     match e {
-        Expr::TableHit(t) | Expr::TableMiss(t) => Some(t.clone()),
+        Expr::TableHit(t) | Expr::TableMiss(t) => Some(t),
         Expr::Not(x) => table_in_cond(x),
         Expr::Bin(_, a, b) => table_in_cond(a).or_else(|| table_in_cond(b)),
         _ => None,
@@ -715,7 +996,7 @@ mod tests {
                 stack: 1,
             }],
             parser: None,
-            controls: vec![control],
+            controls: vec![control].into(),
         };
         let r = allocate(&p, &spec()).unwrap();
         assert_eq!(r.stages_used, 2, "{:?}", r.per_stage);
@@ -767,7 +1048,7 @@ mod tests {
                 stack: 1,
             }],
             parser: None,
-            controls: vec![control],
+            controls: vec![control].into(),
         };
         let r = allocate(&p, &spec()).unwrap();
         // One register binds one SALU on one stage, shared by both
@@ -820,7 +1101,7 @@ mod tests {
             target: Target::Tna,
             headers: vec![],
             parser: None,
-            controls: vec![control],
+            controls: vec![control].into(),
         };
         // The second access needs stage ≥ 2 while the first pinned R at 0.
         // Repinning moves R to 2 — but then the FIRST access reads R at 2
@@ -831,6 +1112,68 @@ mod tests {
             matches!(r, Err(AllocError::RegisterStageConflict { .. })),
             "expected conflict, got {r:?}"
         );
+    }
+
+    /// A pinned register bumped off the last stage for want of a SALU is an
+    /// exhausted pipeline, reported like the same exhaustion on a register
+    /// that was never pinned — not a conflict between its accesses.
+    #[test]
+    fn salu_bump_past_the_last_stage_is_out_of_stages() {
+        let ra = |name: &str, register: &str| RegisterActionDef {
+            name: name.into(),
+            register: register.into(),
+            op: AtomicOp { rmw: AtomicRmw::Read, cond: false, ret_new: false },
+            cond: None,
+            operands: vec![],
+        };
+        let hash = |dst: &str| Stmt::HashGet {
+            dst: Expr::field(&["meta", dst]),
+            hash: "H".into(),
+            args: vec![Expr::field(&["hdr", "ncl", "K"])],
+        };
+        let exec =
+            |ra: &str, index: Expr| Stmt::ExecuteRegisterAction { dst: None, ra: ra.into(), index };
+        let control = ControlDef {
+            name: "Ig".into(),
+            locals: vec![("h0".into(), 16), ("h1".into(), 16)],
+            registers: vec![
+                RegisterDef { name: "X".into(), elem_bits: 16, size: 64 },
+                RegisterDef { name: "Y".into(), elem_bits: 16, size: 64 },
+            ],
+            register_actions: vec![ra("x", "X"), ra("y", "Y")],
+            hashes: vec![HashDef { name: "H".into(), algo: HashKind::Crc16, out_bits: 16 }],
+            apply: vec![
+                // Y's index is a hash output: Y sits at stage 1.
+                hash("h0"),
+                exec("y", Expr::field(&["meta", "h0"])),
+                // X lands at stage 0, then its second access needs stage 1:
+                // the repin finds Y on stage 1's only SALU and bumps X to
+                // stage 2 of a two-stage pipeline.
+                exec("x", Expr::val(0, 32)),
+                hash("h1"),
+                exec("x", Expr::field(&["meta", "h1"])),
+            ],
+            ..Default::default()
+        };
+        let p = P4Program {
+            name: "t".into(),
+            target: Target::Tna,
+            headers: vec![HeaderDef {
+                name: "ncl_t".into(),
+                fields: vec![("K".into(), 32)],
+                stack: 1,
+            }],
+            parser: None,
+            controls: vec![control].into(),
+        };
+        let two_stages = TofinoSpec { stages: 2, salus_per_stage: 1, ..TofinoSpec::tofino1() };
+        assert_eq!(
+            allocate(&p, &two_stages).unwrap_err(),
+            AllocError::OutOfStages { what: "register `X`".into(), needed_stage: 2 }
+        );
+        // One more stage and the bumped register fits.
+        let r = allocate(&p, &TofinoSpec { stages: 3, ..two_stages }).unwrap();
+        assert_eq!(r.per_stage.iter().map(|s| s.salus).collect::<Vec<_>>(), [0, 1, 1]);
     }
 
     #[test]
@@ -857,7 +1200,8 @@ mod tests {
             target: Target::Tna,
             headers: vec![],
             parser: None,
-            controls: vec![ControlDef { name: "Ig".into(), locals, apply, ..Default::default() }],
+            controls: vec![ControlDef { name: "Ig".into(), locals, apply, ..Default::default() }]
+                .into(),
         };
         let r = allocate(&p, &TofinoSpec::tiny());
         assert!(matches!(r, Err(AllocError::OutOfStages { .. })), "{r:?}");
@@ -889,7 +1233,8 @@ mod tests {
                 tables: vec![mk_table("e", MatchKind::Exact), mk_table("r", MatchKind::Range)],
                 apply: vec![Stmt::ApplyTable("e".into()), Stmt::ApplyTable("r".into())],
                 ..Default::default()
-            }],
+            }]
+            .into(),
         };
         let r = allocate(&p, &spec()).unwrap();
         let sram: u64 = r.per_stage.iter().map(|s| s.sram_bits).sum();
@@ -910,7 +1255,7 @@ mod tests {
                 stack: 200, // 6400 bits > 4096
             }],
             parser: None,
-            controls: vec![],
+            controls: Default::default(),
         };
         let r = allocate(&p, &spec());
         assert!(matches!(r, Err(AllocError::PhvOverflow { .. })));
@@ -965,7 +1310,7 @@ mod tests {
                 stack: 1,
             }],
             parser: None,
-            controls: vec![control],
+            controls: vec![control].into(),
         };
         let r = allocate(&p, &spec()).unwrap();
         assert_eq!(r.tenants.len(), 2);

@@ -36,7 +36,7 @@ pub fn account(program: &P4Program, spec: &TofinoSpec) -> PhvReport {
     // up to their own container.
     let mut metadata_bits = 0u32;
     let mut flags = 0u32;
-    for c in &program.controls {
+    for c in program.controls.iter() {
         for (_, w) in &c.locals {
             if *w == 1 {
                 flags += 1;
@@ -79,7 +79,8 @@ mod tests {
                 name: "Ig".into(),
                 locals: vec![("a".into(), 1), ("b".into(), 16)],
                 ..Default::default()
-            }],
+            }]
+            .into(),
         };
         let r = account(&p, &TofinoSpec::tofino1());
         // 32 × 32 bits + 32 validity bits.

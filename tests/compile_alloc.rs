@@ -1,0 +1,54 @@
+//! What the cold compile chain allocates (DESIGN.md §4, §4a): the Tofino
+//! fit of the fleet's most expensive device, and a cold `Compiler::compile`
+//! of each paper application. Counts are host- and load-independent, so the
+//! ceilings below — the figures measured at this commit plus 10 % — are the
+//! gate against the string-keyed allocator, the per-dialect common stage or
+//! a `Vec` per operand walk coming back, and the numbers the next
+//! compile-chain change ratchets down.
+
+mod counting_alloc;
+
+use counting_alloc::{allocs_during, Counting};
+use netcl::{CompileOptions, Compiler};
+use netcl_apps::{agg, cache, calc, paxos};
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn ceiling(measured: u64) -> u64 {
+    measured + measured / 10
+}
+
+/// AGG at `slot_size: 32` is 36 registers and 164 repin rounds. The parent
+/// commit's allocator rebuilt its string-keyed maps in every round: 188 450
+/// allocations for this one fit.
+#[test]
+fn fit_of_the_largest_agg_allocates_per_plan_not_per_round() {
+    const MEASURED: u64 = 202;
+    const PARENT: u64 = 188_450;
+    let cfg = agg::AggConfig { slot_size: 32, ..Default::default() };
+    let unit = Compiler::new(CompileOptions::default())
+        .compile("agg.ncl", &agg::netcl_source(&cfg))
+        .expect("AGG compiles");
+    let (report, allocs) = allocs_during(|| netcl_tofino::fit(&unit.devices[0].tna_p4));
+    assert_eq!(report.expect("AGG fits").stages_used, 12);
+    assert!(allocs <= ceiling(MEASURED), "the fit made {allocs} allocations");
+    assert!(allocs < PARENT / 10, "the fit made {allocs} allocations");
+}
+
+/// Measured at the parent commit, where each dialect ran the common stage
+/// itself: 75 752 / 34 915 / 5 181 / 45 167.
+#[test]
+fn cold_compile_allocations_per_application() {
+    let cc = Compiler::new(CompileOptions::default());
+    for (name, source, measured) in [
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), 19_505),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), 15_872),
+        ("calc.ncl", calc::netcl_source(), 2_944),
+        ("paxos.ncl", paxos::full_source(), 21_777),
+    ] {
+        let (unit, allocs) = allocs_during(|| cc.compile(name, &source));
+        unit.unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(allocs <= ceiling(measured), "{name}: a cold compile made {allocs} allocations");
+    }
+}
