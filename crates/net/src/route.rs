@@ -5,9 +5,9 @@
 //! one BFS over `HashMap` adjacency — fine for a handful of nodes, ruinous
 //! for a 10⁴-host fat-tree routing to thousands of destinations over
 //! millions of hops. [`RouteCore`] indexes the topology once — CSR
-//! adjacency over `u32` indices, `LinkSpec`s in a parallel array touched
-//! only to answer a query — and every hop is read from a *routing tree* of
-//! `u32` parent pointers.
+//! adjacency over `u32` indices, the distinct `LinkSpec`s interned beside
+//! it — and every hop is read from a *routing tree* of `u32` CSR edges: one
+//! table read names the edge, and the edge names the neighbor and the link.
 //!
 //! Invariants:
 //! - One node identity. A topology node's dense index is its position in
@@ -28,7 +28,8 @@
 //!   [`PrecomputedRoutes`] is the public handle, so a caller building one
 //!   topology at several shard counts pays for the forest once.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::topo::{ecmp_rank, link_key, LinkSpec, NodeId, Topology};
@@ -37,7 +38,7 @@ use crate::topo::{ecmp_rank, link_key, LinkSpec, NodeId, Topology};
 /// cap a k=36 fat-tree's trees are ~50 MB; a reset only costs rebuilds.
 pub(crate) const TREE_CAP: usize = 1024;
 
-/// Sentinel index: no node (unreachable, the destination itself, no such id).
+/// Sentinel index: no node or edge (unreachable, the destination, no such id).
 pub(crate) const NONE: u32 = u32::MAX;
 
 /// Every switch-to-switch routing tree of a connected topology, built once
@@ -52,9 +53,9 @@ struct Forest {
     slot: Vec<u32>,
     /// Switch slots count.
     n_sw: usize,
-    /// `parents[t_slot * n_sw + f_slot]`: dense node index of the next hop
-    /// from slot `f_slot`'s node toward slot `t_slot`'s node (`NONE` on
-    /// the diagonal).
+    /// `parents[t_slot * n_sw + f_slot]`: the CSR edge out of slot
+    /// `f_slot`'s node to its next hop toward slot `t_slot`'s node (`NONE`
+    /// on the diagonal).
     parents: Vec<u32>,
 }
 
@@ -73,9 +74,11 @@ pub(crate) struct RouteCore {
     adj_off: Vec<u32>,
     /// CSR neighbor indices, flat.
     adj_to: Vec<u32>,
-    /// Link specs parallel to `adj_to`, touched only to answer a query —
-    /// never during a tree build.
-    adj_spec: Vec<LinkSpec>,
+    /// Each edge's link, as an index into `specs`, parallel to `adj_to`.
+    adj_spec: Vec<u32>,
+    /// The topology's distinct link specs (bitwise-equal ones share an entry):
+    /// one on a uniform fat-tree, so a hop's spec read stays in cache.
+    specs: Vec<LinkSpec>,
     /// Degree-1 marks, parallel to `nodes` (fits L1 even at 10⁴ hosts).
     leaf: Vec<bool>,
     /// Whether the topology is one connected component. On a connected
@@ -98,9 +101,19 @@ impl RouteCore {
         i.copied().filter(|&i| i != NONE)
     }
 
+    /// Node i's CSR edges.
+    fn edges(&self, i: u32) -> Range<usize> {
+        self.adj_off[i as usize] as usize..self.adj_off[i as usize + 1] as usize
+    }
+
     /// Node i's neighbor indices.
     fn neigh(&self, i: u32) -> &[u32] {
-        &self.adj_to[self.adj_off[i as usize] as usize..self.adj_off[i as usize + 1] as usize]
+        &self.adj_to[self.edges(i)]
+    }
+
+    /// The link spec of CSR edge `e`.
+    fn spec(&self, e: usize) -> LinkSpec {
+        self.specs[self.adj_spec[e] as usize]
     }
 
     /// The ECMP hash root for trees toward dense index `ti`: a leaf target
@@ -115,11 +128,11 @@ impl RouteCore {
         self.nodes[ti as usize]
     }
 
-    /// Writes one routing tree: `set(i, p)` for every node `i` that reaches
-    /// `ti` around the links in `down`, `p` being its next hop — a reverse
-    /// BFS for the levels, then an [`ecmp_rank`]-selected neighbor one level
-    /// closer. Pure `u32` CSR traversal; `dist` (one entry per node) and
-    /// `order` are scratch.
+    /// Writes one routing tree: `set(i, e)` for every node `i` that reaches
+    /// `ti` around the links in `down`, `e` being the CSR edge to its next
+    /// hop — a reverse BFS for the levels, then an [`ecmp_rank`]-selected
+    /// edge to a neighbor one level closer. Pure `u32` CSR traversal; `dist`
+    /// (one entry per node) and `order` are scratch.
     ///
     /// On a connected fault-free topology the BFS never descends into
     /// degree-1 nodes: sources there are answered by the shortcut in
@@ -162,11 +175,13 @@ impl RouteCore {
         let root = self.ecmp_root(ti);
         for &i in &order[1..] {
             let want = dist[i as usize] - 1;
-            let cands =
-                self.neigh(i).iter().filter(|&&m| dist[m as usize] == want && !closed(m, i));
+            let cands = self.edges(i).filter(|&e| {
+                let m = self.adj_to[e];
+                dist[m as usize] == want && !closed(m, i)
+            });
             let len = cands.clone().count() as u64;
             let pick = (ecmp_rank(root, self.nodes[i as usize]) % len) as usize;
-            set(i, *cands.clone().nth(pick).expect("pick < len"));
+            set(i, cands.clone().nth(pick).expect("pick < len") as u32);
         }
     }
 }
@@ -176,8 +191,8 @@ impl RouteCore {
 #[derive(Debug, Clone)]
 pub(crate) struct RouteCache {
     pub(crate) core: Arc<RouteCore>,
-    /// Destination index → parent-pointer tree (`tree[i]` is the dense
-    /// index of node i's next hop toward the destination). An empty entry
+    /// Destination index → parent-pointer tree (`tree[i]` is the CSR edge
+    /// from node i to its next hop toward the destination). An empty entry
     /// is not built yet; the table is empty until the first miss.
     trees: Vec<Vec<u32>>,
     /// Trees currently built, for [`TREE_CAP`].
@@ -225,10 +240,15 @@ impl RouteCache {
         }
         let mut core =
             RouteCore { host_ix, dev_ix, nodes, adj_off: vec![0], ..RouteCore::default() };
+        let mut interned = HashMap::new();
         for &n in &core.nodes {
             for &(m, spec) in topo.neighbors(n) {
                 core.adj_to.push(core.index(m).expect("a neighbor is a topology node"));
-                core.adj_spec.push(spec);
+                let specs = &mut core.specs;
+                core.adj_spec.push(*interned.entry(spec.bits()).or_insert_with(|| {
+                    specs.push(spec);
+                    specs.len() as u32 - 1
+                }));
             }
             core.adj_off.push(core.adj_to.len() as u32);
         }
@@ -254,8 +274,8 @@ impl RouteCache {
             let mut parents = vec![NONE; n_sw * n_sw];
             for (t, &ti) in sw.iter().enumerate() {
                 let row = &mut parents[t * n_sw..(t + 1) * n_sw];
-                core.fill_tree(ti, &none, &mut dist, &mut order, |i, p| {
-                    row[slot[i as usize] as usize] = p;
+                core.fill_tree(ti, &none, &mut dist, &mut order, |i, e| {
+                    row[slot[i as usize] as usize] = e;
                 });
             }
             core.forest = Some(Forest { slot, n_sw, parents });
@@ -297,7 +317,7 @@ impl RouteCache {
         // tree domain entirely (paired with the leaf-skipping build).
         if fi != ti && core.connected && down.is_empty() {
             if let [ei] = *core.neigh(fi) {
-                return Some((ei, core.adj_spec[core.adj_off[fi as usize] as usize]));
+                return Some((ei, core.spec(core.adj_off[fi as usize] as usize)));
             }
         }
         if let [ei] = *core.neigh(ti) {
@@ -307,7 +327,7 @@ impl RouteCache {
                 return None;
             }
             if fi == ei {
-                return Some((ti, core.adj_spec[core.adj_off[ti as usize] as usize]));
+                return Some((ti, core.spec(core.adj_off[ti as usize] as usize)));
             }
             // Guard against two-node topologies where the uplink is
             // itself a leaf (mutual aliasing would recurse forever).
@@ -318,7 +338,7 @@ impl RouteCache {
         // Fault-free fast path: the precomputed shared forest. Leaf
         // sources and targets were peeled off above, so both endpoints
         // have switch slots (the guard covers degenerate all-leaf graphs).
-        let pi = match (&core.forest, down.is_empty()) {
+        let e = match (&core.forest, down.is_empty()) {
             (Some(f), true) if f.slot[ti as usize] != NONE && f.slot[fi as usize] != NONE => {
                 f.parents[f.slot[ti as usize] as usize * f.n_sw + f.slot[fi as usize] as usize]
             }
@@ -333,15 +353,14 @@ impl RouteCache {
                     tree.resize(n, NONE);
                     let (mut dist, mut order) = (vec![NONE; n], Vec::new());
                     self.core
-                        .fill_tree(ti, down, &mut dist, &mut order, |i, p| tree[i as usize] = p);
+                        .fill_tree(ti, down, &mut dist, &mut order, |i, e| tree[i as usize] = e);
                     self.built += 1;
                 }
                 tree[fi as usize]
             }
         };
-        // `NONE` — unreachable — is no one's neighbor.
-        let k = self.core.neigh(fi).iter().position(|&m| m == pi)?;
-        Some((pi, self.core.adj_spec[self.core.adj_off[fi as usize] as usize + k]))
+        // `NONE`: unreachable. Else the edge names the neighbor and the link.
+        (e != NONE).then(|| (self.core.adj_to[e as usize], self.core.spec(e as usize)))
     }
 }
 
@@ -349,50 +368,81 @@ impl RouteCache {
 mod tests {
     use super::*;
 
+    /// A link spec no other `i` shares a field value with (bar the loss
+    /// knobs that would make routing moot).
+    fn distinct(i: u64) -> LinkSpec {
+        LinkSpec {
+            latency_ns: 1_000 + i,
+            gbps: 10.0 + i as f64,
+            loss: 0.0,
+            duplicate: 0.001 * (i + 1) as f64,
+            corrupt: 0.002 * (i + 1) as f64,
+            reorder: 0.003 * (i + 1) as f64,
+            reorder_ns: 40_000 + i,
+            jitter_ns: 2_000 + i,
+        }
+    }
+
     fn diamond() -> Topology {
         // h1 — d1 — {d2, d3} — d4 — h2: two equal-length middles.
         let mut t = Topology::new();
-        let s = LinkSpec::default();
-        t.link(NodeId::Host(1), NodeId::Device(1), s);
-        t.link(NodeId::Device(1), NodeId::Device(2), s);
-        t.link(NodeId::Device(1), NodeId::Device(3), s);
-        t.link(NodeId::Device(2), NodeId::Device(4), s);
-        t.link(NodeId::Device(3), NodeId::Device(4), s);
-        t.link(NodeId::Device(4), NodeId::Host(2), s);
+        t.link(NodeId::Host(1), NodeId::Device(1), distinct(0));
+        t.link(NodeId::Device(1), NodeId::Device(2), distinct(1));
+        t.link(NodeId::Device(1), NodeId::Device(3), distinct(2));
+        t.link(NodeId::Device(2), NodeId::Device(4), distinct(3));
+        t.link(NodeId::Device(3), NodeId::Device(4), distinct(4));
+        t.link(NodeId::Device(4), NodeId::Host(2), distinct(5));
         t
     }
 
-    /// `cache.hop` between two topology nodes, by id.
+    /// `topo` with a [`distinct`] spec on every link; returns the link count.
+    fn relinked(topo: &Topology) -> (Topology, usize) {
+        let (mut t, mut links) = (Topology::new(), 0);
+        for n in topo.nodes() {
+            for &(m, _) in topo.neighbors(n).iter().filter(|&&(m, _)| n < m) {
+                t.link(n, m, distinct(links));
+                links += 1;
+            }
+        }
+        (t, links as usize)
+    }
+
+    /// `cache.hop` between two topology nodes, by id: the next hop and the
+    /// link's spec, field for field.
     fn hop(
         cache: &mut RouteCache,
         from: NodeId,
         to: NodeId,
         down: &HashSet<(NodeId, NodeId)>,
-    ) -> Option<NodeId> {
+    ) -> Option<(NodeId, [u64; 8])> {
         let ix = |n| cache.core.index(n).expect("a topology node");
         let (fi, ti) = (ix(from), ix(to));
-        cache.hop(fi, ti, down).map(|(h, _)| cache.core.nodes[h as usize])
+        cache.hop(fi, ti, down).map(|(h, spec)| (cache.core.nodes[h as usize], spec.bits()))
     }
 
     /// The dense cache agrees exactly with the reference
-    /// [`Topology::routing_tree`] — same hops, same hashed tie-breaks —
-    /// for every (source, target) pair, with and without downed links: on
-    /// the diamond, and on the k=4 fat-tree the benchmark's shape scales
-    /// up (forest path, leaf-target aliasing, real ECMP ties; the downed
-    /// links are an agg uplink and a host uplink).
+    /// [`Topology::routing_tree`] — same hops, same hashed tie-breaks, and
+    /// the same link spec down to the bit — for every (source, target)
+    /// pair, with and without downed links: on the diamond, and on the k=4
+    /// fat-tree the benchmark's shape scales up (forest path, leaf-target
+    /// aliasing, real ECMP ties; the downed links are an agg uplink and a
+    /// host uplink). Every link carries a spec of its own, so a wrong edge
+    /// index or a bad intern cannot hide behind uniform links.
     #[test]
     fn cache_matches_reference_routing_tree() {
         let d = NodeId::Device;
         let ft = crate::workload::FatTree::new(4, LinkSpec::default()).unwrap();
         let (edge, agg) = (ft.edge_by_pod[0][0], ft.agg_by_pod[0][0]);
+        let (fat, fat_links) = relinked(&ft.topology);
         let cases = [
-            (diamond(), [link_key(d(1), d(2)), link_key(d(1), d(3))]),
-            (ft.topology, [link_key(d(agg), d(ft.core[0])), link_key(NodeId::Host(0), d(edge))]),
+            (diamond(), 6, [link_key(d(1), d(2)), link_key(d(1), d(3))]),
+            (fat, fat_links, [link_key(d(agg), d(ft.core[0])), link_key(NodeId::Host(0), d(edge))]),
         ];
-        for (topo, links) in &cases {
+        for (topo, n_links, links) in &cases {
             for n_down in 0..=links.len() {
                 let down: HashSet<_> = links[..n_down].iter().copied().collect();
                 let mut cache = RouteCache::new(topo);
+                assert_eq!(cache.core.specs.len(), *n_links, "one interned spec per link");
                 for target in topo.nodes() {
                     let reference = topo.routing_tree(target, &down);
                     for from in topo.nodes() {
@@ -401,13 +451,28 @@ mod tests {
                         }
                         assert_eq!(
                             hop(&mut cache, from, target, &down),
-                            reference.get(&from).map(|&(h, _)| h),
+                            reference.get(&from).map(|&(h, spec)| (h, spec.bits())),
                             "hop {from:?} → {target:?} with {n_down} downed links"
                         );
                     }
                 }
             }
         }
+    }
+
+    /// What a hop reads, at the benchmark's scale: the k=16 forest, the
+    /// neighbor array and the spec indices take 459 KB (830 KB when every
+    /// edge carried its 64-byte spec), and the uniform links intern to one.
+    #[test]
+    fn uniform_fat_tree_interns_one_spec_and_the_hop_tables_shrink() {
+        let ft = crate::workload::FatTree::new(16, LinkSpec::default()).unwrap();
+        let core = RouteCache::new(&ft.topology).core;
+        let forest = core.forest.as_ref().expect("a fat-tree is connected");
+        assert_eq!((core.specs.len(), forest.n_sw, core.adj_to.len()), (1, 320, 6_144));
+        let bytes = std::mem::size_of_val(&forest.parents[..])
+            + std::mem::size_of_val(&core.adj_to[..])
+            + std::mem::size_of_val(&core.adj_spec[..]);
+        assert!(bytes <= 460_000, "{bytes} bytes of hop tables");
     }
 
     /// Evicting at the cap only costs rebuilds: answers are identical

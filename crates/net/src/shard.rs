@@ -669,9 +669,10 @@ impl ShardedNetwork {
         };
         // Stopping at the `max_events` cap leaves hand-offs and pumped
         // flows undelivered: put them in their owner shards so the next
-        // `run` call continues from exactly this state.
+        // `run` call continues from exactly this state, per-node counts folded.
         for (sh, inbox) in shards.iter_mut().zip(&mut co.inbox) {
             std::mem::take(inbox).deliver(sh);
+            sh.fold_counters();
         }
         total
     }

@@ -5,13 +5,14 @@
 //! which fixes their `EventSrc::Control` keys — identically in the whole
 //! network and in every shard built from the same configuration.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use netcl_bmv2::{Switch, TableUpdate};
 use netcl_obs::Trace;
 use netcl_runtime::device::DeviceRuntime;
 
+use super::queue::EventQueue;
 use super::stats::tid_of;
 use super::{
     DeviceNode, FlowPump, HostHandler, HostNode, NetObs, NetStats, Network, ObsConfig, RestartHook,
@@ -161,7 +162,8 @@ impl NetworkBuilder {
         let mut net = Network {
             topology: self.topology,
             slots,
-            events: BinaryHeap::new(),
+            events: EventQueue::new(),
+            touched: Vec::with_capacity(routes.core.nodes.len()),
             clock: 0,
             ext_seq: 0,
             seed: self.seed,

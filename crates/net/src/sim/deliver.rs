@@ -60,15 +60,14 @@ impl Network {
             } else {
                 self.stats.unroutable += 1;
             }
-            self.stats.node(here).dropped += 1;
+            self.count(from).dropped += 1;
             self.trace_instant("drop.fault", here, at);
             return;
         };
         if link.loss > 0.0 && self.rand01(from) < link.loss {
-            let hop = self.slots[hop as usize].id;
             self.stats.link_losses += 1;
-            self.stats.node(hop).dropped += 1;
-            self.trace_instant("drop.loss", hop, at);
+            self.count(hop).dropped += 1;
+            self.trace_instant("drop.loss", self.slots[hop as usize].id, at);
             return;
         }
         if link.corrupt > 0.0 && self.rand01(from) < link.corrupt && !bytes.is_empty() {
@@ -94,12 +93,14 @@ impl Network {
             self.stats.degraded_transits += 1;
         }
         for i in 0..copies {
-            let mut arrive = at + slow * link.transit_ns(bytes.len());
+            // Saturating: an unservable link arrives at `u64::MAX`, in no horizon.
+            let mut arrive = at.saturating_add(slow.saturating_mul(link.transit_ns(bytes.len())));
             if link.jitter_ns > 0 {
-                arrive += self.rand_u64(from) % (slow * link.jitter_ns + 1);
+                let span = slow.saturating_mul(link.jitter_ns).saturating_add(1);
+                arrive = arrive.saturating_add(self.rand_u64(from) % span);
             }
             if link.reorder > 0.0 && self.rand01(from) < link.reorder {
-                arrive += link.reorder_ns;
+                arrive = arrive.saturating_add(link.reorder_ns);
                 self.stats.reordered += 1;
             }
             // The last copy moves the buffer — the common lossless single
@@ -117,20 +118,23 @@ impl Network {
     /// latency. Compute touches only switch state and the effects after it
     /// only network state.
     pub(super) fn device_receive(&mut self, dev: u32, mut wire: Vec<u8>) {
-        let slot = &mut self.slots[dev as usize];
+        let slot = &self.slots[dev as usize];
         let here = slot.id;
         if slot.failed {
             self.stats.fault_drops += 1;
-            self.stats.node(here).dropped += 1;
+            self.count(dev).dropped += 1;
             self.trace_instant("drop.fault", here, self.clock);
             return;
         }
-        let Some(node) = slot.device.as_deref_mut() else { return };
+        if slot.device.is_none() {
+            return;
+        }
         let Ok(msg) = Message::read_header(&wire) else {
-            self.stats.node(here).dropped += 1;
+            self.count(dev).dropped += 1;
             return;
         };
-        self.stats.node(here).delivered += 1;
+        self.count(dev).delivered += 1;
+        let node = self.slots[dev as usize].device.as_deref_mut().expect("checked above");
         let runtime = node.runtime;
         if !runtime.should_compute(&msg) {
             let now = self.clock;
@@ -163,7 +167,7 @@ impl Network {
             Ok(msg) => msg,
             Err(why) => {
                 if let Some(name) = why {
-                    self.stats.node(here).dropped += 1;
+                    self.count(dev).dropped += 1;
                     self.trace_instant(name, here, self.clock);
                 }
                 return;
@@ -201,7 +205,7 @@ impl Network {
         match fwd {
             Forward::Drop => {
                 self.stats.kernel_drops += 1;
-                self.stats.node(self.slots[dev as usize].id).dropped += 1;
+                self.count(dev).dropped += 1;
             }
             Forward::ToHost(h) => self.transmit(dev, NodeId::Host(h as u32), at, bytes),
             Forward::ToDevice(d) => self.transmit(dev, NodeId::Device(d), at, bytes),
@@ -231,7 +235,7 @@ impl Network {
     pub(super) fn host_receive(&mut self, host: u32, bytes: Vec<u8>) {
         let (here, now) = (self.slots[host as usize].id, self.clock);
         self.stats.delivered += 1;
-        self.stats.node(here).delivered += 1;
+        self.count(host).delivered += 1;
         self.trace_instant("deliver", here, now);
         let Some(node) = &mut self.slots[host as usize].host else { return };
         // A sink keeps the message itself; a handler gets its own.

@@ -1,6 +1,6 @@
 //! The event-driven simulator core: the [`Network`], its node table, its
-//! event keys, and the event loop. Statistics live in `stats.rs`,
-//! construction in `builder.rs`, per-message delivery in `deliver.rs`.
+//! event keys, and the event loop. Beside it: the queue (`queue.rs`), statistics
+//! (`stats.rs`), construction (`builder.rs`), per-message delivery (`deliver.rs`).
 //!
 //! Invariants:
 //! - A node has one identity in here: its dense index — the one `route.rs`
@@ -12,22 +12,25 @@
 //! - Events run in `(time, EventSrc)` order. Keys are unique and locally
 //!   derivable (schedule index, driver call order, per-node push counter),
 //!   so the order is total and the same in a scalar run and in every shard.
-//! - One heap per network is the only event source. Cross-shard arrivals
+//! - One queue per network is the only event source. Cross-shard arrivals
 //!   are pushed onto it under the key the sending shard assigned, so pop
 //!   order never depends on how an event got there.
+//! - A node's delivered / dropped counts are made in its slot and folded
+//!   into [`NetStats::per_node`] whenever a run returns — the one time a
+//!   caller can read it (`Network::fold_counters`).
 //! - [`Network::run`] is the scalar oracle: a flow source is pumped exactly
 //!   when simulated time reaches each flow, which is the interleaving an
 //!   up-front injection would have had.
 
 mod builder;
 mod deliver;
+mod queue;
 mod stats;
 
 pub use builder::NetworkBuilder;
 pub use stats::{NetObs, NetStats, NodeCounters, ObsConfig};
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use netcl_bmv2::{Packet, Switch, TableUpdate};
@@ -37,6 +40,7 @@ use netcl_runtime::device::DeviceRuntime;
 use crate::fault::Fault;
 use crate::route::RouteCache;
 use crate::topo::{link_key, mix64, NodeId, Topology};
+use queue::EventQueue;
 use stats::tid_of;
 
 /// Events delivered to a host handler.
@@ -174,6 +178,8 @@ struct Slot {
     owned: bool,
     /// Device currently failed (blackholing traffic).
     failed: bool,
+    /// Delivered / dropped here since the last fold; non-zero ⇒ on `touched`.
+    counters: NodeCounters,
     /// What the builder declared here, by the kind of `id`. The device is
     /// boxed to keep slots host-sized: a 10⁵-host fat-tree holds one per
     /// node in every shard.
@@ -189,7 +195,8 @@ impl Slot {
         };
         // One splitmix step decorrelates the per-node seeds.
         let rng = mix64(seed ^ tag);
-        Slot { id, seq: 0, rng, owned, failed: false, host: None, device: None }
+        let counters = NodeCounters::default();
+        Slot { id, seq: 0, rng, owned, failed: false, counters, host: None, device: None }
     }
 }
 
@@ -199,7 +206,9 @@ pub struct Network {
     /// The node table: topology nodes at their route index, then ids the
     /// topology lacks, in first-use order.
     slots: Vec<Slot>,
-    events: BinaryHeap<Reverse<Event>>,
+    events: EventQueue<EventKind>,
+    /// Nodes whose slot holds counts not yet in `stats.per_node`.
+    touched: Vec<u32>,
     clock: u64,
     /// Driver-injection counter ([`EventSrc::External`]).
     ext_seq: u64,
@@ -258,35 +267,16 @@ pub(crate) enum EventSrc {
     Node(NodeId, u64),
 }
 
-/// A queued event, ordered by `(time, src)` alone: keys are unique, so what
-/// happens never takes part in the order. Only arrivals (at topology nodes)
-/// cross a shard boundary, under the key the sending shard pushed them with.
+/// An event on its way to a queue: what crosses a shard boundary (arrivals
+/// at topology nodes only), under the key the sending shard pushed it with.
+/// The queue orders by `(time, src)` alone — keys are unique, so what happens
+/// never takes part in the order.
 #[derive(Debug)]
 pub(crate) struct Event {
     pub(crate) time: u64,
     src: EventSrc,
     pub(crate) kind: EventKind,
 }
-
-impl Ord for Event {
-    fn cmp(&self, other: &Event) -> Ordering {
-        (self.time, self.src).cmp(&(other.time, other.src))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Event) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Event) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-
-impl Eq for Event {}
 
 /// What happens, and at which node (by dense index).
 #[derive(Debug)]
@@ -407,12 +397,12 @@ impl Network {
     /// coordinator routed a cross-shard arrival to its owner. Keys are unique
     /// and totally ordered, so pop order is independent of arrival order.
     pub(crate) fn accept(&mut self, event: Event) {
-        self.events.push(Reverse(event));
+        self.events.push(event.time, event.src, event.kind);
     }
 
     /// Earliest pending event time, if any.
     pub(crate) fn next_event_time(&self) -> Option<u64> {
-        self.events.peek().map(|Reverse(e)| e.time)
+        self.events.next_time()
     }
 
     /// Pending events not yet processed — the live-event footprint
@@ -463,6 +453,30 @@ impl Network {
         self.index_of(NodeId::Device(id)).is_some_and(|i| self.slots[i as usize].failed)
     }
 
+    /// Node `n`'s counts since the last fold, about to be added to.
+    fn count(&mut self, n: u32) -> &mut NodeCounters {
+        let counters = &mut self.slots[n as usize].counters;
+        if *counters == NodeCounters::default() {
+            self.touched.push(n);
+        }
+        counters
+    }
+
+    /// Brings `stats.per_node` up to date, as both runners do on every
+    /// return: moves in the counts made since the last fold, one step per
+    /// node touched whatever the table's size, never an all-zero entry.
+    pub(crate) fn fold_counters(&mut self) {
+        #[cfg(test)]
+        tests::FOLD_STEPS.with(|n| n.set(n.get() + self.touched.len() as u64));
+        for i in self.touched.drain(..) {
+            let slot = &mut self.slots[i as usize];
+            let made = std::mem::take(&mut slot.counters);
+            let total = self.stats.per_node.entry(slot.id).or_default();
+            total.delivered += made.delivered;
+            total.dropped += made.dropped;
+        }
+    }
+
     /// Draws from node `n`'s chaos RNG stream.
     fn rand_u64(&mut self, n: u32) -> u64 {
         let state = &mut self.slots[n as usize].rng;
@@ -499,7 +513,8 @@ impl Network {
         let mut n = 0;
         while n < max_events {
             let Some(f) = self.flows.next_at() else {
-                return n + self.run_until(u64::MAX, max_events - n);
+                n += self.run_until(u64::MAX, max_events - n);
+                break;
             };
             n += self.run_until(f, max_events - n);
             if n < max_events {
@@ -508,6 +523,7 @@ impl Network {
                 self.flows = flows;
             }
         }
+        self.fold_counters();
         n
     }
 
@@ -520,7 +536,7 @@ impl Network {
             if self.next_event_time().is_none_or(|t| t >= horizon) {
                 break;
             }
-            let Reverse(Event { time, kind, .. }) = self.events.pop().expect("peeked");
+            let (queue::Key { time, .. }, kind) = self.events.pop().expect("peeked");
             self.clock = self.clock.max(time);
             if !matches!(kind, EventKind::Fault(_) | EventKind::RuleUpdate(_)) {
                 self.stats.events += 1;
@@ -647,6 +663,11 @@ mod tests {
     use super::*;
     use crate::topo::{star, LinkSpec};
     use netcl_runtime::message::{pack, unpack, Message};
+
+    thread_local! {
+        /// Nodes folded by [`Network::fold_counters`] calls on this thread.
+        pub(super) static FOLD_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     const CACHE_SRC: &str = r#"
 _managed_ _lookup_ ncl::kv<unsigned, unsigned> cache[64] = {{1,42}, {2,43}};
@@ -1046,6 +1067,123 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
         }
     }
 
+    /// The fold contract: `stats.per_node` is complete whenever a run has
+    /// returned — scalar or sharded, inline or threaded, whole or in
+    /// `run(7)` slices — and never holds an all-zero entry. Lossy,
+    /// duplicating links and a device outage keep `dropped` moving; with
+    /// well-formed traffic every drop is one of four counted kinds, so the
+    /// per-node breakdown must sum to the totals at every return.
+    #[test]
+    fn per_node_is_complete_and_zero_free_after_every_run_return() {
+        let (p4, spec) = compiled_cache();
+        let link = LinkSpec { loss: 0.2, duplicate: 0.3, ..Default::default() };
+        let builder = || {
+            NetworkBuilder::new(star(1, &[1, 2], link))
+                .seed(9)
+                .device(1, Switch::new(p4.clone()), 500)
+                .sink_host(1)
+                .sink_host(2)
+                .fault(40_000, Fault::DeviceFail(1))
+                .fault(80_000, Fault::DeviceRestart(1))
+        };
+        let drive = |send: &mut dyn FnMut(u32, u64, Vec<u8>)| {
+            for i in 0..60u64 {
+                let args = [Some(&[1][..]), Some(&[i % 4][..]), None, None];
+                send(1, i * 2_000, pack(&Message::new(1, 2, 1, 1), &spec, &args).unwrap());
+            }
+        };
+        let complete = |s: &NetStats, when: &str| {
+            let hosts = s.per_node.iter().filter(|(n, _)| matches!(n, NodeId::Host(_)));
+            assert_eq!(hosts.map(|(_, c)| c.delivered).sum::<u64>(), s.delivered, "{when}");
+            let dropped = s.link_losses + s.fault_drops + s.unroutable + s.kernel_drops;
+            assert_eq!(s.per_node.values().map(|c| c.dropped).sum::<u64>(), dropped, "{when}");
+            assert!(s.per_node.values().all(|c| *c != NodeCounters::default()), "{when}");
+        };
+
+        let mut whole = builder().build();
+        drive(&mut |h, at, b| whole.send_from_host(h, at, b));
+        whole.run(u64::MAX);
+        complete(&whole.stats, "scalar, one run");
+        let s = &whole.stats;
+        assert!(s.link_losses > 0 && s.duplicates > 0 && s.fault_drops > 0, "{s:?}");
+        assert!(s.per_node[&NodeId::Device(1)].dropped > 0 && s.delivered > 0, "{s:?}");
+
+        let mut sliced = builder().build();
+        drive(&mut |h, at, b| sliced.send_from_host(h, at, b));
+        while sliced.run(7) > 0 {
+            complete(&sliced.stats, "scalar, a run(7) slice");
+            assert!(sliced.touched.is_empty(), "nothing waits for the next fold");
+            assert!(sliced.slots.iter().all(|s| s.counters == NodeCounters::default()));
+        }
+        assert!(sliced.stats == whole.stats, "sliced ≡ whole");
+
+        let partition = crate::Partition::new(vec![
+            vec![NodeId::Device(1), NodeId::Host(2)],
+            vec![NodeId::Host(1)],
+        ]);
+        for threaded in [false, true] {
+            let mut net = builder().build_sharded(partition.clone()).unwrap();
+            net.set_threaded(threaded);
+            drive(&mut |h, at, b| net.send_from_host(h, at, b));
+            while net.run(7) > 0 {
+                complete(&net.stats(), "sharded, a run(7) slice");
+                for shard in net.shard_stats() {
+                    assert!(shard.per_node.values().all(|c| *c != NodeCounters::default()));
+                }
+            }
+            assert!(net.stats() == whole.stats, "sharded (threaded={threaded}) ≡ scalar");
+        }
+
+        // A run whose last event is a drop: the fold still sees it.
+        let (mut net, spec) = build_cache_network();
+        net.schedule_fault(0, Fault::DeviceFail(1));
+        query(&mut net, &spec, 10, 1);
+        net.run(u64::MAX);
+        assert_eq!(net.stats.per_node[&NodeId::Device(1)].dropped, 1);
+        assert_eq!(net.stats.per_node.len(), 1, "{:?}", net.stats.per_node);
+    }
+
+    /// A fold costs one step per node touched since the last one, not one
+    /// per node: draining a k=8 fat-tree (208 nodes) in `run(7)` slices
+    /// folds at most once per event, and a single run at most once per node.
+    #[test]
+    fn fold_steps_follow_events_not_the_node_count() {
+        let p4 = compiled_cache().0;
+        let ft = crate::FatTree::new(8, LinkSpec::default()).unwrap();
+        let build = || {
+            let mut b = NetworkBuilder::new(ft.topology.clone());
+            for &d in ft.edge_by_pod.iter().chain(&ft.agg_by_pod).flatten().chain(&ft.core) {
+                b = b.device(d, Switch::new(p4.clone()), 500);
+            }
+            let mut net = ft.hosts.iter().fold(b, |b, &h| b.sink_host(h)).build();
+            // Host to host, computed nowhere: every switch on the path
+            // counts a delivery and passes it on.
+            for i in 0..200u16 {
+                let mut bytes = vec![0; netcl_runtime::NCL_HEADER_BYTES];
+                Message::new(i % 128, (i * 37 + 5) % 128, 1, netcl_runtime::device::NO_DEVICE)
+                    .write_header_into(&mut bytes);
+                net.send_from_host((i % 128) as u32, i as u64 * 100, bytes);
+            }
+            FOLD_STEPS.with(|n| n.set(0));
+            net
+        };
+        let mut whole = build();
+        let events = whole.run(u64::MAX);
+        let steps = FOLD_STEPS.with(std::cell::Cell::get);
+        assert_eq!((whole.stats.delivered, whole.stats.unroutable), (200, 0));
+        assert_eq!(steps, whole.stats.per_node.len() as u64, "one run: one step per node");
+        assert!(steps > 150 && events > 1_000, "{steps} nodes over {events} events");
+
+        let (mut sliced, mut slices) = (build(), 0u64);
+        while sliced.run(7) > 0 {
+            slices += 1;
+        }
+        let steps = FOLD_STEPS.with(std::cell::Cell::get);
+        assert!(sliced.stats == whole.stats, "sliced ≡ whole");
+        assert!(steps <= events, "{steps} fold steps over {events} events");
+        assert!(steps < slices * 208 / 20, "{steps} steps, {slices} slices of 208 nodes");
+    }
+
     #[test]
     fn timers_fire_in_order() {
         let topo = star(1, &[1], LinkSpec::default());
@@ -1084,6 +1222,7 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
             net.push_keyed(1000, EventSrc::External(i as u64), at_dev);
         }
         assert_eq!(net.run_until(1001, u64::MAX), arrivals.len() as u64);
+        net.fold_counters();
         net
     }
 
@@ -1132,7 +1271,7 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
             .map(|e| e.name.as_str())
             .collect();
         assert_eq!(at_dev, ["kernel", "kernel", "drop.fault", "drop.reject", "kernel", "kernel"]);
-        assert!(!net.events.is_empty(), "forwards were queued");
+        assert!(net.events.len() > 0, "forwards were queued");
     }
 
     /// `ncl::repeat()` recirculation: each of three same-timestamp packets
@@ -1167,7 +1306,7 @@ _kernel(1) _at(1) void spin(unsigned &k, unsigned &n) {
         // Lossless links: one reply per packet, queued in arrival order and
         // carrying the pass count and the packet's last ticket.
         let mut tickets = Vec::new();
-        while let Some(Reverse(Event { kind, .. })) = net.events.pop() {
+        while let Some((_, kind)) = net.events.pop() {
             let EventKind::Arrive(at, bytes) = kind else { panic!("not an arrival: {kind:?}") };
             assert_eq!(net.slots[at as usize].id, NodeId::Host(1));
             let (mut k, mut n) = (Vec::new(), Vec::new());

@@ -66,15 +66,12 @@ pub struct NetStats {
     /// Transits that crossed a gray-degraded link
     /// ([`Fault::LinkDegrade`](crate::Fault::LinkDegrade)) — delivered, just slower.
     pub degraded_transits: u64,
-    /// Per-node delivered/dropped breakdown (keyed deterministically).
+    /// Per-node delivered/dropped breakdown (keyed deterministically):
+    /// nodes that counted something, complete whenever a run has returned.
     pub per_node: BTreeMap<NodeId, NodeCounters>,
 }
 
 impl NetStats {
-    pub(super) fn node(&mut self, n: NodeId) -> &mut NodeCounters {
-        self.per_node.entry(n).or_default()
-    }
-
     /// Folds another run's counters into this one (per-node breakdown
     /// included) — for aggregating over a seed matrix.
     pub fn accumulate(&mut self, other: &NetStats) {

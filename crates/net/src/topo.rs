@@ -100,10 +100,19 @@ impl LinkSpec {
             || self.jitter_ns > 0
     }
 
-    /// Time to put `bytes` on the wire plus propagation.
+    /// Time to put `bytes` on the wire plus propagation, saturating: a link
+    /// that cannot serialize (`gbps` zero or denormal) delivers at `u64::MAX`,
+    /// within no horizon. A NaN or negative `gbps` serializes in zero time.
     pub fn transit_ns(&self, bytes: usize) -> u64 {
         let ser = (bytes as f64 * 8.0) / self.gbps; // ns at gbps
-        self.latency_ns + ser.ceil() as u64
+        self.latency_ns.saturating_add(ser.ceil() as u64)
+    }
+
+    /// Every field's bit pattern: the identity the route cache interns by.
+    pub(crate) fn bits(&self) -> [u64; 8] {
+        let [gbps, loss, duplicate, corrupt, reorder] =
+            [self.gbps, self.loss, self.duplicate, self.corrupt, self.reorder].map(f64::to_bits);
+        [self.latency_ns, gbps, loss, duplicate, corrupt, reorder, self.reorder_ns, self.jitter_ns]
     }
 }
 
@@ -310,5 +319,37 @@ mod tests {
         // 1250 bytes at 100 Gb/s = 100 ns serialization.
         assert_eq!(l.transit_ns(1250), 1100);
         assert_eq!(l.transit_ns(0), 1000);
+    }
+
+    /// A link that cannot serialize saturates; before, `latency_ns + u64::MAX`
+    /// panicked in a debug build and wrapped in release, to one nanosecond
+    /// *under* the latency. NaN and negative `gbps` cast to zero serialization.
+    #[test]
+    fn unservable_links_saturate() {
+        for gbps in [0.0, f64::MIN_POSITIVE] {
+            let l = LinkSpec { gbps, ..Default::default() };
+            assert_eq!(l.transit_ns(64), u64::MAX, "gbps {gbps:e}");
+        }
+        for gbps in [f64::NAN, -100.0, f64::NEG_INFINITY] {
+            let l = LinkSpec { gbps, ..Default::default() };
+            assert_eq!(l.transit_ns(64), l.latency_ns, "gbps {gbps}");
+        }
+        let far = LinkSpec { latency_ns: u64::MAX - 3, ..Default::default() };
+        assert_eq!((far.transit_ns(0), far.transit_ns(1250)), (u64::MAX - 3, u64::MAX));
+    }
+
+    proptest::proptest! {
+        /// Every finite-positive spec keeps the transit time of the unchecked
+        /// formula, to the bit.
+        #[test]
+        fn servable_links_transit_as_before(
+            bytes in 0usize..=9_000,
+            gbps in 0.1f64..800.0,
+            latency_ns in 0u64..1 << 40,
+        ) {
+            let l = LinkSpec { latency_ns, gbps, ..Default::default() };
+            let unchecked = latency_ns + ((bytes as f64 * 8.0) / gbps).ceil() as u64;
+            proptest::prop_assert_eq!(l.transit_ns(bytes), unchecked);
+        }
     }
 }

@@ -378,6 +378,49 @@ fn sharded_equals_scalar_under_gray_degraded_links() {
     }
 }
 
+/// A link that cannot serialize (`gbps` zero or denormal) and a degrade
+/// multiplier past the range of time saturate: the message is due at
+/// `u64::MAX`, which no run reaches. Unchecked, the sum panicked in a debug
+/// build and wrapped in release — the message arrived *early*, silently. CI
+/// runs this suite both ways. NaN and negative `gbps` read as zero
+/// serialization, as they always did.
+#[test]
+fn unservable_links_deliver_within_no_horizon() {
+    use netcl_net::{Fault, NetworkBuilder, Topology};
+    use netcl_runtime::message::Message;
+
+    let (h1, h2) = (NodeId::Host(1), NodeId::Host(2));
+    // When host 2 has the one message host 1 sends at t=1000, if ever.
+    let arrival = |spec: LinkSpec, degrade: Option<u64>| {
+        let mut topo = Topology::new();
+        topo.link(h1, h2, spec);
+        let mut b = NetworkBuilder::new(topo).sink_host(1).sink_host(2);
+        if let Some(mult) = degrade {
+            b = b.fault(0, Fault::LinkDegrade(h1, h2, mult));
+        }
+        let mut net = b.build();
+        let mut bytes = Vec::new();
+        Message::new(1, 2, 1, netcl_runtime::device::NO_DEVICE).write_header(&mut bytes);
+        net.send_from_host(1, 1_000, bytes);
+        net.run(100);
+        assert_eq!(net.stats.per_node.get(&h2).map_or(0, |c| c.dropped), 0, "late, not lost");
+        net.host_received(2).first().map(|&(at, _)| at)
+    };
+    let ok = LinkSpec::default();
+    let header_ns = ok.transit_ns(netcl_runtime::NCL_HEADER_BYTES);
+    assert_eq!(arrival(ok, None), Some(1_000 + header_ns));
+    assert_eq!(arrival(ok, Some(3)), Some(1_000 + 3 * header_ns));
+    for gbps in [0.0, f64::MIN_POSITIVE] {
+        assert_eq!(arrival(LinkSpec { gbps, ..ok }, None), None, "gbps {gbps:e}");
+    }
+    for spec in [ok, LinkSpec { jitter_ns: 7, reorder: 1.0, reorder_ns: 9, ..ok }] {
+        assert_eq!(arrival(spec, Some(u64::MAX)), None, "{spec:?} degraded by u64::MAX");
+    }
+    for gbps in [f64::NAN, -100.0] {
+        assert_eq!(arrival(LinkSpec { gbps, ..ok }, None), Some(1_000 + ok.latency_ns));
+    }
+}
+
 /// Delivery of same-timestamp bursts is engine-uniform for every Table III
 /// application under the full chaos regime — loss, corruption,
 /// duplication, jitter, reordering, a device failure, and a restart —

@@ -2,13 +2,15 @@
 //! 1, DESIGN.md §13): a streamed CALC fat-tree in steady state. Node state
 //! is a table indexed by dense node index, a hop moves its wire buffer, a
 //! switch swaps it with its output buffer and a sink host keeps it — so
-//! what is left is the amortised growth of the event heap and of each
+//! what is left is the amortised growth of the event queue (its key heap
+//! and payload slab, which reach working size in the warm-up) and of each
 //! host's `received`. The requests are packed before the measurement: a
 //! flow source's own `pack` is two allocations per flow (0.23 per event on
 //! `netcl_e2e`'s `fattree_calc`, all but 0.01 of its `net.allocs_per_event`)
-//! and is not the simulator's. The ceiling below is the measured figure
+//! and is not the simulator's. Each ceiling below is the measured figure
 //! plus 10 %: host- and load-independent, and the number the next
-//! per-event-allocation change ratchets down.
+//! per-event-allocation change ratchets down. The second reading runs the
+//! same network as two shards.
 
 mod counting_alloc;
 
@@ -16,7 +18,7 @@ use counting_alloc::{allocs_during, Counting};
 use netcl::{CompileOptions, Compiler};
 use netcl_apps::calc;
 use netcl_bmv2::Switch;
-use netcl_net::{FatTree, FlowStream, LinkSpec, NetworkBuilder, Zipf};
+use netcl_net::{FatTree, FlowStream, LinkSpec, NetworkBuilder, PrecomputedRoutes, Zipf};
 use netcl_runtime::message::{pack, Message};
 
 #[global_allocator]
@@ -26,8 +28,19 @@ static GLOBAL: Counting = Counting;
 /// (2 693 at the parent, whose sink hosts cloned every delivery).
 const MEASURED: f64 = 51.0 / 14_846.0;
 
-#[test]
-fn steady_state_event_loop_allocations_per_event() {
+/// The same reading through two inline shards: what the round planner adds
+/// (a round's horizons, inboxes, reports and hand-off vectors), measured at
+/// this commit. Each shard's queue is the scalar queue, so this is also
+/// where a slab or key heap that kept growing after the warm-up would show.
+const MEASURED_SHARDED: f64 = 860.0 / 14_578.0;
+
+/// A driver injection: `(at_ns, source host, wire bytes)`.
+type Request = (u64, u32, Vec<u8>);
+
+/// The k=4 CALC fat-tree, every host a sink, and its 3 000 packed requests:
+/// every host is a client; a flow asks the edge switch of a Zipf-popular
+/// host to add its two operands and reflect the sum.
+fn calc_fat_tree() -> (FatTree, NetworkBuilder, Vec<Request>) {
     let unit = Compiler::new(CompileOptions::default())
         .compile("calc.ncl", &calc::netcl_source())
         .expect("CALC compiles");
@@ -40,13 +53,9 @@ fn steady_state_event_loop_allocations_per_event() {
     for &h in &ft.hosts {
         b = b.sink_host(h);
     }
-    let mut net = b.build();
-
-    // Every host is a client; a flow asks the edge switch of a
-    // Zipf-popular host to add its two operands and reflect the sum.
     let zipf = Zipf::new(ft.num_hosts(), 0.99);
     let (edges, spec) = (ft.edge_by_pod.concat(), calc::spec());
-    let requests: Vec<(u64, u32, Vec<u8>)> = FlowStream::new(7, &ft.hosts, &zipf, 3_000, 10)
+    let requests = FlowStream::new(7, &ft.hosts, &zipf, 3_000, 10)
         .map(|f| {
             let dev = edges[(f.key as usize - 1) / 2];
             let m = Message::new(f.src as u16, f.key as u16 - 1, 1, dev);
@@ -54,20 +63,54 @@ fn steady_state_event_loop_allocations_per_event() {
             (f.at_ns, f.src, pack(&m, &spec, &args).expect("a CALC request packs"))
         })
         .collect();
-    let mut requests = requests.into_iter();
-    net.set_flow_source(Box::new(move || requests.next()));
+    (ft, b, requests)
+}
 
-    // Warm-up: the heap, the per-node counters and every switch's packet
-    // buffers reach their working size.
-    let warm_up = net.run(4_000);
-    let (events, allocs) = allocs_during(|| net.run(u64::MAX));
-    assert_eq!(net.stats.delivered, 3_000, "every flow's reply reaches its client");
-    assert_eq!(net.stats.unroutable, 0);
-    assert!(warm_up == 4_000 && events > 10_000, "{warm_up} + {events} events");
+/// Warm-up — the queue's key heap and slab and every switch's packet
+/// buffers reach their working size — then the rest of the run under the
+/// allocation counter: `(events, allocations)` of the measured part.
+fn measured_tail(mut run: impl FnMut(u64) -> u64) -> (u64, u64) {
+    let warm_up = run(4_000);
+    let (events, allocs) = allocs_during(|| run(u64::MAX));
+    assert!((4_000..5_000).contains(&warm_up) && events > 10_000, "{warm_up} + {events} events");
+    (events, allocs)
+}
+
+fn assert_ceiling(what: &str, (events, allocs): (u64, u64), measured: f64) {
     let per_event = allocs as f64 / events as f64;
     assert!(
-        per_event <= MEASURED * 1.10,
-        "{allocs} allocations over {events} events = {per_event:.5} per event \
-         (ceiling {MEASURED:.5} + 10 %)"
+        per_event <= measured * 1.10,
+        "{what}: {allocs} allocations over {events} events = {per_event:.5} per event \
+         (ceiling {measured:.5} + 10 %)"
     );
+}
+
+#[test]
+fn steady_state_event_loop_allocations_per_event() {
+    let (_, builder, requests) = calc_fat_tree();
+    let mut net = builder.build();
+    let mut requests = requests.into_iter();
+    net.set_flow_source(Box::new(move || requests.next()));
+    let tail = measured_tail(|n| net.run(n));
+    assert_eq!(net.stats.delivered, 3_000, "every flow's reply reaches its client");
+    assert_eq!(net.stats.unroutable, 0);
+    assert_ceiling("scalar", tail, MEASURED);
+}
+
+/// The sharded build of the same network, on the inline executor so the
+/// shards' loops run on the counting thread.
+#[test]
+fn steady_state_sharded_allocations_per_event() {
+    let (ft, builder, requests) = calc_fat_tree();
+    let routes = PrecomputedRoutes::new(&ft.topology);
+    let executes_at = |bytes| Message::read_header(bytes).expect("packed above").to;
+    let pairs = requests.iter().map(|(_, src, bytes)| (*src, executes_at(bytes)));
+    let (partition, _) = ft.partition_balanced(&routes, pairs, 2);
+    let mut net = builder.build_sharded_with(partition, &routes).expect("an exact cover");
+    net.set_threaded(false);
+    let mut requests = requests.into_iter();
+    net.set_flow_source(Box::new(move || requests.next()));
+    let tail = measured_tail(|n| net.run(n));
+    assert_eq!((net.stats().delivered, net.stats().unroutable), (3_000, 0));
+    assert_ceiling("two inline shards", tail, MEASURED_SHARDED);
 }
