@@ -32,8 +32,12 @@
 //!
 //! One planner (`Coordinator::drive`) decides every round and one
 //! per-shard step (`shard_round`) runs it; the executor only chooses
-//! *where* the steps run — on worker threads (production) or inline (the
-//! 1-shard path, and the reference the suite diffs the threads against).
+//! *where* the steps run — inline, all on the calling thread (the 1-shard
+//! path, and the reference the suite diffs the threads against), or one
+//! thread per shard (production): the calling thread plans and runs shard 0
+//! itself, and meets one worker per other shard at a `Mailbox` once a
+//! round. What a round hands out comes back — a `Turn` per shard, vectors
+//! and all — so a run in steady state allocates nothing between rounds.
 
 use crate::fault::Fault;
 use crate::route::{RouteCore, NONE};
@@ -45,10 +49,12 @@ use crate::PrecomputedRoutes;
 use netcl_bmv2::Switch;
 use netcl_obs::trace::Trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
-// The threaded executor hands each shard to its own thread.
+// The threaded executor hands every shard but the first to its own thread.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Network>();
@@ -231,7 +237,8 @@ impl NetworkBuilder {
             critical_path_ns: 0,
             peak_queue: 0,
             flows: FlowPump::default(),
-            inbox: (0..nsh).map(|_| Inbox::default()).collect(),
+            turns: (0..nsh).map(|_| Turn::default()).collect(),
+            eff: Vec::with_capacity(nsh),
         };
         Ok(ShardedNetwork { shards, co, threaded: true })
     }
@@ -285,7 +292,7 @@ fn lookahead_matrix(topo: &Topology, owners: &Owners, nsh: usize) -> Result<Vec<
 /// flows when horizons are unbounded (single shard, drained queues).
 const PUMP_WINDOW_NS: u64 = 65_536;
 
-/// Per-shard horizons for one window. Shard `s` must not advance past the
+/// Shard `s`'s horizon for one window. It must not advance past the
 /// earliest arrival it does not yet know about. Such an arrival is a chain
 /// starting at some shard's pending event and ending at `s`:
 ///
@@ -297,63 +304,92 @@ const PUMP_WINDOW_NS: u64 = 65_536;
 ///
 /// The shard holding the globally earliest event always gets a horizon
 /// past it (inter-shard distances are ≥ 1), so every round progresses.
-fn horizons_of(dist: &[Vec<u64>], nexts: &[Option<u64>]) -> Vec<u64> {
-    (0..nexts.len())
-        .map(|s| {
-            let mut h = u64::MAX;
-            let mut round_trip = u64::MAX;
-            for (t, next) in nexts.iter().enumerate() {
-                if t == s {
-                    continue;
-                }
-                round_trip = round_trip.min(dist[s][t].saturating_add(dist[t][s]));
-                if let Some(nt) = next {
-                    h = h.min(nt.saturating_add(dist[t][s]));
-                }
-            }
-            if let Some(ns) = nexts[s] {
-                h = h.min(ns.saturating_add(round_trip));
-            }
-            h
-        })
-        .collect()
+fn horizon_of(dist: &[Vec<u64>], nexts: &[Option<u64>], s: usize) -> u64 {
+    let mut h = u64::MAX;
+    let mut round_trip = u64::MAX;
+    for (t, next) in nexts.iter().enumerate() {
+        if t == s {
+            continue;
+        }
+        round_trip = round_trip.min(dist[s][t].saturating_add(dist[t][s]));
+        if let Some(nt) = next {
+            h = h.min(nt.saturating_add(dist[t][s]));
+        }
+    }
+    if let Some(ns) = nexts[s] {
+        h = h.min(ns.saturating_add(round_trip));
+    }
+    h
 }
 
 /// What waits at the coordinator for one shard between rounds: cross-shard
 /// arrivals and pumped flows, each already carrying the key the scalar run
-/// would assign. Handed to the shard with its next round's command, or
-/// flushed into it when `run` returns.
+/// would assign. Delivered as the shard's next round starts, or when `run`
+/// returns; emptied by delivery, never dropped, so both vectors keep the
+/// capacity the busiest round needed.
 #[derive(Default)]
 struct Inbox {
     xs: Vec<Event>,
     flows: Vec<(u64, EventSrc, u32, Vec<u8>)>,
+    /// The earliest time among both, kept as they are pushed.
+    earliest: Option<u64>,
 }
 
 impl Inbox {
-    fn earliest(&self) -> Option<u64> {
-        self.xs.iter().map(|e| e.time).chain(self.flows.iter().map(|f| f.0)).min()
+    fn push_arrival(&mut self, ev: Event) {
+        self.note(ev.time);
+        self.xs.push(ev);
     }
 
-    fn deliver(self, sh: &mut Network) {
-        for (at, key, host, bytes) in self.flows {
+    fn push_flow(&mut self, at: u64, key: EventSrc, host: u32, bytes: Vec<u8>) {
+        self.note(at);
+        self.flows.push((at, key, host, bytes));
+    }
+
+    fn note(&mut self, at: u64) {
+        self.earliest = Some(self.earliest.map_or(at, |e| e.min(at)));
+    }
+
+    fn deliver(&mut self, sh: &mut Network) {
+        for (at, key, host, bytes) in self.flows.drain(..) {
             let host = sh.intern(NodeId::Host(host));
             sh.push_keyed(at, key, EventKind::HostSend(host, bytes));
         }
-        for ev in self.xs {
+        for ev in self.xs.drain(..) {
             sh.accept(ev);
         }
+        self.earliest = None;
     }
 }
 
-/// One shard's result for one round: events processed, wall-clock busy
-/// nanoseconds, outbound cross-shard arrivals, the shard's next event time,
-/// and its live-event footprint entering the round.
-type Report = (u64, u64, Vec<Event>, Option<u64>, u64);
+/// One shard's share of one round, out and back: the planner fills in the
+/// first three fields, [`shard_round`] empties the inbox and fills in the
+/// rest. Each shard has one, for good — the value that goes to the shard is
+/// the value that returns, so its vectors are allocated once a run, not
+/// once a round.
+#[derive(Default)]
+struct Turn {
+    /// The shard runs every event strictly before this time.
+    horizon: u64,
+    /// What is left of the run's `max_events`.
+    budget: u64,
+    inbox: Inbox,
+    /// Events processed, and the wall-clock nanoseconds that took.
+    did: u64,
+    busy_ns: u64,
+    /// Outbound cross-shard arrivals, for the planner to route.
+    out: Vec<Event>,
+    /// The shard's next event time: as `run` is called, then as each round
+    /// leaves it.
+    next: Option<u64>,
+    /// The shard's live-event footprint entering the round.
+    live: u64,
+}
 
 /// One shard's share of one round, and the only place a shard is stepped:
-/// take delivery of the inbox, then run every event before `horizon`.
-fn shard_round(sh: &mut Network, horizon: u64, budget: u64, inbox: Inbox) -> Report {
-    for ev in &inbox.xs {
+/// take delivery of the inbox, then run every event before the horizon.
+fn shard_round(sh: &mut Network, turn: &mut Turn) {
+    for ev in &turn.inbox.xs {
         debug_assert!(
             ev.time >= sh.now(),
             "lookahead violation: {:?} for t={} but its shard is already at {}",
@@ -362,18 +398,19 @@ fn shard_round(sh: &mut Network, horizon: u64, budget: u64, inbox: Inbox) -> Rep
             sh.now()
         );
     }
-    inbox.deliver(sh);
-    let live = sh.queue_len() as u64;
+    turn.inbox.deliver(sh);
+    turn.live = sh.queue_len() as u64;
     let t0 = Instant::now();
-    let did = sh.run_until(horizon, budget);
-    let busy = t0.elapsed().as_nanos() as u64;
-    (did, busy, sh.take_xs_out(), sh.next_event_time(), live)
+    turn.did = sh.run_until(turn.horizon, turn.budget);
+    turn.busy_ns = t0.elapsed().as_nanos() as u64;
+    sh.swap_xs_out(&mut turn.out);
+    turn.next = sh.next_event_time();
 }
 
 /// Everything about a sharded run that is not a shard: who owns what, the
-/// lookahead matrix, the flow pump, the inboxes, and the run's accounting.
-/// Kept apart from the shards so the planner can run while worker threads
-/// hold the shards.
+/// lookahead matrix, the flow pump, the turns, and the run's accounting.
+/// Kept apart from the shards so the planner can hold it while worker
+/// threads hold the shards.
 struct Coordinator {
     owners: Owners,
     /// `dist[t][s]`: lookahead bound from shard `t` to shard `s`.
@@ -399,7 +436,10 @@ struct Coordinator {
     /// each round ([`PUMP_WINDOW_NS`]); only then does the next flow clamp
     /// horizons (no shard may run past an uninjected flow).
     flows: FlowPump,
-    inbox: Vec<Inbox>,
+    /// Per shard: its inbox between rounds, its last report after one.
+    turns: Vec<Turn>,
+    /// Planner scratch: each shard's effective next event.
+    eff: Vec<Option<u64>>,
 }
 
 impl Coordinator {
@@ -409,35 +449,29 @@ impl Coordinator {
         self.flows.drain_upto(upto, |at, host, bytes| {
             self.ext_seq += 1;
             let home = self.owners.home(NodeId::Host(host));
-            self.inbox[home].flows.push((at, EventSrc::External(self.ext_seq), host, bytes));
+            self.turns[home].inbox.push_flow(at, EventSrc::External(self.ext_seq), host, bytes);
         });
     }
 
-    /// A shard's effective next event: the earliest of its own queue head
-    /// and anything waiting in its inbox.
-    fn effective(&self, nexts: &[Option<u64>]) -> Vec<Option<u64>> {
-        nexts
-            .iter()
-            .zip(&self.inbox)
-            .map(|(n, inbox)| n.iter().copied().chain(inbox.earliest()).min())
-            .collect()
+    /// Refreshes `eff`, each shard's effective next event: the earliest of
+    /// its own queue head and anything waiting in its inbox.
+    fn effective(&mut self) {
+        self.eff.clear();
+        let next = |t: &Turn| t.next.into_iter().chain(t.inbox.earliest).min();
+        self.eff.extend(self.turns.iter().map(next));
     }
 
     /// The round planner. Until the run drains or ~`max_events` are
-    /// processed, plans one round — per-shard horizons and inboxes — and
-    /// hands it to `exec(round, horizons, budget, inboxes)`, which runs
-    /// [`shard_round`] once per shard and returns `(shard, report)` pairs
-    /// in any order. `nexts` are the shards' next event times on entry.
-    fn drive(
-        &mut self,
-        mut nexts: Vec<Option<u64>>,
-        max_events: u64,
-        mut exec: impl FnMut(u64, &[u64], u64, Vec<Inbox>) -> Vec<(usize, Report)>,
-    ) -> u64 {
+    /// processed, plans one round — every shard's horizon and budget beside
+    /// its inbox — and hands it to `exec(round, turns)`, which runs
+    /// [`shard_round`] once per shard and leaves each report in its turn.
+    /// On entry `turns[s].next` is shard `s`'s next event time.
+    fn drive(&mut self, max_events: u64, mut exec: impl FnMut(u64, &mut [Turn])) -> u64 {
+        let nsh = self.turns.len();
         let mut total = 0u64;
         while total < max_events {
-            let mut eff = self.effective(&nexts);
-            let g = eff.iter().flatten().copied().min();
+            self.effective();
+            let g = self.eff.iter().flatten().copied().min();
             let flow = self.flows.next_at();
             if let Some(f) = flow.filter(|&f| g.is_none_or(|g| f <= g)) {
                 // Every pending event is at or after the next flow: pull
@@ -451,39 +485,38 @@ impl Coordinator {
                 // Eager pump: take in every flow due inside this round's
                 // conservative window (capped), so the window is bounded
                 // by lookahead, not by the flow inter-arrival gap.
-                let h_min = horizons_of(&self.dist, &eff).into_iter().min().unwrap_or(u64::MAX);
-                self.pump(h_min.min(g.saturating_add(PUMP_WINDOW_NS)));
-                eff = self.effective(&nexts);
+                let h_min = (0..nsh).map(|s| horizon_of(&self.dist, &self.eff, s)).min();
+                self.pump(h_min.unwrap_or(u64::MAX).min(g.saturating_add(PUMP_WINDOW_NS)));
+                self.effective();
             }
-            let mut horizons = horizons_of(&self.dist, &eff);
-            if let Some(f) = self.flows.next_at() {
-                // No shard may run past the next uninjected flow. The
-                // pumps above guarantee f is strictly after the earliest
-                // event, so the round still progresses.
-                for h in &mut horizons {
-                    *h = (*h).min(f);
-                }
+            // No shard may run past the next uninjected flow. The pumps
+            // above guarantee it is strictly after the earliest event, so
+            // the round still progresses.
+            let next_flow = self.flows.next_at().unwrap_or(u64::MAX);
+            for (s, turn) in self.turns.iter_mut().enumerate() {
+                turn.horizon = horizon_of(&self.dist, &self.eff, s).min(next_flow);
+                turn.budget = max_events - total;
             }
-            let inboxes = self.inbox.iter_mut().map(std::mem::take).collect();
+            exec(self.rounds, &mut self.turns);
             let (mut round, mut round_max, mut live, mut moved) = (0u64, 0u64, 0u64, false);
-            for (i, (did, busy, out, next, shard_live)) in
-                exec(self.rounds, &horizons, max_events - total, inboxes)
-            {
-                round += did;
-                self.busy_ns[i] += busy;
-                round_max = round_max.max(busy);
-                live += shard_live;
-                nexts[i] = next;
+            for i in 0..nsh {
+                let turn = &mut self.turns[i];
+                round += turn.did;
+                self.busy_ns[i] += turn.busy_ns;
+                round_max = round_max.max(turn.busy_ns);
+                live += turn.live;
                 // Hand-off order across shards is irrelevant: event keys
                 // are unique and the owner's heap orders by them, so the
                 // pop order is the same whatever the insertion sequence.
-                for ev in out {
+                let mut out = std::mem::take(&mut turn.out);
+                for ev in out.drain(..) {
                     let EventKind::Arrive(target, _) = ev.kind else {
                         unreachable!("only arrivals cross shards: {ev:?}")
                     };
-                    self.inbox[self.owners.shard[target as usize] as usize].xs.push(ev);
+                    self.turns[self.owners.shard[target as usize] as usize].inbox.push_arrival(ev);
                     moved = true;
                 }
+                self.turns[i].out = out;
             }
             total += round;
             self.rounds += 1;
@@ -497,59 +530,161 @@ impl Coordinator {
     }
 }
 
-/// The threaded executor: one scoped worker per shard, each stepping its
-/// shard with [`shard_round`] whenever the planner sends it a round.
-fn run_on_workers(
-    shards: &mut [Network],
-    co: &mut Coordinator,
-    nexts: Vec<Option<u64>>,
-    max_events: u64,
-) -> u64 {
-    let nsh = shards.len();
-    let (res_tx, res_rx) = mpsc::channel();
-    std::thread::scope(|scope| {
-        let mut cmd_txs = Vec::with_capacity(nsh);
-        for (i, sh) in shards.iter_mut().enumerate() {
-            let (tx, rx) = mpsc::channel::<(u64, u64, Inbox)>();
-            cmd_txs.push(tx);
-            let res_tx = res_tx.clone();
-            scope.spawn(move || {
-                while let Ok((horizon, budget, inbox)) = rx.recv() {
-                    // A panic in a host handler or a switch is caught here
-                    // and reported like any other round result: the
-                    // coordinator waits for one report per shard, so a
-                    // worker dying silently would hang the run.
-                    let report =
-                        catch_unwind(AssertUnwindSafe(|| shard_round(sh, horizon, budget, inbox)));
-                    let failed = report.is_err();
-                    if res_tx.send((i, report)).is_err() || failed {
-                        break;
-                    }
-                }
-            });
+/// How long a wait at a [`Mailbox`] spins before it starts yielding: long
+/// enough to catch a peer that is a few instructions from done without a
+/// system call, and no longer — when both sides share a core (shards
+/// outnumber cores, or a neighbour took the other one) every spun
+/// microsecond is taken from the very thread waited for. Measured on
+/// `fattree_calc_2shard` (DESIGN.md §15): 5 and 40 µs read the same with a
+/// core per thread; pinned to one core 40 µs costs a quarter of the run.
+const SPIN: Duration = Duration::from_micros(5);
+
+/// How long a wait has lasted when it parks. Between [`SPIN`] and this it
+/// calls `yield_now`, which returns at once while the peer has a core of its
+/// own and hands this one over when it has not. Past this the peer is in a
+/// long round or descheduled, and a parked waiter costs one wake-up, not a
+/// core. The figure is loose: 50 µs to 1 ms measured alike.
+const PARK_AFTER: Duration = Duration::from_micros(200);
+
+/// Waits for `ready()`: spin, then yield, then park. Whoever makes `ready`
+/// true unparks the waiter afterwards, and an unpark that comes first is
+/// kept as a token, so the wake-up cannot be lost; a stale token costs one
+/// more trip round the loop.
+fn wait_until(ready: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !ready() {
+        let waited = start.elapsed();
+        if waited < SPIN {
+            std::hint::spin_loop();
+        } else if waited < PARK_AFTER {
+            std::thread::yield_now();
+        } else {
+            std::thread::park();
         }
-        // Returning (or unwinding) drops the command channels, so the
-        // workers leave their recv loops and the scope joins them.
-        co.drive(nexts, max_events, |round, horizons, budget, inboxes| {
-            for ((tx, &h), inbox) in cmd_txs.iter().zip(horizons).zip(inboxes) {
-                tx.send((h, budget, inbox)).expect("workers outlive the command channels");
+    }
+}
+
+/// `posted` once the run is over: the worker leaves.
+const STOP: u64 = u64::MAX;
+
+/// Why a slot's lock cannot be poisoned.
+const MOVES_ONLY: &str = "a mailbox slot is locked only to move a value in or out";
+
+/// Where the calling thread and one worker meet, twice a round: the caller
+/// puts the shard's [`Turn`] in `command` and counts the round in `posted`;
+/// the worker runs it, puts it — or why it could not — in `report`, and
+/// counts it in `reported`. A counter is stored (`Release`) after its slot
+/// is filled and loaded (`Acquire`) before the slot is emptied, and each
+/// side touches a slot only on its side of that pair, so the locks are
+/// never contended.
+#[derive(Default)]
+struct Mailbox {
+    posted: AtomicU64,
+    reported: AtomicU64,
+    command: Mutex<Option<Turn>>,
+    report: Mutex<Option<Result<Turn, String>>>,
+}
+
+impl Mailbox {
+    /// The caller's half of a round's start; it unparks the worker next.
+    fn post(&self, round: u64, turn: Turn) {
+        *self.command.lock().expect(MOVES_ONLY) = Some(turn);
+        self.posted.store(round, Ordering::Release);
+    }
+
+    /// The caller's half of a round's end.
+    fn collect(&self, round: u64) -> Result<Turn, String> {
+        wait_until(|| self.reported.load(Ordering::Acquire) == round);
+        self.report.lock().expect(MOVES_ONLY).take().expect("reported, so filled")
+    }
+
+    /// The worker: runs every round posted for `sh` until [`STOP`].
+    fn serve(&self, sh: &mut Network, caller: &Thread) {
+        let mut round = 0;
+        loop {
+            wait_until(|| self.posted.load(Ordering::Acquire) != round);
+            round = self.posted.load(Ordering::Acquire);
+            if round == STOP {
+                return;
             }
-            let report = |_| {
-                let (i, report) = res_rx.recv().expect("every worker reports every round");
-                let report = report.unwrap_or_else(|cause| {
-                    let why = cause
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| cause.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    panic!(
-                        "shard {i} worker panicked in round {round} (horizon {}): {why}",
-                        horizons[i]
-                    )
-                });
-                (i, report)
+            let mut turn =
+                self.command.lock().expect(MOVES_ONLY).take().expect("posted, so filled");
+            let report = contained_round(sh, &mut turn).map(|()| turn);
+            *self.report.lock().expect(MOVES_ONLY) = Some(report);
+            self.reported.store(round, Ordering::Release);
+            caller.unpark();
+        }
+    }
+}
+
+/// [`shard_round`] with a panic in a host handler or a switch caught and
+/// described — the horizon the shard was running to, the simulated time it
+/// had reached, the panic's message — so the run can fail naming the shard,
+/// wherever that shard's thread is, and a dead worker cannot leave the
+/// caller waiting for its report.
+fn contained_round(sh: &mut Network, turn: &mut Turn) -> Result<(), String> {
+    let horizon = turn.horizon;
+    catch_unwind(AssertUnwindSafe(|| shard_round(sh, turn))).map_err(|cause| {
+        let why = cause
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| cause.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        format!("(horizon {horizon}, clock {}): {why}", sh.now())
+    })
+}
+
+/// Ends the workers when the run does, return or unwind: without it a
+/// panic on the calling thread would leave them parked and the scope
+/// joining them forever.
+struct Release<'a> {
+    mailboxes: &'a [Mailbox],
+    workers: Vec<Thread>,
+}
+
+impl Drop for Release<'_> {
+    fn drop(&mut self) {
+        for (mailbox, worker) in self.mailboxes.iter().zip(&self.workers) {
+            mailbox.posted.store(STOP, Ordering::Release);
+            worker.unpark();
+        }
+    }
+}
+
+/// The threaded executor: the calling thread plans each round, posts every
+/// other shard's turn to that shard's worker, runs shard 0 itself, and
+/// collects — so `n` shards are `n` threads, and a round costs each worker
+/// one rendezvous. Workers live for this one call.
+fn run_on_workers(shards: &mut [Network], co: &mut Coordinator, max_events: u64) -> u64 {
+    let (first, rest) = shards.split_first_mut().expect("a sharded network has a shard");
+    let mailboxes: Vec<Mailbox> = rest.iter().map(|_| Mailbox::default()).collect();
+    let caller = std::thread::current();
+    std::thread::scope(|scope| {
+        let mut release = Release { mailboxes: &mailboxes, workers: Vec::new() };
+        for (sh, mailbox) in rest.iter_mut().zip(&mailboxes) {
+            let caller = caller.clone();
+            let worker = scope.spawn(move || mailbox.serve(sh, &caller));
+            release.workers.push(worker.thread().clone());
+        }
+        co.drive(max_events, |round, turns| {
+            let fail = |shard: usize, what: String| -> ! {
+                panic!("shard {shard} panicked in round {round} {what}")
             };
-            (0..nsh).map(report).collect()
+            // A fresh mailbox reads 0, "nothing posted".
+            let posted = round + 1;
+            let (mine, theirs) = turns.split_first_mut().expect("one turn per shard");
+            for ((mailbox, worker), turn) in
+                mailboxes.iter().zip(&release.workers).zip(&mut *theirs)
+            {
+                mailbox.post(posted, std::mem::take(turn));
+                worker.unpark();
+            }
+            if let Err(what) = contained_round(first, mine) {
+                fail(0, what);
+            }
+            for (i, (mailbox, turn)) in mailboxes.iter().zip(theirs).enumerate() {
+                *turn = mailbox.collect(posted).unwrap_or_else(|what| fail(i + 1, what));
+            }
         })
     })
 }
@@ -582,10 +717,11 @@ impl ShardedNetwork {
         self.shards.len()
     }
 
-    /// Selects where rounds execute: on one worker thread per shard (the
-    /// default) or inline on the calling thread. One planner drives both,
-    /// so results and [`Self::rounds`] are identical; the inline executor
-    /// exists so the determinism suite can diff the threads against it.
+    /// Selects where rounds execute: on one thread per shard, the calling
+    /// thread among them (the default), or all inline on the calling
+    /// thread. One planner drives both, so results and [`Self::rounds`]
+    /// are identical; the inline executor exists so the determinism suite
+    /// can diff the threads against it.
     pub fn set_threaded(&mut self, threaded: bool) {
         self.threaded = threaded;
     }
@@ -658,20 +794,23 @@ impl ShardedNetwork {
     /// Returns the number of events processed across all shards.
     pub fn run(&mut self, max_events: u64) -> u64 {
         let ShardedNetwork { shards, co, threaded } = self;
-        let nexts = shards.iter().map(|s| s.next_event_time()).collect();
+        for (sh, turn) in shards.iter().zip(&mut co.turns) {
+            turn.next = sh.next_event_time();
+        }
         let total = if *threaded && shards.len() > 1 {
-            run_on_workers(shards, co, nexts, max_events)
+            run_on_workers(shards, co, max_events)
         } else {
-            co.drive(nexts, max_events, |_, horizons, budget, inboxes| {
-                let steps = shards.iter_mut().zip(horizons).zip(inboxes).enumerate();
-                steps.map(|(i, ((sh, &h), inbox))| (i, shard_round(sh, h, budget, inbox))).collect()
+            co.drive(max_events, |_, turns| {
+                for (sh, turn) in shards.iter_mut().zip(turns) {
+                    shard_round(sh, turn);
+                }
             })
         };
         // Stopping at the `max_events` cap leaves hand-offs and pumped
         // flows undelivered: put them in their owner shards so the next
         // `run` call continues from exactly this state, per-node counts folded.
-        for (sh, inbox) in shards.iter_mut().zip(&mut co.inbox) {
-            std::mem::take(inbox).deliver(sh);
+        for (sh, turn) in shards.iter_mut().zip(&mut co.turns) {
+            turn.inbox.deliver(sh);
             sh.fold_counters();
         }
         total

@@ -411,9 +411,12 @@ impl Network {
         self.events.len()
     }
 
-    /// Drains the cross-shard arrivals produced by the last window.
-    pub(crate) fn take_xs_out(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.xs_out)
+    /// Hands over the cross-shard arrivals produced by the last window in
+    /// exchange for `spare`, an emptied vector whose capacity the next
+    /// window's arrivals reuse.
+    pub(crate) fn swap_xs_out(&mut self, spare: &mut Vec<Event>) {
+        debug_assert!(spare.is_empty(), "the runner routes every hand-off before the next round");
+        std::mem::swap(&mut self.xs_out, spare);
     }
 
     /// Injects a send from a host at an absolute time.

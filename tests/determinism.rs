@@ -6,20 +6,24 @@
 //!
 //! Each equivalence is asserted three ways per app and seed: scalar
 //! (plain [`netcl_net::Network`], the oracle), sharded with rounds executed
-//! inline, and sharded with rounds executed on worker threads — so a
+//! inline, and sharded with rounds executed on a thread per shard — so a
 //! divergence blames either the window protocol or thread scheduling,
 //! never both at once. One planner drives both executors, so they must
 //! also report the same number of rounds.
 //!
-//! CI runs this suite twice with different `NETCL_DETERMINISM_SEED`
-//! bases and unconstrained `--test-threads`, so a lucky interleaving
-//! cannot hide scheduling nondeterminism.
+//! CI runs this suite at three `NETCL_DETERMINISM_SEED` bases with
+//! unconstrained `--test-threads`, so a lucky interleaving cannot hide
+//! scheduling nondeterminism, and once more pinned to a single core
+//! (`taskset -c 0`), where every shard thread has to give the core away to
+//! the one it waits for.
 //!
 //! The star topologies above put every node one hop from the device; the
 //! fat-tree tests at the end run the same contract where it is meant to
 //! be used — a partitioned multi-hop fabric, up to 101 306 hosts.
 
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
+use std::time::Duration;
 
 use netcl_apps::calc;
 use netcl_bmv2::{Switch, SwitchCounters};
@@ -38,6 +42,26 @@ fn compile(name: &str, src: &str) -> netcl::CompiledUnit {
 /// does not always test the same eight seeds.
 fn seed_base() -> u64 {
     std::env::var("NETCL_DETERMINISM_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
+}
+
+/// Runs `f` on a thread of its own and returns what it returns, its panic
+/// included — or fails once `limit` has passed, so a rendezvous that never
+/// completes is a failed test, not a stuck suite.
+fn finishes_within<T: Send + 'static>(
+    limit: Duration,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let _ = done_tx.send(f());
+    });
+    match done_rx.recv_timeout(limit) {
+        Ok(result) => result,
+        Err(RecvTimeoutError::Timeout) => panic!("still running after {limit:?}"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().expect_err("dropped the sender unsent"))
+        }
+    }
 }
 
 /// The full chaos regime: 20% loss, duplication, reordering, jitter.
@@ -256,62 +280,76 @@ fn streamed_flows_equal_materialized_all_apps() {
         // Each executor once in a single `run` call and once sliced into
         // many capped calls: `run(max_events)` is resumable, so a cap
         // landing mid-window — cross-shard arrivals in flight, pumped
-        // flows not yet delivered — must lose and reorder nothing.
-        let mut rounds = Vec::new();
-        for (threaded, slice) in [(false, u64::MAX), (true, u64::MAX), (false, 7), (true, 7)] {
-            let mut net = star_builder(dev, p4, 9).build_sharded(two_shards(dev)).expect("valid");
-            net.set_threaded(threaded);
-            net.set_flow_source(source());
-            let mut calls = 0u64;
-            while net.run(slice) > 0 {
-                calls += 1;
+        // flows not yet delivered — must lose and reorder nothing. The
+        // threaded executor makes and releases its workers in every call,
+        // so this is also what says no posted turn or report goes missing
+        // between them. On the five-shard partition a cap of 3 stops
+        // shards short of their horizons, which shows as extra rounds.
+        for (partition, slice) in [(two_shards(dev), 7), (max_shards(dev), 3)] {
+            let shards = partition.num_shards();
+            let mut rounds = Vec::new();
+            for (threaded, slice) in
+                [(false, u64::MAX), (true, u64::MAX), (false, slice), (true, slice)]
+            {
+                let mut net =
+                    star_builder(dev, p4, 9).build_sharded(partition.clone()).expect("valid");
+                net.set_threaded(threaded);
+                net.set_flow_source(source());
+                let mut calls = 0u64;
+                while net.run(slice) > 0 {
+                    calls += 1;
+                }
+                assert!(slice == u64::MAX || calls > 10, "{}: the cap must slice", app.name);
+                let sharded = RunOutcome {
+                    stats: net.stats(),
+                    counters: net.switch(dev).unwrap().counters().clone(),
+                    received: (1..=4).map(|h| net.host_received(h).to_vec()).collect(),
+                };
+                assert_eq!(
+                    materialized,
+                    sharded,
+                    "{}: {shards}-shard streamed ({}, {calls} run calls) diverged",
+                    app.name,
+                    if threaded { "threaded" } else { "inline" }
+                );
+                rounds.push(net.rounds());
             }
-            assert!(slice == u64::MAX || calls > 10, "{}: run(7) must slice the run", app.name);
-            let sharded = RunOutcome {
-                stats: net.stats(),
-                counters: net.switch(dev).unwrap().counters().clone(),
-                received: (1..=4).map(|h| net.host_received(h).to_vec()).collect(),
-            };
-            assert_eq!(
-                materialized,
-                sharded,
-                "{}: sharded streamed ({}, {calls} run calls) diverged",
-                app.name,
-                if threaded { "threaded" } else { "inline" }
+            assert_eq!(rounds[0], rounds[1], "{}: {shards}-shard whole-run rounds", app.name);
+            assert_eq!(rounds[2], rounds[3], "{}: {shards}-shard sliced-run rounds", app.name);
+            assert!(
+                shards == 2 || rounds[2] > rounds[0],
+                "{}: run(3) on {shards} shards never stopped a shard mid-round",
+                app.name
             );
-            rounds.push(net.rounds());
         }
-        assert_eq!(rounds[0], rounds[1], "{}: whole-run rounds, inline vs threaded", app.name);
-        assert_eq!(rounds[2], rounds[3], "{}: sliced-run rounds, inline vs threaded", app.name);
     }
 }
 
-/// A panic inside a shard worker (here: a host handler) fails the run with
-/// a panic naming the shard, instead of leaving the coordinator waiting
-/// forever for that shard's round report.
-#[test]
-fn worker_panic_fails_the_run_instead_of_hanging() {
+/// Runs h1 → device → h2 transit traffic on worker threads over
+/// `partition`, with a handler on host 2 that panics on its third message,
+/// and returns the message `run()` panicked with. Before it panics the
+/// handler sleeps long past a waiter's spin and yield steps, so the other
+/// shards' threads are parked at their mailboxes when the run unwinds: if
+/// unwinding did not release them, joining them would hang and the time
+/// limit would fail the test.
+fn run_with_a_bomb_on_host_2(partition: Partition) -> String {
     let unit = compile("calc.ncl", &netcl_apps::calc::netcl_source());
     let p4 = unit.devices[0].tna_p4.clone();
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
+    let result = finishes_within(Duration::from_secs(60), move || {
         let mut seen = 0u32;
         let bomb =
             Box::new(move |_now: u64, _ev: netcl_net::HostEvent, _out: &mut netcl_net::Outbox| {
                 seen += 1;
                 if seen == 3 {
+                    std::thread::sleep(Duration::from_millis(20));
                     panic!("handler gave up on message {seen}");
                 }
             });
-        // Host 2 (the panicking one) lives in shard 1, away from the device.
         let mut net = NetworkBuilder::new(star(1, &[1, 2], LinkSpec::default()))
             .device(1, Switch::new(p4), 500)
             .sink_host(1)
             .host(2, bomb)
-            .build_sharded(Partition::new(vec![
-                vec![NodeId::Device(1), NodeId::Host(1)],
-                vec![NodeId::Host(2)],
-            ]))
+            .build_sharded(partition)
             .expect("valid partition");
         net.set_threaded(true);
         for i in 0..8u64 {
@@ -322,18 +360,42 @@ fn worker_panic_fails_the_run_instead_of_hanging() {
             bytes.extend([i as u8; 16]);
             net.send_from_host(1, i * 10_000, bytes);
         }
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.run(u64::MAX)));
-        let _ = done_tx.send(result.map_err(|cause| {
-            cause.downcast_ref::<String>().cloned().unwrap_or_else(|| "non-string panic".into())
-        }));
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.run(u64::MAX)))
     });
-    let result = done_rx
-        .recv_timeout(std::time::Duration::from_secs(60))
-        .expect("the run must end, not hang, when a worker panics");
-    let msg = result.expect_err("the worker's panic must surface from run()");
-    assert!(msg.contains("shard 1"), "names the shard: {msg}");
+    let cause = result.expect_err("the shard's panic must surface from run()");
+    let msg = cause.downcast_ref::<String>().expect("a formatted panic message").clone();
     assert!(msg.contains("round") && msg.contains("horizon"), "names round and horizon: {msg}");
+    // The third message left host 1 at 20 000 ns; two links and the device
+    // later host 2's shard has reached the time a scalar run would have.
+    assert!(msg.contains("clock 22006)"), "carries the shard's clock: {msg}");
     assert!(msg.contains("handler gave up on message 3"), "carries the cause: {msg}");
+    msg
+}
+
+/// A panic inside a shard worker (here: a host handler) fails the run with
+/// a panic naming the shard, instead of leaving the caller waiting forever
+/// for that shard's round report.
+#[test]
+fn worker_panic_fails_the_run_instead_of_hanging() {
+    // Host 2 (the panicking one) lives in shard 1, away from the device.
+    let msg = run_with_a_bomb_on_host_2(Partition::new(vec![
+        vec![NodeId::Device(1), NodeId::Host(1)],
+        vec![NodeId::Host(2)],
+    ]));
+    assert!(msg.contains("shard 1 panicked"), "names the shard: {msg}");
+}
+
+/// The same panic in shard 0, which the thread calling `run()` executes
+/// itself: the same message, and the two workers — waiting for a round that
+/// will never be posted — are released as the panic unwinds through `run`.
+#[test]
+fn caller_shard_panic_fails_the_run_and_releases_the_workers() {
+    let msg = run_with_a_bomb_on_host_2(Partition::new(vec![
+        vec![NodeId::Host(2)],
+        vec![NodeId::Device(1)],
+        vec![NodeId::Host(1)],
+    ]));
+    assert!(msg.contains("shard 0 panicked"), "names the shard: {msg}");
 }
 
 /// Multi-hop chains: h1 — dev1 — dev2 — h2 with one node group per shard.
@@ -698,14 +760,23 @@ fn fat_tree_identity(
     first.expect("at least one shard count")
 }
 
-/// k=8 (128 hosts, 80 switches), 2 000 flows, 1 / 2 / 4 / 8 shards, with
+/// k=8 (128 hosts, 80 switches), 2 000 flows, 1 / 2 / 4 / 8 / 16 shards, with
 /// CALC placed `_at` every switch and each switch loading the program
 /// compiled for its own id — a generated program computes only on messages
 /// addressed to the device it was compiled for, so one `_at(1)` program on
 /// every switch would forward these flows without running the kernel.
 /// Every flow's reply must unpack to `a + b`.
+///
+/// At 8 and 16 shards the threads outnumber any CI host's cores (and all
+/// sit on one when CI pins the suite with `taskset -c 0`): a round's
+/// rendezvous must then give the core away, not spin on it, and the whole
+/// sweep has a time limit some fifty times what it takes.
 #[test]
 fn fat_tree_shard_counts_agree_and_every_flow_computes() {
+    finishes_within(Duration::from_secs(600), fat_tree_sweep);
+}
+
+fn fat_tree_sweep() {
     let flows = 2_000;
     let ft = FatTree::new(8, LinkSpec::default()).unwrap();
     let switches = ft.core.len() + 2 * ft.edge_by_pod.iter().map(Vec::len).sum::<usize>();
@@ -715,7 +786,7 @@ fn fat_tree_shard_counts_agree_and_every_flow_computes() {
     let unit = compile("calc.ncl", &source.replace("_at(1)", &format!("_at({})", ids.join(", "))));
     let own = |d: u16| unit.device(d).expect("CALC is placed at every switch").tna_p4.clone();
 
-    let (stats, received) = fat_tree_identity(&ft, flows, &[1, 2, 4, 8], &own);
+    let (stats, received) = fat_tree_identity(&ft, flows, &[1, 2, 4, 8, 16], &own);
     assert_eq!(stats.kernel_executions, flows as u64, "one kernel execution per flow");
     let spec = calc::spec();
     let (mut a, mut b, mut sum) = (Vec::new(), Vec::new(), Vec::new());

@@ -10,7 +10,7 @@
 //! and is not the simulator's. Each ceiling below is the measured figure
 //! plus 10 %: host- and load-independent, and the number the next
 //! per-event-allocation change ratchets down. The second reading runs the
-//! same network as two shards.
+//! same network as two shards: the round planner's own allocations.
 
 mod counting_alloc;
 
@@ -28,11 +28,14 @@ static GLOBAL: Counting = Counting;
 /// (2 693 at the parent, whose sink hosts cloned every delivery).
 const MEASURED: f64 = 51.0 / 14_846.0;
 
-/// The same reading through two inline shards: what the round planner adds
-/// (a round's horizons, inboxes, reports and hand-off vectors), measured at
-/// this commit. Each shard's queue is the scalar queue, so this is also
-/// where a slab or key heap that kept growing after the warm-up would show.
-const MEASURED_SHARDED: f64 = 860.0 / 14_578.0;
+/// The same reading through two inline shards, measured at this commit: 50
+/// over 14 578 events (860 at the parent, whose planner built a round's
+/// horizons, inboxes, reports and hand-off vectors anew every round; they
+/// are one `Turn` per shard now, handed out and back). The round planner
+/// adds nothing to the scalar figure any more, and each shard's queue is
+/// the scalar queue, so this is also where a slab or key heap that kept
+/// growing after the warm-up would show.
+const MEASURED_SHARDED: f64 = 50.0 / 14_578.0;
 
 /// A driver injection: `(at_ns, source host, wire bytes)`.
 type Request = (u64, u32, Vec<u8>);
