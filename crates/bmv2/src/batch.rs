@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use crate::compile::SlotTable;
+use crate::layout::SlotTable;
 use crate::packet::Packet;
 use crate::switch::SwitchError;
 

@@ -13,7 +13,7 @@
 //! of the control plane in DESIGN.md §16: a [`TableUpdate`] is a batch of
 //! add/modify/delete/replace operations that [`Switch::apply_update`]
 //! applies *atomically* — the whole batch is validated against the
-//! compiled program first (table exists, key arity matches, action known)
+//! program's layout first (table exists, key arity matches, action known)
 //! and either every operation lands or none does.
 //!
 //! Updates mutate the runtime table state that both execution engines
@@ -26,6 +26,7 @@
 //! [`SwitchCounters::table_updates`]: crate::SwitchCounters::table_updates
 //! [`SwitchCounters::update_rejects`]: crate::SwitchCounters::update_rejects
 
+use crate::layout::TableState;
 use crate::switch::Switch;
 use netcl_p4::ast::{EntryKey, TableEntry};
 
@@ -127,7 +128,7 @@ impl TableUpdate {
 /// Why a whole [`TableUpdate`] batch was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UpdateError {
-    /// No table with that name in the compiled program.
+    /// No table with that name in the loaded program.
     UnknownTable(String),
     /// An entry's key-cell count does not match the table's key count.
     KeyArity {
@@ -167,7 +168,7 @@ impl Switch {
     /// Applies a [`TableUpdate`] batch atomically.
     ///
     /// The whole batch is validated first — every op's table must exist,
-    /// every entry's key arity must match the table's compiled key count,
+    /// every entry's key arity must match the table's key count,
     /// and every entry's action must be resolvable in the owning control —
     /// and only then applied, in order. A failed validation applies
     /// *nothing*, bumps [`SwitchCounters::update_rejects`] by one, and
@@ -187,7 +188,7 @@ impl Switch {
         }
         for op in &update.ops {
             // Validation resolved every table name, so indexing cannot miss.
-            let entries = &mut self.st.tables[self.compiled.table_index[op.table()] as usize];
+            let entries = &mut self.st.tables[self.layout.table_index[op.table()] as usize];
             match op {
                 TableOp::Insert { entry, .. } => entries.push(entry.clone()),
                 TableOp::Modify { entry, .. } => {
@@ -207,30 +208,28 @@ impl Switch {
     pub fn validate_update(&self, update: &TableUpdate) -> Result<(), UpdateError> {
         for op in &update.ops {
             let table = op.table();
-            let Some(&state) = self.compiled.table_index.get(table) else {
+            let Some(&state) = self.layout.table_index.get(table) else {
                 return Err(UpdateError::UnknownTable(table.to_string()));
             };
-            // The compiled apply sites carry the key arity and the action
-            // scope; every site for one state agrees on both.
-            let site = self.compiled.tables.iter().find(|t| t.state == state);
+            // The table's first definition gives the key arity and the
+            // action scope; every definition of one state agrees on both.
+            let site = &self.layout.table_states[state as usize];
             match op {
                 TableOp::Insert { entry, .. } | TableOp::Modify { entry, .. } => {
-                    validate_entry(table, entry, site)?;
+                    validate_entry(entry, site)?;
                 }
                 TableOp::Delete { key, .. } => {
-                    if let Some(site) = site {
-                        if key.len() != site.keys.len() {
-                            return Err(UpdateError::KeyArity {
-                                table: table.to_string(),
-                                expected: site.keys.len(),
-                                got: key.len(),
-                            });
-                        }
+                    if key.len() != site.n_keys {
+                        return Err(UpdateError::KeyArity {
+                            table: table.to_string(),
+                            expected: site.n_keys,
+                            got: key.len(),
+                        });
                     }
                 }
                 TableOp::Set { entries, .. } => {
                     for entry in entries {
-                        validate_entry(table, entry, site)?;
+                        validate_entry(entry, site)?;
                     }
                 }
             }
@@ -243,13 +242,13 @@ impl Switch {
 impl Switch {
     /// Reads one register element.
     pub fn register_read(&self, name: &str, index: usize) -> Option<u64> {
-        let i = *self.compiled.reg_index.get(name)?;
+        let i = *self.layout.reg_index.get(name)?;
         self.st.registers[i as usize].get(index).copied()
     }
 
     /// Writes one register element.
     pub fn register_write(&mut self, name: &str, index: usize, value: u64) -> bool {
-        let Some(&i) = self.compiled.reg_index.get(name) else { return false };
+        let Some(&i) = self.layout.reg_index.get(name) else { return false };
         match self.st.registers[i as usize].get_mut(index) {
             Some(cell) => {
                 *cell = value;
@@ -262,7 +261,7 @@ impl Switch {
     /// All registers with their current contents (diagnostics and
     /// differential tests).
     pub fn registers(&self) -> impl Iterator<Item = (&str, &[u64])> {
-        self.compiled
+        self.layout
             .regs
             .iter()
             .zip(&self.st.registers)
@@ -272,7 +271,7 @@ impl Switch {
     /// Tables whose names start with `prefix` (lookup duplication creates
     /// `name`, `name__dup1`, ... that must be updated together).
     pub fn tables_with_prefix(&self, prefix: &str) -> Vec<String> {
-        self.compiled
+        self.layout
             .table_states
             .iter()
             .filter(|t| t.name.starts_with(prefix))
@@ -281,22 +280,17 @@ impl Switch {
     }
 }
 
-fn validate_entry(
-    table: &str,
-    entry: &TableEntry,
-    site: Option<&crate::compile::CTable>,
-) -> Result<(), UpdateError> {
-    let Some(site) = site else { return Ok(()) };
-    if entry.keys.len() != site.keys.len() {
+fn validate_entry(entry: &TableEntry, site: &TableState) -> Result<(), UpdateError> {
+    if entry.keys.len() != site.n_keys {
         return Err(UpdateError::KeyArity {
-            table: table.to_string(),
-            expected: site.keys.len(),
+            table: site.name.clone(),
+            expected: site.n_keys,
             got: entry.keys.len(),
         });
     }
-    if !site.action_ids.contains_key(&entry.action) {
+    if !site.actions.contains_key(&entry.action) {
         return Err(UpdateError::UnknownAction {
-            table: table.to_string(),
+            table: site.name.clone(),
             action: entry.action.clone(),
         });
     }

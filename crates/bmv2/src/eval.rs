@@ -47,8 +47,10 @@ pub fn eval(e: &Expr, pkt: &Packet, widths: &dyn Fn(&str) -> u32) -> (u64, u32) 
         }
         Expr::Slice(x, hi, lo) => {
             let (v, _) = eval(x, pkt, widths);
-            let width = hi - lo + 1;
-            ((v >> lo) & mask_of(width), width)
+            match slice_shape(*hi, *lo) {
+                Some((shift, width)) => ((v >> shift) & mask_of(width), width),
+                None => (0, 1),
+            }
         }
         Expr::TableHit(_) | Expr::TableMiss(_) => {
             // Table applications are handled at statement level; reaching
@@ -58,9 +60,19 @@ pub fn eval(e: &Expr, pkt: &Packet, widths: &dyn Fn(&str) -> u32) -> (u64, u32) 
     }
 }
 
+/// The `(shift, width)` of a bit slice `[hi:lo]`, or `None` when it has no
+/// width (`lo > hi`, or `hi` past bit 63). Shared by the evaluator above and
+/// the lowering so neither subtracts on its own: an ill-formed slice in a
+/// hand-built AST reads as `(0, 1)` on both engines — failing closed, as a
+/// table application in expression position does — and the P4 parser refuses
+/// to produce one.
+pub(crate) fn slice_shape(hi: u32, lo: u32) -> Option<(u32, u32)> {
+    (lo <= hi && hi < 64).then(|| (lo, hi - lo + 1))
+}
+
 /// One binary operation at the given operand widths, with the P4 result
 /// width/wrapping rules. Shared by the tree-walking evaluator above and the
-/// compiled postfix executor so the two paths cannot drift.
+/// lowering's cold arms so the two paths cannot drift.
 pub fn bin_value(op: P4BinOp, va: u64, wa: u32, vb: u64, wb: u32) -> (u64, u32) {
     let w = wa.max(wb);
     let mask = mask_of(w);
@@ -100,15 +112,18 @@ pub fn bin_value(op: P4BinOp, va: u64, wa: u32, vb: u64, wb: u32) -> (u64, u32) 
 
 /// Canonical field path string (matching the code generator's layout).
 pub fn canonical(segs: &[PathSeg]) -> String {
-    let body: Vec<String> = segs
-        .iter()
-        .filter(|s| s.name != "hdr" && s.name != "meta")
-        .map(|s| match s.index {
-            Some(i) => format!("{}[{i}]", s.name),
-            None => s.name.clone(),
-        })
-        .collect();
-    body.join(".")
+    use std::fmt::Write;
+    let mut path = String::with_capacity(segs.iter().map(|s| s.name.len() + 4).sum());
+    for (k, s) in segs.iter().filter(|s| s.name != "hdr" && s.name != "meta").enumerate() {
+        if k > 0 {
+            path.push('.');
+        }
+        path.push_str(&s.name);
+        if let Some(i) = s.index {
+            let _ = write!(path, "[{i}]");
+        }
+    }
+    path
 }
 
 /// The header instance a path refers to (`hdr.ncl.src` → `ncl`).

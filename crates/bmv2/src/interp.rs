@@ -125,7 +125,7 @@ impl Switch {
     }
 
     fn width_fn(&self) -> impl Fn(&str) -> u32 + '_ {
-        move |path: &str| self.compiled.field_widths.get(path).copied().unwrap_or(32)
+        move |path: &str| self.layout.width_of(path)
     }
 
     fn exec_stmts(
@@ -143,7 +143,7 @@ impl Switch {
     fn assign(&self, pkt: &mut Packet, dst: &Expr, value: u64) {
         let Expr::Field(segs) = dst else { return };
         let path = canonical(segs);
-        let width = self.compiled.field_widths.get(&path).copied().unwrap_or(32);
+        let width = self.layout.width_of(&path);
         let v = value & mask_of(width);
         if segs.first().map(|s| s.name.as_str()) == Some("meta") {
             pkt.set_meta(&path, v);
@@ -196,7 +196,7 @@ impl Switch {
                 }
                 drop(widths);
                 let reg_i =
-                    self.compiled.reg_index.get(&radef.register).copied().ok_or_else(|| {
+                    self.layout.reg_index.get(&radef.register).copied().ok_or_else(|| {
                         SwitchError::Unknown(format!("register `{}`", radef.register))
                     })?;
                 let cells = &mut self.st.registers[reg_i as usize];
@@ -305,7 +305,7 @@ impl Switch {
         let widths = self.width_fn();
         let key_vals: Vec<u64> = t.keys.iter().map(|(k, _)| eval(k, pkt, &widths).0).collect();
         drop(widths);
-        let state = self.compiled.table_index.get(name).copied();
+        let state = self.layout.table_index.get(name).copied();
         let entries = state.map(|i| self.st.tables[i as usize].clone()).unwrap_or_default();
         let hit = entries.iter().find(|e| {
             e.keys.len() == key_vals.len()

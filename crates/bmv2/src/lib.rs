@@ -17,36 +17,36 @@
 //! [`Switch::apply_update`] — the only way to change a table — for rules)
 //! backs the NetCL `_managed_` memory API (§V-B).
 //!
-//! Programs are lowered in two steps at [`Switch::new`]: [`mod@compile`]
-//! produces flat, index-addressed op arrays (the lowering front half, never
-//! executed directly), and [`mod@threaded`] consumes them as they are to
-//! build direct-threaded closure arrays — the production engine. Per-packet
-//! execution walks those arrays with zero heap allocation for interned
-//! fields. There are exactly two engines: [`Switch::set_engine`] selects
-//! between threaded and the original tree-walking interpreter, which
-//! remains the differential-testing oracle.
+//! A program is lowered once, at [`Switch::new`]: one walk over the AST
+//! builds the layout everything shares (field slots, widths, register and
+//! table identity) and the direct-threaded closure arrays the production
+//! engine runs. Per-packet execution walks those arrays with zero heap
+//! allocation for interned fields. There are exactly two engines:
+//! [`Switch::set_engine`] selects between threaded and the original
+//! tree-walking interpreter, which remains the differential-testing
+//! oracle.
 //!
-//! DESIGN.md §10 describes the lowering front half; §12 the data-plane
-//! counters ([`Switch::counters`]) both engines maintain identically; §13
-//! the batched entry point ([`Switch::process_batch`]) and why nothing
-//! rewrites the op stream between those two steps; §14 the
-//! direct-threaded backend (and why the pc-loop executor and the
-//! phase-split batch loop were removed); §16 the runtime control plane
+//! DESIGN.md §10 describes the layout, the lowering and the threaded
+//! engine; §12 the data-plane counters ([`Switch::counters`]) both engines
+//! maintain identically; §13 the batched entry point
+//! ([`Switch::process_batch`]); §16 the runtime control plane
 //! ([`mod@ctrl`]): validated, atomic table-update batches applied to a
 //! running switch without a reload.
 
+mod assemble;
 pub mod batch;
-pub mod compile;
 mod counters;
 pub mod ctrl;
 pub mod eval;
 mod interp;
+mod layout;
+mod lower;
 pub mod packet;
 pub mod switch;
-pub mod threaded;
+mod threaded;
 
 pub use batch::{PacketBatch, DEFAULT_BATCH};
-pub use compile::{compile, CompiledProgram, FieldSlot, HeaderId, SlotTable};
 pub use ctrl::{TableOp, TableUpdate, UpdateError};
+pub use layout::{FieldSlot, HeaderId, SlotTable};
 pub use packet::{FieldError, Packet, PacketError};
 pub use switch::{Engine, Switch, SwitchCounters, SwitchError};

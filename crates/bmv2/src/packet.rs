@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::compile::{FieldSlot, HeaderId, SlotTable};
+use crate::layout::{FieldSlot, HeaderId, SlotTable};
 use netcl_util::bitset::BitSet;
 use netcl_util::idx::Idx;
 

@@ -5,10 +5,10 @@
 //! Two execution engines share one runtime state (selected with
 //! [`Switch::set_engine`]):
 //!
-//! * the **threaded** production path (default): the flat op stream that
-//!   [`mod@crate::compile`] produces, lowered by [`mod@crate::threaded`]
-//!   into direct-threaded closure arrays — no per-op `match`,
-//!   pre-resolved slots, masks, and register/table handles (DESIGN.md §14);
+//! * the **threaded** production path (default): the program lowered once
+//!   (`lower.rs`) into direct-threaded closure arrays (`threaded.rs`) — no
+//!   per-op `match`, pre-resolved slots, masks, and register/table handles
+//!   (DESIGN.md §10);
 //! * the **tree-walking interpreter** (`interp.rs`): re-evaluates the AST
 //!   per packet; the differential oracle for the threaded engine.
 //!
@@ -23,9 +23,10 @@
 use std::sync::Arc;
 
 use crate::batch::PacketBatch;
-use crate::compile::{self, CompiledProgram};
 use crate::counters::Tenancy;
 pub use crate::counters::{SwitchCounters, TenantCounters};
+use crate::layout::{FieldSlot, Layout};
+use crate::lower;
 use crate::packet::{Packet, PacketError};
 use crate::threaded::{self, ThreadedProgram};
 use netcl_p4::ast::{P4Program, TableEntry};
@@ -35,7 +36,7 @@ use netcl_p4::ast::{P4Program, TableEntry};
 pub enum Engine {
     /// Tree-walking AST interpreter (the differential oracle).
     Interpreted,
-    /// Direct-threaded closure arrays (the default; DESIGN.md §14).
+    /// Direct-threaded closure arrays (the default; DESIGN.md §10).
     #[default]
     Threaded,
 }
@@ -78,7 +79,7 @@ impl From<PacketError> for SwitchError {
 /// engine's reusable scratch buffers (all stack-disciplined so re-entrant
 /// table/action execution never allocates in steady state).
 pub(crate) struct RuntimeState {
-    /// Register cells, by [`CompiledProgram`] register index.
+    /// Register cells, by [`Layout`] register index.
     pub(crate) registers: Vec<Vec<u64>>,
     /// Table entries, by table-state index (shared by name).
     pub(crate) tables: Vec<Vec<TableEntry>>,
@@ -88,22 +89,22 @@ pub(crate) struct RuntimeState {
     /// Action args / RA operands / extern arg values.
     pub(crate) scratch: Vec<u64>,
     /// Saved `(slot, value, present)` for action-parameter bindings.
-    pub(crate) param_saves: Vec<(compile::FieldSlot, u64, bool)>,
+    pub(crate) param_saves: Vec<(FieldSlot, u64, bool)>,
     /// Data-plane counters (lives here so the threaded engine's free
     /// functions can increment through `st`).
     pub(crate) counters: SwitchCounters,
 }
 
 impl RuntimeState {
-    fn new(cp: &CompiledProgram) -> RuntimeState {
+    fn new(layout: &Layout) -> RuntimeState {
         RuntimeState {
-            registers: cp.regs.iter().map(|r| vec![0u64; r.size]).collect(),
-            tables: cp.table_states.iter().map(|t| t.entries.clone()).collect(),
+            registers: layout.regs.iter().map(|r| vec![0u64; r.size]).collect(),
+            tables: layout.table_states.iter().map(|t| t.entries.clone()).collect(),
             rng: 0x9E37_79B9_97F4_A7C1,
             keys: Vec::new(),
             scratch: Vec::new(),
             param_saves: Vec::new(),
-            counters: SwitchCounters::new(cp),
+            counters: SwitchCounters::new(layout),
         }
     }
 }
@@ -114,10 +115,11 @@ pub struct Switch {
     /// loaded from it). Crate-visible so the interpreter (`interp.rs`) can
     /// walk it.
     pub(crate) program: Arc<P4Program>,
-    /// Crate-visible so the control-plane module ([`crate::ctrl`]) can
-    /// validate updates against the compiled table metadata.
-    pub(crate) compiled: Arc<CompiledProgram>,
-    /// The direct-threaded lowering of `compiled` (built once, in `new`).
+    /// Slots, widths, register and table identity (`layout.rs`): what the
+    /// interpreter, the control plane ([`crate::ctrl`]) and the counters
+    /// share with the lowered program.
+    pub(crate) layout: Layout,
+    /// The direct-threaded lowering of `program` (built once, in `new`).
     threaded: ThreadedProgram,
     /// Crate-visible so [`crate::ctrl`] can bump the update counters.
     pub(crate) st: RuntimeState,
@@ -132,8 +134,8 @@ pub struct Switch {
 
 impl Switch {
     /// Instantiates a switch for `program` with zeroed registers. The
-    /// program is compiled to flat form — and lowered to direct-threaded
-    /// form — here, once. Takes an owned `P4Program` or an
+    /// program is lowered to direct-threaded form here, once. Takes an
+    /// owned `P4Program` or an
     /// `Arc<P4Program>`; the switch never modifies it, so loading many
     /// switches from one compiled program copies nothing.
     pub fn new(program: impl Into<Arc<P4Program>>) -> Switch {
@@ -141,12 +143,11 @@ impl Switch {
         // instantiated in each calling crate it moved the packet loop's
         // code and `switch_replay` measured 3 % slower.
         fn load(program: Arc<P4Program>) -> Switch {
-            let compiled = Arc::new(compile::compile(&program));
-            let threaded = threaded::lower(&compiled);
-            let st = RuntimeState::new(&compiled);
+            let (layout, threaded) = lower::lower(&program);
+            let st = RuntimeState::new(&layout);
             Switch {
                 program,
-                compiled,
+                layout,
                 threaded,
                 st,
                 engine: Engine::default(),
@@ -174,11 +175,6 @@ impl Switch {
         &self.program
     }
 
-    /// The compiled form of the program.
-    pub fn compiled(&self) -> &Arc<CompiledProgram> {
-        &self.compiled
-    }
-
     /// Selects the execution engine. Registers, tables, and counters carry
     /// over.
     pub fn set_engine(&mut self, engine: Engine) {
@@ -193,7 +189,7 @@ impl Switch {
     /// A packet shaped for this switch's slot table, for reuse with
     /// [`Switch::process_into`].
     pub fn new_packet(&self) -> Packet {
-        Packet::with_slots(Arc::clone(&self.compiled.slots))
+        Packet::with_slots(Arc::clone(&self.layout.slots))
     }
 
     // ---- packet processing ----------------------------------------------
@@ -217,7 +213,7 @@ impl Switch {
         pkt: &mut Packet,
         out: &mut Vec<u8>,
     ) -> Result<(), SwitchError> {
-        pkt.ensure_slots(&self.compiled.slots);
+        pkt.ensure_slots(&self.layout.slots);
         self.run_one(wire, pkt, out)
     }
 
@@ -272,7 +268,7 @@ impl Switch {
     /// per-packet routine — with packet shaping, output buffers and the
     /// wire arena amortized over the batch.
     pub fn process_batch(&mut self, batch: &mut PacketBatch) {
-        batch.prepare(&self.compiled.slots);
+        batch.prepare(&self.layout.slots);
         for i in 0..batch.len() {
             let (wire, pkt, out) = batch.slot_mut(i);
             let r = self.run_one(wire, pkt, out);
@@ -463,32 +459,119 @@ mod tests {
         assert_eq!(sw.counters().total_hits(), 0);
     }
 
-    /// Deferred compilation errors surface with the interpreter's message,
-    /// at the same (execution) time.
+    /// Every deferred failure the lowering can emit, against the oracle:
+    /// not reached, both engines process the packet; reached, both raise
+    /// the same text at the same moment — same counters, same registers.
     #[test]
-    fn unknown_action_fails_lazily_like_interpreter() {
-        let mut p = counting_program();
-        // Reference a missing action, but only behind a miss-only branch.
-        Arc::make_mut(&mut p.controls)[0].apply = vec![Stmt::If {
-            cond: Expr::Bin(
+    fn deferred_failures_match_the_interpreter() {
+        type Edit = Box<dyn Fn(&mut P4Program)>;
+        let exec = |ra: &str| Stmt::ExecuteRegisterAction {
+            dst: None,
+            ra: ra.into(),
+            index: Expr::val(0, 32),
+        };
+        // The statement under test runs only for k == 1, after a SALU
+        // execution and in front of a move that must then not happen.
+        let apply = |s: Stmt| -> Edit {
+            let k_is_1 = Expr::Bin(
                 P4BinOp::Eq,
                 Box::new(Expr::field(&["hdr", "h", "k"])),
                 Box::new(Expr::val(1, 16)),
+            );
+            let then = vec![s, Stmt::Assign(Expr::field(&["hdr", "h", "v"]), Expr::val(9, 16))];
+            let body = vec![exec("bump"), Stmt::If { cond: k_is_1, then, els: vec![] }];
+            Box::new(move |p| Arc::make_mut(&mut p.controls)[0].apply = body.clone())
+        };
+        let if_table = |cond: Expr| Stmt::If { cond, then: vec![], els: vec![] };
+        // `start` extracts `h` and leaves for `target` when k == 1.
+        let parser = |target: &str, detour: Option<(Vec<String>, Transition)>| -> Edit {
+            let mut states = vec![ParserState {
+                name: "start".into(),
+                extracts: vec!["hdr.h".into()],
+                transition: Transition::Select {
+                    selector: Expr::field(&["hdr", "h", "k"]),
+                    cases: vec![(1, target.into())],
+                    default: "accept".into(),
+                },
+            }];
+            states.extend(detour.map(|(extracts, transition)| ParserState {
+                name: "detour".into(),
+                extracts,
+                transition,
+            }));
+            Box::new(move |p| p.parser.as_mut().unwrap().states = states.clone())
+        };
+        let orphan: Edit = {
+            let site = apply(exec("orphan"));
+            Box::new(move |p| {
+                site(p);
+                let ras = &mut Arc::make_mut(&mut p.controls)[0].register_actions;
+                let orphan = RegisterActionDef {
+                    name: "orphan".into(),
+                    register: "Q".into(),
+                    ..ras[0].clone()
+                };
+                ras.push(orphan);
+            })
+        };
+        let v = Expr::field(&["hdr", "h", "v"]);
+        let rows: Vec<(Edit, &str)> = vec![
+            (apply(Stmt::CallAction("missing".into())), "action `missing`"),
+            (apply(Stmt::ApplyTable("nope".into())), "table `nope`"),
+            (apply(if_table(Expr::TableHit("nope".into()))), "table `nope`"),
+            (apply(if_table(Expr::TableMiss("nope".into()))), "table `nope`"),
+            (apply(exec("ghost")), "RegisterAction `ghost`"),
+            (orphan, "register `Q`"),
+            (apply(Stmt::HashGet { dst: v, hash: "h0".into(), args: vec![] }), "hash `h0`"),
+            (
+                parser("detour", Some((vec![], Transition::Direct("nowhere".into())))),
+                "parser state `nowhere`",
             ),
-            then: vec![Stmt::CallAction("missing".into())],
-            els: vec![],
-        }];
-        let mut fast = Switch::new(p.clone());
-        let mut oracle = Switch::new(p);
-        oracle.set_engine(Engine::Interpreted);
-        // Not taken: no error.
-        assert!(fast.process(&wire(2, 0)).is_ok());
-        assert!(oracle.process(&wire(2, 0)).is_ok());
-        // Taken: identical error text.
-        let ef = fast.process(&wire(1, 0)).unwrap_err();
-        let eo = oracle.process(&wire(1, 0)).unwrap_err();
-        assert_eq!(ef, eo);
-        assert_eq!(ef, SwitchError::Unknown("action `missing`".into()));
+            (parser("nowhere", None), "parser state `nowhere`"),
+            (
+                parser("detour", Some((vec!["hdr.ghost".into()], Transition::Accept))),
+                "header `ghost`",
+            ),
+            // Set valid without a `ghost_t` type: the deparser finds out.
+            (apply(Stmt::SetValid(Expr::field(&["hdr", "ghost"]))), "header `ghost`"),
+        ];
+        for (edit, text) in rows {
+            let mut p = counting_program();
+            edit(&mut p);
+            let mut fast = Switch::new(p.clone());
+            let mut oracle = Switch::new(p);
+            oracle.set_engine(Engine::Interpreted);
+            let (_, out) = fast.process(&wire(2, 0)).expect(text);
+            assert_eq!(out, oracle.process(&wire(2, 0)).expect(text).1, "{text}: not reached");
+            let ef = fast.process(&wire(1, 0)).unwrap_err();
+            assert_eq!(ef, oracle.process(&wire(1, 0)).unwrap_err(), "{text}");
+            assert_eq!(ef, SwitchError::Unknown(text.into()));
+            assert_eq!(fast.counters(), oracle.counters(), "{text}: counters diverge");
+            assert!(fast.registers().eq(oracle.registers()), "{text}: registers diverge");
+        }
+    }
+
+    /// A hand-built AST can carry a slice the P4 parser refuses. It has no
+    /// width to subtract: both engines read it as `(0, 1)`.
+    #[test]
+    fn ill_formed_slices_read_as_zero_on_both_engines() {
+        for (hi, lo, v) in [(7, 3, 0x1F + 5), (3, 7, 5), (70, 65, 5)] {
+            let k = Box::new(Expr::field(&["hdr", "h", "k"]));
+            let sum = Expr::Bin(
+                P4BinOp::Add,
+                Box::new(Expr::Slice(k, hi, lo)),
+                Box::new(Expr::val(5, 16)),
+            );
+            let mut p = counting_program();
+            Arc::make_mut(&mut p.controls)[0].apply =
+                vec![Stmt::Assign(Expr::field(&["hdr", "h", "v"]), sum)];
+            for engine in [Engine::Threaded, Engine::Interpreted] {
+                let mut sw = Switch::new(p.clone());
+                sw.set_engine(engine);
+                let (_, out) = sw.process(&wire(0xFFFF, 0)).unwrap();
+                assert_eq!(out, wire(0xFFFF, v), "[{hi}:{lo}] on {}", engine.name());
+            }
+        }
     }
 
     /// `process_into` reuses caller buffers and matches `process`.

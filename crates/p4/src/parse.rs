@@ -842,13 +842,18 @@ impl Parser {
     }
 
     fn postfix(&mut self, mut e: Expr) -> Result<Expr, ParseError> {
-        // Bit slice `[hi:lo]`.
+        // Bit slice `[hi:lo]`. The text is untrusted: a reversed or
+        // out-of-range slice has no width, so it is refused here rather than
+        // left for a loader to subtract.
         while self.eat_punct("[") {
-            let hi = self.expect_int()? as u32;
+            let hi = self.expect_int()?;
             self.expect_punct(":")?;
-            let lo = self.expect_int()? as u32;
+            let lo = self.expect_int()?;
+            if !(lo <= hi && hi < 64) {
+                return self.err(format!("bit slice `[{hi}:{lo}]` needs lo <= hi < 64"));
+            }
             self.expect_punct("]")?;
-            e = Expr::Slice(Box::new(e), hi, lo);
+            e = Expr::Slice(Box::new(e), hi as u32, lo as u32);
         }
         Ok(e)
     }
@@ -1120,6 +1125,29 @@ parser P(packet_in pkt, out headers_t hdr) {
             );
             let p = parse_program(&src).unwrap_or_else(|e| panic!("{body}: {e}"));
             assert_eq!(p.controls[0].register_actions[0].op.name(), expect, "{body}");
+        }
+    }
+
+    /// A slice is `[hi:lo]` with `lo <= hi < 64`; anything else used to
+    /// parse and then underflow `hi - lo + 1` in whoever loaded the program.
+    #[test]
+    fn reversed_or_out_of_range_slices_are_refused_with_the_line() {
+        let src = |slice: &str| {
+            format!("control C(inout h x) {{\napply {{\nmeta.a = (hdr.h.v){slice};\n}} }}")
+        };
+        let ok = parse_program(&src("[7:3]")).unwrap();
+        assert_eq!(
+            ok.controls[0].apply[0],
+            Stmt::Assign(
+                Expr::field(&["meta", "a"]),
+                Expr::Slice(Box::new(Expr::field(&["hdr", "h", "v"])), 7, 3)
+            )
+        );
+        assert!(parse_program(&src("[63:63]")).is_ok());
+        for bad in ["[3:7]", "[64:0]", "[70:65]", "[4294967303:4294967299]"] {
+            let e = parse_program(&src(bad)).expect_err(bad);
+            assert_eq!(e.line, 3, "{bad}: {e}");
+            assert!(e.message.contains("bit slice"), "{bad}: {e}");
         }
     }
 

@@ -11,7 +11,7 @@
 //! `NETCL_CHAOS_SEEDS` (e.g. `NETCL_CHAOS_SEEDS=8` for a quick local run).
 //!
 //! Engines: every safety test below runs on the **direct-threaded**
-//! backend — it is the `Switch` default (DESIGN.md §14) — and
+//! backend — it is the `Switch` default (DESIGN.md §10) — and
 //! `burst_delivery_is_engine_uniform_under_chaos_all_apps` additionally
 //! runs every app × seed on the interpreter oracle, asserting both engines
 //! produce identical `NetStats` and `SwitchCounters`.

@@ -11,6 +11,7 @@ mod counting_alloc;
 use counting_alloc::{allocs_during, Counting};
 use netcl::{CompileOptions, Compiler};
 use netcl_apps::{agg, cache, calc, paxos};
+use netcl_bmv2::Switch;
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -50,5 +51,36 @@ fn cold_compile_allocations_per_application() {
         let (unit, allocs) = allocs_during(|| cc.compile(name, &source));
         unit.unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(allocs <= ceiling(measured), "{name}: a cold compile made {allocs} allocations");
+    }
+}
+
+/// What loading a generated program into a `Switch` allocates: the layout,
+/// one closure per straight-line run or control op, the tables' shared
+/// action scopes. Measured at the parent commit, where `compile::compile`
+/// emitted postfix `EOp` / relative-skip `COp` pools and `threaded::lower`
+/// rebuilt everything from them, boxing a closure for every interior pc of
+/// a run as well: 4 684 (AGG), 3 409 (CACHE), 585 (CALC) and 645 / 1 486 /
+/// 1 486 / 1 486 / 1 916 (P4xos devices 1–5).
+#[test]
+fn switch_load_allocations_per_application() {
+    let cc = Compiler::new(CompileOptions::default());
+    for (name, source, devices) in [
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), &[(1_733, 4_684)][..]),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), &[(1_369, 3_409)]),
+        ("calc.ncl", calc::netcl_source(), &[(288, 585)]),
+        (
+            "paxos.ncl",
+            paxos::full_source(),
+            &[(331, 645), (637, 1_486), (637, 1_486), (637, 1_486), (792, 1_916)],
+        ),
+    ] {
+        let unit = cc.compile(name, &source).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(unit.devices.len(), devices.len(), "{name}");
+        for (d, &(measured, parent)) in unit.devices.iter().zip(devices) {
+            let (_switch, allocs) = allocs_during(|| Switch::new(d.tna_p4.clone()));
+            let what = format!("{name}, device {}: a load made {allocs} allocations", d.device);
+            assert!(allocs <= ceiling(measured), "{what}");
+            assert!(allocs < parent, "{what}");
+        }
     }
 }

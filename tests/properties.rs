@@ -67,6 +67,164 @@ fn differential_wire(rng: &mut WorkloadRng, device: u16) -> Vec<u8> {
     wire
 }
 
+/// Seeded hand-built control flow — the shapes `netcl-core::codegen` never
+/// emits — for `threaded_matches_interpreter_on_hand_built_control_flow`:
+/// one four-byte header, two locals, two `RegisterAction`s, a table whose
+/// entries and default call the two generated actions.
+mod shapes {
+    use netcl::sema::builtins::{AtomicOp, AtomicRmw};
+    use netcl_net::WorkloadRng;
+    use netcl_p4::ast::*;
+
+    fn field(rng: &mut WorkloadRng) -> Expr {
+        match rng.below(7) {
+            4 => Expr::field(&["meta", "t0"]),
+            5 => Expr::field(&["meta", "t1"]),
+            // Bare: action parameter when bound, header field `x` otherwise.
+            6 => Expr::field(&["x"]),
+            i => Expr::field(&["hdr", "h", ["a", "b", "c", "d"][i as usize]]),
+        }
+    }
+
+    /// A pure source or condition: every binary operator (the hot arms the
+    /// lowering specializes and the cold ones it shares with the oracle),
+    /// and the unary forms whose mask depends on the operand's static width.
+    fn expr(rng: &mut WorkloadRng) -> Expr {
+        use P4BinOp::*;
+        const OPS: [P4BinOp; 18] = [
+            Add, Sub, Mul, And, Or, Xor, Shl, Shr, SatAdd, SatSub, Eq, Ne, Lt, Le, Gt, Ge, LAnd,
+            LOr,
+        ];
+        let (f, k) = (Box::new(field(rng)), Box::new(Expr::val(rng.below(4), 8)));
+        let op = OPS[rng.below(18) as usize];
+        match rng.below(8) {
+            0 => *f,
+            1 => *k,
+            2 => Expr::Not(f),
+            3 => Expr::BitNot(Box::new(Expr::Bin(op, f, k))),
+            4 => Expr::Slice(Box::new(Expr::Bin(op, f, k)), 5, 1),
+            5 => Expr::Cast(4, Box::new(Expr::Bin(op, k, f))),
+            _ => Expr::Bin(op, f, k),
+        }
+    }
+
+    fn exec(ra: &str, rng: &mut WorkloadRng) -> Stmt {
+        let dst = (rng.below(2) == 0).then(|| Expr::field(&["meta", "t1"]));
+        Stmt::ExecuteRegisterAction { dst, ra: ra.into(), index: field(rng) }
+    }
+
+    /// `calls`: whether the block may apply the table or call an action
+    /// (the `apply` block may; action bodies may not, or they would recurse).
+    fn stmt(rng: &mut WorkloadRng, depth: u32, calls: bool) -> Stmt {
+        match rng.below(12) {
+            0..=2 if depth < 4 => branch(rng, depth, calls),
+            3 if calls => Stmt::CallAction(["act0", "act1"][rng.below(2) as usize].into()),
+            4 if calls => Stmt::ApplyTable("t".into()),
+            // A failing statement inside an arm; whatever follows must not run.
+            5 if depth > 0 && rng.below(4) == 0 => Stmt::CallAction("missing".into()),
+            6 => exec("bump", rng),
+            7 => exec("cadd", rng),
+            _ => {
+                let dst = field(rng);
+                Stmt::Assign(dst, expr(rng))
+            }
+        }
+    }
+
+    fn block(rng: &mut WorkloadRng, depth: u32, calls: bool) -> Vec<Stmt> {
+        (0..rng.below(4)).map(|_| stmt(rng, depth, calls)).collect()
+    }
+
+    /// An `if` on an expression or on a table hit / miss; either arm may be
+    /// empty.
+    fn branch(rng: &mut WorkloadRng, depth: u32, calls: bool) -> Stmt {
+        let cond = match rng.below(6) {
+            0 if calls => Expr::TableHit("t".into()),
+            1 if calls => Expr::TableMiss("t".into()),
+            _ => expr(rng),
+        };
+        let then = block(rng, depth + 1, calls);
+        let els = if rng.below(2) == 0 { vec![] } else { block(rng, depth + 1, calls) };
+        Stmt::If { cond, then, els }
+    }
+
+    pub fn program(rng: &mut WorkloadRng) -> P4Program {
+        let mut apply = block(rng, 0, true);
+        // `if` / `else` nested to depth 4.
+        let mut nest = block(rng, 4, true);
+        for depth in (0..4).rev() {
+            let els = block(rng, depth + 1, true);
+            nest = vec![Stmt::If { cond: expr(rng), then: nest, els }];
+        }
+        apply.extend(nest);
+        // A SALU site directly after a join point; an action call between
+        // two `if`s; a failing statement in a `then` arm followed by moves;
+        // an `if` as the control's last statement.
+        apply.extend([branch(rng, 0, true), exec("bump", rng)]);
+        apply.extend([branch(rng, 0, true), Stmt::CallAction("act0".into())]);
+        let d = Expr::field(&["hdr", "h", "d"]);
+        apply.push(Stmt::If {
+            cond: Expr::Bin(P4BinOp::Eq, Box::new(d.clone()), Box::new(Expr::val(3, 8))),
+            then: vec![
+                Stmt::CallAction("missing".into()),
+                Stmt::Assign(d.clone(), Expr::val(9, 8)),
+                Stmt::Assign(Expr::field(&["meta", "t0"]), d),
+            ],
+            els: vec![],
+        });
+        apply.push(branch(rng, 0, true));
+        // ... and of an action body.
+        let mut act0 = block(rng, 0, false);
+        act0.push(branch(rng, 0, false));
+        let action =
+            |name: &str, body| ActionDef { name: name.into(), params: vec![("x".into(), 8)], body };
+        let ra = |name: &str, cond: bool| RegisterActionDef {
+            name: name.into(),
+            register: "R".into(),
+            op: AtomicOp { rmw: AtomicRmw::Add, cond, ret_new: true },
+            cond: cond.then(|| Expr::field(&["meta", "t0"])),
+            operands: vec![Expr::field(&["hdr", "h", "c"])],
+        };
+        let entry = |k, action: &str| TableEntry {
+            keys: vec![EntryKey::Value(k)],
+            action: action.into(),
+            args: vec![k + 5],
+        };
+        let fields = ["a", "b", "c", "d"].map(|f| (f.to_string(), 8)).to_vec();
+        P4Program {
+            name: "shapes".into(),
+            target: Target::V1Model,
+            headers: vec![HeaderDef { name: "h_t".into(), fields, stack: 1 }],
+            parser: Some(ParserDef {
+                name: "P".into(),
+                states: vec![ParserState {
+                    name: "start".into(),
+                    extracts: vec!["hdr.h".into()],
+                    transition: Transition::Accept,
+                }],
+            }),
+            controls: vec![ControlDef {
+                name: "Ig".into(),
+                locals: vec![("t0".into(), 8), ("t1".into(), 8)],
+                registers: vec![RegisterDef { name: "R".into(), elem_bits: 8, size: 4 }],
+                register_actions: vec![ra("bump", false), ra("cadd", true)],
+                hashes: vec![],
+                actions: vec![action("act0", act0), action("act1", block(rng, 0, false))],
+                tables: vec![TableDef {
+                    name: "t".into(),
+                    keys: vec![(Expr::field(&["hdr", "h", "a"]), MatchKind::Exact)],
+                    actions: vec!["act0".into(), "act1".into()],
+                    entries: vec![entry(1, "act0"), entry(2, "act1")],
+                    default_action: ["NoAction", "act1"][rng.below(2) as usize].into(),
+                    size: 8,
+                }],
+                apply,
+            }]
+            .into(),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -219,6 +377,31 @@ proptest! {
                 oracle.registers().map(|(n, c)| (n.to_string(), c.to_vec())).collect();
             prop_assert_eq!(&tr, &orr, "{}: threaded/oracle registers diverge", name);
         }
+    }
+
+    /// The same differential over control flow the code generator never
+    /// emits (`shapes::program`): jump targets and run boundaries are what
+    /// the lowering decides, and the shipped applications only exercise
+    /// the shapes `netcl-core::codegen` produces. Same output bytes, same
+    /// errors, same `SwitchCounters`, same final registers.
+    #[test]
+    fn threaded_matches_interpreter_on_hand_built_control_flow(seed in any::<u64>()) {
+        let mut rng = WorkloadRng::new(seed);
+        let program = Arc::new(shapes::program(&mut rng));
+        let mut threaded = Switch::new(program.clone());
+        let mut oracle = Switch::new(program.clone());
+        oracle.set_engine(Engine::Interpreted);
+        for _ in 0..12 {
+            // Small byte values, so conditions and table keys go both ways;
+            // one wire in eight is truncated.
+            let len = if rng.below(8) == 0 { rng.below(4) } else { 4 + rng.below(3) };
+            let wire: Vec<u8> = (0..len).map(|_| rng.below(4) as u8).collect();
+            let rt = threaded.process(&wire).map(|(_, out)| out);
+            let ro = oracle.process(&wire).map(|(_, out)| out);
+            prop_assert_eq!(rt, ro, "on {:?} of {:#?}", wire, program);
+        }
+        prop_assert_eq!(threaded.counters(), oracle.counters(), "counters of {:#?}", program);
+        prop_assert!(threaded.registers().eq(oracle.registers()), "registers of {:#?}", program);
     }
 
     /// Wire parsing is total: `Message::read_header` and `unpack` never
