@@ -120,19 +120,7 @@ pub fn handwritten(cfg: &AggConfig) -> P4Program {
     let ss = cfg.slot_size;
     let ns = cfg.num_slots;
     let mut headers = vec![
-        HeaderDef {
-            name: "ncl_t".into(),
-            fields: vec![
-                ("src".into(), 16),
-                ("dst".into(), 16),
-                ("from".into(), 16),
-                ("to".into(), 16),
-                ("comp".into(), 8),
-                ("action".into(), 8),
-                ("target".into(), 16),
-            ],
-            stack: 1,
-        },
+        netcl::codegen::ncl_header(),
         HeaderDef {
             name: "args_c1_t".into(),
             fields: vec![

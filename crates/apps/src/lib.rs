@@ -12,8 +12,9 @@
 //!    programmer would reach for (e.g. AGG decides slot completion with a
 //!    ternary MAT where the NetCL compiler uses in-SALU conditionals —
 //!    the TCAM-vs-SRAM contrast Table V highlights).
-//! 3. **Host-side drivers and workload generators** for the end-to-end
-//!    experiments (Fig. 14).
+//! 3. **Host-side drivers** for the end-to-end experiments (Fig. 14); the
+//!    workload generators they are fed from are `netcl_net::{WorkloadRng,
+//!    Zipf, FlowStream}`.
 //!
 //! DESIGN.md §5 indexes which driver regenerates which table/figure.
 
@@ -21,7 +22,6 @@ pub mod agg;
 pub mod cache;
 pub mod calc;
 pub mod paxos;
-pub mod workload;
 
 use netcl::{CompileOptions, CompiledUnit, Compiler};
 

@@ -370,19 +370,7 @@ pub fn run_paxos_chaos(
 
 fn common_headers() -> Vec<HeaderDef> {
     vec![
-        HeaderDef {
-            name: "ncl_t".into(),
-            fields: vec![
-                ("src".into(), 16),
-                ("dst".into(), 16),
-                ("from".into(), 16),
-                ("to".into(), 16),
-                ("comp".into(), 8),
-                ("action".into(), 8),
-                ("target".into(), 16),
-            ],
-            stack: 1,
-        },
+        netcl::codegen::ncl_header(),
         HeaderDef {
             name: "args_c1_t".into(),
             fields: vec![

@@ -29,9 +29,10 @@
 //! `Model` — are immutable behind `Arc`. The device map, the unit map and
 //! every unit handed to a caller point at the same allocations. What a
 //! serve does own is small: the `Vec` of devices, `device`, `reuse`,
-//! `timings`, `warnings` and any `PassReport`s (the serve path rewrites
-//! `device` and `from_cache`, so those stay by value). A unit hit therefore
-//! costs two reads of the source text (hash it, then compare it), one
+//! `timings`, `warnings` and any `PassReport`s (an entry is stored as a
+//! hit serves it — `reuse` filled in, reports `from_cache` — and a device
+//! key embeds the device id, so a serve rewrites nothing). A unit hit
+//! therefore costs two reads of the source text (hash it, then compare it), one
 //! allocation for the device `Vec`, four reference-count bumps per device
 //! and one for the model — independent of how large the artifacts are
 //! (`tests/cache_alloc.rs` is the gate). Nothing a caller does to a served
@@ -160,7 +161,16 @@ impl CompileCache {
         hit
     }
 
-    pub(crate) fn put_unit(&mut self, key: u64, name: &str, source: &str, unit: CompiledUnit) {
+    /// Keeps `unit` as a hit will serve it: everything reused, reports
+    /// marked (see [`CompileCache::put_device`]).
+    pub(crate) fn put_unit(&mut self, key: u64, name: &str, source: &str, mut unit: CompiledUnit) {
+        unit.reuse = ReuseStats {
+            unit_hit: true,
+            devices_reused: unit.reuse.devices_total,
+            kernels_reused: unit.reuse.kernels_total,
+            ..unit.reuse
+        };
+        unit.devices.iter_mut().for_each(mark_served);
         self.units.insert(key, UnitEntry { name: name.into(), source: source.into(), unit });
     }
 
@@ -174,7 +184,8 @@ impl CompileCache {
         hit
     }
 
-    pub(crate) fn put_device(&mut self, key: u64, device: CompiledDevice) {
+    pub(crate) fn put_device(&mut self, key: u64, mut device: CompiledDevice) {
+        mark_served(&mut device);
         self.devices.insert(key, device);
     }
 
@@ -188,6 +199,14 @@ impl CompileCache {
             false => self.stats.kernel_misses += 1,
         }
         seen
+    }
+}
+
+/// Flags every embedded pass report as cache-served so telemetry
+/// consumers don't mistake a replayed report for a live pipeline run.
+fn mark_served(d: &mut CompiledDevice) {
+    for r in [&mut d.tna_pass_report, &mut d.v1_pass_report].into_iter().flatten() {
+        r.from_cache = true;
     }
 }
 

@@ -73,6 +73,25 @@ pub fn generate(module: &Module, target: Target) -> Result<P4Program, CodegenErr
 /// The name of the NetCL shim header instance.
 pub const NCL_HDR: &str = "ncl";
 
+/// The NetCL shim header type (Fig. 10): 4-tuple + computation + action +
+/// target, in `netcl_runtime::message`'s wire order. Generated programs and
+/// the handwritten baselines declare this one definition.
+pub fn ncl_header() -> HeaderDef {
+    HeaderDef {
+        name: "ncl_t".into(),
+        fields: vec![
+            ("src".into(), 16),
+            ("dst".into(), 16),
+            ("from".into(), 16),
+            ("to".into(), 16),
+            ("comp".into(), 8),
+            ("action".into(), 8),
+            ("target".into(), 16),
+        ],
+        stack: 1,
+    }
+}
+
 struct Codegen<'a> {
     module: &'a Module,
     #[allow(dead_code)] // dialect differences live in the printer today
@@ -107,20 +126,7 @@ impl<'a> Codegen<'a> {
     }
 
     fn headers(&mut self) {
-        // NetCL shim (Fig. 10): 4-tuple + computation + action + target.
-        self.program.headers.push(HeaderDef {
-            name: "ncl_t".into(),
-            fields: vec![
-                ("src".into(), 16),
-                ("dst".into(), 16),
-                ("from".into(), 16),
-                ("to".into(), 16),
-                ("comp".into(), 8),
-                ("action".into(), 8),
-                ("target".into(), 16),
-            ],
-            stack: 1,
-        });
+        self.program.headers.push(ncl_header());
         for k in &self.module.kernels {
             let mut fields = Vec::new();
             for (i, a) in k.args.iter().enumerate() {

@@ -8,10 +8,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netcl_ir::Module;
+use netcl_lang::ParsedUnit;
 use netcl_p4::ast::{P4Program, Target};
 use netcl_passes::{PassFlags, PassReport, PipelineTarget};
-use netcl_sema::Model;
-use netcl_util::DiagnosticSink;
+use netcl_sema::{Analysis, Model};
+use netcl_util::{DiagnosticSink, SourceMap};
 
 use crate::cache::{self, CompileCache, ReuseStats};
 use crate::codegen;
@@ -135,6 +136,12 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
+impl From<codegen::CodegenError> for CompileError {
+    fn from(e: codegen::CodegenError) -> CompileError {
+        CompileError { message: e.to_string(), codes: vec![e.code.to_string()] }
+    }
+}
+
 /// The NetCL compiler.
 pub struct Compiler {
     options: CompileOptions,
@@ -164,8 +171,9 @@ impl Compiler {
         self.compile_with(name, source, Some(cache))
     }
 
-    /// The single compile path: `cache = None` is a cold compile.
-    pub fn compile_with(
+    /// The single compile path: `cache = None` is a cold compile. It probes
+    /// the caches and orders the three phases below; it holds no phase.
+    fn compile_with(
         &self,
         name: &str,
         source: &str,
@@ -173,61 +181,18 @@ impl Compiler {
     ) -> Result<CompiledUnit, CompileError> {
         let fingerprint = cache::options_fingerprint(&self.options);
         let ukey = cache::unit_key(fingerprint, name, source);
-        if let Some(c) = cache.as_deref_mut() {
-            if let Some(mut unit) = c.unit(ukey, name, source) {
-                unit.reuse = ReuseStats {
-                    unit_hit: true,
-                    devices_total: unit.devices.len(),
-                    devices_reused: unit.devices.len(),
-                    kernels_total: unit.reuse.kernels_total,
-                    kernels_reused: unit.reuse.kernels_total,
-                };
-                for d in &mut unit.devices {
-                    mark_cached(d);
-                }
-                return Ok(unit);
-            }
+        if let Some(unit) = cache.as_deref_mut().and_then(|c| c.unit(ukey, name, source)) {
+            return Ok(unit);
         }
 
-        let mut timings = CompileTimings::default();
-
-        let t0 = Instant::now();
-        let (unit, mut diags) = netcl_lang::parse(name, source);
-        timings.frontend = t0.elapsed();
-        if diags.has_errors() {
-            return Err(render(&diags, &unit.source_map));
-        }
-
-        let t0 = Instant::now();
-        let (analysis, sema_diags) = netcl_sema::analyze(&unit);
-        timings.sema = t0.elapsed();
-        diags.absorb(sema_diags);
-        if diags.has_errors() {
-            return Err(render(&diags, &unit.source_map));
-        }
-
+        let mut fe = frontend(name, source)?;
         let devices =
-            self.options.devices.clone().unwrap_or_else(|| analysis.model.mentioned_devices());
+            self.options.devices.clone().unwrap_or_else(|| fe.analysis.model.mentioned_devices());
 
         let mut out_devices = Vec::new();
         let mut reuse = ReuseStats::default();
         for dev in devices {
-            let t0 = Instant::now();
-            let base = lower::lower_device(&unit, &analysis, dev, &mut diags);
-            timings.lower += t0.elapsed();
-            if diags.has_errors() {
-                return Err(render(&diags, &unit.source_map));
-            }
-            if let Err(errs) = netcl_ir::verify::verify_module(&base) {
-                let msgs: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
-                return Err(CompileError {
-                    message: format!(
-                        "internal: lowered IR fails verification:\n{}",
-                        msgs.join("\n")
-                    ),
-                    codes: vec!["E0399".into()],
-                });
-            }
+            let base = lower_verified(&mut fe, dev)?;
             reuse.devices_total += 1;
 
             // Kernel-level attribution: record each kernel's IR hash so
@@ -250,109 +215,36 @@ impl Compiler {
             // functions of (base IR, flags, target), so an unchanged base
             // IR means the cached artifact is byte-identical to what a
             // fresh run would produce.
-            if let (Some(c), Some(k)) = (cache.as_deref_mut(), dkey) {
-                if let Some(mut d) = c.device(k) {
-                    d.device = dev;
-                    mark_cached(&mut d);
-                    reuse.devices_reused += 1;
-                    out_devices.push(d);
-                    continue;
-                }
+            if let Some(d) = cache.as_deref_mut().zip(dkey).and_then(|(c, k)| c.device(k)) {
+                reuse.devices_reused += 1;
+                out_devices.push(d);
+                continue;
             }
 
-            let want_tna = self.options.target != EmitTarget::V1Model;
-            let want_v1 = self.options.target != EmitTarget::Tna;
-
-            let t0 = Instant::now();
-            // A dialect that is not emitted keeps the lowered module as is.
-            let unprocessed = (!(want_tna && want_v1)).then(|| base.clone());
-            // The common stage reads neither the target nor the flags, so
-            // it runs once; each dialect continues from a copy of its
-            // result, and of its report entries (DESIGN.md §4, §12).
-            let mut shared = base;
-            let mut common_report =
-                self.options.pass_report.then(|| PassReport::begin("common", &shared));
-            if netcl_passes::run_common_stage(&mut shared, &mut diags, common_report.as_mut())
-                .is_err()
-            {
-                return Err(render(&diags, &unit.source_map));
-            }
-            let mut dialect = |ir: Option<Module>, target: PipelineTarget| {
-                let Some(mut ir) = ir else {
-                    return Ok((unprocessed.clone().expect("kept when a dialect is off"), None));
-                };
-                let mut report = common_report.clone();
-                netcl_passes::run_target_stage(
-                    &mut ir,
-                    target,
-                    &self.options.flags,
-                    &mut diags,
-                    report.as_mut(),
-                )
-                .map(|()| {
-                    if let Some(report) = &mut report {
-                        report.finish(&ir);
-                    }
-                    (ir, report)
-                })
-            };
-            let Ok((tna_ir, tna_pass_report)) =
-                dialect(want_tna.then(|| shared.clone()), PipelineTarget::Tofino)
-            else {
-                return Err(render(&diags, &unit.source_map));
-            };
-            let Ok((v1_ir, v1_pass_report)) =
-                dialect(want_v1.then_some(shared), PipelineTarget::V1Model)
-            else {
-                return Err(render(&diags, &unit.source_map));
-            };
-            timings.passes += t0.elapsed();
-
-            let t0 = Instant::now();
-            let empty = P4Program::default();
-            let tna_p4 = if want_tna {
-                codegen::generate(&tna_ir, Target::Tna).map_err(|e| CompileError {
-                    message: e.to_string(),
-                    codes: vec![e.code.to_string()],
-                })?
-            } else {
-                empty.clone()
-            };
-            let v1_p4 = if want_v1 {
-                codegen::generate(&v1_ir, Target::V1Model).map_err(|e| CompileError {
-                    message: e.to_string(),
-                    codes: vec![e.code.to_string()],
-                })?
-            } else {
-                empty
-            };
-            timings.codegen += t0.elapsed();
-
-            let compiled = CompiledDevice {
-                device: dev,
-                tna_ir: Arc::new(tna_ir),
-                v1_ir: Arc::new(v1_ir),
-                tna_p4: Arc::new(tna_p4),
-                v1_p4: Arc::new(v1_p4),
-                tna_pass_report,
-                v1_pass_report,
-            };
+            let compiled = build_device(
+                base,
+                &self.options,
+                &mut fe.diags,
+                &fe.unit.source_map,
+                &mut fe.timings,
+            )?;
             if let (Some(c), Some(k)) = (cache.as_deref_mut(), dkey) {
                 c.put_device(k, compiled.clone());
             }
             out_devices.push(compiled);
         }
 
-        let warnings = diags
+        let warnings = fe
+            .diags
             .diagnostics()
             .iter()
             .filter(|d| d.severity == netcl_util::Severity::Warning)
-            .map(|d| d.render(&unit.source_map))
+            .map(|d| d.render(&fe.unit.source_map))
             .collect();
         let out = CompiledUnit {
-            model: Arc::new(analysis.model),
+            model: Arc::new(fe.analysis.model),
             devices: out_devices,
-            timings,
+            timings: fe.timings,
             warnings,
             reuse,
         };
@@ -363,18 +255,126 @@ impl Compiler {
     }
 }
 
-/// Flags every embedded pass report as cache-served so telemetry
-/// consumers don't mistake a replayed report for a live pipeline run.
-fn mark_cached(d: &mut CompiledDevice) {
-    if let Some(r) = d.tna_pass_report.as_mut() {
-        r.from_cache = true;
-    }
-    if let Some(r) = d.v1_pass_report.as_mut() {
-        r.from_cache = true;
+/// What [`frontend`] leaves for the per-device phases: the parsed unit (and
+/// its source map), the analysis, every diagnostic so far and the clock.
+pub(crate) struct Frontend {
+    pub unit: ParsedUnit,
+    pub analysis: Analysis,
+    pub diags: DiagnosticSink,
+    pub timings: CompileTimings,
+}
+
+/// Phase 1, once per unit: parse and semantic analysis.
+pub(crate) fn frontend(name: &str, source: &str) -> Result<Frontend, CompileError> {
+    let mut timings = CompileTimings::default();
+
+    let t0 = Instant::now();
+    let (unit, mut diags) = netcl_lang::parse(name, source);
+    timings.frontend = t0.elapsed();
+    check(&diags, &unit.source_map)?;
+
+    let t0 = Instant::now();
+    let (analysis, sema_diags) = netcl_sema::analyze(&unit);
+    timings.sema = t0.elapsed();
+    diags.absorb(sema_diags);
+    check(&diags, &unit.source_map)?;
+    Ok(Frontend { unit, analysis, diags, timings })
+}
+
+/// Phase 2, once per device: the base module, verified.
+pub(crate) fn lower_verified(fe: &mut Frontend, dev: u16) -> Result<Module, CompileError> {
+    let t0 = Instant::now();
+    let base = lower::lower_device(&fe.unit, &fe.analysis, dev, &mut fe.diags);
+    fe.timings.lower += t0.elapsed();
+    check(&fe.diags, &fe.unit.source_map)?;
+    verified(&base, "lowered")?;
+    Ok(base)
+}
+
+/// A module a driver built itself (`what`: "lowered", "merged") must
+/// verify before the passes see it; a failure is a compiler bug.
+pub(crate) fn verified(module: &Module, what: &str) -> Result<(), CompileError> {
+    netcl_ir::verify::verify_module(module).map_err(|errs| {
+        let msgs: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
+        CompileError {
+            message: format!("internal: {what} IR fails verification:\n{}", msgs.join("\n")),
+            codes: vec!["E0399".into()],
+        }
+    })
+}
+
+/// Phase 3, once per device the caches do not hold — and per merged or
+/// solo tenant module (`tenant.rs`): the §VI-B pipeline and P4 codegen for
+/// every emitted dialect. Pipeline rejections land in `diags` and render
+/// against `map`; `timings` gains the passes and codegen time.
+pub(crate) fn build_device(
+    base: Module,
+    options: &CompileOptions,
+    diags: &mut DiagnosticSink,
+    map: &SourceMap,
+    timings: &mut CompileTimings,
+) -> Result<CompiledDevice, CompileError> {
+    let device = base.device;
+    let want_tna = options.target != EmitTarget::V1Model;
+    let want_v1 = options.target != EmitTarget::Tna;
+
+    let t0 = Instant::now();
+    // A dialect that is not emitted keeps the lowered module as is.
+    let mut unprocessed = (!(want_tna && want_v1)).then(|| base.clone());
+    // The common stage reads neither the target nor the flags, so it runs
+    // once; each dialect continues from a copy of its result, and of its
+    // report entries (DESIGN.md §4, §12).
+    let mut shared = base;
+    let mut common_report = options.pass_report.then(|| PassReport::begin("common", &shared));
+    netcl_passes::run_common_stage(&mut shared, diags, common_report.as_mut())
+        .map_err(|()| render(diags, map))?;
+    type Dialect = (Module, Option<PassReport>);
+    let mut dialect = |ir: Option<Module>, target| -> Result<Dialect, CompileError> {
+        let Some(mut ir) = ir else {
+            return Ok((unprocessed.take().expect("kept when a dialect is off"), None));
+        };
+        let mut report = common_report.clone();
+        netcl_passes::run_target_stage(&mut ir, target, &options.flags, diags, report.as_mut())
+            .map_err(|()| render(diags, map))?;
+        if let Some(report) = &mut report {
+            report.finish(&ir);
+        }
+        Ok((ir, report))
+    };
+    let (tna_ir, tna_pass_report) =
+        dialect(want_tna.then(|| shared.clone()), PipelineTarget::Tofino)?;
+    let (v1_ir, v1_pass_report) = dialect(want_v1.then_some(shared), PipelineTarget::V1Model)?;
+    timings.passes += t0.elapsed();
+
+    let t0 = Instant::now();
+    let p4 = |want: bool, ir: &Module, target: Target| -> Result<P4Program, CompileError> {
+        Ok(if want { codegen::generate(ir, target)? } else { P4Program::default() })
+    };
+    let tna_p4 = p4(want_tna, &tna_ir, Target::Tna)?;
+    let v1_p4 = p4(want_v1, &v1_ir, Target::V1Model)?;
+    timings.codegen += t0.elapsed();
+
+    Ok(CompiledDevice {
+        device,
+        tna_ir: Arc::new(tna_ir),
+        v1_ir: Arc::new(v1_ir),
+        tna_p4: Arc::new(tna_p4),
+        v1_p4: Arc::new(v1_p4),
+        tna_pass_report,
+        v1_pass_report,
+    })
+}
+
+fn check(diags: &DiagnosticSink, map: &SourceMap) -> Result<(), CompileError> {
+    if diags.has_errors() {
+        Err(render(diags, map))
+    } else {
+        Ok(())
     }
 }
 
-fn render(diags: &DiagnosticSink, map: &netcl_util::SourceMap) -> CompileError {
+/// The one renderer: everything in `diags`.
+fn render(diags: &DiagnosticSink, map: &SourceMap) -> CompileError {
     CompileError {
         message: diags.render_all(map),
         codes: diags.diagnostics().iter().map(|d| d.code.to_string()).collect(),

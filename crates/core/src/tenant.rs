@@ -6,7 +6,8 @@
 //! [`netcl_ir::merge::merge`] — namespaced under `t<id>__`, memory ids
 //! re-based, computation ids renumbered so the NCL `comp` byte is the
 //! tenant classifier at ingress — and the *merged* module runs the pass
-//! pipeline and code generators exactly like a single-tenant program.
+//! pipeline and code generators through the single-tenant compiler's own
+//! `build_device`.
 //!
 //! Two artifacts come back per tenant besides the shared merged device:
 //! the old→new computation map (hosts address kernels on the shared
@@ -23,19 +24,13 @@
 //! (code `E0502`, naming tenant and exhausted resource) — never a panic,
 //! never a silent mis-allocation.
 
-use std::sync::Arc;
-
-use netcl_ir::merge::{self, MergedTenants, TenantMapEntry, TenantUnit};
+use netcl_ir::merge::{self, TenantMapEntry, TenantUnit};
 use netcl_ir::Module;
-use netcl_p4::ast::{P4Program, Target};
-use netcl_passes::PipelineTarget;
 use netcl_sema::Model;
 use netcl_tofino::{AllocationReport, TenantBudgets, TofinoSpec};
 use netcl_util::{DiagnosticSink, SourceMap};
 
-use crate::codegen;
-use crate::compiler::{CompileError, CompileOptions, CompiledDevice, EmitTarget};
-use crate::lower;
+use crate::compiler::{self, CompileError, CompileOptions, CompiledDevice, EmitTarget};
 
 /// One tenant's translation unit.
 #[derive(Clone, Copy, Debug)]
@@ -93,163 +88,57 @@ pub fn compile_tenants(
     options: &CompileOptions,
     budgets: &TenantBudgets,
 ) -> Result<MergedCompilation, CompileError> {
-    compile_tenants_on(sources, device, options, budgets, &TofinoSpec::tofino1())
-}
-
-/// [`compile_tenants`] against an explicit pipeline spec (tests use
-/// [`TofinoSpec::tiny`] to exercise rejection without giant programs).
-pub fn compile_tenants_on(
-    sources: &[TenantSource<'_>],
-    device: u16,
-    options: &CompileOptions,
-    budgets: &TenantBudgets,
-    spec: &TofinoSpec,
-) -> Result<MergedCompilation, CompileError> {
     // Frontend per tenant: parse, analyze, lower the base module.
     let mut units = Vec::new();
     let mut models = Vec::new();
     for ts in sources {
-        let (base, model) = frontend(ts, device)?;
-        models.push((ts.tenant, model));
-        units.push(TenantUnit { tenant: ts.tenant, module: base });
+        let for_tenant = |e: CompileError| CompileError {
+            message: format!("tenant {}: {}", ts.tenant, e.message),
+            codes: e.codes,
+        };
+        let mut fe = compiler::frontend(ts.name, ts.source).map_err(for_tenant)?;
+        let module = compiler::lower_verified(&mut fe, device).map_err(for_tenant)?;
+        models.push((ts.tenant, fe.analysis.model));
+        units.push(TenantUnit { tenant: ts.tenant, module });
     }
 
     // Compose. Merge errors are definitional (duplicate tenant, device
     // mismatch, comp-space exhaustion) — report them as E0501.
-    let merged: MergedTenants = merge::merge(&units).map_err(|e| CompileError {
+    let merged = merge::merge(&units).map_err(|e| CompileError {
         message: format!("tenant merge failed: {e}"),
         codes: vec!["E0501".into()],
     })?;
-    if let Err(errs) = netcl_ir::verify::verify_module(&merged.module) {
-        let msgs: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
-        return Err(CompileError {
-            message: format!("internal: merged IR fails verification:\n{}", msgs.join("\n")),
-            codes: vec!["E0399".into()],
-        });
-    }
+    compiler::verified(&merged.module, "merged")?;
 
-    let merged_dev = build_device(merged.module.clone(), options)?;
+    // The merged module and its solo slices have no source text, so a
+    // pipeline rejection renders bare.
+    let build = |base: Module| {
+        let (mut diags, map) = (DiagnosticSink::new(), SourceMap::new());
+        compiler::build_device(base, options, &mut diags, &map, &mut Default::default())
+    };
+    let merged_dev = build(merged.module.clone())?;
 
     // Budget enforcement on the merged TNA fit: the allocator attributes
     // every namespaced table and register to its tenant and rejects
     // overuse with tenant + resource in the diagnostic.
-    let report =
-        if options.target != EmitTarget::V1Model {
-            Some(netcl_tofino::allocate_with_budgets(&merged_dev.tna_p4, spec, budgets).map_err(
-                |e| CompileError { message: e.to_string(), codes: vec!["E0502".into()] },
-            )?)
-        } else {
-            None
-        };
+    let report = if options.target != EmitTarget::V1Model {
+        let spec = TofinoSpec::tofino1();
+        let fit = netcl_tofino::allocate_with_budgets(&merged_dev.tna_p4, &spec, budgets);
+        Some(fit.map_err(|e| CompileError { message: e.to_string(), codes: vec!["E0502".into()] })?)
+    } else {
+        None
+    };
 
     // Solo baselines: one dedicated-switch artifact per tenant, compiled
     // from the merged module's namespaced slice (wire-compatible comps).
     let mut tenants = Vec::new();
     for (tenant, model) in models {
         let map = merged.tenant(tenant).expect("merge returns every input tenant").clone();
-        let solo_module = merged.solo(tenant).expect("merge returns every input tenant");
-        let solo = build_device(solo_module, options)?;
+        let solo = build(merged.solo(tenant).expect("merge returns every input tenant"))?;
         tenants.push(TenantSlice { tenant, model, map, solo });
     }
 
     Ok(MergedCompilation { device, merged: merged_dev, tenants, report })
-}
-
-/// Parse → analyze → lower one tenant's unit for `device`.
-fn frontend(ts: &TenantSource<'_>, device: u16) -> Result<(Module, Model), CompileError> {
-    let (unit, mut diags) = netcl_lang::parse(ts.name, ts.source);
-    if diags.has_errors() {
-        return Err(render_for(ts.tenant, &diags, &unit.source_map));
-    }
-    let (analysis, sema_diags) = netcl_sema::analyze(&unit);
-    diags.absorb(sema_diags);
-    if diags.has_errors() {
-        return Err(render_for(ts.tenant, &diags, &unit.source_map));
-    }
-    let base = lower::lower_device(&unit, &analysis, device, &mut diags);
-    if diags.has_errors() {
-        return Err(render_for(ts.tenant, &diags, &unit.source_map));
-    }
-    if let Err(errs) = netcl_ir::verify::verify_module(&base) {
-        let msgs: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
-        return Err(CompileError {
-            message: format!(
-                "internal: tenant {} lowered IR fails verification:\n{}",
-                ts.tenant,
-                msgs.join("\n")
-            ),
-            codes: vec!["E0399".into()],
-        });
-    }
-    Ok((base, analysis.model))
-}
-
-/// Pass pipeline + codegen for one (merged or solo) base module. The
-/// merged module has no source map, so pipeline rejections render bare.
-fn build_device(base: Module, options: &CompileOptions) -> Result<CompiledDevice, CompileError> {
-    let device = base.device;
-    let want_tna = options.target != EmitTarget::V1Model;
-    let want_v1 = options.target != EmitTarget::Tna;
-    let map = SourceMap::new();
-    let mut diags = DiagnosticSink::new();
-
-    let mut tna_ir = base.clone();
-    if want_tna
-        && netcl_passes::run_pipeline(
-            &mut tna_ir,
-            PipelineTarget::Tofino,
-            &options.flags,
-            &mut diags,
-        )
-        .is_err()
-    {
-        return Err(render_for(u16::MAX, &diags, &map));
-    }
-    let mut v1_ir = base;
-    if want_v1
-        && netcl_passes::run_pipeline(
-            &mut v1_ir,
-            PipelineTarget::V1Model,
-            &options.flags,
-            &mut diags,
-        )
-        .is_err()
-    {
-        return Err(render_for(u16::MAX, &diags, &map));
-    }
-
-    let gen_err = |e: codegen::CodegenError| CompileError {
-        message: e.to_string(),
-        codes: vec![e.code.to_string()],
-    };
-    let empty = P4Program::default();
-    let tna_p4 = if want_tna {
-        codegen::generate(&tna_ir, Target::Tna).map_err(gen_err)?
-    } else {
-        empty.clone()
-    };
-    let v1_p4 =
-        if want_v1 { codegen::generate(&v1_ir, Target::V1Model).map_err(gen_err)? } else { empty };
-
-    Ok(CompiledDevice {
-        device,
-        tna_ir: Arc::new(tna_ir),
-        v1_ir: Arc::new(v1_ir),
-        tna_p4: Arc::new(tna_p4),
-        v1_p4: Arc::new(v1_p4),
-        tna_pass_report: None,
-        v1_pass_report: None,
-    })
-}
-
-fn render_for(tenant: u16, diags: &DiagnosticSink, map: &SourceMap) -> CompileError {
-    let rendered = diags.render_all(map);
-    let message =
-        if tenant == u16::MAX { rendered } else { format!("tenant {tenant}: {rendered}") };
-    CompileError {
-        message,
-        codes: diags.diagnostics().iter().map(|d| d.code.to_string()).collect(),
-    }
 }
 
 #[cfg(test)]

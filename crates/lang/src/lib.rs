@@ -23,7 +23,6 @@ pub mod ast;
 pub mod lexer;
 pub mod parser;
 pub mod preprocess;
-pub mod print;
 pub mod token;
 
 pub use ast::Program;

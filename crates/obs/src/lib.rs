@@ -2,13 +2,13 @@
 //!
 //! Every layer of the system — the `ncc` pass pipeline, the bmv2 software
 //! switch, and the network simulator — reports what it did through the
-//! types in this crate: monotonic [`Counter`]s, log₂-bucketed
-//! [`Histogram`]s, wall-clock [`Stopwatch`] span timers, and structured
-//! [`Event`]s. Two sink formats serialize them without any external
-//! dependency: JSON Lines ([`Event::to_json`], [`JsonlSink`]) for machine
-//! consumption, and an aligned pretty form ([`Event::pretty`]) for
-//! consoles. [`trace::Trace`] additionally collects Chrome `trace_event`
-//! records and exports Perfetto-loadable JSON.
+//! types in this crate: log₂-bucketed [`Histogram`]s, wall-clock
+//! [`Stopwatch`] span timers, and structured [`Event`]s. Two sink formats
+//! serialize them without any external dependency: JSON Lines
+//! ([`Event::to_json`], [`JsonlSink`]) for machine consumption, and an
+//! aligned pretty form ([`Event::pretty`]) for consoles. [`trace::Trace`]
+//! additionally collects Chrome `trace_event` records and exports
+//! Perfetto-loadable JSON.
 //!
 //! The design contract is *zero overhead when disabled*: nothing in this
 //! crate installs global state or background threads. Instrumented code
@@ -22,43 +22,6 @@ pub use hist::Histogram;
 pub use trace::Trace;
 
 use std::fmt::Write as _;
-
-/// A monotonically increasing counter.
-///
-/// A thin newtype over `u64` so counter math (saturating increments,
-/// merging across runs) lives in one audited place.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A fresh zero counter.
-    pub fn new() -> Counter {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 = self.0.saturating_add(1);
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Folds another counter in (for aggregating over runs).
-    pub fn merge(&mut self, other: &Counter) {
-        self.add(other.0);
-    }
-}
 
 /// A wall-clock span timer. Create with [`Stopwatch::start`], read with
 /// [`Stopwatch::elapsed_ns`]; feed the result to a [`Histogram`] or an
@@ -468,19 +431,6 @@ impl JsonlSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_math() {
-        let mut c = Counter::new();
-        assert_eq!(c.get(), 0);
-        c.inc();
-        c.add(41);
-        assert_eq!(c.get(), 42);
-        let mut d = Counter::new();
-        d.add(u64::MAX);
-        d.merge(&c);
-        assert_eq!(d.get(), u64::MAX, "merge saturates instead of wrapping");
-    }
 
     #[test]
     fn event_jsonl_round_trip() {

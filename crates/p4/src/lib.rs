@@ -11,8 +11,11 @@
 //!   handwritten P4 baselines use.
 //! * [`mod@print`] — renders a program to P4-16 text (TNA or v1model dialect).
 //! * [`parse`] — parses that same subset back; `print ∘ parse` is a
-//!   fixpoint, and the handwritten baselines in `netcl-apps` are stored as
-//!   `.p4` files parsed through this module.
+//!   fixpoint. Nothing in the toolchain depends on it: generated programs
+//!   and the handwritten baselines in `netcl-apps` are built as [`ast`]
+//!   values in Rust, and `parse_program` is called by `tests/pipeline.rs`
+//!   (print → parse → execute round trip) and by `netcl_e2e`'s
+//!   `compile_fleet` stage (`p4.parse_s`, `p4.parse_refused`).
 //! * [`classify`] — assigns each line of a program to a construct category
 //!   (headers, parsers, MATs, RegisterActions, control, declarations),
 //!   regenerating the paper's Figure 12 breakdown.

@@ -170,102 +170,6 @@ pub fn duplicate_lookup_memory(module: &mut Module) -> usize {
     copies
 }
 
-/// IR-level stateful-memory demand of one tenant, measured *after*
-/// partitioning/duplication so the figures match what the Tofino allocator
-/// will see: each live non-lookup global becomes one `Register` (one SALU),
-/// each live global's element storage becomes register or table SRAM.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TenantStateUse {
-    /// The tenant id.
-    pub tenant: u16,
-    /// Registers (≈ SALUs on Tofino: one per live register).
-    pub registers: u32,
-    /// Total state bits across registers and lookup tables.
-    pub sram_bits: u64,
-}
-
-/// An IR-level per-tenant state cap, checked before the backend runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TenantStateBudget {
-    /// Maximum registers (SALU proxy).
-    pub registers: u32,
-    /// Maximum state bits.
-    pub sram_bits: u64,
-}
-
-/// Structured rejection for [`check_tenant_state`]: names the tenant and
-/// the exhausted resource, mirroring `netcl_tofino::AllocError::TenantBudget`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TenantStateError {
-    /// The offending tenant.
-    pub tenant: u16,
-    /// `"registers"` or `"SRAM"`.
-    pub resource: &'static str,
-    /// Demand.
-    pub used: u64,
-    /// Cap.
-    pub cap: u64,
-}
-
-impl std::fmt::Display for TenantStateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let TenantStateError { tenant, resource, used, cap } = self;
-        write!(
-            f,
-            "tenant {tenant} exceeds its IR-level {resource} budget: {used} used, {cap} allowed"
-        )
-    }
-}
-
-impl std::error::Error for TenantStateError {}
-
-/// Sums each tenant's stateful-memory demand from the module's globals
-/// (husks excluded), keyed by the `t<id>__` name prefix. Sorted by tenant.
-pub fn tenant_state_usage(module: &Module) -> Vec<TenantStateUse> {
-    let mut acc: std::collections::BTreeMap<u16, TenantStateUse> = Default::default();
-    for g in &module.globals {
-        if is_replaced_husk(g) {
-            continue;
-        }
-        let Some(tenant) = netcl_util::tenant::of(&g.name) else { continue };
-        let u = acc.entry(tenant).or_insert(TenantStateUse { tenant, ..Default::default() });
-        u.sram_bits += g.ty.bits as u64 * g.element_count() as u64;
-        if !g.lookup {
-            u.registers += 1;
-        }
-    }
-    acc.into_values().collect()
-}
-
-/// Enforces per-tenant IR-level state caps; `budgets` maps tenant → cap
-/// (tenants absent from the map are uncapped). Call after partitioning so
-/// split registers are counted the way the allocator will place them.
-pub fn check_tenant_state(
-    module: &Module,
-    budgets: &[(u16, TenantStateBudget)],
-) -> Result<(), TenantStateError> {
-    for u in tenant_state_usage(module) {
-        let Some((_, b)) = budgets.iter().find(|(t, _)| *t == u.tenant) else { continue };
-        if u.registers > b.registers {
-            return Err(TenantStateError {
-                tenant: u.tenant,
-                resource: "registers",
-                used: u.registers as u64,
-                cap: b.registers as u64,
-            });
-        }
-        if u.sram_bits > b.sram_bits {
-            return Err(TenantStateError {
-                tenant: u.tenant,
-                resource: "SRAM",
-                used: u.sram_bits,
-                cap: b.sram_bits,
-            });
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,49 +291,6 @@ mod tests {
             })
             .collect();
         assert_eq!(tables.len(), 3);
-    }
-
-    /// Post-partition accounting sees the split registers, not the husk,
-    /// and budgets reject by tenant + resource.
-    #[test]
-    fn tenant_state_budgets_count_partitions() {
-        let mut b = FuncBuilder::new("t5__allreduce", 1);
-        let argi = b.add_arg("i", IrTy::I16, 1, false);
-        let i = b
-            .emit(InstKind::ArgRead { arg: argi, index: Op::imm(0, IrTy::I32) }, IrTy::I16)
-            .unwrap();
-        b.emit(atomic_or(MemId(0), Op::imm(0, IrTy::I16), Op::Value(i)), IrTy::I16);
-        b.emit(atomic_or(MemId(0), Op::imm(1, IrTy::I16), Op::Value(i)), IrTy::I16);
-        b.terminate(Terminator::Ret(ActionRef::pass()));
-        let mut m = Module {
-            name: "t".into(),
-            device: 0,
-            globals: vec![GlobalDef { name: "t5__Bitmap".into(), ..bitmap_global() }],
-            kernels: vec![b.finish()],
-        };
-        let before = tenant_state_usage(&m);
-        assert_eq!(
-            before,
-            vec![TenantStateUse { tenant: 5, registers: 1, sram_bits: 16 * 2 * 2048 }]
-        );
-        partition_module(&mut m);
-        let after = tenant_state_usage(&m);
-        // Same bits, twice the registers — the husk contributes nothing.
-        assert_eq!(
-            after,
-            vec![TenantStateUse { tenant: 5, registers: 2, sram_bits: 16 * 2 * 2048 }]
-        );
-
-        let tight = [(5u16, TenantStateBudget { registers: 1, sram_bits: u64::MAX })];
-        assert_eq!(
-            check_tenant_state(&m, &tight),
-            Err(TenantStateError { tenant: 5, resource: "registers", used: 2, cap: 1 })
-        );
-        let loose = [(5u16, TenantStateBudget { registers: 2, sram_bits: 16 * 2 * 2048 })];
-        assert_eq!(check_tenant_state(&m, &loose), Ok(()));
-        // Other tenants' caps don't apply.
-        let other = [(9u16, TenantStateBudget { registers: 0, sram_bits: 0 })];
-        assert_eq!(check_tenant_state(&m, &other), Ok(()));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 mod counting_alloc;
 
 use counting_alloc::{allocs_during, Counting};
-use netcl::{CompileOptions, Compiler};
+use netcl::{compile_tenants, CompileOptions, Compiler, TenantSource};
 use netcl_apps::{agg, cache, calc, paxos};
 use netcl_bmv2::Switch;
 
@@ -52,6 +52,29 @@ fn cold_compile_allocations_per_application() {
         unit.unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(allocs <= ceiling(measured), "{name}: a cold compile made {allocs} allocations");
     }
+}
+
+/// `compile_tenants` on AGG `slot_size: 8` + CACHE `words: 4` (the shapes
+/// of `tests/fit_golden.rs`): two frontends, the merge, the budgeted fit and
+/// three devices — merged, solo 0, solo 1 — off the compiler's own
+/// `build_device`. The parent commit's tenant driver had a private copy of
+/// the back half that ran the common stage once per dialect: 45 709.
+#[test]
+fn tenant_merge_allocations() {
+    const MEASURED: u64 = 42_642;
+    const PARENT: u64 = 45_709;
+    let agg_src = agg::netcl_source(&agg::AggConfig { slot_size: 8, ..Default::default() });
+    let cache_src = cache::netcl_source(&cache::CacheConfig { words: 4, ..Default::default() });
+    let sources = [
+        TenantSource { tenant: 0, name: "agg.ncl", source: &agg_src },
+        TenantSource { tenant: 1, name: "cache.ncl", source: &cache_src },
+    ];
+    let (merged, allocs) = allocs_during(|| {
+        compile_tenants(&sources, 1, &CompileOptions::default(), &Default::default())
+    });
+    merged.unwrap_or_else(|e| panic!("{e}"));
+    assert!(allocs <= ceiling(MEASURED), "a two-tenant merge made {allocs} allocations");
+    assert!(allocs < PARENT, "a two-tenant merge made {allocs} allocations");
 }
 
 /// What loading a generated program into a `Switch` allocates: the layout,

@@ -88,6 +88,38 @@ fn runtime_wire_format_end_to_end() {
     let hdr = unpack(&reply, &spec, &mut [None, None, Some(&mut v), Some(&mut hit)]).unwrap();
     assert_eq!(hdr.src, 5);
     assert_eq!((v[0], hit[0]), (200, 1));
+
+    // The P4 shim header every program declares is the runtime's wire
+    // header: the same fields at the same offsets, `NCL_HEADER_BYTES` in all.
+    let m = Message {
+        src: 0x0102,
+        dst: 0x0304,
+        from: 0x0506,
+        to: 0x0708,
+        comp: 0x09,
+        action: 0x0a,
+        target: 0x0b0c,
+    };
+    let mut wire = [0u8; netcl_runtime::NCL_HEADER_BYTES];
+    m.write_header_into(&mut wire);
+    let mut bit = 0;
+    for (name, bits) in &netcl::codegen::ncl_header().fields {
+        let (at, bytes) = (bit / 8, *bits as usize / 8);
+        let on_wire = wire[at..at + bytes].iter().fold(0u16, |v, &b| v << 8 | b as u16);
+        let want = match name.as_str() {
+            "src" => m.src,
+            "dst" => m.dst,
+            "from" => m.from,
+            "to" => m.to,
+            "comp" => m.comp as u16,
+            "action" => m.action as u16,
+            "target" => m.target,
+            other => panic!("ncl_t has a field the runtime does not write: {other}"),
+        };
+        assert_eq!(on_wire, want, "ncl_t.{name} at bit {bit}");
+        bit += *bits as usize;
+    }
+    assert_eq!(bit, netcl_runtime::NCL_HEADER_BYTES * 8);
 }
 
 /// Errors surface with stable codes across layers.

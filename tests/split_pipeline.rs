@@ -3,12 +3,21 @@
 //! dialect. What comes out — both IR modules, both P4 programs, both pass
 //! reports — must be what driving `lower_device` → `run_pipeline` per target
 //! → `codegen::generate` by hand produces, byte for byte (wall times aside).
+//! `compile_tenants` builds its merged and solo devices with the same
+//! function, so the same holds for them against `merge::merge`'s modules.
 
+use netcl::ir::merge::{self, TenantUnit};
 use netcl::ir::print::print_module;
+use netcl::ir::Module;
+use netcl::lang::ParsedUnit;
 use netcl::passes::{
     run_pipeline, run_pipeline_with_report, PassFlags, PassReport, PipelineTarget,
 };
-use netcl::{codegen, lower, CompileOptions, Compiler};
+use netcl::sema::Analysis;
+use netcl::util::DiagnosticSink;
+use netcl::{
+    codegen, compile_tenants, lower, CompileOptions, CompiledDevice, Compiler, TenantSource,
+};
 use netcl_apps::{agg, all_apps, cache, paxos};
 use netcl_p4::ast::Target;
 use netcl_p4::print::print_program;
@@ -45,39 +54,74 @@ fn untimed(r: &PassReport) -> String {
     out
 }
 
-/// The whole pipeline per target, as `Compiler::compile_with` drove it
-/// before the common stage was shared. Returns each device's output and its
-/// `(tna, v1model)` reports.
-fn by_hand(name: &str, source: &str) -> Vec<(Rendered, String, String)> {
+/// One device's expected output and its `(tna, v1model)` reports.
+type Whole = (Rendered, String, String);
+
+/// The whole pipeline per target on one lowered (or merged) module, with no
+/// stage shared between the dialects.
+fn whole_device(base: &Module, diags: &mut DiagnosticSink) -> Whole {
     let flags = PassFlags::default();
+    let mut whole = |target| {
+        // The bare and the reporting entry point are one pipeline.
+        let (mut ir, mut reported) = (base.clone(), base.clone());
+        run_pipeline(&mut ir, target, &flags, diags).expect("pipeline accepts");
+        let (r, report) = run_pipeline_with_report(&mut reported, target, &flags, diags);
+        r.expect("pipeline accepts");
+        assert_eq!(print_module(&ir), print_module(&reported));
+        (ir, untimed(&report))
+    };
+    let (tna_ir, tna_report) = whole(PipelineTarget::Tofino);
+    let (v1_ir, v1_report) = whole(PipelineTarget::V1Model);
+    let rendered = Rendered {
+        device: base.device,
+        tna_p4: print_program(&codegen::generate(&tna_ir, Target::Tna).expect("codegen")),
+        v1_p4: print_program(&codegen::generate(&v1_ir, Target::V1Model).expect("codegen")),
+        tna_ir: print_module(&tna_ir),
+        v1_ir: print_module(&v1_ir),
+    };
+    (rendered, tna_report, v1_report)
+}
+
+/// Parse and analyze `source`, by hand.
+fn frontend(name: &str, source: &str) -> (ParsedUnit, Analysis, DiagnosticSink) {
     let (parsed, mut diags) = netcl::lang::parse(name, source);
     let (analysis, sema_diags) = netcl::sema::analyze(&parsed);
     diags.absorb(sema_diags);
     assert!(!diags.has_errors(), "{name}: {}", diags.render_all(&parsed.source_map));
+    (parsed, analysis, diags)
+}
+
+fn by_hand(name: &str, source: &str) -> Vec<Whole> {
+    let (parsed, analysis, mut diags) = frontend(name, source);
     let mut out = Vec::new();
     for dev in analysis.model.mentioned_devices() {
         let base = lower::lower_device(&parsed, &analysis, dev, &mut diags);
-        let mut whole = |target| {
-            // The bare and the reporting entry point are one pipeline.
-            let (mut ir, mut reported) = (base.clone(), base.clone());
-            run_pipeline(&mut ir, target, &flags, &mut diags).expect("pipeline accepts");
-            let (r, report) = run_pipeline_with_report(&mut reported, target, &flags, &mut diags);
-            r.expect("pipeline accepts");
-            assert_eq!(print_module(&ir), print_module(&reported));
-            (ir, untimed(&report))
-        };
-        let (tna_ir, tna_report) = whole(PipelineTarget::Tofino);
-        let (v1_ir, v1_report) = whole(PipelineTarget::V1Model);
-        let rendered = Rendered {
-            device: dev,
-            tna_p4: print_program(&codegen::generate(&tna_ir, Target::Tna).expect("codegen")),
-            v1_p4: print_program(&codegen::generate(&v1_ir, Target::V1Model).expect("codegen")),
-            tna_ir: print_module(&tna_ir),
-            v1_ir: print_module(&v1_ir),
-        };
-        out.push((rendered, tna_report, v1_report));
+        out.push(whole_device(&base, &mut diags));
     }
     out
+}
+
+/// `d` is `want`, and carries `want`'s reports exactly when asked for them.
+fn assert_device_matches(d: &CompiledDevice, want: &Whole, pass_report: bool, what: &str) {
+    let (want, want_tna, want_v1) = want;
+    let got = Rendered {
+        device: d.device,
+        tna_ir: print_module(&d.tna_ir),
+        v1_ir: print_module(&d.v1_ir),
+        tna_p4: print_program(&d.tna_p4),
+        v1_p4: print_program(&d.v1_p4),
+    };
+    assert_eq!(&got, want, "{what}");
+    match (d.tna_pass_report.as_ref(), d.v1_pass_report.as_ref()) {
+        (Some(tna), Some(v1)) if pass_report => {
+            assert_eq!(&untimed(tna), want_tna, "{what}");
+            assert_eq!(&untimed(v1), want_v1, "{what}");
+            tna.reconcile().expect("per-pass and per-kernel views agree");
+            v1.reconcile().expect("per-pass and per-kernel views agree");
+        }
+        (None, None) if !pass_report => {}
+        _ => panic!("{what}: reports present iff asked for"),
+    }
 }
 
 fn assert_split_matches_whole(name: &str, source: &str) {
@@ -87,26 +131,8 @@ fn assert_split_matches_whole(name: &str, source: &str) {
             .compile(name, source)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(unit.devices.len(), whole.len(), "{name}");
-        for (d, (want, want_tna, want_v1)) in unit.devices.iter().zip(&whole) {
-            let got = Rendered {
-                device: d.device,
-                tna_ir: print_module(&d.tna_ir),
-                v1_ir: print_module(&d.v1_ir),
-                tna_p4: print_program(&d.tna_p4),
-                v1_p4: print_program(&d.v1_p4),
-            };
-            assert_eq!(&got, want, "{name} device {}", d.device);
-            let reports = (d.tna_pass_report.as_ref(), d.v1_pass_report.as_ref());
-            match reports {
-                (Some(tna), Some(v1)) if pass_report => {
-                    assert_eq!(&untimed(tna), want_tna, "{name} device {}", d.device);
-                    assert_eq!(&untimed(v1), want_v1, "{name} device {}", d.device);
-                    tna.reconcile().expect("per-pass and per-kernel views agree");
-                    v1.reconcile().expect("per-pass and per-kernel views agree");
-                }
-                (None, None) if !pass_report => {}
-                _ => panic!("{name}: reports present iff asked for"),
-            }
+        for (d, want) in unit.devices.iter().zip(&whole) {
+            assert_device_matches(d, want, pass_report, &format!("{name} device {}", d.device));
         }
     }
 }
@@ -117,6 +143,46 @@ fn every_shipped_application() {
         assert_split_matches_whole(app.name, &app.netcl_source);
     }
     assert_split_matches_whole("paxos.ncl", &paxos::full_source());
+}
+
+/// AGG + CACHE behind one dispatch (the shapes of `tests/fit_golden.rs` and
+/// `crates/bench/tests/tenancy.rs`): the merged device and each solo slice
+/// are what the by-hand run makes of `merge::merge`'s modules, reports
+/// included — the tenant driver used to drop `CompileOptions::pass_report`.
+#[test]
+fn merged_and_solo_tenant_devices() {
+    let agg_src = agg::netcl_source(&agg::AggConfig { slot_size: 8, ..Default::default() });
+    let cache_src = cache::netcl_source(&cache::CacheConfig { words: 4, ..Default::default() });
+    let sources = [
+        TenantSource { tenant: 0, name: "agg.ncl", source: &agg_src },
+        TenantSource { tenant: 1, name: "cache.ncl", source: &cache_src },
+    ];
+    let mut diags = DiagnosticSink::new();
+    let units: Vec<TenantUnit> = sources
+        .iter()
+        .map(|ts| {
+            let (parsed, analysis, mut diags) = frontend(ts.name, ts.source);
+            let module = lower::lower_device(&parsed, &analysis, 1, &mut diags);
+            TenantUnit { tenant: ts.tenant, module }
+        })
+        .collect();
+    let merged = merge::merge(&units).expect("AGG + CACHE merge");
+    let want_merged = whole_device(&merged.module, &mut diags);
+    let want_solo: Vec<Whole> = sources
+        .iter()
+        .map(|ts| whole_device(&merged.solo(ts.tenant).expect("merged tenant"), &mut diags))
+        .collect();
+
+    for pass_report in [false, true] {
+        let options = CompileOptions { pass_report, ..Default::default() };
+        let m = compile_tenants(&sources, 1, &options, &Default::default())
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_device_matches(&m.merged, &want_merged, pass_report, "merged");
+        assert_eq!(m.tenants.len(), want_solo.len());
+        for (t, want) in m.tenants.iter().zip(&want_solo) {
+            assert_device_matches(&t.solo, want, pass_report, &format!("solo {}", t.tenant));
+        }
+    }
 }
 
 fn pick(choices: [u32; 3]) -> impl Strategy<Value = u32> {
