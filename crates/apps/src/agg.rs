@@ -14,8 +14,8 @@ use std::sync::{Arc, Mutex};
 use netcl_bmv2::Switch;
 use netcl_net::{HostEvent, LinkSpec, NetworkBuilder, NodeId, Outbox};
 use netcl_p4::ast::*;
-use netcl_runtime::message::{pack, unpack, Message};
-use netcl_runtime::reliable::{Reliable, RetryPolicy};
+use netcl_runtime::message::{pack_into, unpack, Message};
+use netcl_runtime::reliable::{IntMap, Reliable, RetryPolicy};
 use netcl_sema::builtins::{AtomicOp, AtomicRmw};
 use netcl_sema::model::Specification;
 
@@ -447,37 +447,41 @@ pub struct WorkerState {
     /// Chunks whose aggregate this worker has received.
     pub completed: Vec<u32>,
     /// Received aggregates (chunk → values).
-    pub results: std::collections::HashMap<u32, Vec<u64>>,
+    pub results: IntMap<u32, Vec<u64>>,
     /// Received max-exponents per chunk.
-    pub exps: std::collections::HashMap<u32, u64>,
+    pub exps: IntMap<u32, u64>,
     /// Retransmissions sent.
     pub retransmits: u64,
     /// Outstanding chunk per slot.
-    pub inflight: std::collections::HashMap<u32, u32>,
+    pub inflight: IntMap<u32, u32>,
 }
 
 /// Builds the chunk packet worker `w` sends for chunk `c`.
 pub fn chunk_packet(cfg: &AggConfig, w: u32, c: u32) -> Vec<u8> {
-    let s = spec(cfg);
+    let mut wire = Vec::new();
+    pack_chunk(cfg, &spec(cfg), w, c, &mut Vec::new(), &mut wire);
+    wire
+}
+
+/// [`chunk_packet`] into `wire`, for a worker that sends one per event: the
+/// specification is built once and `lanes` / `wire` are its to reuse.
+fn pack_chunk(
+    cfg: &AggConfig,
+    s: &Specification,
+    w: u32,
+    c: u32,
+    lanes: &mut Vec<u64>,
+    wire: &mut Vec<u8>,
+) {
     let slot = c % cfg.num_slots;
     let ver = (c / cfg.num_slots) % 2;
     let agg_idx = ver * cfg.num_slots + slot;
-    let values: Vec<u64> = (0..cfg.slot_size).map(|i| element(w, c, i)).collect();
+    lanes.clear();
+    lanes.extend((0..cfg.slot_size).map(|i| element(w, c, i)));
     let exp = (w as u64 % 8) + (c as u64 % 4); // worker-local exponent
     let m = Message::new((100 + w) as u16, (100 + w) as u16, 1, 1);
-    pack(
-        &m,
-        &s,
-        &[
-            Some(&[ver as u64]),
-            Some(&[slot as u64]),
-            Some(&[agg_idx as u64]),
-            Some(&[1u64 << w]),
-            Some(&[exp]),
-            Some(&values),
-        ],
-    )
-    .expect("chunk packs")
+    let args = [&[ver as u64][..], &[slot as u64], &[agg_idx as u64], &[1 << w], &[exp], lanes];
+    pack_into(&m, s, &args.map(Some), wire).expect("chunk packs");
 }
 
 /// The base retransmission timeout used by workers (backed off and capped
@@ -525,15 +529,18 @@ pub fn worker_handler(
 ) -> netcl_net::HostHandler {
     let s = spec(&cfg);
     let mut rel = Reliable::new(RetryPolicy { base_rto_ns: RTO_NS, ..Default::default() });
+    state.lock().unwrap().results.reserve(total_chunks as usize);
+    // Scratch the handler reuses; only `values` is new per result, because
+    // `results` keeps it.
+    let (mut agg_idx, mut exp, mut lanes, mut wire) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     Box::new(move |_now, ev, out: &mut Outbox| {
         let mut st = state.lock().unwrap();
         match ev {
             HostEvent::Message(bytes) => {
-                let mut agg_idx = Vec::new();
-                let mut exp = Vec::new();
                 let mut values = Vec::new();
                 let Ok(_) = unpack(
-                    &bytes,
+                    bytes,
                     &s,
                     &mut [None, None, Some(&mut agg_idx), None, Some(&mut exp), Some(&mut values)],
                 ) else {
@@ -554,7 +561,8 @@ pub fn worker_handler(
                 if next < total_chunks {
                     st.inflight.insert(slot, next);
                     if guard_ns == 0 {
-                        rel.send(next as u64, chunk_packet(&cfg, w, next), out);
+                        pack_chunk(&cfg, &s, w, next, &mut lanes, &mut wire);
+                        rel.send(next as u64, &wire, out);
                     } else {
                         // Reuse the slot only after the quiet period: the
                         // timer token re-enters the kickoff path below.
@@ -572,7 +580,8 @@ pub fn worker_handler(
                     let chunk = token as u32;
                     let slot = chunk % cfg.num_slots;
                     if st.inflight.get(&slot) == Some(&chunk) && !st.results.contains_key(&chunk) {
-                        rel.send(token, chunk_packet(&cfg, w, chunk), out);
+                        pack_chunk(&cfg, &s, w, chunk, &mut lanes, &mut wire);
+                        rel.send(token, &wire, out);
                     }
                 }
                 st.retransmits = rel.stats.retransmits;

@@ -15,7 +15,7 @@ use netcl_bmv2::{Switch, TableUpdate};
 use netcl_net::{HostEvent, LinkSpec, NetworkBuilder, Outbox};
 use netcl_p4::ast::*;
 use netcl_runtime::managed::ManagedMemory;
-use netcl_runtime::message::{pack, unpack, Message};
+use netcl_runtime::message::{pack, pack_into, unpack, Message};
 use netcl_sema::builtins::{AtomicOp, AtomicRmw, HashKind};
 use netcl_sema::model::{LookupEntry, Specification};
 
@@ -148,8 +148,23 @@ pub fn request(
     key: u64,
     value: Option<&[u64]>,
 ) -> Vec<u8> {
+    let mut wire = Vec::new();
+    request_into(&spec(cfg), client, server, op, key, value, &mut wire);
+    wire
+}
+
+/// [`request`] into `wire`, against a specification the caller built once.
+fn request_into(
+    s: &Specification,
+    client: u16,
+    server: u16,
+    op: u64,
+    key: u64,
+    value: Option<&[u64]>,
+    wire: &mut Vec<u8>,
+) {
     let m = Message::new(client, server, 1, 1);
-    pack(&m, &spec(cfg), &[Some(&[op]), Some(&[key]), None, None, value]).expect("packs")
+    pack_into(&m, s, &[Some(&[op]), Some(&[key]), None, None, value], wire).expect("packs");
 }
 
 /// The deterministic server-side value for a key.
@@ -650,11 +665,10 @@ pub fn run_cache_experiment(
     // Host 2: KVS server answering misses.
     let cfg2 = *cfg;
     let s2 = s.clone();
+    let (mut op, mut k) = (Vec::new(), Vec::new());
     let server = Box::new(move |_now: u64, ev: HostEvent, out: &mut Outbox| {
         let HostEvent::Message(bytes) = ev else { return };
-        let mut op = Vec::new();
-        let mut k = Vec::new();
-        let Ok(msg) = unpack(&bytes, &s2, &mut [Some(&mut op), Some(&mut k), None, None, None])
+        let Ok(msg) = unpack(bytes, &s2, &mut [Some(&mut op), Some(&mut k), None, None, None])
         else {
             return;
         };
@@ -678,16 +692,15 @@ pub fn run_cache_experiment(
     let state = Arc::new(Mutex::new((0u64, Vec::<u64>::new(), 0u64))); // (hits, latencies, outstanding_key)
     let st2 = state.clone();
     let s3 = s.clone();
-    let cfg3 = *cfg;
     let sent_at = Arc::new(Mutex::new(0u64));
     let sent_at2 = sent_at.clone();
     let queries_total = queries;
     let issued = Arc::new(Mutex::new(1u32));
     let issued2 = issued.clone();
+    let mut hit = Vec::new();
     let client = Box::new(move |now: u64, ev: HostEvent, out: &mut Outbox| {
         let HostEvent::Message(bytes) = ev else { return };
-        let mut hit = Vec::new();
-        if unpack(&bytes, &s3, &mut [None, None, Some(&mut hit), None, None]).is_err() {
+        if unpack(bytes, &s3, &mut [None, None, Some(&mut hit), None, None]).is_err() {
             return;
         }
         let mut st = st2.lock().unwrap();
@@ -700,7 +713,9 @@ pub fn run_cache_experiment(
             *n += 1;
             drop(st);
             *sent_at2.lock().unwrap() = now + 2000;
-            out.send(0, request(&cfg3, 1, 2, OP_GET, key, None));
+            let mut wire = Vec::new();
+            request_into(&s3, 1, 2, OP_GET, key, None, &mut wire);
+            out.send(0, wire);
         }
     });
 
@@ -780,13 +795,11 @@ pub fn run_cache_chaos(
     let store_srv = store.clone();
     let s_srv = s.clone();
     let cfg_srv = *cfg;
+    let (mut op, mut k, mut v) = (Vec::new(), Vec::new(), Vec::new());
     let server = Box::new(move |_now: u64, ev: HostEvent, out: &mut Outbox| {
         let HostEvent::Message(bytes) = ev else { return };
-        let mut op = Vec::new();
-        let mut k = Vec::new();
-        let mut v = Vec::new();
         let Ok(msg) =
-            unpack(&bytes, &s_srv, &mut [Some(&mut op), Some(&mut k), None, None, Some(&mut v)])
+            unpack(bytes, &s_srv, &mut [Some(&mut op), Some(&mut k), None, None, Some(&mut v)])
         else {
             return;
         };
@@ -825,23 +838,22 @@ pub fn run_cache_chaos(
     // PUT-ack GET it back (reliable key `k<<1|1`), check the value.
     let progress = Arc::new(Mutex::new((0u64, 0u64))); // (completed, stale)
     let progress_cl = progress.clone();
-    let s_cl = s.clone();
+    let s_cl = s;
     let cfg_cl = *cfg;
     let mut rel = Reliable::new(RetryPolicy { base_rto_ns: 100_000, ..Default::default() });
+    let (mut op, mut k, mut v, mut wire) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     let client = Box::new(move |_now: u64, ev: HostEvent, out: &mut Outbox| match ev {
         HostEvent::Message(bytes) => {
-            let mut op = Vec::new();
-            let mut k = Vec::new();
-            let mut v = Vec::new();
             let Ok(_) =
-                unpack(&bytes, &s_cl, &mut [Some(&mut op), Some(&mut k), None, None, Some(&mut v)])
+                unpack(bytes, &s_cl, &mut [Some(&mut op), Some(&mut k), None, None, Some(&mut v)])
             else {
                 return;
             };
             let key = k[0];
             if op[0] == OP_PUT {
                 if rel.ack_key(key << 1) {
-                    rel.send((key << 1) | 1, request(&cfg_cl, 1, 2, OP_GET, key, None), out);
+                    request_into(&s_cl, 1, 2, OP_GET, key, None, &mut wire);
+                    rel.send((key << 1) | 1, &wire, out);
                 }
             } else if op[0] == OP_GET && rel.ack_key((key << 1) | 1) {
                 let mut st = progress_cl.lock().unwrap();
@@ -855,11 +867,9 @@ pub fn run_cache_chaos(
             if !rel.on_timer(token, out) {
                 // Kickoff token: one reliable PUT per key.
                 let key = token;
-                rel.send(
-                    key << 1,
-                    request(&cfg_cl, 1, 2, OP_PUT, key, Some(&chaos_put_value(&cfg_cl, key))),
-                    out,
-                );
+                let value = chaos_put_value(&cfg_cl, key);
+                request_into(&s_cl, 1, 2, OP_PUT, key, Some(&value), &mut wire);
+                rel.send(key << 1, &wire, out);
             }
         }
     });

@@ -189,12 +189,19 @@ pub fn spec() -> Specification {
     }
 }
 
+/// The one [`spec`] the packet builders and handlers below share, instead
+/// of building it per message.
+fn shared_spec() -> &'static Specification {
+    static SPEC: std::sync::OnceLock<Specification> = std::sync::OnceLock::new();
+    SPEC.get_or_init(spec)
+}
+
 /// Builds a client proposal.
 pub fn proposal(client: u16, replica: u16, round: u64, value: &[u64; 8]) -> Vec<u8> {
     let m = Message::new(client, replica, 1, LEADER_DEV);
     pack(
         &m,
-        &spec(),
+        shared_spec(),
         &[
             Some(&[T_REQUEST]),
             Some(&[0]),
@@ -212,8 +219,12 @@ pub fn parse_delivery(bytes: &[u8]) -> Option<(u64, Vec<u64>)> {
     let mut ty = Vec::new();
     let mut inst = Vec::new();
     let mut val = Vec::new();
-    unpack(bytes, &spec(), &mut [Some(&mut ty), Some(&mut inst), None, None, None, Some(&mut val)])
-        .ok()?;
+    unpack(
+        bytes,
+        shared_spec(),
+        &mut [Some(&mut ty), Some(&mut inst), None, None, None, Some(&mut val)],
+    )
+    .ok()?;
     if ty[0] == T_DELIVER {
         Some((inst[0], val))
     } else {
@@ -254,7 +265,7 @@ pub fn ack_packet(replica: u16, proposer: u16, pid: u64) -> Vec<u8> {
     let m = Message::new(replica, proposer, 1, netcl_runtime::device::NO_DEVICE);
     pack(
         &m,
-        &spec(),
+        shared_spec(),
         &[Some(&[T_ACK]), Some(&[0]), Some(&[0]), Some(&[0]), Some(&[0]), Some(&chaos_value(pid))],
     )
     .expect("packs")
@@ -300,7 +311,7 @@ pub fn run_paxos_chaos(
     let dels = deliveries.clone();
     let replica = Box::new(move |_now: u64, ev: HostEvent, out: &mut Outbox| {
         let HostEvent::Message(bytes) = ev else { return };
-        let Some((inst, val)) = parse_delivery(&bytes) else { return };
+        let Some((inst, val)) = parse_delivery(bytes) else { return };
         let pid = val[1];
         dels.lock().unwrap().entry(inst).or_default().push(val);
         out.send(0, ack_packet(2, 1, pid));
@@ -311,13 +322,12 @@ pub fn run_paxos_chaos(
     let acked = Arc::new(Mutex::new(0u64));
     let acked2 = acked.clone();
     let mut rel = Reliable::new(RetryPolicy { base_rto_ns: 300_000, ..Default::default() });
+    let (mut ty, mut val) = (Vec::new(), Vec::new());
     let proposer = Box::new(move |_now: u64, ev: HostEvent, out: &mut Outbox| match ev {
         HostEvent::Message(bytes) => {
-            let mut ty = Vec::new();
-            let mut val = Vec::new();
             let Ok(_) = unpack(
-                &bytes,
-                &spec(),
+                bytes,
+                shared_spec(),
                 &mut [Some(&mut ty), None, None, None, None, Some(&mut val)],
             ) else {
                 return;
@@ -329,7 +339,7 @@ pub fn run_paxos_chaos(
         HostEvent::Timer(token) => {
             if !rel.on_timer(token, out) {
                 let pid = token;
-                rel.send(pid, proposal(1, 2, 1, &chaos_value(pid)), out);
+                rel.send(pid, &proposal(1, 2, 1, &chaos_value(pid)), out);
             }
         }
     });

@@ -81,6 +81,8 @@ pub(crate) struct RouteCore {
     specs: Vec<LinkSpec>,
     /// Degree-1 marks, parallel to `nodes` (fits L1 even at 10⁴ hosts).
     leaf: Vec<bool>,
+    /// Multicast group id → members, dense by id (an absent id is empty).
+    pub(crate) groups: Vec<Vec<NodeId>>,
     /// Whether the topology is one connected component. On a connected
     /// fault-free topology every node can reach every other, which
     /// licenses the degree-1 shortcuts below without a reachability check.
@@ -251,6 +253,10 @@ impl RouteCache {
                 }));
             }
             core.adj_off.push(core.adj_to.len() as u32);
+        }
+        for (&gid, members) in &topo.groups {
+            core.groups.resize(core.groups.len().max(gid as usize + 1), Vec::new());
+            core.groups[gid as usize] = members.clone();
         }
         let n = core.nodes.len();
         core.leaf = (0..n as u32).map(|i| core.neigh(i).len() == 1).collect();

@@ -15,8 +15,8 @@ use netcl_runtime::device::DeviceRuntime;
 use super::queue::EventQueue;
 use super::stats::tid_of;
 use super::{
-    DeviceNode, FlowPump, HostHandler, HostNode, NetObs, NetStats, Network, ObsConfig, RestartHook,
-    Slot,
+    DeviceNode, FlowPump, HostHandler, HostNode, NetObs, NetStats, Network, ObsConfig, Outbox,
+    RestartHook, Slot,
 };
 use crate::fault::{Fault, FaultSchedule};
 use crate::route::RouteCache;
@@ -160,7 +160,6 @@ impl NetworkBuilder {
             .map(|(i, &n)| Slot::new(n, self.seed, part.is_none_or(|(o, s)| o[i] == s)))
             .collect();
         let mut net = Network {
-            topology: self.topology,
             slots,
             events: EventQueue::new(),
             touched: Vec::with_capacity(routes.core.nodes.len()),
@@ -177,6 +176,7 @@ impl NetworkBuilder {
             routes,
             xs_out: Vec::new(),
             flows: FlowPump::default(),
+            outbox: Outbox::default(),
         };
         for (id, mut switch, latency_ns) in self.devices {
             if let Some(engine) = self.engine {

@@ -6,8 +6,10 @@
 //! - Chaos draws for a hop come from the *sending* node's RNG stream, and
 //!   every push made while handling a message is keyed by the node it is
 //!   handled at, so a shard owning that node reproduces the scalar run.
-
-use std::sync::Arc;
+//! - A message is one buffer from the event that carries it to the log it
+//!   ends in: hops move it, a host handler borrows it, `received` keeps it.
+//!   Copies are made only where there are two owners — a duplicating link,
+//!   and every multicast member but the last.
 
 use netcl_obs::Value;
 use netcl_runtime::device::Forward;
@@ -15,7 +17,7 @@ use netcl_runtime::message::Message;
 use netcl_sema::builtins::ActionKind;
 
 use super::stats::tid_of;
-use super::{EventKind, HostEvent, Network, Outbox, HOST_PROCESS_NS};
+use super::{EventKind, HostEvent, Network, HOST_PROCESS_NS};
 use crate::topo::{link_key, NodeId};
 
 impl Network {
@@ -210,11 +212,11 @@ impl Network {
             Forward::ToHost(h) => self.transmit(dev, NodeId::Host(h as u32), at, bytes),
             Forward::ToDevice(d) => self.transmit(dev, NodeId::Device(d), at, bytes),
             Forward::Multicast(gid) => {
-                let topology = Arc::clone(&self.topology);
-                let members = topology.groups.get(&gid).map_or(&[][..], Vec::as_slice);
-                for (k, &m) in members.iter().enumerate() {
+                let members = self.routes.core.groups.get(gid as usize).map_or(0, Vec::len);
+                for k in 0..members {
+                    let m = self.routes.core.groups[gid as usize][k];
                     // The last member's copy is the buffer itself.
-                    let last = k + 1 == members.len();
+                    let last = k + 1 == members;
                     let mut copy = if last { std::mem::take(&mut bytes) } else { bytes.clone() };
                     // A device member of the group becomes the computing
                     // target of its copy (P4xos: the leader multicasts
@@ -232,36 +234,39 @@ impl Network {
         }
     }
 
+    /// A message lands at a host: counted, lent to the handler (if any),
+    /// then moved into the host's `received` log — one buffer, never copied.
     pub(super) fn host_receive(&mut self, host: u32, bytes: Vec<u8>) {
         let (here, now) = (self.slots[host as usize].id, self.clock);
         self.stats.delivered += 1;
         self.count(host).delivered += 1;
         self.trace_instant("deliver", here, now);
-        let Some(node) = &mut self.slots[host as usize].host else { return };
-        // A sink keeps the message itself; a handler gets its own.
-        let handled = node.handler.is_some().then(|| bytes.clone());
-        node.received.push((now, bytes));
-        if let Some(bytes) = handled {
-            self.host_handle(host, HostEvent::Message(bytes), HOST_PROCESS_NS);
+        self.host_handle(host, HostEvent::Message(&bytes), HOST_PROCESS_NS);
+        if let Some(node) = &mut self.slots[host as usize].host {
+            node.received.push((now, bytes));
         }
     }
 
     /// Runs the host's handler (if any) on `ev`; what it sends and arms
-    /// goes out `delay` after now.
-    pub(super) fn host_handle(&mut self, host: u32, ev: HostEvent, delay: u64) {
+    /// goes out `delay` after now, through the network's one [`Outbox`].
+    pub(super) fn host_handle(&mut self, host: u32, ev: HostEvent<'_>, delay: u64) {
         let now = self.clock;
         let Some(handler) =
             self.slots[host as usize].host.as_mut().and_then(|h| h.handler.as_mut())
         else {
             return;
         };
-        let mut outbox = Outbox::default();
-        handler(now, ev, &mut outbox);
-        for (delay_ns, bytes) in outbox.sends {
-            self.push_from(host, now + delay + delay_ns, EventKind::HostSend(host, bytes));
+        handler(now, ev, &mut self.outbox);
+        // Saturating: a delay past the end of time lands at `u64::MAX`, in no
+        // horizon, instead of wrapping into the past.
+        let at = |delay_ns: u64| now.saturating_add(delay).saturating_add(delay_ns);
+        let mut outbox = std::mem::take(&mut self.outbox);
+        for (delay_ns, bytes) in outbox.sends.drain(..) {
+            self.push_from(host, at(delay_ns), EventKind::HostSend(host, bytes));
         }
-        for (delay_ns, token) in outbox.timers {
-            self.push_from(host, now + delay + delay_ns, EventKind::Timer(host, token));
+        for (delay_ns, token) in outbox.timers.drain(..) {
+            self.push_from(host, at(delay_ns), EventKind::Timer(host, token));
         }
+        self.outbox = outbox;
     }
 }

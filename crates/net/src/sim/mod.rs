@@ -31,7 +31,6 @@ pub use builder::NetworkBuilder;
 pub use stats::{NetObs, NetStats, NodeCounters, ObsConfig};
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 use netcl_bmv2::{Packet, Switch, TableUpdate};
 use netcl_obs::{Stopwatch, Trace};
@@ -39,15 +38,16 @@ use netcl_runtime::device::DeviceRuntime;
 
 use crate::fault::Fault;
 use crate::route::RouteCache;
-use crate::topo::{link_key, mix64, NodeId, Topology};
+use crate::topo::{link_key, mix64, NodeId};
 use queue::EventQueue;
 use stats::tid_of;
 
 /// Events delivered to a host handler.
-#[derive(Debug, Clone)]
-pub enum HostEvent {
-    /// A NetCL message arrived.
-    Message(Vec<u8>),
+#[derive(Debug, Clone, Copy)]
+pub enum HostEvent<'a> {
+    /// A NetCL message arrived: its wire bytes, lent for the call (the
+    /// host's `received` log keeps the buffer).
+    Message(&'a [u8]),
     /// A timer the host armed fired.
     Timer(u64),
 }
@@ -73,7 +73,7 @@ impl Outbox {
 
 /// A host's application logic. `Send` so a host can live on a shard
 /// thread ([`crate::shard::ShardedNetwork`]).
-pub type HostHandler = Box<dyn FnMut(u64, HostEvent, &mut Outbox) + Send>;
+pub type HostHandler = Box<dyn FnMut(u64, HostEvent<'_>, &mut Outbox) + Send>;
 
 /// A device restart hook: runs against the freshly-restarted switch so the
 /// application can repopulate `_managed_` state through the control plane
@@ -202,7 +202,6 @@ impl Slot {
 
 /// The running simulation.
 pub struct Network {
-    topology: Arc<Topology>,
     /// The node table: topology nodes at their route index, then ids the
     /// topology lacks, in first-use order.
     slots: Vec<Slot>,
@@ -244,6 +243,9 @@ pub struct Network {
     /// Streamed driver injections ([`Network::set_flow_source`]); pulled
     /// as the run loop reaches each flow's injection time.
     flows: FlowPump,
+    /// What the handler being run sends and arms; drained after every call,
+    /// so the two vectors are allocated once per network.
+    outbox: Outbox,
 }
 
 /// Deterministic event provenance, the same-timestamp tiebreaker.
@@ -666,6 +668,7 @@ mod tests {
     use super::*;
     use crate::topo::{star, LinkSpec};
     use netcl_runtime::message::{pack, unpack, Message};
+    use std::sync::Arc;
 
     thread_local! {
         /// Nodes folded by [`Network::fold_counters`] calls on this thread.
@@ -704,7 +707,7 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
             let mut op = Vec::new();
             let mut k = Vec::new();
             let msg =
-                unpack(&bytes, &spec2, &mut [Some(&mut op), Some(&mut k), None, None]).unwrap();
+                unpack(bytes, &spec2, &mut [Some(&mut op), Some(&mut k), None, None]).unwrap();
             let reply = Message::new(msg.dst, msg.src, 0, netcl_runtime::device::NO_DEVICE);
             let v = k[0] * 1000;
             let packed =
@@ -1203,6 +1206,29 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
         net.set_host_timer(1, 900, 3);
         net.run(10);
         assert_eq!(*fired.lock().unwrap(), vec![(100, 1), (500, 2), (900, 3)]);
+    }
+
+    /// A handler's delay cannot wrap simulated time: what it arms or sends
+    /// past the end of time lands at `u64::MAX`, in no horizon — it never
+    /// runs and the run returns. Unchecked, `now + delay` panicked in debug
+    /// and in release landed in the past and fired at once.
+    #[test]
+    fn a_delay_past_the_end_of_time_never_fires() {
+        let fired = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let f2 = fired.clone();
+        let handler = Box::new(move |now: u64, ev: HostEvent, out: &mut Outbox| {
+            let HostEvent::Timer(tok) = ev else { return };
+            f2.lock().unwrap().push((now, tok));
+            out.set_timer(u64::MAX, tok + 1);
+            out.send(u64::MAX - 50, vec![0; netcl_runtime::NCL_HEADER_BYTES]);
+        });
+        let mut net =
+            NetworkBuilder::new(star(1, &[1], LinkSpec::default())).host(1, handler).build();
+        net.set_host_timer(1, 100, 1);
+        assert_eq!(net.run(10), 1, "the kick-off timer and nothing else");
+        assert_eq!(*fired.lock().unwrap(), vec![(100, 1)]);
+        assert_eq!((net.now(), net.stats.events), (100, 1));
+        assert_eq!((net.queue_len(), net.next_event_time()), (2, Some(u64::MAX)));
     }
 
     /// Queues `arrivals` at device 1 of a fresh star network, all at t=1000

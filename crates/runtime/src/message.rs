@@ -12,6 +12,13 @@
 //! caller wants to skip ("to avoid unnecessary copying the programmer may
 //! supply NULL to ignore an argument"): packing writes zeros, unpacking
 //! skips the copy.
+//!
+//! There is one pack loop ([`pack_into`]) and one unpack loop ([`unpack`]).
+//! Both validate the whole specification first, then make one pass over the
+//! scalars and one over the arrays, moving each element as one big-endian
+//! word of its width. A host that sends a message per event keeps one wire
+//! buffer and one vector per argument it reads and hands them back every
+//! time: neither loop allocates once those have grown to the message.
 
 use netcl_sema::model::Specification;
 
@@ -38,6 +45,14 @@ pub enum MessageError {
         /// Supplied element count.
         got: usize,
     },
+    /// An argument's element is not 1 to 8 bytes wide: a value is carried
+    /// as one `u64`, so the wire format has no encoding for it.
+    ArgWidth {
+        /// Argument position.
+        arg: usize,
+        /// Its element's width on the wire, in bytes.
+        bytes: u32,
+    },
     /// Buffer too short to unpack.
     Truncated,
 }
@@ -50,6 +65,9 @@ impl std::fmt::Display for MessageError {
             }
             MessageError::ArgLen { arg, expected, got } => {
                 write!(f, "argument {arg} needs {expected} elements, got {got}")
+            }
+            MessageError::ArgWidth { arg, bytes } => {
+                write!(f, "argument {arg} is {bytes} bytes wide; the wire carries 1 to 8")
             }
             MessageError::Truncated => write!(f, "message buffer too short"),
         }
@@ -124,13 +142,53 @@ impl Message {
     }
 }
 
-/// Wire order of specification items: scalars first, then arrays — mirroring
-/// the generated parser (`args_c<N>` header, then per-argument stacks).
-pub fn wire_order(spec: &Specification) -> Vec<usize> {
-    let mut order: Vec<usize> = Vec::with_capacity(spec.items.len());
-    order.extend(spec.items.iter().enumerate().filter(|(_, i)| i.count == 1).map(|(i, _)| i));
-    order.extend(spec.items.iter().enumerate().filter(|(_, i)| i.count > 1).map(|(i, _)| i));
-    order
+/// Checks what `pack_into` and `unpack` both need before they touch a
+/// buffer — one argument per specification item, each element 1 to 8 bytes
+/// on the wire — and returns the packet size.
+fn checked_size(spec: &Specification, args: usize) -> Result<usize, MessageError> {
+    if args != spec.items.len() {
+        return Err(MessageError::ArgCount { expected: spec.items.len(), got: args });
+    }
+    let mut size = NCL_HEADER_BYTES;
+    for (arg, item) in spec.items.iter().enumerate() {
+        let bytes = item.ty.size_bytes();
+        if !(1..=8).contains(&bytes) {
+            return Err(MessageError::ArgWidth { arg, bytes });
+        }
+        size += (bytes * item.count) as usize;
+    }
+    Ok(size)
+}
+
+/// Item indices in wire order: scalars first, then arrays — mirroring the
+/// generated parser (`args_c<N>` header, then per-argument stacks).
+fn wire_indices(spec: &Specification) -> impl Iterator<Item = usize> + '_ {
+    let pass = move |arrays: bool| {
+        (0..spec.items.len()).filter(move |&i| (spec.items[i].count > 1) == arrays)
+    };
+    pass(false).chain(pass(true))
+}
+
+/// Big-endian store of the low `slot.len()` (1 to 8) bytes of `v`; the
+/// power-of-two widths compile to single stores.
+fn be_store(slot: &mut [u8], v: u64) {
+    match slot.len() {
+        1 => slot[0] = v as u8,
+        2 => slot.copy_from_slice(&(v as u16).to_be_bytes()),
+        4 => slot.copy_from_slice(&(v as u32).to_be_bytes()),
+        n => slot.copy_from_slice(&v.to_be_bytes()[8 - n..]),
+    }
+}
+
+/// Big-endian load of a 1 to 8 byte element.
+fn be_load(b: &[u8]) -> u64 {
+    match *b {
+        [a] => a as u64,
+        [a, b] => u16::from_be_bytes([a, b]) as u64,
+        [a, b, c, d] => u32::from_be_bytes([a, b, c, d]) as u64,
+        [a, b, c, d, e, f, g, h] => u64::from_be_bytes([a, b, c, d, e, f, g, h]),
+        _ => b.iter().fold(0, |v, &x| (v << 8) | x as u64),
+    }
 }
 
 /// Packs a message: header + arguments per the specification. `args[i]` is
@@ -140,68 +198,64 @@ pub fn pack(
     spec: &Specification,
     args: &[Option<&[u64]>],
 ) -> Result<Vec<u8>, MessageError> {
-    if args.len() != spec.items.len() {
-        return Err(MessageError::ArgCount { expected: spec.items.len(), got: args.len() });
-    }
-    let mut out = Vec::with_capacity(Message::size(spec));
-    msg.write_header(&mut out);
-    for &i in &wire_order(spec) {
-        let item = spec.items[i];
-        let bytes = item.ty.size_bytes() as usize;
-        match args[i] {
-            Some(vals) => {
-                if vals.len() != item.count as usize {
-                    return Err(MessageError::ArgLen {
-                        arg: i,
-                        expected: item.count,
-                        got: vals.len(),
-                    });
-                }
-                for &v in vals {
-                    let wrapped = item.ty.wrap(v);
-                    for b in (0..bytes).rev() {
-                        out.push((wrapped >> (8 * b)) as u8);
-                    }
-                }
-            }
-            None => out.extend(std::iter::repeat_n(0u8, bytes * item.count as usize)),
-        }
-    }
+    let mut out = Vec::new();
+    pack_into(msg, spec, args, &mut out)?;
     Ok(out)
 }
 
+/// [`pack`] into a buffer the caller reuses: `out` is cleared and sized to
+/// the packet in one step, whatever it held. On an error it is untouched.
+pub fn pack_into(
+    msg: &Message,
+    spec: &Specification,
+    args: &[Option<&[u64]>],
+    out: &mut Vec<u8>,
+) -> Result<(), MessageError> {
+    let size = checked_size(spec, args.len())?;
+    for (arg, (item, vals)) in spec.items.iter().zip(args).enumerate() {
+        if let Some(got) = vals.map(<[u64]>::len).filter(|&n| n != item.count as usize) {
+            return Err(MessageError::ArgLen { arg, expected: item.count, got });
+        }
+    }
+    // Zero-filled: an ignored argument is already on the wire.
+    out.clear();
+    out.resize(size, 0);
+    msg.write_header_into(out);
+    let mut at = NCL_HEADER_BYTES;
+    for i in wire_indices(spec) {
+        let item = spec.items[i];
+        let n = item.ty.size_bytes() as usize;
+        let end = at + n * item.count as usize;
+        for (slot, &v) in out[at..end].chunks_exact_mut(n).zip(args[i].unwrap_or_default()) {
+            be_store(slot, item.ty.wrap(v));
+        }
+        at = end;
+    }
+    Ok(())
+}
+
 /// Unpacks a message into `args`. `args[i]` is `Some(&mut Vec)` to receive
-/// the values (resized to the element count) or `None` to skip.
+/// the values (cleared, then filled with one reservation) or `None` to skip.
 pub fn unpack(
     bytes: &[u8],
     spec: &Specification,
     args: &mut [Option<&mut Vec<u64>>],
 ) -> Result<Message, MessageError> {
-    if args.len() != spec.items.len() {
-        return Err(MessageError::ArgCount { expected: spec.items.len(), got: args.len() });
-    }
+    let size = checked_size(spec, args.len())?;
     let msg = Message::read_header(bytes)?;
-    if bytes.len() < Message::size(spec) {
+    if bytes.len() < size {
         return Err(MessageError::Truncated);
     }
-    let mut cursor = NCL_HEADER_BYTES;
-    for &i in &wire_order(spec) {
+    let mut at = NCL_HEADER_BYTES;
+    for i in wire_indices(spec) {
         let item = spec.items[i];
-        let nbytes = item.ty.size_bytes() as usize;
-        match &mut args[i] {
-            Some(out) => {
-                out.clear();
-                for _ in 0..item.count {
-                    let mut v = 0u64;
-                    for b in 0..nbytes {
-                        v = (v << 8) | bytes[cursor + b] as u64;
-                    }
-                    out.push(v);
-                    cursor += nbytes;
-                }
-            }
-            None => cursor += nbytes * item.count as usize,
+        let n = item.ty.size_bytes() as usize;
+        let end = at + n * item.count as usize;
+        if let Some(out) = &mut args[i] {
+            out.clear();
+            out.extend(bytes[at..end].chunks_exact(n).map(be_load));
         }
+        at = end;
     }
     Ok(msg)
 }
@@ -311,6 +365,31 @@ mod tests {
             unpack(&[0u8; 4], &spec, &mut [None, None, None, None, None]).unwrap_err(),
             MessageError::Truncated
         );
+    }
+
+    /// An element wider than 8 bytes has no `u64` to travel in: both
+    /// directions refuse it by name, before the buffer is touched. It used to
+    /// shift by 64 and up — a panic in debug, the low word twice in release.
+    #[test]
+    fn wider_than_a_word_is_refused_not_shifted() {
+        let u32 = netcl_sema::types::ScalarTy { bits: 32, signed: false };
+        let wide = Ty::Rv { range: u32, value: u32 };
+        assert_eq!(wide.size_bytes(), 12);
+        let spec = Specification {
+            items: vec![SpecItem { count: 1, ty: Ty::U8 }, SpecItem { count: 1, ty: wide }],
+        };
+        let refused = MessageError::ArgWidth { arg: 1, bytes: 12 };
+        let m = Message::new(1, 2, 1, 1);
+        let args = [Some(&[7][..]), Some(&[0x1122_3344_5566_7788][..])];
+        assert_eq!(pack(&m, &spec, &args), Err(refused.clone()));
+        let mut out = vec![0xAA; 3];
+        assert_eq!(pack_into(&m, &spec, &args, &mut out), Err(refused.clone()));
+        assert_eq!(out, [0xAA; 3], "a refused pack leaves the buffer alone");
+        let mut v = vec![9];
+        let wire = [0u8; NCL_HEADER_BYTES + 13];
+        assert_eq!(unpack(&wire, &spec, &mut [None, Some(&mut v)]), Err(refused));
+        assert_eq!(v, [9]);
+        assert!(MessageError::ArgWidth { arg: 1, bytes: 12 }.to_string().contains("12 bytes"));
     }
 
     /// The packed bytes parse on the generated P4 program's parser — the

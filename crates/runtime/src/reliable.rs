@@ -14,8 +14,40 @@
 //! The helper owns no clock and no socket — it only emits sends and timer
 //! arms relative to "now" via [`Transport`], which keeps it deterministic
 //! under the simulator and portable to a real event loop.
+//!
+//! Copies: [`Reliable::send`] borrows the caller's wire buffer and makes
+//! the two copies a reliable send needs — the `Vec` the transport (and then
+//! the event) owns, and the retransmission copy, written into a buffer
+//! recycled from a message that was acked, superseded or given up on, so a
+//! steady stream allocates only the former.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiplicative hashing for maps keyed by small integers this program
+/// makes up itself — sequence numbers, chunk ids, slots. Consecutive keys
+/// land in distinct buckets; there is no defence against crafted keys, so
+/// never key one by a value read off the wire.
+#[derive(Default)]
+pub struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b as u64));
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n as u64);
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A `HashMap` over [`IntHasher`].
+pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// The send/timer surface [`Reliable`] drives. In the simulator this is
 /// implemented by `netcl-net`'s `Outbox`; a real host runtime would back it
@@ -77,9 +109,11 @@ pub struct Reliable {
     policy: RetryPolicy,
     next_seq: u64,
     /// Unacked messages by sequence number.
-    pending: HashMap<u64, Pending>,
+    pending: IntMap<u64, Pending>,
     /// Application key → sequence number, for ack lookup.
-    by_key: HashMap<u64, u64>,
+    by_key: IntMap<u64, u64>,
+    /// Retransmission buffers of messages no longer pending, for reuse.
+    spare: Vec<Vec<u8>>,
     /// Delivery counters.
     pub stats: ReliableStats,
 }
@@ -90,8 +124,9 @@ impl Reliable {
         Reliable {
             policy,
             next_seq: 0,
-            pending: HashMap::new(),
-            by_key: HashMap::new(),
+            pending: IntMap::default(),
+            by_key: IntMap::default(),
+            spare: Vec::new(),
             stats: ReliableStats::default(),
         }
     }
@@ -99,25 +134,33 @@ impl Reliable {
     /// Sends `bytes` reliably under the application-chosen `key` (e.g. a
     /// chunk id or request id). If `key` is already in flight the old
     /// message is superseded. Returns the assigned sequence number.
-    pub fn send(&mut self, key: u64, bytes: Vec<u8>, t: &mut impl Transport) -> u64 {
-        if let Some(old_seq) = self.by_key.remove(&key) {
-            self.pending.remove(&old_seq);
-        }
+    pub fn send(&mut self, key: u64, bytes: &[u8], t: &mut impl Transport) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        t.send(0, bytes.clone());
+        if let Some(old_seq) = self.by_key.insert(key, seq) {
+            self.retire(old_seq);
+        }
+        t.send(0, bytes.to_vec());
         t.set_timer(self.policy.base_rto_ns, RELIABLE_TOKEN | seq);
-        self.pending.insert(seq, Pending { key, bytes, attempts: 1 });
-        self.by_key.insert(key, seq);
+        let mut kept = self.spare.pop().unwrap_or_default();
+        bytes.clone_into(&mut kept);
+        self.pending.insert(seq, Pending { key, bytes: kept, attempts: 1 });
         self.stats.sent += 1;
         seq
+    }
+
+    /// Forgets pending message `seq`, keeping its buffer for the next send.
+    fn retire(&mut self, seq: u64) {
+        if let Some(p) = self.pending.remove(&seq) {
+            self.spare.push(p.bytes);
+        }
     }
 
     /// Acknowledges the message sent under `key`. Returns `true` if it was
     /// still pending (i.e. this is the first ack, not a duplicate).
     pub fn ack_key(&mut self, key: u64) -> bool {
         let Some(seq) = self.by_key.remove(&key) else { return false };
-        self.pending.remove(&seq);
+        self.retire(seq);
         self.stats.acked += 1;
         true
     }
@@ -136,7 +179,7 @@ impl Reliable {
         };
         if p.attempts >= self.policy.max_attempts {
             let key = p.key;
-            self.pending.remove(&seq);
+            self.retire(seq);
             self.by_key.remove(&key);
             self.stats.gave_up += 1;
             return true;
@@ -190,7 +233,7 @@ mod tests {
     fn ack_stops_retransmission() {
         let mut t = MockTransport::default();
         let mut rel = Reliable::new(policy());
-        let seq = rel.send(7, vec![1, 2, 3], &mut t);
+        let seq = rel.send(7, &[1, 2, 3], &mut t);
         assert_eq!(t.sends.len(), 1);
         assert_eq!(t.timers, vec![(100, RELIABLE_TOKEN | seq)]);
         assert!(rel.is_pending(7));
@@ -209,7 +252,7 @@ mod tests {
     fn backoff_grows_and_caps() {
         let mut t = MockTransport::default();
         let mut rel = Reliable::new(policy());
-        let seq = rel.send(1, vec![9], &mut t);
+        let seq = rel.send(1, &[9], &mut t);
         let token = RELIABLE_TOKEN | seq;
         // Attempts 2..4: backoff 200, 400, then capped at 400.
         rel.on_timer(token, &mut t);
@@ -231,17 +274,33 @@ mod tests {
     fn foreign_tokens_ignored() {
         let mut t = MockTransport::default();
         let mut rel = Reliable::new(policy());
-        rel.send(1, vec![0], &mut t);
+        rel.send(1, &[0], &mut t);
         assert!(!rel.on_timer(42, &mut t), "plain app token is not ours");
         assert_eq!(t.sends.len(), 1);
+    }
+
+    /// A recycled retransmission buffer carries nothing over: after an ack
+    /// frees a long message's copy, a shorter message sent next retransmits
+    /// exactly its own bytes.
+    #[test]
+    fn a_recycled_buffer_retransmits_only_the_new_message() {
+        let mut t = MockTransport::default();
+        let mut rel = Reliable::new(policy());
+        rel.send(1, &[0xAA; 64], &mut t);
+        assert!(rel.ack_key(1));
+        let seq = rel.send(2, &[1, 2, 3], &mut t);
+        assert_eq!(rel.spare.len(), 0, "the freed buffer was taken, not a fresh one");
+        rel.on_timer(RELIABLE_TOKEN | seq, &mut t);
+        let sent: Vec<&[u8]> = t.sends.iter().map(|(_, b)| &b[..]).collect();
+        assert_eq!(sent, [&[0xAA; 64][..], &[1, 2, 3], &[1, 2, 3]]);
     }
 
     #[test]
     fn resend_same_key_supersedes() {
         let mut t = MockTransport::default();
         let mut rel = Reliable::new(policy());
-        let s0 = rel.send(5, vec![1], &mut t);
-        let s1 = rel.send(5, vec![2], &mut t);
+        let s0 = rel.send(5, &[1], &mut t);
+        let s1 = rel.send(5, &[2], &mut t);
         assert_ne!(s0, s1);
         assert_eq!(rel.pending_count(), 1);
         // Old seq's timer finds nothing; new seq retransmits payload [2].

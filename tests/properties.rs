@@ -5,7 +5,7 @@ use netcl::sema::Ty;
 use netcl::{CompileOptions, Compiler};
 use netcl_bmv2::{Engine, Switch};
 use netcl_net::WorkloadRng;
-use netcl_runtime::message::{pack, unpack, Message};
+use netcl_runtime::message::{pack, pack_into, unpack, Message, MessageError};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -17,6 +17,39 @@ fn arb_spec() -> impl Strategy<Value = Specification> {
     proptest::collection::vec((arb_ty(), 1u32..5), 1..6).prop_map(|items| Specification {
         items: items.into_iter().map(|(ty, count)| SpecItem { count, ty }).collect(),
     })
+}
+
+/// The wire format as `netcl-runtime` wrote and read it before it moved
+/// whole words — scalars first, then arrays, every value one byte at a time
+/// — kept as the oracle the production `pack` / `pack_into` / `unpack` are
+/// held to: the packet, and below what an unpack of every argument reads.
+fn oracle_pack(m: &Message, spec: &Specification, args: &[Option<&[u64]>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    m.write_header(&mut out);
+    for arrays in [false, true] {
+        for (item, arg) in spec.items.iter().zip(args).filter(|(i, _)| (i.count > 1) == arrays) {
+            for e in 0..item.count as usize {
+                let v = arg.map_or(0, |vals| item.ty.wrap(vals[e]));
+                out.extend((0..item.ty.size_bytes()).rev().map(|b| (v >> (8 * b)) as u8));
+            }
+        }
+    }
+    out
+}
+
+fn oracle_unpack(bytes: &[u8], spec: &Specification) -> Vec<Vec<u64>> {
+    let mut bytes = bytes[netcl_runtime::NCL_HEADER_BYTES..].iter();
+    let mut outs = vec![Vec::new(); spec.items.len()];
+    for arrays in [false, true] {
+        for (i, item) in spec.items.iter().enumerate().filter(|(_, i)| (i.count > 1) == arrays) {
+            for _ in 0..item.count {
+                let v = (0..item.ty.size_bytes())
+                    .fold(0, |v, _| (v << 8) | *bytes.next().unwrap() as u64);
+                outs[i].push(v);
+            }
+        }
+    }
+    outs
 }
 
 /// What the two engine differentials below run: every Table III
@@ -228,9 +261,18 @@ mod shapes {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// pack ∘ unpack is the identity for any specification and payload.
+    /// pack ∘ unpack is the identity for any specification and payload, with
+    /// any subset of the arguments ignored (`None`): `pack` is the oracle's
+    /// packet byte for byte, `pack_into` a longer, dirty, reused buffer is
+    /// `pack`, `unpack` into dirty reused vectors reads what the oracle
+    /// reads, and a cut packet is `Truncated`, never a panic.
     #[test]
-    fn pack_unpack_roundtrip(spec in arb_spec(), seed in any::<u64>()) {
+    fn pack_unpack_roundtrip(
+        spec in arb_spec(),
+        seed in any::<u64>(),
+        ignored in any::<u8>(),
+        cut in any::<u64>(),
+    ) {
         let mut rng = seed;
         let mut next = || {
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -242,17 +284,30 @@ proptest! {
             .map(|item| (0..item.count).map(|_| item.ty.wrap(next())).collect())
             .collect();
         let m = Message::new(1, 2, 7, 3);
-        let refs: Vec<Option<&[u64]>> = payload.iter().map(|v| Some(v.as_slice())).collect();
+        let given = |i: usize| ignored >> i & 1 == 0;
+        let refs: Vec<Option<&[u64]>> =
+            payload.iter().enumerate().map(|(i, v)| given(i).then_some(v.as_slice())).collect();
         let bytes = pack(&m, &spec, &refs).unwrap();
         prop_assert_eq!(bytes.len(), Message::size(&spec));
+        prop_assert_eq!(&bytes, &oracle_pack(&m, &spec, &refs));
 
-        let mut outs: Vec<Vec<u64>> = vec![Vec::new(); spec.items.len()];
+        let mut reused = vec![0xA5; bytes.len() + 1 + (seed % 64) as usize];
+        pack_into(&m, &spec, &refs, &mut reused).unwrap();
+        prop_assert_eq!(&reused, &bytes);
+
+        let mut outs: Vec<Vec<u64>> = vec![vec![0xDEAD; (seed % 7) as usize]; spec.items.len()];
         {
             let mut refs: Vec<Option<&mut Vec<u64>>> = outs.iter_mut().map(Some).collect();
             let hdr = unpack(&bytes, &spec, &mut refs).unwrap();
             prop_assert_eq!(hdr, m);
+            let short = &bytes[..(cut % bytes.len() as u64) as usize];
+            prop_assert_eq!(unpack(short, &spec, &mut refs), Err(MessageError::Truncated));
         }
-        prop_assert_eq!(outs, payload);
+        prop_assert_eq!(&outs, &oracle_unpack(&bytes, &spec));
+        for (i, (out, sent)) in outs.iter().zip(&payload).enumerate() {
+            let zeros = vec![0; sent.len()];
+            prop_assert_eq!(out, if given(i) { sent } else { &zeros });
+        }
     }
 
     /// The compiled calculator agrees with the reference semantics on
@@ -413,7 +468,7 @@ proptest! {
         spec in arb_spec(),
         bytes in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
-        use netcl_runtime::message::{MessageError, NCL_HEADER_BYTES};
+        use netcl_runtime::message::NCL_HEADER_BYTES;
         let header = Message::read_header(&bytes);
         if bytes.len() < NCL_HEADER_BYTES {
             prop_assert_eq!(header, Err(MessageError::Truncated));
@@ -443,7 +498,6 @@ proptest! {
         cut in any::<u64>(),
         flip in any::<u64>(),
     ) {
-        use netcl_runtime::message::MessageError;
         let zeros: Vec<Option<&[u64]>> = spec.items.iter().map(|_| None).collect();
         let m = Message::new(3, 4, 9, 1);
         let bytes = pack(&m, &spec, &zeros).unwrap();
