@@ -12,12 +12,14 @@
 use std::sync::{Arc, Mutex};
 
 use netcl_bmv2::Switch;
-use netcl_net::{HostEvent, LinkSpec, NetworkBuilder, NodeId, Outbox};
+use netcl_net::{HostEvent, LinkSpec, NodeId, Outbox};
 use netcl_p4::ast::*;
 use netcl_runtime::message::{pack_into, unpack, Message};
 use netcl_runtime::reliable::{IntMap, Reliable, RetryPolicy};
 use netcl_sema::builtins::{AtomicOp, AtomicRmw};
 use netcl_sema::model::Specification;
+
+use crate::{Conditions, Run};
 
 /// AGG parameters.
 #[derive(Clone, Copy, Debug)]
@@ -454,6 +456,8 @@ pub struct WorkerState {
     pub retransmits: u64,
     /// Outstanding chunk per slot.
     pub inflight: IntMap<u32, u32>,
+    /// When the last result arrived (simulated ns).
+    pub last_result_ns: u64,
 }
 
 /// Builds the chunk packet worker `w` sends for chunk `c`.
@@ -534,7 +538,7 @@ pub fn worker_handler(
     // `results` keeps it.
     let (mut agg_idx, mut exp, mut lanes, mut wire) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    Box::new(move |_now, ev, out: &mut Outbox| {
+    Box::new(move |now, ev, out: &mut Outbox| {
         let mut st = state.lock().unwrap();
         match ev {
             HostEvent::Message(bytes) => {
@@ -557,6 +561,7 @@ pub fn worker_handler(
                 st.results.insert(chunk, values);
                 st.exps.insert(chunk, exp[0]);
                 st.completed.push(chunk);
+                st.last_result_ns = now;
                 let next = chunk + cfg.num_slots;
                 if next < total_chunks {
                     st.inflight.insert(slot, next);
@@ -593,7 +598,8 @@ pub fn worker_handler(
 /// Results of an end-to-end AllReduce run.
 #[derive(Debug)]
 pub struct AggRunResult {
-    /// Wall-clock (simulated) nanoseconds from first send to last result.
+    /// Simulated nanoseconds from the first send (t = 0) to the last result
+    /// any worker received.
     pub duration_ns: u64,
     /// Aggregated tensor elements per second per worker (Fig. 14 metric).
     pub ate_per_sec_per_worker: f64,
@@ -601,92 +607,27 @@ pub struct AggRunResult {
     pub all_correct: bool,
     /// Total retransmissions across workers.
     pub retransmits: u64,
-    /// Kernel executions at the switch.
-    pub kernel_executions: u64,
 }
 
-/// Runs AllReduce over `total_chunks` chunks on the given switch program.
+/// Runs AllReduce over `total_chunks` chunks on `program`, every worker
+/// filling its slot window at t = 0 (staggered by a few tens of ns) and
+/// advancing a slot as its result returns.
 pub fn run_allreduce(
     program: &P4Program,
     cfg: &AggConfig,
     total_chunks: u32,
     device_latency_ns: u64,
-    loss: f64,
-) -> AggRunResult {
-    run_allreduce_chaos(
-        program,
-        cfg,
-        total_chunks,
-        device_latency_ns,
-        LinkSpec::lossy(loss),
-        0x5DEECE66D,
-        netcl_net::FaultSchedule::new(),
-        4_000_000,
-    )
-    .0
-}
-
-/// Runs AllReduce under an arbitrary link spec, RNG seed, and fault
-/// schedule — the chaos suite's entry point. Also returns the final
-/// [`netcl_net::NetStats`], the artifact the replay-determinism contract
-/// compares across reruns of the same `(seed, schedule)`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_allreduce_chaos(
-    program: &P4Program,
-    cfg: &AggConfig,
-    total_chunks: u32,
-    device_latency_ns: u64,
-    link: LinkSpec,
-    seed: u64,
-    faults: netcl_net::FaultSchedule,
-    max_events: u64,
-) -> (AggRunResult, netcl_net::NetStats) {
-    let (r, stats, _) = run_allreduce_chaos_observed(
-        program,
-        cfg,
-        total_chunks,
-        device_latency_ns,
-        link,
-        seed,
-        faults,
-        max_events,
-        None,
-    );
-    (r, stats)
-}
-
-/// [`run_allreduce_chaos`] with optional observability: when `obs` is set,
-/// the third return value carries the run's Perfetto-loadable trace
-/// (DESIGN.md §12). Observability never changes the returned stats.
-#[allow(clippy::too_many_arguments)]
-pub fn run_allreduce_chaos_observed(
-    program: &P4Program,
-    cfg: &AggConfig,
-    total_chunks: u32,
-    device_latency_ns: u64,
-    link: LinkSpec,
-    seed: u64,
-    faults: netcl_net::FaultSchedule,
-    max_events: u64,
-    obs: Option<netcl_net::ObsConfig>,
-) -> (AggRunResult, netcl_net::NetStats, Option<netcl_obs::Trace>) {
-    let mut topo =
-        netcl_net::topo::star(1, &(0..cfg.num_workers).map(|w| 100 + w).collect::<Vec<_>>(), link);
-    topo.multicast_group(42, (0..cfg.num_workers).map(|w| NodeId::Host(100 + w)).collect());
-    let mut builder = NetworkBuilder::new(topo)
-        .device(1, Switch::new(program.clone()), device_latency_ns)
-        .seed(seed)
-        .faults(faults);
-    if let Some(cfg) = obs {
-        builder = builder.observe(cfg);
-    }
+    c: &Conditions,
+) -> Run<AggRunResult> {
+    let hosts: Vec<u32> = (0..cfg.num_workers).map(|w| 100 + w).collect();
+    let mut topo = netcl_net::topo::star(1, &hosts, c.link);
+    topo.multicast_group(42, hosts.iter().map(|&h| NodeId::Host(h)).collect());
+    let mut builder = c.network(topo).device(1, Switch::new(program.clone()), device_latency_ns);
     let states: Vec<Arc<Mutex<WorkerState>>> =
         (0..cfg.num_workers).map(|_| Arc::new(Mutex::new(WorkerState::default()))).collect();
-    for w in 0..cfg.num_workers {
-        builder = builder.host(
-            100 + w,
-            worker_handler(*cfg, w, total_chunks, slot_guard_ns(&link), states[w as usize].clone()),
-        );
+    for (w, state) in (0..).zip(&states) {
+        let handler = worker_handler(*cfg, w, total_chunks, slot_guard_ns(&c.link), state.clone());
+        builder = builder.host(100 + w, handler);
     }
     let mut net = builder.build();
 
@@ -694,38 +635,25 @@ pub fn run_allreduce_chaos_observed(
     // the chunk id; the handler routes them through its reliability helper
     // so the first transmission arms retransmission like any other.
     let window = cfg.num_slots.min(total_chunks);
-    for w in 0..cfg.num_workers {
-        for c in 0..window {
-            let jitter = (w as u64) * 50 + (c as u64) * 10;
-            net.set_host_timer(100 + w, jitter, c as u64);
-            states[w as usize].lock().unwrap().inflight.insert(c % cfg.num_slots, c);
+    for (w, state) in (0..).zip(&states) {
+        for chunk in 0..window {
+            net.set_host_timer(100 + w, w as u64 * 50 + chunk as u64 * 10, chunk as u64);
+            state.lock().unwrap().inflight.insert(chunk % cfg.num_slots, chunk);
         }
     }
-    net.run(max_events);
-    let duration_ns = net.now().max(1);
+    net.run(c.max_events);
 
-    let mut all_correct = true;
-    let mut retransmits = 0;
-    for (w, st) in states.iter().enumerate() {
+    let (mut all_correct, mut retransmits, mut duration_ns) = (true, 0, 1);
+    for st in &states {
         let st = st.lock().unwrap();
         retransmits += st.retransmits;
-        if st.completed.len() != total_chunks as usize {
-            all_correct = false;
-            continue;
-        }
-        for c in 0..total_chunks {
-            match st.results.get(&c) {
-                Some(vals) => {
-                    for (i, &v) in vals.iter().enumerate() {
-                        if v != expected(cfg, c, i as u32) {
-                            all_correct = false;
-                        }
-                    }
-                }
-                None => all_correct = false,
-            }
-        }
-        let _ = w;
+        duration_ns = duration_ns.max(st.last_result_ns);
+        all_correct &= st.completed.len() == total_chunks as usize
+            && (0..total_chunks).all(|chunk| {
+                st.results
+                    .get(&chunk)
+                    .is_some_and(|vals| (0..).zip(vals).all(|(i, &v)| v == expected(cfg, chunk, i)))
+            });
     }
     let ate = total_chunks as f64 * cfg.slot_size as f64;
     let result = AggRunResult {
@@ -733,16 +661,15 @@ pub fn run_allreduce_chaos_observed(
         ate_per_sec_per_worker: ate / (duration_ns as f64 / 1e9),
         all_correct,
         retransmits,
-        kernel_executions: net.stats.kernel_executions,
     };
-    let trace = net.take_trace();
-    (result, net.stats.clone(), trace)
+    Run::of(result, &mut net)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compile;
+    use netcl_net::NetworkBuilder;
 
     fn small() -> AggConfig {
         AggConfig { num_workers: 3, num_slots: 4, slot_size: 8 }
@@ -767,28 +694,32 @@ mod tests {
     fn allreduce_lossless_correct() {
         let cfg = small();
         let unit = compile("agg.ncl", &netcl_source(&cfg));
-        let r = run_allreduce(&unit.devices[0].tna_p4, &cfg, 8, 500, 0.0);
+        let r = run_allreduce(&unit.devices[0].tna_p4, &cfg, 8, 500, &Conditions::default()).result;
         assert!(r.all_correct, "{r:?}");
         assert_eq!(r.retransmits, 0);
+        // Timed to the last result, not to the idle RTO timer behind it.
+        assert!(r.duration_ns < RTO_NS, "{r:?}");
     }
 
     #[test]
     fn allreduce_handwritten_matches() {
         let cfg = small();
         let unit = compile("agg.ncl", &netcl_source(&cfg));
-        let gen = run_allreduce(&unit.devices[0].tna_p4, &cfg, 8, 500, 0.0);
-        let hand = run_allreduce(&handwritten(&cfg), &cfg, 8, 500, 0.0);
-        assert!(gen.all_correct && hand.all_correct, "gen={gen:?} hand={hand:?}");
+        let c = Conditions::default();
+        let gen = run_allreduce(&unit.devices[0].tna_p4, &cfg, 8, 500, &c);
+        let hand = run_allreduce(&handwritten(&cfg), &cfg, 8, 500, &c);
+        assert!(gen.result.all_correct && hand.result.all_correct, "gen={gen:?} hand={hand:?}");
         // Identical kernel-execution counts: the data-plane behaviour of the
         // two implementations is the same (Fig. 14: "no difference").
-        assert_eq!(gen.kernel_executions, hand.kernel_executions);
+        assert_eq!(gen.stats.kernel_executions, hand.stats.kernel_executions);
     }
 
     #[test]
     fn allreduce_recovers_from_loss() {
         let cfg = small();
         let unit = compile("agg.ncl", &netcl_source(&cfg));
-        let r = run_allreduce(&unit.devices[0].tna_p4, &cfg, 8, 500, 0.05);
+        let c = Conditions { link: LinkSpec::lossy(0.05), ..Default::default() };
+        let r = run_allreduce(&unit.devices[0].tna_p4, &cfg, 8, 500, &c).result;
         assert!(r.all_correct, "loss recovery failed: {r:?}");
         assert!(r.retransmits > 0, "expected at least one retransmission");
     }

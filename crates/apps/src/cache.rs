@@ -9,15 +9,20 @@
 //! marked hot in an extra header field on their way to the KVS server
 //! (which then populates the cache through the control plane).
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use netcl::CompiledDevice;
 use netcl_bmv2::{Switch, TableUpdate};
-use netcl_net::{HostEvent, LinkSpec, NetworkBuilder, Outbox};
+use netcl_net::{HostEvent, HostHandler, Outbox};
 use netcl_p4::ast::*;
 use netcl_runtime::managed::ManagedMemory;
 use netcl_runtime::message::{pack, pack_into, unpack, Message};
+use netcl_runtime::reliable::{Reliable, RetryPolicy};
 use netcl_sema::builtins::{AtomicOp, AtomicRmw, HashKind};
 use netcl_sema::model::{LookupEntry, Specification};
+
+use crate::{Conditions, Run};
 
 /// GET opcode.
 pub const OP_GET: u64 = 1;
@@ -635,12 +640,43 @@ pub fn populate_handwritten(
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end experiment (Fig. 14 right)
+// End-to-end drivers: Fig. 14 (right) response time, and coherence
 // ---------------------------------------------------------------------------
 
-/// Result of a cache response-time run.
+/// The KVS server's store: the values PUTs acknowledged, by key.
+type Store = Arc<Mutex<BTreeMap<u64, Vec<u64>>>>;
+
+/// The KVS server (host 2), the authority: a PUT updates the store, a GET
+/// reads it — [`server_value`] for a key never written — and either is
+/// answered with the key's value after `service_ns` (the host path that
+/// dominates response time in the paper's testbed).
+fn kvs_server(cfg: CacheConfig, service_ns: u64, store: Store) -> HostHandler {
+    let s = spec(&cfg);
+    let (mut op, mut k, mut v) = (Vec::new(), Vec::new(), Vec::new());
+    Box::new(move |_now, ev, out: &mut Outbox| {
+        let HostEvent::Message(bytes) = ev else { return };
+        let Ok(msg) =
+            unpack(bytes, &s, &mut [Some(&mut op), Some(&mut k), None, None, Some(&mut v)])
+        else {
+            return;
+        };
+        let mut store = store.lock().unwrap();
+        match op[0] {
+            OP_PUT => {
+                store.insert(k[0], v.clone());
+            }
+            OP_GET => v = store.get(&k[0]).cloned().unwrap_or_else(|| server_value(&cfg, k[0])),
+            _ => return,
+        }
+        let reply = Message::new(msg.dst, msg.src, 0, netcl_runtime::device::NO_DEVICE);
+        let args = [Some(&op[..]), Some(&k[..]), Some(&[0][..]), Some(&[0][..]), Some(&v[..])];
+        out.send(service_ns, pack(&reply, &s, &args).unwrap());
+    })
+}
+
+/// Result of a response-time run.
 #[derive(Debug)]
-pub struct CacheRunResult {
+pub struct ResponseTimeResult {
     /// Mean response time in nanoseconds.
     pub mean_response_ns: f64,
     /// Fraction of queries answered by the switch.
@@ -649,110 +685,83 @@ pub struct CacheRunResult {
     pub completed: u64,
 }
 
-/// Runs `queries` GETs over `total_keys` keys with the first `cached_keys`
-/// keys resident in the cache. Returns mean response time and hit rate —
+/// The Fig. 14 client's progress: queries issued (the first included),
+/// when the outstanding one counts as sent, answers received, how many of
+/// them the switch gave, and the sum of their response times.
+#[derive(Default)]
+struct Client {
+    issued: u32,
+    sent_at: u64,
+    completed: u64,
+    hits: u64,
+    latency_ns: u64,
+}
+
+/// Runs `queries` closed-loop GETs over `total_keys` keys against
+/// `program`, which `load_cache` has filled with the cached keys; the KVS
+/// server takes 8 µs per miss. Returns mean response time and hit rate —
 /// the Fig. 14 (right) series.
-pub fn run_cache_experiment(
+pub fn run_response_time(
     program: &P4Program,
-    populate_fn: impl Fn(&mut Switch),
+    load_cache: impl Fn(&mut Switch),
     cfg: &CacheConfig,
     total_keys: u64,
     queries: u32,
-) -> CacheRunResult {
-    let topo = netcl_net::topo::star(1, &[1, 2], LinkSpec::default());
+    c: &Conditions,
+) -> Run<ResponseTimeResult> {
     let s = spec(cfg);
-
-    // Host 2: KVS server answering misses.
-    let cfg2 = *cfg;
-    let s2 = s.clone();
-    let (mut op, mut k) = (Vec::new(), Vec::new());
-    let server = Box::new(move |_now: u64, ev: HostEvent, out: &mut Outbox| {
-        let HostEvent::Message(bytes) = ev else { return };
-        let Ok(msg) = unpack(bytes, &s2, &mut [Some(&mut op), Some(&mut k), None, None, None])
-        else {
-            return;
-        };
-        if op[0] != OP_GET {
-            return;
-        }
-        let reply = Message::new(msg.dst, msg.src, 0, netcl_runtime::device::NO_DEVICE);
-        let value = server_value(&cfg2, k[0]);
-        let packed = pack(
-            &reply,
-            &s2,
-            &[Some(&[OP_GET]), Some(&[k[0]]), Some(&[0]), Some(&[0]), Some(&value)],
-        )
-        .unwrap();
-        // Server-side KVS processing cost (microseconds, as in the paper's
-        // testbed where the host path dominates response time).
-        out.send(8_000, packed);
-    });
-
-    // Host 1: client issuing closed-loop queries.
-    let state = Arc::new(Mutex::new((0u64, Vec::<u64>::new(), 0u64))); // (hits, latencies, outstanding_key)
-    let st2 = state.clone();
-    let s3 = s.clone();
-    let sent_at = Arc::new(Mutex::new(0u64));
-    let sent_at2 = sent_at.clone();
-    let queries_total = queries;
-    let issued = Arc::new(Mutex::new(1u32));
-    let issued2 = issued.clone();
+    let client = Arc::new(Mutex::new(Client { issued: 1, ..Client::default() }));
+    let cl = client.clone();
     let mut hit = Vec::new();
-    let client = Box::new(move |now: u64, ev: HostEvent, out: &mut Outbox| {
+    let handler = Box::new(move |now: u64, ev: HostEvent, out: &mut Outbox| {
         let HostEvent::Message(bytes) = ev else { return };
-        if unpack(bytes, &s3, &mut [None, None, Some(&mut hit), None, None]).is_err() {
+        if unpack(bytes, &s, &mut [None, None, Some(&mut hit), None, None]).is_err() {
             return;
         }
-        let mut st = st2.lock().unwrap();
-        st.0 += hit[0];
-        let t0 = *sent_at2.lock().unwrap();
-        st.1.push(now - t0);
-        let mut n = issued2.lock().unwrap();
-        if *n < queries_total {
-            let key = (*n as u64) % total_keys;
-            *n += 1;
-            drop(st);
-            *sent_at2.lock().unwrap() = now + 2000;
+        let mut cl = cl.lock().unwrap();
+        cl.completed += 1;
+        cl.hits += hit[0];
+        cl.latency_ns += now - cl.sent_at;
+        if cl.issued < queries {
+            let key = cl.issued as u64 % total_keys;
+            cl.issued += 1;
+            cl.sent_at = now + 2000;
             let mut wire = Vec::new();
-            request_into(&s3, 1, 2, OP_GET, key, None, &mut wire);
+            request_into(&s, 1, 2, OP_GET, key, None, &mut wire);
             out.send(0, wire);
         }
     });
 
-    let unit_latency = 700; // ns, per Fig. 13 scale
     let mut sw = Switch::new(program.clone());
-    populate_fn(&mut sw);
-    let mut net = NetworkBuilder::new(topo)
-        .device(1, sw, unit_latency)
-        .host(1, client)
-        .host(2, server)
+    load_cache(&mut sw);
+    let mut net = c
+        .network(netcl_net::topo::star(1, &[1, 2], c.link))
+        .device(1, sw, 700) // ns, per Fig. 13 scale
+        .host(1, handler)
+        .host(2, kvs_server(*cfg, 8_000, Store::default()))
         .build();
-    *sent_at.lock().unwrap() = 0;
     net.send_from_host(1, 0, request(cfg, 1, 2, OP_GET, 0, None));
-    net.run(40 * queries as u64 + 1000);
+    net.run(c.max_events);
 
-    let st = state.lock().unwrap();
-    let completed = st.1.len() as u64;
-    CacheRunResult {
-        mean_response_ns: st.1.iter().sum::<u64>() as f64 / completed.max(1) as f64,
-        hit_rate: st.0 as f64 / completed.max(1) as f64,
-        completed,
-    }
+    let cl = client.lock().unwrap();
+    let n = cl.completed.max(1) as f64;
+    let result = ResponseTimeResult {
+        mean_response_ns: cl.latency_ns as f64 / n,
+        hit_rate: cl.hits as f64 / n,
+        completed: cl.completed,
+    };
+    Run::of(result, &mut net)
 }
 
-// ---------------------------------------------------------------------------
-// Chaos driver: reliable PUT-then-GET coherence over a faulty network
-// ---------------------------------------------------------------------------
-
-/// The value the chaos client writes to `key` (distinct from the initial
-/// [`server_value`], so a stale read is detectable).
-pub fn chaos_put_value(cfg: &CacheConfig, key: u64) -> Vec<u64> {
+/// The value the coherence client writes to `key` (distinct from the
+/// initial [`server_value`], so a stale read is detectable).
+fn written_value(cfg: &CacheConfig, key: u64) -> Vec<u64> {
     (0..cfg.words as u64).map(|i| (key.wrapping_mul(7) + 1000 + i) & 0xFFFF_FFFF).collect()
 }
 
-/// Result of a chaos coherence run.
+/// Result of a coherence run.
 #[derive(Debug)]
-pub struct CacheChaosResult {
+pub struct CoherenceResult {
     /// Keys exercised (one PUT then one GET each).
     pub keys: u64,
     /// GETs completed (PUT acked, GET answered).
@@ -762,103 +771,64 @@ pub struct CacheChaosResult {
     pub stale: u64,
 }
 
-/// Control-plane repopulation closure: given a fresh switch and the
-/// server's current store, (re)installs the cache's `_managed_` state.
-pub type RepopulateFn =
-    Arc<dyn Fn(&mut Switch, &std::collections::HashMap<u64, Vec<u64>>) + Send + Sync>;
+/// The coherence run's control plane: caches every key the server holds a
+/// write for, with the server's value — or, while it holds none, keys
+/// `0..keys` with their initial values — so a switch never serves state
+/// older than the server's.
+fn repopulate(mm: &ManagedMemory, sw: &mut Switch, cfg: &CacheConfig, keys: u64, store: &Store) {
+    let store = store.lock().unwrap();
+    if store.is_empty() {
+        for k in 0..keys {
+            populate(mm, sw, cfg, k as u16, k, &server_value(cfg, k));
+        }
+    } else {
+        for (&k, v) in store.iter() {
+            populate(mm, sw, cfg, k as u16, k, v);
+        }
+    }
+}
 
-/// Runs a PUT-then-GET coherence workload under a chaotic network: the
-/// client reliably PUTs each key once (the KVS server's reply is the ack),
-/// then reliably GETs it and checks the response equals the written value —
-/// whether the switch or the server answered. `repopulate` is the
-/// control-plane path: called once at build time with an empty store and
-/// re-run as the device-restart hook with the server's current store, so a
-/// restarted switch never serves values older than the server's.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cache_chaos(
-    program: &P4Program,
-    repopulate: RepopulateFn,
+/// Runs a PUT-then-GET coherence workload on `device`'s program: the
+/// client reliably PUTs each of `keys` keys once (the KVS server's reply is
+/// the ack), then reliably GETs it and checks the response equals the
+/// written value — whether the switch or the server answered. The driver's
+/// control plane fills the cache at build time and again after every
+/// device restart: each key the server holds a write for, with the
+/// server's value, or — while it holds none — keys `0..keys` with their
+/// initial values.
+pub fn run_coherence(
+    device: &CompiledDevice,
     cfg: &CacheConfig,
     keys: u64,
-    link: LinkSpec,
-    seed: u64,
-    faults: netcl_net::FaultSchedule,
-    max_events: u64,
-) -> (CacheChaosResult, netcl_net::NetStats) {
-    use netcl_runtime::reliable::{Reliable, RetryPolicy};
-    let topo = netcl_net::topo::star(1, &[1, 2], link);
+    c: &Conditions,
+) -> Run<CoherenceResult> {
     let s = spec(cfg);
-
-    // The KVS server (host 2) is the authority: PUTs update its store and
-    // are answered (the client's ack); GET misses read from it.
-    let store = Arc::new(Mutex::new(std::collections::HashMap::<u64, Vec<u64>>::new()));
-    let store_srv = store.clone();
-    let s_srv = s.clone();
-    let cfg_srv = *cfg;
-    let (mut op, mut k, mut v) = (Vec::new(), Vec::new(), Vec::new());
-    let server = Box::new(move |_now: u64, ev: HostEvent, out: &mut Outbox| {
-        let HostEvent::Message(bytes) = ev else { return };
-        let Ok(msg) =
-            unpack(bytes, &s_srv, &mut [Some(&mut op), Some(&mut k), None, None, Some(&mut v)])
-        else {
-            return;
-        };
-        let reply = Message::new(msg.dst, msg.src, 0, netcl_runtime::device::NO_DEVICE);
-        match op[0] {
-            OP_PUT => {
-                store_srv.lock().unwrap().insert(k[0], v.clone());
-                let packed = pack(
-                    &reply,
-                    &s_srv,
-                    &[Some(&[OP_PUT]), Some(&[k[0]]), Some(&[0]), Some(&[0]), Some(&v)],
-                )
-                .unwrap();
-                out.send(2_000, packed);
-            }
-            OP_GET => {
-                let val = store_srv
-                    .lock()
-                    .unwrap()
-                    .get(&k[0])
-                    .cloned()
-                    .unwrap_or_else(|| server_value(&cfg_srv, k[0]));
-                let packed = pack(
-                    &reply,
-                    &s_srv,
-                    &[Some(&[OP_GET]), Some(&[k[0]]), Some(&[0]), Some(&[0]), Some(&val)],
-                )
-                .unwrap();
-                out.send(2_000, packed);
-            }
-            _ => {}
-        }
-    });
+    let store = Store::default();
 
     // The client (host 1): PUT each key (reliable key `k<<1`), on first
     // PUT-ack GET it back (reliable key `k<<1|1`), check the value.
     let progress = Arc::new(Mutex::new((0u64, 0u64))); // (completed, stale)
     let progress_cl = progress.clone();
-    let s_cl = s;
     let cfg_cl = *cfg;
     let mut rel = Reliable::new(RetryPolicy { base_rto_ns: 100_000, ..Default::default() });
     let (mut op, mut k, mut v, mut wire) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     let client = Box::new(move |_now: u64, ev: HostEvent, out: &mut Outbox| match ev {
         HostEvent::Message(bytes) => {
             let Ok(_) =
-                unpack(bytes, &s_cl, &mut [Some(&mut op), Some(&mut k), None, None, Some(&mut v)])
+                unpack(bytes, &s, &mut [Some(&mut op), Some(&mut k), None, None, Some(&mut v)])
             else {
                 return;
             };
             let key = k[0];
             if op[0] == OP_PUT {
                 if rel.ack_key(key << 1) {
-                    request_into(&s_cl, 1, 2, OP_GET, key, None, &mut wire);
+                    request_into(&s, 1, 2, OP_GET, key, None, &mut wire);
                     rel.send((key << 1) | 1, &wire, out);
                 }
             } else if op[0] == OP_GET && rel.ack_key((key << 1) | 1) {
                 let mut st = progress_cl.lock().unwrap();
                 st.0 += 1;
-                if v != chaos_put_value(&cfg_cl, key) {
+                if v != written_value(&cfg_cl, key) {
                     st.1 += 1;
                 }
             }
@@ -867,38 +837,31 @@ pub fn run_cache_chaos(
             if !rel.on_timer(token, out) {
                 // Kickoff token: one reliable PUT per key.
                 let key = token;
-                let value = chaos_put_value(&cfg_cl, key);
-                request_into(&s_cl, 1, 2, OP_PUT, key, Some(&value), &mut wire);
+                let value = written_value(&cfg_cl, key);
+                request_into(&s, 1, 2, OP_PUT, key, Some(&value), &mut wire);
                 rel.send(key << 1, &wire, out);
             }
         }
     });
 
-    let mut sw = Switch::new(program.clone());
-    repopulate(&mut sw, &store.lock().unwrap());
-    let store_hook = store.clone();
-    let repop = repopulate.clone();
-    let mut net = NetworkBuilder::new(topo)
+    let mm = ManagedMemory::new(&device.tna_ir);
+    let mut sw = Switch::new(device.tna_p4.clone());
+    repopulate(&mm, &mut sw, cfg, keys, &store);
+    let (cfg_hook, store_hook) = (*cfg, store.clone());
+    let mut net = c
+        .network(netcl_net::topo::star(1, &[1, 2], c.link))
         .device(1, sw, 700)
         .host(1, client)
-        .host(2, server)
-        .seed(seed)
-        .faults(faults)
-        .on_restart(
-            1,
-            Box::new(move |sw: &mut Switch| {
-                repop(sw, &store_hook.lock().unwrap());
-            }),
-        )
+        .host(2, kvs_server(*cfg, 2_000, store))
+        .on_restart(1, Box::new(move |sw| repopulate(&mm, sw, &cfg_hook, keys, &store_hook)))
         .build();
     for key in 0..keys {
         net.set_host_timer(1, key * 10_000, key);
     }
-    net.run(max_events);
+    net.run(c.max_events);
 
     let (completed, stale) = *progress.lock().unwrap();
-    let result = CacheChaosResult { keys, completed, stale };
-    (result, net.stats.clone())
+    Run::of(CoherenceResult { keys, completed, stale }, &mut net)
 }
 
 #[cfg(test)]
@@ -1018,21 +981,13 @@ mod tests {
 
         let mut results = Vec::new();
         for cached in [0u64, 4, 8] {
-            let mm = mm.clone();
-            let cfg2 = cfg;
-            let r = run_cache_experiment(
-                &program,
-                move |sw| {
-                    for k in 0..cached {
-                        let val = server_value(&cfg2, k);
-                        populate(&mm, sw, &cfg2, k as u16, k, &val);
-                    }
-                },
-                &cfg,
-                total_keys,
-                24,
-            );
-            results.push(r);
+            let load = |sw: &mut Switch| {
+                for k in 0..cached {
+                    populate(&mm, sw, &cfg, k as u16, k, &server_value(&cfg, k));
+                }
+            };
+            let c = Conditions::default();
+            results.push(run_response_time(&program, load, &cfg, total_keys, 24, &c).result);
         }
         assert!(results[0].hit_rate < 0.01, "{:?}", results[0]);
         assert!(results[2].hit_rate > 0.99, "{:?}", results[2]);

@@ -12,9 +12,10 @@
 //!    programmer would reach for (e.g. AGG decides slot completion with a
 //!    ternary MAT where the NetCL compiler uses in-SALU conditionals —
 //!    the TCAM-vs-SRAM contrast Table V highlights).
-//! 3. **Host-side drivers** for the end-to-end experiments (Fig. 14); the
-//!    workload generators they are fed from are `netcl_net::{WorkloadRng,
-//!    Zipf, FlowStream}`.
+//! 3. **One end-to-end driver per workload**, all over one [`Conditions`]
+//!    and all returning a [`Run`]: [`agg::run_allreduce`] (Fig. 14 left and
+//!    the AGG chaos rows), [`cache::run_response_time`] (Fig. 14 right),
+//!    [`cache::run_coherence`] and [`paxos::run_paxos`] (the chaos rows).
 //!
 //! DESIGN.md §5 indexes which driver regenerates which table/figure.
 
@@ -24,6 +25,67 @@ pub mod calc;
 pub mod paxos;
 
 use netcl::{CompileOptions, CompiledUnit, Compiler};
+use netcl_net::{FaultSchedule, LinkSpec, NetStats, Network, NetworkBuilder, ObsConfig, Topology};
+use netcl_obs::Trace;
+
+/// The network an end-to-end driver runs its workload on, and for how long.
+#[derive(Clone, Debug)]
+pub struct Conditions {
+    /// Every link of the driver's topology.
+    pub link: LinkSpec,
+    /// The fault-RNG seed; with `faults` it fixes the run.
+    pub seed: u64,
+    /// Scheduled faults.
+    pub faults: FaultSchedule,
+    /// Event budget for `Network::run`.
+    pub max_events: u64,
+    /// Observability; a trace asked for here comes back in [`Run::trace`].
+    pub obs: Option<ObsConfig>,
+}
+
+impl Default for Conditions {
+    /// Lossless links, `NetworkBuilder`'s default seed, no faults.
+    fn default() -> Self {
+        Conditions {
+            link: LinkSpec::default(),
+            seed: 0x5DEECE66D,
+            faults: FaultSchedule::new(),
+            max_events: 4_000_000,
+            obs: None,
+        }
+    }
+}
+
+impl Conditions {
+    /// A builder over `topology` with this run's seed, faults and
+    /// observability.
+    fn network(&self, topology: Topology) -> NetworkBuilder {
+        let b = NetworkBuilder::new(topology).seed(self.seed).faults(self.faults.clone());
+        match self.obs {
+            Some(obs) => b.observe(obs),
+            None => b,
+        }
+    }
+}
+
+/// What one end-to-end run produced.
+#[derive(Debug)]
+pub struct Run<R> {
+    /// The application-level result.
+    pub result: R,
+    /// The network's counters — what the replay-determinism contract
+    /// compares across reruns of the same [`Conditions`].
+    pub stats: NetStats,
+    /// The run's trace, when [`Conditions::obs`] asked for one.
+    pub trace: Option<Trace>,
+}
+
+impl<R> Run<R> {
+    /// `result` with the finished network's stats and trace.
+    fn of(result: R, net: &mut Network) -> Run<R> {
+        Run { result, stats: std::mem::take(&mut net.stats), trace: net.take_trace() }
+    }
+}
 
 /// Compiles a NetCL application source with default options.
 pub fn compile(name: &str, source: &str) -> CompiledUnit {

@@ -9,16 +9,19 @@
 //! same kernel at every acceptor device derives its vote bit from
 //! `device.id` (§V-C), which the compiler materializes per device.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
+use netcl::CompiledDevice;
 use netcl_bmv2::Switch;
-use netcl_net::{FaultSchedule, HostEvent, LinkSpec, NetworkBuilder, NodeId, Outbox, Topology};
+use netcl_net::{HostEvent, LinkSpec, NodeId, Outbox, Topology};
 use netcl_p4::ast::*;
 use netcl_runtime::message::{pack, unpack, Message};
 use netcl_runtime::reliable::{Reliable, RetryPolicy};
 use netcl_sema::builtins::{AtomicOp, AtomicRmw};
 use netcl_sema::model::Specification;
+
+use crate::{Conditions, Run};
 
 /// Leader device id.
 pub const LEADER_DEV: u16 = 1;
@@ -233,12 +236,12 @@ pub fn parse_delivery(bytes: &[u8]) -> Option<(u64, Vec<u64>)> {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos driver: reliable proposer + acking replica over a faulty network
+// End-to-end driver: reliable proposer + acking replica
 // ---------------------------------------------------------------------------
 
-/// Builds the paper's P4xos topology (h1 — leader — {acceptors} — learner —
-/// h2) with `link` on every edge, plus the acceptor multicast group.
-pub fn chaos_topology(link: LinkSpec) -> Topology {
+/// The paper's P4xos topology (h1 — leader — {acceptors} — learner — h2)
+/// with `link` on every edge, plus the acceptor multicast group.
+fn topology(link: LinkSpec) -> Topology {
     let mut topo = Topology::new();
     topo.link(NodeId::Host(1), NodeId::Device(LEADER_DEV), link);
     for a in 0..NUM_ACCEPTORS {
@@ -255,25 +258,26 @@ pub fn chaos_topology(link: LinkSpec) -> Topology {
 
 /// The proposal value for proposal id `pid`: `value[1]` carries the pid so
 /// deliveries and acks can be correlated end to end.
-pub fn chaos_value(pid: u64) -> [u64; 8] {
+fn proposal_value(pid: u64) -> [u64; 8] {
     [pid * 10, pid, 0, 0, 0, 0, 0, 7]
 }
 
 /// The replica's delivery ack, routed back as plain transit (no computing
 /// device), carrying the pid in `value[1]`.
-pub fn ack_packet(replica: u16, proposer: u16, pid: u64) -> Vec<u8> {
+fn ack_packet(replica: u16, proposer: u16, pid: u64) -> Vec<u8> {
     let m = Message::new(replica, proposer, 1, netcl_runtime::device::NO_DEVICE);
+    let value = proposal_value(pid);
     pack(
         &m,
         shared_spec(),
-        &[Some(&[T_ACK]), Some(&[0]), Some(&[0]), Some(&[0]), Some(&[0]), Some(&chaos_value(pid))],
+        &[Some(&[T_ACK]), Some(&[0]), Some(&[0]), Some(&[0]), Some(&[0]), Some(&value)],
     )
     .expect("packs")
 }
 
-/// Result of a chaos consensus run.
+/// Result of a consensus run.
 #[derive(Debug)]
-pub struct PaxosChaosResult {
+pub struct PaxosRunResult {
     /// Proposals issued.
     pub proposals: u64,
     /// Distinct proposal ids delivered at least once.
@@ -285,29 +289,24 @@ pub struct PaxosChaosResult {
     pub acked: u64,
 }
 
-/// Runs `proposals` proposals through the full P4xos pipeline under a
-/// chaotic network. The proposer retransmits unacked proposals via the
-/// shared reliability helper (each retransmission becomes a *new* Paxos
-/// instance — the leader sequences every request — so instance-level
-/// safety is unaffected by duplication). Returns the result plus the final
-/// `NetStats` for the replay-determinism contract.
-pub fn run_paxos_chaos(
-    programs: &[(u16, Arc<P4Program>)],
+/// Runs `proposals` proposals through the full P4xos pipeline, each device
+/// of `devices` running its TNA program. The proposer retransmits unacked
+/// proposals via the shared reliability helper (each retransmission
+/// becomes a *new* Paxos instance — the leader sequences every request —
+/// so instance-level safety is unaffected by duplication).
+pub fn run_paxos(
+    devices: &[CompiledDevice],
     proposals: u64,
-    link: LinkSpec,
-    seed: u64,
-    faults: FaultSchedule,
-    max_events: u64,
-) -> (PaxosChaosResult, netcl_net::NetStats) {
-    let mut builder = NetworkBuilder::new(chaos_topology(link)).seed(seed).faults(faults);
-    for (id, program) in programs {
-        builder = builder.device(*id, Switch::new(program.clone()), 600);
+    c: &Conditions,
+) -> Run<PaxosRunResult> {
+    let mut builder = c.network(topology(c.link));
+    for d in devices {
+        builder = builder.device(d.device, Switch::new(d.tna_p4.clone()), 600);
     }
 
     // Replica (host 2): record deliveries per instance, ack every copy (a
     // duplicate delivery re-acks, which only helps the ack get through).
-    let deliveries: Arc<Mutex<BTreeMap<u64, Vec<Vec<u64>>>>> =
-        Arc::new(Mutex::new(BTreeMap::new()));
+    let deliveries = Arc::new(Mutex::new(BTreeMap::<u64, Vec<Vec<u64>>>::new()));
     let dels = deliveries.clone();
     let replica = Box::new(move |_now: u64, ev: HostEvent, out: &mut Outbox| {
         let HostEvent::Message(bytes) = ev else { return };
@@ -339,7 +338,7 @@ pub fn run_paxos_chaos(
         HostEvent::Timer(token) => {
             if !rel.on_timer(token, out) {
                 let pid = token;
-                rel.send(pid, &proposal(1, 2, 1, &chaos_value(pid)), out);
+                rel.send(pid, &proposal(1, 2, 1, &proposal_value(pid)), out);
             }
         }
     });
@@ -348,30 +347,18 @@ pub fn run_paxos_chaos(
     for pid in 0..proposals {
         net.set_host_timer(1, pid * 20_000, pid);
     }
-    net.run(max_events);
+    net.run(c.max_events);
 
     let dels = deliveries.lock().unwrap();
-    let mut decided = std::collections::HashSet::new();
-    let mut conflicts = 0u64;
-    for vals in dels.values() {
-        let mut distinct: Vec<&Vec<u64>> = Vec::new();
-        for v in vals {
-            if !distinct.contains(&v) {
-                distinct.push(v);
-            }
-            decided.insert(v[1]);
-        }
-        if distinct.len() > 1 {
-            conflicts += 1;
-        }
-    }
-    let result = PaxosChaosResult {
+    let decided: BTreeSet<u64> = dels.values().flatten().map(|v| v[1]).collect();
+    let conflicts = dels.values().filter(|vals| vals.iter().any(|v| *v != vals[0])).count();
+    let result = PaxosRunResult {
         proposals,
         decided: decided.len() as u64,
-        conflicts,
+        conflicts: conflicts as u64,
         acked: *acked.lock().unwrap(),
     };
-    (result, net.stats.clone())
+    Run::of(result, &mut net)
 }
 
 // ---------------------------------------------------------------------------
@@ -759,8 +746,7 @@ pub fn handwritten_learner() -> P4Program {
 mod tests {
     use super::*;
     use crate::compile;
-    use netcl_bmv2::Switch;
-    use netcl_net::{LinkSpec, NetworkBuilder, NodeId, Topology};
+    use netcl_net::NetworkBuilder;
 
     #[test]
     fn full_source_compiles_for_all_locations() {
@@ -783,28 +769,7 @@ mod tests {
     #[test]
     fn consensus_delivers_each_instance_once() {
         let unit = compile("paxos.ncl", &full_source());
-        // Topology: h1 — dev1 — {dev2,dev3,dev4} — dev5 — h2.
-        let mut topo = Topology::new();
-        topo.link(NodeId::Host(1), NodeId::Device(LEADER_DEV), LinkSpec::default());
-        for a in 0..NUM_ACCEPTORS {
-            topo.link(
-                NodeId::Device(LEADER_DEV),
-                NodeId::Device(ACCEPTOR_DEV + a),
-                LinkSpec::default(),
-            );
-            topo.link(
-                NodeId::Device(ACCEPTOR_DEV + a),
-                NodeId::Device(LEARNER_DEV),
-                LinkSpec::default(),
-            );
-        }
-        topo.link(NodeId::Device(LEARNER_DEV), NodeId::Host(2), LinkSpec::default());
-        topo.multicast_group(
-            ACCEPTOR_GROUP,
-            (0..NUM_ACCEPTORS).map(|a| NodeId::Device(ACCEPTOR_DEV + a)).collect(),
-        );
-
-        let mut builder = NetworkBuilder::new(topo);
+        let mut builder = NetworkBuilder::new(topology(LinkSpec::default()));
         for dev in &unit.devices {
             builder = builder.device(dev.device, Switch::new(dev.tna_p4.clone()), 600);
         }

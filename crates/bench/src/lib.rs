@@ -9,7 +9,7 @@
 
 use netcl::compiler::CompileTimings;
 use netcl::{CompileOptions, Compiler, EmitTarget};
-use netcl_apps::{agg, all_apps, cache, empty_program, netcl_loc};
+use netcl_apps::{agg, all_apps, cache, empty_program, netcl_loc, Conditions};
 use netcl_p4::classify::{classify, Category};
 use netcl_p4::print::{loc, print_program};
 use netcl_tofino::{fit, ResourceKind};
@@ -320,10 +320,11 @@ pub fn report_fig14_agg() -> String {
             .expect("compiles");
         let latency =
             fit(&unit.devices[0].tna_p4).map(|r| r.latency_ns.ceil() as u64).unwrap_or(700);
-        let gen = agg::run_allreduce(&unit.devices[0].tna_p4, &cfg, chunks, latency, 0.0);
+        let c = Conditions::default();
+        let gen = agg::run_allreduce(&unit.devices[0].tna_p4, &cfg, chunks, latency, &c).result;
         let hand_p4 = agg::handwritten(&cfg);
         let hlat = fit(&hand_p4).map(|r| r.latency_ns.ceil() as u64).unwrap_or(700);
-        let hand = agg::run_allreduce(&hand_p4, &cfg, chunks, hlat, 0.0);
+        let hand = agg::run_allreduce(&hand_p4, &cfg, chunks, hlat, &c).result;
         assert!(gen.all_correct && hand.all_correct, "correctness violated");
         let _ = writeln!(
             out,
@@ -355,34 +356,23 @@ pub fn report_fig14_cache() -> String {
         .compile("cache.ncl", &cache::netcl_source(&cfg))
         .expect("compiles");
     let mm = netcl_runtime::managed::ManagedMemory::new(&unit.devices[0].tna_ir);
-    let total_keys = 8u64;
+    let hand_p4 = cache::handwritten(&cfg);
+    let (total_keys, queries, c) = (8u64, 32, Conditions::default());
     for cached in [0u64, 2, 4, 6, 8] {
-        let mm2 = mm.clone();
-        let gen = cache::run_cache_experiment(
-            &unit.devices[0].tna_p4,
-            move |sw| {
-                for k in 0..cached {
-                    let v = cache::server_value(&cfg, k);
-                    cache::populate(&mm2, sw, &cfg, k as u16, k, &v);
-                }
-            },
-            &cfg,
-            total_keys,
-            32,
-        );
-        let hand_p4 = cache::handwritten(&cfg);
-        let hand = cache::run_cache_experiment(
-            &hand_p4,
-            move |sw| {
-                for k in 0..cached {
-                    let v = cache::server_value(&cfg, k);
-                    cache::populate_handwritten(sw, &cfg, k as u16, k, &v);
-                }
-            },
-            &cfg,
-            total_keys,
-            32,
-        );
+        let gen_load = |sw: &mut netcl_bmv2::Switch| {
+            for k in 0..cached {
+                cache::populate(&mm, sw, &cfg, k as u16, k, &cache::server_value(&cfg, k));
+            }
+        };
+        let hand_load = |sw: &mut netcl_bmv2::Switch| {
+            for k in 0..cached {
+                cache::populate_handwritten(sw, &cfg, k as u16, k, &cache::server_value(&cfg, k));
+            }
+        };
+        let gen_p4 = &unit.devices[0].tna_p4;
+        let gen = cache::run_response_time(gen_p4, gen_load, &cfg, total_keys, queries, &c).result;
+        let hand =
+            cache::run_response_time(&hand_p4, hand_load, &cfg, total_keys, queries, &c).result;
         let _ = writeln!(
             out,
             "{:<14} {:>12.2} {:>12.2} {:>8.2}",
@@ -484,6 +474,16 @@ _kernel(1) _at(1) void k(unsigned a, unsigned b, unsigned &x, unsigned &y) {
     out
 }
 
+/// The AGG shape the chaos rows and the chaos trace run: 3 workers, 4 slots
+/// of 8 lanes, 8 chunks.
+fn chaos_agg() -> (agg::AggConfig, netcl::CompiledUnit) {
+    let cfg = agg::AggConfig { num_workers: 3, num_slots: 4, slot_size: 8 };
+    let unit = Compiler::new(CompileOptions::default())
+        .compile("agg.ncl", &agg::netcl_source(&cfg))
+        .expect("agg compiles");
+    (cfg, unit)
+}
+
 /// Chaos report: fault-layer activity and safety outcomes for the three
 /// distributed applications under the regimes `tests/chaos.rs` asserts —
 /// clean, 20% loss with reorder + duplication, and chaos plus a scheduled
@@ -491,8 +491,47 @@ _kernel(1) _at(1) void k(unsigned a, unsigned b, unsigned &x, unsigned &y) {
 pub fn report_chaos(seeds: u64) -> String {
     use netcl_apps::paxos;
     use netcl_net::{FaultSchedule, LinkSpec, NetStats, NodeId};
-    use netcl_runtime::managed::ManagedMemory;
-    use std::sync::Arc;
+
+    // Each app's run under one `Conditions`: (safe, stats, retransmits).
+    type Check<'a> = &'a dyn Fn(&Conditions) -> (bool, NetStats, u64);
+    let (agg_cfg, agg_unit) = chaos_agg();
+    let agg: Check = &|c| {
+        let run = agg::run_allreduce(&agg_unit.devices[0].tna_p4, &agg_cfg, 8, 500, c);
+        (run.result.all_correct, run.stats, run.result.retransmits)
+    };
+    let paxos_unit = Compiler::new(CompileOptions::default())
+        .compile("paxos.ncl", &paxos::full_source())
+        .expect("paxos compiles");
+    let paxos: Check = &|c| {
+        let run = paxos::run_paxos(&paxos_unit.devices, 6, c);
+        (run.result.conflicts == 0 && run.result.decided == run.result.proposals, run.stats, 0)
+    };
+    let cache_cfg = cache::CacheConfig { slots: 16, words: 4, threshold: 8, sketch_cols: 256 };
+    let cache_unit = Compiler::new(CompileOptions::default())
+        .compile("cache.ncl", &cache::netcl_source(&cache_cfg))
+        .expect("cache compiles");
+    let cache: Check = &|c| {
+        let run = cache::run_coherence(&cache_unit.devices[0], &cache_cfg, 6, c);
+        (run.result.stale == 0 && run.result.completed == 6, run.stats, 0)
+    };
+
+    let when =
+        |link, faults, max_events| Conditions { link, faults, max_events, ..Default::default() };
+    let (clean, chaos, none) = (LinkSpec::default(), LinkSpec::chaos(0.2), FaultSchedule::new);
+    let worker_outage = none().link_outage(NodeId::Host(100), NodeId::Device(1), 40_000, 90_000);
+    let acceptor_restart = none().device_outage(paxos::ACCEPTOR_DEV, 30_000, 120_000);
+    let switch_restart = none().device_outage(1, 25_000, 80_000);
+    let rows: [(&str, Check, &str, Conditions); 9] = [
+        ("AGG", agg, "clean", when(clean, none(), 300_000)),
+        ("AGG", agg, "chaos 20%", when(chaos, none(), 300_000)),
+        ("AGG", agg, "chaos+outage", when(chaos, worker_outage, 300_000)),
+        ("PAXOS", paxos, "clean", when(clean, none(), 200_000)),
+        ("PAXOS", paxos, "chaos 20%", when(chaos, none(), 200_000)),
+        ("PAXOS", paxos, "chaos+restart", when(chaos, acceptor_restart, 200_000)),
+        ("CACHE", cache, "clean", when(clean, none(), 200_000)),
+        ("CACHE", cache, "chaos 20%", when(chaos, none(), 200_000)),
+        ("CACHE", cache, "chaos+restart", when(chaos, switch_restart, 200_000)),
+    ];
 
     let mut out = String::new();
     let _ = writeln!(out, "Chaos — safety under loss/reorder/duplication ({seeds} seeds per row)");
@@ -501,12 +540,19 @@ pub fn report_chaos(seeds: u64) -> String {
         "{:<7} {:<16} {:>5} {:>8} {:>6} {:>6} {:>6} {:>7} {:>8} {:>7}",
         "APP", "SCENARIO", "SAFE", "deliv", "loss", "dup", "reord", "fdrop", "restart", "rexmit"
     );
-    let mut row = |app: &str, scen: &str, safe: bool, s: &NetStats, rexmit: u64| {
+    for (app, check, scenario, conditions) in rows {
+        let (mut safe, mut s, mut rexmit) = (true, NetStats::default(), 0);
+        for seed in 0..seeds {
+            let (ok, stats, r) = check(&Conditions { seed, ..conditions.clone() });
+            safe &= ok;
+            rexmit += r;
+            s.accumulate(&stats);
+        }
         let _ = writeln!(
             out,
             "{:<7} {:<16} {:>5} {:>8} {:>6} {:>6} {:>6} {:>7} {:>8} {:>7}",
             app,
-            scen,
+            scenario,
             if safe { "yes" } else { "NO" },
             s.delivered,
             s.link_losses,
@@ -516,108 +562,7 @@ pub fn report_chaos(seeds: u64) -> String {
             s.device_restarts,
             rexmit,
         );
-    };
-    let chaos = LinkSpec::chaos(0.2);
-
-    let cfg = agg::AggConfig { num_workers: 3, num_slots: 4, slot_size: 8 };
-    let agg_unit = Compiler::new(CompileOptions::default())
-        .compile("agg.ncl", &agg::netcl_source(&cfg))
-        .expect("agg compiles");
-    let agg_outage =
-        FaultSchedule::new().link_outage(NodeId::Host(100), NodeId::Device(1), 40_000, 90_000);
-    for (scen, link, faults) in [
-        ("clean", LinkSpec::lossy(0.0), FaultSchedule::new()),
-        ("chaos 20%", chaos, FaultSchedule::new()),
-        ("chaos+outage", chaos, agg_outage),
-    ] {
-        let (mut safe, mut sum, mut rexmit) = (true, NetStats::default(), 0);
-        for seed in 0..seeds {
-            let (r, s) = agg::run_allreduce_chaos(
-                &agg_unit.devices[0].tna_p4,
-                &cfg,
-                8,
-                500,
-                link,
-                seed,
-                faults.clone(),
-                300_000,
-            );
-            safe &= r.all_correct;
-            rexmit += r.retransmits;
-            sum.accumulate(&s);
-        }
-        row("AGG", scen, safe, &sum, rexmit);
     }
-
-    let paxos_unit = Compiler::new(CompileOptions::default())
-        .compile("paxos.ncl", &paxos::full_source())
-        .expect("paxos compiles");
-    let programs: Vec<(u16, Arc<netcl_p4::ast::P4Program>)> =
-        paxos_unit.devices.iter().map(|d| (d.device, d.tna_p4.clone())).collect();
-    let acceptor_outage = FaultSchedule::new().device_outage(paxos::ACCEPTOR_DEV, 30_000, 120_000);
-    for (scen, link, faults) in [
-        ("clean", LinkSpec::lossy(0.0), FaultSchedule::new()),
-        ("chaos 20%", chaos, FaultSchedule::new()),
-        ("chaos+restart", chaos, acceptor_outage),
-    ] {
-        let (mut safe, mut sum) = (true, NetStats::default());
-        for seed in 0..seeds {
-            let (r, s) = paxos::run_paxos_chaos(&programs, 6, link, seed, faults.clone(), 200_000);
-            safe &= r.conflicts == 0 && r.decided == r.proposals;
-            sum.accumulate(&s);
-        }
-        row("PAXOS", scen, safe, &sum, 0);
-    }
-
-    let ccfg = cache::CacheConfig { slots: 16, words: 4, threshold: 8, sketch_cols: 256 };
-    let cache_unit = Compiler::new(CompileOptions::default())
-        .compile("cache.ncl", &cache::netcl_source(&ccfg))
-        .expect("cache compiles");
-    let keys = 6u64;
-    let mm = ManagedMemory::new(&cache_unit.devices[0].tna_ir);
-    let repop_cfg = ccfg;
-    let repopulate: cache::RepopulateFn = Arc::new(move |sw, store| {
-        if store.is_empty() {
-            for k in 0..keys {
-                cache::populate(
-                    &mm,
-                    sw,
-                    &repop_cfg,
-                    k as u16,
-                    k,
-                    &cache::server_value(&repop_cfg, k),
-                );
-            }
-        } else {
-            for (&k, v) in store {
-                cache::populate(&mm, sw, &repop_cfg, k as u16, k, v);
-            }
-        }
-    });
-    let cache_outage = FaultSchedule::new().device_outage(1, 25_000, 80_000);
-    for (scen, link, faults) in [
-        ("clean", LinkSpec::lossy(0.0), FaultSchedule::new()),
-        ("chaos 20%", chaos, FaultSchedule::new()),
-        ("chaos+restart", chaos, cache_outage),
-    ] {
-        let (mut safe, mut sum) = (true, NetStats::default());
-        for seed in 0..seeds {
-            let (r, s) = cache::run_cache_chaos(
-                &cache_unit.devices[0].tna_p4,
-                repopulate.clone(),
-                &ccfg,
-                keys,
-                link,
-                seed,
-                faults.clone(),
-                200_000,
-            );
-            safe &= r.stale == 0 && r.completed == keys;
-            sum.accumulate(&s);
-        }
-        row("CACHE", scen, safe, &sum, 0);
-    }
-
     let _ = writeln!(
         out,
         "(replay any regime with the same seed + schedule: NetStats are byte-identical)"
@@ -629,23 +574,16 @@ pub fn report_chaos(seeds: u64) -> String {
 /// returns the Perfetto-loadable `trace_event` JSON (DESIGN.md §12). The
 /// seed picks the replayable run to visualize.
 pub fn chaos_trace_json(seed: u64) -> String {
-    use netcl_net::{FaultSchedule, LinkSpec, ObsConfig};
-    let cfg = agg::AggConfig { num_workers: 3, num_slots: 4, slot_size: 8 };
-    let agg_unit = Compiler::new(CompileOptions::default())
-        .compile("agg.ncl", &agg::netcl_source(&cfg))
-        .expect("agg compiles");
-    let (_, _, trace) = agg::run_allreduce_chaos_observed(
-        &agg_unit.devices[0].tna_p4,
-        &cfg,
-        8,
-        500,
-        LinkSpec::chaos(0.2),
+    let (cfg, unit) = chaos_agg();
+    let c = Conditions {
+        link: netcl_net::LinkSpec::chaos(0.2),
         seed,
-        FaultSchedule::new(),
-        300_000,
-        Some(ObsConfig { trace: true, ..Default::default() }),
-    );
-    trace.expect("tracing was enabled").to_json()
+        max_events: 300_000,
+        obs: Some(netcl_net::ObsConfig { trace: true, ..Default::default() }),
+        ..Default::default()
+    };
+    let run = agg::run_allreduce(&unit.devices[0].tna_p4, &cfg, 8, 500, &c);
+    run.trace.expect("tracing was enabled").to_json()
 }
 
 #[cfg(test)]
@@ -692,15 +630,6 @@ mod tests {
                 let ns: f64 = line.split_whitespace().last().unwrap().parse().unwrap();
                 assert!(ns < 1000.0, "{line}");
             }
-        }
-    }
-
-    #[test]
-    fn chaos_report_all_safe() {
-        let t = report_chaos(2);
-        assert!(!t.contains(" NO "), "a safety property failed:\n{t}");
-        for app in ["AGG", "PAXOS", "CACHE"] {
-            assert_eq!(t.matches(app).count(), 3, "{t}");
         }
     }
 

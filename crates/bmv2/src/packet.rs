@@ -111,11 +111,6 @@ impl Packet {
         }
     }
 
-    /// The slot table this packet is shaped by.
-    pub fn slot_table(&self) -> &Arc<SlotTable> {
-        &self.slots
-    }
-
     /// Re-shapes the packet for `slots` if it currently uses a different
     /// table (callers may hand a `Packet::default()` to `process_into`).
     pub fn ensure_slots(&mut self, slots: &Arc<SlotTable>) {

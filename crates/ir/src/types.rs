@@ -91,14 +91,6 @@ impl Operand {
             _ => None,
         }
     }
-
-    /// The value id, if this is a value reference.
-    pub fn as_value(self) -> Option<super::func::ValueId> {
-        match self {
-            Operand::Value(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Debug for Operand {

@@ -30,4 +30,4 @@ pub use sim::{
     ObsConfig, Outbox, RestartHook,
 };
 pub use topo::{LinkSpec, NodeId, Topology};
-pub use workload::{FatTree, Flow, FlowStream, Straggler, WorkloadRng, Zipf};
+pub use workload::{FatTree, Flow, FlowStream, WorkloadRng, Zipf};

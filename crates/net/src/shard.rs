@@ -210,7 +210,6 @@ impl NetworkBuilder {
                 // keys agree in every shard; application is owner-only.
                 updates: self.updates.clone(),
                 obs: self.obs,
-                engine: self.engine,
                 ..NetworkBuilder::default()
             })
             .collect();

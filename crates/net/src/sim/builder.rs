@@ -38,7 +38,6 @@ pub struct NetworkBuilder {
     pub(crate) updates: Vec<(u64, u16, TableUpdate)>,
     pub(crate) restart_hooks: HashMap<u16, RestartHook>,
     pub(crate) obs: Option<ObsConfig>,
-    pub(crate) engine: Option<netcl_bmv2::Engine>,
 }
 
 impl NetworkBuilder {
@@ -109,14 +108,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Selects the execution engine for every device in the network
-    /// (default: each switch keeps its own setting — normally
-    /// [`netcl_bmv2::Engine::Threaded`]). Device restarts preserve it.
-    pub fn engine(mut self, engine: netcl_bmv2::Engine) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
     /// Builds the network.
     pub fn build(self) -> Network {
         let routes = RouteCache::new(&self.topology);
@@ -178,10 +169,7 @@ impl NetworkBuilder {
             flows: FlowPump::default(),
             outbox: Outbox::default(),
         };
-        for (id, mut switch, latency_ns) in self.devices {
-            if let Some(engine) = self.engine {
-                switch.set_engine(engine);
-            }
+        for (id, switch, latency_ns) in self.devices {
             let i = net.intern(NodeId::Device(id));
             net.slots[i as usize].device = Some(Box::new(DeviceNode {
                 pkt: switch.new_packet(),

@@ -4,9 +4,8 @@
 //! ROADMAP's north star is traffic from millions of users. This module
 //! makes such runs *expressible*: a k-ary fat-tree topology builder
 //! (k³/4 hosts — k=36 is 11 664, k=48 is 27 648), a Zipf key sampler for
-//! CACHE-style skewed access, a straggler delay model for AGG-style
-//! synchronized workers, and a deterministic flow generator tying them
-//! together. Everything is a pure function of its seed: the same seed
+//! CACHE-style skewed access, and a deterministic flow generator tying
+//! them together. Everything is a pure function of its seed: the same seed
 //! yields the same flows, which the proptest suite (`tests/workload.rs`)
 //! pins down.
 
@@ -91,36 +90,6 @@ impl Zipf {
         let u = rng.next_f64();
         let idx = self.cdf.partition_point(|&c| c <= u);
         (idx.min(self.cdf.len() - 1) + 1) as u64
-    }
-}
-
-/// Straggler delay model for AGG-style synchronized workers: every
-/// response takes `base_ns` plus uniform jitter, and with probability
-/// `prob` a worker straggles for `straggle_ns` extra — the tail that
-/// in-network aggregation is meant to hide.
-#[derive(Debug, Clone, Copy)]
-pub struct Straggler {
-    /// Common-case processing time.
-    pub base_ns: u64,
-    /// Uniform extra delay in `[0, jitter_ns)` on every response.
-    pub jitter_ns: u64,
-    /// Probability a response straggles.
-    pub prob: f64,
-    /// Extra delay when it does.
-    pub straggle_ns: u64,
-}
-
-impl Straggler {
-    /// One worker's response delay.
-    pub fn delay_ns(&self, rng: &mut WorkloadRng) -> u64 {
-        let mut d = self.base_ns;
-        if self.jitter_ns > 0 {
-            d += rng.below(self.jitter_ns);
-        }
-        if self.prob > 0.0 && rng.next_f64() < self.prob {
-            d += self.straggle_ns;
-        }
-        d
     }
 }
 
@@ -372,16 +341,6 @@ mod tests {
         assert_ne!(a, c, "different seed, different flows");
         // Injection times strictly increase.
         assert!(a.windows(2).all(|w| w[0].at_ns < w[1].at_ns));
-    }
-
-    #[test]
-    fn straggler_tail_shows_up() {
-        let s = Straggler { base_ns: 1000, jitter_ns: 100, prob: 0.25, straggle_ns: 50_000 };
-        let mut rng = WorkloadRng::new(42);
-        let delays: Vec<u64> = (0..400).map(|_| s.delay_ns(&mut rng)).collect();
-        let stragglers = delays.iter().filter(|&&d| d >= 50_000).count();
-        assert!((50..150).contains(&stragglers), "~25% should straggle, got {stragglers}/400");
-        assert!(delays.iter().all(|&d| d >= 1000));
     }
 
     #[test]

@@ -122,18 +122,6 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Non-empty buckets as `(lower_bound, upper_bound, count)` triples.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets.iter().enumerate().filter(|(_, &n)| n > 0).map(|(i, &n)| {
-            if i == 0 {
-                (0, 0, n)
-            } else {
-                let lo = 1u64 << (i - 1);
-                (lo, lo.saturating_mul(2).saturating_sub(1), n)
-            }
-        })
-    }
-
     /// One-line console summary.
     pub fn pretty(&self) -> String {
         format!(

@@ -286,14 +286,6 @@ pub enum HashKind {
 }
 
 impl HashKind {
-    /// Natural output width before folding.
-    pub fn native_bits(self) -> u8 {
-        match self {
-            HashKind::Crc16 | HashKind::Xor16 => 16,
-            HashKind::Crc32 | HashKind::Identity => 32,
-        }
-    }
-
     /// Computes the hash of a key's little-endian bytes, folded to `bits`.
     #[inline]
     pub fn compute(self, key: u64, key_bytes: u32, bits: u8) -> u64 {

@@ -6,7 +6,7 @@
 //! only literals and operators).
 
 use netcl_lang::ast::{BinOp, Expr, ExprKind, UnOp};
-use netcl_util::{DiagnosticSink, Span};
+use netcl_util::DiagnosticSink;
 
 use crate::types::Ty;
 
@@ -106,11 +106,6 @@ pub fn eval_dim(expr: &Expr, diags: &mut DiagnosticSink) -> Option<usize> {
         return None;
     }
     Some(v as usize)
-}
-
-/// Marker span helper for synthesized expressions in tests.
-pub fn dummy_span() -> Span {
-    Span::DUMMY
 }
 
 #[cfg(test)]

@@ -198,11 +198,6 @@ impl Model {
         self.globals.iter().filter(move |g| placed_at(&g.locations, dev))
     }
 
-    /// Net functions placed on device `dev`.
-    pub fn net_fns_at(&self, dev: u16) -> impl Iterator<Item = &NetFnInfo> {
-        self.net_fns.iter().filter(move |f| placed_at(&f.locations, dev))
-    }
-
     /// Finds a global by name.
     pub fn global(&self, name: &str) -> Option<&GlobalInfo> {
         self.globals.iter().find(|g| g.name == name)

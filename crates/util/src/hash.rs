@@ -82,12 +82,6 @@ pub fn xor16_u32(key: u32) -> u16 {
     xor16(&key.to_le_bytes())
 }
 
-/// Hashes a 64-bit key over its LE bytes with CRC-32 (used by CACHE's 8-byte
-/// keys).
-pub fn crc32_u64(key: u64) -> u32 {
-    crc32(&key.to_le_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

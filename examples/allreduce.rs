@@ -6,7 +6,8 @@
 //! cargo run --example allreduce
 //! ```
 
-use netcl_apps::agg;
+use netcl_apps::{agg, Conditions};
+use netcl_net::LinkSpec;
 
 fn main() {
     let cfg = agg::AggConfig { num_workers: 4, num_slots: 8, slot_size: 16 };
@@ -21,10 +22,12 @@ fn main() {
     );
 
     for loss in [0.0, 0.05] {
-        let r = agg::run_allreduce(p4, &cfg, 32, fit.latency_ns.ceil() as u64, loss);
+        let c = Conditions { link: LinkSpec::lossy(loss), ..Default::default() };
+        let run = agg::run_allreduce(p4, &cfg, 32, fit.latency_ns.ceil() as u64, &c);
+        let r = run.result;
         println!(
             "loss={loss:>4}: correct={} | {:.0} ATE/s/worker | {} retransmissions | {} kernel executions",
-            r.all_correct, r.ate_per_sec_per_worker, r.retransmits, r.kernel_executions
+            r.all_correct, r.ate_per_sec_per_worker, r.retransmits, run.stats.kernel_executions
         );
         assert!(r.all_correct);
     }

@@ -16,15 +16,18 @@
 //! runs every app × seed on the interpreter oracle, asserting both engines
 //! produce identical `NetStats` and `SwitchCounters`.
 
-use std::sync::Arc;
-
-use netcl_apps::{agg, cache, paxos};
+use netcl_apps::{agg, cache, paxos, Conditions};
 use netcl_net::{FaultSchedule, LinkSpec, NodeId};
 use netcl_runtime::managed::ManagedMemory;
 
 /// The chaos regime the ISSUE mandates: 20% loss + reorder + duplication.
 fn chaos_link() -> LinkSpec {
     LinkSpec::chaos(0.2)
+}
+
+/// One chaos-matrix run: the chaos link, `seed`, `faults`, `max_events`.
+fn chaos(seed: u64, faults: FaultSchedule, max_events: u64) -> Conditions {
+    Conditions { link: chaos_link(), seed, faults, max_events, obs: None }
 }
 
 fn seed_matrix() -> u64 {
@@ -48,16 +51,9 @@ fn agg_sums_exactly_once_under_chaos() {
     let unit = compile("agg.ncl", &agg::netcl_source(&cfg));
     let program = &unit.devices[0].tna_p4;
     for seed in 0..seed_matrix() {
-        let (r, stats) = agg::run_allreduce_chaos(
-            program,
-            &cfg,
-            8,
-            500,
-            chaos_link(),
-            seed,
-            FaultSchedule::new(),
-            300_000,
-        );
+        let run =
+            agg::run_allreduce(program, &cfg, 8, 500, &chaos(seed, FaultSchedule::new(), 300_000));
+        let (r, stats) = (run.result, run.stats);
         assert!(r.all_correct, "seed {seed}: wrong/missing aggregate: {r:?} stats={stats:?}");
         assert_eq!(stats.unroutable, 0, "seed {seed}");
     }
@@ -73,11 +69,9 @@ fn agg_sums_exactly_once_under_chaos() {
 #[test]
 fn paxos_never_chooses_two_values_under_chaos() {
     let unit = compile("paxos.ncl", &paxos::full_source());
-    let programs: Vec<(u16, Arc<netcl_p4::ast::P4Program>)> =
-        unit.devices.iter().map(|d| (d.device, d.tna_p4.clone())).collect();
     for seed in 0..seed_matrix() {
-        let (r, stats) =
-            paxos::run_paxos_chaos(&programs, 6, chaos_link(), seed, FaultSchedule::new(), 200_000);
+        let run = paxos::run_paxos(&unit.devices, 6, &chaos(seed, FaultSchedule::new(), 200_000));
+        let (r, stats) = (run.result, run.stats);
         assert_eq!(r.conflicts, 0, "seed {seed}: conflicting decisions: {r:?} stats={stats:?}");
         assert_eq!(r.decided, r.proposals, "seed {seed}: undecided proposals: {r:?}");
         assert_eq!(stats.unroutable, 0, "seed {seed}");
@@ -89,12 +83,10 @@ fn paxos_never_chooses_two_values_under_chaos() {
 #[test]
 fn paxos_survives_acceptor_restart() {
     let unit = compile("paxos.ncl", &paxos::full_source());
-    let programs: Vec<(u16, Arc<netcl_p4::ast::P4Program>)> =
-        unit.devices.iter().map(|d| (d.device, d.tna_p4.clone())).collect();
     let faults = FaultSchedule::new().device_outage(paxos::ACCEPTOR_DEV, 30_000, 120_000);
     for seed in 0..seed_matrix().min(16) {
-        let (r, stats) =
-            paxos::run_paxos_chaos(&programs, 6, chaos_link(), seed, faults.clone(), 200_000);
+        let run = paxos::run_paxos(&unit.devices, 6, &chaos(seed, faults.clone(), 200_000));
+        let (r, stats) = (run.result, run.stats);
         assert_eq!(r.conflicts, 0, "seed {seed}: {r:?}");
         assert_eq!(r.decided, r.proposals, "seed {seed}: {r:?}");
         assert_eq!(stats.device_restarts, 1, "seed {seed}");
@@ -111,27 +103,6 @@ fn cache_cfg() -> cache::CacheConfig {
     cache::CacheConfig { slots: 16, words: 4, threshold: 8, sketch_cols: 256 }
 }
 
-/// Control-plane (re)population closure: at build time (empty store) the
-/// initial keys are cached with their server values; on device restart only
-/// keys the server has acknowledged writes for are re-indexed, with the
-/// server's current values — the switch never serves older state than the
-/// authority.
-fn cache_repopulate(unit: &netcl::CompiledUnit) -> cache::RepopulateFn {
-    let mm = ManagedMemory::new(&unit.devices[0].tna_ir);
-    let cfg = cache_cfg();
-    Arc::new(move |sw, store| {
-        if store.is_empty() {
-            for k in 0..CACHE_KEYS {
-                cache::populate(&mm, sw, &cfg, k as u16, k, &cache::server_value(&cfg, k));
-            }
-        } else {
-            for (&k, v) in store {
-                cache::populate(&mm, sw, &cfg, k as u16, k, v);
-            }
-        }
-    })
-}
-
 /// Every GET issued after its key's PUT was acknowledged returns the
 /// written value, whether the switch or the server answers.
 #[test]
@@ -139,41 +110,31 @@ fn cache_reads_return_last_write_under_chaos() {
     let cfg = cache_cfg();
     let unit = compile("cache.ncl", &cache::netcl_source(&cfg));
     for seed in 0..seed_matrix() {
-        let (r, stats) = cache::run_cache_chaos(
-            &unit.devices[0].tna_p4,
-            cache_repopulate(&unit),
-            &cfg,
-            CACHE_KEYS,
-            chaos_link(),
-            seed,
-            FaultSchedule::new(),
-            200_000,
-        );
+        let c = chaos(seed, FaultSchedule::new(), 200_000);
+        let run = cache::run_coherence(&unit.devices[0], &cfg, CACHE_KEYS, &c);
+        let (r, stats) = (run.result, run.stats);
         assert_eq!(r.stale, 0, "seed {seed}: stale reads: {r:?} stats={stats:?}");
         assert_eq!(r.completed, CACHE_KEYS, "seed {seed}: incomplete: {r:?}");
         assert_eq!(stats.unroutable, 0, "seed {seed}");
     }
 }
 
-/// A mid-run device restart wipes `_managed_` cache state; the registered
-/// control-plane hook repopulates it from the server's store, and coherence
-/// still holds.
+/// A mid-run device restart wipes `_managed_` cache state; the driver's
+/// restart hook repopulates it from the server's store, and coherence still
+/// holds.
 #[test]
 fn cache_survives_device_restart() {
     let cfg = cache_cfg();
     let unit = compile("cache.ncl", &cache::netcl_source(&cfg));
     let faults = FaultSchedule::new().device_outage(1, 25_000, 80_000);
     for seed in 0..seed_matrix().min(16) {
-        let (r, stats) = cache::run_cache_chaos(
-            &unit.devices[0].tna_p4,
-            cache_repopulate(&unit),
+        let run = cache::run_coherence(
+            &unit.devices[0],
             &cfg,
             CACHE_KEYS,
-            chaos_link(),
-            seed,
-            faults.clone(),
-            200_000,
+            &chaos(seed, faults.clone(), 200_000),
         );
+        let (r, stats) = (run.result, run.stats);
         assert_eq!(r.stale, 0, "seed {seed}: {r:?}");
         assert_eq!(r.completed, CACHE_KEYS, "seed {seed}: {r:?}");
         assert_eq!(stats.device_restarts, 1, "seed {seed}");
@@ -191,17 +152,10 @@ fn replay_is_deterministic_agg() {
     let cfg = agg::AggConfig { num_workers: 3, num_slots: 4, slot_size: 8 };
     let unit = compile("agg.ncl", &agg::netcl_source(&cfg));
     let run = |seed| {
-        agg::run_allreduce_chaos(
-            &unit.devices[0].tna_p4,
-            &cfg,
-            8,
-            500,
-            chaos_link(),
-            seed,
-            FaultSchedule::new().link_outage(NodeId::Host(100), NodeId::Device(1), 40_000, 90_000),
-            300_000,
-        )
-        .1
+        let faults =
+            FaultSchedule::new().link_outage(NodeId::Host(100), NodeId::Device(1), 40_000, 90_000);
+        agg::run_allreduce(&unit.devices[0].tna_p4, &cfg, 8, 500, &chaos(seed, faults, 300_000))
+            .stats
     };
     let (a, b) = (run(7), run(7));
     assert_eq!(a, b, "identical (seed, schedule) must replay identically");
@@ -216,17 +170,8 @@ fn replay_is_deterministic_cache() {
     let unit = compile("cache.ncl", &cache::netcl_source(&cfg));
     let faults = FaultSchedule::new().device_outage(1, 25_000, 80_000);
     let run = |seed| {
-        cache::run_cache_chaos(
-            &unit.devices[0].tna_p4,
-            cache_repopulate(&unit),
-            &cfg,
-            CACHE_KEYS,
-            chaos_link(),
-            seed,
-            faults.clone(),
-            200_000,
-        )
-        .1
+        let c = chaos(seed, faults.clone(), 200_000);
+        cache::run_coherence(&unit.devices[0], &cfg, CACHE_KEYS, &c).stats
     };
     let (a, b) = (run(3), run(3));
     assert_eq!(a, b);
@@ -441,10 +386,11 @@ fn burst_delivery_is_engine_uniform_under_chaos_all_apps() {
         let dev = app.device;
         let run = |engine: Engine, seed: u64| {
             let topo = star(dev, &[1, 2], chaos_link());
+            let mut sw = Switch::new(p4.clone());
+            sw.set_engine(engine);
             let mut net = NetworkBuilder::new(topo)
                 .seed(seed)
-                .device(dev, Switch::new(p4.clone()), 500)
-                .engine(engine)
+                .device(dev, sw, 500)
                 .sink_host(1)
                 .sink_host(2)
                 .fault(40_000, Fault::DeviceFail(dev))
@@ -630,10 +576,11 @@ fn rule_updates_are_engine_uniform_under_chaos() {
     let del = cp.build_remove(&template, "rules", 1).unwrap();
 
     let run = |engine: Engine, seed: u64| {
+        let mut sw = Switch::new(p4.clone());
+        sw.set_engine(engine);
         let mut net = NetworkBuilder::new(star(1, &[1, 2], chaos_link()))
             .seed(seed)
-            .device(1, Switch::new(p4.clone()), 500)
-            .engine(engine)
+            .device(1, sw, 500)
             .sink_host(1)
             .sink_host(2)
             .fault(50_000, Fault::DeviceFail(1))
@@ -999,6 +946,7 @@ fn tenant_isolation_chaos_engine_matrix_sharded_equals_scalar() {
     let hosts = [1u32, 2, 100, 101, 102];
     let builder = |engine: Engine, seed: u64| {
         let mut sw = Switch::new(p4.clone());
+        sw.set_engine(engine);
         sw.set_tenants(&comps);
         populate_t1(&mm, &mut sw, &ccfg, 0, 1);
         let hook_comps = comps.clone();
@@ -1007,7 +955,6 @@ fn tenant_isolation_chaos_engine_matrix_sharded_equals_scalar() {
         let mut b = NetworkBuilder::new(topo)
             .seed(seed)
             .device(1, sw, 500)
-            .engine(engine)
             .fault(48_000, Fault::DeviceFail(1))
             .fault(88_000, Fault::DeviceRestart(1))
             .update(25_000, 1, ins.clone())

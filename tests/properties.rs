@@ -564,13 +564,15 @@ proptest! {
 /// AllReduce correctness under randomized loss rates (failure injection).
 #[test]
 fn allreduce_correct_under_random_loss() {
-    use netcl_apps::agg;
+    use netcl_apps::{agg, Conditions};
+    use netcl_net::LinkSpec;
     let cfg = agg::AggConfig { num_workers: 3, num_slots: 4, slot_size: 8 };
     let unit = Compiler::new(CompileOptions::default())
         .compile("agg.ncl", &agg::netcl_source(&cfg))
         .unwrap();
     for loss_pct in [0u32, 2, 5, 10] {
-        let r = agg::run_allreduce(&unit.devices[0].tna_p4, &cfg, 8, 500, loss_pct as f64 / 100.0);
+        let c = Conditions { link: LinkSpec::lossy(loss_pct as f64 / 100.0), ..Default::default() };
+        let r = agg::run_allreduce(&unit.devices[0].tna_p4, &cfg, 8, 500, &c).result;
         assert!(r.all_correct, "loss {loss_pct}%: {r:?}");
     }
 }
