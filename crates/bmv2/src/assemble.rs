@@ -9,25 +9,29 @@
 //!   exactly one closure per run or control item: each can be entered.
 //! - Items are consumed by value: nothing is built twice, nothing cloned.
 //! - Fusing is unobservable: inside a run stores happen in program order,
-//!   and a SALU site reads its index, condition and operands only after
-//!   the moves fused in front of it have run.
+//!   and a SALU site reads its condition and operands only after the moves
+//!   fused in front of it have run. A SALU run reads its index once, after
+//!   its head moves: nothing it executes after that writes a slot the
+//!   index reads ([`SaluRun::takes`]).
 
-use crate::threaded::{apply_table, salu_cell, Dest, LinFn, Moves, OpFn, Operand, Prefix};
-use netcl_sema::builtins::AtomicOp;
+use crate::threaded::{apply_table, run_moves, Dest, LinFn, Move, OpFn, Operand, Salu, SaluRun};
 
 /// A branch target: an index into the lowering's label table, which holds
 /// the item index each label was bound at.
 pub(crate) type Label = usize;
 
-/// One lowered statement. `Move` and `Ra` stay *symbolic* so [`assemble`]
-/// can fuse adjacent ones into a single closure; `Lin` is an opaque
-/// fallthrough piece (still fusable into a run); the rest are control
-/// items, which pick their own successor.
+/// One lowered statement. `Move` and `Run` stay *symbolic* so
+/// [`assemble`] can fuse adjacent ones into a single closure; `Lin` is an
+/// opaque fallthrough piece (still fusable into a run); the rest are
+/// control items, which pick their own successor.
 pub(crate) enum Lowered {
     /// A plain assignment: destination plus source operand.
     Move(Dest, Operand),
-    /// A SALU site, kept un-built so leading moves can fuse into it.
-    Ra(RaSpec),
+    /// A run of SALU sites (`dst = ra.execute(index)`; a single site is a
+    /// run of one lane), kept symbolic so the moves in front of it fuse
+    /// into it. AGG executes 32 per packet on one index, each behind the
+    /// move of its condition (`rc = (t == 1); v[i] = ra_i.execute(k)`).
+    Run(SaluRun),
     Lin(LinFn),
     /// An unconditional jump, symbolic so a preceding run can return the
     /// target directly (no extra dispatch).
@@ -52,48 +56,39 @@ pub(crate) enum Lowered {
 impl Lowered {
     /// Whether the item always falls through to the next one.
     pub(crate) fn fusable(&self) -> bool {
-        matches!(self, Lowered::Move(..) | Lowered::Ra(_) | Lowered::Lin(_))
+        matches!(self, Lowered::Move(..) | Lowered::Run(_) | Lowered::Lin(_))
     }
 }
 
-/// A pre-lowered SALU site (`dst = ra.execute(index)`), symbolic until
-/// assembly. The compiler emits temp-carrying moves right in front of
-/// most sites (`t1 = cond; t2 = arg; exec`), and AGG runs that triple 32
-/// times per packet — fusing it drops three dispatches to one.
-pub(crate) struct RaSpec {
-    pub(crate) d: Dest,
-    pub(crate) idx: Operand,
-    pub(crate) cond: Option<Operand>,
-    pub(crate) operands: Vec<Operand>,
-    pub(crate) reg: usize,
-    pub(crate) mask: u64,
-    pub(crate) sty: netcl_sema::Ty,
-    pub(crate) op: AtomicOp,
+impl SaluRun {
+    /// Whether a site extends this run, `pre` the destination of the one
+    /// move in front of it (if any): same microprogram, same index leaf,
+    /// and neither that move nor the last lane's store writes a slot the
+    /// index reads — the run reads it once, up front.
+    pub(crate) fn takes(&self, salu: Salu, idx: &Operand, pre: Option<Dest>) -> bool {
+        let Some((a, b, _)) = self.idx.load() else { return false };
+        let last = self.lanes.last().map(|l| l.d);
+        self.salu == salu
+            && idx.load() == self.idx.load()
+            && !pre.into_iter().chain(last).any(|d| d.slot().is_some_and(|s| s == a || s == b))
+    }
 }
 
-/// Builds one closure executing a run of lowered moves in order. A
-/// single move specializes per operand kind; longer runs share one
-/// data-driven loop — one dispatch for the whole run either way.
-fn build_moves(mut moves: Vec<(Dest, Operand)>) -> LinFn {
+/// The part executing moves, if there are any: a longer run loops; a
+/// single move is specialized per operand kind — two direct slot
+/// accesses, no expression call, for a leaf source.
+fn moves_part(mut moves: Vec<Move>) -> Option<LinFn> {
     if moves.len() > 1 {
-        let moves: Moves = moves.into();
-        return Box::new(move |_, pkt, _| {
-            for (d, o) in moves.iter() {
-                d.store(pkt, o.read(pkt));
-            }
+        let moves: Box<[Move]> = moves.into();
+        return Some(Box::new(move |_, pkt, _| {
+            run_moves(&moves, pkt);
             Ok(())
-        });
+        }));
     }
-    let (d, o) = moves.pop().expect("a run of moves is not empty");
-    match o {
-        // Leaf sources inline into the op closure: a lowered move is
-        // two direct slot accesses, no expression call at all.
+    let (d, o) = moves.pop()?;
+    Some(match o {
         Operand::Slot(s) => Box::new(move |_, pkt, _| {
             d.store(pkt, pkt.value(s));
-            Ok(())
-        }),
-        Operand::NotSlot(s) => Box::new(move |_, pkt, _| {
-            d.store(pkt, (pkt.value(s) == 0) as u64);
             Ok(())
         }),
         Operand::Const(k) => Box::new(move |_, pkt, _| {
@@ -108,114 +103,7 @@ fn build_moves(mut moves: Vec<(Dest, Operand)>) -> LinFn {
             d.store(pkt, o.read(pkt));
             Ok(())
         }),
-    }
-}
-
-/// The moves of a run that a SALU site follows, fused into its closure.
-fn prefix_of(v: Vec<(Dest, Operand)>) -> Prefix {
-    let mut it = v.into_iter();
-    match (it.next(), it.next(), it.next()) {
-        (None, _, _) => Prefix::None,
-        (Some(a), None, _) => Prefix::One(a.0, a.1),
-        (Some(a), Some(b), None) => Prefix::Two(a, b),
-        (Some(a), Some(b), Some(c)) => Prefix::Many([a, b, c].into_iter().chain(it).collect()),
-    }
-}
-
-/// Builds one closure for a (possibly empty) run of moves followed by a
-/// SALU execution. The moves run first — stores happen in program order,
-/// and only then does the SALU read its index/condition/operands, so the
-/// observable order is exactly that of the unfused statements.
-///
-/// Monomorphizes the hot shapes — every `AtomicRmw` takes ≤ 2 value
-/// operands — so each SALU site is one closure with everything (leading
-/// moves, register handle, mask, type, condition and operand evaluators)
-/// captured flat: no side-table chase, no operand loop, no scratch. The
-/// generic closure remains for any future wider form.
-fn build_ra(prefix: Prefix, spec: RaSpec) -> LinFn {
-    let RaSpec { d, idx, cond, operands, reg, mask, sty, op } = spec;
-    let mut operands = operands.into_iter();
-    match (cond, operands.next(), operands.next(), operands.len()) {
-        (None, None, ..) => Box::new(move |_, pkt, st| {
-            prefix.run(pkt);
-            st.counters.reg_action_execs += 1;
-            let iv = idx.read(pkt);
-            d.store(pkt, salu_cell(st, reg, mask, sty, op, iv, true, &[]));
-            Ok(())
-        }),
-        (None, Some(o0), None, _) => Box::new(move |_, pkt, st| {
-            prefix.run(pkt);
-            st.counters.reg_action_execs += 1;
-            let iv = idx.read(pkt);
-            let a = o0.read(pkt) & mask;
-            d.store(pkt, salu_cell(st, reg, mask, sty, op, iv, true, &[a]));
-            Ok(())
-        }),
-        (None, Some(o0), Some(o1), 0) => Box::new(move |_, pkt, st| {
-            prefix.run(pkt);
-            st.counters.reg_action_execs += 1;
-            let iv = idx.read(pkt);
-            let a = o0.read(pkt) & mask;
-            let b = o1.read(pkt) & mask;
-            d.store(pkt, salu_cell(st, reg, mask, sty, op, iv, true, &[a, b]));
-            Ok(())
-        }),
-        (Some(c), None, ..) => Box::new(move |_, pkt, st| {
-            prefix.run(pkt);
-            st.counters.reg_action_execs += 1;
-            let iv = idx.read(pkt);
-            let en = c.read(pkt) != 0;
-            d.store(pkt, salu_cell(st, reg, mask, sty, op, iv, en, &[]));
-            Ok(())
-        }),
-        (Some(c), Some(o0), None, _) => Box::new(move |_, pkt, st| {
-            prefix.run(pkt);
-            st.counters.reg_action_execs += 1;
-            let iv = idx.read(pkt);
-            let en = c.read(pkt) != 0;
-            let a = o0.read(pkt) & mask;
-            d.store(pkt, salu_cell(st, reg, mask, sty, op, iv, en, &[a]));
-            Ok(())
-        }),
-        (Some(c), Some(o0), Some(o1), 0) => Box::new(move |_, pkt, st| {
-            prefix.run(pkt);
-            st.counters.reg_action_execs += 1;
-            let iv = idx.read(pkt);
-            let en = c.read(pkt) != 0;
-            let a = o0.read(pkt) & mask;
-            let b = o1.read(pkt) & mask;
-            d.store(pkt, salu_cell(st, reg, mask, sty, op, iv, en, &[a, b]));
-            Ok(())
-        }),
-        (cond, o0, o1, _) => {
-            let operands: Box<[Operand]> = o0.into_iter().chain(o1).chain(operands).collect();
-            Box::new(move |_, pkt, st| {
-                prefix.run(pkt);
-                st.counters.reg_action_execs += 1;
-                let iv = idx.read(pkt);
-                let c = match &cond {
-                    Some(c) => c.read(pkt) != 0,
-                    None => true,
-                };
-                // A fixed buffer keeps ≤ 4 operands off the heap; the
-                // cold arm covers any future wider op.
-                let mut buf = [0u64; 4];
-                let n = operands.len();
-                let spill: Vec<u64>;
-                let ops: &[u64] = if n <= 4 {
-                    for (k, o) in operands.iter().enumerate() {
-                        buf[k] = o.read(pkt) & mask;
-                    }
-                    &buf[..n]
-                } else {
-                    spill = operands.iter().map(|o| o.read(pkt) & mask).collect();
-                    &spill
-                };
-                d.store(pkt, salu_cell(st, reg, mask, sty, op, iv, c, ops));
-                Ok(())
-            })
-        }
-    }
+    })
 }
 
 /// Composes a straight-line run into one closure. Grouping by four keeps
@@ -302,36 +190,35 @@ pub(crate) fn assemble(
 }
 
 /// Builds one op from its items; `next` is the pc after it. Superop
-/// fusion over the run: adjacent moves collapse into one data-driven
-/// closure, and moves feeding straight into a SALU site fold into *its*
-/// closure — AGG's per-element triple (`t1 = cond; t2 = arg; exec`)
-/// becomes a single dispatch.
+/// fusion over the run: adjacent moves collapse into one part, and the
+/// moves in front of a SALU run become its head — AGG's 32 sites of
+/// `rc = (t == 1); v[i] = ra_i.execute(k)` are one part.
 fn build_op(
     items: impl Iterator<Item = Lowered>,
     next: usize,
     pc_at: &impl Fn(Label) -> usize,
 ) -> OpFn {
     let mut parts: Vec<LinFn> = Vec::new();
-    let mut pending: Vec<(Dest, Operand)> = Vec::new();
+    let mut pending: Vec<Move> = Vec::new();
     let mut tail = None;
     for item in items {
         match item {
             Lowered::Move(d, o) => pending.push((d, o)),
-            Lowered::Ra(spec) => {
-                parts.push(build_ra(prefix_of(std::mem::take(&mut pending)), spec))
+            Lowered::Run(mut run) => {
+                run.head = std::mem::take(&mut pending).into();
+                parts.push(Box::new(move |_, pkt, st| {
+                    run.run(pkt, st);
+                    Ok(())
+                }));
             }
             Lowered::Lin(f) => {
-                if !pending.is_empty() {
-                    parts.push(build_moves(std::mem::take(&mut pending)));
-                }
+                parts.extend(moves_part(std::mem::take(&mut pending)));
                 parts.push(f);
             }
             control => tail = Some(control),
         }
     }
-    if !pending.is_empty() {
-        parts.push(build_moves(pending));
-    }
+    parts.extend(moves_part(pending));
     if parts.is_empty() {
         // A control item entered by dispatch.
         return match tail.expect("an op is not empty") {

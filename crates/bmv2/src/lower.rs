@@ -6,7 +6,7 @@
 //! [`Operand`]s directly (width computed on the way back up the tree);
 //! statements become symbolic [`Lowered`] items, the only representation
 //! between the AST and the closures, which `assemble.rs` then fuses run
-//! by run.
+//! by run. A SALU site joins the lane run in front of it as it is emitted.
 //!
 //! Invariants:
 //! - Names resolve as the interpreter resolves them — against the
@@ -26,13 +26,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::assemble::{assemble, Label, Lowered, RaSpec};
+use crate::assemble::{assemble, Label, Lowered};
 use crate::eval::{bin_value, canonical, instance_of, mask_of, slice_shape};
 use crate::layout::{HeaderId, Layout};
 use crate::switch::SwitchError;
 use crate::threaded::{
-    apply_table, call_action, Action, Dest, Extract, HeaderPlan, Next, Operand, Parser, State,
-    Table, ThreadedProgram, Trans,
+    apply_table, call_action, Action, Dest, Extract, HeaderPlan, Lane, Next, Operand, Parser, Salu,
+    SaluRun, State, Table, ThreadedProgram, Trans,
 };
 use netcl_ir::interp::eval_intrinsic;
 use netcl_p4::ast::*;
@@ -123,7 +123,12 @@ fn lower_bin(op: P4BinOp, a: Operand, wa: u32, b: Operand, wb: u32) -> (Operand,
         P4BinOp::And => (fuse2(a, b, |x, y| x & y), w),
         P4BinOp::Or => (fuse2(a, b, |x, y| x | y), w),
         P4BinOp::Xor => (fuse2(a, b, move |x, y| (x ^ y) & m), w),
-        P4BinOp::Eq => (fuse2(a, b, |x, y| (x == y) as u64), 1),
+        P4BinOp::Eq => match (a, b) {
+            (Operand::Slot(s), Operand::Const(k)) | (Operand::Const(k), Operand::Slot(s)) => {
+                (Operand::EqK(s, k), 1)
+            }
+            (a, b) => (fuse2(a, b, |x, y| (x == y) as u64), 1),
+        },
         P4BinOp::Ne => (fuse2(a, b, |x, y| (x != y) as u64), 1),
         P4BinOp::Lt => (fuse2(a, b, |x, y| (x < y) as u64), 1),
         P4BinOp::Le => (fuse2(a, b, |x, y| (x <= y) as u64), 1),
@@ -200,8 +205,20 @@ impl Lowerer {
                 (fuse1(a, move |x| !x & m), w)
             }
             Expr::Cast(bits, x) => {
+                // Of a comparison or `!`, the value is 0 or 1 on both
+                // engines: the cast is the expression itself.
+                use P4BinOp::{Eq, Ge, Gt, Le, Lt, Ne};
+                let boolean =
+                    matches!(**x, Expr::Not(_) | Expr::Bin(Eq | Ne | Lt | Le | Gt | Ge, ..));
                 let m = mask_of(*bits);
-                (fuse1(self.operand(x).0, move |x| x & m), *bits)
+                let cast = match self.operand(x).0 {
+                    a if boolean && *bits >= 1 => a,
+                    Operand::Slot(s) if m == u64::MAX => Operand::Slot(s),
+                    Operand::Slot(s) => Operand::Masked(s, m),
+                    Operand::Masked(s, n) => Operand::Masked(s, m & n),
+                    a => fuse1(a, move |x| x & m),
+                };
+                (cast, *bits)
             }
             Expr::Slice(x, hi, lo) => {
                 let a = self.operand(x).0;
@@ -409,7 +426,8 @@ impl Lowerer {
 
     /// `dst = ra.execute(index)`. The interpreter counts the execution
     /// before it resolves the `RegisterAction` or its register, so the two
-    /// deferred failures count it too.
+    /// deferred failures count it too. A resolved site becomes a lane
+    /// ([`Lowerer::emit_site`]).
     fn salu_site(&mut self, dst: &Option<Expr>, ra: &str, index: &Expr, sc: &Scope) {
         let def = sc.control.register_action(ra);
         let reg = def.and_then(|d| sc.control.register(&d.register));
@@ -424,17 +442,56 @@ impl Lowerer {
             })));
         };
         let bits = reg.elem_bits;
-        let spec = RaSpec {
-            idx: self.operand(index).0,
-            cond: def.cond.as_ref().map(|c| self.operand(c).0),
-            operands: def.operands.iter().map(|o| self.operand(o).0).collect(),
-            d: self.opt_dest(dst),
-            reg: self.lay.reg_index[&def.register] as usize,
+        let idx = self.operand(index).0;
+        let cond = def.cond.as_ref().map_or(Operand::Const(1), |c| self.operand(c).0);
+        // Every operand is lowered, for the slots it interns; no
+        // `AtomicRmw` reads past the second.
+        let mut args = [Operand::Const(0), Operand::Const(0)];
+        for (k, o) in def.operands.iter().enumerate() {
+            let a = self.operand(o).0;
+            if let Some(slot) = args.get_mut(k) {
+                *slot = a;
+            }
+        }
+        let salu = Salu {
+            op: def.op,
             mask: mask_of(bits),
             sty: netcl_sema::Ty::Int { bits: (bits as u8).clamp(8, 64), signed: false },
-            op: def.op,
+            cond: def.cond.is_some(),
+            args: def.operands.len().min(2),
         };
-        self.emit(Lowered::Ra(spec));
+        let (reg, d) = (self.lay.reg_index[&def.register] as usize, self.opt_dest(dst));
+        self.emit_site(
+            salu,
+            idx,
+            Lane { pre: (Dest::None, Operand::Const(0)), reg, cond, args, d },
+        );
+    }
+
+    /// Emits a SALU site as a lane of the run right in front of it — past
+    /// at most one move, which becomes the lane's prefix — when neither the
+    /// site nor that move is entered from elsewhere and the run takes it
+    /// ([`SaluRun::takes`]); as a run of its own otherwise.
+    fn emit_site(&mut self, salu: Salu, idx: Operand, mut lane: Lane) {
+        let n = self.items.len();
+        let pre = match self.items.last() {
+            Some(Lowered::Move(d, _)) if !self.head[n - 1] => Some(*d),
+            _ => None,
+        };
+        let at = n.wrapping_sub(1 + pre.is_some() as usize);
+        let joins = !self.head[n]
+            && matches!(self.items.get(at), Some(Lowered::Run(r)) if r.takes(salu, &idx, pre));
+        if !joins {
+            let head = Box::new([]);
+            return self.emit(Lowered::Run(SaluRun { salu, idx, head, lanes: vec![lane] }));
+        }
+        if pre.is_some() {
+            let Some(Lowered::Move(d, o)) = self.items.pop() else { unreachable!("checked above") };
+            self.head.pop();
+            lane.pre = (d, o);
+        }
+        let Some(Lowered::Run(run)) = self.items.last_mut() else { unreachable!("checked above") };
+        run.lanes.push(lane);
     }
 
     // ---- controls ---------------------------------------------------------
@@ -561,9 +618,14 @@ fn header_plan(lay: &Layout, inst: HeaderId) -> Option<HeaderPlan> {
 mod tests {
     use super::*;
 
-    /// Every closure in `ops` can be entered. AGG (`netcl_apps::agg`'s
-    /// source at its default size) lowers to 180 items; the parent commit's op array had one
-    /// closure per item, 156 of them interior to a run and never entered.
+    /// Every closure in `ops` can be entered, and AGG's SALU sites fuse
+    /// into lane runs. AGG (`netcl_apps::agg`'s source at its default
+    /// size) has 36 sites: each `Agg__*` bank is one 32-lane run (the
+    /// second with each condition's move fused as its lane's prefix), the
+    /// unconditional `Count`/`Exp` pair one 2-lane run; the four `Bitmap`
+    /// sites and the conditional `Count`/`Exp` pair differ in microprogram.
+    /// So 180 items before lane fusion are 86; the op array still has one
+    /// closure per run or control op — 17.
     #[test]
     fn agg_ops_are_run_heads_and_control_ops_only() {
         let unit = netcl::Compiler::new(Default::default()).compile("agg.ncl", AGG).unwrap();
@@ -580,7 +642,16 @@ mod tests {
         // A jump or branch a run falls into is that run's last step.
         let absorbed =
             count(&|item, head| matches!(item, Lowered::Jmp(_) | Lowered::Br { .. }) && !head);
-        assert_eq!((lw.items.len(), run_heads, control, absorbed), (180, 12, 12, 7));
+        assert_eq!((lw.items.len(), run_heads, control, absorbed), (86, 12, 12, 7));
+        let lanes: Vec<usize> = lw
+            .items
+            .iter()
+            .filter_map(|item| match item {
+                Lowered::Run(r) => Some(r.lanes.len()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(lanes, [1, 1, 1, 1, 2, 32, 1, 1, 32]);
         let (_, tp) = lw.finish(None);
         assert_eq!(tp.ops.len(), run_heads + control - absorbed);
         assert_eq!(tp.ops.len(), 17);

@@ -45,6 +45,12 @@ pub(crate) type ExprFn = Box<dyn Fn(&Packet) -> u64 + Send + Sync>;
 pub(crate) enum Operand {
     /// Direct slot read.
     Slot(FieldSlot),
+    /// `(bit<w>)slot` for `w < 64`: the slot read, masked — how generated
+    /// code spells a SALU index.
+    Masked(FieldSlot, u64),
+    /// `slot == k` (and `(bit<w>)` of it) — how generated code spells a
+    /// SALU condition and the move that feeds it.
+    EqK(FieldSlot, u64),
     /// Logical not of a slot read (`!flag` — a common conditional SALU
     /// helper condition, so worth an inline arm of its own).
     NotSlot(FieldSlot),
@@ -75,11 +81,25 @@ impl Operand {
     pub(crate) fn read(&self, p: &Packet) -> u64 {
         match self {
             Operand::Slot(s) => p.value(*s),
+            Operand::Masked(s, m) => p.value(*s) & m,
+            Operand::EqK(s, k) => (p.value(*s) == *k) as u64,
             Operand::NotSlot(s) => (p.value(*s) == 0) as u64,
             Operand::Bare(m, h) => bare(p, *m, *h),
             Operand::NotBare(m, h) => (bare(p, *m, *h) == 0) as u64,
             Operand::Const(v) => *v,
             Operand::Dyn(f) => f(p),
+        }
+    }
+
+    /// A plain load as `(slot, slot, mask)` — a bare name's meta and
+    /// header slots, one slot twice otherwise: what a SALU run's index is
+    /// compared by. `None` for anything else, which never extends a run.
+    pub(crate) fn load(&self) -> Option<(FieldSlot, FieldSlot, u64)> {
+        match *self {
+            Operand::Slot(s) => Some((s, s, u64::MAX)),
+            Operand::Masked(s, m) => Some((s, s, m)),
+            Operand::Bare(m, h) => Some((m, h, u64::MAX)),
+            _ => None,
         }
     }
 }
@@ -105,6 +125,14 @@ impl Dest {
             Dest::Meta(s, m) => pkt.set_meta_slot(s, v & m),
         }
     }
+
+    /// The slot written, if any.
+    pub(crate) fn slot(self) -> Option<FieldSlot> {
+        match self {
+            Dest::None => None,
+            Dest::Header(s, _) | Dest::Meta(s, _) => Some(s),
+        }
+    }
 }
 
 /// A lowered op: one straight-line run or one control op. Returns the
@@ -123,35 +151,81 @@ pub(crate) type LinFn = Box<
         + Sync,
 >;
 
-/// A run of lowered assignments, executed in program order.
-pub(crate) type Moves = Box<[(Dest, Operand)]>;
+/// A lowered assignment.
+pub(crate) type Move = (Dest, Operand);
 
-/// The moves fused in front of a SALU site, unrolled for the shapes the
-/// compiler actually emits (0 for a bare site, 1–2 for the temp-carrying
-/// forms) so the hot path has no loop or bounds check.
-pub(crate) enum Prefix {
-    None,
-    One(Dest, Operand),
-    Two((Dest, Operand), (Dest, Operand)),
-    Many(Moves),
+/// Executes moves in program order.
+#[inline(always)]
+pub(crate) fn run_moves(moves: &[Move], pkt: &mut Packet) {
+    for (d, o) in moves {
+        d.store(pkt, o.read(pkt));
+    }
 }
 
-impl Prefix {
-    /// Executes the moves in program order.
+/// A SALU microprogram: what every lane of a run shares.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) struct Salu {
+    pub(crate) op: AtomicOp,
+    /// The register's element mask and the type its cells compute at.
+    pub(crate) mask: u64,
+    pub(crate) sty: netcl_sema::Ty,
+    /// Whether the `RegisterAction` has a condition.
+    pub(crate) cond: bool,
+    /// Value operands passed (≤ 2: no `AtomicRmw` reads a third).
+    pub(crate) args: usize,
+}
+
+/// One SALU site of a run, pre-resolved: everything but the microprogram
+/// and the index.
+pub(crate) struct Lane {
+    /// The move fused in front of the site (a no-op in a run's first
+    /// lane: its moves are the run's `head`).
+    pub(crate) pre: Move,
+    pub(crate) reg: usize,
+    /// `Const(1)` without a condition; unused operands are `Const(0)`.
+    pub(crate) cond: Operand,
+    pub(crate) args: [Operand; 2],
+    pub(crate) d: Dest,
+}
+
+/// Consecutive SALU sites sharing one microprogram and one index leaf,
+/// executed as one lane loop (DESIGN.md §10). The lowering grows `lanes`
+/// as it emits sites; assembly fills `head`.
+pub(crate) struct SaluRun {
+    pub(crate) salu: Salu,
+    pub(crate) idx: Operand,
+    /// The moves in front of the first site.
+    pub(crate) head: Box<[Move]>,
+    pub(crate) lanes: Vec<Lane>,
+}
+
+impl SaluRun {
+    /// Executes the run: its head moves, then its index — read once —
+    /// then each lane in program order (prefix move, condition, operands,
+    /// the cell update with a clamped index, the destination store).
     #[inline(always)]
-    pub(crate) fn run(&self, pkt: &mut Packet) {
-        match self {
-            Prefix::None => {}
-            Prefix::One(d, o) => d.store(pkt, o.read(pkt)),
-            Prefix::Two((d1, o1), (d2, o2)) => {
-                d1.store(pkt, o1.read(pkt));
-                d2.store(pkt, o2.read(pkt));
-            }
-            Prefix::Many(ms) => {
-                for (d, o) in ms.iter() {
-                    d.store(pkt, o.read(pkt));
+    pub(crate) fn run(&self, pkt: &mut Packet, st: &mut RuntimeState) {
+        let s = self.salu;
+        run_moves(&self.head, pkt);
+        let iv = self.idx.read(pkt);
+        // One execution per site; no lane can fail.
+        st.counters.reg_action_execs += self.lanes.len() as u64;
+        for lane in self.lanes.iter() {
+            let (d, o) = &lane.pre;
+            d.store(pkt, o.read(pkt));
+            let en = lane.cond.read(pkt) != 0;
+            let vals = lane.args.each_ref().map(|a| a.read(pkt) & s.mask);
+            let cells = &mut st.registers[lane.reg];
+            let ci = (iv as usize).min(cells.len().saturating_sub(1));
+            let ret = match cells.get_mut(ci) {
+                Some(cell) => {
+                    let (new, ret) = s.op.execute(*cell, en, &vals[..s.args], s.sty);
+                    *cell = new & s.mask;
+                    ret
                 }
-            }
+                None => s.op.execute(0, en, &vals[..s.args], s.sty).1,
+            };
+            lane.d.store(pkt, ret);
         }
     }
 }
@@ -243,33 +317,6 @@ pub(crate) struct ThreadedProgram {
     pub(crate) parser: Option<Parser>,
     /// Deparse plans by instance id (`None` = no header type: lazy error).
     pub(crate) deparse: Box<[Option<HeaderPlan>]>,
-}
-
-/// One SALU execution against a register cell: clamped index, masked
-/// write-back, returned value per the op's `ret_new`/`cond` semantics.
-/// Reads and writes through a single bounds check.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // a SALU site's captures, passed by value on purpose
-pub(crate) fn salu_cell(
-    st: &mut RuntimeState,
-    reg: usize,
-    mask: u64,
-    sty: netcl_sema::Ty,
-    op: AtomicOp,
-    iv: u64,
-    cond: bool,
-    ops: &[u64],
-) -> u64 {
-    let cells = &mut st.registers[reg];
-    let ci = (iv as usize).min(cells.len().saturating_sub(1));
-    match cells.get_mut(ci) {
-        Some(cell) => {
-            let (new, ret) = op.execute(*cell, cond, ops, sty);
-            *cell = new & mask;
-            ret
-        }
-        None => op.execute(0, cond, ops, sty).1,
-    }
 }
 
 /// One full parse → ingress → deparse run on the threaded engine.

@@ -160,6 +160,18 @@ struct HostNode {
     received: Vec<(u64, Vec<u8>)>,
 }
 
+/// A host's log is released newest first. Its newest buffers are the last
+/// a run allocated — the top of the heap — and the first few a thread
+/// frees of a size stay in glibc's per-thread cache, which counts as in
+/// use: so the heap's top stays put while the rest of the run is freed
+/// below it, and the next run reuses that memory instead of glibc handing
+/// it back and the run faulting it in again (DESIGN.md §18).
+impl Drop for HostNode {
+    fn drop(&mut self) {
+        while self.received.pop().is_some() {}
+    }
+}
+
 /// Host-side processing cost before a handler's sends go out (socket +
 /// kernel path; the paper attributes its end-to-end deltas to this).
 const HOST_PROCESS_NS: u64 = 2000;

@@ -78,23 +78,26 @@ fn tenant_merge_allocations() {
 }
 
 /// What loading a generated program into a `Switch` allocates: the layout,
-/// one closure per straight-line run or control op, the tables' shared
-/// action scopes. Measured at the parent commit, where `compile::compile`
-/// emitted postfix `EOp` / relative-skip `COp` pools and `threaded::lower`
-/// rebuilt everything from them, boxing a closure for every interior pc of
-/// a run as well: 4 684 (AGG), 3 409 (CACHE), 585 (CALC) and 645 / 1 486 /
-/// 1 486 / 1 486 / 1 916 (P4xos devices 1–5).
+/// one closure per straight-line run or control op, one lane slice per SALU
+/// run, the tables' shared action scopes. Measured at the commit before
+/// PR 21, where `compile::compile` emitted postfix `EOp` / relative-skip
+/// `COp` pools and `threaded::lower` rebuilt everything from them, boxing a
+/// closure for every interior pc of a run as well: 4 684 (AGG), 3 409
+/// (CACHE), 585 (CALC) and 645 / 1 486 / 1 486 / 1 486 / 1 916 (P4xos
+/// devices 1–5). Before lane runs (PR 26), with a closure per SALU site and
+/// one per composite index, condition and prefix: 1 733 / 1 369 / 288 and
+/// 331 / 637 / 637 / 637 / 792.
 #[test]
 fn switch_load_allocations_per_application() {
     let cc = Compiler::new(CompileOptions::default());
     for (name, source, devices) in [
-        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), &[(1_733, 4_684)][..]),
-        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), &[(1_369, 3_409)]),
-        ("calc.ncl", calc::netcl_source(), &[(288, 585)]),
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), &[(1_356, 4_684)][..]),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), &[(1_258, 3_409)]),
+        ("calc.ncl", calc::netcl_source(), &[(271, 585)]),
         (
             "paxos.ncl",
             paxos::full_source(),
-            &[(331, 645), (637, 1_486), (637, 1_486), (637, 1_486), (792, 1_916)],
+            &[(327, 645), (627, 1_486), (627, 1_486), (627, 1_486), (760, 1_916)],
         ),
     ] {
         let unit = cc.compile(name, &source).unwrap_or_else(|e| panic!("{name}: {e}"));

@@ -102,8 +102,9 @@ fn differential_wire(rng: &mut WorkloadRng, device: u16) -> Vec<u8> {
 
 /// Seeded hand-built control flow — the shapes `netcl-core::codegen` never
 /// emits — for `threaded_matches_interpreter_on_hand_built_control_flow`:
-/// one four-byte header, two locals, two `RegisterAction`s, a table whose
-/// entries and default call the two generated actions.
+/// one four-byte header, two locals, a register with two `RegisterAction`s
+/// and three same-width lane registers with three each (`salu_run`), a
+/// table whose entries and default call the two generated actions.
 mod shapes {
     use netcl::sema::builtins::{AtomicOp, AtomicRmw};
     use netcl_net::WorkloadRng;
@@ -146,6 +147,62 @@ mod shapes {
         Stmt::ExecuteRegisterAction { dst, ra: ra.into(), index: field(rng) }
     }
 
+    /// A run of SALU sites on the lane registers `L0`–`L2` (one width, so
+    /// the `add*` sites share one microprogram, the `cadd*` sites another)
+    /// that mostly fuses into one lane loop: one index leaf, each site
+    /// behind at most one move — the move of its condition, as generated
+    /// code spells it. Mixed in is everything that must end a run or not
+    /// be fused across: a different microprogram (`max*`, or `add*` beside
+    /// `cadd*`: with and without a condition), a different index leaf, a
+    /// move or a site storing to a slot the index reads (`meta.t1` under a
+    /// meta index, bare `x` or `meta.x` under a bare one), and a site
+    /// storing the next one's condition or operand.
+    fn salu_run(rng: &mut WorkloadRng) -> Vec<Stmt> {
+        let t1 = || Expr::field(&["meta", "t1"]);
+        let (index, meta) = match rng.below(3) {
+            0 => (Expr::Cast(8, Box::new(t1())), true),
+            1 => (t1(), true),
+            _ => (Expr::field(&["x"]), false),
+        };
+        let writes_index = |rng: &mut WorkloadRng| match (meta, rng.below(2)) {
+            (true, _) => t1(),
+            (false, 0) => Expr::field(&["x"]),
+            (false, _) => Expr::field(&["meta", "x"]),
+        };
+        let kind = ["cadd", "add"][rng.below(2) as usize];
+        let mut run = Vec::new();
+        for lane in 0..2 + rng.below(5) {
+            let ra = match rng.below(10) {
+                0 => "max",
+                1 => ["cadd", "add"][rng.below(2) as usize],
+                _ => kind,
+            };
+            match rng.below(6) {
+                0..=2 => {
+                    let a = Box::new(Expr::field(&["hdr", "h", "a"]));
+                    let eq = Expr::Bin(P4BinOp::Eq, a, Box::new(Expr::val(rng.below(4), 8)));
+                    run.push(Stmt::Assign(
+                        Expr::field(&["meta", "t0"]),
+                        Expr::Cast(8, Box::new(eq)),
+                    ));
+                }
+                3 => run.push(Stmt::Assign(writes_index(rng), Expr::val(rng.below(4), 8))),
+                _ => {}
+            }
+            let dst = match rng.below(8) {
+                0 => Some(writes_index(rng)),
+                // The next site's condition, and its operand.
+                1 => Some(Expr::field(&["meta", "t0"])),
+                2 => Some(Expr::field(&["hdr", "h", "c"])),
+                3 => None,
+                _ => Some(Expr::field(&["hdr", "h", ["a", "b", "d"][rng.below(3) as usize]])),
+            };
+            let index = if rng.below(10) == 0 { field(rng) } else { index.clone() };
+            run.push(Stmt::ExecuteRegisterAction { dst, ra: format!("{ra}{}", lane % 3), index });
+        }
+        run
+    }
+
     /// `calls`: whether the block may apply the table or call an action
     /// (the `apply` block may; action bodies may not, or they would recurse).
     fn stmt(rng: &mut WorkloadRng, depth: u32, calls: bool) -> Stmt {
@@ -165,7 +222,14 @@ mod shapes {
     }
 
     fn block(rng: &mut WorkloadRng, depth: u32, calls: bool) -> Vec<Stmt> {
-        (0..rng.below(4)).map(|_| stmt(rng, depth, calls)).collect()
+        let mut block = Vec::new();
+        for _ in 0..rng.below(4) {
+            match rng.below(6) {
+                0 => block.extend(salu_run(rng)),
+                _ => block.push(stmt(rng, depth, calls)),
+            }
+        }
+        block
     }
 
     /// An `if` on an expression or on a table hit / miss; either arm may be
@@ -206,8 +270,12 @@ mod shapes {
             els: vec![],
         });
         apply.push(branch(rng, 0, true));
+        // SALU runs at the top level and in an action body, where the bare
+        // `x` index reads the bound parameter.
+        apply.extend(salu_run(rng));
         // ... and of an action body.
         let mut act0 = block(rng, 0, false);
+        act0.extend(salu_run(rng));
         act0.push(branch(rng, 0, false));
         let action =
             |name: &str, body| ActionDef { name: name.into(), params: vec![("x".into(), 8)], body };
@@ -218,6 +286,32 @@ mod shapes {
             cond: cond.then(|| Expr::field(&["meta", "t0"])),
             operands: vec![Expr::field(&["hdr", "h", "c"])],
         };
+        // Per lane register: `add`, `cadd` (conditional on `meta.t0 == 1`,
+        // as generated code spells it) and `max`.
+        let mut register_actions = vec![ra("bump", false), ra("cadd", true)];
+        for reg in 0..3 {
+            let t0_is_1 = || {
+                let t0 = Box::new(Expr::field(&["meta", "t0"]));
+                Expr::Bin(P4BinOp::Eq, t0, Box::new(Expr::val(1, 8)))
+            };
+            let lane_ra = |name: &str, rmw, cond: bool, operand| RegisterActionDef {
+                name: format!("{name}{reg}"),
+                register: format!("L{reg}"),
+                op: AtomicOp { rmw, cond, ret_new: cond },
+                cond: cond.then(t0_is_1),
+                operands: vec![Expr::field(&["hdr", "h", operand])],
+            };
+            register_actions.extend([
+                lane_ra("add", AtomicRmw::Add, false, "c"),
+                lane_ra("cadd", AtomicRmw::Add, true, "c"),
+                lane_ra("max", AtomicRmw::Max, false, "b"),
+            ]);
+        }
+        let lane_register = |i| RegisterDef { name: format!("L{i}"), elem_bits: 8, size: 4 };
+        let registers = [RegisterDef { name: "R".into(), elem_bits: 8, size: 4 }]
+            .into_iter()
+            .chain((0..3).map(lane_register))
+            .collect();
         let entry = |k, action: &str| TableEntry {
             keys: vec![EntryKey::Value(k)],
             action: action.into(),
@@ -239,8 +333,8 @@ mod shapes {
             controls: vec![ControlDef {
                 name: "Ig".into(),
                 locals: vec![("t0".into(), 8), ("t1".into(), 8)],
-                registers: vec![RegisterDef { name: "R".into(), elem_bits: 8, size: 4 }],
-                register_actions: vec![ra("bump", false), ra("cadd", true)],
+                registers,
+                register_actions,
                 hashes: vec![],
                 actions: vec![action("act0", act0), action("act1", block(rng, 0, false))],
                 tables: vec![TableDef {
