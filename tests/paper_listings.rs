@@ -1,5 +1,7 @@
 //! Every code listing in the paper compiles through the full pipeline.
 
+mod listings;
+
 use netcl::{CompileOptions, Compiler, EmitTarget};
 
 fn compiles(src: &str) {
@@ -11,35 +13,7 @@ fn compiles(src: &str) {
 /// Figure 4 — the complete NetCL device code for the in-network cache.
 #[test]
 fn figure_4() {
-    compiles(
-        r#"
-#define CMS_HASHES 3
-#define THRESH 512
-#define GET_REQ 1
-_managed_ unsigned cms[CMS_HASHES][65536];
-
-_net_ void sketch(unsigned k, unsigned &hot) {
-  unsigned c[CMS_HASHES];
-  c[0] = ncl::atomic_sadd_new(&cms[0][ncl::xor16(k)], 1);
-  c[1] = ncl::atomic_sadd_new(&cms[1][ncl::crc32<16>(k)], 1);
-  c[2] = ncl::atomic_sadd_new(&cms[2][ncl::crc16(k)], 1);
-  for (auto i = 1; i < CMS_HASHES; ++i)
-    if (c[i] < c[0]) c[0] = c[i];
-  hot = c[0] > THRESH ? c[0] : 0;
-}
-
-_net_ _lookup_ ncl::kv<unsigned, unsigned> cache[] = {{1,42}, {2,42},
-                                                      {3,42}, {4,42}};
-
-_kernel(1) _at(1) void query(char op, unsigned k, unsigned &v,
-                             char &hit, unsigned &hot) {
-  if (op == GET_REQ) {
-    hit = ncl::lookup(cache, k, v);
-    return hit ? ncl::reflect() : sketch(k, hot);
-  }
-}
-"#,
-    );
+    compiles(listings::FIGURE_4);
 }
 
 /// Figure 7 — in-network AllReduce, exactly as printed (including the
@@ -47,62 +21,15 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v,
 /// retransmission-safe variant).
 #[test]
 fn figure_7() {
-    compiles(
-        r#"
-#define NUM_SLOTS 2048
-#define SLOT_SIZE 32
-#define NUM_WORKERS 6
-_net_ uint16_t Bitmap[2][NUM_SLOTS];
-_net_ uint32_t Agg[SLOT_SIZE][NUM_SLOTS * 2];
-_net_ uint8_t Count[NUM_SLOTS * 2];
-
-_kernel(1) void allreduce( uint8_t ver, uint16_t bmp_idx,
-                           uint16_t agg_idx, uint16_t mask,
-                           uint32_t _spec(SLOT_SIZE) *v) {
-  uint16_t bitmap;
-  if (ver == 0) {
-    bitmap = ncl::atomic_or(&Bitmap[0][bmp_idx], mask);
-    ncl::atomic_and(&Bitmap[1][bmp_idx], ~mask);
-  } else {
-    ncl::atomic_and(&Bitmap[0][bmp_idx], ~mask);
-    bitmap = ncl::atomic_or(&Bitmap[1][bmp_idx], mask);
-  }
-
-  if (bitmap == 0) {
-    for (auto i = 0; i < SLOT_SIZE; ++i)
-      Agg[i][agg_idx] = v[i];
-    Count[agg_idx] = NUM_WORKERS - 1;
-  } else {
-    auto seen = bitmap & mask;
-    for (auto i = 0; i < SLOT_SIZE; ++i)
-      v[i] = ncl::atomic_cond_add_new(&Agg[i][agg_idx], !seen, v[i]);
-    auto cnt = ncl::atomic_cond_dec(&Count[agg_idx], !seen);
-    if (cnt == 0)
-      return ncl::reflect();
-    if (cnt == 1)
-      return ncl::multicast(42);
-  }
-  return ncl::drop();
-}
-"#,
-    );
+    compiles(listings::FIGURE_7);
 }
 
 /// §V-A specification examples — all four kernels, with the specs the paper
 /// derives.
 #[test]
 fn section_5a_specifications() {
-    let unit = Compiler::new(CompileOptions::default())
-        .compile(
-            "spec.ncl",
-            r#"
-_kernel(1) void a(int x[3]) {}
-_kernel(2) void b(int x[4]) {}
-_kernel(3) void c(int _spec(4) *x) {}
-_kernel(4) void d(int x, int y[2], int *z) {}
-"#,
-        )
-        .unwrap();
+    let unit =
+        Compiler::new(CompileOptions::default()).compile("spec.ncl", listings::SECTION_5A).unwrap();
     let specs: Vec<String> =
         unit.model.kernels.iter().map(|k| k.specification().describe()).collect();
     assert_eq!(specs[0], "[3][int32_t]");
@@ -117,18 +44,7 @@ _kernel(4) void d(int x, int y[2], int *z) {}
 /// §V-B lookup examples.
 #[test]
 fn section_5b_lookup() {
-    compiles(
-        r#"
-_net_ _lookup_ unsigned a[] = {1,2,3};
-_net_ _lookup_ ncl::kv<int,int> b[] = { {1,2}, {2,3} };
-_net_ _lookup_ ncl::rv<int,int> c[] = { {{1,10},1}, {{11,20},2} };
-_kernel(1) void k(unsigned q, int x, int &rx, char &m1, char &m2, char &m3) {
-  m1 = ncl::lookup(a, q);
-  m2 = ncl::lookup(b, x, rx);
-  m3 = ncl::lookup(c, x, rx);
-}
-"#,
-    );
+    compiles(listings::SECTION_5B);
 }
 
 /// §V-C multi-location example (valid variant) and Fig. 11's placement
@@ -136,13 +52,7 @@ _kernel(1) void k(unsigned q, int x, int &rx, char &m1, char &m2, char &m3) {
 #[test]
 fn section_5c_placement() {
     let unit = Compiler::new(CompileOptions::default())
-        .compile(
-            "place.ncl",
-            r#"
-_net_ _at(1,2) int m[42];
-_kernel(1) _at(1,2) void a(int x) { m[0] = 1; }
-"#,
-        )
+        .compile("place.ncl", listings::SECTION_5C)
         .unwrap();
     assert_eq!(unit.devices.len(), 2);
 
@@ -154,7 +64,7 @@ _kernel(1) _at(1,2) void a(int x) { m[0] = 1; }
 /// kernel `a` (same-path double access) is rejected with E0302.
 #[test]
 fn section_5d_memory_rules() {
-    compiles("_net_ int m[42];\n_kernel(1) void b(int x, int &o) { o = (x > 10) ? m[0] : m[1]; }");
+    compiles(listings::SECTION_5D_MEMORY);
     let err = Compiler::new(CompileOptions { target: EmitTarget::Tna, ..Default::default() })
         .compile("a.ncl", "_net_ int m[42];\n_kernel(2) void a(int x, int &o) { o = m[0] + m[1]; }")
         .unwrap_err();
@@ -165,16 +75,7 @@ fn section_5d_memory_rules() {
 /// reversed order is rejected.
 #[test]
 fn section_5d_ordering() {
-    compiles(
-        r#"
-_net_ int m1[42];
-_net_ int m2[42];
-_kernel(2) void b(int x, int &o) {
-  if (x > 10) { o = m1[0] + m2[1]; }
-  else        { o = m2[1] + m1[0]; }
-}
-"#,
-    );
+    compiles(listings::SECTION_5D_ORDERING);
     let err = Compiler::new(CompileOptions { target: EmitTarget::Tna, ..Default::default() })
         .compile(
             "a.ncl",
