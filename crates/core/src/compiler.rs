@@ -509,6 +509,26 @@ _kernel(1) void k(unsigned x) {
         assert!(err.codes.iter().any(|c| c == "E0306"), "{err}");
     }
 
+    /// The unroller evaluates with sema's constant evaluator: a bound may
+    /// be a `sizeof`, and comparisons are signed (C `int`), so a count-down
+    /// loop stops below zero. Each loop runs exactly four times.
+    #[test]
+    fn loops_unroll_over_sizeof_bounds_and_signed_conditions() {
+        for header in ["for (int i = 0; i < sizeof(uint32_t); i++)", "for (int i = 3; i >= 0; i--)"]
+        {
+            let src =
+                format!("_kernel(1) void k(unsigned _spec(8) *o) {{\n  {header} o[i] = i + 1;\n}}");
+            let unit = Compiler::new(CompileOptions::default())
+                .compile("t.ncl", &src)
+                .unwrap_or_else(|e| panic!("{header}: {e}"));
+            let module = &unit.devices[0].tna_ir;
+            let mut args = vec![vec![0u64; 8]];
+            let (mut st, mut env) = (DeviceState::new(module), ExecEnv::default());
+            execute(&module.kernels[0], module, &mut st, &mut args, &mut env).unwrap();
+            assert_eq!(args[0], [1, 2, 3, 4, 0, 0, 0, 0], "{header}");
+        }
+    }
+
     #[test]
     fn while_rejected() {
         let src = "_kernel(1) void k(unsigned &x) { while (x > 0) { x = x - 1; } }";

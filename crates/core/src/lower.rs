@@ -30,7 +30,7 @@ use netcl_lang::ast::{self, BinOp, Expr, ExprKind, Init, Item, PassMode, Stmt, U
 use netcl_lang::ParsedUnit;
 use netcl_sema::builtins::{self, Builtin};
 use netcl_sema::check::Analysis;
-use netcl_sema::consteval::try_eval;
+use netcl_sema::consteval::{try_eval, try_eval_with};
 use netcl_sema::model::placed_at;
 use netcl_sema::Ty;
 use netcl_util::{DiagnosticSink, Span, Symbol};
@@ -444,14 +444,11 @@ impl<'a> Lower<'a> {
             return;
         };
 
-        // Evaluate an expression with the induction variable substituted.
-        let eval_with_iv = |e: &Expr, v: u64| -> Option<u64> { eval_subst(e, iv, v) };
-
         let exit = self.builder.new_block();
         let mut iterations = 0u64;
         loop {
             let cont = match cond {
-                Some(c) => match eval_with_iv(c, ivval) {
+                Some(c) => match try_eval_with(c, Some((iv, ivval))) {
                     Some(x) => x != 0,
                     None => {
                         self.error(
@@ -1347,65 +1344,6 @@ fn is_pure(e: &Expr) -> bool {
     }
 }
 
-/// Evaluates `e` as a constant with `iv` substituted by `value`.
-fn eval_subst(e: &Expr, iv: Symbol, value: u64) -> Option<u64> {
-    match &e.kind {
-        ExprKind::Ident(s) if *s == iv => Some(value),
-        ExprKind::Int(v) => Some(*v),
-        ExprKind::Char(c) => Some(*c as u64),
-        ExprKind::Bool(b) => Some(*b as u64),
-        ExprKind::Unary(op, x) => {
-            let v = eval_subst(x, iv, value)?;
-            Some(match op {
-                UnOp::Neg => v.wrapping_neg(),
-                UnOp::Not => (v == 0) as u64,
-                UnOp::BitNot => !v,
-                _ => return None,
-            })
-        }
-        ExprKind::Binary(op, a, b) => {
-            let a = eval_subst(a, iv, value)?;
-            let b = eval_subst(b, iv, value)?;
-            // Signed comparison semantics: induction variables are i32 in
-            // practice and non-negative in every paper loop; use i64 compare
-            // to stay correct for negative constants.
-            let (sa, sb) = (a as i64, b as i64);
-            Some(match op {
-                BinOp::Add => a.wrapping_add(b),
-                BinOp::Sub => a.wrapping_sub(b),
-                BinOp::Mul => a.wrapping_mul(b),
-                BinOp::Div => a.checked_div(b)?,
-                BinOp::Rem => a.checked_rem(b)?,
-                BinOp::And => a & b,
-                BinOp::Or => a | b,
-                BinOp::Xor => a ^ b,
-                BinOp::Shl => a.checked_shl(b as u32).unwrap_or(0),
-                BinOp::Shr => a.checked_shr(b as u32).unwrap_or(0),
-                BinOp::Eq => (a == b) as u64,
-                BinOp::Ne => (a != b) as u64,
-                BinOp::Lt => (sa < sb) as u64,
-                BinOp::Le => (sa <= sb) as u64,
-                BinOp::Gt => (sa > sb) as u64,
-                BinOp::Ge => (sa >= sb) as u64,
-                BinOp::LogicalAnd => (a != 0 && b != 0) as u64,
-                BinOp::LogicalOr => (a != 0 || b != 0) as u64,
-            })
-        }
-        ExprKind::Ternary(c, a, b) => {
-            if eval_subst(c, iv, value)? != 0 {
-                eval_subst(a, iv, value)
-            } else {
-                eval_subst(b, iv, value)
-            }
-        }
-        ExprKind::Cast(te, x) => {
-            let v = eval_subst(x, iv, value)?;
-            Ty::from_type_expr(te).filter(|t| t.is_arith()).map(|t| t.wrap(v))
-        }
-        _ => None,
-    }
-}
-
 /// Computes the next induction value for a recognized step expression.
 fn step_value(step: &Expr, iv: Symbol, current: u64) -> Option<u64> {
     match &step.kind {
@@ -1426,7 +1364,7 @@ fn step_value(step: &Expr, iv: Symbol, current: u64) -> Option<u64> {
                 Some(BinOp::Shl) => Some(current.wrapping_shl(try_eval(value)? as u32)),
                 Some(BinOp::Shr) => Some(current.wrapping_shr(try_eval(value)? as u32)),
                 Some(BinOp::Mul) => Some(current.wrapping_mul(try_eval(value)?)),
-                None => eval_subst(value, iv, current),
+                None => try_eval_with(value, Some((iv, current))),
                 _ => None,
             }
         }

@@ -10,8 +10,10 @@
 //!   exactly what the NetCL backend emits (paper Fig. 9) plus what our
 //!   handwritten P4 baselines use.
 //! * [`mod@print`] — renders a program to P4-16 text (TNA or v1model dialect).
-//! * [`parse`] — parses that same subset back; `print ∘ parse` is a
-//!   fixpoint. Nothing in the toolchain depends on it: generated programs
+//! * [`parse`] — parses that same subset back; `print ∘ parse` is a text
+//!   fixpoint on every TNA program the toolchain prints, generated or
+//!   handwritten (`tests/pipeline.rs`). Nothing in the toolchain depends on
+//!   it: generated programs
 //!   and the handwritten baselines in `netcl-apps` are built as [`ast`]
 //!   values in Rust, and `parse_program` is called by `tests/pipeline.rs`
 //!   (print → parse → execute round trip) and by `netcl_e2e`'s

@@ -688,6 +688,15 @@ impl Parser {
                 Stmt::ExternCall { dst: None, func: name, args }
             });
         }
+        // `ra.execute(index);` — a register action whose output is unused.
+        let save = self.pos;
+        if let Some((ra, method, args)) = self.try_method_call()? {
+            if method == "execute" && self.eat_punct(";") {
+                let index = args.into_iter().next().unwrap_or(Expr::val(0, 32));
+                return Ok(Stmt::ExecuteRegisterAction { dst: None, ra, index });
+            }
+            self.pos = save;
+        }
         // `table.apply();` / `hdr.x.setValid();` / assignment.
         let lhs = self.expr()?;
         if self.eat_punct(";") {
@@ -928,6 +937,18 @@ fn recover_salu(body: &[Stmt]) -> Option<(AtomicOp, Option<Expr>, Vec<Expr>)> {
     let is_mem = |e: &Expr| matches!(e, Expr::Field(s) if s.len() == 1 && s[0].name == "m");
     // Recognize an RMW statement `m = ...`, returning (rmw, operands).
     let rmw_of = |s: &Stmt| -> Option<(AtomicRmw, Vec<Expr>)> {
+        // `m = max(m, e);` / `m = min(m, e);`
+        if let Stmt::ExternCall { dst: Some(lhs), func, args } = s {
+            let rmw = match func.as_str() {
+                "max" => AtomicRmw::Max,
+                "min" => AtomicRmw::Min,
+                _ => return None,
+            };
+            return match args.as_slice() {
+                [m, e] if is_mem(lhs) && is_mem(m) => Some((rmw, vec![e.clone()])),
+                _ => None,
+            };
+        }
         let Stmt::Assign(lhs, rhs) = s else { return None };
         if !is_mem(lhs) {
             return None;
@@ -1116,6 +1137,8 @@ parser P(packet_in pkt, out headers_t hdr) {
             ("if (meta.c) { m = m |+| meta.v; } o = m;", "atomic_cond_sadd_new"),
             ("o = m; if (meta.c) { m = m & meta.v; }", "atomic_cond_and"),
             ("o = m; m = meta.v;", "atomic_swap"),
+            ("o = m; if (meta.c) { m = max(m, meta.v); }", "atomic_cond_max"),
+            ("m = min(m, meta.v); o = m;", "atomic_min_new"),
         ] {
             let src = format!(
                 "control C(inout h x) {{ Register<bit<16>, bit<32>>(4) R;\n\
@@ -1126,6 +1149,19 @@ parser P(packet_in pkt, out headers_t hdr) {
             let p = parse_program(&src).unwrap_or_else(|e| panic!("{body}: {e}"));
             assert_eq!(p.controls[0].register_actions[0].op.name(), expect, "{body}");
         }
+    }
+
+    #[test]
+    fn execute_without_a_destination() {
+        let p = parse_program("control C(inout h x) { apply { ra.execute(meta.i); } }").unwrap();
+        assert_eq!(
+            p.controls[0].apply,
+            [Stmt::ExecuteRegisterAction {
+                dst: None,
+                ra: "ra".into(),
+                index: Expr::field(&["meta", "i"])
+            }]
+        );
     }
 
     /// A slice is `[hi:lo]` with `lo <= hi < 64`; anything else used to

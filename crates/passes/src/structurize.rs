@@ -73,37 +73,55 @@ fn reachable_inst_count(f: &Function) -> usize {
     netcl_ir::dom::reverse_postorder(f).into_iter().map(|b| f.blocks[b].insts.len()).sum()
 }
 
-/// Immediate post-dominators over the CFG extended with a virtual exit.
-/// `None` means the virtual exit itself. (Public: the P4 code generator
-/// walks regions with the same join information.)
-pub fn immediate_postdominators(f: &Function) -> HashMap<BlockId, Option<BlockId>> {
+/// Immediate post-dominators over the CFG extended with a virtual exit, one
+/// entry per block: `None` means the virtual exit itself (or a block that
+/// cannot reach a `Ret`). Public: the P4 code generator walks regions with
+/// the same join information.
+pub fn immediate_postdominators(f: &Function) -> IndexVec<BlockId, Option<BlockId>> {
+    const NONE: usize = usize::MAX;
     let n = f.blocks.len();
-    let exit = n; // virtual node index
-                  // Reverse edges: node -> its "predecessors" in the reversed graph are
-                  // its CFG successors; the exit's reversed successors are all Ret blocks.
-    let mut rev_succ: Vec<Vec<usize>> = vec![Vec::new(); n + 1]; // reversed graph adjacency
-    for (bid, b) in f.blocks.iter_enumerated() {
-        match &b.term {
-            Terminator::Ret(_) => rev_succ[exit].push(bid.index()),
-            t => {
-                for s in t.successors() {
-                    rev_succ[s.index()].push(bid.index());
-                }
-            }
+    // The virtual exit is node `n`. A node's successors in the extended CFG
+    // (a `Ret` block's is the exit) are its predecessors in the reversed
+    // graph the walk runs on.
+    let exit = n;
+    let succs = |u: usize| -> [usize; 2] {
+        match f.blocks.as_slice().get(u).map(|b| &b.term) {
+            Some(Terminator::Ret(_)) => [exit, NONE],
+            Some(Terminator::Br(t)) => [t.index(), NONE],
+            Some(Terminator::CondBr { then_bb, else_bb, .. }) => [then_bb.index(), else_bb.index()],
+            _ => [NONE, NONE],
+        }
+    };
+    // The reversed graph's edges in CSR form, each node's list in block order.
+    let mut start = vec![0u32; n + 2];
+    for u in 0..n {
+        for s in succs(u).into_iter().filter(|&s| s != NONE) {
+            start[s + 1] += 1;
+        }
+    }
+    for i in 1..start.len() {
+        start[i] += start[i - 1];
+    }
+    let mut fill = start.clone();
+    let mut preds = vec![0u32; start[n + 1] as usize];
+    for u in 0..n {
+        for s in succs(u).into_iter().filter(|&s| s != NONE) {
+            preds[fill[s] as usize] = u as u32;
+            fill[s] += 1;
         }
     }
     // RPO on the reversed graph from exit.
-    let mut visited = vec![false; n + 1];
-    let mut postorder = Vec::new();
-    let mut stack = vec![(exit, 0usize)];
-    visited[exit] = true;
+    let mut rpo_index = vec![NONE; n + 1];
+    let mut postorder = Vec::with_capacity(n + 1);
+    let mut stack = vec![(exit, start[exit] as usize)];
+    rpo_index[exit] = 0;
     while let Some(&mut (u, ref mut i)) = stack.last_mut() {
-        if *i < rev_succ[u].len() {
-            let v = rev_succ[u][*i];
+        if *i < start[u + 1] as usize {
+            let v = preds[*i] as usize;
             *i += 1;
-            if !visited[v] {
-                visited[v] = true;
-                stack.push((v, 0));
+            if rpo_index[v] == NONE {
+                rpo_index[v] = 0;
+                stack.push((v, start[v] as usize));
             }
         } else {
             postorder.push(u);
@@ -111,72 +129,48 @@ pub fn immediate_postdominators(f: &Function) -> HashMap<BlockId, Option<BlockId
         }
     }
     postorder.reverse();
-    let rpo_index: HashMap<usize, usize> =
-        postorder.iter().enumerate().map(|(i, &b)| (b, i)).collect();
+    for (i, &u) in postorder.iter().enumerate() {
+        rpo_index[u] = i;
+    }
 
-    // Cooper–Harvey–Kennedy on the reversed graph.
-    let mut idom: HashMap<usize, usize> = HashMap::new();
-    idom.insert(exit, exit);
-    // In the reversed graph, a node's predecessors are its CFG successors
-    // (plus exit for Ret blocks).
-    let rev_preds = |u: usize| -> Vec<usize> {
-        if u == exit {
-            return vec![];
-        }
-        let b = BlockId(u as u32);
-        match &f.blocks[b].term {
-            Terminator::Ret(_) => vec![exit],
-            t => t.successors().iter().map(|s| s.index()).collect(),
-        }
-    };
+    // Cooper–Harvey–Kennedy on the reversed graph, where a node's
+    // predecessors are its CFG successors.
+    let mut idom = vec![NONE; n + 1];
+    idom[exit] = exit;
     let mut changed = true;
     while changed {
         changed = false;
         for &u in postorder.iter().skip(1) {
-            let mut new_idom: Option<usize> = None;
-            for p in rev_preds(u) {
-                if !idom.contains_key(&p) {
-                    continue;
-                }
-                new_idom = Some(match new_idom {
-                    None => p,
-                    Some(cur) => {
-                        let (mut a, mut b2) = (p, cur);
-                        while a != b2 {
-                            while rpo_index[&a] > rpo_index[&b2] {
-                                a = idom[&a];
+            let mut new_idom = NONE;
+            for p in succs(u).into_iter().filter(|&p| p != NONE && idom[p] != NONE) {
+                new_idom = match new_idom {
+                    NONE => p,
+                    cur => {
+                        let (mut a, mut b) = (p, cur);
+                        while a != b {
+                            while rpo_index[a] > rpo_index[b] {
+                                a = idom[a];
                             }
-                            while rpo_index[&b2] > rpo_index[&a] {
-                                b2 = idom[&b2];
+                            while rpo_index[b] > rpo_index[a] {
+                                b = idom[b];
                             }
                         }
                         a
                     }
-                });
+                };
             }
-            if let Some(ni) = new_idom {
-                if idom.get(&u) != Some(&ni) {
-                    idom.insert(u, ni);
-                    changed = true;
-                }
+            if new_idom != NONE && idom[u] != new_idom {
+                idom[u] = new_idom;
+                changed = true;
             }
         }
     }
-    let mut out = HashMap::new();
-    for b in f.blocks.indices() {
-        let u = b.index();
-        match idom.get(&u) {
-            Some(&p) if p != exit => out.insert(b, Some(BlockId(p as u32))),
-            Some(_) => out.insert(b, None),
-            None => out.insert(b, None), // unreachable block
-        };
-    }
-    out
+    idom[..n].iter().map(|&p| (p != NONE && p != exit).then_some(BlockId(p as u32))).collect()
 }
 
 struct Rebuilder<'a> {
     src: &'a Function,
-    ipd: HashMap<BlockId, Option<BlockId>>,
+    ipd: IndexVec<BlockId, Option<BlockId>>,
     new_blocks: IndexVec<BlockId, Block>,
     new_values: Vec<netcl_ir::func::ValueInfo>,
     emitted_insts: usize,
@@ -249,7 +243,7 @@ impl<'a> Rebuilder<'a> {
             }
             Terminator::CondBr { cond, then_bb, else_bb } => {
                 let cond = Self::map_operand(cond, vmap);
-                let join = self.ipd.get(&orig).copied().flatten();
+                let join = self.ipd[orig];
                 // Clamp the join to the current region.
                 let join = match (join, stop) {
                     (Some(m), Some(s)) if m == s => None,

@@ -6,7 +6,7 @@
 //! only literals and operators).
 
 use netcl_lang::ast::{BinOp, Expr, ExprKind, UnOp};
-use netcl_util::DiagnosticSink;
+use netcl_util::{DiagnosticSink, Symbol};
 
 use crate::types::Ty;
 
@@ -34,12 +34,21 @@ pub fn eval_const_in(expr: &Expr, ty: Ty, what: &str, diags: &mut DiagnosticSink
 
 /// Evaluates a constant expression without reporting diagnostics.
 pub fn try_eval(expr: &Expr) -> Option<u64> {
+    try_eval_with(expr, None)
+}
+
+/// [`try_eval`] with an induction variable bound to a value — how the
+/// unroller evaluates a loop's condition and step. Comparisons are signed,
+/// as on C `int`: `-1 < 0` is 1.
+pub fn try_eval_with(expr: &Expr, iv: Option<(Symbol, u64)>) -> Option<u64> {
+    let eval = |e: &Expr| try_eval_with(e, iv);
     match &expr.kind {
+        ExprKind::Ident(s) => iv.filter(|(name, _)| name == s).map(|(_, v)| v),
         ExprKind::Int(v) => Some(*v),
         ExprKind::Char(c) => Some(*c as u64),
         ExprKind::Bool(b) => Some(*b as u64),
         ExprKind::Unary(op, e) => {
-            let v = try_eval(e)?;
+            let v = eval(e)?;
             Some(match op {
                 UnOp::Neg => v.wrapping_neg(),
                 UnOp::Not => (v == 0) as u64,
@@ -48,8 +57,8 @@ pub fn try_eval(expr: &Expr) -> Option<u64> {
             })
         }
         ExprKind::Binary(op, a, b) => {
-            let a = try_eval(a)?;
-            let b = try_eval(b)?;
+            let (a, b) = (eval(a)?, eval(b)?);
+            let (sa, sb) = (a as i64, b as i64);
             Some(match op {
                 BinOp::Add => a.wrapping_add(b),
                 BinOp::Sub => a.wrapping_sub(b),
@@ -63,23 +72,23 @@ pub fn try_eval(expr: &Expr) -> Option<u64> {
                 BinOp::Shr => a.checked_shr(b as u32).unwrap_or(0),
                 BinOp::Eq => (a == b) as u64,
                 BinOp::Ne => (a != b) as u64,
-                BinOp::Lt => (a < b) as u64,
-                BinOp::Le => (a <= b) as u64,
-                BinOp::Gt => (a > b) as u64,
-                BinOp::Ge => (a >= b) as u64,
+                BinOp::Lt => (sa < sb) as u64,
+                BinOp::Le => (sa <= sb) as u64,
+                BinOp::Gt => (sa > sb) as u64,
+                BinOp::Ge => (sa >= sb) as u64,
                 BinOp::LogicalAnd => (a != 0 && b != 0) as u64,
                 BinOp::LogicalOr => (a != 0 || b != 0) as u64,
             })
         }
         ExprKind::Ternary(c, a, b) => {
-            if try_eval(c)? != 0 {
-                try_eval(a)
+            if eval(c)? != 0 {
+                eval(a)
             } else {
-                try_eval(b)
+                eval(b)
             }
         }
         ExprKind::Cast(te, e) => {
-            let v = try_eval(e)?;
+            let v = eval(e)?;
             match Ty::from_type_expr(te) {
                 Some(ty) if ty.is_arith() => Some(ty.wrap(v)),
                 _ => None,
@@ -156,6 +165,15 @@ mod tests {
         assert_eq!(ev("0 && (1/0)"), None); // strict evaluation of operands
         assert_eq!(ev("1 && 2"), Some(1));
         assert_eq!(ev("!5"), Some(0));
+    }
+
+    /// Comparisons are signed, as on C `int` — array dimensions, `_spec`
+    /// and the unroller all see the same answer.
+    #[test]
+    fn comparisons_are_signed() {
+        assert_eq!(ev("-1 < 0"), Some(1));
+        assert_eq!(ev("0 >= -1"), Some(1));
+        assert_eq!(ev("(-1 < 0) + 1"), Some(2));
     }
 
     #[test]

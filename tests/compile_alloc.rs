@@ -37,16 +37,18 @@ fn fit_of_the_largest_agg_allocates_per_plan_not_per_round() {
     assert!(allocs < PARENT / 10, "the fit made {allocs} allocations");
 }
 
-/// Measured at the parent commit, where each dialect ran the common stage
-/// itself: 75 752 / 34 915 / 5 181 / 45 167.
+/// Measured at the commit where each dialect ran the common stage itself:
+/// 75 752 / 34 915 / 5 181 / 45 167; before codegen planned each kernel
+/// over dense ids (hash-keyed placement, a `meta` expression built per
+/// value): 19 504 / 15 871 / 2 943 / 21 772.
 #[test]
 fn cold_compile_allocations_per_application() {
     let cc = Compiler::new(CompileOptions::default());
     for (name, source, measured) in [
-        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), 19_505),
-        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), 15_872),
-        ("calc.ncl", calc::netcl_source(), 2_944),
-        ("paxos.ncl", paxos::full_source(), 21_777),
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), 16_239),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), 13_094),
+        ("calc.ncl", calc::netcl_source(), 2_413),
+        ("paxos.ncl", paxos::full_source(), 17_761),
     ] {
         let (unit, allocs) = allocs_during(|| cc.compile(name, &source));
         unit.unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -57,11 +59,12 @@ fn cold_compile_allocations_per_application() {
 /// `compile_tenants` on AGG `slot_size: 8` + CACHE `words: 4` (the shapes
 /// of `tests/fit_golden.rs`): two frontends, the merge, the budgeted fit and
 /// three devices — merged, solo 0, solo 1 — off the compiler's own
-/// `build_device`. The parent commit's tenant driver had a private copy of
-/// the back half that ran the common stage once per dialect: 45 709.
+/// `build_device`. The tenant driver once had a private copy of the back
+/// half that ran the common stage once per dialect: 45 709; before codegen
+/// planned over dense ids: 42 642.
 #[test]
 fn tenant_merge_allocations() {
-    const MEASURED: u64 = 42_642;
+    const MEASURED: u64 = 35_822;
     const PARENT: u64 = 45_709;
     let agg_src = agg::netcl_source(&agg::AggConfig { slot_size: 8, ..Default::default() });
     let cache_src = cache::netcl_source(&cache::CacheConfig { words: 4, ..Default::default() });
