@@ -1,9 +1,8 @@
 //! Parser for the P4-16 subset this toolchain emits and consumes.
 //!
-//! `parse_program(print_program(p))` reproduces `p` up to layout — the
-//! round-trip property is tested below and in the app baselines, which are
-//! stored as `.p4` text files and parsed through here before execution on
-//! the bmv2 model or allocation on the Tofino model.
+//! `parse_program(print_program(p))` reproduces `p` up to layout. The text
+//! is untrusted: whatever it holds, parsing returns a program or a
+//! [`ParseError`], never a panic.
 
 use crate::ast::*;
 use netcl_sema::builtins::{AtomicOp, AtomicRmw, HashKind};
@@ -26,36 +25,76 @@ impl std::fmt::Display for ParseError {
 /// Parses a P4 program from text.
 pub fn parse_program(text: &str) -> Result<P4Program, ParseError> {
     let tokens = lex(text)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     p.program()
 }
 
 // ---- lexer ---------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+/// One token; an identifier borrows its text from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(u64),
     /// Width-tagged literal `16w5`.
     Wint(u32, u64),
     Punct(&'static str),
 }
 
-#[derive(Debug, Clone)]
-struct Token {
-    tok: Tok,
+#[derive(Debug, Clone, Copy)]
+struct Token<'a> {
+    tok: Tok<'a>,
     line: u32,
 }
 
-const PUNCTS: &[&str] = &[
-    "|+|", "|-|", "<<=", ">>=", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "..", "(", ")",
-    "{", "}", "[", "]", "<", ">", ";", ",", ".", ":", "=", "+", "-", "*", "/", "&", "|", "^", "~",
-    "!", "@", "#",
-];
+/// The punctuation token at the start of `rest` (non-empty): picked by its
+/// first byte, longest match first.
+fn punct(rest: &[u8]) -> Option<&'static str> {
+    let longer: &[&'static str] = match rest[0] {
+        b'|' => &["|+|", "|-|", "||"],
+        b'<' => &["<<=", "<<", "<="],
+        b'>' => &[">>=", ">>", ">="],
+        b'=' => &["=="],
+        b'!' => &["!="],
+        b'&' => &["&&"],
+        b'.' => &[".."],
+        _ => &[],
+    };
+    if let Some(p) = longer.iter().find(|p| rest.starts_with(p.as_bytes())) {
+        return Some(p);
+    }
+    const SINGLE: &str = "(){}[]<>;,.:=+-*/&|^~!@";
+    SINGLE.bytes().position(|b| b == rest[0]).map(|k| &SINGLE[k..k + 1])
+}
 
-fn lex(text: &str) -> Result<Vec<Token>, ParseError> {
+/// The literal number at `bytes[*i..]`, `0x` hexadecimal or decimal; one
+/// that does not fit in 64 bits is an error.
+fn number(bytes: &[u8], i: &mut usize, line: u32) -> Result<u64, ParseError> {
+    let hex = bytes.get(*i) == Some(&b'0') && matches!(bytes.get(*i + 1), Some(b'x' | b'X'));
+    let radix = if hex { 16 } else { 10 };
+    *i += 2 * usize::from(hex);
+    let mut value = 0u64;
+    while let Some(d) = bytes.get(*i).and_then(|&b| (b as char).to_digit(radix)) {
+        value = value.checked_mul(radix as u64).and_then(|v| v.checked_add(d as u64)).ok_or_else(
+            || ParseError { line, message: "integer literal does not fit in 64 bits".into() },
+        )?;
+        *i += 1;
+    }
+    Ok(value)
+}
+
+/// `w` as a bit width: P4 values here are at most 64 bits wide.
+fn width(w: u64, line: u32) -> Result<u32, ParseError> {
+    match w {
+        1..=64 => Ok(w as u32),
+        _ => Err(ParseError { line, message: format!("bit width {w} is not in 1..=64") }),
+    }
+}
+
+fn lex(text: &str) -> Result<Vec<Token<'_>>, ParseError> {
     let bytes = text.as_bytes();
-    let mut out = Vec::new();
+    // Printed P4 runs one token per four bytes or a little fewer.
+    let mut out = Vec::with_capacity(bytes.len() / 3);
     let mut i = 0;
     let mut line = 1u32;
     while i < bytes.len() {
@@ -95,45 +134,16 @@ fn lex(text: &str) -> Result<Vec<Token>, ParseError> {
             continue;
         }
         if c.is_ascii_digit() {
-            let start = i;
-            let mut value: u64;
-            if c == b'0' && matches!(bytes.get(i + 1), Some(b'x' | b'X')) {
-                i += 2;
-                value = 0;
-                while i < bytes.len() && bytes[i].is_ascii_hexdigit() {
-                    value = value * 16 + (bytes[i] as char).to_digit(16).unwrap() as u64;
-                    i += 1;
-                }
+            let hex = c == b'0' && matches!(bytes.get(i + 1), Some(b'x' | b'X'));
+            let value = number(bytes, &mut i, line)?;
+            // Width-tagged literal `Ww V`.
+            let tok = if !hex && bytes.get(i) == Some(&b'w') {
+                i += 1;
+                Tok::Wint(width(value, line)?, number(bytes, &mut i, line)?)
             } else {
-                value = 0;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    value = value * 10 + (bytes[i] - b'0') as u64;
-                    i += 1;
-                }
-                // Width-tagged literal `Ww V`.
-                if i < bytes.len() && bytes[i] == b'w' {
-                    i += 1;
-                    let width = value as u32;
-                    let mut v2 = 0u64;
-                    if bytes.get(i) == Some(&b'0') && matches!(bytes.get(i + 1), Some(b'x' | b'X'))
-                    {
-                        i += 2;
-                        while i < bytes.len() && bytes[i].is_ascii_hexdigit() {
-                            v2 = v2 * 16 + (bytes[i] as char).to_digit(16).unwrap() as u64;
-                            i += 1;
-                        }
-                    } else {
-                        while i < bytes.len() && bytes[i].is_ascii_digit() {
-                            v2 = v2 * 10 + (bytes[i] - b'0') as u64;
-                            i += 1;
-                        }
-                    }
-                    out.push(Token { tok: Tok::Wint(width, v2), line });
-                    continue;
-                }
-            }
-            let _ = start;
-            out.push(Token { tok: Tok::Int(value), line });
+                Tok::Int(value)
+            };
+            out.push(Token { tok, line });
             continue;
         }
         if c.is_ascii_alphabetic() || c == b'_' {
@@ -141,46 +151,43 @@ fn lex(text: &str) -> Result<Vec<Token>, ParseError> {
             while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                 i += 1;
             }
-            out.push(Token {
-                tok: Tok::Ident(std::str::from_utf8(&bytes[start..i]).unwrap().to_string()),
-                line,
-            });
+            out.push(Token { tok: Tok::Ident(&text[start..i]), line });
             continue;
         }
-        let rest = &text[i..];
-        let mut matched = false;
-        for p in PUNCTS {
-            if rest.starts_with(p) {
-                out.push(Token { tok: Tok::Punct(p), line });
-                i += p.len();
-                matched = true;
-                break;
-            }
-        }
-        if !matched {
+        let Some(p) = punct(&bytes[i..]) else {
             return Err(ParseError {
                 line,
                 message: format!("unexpected character `{}`", c as char),
             });
-        }
+        };
+        out.push(Token { tok: Tok::Punct(p), line });
+        i += p.len();
     }
     Ok(out)
 }
 
 // ---- parser ----------------------------------------------------------------
 
-struct Parser {
-    tokens: Vec<Token>,
+/// How deep expressions and statement blocks may nest: far beyond what the
+/// printer writes, far short of overflowing the stack.
+const MAX_NESTING: u32 = 128;
+
+/// `obj.method(args)`: the object, the method and the arguments.
+type MethodCall<'a> = (&'a str, &'a str, Vec<Expr>);
+
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
+    depth: u32,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos).map(|t| &t.tok)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.peek_at(0)
     }
 
-    fn peek_at(&self, n: usize) -> Option<&Tok> {
-        self.tokens.get(self.pos + n).map(|t| &t.tok)
+    fn peek_at(&self, n: usize) -> Option<Tok<'a>> {
+        self.tokens.get(self.pos + n).map(|t| t.tok)
     }
 
     fn line(&self) -> u32 {
@@ -194,8 +201,22 @@ impl Parser {
         Err(ParseError { line: self.line(), message: msg.into() })
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.tokens.get(self.pos).map(|t| t.tok.clone());
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nested more than {MAX_NESTING} deep"));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    fn bump(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
@@ -203,7 +224,7 @@ impl Parser {
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Punct(q)) if *q == p) {
+        if matches!(self.peek(), Some(Tok::Punct(q)) if q == p) {
             self.pos += 1;
             true
         } else {
@@ -234,7 +255,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
+    fn expect_ident(&mut self) -> Result<&'a str, ParseError> {
         match self.bump() {
             Some(Tok::Ident(s)) => Ok(s),
             other => self.err(format!("expected identifier, found {other:?}")),
@@ -249,6 +270,12 @@ impl Parser {
         }
     }
 
+    /// An integer that must fit in 32 bits: a size or a stack index.
+    fn expect_u32(&mut self) -> Result<u32, ParseError> {
+        let v = self.expect_int()?;
+        u32::try_from(v).or_else(|_| self.err(format!("`{v}` does not fit in 32 bits")))
+    }
+
     /// `bit<W>` — returns W.
     fn bit_type(&mut self) -> Result<u32, ParseError> {
         if !self.eat_kw("bit") {
@@ -259,20 +286,21 @@ impl Parser {
             return self.err("expected `bit<...>`");
         }
         self.expect_punct("<")?;
-        let w = self.expect_int()? as u32;
+        let w = width(self.expect_int()?, self.line())?;
         self.expect_punct(">")?;
         Ok(w)
     }
 
-    /// Skips a balanced `( ... )` group (already past the opening paren).
-    fn skip_parens(&mut self) -> Result<(), ParseError> {
+    /// Skips a balanced group whose `open` was just consumed, through its
+    /// `close`.
+    fn skip_group(&mut self, open: &str, close: &str) -> Result<(), ParseError> {
         let mut depth = 1;
         while depth > 0 {
             match self.bump() {
-                Some(Tok::Punct("(")) => depth += 1,
-                Some(Tok::Punct(")")) => depth -= 1,
+                Some(Tok::Punct(p)) if p == open => depth += 1,
+                Some(Tok::Punct(p)) if p == close => depth -= 1,
                 Some(_) => {}
-                None => return self.err("unbalanced parentheses"),
+                None => return self.err(format!("unbalanced `{open}`")),
             }
         }
         Ok(())
@@ -281,52 +309,35 @@ impl Parser {
     fn program(&mut self) -> Result<P4Program, ParseError> {
         let mut p = P4Program { name: "parsed".into(), target: Target::Tna, ..Default::default() };
         while let Some(tok) = self.peek() {
+            self.pos += 1;
             match tok {
-                Tok::Ident(kw) if kw == "header" => {
-                    self.bump();
-                    p.headers.push(self.header()?);
+                Tok::Ident("header") => p.headers.push(self.header()?),
+                Tok::Ident("parser") => p.parser = Some(self.parser_def()?),
+                Tok::Ident("control") => {
+                    std::sync::Arc::make_mut(&mut p.controls).push(self.control()?)
                 }
-                Tok::Ident(kw) if kw == "parser" => {
-                    self.bump();
-                    p.parser = Some(self.parser_def()?);
-                }
-                Tok::Ident(kw) if kw == "control" => {
-                    self.bump();
-                    std::sync::Arc::make_mut(&mut p.controls).push(self.control()?);
-                }
-                Tok::Ident(kw) if kw == "struct" || kw == "typedef" => {
+                Tok::Ident("struct" | "typedef") => {
                     // struct defs are layout-only in our subset; skip body.
-                    self.bump();
                     while !matches!(self.peek(), Some(Tok::Punct("{")) | None) {
                         self.bump();
                     }
-                    self.skip_braces()?;
+                    self.expect_punct("{")?;
+                    self.skip_group("{", "}")?;
                 }
-                Tok::Ident(kw) if kw == "Pipeline" || kw == "Switch" || kw == "V1Switch" => {
+                Tok::Ident("Pipeline" | "Switch" | "V1Switch") => {
                     // Instantiations at the end — consume to the `;`.
                     while !matches!(self.peek(), Some(Tok::Punct(";")) | None) {
                         self.bump();
                     }
                     self.eat_punct(";");
                 }
-                _ => return self.err(format!("unexpected top-level token {tok:?}")),
+                _ => {
+                    self.pos -= 1;
+                    return self.err(format!("unexpected top-level token {tok:?}"));
+                }
             }
         }
         Ok(p)
-    }
-
-    fn skip_braces(&mut self) -> Result<(), ParseError> {
-        self.expect_punct("{")?;
-        let mut depth = 1;
-        while depth > 0 {
-            match self.bump() {
-                Some(Tok::Punct("{")) => depth += 1,
-                Some(Tok::Punct("}")) => depth -= 1,
-                Some(_) => {}
-                None => return self.err("unbalanced braces"),
-            }
-        }
-        Ok(())
     }
 
     fn header(&mut self) -> Result<HeaderDef, ParseError> {
@@ -337,15 +348,15 @@ impl Parser {
             let bits = self.bit_type()?;
             let fname = self.expect_ident()?;
             self.expect_punct(";")?;
-            fields.push((fname, bits));
+            fields.push((fname.into(), bits));
         }
-        Ok(HeaderDef { name, fields, stack: 1 })
+        Ok(HeaderDef { name: name.into(), fields, stack: 1 })
     }
 
     fn parser_def(&mut self) -> Result<ParserDef, ParseError> {
         let name = self.expect_ident()?;
         self.expect_punct("(")?;
-        self.skip_parens()?;
+        self.skip_group("(", ")")?;
         self.expect_punct("{")?;
         let mut states = Vec::new();
         while !self.eat_punct("}") {
@@ -364,7 +375,7 @@ impl Parser {
                         self.expect_punct(")")?;
                         self.expect_punct("{")?;
                         let mut cases = Vec::new();
-                        let mut default = "reject".to_string();
+                        let mut default = "reject";
                         while !self.eat_punct("}") {
                             if self.eat_kw("default") {
                                 self.expect_punct(":")?;
@@ -375,14 +386,15 @@ impl Parser {
                                 self.expect_punct(":")?;
                                 let target = self.expect_ident()?;
                                 self.expect_punct(";")?;
-                                cases.push((v, target));
+                                cases.push((v, target.into()));
                             }
                         }
+                        let default = default.into();
                         transition = Transition::Select { selector, cases, default };
                     } else {
                         let target = self.expect_ident()?;
                         self.expect_punct(";")?;
-                        transition = match target.as_str() {
+                        transition = match target {
                             "accept" => Transition::Accept,
                             "reject" => Transition::Reject,
                             other => Transition::Direct(other.to_string()),
@@ -400,7 +412,7 @@ impl Parser {
                     let mut path = String::new();
                     loop {
                         match self.bump() {
-                            Some(Tok::Ident(s)) => path.push_str(&s),
+                            Some(Tok::Ident(s)) => path.push_str(s),
                             Some(Tok::Punct(".")) => path.push('.'),
                             Some(Tok::Punct(")")) => break,
                             other => return self.err(format!("bad extract path: {other:?}")),
@@ -410,26 +422,26 @@ impl Parser {
                     extracts.push(path);
                 }
             }
-            states.push(ParserState { name: sname, extracts, transition });
+            states.push(ParserState { name: sname.into(), extracts, transition });
         }
-        Ok(ParserDef { name, states })
+        Ok(ParserDef { name: name.into(), states })
     }
 
     fn control(&mut self) -> Result<ControlDef, ParseError> {
         let name = self.expect_ident()?;
         self.expect_punct("(")?;
-        self.skip_parens()?;
+        self.skip_group("(", ")")?;
         self.expect_punct("{")?;
-        let mut c = ControlDef { name, ..Default::default() };
+        let mut c = ControlDef { name: name.into(), ..Default::default() };
         while !self.eat_punct("}") {
             match self.peek() {
-                Some(Tok::Ident(kw)) if kw == "bit" || kw == "bool" => {
+                Some(Tok::Ident("bit" | "bool")) => {
                     let bits = self.bit_type()?;
                     let lname = self.expect_ident()?;
                     self.expect_punct(";")?;
-                    c.locals.push((lname, bits));
+                    c.locals.push((lname.into(), bits));
                 }
-                Some(Tok::Ident(kw)) if kw == "Register" || kw == "register" => {
+                Some(Tok::Ident("Register" | "register")) => {
                     self.bump();
                     self.expect_punct("<")?;
                     let elem_bits = self.bit_type()?;
@@ -438,18 +450,18 @@ impl Parser {
                     }
                     self.expect_punct(">")?;
                     self.expect_punct("(")?;
-                    let size = self.expect_int()? as u32;
+                    let size = self.expect_u32()?;
                     self.expect_punct(")")?;
                     let rname = self.expect_ident()?;
                     self.expect_punct(";")?;
-                    c.registers.push(RegisterDef { name: rname, elem_bits, size });
+                    c.registers.push(RegisterDef { name: rname.into(), elem_bits, size });
                 }
-                Some(Tok::Ident(kw)) if kw == "RegisterAction" => {
+                Some(Tok::Ident("RegisterAction")) => {
                     self.bump();
                     let ra = self.register_action()?;
                     c.register_actions.push(ra);
                 }
-                Some(Tok::Ident(kw)) if kw == "Hash" => {
+                Some(Tok::Ident("Hash")) => {
                     self.bump();
                     self.expect_punct("<")?;
                     let out_bits = self.bit_type()?;
@@ -458,7 +470,7 @@ impl Parser {
                     // HashAlgorithm_t.CRC16
                     let _ns = self.expect_ident()?;
                     self.expect_punct(".")?;
-                    let algo = match self.expect_ident()?.as_str() {
+                    let algo = match self.expect_ident()? {
                         "CRC16" => HashKind::Crc16,
                         "CRC32" => HashKind::Crc32,
                         "XOR16" => HashKind::Xor16,
@@ -468,9 +480,9 @@ impl Parser {
                     self.expect_punct(")")?;
                     let hname = self.expect_ident()?;
                     self.expect_punct(";")?;
-                    c.hashes.push(HashDef { name: hname, algo, out_bits });
+                    c.hashes.push(HashDef { name: hname.into(), algo, out_bits });
                 }
-                Some(Tok::Ident(kw)) if kw == "action" => {
+                Some(Tok::Ident("action")) => {
                     self.bump();
                     let aname = self.expect_ident()?;
                     self.expect_punct("(")?;
@@ -478,18 +490,18 @@ impl Parser {
                     while !self.eat_punct(")") {
                         let bits = self.bit_type()?;
                         let pname = self.expect_ident()?;
-                        params.push((pname, bits));
+                        params.push((pname.into(), bits));
                         self.eat_punct(",");
                     }
                     self.expect_punct("{")?;
                     let body = self.stmts_until_close()?;
-                    c.actions.push(ActionDef { name: aname, params, body });
+                    c.actions.push(ActionDef { name: aname.into(), params, body });
                 }
-                Some(Tok::Ident(kw)) if kw == "table" => {
+                Some(Tok::Ident("table")) => {
                     self.bump();
                     c.tables.push(self.table()?);
                 }
-                Some(Tok::Ident(kw)) if kw == "apply" => {
+                Some(Tok::Ident("apply")) => {
                     self.bump();
                     self.expect_punct("{")?;
                     c.apply = self.stmts_until_close()?;
@@ -522,7 +534,7 @@ impl Parser {
             return self.err("expected `apply`");
         }
         self.expect_punct("(")?;
-        self.skip_parens()?;
+        self.skip_group("(", ")")?;
         self.expect_punct("{")?;
         let body = self.stmts_until_close()?;
         self.expect_punct("}")?;
@@ -531,14 +543,14 @@ impl Parser {
             line: self.line(),
             message: format!("unrecognized SALU microprogram in RegisterAction `{name}`"),
         })?;
-        Ok(RegisterActionDef { name, register, op, cond, operands })
+        Ok(RegisterActionDef { name: name.into(), register: register.into(), op, cond, operands })
     }
 
     fn table(&mut self) -> Result<TableDef, ParseError> {
         let name = self.expect_ident()?;
         self.expect_punct("{")?;
         let mut t = TableDef {
-            name,
+            name: name.into(),
             keys: vec![],
             actions: vec![],
             entries: vec![],
@@ -552,7 +564,7 @@ impl Parser {
                 while !self.eat_punct("}") {
                     let e = self.expr()?;
                     self.expect_punct(":")?;
-                    let kind = match self.expect_ident()?.as_str() {
+                    let kind = match self.expect_ident()? {
                         "exact" => MatchKind::Exact,
                         "range" => MatchKind::Range,
                         "ternary" => MatchKind::Ternary,
@@ -569,7 +581,7 @@ impl Parser {
                 while !self.eat_punct("}") {
                     let a = self.expect_ident()?;
                     if a != "NoAction" {
-                        t.actions.push(a);
+                        t.actions.push(a.into());
                     }
                     self.eat_punct(";");
                     self.eat_punct(",");
@@ -577,14 +589,12 @@ impl Parser {
                 self.eat_punct(";");
             } else if self.eat_kw("default_action") {
                 self.expect_punct("=")?;
-                t.default_action = self.expect_ident()?;
+                t.default_action = self.expect_ident()?.into();
                 if self.eat_punct("(") {
-                    self.skip_parens()?;
+                    self.skip_group("(", ")")?;
                 }
                 self.expect_punct(";")?;
-            } else if self.eat_kw("const")
-                || matches!(self.peek(), Some(Tok::Ident(k)) if k == "entries")
-            {
+            } else if self.eat_kw("const") || self.peek() == Some(Tok::Ident("entries")) {
                 self.eat_kw("entries");
                 self.expect_punct("=")?;
                 self.expect_punct("{")?;
@@ -594,7 +604,7 @@ impl Parser {
                 self.eat_punct(";");
             } else if self.eat_kw("size") {
                 self.expect_punct("=")?;
-                t.size = self.expect_int()? as u32;
+                t.size = self.expect_u32()?;
                 self.expect_punct(";")?;
             } else {
                 return self.err(format!("unexpected table member {:?}", self.peek()));
@@ -617,7 +627,7 @@ impl Parser {
             keys.push(self.entry_key()?);
         }
         self.expect_punct(":")?;
-        let action = self.expect_ident()?;
+        let action = self.expect_ident()?.into();
         let mut args = Vec::new();
         if self.eat_punct("(") {
             while !self.eat_punct(")") {
@@ -642,7 +652,7 @@ impl Parser {
     fn stmts_until_close(&mut self) -> Result<Vec<Stmt>, ParseError> {
         let mut out = Vec::new();
         while !self.eat_punct("}") {
-            out.push(self.stmt()?);
+            out.push(self.nested(Self::stmt)?);
         }
         Ok(out)
     }
@@ -658,7 +668,7 @@ impl Parser {
                 if self.eat_kw("if") {
                     // `else if` — re-parse as nested if.
                     self.pos -= 1; // rewind the `if`
-                    vec![self.stmt()?]
+                    vec![self.nested(Self::stmt)?]
                 } else {
                     self.expect_punct("{")?;
                     self.stmts_until_close()?
@@ -674,7 +684,7 @@ impl Parser {
         }
         // `name();` / `func(args);` — bare call statements.
         if let (Some(Tok::Ident(_)), Some(Tok::Punct("("))) = (self.peek(), self.peek_at(1)) {
-            let name = self.expect_ident()?;
+            let name = self.expect_ident()?.into();
             self.expect_punct("(")?;
             let mut args = Vec::new();
             while !self.eat_punct(")") {
@@ -693,7 +703,7 @@ impl Parser {
         if let Some((ra, method, args)) = self.try_method_call()? {
             if method == "execute" && self.eat_punct(";") {
                 let index = args.into_iter().next().unwrap_or(Expr::val(0, 32));
-                return Ok(Stmt::ExecuteRegisterAction { dst: None, ra, index });
+                return Ok(Stmt::ExecuteRegisterAction { dst: None, ra: ra.into(), index });
             }
             self.pos = save;
         }
@@ -712,20 +722,20 @@ impl Parser {
         let save = self.pos;
         if let Ok(Some((obj, method, args))) = self.try_method_call() {
             self.expect_punct(";")?;
-            return match method.as_str() {
+            return match method {
                 "execute" => Ok(Stmt::ExecuteRegisterAction {
                     dst: Some(lhs),
-                    ra: obj,
+                    ra: obj.into(),
                     index: args.into_iter().next().unwrap_or(Expr::val(0, 32)),
                 }),
-                "get" => Ok(Stmt::HashGet { dst: lhs, hash: obj, args }),
+                "get" => Ok(Stmt::HashGet { dst: lhs, hash: obj.into(), args }),
                 other => self.err(format!("unknown method `{other}`")),
             };
         }
         self.pos = save;
         // `x = func(args);` extern call form.
         if let (Some(Tok::Ident(f)), Some(Tok::Punct("("))) = (self.peek(), self.peek_at(1)) {
-            let func = f.clone();
+            let func = f.into();
             // Exclude table-hit expressions (`x = t.apply()...` never occurs).
             self.bump();
             self.expect_punct("(")?;
@@ -742,28 +752,19 @@ impl Parser {
         Ok(Stmt::Assign(lhs, rhs))
     }
 
-    /// Tries `ident.method({args})` / `ident.method(args)`; returns `None`
-    /// (with position untouched by the caller) when the shape doesn't match.
-    fn try_method_call(&mut self) -> Result<Option<(String, String, Vec<Expr>)>, ParseError> {
-        let save = self.pos;
-        let obj = match self.bump() {
-            Some(Tok::Ident(s)) => s,
-            _ => {
-                self.pos = save;
-                return Ok(None);
-            }
-        };
-        if !self.eat_punct(".") {
-            self.pos = save;
+    /// Tries `ident.method({args})` / `ident.method(args)`; returns `None`,
+    /// having moved nothing and allocated nothing, when the text does not
+    /// start `ident.execute` or `ident.get`.
+    fn try_method_call(&mut self) -> Result<Option<MethodCall<'a>>, ParseError> {
+        let (
+            Some(Tok::Ident(obj)),
+            Some(Tok::Punct(".")),
+            Some(Tok::Ident(m @ ("execute" | "get"))),
+        ) = (self.peek(), self.peek_at(1), self.peek_at(2))
+        else {
             return Ok(None);
-        }
-        let method = match self.bump() {
-            Some(Tok::Ident(s)) if s == "execute" || s == "get" => s,
-            _ => {
-                self.pos = save;
-                return Ok(None);
-            }
         };
+        self.pos += 3;
         self.expect_punct("(")?;
         let braced = self.eat_punct("{");
         let mut args = Vec::new();
@@ -782,7 +783,7 @@ impl Parser {
             }
             self.expect_punct(")")?;
         }
-        Ok(Some((obj, method, args)))
+        Ok(Some((obj, m, args)))
     }
 
     // Expressions, precedence climbing.
@@ -825,7 +826,7 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
         if self.eat_punct("!") {
-            let e = self.unary()?;
+            let e = self.nested(Self::unary)?;
             // `!t.apply().hit` → TableMiss.
             if let Expr::TableHit(t) = e {
                 return Ok(Expr::TableMiss(t));
@@ -833,16 +834,16 @@ impl Parser {
             return Ok(Expr::Not(Box::new(e)));
         }
         if self.eat_punct("~") {
-            return Ok(Expr::BitNot(Box::new(self.unary()?)));
+            return Ok(Expr::BitNot(Box::new(self.nested(Self::unary)?)));
         }
         // Cast `(bit<w>)expr` vs parenthesized expr.
         if self.eat_punct("(") {
-            if matches!(self.peek(), Some(Tok::Ident(k)) if k == "bit") {
+            if self.peek() == Some(Tok::Ident("bit")) {
                 let bits = self.bit_type()?;
                 self.expect_punct(")")?;
-                return Ok(Expr::Cast(bits, Box::new(self.unary()?)));
+                return Ok(Expr::Cast(bits, Box::new(self.nested(Self::unary)?)));
             }
-            let e = self.expr()?;
+            let e = self.nested(Self::expr)?;
             self.expect_punct(")")?;
             return self.postfix(e);
         }
@@ -871,8 +872,8 @@ impl Parser {
         match self.bump() {
             Some(Tok::Int(v)) => Ok(Expr::Const(v, 32)),
             Some(Tok::Wint(w, v)) => Ok(Expr::Const(v, w)),
-            Some(Tok::Ident(s)) if s == "true" => Ok(Expr::Bool(true)),
-            Some(Tok::Ident(s)) if s == "false" => Ok(Expr::Bool(false)),
+            Some(Tok::Ident("true")) => Ok(Expr::Bool(true)),
+            Some(Tok::Ident("false")) => Ok(Expr::Bool(false)),
             Some(Tok::Ident(first)) => {
                 let mut segs = vec![self.seg(first)?];
                 while matches!(self.peek(), Some(Tok::Punct(".")))
@@ -886,7 +887,7 @@ impl Parser {
                         self.expect_punct(")")?;
                         if self.eat_punct(".") {
                             let what = self.expect_ident()?;
-                            return match what.as_str() {
+                            return match what {
                                 "hit" => Ok(Expr::TableHit(segs[0].name.clone())),
                                 "miss" => Ok(Expr::TableMiss(segs[0].name.clone())),
                                 other => self.err(format!("unknown apply result `{other}`")),
@@ -901,7 +902,7 @@ impl Parser {
                         self.expect_punct(")")?;
                         // Validity tests appear in conditions; model as a
                         // field read of a validity pseudo-field.
-                        segs.push(PathSeg::new(&format!("${name}")));
+                        segs.push(PathSeg { name: format!("${name}"), index: None });
                         return Ok(Expr::Field(segs));
                     }
                     segs.push(self.seg(name)?);
@@ -915,17 +916,17 @@ impl Parser {
     /// A path segment with optional `[index]` (only constant stack indices
     /// appear in the printed subset; slices are handled in `postfix`, so a
     /// `[a:b]` here is left for postfix by not consuming).
-    fn seg(&mut self, name: String) -> Result<PathSeg, ParseError> {
+    fn seg(&mut self, name: &str) -> Result<PathSeg, ParseError> {
         if matches!(self.peek(), Some(Tok::Punct("[")))
             && matches!(self.peek_at(1), Some(Tok::Int(_) | Tok::Wint(..)))
             && matches!(self.peek_at(2), Some(Tok::Punct("]")))
         {
             self.bump();
-            let idx = self.expect_int()? as u32;
+            let idx = self.expect_u32()?;
             self.expect_punct("]")?;
-            Ok(PathSeg { name, index: Some(idx) })
+            Ok(PathSeg::indexed(name, idx))
         } else {
-            Ok(PathSeg { name, index: None })
+            Ok(PathSeg::new(name))
         }
     }
 }
@@ -1265,6 +1266,77 @@ parser P(packet_in pkt, out headers_t hdr) {
         let body1: Vec<&str> = text1.lines().skip(1).collect();
         let body2: Vec<&str> = text2.lines().skip(1).collect();
         assert_eq!(body1, body2);
+    }
+
+    /// Parses `src`, which must be refused at line 2 with a message that
+    /// contains `what`.
+    fn refused_on_line_2(src: &str, what: &str) {
+        let e = parse_program(src).expect_err(src);
+        assert_eq!(e.line, 2, "{src}: {e}");
+        assert!(e.message.contains(what), "{src}: {e}");
+    }
+
+    #[test]
+    fn an_oversized_decimal_literal_is_an_error() {
+        refused_on_line_2("header h_t {\nbit<99999999999999999999999> f; }", "64 bits");
+        refused_on_line_2("header h_t {\nbit<18446744073709551616> f; }", "64 bits");
+    }
+
+    #[test]
+    fn an_oversized_hex_literal_is_an_error() {
+        let src = |lit: &str| format!("control C(inout h x) {{\napply {{ meta.a = {lit}; }} }}");
+        refused_on_line_2(&src("0xFFFFFFFFFFFFFFFFFF"), "64 bits");
+        refused_on_line_2(&src("64w0x1FFFFFFFFFFFFFFFF"), "64 bits");
+        assert!(parse_program(&src("0xFFFFFFFFFFFFFFFF")).is_ok());
+    }
+
+    #[test]
+    fn an_oversized_literal_width_is_an_error() {
+        let src = |lit: &str| format!("control C(inout h x) {{\napply {{ meta.a = {lit}; }} }}");
+        refused_on_line_2(&src("99999999999w1"), "bit width 99999999999");
+        refused_on_line_2(&src("65w1"), "bit width 65");
+        refused_on_line_2(&src("0w0"), "bit width 0");
+        assert!(parse_program(&src("64w18446744073709551615")).is_ok());
+    }
+
+    #[test]
+    fn a_zero_or_wider_than_64_bit_type_is_an_error() {
+        refused_on_line_2("header h_t {\nbit<0> f; }", "bit width 0");
+        refused_on_line_2("header h_t {\nbit<65> f; }", "bit width 65");
+        assert!(parse_program("header h_t {\nbit<1> a; bit<64> b; }").is_ok());
+    }
+
+    #[test]
+    fn a_size_or_stack_index_wider_than_32_bits_is_an_error() {
+        let reg = "control C(inout h x) {\nRegister<bit<8>, bit<32>>(4294967296) R; apply { } }";
+        refused_on_line_2(reg, "32 bits");
+        let idx = "control C(inout h x) {\napply { meta.a = hdr.v[4294967296].x; } }";
+        refused_on_line_2(idx, "32 bits");
+    }
+
+    /// Nesting is bounded before the recursive descent can overflow the
+    /// stack, for each construct that recurses.
+    #[test]
+    fn nesting_deeper_than_the_limit_is_an_error() {
+        let expr = |open: &str, close: &str, n: usize| {
+            let e = format!("{}1{}", open.repeat(n), close.repeat(n));
+            format!("control C(inout h x) {{\napply {{ meta.a = {e}; }} }}")
+        };
+        assert!(parse_program(&expr("(", ")", 100)).is_ok());
+        for (open, close) in [("(", ")"), ("!", ""), ("~", ""), ("(bit<8>)", "")] {
+            refused_on_line_2(&expr(open, close, 100_000), "nested more than 128 deep");
+        }
+        let ifs = |n: usize| {
+            let body = format!("{}exit;{}", "if (true) { ".repeat(n), " }".repeat(n));
+            format!("control C(inout h x) {{\napply {{ {body} }} }}")
+        };
+        assert!(parse_program(&ifs(100)).is_ok());
+        refused_on_line_2(&ifs(100_000), "nested more than 128 deep");
+        let chain = format!(
+            "control C(inout h x) {{\napply {{ {} }} }}",
+            "if (true) { } else ".repeat(100_000) + "{ }"
+        );
+        refused_on_line_2(&chain, "nested more than 128 deep");
     }
 
     #[test]

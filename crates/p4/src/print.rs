@@ -6,18 +6,26 @@
 //! writes and what the LoC measurements of Table III count.
 
 use crate::ast::*;
+use std::fmt::{self, Write};
+
+/// Writes one formatted line at the writer's indent.
+macro_rules! ln {
+    ($w:expr, $($arg:tt)*) => {{
+        let w: &mut Writer = $w;
+        w.indent();
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(w.out, $($arg)*);
+    }};
+}
 
 /// Prints a full program.
 pub fn print_program(p: &P4Program) -> String {
-    let mut w = Writer { out: String::new(), indent: 0 };
-    w.line(&format!(
-        "// {} — generated for {}",
-        p.name,
-        match p.target {
-            Target::Tna => "Intel Tofino (TNA)",
-            Target::V1Model => "v1model",
-        }
-    ));
+    let mut w = Writer { out: String::with_capacity(4096), indent: 0 };
+    let target = match p.target {
+        Target::Tna => "Intel Tofino (TNA)",
+        Target::V1Model => "v1model",
+    };
+    ln!(&mut w, "// {} — generated for {target}", p.name);
     w.line("#include <core.p4>");
     w.line(match p.target {
         Target::Tna => "#include <tna.p4>",
@@ -42,10 +50,14 @@ struct Writer {
 }
 
 impl Writer {
-    fn line(&mut self, s: &str) {
+    fn indent(&mut self) {
         for _ in 0..self.indent {
             self.out.push_str("    ");
         }
+    }
+
+    fn line(&mut self, s: &str) {
+        self.indent();
         self.out.push_str(s);
         self.out.push('\n');
     }
@@ -55,10 +67,10 @@ impl Writer {
     }
 
     fn header(&mut self, h: &HeaderDef) {
-        self.line(&format!("header {} {{", h.name));
+        ln!(self, "header {} {{", h.name);
         self.indent += 1;
         for (name, bits) in &h.fields {
-            self.line(&format!("bit<{bits}> {name};"));
+            ln!(self, "bit<{bits}> {name};");
         }
         self.indent -= 1;
         self.line("}");
@@ -66,25 +78,25 @@ impl Writer {
     }
 
     fn parser(&mut self, p: &ParserDef) {
-        self.line(&format!("parser {}(packet_in pkt, out headers_t hdr) {{", p.name));
+        ln!(self, "parser {}(packet_in pkt, out headers_t hdr) {{", p.name);
         self.indent += 1;
         for s in &p.states {
-            self.line(&format!("state {} {{", s.name));
+            ln!(self, "state {} {{", s.name);
             self.indent += 1;
             for e in &s.extracts {
-                self.line(&format!("pkt.extract({e});"));
+                ln!(self, "pkt.extract({e});");
             }
             match &s.transition {
                 Transition::Accept => self.line("transition accept;"),
                 Transition::Reject => self.line("transition reject;"),
-                Transition::Direct(t) => self.line(&format!("transition {t};")),
+                Transition::Direct(t) => ln!(self, "transition {t};"),
                 Transition::Select { selector, cases, default } => {
-                    self.line(&format!("transition select({}) {{", print_expr(selector)));
+                    ln!(self, "transition select({selector}) {{");
                     self.indent += 1;
                     for (v, t) in cases {
-                        self.line(&format!("{v}: {t};"));
+                        ln!(self, "{v}: {t};");
                     }
-                    self.line(&format!("default: {default};"));
+                    ln!(self, "default: {default};");
                     self.indent -= 1;
                     self.line("}");
                 }
@@ -98,19 +110,18 @@ impl Writer {
     }
 
     fn control(&mut self, c: &ControlDef, target: Target) {
-        self.line(&format!("control {}(inout headers_t hdr, inout metadata_t meta) {{", c.name));
+        ln!(self, "control {}(inout headers_t hdr, inout metadata_t meta) {{", c.name);
         self.indent += 1;
         for (name, bits) in &c.locals {
-            self.line(&format!("bit<{bits}> {name};"));
+            ln!(self, "bit<{bits}> {name};");
         }
         for r in &c.registers {
             match target {
-                Target::Tna => self.line(&format!(
-                    "Register<bit<{}>, bit<32>>({}) {};",
-                    r.elem_bits, r.size, r.name
-                )),
+                Target::Tna => {
+                    ln!(self, "Register<bit<{}>, bit<32>>({}) {};", r.elem_bits, r.size, r.name)
+                }
                 Target::V1Model => {
-                    self.line(&format!("register<bit<{}>>({}) {};", r.elem_bits, r.size, r.name))
+                    ln!(self, "register<bit<{}>>({}) {};", r.elem_bits, r.size, r.name)
                 }
             }
         }
@@ -124,12 +135,11 @@ impl Writer {
                 netcl_sema::builtins::HashKind::Xor16 => "XOR16",
                 netcl_sema::builtins::HashKind::Identity => "IDENTITY",
             };
-            self.line(&format!("Hash<bit<{}>>(HashAlgorithm_t.{algo}) {};", h.out_bits, h.name));
+            ln!(self, "Hash<bit<{}>>(HashAlgorithm_t.{algo}) {};", h.out_bits, h.name);
         }
         for a in &c.actions {
-            let params: Vec<String> =
-                a.params.iter().map(|(n, b)| format!("bit<{b}> {n}")).collect();
-            self.line(&format!("action {}({}) {{", a.name, params.join(", ")));
+            let params = Join(&a.params, ", ", |(n, b), f| write!(f, "bit<{b}> {n}"));
+            ln!(self, "action {}({params}) {{", a.name);
             self.indent += 1;
             for s in &a.body {
                 self.stmt(s);
@@ -156,12 +166,14 @@ impl Writer {
         let bits = c.register(&ra.register).map(|r| r.elem_bits).unwrap_or(32);
         match target {
             Target::Tna => {
-                self.line(&format!(
+                ln!(
+                    self,
                     "RegisterAction<bit<{bits}>, bit<32>, bit<{bits}>>({}) {} = {{",
-                    ra.register, ra.name
-                ));
+                    ra.register,
+                    ra.name
+                );
                 self.indent += 1;
-                self.line(&format!("void apply(inout bit<{bits}> m, out bit<{bits}> o) {{"));
+                ln!(self, "void apply(inout bit<{bits}> m, out bit<{bits}> o) {{");
                 self.indent += 1;
                 self.salu_body(ra);
                 self.indent -= 1;
@@ -172,143 +184,101 @@ impl Writer {
             Target::V1Model => {
                 // v1model has no RegisterAction; the printer documents the
                 // equivalent read-modify-write sequence it expands to.
-                self.line(&format!(
-                    "/* RegisterAction {} on {}: {} */",
-                    ra.name,
-                    ra.register,
-                    ra.op.name()
-                ));
+                ln!(self, "/* RegisterAction {} on {}: {} */", ra.name, ra.register, ra.op.name());
             }
         }
     }
 
+    /// The output is read before the update (`o = m;` first) or after it
+    /// (last); a conditional update sits in `if (cond) { .. }`.
     fn salu_body(&mut self, ra: &RegisterActionDef) {
         use netcl_sema::builtins::AtomicRmw as R;
-        let operand = |i: usize| -> String {
-            ra.operands.get(i).map(print_expr).unwrap_or_else(|| "0".into())
-        };
-        let rmw = match ra.op.rmw {
-            R::Add => format!("m = m + {};", operand(0)),
-            R::SAdd => format!("m = m |+| {};", operand(0)),
-            R::Sub => format!("m = m - {};", operand(0)),
-            R::SSub => format!("m = m |-| {};", operand(0)),
-            R::Or => format!("m = m | {};", operand(0)),
-            R::And => format!("m = m & {};", operand(0)),
-            R::Xor => format!("m = m ^ {};", operand(0)),
-            R::Min => format!("m = min(m, {});", operand(0)),
-            R::Max => format!("m = max(m, {});", operand(0)),
-            R::Inc => "m = m + 1;".to_string(),
-            R::Dec => "m = m |-| 1;".to_string(),
-            R::Swap => format!("m = {};", operand(0)),
-            R::Cas => format!("if (m == {}) {{ m = {}; }}", operand(0), operand(1)),
-            R::Read => String::new(),
-        };
-        let ret_old = "o = m;";
-        match (ra.op.cond, ra.op.ret_new) {
-            (false, false) => {
-                self.line(ret_old);
-                if !rmw.is_empty() {
-                    self.line(&rmw);
-                }
-            }
-            (false, true) => {
-                if !rmw.is_empty() {
-                    self.line(&rmw);
-                }
-                self.line("o = m;");
-            }
-            (true, ret_new) => {
-                let cond = ra.cond.as_ref().map(print_expr).unwrap_or_else(|| "true".into());
-                if ret_new {
-                    self.line(&format!("if ({cond}) {{"));
-                    self.indent += 1;
-                    if !rmw.is_empty() {
-                        self.line(&rmw);
-                    }
-                    self.indent -= 1;
-                    self.line("}");
-                    self.line("o = m;");
-                } else {
-                    self.line(ret_old);
-                    self.line(&format!("if ({cond}) {{"));
-                    self.indent += 1;
-                    if !rmw.is_empty() {
-                        self.line(&rmw);
-                    }
-                    self.indent -= 1;
-                    self.line("}");
-                }
-            }
+        if !ra.op.ret_new {
+            self.line("o = m;");
+        }
+        if ra.op.cond {
+            ln!(self, "if ({}) {{", OrElse(ra.cond.as_ref(), "true"));
+            self.indent += 1;
+        }
+        let a = OrElse(ra.operands.first(), "0");
+        match ra.op.rmw {
+            R::Add => ln!(self, "m = m + {a};"),
+            R::SAdd => ln!(self, "m = m |+| {a};"),
+            R::Sub => ln!(self, "m = m - {a};"),
+            R::SSub => ln!(self, "m = m |-| {a};"),
+            R::Or => ln!(self, "m = m | {a};"),
+            R::And => ln!(self, "m = m & {a};"),
+            R::Xor => ln!(self, "m = m ^ {a};"),
+            R::Min => ln!(self, "m = min(m, {a});"),
+            R::Max => ln!(self, "m = max(m, {a});"),
+            R::Inc => self.line("m = m + 1;"),
+            R::Dec => self.line("m = m |-| 1;"),
+            R::Swap => ln!(self, "m = {a};"),
+            R::Cas => ln!(self, "if (m == {a}) {{ m = {}; }}", OrElse(ra.operands.get(1), "0")),
+            R::Read => {}
+        }
+        if ra.op.cond {
+            self.indent -= 1;
+            self.line("}");
+        }
+        if ra.op.ret_new {
+            self.line("o = m;");
         }
     }
 
     fn table(&mut self, t: &TableDef) {
-        self.line(&format!("table {} {{", t.name));
+        ln!(self, "table {} {{", t.name);
         self.indent += 1;
         if !t.keys.is_empty() {
-            let keys: Vec<String> = t
-                .keys
-                .iter()
-                .map(|(e, mk)| format!("{} : {}", print_expr(e), mk.keyword()))
-                .collect();
-            self.line(&format!("key = {{ {} }}", keys.join("; ")));
+            let keys = Join(&t.keys, "; ", |(e, mk), f| write!(f, "{e} : {}", mk.keyword()));
+            ln!(self, "key = {{ {keys} }}");
         }
-        let mut actions = t.actions.clone();
-        if !actions.iter().any(|a| a == "NoAction") {
-            actions.push("NoAction".into());
-        }
-        self.line(&format!("actions = {{ {}; }}", actions.join("; ")));
-        self.line(&format!("default_action = {}();", t.default_action));
+        let actions = Join(&t.actions, "; ", fmt::Display::fmt);
+        let no_action = match () {
+            _ if t.actions.iter().any(|a| a == "NoAction") => "",
+            _ if t.actions.is_empty() => "NoAction",
+            _ => "; NoAction",
+        };
+        ln!(self, "actions = {{ {actions}{no_action}; }}");
+        ln!(self, "default_action = {}();", t.default_action);
         if !t.entries.is_empty() {
             self.line("const entries = {");
             self.indent += 1;
             for e in &t.entries {
-                let keys: Vec<String> = e
-                    .keys
-                    .iter()
-                    .map(|k| match k {
-                        EntryKey::Value(v) => format!("{v}"),
-                        EntryKey::Range(lo, hi) => format!("{lo} .. {hi}"),
-                    })
-                    .collect();
-                let args: Vec<String> = e.args.iter().map(|a| a.to_string()).collect();
-                let key_part = if keys.len() == 1 {
-                    keys[0].clone()
-                } else {
-                    format!("({})", keys.join(", "))
-                };
-                self.line(&format!("{key_part} : {}({});", e.action, args.join(", ")));
+                let keys = Join(&e.keys, ", ", |k, f| match k {
+                    EntryKey::Value(v) => write!(f, "{v}"),
+                    EntryKey::Range(lo, hi) => write!(f, "{lo} .. {hi}"),
+                });
+                let args = Join(&e.args, ", ", fmt::Display::fmt);
+                match e.keys.len() {
+                    1 => ln!(self, "{keys} : {}({args});", e.action),
+                    _ => ln!(self, "({keys}) : {}({args});", e.action),
+                }
             }
             self.indent -= 1;
             self.line("}");
         }
-        self.line(&format!("size = {};", t.size.max(1)));
+        ln!(self, "size = {};", t.size.max(1));
         self.indent -= 1;
         self.line("}");
     }
 
     fn stmt(&mut self, s: &Stmt) {
         match s {
-            Stmt::Assign(lhs, rhs) => {
-                self.line(&format!("{} = {};", print_expr(lhs), print_expr(rhs)))
+            Stmt::Assign(lhs, rhs) => ln!(self, "{lhs} = {rhs};"),
+            Stmt::CallAction(name) => ln!(self, "{name}();"),
+            Stmt::ApplyTable(name) => ln!(self, "{name}.apply();"),
+            Stmt::ExecuteRegisterAction { dst: Some(d), ra, index } => {
+                ln!(self, "{d} = {ra}.execute({index});")
             }
-            Stmt::CallAction(name) => self.line(&format!("{name}();")),
-            Stmt::ApplyTable(name) => self.line(&format!("{name}.apply();")),
-            Stmt::ExecuteRegisterAction { dst, ra, index } => match dst {
-                Some(d) => self.line(&format!(
-                    "{} = {}.execute({});",
-                    print_expr(d),
-                    ra,
-                    print_expr(index)
-                )),
-                None => self.line(&format!("{}.execute({});", ra, print_expr(index))),
-            },
+            Stmt::ExecuteRegisterAction { dst: None, ra, index } => {
+                ln!(self, "{ra}.execute({index});")
+            }
             Stmt::HashGet { dst, hash, args } => {
-                let args: Vec<String> = args.iter().map(print_expr).collect();
-                self.line(&format!("{} = {}.get({{{}}});", print_expr(dst), hash, args.join(", ")));
+                ln!(self, "{dst} = {hash}.get({{{}}});", Join(args, ", ", fmt::Display::fmt))
             }
             Stmt::If { cond, then, els } => {
-                self.line(&format!("if ({}) {{", print_expr(cond)));
+                ln!(self, "if ({cond}) {{");
                 self.indent += 1;
                 for s in then {
                     self.stmt(s);
@@ -327,45 +297,74 @@ impl Writer {
                 }
             }
             Stmt::ExternCall { dst, func, args } => {
-                let args: Vec<String> = args.iter().map(print_expr).collect();
+                let args = Join(args, ", ", fmt::Display::fmt);
                 match dst {
-                    Some(d) => {
-                        self.line(&format!("{} = {}({});", print_expr(d), func, args.join(", ")))
-                    }
-                    None => self.line(&format!("{}({});", func, args.join(", "))),
+                    Some(d) => ln!(self, "{d} = {func}({args});"),
+                    None => ln!(self, "{func}({args});"),
                 }
             }
-            Stmt::SetValid(e) => self.line(&format!("{}.setValid();", print_expr(e))),
-            Stmt::SetInvalid(e) => self.line(&format!("{}.setInvalid();", print_expr(e))),
+            Stmt::SetValid(e) => ln!(self, "{e}.setValid();"),
+            Stmt::SetInvalid(e) => ln!(self, "{e}.setInvalid();"),
             Stmt::Exit => self.line("exit;"),
         }
     }
 }
 
-/// Prints an expression.
-pub fn print_expr(e: &Expr) -> String {
-    match e {
-        Expr::Field(segs) => segs
-            .iter()
-            .map(|s| match (s.index, s.name.as_str()) {
-                // Validity pseudo-field prints as the isValid() method.
-                (None, "$isValid") => "isValid()".to_string(),
-                (Some(i), _) => format!("{}[{i}]", s.name),
-                (None, _) => s.name.clone(),
-            })
-            .collect::<Vec<_>>()
-            .join("."),
-        Expr::Const(v, bits) => format!("{bits}w{v}"),
-        Expr::Bool(b) => b.to_string(),
-        Expr::Bin(op, a, b) => {
-            format!("({} {} {})", print_expr(a), op.symbol(), print_expr(b))
+/// `items`, each written by `each`, separated by `sep`.
+struct Join<'a, T, F: Fn(&T, &mut fmt::Formatter<'_>) -> fmt::Result>(&'a [T], &'static str, F);
+
+impl<T, F: Fn(&T, &mut fmt::Formatter<'_>) -> fmt::Result> fmt::Display for Join<'_, T, F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, x) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(self.1)?;
+            }
+            (self.2)(x, f)?;
         }
-        Expr::Not(x) => format!("!({})", print_expr(x)),
-        Expr::BitNot(x) => format!("~({})", print_expr(x)),
-        Expr::Cast(bits, x) => format!("(bit<{bits}>)({})", print_expr(x)),
-        Expr::Slice(x, hi, lo) => format!("({})[{hi}:{lo}]", print_expr(x)),
-        Expr::TableHit(t) => format!("{t}.apply().hit"),
-        Expr::TableMiss(t) => format!("!{t}.apply().hit"),
+        Ok(())
+    }
+}
+
+/// An optional expression, or `default` when it is absent.
+struct OrElse<'a>(Option<&'a Expr>, &'static str);
+
+impl fmt::Display for OrElse<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(e) => e.fmt(f),
+            None => f.write_str(self.1),
+        }
+    }
+}
+
+/// An expression prints fully parenthesised: `(a + (b * c))`.
+impl fmt::Display for Expr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Expr::Field(segs) => {
+                for (i, s) in segs.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(".")?;
+                    }
+                    match (s.index, s.name.as_str()) {
+                        // Validity pseudo-field prints as the isValid() method.
+                        (None, "$isValid") => f.write_str("isValid()")?,
+                        (Some(i), name) => write!(f, "{name}[{i}]")?,
+                        (None, name) => f.write_str(name)?,
+                    }
+                }
+                Ok(())
+            }
+            Expr::Const(v, bits) => write!(f, "{bits}w{v}"),
+            Expr::Bool(b) => write!(f, "{b}"),
+            Expr::Bin(op, a, b) => write!(f, "({a} {} {b})", op.symbol()),
+            Expr::Not(x) => write!(f, "!({x})"),
+            Expr::BitNot(x) => write!(f, "~({x})"),
+            Expr::Cast(bits, x) => write!(f, "(bit<{bits}>)({x})"),
+            Expr::Slice(x, hi, lo) => write!(f, "({x})[{hi}:{lo}]"),
+            Expr::TableHit(t) => write!(f, "{t}.apply().hit"),
+            Expr::TableMiss(t) => write!(f, "!{t}.apply().hit"),
+        }
     }
 }
 
@@ -482,6 +481,66 @@ mod tests {
         assert!(text.contains("if (meta.c) {"));
     }
 
+    /// Shapes no shipped program prints: a range entry, a multi-key entry
+    /// and a `select` with cases and a default. The text reads back to
+    /// itself.
+    #[test]
+    fn prints_range_and_multi_key_entries_and_a_select_default() {
+        let entry =
+            |keys: Vec<EntryKey>, args: Vec<u64>| TableEntry { keys, action: "set".into(), args };
+        let table = TableDef {
+            name: "t".into(),
+            keys: vec![
+                (Expr::field(&["hdr", "h", "a"]), MatchKind::Range),
+                (Expr::field(&["hdr", "h", "b"]), MatchKind::Exact),
+            ],
+            actions: vec!["set".into()],
+            entries: vec![
+                entry(vec![EntryKey::Range(1, 5)], vec![9]),
+                entry(vec![EntryKey::Value(7), EntryKey::Range(2, 3)], vec![]),
+            ],
+            default_action: "NoAction".into(),
+            size: 0,
+        };
+        let transition = Transition::Select {
+            selector: Expr::field(&["hdr", "h", "a"]),
+            cases: vec![(1, "next".into()), (0x800, "accept".into())],
+            default: "reject".into(),
+        };
+        let p = P4Program {
+            name: "shapes".into(),
+            target: Target::Tna,
+            parser: Some(ParserDef {
+                name: "P".into(),
+                states: vec![ParserState {
+                    name: "start".into(),
+                    extracts: vec!["hdr.h".into()],
+                    transition,
+                }],
+            }),
+            controls: vec![ControlDef {
+                name: "C".into(),
+                tables: vec![table],
+                ..Default::default()
+            }]
+            .into(),
+            ..Default::default()
+        };
+        let text = print_program(&p);
+        for line in [
+            "        transition select(hdr.h.a) {\n            1: next;\n            2048: accept;\n            default: reject;\n        }\n",
+            "        key = { hdr.h.a : range; hdr.h.b : exact }\n",
+            "        actions = { set; NoAction; }\n",
+            "            1 .. 5 : set(9);\n            (7, 2 .. 3) : set();\n",
+            "        size = 1;\n",
+        ] {
+            assert!(text.contains(line), "{line:?} in\n{text}");
+        }
+        let reparsed = crate::parse::parse_program(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        let body = |t: &str| t.split_once('\n').map(|(_, b)| b.to_string());
+        assert_eq!(body(&print_program(&reparsed)), body(&text));
+    }
+
     #[test]
     fn loc_counts_code_lines_only() {
         let text = "// comment\n\ncontrol C() {\n    apply { }\n}\n";
@@ -492,11 +551,11 @@ mod tests {
     fn expr_printing() {
         let e =
             Expr::Bin(P4BinOp::SatAdd, Box::new(Expr::field(&["m"])), Box::new(Expr::val(1, 32)));
-        assert_eq!(print_expr(&e), "(m |+| 32w1)");
+        assert_eq!(e.to_string(), "(m |+| 32w1)");
         let s = Expr::Slice(Box::new(Expr::field(&["meta", "x"])), 15, 8);
-        assert_eq!(print_expr(&s), "(meta.x)[15:8]");
+        assert_eq!(s.to_string(), "(meta.x)[15:8]");
         let idx =
             Expr::Field(vec![PathSeg::new("hdr"), PathSeg::indexed("v", 3), PathSeg::new("value")]);
-        assert_eq!(print_expr(&idx), "hdr.v[3].value");
+        assert_eq!(idx.to_string(), "hdr.v[3].value");
     }
 }

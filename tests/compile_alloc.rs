@@ -113,3 +113,44 @@ fn switch_load_allocations_per_application() {
         }
     }
 }
+
+/// What the P4 text hand-off allocates, per device: `print_program` then
+/// `parse_program` of its TNA program. Each row is `(print, parse)` as
+/// measured now, then their total at the commit where the printer built a
+/// `String` per line and per expression node and the lexer one per
+/// identifier token, which the parser cloned again: (3 782, 8 041) for AGG,
+/// (2 764, 4 866) CACHE, (460, 672) CALC, (336, 593) / (1 042, 1 903) × 3 /
+/// (1 406, 2 345) P4xos devices 1–5. Printing writes into one growing
+/// buffer, so it allocates only as that buffer grows; parsing allocates
+/// what the AST keeps.
+#[test]
+fn print_parse_allocations() {
+    let cc = Compiler::new(CompileOptions::default());
+    for (name, source, devices) in [
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), &[((5, 3_840), 11_823)][..]),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), &[((4, 2_234), 7_630)]),
+        ("calc.ncl", calc::netcl_source(), &[((1, 341), 1_132)]),
+        (
+            "paxos.ncl",
+            paxos::full_source(),
+            &[
+                ((1, 260), 929),
+                ((2, 862), 2_945),
+                ((2, 862), 2_945),
+                ((2, 862), 2_945),
+                ((3, 1_121), 3_751),
+            ],
+        ),
+    ] {
+        let unit = cc.compile(name, &source).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(unit.devices.len(), devices.len(), "{name}");
+        for (d, &((print, parse), parent)) in unit.devices.iter().zip(devices) {
+            let (text, printed) = allocs_during(|| netcl_p4::print::print_program(&d.tna_p4));
+            let (reparsed, parsed) = allocs_during(|| netcl_p4::parse::parse_program(&text));
+            reparsed.unwrap_or_else(|e| panic!("{name}, device {}: {e}", d.device));
+            let what = format!("{name}, device {}: print {printed}, parse {parsed}", d.device);
+            assert!(printed <= ceiling(print) && parsed <= ceiling(parse), "{what}");
+            assert!(printed + parsed < parent / 2, "{what}");
+        }
+    }
+}

@@ -6,6 +6,8 @@ use netcl_bmv2::Switch;
 use netcl_p4::{parse::parse_program, print::print_program};
 use netcl_runtime::message::{pack, unpack, Message};
 
+mod shipped;
+
 const KVS: &str = r#"
 _managed_ _lookup_ ncl::kv<unsigned, unsigned> table[8] = {{1, 100}, {2, 200}};
 _net_ unsigned misses[1];
@@ -55,15 +57,7 @@ fn print_parse_execute_roundtrip() {
 #[test]
 fn every_shipped_tna_program_is_a_print_parse_fixpoint() {
     let body = |text: &str| text.split_once('\n').map(|(_, b)| b.to_string()).unwrap_or_default();
-    let mut programs = Vec::new();
-    for app in netcl_apps::all_apps() {
-        let unit = Compiler::new(CompileOptions::default()).compile(app.name, &app.netcl_source);
-        for d in &unit.unwrap_or_else(|e| panic!("{}: {e}", app.name)).devices {
-            programs.push((format!("{} device {}", app.name, d.device), (*d.tna_p4).clone()));
-        }
-        programs.push((format!("{} handwritten", app.name), app.handwritten));
-    }
-    for (label, program) in programs {
+    for (label, _, program) in shipped::tna_programs() {
         let text = print_program(&program);
         let reparsed = parse_program(&text).unwrap_or_else(|e| panic!("{label}: {e}"));
         assert_eq!(body(&print_program(&reparsed)), body(&text), "{label}");

@@ -5,9 +5,12 @@ use netcl::sema::Ty;
 use netcl::{CompileOptions, Compiler};
 use netcl_bmv2::{Engine, Switch};
 use netcl_net::WorkloadRng;
+use netcl_p4::{parse::parse_program, print::print_program};
 use netcl_runtime::message::{pack, pack_into, unpack, Message, MessageError};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+mod shipped;
 
 fn arb_ty() -> impl Strategy<Value = Ty> {
     prop_oneof![Just(Ty::U8), Just(Ty::U16), Just(Ty::U32), Just(Ty::U64), Just(Ty::Bool),]
@@ -98,6 +101,49 @@ fn differential_wire(rng: &mut WorkloadRng, device: u16) -> Vec<u8> {
     let len = rng.below(160) as usize;
     wire.extend((0..len).map(|_| rng.next_u64() as u8));
     wire
+}
+
+/// One shipped TNA program read back from its text (`shipped/mod.rs`).
+struct Reparsed {
+    label: String,
+    device: u16,
+    text: String,
+    original: Arc<netcl_p4::P4Program>,
+    reparsed: Arc<netcl_p4::P4Program>,
+}
+
+/// Every shipped TNA program, printed and parsed once per process.
+fn reparsed_programs() -> &'static [Reparsed] {
+    static PROGRAMS: std::sync::OnceLock<Vec<Reparsed>> = std::sync::OnceLock::new();
+    PROGRAMS.get_or_init(|| {
+        shipped::tna_programs()
+            .into_iter()
+            .map(|(label, device, program)| {
+                let text = print_program(&program);
+                let mut reparsed = parse_program(&text).unwrap_or_else(|e| panic!("{label}: {e}"));
+                // The text does not carry a header stack's length: the
+                // printer writes no `struct headers_t`, so every header
+                // reads back as a plain one. The length is restored here;
+                // everything else about a header must read back as is.
+                for (h, o) in reparsed.headers.iter_mut().zip(&program.headers) {
+                    h.stack = o.stack;
+                }
+                assert_eq!(reparsed.headers, program.headers, "{label}");
+                let (original, reparsed) = (Arc::new(program), Arc::new(reparsed));
+                Reparsed { label, device, text, original, reparsed }
+            })
+            .collect()
+    })
+}
+
+/// `parse_program` on `bytes` (read as UTF-8, invalid sequences replaced)
+/// returns, with a program or a `ParseError`, rather than panicking.
+fn parse_returns(bytes: &[u8]) -> Result<(), String> {
+    let text = String::from_utf8_lossy(bytes);
+    match std::panic::catch_unwind(|| parse_program(&text).map(drop)) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(format!("parse_program panicked on {text:?}")),
+    }
 }
 
 /// Seeded hand-built control flow — the shapes `netcl-core::codegen` never
@@ -612,6 +658,31 @@ proptest! {
         prop_assert!(Message::read_header(&flipped).is_ok());
     }
 
+    /// The P4 text hand-off is faithful: for every shipped generated-TNA and
+    /// handwritten program `p`, a switch loaded from
+    /// `parse_program(&print_program(p))` matches one loaded from `p` on
+    /// random wires ([`differential_wire`]) — same outputs and errors, same
+    /// `SwitchCounters`, same final registers. Header stack lengths are the
+    /// exception, restored by [`reparsed_programs`]. v1model is out of
+    /// scope: it prints RegisterActions as comments, so its text is not
+    /// meant to be read back.
+    #[test]
+    fn reparsed_programs_run_like_the_originals(seed in any::<u64>()) {
+        let mut rng = WorkloadRng::new(seed);
+        for r in reparsed_programs() {
+            let mut original = Switch::new(r.original.clone());
+            let mut from_text = Switch::new(r.reparsed.clone());
+            for _ in 0..6 {
+                let wire = differential_wire(&mut rng, r.device);
+                let want = original.process(&wire).map(|(_, out)| out);
+                let got = from_text.process(&wire).map(|(_, out)| out);
+                prop_assert_eq!(&got, &want, "{}: on {:?}: {:?} != {:?}", r.label, wire, got, want);
+            }
+            prop_assert_eq!(from_text.counters(), original.counters(), "{}: counters", r.label);
+            prop_assert!(from_text.registers().eq(original.registers()), "{}: registers", r.label);
+        }
+    }
+
     /// Every lookup-table state the host installs is observed exactly by
     /// the data plane (managed memory coherence).
     #[test]
@@ -668,5 +739,37 @@ fn allreduce_correct_under_random_loss() {
         let c = Conditions { link: LinkSpec::lossy(loss_pct as f64 / 100.0), ..Default::default() };
         let r = agg::run_allreduce(&unit.devices[0].tna_p4, &cfg, 8, 500, &c).result;
         assert!(r.all_correct, "loss {loss_pct}%: {r:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// P4 text never panics the parser: arbitrary bytes parse to a program
+    /// or a `ParseError`.
+    #[test]
+    fn p4_parse_is_total_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        parse_returns(&bytes)?;
+    }
+
+    /// Nor does a shipped TNA program's text with one byte inserted,
+    /// deleted or bit-flipped: the mutation lands deep inside text that
+    /// otherwise parses.
+    #[test]
+    fn p4_parse_is_total_on_mutated_shipped_programs(seed in any::<u64>()) {
+        let mut rng = WorkloadRng::new(seed);
+        let programs = reparsed_programs();
+        let mut text = programs[rng.below(programs.len() as u64) as usize].text.clone().into_bytes();
+        let at = rng.below(text.len() as u64) as usize;
+        match rng.below(3) {
+            0 => text.insert(at, rng.next_u64() as u8),
+            1 => {
+                text.remove(at);
+            }
+            _ => text[at] ^= 1 << rng.below(8),
+        }
+        parse_returns(&text)?;
     }
 }
