@@ -168,17 +168,21 @@ pub fn handwritten(cfg: &AggConfig) -> P4Program {
 
     // Bitmaps (one register per version, as SwitchML lays them out).
     for v in 0..2u32 {
-        c.registers.push(RegisterDef { name: format!("Bitmap{v}"), elem_bits: 16, size: ns });
+        c.registers.push(RegisterDef {
+            name: format!("Bitmap{v}").into(),
+            elem_bits: 16,
+            size: ns,
+        });
         c.register_actions.push(RegisterActionDef {
-            name: format!("bmp_set{v}"),
-            register: format!("Bitmap{v}"),
+            name: format!("bmp_set{v}").into(),
+            register: format!("Bitmap{v}").into(),
             op: AtomicOp { rmw: AtomicRmw::Or, cond: false, ret_new: false },
             cond: None,
             operands: vec![mask.clone()],
         });
         c.register_actions.push(RegisterActionDef {
-            name: format!("bmp_clr{v}"),
-            register: format!("Bitmap{v}"),
+            name: format!("bmp_clr{v}").into(),
+            register: format!("Bitmap{v}").into(),
             op: AtomicOp { rmw: AtomicRmw::And, cond: false, ret_new: false },
             cond: None,
             operands: vec![Expr::BitNot(Box::new(mask.clone()))],
@@ -186,22 +190,26 @@ pub fn handwritten(cfg: &AggConfig) -> P4Program {
     }
     // Per-element aggregation registers (the SwitchML 32-lane layout).
     for i in 0..ss {
-        c.registers.push(RegisterDef { name: format!("Agg{i}"), elem_bits: 32, size: ns * 2 });
+        c.registers.push(RegisterDef {
+            name: format!("Agg{i}").into(),
+            elem_bits: 32,
+            size: ns * 2,
+        });
         let val = Expr::Field(vec![
             PathSeg::new("hdr"),
             PathSeg::indexed("arr_c1_a5", i),
             PathSeg::new("value"),
         ]);
         c.register_actions.push(RegisterActionDef {
-            name: format!("agg_write{i}"),
-            register: format!("Agg{i}"),
+            name: format!("agg_write{i}").into(),
+            register: format!("Agg{i}").into(),
             op: AtomicOp { rmw: AtomicRmw::Swap, cond: false, ret_new: false },
             cond: None,
             operands: vec![val.clone()],
         });
         c.register_actions.push(RegisterActionDef {
-            name: format!("agg_add{i}"),
-            register: format!("Agg{i}"),
+            name: format!("agg_add{i}").into(),
+            register: format!("Agg{i}").into(),
             op: AtomicOp { rmw: AtomicRmw::Add, cond: true, ret_new: true },
             cond: Some(Expr::Bin(
                 P4BinOp::Eq,
@@ -368,7 +376,7 @@ pub fn handwritten(cfg: &AggConfig) -> P4Program {
     for i in 0..ss {
         first.push(Stmt::ExecuteRegisterAction {
             dst: None,
-            ra: format!("agg_write{i}"),
+            ra: format!("agg_write{i}").into(),
             index: idx.clone(),
         });
     }
@@ -402,7 +410,7 @@ pub fn handwritten(cfg: &AggConfig) -> P4Program {
                 PathSeg::indexed("arr_c1_a5", i),
                 PathSeg::new("value"),
             ])),
-            ra: format!("agg_add{i}"),
+            ra: format!("agg_add{i}").into(),
             index: idx.clone(),
         });
     }
@@ -423,8 +431,8 @@ pub fn handwritten(cfg: &AggConfig) -> P4Program {
     P4Program {
         name: "agg_handwritten".into(),
         target: Target::Tna,
-        headers,
-        parser: Some(parser),
+        headers: headers.into(),
+        parser: Some(parser.into()),
         controls: vec![c].into(),
     }
 }

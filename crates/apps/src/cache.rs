@@ -278,13 +278,21 @@ pub fn handwritten(cfg: &CacheConfig) -> P4Program {
         c.registers.push(RegisterDef { name: name.into(), elem_bits: bits, size });
     }
     for i in 0..w {
-        c.registers.push(RegisterDef { name: format!("Val{i}"), elem_bits: 32, size: cfg.slots });
+        c.registers.push(RegisterDef {
+            name: format!("Val{i}").into(),
+            elem_bits: 32,
+            size: cfg.slots,
+        });
     }
     for i in 0..3 {
-        c.registers.push(RegisterDef { name: format!("Cms{i}"), elem_bits: 32, size: cols });
+        c.registers.push(RegisterDef { name: format!("Cms{i}").into(), elem_bits: 32, size: cols });
     }
     for i in 0..2 {
-        c.registers.push(RegisterDef { name: format!("Bloom{i}"), elem_bits: 8, size: cols });
+        c.registers.push(RegisterDef {
+            name: format!("Bloom{i}").into(),
+            elem_bits: 8,
+            size: cols,
+        });
     }
 
     // Register actions.
@@ -391,7 +399,7 @@ pub fn handwritten(cfg: &CacheConfig) -> P4Program {
             ),
             then: vec![Stmt::ExecuteRegisterAction {
                 dst: Some(vfield),
-                ra: format!("val_read{i}"),
+                ra: format!("val_read{i}").into(),
                 index: idx.clone(),
             }],
             els: vec![],
@@ -427,7 +435,7 @@ pub fn handwritten(cfg: &CacheConfig) -> P4Program {
         let h = field(&["meta", &format!("h{i}")]);
         miss.push(Stmt::ExecuteRegisterAction {
             dst: Some(field(&["meta", &format!("c{i}")])),
-            ra: format!("cms_count{i}"),
+            ra: format!("cms_count{i}").into(),
             index: colmask(h),
         });
     }
@@ -492,7 +500,7 @@ pub fn handwritten(cfg: &CacheConfig) -> P4Program {
     for i in 0..w {
         put.push(Stmt::ExecuteRegisterAction {
             dst: None,
-            ra: format!("val_write{i}"),
+            ra: format!("val_write{i}").into(),
             index: idx.clone(),
         });
     }
@@ -610,8 +618,8 @@ pub fn handwritten(cfg: &CacheConfig) -> P4Program {
     P4Program {
         name: "cache_handwritten".into(),
         target: Target::Tna,
-        headers,
-        parser: Some(parser),
+        headers: headers.into(),
+        parser: Some(parser.into()),
         controls: vec![c].into(),
     }
 }

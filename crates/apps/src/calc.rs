@@ -196,8 +196,8 @@ pub fn handwritten() -> P4Program {
     P4Program {
         name: "calc_handwritten".into(),
         target: Target::Tna,
-        headers,
-        parser: Some(parser),
+        headers: headers.into(),
+        parser: Some(parser.into()),
         controls: vec![c].into(),
     }
 }

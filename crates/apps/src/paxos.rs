@@ -476,8 +476,8 @@ pub fn handwritten_leader() -> P4Program {
     P4Program {
         name: "pldr_handwritten".into(),
         target: Target::Tna,
-        headers: common_headers(),
-        parser: Some(common_parser()),
+        headers: common_headers().into(),
+        parser: Some(common_parser().into()),
         controls: vec![c].into(),
     }
 }
@@ -510,13 +510,13 @@ pub fn handwritten_acceptor_at(acc: u16) -> P4Program {
     });
     for i in 0..8u32 {
         c.registers.push(RegisterDef {
-            name: format!("ValueR{i}"),
+            name: format!("ValueR{i}").into(),
             elem_bits: 32,
             size: NUM_INSTANCES,
         });
         c.register_actions.push(RegisterActionDef {
-            name: format!("value_store{i}"),
-            register: format!("ValueR{i}"),
+            name: format!("value_store{i}").into(),
+            register: format!("ValueR{i}").into(),
             op: AtomicOp { rmw: AtomicRmw::Swap, cond: false, ret_new: false },
             cond: None,
             operands: vec![Expr::Field(vec![
@@ -535,7 +535,7 @@ pub fn handwritten_acceptor_at(acc: u16) -> P4Program {
     for i in 0..8 {
         accept.push(Stmt::ExecuteRegisterAction {
             dst: None,
-            ra: format!("value_store{i}"),
+            ra: format!("value_store{i}").into(),
             index: inst.clone(),
         });
     }
@@ -577,8 +577,8 @@ pub fn handwritten_acceptor_at(acc: u16) -> P4Program {
     P4Program {
         name: "pacc_handwritten".into(),
         target: Target::Tna,
-        headers: common_headers(),
-        parser: Some(common_parser()),
+        headers: common_headers().into(),
+        parser: Some(common_parser().into()),
         controls: vec![c].into(),
     }
 }
@@ -616,13 +616,13 @@ pub fn handwritten_learner() -> P4Program {
     });
     for i in 0..8u32 {
         c.registers.push(RegisterDef {
-            name: format!("ValueR{i}"),
+            name: format!("ValueR{i}").into(),
             elem_bits: 32,
             size: NUM_INSTANCES,
         });
         c.register_actions.push(RegisterActionDef {
-            name: format!("value_store{i}"),
-            register: format!("ValueR{i}"),
+            name: format!("value_store{i}").into(),
+            register: format!("ValueR{i}").into(),
             op: AtomicOp { rmw: AtomicRmw::Swap, cond: false, ret_new: false },
             cond: None,
             operands: vec![Expr::Field(vec![
@@ -660,7 +660,7 @@ pub fn handwritten_learner() -> P4Program {
     for i in 0..8 {
         deliver.push(Stmt::ExecuteRegisterAction {
             dst: None,
-            ra: format!("value_store{i}"),
+            ra: format!("value_store{i}").into(),
             index: inst.clone(),
         });
     }
@@ -736,8 +736,8 @@ pub fn handwritten_learner() -> P4Program {
     P4Program {
         name: "plrn_handwritten".into(),
         target: Target::Tna,
-        headers: common_headers(),
-        parser: Some(common_parser()),
+        headers: common_headers().into(),
+        parser: Some(common_parser().into()),
         controls: vec![c].into(),
     }
 }

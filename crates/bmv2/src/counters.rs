@@ -178,6 +178,7 @@ mod tests {
     use crate::switch::Engine;
     use netcl_p4::ast::*;
     use netcl_sema::builtins::{AtomicOp, AtomicRmw};
+    use std::sync::Arc;
 
     /// A hand-built merged two-tenant program. The header mimics the NCL
     /// shim: 8 bytes of preamble, then the comp byte at wire offset 8.
@@ -211,15 +212,16 @@ mod tests {
                 name: "th_t".into(),
                 fields: vec![("pad".into(), 64), ("comp".into(), 8), ("k".into(), 8)],
                 stack: 1,
-            }],
-            parser: Some(ParserDef {
+            }]
+            .into(),
+            parser: Some(Arc::new(ParserDef {
                 name: "P".into(),
                 states: vec![ParserState {
                     name: "start".into(),
                     extracts: vec!["hdr.th".into()],
                     transition: Transition::Accept,
                 }],
-            }),
+            })),
             controls: vec![ControlDef {
                 name: "Ig".into(),
                 locals: vec![("cnt".into(), 32)],

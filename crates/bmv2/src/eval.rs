@@ -130,7 +130,7 @@ pub fn canonical(segs: &[PathSeg]) -> String {
 pub fn instance_of(segs: &[PathSeg]) -> String {
     segs.iter()
         .find(|s| s.name != "hdr" && !s.name.starts_with('$'))
-        .map(|s| s.name.clone())
+        .map(|s| s.name.to_string())
         .unwrap_or_default()
 }
 

@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use netcl_p4::ast::{HeaderDef, P4Program, RegisterDef, TableDef, TableEntry};
+use netcl_p4::ast::{HeaderDef, Name, P4Program, RegisterDef, TableDef, TableEntry};
 use netcl_util::define_index;
 use netcl_util::idx::{Idx, IndexVec};
 use netcl_util::intern::{Interner, Symbol};
@@ -145,7 +145,7 @@ fn field_path(instance: &str, stack: u32, i: u32, field: &str) -> String {
 /// A register's global identity: name + element count.
 #[derive(Debug)]
 pub(crate) struct RegState {
-    pub name: String,
+    pub name: Name,
     pub size: usize,
 }
 
@@ -170,10 +170,10 @@ pub(crate) struct Layout {
     pub slots: Arc<SlotTable>,
     /// Canonical path → declared width (locals first, headers overwrite);
     /// an absent path is 32 bits wide ([`Layout::width_of`]).
-    field_widths: HashMap<String, u32>,
+    field_widths: HashMap<Name, u32>,
     pub regs: Vec<RegState>,
     /// Register name → index into `regs` and the runtime cells.
-    pub reg_index: HashMap<String, u32>,
+    pub reg_index: HashMap<Name, u32>,
     pub table_states: Vec<TableState>,
     /// Table name → index into `table_states`, the runtime entry stores
     /// and the hit/miss counters.
@@ -190,11 +190,11 @@ impl Layout {
                 field_widths.insert(n.clone(), *w);
             }
         }
-        for h in &program.headers {
+        for h in program.headers.iter() {
             let instance = h.name.strip_suffix("_t").unwrap_or(&h.name);
             for (f, w) in &h.fields {
                 for i in 0..h.stack.max(1) {
-                    field_widths.insert(field_path(instance, h.stack, i, f), *w);
+                    field_widths.insert(field_path(instance, h.stack, i, f).into(), *w);
                 }
             }
         }

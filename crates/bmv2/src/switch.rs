@@ -295,15 +295,16 @@ mod tests {
                 name: "h_t".into(),
                 fields: vec![("k".into(), 16), ("v".into(), 16)],
                 stack: 1,
-            }],
-            parser: Some(ParserDef {
+            }]
+            .into(),
+            parser: Some(Arc::new(ParserDef {
                 name: "P".into(),
                 states: vec![ParserState {
                     name: "start".into(),
                     extracts: vec!["hdr.h".into()],
                     transition: Transition::Accept,
                 }],
-            }),
+            })),
             controls: vec![ControlDef {
                 name: "Ig".into(),
                 locals: vec![("cnt".into(), 32)],
@@ -499,7 +500,7 @@ mod tests {
                 extracts,
                 transition,
             }));
-            Box::new(move |p| p.parser.as_mut().unwrap().states = states.clone())
+            Box::new(move |p| Arc::make_mut(p.parser.as_mut().unwrap()).states = states.clone())
         };
         let orphan: Edit = {
             let site = apply(exec("orphan"));

@@ -13,6 +13,7 @@ use netcl_ir::ValueId;
 use netcl_p4::ast::*;
 use netcl_sema::builtins::{AtomicOp, AtomicRmw};
 use netcl_sema::model::LookupEntry;
+use std::sync::Arc;
 
 use super::plan::{stack_element, KernelPlan, Place, Storage};
 use super::{sanitize, Codegen, CodegenError, NCL_HDR};
@@ -69,7 +70,7 @@ pub(super) fn kernel(
     cg.control.locals.extend(plan.locals.iter().cloned());
     for slot in plan.slots.iter() {
         if let Storage::Stack { name, count, bits } = slot {
-            cg.program.headers.push(HeaderDef {
+            Arc::make_mut(&mut cg.program.headers).push(HeaderDef {
                 name: format!("{name}_t"),
                 fields: vec![("value".into(), *bits)],
                 stack: *count,
@@ -90,8 +91,8 @@ struct Emitter<'a> {
 
 impl<'a> Emitter<'a> {
     /// A per-site temporary: `k<computation>_<kind><n>`, declared.
-    fn temp(&mut self, kind: &str, n: u32, bits: u32) -> String {
-        let name = format!("k{}_{kind}{n}", self.f.computation);
+    fn temp(&mut self, kind: &str, n: u32, bits: u32) -> Name {
+        let name: Name = format!("k{}_{kind}{n}", self.f.computation).into();
         self.control.locals.push((name.clone(), bits));
         name
     }
@@ -457,7 +458,7 @@ impl<'a> Emitter<'a> {
     ) {
         let g = self.module.global(mem);
         let n = next(&mut self.counters.ra);
-        let ra = format!("ra_{}_{n}", sanitize(&g.name));
+        let ra: Name = format!("ra_{}_{n}", sanitize(&g.name)).into();
         // The SALU condition input must be a single field; a boolean
         // expression is materialised in a 1-bit temp first.
         let cond = cond.map(|c| match c {
@@ -468,7 +469,7 @@ impl<'a> Emitter<'a> {
                 is_set(flag)
             }
         });
-        let register = g.name.clone();
+        let register = g.name.as_str().into();
         let def = RegisterActionDef { name: ra.clone(), register, op, cond, operands };
         self.control.register_actions.push(def);
         let index = self.flat_index(indices, &g.dims);

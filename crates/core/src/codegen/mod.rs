@@ -29,6 +29,7 @@ mod plan;
 
 use netcl_ir::Module;
 use netcl_p4::ast::*;
+use std::sync::Arc;
 
 /// Codegen failure (a construct the target cannot express).
 #[derive(Debug, Clone)]
@@ -107,14 +108,15 @@ struct Codegen<'a> {
 
 impl Codegen<'_> {
     fn headers(&mut self) {
-        self.program.headers.push(ncl_header());
+        let headers = Arc::make_mut(&mut self.program.headers);
+        headers.push(ncl_header());
         for k in &self.module.kernels {
             let mut fields = Vec::new();
             for (i, a) in k.args.iter().enumerate() {
                 if a.count == 1 {
                     fields.push((format!("a{}_{}", i, a.name), a.ty.bits as u32));
                 } else {
-                    self.program.headers.push(HeaderDef {
+                    headers.push(HeaderDef {
                         name: format!("{}_t", arg_stack(k.computation, i)),
                         fields: vec![("value".into(), a.ty.bits as u32)],
                         stack: a.count,
@@ -122,7 +124,7 @@ impl Codegen<'_> {
                 }
             }
             if !fields.is_empty() {
-                self.program.headers.push(HeaderDef {
+                headers.push(HeaderDef {
                     name: format!("args_c{}_t", k.computation),
                     fields,
                     stack: 1,
@@ -165,7 +167,7 @@ impl Codegen<'_> {
                 transition: Transition::Accept,
             });
         }
-        self.program.parser = Some(ParserDef { name: "IgParser".into(), states });
+        self.program.parser = Some(ParserDef { name: "IgParser".into(), states }.into());
     }
 
     /// One register per global memory object; lookup tables are
@@ -176,7 +178,7 @@ impl Codegen<'_> {
                 continue;
             }
             self.control.registers.push(RegisterDef {
-                name: g.name.clone(),
+                name: g.name.as_str().into(),
                 elem_bits: (g.ty.bits as u32).max(8),
                 size: g.element_count() as u32,
             });

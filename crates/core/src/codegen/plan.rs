@@ -13,7 +13,7 @@
 use netcl_ir::func::{BlockId, Function, Inst, InstKind, Terminator};
 use netcl_ir::types::Operand;
 use netcl_ir::ValueId;
-use netcl_p4::ast::{Expr, PathSeg};
+use netcl_p4::ast::{Expr, Name, PathSeg};
 use netcl_passes::structurize::immediate_postdominators;
 use netcl_util::bitset::BitSet;
 use netcl_util::idx::{Idx, IndexVec};
@@ -62,7 +62,7 @@ pub(super) struct KernelPlan {
     /// Per local slot.
     pub slots: IndexVec<netcl_ir::LocalId, Storage>,
     /// The `meta` locals the plan names, `(name, bits)`.
-    pub locals: Vec<(String, u32)>,
+    pub locals: Vec<(Name, u32)>,
     /// Each block's region join (see `immediate_postdominators`).
     pub ipd: IndexVec<BlockId, Option<BlockId>>,
     /// Index of each block's first instruction in block-major order.
@@ -129,7 +129,7 @@ impl KernelPlan {
                 if plan.values[r].is_none() {
                     plan.values[r] = Some(Place::Meta(plan.locals.len()));
                     let bits = (f.value_ty(r).bits as u32).max(1);
-                    plan.locals.push((format!("k{c}_t{}", r.0), bits));
+                    plan.locals.push((format!("k{c}_t{}", r.0).into(), bits));
                 }
             }
         }
@@ -138,7 +138,7 @@ impl KernelPlan {
             plan.slots.push(if slot.count == 1 {
                 let name = format!("k{c}_l{}_{}", id.index(), sanitize(&slot.name));
                 let storage = Storage::Scalar(Expr::field(&["meta", &name]));
-                plan.locals.push((name, (slot.ty.bits as u32).max(1)));
+                plan.locals.push((name.into(), (slot.ty.bits as u32).max(1)));
                 storage
             } else {
                 let name = format!("k{c}_loc{}", id.index());

@@ -5,131 +5,129 @@
 //! placement), hoisting (nearest common dominator), the distance checks of
 //! §VI-B, and the code generator's lexical-scope construction.
 
-use crate::func::{BlockId, Function};
+use crate::func::{BlockId, Function, Predecessors, Terminator};
 use netcl_util::idx::{Idx, IndexVec};
-use std::collections::HashMap;
 
 /// Reverse postorder of reachable blocks starting at the entry.
 pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
     let n = f.blocks.len();
     let mut visited = vec![false; n];
     let mut postorder = Vec::with_capacity(n);
-    // Iterative DFS with explicit successor cursor.
-    let mut stack: Vec<(BlockId, usize)> = vec![(f.entry, 0)];
+    // Iterative DFS; each frame holds its block's successors not yet taken.
+    let mut stack = vec![(f.entry, f.blocks[f.entry].term.successors())];
     visited[f.entry.index()] = true;
-    while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-        let succs = f.blocks[b].term.successors();
-        if *i < succs.len() {
-            let s = succs[*i];
-            *i += 1;
-            if s.index() >= n {
-                continue; // malformed target; the verifier reports it
-            }
-            if !visited[s.index()] {
+    while let Some((b, succs)) = stack.last_mut() {
+        let b = *b;
+        match succs.next() {
+            // A malformed target is skipped; the verifier reports it.
+            Some(s) if s.index() < n && !visited[s.index()] => {
                 visited[s.index()] = true;
-                stack.push((s, 0));
+                stack.push((s, f.blocks[s].term.successors()));
             }
-        } else {
-            postorder.push(b);
-            stack.pop();
+            Some(_) => {}
+            None => {
+                postorder.push(b);
+                stack.pop();
+            }
         }
     }
     postorder.reverse();
     postorder
 }
 
-/// Dominator tree over a function's reachable blocks.
+/// `rpo_index` of a block the entry does not reach, and `idom` of one.
+const UNREACHED: u32 = u32::MAX;
+
+/// Dominator tree over a function's reachable blocks, in vectors indexed by
+/// [`BlockId`].
 #[derive(Debug)]
 pub struct DomTree {
-    /// Immediate dominator per block (entry maps to itself).
-    pub idom: HashMap<BlockId, BlockId>,
     /// Reverse postorder used to build the tree.
     pub rpo: Vec<BlockId>,
-    rpo_index: HashMap<BlockId, usize>,
+    /// The CFG's predecessor lists the tree was built from.
+    pub preds: Predecessors,
+    /// Immediate dominator per block (the entry's is itself).
+    idom: IndexVec<BlockId, BlockId>,
+    /// Position in `rpo`; every block's `idom` sits earlier than it.
+    rpo_index: IndexVec<BlockId, u32>,
 }
 
 impl DomTree {
     /// Computes dominators (Cooper–Harvey–Kennedy).
     pub fn compute(f: &Function) -> DomTree {
         let rpo = reverse_postorder(f);
-        let rpo_index: HashMap<BlockId, usize> =
-            rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect();
+        let mut rpo_index: IndexVec<BlockId, u32> = f.blocks.indices().map(|_| UNREACHED).collect();
+        for (i, &b) in rpo.iter().enumerate() {
+            rpo_index[b] = i as u32;
+        }
         let preds = f.predecessors();
-        let mut idom: HashMap<BlockId, BlockId> = HashMap::new();
-        idom.insert(f.entry, f.entry);
+        let mut idom: IndexVec<BlockId, BlockId> =
+            f.blocks.indices().map(|_| BlockId(UNREACHED)).collect();
+        idom[f.entry] = f.entry;
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in rpo.iter().skip(1) {
+            for &b in &rpo[1..] {
                 let mut new_idom: Option<BlockId> = None;
-                for &p in &preds[b] {
-                    if !idom.contains_key(&p) {
-                        continue; // unprocessed or unreachable
-                    }
+                // Unprocessed and unreachable predecessors have no idom yet.
+                for &p in preds[b].iter().filter(|&&p| idom[p].0 != UNREACHED) {
                     new_idom = Some(match new_idom {
                         None => p,
                         Some(cur) => intersect(&idom, &rpo_index, p, cur),
                     });
                 }
-                if let Some(ni) = new_idom {
-                    if idom.get(&b) != Some(&ni) {
-                        idom.insert(b, ni);
-                        changed = true;
-                    }
+                if let Some(ni) = new_idom.filter(|&ni| idom[b] != ni) {
+                    idom[b] = ni;
+                    changed = true;
                 }
             }
         }
-        DomTree { idom, rpo, rpo_index }
+        DomTree { rpo, preds, idom, rpo_index }
     }
 
-    /// Whether `a` dominates `b` (reflexive).
+    /// Whether `a` dominates `b` (reflexive, also for unreachable blocks).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom.get(&cur) {
-                Some(&p) if p != cur => cur = p,
-                _ => return false,
-            }
+        if a == b {
+            return true;
         }
+        if !self.is_reachable(a) || !self.is_reachable(b) {
+            return false;
+        }
+        let mut cur = b;
+        while self.rpo_index[cur] > self.rpo_index[a] {
+            cur = self.idom[cur];
+        }
+        cur == a
     }
 
-    /// Nearest common dominator of two blocks.
+    /// Nearest common dominator of two reachable blocks.
     pub fn nearest_common_dominator(&self, a: BlockId, b: BlockId) -> BlockId {
         intersect(&self.idom, &self.rpo_index, a, b)
     }
 
-    /// Immediate dominator (None for the entry).
+    /// Immediate dominator (None for the entry and unreachable blocks).
     pub fn immediate_dominator(&self, b: BlockId) -> Option<BlockId> {
-        match self.idom.get(&b) {
-            Some(&p) if p != b => Some(p),
-            _ => None,
-        }
+        let p = *self.idom.get(b)?;
+        (p != b && p.0 != UNREACHED).then_some(p)
     }
 
     /// Whether a block is reachable from the entry.
     pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.rpo_index.contains_key(&b)
+        self.rpo_index.get(b).is_some_and(|&i| i != UNREACHED)
     }
 
     /// Dominance frontiers (Cytron et al.), for φ placement.
-    pub fn dominance_frontiers(&self, f: &Function) -> IndexVec<BlockId, Vec<BlockId>> {
-        let preds = f.predecessors();
+    pub fn dominance_frontiers(&self) -> IndexVec<BlockId, Vec<BlockId>> {
         let mut df: IndexVec<BlockId, Vec<BlockId>> =
-            f.blocks.indices().map(|_| Vec::new()).collect();
+            self.idom.indices().map(|_| Vec::new()).collect();
         for &b in &self.rpo {
-            if preds[b].len() < 2 {
+            let preds = &self.preds[b];
+            if preds.len() < 2 {
                 continue;
             }
-            let Some(&id) = self.idom.get(&b) else { continue };
-            for &p in &preds[b] {
-                if !self.is_reachable(p) {
-                    continue;
-                }
+            for &p in preds.iter().filter(|&&p| self.is_reachable(p)) {
                 let mut runner = p;
-                while runner != id {
+                while runner != self.idom[b] {
                     if !df[runner].contains(&b) {
                         df[runner].push(b);
                     }
@@ -145,17 +143,17 @@ impl DomTree {
 }
 
 fn intersect(
-    idom: &HashMap<BlockId, BlockId>,
-    rpo_index: &HashMap<BlockId, usize>,
+    idom: &IndexVec<BlockId, BlockId>,
+    rpo_index: &IndexVec<BlockId, u32>,
     mut a: BlockId,
     mut b: BlockId,
 ) -> BlockId {
     while a != b {
-        while rpo_index[&a] > rpo_index[&b] {
-            a = idom[&a];
+        while rpo_index[a] > rpo_index[b] {
+            a = idom[a];
         }
-        while rpo_index[&b] > rpo_index[&a] {
-            b = idom[&b];
+        while rpo_index[b] > rpo_index[a] {
+            b = idom[b];
         }
     }
     a
@@ -179,10 +177,9 @@ pub fn min_branch_depth(f: &Function) -> IndexVec<BlockId, u32> {
             if d == u32::MAX {
                 continue;
             }
-            let succs = f.blocks[b].term.successors();
-            let cost = if succs.len() > 1 { 1 } else { 0 };
-            for s in succs {
-                let nd = d + cost;
+            let term = &f.blocks[b].term;
+            let nd = d + matches!(term, Terminator::CondBr { .. }) as u32;
+            for s in term.successors() {
                 if nd < depth[s] {
                     depth[s] = nd;
                     changed = true;
@@ -243,7 +240,7 @@ mod tests {
     fn diamond_frontiers() {
         let (f, _, t, e, j) = diamond();
         let dt = DomTree::compute(&f);
-        let df = dt.dominance_frontiers(&f);
+        let df = dt.dominance_frontiers();
         assert_eq!(df[t], vec![j]);
         assert_eq!(df[e], vec![j]);
         assert!(df[j].is_empty());
@@ -306,5 +303,79 @@ mod tests {
         let depth = min_branch_depth(&f);
         assert_eq!(depth[m], 2);
         assert_eq!(depth[j], 1); // via bb
+    }
+
+    /// Block `i` ends in `edges[i]`: a return, a branch, or a condbr, with
+    /// targets taken modulo the block count — so self-branches, loops and
+    /// blocks nothing reaches all occur.
+    fn random_cfg(edges: &[(u8, usize, usize)]) -> Function {
+        let mut fb = FuncBuilder::new("k", 1);
+        let n = edges.len();
+        let blocks: Vec<BlockId> =
+            std::iter::once(fb.current).chain((1..n).map(|_| fb.new_block())).collect();
+        for (&blk, &(kind, t, e)) in blocks.iter().zip(edges) {
+            fb.switch_to(blk);
+            let (then_bb, else_bb) = (blocks[t % n], blocks[e % n]);
+            let cond = Operand::imm(1, IrTy::I1);
+            fb.terminate(match kind {
+                0 => Terminator::Ret(ActionRef::pass()),
+                1 => Terminator::Br(then_bb),
+                _ => Terminator::CondBr { cond, then_bb, else_bb },
+            });
+        }
+        fb.finish()
+    }
+
+    /// The blocks the entry reaches without passing through `cut`.
+    fn reached_without(f: &Function, cut: Option<BlockId>) -> Vec<bool> {
+        let mut seen = vec![false; f.blocks.len()];
+        let mut stack = vec![f.entry];
+        while let Some(b) = stack.pop() {
+            if Some(b) != cut && !std::mem::replace(&mut seen[b.index()], true) {
+                stack.extend(f.blocks[b].term.successors());
+            }
+        }
+        seen
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// `a` dominates a reachable `b` exactly when removing `a` cuts `b`
+        /// off from the entry; the immediate and nearest common dominators
+        /// are the ones every other candidate dominates.
+        #[test]
+        fn dense_tree_matches_remove_the_block_oracle(
+            edges in proptest::collection::vec((0u8..4, 0usize..9, 0usize..9), 1..9)
+        ) {
+            let f = random_cfg(&edges);
+            let dt = DomTree::compute(&f);
+            let ids: Vec<BlockId> = f.blocks.indices().collect();
+            let reach = reached_without(&f, None);
+            let cut: Vec<Vec<bool>> = ids.iter().map(|&a| reached_without(&f, Some(a))).collect();
+            let dom = |a: BlockId, b: BlockId| {
+                a == b || (reach[b.index()] && !cut[a.index()][b.index()])
+            };
+            // The candidate every other candidate dominates.
+            let deepest = |cands: Vec<BlockId>| {
+                cands.iter().copied().find(|&c| cands.iter().all(|&o| dom(o, c)))
+            };
+            for &b in &ids {
+                proptest::prop_assert_eq!(dt.is_reachable(b), reach[b.index()], "{b:?}");
+                for &a in &ids {
+                    proptest::prop_assert_eq!(dt.dominates(a, b), dom(a, b), "{a:?} dom {b:?}");
+                }
+                let strict = ids.iter().copied().filter(|&d| d != b && dom(d, b)).collect();
+                proptest::prop_assert_eq!(dt.immediate_dominator(b), deepest(strict), "{b:?}");
+                if !reach[b.index()] {
+                    continue;
+                }
+                for &a in ids.iter().filter(|a| reach[a.index()]) {
+                    let common = ids.iter().copied().filter(|&c| dom(c, a) && dom(c, b)).collect();
+                    let ncd = Some(dt.nearest_common_dominator(a, b));
+                    proptest::prop_assert_eq!(ncd, deepest(common), "ncd({a:?}, {b:?})");
+                }
+            }
+        }
     }
 }

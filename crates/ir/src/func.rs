@@ -4,7 +4,7 @@ use crate::types::{CastKind, IcmpPred, IrBinOp, IrTy, IrUnOp, Operand};
 use netcl_sema::builtins::{ActionKind, AtomicOp, HashKind};
 use netcl_sema::model::LookupEntry;
 use netcl_util::define_index;
-use netcl_util::idx::IndexVec;
+use netcl_util::idx::{Idx, IndexVec};
 
 define_index!(BlockId, "bb");
 define_index!(ValueId, "%v");
@@ -389,13 +389,30 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Successor block ids.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Br(b) => vec![*b],
-            Terminator::CondBr { then_bb, else_bb, .. } => vec![*then_bb, *else_bb],
-            _ => vec![],
-        }
+    /// Successor block ids, in branch order. The iterator owns its ids, so
+    /// the blocks may be edited while it runs.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> + Clone {
+        let (first, second) = match *self {
+            Terminator::Br(b) => (Some(b), None),
+            Terminator::CondBr { then_bb, else_bb, .. } => (Some(then_bb), Some(else_bb)),
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+}
+
+/// Every block's predecessors in one array (CSR): `preds[b]` lists them in
+/// block order, a condbr with both arms on `b` twice.
+#[derive(Clone, Debug)]
+pub struct Predecessors {
+    start: Vec<u32>,
+    preds: Vec<BlockId>,
+}
+
+impl std::ops::Index<BlockId> for Predecessors {
+    type Output = [BlockId];
+    fn index(&self, b: BlockId) -> &[BlockId] {
+        &self.preds[self.start[b.index()] as usize..self.start[b.index() + 1] as usize]
     }
 }
 
@@ -434,20 +451,18 @@ pub struct Function {
 }
 
 impl Function {
-    /// Predecessor map (recomputed on demand; the IR is small).
-    pub fn predecessors(&self) -> IndexVec<BlockId, Vec<BlockId>> {
-        let mut preds: IndexVec<BlockId, Vec<BlockId>> =
-            self.blocks.indices().map(|_| Vec::new()).collect();
-        for (id, b) in self.blocks.iter_enumerated() {
-            for s in b.term.successors() {
-                // Out-of-range targets are reported by the verifier; don't
-                // panic while computing auxiliary structures.
-                if let Some(p) = preds.get_mut(s) {
-                    p.push(id);
-                }
-            }
-        }
-        preds
+    /// The predecessor lists, computed on demand. Out-of-range targets are
+    /// skipped; the verifier reports them.
+    pub fn predecessors(&self) -> Predecessors {
+        let n = self.blocks.len();
+        let mut edges: Vec<(BlockId, BlockId)> = (self.blocks.iter_enumerated())
+            .flat_map(|(id, b)| b.term.successors().map(move |s| (s, id)))
+            .filter(|(s, _)| s.index() < n)
+            .collect();
+        edges.sort_unstable(); // by target, then in block order
+        let start = (0..=n).map(|b| edges.partition_point(|(s, _)| s.index() < b) as u32);
+        let start = start.collect();
+        Predecessors { start, preds: edges.into_iter().map(|(_, p)| p).collect() }
     }
 
     /// The type of a value.
@@ -703,8 +718,8 @@ mod tests {
         b.switch_to(j);
         let f = b.finish();
         let preds = f.predecessors();
-        assert_eq!(preds[j], vec![t, e]);
-        assert_eq!(preds[f.entry], Vec::<BlockId>::new());
+        assert_eq!(preds[j], [t, e]);
+        assert!(preds[f.entry].is_empty());
     }
 
     #[test]

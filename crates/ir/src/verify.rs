@@ -14,7 +14,7 @@
 use crate::dom::DomTree;
 use crate::func::{BlockId, Function, InstKind, Module, Terminator, ValueId};
 use crate::types::{IrTy, Operand};
-use std::collections::HashMap;
+use netcl_util::idx::IndexVec;
 
 /// A verifier failure (module- or function-level).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,8 +74,9 @@ impl<'a> Verifier<'a> {
     }
 
     fn run(&mut self) {
-        // Definition sites.
-        let mut def_site: HashMap<ValueId, (BlockId, usize)> = HashMap::new();
+        // Definition sites, indexed by value.
+        let mut def_site: IndexVec<ValueId, Option<(BlockId, usize)>> =
+            self.f.values.indices().map(|_| None).collect();
         for (bid, b) in self.f.blocks.iter_enumerated() {
             for (i, inst) in b.insts.iter().enumerate() {
                 if inst.results.len() != inst.kind.result_count() {
@@ -89,17 +90,18 @@ impl<'a> Verifier<'a> {
                     );
                 }
                 for &r in &inst.results {
-                    if self.f.values.get(r).is_none() {
-                        self.err(Some(bid), format!("result {r:?} not in value table"));
-                    } else if def_site.insert(r, (bid, i)).is_some() {
-                        self.err(Some(bid), format!("value {r:?} defined twice"));
+                    match def_site.get_mut(r).map(|site| site.replace((bid, i))) {
+                        None => self.err(Some(bid), format!("result {r:?} not in value table")),
+                        Some(Some(_)) => self.err(Some(bid), format!("value {r:?} defined twice")),
+                        Some(None) => {}
                     }
                 }
             }
         }
 
         // Terminators & φ shape.
-        let preds = self.f.predecessors();
+        let dt = DomTree::compute(self.f);
+        let preds = &dt.preds;
         for (bid, b) in self.f.blocks.iter_enumerated() {
             match &b.term {
                 Terminator::Unterminated => self.err(Some(bid), "block lacks a terminator"),
@@ -120,7 +122,7 @@ impl<'a> Verifier<'a> {
                         }
                         let mut ps: Vec<BlockId> = incoming.iter().map(|(p, _)| *p).collect();
                         ps.sort_unstable();
-                        let mut expect = preds[bid].clone();
+                        let mut expect = preds[bid].to_vec();
                         expect.sort_unstable();
                         expect.dedup();
                         ps.dedup();
@@ -137,7 +139,7 @@ impl<'a> Verifier<'a> {
         }
 
         // Dominance of uses + type checks.
-        let dt = DomTree::compute(self.f);
+        let def = |v: ValueId| def_site.get(v).copied().flatten();
         for (bid, b) in self.f.blocks.iter_enumerated() {
             if !dt.is_reachable(bid) {
                 continue;
@@ -146,10 +148,10 @@ impl<'a> Verifier<'a> {
                 if let InstKind::Phi { incoming } = &inst.kind {
                     for (pred, op) in incoming {
                         if let Operand::Value(v) = op {
-                            match def_site.get(v) {
+                            match def(*v) {
                                 None => self.err(Some(bid), format!("use of undefined {v:?}")),
                                 Some((db, _)) => {
-                                    if dt.is_reachable(*pred) && !dt.dominates(*db, *pred) {
+                                    if dt.is_reachable(*pred) && !dt.dominates(db, *pred) {
                                         self.err(
                                             Some(bid),
                                             format!(
@@ -165,9 +167,9 @@ impl<'a> Verifier<'a> {
                 }
                 inst.kind.for_each_operand(|op| {
                     if let Operand::Value(v) = op {
-                        match def_site.get(&v) {
+                        match def(v) {
                             None => self.err(Some(bid), format!("use of undefined {v:?}")),
-                            Some(&(db, di)) => {
+                            Some((db, di)) => {
                                 let ok = if db == bid { di < i } else { dt.dominates(db, bid) };
                                 if !ok {
                                     self.err(

@@ -14,6 +14,10 @@ pub enum Target {
 }
 
 /// A complete P4 program (one device pipeline).
+///
+/// Everything but the name and dialect is shared: cloning a program copies
+/// its name and bumps three counts. Edit a part through `Arc::make_mut`,
+/// which copies only if shared.
 #[derive(Clone, Debug, Default)]
 pub struct P4Program {
     /// Program name (used in comments and reports).
@@ -21,13 +25,10 @@ pub struct P4Program {
     /// Dialect.
     pub target: TargetOpt,
     /// Header type definitions.
-    pub headers: Vec<HeaderDef>,
+    pub headers: Arc<Vec<HeaderDef>>,
     /// Parser (single ingress parser in our subset).
-    pub parser: Option<ParserDef>,
+    pub parser: Option<Arc<ParserDef>>,
     /// Controls (ingress control carries the NetCL runtime + kernels).
-    /// They are nearly all of a program's weight, and shared: cloning a
-    /// program copies its name, headers and parser and bumps one count.
-    /// Edit through `Arc::make_mut`, which copies only if shared.
     pub controls: Arc<Vec<ControlDef>>,
 }
 
@@ -109,7 +110,7 @@ pub enum Transition {
 #[derive(Clone, Debug, PartialEq)]
 pub struct RegisterDef {
     /// Instance name.
-    pub name: String,
+    pub name: Name,
     /// Element width in bits.
     pub elem_bits: u32,
     /// Element count.
@@ -126,9 +127,9 @@ pub struct RegisterDef {
 #[derive(Clone, Debug, PartialEq)]
 pub struct RegisterActionDef {
     /// Instance name.
-    pub name: String,
+    pub name: Name,
     /// The register it operates on.
-    pub register: String,
+    pub register: Name,
     /// The RMW microprogram.
     pub op: AtomicOp,
     /// Condition source (a metadata field path) for `_cond` forms.
@@ -228,7 +229,7 @@ pub struct ControlDef {
     /// Control name.
     pub name: String,
     /// Local metadata variables `(name, bits)`.
-    pub locals: Vec<(String, u32)>,
+    pub locals: Vec<(Name, u32)>,
     /// Register instances.
     pub registers: Vec<RegisterDef>,
     /// RegisterAction instances.
@@ -369,7 +370,7 @@ pub enum Expr {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PathSeg {
     /// Segment name.
-    pub name: String,
+    pub name: Name,
     /// Stack index (`hdr.v[3]`).
     pub index: Option<u32>,
 }
@@ -377,12 +378,125 @@ pub struct PathSeg {
 impl PathSeg {
     /// Plain segment.
     pub fn new(name: &str) -> PathSeg {
-        PathSeg { name: name.to_string(), index: None }
+        PathSeg { name: name.into(), index: None }
     }
 
     /// Indexed segment.
     pub fn indexed(name: &str, index: u32) -> PathSeg {
-        PathSeg { name: name.to_string(), index: Some(index) }
+        PathSeg { name: name.into(), index: Some(index) }
+    }
+}
+
+/// A name the AST holds many of — a path segment, a local, a register or
+/// register action — kept in place when it is at most [`Name::INLINE`]
+/// bytes long, as every name the compiler generates is: a field path costs
+/// one allocation, its segment list, not one more per segment. Reads, and
+/// keys a map, as a `&str`.
+#[derive(Clone)]
+pub struct Name(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` bytes are the name, copied whole from a `str` by
+    /// `From<&str>`, the only constructor; the rest are zero.
+    Inline {
+        len: u8,
+        bytes: [u8; Name::INLINE],
+    },
+    Heap(Box<str>),
+}
+
+impl Name {
+    /// The longest name held in place.
+    pub const INLINE: usize = 22;
+
+    /// The name. Loading a switch and fitting a program read every path's
+    /// names many times over, so this does not re-validate UTF-8: checking
+    /// here made both ≈ 10–15 % slower.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            // SAFETY: `bytes[..len]` is a whole `str` copied byte for byte
+            // (`From<&str>`), and nothing else writes an inline name.
+            Repr::Inline { len, bytes } => unsafe {
+                std::str::from_utf8_unchecked(&bytes[..*len as usize])
+            },
+            Repr::Heap(s) => s,
+        }
+    }
+}
+
+impl From<&str> for Name {
+    fn from(s: &str) -> Name {
+        if s.len() > Name::INLINE {
+            return Name(Repr::Heap(s.into()));
+        }
+        let mut bytes = [0; Name::INLINE];
+        bytes[..s.len()].copy_from_slice(s.as_bytes());
+        Name(Repr::Inline { len: s.len() as u8, bytes })
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Name {
+        if s.len() <= Name::INLINE {
+            Name::from(s.as_str())
+        } else {
+            Name(Repr::Heap(s.into_boxed_str()))
+        }
+    }
+}
+
+impl std::ops::Deref for Name {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+// Equality, hashing and borrowing are those of the `str`, so a `Name` keys
+// a map that is looked up by `&str`.
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Name {}
+
+impl std::hash::Hash for Name {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state)
+    }
+}
+
+impl std::borrow::Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq<str> for Name {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl std::fmt::Display for Name {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl std::fmt::Debug for Name {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
@@ -412,7 +526,7 @@ pub enum Stmt {
         /// Destination field (None = result discarded).
         dst: Option<Expr>,
         /// RegisterAction name.
-        ra: String,
+        ra: Name,
         /// Register index expression.
         index: Expr,
     },
@@ -487,6 +601,19 @@ mod tests {
             }
             _ => panic!(),
         }
+    }
+
+    #[test]
+    fn names_read_back_in_place_and_on_the_heap() {
+        let long = "a_name_longer_than_the_inline_buffer";
+        let cases = ["", "hdr", "$isValid", "ünïcödé_ñame", &long[..Name::INLINE], long];
+        for s in cases.into_iter().chain([&long[..Name::INLINE + 1]]) {
+            let n = Name::from(s);
+            assert_eq!(n.as_str(), s);
+            assert_eq!(n, s);
+            assert_eq!(format!("{n}|{n:?}"), format!("{s}|{s:?}"));
+        }
+        assert_ne!(Name::from("hdr"), Name::from("hd"));
     }
 
     #[test]

@@ -115,7 +115,7 @@ pub fn classify(p: &P4Program) -> Breakdown {
     };
 
     // Headers.
-    for h in &p.headers {
+    for h in p.headers.iter() {
         // `header X {`, one line per field, `}`.
         add(Category::Headers, 2 + h.fields.len());
     }
@@ -186,6 +186,7 @@ pub fn classification_covers_print(p: &P4Program) -> (usize, usize) {
 mod tests {
     use super::*;
     use netcl_sema::builtins::{AtomicOp, AtomicRmw, HashKind};
+    use std::sync::Arc;
 
     fn cache_like_program() -> P4Program {
         P4Program {
@@ -202,8 +203,9 @@ mod tests {
                     fields: vec![("Op".into(), 8), ("K".into(), 32), ("V".into(), 32)],
                     stack: 1,
                 },
-            ],
-            parser: Some(ParserDef {
+            ]
+            .into(),
+            parser: Some(Arc::new(ParserDef {
                 name: "IgParser".into(),
                 states: vec![
                     ParserState {
@@ -221,7 +223,7 @@ mod tests {
                         transition: Transition::Accept,
                     },
                 ],
-            }),
+            })),
             controls: vec![ControlDef {
                 name: "Ig".into(),
                 locals: vec![("c0".into(), 32)],

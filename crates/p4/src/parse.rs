@@ -311,8 +311,10 @@ impl<'a> Parser<'a> {
         while let Some(tok) = self.peek() {
             self.pos += 1;
             match tok {
-                Tok::Ident("header") => p.headers.push(self.header()?),
-                Tok::Ident("parser") => p.parser = Some(self.parser_def()?),
+                Tok::Ident("header") => {
+                    std::sync::Arc::make_mut(&mut p.headers).push(self.header()?)
+                }
+                Tok::Ident("parser") => p.parser = Some(self.parser_def()?.into()),
                 Tok::Ident("control") => {
                     std::sync::Arc::make_mut(&mut p.controls).push(self.control()?)
                 }
@@ -713,7 +715,9 @@ impl<'a> Parser<'a> {
             // A bare expression statement: only valid for certain shapes.
             return match lhs {
                 Expr::TableHit(t) | Expr::TableMiss(t) => Ok(Stmt::ApplyTable(t)),
-                Expr::Field(segs) if segs.len() == 1 => Ok(Stmt::CallAction(segs[0].name.clone())),
+                Expr::Field(segs) if segs.len() == 1 => {
+                    Ok(Stmt::CallAction(segs[0].name.to_string()))
+                }
                 other => self.err(format!("expression `{other:?}` is not a statement")),
             };
         }
@@ -888,21 +892,25 @@ impl<'a> Parser<'a> {
                         if self.eat_punct(".") {
                             let what = self.expect_ident()?;
                             return match what {
-                                "hit" => Ok(Expr::TableHit(segs[0].name.clone())),
-                                "miss" => Ok(Expr::TableMiss(segs[0].name.clone())),
+                                "hit" => Ok(Expr::TableHit(segs[0].name.to_string())),
+                                "miss" => Ok(Expr::TableMiss(segs[0].name.to_string())),
                                 other => self.err(format!("unknown apply result `{other}`")),
                             };
                         }
-                        return Ok(Expr::TableHit(segs[0].name.clone()));
+                        return Ok(Expr::TableHit(segs[0].name.to_string()));
                     }
-                    if (name == "setValid" || name == "setInvalid" || name == "isValid")
-                        && matches!(self.peek(), Some(Tok::Punct("(")))
-                    {
+                    let pseudo = match name {
+                        "setValid" => Some("$setValid"),
+                        "setInvalid" => Some("$setInvalid"),
+                        "isValid" => Some("$isValid"),
+                        _ => None,
+                    };
+                    if let (Some(pseudo), Some(Tok::Punct("("))) = (pseudo, self.peek()) {
                         self.bump();
                         self.expect_punct(")")?;
                         // Validity tests appear in conditions; model as a
                         // field read of a validity pseudo-field.
-                        segs.push(PathSeg { name: format!("${name}"), index: None });
+                        segs.push(PathSeg::new(pseudo));
                         return Ok(Expr::Field(segs));
                     }
                     segs.push(self.seg(name)?);
@@ -1031,6 +1039,7 @@ fn recover_salu(body: &[Stmt]) -> Option<(AtomicOp, Option<Expr>, Vec<Expr>)> {
 mod tests {
     use super::*;
     use crate::print::print_program;
+    use std::sync::Arc;
 
     #[test]
     fn parses_header() {
@@ -1199,15 +1208,16 @@ parser P(packet_in pkt, out headers_t hdr) {
                 name: "ncl_t".into(),
                 fields: vec![("src".into(), 16), ("dst".into(), 16)],
                 stack: 1,
-            }],
-            parser: Some(ParserDef {
+            }]
+            .into(),
+            parser: Some(Arc::new(ParserDef {
                 name: "IgP".into(),
                 states: vec![ParserState {
                     name: "start".into(),
                     extracts: vec!["hdr.ncl".into()],
                     transition: Transition::Accept,
                 }],
-            }),
+            })),
             controls: vec![ControlDef {
                 name: "Ig".into(),
                 locals: vec![("t0".into(), 16)],

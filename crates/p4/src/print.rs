@@ -32,7 +32,7 @@ pub fn print_program(p: &P4Program) -> String {
         Target::V1Model => "#include <v1model.p4>",
     });
     w.blank();
-    for h in &p.headers {
+    for h in p.headers.iter() {
         w.header(h);
     }
     if let Some(parser) = &p.parser {
@@ -383,6 +383,7 @@ pub fn loc(text: &str) -> usize {
 mod tests {
     use super::*;
     use netcl_sema::builtins::{AtomicOp, AtomicRmw, HashKind};
+    use std::sync::Arc;
 
     fn sample_control() -> ControlDef {
         ControlDef {
@@ -435,7 +436,8 @@ mod tests {
                 name: "cache_t".into(),
                 fields: vec![("Op".into(), 8), ("K".into(), 32)],
                 stack: 1,
-            }],
+            }]
+            .into(),
             parser: None,
             controls: vec![sample_control()].into(),
         };
@@ -510,14 +512,14 @@ mod tests {
         let p = P4Program {
             name: "shapes".into(),
             target: Target::Tna,
-            parser: Some(ParserDef {
+            parser: Some(Arc::new(ParserDef {
                 name: "P".into(),
                 states: vec![ParserState {
                     name: "start".into(),
                     extracts: vec!["hdr.h".into()],
                     transition,
                 }],
-            }),
+            })),
             controls: vec![ControlDef {
                 name: "C".into(),
                 tables: vec![table],

@@ -6,8 +6,7 @@
 //! flow) rejects the program.
 
 use netcl_ir::func::{BlockId, Function, InstKind, Terminator};
-use netcl_util::idx::Idx;
-use std::collections::HashMap;
+use netcl_util::idx::{Idx, IndexVec};
 
 /// Simplifies the CFG: forwards branches through empty blocks, merges
 /// single-pred/single-succ straight lines, and collapses condbr with equal
@@ -35,24 +34,27 @@ fn collapse_trivial_condbr(f: &mut Function) -> bool {
 
 /// Redirects branches whose target is an empty block that just branches on.
 fn thread_empty_blocks(f: &mut Function) -> bool {
-    // target → final destination, skipping chains of empty forwarders. A
-    // block with φ-nodes is not skippable (the edge identity matters).
-    let mut forward: HashMap<BlockId, BlockId> = HashMap::new();
+    // Each empty forwarder's target (any other block's is itself); chains
+    // are followed to their end. A block with φ-nodes is not skippable (the
+    // edge identity matters).
+    let mut forward: IndexVec<BlockId, BlockId> = f.blocks.indices().collect();
+    let mut forwarders = 0usize;
     for (bid, b) in f.blocks.iter_enumerated() {
         if b.insts.is_empty() {
             if let Terminator::Br(t) = b.term {
                 if t != bid && !has_phis(f, t) {
-                    forward.insert(bid, t);
+                    forward[bid] = t;
+                    forwarders += 1;
                 }
             }
         }
     }
-    if forward.is_empty() {
+    if forwarders == 0 {
         return false;
     }
     let resolve = |mut b: BlockId| {
-        for _ in 0..forward.len() + 1 {
-            match forward.get(&b) {
+        for _ in 0..=forwarders {
+            match forward.get(b) {
                 Some(&n) if n != b => b = n,
                 _ => break,
             }
@@ -95,24 +97,13 @@ pub(crate) fn reachable_blocks(f: &Function) -> Vec<bool> {
     let mut stack = vec![f.entry];
     reachable[f.entry.index()] = true;
     while let Some(b) = stack.pop() {
-        for_each_successor(&f.blocks[b].term, |s| {
+        for s in f.blocks[b].term.successors() {
             if s.index() < reachable.len() && !std::mem::replace(&mut reachable[s.index()], true) {
                 stack.push(s);
             }
-        });
+        }
     }
     reachable
-}
-
-fn for_each_successor(term: &Terminator, mut visit: impl FnMut(BlockId)) {
-    match *term {
-        Terminator::Br(b) => visit(b),
-        Terminator::CondBr { then_bb, else_bb, .. } => {
-            visit(then_bb);
-            visit(else_bb);
-        }
-        _ => {}
-    }
 }
 
 /// Merges `a → b` when `a` ends in an unconditional branch to `b` and `b`
@@ -128,11 +119,11 @@ fn merge_straight_lines(f: &mut Function) -> bool {
     let mut live_preds = vec![0u32; f.blocks.len()];
     for (bid, b) in f.blocks.iter_enumerated() {
         if reachable[bid.index()] {
-            for_each_successor(&b.term, |s| {
+            for s in b.term.successors() {
                 if let Some(n) = live_preds.get_mut(s.index()) {
                     *n += 1;
                 }
-            });
+            }
         }
     }
     let mut changed = false;
@@ -175,30 +166,28 @@ pub fn check_dag(f: &Function) -> Result<(), String> {
     // A back edge in DFS ⇔ a cycle.
     let n = f.blocks.len();
     let mut color = vec![0u8; n]; // 0 white, 1 gray, 2 black
-    let mut stack: Vec<(BlockId, usize)> = vec![(f.entry, 0)];
+    let mut stack = vec![(f.entry, f.blocks[f.entry].term.successors())];
     color[f.entry.index()] = 1;
-    while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-        let succs = f.blocks[b].term.successors();
-        if *i < succs.len() {
-            let s = succs[*i];
-            *i += 1;
-            match color.get(s.index()).copied().unwrap_or(2) {
-                0 => {
-                    color[s.index()] = 1;
-                    stack.push((s, 0));
-                }
-                1 => {
-                    return Err(format!(
-                        "kernel `{}` contains a loop the compiler could not fully unroll \
-                         ({b:?} → {s:?}); P4 pipelines are feed-forward (§V-D)",
-                        f.name
-                    ));
-                }
-                _ => {}
-            }
-        } else {
+    while let Some((b, succs)) = stack.last_mut() {
+        let b = *b;
+        let Some(s) = succs.next() else {
             color[b.index()] = 2;
             stack.pop();
+            continue;
+        };
+        match color.get(s.index()).copied().unwrap_or(2) {
+            0 => {
+                color[s.index()] = 1;
+                stack.push((s, f.blocks[s].term.successors()));
+            }
+            1 => {
+                return Err(format!(
+                    "kernel `{}` contains a loop the compiler could not fully unroll \
+                     ({b:?} → {s:?}); P4 pipelines are feed-forward (§V-D)",
+                    f.name
+                ));
+            }
+            _ => {}
         }
     }
     Ok(())

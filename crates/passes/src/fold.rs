@@ -8,55 +8,31 @@
 use netcl_ir::func::{Function, InstKind, Terminator};
 use netcl_ir::types::{IrBinOp, IrTy, Operand};
 use netcl_ir::ValueId;
-use std::collections::HashMap;
+use netcl_util::idx::IndexVec;
 
 /// Folds constants and simplifies identities in `f`. Returns whether
 /// anything changed. Iterate to fixpoint together with DCE.
 pub fn fold_function(f: &mut Function) -> bool {
     let mut changed = false;
-    // Map from value → replacement operand discovered this round.
-    let mut replace: HashMap<ValueId, Operand> = HashMap::new();
-
-    for bid in f.blocks.indices().collect::<Vec<_>>() {
-        let insts = std::mem::take(&mut f.blocks[bid].insts);
-        let mut kept = Vec::with_capacity(insts.len());
-        for mut inst in insts {
+    // Replacements discovered this round.
+    let mut replace = Replacements::new(f);
+    let Function { blocks, values, .. } = f;
+    for b in blocks.iter_mut() {
+        b.insts.retain_mut(|inst| {
             // First apply pending replacements to operands.
-            inst.kind.map_operands(|op| resolve(op, &replace));
-            let simplified = inst.results.first().copied().and_then(|result| {
-                let ty = f.values[result].ty;
-                simplify_inst(&inst.kind, ty).map(|rep| (result, rep))
-            });
-            match simplified {
-                // Simplifiable kinds are pure single-result instructions:
-                // record the replacement and drop the instruction so the
-                // pass converges.
-                Some((result, rep)) => {
-                    replace.insert(result, resolve(rep, &replace));
-                    changed = true;
-                }
-                None => kept.push(inst),
-            }
-        }
-        f.blocks[bid].insts = kept;
+            inst.kind.map_operands(|op| replace.resolve(op));
+            let Some(&result) = inst.results.first() else { return true };
+            // Simplifiable kinds are pure single-result instructions: record
+            // the replacement and drop the instruction so the pass converges.
+            let Some(rep) = simplify_inst(&inst.kind, values[result].ty) else { return true };
+            replace.insert(result, replace.resolve(rep));
+            changed = true;
+            false
+        });
     }
 
     // Apply replacements everywhere (uses may precede defs in block order).
-    if !replace.is_empty() {
-        for b in f.blocks.iter_mut() {
-            for inst in &mut b.insts {
-                inst.kind.map_operands(|op| resolve(op, &replace));
-            }
-            if let Terminator::CondBr { cond, .. } = &mut b.term {
-                *cond = resolve(*cond, &replace);
-            }
-            if let Terminator::Ret(a) = &mut b.term {
-                if let Some(t) = &mut a.target {
-                    *t = resolve(*t, &replace);
-                }
-            }
-        }
-    }
+    replace.apply(f);
 
     // Branch folding: condbr on a constant becomes an unconditional branch.
     for b in f.blocks.iter_mut() {
@@ -68,19 +44,56 @@ pub fn fold_function(f: &mut Function) -> bool {
     changed
 }
 
-fn resolve(op: Operand, replace: &HashMap<ValueId, Operand>) -> Operand {
-    let mut cur = op;
-    // Chase replacement chains (bounded by map size).
-    for _ in 0..replace.len() + 1 {
-        match cur {
-            Operand::Value(v) => match replace.get(&v) {
-                Some(&next) => cur = next,
-                None => return cur,
-            },
-            c => return c,
+/// Value → operand replacements over dense ids (fold, hoisting and mem2reg
+/// record them, then rewrite every use at once).
+pub(crate) struct Replacements {
+    to: IndexVec<ValueId, Option<Operand>>,
+    len: usize,
+}
+
+impl Replacements {
+    /// No replacements, for the values `f` has now.
+    pub(crate) fn new(f: &Function) -> Replacements {
+        Replacements { to: f.values.indices().map(|_| None).collect(), len: 0 }
+    }
+
+    /// Replaces `v` by `op`.
+    pub(crate) fn insert(&mut self, v: ValueId, op: Operand) {
+        self.len += self.to[v].replace(op).is_none() as usize;
+    }
+
+    /// Follows `op`'s chain of replacements to its end (bounded by their
+    /// number).
+    pub(crate) fn resolve(&self, op: Operand) -> Operand {
+        let mut cur = op;
+        for _ in 0..=self.len {
+            match cur {
+                Operand::Value(v) => match self.to.get(v).copied().flatten() {
+                    Some(next) => cur = next,
+                    None => break,
+                },
+                Operand::Const(..) => break,
+            }
+        }
+        cur
+    }
+
+    /// Rewrites every operand of `f`, terminators included.
+    pub(crate) fn apply(&self, f: &mut Function) {
+        if self.len == 0 {
+            return;
+        }
+        for b in f.blocks.iter_mut() {
+            for inst in &mut b.insts {
+                inst.kind.map_operands(|op| self.resolve(op));
+            }
+            match &mut b.term {
+                Terminator::CondBr { cond, .. } => *cond = self.resolve(*cond),
+                Terminator::Ret(a) => a.target = a.target.map(|t| self.resolve(t)),
+                _ => {}
+            }
         }
     }
-    cur
 }
 
 /// Returns a replacement operand if the instruction simplifies away.

@@ -8,72 +8,91 @@
 //! the transformation the paper credits with making AGG fit Tofino; it is
 //! flag-controlled because it raises PHV pressure.
 
+use crate::fold::Replacements;
 use netcl_ir::dom::DomTree;
-use netcl_ir::func::{BlockId, Function, InstKind, ValueId};
-use netcl_ir::types::Operand;
+use netcl_ir::func::{BlockId, Function, InstKind, MsgField, ValueId};
+use netcl_ir::types::{CastKind, IcmpPred, IrBinOp, IrTy, IrUnOp, Operand};
+use netcl_sema::builtins::HashKind;
+use netcl_util::idx::IndexVec;
 use std::collections::HashMap;
 
-/// True for instructions that are safe to move across blocks: value
-/// producers with no side effects and no environment dependence. `ArgRead`
+/// "Computes the same value", without allocating; [`value_key`] spells
+/// it out.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum ValueKey {
+    Bin(IrBinOp, Operand, Operand),
+    Un(IrUnOp, Operand),
+    Icmp(IcmpPred, Operand, Operand),
+    Select(Operand, Operand, Operand),
+    Cast(CastKind, Operand, IrTy),
+    Hash(HashKind, u8, Operand),
+    Msg(MsgField),
+}
+
+/// The key of an instruction that is safe to move across blocks: a value
+/// producer with no side effects and no environment dependence. `ArgRead`
 /// is excluded because an `ArgWrite` may intervene; `MemRead` because global
 /// memory is shared; `Rand` because each dynamic execution must draw a
 /// fresh value.
-fn is_speculatable(kind: &InstKind) -> bool {
-    matches!(
-        kind,
-        InstKind::Bin { .. }
-            | InstKind::Un { .. }
-            | InstKind::Icmp { .. }
-            | InstKind::Select { .. }
-            | InstKind::Cast { .. }
-            | InstKind::Hash { .. }
-            | InstKind::MsgField { .. }
-    )
+fn group_key(kind: &InstKind) -> Option<ValueKey> {
+    Some(match *kind {
+        InstKind::Bin { op, a, b } if op.commutative() => {
+            // Canonicalize commutative operand order.
+            let rank = |o: Operand| match o {
+                Operand::Value(v) => (0, v.0 as u64, 0),
+                Operand::Const(c, t) => (1, c, t.bits),
+            };
+            let (a, b) = if rank(a) <= rank(b) { (a, b) } else { (b, a) };
+            ValueKey::Bin(op, a, b)
+        }
+        InstKind::Bin { op, a, b } => ValueKey::Bin(op, a, b),
+        InstKind::Un { op, a } => ValueKey::Un(op, a),
+        InstKind::Icmp { pred, a, b } => ValueKey::Icmp(pred, a, b),
+        InstKind::Select { cond, a, b } => ValueKey::Select(cond, a, b),
+        InstKind::Cast { kind, a, to } => ValueKey::Cast(kind, a, to),
+        InstKind::Hash { kind, bits, a } => ValueKey::Hash(kind, bits, a),
+        InstKind::MsgField { field } => ValueKey::Msg(field),
+        _ => return None,
+    })
 }
 
-/// A structural key identifying "computes the same value".
-fn value_key(kind: &InstKind) -> Option<String> {
-    if !is_speculatable(kind) {
-        return None;
-    }
-    let fmt_op = |o: &Operand| match o {
+/// The textual form of a [`ValueKey`], which orders the groups.
+fn value_key(key: ValueKey) -> String {
+    let op = |o: Operand| match o {
         Operand::Value(v) => format!("v{}", v.0),
         Operand::Const(c, t) => format!("c{c}:{t}"),
     };
-    let mut ops: Vec<String> = Vec::new();
-    kind.for_each_operand(|o| ops.push(fmt_op(&o)));
-    let head = match kind {
-        InstKind::Bin { op, a, b } => {
-            // Canonicalize commutative operand order.
-            if op.commutative() {
-                let mut pair = [fmt_op(a), fmt_op(b)];
-                pair.sort();
-                return Some(format!("bin.{}({},{})", op.mnemonic(), pair[0], pair[1]));
+    match key {
+        ValueKey::Bin(bin, a, b) => {
+            let (mut a, mut b) = (op(a), op(b));
+            // A commutative pair is ordered as text.
+            if bin.commutative() && b < a {
+                std::mem::swap(&mut a, &mut b);
             }
-            format!("bin.{}", op.mnemonic())
+            format!("bin.{}({a},{b})", bin.mnemonic())
         }
-        InstKind::Un { op, .. } => format!("un.{}", op.mnemonic()),
-        InstKind::Icmp { pred, .. } => format!("icmp.{}", pred.mnemonic()),
-        InstKind::Select { .. } => "select".to_string(),
-        InstKind::Cast { kind, to, .. } => format!("cast.{kind:?}.{to}"),
-        InstKind::Hash { kind, bits, .. } => format!("hash.{kind:?}.{bits}"),
-        InstKind::MsgField { field } => format!("msg.{field:?}"),
-        _ => return None,
-    };
-    Some(format!("{head}({})", ops.join(",")))
+        ValueKey::Un(un, a) => format!("un.{}({})", un.mnemonic(), op(a)),
+        ValueKey::Icmp(pred, a, b) => format!("icmp.{}({},{})", pred.mnemonic(), op(a), op(b)),
+        ValueKey::Select(cond, a, b) => format!("select({},{},{})", op(cond), op(a), op(b)),
+        ValueKey::Cast(kind, a, to) => format!("cast.{kind:?}.{to}({})", op(a)),
+        ValueKey::Hash(kind, bits, a) => format!("hash.{kind:?}.{bits}({})", op(a)),
+        ValueKey::Msg(field) => format!("msg.{field:?}()"),
+    }
 }
 
-/// Maps each value to its defining block.
-fn def_blocks(f: &Function) -> HashMap<ValueId, BlockId> {
-    let mut map = HashMap::new();
+/// Each value's defining block.
+fn def_blocks(f: &Function) -> IndexVec<ValueId, Option<BlockId>> {
+    let mut map: IndexVec<ValueId, Option<BlockId>> = f.values.indices().map(|_| None).collect();
     for (bid, b) in f.blocks.iter_enumerated() {
-        for inst in &b.insts {
-            for &r in &inst.results {
-                map.insert(r, bid);
-            }
+        for &r in b.insts.iter().flat_map(|inst| &inst.results) {
+            map[r] = Some(bid);
         }
     }
     map
+}
+
+fn def_of(defs: &IndexVec<ValueId, Option<BlockId>>, v: ValueId) -> Option<BlockId> {
+    defs.get(v).copied().flatten()
 }
 
 /// Hoists duplicate pure computations to the nearest common dominator.
@@ -82,29 +101,30 @@ pub fn hoist_common_values(f: &mut Function) -> usize {
     let dt = DomTree::compute(f);
     let defs = def_blocks(f);
 
-    // Group instructions by value key.
-    let mut groups: HashMap<String, Vec<(BlockId, usize)>> = HashMap::new();
-    for (bid, b) in f.blocks.iter_enumerated() {
-        if !dt.is_reachable(bid) {
-            continue;
-        }
+    // Group instructions by value key: the first site, then any others.
+    type Site = (BlockId, usize);
+    let mut groups: HashMap<ValueKey, (Site, Vec<Site>)> = HashMap::new();
+    for (bid, b) in f.blocks.iter_enumerated().filter(|(bid, _)| dt.is_reachable(*bid)) {
         for (i, inst) in b.insts.iter().enumerate() {
-            if let Some(key) = value_key(&inst.kind) {
-                groups.entry(key).or_default().push((bid, i));
+            if let Some(key) = group_key(&inst.kind) {
+                let (first, rest) = groups.entry(key).or_insert(((bid, i), Vec::new()));
+                if *first != (bid, i) {
+                    rest.push((bid, i));
+                }
             }
         }
     }
+    let mut groups: Vec<(String, Vec<Site>)> = groups
+        .into_iter()
+        .filter(|(_, (_, rest))| !rest.is_empty())
+        .map(|(key, (first, rest))| (value_key(key), std::iter::once(first).chain(rest).collect()))
+        .collect();
+    groups.sort_unstable_by(|a, b| a.0.cmp(&b.0)); // deterministic order
 
     let mut removed = 0usize;
-    let mut replace: HashMap<ValueId, Operand> = HashMap::new();
-    let mut delete: Vec<(BlockId, usize)> = Vec::new();
-    let mut groups: Vec<_> = groups.into_iter().collect();
-    groups.sort_by(|a, b| a.0.cmp(&b.0)); // deterministic order
-
+    let mut replace = Replacements::new(f);
+    let mut delete: Vec<Site> = Vec::new();
     for (_, sites) in groups {
-        if sites.len() < 2 {
-            continue;
-        }
         // Nearest common dominator of all sites.
         let mut ncd = sites[0].0;
         for &(b, _) in &sites[1..] {
@@ -112,15 +132,11 @@ pub fn hoist_common_values(f: &mut Function) -> usize {
         }
         // Operand availability: every value operand's def must dominate the
         // NCD or live in it.
-        let kind = f.blocks[sites[0].0].insts[sites[0].1].kind.clone();
         let mut available = true;
-        kind.for_each_operand(|op| {
+        f.blocks[sites[0].0].insts[sites[0].1].kind.for_each_operand(|op| {
             available &= match op {
                 Operand::Const(..) => true,
-                Operand::Value(v) => match defs.get(&v) {
-                    Some(&db) => db == ncd || dt.dominates(db, ncd),
-                    None => false,
-                },
+                Operand::Value(v) => def_of(&defs, v).is_some_and(|db| dt.dominates(db, ncd)),
             }
         });
         if !available {
@@ -148,8 +164,7 @@ pub fn hoist_common_values(f: &mut Function) -> usize {
             if canonical.is_none() && (b, i) == sites[0] {
                 continue; // already moved
             }
-            let dup = &f.blocks[b].insts[i];
-            for (old, new) in dup.results.clone().iter().zip(&keep_results) {
+            for (old, new) in f.blocks[b].insts[i].results.iter().zip(&keep_results) {
                 replace.insert(*old, Operand::Value(*new));
             }
             delete.push((b, i));
@@ -157,9 +172,9 @@ pub fn hoist_common_values(f: &mut Function) -> usize {
         }
     }
 
-    apply_replacements(f, &replace);
+    replace.apply(f);
     // Delete from the back of each block so indices stay valid.
-    delete.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).reverse());
+    delete.sort_unstable_by(|a, b| b.cmp(a));
     delete.dedup();
     for (b, i) in delete {
         f.blocks[b].insts.remove(i);
@@ -171,26 +186,27 @@ pub fn hoist_common_values(f: &mut Function) -> usize {
 /// their operands are available. Returns the number of moved instructions.
 pub fn speculate(f: &mut Function) -> usize {
     let dt = DomTree::compute(f);
+    // Built once, and kept current as instructions move.
+    let mut defs = def_blocks(f);
     let mut moved = 0usize;
-    for &bid in &dt.rpo.clone() {
+    for &bid in &dt.rpo {
         let mut i = 0;
         while i < f.blocks[bid].insts.len() {
-            let kind = f.blocks[bid].insts[i].kind.clone();
-            if !is_speculatable(&kind) {
+            let inst = &f.blocks[bid].insts[i];
+            if group_key(&inst.kind).is_none() {
                 i += 1;
                 continue;
             }
-            let defs = def_blocks(f);
             // Earliest block = deepest def block among value operands (they
             // must form a dominator chain), or the entry for constant ops.
             let mut target = f.entry;
             let mut ok = true;
-            kind.for_each_operand(|op| {
+            inst.kind.for_each_operand(|op| {
                 if let (true, Operand::Value(v)) = (ok, op) {
-                    match defs.get(&v) {
-                        Some(&db) if dt.dominates(target, db) => target = db,
+                    match def_of(&defs, v) {
+                        Some(db) if dt.dominates(target, db) => target = db,
                         // Defs not on one dominator chain.
-                        Some(&db) => ok = dt.dominates(db, target),
+                        Some(db) => ok = dt.dominates(db, target),
                         None => ok = false,
                     }
                 }
@@ -200,45 +216,15 @@ pub fn speculate(f: &mut Function) -> usize {
                 continue;
             }
             let inst = f.blocks[bid].insts.remove(i);
+            for &r in &inst.results {
+                defs[r] = Some(target);
+            }
             f.blocks[target].insts.push(inst);
             moved += 1;
             // Don't advance i: the next instruction shifted into slot i.
         }
     }
     moved
-}
-
-fn apply_replacements(f: &mut Function, replace: &HashMap<ValueId, Operand>) {
-    if replace.is_empty() {
-        return;
-    }
-    let resolve = |op: Operand| -> Operand {
-        let mut cur = op;
-        for _ in 0..replace.len() + 1 {
-            match cur {
-                Operand::Value(v) => match replace.get(&v) {
-                    Some(&n) => cur = n,
-                    None => break,
-                },
-                _ => break,
-            }
-        }
-        cur
-    };
-    for b in f.blocks.iter_mut() {
-        for inst in &mut b.insts {
-            inst.kind.map_operands(resolve);
-        }
-        match &mut b.term {
-            netcl_ir::Terminator::CondBr { cond, .. } => *cond = resolve(*cond),
-            netcl_ir::Terminator::Ret(a) => {
-                if let Some(t) = &mut a.target {
-                    *t = resolve(*t);
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -373,18 +359,54 @@ mod tests {
         hoist_common_values(&mut opt);
         speculate(&mut opt);
         verify_function(&opt, None).unwrap();
+        assert_same_outputs(&orig, &opt);
+    }
 
+    /// A dependent chain in a branch arm reaches the entry in one call:
+    /// each move updates the def-block map the next instruction reads.
+    #[test]
+    fn speculates_a_dependent_chain_in_one_call() {
+        let mut b = FuncBuilder::new("k", 1);
+        let arga = b.add_arg("a", IrTy::I32, 1, false);
+        let out = b.add_arg("o", IrTy::I32, 1, true);
+        let i0 = Op::imm(0, IrTy::I32);
+        let a = b.emit(InstKind::ArgRead { arg: arga, index: i0 }, IrTy::I32).unwrap();
+        let cond = b.icmp(netcl_ir::types::IcmpPred::Ugt, Op::Value(a), Op::imm(5, IrTy::I32));
+        let t = b.new_block();
+        let e = b.new_block();
+        b.terminate(Terminator::CondBr { cond, then_bb: t, else_bb: e });
+        b.switch_to(t);
+        let x = b.bin(IrBinOp::Mul, Op::Value(a), Op::imm(3, IrTy::I32), IrTy::I32);
+        let y = b.bin(IrBinOp::Add, x, Op::imm(1, IrTy::I32), IrTy::I32);
+        let z = b.bin(IrBinOp::Shl, y, Op::imm(2, IrTy::I32), IrTy::I32);
+        b.emit(InstKind::ArgWrite { arg: out, index: i0, value: z }, IrTy::I32);
+        b.terminate(Terminator::Ret(ActionRef::pass()));
+        b.switch_to(e);
+        b.terminate(Terminator::Ret(ActionRef::pass()));
+        let orig = b.finish();
+
+        let mut opt = orig.clone();
+        assert_eq!(speculate(&mut opt), 3);
+        verify_function(&opt, None).unwrap();
+        let bins = |blk: BlockId| {
+            opt.blocks[blk].insts.iter().filter(|i| matches!(i.kind, InstKind::Bin { .. })).count()
+        };
+        assert_eq!((bins(opt.entry), bins(t)), (3, 0));
+        assert_same_outputs(&orig, &opt);
+    }
+
+    /// `orig` and `opt` write the same arguments on the IR interpreter.
+    fn assert_same_outputs(orig: &Function, opt: &Function) {
         let m = netcl_ir::Module::default();
         for input in [0u64, 5, 6, 100, u32::MAX as u64] {
-            let mut st1 = netcl_ir::interp::DeviceState::new(&m);
-            let mut st2 = netcl_ir::interp::DeviceState::new(&m);
-            let mut env1 = netcl_ir::interp::ExecEnv::default();
-            let mut env2 = netcl_ir::interp::ExecEnv::default();
-            let mut a1 = vec![vec![input], vec![0u64]];
-            let mut a2 = vec![vec![input], vec![0u64]];
-            netcl_ir::interp::execute(&orig, &m, &mut st1, &mut a1, &mut env1).unwrap();
-            netcl_ir::interp::execute(&opt, &m, &mut st2, &mut a2, &mut env2).unwrap();
-            assert_eq!(a1, a2, "divergence on input {input}");
+            let run = |f: &Function| {
+                let mut st = netcl_ir::interp::DeviceState::new(&m);
+                let mut args = vec![vec![input], vec![0u64]];
+                let mut env = netcl_ir::interp::ExecEnv::default();
+                netcl_ir::interp::execute(f, &m, &mut st, &mut args, &mut env).unwrap();
+                args
+            };
+            assert_eq!(run(orig), run(opt), "divergence on input {input}");
         }
     }
 }

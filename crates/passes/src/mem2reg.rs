@@ -11,197 +11,149 @@
 //! value, and 0 matches what the P4 backend's zero-initialized metadata
 //! produces, keeping IR and P4 semantics aligned.)
 
+use crate::fold::Replacements;
 use netcl_ir::dom::DomTree;
-use netcl_ir::func::{BlockId, Function, Inst, InstKind, LocalId, ValueId};
+use netcl_ir::func::{BlockId, Function, Inst, InstKind, LocalId, ValueInfo};
 use netcl_ir::types::Operand;
-use std::collections::{HashMap, HashSet};
+use netcl_util::bitset::BitSet;
+use netcl_util::idx::{Idx, IndexVec};
 
 /// Runs mem2reg; returns the number of promoted slots.
 pub fn run_on_function(f: &mut Function) -> usize {
-    let promotable = find_promotable(f);
-    if promotable.is_empty() {
+    let promoted = find_promotable(f);
+    if promoted.count() == 0 {
         return 0;
     }
     let dt = DomTree::compute(f);
-    let df = dt.dominance_frontiers(f);
-    let preds = f.predecessors();
+    let df = dt.dominance_frontiers();
 
-    // 1. Insert empty φ-nodes at iterated dominance frontiers of defs.
-    //    phi_of[(block, slot)] = value id of the φ.
-    let mut phi_of: HashMap<(BlockId, LocalId), ValueId> = HashMap::new();
-    for &slot in &promotable {
-        let mut def_blocks: Vec<BlockId> = Vec::new();
-        for (bid, b) in f.blocks.iter_enumerated() {
-            if b.insts
-                .iter()
-                .any(|i| matches!(&i.kind, InstKind::LocalStore { slot: s, .. } if *s == slot))
-            {
-                def_blocks.push(bid);
+    // Each promoted slot's store blocks, in block order.
+    let mut def_blocks: IndexVec<LocalId, Vec<BlockId>> =
+        f.locals.indices().map(|_| Vec::new()).collect();
+    for (bid, b) in f.blocks.iter_enumerated() {
+        for inst in &b.insts {
+            if let InstKind::LocalStore { slot, .. } = inst.kind {
+                if promoted.contains(slot.index()) && def_blocks[slot].last() != Some(&bid) {
+                    def_blocks[slot].push(bid);
+                }
             }
         }
-        let mut work = def_blocks.clone();
-        let mut placed: HashSet<BlockId> = HashSet::new();
+    }
+
+    // 1. Insert empty φ-nodes at iterated dominance frontiers of defs. The
+    //    φ values are fresh and consecutive: value `first_phi + i` is the φ
+    //    of `phi_slots[i]`.
+    let first_phi = f.values.len();
+    let mut phi_slots: Vec<LocalId> = Vec::new();
+    let mut placed = BitSet::new(f.blocks.len());
+    for slot in promoted.iter().map(LocalId::from_usize) {
+        placed.clear();
+        let mut work = std::mem::take(&mut def_blocks[slot]);
         while let Some(b) = work.pop() {
             if !dt.is_reachable(b) {
                 continue;
             }
             for &fr in &df[b] {
-                if placed.insert(fr) {
-                    let ty = f.locals[slot].ty;
-                    let v = f.values.push(netcl_ir::func::ValueInfo {
-                        ty,
-                        name: Some(f.locals[slot].name.clone()),
-                    });
+                if placed.insert(fr.index()) {
+                    let name = Some(f.locals[slot].name.clone());
+                    let v = f.values.push(ValueInfo { ty: f.locals[slot].ty, name });
                     f.blocks[fr].insts.insert(
                         0,
                         Inst { kind: InstKind::Phi { incoming: vec![] }, results: vec![v] },
                     );
-                    phi_of.insert((fr, slot), v);
+                    phi_slots.push(slot);
                     work.push(fr);
                 }
             }
         }
     }
+    let phi_slot = |inst: &Inst| {
+        let i = inst.results.first()?.index().checked_sub(first_phi)?;
+        Some(phi_slots[i])
+    };
 
-    // 2. Rename along the dominator tree.
-    let mut children: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+    // 2. Rename along the dominator tree: an iterative DFS with per-slot
+    //    definition stacks.
+    let mut children: IndexVec<BlockId, Vec<BlockId>> =
+        f.blocks.indices().map(|_| Vec::new()).collect();
     for &b in &dt.rpo {
         if let Some(p) = dt.immediate_dominator(b) {
-            children.entry(p).or_default().push(b);
+            children[p].push(b);
         }
     }
-    let mut replace: HashMap<ValueId, Operand> = HashMap::new();
-    let promoset: HashSet<LocalId> = promotable.iter().copied().collect();
-
-    // Iterative DFS with per-slot definition stacks.
-    struct Frame {
-        block: BlockId,
-        pushed: Vec<LocalId>,
-        visited: bool,
-    }
-    let mut stacks: HashMap<LocalId, Vec<Operand>> = HashMap::new();
-    let resolve = |op: Operand, replace: &HashMap<ValueId, Operand>| -> Operand {
-        let mut cur = op;
-        for _ in 0..replace.len() + 1 {
-            match cur {
-                Operand::Value(v) => match replace.get(&v) {
-                    Some(&n) => cur = n,
-                    None => break,
-                },
-                _ => break,
-            }
-        }
-        cur
+    let mut replace = Replacements::new(f);
+    let mut stacks: IndexVec<LocalId, Vec<Operand>> =
+        f.locals.indices().map(|_| Vec::new()).collect();
+    // The slots each block on the DFS path pushed a definition for; a frame
+    // holds where its block's run starts once the block is processed.
+    let mut pushed: Vec<LocalId> = Vec::new();
+    let current = |stacks: &IndexVec<LocalId, Vec<Operand>>, f: &Function, slot: LocalId| {
+        stacks[slot].last().copied().unwrap_or(Operand::Const(0, f.locals[slot].ty))
     };
-    let zero = |f: &Function, slot: LocalId| Operand::Const(0, f.locals[slot].ty);
-
-    let mut stack = vec![Frame { block: f.entry, pushed: vec![], visited: false }];
-    while let Some(frame) = stack.last_mut() {
-        if frame.visited {
+    let mut stack: Vec<(BlockId, Option<usize>)> = vec![(f.entry, None)];
+    while let Some(&mut (bid, ref mut mark)) = stack.last_mut() {
+        if let Some(start) = *mark {
             // Unwind: pop definitions pushed by this block.
-            for slot in frame.pushed.drain(..) {
-                stacks.get_mut(&slot).unwrap().pop();
+            for slot in pushed.drain(start..) {
+                stacks[slot].pop();
             }
             stack.pop();
             continue;
         }
-        frame.visited = true;
-        let bid = frame.block;
-        let mut pushed: Vec<LocalId> = Vec::new();
+        *mark = Some(pushed.len());
 
-        // Process instructions.
-        let mut insts = std::mem::take(&mut f.blocks[bid].insts);
-        for inst in &mut insts {
-            match &inst.kind {
+        for inst in &f.blocks[bid].insts {
+            match inst.kind {
                 InstKind::Phi { .. } => {
-                    if let Some((&(_, slot), _)) = phi_of
-                        .iter()
-                        .find(|((b, _), &v)| *b == bid && inst.results.first() == Some(&v))
-                    {
-                        stacks.entry(slot).or_default().push(Operand::Value(inst.results[0]));
+                    if let Some(slot) = phi_slot(inst) {
+                        stacks[slot].push(Operand::Value(inst.results[0]));
                         pushed.push(slot);
                     }
                 }
-                InstKind::LocalLoad { slot, .. } if promoset.contains(slot) => {
-                    let cur = stacks
-                        .get(slot)
-                        .and_then(|s| s.last().copied())
-                        .unwrap_or_else(|| zero(f, *slot));
-                    let cur = resolve(cur, &replace);
+                InstKind::LocalLoad { slot, .. } if promoted.contains(slot.index()) => {
+                    let cur = replace.resolve(current(&stacks, f, slot));
                     replace.insert(inst.results[0], cur);
                 }
-                InstKind::LocalStore { slot, value, .. } if promoset.contains(slot) => {
-                    let v = resolve(*value, &replace);
-                    stacks.entry(*slot).or_default().push(v);
-                    pushed.push(*slot);
+                InstKind::LocalStore { slot, value, .. } if promoted.contains(slot.index()) => {
+                    stacks[slot].push(replace.resolve(value));
+                    pushed.push(slot);
                 }
                 _ => {}
             }
         }
-        f.blocks[bid].insts = insts;
 
         // Fill φ incoming of CFG successors.
         for succ in f.blocks[bid].term.successors() {
-            let slots: Vec<LocalId> =
-                phi_of.iter().filter(|((b, _), _)| *b == succ).map(|((_, s), _)| *s).collect();
-            for slot in slots {
-                let phi_v = phi_of[&(succ, slot)];
-                let cur = stacks
-                    .get(&slot)
-                    .and_then(|s| s.last().copied())
-                    .unwrap_or_else(|| zero(f, slot));
-                let cur = resolve(cur, &replace);
-                for inst in &mut f.blocks[succ].insts {
-                    if inst.results.first() == Some(&phi_v) {
-                        if let InstKind::Phi { incoming } = &mut inst.kind {
-                            if !incoming.iter().any(|(p, _)| *p == bid) {
-                                incoming.push((bid, cur));
-                            }
-                        }
+            for i in 0..f.blocks[succ].insts.len() {
+                let Some(slot) = phi_slot(&f.blocks[succ].insts[i]) else { continue };
+                let cur = replace.resolve(current(&stacks, f, slot));
+                if let InstKind::Phi { incoming } = &mut f.blocks[succ].insts[i].kind {
+                    if !incoming.iter().any(|(p, _)| *p == bid) {
+                        incoming.push((bid, cur));
                     }
                 }
             }
         }
 
-        let frame = stack.last_mut().unwrap();
-        frame.pushed = pushed;
         // Recurse into dominator-tree children.
-        if let Some(kids) = children.get(&bid) {
-            for &k in kids {
-                stack.push(Frame { block: k, pushed: vec![], visited: false });
-            }
-        }
+        stack.extend(children[bid].iter().map(|&k| (k, None)));
     }
 
     // 3. Remove promoted loads/stores and apply replacements.
     for b in f.blocks.iter_mut() {
-        b.insts.retain(|inst| match &inst.kind {
+        b.insts.retain(|inst| match inst.kind {
             InstKind::LocalLoad { slot, .. } | InstKind::LocalStore { slot, .. } => {
-                !promoset.contains(slot)
+                !promoted.contains(slot.index())
             }
             _ => true,
         });
     }
-    for b in f.blocks.iter_mut() {
-        for inst in &mut b.insts {
-            inst.kind.map_operands(|op| resolve(op, &replace));
-        }
-        match &mut b.term {
-            netcl_ir::Terminator::CondBr { cond, .. } => *cond = resolve(*cond, &replace),
-            netcl_ir::Terminator::Ret(a) => {
-                if let Some(t) = &mut a.target {
-                    *t = resolve(*t, &replace);
-                }
-            }
-            _ => {}
-        }
-    }
+    replace.apply(f);
     // Ensure any φ with missing incoming (unreachable preds) defaults to 0.
-    let preds_now = preds;
-    for bid in f.blocks.indices().collect::<Vec<_>>() {
+    for bid in f.blocks.indices() {
         for inst in &mut f.blocks[bid].insts {
             if let InstKind::Phi { incoming } = &mut inst.kind {
-                for &p in &preds_now[bid] {
+                for &p in &dt.preds[bid] {
                     if !incoming.iter().any(|(q, _)| *q == p) {
                         let ty = f.values[inst.results[0]].ty;
                         incoming.push((p, Operand::Const(0, ty)));
@@ -210,28 +162,26 @@ pub fn run_on_function(f: &mut Function) -> usize {
             }
         }
     }
-    promotable.len()
+    promoted.count()
 }
 
-fn find_promotable(f: &Function) -> Vec<LocalId> {
-    let mut bad: HashSet<LocalId> = HashSet::new();
-    for b in f.blocks.iter() {
-        for inst in &b.insts {
-            match &inst.kind {
-                InstKind::LocalLoad { slot, index } | InstKind::LocalStore { slot, index, .. }
-                    if index.as_const() != Some(0) =>
-                {
-                    bad.insert(*slot);
-                }
-                _ => {}
+/// The scalar slots every access of which uses index 0.
+fn find_promotable(f: &Function) -> BitSet {
+    let mut promoted = BitSet::new(f.locals.len());
+    for (id, _) in f.locals.iter_enumerated().filter(|(_, l)| l.count == 1) {
+        promoted.insert(id.index());
+    }
+    for inst in f.blocks.iter().flat_map(|b| &b.insts) {
+        match inst.kind {
+            InstKind::LocalLoad { slot, index } | InstKind::LocalStore { slot, index, .. }
+                if index.as_const() != Some(0) =>
+            {
+                promoted.remove(slot.index());
             }
+            _ => {}
         }
     }
-    f.locals
-        .iter_enumerated()
-        .filter(|(id, l)| l.count == 1 && !bad.contains(id))
-        .map(|(id, _)| id)
-        .collect()
+    promoted
 }
 
 #[cfg(test)]

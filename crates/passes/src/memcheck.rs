@@ -18,18 +18,21 @@
 //!    Unlike Lucid, declaration order is not assumed to be intended order.
 
 use netcl_ir::dom::min_branch_depth;
-use netcl_ir::func::{BlockId, Function, InstKind, MemId, Module};
+use netcl_ir::func::{BlockId, Function, GlobalDef, Inst, InstKind, MemId, Module};
+use netcl_ir::types::Operand;
+use netcl_util::bitset::BitSet;
 use netcl_util::idx::Idx;
 use netcl_util::{DiagnosticSink, Span};
-use std::collections::{HashMap, HashSet};
 
 /// Checks every kernel in the module; diagnostics `E0302` (multiple
-/// non-exclusive accesses), `E0303` (distance), `E0304` (order violation).
+/// non-exclusive accesses), `E0303` (distance), `E0304` (order violation),
+/// each kind in object order.
 pub fn check_module(module: &mut Module, distance_threshold: u32, diags: &mut DiagnosticSink) {
     // Lookup tables after duplication have one access each and MATs are not
     // SALU-bound in the same way; register objects are what we check.
-    for f in module.kernels.iter_mut() {
-        check_function(f, distance_threshold, diags);
+    let Module { globals, kernels, .. } = module;
+    for f in kernels.iter_mut() {
+        check_function(f, globals, distance_threshold, diags);
     }
 }
 
@@ -45,119 +48,120 @@ fn collect_accesses(f: &Function) -> Vec<Access> {
     let mut out = Vec::new();
     for (bid, b) in f.blocks.iter_enumerated() {
         for (i, inst) in b.insts.iter().enumerate() {
-            match &inst.kind {
-                InstKind::MemRead { mem } | InstKind::MemWrite { mem, .. } => {
-                    out.push(Access { mem: mem.mem, block: bid, inst: i })
-                }
-                InstKind::AtomicRmw { mem, .. } => {
-                    out.push(Access { mem: mem.mem, block: bid, inst: i })
-                }
-                // MATs are stage-local objects too: multiple applications of
-                // one table need the duplication pass (which runs before this
-                // check and gives each access site its own copy).
-                InstKind::Lookup { table, .. } => {
-                    out.push(Access { mem: *table, block: bid, inst: i })
-                }
-                _ => {}
+            // MATs are stage-local objects too: multiple applications of one
+            // table need the duplication pass (which runs before this check
+            // and gives each access site its own copy).
+            if let Some(mem) = inst.kind.touches_global() {
+                out.push(Access { mem, block: bid, inst: i });
             }
         }
     }
     out
 }
 
-/// Block-level reachability on the (DAG) CFG: `reach[a]` contains every
-/// block reachable from `a` via ≥1 edge.
-fn reachability(f: &Function) -> HashMap<BlockId, HashSet<BlockId>> {
-    let mut reach: HashMap<BlockId, HashSet<BlockId>> = HashMap::new();
-    // Process in reverse topological order (post-order of the DAG).
-    let rpo = netcl_ir::dom::reverse_postorder(f);
-    for &b in rpo.iter().rev() {
-        let mut set = HashSet::new();
-        for s in f.blocks[b].term.successors() {
-            set.insert(s);
-            if let Some(ss) = reach.get(&s) {
-                set.extend(ss.iter().copied());
-            }
-        }
-        reach.insert(b, set);
-    }
-    reach
+/// Block-level reachability on the (DAG) CFG, one bit row per block: row
+/// `a` holds every block reachable from `a` via ≥1 edge.
+struct Reach {
+    words: usize,
+    rows: Vec<u64>,
 }
 
-fn check_function(f: &mut Function, distance_threshold: u32, diags: &mut DiagnosticSink) {
-    let accesses = collect_accesses(f);
-    let reach = reachability(f);
-    let depth = min_branch_depth(f);
-
-    // Rule 1: per-object multiple access.
-    let mut by_mem: HashMap<MemId, Vec<Access>> = HashMap::new();
-    for a in &accesses {
-        by_mem.entry(a.mem).or_default().push(*a);
-    }
-    for (mem, sites) in &by_mem {
-        for i in 0..sites.len() {
-            for j in (i + 1)..sites.len() {
-                let (a, b) = (sites[i], sites[j]);
-                let same_path = a.block == b.block
-                    || reach.get(&a.block).is_some_and(|s| s.contains(&b.block))
-                    || reach.get(&b.block).is_some_and(|s| s.contains(&a.block));
-                if same_path {
-                    diags.error(
-                        "E0302",
-                        format!(
-                            "kernel `{}`: global memory object `{}` is accessed more than once on \
-                             one execution path; Tofino registers are stage-local, so accesses \
-                             must be mutually exclusive (§V-D)",
-                            f.name,
-                            mem_name(f, *mem)
-                        ),
-                        Span::DUMMY,
-                    );
-                } else {
-                    // Mutually exclusive: approximate-distance check.
-                    let da = depth[a.block];
-                    let db = depth[b.block];
-                    let dist = da.abs_diff(db);
-                    if dist > distance_threshold {
-                        diags.error(
-                            "E0303",
-                            format!(
-                                "kernel `{}`: mutually-exclusive accesses to `{}` are {dist} \
-                                 conditional levels apart (threshold {distance_threshold}); they \
-                                 cannot be placed on a single stage (§VI-B)",
-                                f.name,
-                                mem_name(f, *mem)
-                            ),
-                            Span::DUMMY,
-                        );
-                    }
+impl Reach {
+    fn new(f: &Function) -> Reach {
+        let n = f.blocks.len();
+        let words = n.div_ceil(64);
+        let mut rows = vec![0u64; n * words];
+        // In postorder, so a DAG's successors are done before their
+        // predecessors.
+        for b in netcl_ir::dom::reverse_postorder(f).into_iter().rev() {
+            let row = b.index() * words;
+            for s in f.blocks[b].term.successors().map(|s| s.index()).filter(|&s| s < n) {
+                rows[row + s / 64] |= 1 << (s % 64);
+                for w in 0..words {
+                    rows[row + w] |= rows[s * words + w];
                 }
+            }
+        }
+        Reach { words, rows }
+    }
+
+    fn contains(&self, from: BlockId, to: BlockId) -> bool {
+        let (from, to) = (from.index(), to.index());
+        self.rows[from * self.words + to / 64] >> (to % 64) & 1 == 1
+    }
+}
+
+fn check_function(
+    f: &mut Function,
+    globals: &[GlobalDef],
+    distance_threshold: u32,
+    diags: &mut DiagnosticSink,
+) {
+    let mut accesses = collect_accesses(f);
+    let reach = Reach::new(f);
+    let depth = min_branch_depth(f);
+    let same_path = |(a, b): &(Access, Access)| {
+        a.block == b.block || reach.contains(a.block, b.block) || reach.contains(b.block, a.block)
+    };
+
+    // Rule 1: per-object multiple access, object by object.
+    accesses.sort_by_key(|a| a.mem);
+    for sites in accesses.chunk_by(|a, b| a.mem == b.mem) {
+        let name = || mem_name(globals, sites[0].mem);
+        let pairs = sites
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &a)| sites[i + 1..].iter().map(move |&b| (a, b)));
+        if pairs.clone().any(|pair| same_path(&pair)) {
+            diags.error(
+                "E0302",
+                format!(
+                    "kernel `{}`: global memory object `{}` is accessed more than once on one \
+                     execution path; Tofino registers are stage-local, so accesses must be \
+                     mutually exclusive (§V-D)",
+                    f.name,
+                    name()
+                ),
+                Span::DUMMY,
+            );
+        }
+        // Mutually exclusive: approximate-distance check.
+        for (a, b) in pairs.filter(|pair| !same_path(pair)) {
+            let dist = depth[a.block].abs_diff(depth[b.block]);
+            if dist > distance_threshold {
+                diags.error(
+                    "E0303",
+                    format!(
+                        "kernel `{}`: mutually-exclusive accesses to `{}` are {dist} \
+                         conditional levels apart (threshold {distance_threshold}); they cannot \
+                         be placed on a single stage (§VI-B)",
+                        f.name,
+                        name()
+                    ),
+                    Span::DUMMY,
+                );
             }
         }
     }
 
     // Rule 2: cross-object order. First try to repair same-block disorder by
     // reordering independent accesses into a canonical global order.
-    canonical_reorder(f);
+    canonical_reorder(f, globals.len());
     let accesses = collect_accesses(f);
 
-    // before(X, Y) ⇔ some path has an X-access preceding a Y-access.
-    let mut before: HashSet<(MemId, MemId)> = HashSet::new();
+    // Bit `x * n + y` ⇔ some path has an X-access preceding a Y-access.
+    let n = globals.len();
+    let mut before = BitSet::new(n * n);
     for a in &accesses {
-        for b in &accesses {
-            if a.mem == b.mem {
-                continue;
-            }
-            let precedes = (a.block == b.block && a.inst < b.inst)
-                || reach.get(&a.block).is_some_and(|s| s.contains(&b.block));
-            if precedes {
-                before.insert((a.mem, b.mem));
+        for b in accesses.iter().filter(|b| b.mem != a.mem) {
+            if (a.block == b.block && a.inst < b.inst) || reach.contains(a.block, b.block) {
+                before.insert(a.mem.index() * n + b.mem.index());
             }
         }
     }
-    let mut reported: HashSet<(MemId, MemId)> = HashSet::new();
-    for &(x, y) in &before {
-        if x.index() < y.index() && before.contains(&(y, x)) && reported.insert((x, y)) {
+    for xy in before.iter() {
+        let (x, y) = (xy / n, xy % n);
+        if x < y && before.contains(y * n + x) {
             diags.error(
                 "E0304",
                 format!(
@@ -165,8 +169,8 @@ fn check_function(f: &mut Function, distance_threshold: u32, diags: &mut Diagnos
                      paths and the accesses cannot be reordered; stage assignment is impossible \
                      (§V-D)",
                     f.name,
-                    mem_name(f, x),
-                    mem_name(f, y)
+                    mem_name(globals, MemId::from_usize(x)),
+                    mem_name(globals, MemId::from_usize(y))
                 ),
                 Span::DUMMY,
             );
@@ -174,8 +178,23 @@ fn check_function(f: &mut Function, distance_threshold: u32, diags: &mut Diagnos
     }
 }
 
-fn mem_name(_f: &Function, mem: MemId) -> String {
-    format!("@g{}", mem.index())
+/// An object's name as declared: a partition copy is its source array's
+/// slice, a duplicated lookup table its source table.
+fn mem_name(globals: &[GlobalDef], mem: MemId) -> String {
+    let g = &globals[mem.index()];
+    match &g.origin {
+        Some((base, i)) if !g.lookup => format!("{base}[{i}]"),
+        Some((base, _)) => base.clone(),
+        None => g.name.clone(),
+    }
+}
+
+/// Where `latest` points when it points into block `bid`; it then moves to
+/// instruction `i` of `bid`.
+fn chain(latest: &mut (BlockId, usize), bid: BlockId, i: usize) -> Option<usize> {
+    let prev = (latest.0 == bid).then_some(latest.1);
+    *latest = (bid, i);
+    prev
 }
 
 /// Reorders each block's global accesses into ascending [`MemId`] order
@@ -186,89 +205,78 @@ fn mem_name(_f: &Function, mem: MemId) -> String {
 /// same-argument message order, same-slot local order) has been emitted;
 /// among ready instructions, global accesses with the smallest `MemId` go
 /// first, and pure instructions are emitted lazily when needed.
-fn canonical_reorder(f: &mut Function) {
-    use netcl_ir::types::Operand;
-    for b in f.blocks.iter_mut() {
+fn canonical_reorder(f: &mut Function, globals: usize) {
+    // Each value's definition and each object's, argument's and slot's
+    // latest access, as (block, index) — dense over the whole function, so
+    // a site counts only when it is in the block being scheduled.
+    let none = (BlockId(u32::MAX), 0);
+    let mut def_site = vec![none; f.values.len()];
+    let mut last_mem = vec![none; globals];
+    let mut last_arg = vec![none; f.args.len()];
+    let mut last_local = vec![none; f.locals.len()];
+    // Instruction i's dependencies are `dep_list[dep_start[i]..dep_start[i + 1]]`.
+    let (mut dep_start, mut dep_list) = (Vec::new(), Vec::new());
+    let (mut key, mut emitted, mut order) = (Vec::new(), Vec::new(), Vec::new());
+    for (bid, b) in f.blocks.indices().zip(f.blocks.iter_mut()) {
         let n = b.insts.len();
         if n < 2 {
             continue;
         }
-        // deps[i] = indices that must precede instruction i.
-        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut def_site: HashMap<netcl_ir::ValueId, usize> = HashMap::new();
-        let mut last_mem: HashMap<MemId, usize> = HashMap::new();
-        let mut last_arg: HashMap<u32, usize> = HashMap::new();
-        let mut last_local: HashMap<netcl_ir::LocalId, usize> = HashMap::new();
+        dep_start.clear();
+        dep_list.clear();
         for (i, inst) in b.insts.iter().enumerate() {
+            dep_start.push(dep_list.len());
             inst.kind.for_each_operand(|op| {
                 if let Operand::Value(v) = op {
-                    if let Some(&d) = def_site.get(&v) {
-                        deps[i].push(d);
-                    }
+                    dep_list.extend(def_site.get(v.index()).filter(|s| s.0 == bid).map(|s| s.1));
                 }
             });
             if let Some(m) = inst.kind.touches_global() {
-                if let Some(&d) = last_mem.get(&m) {
-                    deps[i].push(d);
-                }
-                last_mem.insert(m, i);
+                dep_list.extend(chain(&mut last_mem[m.index()], bid, i));
             }
-            match &inst.kind {
+            match inst.kind {
                 InstKind::ArgRead { arg, .. } | InstKind::ArgWrite { arg, .. } => {
-                    if let Some(&d) = last_arg.get(arg) {
-                        deps[i].push(d);
-                    }
-                    last_arg.insert(*arg, i);
+                    dep_list.extend(chain(&mut last_arg[arg as usize], bid, i));
                 }
                 InstKind::LocalLoad { slot, .. } | InstKind::LocalStore { slot, .. } => {
-                    if let Some(&d) = last_local.get(slot) {
-                        deps[i].push(d);
-                    }
-                    last_local.insert(*slot, i);
+                    dep_list.extend(chain(&mut last_local[slot.index()], bid, i));
                 }
                 _ => {}
             }
             for &r in &inst.results {
-                def_site.insert(r, i);
+                def_site[r.index()] = (bid, i);
             }
         }
+        dep_start.push(dep_list.len());
+        let deps = |i: usize| &dep_list[dep_start[i]..dep_start[i + 1]];
         // Priority: a global access keys on its MemId; a pure instruction
         // inherits the smallest key among its (transitive) consumers, so the
         // operands feeding an early-MemId access are scheduled before
         // later-MemId accesses become attractive. Dependencies always point
         // to earlier indices, so one reverse pass propagates transitively.
-        let mut key: Vec<usize> = (0..n)
-            .map(|i| b.insts[i].kind.touches_global().map(|m| m.index()).unwrap_or(usize::MAX))
-            .collect();
+        key.clear();
+        key.extend(
+            b.insts.iter().map(|i| i.kind.touches_global().map_or(usize::MAX, |m| m.index())),
+        );
         for i in (0..n).rev() {
-            for &d in &deps[i] {
+            for &d in deps(i) {
                 key[d] = key[d].min(key[i]);
             }
         }
         // List-schedule by (key, original index) among ready instructions.
-        let mut emitted = vec![false; n];
-        let mut order: Vec<usize> = Vec::with_capacity(n);
+        emitted.clear();
+        emitted.resize(n, false);
+        order.clear();
         while order.len() < n {
-            let mut best: Option<(usize, usize)> = None; // (key, idx)
-            for i in 0..n {
-                if emitted[i] || !deps[i].iter().all(|&d| emitted[d]) {
-                    continue;
-                }
-                let cand = (key[i], i);
-                if best.is_none() || cand < best.unwrap() {
-                    best = Some(cand);
-                }
-            }
-            let Some((_, i)) = best else { break };
+            let ready = (0..n).filter(|&i| !emitted[i] && deps(i).iter().all(|&d| emitted[d]));
+            let Some(i) = ready.min_by_key(|&i| (key[i], i)) else { break };
             emitted[i] = true;
             order.push(i);
         }
-        if order.len() == n {
-            let mut new_insts = Vec::with_capacity(n);
-            for &i in &order {
-                new_insts.push(b.insts[i].clone());
-            }
-            b.insts = new_insts;
+        if order.len() == n && order.iter().enumerate().any(|(k, &i)| k != i) {
+            let mut insts: Vec<Option<Inst>> =
+                std::mem::take(&mut b.insts).into_iter().map(Some).collect();
+            b.insts = order.iter().filter_map(|&i| insts[i].take()).collect();
         }
     }
 }
@@ -293,9 +301,11 @@ mod tests {
     }
 
     fn read(mem: u32, idx: u64) -> InstKind {
-        InstKind::MemRead {
-            mem: MemRef { mem: MemId(mem), indices: vec![Op::imm(idx, IrTy::I32)] },
-        }
+        read_at(mem, Op::imm(idx, IrTy::I32))
+    }
+
+    fn read_at(mem: u32, index: Op) -> InstKind {
+        InstKind::MemRead { mem: MemRef { mem: MemId(mem), indices: vec![index] } }
     }
 
     fn check(m: &mut Module, threshold: u32) -> DiagnosticSink {
@@ -304,13 +314,23 @@ mod tests {
         d
     }
 
-    /// §V-D kernel `a`: `x = m[0] + m[1]` — invalid.
+    /// Each diagnostic's code and the objects it names, in emission order.
+    fn reported(d: &DiagnosticSink) -> Vec<(&str, Vec<&str>)> {
+        d.diagnostics()
+            .iter()
+            .map(|d| (d.code, d.message.split('`').skip(3).step_by(2).collect()))
+            .collect()
+    }
+
+    /// §V-D kernel `a`: `x = m[0] + m[1]` — invalid; a third access adds no
+    /// second error.
     #[test]
     fn same_path_double_access_rejected() {
         let mut b = FuncBuilder::new("a", 2);
         let out = b.add_arg("x", IrTy::I32, 1, true);
         let v0 = b.emit(read(0, 0), IrTy::I32).unwrap();
         let v1 = b.emit(read(0, 1), IrTy::I32).unwrap();
+        b.emit(read(0, 2), IrTy::I32);
         let s = b.bin(netcl_ir::types::IrBinOp::Add, Op::Value(v0), Op::Value(v1), IrTy::I32);
         b.emit(InstKind::ArgWrite { arg: out, index: Op::imm(0, IrTy::I32), value: s }, IrTy::I32);
         b.terminate(Terminator::Ret(ActionRef::pass()));
@@ -321,7 +341,25 @@ mod tests {
             kernels: vec![b.finish()],
         };
         let d = check(&mut m, 4);
-        assert!(d.has_code("E0302"));
+        assert_eq!(reported(&d), [("E0302", vec!["m"])]);
+    }
+
+    /// Rule 1 reports object by object in `MemId` order, once per object,
+    /// under the declared name (a partition copy as its source's slice),
+    /// whatever order the accesses come in.
+    #[test]
+    fn rule_one_reports_each_object_once_in_object_order() {
+        let mut b = FuncBuilder::new("k", 1);
+        for mem in [2, 2, 0, 1, 0, 1, 0] {
+            b.emit(read(mem, 0), IrTy::I32);
+        }
+        b.terminate(Terminator::Ret(ActionRef::pass()));
+        let slice = GlobalDef { origin: Some(("bmp".into(), 1)), ..global("bmp__1") };
+        let globals = vec![global("c"), global("a"), slice];
+        let mut m = Module { name: "t".into(), device: 0, globals, kernels: vec![b.finish()] };
+        let d = check(&mut m, 4);
+        let want = [("E0302", vec!["c"]), ("E0302", vec!["a"]), ("E0302", vec!["bmp[1]"])];
+        assert_eq!(reported(&d), want);
     }
 
     /// §V-D kernel `b`: `x = (x > 10) ? m[0] : m[1]` — valid (branches).
@@ -383,7 +421,7 @@ mod tests {
             kernels: vec![b.finish()],
         };
         let d = check(&mut m, 4);
-        assert!(d.has_code("E0303"), "{:?}", d.diagnostics());
+        assert_eq!(reported(&d), [("E0303", vec!["m"])]);
     }
 
     /// §V-D kernel with reorderable operand order: repaired, no error.
@@ -430,18 +468,12 @@ mod tests {
         // then: x = m1[0]; x = m2[x]   (m1 before m2, dependent)
         b.switch_to(t);
         let x1 = b.emit(read(0, 0), IrTy::I32).unwrap();
-        b.emit(
-            InstKind::MemRead { mem: MemRef { mem: MemId(1), indices: vec![Op::Value(x1)] } },
-            IrTy::I32,
-        );
+        b.emit(read_at(1, Op::Value(x1)), IrTy::I32);
         b.terminate(Terminator::Ret(ActionRef::pass()));
         // else: x = m2[0]; x = m1[x]   (m2 before m1, dependent)
         b.switch_to(e);
         let x2 = b.emit(read(1, 0), IrTy::I32).unwrap();
-        b.emit(
-            InstKind::MemRead { mem: MemRef { mem: MemId(0), indices: vec![Op::Value(x2)] } },
-            IrTy::I32,
-        );
+        b.emit(read_at(0, Op::Value(x2)), IrTy::I32);
         b.terminate(Terminator::Ret(ActionRef::pass()));
         let mut m = Module {
             name: "t".into(),
@@ -450,7 +482,32 @@ mod tests {
             kernels: vec![b.finish()],
         };
         let d = check(&mut m, 4);
-        assert!(d.has_code("E0304"), "{:?}", d.diagnostics());
+        assert_eq!(reported(&d), [("E0304", vec!["m1", "m2"])]);
+    }
+
+    /// Rule 2 reports pairs in `(MemId, MemId)` order.
+    #[test]
+    fn rule_two_reports_pairs_in_object_order() {
+        let mut b = FuncBuilder::new("k", 1);
+        let t = b.new_block();
+        let e = b.new_block();
+        b.terminate(Terminator::CondBr { cond: Op::imm(1, IrTy::I1), then_bb: t, else_bb: e });
+        // then: x = c[0]; b[x]; a[x] — reordered to c, a, b.
+        b.switch_to(t);
+        let x = b.emit(read(2, 0), IrTy::I32).unwrap();
+        b.emit(read_at(1, Op::Value(x)), IrTy::I32);
+        b.emit(read_at(0, Op::Value(x)), IrTy::I32);
+        b.terminate(Terminator::Ret(ActionRef::pass()));
+        // else: y = a[0]; z = b[y]; c[z] — a dependent chain.
+        b.switch_to(e);
+        let y = b.emit(read(0, 0), IrTy::I32).unwrap();
+        let z = b.emit(read_at(1, Op::Value(y)), IrTy::I32).unwrap();
+        b.emit(read_at(2, Op::Value(z)), IrTy::I32);
+        b.terminate(Terminator::Ret(ActionRef::pass()));
+        let globals = vec![global("a"), global("b"), global("c")];
+        let mut m = Module { name: "t".into(), device: 0, globals, kernels: vec![b.finish()] };
+        let d = check(&mut m, 4);
+        assert_eq!(reported(&d), [("E0304", vec!["a", "c"]), ("E0304", vec!["b", "c"])]);
     }
 
     /// Fig. 7 shape: Bitmap[0]/Bitmap[1] accessed in the same order in both

@@ -8,9 +8,9 @@
 //! single stage" — [`detect_bswap`] pattern-matches shift/or byte swaps into
 //! the dedicated `bswap` operation the code generator emits as one action.
 
-use netcl_ir::func::{Function, Inst, InstKind, ValueId};
+use netcl_ir::func::{BlockId, Function, Inst, InstKind, ValueId};
 use netcl_ir::types::{IcmpPred, IrBinOp, IrTy, Operand};
-use std::collections::HashMap;
+use netcl_util::idx::IndexVec;
 
 /// Rewrites relational `icmp`s whose operands are both dynamic into a
 /// widened subtraction plus MSB test. Equality predicates stay (Tofino
@@ -23,7 +23,7 @@ use std::collections::HashMap;
 /// strict complement and invert.
 pub fn icmp_to_sub_msb(f: &mut Function) -> usize {
     let mut rewritten = 0usize;
-    for bid in f.blocks.indices().collect::<Vec<_>>() {
+    for bid in f.blocks.indices() {
         let mut i = 0;
         while i < f.blocks[bid].insts.len() {
             let inst = &f.blocks[bid].insts[i];
@@ -107,16 +107,18 @@ pub fn icmp_to_sub_msb(f: &mut Function) -> usize {
 /// at 32 bits has too many variants to enumerate profitably.
 pub fn detect_bswap(f: &mut Function) -> usize {
     let mut found = 0usize;
-    // Definition map: value → (block, index).
-    let mut defs: HashMap<ValueId, InstKind> = HashMap::new();
-    for b in f.blocks.iter() {
-        for inst in &b.insts {
+    // Each value's definition site. A rewrite turns an `or` into a `bswap`,
+    // which matches as a shift no more than the `or` did.
+    let mut defs: IndexVec<ValueId, Option<(BlockId, usize)>> =
+        f.values.indices().map(|_| None).collect();
+    for (bid, b) in f.blocks.iter_enumerated() {
+        for (i, inst) in b.insts.iter().enumerate() {
             if let Some(&r) = inst.results.first() {
-                defs.insert(r, inst.kind.clone());
+                defs[r] = Some((bid, i));
             }
         }
     }
-    for bid in f.blocks.indices().collect::<Vec<_>>() {
+    for bid in f.blocks.indices() {
         for i in 0..f.blocks[bid].insts.len() {
             let inst = &f.blocks[bid].insts[i];
             let InstKind::Bin { op: IrBinOp::Or, a, b } = inst.kind else { continue };
@@ -125,16 +127,17 @@ pub fn detect_bswap(f: &mut Function) -> usize {
                 continue;
             }
             let (Operand::Value(va), Operand::Value(vb)) = (a, b) else { continue };
-            let (Some(ka), Some(kb)) = (defs.get(&va), defs.get(&vb)) else { continue };
-            let shifted = |k: &InstKind, op: IrBinOp| -> Option<Operand> {
-                match k {
-                    InstKind::Bin { op: o, a, b: Operand::Const(8, _) } if *o == op => Some(*a),
+            // `x`, when `v` is defined as `x op 8`.
+            let shifted = |v: ValueId, op: IrBinOp| -> Option<Operand> {
+                let (db, di) = defs.get(v).copied().flatten()?;
+                match f.blocks[db].insts[di].kind {
+                    InstKind::Bin { op: o, a, b: Operand::Const(8, _) } if o == op => Some(a),
                     _ => None,
                 }
             };
-            let (src1, src2) = match (shifted(ka, IrBinOp::Shl), shifted(kb, IrBinOp::LShr)) {
+            let (src1, src2) = match (shifted(va, IrBinOp::Shl), shifted(vb, IrBinOp::LShr)) {
                 (Some(x), Some(y)) => (x, y),
-                _ => match (shifted(ka, IrBinOp::LShr), shifted(kb, IrBinOp::Shl)) {
+                _ => match (shifted(va, IrBinOp::LShr), shifted(vb, IrBinOp::Shl)) {
                     (Some(x), Some(y)) => (x, y),
                     _ => continue,
                 },

@@ -16,10 +16,9 @@
 //! duplicating a block's value definitions per arm is sound — no value
 //! defined in a duplicated block is referenced outside its region.
 
-use netcl_ir::func::{Block, BlockId, Function, Inst, InstKind, Terminator, ValueId};
+use netcl_ir::func::{Block, BlockId, Function, Inst, InstKind, Terminator, ValueId, ValueInfo};
 use netcl_ir::types::Operand;
 use netcl_util::idx::{Idx, IndexVec};
-use std::collections::HashMap;
 
 /// Structurization statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,12 +50,13 @@ pub fn ensure_structured(f: &mut Function) -> Result<StructurizeStats, String> {
     let mut rb = Rebuilder {
         src: f,
         ipd,
+        vmap: f.values.indices().map(|_| None).collect(),
         new_blocks: IndexVec::new(),
         new_values: Vec::new(),
         emitted_insts: 0,
         budget,
     };
-    let entry = rb.emit(rb.src.entry, None, None, &mut HashMap::new())?;
+    let entry = rb.emit(rb.src.entry, None, None)?;
     let new_blocks = rb.new_blocks;
     let new_values = rb.new_values;
     let insts_after = new_blocks.iter().map(|b: &Block| b.insts.len()).sum();
@@ -168,11 +168,21 @@ pub fn immediate_postdominators(f: &Function) -> IndexVec<BlockId, Option<BlockI
     idom[..n].iter().map(|&p| (p != NONE && p != exit).then_some(BlockId(p as u32))).collect()
 }
 
+/// Emits the region tree depth first: at a branch, the join's region, then
+/// the then-arm, then the else-arm.
+///
+/// One value map serves the whole walk. A use reads its definition's
+/// mapping, and the definition's block dominates the use, so it was emitted
+/// earlier on the use's own path. On a DAG no other copy of that block is
+/// emitted between the two: a copy in an earlier-emitted join or sibling arm
+/// would need a path from there back to the dominator, a cycle.
 struct Rebuilder<'a> {
     src: &'a Function,
     ipd: IndexVec<BlockId, Option<BlockId>>,
+    /// Source value → its copy in the block being emitted.
+    vmap: IndexVec<ValueId, Option<Operand>>,
     new_blocks: IndexVec<BlockId, Block>,
-    new_values: Vec<netcl_ir::func::ValueInfo>,
+    new_values: Vec<ValueInfo>,
     emitted_insts: usize,
     budget: usize,
 }
@@ -185,9 +195,9 @@ impl<'a> Rebuilder<'a> {
         ValueId((base + self.new_values.len() - 1) as u32)
     }
 
-    fn map_operand(op: Operand, vmap: &HashMap<ValueId, Operand>) -> Operand {
+    fn map_operand(&self, op: Operand) -> Operand {
         match op {
-            Operand::Value(v) => *vmap.get(&v).unwrap_or(&op),
+            Operand::Value(v) => self.vmap.get(v).copied().flatten().unwrap_or(op),
             c => c,
         }
     }
@@ -200,16 +210,17 @@ impl<'a> Rebuilder<'a> {
         orig: BlockId,
         stop: Option<BlockId>,
         cont: Option<BlockId>,
-        vmap: &mut HashMap<ValueId, Operand>,
     ) -> Result<BlockId, String> {
         if Some(orig) == stop {
             return Ok(cont.expect("stop requires a continuation"));
         }
-        let new_b =
-            self.new_blocks.push(Block { insts: Vec::new(), term: Terminator::Unterminated });
+        let block = &self.src.blocks[orig];
+        let new_b = self.new_blocks.push(Block {
+            insts: Vec::with_capacity(block.insts.len()),
+            term: Terminator::Unterminated,
+        });
         // Clone instructions with fresh result values.
-        let src_insts = self.src.blocks[orig].insts.clone();
-        for inst in src_insts {
+        for inst in &block.insts {
             self.emitted_insts += 1;
             if self.emitted_insts > self.budget {
                 return Err(format!(
@@ -219,54 +230,32 @@ impl<'a> Rebuilder<'a> {
                 ));
             }
             let mut kind = inst.kind.clone();
-            kind.map_operands(|op| Self::map_operand(op, vmap));
+            kind.map_operands(|op| self.map_operand(op));
             let mut results = Vec::with_capacity(inst.results.len());
             for &r in &inst.results {
                 let nr = self.fresh_value(r);
-                vmap.insert(r, Operand::Value(nr));
+                self.vmap[r] = Some(Operand::Value(nr));
                 results.push(nr);
             }
             self.new_blocks[new_b].insts.push(Inst { kind, results });
         }
-        // Terminator.
-        let term = self.src.blocks[orig].term.clone();
-        let new_term = match term {
-            Terminator::Ret(mut a) => {
-                if let Some(t) = &mut a.target {
-                    *t = Self::map_operand(*t, vmap);
-                }
+        let new_term = match &block.term {
+            Terminator::Ret(a) => {
+                let mut a = a.clone();
+                a.target = a.target.map(|t| self.map_operand(t));
                 Terminator::Ret(a)
             }
-            Terminator::Br(t) => {
-                let next = self.emit(t, stop, cont, vmap)?;
-                Terminator::Br(next)
-            }
+            Terminator::Br(t) => Terminator::Br(self.emit(*t, stop, cont)?),
             Terminator::CondBr { cond, then_bb, else_bb } => {
-                let cond = Self::map_operand(cond, vmap);
-                let join = self.ipd[orig];
-                // Clamp the join to the current region.
-                let join = match (join, stop) {
-                    (Some(m), Some(s)) if m == s => None,
-                    (m, _) => m,
+                let cond = self.map_operand(*cond);
+                // The arms reconverge at the join, clamped to the current
+                // region; without one they run on to this region's end.
+                let (arm_stop, arm_cont) = match self.ipd[orig].filter(|&m| Some(m) != stop) {
+                    Some(m) => (Some(m), Some(self.emit(m, stop, cont)?)),
+                    None => (stop, cont),
                 };
-                let (nt, ne) = match join {
-                    Some(m) => {
-                        let mut vt = vmap.clone();
-                        let mut ve = vmap.clone();
-                        let m_new = self.emit(m, stop, cont, vmap)?;
-                        let nt = self.emit(then_bb, Some(m), Some(m_new), &mut vt)?;
-                        let ne = self.emit(else_bb, Some(m), Some(m_new), &mut ve)?;
-                        (nt, ne)
-                    }
-                    None => {
-                        // Arms never reconverge inside this region.
-                        let mut vt = vmap.clone();
-                        let mut ve = vmap.clone();
-                        let nt = self.emit(then_bb, stop, cont, &mut vt)?;
-                        let ne = self.emit(else_bb, stop, cont, &mut ve)?;
-                        (nt, ne)
-                    }
-                };
+                let nt = self.emit(*then_bb, arm_stop, arm_cont)?;
+                let ne = self.emit(*else_bb, arm_stop, arm_cont)?;
                 Terminator::CondBr { cond, then_bb: nt, else_bb: ne }
             }
             Terminator::Unterminated => Terminator::Unterminated,

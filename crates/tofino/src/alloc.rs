@@ -424,7 +424,7 @@ impl ControlNames<'_> {
 impl<'a> Plan<'a> {
     fn lower(program: &'a P4Program) -> Plan<'a> {
         let mut header_bits = HashMap::new();
-        for h in &program.headers {
+        for h in program.headers.iter() {
             for (name, bits) in &h.fields {
                 header_bits.entry(name.as_str()).or_insert(*bits);
             }
@@ -994,7 +994,8 @@ mod tests {
                 name: "ncl_t".into(),
                 fields: vec![("K".into(), 32)],
                 stack: 1,
-            }],
+            }]
+            .into(),
             parser: None,
             controls: vec![control].into(),
         };
@@ -1046,7 +1047,8 @@ mod tests {
                 name: "ncl_t".into(),
                 fields: vec![("K".into(), 32)],
                 stack: 1,
-            }],
+            }]
+            .into(),
             parser: None,
             controls: vec![control].into(),
         };
@@ -1099,7 +1101,7 @@ mod tests {
         let p = P4Program {
             name: "t".into(),
             target: Target::Tna,
-            headers: vec![],
+            headers: vec![].into(),
             parser: None,
             controls: vec![control].into(),
         };
@@ -1162,7 +1164,8 @@ mod tests {
                 name: "ncl_t".into(),
                 fields: vec![("K".into(), 32)],
                 stack: 1,
-            }],
+            }]
+            .into(),
             parser: None,
             controls: vec![control].into(),
         };
@@ -1184,7 +1187,7 @@ mod tests {
         let mut locals = vec![("f0".into(), 16)];
         for i in 1..=5 {
             let cur = format!("f{i}");
-            locals.push((cur.clone(), 16));
+            locals.push((cur.as_str().into(), 16));
             apply.push(Stmt::Assign(
                 Expr::field(&["meta", &cur]),
                 Expr::Bin(
@@ -1198,7 +1201,7 @@ mod tests {
         let p = P4Program {
             name: "chain".into(),
             target: Target::Tna,
-            headers: vec![],
+            headers: vec![].into(),
             parser: None,
             controls: vec![ControlDef { name: "Ig".into(), locals, apply, ..Default::default() }]
                 .into(),
@@ -1226,7 +1229,8 @@ mod tests {
                 name: "ncl_t".into(),
                 fields: vec![("K".into(), 32)],
                 stack: 1,
-            }],
+            }]
+            .into(),
             parser: None,
             controls: vec![ControlDef {
                 name: "Ig".into(),
@@ -1253,7 +1257,8 @@ mod tests {
                 name: "big_t".into(),
                 fields: vec![("v".into(), 32)],
                 stack: 200, // 6400 bits > 4096
-            }],
+            }]
+            .into(),
             parser: None,
             controls: Default::default(),
         };
@@ -1266,13 +1271,14 @@ mod tests {
     #[test]
     fn tenant_attribution_and_budget_rejection() {
         let ra = |t: u16| RegisterActionDef {
-            name: format!("t{t}__incr"),
-            register: format!("t{t}__Cnt"),
+            name: format!("t{t}__incr").into(),
+            register: format!("t{t}__Cnt").into(),
             op: AtomicOp { rmw: AtomicRmw::SAdd, cond: false, ret_new: true },
             cond: None,
             operands: vec![Expr::val(1, 32)],
         };
-        let reg = |t: u16| RegisterDef { name: format!("t{t}__Cnt"), elem_bits: 32, size: 1024 };
+        let reg =
+            |t: u16| RegisterDef { name: format!("t{t}__Cnt").into(), elem_bits: 32, size: 1024 };
         let control = ControlDef {
             name: "Ig".into(),
             locals: vec![("a".into(), 32), ("b".into(), 32)],
@@ -1308,7 +1314,8 @@ mod tests {
                 name: "ncl_t".into(),
                 fields: vec![("K".into(), 32)],
                 stack: 1,
-            }],
+            }]
+            .into(),
             parser: None,
             controls: vec![control].into(),
         };

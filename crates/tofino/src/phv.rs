@@ -26,7 +26,7 @@ pub fn container_bits(width: u32) -> u32 {
 /// Accounts a program's PHV demand.
 pub fn account(program: &P4Program, spec: &TofinoSpec) -> PhvReport {
     let mut header_bits = 0u32;
-    for h in &program.headers {
+    for h in program.headers.iter() {
         let one: u32 = h.fields.iter().map(|(_, w)| container_bits(*w)).sum();
         header_bits += one * h.stack.max(1);
         // Validity bit per header instance.
@@ -73,7 +73,8 @@ mod tests {
                 name: "v_t".into(),
                 fields: vec![("value".into(), 32)],
                 stack: 32,
-            }],
+            }]
+            .into(),
             parser: None,
             controls: vec![ControlDef {
                 name: "Ig".into(),

@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Handle to an interned string.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -17,11 +18,12 @@ impl fmt::Debug for Symbol {
     }
 }
 
-/// Owning intern table. One per compilation session.
+/// Owning intern table. One per compilation session. Each string is
+/// allocated once, shared by the lookup map and the symbol table.
 #[derive(Default, Debug)]
 pub struct Interner {
-    map: HashMap<String, Symbol>,
-    strings: Vec<String>,
+    map: HashMap<Arc<str>, Symbol>,
+    strings: Vec<Arc<str>>,
 }
 
 impl Interner {
@@ -36,8 +38,9 @@ impl Interner {
             return sym;
         }
         let sym = Symbol(self.strings.len() as u32);
-        self.strings.push(s.to_string());
-        self.map.insert(s.to_string(), sym);
+        let s: Arc<str> = s.into();
+        self.strings.push(Arc::clone(&s));
+        self.map.insert(s, sym);
         sym
     }
 

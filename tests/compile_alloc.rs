@@ -40,15 +40,18 @@ fn fit_of_the_largest_agg_allocates_per_plan_not_per_round() {
 /// Measured at the commit where each dialect ran the common stage itself:
 /// 75 752 / 34 915 / 5 181 / 45 167; before codegen planned each kernel
 /// over dense ids (hash-keyed placement, a `meta` expression built per
-/// value): 19 504 / 15 871 / 2 943 / 21 772.
+/// value): 19 504 / 15 871 / 2 943 / 21 772; before the passes ran over
+/// dense ids (hash maps keyed by IR ids, analyses rebuilt per instruction)
+/// and the P4 AST held short names in place: 16 239 / 13 094 / 2 413 /
+/// 17 761.
 #[test]
 fn cold_compile_allocations_per_application() {
     let cc = Compiler::new(CompileOptions::default());
     for (name, source, measured) in [
-        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), 16_239),
-        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), 13_094),
-        ("calc.ncl", calc::netcl_source(), 2_413),
-        ("paxos.ncl", paxos::full_source(), 17_761),
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), 7_150),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), 5_253),
+        ("calc.ncl", calc::netcl_source(), 1_060),
+        ("paxos.ncl", paxos::full_source(), 8_641),
     ] {
         let (unit, allocs) = allocs_during(|| cc.compile(name, &source));
         unit.unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -61,10 +64,11 @@ fn cold_compile_allocations_per_application() {
 /// three devices — merged, solo 0, solo 1 — off the compiler's own
 /// `build_device`. The tenant driver once had a private copy of the back
 /// half that ran the common stage once per dialect: 45 709; before codegen
-/// planned over dense ids: 42 642.
+/// planned over dense ids: 42 642; before the passes did (and before the
+/// P4 AST held short names in place): 35 822.
 #[test]
 fn tenant_merge_allocations() {
-    const MEASURED: u64 = 35_822;
+    const MEASURED: u64 = 15_921;
     const PARENT: u64 = 45_709;
     let agg_src = agg::netcl_source(&agg::AggConfig { slot_size: 8, ..Default::default() });
     let cache_src = cache::netcl_source(&cache::CacheConfig { words: 4, ..Default::default() });
@@ -89,18 +93,20 @@ fn tenant_merge_allocations() {
 /// (CACHE), 585 (CALC) and 645 / 1 486 / 1 486 / 1 486 / 1 916 (P4xos
 /// devices 1–5). Before lane runs (PR 26), with a closure per SALU site and
 /// one per composite index, condition and prefix: 1 733 / 1 369 / 288 and
-/// 331 / 637 / 637 / 637 / 792.
+/// 331 / 637 / 637 / 637 / 792. Before the slot table's interner kept each
+/// path once instead of twice and widths and registers were keyed by
+/// in-place names: 1 356 / 1 258 / 271 and 327 / 627 / 627 / 627 / 760.
 #[test]
 fn switch_load_allocations_per_application() {
     let cc = Compiler::new(CompileOptions::default());
     for (name, source, devices) in [
-        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), &[(1_356, 4_684)][..]),
-        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), &[(1_258, 3_409)]),
-        ("calc.ncl", calc::netcl_source(), &[(271, 585)]),
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), &[(1_040, 4_684)][..]),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), &[(963, 3_409)]),
+        ("calc.ncl", calc::netcl_source(), &[(229, 585)]),
         (
             "paxos.ncl",
             paxos::full_source(),
-            &[(327, 645), (627, 1_486), (627, 1_486), (627, 1_486), (760, 1_916)],
+            &[(284, 645), (495, 1_486), (495, 1_486), (495, 1_486), (588, 1_916)],
         ),
     ] {
         let unit = cc.compile(name, &source).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -122,23 +128,27 @@ fn switch_load_allocations_per_application() {
 /// (2 764, 4 866) CACHE, (460, 672) CALC, (336, 593) / (1 042, 1 903) × 3 /
 /// (1 406, 2 345) P4xos devices 1–5. Printing writes into one growing
 /// buffer, so it allocates only as that buffer grows; parsing allocates
-/// what the AST keeps.
+/// what the AST keeps, where a short name — a path segment, a local, a
+/// register or register action — is held in place, so a field path is one
+/// allocation, its segment list. With a `String` per name, parsing made
+/// 3 840 (AGG), 2 234 (CACHE), 341 (CALC) and 260 / 862 × 3 / 1 121 (P4xos)
+/// allocations.
 #[test]
 fn print_parse_allocations() {
     let cc = Compiler::new(CompileOptions::default());
     for (name, source, devices) in [
-        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), &[((5, 3_840), 11_823)][..]),
-        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), &[((4, 2_234), 7_630)]),
-        ("calc.ncl", calc::netcl_source(), &[((1, 341), 1_132)]),
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), &[((5, 2_026), 11_823)][..]),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), &[((4, 1_198), 7_630)]),
+        ("calc.ncl", calc::netcl_source(), &[((1, 205), 1_132)]),
         (
             "paxos.ncl",
             paxos::full_source(),
             &[
-                ((1, 260), 929),
-                ((2, 862), 2_945),
-                ((2, 862), 2_945),
-                ((2, 862), 2_945),
-                ((3, 1_121), 3_751),
+                ((1, 156), 929),
+                ((2, 448), 2_945),
+                ((2, 448), 2_945),
+                ((2, 448), 2_945),
+                ((3, 593), 3_751),
             ],
         ),
     ] {

@@ -181,3 +181,23 @@ fn diagnostics_have_stable_codes() {
         );
     }
 }
+
+/// The memory-rule errors come out in the order the objects are declared,
+/// one per object, under their declared names — the same text every run.
+#[test]
+fn memory_rule_errors_are_ordered_and_named() {
+    let src = "_net_ unsigned c[4];\n_net_ unsigned a[4];\n_net_ unsigned b[4];\n\
+               _kernel(1) _at(1) void k(unsigned x, unsigned &o) {\n\
+               \x20 o = ncl::atomic_add_new(&b[0], x) + ncl::atomic_add_new(&b[1], x)\n\
+               \x20   + ncl::atomic_add_new(&a[0], x) + ncl::atomic_add_new(&a[1], x)\n\
+               \x20   + ncl::atomic_add_new(&c[0], x) + ncl::atomic_add_new(&c[1], x);\n}\n";
+    let err = Compiler::new(CompileOptions::default()).compile("t.ncl", src).unwrap_err();
+    let line = |name: &str| {
+        format!(
+            "<unknown>: error[E0302]: kernel `k`: global memory object `{name}` is accessed more \
+             than once on one execution path; Tofino registers are stage-local, so accesses \
+             must be mutually exclusive (§V-D)"
+        )
+    };
+    assert_eq!(err.message, [line("c"), line("a"), line("b")].join("\n"));
+}

@@ -125,7 +125,8 @@ fn reparsed_programs() -> &'static [Reparsed] {
                 // printer writes no `struct headers_t`, so every header
                 // reads back as a plain one. The length is restored here;
                 // everything else about a header must read back as is.
-                for (h, o) in reparsed.headers.iter_mut().zip(&program.headers) {
+                for (h, o) in Arc::make_mut(&mut reparsed.headers).iter_mut().zip(&*program.headers)
+                {
                     h.stack = o.stack;
                 }
                 assert_eq!(reparsed.headers, program.headers, "{label}");
@@ -155,6 +156,7 @@ mod shapes {
     use netcl::sema::builtins::{AtomicOp, AtomicRmw};
     use netcl_net::WorkloadRng;
     use netcl_p4::ast::*;
+    use std::sync::Arc;
 
     fn field(rng: &mut WorkloadRng) -> Expr {
         match rng.below(7) {
@@ -244,7 +246,11 @@ mod shapes {
                 _ => Some(Expr::field(&["hdr", "h", ["a", "b", "d"][rng.below(3) as usize]])),
             };
             let index = if rng.below(10) == 0 { field(rng) } else { index.clone() };
-            run.push(Stmt::ExecuteRegisterAction { dst, ra: format!("{ra}{}", lane % 3), index });
+            run.push(Stmt::ExecuteRegisterAction {
+                dst,
+                ra: format!("{ra}{}", lane % 3).into(),
+                index,
+            });
         }
         run
     }
@@ -341,8 +347,8 @@ mod shapes {
                 Expr::Bin(P4BinOp::Eq, t0, Box::new(Expr::val(1, 8)))
             };
             let lane_ra = |name: &str, rmw, cond: bool, operand| RegisterActionDef {
-                name: format!("{name}{reg}"),
-                register: format!("L{reg}"),
+                name: format!("{name}{reg}").into(),
+                register: format!("L{reg}").into(),
                 op: AtomicOp { rmw, cond, ret_new: cond },
                 cond: cond.then(t0_is_1),
                 operands: vec![Expr::field(&["hdr", "h", operand])],
@@ -353,7 +359,7 @@ mod shapes {
                 lane_ra("max", AtomicRmw::Max, false, "b"),
             ]);
         }
-        let lane_register = |i| RegisterDef { name: format!("L{i}"), elem_bits: 8, size: 4 };
+        let lane_register = |i| RegisterDef { name: format!("L{i}").into(), elem_bits: 8, size: 4 };
         let registers = [RegisterDef { name: "R".into(), elem_bits: 8, size: 4 }]
             .into_iter()
             .chain((0..3).map(lane_register))
@@ -367,15 +373,15 @@ mod shapes {
         P4Program {
             name: "shapes".into(),
             target: Target::V1Model,
-            headers: vec![HeaderDef { name: "h_t".into(), fields, stack: 1 }],
-            parser: Some(ParserDef {
+            headers: vec![HeaderDef { name: "h_t".into(), fields, stack: 1 }].into(),
+            parser: Some(Arc::new(ParserDef {
                 name: "P".into(),
                 states: vec![ParserState {
                     name: "start".into(),
                     extracts: vec!["hdr.h".into()],
                     transition: Transition::Accept,
                 }],
-            }),
+            })),
             controls: vec![ControlDef {
                 name: "Ig".into(),
                 locals: vec![("t0".into(), 8), ("t1".into(), 8)],
