@@ -9,7 +9,6 @@ use netcl::sema::model::LookupEntry;
 use netcl_apps::{agg, cache};
 use netcl_bmv2::Switch;
 use netcl_runtime::managed::ManagedMemory;
-use netcl_tofino::TofinoSpec;
 
 /// Tenant shapes for a *shared* pipeline: the default 32-value AGG plus
 /// the 8-word CACHE overflow one 4096-bit PHV together.
@@ -132,20 +131,4 @@ fn shared_switch_does_the_dedicated_switchs_work_per_packet() {
         assert_eq!(shared.tenant_table_stats(tenant), dedicated.tenant_table_stats(tenant));
         assert_eq!(shared.tenant_table_stats(tenant).0, pinned[2], "every hit is a tenant table's");
     }
-}
-
-/// `netcl-place` on real footprints: the allocator's per-tenant usage for
-/// the AGG + CACHE merge, packed first-fit-decreasing onto two switches,
-/// needs only the first — the plan agrees with the merge that just fit
-/// both on one pipeline.
-#[test]
-fn placement_packs_both_tenants_onto_one_of_two_switches() {
-    let m = merged();
-    let report = m.report.as_ref().expect("a TNA merge carries its allocation report");
-    let footprints = netcl_place::TenantFootprint::from_report(report);
-    assert_eq!(footprints.iter().map(|f| f.tenant).collect::<Vec<_>>(), [0, 1]);
-    assert!(footprints.iter().all(|f| f.salus > 0), "both tenants hold registers: {footprints:?}");
-    let plan = netcl_place::plan(&footprints, 2, &TofinoSpec::tofino1()).expect("both fit");
-    assert_eq!(plan.switches_used(), 1);
-    assert_eq!((plan.switch_of(0), plan.switch_of(1)), (Some(0), Some(0)));
 }

@@ -253,13 +253,7 @@ pub(crate) fn options_fingerprint(options: &CompileOptions) -> u64 {
         EmitTarget::Both => 2,
     }]);
     let f = &options.flags;
-    h.write(&[
-        f.speculation as u8,
-        f.duplicate_lookup as u8,
-        f.icmp_to_sub_msb as u8,
-        f.bitcast_on_hash as u8,
-    ]);
-    h.write(&f.distance_threshold.to_le_bytes());
+    h.write(&[f.speculation as u8, f.duplicate_lookup as u8, f.icmp_to_sub_msb as u8]);
     h.write(&[options.pass_report as u8]);
     match &options.devices {
         None => {

@@ -386,6 +386,7 @@ pub(crate) mod tests {
     use super::*;
     use netcl_ir::interp::{execute, DeviceState, ExecEnv};
     use netcl_sema::builtins::ActionKind;
+    use netcl_sema::Ty;
 
     pub const FIG4_CACHE: &str = r#"
 #define CMS_HASHES 3
@@ -518,14 +519,80 @@ _kernel(1) void k(unsigned x) {
         {
             let src =
                 format!("_kernel(1) void k(unsigned _spec(8) *o) {{\n  {header} o[i] = i + 1;\n}}");
-            let unit = Compiler::new(CompileOptions::default())
-                .compile("t.ncl", &src)
-                .unwrap_or_else(|e| panic!("{header}: {e}"));
-            let module = &unit.devices[0].tna_ir;
-            let mut args = vec![vec![0u64; 8]];
+            assert_eq!(run(&src, &[vec![0; 8]])[0], [1, 2, 3, 4, 0, 0, 0, 0], "{header}");
+        }
+    }
+
+    /// Compiles `src` and runs its kernel on the IR interpreter, over each
+    /// dialect's IR; both must agree. Returns the arguments after the run.
+    fn run(src: &str, args: &[Vec<u64>]) -> Vec<Vec<u64>> {
+        let unit = Compiler::new(CompileOptions::default())
+            .compile("t.ncl", src)
+            .unwrap_or_else(|e| panic!("{src}\n{e}"));
+        let d = &unit.devices[0];
+        let [tna, v1] = [&d.tna_ir, &d.v1_ir].map(|module| {
+            let mut args = args.to_vec();
             let (mut st, mut env) = (DeviceState::new(module), ExecEnv::default());
-            execute(&module.kernels[0], module, &mut st, &mut args, &mut env).unwrap();
-            assert_eq!(args[0], [1, 2, 3, 4, 0, 0, 0, 0], "{header}");
+            execute(&module.kernels[0], module, &mut st, &mut args, &mut env)
+                .unwrap_or_else(|e| panic!("{src}\n{e:?}"));
+            args
+        });
+        assert_eq!(tna, v1, "{src}");
+        tna
+    }
+
+    /// A multi-dimensional local is one slot of every element, indexed
+    /// row-major: `a[1][1]` and `a[0][1]` are different elements, and
+    /// `a[0][2]` is in bounds.
+    #[test]
+    fn multi_dimensional_locals_index_row_major() {
+        for (body, want) in [
+            ("unsigned a[2][3]; a[0][1] = 3; a[1][1] = 5; o = a[0][1];", 3),
+            ("unsigned a[2][3]; a[0][2] = 7; a[1][0] = 8; o = a[0][2];", 7),
+            ("unsigned b[2][3][4]; b[1][2][3] = 9; b[0][0][3] = 1; o = b[1][2][3] * 10 + b[0][0][3];", 91),
+        ] {
+            let src = format!("_kernel(1) void k(unsigned &o) {{ {body} }}");
+            assert_eq!(run(&src, &[vec![0]])[0], [want], "{body}");
+        }
+        let src = "_kernel(1) void k(unsigned r, unsigned c, unsigned &o) {
+                     unsigned a[2][3] = {0, 1, 2, 10, 11, 12};
+                     o = a[r][c];
+                   }";
+        for (r, c) in (0..2).flat_map(|r| (0..3).map(move |c| (r, c))) {
+            assert_eq!(run(src, &[vec![r], vec![c], vec![0]])[2], [r * 10 + c], "a[{r}][{c}]");
+        }
+    }
+
+    /// A local, a by-value and a by-reference `_net_` parameter named like
+    /// a global are not the global; the global itself still is.
+    #[test]
+    fn names_that_shadow_a_global_are_not_the_global() {
+        let src = "_net_ unsigned g[4];
+                   _net_ unsigned twice(unsigned g) { return g + g; }
+                   _net_ void bump(unsigned &g) { g = g + 1; }
+                   _kernel(1) void k(unsigned x, unsigned &o, unsigned &p, unsigned &q) {
+                     bump(q);
+                     o = twice(x) + ncl::atomic_add_new(&g[2], 1);
+                     { unsigned g = x + 3; p = g; }
+                   }";
+        assert_eq!(run(src, &[vec![20], vec![0], vec![0], vec![7]]), [[20], [41], [23], [8]]);
+    }
+
+    /// Casts and `sizeof` take their type from sema at every integer width:
+    /// `(T)x` wraps (and sign-extends into the `uint64_t` output when `T`
+    /// is signed), `sizeof(T)` is its width in bytes.
+    #[test]
+    fn casts_and_sizeof_at_every_integer_width() {
+        let x = 0x8765_4321_FEDC_BA98u64;
+        for bits in [8u8, 16, 32, 64] {
+            for signed in [false, true] {
+                let ty = Ty::Int { bits, signed };
+                let src = format!(
+                    "_kernel(1) void k(uint64_t x, uint64_t _spec(2) *o) {{ o[0] = ({ty})x; o[1] = sizeof({ty}); }}"
+                );
+                let out = run(&src, &[vec![x], vec![0, 0]]);
+                assert_eq!(out[1], [ty.wrap(x), bits as u64 / 8], "{ty}");
+            }
         }
     }
 

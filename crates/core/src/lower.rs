@@ -14,29 +14,40 @@
 //!   to a constant; anything else is rejected (`E0306`), matching the
 //!   feed-forward pipeline restriction of §V-D.
 //!
-//! Everything else lowers 1:1: locals become slots (mem2reg promotes them),
-//! kernel arguments become message accesses (by-value arguments are copied
-//! into locals at entry so their updates stay device-local, §V-A), global
+//! Everything else lowers 1:1: locals become slots (mem2reg promotes them;
+//! a multi-dimensional local is one slot indexed row-major), kernel
+//! arguments become message accesses (by-value arguments are copied into
+//! locals at entry so their updates stay device-local, §V-A), global
 //! accesses become register transactions, and actions become terminators.
-
-use std::collections::HashMap;
+//!
+//! Lowering resolves nothing. Every type, callee, global, `device` / `msg`
+//! member, `sizeof` operand and local declaration is read from sema's
+//! [`Analysis`], and a node sema left unresolved is an internal error
+//! (`E0399`). The scope stack holds only what lowering alone decides: slots,
+//! the aliases inlining creates and the constants unrolling binds.
 
 use netcl_ir::func::{
     ActionRef, FuncBuilder, InstKind, LocalId, MemId, MemRef, MsgField, Terminator,
 };
-use netcl_ir::types::{CastKind, IcmpPred, IrBinOp, IrTy, Operand};
-use netcl_ir::{GlobalDef, Module};
-use netcl_lang::ast::{self, BinOp, Expr, ExprKind, Init, Item, PassMode, Stmt, UnOp};
+use netcl_ir::types::{CastKind, IcmpPred, IrBinOp, IrTy, IrUnOp, Operand};
+use netcl_ir::{BlockId, GlobalDef, Module};
+use netcl_lang::ast::{self, BinOp, Block, Expr, ExprKind, Init, Item, PassMode, Stmt, UnOp};
 use netcl_lang::ParsedUnit;
-use netcl_sema::builtins::{self, Builtin};
-use netcl_sema::check::Analysis;
+use netcl_sema::builtins::Builtin;
 use netcl_sema::consteval::{try_eval, try_eval_with};
 use netcl_sema::model::placed_at;
-use netcl_sema::Ty;
+use netcl_sema::{Analysis, KernelInfo, Member, Resolution, Ty};
 use netcl_util::{DiagnosticSink, Span, Symbol};
 
 /// Maximum unrolled iterations per loop.
 const MAX_UNROLL: u64 = 4096;
+
+/// Element 0: a scalar's index.
+const ZERO: Operand = Operand::Const(0, IrTy::I32);
+
+/// What an expression lowers to once an error is reported: the kernel is
+/// dropped, so the value is never used.
+const POISON: (Operand, Ty) = (ZERO, Ty::Void);
 
 /// Lowers all kernels placed at `device` into an IR module.
 pub fn lower_device(
@@ -52,47 +63,45 @@ pub fn lower_device(
         kernels: Vec::new(),
     };
     // Globals placed at this device, in declaration order; MemId = index.
-    let mut global_ids: HashMap<String, MemId> = HashMap::new();
-    for g in analysis.model.globals_at(device) {
-        let id = MemId(module.globals.len() as u32);
-        global_ids.insert(g.name.clone(), id);
-        module.globals.push(GlobalDef {
-            name: g.name.clone(),
-            ty: ir_storage_ty(g.elem),
-            dims: g.dims.clone(),
-            managed: g.managed,
-            lookup: g.lookup,
-            entries: g.entries.clone(),
-            origin: None,
-        });
-    }
-
-    let kernels: Vec<_> = analysis
+    // `mems` holds each model global's MemId here.
+    let mems: Vec<Option<MemId>> = analysis
         .model
-        .kernels
+        .globals
         .iter()
-        .filter(|k| placed_at(&k.locations, device))
-        .cloned()
+        .map(|g| {
+            placed_at(&g.locations, device).then(|| {
+                module.globals.push(GlobalDef {
+                    name: g.name.clone(),
+                    ty: ir_storage_ty(g.elem),
+                    dims: g.dims.clone(),
+                    managed: g.managed,
+                    lookup: g.lookup,
+                    entries: g.entries.clone(),
+                    origin: None,
+                });
+                MemId(module.globals.len() as u32 - 1)
+            })
+        })
         .collect();
-    for kinfo in kernels {
+
+    for kinfo in analysis.model.kernels_at(device) {
         let Item::Function(decl) = &unit.program.items[kinfo.item_index] else { continue };
         let mut lctx = Lower {
             unit,
             analysis,
             device,
-            diags,
-            global_ids: &global_ids,
+            diags: &mut *diags,
+            mems: &mems,
             builder: FuncBuilder::new(&kinfo.name, kinfo.computation),
-            scopes: Vec::new(),
+            bindings: Vec::new(),
+            floor: 0,
             loop_stack: Vec::new(),
             inline_depth: 0,
             failed: false,
         };
-        lctx.lower_kernel(decl, &kinfo);
-        let failed = lctx.failed;
-        let func = lctx.builder.finish();
-        if !failed {
-            module.kernels.push(func);
+        lctx.lower_kernel(decl, kinfo);
+        if !lctx.failed {
+            module.kernels.push(lctx.builder.finish());
         }
     }
     module
@@ -100,7 +109,7 @@ pub fn lower_device(
 
 /// Storage width for a sema type (bool stores as 8 bits on the wire and in
 /// registers; its *value* type in the IR is `i1`).
-pub fn ir_storage_ty(ty: Ty) -> IrTy {
+fn ir_storage_ty(ty: Ty) -> IrTy {
     match ty {
         Ty::Bool => IrTy::I8,
         Ty::Int { bits, .. } => IrTy::int(bits),
@@ -117,28 +126,45 @@ fn ir_value_ty(ty: Ty) -> IrTy {
     }
 }
 
-/// How a source variable is bound during lowering.
+fn signed(ty: Ty) -> bool {
+    matches!(ty, Ty::Int { signed: true, .. })
+}
+
+/// What a name or place expression denotes during lowering.
 #[derive(Clone, Debug)]
-enum Binding {
-    /// A local slot (locals, by-value args, inlined value params).
-    Local { slot: LocalId, ty: Ty },
-    /// A message-resident kernel argument (by-ref / pointer).
-    ArgMsg { index: u32, ty: Ty },
-    /// Compile-time constant (unrolled induction variables).
-    Const { value: u64, ty: Ty },
-    /// Alias to a caller place (inlined reference parameters).
-    Alias(Place),
+enum Binding<'a> {
+    /// Storage: a local slot (locals, by-value args, inlined value params),
+    /// a message-resident kernel argument, or a caller's place an inlined
+    /// reference parameter aliases.
+    Place(Place<'a>),
+    /// A compile-time constant: an unrolled induction variable.
+    Const(u64, Ty),
 }
 
 /// A resolved storage location.
 #[derive(Clone, Debug)]
-enum Place {
-    Local { slot: LocalId, index: Operand, ty: Ty },
-    ArgMsg { arg: u32, index: Operand, ty: Ty },
-    Global { mem: MemId, indices: Vec<Operand>, ty: Ty },
+enum Place<'a> {
+    /// Element `index` of a local slot, row-major; `dims` are the
+    /// dimensions not yet indexed.
+    Local {
+        slot: LocalId,
+        index: Operand,
+        ty: Ty,
+        dims: &'a [usize],
+    },
+    ArgMsg {
+        arg: u32,
+        index: Operand,
+        ty: Ty,
+    },
+    Global {
+        mem: MemId,
+        indices: Vec<Operand>,
+        ty: Ty,
+    },
 }
 
-impl Place {
+impl Place<'_> {
     fn ty(&self) -> Ty {
         match self {
             Place::Local { ty, .. } | Place::ArgMsg { ty, .. } | Place::Global { ty, .. } => *ty,
@@ -147,8 +173,14 @@ impl Place {
 }
 
 struct LoopCtx {
-    break_to: netcl_ir::BlockId,
-    continue_to: netcl_ir::BlockId,
+    break_to: BlockId,
+    continue_to: BlockId,
+}
+
+/// Where an inlined net function's `return` stores its value and jumps.
+struct InlineRet {
+    slot: Option<(LocalId, Ty)>,
+    exit: BlockId,
 }
 
 struct Lower<'a> {
@@ -156,73 +188,113 @@ struct Lower<'a> {
     analysis: &'a Analysis,
     device: u16,
     diags: &'a mut DiagnosticSink,
-    global_ids: &'a HashMap<String, MemId>,
+    /// Each model global's `MemId` on this device.
+    mems: &'a [Option<MemId>],
     builder: FuncBuilder,
-    scopes: Vec<HashMap<Symbol, Binding>>,
+    /// The scope stack, innermost last; a scope truncates it on exit.
+    bindings: Vec<(Symbol, Binding<'a>)>,
+    /// Where the visible bindings begin: an inlined body sees only its
+    /// parameters, not the caller's locals.
+    floor: usize,
     loop_stack: Vec<LoopCtx>,
     inline_depth: usize,
     failed: bool,
 }
 
 impl<'a> Lower<'a> {
-    fn name(&self, s: Symbol) -> &str {
-        self.unit.interner.resolve(s)
-    }
-
-    fn error(&mut self, code: &'static str, msg: String, span: Span) {
+    fn error(&mut self, code: &'static str, msg: String, span: Span) -> (Operand, Ty) {
         self.diags.error(code, msg, span);
         self.failed = true;
+        POISON
     }
 
-    fn sema_ty(&self, e: &Expr) -> Ty {
-        self.analysis.types.get(&e.id).copied().unwrap_or(Ty::I32)
+    /// Sema resolves everything lowering reads; a gap is a compiler bug.
+    fn unresolved(&mut self, what: &str, span: Span) -> (Operand, Ty) {
+        self.error("E0399", format!("internal: sema left this {what} unresolved"), span)
     }
 
-    fn lookup_binding(&self, name: Symbol) -> Option<Binding> {
-        self.scopes.iter().rev().find_map(|s| s.get(&name)).cloned()
+    /// Sema's type of `e`.
+    fn ty(&mut self, e: &Expr) -> Ty {
+        match self.analysis.ty(e.id) {
+            Some(ty) => ty,
+            None => self.unresolved("expression's type", e.span).1,
+        }
+    }
+
+    fn bind(&mut self, name: Symbol, binding: Binding<'a>) {
+        self.bindings.push((name, binding));
+    }
+
+    fn binding(&self, name: Symbol) -> Option<&Binding<'a>> {
+        self.bindings[self.floor..].iter().rev().find(|(n, _)| *n == name).map(|(_, b)| b)
+    }
+
+    /// Emits an instruction that defines a value.
+    fn value(&mut self, kind: InstKind, ty: IrTy) -> Operand {
+        Operand::Value(self.builder.emit(kind, ty).expect("the instruction defines a value"))
+    }
+
+    fn ret(&mut self, action: ActionRef) {
+        if !self.builder.is_terminated() {
+            self.builder.terminate(Terminator::Ret(action));
+        }
     }
 
     // ---- entry ---------------------------------------------------------
 
-    fn lower_kernel(&mut self, decl: &ast::FunctionDecl, kinfo: &netcl_sema::KernelInfo) {
-        self.scopes.push(HashMap::new());
+    fn lower_kernel(&mut self, decl: &ast::FunctionDecl, kinfo: &KernelInfo) {
         for (i, (p, pi)) in decl.params.iter().zip(&kinfo.params).enumerate() {
+            let (arg, ty) = (i as u32, ir_storage_ty(pi.ty));
             let in_message = pi.mode != PassMode::Value;
-            self.builder.add_arg(&pi.name, ir_storage_ty(pi.ty), pi.count, in_message);
-            if in_message {
-                self.scopes
-                    .last_mut()
-                    .unwrap()
-                    .insert(p.name, Binding::ArgMsg { index: i as u32, ty: pi.ty });
+            self.builder.add_arg(&pi.name, ty, pi.count, in_message);
+            let place = if in_message {
+                Place::ArgMsg { arg, index: ZERO, ty: pi.ty }
             } else {
                 // By-value: copy into a local so updates stay device-local.
-                let slot = self.builder.add_local(&pi.name, ir_storage_ty(pi.ty), pi.count);
+                let slot = self.builder.add_local(&pi.name, ty, pi.count);
                 for e in 0..pi.count {
-                    let idx = Operand::imm(e as u64, IrTy::I32);
-                    let v = self
-                        .builder
-                        .emit(InstKind::ArgRead { arg: i as u32, index: idx }, ir_storage_ty(pi.ty))
-                        .unwrap();
-                    self.builder.emit(
-                        InstKind::LocalStore { slot, index: idx, value: Operand::Value(v) },
-                        ir_storage_ty(pi.ty),
-                    );
+                    let index = Operand::imm(e as u64, IrTy::I32);
+                    let value = self.value(InstKind::ArgRead { arg, index }, ty);
+                    self.builder.emit(InstKind::LocalStore { slot, index, value }, ty);
                 }
-                self.scopes.last_mut().unwrap().insert(p.name, Binding::Local { slot, ty: pi.ty });
-            }
+                Place::Local { slot, index: ZERO, ty: pi.ty, dims: &[] }
+            };
+            self.bind(p.name, Binding::Place(place));
         }
         if let Some(body) = &decl.body {
-            for stmt in &body.stmts {
-                self.stmt(stmt, None);
-                if self.builder.is_terminated() {
-                    break;
-                }
-            }
+            self.stmts(&body.stmts, None);
         }
-        self.scopes.pop();
     }
 
     // ---- statements ------------------------------------------------------
+
+    fn stmts(&mut self, stmts: &[Stmt], inline_ret: Option<&InlineRet>) {
+        for s in stmts {
+            self.stmt(s, inline_ret);
+        }
+    }
+
+    /// A block in a scope of its own.
+    fn block(&mut self, b: &Block, inline_ret: Option<&InlineRet>) {
+        let mark = self.bindings.len();
+        self.stmts(&b.stmts, inline_ret);
+        self.bindings.truncate(mark);
+    }
+
+    /// `if (cond) then else els`; both fall through to a join block.
+    fn branch(&mut self, cond: Operand, then: impl FnOnce(&mut Self), els: impl FnOnce(&mut Self)) {
+        let then_bb = self.builder.new_block();
+        let else_bb = self.builder.new_block();
+        let join = self.builder.new_block();
+        self.builder.terminate(Terminator::CondBr { cond, then_bb, else_bb });
+        self.builder.switch_to(then_bb);
+        then(self);
+        self.builder.branch_if_open(join);
+        self.builder.switch_to(else_bb);
+        els(self);
+        self.builder.branch_if_open(join);
+        self.builder.switch_to(join);
+    }
 
     /// `inline_ret`: when lowering an inlined net-function body, where
     /// `return` stores its value and which block it jumps to.
@@ -235,182 +307,119 @@ impl<'a> Lower<'a> {
             Stmt::Expr(e) => {
                 self.expr(e);
             }
-            Stmt::Block(b) => {
-                self.scopes.push(HashMap::new());
-                for s in &b.stmts {
-                    self.stmt(s, inline_ret);
-                    if self.builder.is_terminated() {
-                        break;
-                    }
-                }
-                self.scopes.pop();
-            }
+            Stmt::Block(b) => self.block(b, inline_ret),
             Stmt::If { cond, then, els, .. } => {
                 let c = self.condition(cond);
-                let then_bb = self.builder.new_block();
-                let else_bb = self.builder.new_block();
-                let join = self.builder.new_block();
-                self.builder.terminate(Terminator::CondBr { cond: c, then_bb, else_bb });
-                self.builder.switch_to(then_bb);
-                self.scopes.push(HashMap::new());
-                for s in &then.stmts {
-                    self.stmt(s, inline_ret);
-                    if self.builder.is_terminated() {
-                        break;
-                    }
-                }
-                self.scopes.pop();
-                self.builder.branch_if_open(join);
-                self.builder.switch_to(else_bb);
-                if let Some(els) = els {
-                    self.scopes.push(HashMap::new());
-                    for s in &els.stmts {
-                        self.stmt(s, inline_ret);
-                        if self.builder.is_terminated() {
-                            break;
+                self.branch(
+                    c,
+                    |this| this.block(then, inline_ret),
+                    |this| {
+                        if let Some(els) = els {
+                            this.block(els, inline_ret);
                         }
-                    }
-                    self.scopes.pop();
-                }
-                self.builder.branch_if_open(join);
-                self.builder.switch_to(join);
+                    },
+                );
             }
             Stmt::For { .. } => self.unroll_for(stmt, inline_ret),
             Stmt::While { cond, span, .. } => {
                 // Constant-false while loops vanish; anything else cannot be
                 // fully unrolled (feed-forward pipelines, §V-D).
-                if try_eval(cond) == Some(0) {
-                    return;
+                if try_eval(cond) != Some(0) {
+                    self.error(
+                        "E0306",
+                        "`while` loops cannot be fully unrolled; use a `for` loop with constant bounds (§V-D)"
+                            .into(),
+                        *span,
+                    );
                 }
-                self.error(
-                    "E0306",
-                    "`while` loops cannot be fully unrolled; use a `for` loop with constant bounds (§V-D)"
-                        .into(),
-                    *span,
-                );
             }
             Stmt::Break(span) => match self.loop_stack.last() {
                 Some(ctx) => self.builder.terminate(Terminator::Br(ctx.break_to)),
-                None => self.error("E0221", "`break` outside loop".into(), *span),
+                None => {
+                    self.error("E0221", "`break` outside loop".into(), *span);
+                }
             },
             Stmt::Continue(span) => match self.loop_stack.last() {
                 Some(ctx) => self.builder.terminate(Terminator::Br(ctx.continue_to)),
-                None => self.error("E0221", "`continue` outside loop".into(), *span),
+                None => {
+                    self.error("E0221", "`continue` outside loop".into(), *span);
+                }
             },
             Stmt::Return { value, span: _ } => self.lower_return(value.as_ref(), inline_ret),
         }
     }
 
     fn lower_return(&mut self, value: Option<&Expr>, inline_ret: Option<&InlineRet>) {
-        if let Some(ir) = inline_ret {
-            // Inlined net function: store the value (if any), jump to exit.
-            if let (Some(v), Some((slot, ty))) = (value, ir.slot) {
-                let (op, vt) = self.expr(v);
-                let op = self.coerce(op, vt, ty);
-                self.builder.emit(
-                    InstKind::LocalStore { slot, index: Operand::imm(0, IrTy::I32), value: op },
-                    ir_storage_ty(ty),
-                );
-            }
-            let exit = ir.exit;
-            if !self.builder.is_terminated() {
-                self.builder.terminate(Terminator::Br(exit));
-            }
-            return;
+        let Some(ir) = inline_ret else {
+            return match value {
+                None => self.ret(ActionRef::pass()),
+                Some(v) => self.lower_action_expr(v),
+            };
+        };
+        // Inlined net function: store the value (if any), jump to exit.
+        if let (Some(v), Some((slot, ty))) = (value, ir.slot) {
+            let (op, vt) = self.expr(v);
+            let value = self.coerce(op, vt, ty);
+            self.builder.emit(InstKind::LocalStore { slot, index: ZERO, value }, ir_storage_ty(ty));
         }
-        match value {
-            None => self.builder.terminate(Terminator::Ret(ActionRef::pass())),
-            Some(v) => self.lower_action_expr(v),
-        }
+        self.builder.branch_if_open(ir.exit);
     }
 
     /// Lowers a kernel `return <expr>` where expr is an action, a void call,
     /// or a ternary mixing them (Fig. 4 line 19).
     fn lower_action_expr(&mut self, e: &Expr) {
-        match &e.kind {
-            ExprKind::Ternary(c, a, b) => {
-                let cond = self.condition(c);
-                let then_bb = self.builder.new_block();
-                let else_bb = self.builder.new_block();
-                self.builder.terminate(Terminator::CondBr { cond, then_bb, else_bb });
-                self.builder.switch_to(then_bb);
-                self.lower_action_expr(a);
-                self.builder.switch_to(else_bb);
-                self.lower_action_expr(b);
-            }
-            ExprKind::Call { callee, args } => {
-                if let Some(Builtin::Action(kind)) = self.resolve_builtin(callee) {
-                    let target = match args.first() {
-                        Some(t) => {
-                            let (op, ty) = self.expr(t);
-                            Some(self.coerce(op, ty, Ty::U16))
-                        }
-                        None => None,
-                    };
-                    if !self.builder.is_terminated() {
-                        self.builder.terminate(Terminator::Ret(ActionRef { kind, target }));
-                    }
-                    return;
-                }
-                // A void net-function call followed by implicit pass().
-                self.expr(e);
-                if !self.builder.is_terminated() {
-                    self.builder.terminate(Terminator::Ret(ActionRef::pass()));
-                }
-            }
-            _ => {
-                // `return;`-equivalent value (shouldn't reach here past sema).
-                self.expr(e);
-                if !self.builder.is_terminated() {
-                    self.builder.terminate(Terminator::Ret(ActionRef::pass()));
-                }
+        if let ExprKind::Ternary(c, a, b) = &e.kind {
+            let cond = self.condition(c);
+            let then_bb = self.builder.new_block();
+            let else_bb = self.builder.new_block();
+            self.builder.terminate(Terminator::CondBr { cond, then_bb, else_bb });
+            self.builder.switch_to(then_bb);
+            self.lower_action_expr(a);
+            self.builder.switch_to(else_bb);
+            return self.lower_action_expr(b);
+        }
+        let analysis = self.analysis;
+        if let ExprKind::Call { callee, args } = &e.kind {
+            if let Resolution::Builtin(Builtin::Action(kind)) = analysis.resolution(callee.id) {
+                let target = args.first().map(|t| {
+                    let (op, ty) = self.expr(t);
+                    self.coerce(op, ty, Ty::U16)
+                });
+                return self.ret(ActionRef { kind: *kind, target });
             }
         }
+        // A void net-function call, then the implicit pass().
+        self.expr(e);
+        self.ret(ActionRef::pass());
     }
 
     fn local_decl(&mut self, d: &ast::LocalDecl) {
-        let ty = match &d.ty {
-            ast::TypeExpr::Auto => d
-                .init
-                .as_ref()
-                .and_then(|i| match i {
-                    Init::Expr(e) => Some(self.sema_ty(e)),
-                    _ => None,
-                })
-                .unwrap_or(Ty::I32),
-            other => Ty::from_type_expr(other).unwrap_or(Ty::I32),
+        let (analysis, unit) = (self.analysis, self.unit);
+        let Resolution::Local { ty, dims } = analysis.resolution(d.id) else {
+            self.unresolved("declaration", d.span);
+            return;
         };
-        let count: u32 = d.dims.first().and_then(try_eval).map(|v| v as u32).unwrap_or(1).max(1);
-        let lname = self.name(d.name).to_string();
-        let slot = self.builder.add_local(&lname, ir_storage_ty(ty), count);
+        let ty = *ty;
+        let count = dims.iter().product::<usize>() as u32;
+        let slot = self.builder.add_local(unit.interner.resolve(d.name), ir_storage_ty(ty), count);
+        let init = |this: &mut Self, i: usize, e: &Expr| {
+            let (op, et) = this.expr(e);
+            let value = this.coerce(op, et, ty);
+            let index = Operand::imm(i as u64, IrTy::I32);
+            this.builder.emit(InstKind::LocalStore { slot, index, value }, ir_storage_ty(ty));
+        };
         match &d.init {
-            Some(Init::Expr(e)) => {
-                let (op, et) = self.expr(e);
-                let op = self.coerce(op, et, ty);
-                self.builder.emit(
-                    InstKind::LocalStore { slot, index: Operand::imm(0, IrTy::I32), value: op },
-                    ir_storage_ty(ty),
-                );
-            }
+            Some(Init::Expr(e)) => init(self, 0, e),
             Some(Init::List(items, _)) => {
                 for (i, item) in items.iter().enumerate() {
                     if let Init::Expr(e) = item {
-                        let (op, et) = self.expr(e);
-                        let op = self.coerce(op, et, ty);
-                        self.builder.emit(
-                            InstKind::LocalStore {
-                                slot,
-                                index: Operand::imm(i as u64, IrTy::I32),
-                                value: op,
-                            },
-                            ir_storage_ty(ty),
-                        );
+                        init(self, i, e);
                     }
                 }
             }
             None => {}
         }
-        self.scopes.last_mut().unwrap().insert(d.name, Binding::Local { slot, ty });
+        self.bind(d.name, Binding::Place(Place::Local { slot, index: ZERO, ty, dims }));
     }
 
     // ---- loop unrolling --------------------------------------------------
@@ -418,11 +427,7 @@ impl<'a> Lower<'a> {
     fn unroll_for(&mut self, stmt: &Stmt, inline_ret: Option<&InlineRet>) {
         let Stmt::For { init, cond, step, body, span } = stmt else { unreachable!() };
         // The unrollable shape: `for (<decl> iv = C0; <iv-only cond>; <iv step>)`.
-        let Some(init) = init else {
-            self.error("E0306", "cannot unroll a `for` without an init clause".into(), *span);
-            return;
-        };
-        let Stmt::Decl(ivdecl) = init.as_ref() else {
+        let Some(Stmt::Decl(ivdecl)) = init.as_deref() else {
             self.error(
                 "E0306",
                 "unrollable loops must declare their induction variable in the init clause".into(),
@@ -431,41 +436,36 @@ impl<'a> Lower<'a> {
             return;
         };
         let iv = ivdecl.name;
-        let iv_ty = match &ivdecl.ty {
-            ast::TypeExpr::Auto => Ty::I32,
-            other => Ty::from_type_expr(other).unwrap_or(Ty::I32),
-        };
-        let Some(Init::Expr(e0)) = &ivdecl.init else {
-            self.error("E0306", "induction variable requires a constant initializer".into(), *span);
+        let Resolution::Local { ty: iv_ty, .. } = *self.analysis.resolution(ivdecl.id) else {
+            self.unresolved("induction variable", ivdecl.span);
             return;
         };
-        let Some(mut ivval) = try_eval(e0) else {
-            self.error("E0306", "induction variable initializer is not constant".into(), *span);
+        let Some(mut ivval) = ivdecl.init.as_ref().and_then(|i| match i {
+            Init::Expr(e) => try_eval(e),
+            Init::List(..) => None,
+        }) else {
+            self.error("E0306", "induction variable requires a constant initializer".into(), *span);
             return;
         };
 
         let exit = self.builder.new_block();
         let mut iterations = 0u64;
         loop {
-            let cont = match cond {
-                Some(c) => match try_eval_with(c, Some((iv, ivval))) {
-                    Some(x) => x != 0,
-                    None => {
-                        self.error(
-                            "E0306",
-                            "loop condition does not depend only on the induction variable and constants; cannot fully unroll (§V-D)".into(),
-                            c.span,
-                        );
-                        break;
-                    }
-                },
+            let Some(c) = cond else {
+                self.error("E0306", "unbounded loop cannot be unrolled".into(), *span);
+                break;
+            };
+            match try_eval_with(c, Some((iv, ivval))) {
+                Some(0) => break,
+                Some(_) => {}
                 None => {
-                    self.error("E0306", "unbounded loop cannot be unrolled".into(), *span);
+                    self.error(
+                        "E0306",
+                        "loop condition does not depend only on the induction variable and constants; cannot fully unroll (§V-D)".into(),
+                        c.span,
+                    );
                     break;
                 }
-            };
-            if !cont {
-                break;
             }
             iterations += 1;
             if iterations > MAX_UNROLL {
@@ -478,41 +478,25 @@ impl<'a> Lower<'a> {
             }
             // Body with iv bound to the constant.
             let next_bb = self.builder.new_block();
-            self.scopes.push(HashMap::new());
-            self.scopes
-                .last_mut()
-                .unwrap()
-                .insert(iv, Binding::Const { value: iv_ty.wrap(ivval), ty: iv_ty });
+            let mark = self.bindings.len();
+            self.bind(iv, Binding::Const(iv_ty.wrap(ivval), iv_ty));
             self.loop_stack.push(LoopCtx { break_to: exit, continue_to: next_bb });
-            for s in &body.stmts {
-                self.stmt(s, inline_ret);
-                if self.builder.is_terminated() {
-                    break;
-                }
-            }
+            self.stmts(&body.stmts, inline_ret);
             self.loop_stack.pop();
-            self.scopes.pop();
+            self.bindings.truncate(mark);
             self.builder.branch_if_open(next_bb);
             self.builder.switch_to(next_bb);
-            // Step.
-            match step {
-                Some(s) => match step_value(s, iv, ivval) {
-                    Some(next) => ivval = next,
-                    None => {
-                        self.error(
-                            "E0306",
-                            "loop step must be `++i`, `i++`, `i += C`, `i -= C`, or `i = i + C`"
-                                .into(),
-                            s.span,
-                        );
-                        break;
-                    }
-                },
+            let Some(s) = step else {
+                self.error("E0306", "loop without a step clause cannot be unrolled".into(), *span);
+                break;
+            };
+            match step_value(s, iv, ivval) {
+                Some(next) => ivval = next,
                 None => {
                     self.error(
                         "E0306",
-                        "loop without a step clause cannot be unrolled".into(),
-                        *span,
+                        "loop step must be `++i`, `i++`, `i += C`, `i -= C`, or `i = i + C`".into(),
+                        s.span,
                     );
                     break;
                 }
@@ -527,12 +511,15 @@ impl<'a> Lower<'a> {
     /// Lowers `e` as a boolean branch condition (`i1`).
     fn condition(&mut self, e: &Expr) -> Operand {
         let (op, ty) = self.expr(e);
-        match ty {
-            Ty::Bool => op,
-            _ => {
-                let w = ir_value_ty(ty);
-                self.builder.icmp(IcmpPred::Ne, op, Operand::imm(0, w))
-            }
+        self.truth(op, ty)
+    }
+
+    /// `op != 0` as an `i1`; a bool already is one.
+    fn truth(&mut self, op: Operand, ty: Ty) -> Operand {
+        if ty == Ty::Bool {
+            op
+        } else {
+            self.builder.icmp(IcmpPred::Ne, op, Operand::imm(0, ir_value_ty(ty)))
         }
     }
 
@@ -546,94 +533,66 @@ impl<'a> Lower<'a> {
         if tt.bits < ft.bits {
             self.builder.cast(CastKind::Trunc, op, ft, tt)
         } else {
-            let signed = matches!(from, Ty::Int { signed: true, .. });
-            let kind = if signed { CastKind::Sext } else { CastKind::Zext };
+            let kind = if signed(from) { CastKind::Sext } else { CastKind::Zext };
             self.builder.cast(kind, op, ft, tt)
         }
     }
 
     fn expr(&mut self, e: &Expr) -> (Operand, Ty) {
-        let result_ty = self.sema_ty(e);
         match &e.kind {
-            ExprKind::Int(v) => (Operand::imm(*v, ir_value_ty(result_ty)), result_ty),
+            ExprKind::Int(v) => {
+                let ty = self.ty(e);
+                (Operand::imm(*v, ir_value_ty(ty)), ty)
+            }
             ExprKind::Char(c) => (Operand::imm(*c as u64, IrTy::I8), Ty::U8),
             ExprKind::Bool(b) => (Operand::imm(*b as u64, IrTy::I1), Ty::Bool),
             ExprKind::Ident(_) | ExprKind::Index(..) | ExprKind::Unary(UnOp::Deref, _) => {
                 match self.place(e) {
-                    Some(PlaceOrConst::Const(v, ty)) => (Operand::imm(v, ir_value_ty(ty)), ty),
-                    Some(PlaceOrConst::Place(p)) => {
+                    Some(Binding::Const(v, ty)) => (Operand::imm(v, ir_value_ty(ty)), ty),
+                    Some(Binding::Place(p)) => {
                         let ty = p.ty();
-                        let v = self.load_place(&p);
-                        // Storage bool → value i1.
-                        let v = if ty == Ty::Bool {
-                            self.builder.icmp(IcmpPred::Ne, v, Operand::imm(0, IrTy::I8))
-                        } else {
-                            v
-                        };
-                        (v, ty)
+                        let v = self.load_place(p);
+                        (self.coerce_from_storage(v, ty), ty)
                     }
-                    None => (Operand::imm(0, IrTy::I32), Ty::I32),
+                    None => POISON,
                 }
             }
-            ExprKind::Member(base, field) => {
-                // device.id / device.kind / msg.* (unless shadowed — sema
-                // guarantees they weren't).
-                if let ExprKind::Ident(b) = &base.kind {
-                    let bn = self.name(*b).to_string();
-                    let fname = self.name(*field).to_string();
-                    match (bn.as_str(), fname.as_str()) {
-                        ("device", "id") => {
-                            return (Operand::imm(self.device as u64, IrTy::I16), Ty::U16)
-                        }
-                        ("device", "kind") => return (Operand::imm(1, IrTy::I8), Ty::U8),
-                        ("msg", f) => {
-                            let field = match f {
-                                "src" => MsgField::Src,
-                                "dst" => MsgField::Dst,
-                                "from" => MsgField::From,
-                                _ => MsgField::To,
-                            };
-                            let v =
-                                self.builder.emit(InstKind::MsgField { field }, IrTy::I16).unwrap();
-                            return (Operand::Value(v), Ty::U16);
-                        }
-                        _ => {}
+            ExprKind::Member(..) => {
+                let Resolution::Member(member) = *self.analysis.resolution(e.id) else {
+                    return self.unresolved("member", e.span);
+                };
+                let ty = self.ty(e);
+                let field = match member {
+                    Member::DeviceId => {
+                        return (Operand::imm(self.device as u64, ir_value_ty(ty)), ty)
                     }
-                }
-                (Operand::imm(0, IrTy::I32), Ty::I32)
+                    Member::DeviceKind => return (Operand::imm(1, ir_value_ty(ty)), ty),
+                    Member::MsgSrc => MsgField::Src,
+                    Member::MsgDst => MsgField::Dst,
+                    Member::MsgFrom => MsgField::From,
+                    Member::MsgTo => MsgField::To,
+                };
+                (self.value(InstKind::MsgField { field }, ir_value_ty(ty)), ty)
             }
-            ExprKind::Unary(op, inner) => {
+            ExprKind::Unary(op @ (UnOp::Neg | UnOp::BitNot), inner) => {
                 let (iv, it) = self.expr(inner);
-                match op {
-                    UnOp::Neg => {
-                        let t = it.promote();
-                        let v = self.coerce(iv, it, t);
-                        let w = ir_value_ty(t);
-                        (self.builder.bin(IrBinOp::Sub, Operand::imm(0, w), v, w), t)
-                    }
-                    UnOp::BitNot => {
-                        let t = it.promote();
-                        let v = self.coerce(iv, it, t);
-                        let w = ir_value_ty(t);
-                        (self.builder.bin(IrBinOp::Xor, v, Operand::imm(w.mask(), w), w), t)
-                    }
-                    UnOp::Not => {
-                        let c = if it == Ty::Bool {
-                            iv
-                        } else {
-                            self.builder.icmp(IcmpPred::Ne, iv, Operand::imm(0, ir_value_ty(it)))
-                        };
-                        (
-                            self.builder.bin(IrBinOp::Xor, c, Operand::imm(1, IrTy::I1), IrTy::I1),
-                            Ty::Bool,
-                        )
-                    }
-                    UnOp::AddrOf | UnOp::Deref => (iv, it), // Deref handled in place path
-                }
+                let t = it.promote();
+                let v = self.coerce(iv, it, t);
+                let w = ir_value_ty(t);
+                let v = match op {
+                    UnOp::Neg => self.builder.bin(IrBinOp::Sub, Operand::imm(0, w), v, w),
+                    _ => self.builder.bin(IrBinOp::Xor, v, Operand::imm(w.mask(), w), w),
+                };
+                (v, t)
             }
-            ExprKind::Binary(op, a, b) => self.binary(*op, a, b, result_ty),
+            ExprKind::Unary(UnOp::Not, inner) => {
+                let (iv, it) = self.expr(inner);
+                let c = self.truth(iv, it);
+                (self.builder.bin(IrBinOp::Xor, c, Operand::imm(1, IrTy::I1), IrTy::I1), Ty::Bool)
+            }
+            ExprKind::Binary(op, a, b) => self.binary(e, *op, a, b),
             ExprKind::Assign { op, target, value } => {
-                let tty = self.sema_ty(target);
+                let tty = self.ty(target);
                 let rhs = match op {
                     None => {
                         let (v, vt) = self.expr(value);
@@ -650,224 +609,116 @@ impl<'a> Lower<'a> {
                         self.coerce(res, common, tty)
                     }
                 };
-                if let Some(PlaceOrConst::Place(p)) = self.place(target) {
-                    self.store_place(&p, rhs, tty);
-                } else {
-                    self.error("E0202", "cannot assign to this expression".into(), target.span);
-                }
+                self.store_to(target, rhs, tty);
                 (rhs, tty)
             }
-            ExprKind::Ternary(c, a, b) => {
-                if result_ty == Ty::Action || result_ty == Ty::Void {
-                    // Handled by lower_action_expr via Return; reaching here
-                    // means a void ternary statement — lower as if/else.
-                    let cond = self.condition(c);
-                    let then_bb = self.builder.new_block();
-                    let else_bb = self.builder.new_block();
-                    let join = self.builder.new_block();
-                    self.builder.terminate(Terminator::CondBr { cond, then_bb, else_bb });
-                    self.builder.switch_to(then_bb);
-                    self.expr(a);
-                    self.builder.branch_if_open(join);
-                    self.builder.switch_to(else_bb);
-                    self.expr(b);
-                    self.builder.branch_if_open(join);
-                    self.builder.switch_to(join);
-                    return (Operand::imm(0, IrTy::I32), Ty::Void);
-                }
-                if self.select_safe(a) && self.select_safe(b) {
-                    let cond = self.condition(c);
-                    let (av, at) = self.expr(a);
-                    let (bv, bt) = self.expr(b);
-                    let av = self.coerce(av, at, result_ty);
-                    let bv = self.coerce(bv, bt, result_ty);
-                    let w = ir_value_ty(result_ty);
-                    let v = self.builder.emit(InstKind::Select { cond, a: av, b: bv }, w).unwrap();
-                    (Operand::Value(v), result_ty)
-                } else {
-                    // Side effects: branch + temp slot (mem2reg rebuilds SSA).
-                    let slot = self.builder.add_local("ternary", ir_storage_ty(result_ty), 1);
-                    let cond = self.condition(c);
-                    let then_bb = self.builder.new_block();
-                    let else_bb = self.builder.new_block();
-                    let join = self.builder.new_block();
-                    self.builder.terminate(Terminator::CondBr { cond, then_bb, else_bb });
-                    let i0 = Operand::imm(0, IrTy::I32);
-                    self.builder.switch_to(then_bb);
-                    let (av, at) = self.expr(a);
-                    let av = self.coerce(av, at, result_ty);
-                    let av = self.coerce_to_storage(av, result_ty);
-                    self.builder.emit(
-                        InstKind::LocalStore { slot, index: i0, value: av },
-                        ir_storage_ty(result_ty),
-                    );
-                    self.builder.branch_if_open(join);
-                    self.builder.switch_to(else_bb);
-                    let (bv, bt) = self.expr(b);
-                    let bv = self.coerce(bv, bt, result_ty);
-                    let bv = self.coerce_to_storage(bv, result_ty);
-                    self.builder.emit(
-                        InstKind::LocalStore { slot, index: i0, value: bv },
-                        ir_storage_ty(result_ty),
-                    );
-                    self.builder.branch_if_open(join);
-                    self.builder.switch_to(join);
-                    let v = self
-                        .builder
-                        .emit(InstKind::LocalLoad { slot, index: i0 }, ir_storage_ty(result_ty))
-                        .unwrap();
-                    let v = self.coerce_from_storage(Operand::Value(v), result_ty);
-                    (v, result_ty)
-                }
-            }
-            ExprKind::Call { callee, args } => self.call(e, callee, args, result_ty),
-            ExprKind::Cast(te, inner) => {
-                let to = Ty::from_type_expr(te).unwrap_or(Ty::I32);
+            ExprKind::Ternary(c, a, b) => self.ternary(e, c, a, b),
+            ExprKind::Call { callee, args } => self.call(e, callee, args),
+            ExprKind::Cast(_, inner) => {
+                let to = self.ty(e);
                 let (v, vt) = self.expr(inner);
                 (self.coerce(v, vt, to), to)
             }
             ExprKind::IncDec { inc, postfix, expr } => {
-                let ty = self.sema_ty(expr);
+                let ty = self.ty(expr);
                 let (old, _) = self.expr(expr);
                 let w = ir_value_ty(ty);
                 let op = if *inc { IrBinOp::Add } else { IrBinOp::Sub };
                 let new = self.builder.bin(op, old, Operand::imm(1, w), w);
-                if let Some(PlaceOrConst::Place(p)) = self.place(expr) {
-                    self.store_place(&p, new, ty);
-                }
+                self.store_to(expr, new, ty);
                 (if *postfix { old } else { new }, ty)
             }
-            ExprKind::Sizeof(te) => {
-                let sz = Ty::from_type_expr(te).map(|t| t.size_bytes()).unwrap_or(4);
-                (Operand::imm(sz as u64, IrTy::I32), Ty::U32)
+            ExprKind::Sizeof(_) => match *self.analysis.resolution(e.id) {
+                Resolution::SizeOf(t) => (Operand::imm(t.size_bytes() as u64, IrTy::I32), Ty::U32),
+                _ => self.unresolved("`sizeof`", e.span),
+            },
+            ExprKind::Unary(UnOp::AddrOf, _) | ExprKind::Path { .. } | ExprKind::Error => {
+                self.unresolved("expression", e.span)
             }
-            ExprKind::Path { .. } => (Operand::imm(0, IrTy::I32), Ty::I32),
-            ExprKind::Error => (Operand::imm(0, IrTy::I32), Ty::I32),
         }
     }
 
-    fn binary(&mut self, op: BinOp, a: &Expr, b: &Expr, result_ty: Ty) -> (Operand, Ty) {
+    fn binary(&mut self, e: &Expr, op: BinOp, a: &Expr, b: &Expr) -> (Operand, Ty) {
         let (av, at) = self.expr(a);
         let (bv, bt) = self.expr(b);
+        if matches!(op, BinOp::LogicalAnd | BinOp::LogicalOr) {
+            // Non-short-circuit evaluation: device expressions are
+            // effect-free in practice and P4 evaluates eagerly too.
+            let (ac, bc) = (self.truth(av, at), self.truth(bv, bt));
+            let ir_op = if op == BinOp::LogicalAnd { IrBinOp::And } else { IrBinOp::Or };
+            return (self.builder.bin(ir_op, ac, bc, IrTy::I1), Ty::Bool);
+        }
+        // A comparison is made in its operands' common type; arithmetic is
+        // done in its own type.
+        let common = if op.is_comparison() { Ty::unify_arith(at, bt) } else { self.ty(e) };
+        let al = self.coerce(av, at, common);
+        let bl = self.coerce(bv, bt, common);
         if op.is_comparison() {
-            match op {
-                BinOp::LogicalAnd | BinOp::LogicalOr => {
-                    // Non-short-circuit evaluation: device expressions are
-                    // effect-free in practice and P4 evaluates eagerly too.
-                    let ac = if at == Ty::Bool {
-                        av
-                    } else {
-                        self.builder.icmp(IcmpPred::Ne, av, Operand::imm(0, ir_value_ty(at)))
-                    };
-                    let bc = if bt == Ty::Bool {
-                        bv
-                    } else {
-                        self.builder.icmp(IcmpPred::Ne, bv, Operand::imm(0, ir_value_ty(bt)))
-                    };
-                    let ir_op = if op == BinOp::LogicalAnd { IrBinOp::And } else { IrBinOp::Or };
-                    (self.builder.bin(ir_op, ac, bc, IrTy::I1), Ty::Bool)
-                }
-                _ => {
-                    let common = Ty::unify_arith(at, bt);
-                    let al = self.coerce(av, at, common);
-                    let bl = self.coerce(bv, bt, common);
-                    let signed = matches!(common, Ty::Int { signed: true, .. });
-                    let pred = match op {
-                        BinOp::Eq => IcmpPred::Eq,
-                        BinOp::Ne => IcmpPred::Ne,
-                        BinOp::Lt => {
-                            if signed {
-                                IcmpPred::Slt
-                            } else {
-                                IcmpPred::Ult
-                            }
-                        }
-                        BinOp::Le => {
-                            if signed {
-                                IcmpPred::Sle
-                            } else {
-                                IcmpPred::Ule
-                            }
-                        }
-                        BinOp::Gt => {
-                            if signed {
-                                IcmpPred::Sgt
-                            } else {
-                                IcmpPred::Ugt
-                            }
-                        }
-                        BinOp::Ge => {
-                            if signed {
-                                IcmpPred::Sge
-                            } else {
-                                IcmpPred::Uge
-                            }
-                        }
-                        _ => unreachable!(),
-                    };
-                    (self.builder.icmp(pred, al, bl), Ty::Bool)
-                }
-            }
+            (self.builder.icmp(icmp_pred(op, common), al, bl), Ty::Bool)
         } else {
-            let common = if result_ty.is_arith() { result_ty } else { Ty::unify_arith(at, bt) };
-            let al = self.coerce(av, at, common);
-            let bl = self.coerce(bv, bt, common);
             let w = ir_value_ty(common);
             (self.builder.bin(bin_ir_op(op, common), al, bl, w), common)
         }
     }
 
+    fn ternary(&mut self, e: &Expr, c: &Expr, a: &Expr, b: &Expr) -> (Operand, Ty) {
+        let ty = self.ty(e);
+        if ty == Ty::Action || ty == Ty::Void {
+            // Action ternaries are kernel returns (`lower_action_expr`);
+            // this is a void ternary statement: an if / else.
+            let cond = self.condition(c);
+            self.branch(
+                cond,
+                |this| {
+                    this.expr(a);
+                },
+                |this| {
+                    this.expr(b);
+                },
+            );
+            return (ZERO, Ty::Void);
+        }
+        if self.select_safe(a) && self.select_safe(b) {
+            let cond = self.condition(c);
+            let (av, at) = self.expr(a);
+            let (bv, bt) = self.expr(b);
+            let av = self.coerce(av, at, ty);
+            let bv = self.coerce(bv, bt, ty);
+            return (self.value(InstKind::Select { cond, a: av, b: bv }, ir_value_ty(ty)), ty);
+        }
+        // Side effects: branch + temp slot (mem2reg rebuilds SSA).
+        let slot = self.builder.add_local("ternary", ir_storage_ty(ty), 1);
+        let cond = self.condition(c);
+        let arm = |this: &mut Self, e: &Expr| {
+            let (v, vt) = this.expr(e);
+            let v = this.coerce(v, vt, ty);
+            let value = this.coerce_to_storage(v, ty);
+            this.builder.emit(InstKind::LocalStore { slot, index: ZERO, value }, ir_storage_ty(ty));
+        };
+        self.branch(cond, |this| arm(this, a), |this| arm(this, b));
+        let v = self.value(InstKind::LocalLoad { slot, index: ZERO }, ir_storage_ty(ty));
+        (self.coerce_from_storage(v, ty), ty)
+    }
+
     // ---- calls -----------------------------------------------------------
 
-    fn resolve_builtin(&self, callee: &Expr) -> Option<Builtin> {
-        let ExprKind::Path { segments, targs } = &callee.kind else { return None };
-        let segs: Vec<&str> = segments.iter().map(|s| self.name(*s)).collect();
-        let widths: Vec<u64> = targs
-            .iter()
-            .map(|t| match t {
-                ast::TemplateArg::Const(c) => *c,
-                ast::TemplateArg::Type(te) => {
-                    Ty::from_type_expr(te).map(|t| t.bits() as u64).unwrap_or(32)
-                }
-            })
-            .collect();
-        builtins::resolve(&segs, &widths).ok()
+    fn call(&mut self, e: &Expr, callee: &Expr, args: &[Expr]) -> (Operand, Ty) {
+        let analysis = self.analysis;
+        match analysis.resolution(callee.id) {
+            Resolution::Builtin(b) => self.builtin_call(e, b, args),
+            Resolution::NetFn(f) => self.inline_net_fn(*f, args, e.span),
+            _ => self.unresolved("callee", callee.span),
+        }
     }
 
-    fn call(&mut self, e: &Expr, callee: &Expr, args: &[Expr], result_ty: Ty) -> (Operand, Ty) {
-        if let Some(b) = self.resolve_builtin(callee) {
-            return self.builtin_call(e, &b, args, result_ty);
-        }
-        if let ExprKind::Ident(name) = &callee.kind {
-            let n = self.name(*name).to_string();
-            if let Some(idx) = self.analysis.model.net_fns.iter().position(|f| f.name == n) {
-                return self.inline_net_fn(idx, args, e.span);
-            }
-        }
-        (Operand::imm(0, IrTy::I32), Ty::I32)
-    }
-
-    fn builtin_call(
-        &mut self,
-        e: &Expr,
-        b: &Builtin,
-        args: &[Expr],
-        result_ty: Ty,
-    ) -> (Operand, Ty) {
+    fn builtin_call(&mut self, e: &Expr, b: &Builtin, args: &[Expr]) -> (Operand, Ty) {
         match b {
+            // Sema rejects actions outside kernel returns.
             Builtin::Action(_) => {
-                // Actions reaching expression position outside `return` were
-                // rejected by sema; emit a pass-through zero.
-                self.error("E0204", "action used outside a kernel return".into(), e.span);
-                (Operand::imm(0, IrTy::I32), Ty::I32)
+                self.error("E0204", "action used outside a kernel return".into(), e.span)
             }
             Builtin::Atomic(op) => {
-                let Some(place) = self.atomic_place(&args[0]) else {
-                    return (Operand::imm(0, IrTy::I32), result_ty);
-                };
-                let Place::Global { mem, indices, ty: elem } = place else {
-                    return (Operand::imm(0, IrTy::I32), result_ty);
-                };
+                let Some((mem, elem)) = self.global_place(&args[0]) else { return POISON };
                 let mut rest = &args[1..];
                 let cond = if op.cond {
                     let c = self.condition(&rest[0]);
@@ -876,33 +727,28 @@ impl<'a> Lower<'a> {
                 } else {
                     None
                 };
-                let mut operands = Vec::new();
-                for a in rest {
-                    let (v, vt) = self.expr(a);
-                    operands.push(self.coerce(v, vt, elem));
-                }
-                let v = self
-                    .builder
-                    .emit(
-                        InstKind::AtomicRmw {
-                            op: *op,
-                            mem: MemRef { mem, indices },
-                            cond,
-                            operands,
-                        },
-                        ir_storage_ty(elem),
-                    )
-                    .unwrap();
-                (Operand::Value(v), elem)
+                let operands = rest
+                    .iter()
+                    .map(|a| {
+                        let (v, vt) = self.expr(a);
+                        self.coerce(v, vt, elem)
+                    })
+                    .collect();
+                let kind = InstKind::AtomicRmw { op: *op, mem, cond, operands };
+                (self.value(kind, ir_storage_ty(elem)), elem)
             }
             Builtin::Lookup => {
-                let Some((mem, key_ty, val_ty)) = self.lookup_table(&args[0]) else {
-                    return (Operand::imm(0, IrTy::I1), Ty::Bool);
+                let Some((table, elem)) = self.global_place(&args[0]) else { return POISON };
+                let (key_ty, val_ty) = match elem {
+                    Ty::Kv { key, value } => (key.ty(), Some(value.ty())),
+                    Ty::Rv { range, value } => (range.ty(), Some(value.ty())),
+                    set => (set, None),
                 };
                 let (kv, kt) = self.expr(&args[1]);
                 let key = self.coerce(kv, kt, key_ty);
-                let (hit, value) =
-                    self.builder.emit_lookup(mem, key, ir_storage_ty(val_ty.unwrap_or(Ty::U32)));
+                // A membership set has no value; its unused result is 32 bits.
+                let value_ty = val_ty.map_or(IrTy::I32, ir_storage_ty);
+                let (hit, value) = self.builder.emit_lookup(table.mem, key, value_ty);
                 // Conditional out-write: the destination keeps its value on a
                 // miss (§V-B example: `lookup(b, 21, y); // false, y = 42`).
                 if let (Some(out), Some(vt)) = (args.get(2), val_ty) {
@@ -914,9 +760,7 @@ impl<'a> Lower<'a> {
                         else_bb: join,
                     });
                     self.builder.switch_to(store_bb);
-                    if let Some(PlaceOrConst::Place(p)) = self.place(out) {
-                        self.store_place(&p, Operand::Value(value), vt);
-                    }
+                    self.store_to(out, Operand::Value(value), vt);
                     self.builder.branch_if_open(join);
                     self.builder.switch_to(join);
                 }
@@ -924,37 +768,23 @@ impl<'a> Lower<'a> {
             }
             Builtin::Hash(kind, bits) => {
                 let (v, _) = self.expr(&args[0]);
-                let out_ty = result_ty;
-                let h = self
-                    .builder
-                    .emit(InstKind::Hash { kind: *kind, bits: *bits, a: v }, ir_value_ty(out_ty))
-                    .unwrap();
-                (Operand::Value(h), out_ty)
+                let ty = self.ty(e);
+                let kind = InstKind::Hash { kind: *kind, bits: *bits, a: v };
+                (self.value(kind, ir_value_ty(ty)), ty)
             }
             Builtin::SAdd | Builtin::SSub | Builtin::Min | Builtin::Max => {
                 let (av, at) = self.expr(&args[0]);
                 let (bv, bt) = self.expr(&args[1]);
-                let common = Ty::unify_arith(at, bt);
+                let common = self.ty(e);
                 let al = self.coerce(av, at, common);
                 let bl = self.coerce(bv, bt, common);
-                let signed = matches!(common, Ty::Int { signed: true, .. });
-                let op = match b {
-                    Builtin::SAdd => IrBinOp::UAddSat,
-                    Builtin::SSub => IrBinOp::USubSat,
-                    Builtin::Min => {
-                        if signed {
-                            IrBinOp::SMin
-                        } else {
-                            IrBinOp::UMin
-                        }
-                    }
-                    _ => {
-                        if signed {
-                            IrBinOp::SMax
-                        } else {
-                            IrBinOp::UMax
-                        }
-                    }
+                let op = match (b, signed(common)) {
+                    (Builtin::SAdd, _) => IrBinOp::UAddSat,
+                    (Builtin::SSub, _) => IrBinOp::USubSat,
+                    (Builtin::Min, true) => IrBinOp::SMin,
+                    (Builtin::Min, false) => IrBinOp::UMin,
+                    (_, true) => IrBinOp::SMax,
+                    (_, false) => IrBinOp::UMax,
                 };
                 (self.builder.bin(op, al, bl, ir_value_ty(common)), common)
             }
@@ -970,131 +800,90 @@ impl<'a> Lower<'a> {
             }
             Builtin::Bswap => {
                 let (v, vt) = self.expr(&args[0]);
-                let w = ir_value_ty(vt);
-                let r = self
-                    .builder
-                    .emit(InstKind::Un { op: netcl_ir::types::IrUnOp::Bswap, a: v }, w)
-                    .unwrap();
-                (Operand::Value(r), vt)
+                (self.value(InstKind::Un { op: IrUnOp::Bswap, a: v }, ir_value_ty(vt)), vt)
             }
             Builtin::Clz => {
-                let (v, vt) = self.expr(&args[0]);
-                let r = self
-                    .builder
-                    .emit(InstKind::Un { op: netcl_ir::types::IrUnOp::Clz, a: v }, IrTy::I8)
-                    .unwrap();
-                let _ = vt;
-                (Operand::Value(r), Ty::U8)
+                let (v, _) = self.expr(&args[0]);
+                (self.value(InstKind::Un { op: IrUnOp::Clz, a: v }, IrTy::I8), Ty::U8)
             }
-            Builtin::Rand(bits) => {
-                let ty = Ty::Int { bits: (*bits).max(8), signed: false };
-                let r = self.builder.emit(InstKind::Rand, ir_value_ty(ty)).unwrap();
-                (Operand::Value(r), ty)
+            Builtin::Rand(_) => {
+                let ty = self.ty(e);
+                (self.value(InstKind::Rand, ir_value_ty(ty)), ty)
             }
             Builtin::TargetIntrinsic { target, name } => {
-                let mut ops = Vec::new();
-                for a in args {
-                    let (v, _) = self.expr(a);
-                    ops.push(v);
-                }
-                let r = self
-                    .builder
-                    .emit(
-                        InstKind::Intrinsic {
-                            target: target.clone(),
-                            name: name.clone(),
-                            args: ops,
-                        },
-                        IrTy::I32,
-                    )
-                    .unwrap();
-                (Operand::Value(r), Ty::U32)
+                let args = args.iter().map(|a| self.expr(a).0).collect();
+                let kind = InstKind::Intrinsic { target: target.clone(), name: name.clone(), args };
+                (self.value(kind, IrTy::I32), Ty::U32)
             }
         }
     }
 
     fn inline_net_fn(&mut self, idx: usize, args: &[Expr], span: Span) -> (Operand, Ty) {
         if self.inline_depth > 16 {
-            self.error("E0217", "net function inlining too deep (recursion?)".into(), span);
-            return (Operand::imm(0, IrTy::I32), Ty::I32);
+            return self.error("E0217", "net function inlining too deep (recursion?)".into(), span);
         }
-        let info = self.analysis.model.net_fns[idx].clone();
-        let Item::Function(decl) = &self.unit.program.items[info.item_index] else {
-            return (Operand::imm(0, IrTy::I32), Ty::I32);
+        let (analysis, unit) = (self.analysis, self.unit);
+        let info = &analysis.model.net_fns[idx];
+        let Item::Function(decl) = &unit.program.items[info.item_index] else {
+            return self.unresolved("net function", span);
         };
-        // Bind parameters.
-        let mut bindings: HashMap<Symbol, Binding> = HashMap::new();
+        // Bind parameters, evaluating the arguments in the caller's scope.
+        let mut params = Vec::with_capacity(args.len());
         for ((p, pi), arg) in decl.params.iter().zip(&info.params).zip(args) {
-            match pi.mode {
+            let place = match pi.mode {
                 PassMode::Value => {
                     let (v, vt) = self.expr(arg);
                     let v = self.coerce(v, vt, pi.ty);
-                    let v = self.coerce_to_storage(v, pi.ty);
-                    let slot = self.builder.add_local(&pi.name, ir_storage_ty(pi.ty), 1);
-                    self.builder.emit(
-                        InstKind::LocalStore { slot, index: Operand::imm(0, IrTy::I32), value: v },
-                        ir_storage_ty(pi.ty),
-                    );
-                    bindings.insert(p.name, Binding::Local { slot, ty: pi.ty });
+                    let value = self.coerce_to_storage(v, pi.ty);
+                    let ty = ir_storage_ty(pi.ty);
+                    let slot = self.builder.add_local(&pi.name, ty, 1);
+                    self.builder.emit(InstKind::LocalStore { slot, index: ZERO, value }, ty);
+                    Place::Local { slot, index: ZERO, ty: pi.ty, dims: &[] }
                 }
                 PassMode::Reference | PassMode::Pointer => match self.place(arg) {
-                    Some(PlaceOrConst::Place(place)) => {
-                        bindings.insert(p.name, Binding::Alias(place));
-                    }
+                    Some(Binding::Place(place)) => place,
                     _ => {
                         self.error(
                             "E0307",
                             format!("cannot pass this expression by reference to `{}`", info.name),
                             arg.span,
                         );
+                        continue;
                     }
                 },
-            }
+            };
+            params.push((p.name, Binding::Place(place)));
         }
         // Return slot and exit block.
-        let ret_slot = if info.ret != Ty::Void {
-            Some((
-                self.builder.add_local(&format!("{}.ret", info.name), ir_storage_ty(info.ret), 1),
-                info.ret,
-            ))
-        } else {
-            None
-        };
+        let ret_slot = (info.ret != Ty::Void).then(|| {
+            let name = format!("{}.ret", info.name);
+            (self.builder.add_local(&name, ir_storage_ty(info.ret), 1), info.ret)
+        });
         let exit = self.builder.new_block();
         let inline_ret = InlineRet { slot: ret_slot, exit };
 
-        // New scope stack fragment: only the bindings (net fns can't see
-        // caller locals).
-        let saved_scopes = std::mem::replace(&mut self.scopes, vec![bindings]);
+        // The body sees its parameters only: net functions cannot name the
+        // caller's locals.
+        let floor = std::mem::replace(&mut self.floor, self.bindings.len());
+        self.bindings.extend(params);
         let saved_loops = std::mem::take(&mut self.loop_stack);
         self.inline_depth += 1;
         if let Some(body) = &decl.body {
-            for s in &body.stmts {
-                self.stmt(s, Some(&inline_ret));
-                if self.builder.is_terminated() {
-                    break;
-                }
-            }
+            self.stmts(&body.stmts, Some(&inline_ret));
         }
         self.inline_depth -= 1;
-        self.scopes = saved_scopes;
+        self.bindings.truncate(self.floor);
+        self.floor = floor;
         self.loop_stack = saved_loops;
         self.builder.branch_if_open(exit);
         self.builder.switch_to(exit);
 
         match ret_slot {
             Some((slot, ty)) => {
-                let v = self
-                    .builder
-                    .emit(
-                        InstKind::LocalLoad { slot, index: Operand::imm(0, IrTy::I32) },
-                        ir_storage_ty(ty),
-                    )
-                    .unwrap();
-                let v = self.coerce_from_storage(Operand::Value(v), ty);
-                (v, ty)
+                let v = self.value(InstKind::LocalLoad { slot, index: ZERO }, ir_storage_ty(ty));
+                (self.coerce_from_storage(v, ty), ty)
             }
-            None => (Operand::imm(0, IrTy::I32), Ty::Void),
+            None => (ZERO, Ty::Void),
         }
     }
 
@@ -1104,18 +893,12 @@ impl<'a> Lower<'a> {
     /// stay mutually exclusive, so they must lower as branches, not as an
     /// eager select.
     fn select_safe(&self, e: &Expr) -> bool {
-        if !is_pure(e) {
-            return false;
-        }
-        !self.touches_global(e)
+        is_pure(e) && !self.touches_global(e)
     }
 
     fn touches_global(&self, e: &Expr) -> bool {
         match &e.kind {
-            ExprKind::Ident(name) => {
-                self.lookup_binding(*name).is_none()
-                    && self.global_ids.contains_key(self.name(*name))
-            }
+            ExprKind::Ident(_) => matches!(self.analysis.resolution(e.id), Resolution::Global(_)),
             ExprKind::Index(a, b) | ExprKind::Binary(_, a, b) => {
                 self.touches_global(a) || self.touches_global(b)
             }
@@ -1130,107 +913,92 @@ impl<'a> Lower<'a> {
 
     // ---- places ----------------------------------------------------------
 
-    fn atomic_place(&mut self, arg: &Expr) -> Option<Place> {
-        let inner = match &arg.kind {
+    /// The global memory an atomic's address (`&G[i]` or `G[i]`) or a
+    /// lookup's table names.
+    fn global_place(&mut self, e: &Expr) -> Option<(MemRef, Ty)> {
+        let e = match &e.kind {
             ExprKind::Unary(UnOp::AddrOf, inner) => inner,
-            _ => arg,
+            _ => e,
         };
-        match self.place(inner) {
-            Some(PlaceOrConst::Place(p)) => Some(p),
-            _ => None,
+        match self.place(e)? {
+            Binding::Place(Place::Global { mem, indices, ty }) => {
+                Some((MemRef { mem, indices }, ty))
+            }
+            _ => {
+                self.unresolved("global memory", e.span);
+                None
+            }
         }
     }
 
-    fn lookup_table(&mut self, arg: &Expr) -> Option<(MemId, Ty, Option<Ty>)> {
-        let ExprKind::Ident(name) = &arg.kind else { return None };
-        let n = self.name(*name).to_string();
-        let mem = *self.global_ids.get(&n)?;
-        let ginfo = self.analysis.model.global(&n)?;
-        Some(match ginfo.elem {
-            Ty::Kv { key, value } => (mem, key.ty(), Some(value.ty())),
-            Ty::Rv { range, value } => (mem, range.ty(), Some(value.ty())),
-            scalar => (mem, scalar, None),
-        })
-    }
-
-    fn place(&mut self, e: &Expr) -> Option<PlaceOrConst> {
-        match &e.kind {
-            ExprKind::Ident(name) => {
-                if let Some(binding) = self.lookup_binding(*name) {
-                    return Some(match binding {
-                        Binding::Const { value, ty } => PlaceOrConst::Const(value, ty),
-                        Binding::Local { slot, ty } => PlaceOrConst::Place(Place::Local {
-                            slot,
-                            index: Operand::imm(0, IrTy::I32),
-                            ty,
-                        }),
-                        Binding::ArgMsg { index, ty } => PlaceOrConst::Place(Place::ArgMsg {
-                            arg: index,
-                            index: Operand::imm(0, IrTy::I32),
-                            ty,
-                        }),
-                        Binding::Alias(p) => PlaceOrConst::Place(p),
-                    });
-                }
-                let n = self.name(*name).to_string();
-                let mem = *self.global_ids.get(&n)?;
-                let ginfo = self.analysis.model.global(&n)?;
-                Some(PlaceOrConst::Place(Place::Global {
-                    mem,
-                    indices: Vec::new(),
-                    ty: ginfo.elem,
-                }))
-            }
+    /// What the place expression `e` denotes; `None` once an error is
+    /// reported.
+    fn place(&mut self, e: &Expr) -> Option<Binding<'a>> {
+        let binding = match &e.kind {
+            ExprKind::Ident(name) => match *self.analysis.resolution(e.id) {
+                Resolution::Global(g) => self.mems[g].map(|mem| {
+                    let ty = self.analysis.model.globals[g].elem;
+                    Binding::Place(Place::Global { mem, indices: Vec::new(), ty })
+                }),
+                _ => self.binding(*name).cloned(),
+            },
             ExprKind::Index(base, idx) => {
                 let (iv, it) = self.expr(idx);
-                let iv32 = self.coerce(iv, it, Ty::U32);
-                let base_place = self.place(base)?;
-                match base_place {
-                    PlaceOrConst::Place(Place::Local { slot, ty, .. }) => {
-                        Some(PlaceOrConst::Place(Place::Local { slot, index: iv32, ty }))
-                    }
-                    PlaceOrConst::Place(Place::ArgMsg { arg, ty, .. }) => {
-                        Some(PlaceOrConst::Place(Place::ArgMsg { arg, index: iv32, ty }))
-                    }
-                    PlaceOrConst::Place(Place::Global { mem, mut indices, ty }) => {
-                        indices.push(iv32);
-                        Some(PlaceOrConst::Place(Place::Global { mem, indices, ty }))
-                    }
-                    PlaceOrConst::Const(..) => None,
+                let i = self.coerce(iv, it, Ty::U32);
+                match self.place(base)? {
+                    Binding::Place(p) => Some(Binding::Place(self.index(p, i))),
+                    Binding::Const(..) => None,
                 }
             }
-            ExprKind::Unary(UnOp::Deref, inner) => self.place(inner),
+            ExprKind::Unary(UnOp::Deref, inner) => return self.place(inner),
             _ => None,
+        };
+        if binding.is_none() {
+            self.unresolved("name", e.span);
+        }
+        binding
+    }
+
+    /// `p[i]`: a global gains an index; a local folds `i` into its flat
+    /// row-major element index.
+    fn index(&mut self, p: Place<'a>, i: Operand) -> Place<'a> {
+        match p {
+            Place::Local { slot, index, ty, dims } => {
+                let rest = dims.get(1..).unwrap_or_default();
+                let stride = rest.iter().product::<usize>() as u64;
+                let offset = match i.as_const() {
+                    _ if stride == 1 => i,
+                    Some(c) => Operand::imm(c.wrapping_mul(stride), IrTy::I32),
+                    None => {
+                        let stride = Operand::imm(stride, IrTy::I32);
+                        self.builder.bin(IrBinOp::Mul, i, stride, IrTy::I32)
+                    }
+                };
+                let index = match (index.as_const(), offset.as_const()) {
+                    (Some(0), _) => offset,
+                    (Some(a), Some(b)) => Operand::imm(a.wrapping_add(b), IrTy::I32),
+                    _ => self.builder.bin(IrBinOp::Add, index, offset, IrTy::I32),
+                };
+                Place::Local { slot, index, ty, dims: rest }
+            }
+            Place::ArgMsg { arg, ty, .. } => Place::ArgMsg { arg, index: i, ty },
+            Place::Global { mem, mut indices, ty } => {
+                indices.push(i);
+                Place::Global { mem, indices, ty }
+            }
         }
     }
 
-    fn load_place(&mut self, p: &Place) -> Operand {
-        match p {
-            Place::Local { slot, index, ty } => {
-                let v = self
-                    .builder
-                    .emit(InstKind::LocalLoad { slot: *slot, index: *index }, ir_storage_ty(*ty))
-                    .unwrap();
-                Operand::Value(v)
+    fn load_place(&mut self, p: Place) -> Operand {
+        let ty = ir_storage_ty(p.ty());
+        let kind = match p {
+            Place::Local { slot, index, .. } => InstKind::LocalLoad { slot, index },
+            Place::ArgMsg { arg, index, .. } => InstKind::ArgRead { arg, index },
+            Place::Global { mem, indices, .. } => {
+                InstKind::MemRead { mem: MemRef { mem, indices } }
             }
-            Place::ArgMsg { arg, index, ty } => {
-                let v = self
-                    .builder
-                    .emit(InstKind::ArgRead { arg: *arg, index: *index }, ir_storage_ty(*ty))
-                    .unwrap();
-                Operand::Value(v)
-            }
-            Place::Global { mem, indices, ty } => {
-                let v = self
-                    .builder
-                    .emit(
-                        InstKind::MemRead { mem: MemRef { mem: *mem, indices: indices.clone() } },
-                        ir_storage_ty(*ty),
-                    )
-                    .unwrap();
-                Operand::Value(v)
-            }
-        }
+        };
+        self.value(kind, ty)
     }
 
     /// Bool value (`i1`) widens to its 8-bit storage form before a store.
@@ -1251,78 +1019,65 @@ impl<'a> Lower<'a> {
         }
     }
 
-    fn store_place(&mut self, p: &Place, value: Operand, value_ty: Ty) {
-        let target_ty = p.ty();
-        let v = self.coerce(value, value_ty, target_ty);
-        let v = self.coerce_to_storage(v, target_ty);
-        match p {
-            Place::Local { slot, index, ty } => {
-                self.builder.emit(
-                    InstKind::LocalStore { slot: *slot, index: *index, value: v },
-                    ir_storage_ty(*ty),
-                );
+    /// Stores `value` (of type `value_ty`) to what `target` names.
+    fn store_to(&mut self, target: &Expr, value: Operand, value_ty: Ty) {
+        match self.place(target) {
+            Some(Binding::Place(p)) => self.store_place(p, value, value_ty),
+            Some(Binding::Const(..)) => {
+                let msg = "cannot assign to an unrolled loop's induction variable".into();
+                self.error("E0202", msg, target.span);
             }
-            Place::ArgMsg { arg, index, ty } => {
-                self.builder.emit(
-                    InstKind::ArgWrite { arg: *arg, index: *index, value: v },
-                    ir_storage_ty(*ty),
-                );
-            }
-            Place::Global { mem, indices, ty } => {
-                self.builder.emit(
-                    InstKind::MemWrite {
-                        mem: MemRef { mem: *mem, indices: indices.clone() },
-                        value: v,
-                    },
-                    ir_storage_ty(*ty),
-                );
-            }
+            None => {}
         }
+    }
+
+    fn store_place(&mut self, p: Place, value: Operand, value_ty: Ty) {
+        let ty = p.ty();
+        let v = self.coerce(value, value_ty, ty);
+        let value = self.coerce_to_storage(v, ty);
+        let kind = match p {
+            Place::Local { slot, index, .. } => InstKind::LocalStore { slot, index, value },
+            Place::ArgMsg { arg, index, .. } => InstKind::ArgWrite { arg, index, value },
+            Place::Global { mem, indices, .. } => {
+                InstKind::MemWrite { mem: MemRef { mem, indices }, value }
+            }
+        };
+        self.builder.emit(kind, ir_storage_ty(ty));
     }
 }
 
-enum PlaceOrConst {
-    Place(Place),
-    Const(u64, Ty),
-}
-
-struct InlineRet {
-    slot: Option<(LocalId, Ty)>,
-    exit: netcl_ir::BlockId,
+fn icmp_pred(op: BinOp, ty: Ty) -> IcmpPred {
+    match (op, signed(ty)) {
+        (BinOp::Eq, _) => IcmpPred::Eq,
+        (BinOp::Ne, _) => IcmpPred::Ne,
+        (BinOp::Lt, true) => IcmpPred::Slt,
+        (BinOp::Lt, false) => IcmpPred::Ult,
+        (BinOp::Le, true) => IcmpPred::Sle,
+        (BinOp::Le, false) => IcmpPred::Ule,
+        (BinOp::Gt, true) => IcmpPred::Sgt,
+        (BinOp::Gt, false) => IcmpPred::Ugt,
+        (BinOp::Ge, true) => IcmpPred::Sge,
+        (BinOp::Ge, false) => IcmpPred::Uge,
+        _ => unreachable!("`{}` is not a comparison", op.symbol()),
+    }
 }
 
 fn bin_ir_op(op: BinOp, ty: Ty) -> IrBinOp {
-    let signed = matches!(ty, Ty::Int { signed: true, .. });
-    match op {
-        BinOp::Add => IrBinOp::Add,
-        BinOp::Sub => IrBinOp::Sub,
-        BinOp::Mul => IrBinOp::Mul,
-        BinOp::Div => {
-            if signed {
-                IrBinOp::SDiv
-            } else {
-                IrBinOp::UDiv
-            }
-        }
-        BinOp::Rem => {
-            if signed {
-                IrBinOp::SRem
-            } else {
-                IrBinOp::URem
-            }
-        }
-        BinOp::And => IrBinOp::And,
-        BinOp::Or => IrBinOp::Or,
-        BinOp::Xor => IrBinOp::Xor,
-        BinOp::Shl => IrBinOp::Shl,
-        BinOp::Shr => {
-            if signed {
-                IrBinOp::AShr
-            } else {
-                IrBinOp::LShr
-            }
-        }
-        _ => IrBinOp::Add,
+    match (op, signed(ty)) {
+        (BinOp::Add, _) => IrBinOp::Add,
+        (BinOp::Sub, _) => IrBinOp::Sub,
+        (BinOp::Mul, _) => IrBinOp::Mul,
+        (BinOp::Div, true) => IrBinOp::SDiv,
+        (BinOp::Div, false) => IrBinOp::UDiv,
+        (BinOp::Rem, true) => IrBinOp::SRem,
+        (BinOp::Rem, false) => IrBinOp::URem,
+        (BinOp::And, _) => IrBinOp::And,
+        (BinOp::Or, _) => IrBinOp::Or,
+        (BinOp::Xor, _) => IrBinOp::Xor,
+        (BinOp::Shl, _) => IrBinOp::Shl,
+        (BinOp::Shr, true) => IrBinOp::AShr,
+        (BinOp::Shr, false) => IrBinOp::LShr,
+        _ => unreachable!("`{}` lowers to a comparison", op.symbol()),
     }
 }
 

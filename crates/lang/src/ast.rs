@@ -3,12 +3,14 @@
 //! The AST mirrors the paper's surface language closely: a translation unit
 //! is a list of global memory declarations and functions (kernels, net
 //! functions, and — on the host side — ordinary functions). Every node
-//! carries a [`Span`]; every expression carries a unique [`NodeId`] that
-//! semantic analysis keys its type table on.
+//! carries a [`Span`]; every expression and local declaration carries a
+//! [`NodeId`], numbered densely from 0, that semantic analysis indexes its
+//! per-node tables by.
 
 use netcl_util::{Span, Symbol};
 
-/// Unique identifier for an expression node within one translation unit.
+/// Identifier of an expression or local declaration within one translation
+/// unit: `0..Program::node_count`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
@@ -17,6 +19,8 @@ pub struct NodeId(pub u32);
 pub struct Program {
     /// Top-level declarations in source order.
     pub items: Vec<Item>,
+    /// How many [`NodeId`]s the parser handed out.
+    pub node_count: u32,
 }
 
 impl Program {
@@ -299,6 +303,8 @@ impl Stmt {
 /// A local variable declaration, possibly with array dimensions.
 #[derive(Debug, Clone)]
 pub struct LocalDecl {
+    /// Node ID (sema records the declared type and dimensions under it).
+    pub id: NodeId,
     /// Variable name.
     pub name: Symbol,
     /// Declared type (may be `auto`).

@@ -159,7 +159,7 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        Program { items }
+        Program { items, node_count: self.next_id }
     }
 
     fn parse_item(&mut self) -> Option<Item> {
@@ -691,7 +691,8 @@ impl<'a> Parser<'a> {
             }
         }
         self.expect(TokenKind::Semi);
-        Some(LocalDecl { name, ty, dims, init, span: start.to(self.prev_span()) })
+        let id = self.node_id();
+        Some(LocalDecl { id, name, ty, dims, init, span: start.to(self.prev_span()) })
     }
 
     // ---- expressions -----------------------------------------------------

@@ -91,15 +91,6 @@ impl LinkSpec {
         }
     }
 
-    /// Whether any fault distribution is active on this link.
-    pub fn faulty(&self) -> bool {
-        self.loss > 0.0
-            || self.duplicate > 0.0
-            || self.corrupt > 0.0
-            || self.reorder > 0.0
-            || self.jitter_ns > 0
-    }
-
     /// Time to put `bytes` on the wire plus propagation, saturating: a link
     /// that cannot serialize (`gbps` zero or denormal) delivers at `u64::MAX`,
     /// within no horizon. A NaN or negative `gbps` serializes in zero time.

@@ -62,21 +62,11 @@ pub struct PassFlags {
     pub duplicate_lookup: bool,
     /// Rewrite dynamic-operand relational `icmp`s to `sub` + MSB check.
     pub icmp_to_sub_msb: bool,
-    /// Place bitcast-like width changes on hash engines instead of ALUs.
-    pub bitcast_on_hash: bool,
-    /// Branch-distance threshold for the same-stage memory check.
-    pub distance_threshold: u32,
 }
 
 impl Default for PassFlags {
     fn default() -> Self {
-        PassFlags {
-            speculation: true,
-            duplicate_lookup: true,
-            icmp_to_sub_msb: true,
-            bitcast_on_hash: false,
-            distance_threshold: 10,
-        }
+        PassFlags { speculation: true, duplicate_lookup: true, icmp_to_sub_msb: true }
     }
 }
 
@@ -212,9 +202,7 @@ pub fn run_target_stage(
             rec.on_fn("fold", f, fold::fold_function);
             rec.on_fn("dce", f, dce::run_on_function);
         }
-        rec.on_module("memcheck", module, |m| {
-            memcheck::check_module(m, flags.distance_threshold, diags)
-        });
+        rec.on_module("memcheck", module, |m| memcheck::check_module(m, diags));
         if diags.has_errors() {
             return Err(());
         }

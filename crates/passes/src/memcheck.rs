@@ -24,15 +24,19 @@ use netcl_util::bitset::BitSet;
 use netcl_util::idx::Idx;
 use netcl_util::{DiagnosticSink, Span};
 
+/// How many conditional levels apart two mutually-exclusive accesses to one
+/// object may be and still share its stage.
+pub const DISTANCE_THRESHOLD: u32 = 10;
+
 /// Checks every kernel in the module; diagnostics `E0302` (multiple
 /// non-exclusive accesses), `E0303` (distance), `E0304` (order violation),
 /// each kind in object order.
-pub fn check_module(module: &mut Module, distance_threshold: u32, diags: &mut DiagnosticSink) {
+pub fn check_module(module: &mut Module, diags: &mut DiagnosticSink) {
     // Lookup tables after duplication have one access each and MATs are not
     // SALU-bound in the same way; register objects are what we check.
     let Module { globals, kernels, .. } = module;
     for f in kernels.iter_mut() {
-        check_function(f, globals, distance_threshold, diags);
+        check_function(f, globals, diags);
     }
 }
 
@@ -91,12 +95,7 @@ impl Reach {
     }
 }
 
-fn check_function(
-    f: &mut Function,
-    globals: &[GlobalDef],
-    distance_threshold: u32,
-    diags: &mut DiagnosticSink,
-) {
+fn check_function(f: &mut Function, globals: &[GlobalDef], diags: &mut DiagnosticSink) {
     let mut accesses = collect_accesses(f);
     let reach = Reach::new(f);
     let depth = min_branch_depth(f);
@@ -128,12 +127,12 @@ fn check_function(
         // Mutually exclusive: approximate-distance check.
         for (a, b) in pairs.filter(|pair| !same_path(pair)) {
             let dist = depth[a.block].abs_diff(depth[b.block]);
-            if dist > distance_threshold {
+            if dist > DISTANCE_THRESHOLD {
                 diags.error(
                     "E0303",
                     format!(
                         "kernel `{}`: mutually-exclusive accesses to `{}` are {dist} \
-                         conditional levels apart (threshold {distance_threshold}); they cannot \
+                         conditional levels apart (threshold {DISTANCE_THRESHOLD}); they cannot \
                          be placed on a single stage (§VI-B)",
                         f.name,
                         name()
@@ -308,9 +307,9 @@ mod tests {
         InstKind::MemRead { mem: MemRef { mem: MemId(mem), indices: vec![index] } }
     }
 
-    fn check(m: &mut Module, threshold: u32) -> DiagnosticSink {
+    fn check(m: &mut Module) -> DiagnosticSink {
         let mut d = DiagnosticSink::new();
-        check_module(m, threshold, &mut d);
+        check_module(m, &mut d);
         d
     }
 
@@ -340,7 +339,7 @@ mod tests {
             globals: vec![global("m")],
             kernels: vec![b.finish()],
         };
-        let d = check(&mut m, 4);
+        let d = check(&mut m);
         assert_eq!(reported(&d), [("E0302", vec!["m"])]);
     }
 
@@ -357,7 +356,7 @@ mod tests {
         let slice = GlobalDef { origin: Some(("bmp".into(), 1)), ..global("bmp__1") };
         let globals = vec![global("c"), global("a"), slice];
         let mut m = Module { name: "t".into(), device: 0, globals, kernels: vec![b.finish()] };
-        let d = check(&mut m, 4);
+        let d = check(&mut m);
         let want = [("E0302", vec!["c"]), ("E0302", vec!["a"]), ("E0302", vec!["bmp[1]"])];
         assert_eq!(reported(&d), want);
     }
@@ -381,7 +380,7 @@ mod tests {
             globals: vec![global("m")],
             kernels: vec![b.finish()],
         };
-        let d = check(&mut m, 4);
+        let d = check(&mut m);
         assert!(!d.has_errors(), "{:?}", d.diagnostics());
     }
 
@@ -394,7 +393,7 @@ mod tests {
         let mut deep = b.func.entry;
         // entry branches to shallow / d1; d1 → d2 … each is another level.
         let mut levels = Vec::new();
-        for _ in 0..6 {
+        for _ in 0..DISTANCE_THRESHOLD + 2 {
             let next = b.new_block();
             let other = b.new_block();
             b.switch_to(deep);
@@ -420,7 +419,7 @@ mod tests {
             globals: vec![global("m")],
             kernels: vec![b.finish()],
         };
-        let d = check(&mut m, 4);
+        let d = check(&mut m);
         assert_eq!(reported(&d), [("E0303", vec!["m"])]);
     }
 
@@ -446,7 +445,7 @@ mod tests {
             globals: vec![global("m1"), global("m2")],
             kernels: vec![b.finish()],
         };
-        let d = check(&mut m, 4);
+        let d = check(&mut m);
         assert!(!d.has_errors(), "{:?}", d.diagnostics());
         // The else block is now ordered m1 (g0) then m2 (g1).
         let mems: Vec<u32> = m.kernels[0].blocks[e]
@@ -481,7 +480,7 @@ mod tests {
             globals: vec![global("m1"), global("m2")],
             kernels: vec![b.finish()],
         };
-        let d = check(&mut m, 4);
+        let d = check(&mut m);
         assert_eq!(reported(&d), [("E0304", vec!["m1", "m2"])]);
     }
 
@@ -506,7 +505,7 @@ mod tests {
         b.terminate(Terminator::Ret(ActionRef::pass()));
         let globals = vec![global("a"), global("b"), global("c")];
         let mut m = Module { name: "t".into(), device: 0, globals, kernels: vec![b.finish()] };
-        let d = check(&mut m, 4);
+        let d = check(&mut m);
         assert_eq!(reported(&d), [("E0304", vec!["a", "c"]), ("E0304", vec!["b", "c"])]);
     }
 
@@ -532,7 +531,7 @@ mod tests {
             globals: vec![global("Bitmap__0"), global("Bitmap__1")],
             kernels: vec![b.finish()],
         };
-        let d = check(&mut m, 4);
+        let d = check(&mut m);
         assert!(!d.has_errors(), "{:?}", d.diagnostics());
     }
 }

@@ -5,6 +5,11 @@
 //! checking (type checking, lvalue/place analysis, action placement, lookup
 //! discipline, Eq. 1 / Eq. 2 placement and reference validity, and net
 //! function recursion detection).
+//!
+//! The checker is the only resolver: every type, every name that denotes
+//! global memory, every callee, `device` / `msg` member, `sizeof` operand
+//! and local declaration is decided here once and recorded per node in the
+//! [`Analysis`], which lowering reads.
 
 use std::collections::{HashMap, HashSet};
 
@@ -17,25 +22,104 @@ use crate::consteval::{eval_const_in, eval_dim, try_eval};
 use crate::model::*;
 use crate::types::Ty;
 
-/// The result of semantic analysis.
+/// The result of semantic analysis: the checked model, and per node the
+/// type sema gave it and what it resolved to. Both per-node tables are
+/// dense, indexed by the parser's [`NodeId`].
 #[derive(Debug, Default)]
 pub struct Analysis {
     /// The checked entity model.
     pub model: Model,
-    /// Resolved type of every expression node.
-    pub types: HashMap<NodeId, Ty>,
+    types: Vec<Option<Ty>>,
+    resolutions: Vec<Resolution>,
+}
+
+impl Analysis {
+    /// The type of expression `id`, if sema typed it.
+    pub fn ty(&self, id: NodeId) -> Option<Ty> {
+        self.types.get(id.0 as usize).copied().flatten()
+    }
+
+    /// What node `id` resolved to.
+    pub fn resolution(&self, id: NodeId) -> &Resolution {
+        self.resolutions.get(id.0 as usize).unwrap_or(&Resolution::None)
+    }
+}
+
+/// What sema resolved one node to.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Resolution {
+    /// Nothing to resolve: a literal, an operator, a use of a local.
+    None,
+    /// An identifier naming global memory: its index in [`Model::globals`].
+    Global(usize),
+    /// A callee naming an `ncl::` builtin.
+    Builtin(Builtin),
+    /// A callee naming a `_net_` function: its index in [`Model::net_fns`].
+    NetFn(usize),
+    /// A `device.*` or `msg.*` member.
+    Member(Member),
+    /// The operand type of a `sizeof`.
+    SizeOf(Ty),
+    /// A local declaration.
+    Local {
+        /// Element type.
+        ty: Ty,
+        /// Dimensions, outermost first (empty for a scalar).
+        dims: Vec<usize>,
+    },
+}
+
+/// A builtin member of `device` or `msg` (§V-A).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Member {
+    /// `device.id` — the device being compiled for.
+    DeviceId,
+    /// `device.kind`.
+    DeviceKind,
+    /// `msg.src`.
+    MsgSrc,
+    /// `msg.dst`.
+    MsgDst,
+    /// `msg.from` — the previous hop.
+    MsgFrom,
+    /// `msg.to`.
+    MsgTo,
+}
+
+impl Member {
+    fn named(base: &str, field: &str) -> Option<Member> {
+        Some(match (base, field) {
+            ("device", "id") => Member::DeviceId,
+            ("device", "kind") => Member::DeviceKind,
+            ("msg", "src") => Member::MsgSrc,
+            ("msg", "dst") => Member::MsgDst,
+            ("msg", "from") => Member::MsgFrom,
+            ("msg", "to") => Member::MsgTo,
+            _ => return None,
+        })
+    }
+
+    fn ty(self) -> Ty {
+        if self == Member::DeviceKind {
+            Ty::U8
+        } else {
+            Ty::U16
+        }
+    }
 }
 
 /// Analyzes a parsed unit. Diagnostics (including all errors) go to the
 /// returned sink; the analysis is best-effort under errors.
 pub fn analyze(unit: &ParsedUnit) -> (Analysis, DiagnosticSink) {
     let mut diags = DiagnosticSink::new();
+    let nodes = unit.program.node_count as usize;
     let mut checker = Checker {
         program: &unit.program,
         interner: &unit.interner,
         diags: &mut diags,
         model: Model::default(),
-        types: HashMap::new(),
+        types: vec![None; nodes],
+        resolutions: vec![Resolution::None; nodes],
         net_fn_calls: Vec::new(),
     };
     checker.collect_globals();
@@ -44,8 +128,8 @@ pub fn analyze(unit: &ParsedUnit) -> (Analysis, DiagnosticSink) {
     checker.check_spec_matching();
     checker.check_bodies();
     checker.check_recursion();
-    let analysis = Analysis { model: checker.model, types: checker.types };
-    (analysis, diags)
+    let Checker { model, types, resolutions, .. } = checker;
+    (Analysis { model, types, resolutions }, diags)
 }
 
 struct Checker<'a> {
@@ -53,7 +137,8 @@ struct Checker<'a> {
     interner: &'a Interner,
     diags: &'a mut DiagnosticSink,
     model: Model,
-    types: HashMap<NodeId, Ty>,
+    types: Vec<Option<Ty>>,
+    resolutions: Vec<Resolution>,
     /// (caller net-fn index, callee net-fn index) edges for cycle detection.
     net_fn_calls: Vec<(usize, usize)>,
 }
@@ -80,7 +165,8 @@ struct PlaceInfo {
 #[derive(Clone, Debug)]
 struct VarInfo {
     ty: Ty,
-    dims: Vec<usize>,
+    /// Number of array dimensions.
+    rank: usize,
     root: Root,
 }
 
@@ -101,8 +187,12 @@ impl<'a> FnCtx<'a> {
 }
 
 impl<'a> Checker<'a> {
-    fn name(&self, sym: Symbol) -> &str {
+    fn name(&self, sym: Symbol) -> &'a str {
         self.interner.resolve(sym)
+    }
+
+    fn resolve(&mut self, id: NodeId, resolution: Resolution) {
+        self.resolutions[id.0 as usize] = resolution;
     }
 
     // ---- declaration collection ---------------------------------------
@@ -638,19 +728,12 @@ impl<'a> Checker<'a> {
         };
         for p in &f.params {
             let ty = Ty::from_type_expr(&p.ty).filter(|t| t.is_arith()).unwrap_or(Ty::U32);
-            let count = p
-                .dims
-                .first()
-                .and_then(try_eval)
-                .or_else(|| if is_kernel { p.spec.as_ref().and_then(try_eval) } else { None })
-                .unwrap_or(1) as usize;
-            let (dims, root) = match p.mode {
-                PassMode::Value if !p.dims.is_empty() => (vec![count], Root::ParamValue),
-                PassMode::Value => (vec![], Root::ParamValue),
-                PassMode::Reference => (vec![], Root::ParamRef),
-                PassMode::Pointer => (vec![count], Root::ParamPtr),
+            let (rank, root) = match p.mode {
+                PassMode::Value => (p.dims.len().min(1), Root::ParamValue),
+                PassMode::Reference => (0, Root::ParamRef),
+                PassMode::Pointer => (1, Root::ParamPtr),
             };
-            ctx.scopes[0].insert(p.name, VarInfo { ty, dims, root });
+            ctx.scopes[0].insert(p.name, VarInfo { ty, rank, root });
         }
         // The function body shares the parameter scope (C semantics: a local
         // redeclaring a parameter is a redefinition error).
@@ -832,32 +915,42 @@ impl<'a> Checker<'a> {
                     }
                 }
                 Some(Init::List(items, span)) => {
+                    // One flat list, row-major (C brace elision).
+                    let elements: usize = dims.iter().product();
                     if dims.is_empty() {
                         self.diags.error("E0201", "brace list initializes arrays", *span);
-                    } else if items.len() > dims[0] {
+                    } else if items.len() > elements {
                         self.diags.error(
                             "E0201",
-                            format!("too many initializers ({} > {})", items.len(), dims[0]),
+                            format!("too many initializers ({} > {elements})", items.len()),
                             *span,
                         );
                     }
                     for item in items {
-                        if let Init::Expr(e) = item {
-                            let t = self.check_expr(e, ctx);
-                            if !t.converts_to(ty) {
-                                self.diags.error(
-                                    "E0201",
-                                    format!("cannot initialize `{ty}` element with `{t}`"),
-                                    e.span,
-                                );
-                            }
+                        let Init::Expr(e) = item else {
+                            self.diags.error(
+                                "E0201",
+                                "nested brace lists are not supported; list the elements row-major",
+                                item.span(),
+                            );
+                            continue;
+                        };
+                        let t = self.check_expr(e, ctx);
+                        if !t.converts_to(ty) {
+                            self.diags.error(
+                                "E0201",
+                                format!("cannot initialize `{ty}` element with `{t}`"),
+                                e.span,
+                            );
                         }
                     }
                 }
                 None => {}
             }
         }
-        ctx.scopes.last_mut().unwrap().insert(d.name, VarInfo { ty, dims, root: Root::Local });
+        let var = VarInfo { ty, rank: dims.len(), root: Root::Local };
+        ctx.scopes.last_mut().unwrap().insert(d.name, var);
+        self.resolve(d.id, Resolution::Local { ty, dims });
     }
 
     fn check_condition(&mut self, e: &Expr, ctx: &mut FnCtx<'_>) {
@@ -869,14 +962,14 @@ impl<'a> Checker<'a> {
 
     // ---- expression checking -------------------------------------------
 
-    fn record(&mut self, e: &Expr, ty: Ty) -> Ty {
-        self.types.insert(e.id, ty);
+    fn record(&mut self, id: NodeId, ty: Ty) -> Ty {
+        self.types[id.0 as usize] = Some(ty);
         ty
     }
 
     fn check_expr(&mut self, e: &Expr, ctx: &mut FnCtx<'_>) -> Ty {
         let ty = self.check_expr_inner(e, ctx);
-        self.record(e, ty)
+        self.record(e.id, ty)
     }
 
     fn check_expr_inner(&mut self, e: &Expr, ctx: &mut FnCtx<'_>) -> Ty {
@@ -1015,8 +1108,7 @@ impl<'a> Checker<'a> {
                     );
                 }
                 // Record the *target's* type on the target node too.
-                self.types.insert(target.id, place.ty);
-                place.ty
+                self.record(target.id, place.ty)
             }
             ExprKind::Ternary(c, a, b) => {
                 self.check_condition(c, ctx);
@@ -1073,8 +1165,9 @@ impl<'a> Checker<'a> {
                 None => Ty::I32,
             },
             ExprKind::Sizeof(te) => {
-                if Ty::from_type_expr(te).is_none() {
-                    self.diags.error("E0105", "unknown type in sizeof", e.span);
+                match Ty::from_type_expr(te) {
+                    Some(t) => self.resolve(e.id, Resolution::SizeOf(t)),
+                    None => self.diags.error("E0105", "unknown type in sizeof", e.span),
                 }
                 Ty::U32
             }
@@ -1087,7 +1180,7 @@ impl<'a> Checker<'a> {
     fn check_place(&mut self, e: &Expr, ctx: &mut FnCtx<'_>) -> Option<PlaceInfo> {
         let place = self.check_place_inner(e, ctx)?;
         if place.dims_left == 0 {
-            self.types.insert(e.id, place.ty);
+            self.record(e.id, place.ty);
         }
         Some(place)
     }
@@ -1096,14 +1189,11 @@ impl<'a> Checker<'a> {
         match &e.kind {
             ExprKind::Ident(name) => {
                 if let Some(v) = ctx.lookup_var(*name) {
-                    return Some(PlaceInfo {
-                        root: v.root.clone(),
-                        ty: v.ty,
-                        dims_left: v.dims.len(),
-                    });
+                    return Some(PlaceInfo { root: v.root.clone(), ty: v.ty, dims_left: v.rank });
                 }
-                let n = self.name(*name).to_string();
+                let n = self.name(*name);
                 if let Some(gi) = self.model.globals.iter().position(|g| g.name == n) {
+                    self.resolve(e.id, Resolution::Global(gi));
                     let g = &self.model.globals[gi];
                     return Some(PlaceInfo {
                         root: Root::Global(gi),
@@ -1139,19 +1229,17 @@ impl<'a> Checker<'a> {
                 // builtins — unless shadowed by a variable.
                 if let ExprKind::Ident(b) = &base.kind {
                     if ctx.lookup_var(*b).is_none() {
-                        let bn = self.name(*b);
-                        let fname = self.name(*field);
-                        let ty = match (bn, fname) {
-                            ("device", "id") => Some(Ty::U16),
-                            ("device", "kind") => Some(Ty::U8),
-                            ("msg", "src" | "dst" | "from" | "to") => Some(Ty::U16),
-                            _ => None,
-                        };
-                        if let Some(t) = ty {
+                        let (bn, fname) = (self.name(*b), self.name(*field));
+                        if let Some(m) = Member::named(bn, fname) {
+                            self.resolve(e.id, Resolution::Member(m));
                             // Builtin pseudo-places are read-only rvalues; we
                             // model them as ParamValue so assignment passes
                             // place checks get a clear error below.
-                            return Some(PlaceInfo { root: Root::ParamValue, ty: t, dims_left: 0 });
+                            return Some(PlaceInfo {
+                                root: Root::ParamValue,
+                                ty: m.ty(),
+                                dims_left: 0,
+                            });
                         }
                         self.diags.error(
                             "E0200",
@@ -1256,7 +1344,11 @@ impl<'a> Checker<'a> {
                     })
                     .collect();
                 match builtins::resolve(&segs, &widths) {
-                    Ok(b) => self.check_builtin_call(e, &b, args, ctx),
+                    Ok(b) => {
+                        let ty = self.check_builtin_call(e, &b, args, ctx);
+                        self.resolve(callee.id, Resolution::Builtin(b));
+                        ty
+                    }
                     Err(ResolveError::NotNcl) => {
                         self.diags.error(
                             "E0224",
@@ -1284,8 +1376,9 @@ impl<'a> Checker<'a> {
                 }
             }
             ExprKind::Ident(name) => {
-                let n = self.name(*name).to_string();
+                let n = self.name(*name);
                 if let Some(nf) = self.model.net_fns.iter().position(|f| f.name == n) {
+                    self.resolve(callee.id, Resolution::NetFn(nf));
                     return self.check_netfn_call(e, nf, args, ctx);
                 }
                 if self.model.kernels.iter().any(|k| k.name == n) {
@@ -1595,7 +1688,7 @@ impl<'a> Checker<'a> {
             self.diags.error("E0210", "lookup requires `_lookup_` global memory", arg.span);
             return None;
         }
-        let n = self.name(*name).to_string();
+        let n = self.name(*name);
         let Some(gi) = self.model.globals.iter().position(|g| g.name == n) else {
             self.diags.error("E0200", format!("unknown identifier `{n}`"), arg.span);
             return None;
@@ -1610,6 +1703,7 @@ impl<'a> Checker<'a> {
             Ty::Rv { range, value } => (range.ty(), Some(value.ty())),
             scalar => (scalar, None),
         };
+        self.resolve(arg.id, Resolution::Global(gi));
         self.check_reference_validity(gi, arg.span, ctx);
         Some(result)
     }
@@ -1959,8 +2053,36 @@ _kernel(1) void allreduce( uint8_t ver, uint16_t bmp_idx,
         let (unit, _) = parse("t.ncl", src);
         let (a, d) = analyze(&unit);
         assert!(!d.has_errors());
-        // At least: a, b, a+b, o, and the assignment were typed.
-        assert!(a.types.len() >= 5);
-        assert!(a.types.values().any(|t| *t == Ty::I32)); // promoted add
+        // a, b, a+b, o, and the assignment were typed.
+        let types: Vec<Ty> = (0..unit.program.node_count).filter_map(|i| a.ty(NodeId(i))).collect();
+        assert_eq!(types.len(), 5);
+        assert!(types.contains(&Ty::I32)); // promoted add
+    }
+
+    /// Every node lowering reads is resolved here: globals by model index,
+    /// callees, members, `sizeof` operands and local declarations — and a
+    /// local or parameter named like a global is not the global.
+    #[test]
+    fn names_callees_members_and_locals_are_resolved() {
+        let src = "_net_ unsigned g[4];
+                   _net_ unsigned f(unsigned g) { return g; }
+                   _kernel(1) void k(unsigned &o) {
+                     unsigned a[2][3];
+                     a[1][2] = sizeof(uint16_t);
+                     o = f(g[0]) + ncl::min(a[1][2], msg.from);
+                     { unsigned g = 1; o = g; }
+                   }";
+        let (unit, _) = parse("t.ncl", src);
+        let a = ok(src);
+        let all: Vec<&Resolution> =
+            (0..unit.program.node_count).map(|i| a.resolution(NodeId(i))).collect();
+        let count = |want: &Resolution| all.iter().filter(|r| **r == want).count();
+        assert_eq!(count(&Resolution::Global(0)), 1, "only `g[0]` names the global");
+        assert_eq!(count(&Resolution::NetFn(0)), 1);
+        assert_eq!(count(&Resolution::Builtin(Builtin::Min)), 1);
+        assert_eq!(count(&Resolution::Member(Member::MsgFrom)), 1);
+        assert_eq!(count(&Resolution::SizeOf(Ty::U16)), 1);
+        assert_eq!(count(&Resolution::Local { ty: Ty::U32, dims: vec![2, 3] }), 1);
+        assert_eq!(count(&Resolution::Local { ty: Ty::U32, dims: vec![] }), 1);
     }
 }

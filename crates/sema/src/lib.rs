@@ -21,6 +21,10 @@
 //! paper's design is "unrestricted at the language level, reject per-target"
 //! (§V-D), so those checks live in the pass pipeline.
 //!
+//! Sema is the only resolver. Beside the model, [`Analysis`] holds per AST
+//! node its type and its [`Resolution`] (global, callee, member, `sizeof`
+//! operand, local declaration); lowering reads them and decides none again.
+//!
 //! DESIGN.md §3 lists every enforced rule with its diagnostic code.
 
 pub mod builtins;
@@ -31,6 +35,6 @@ pub mod types;
 
 pub use builtins::{ActionKind, AtomicOp, AtomicRmw, Builtin, HashKind};
 
-pub use check::{analyze, Analysis};
+pub use check::{analyze, Analysis, Member, Resolution};
 pub use model::{GlobalInfo, KernelInfo, Model, NetFnInfo, ParamInfo, Specification};
 pub use types::Ty;

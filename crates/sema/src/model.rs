@@ -203,11 +203,6 @@ impl Model {
         self.globals.iter().find(|g| g.name == name)
     }
 
-    /// Finds a kernel by name.
-    pub fn kernel(&self, name: &str) -> Option<&KernelInfo> {
-        self.kernels.iter().find(|k| k.name == name)
-    }
-
     /// The set of device IDs that appear in any `_at` in the program, or
     /// `[0]` if everything is location-less (single-device program).
     pub fn mentioned_devices(&self) -> Vec<u16> {

@@ -1,6 +1,6 @@
 //! What the cold compile chain allocates (DESIGN.md §4, §4a): the Tofino
-//! fit of the fleet's most expensive device, and a cold `Compiler::compile`
-//! of each paper application. Counts are host- and load-independent, so the
+//! fit of the fleet's most expensive device, the frontend and a cold
+//! `Compiler::compile` of each paper application. Counts are host- and load-independent, so the
 //! ceilings below — the figures measured at this commit plus 10 % — are the
 //! gate against the string-keyed allocator, the per-dialect common stage or
 //! a `Vec` per operand walk coming back, and the numbers the next
@@ -43,19 +43,54 @@ fn fit_of_the_largest_agg_allocates_per_plan_not_per_round() {
 /// value): 19 504 / 15 871 / 2 943 / 21 772; before the passes ran over
 /// dense ids (hash maps keyed by IR ids, analyses rebuilt per instruction)
 /// and the P4 AST held short names in place: 16 239 / 13 094 / 2 413 /
-/// 17 761.
+/// 17 761; before sema was the only resolver: 7 150 / 5 253 / 1 060 /
+/// 8 641.
 #[test]
 fn cold_compile_allocations_per_application() {
     let cc = Compiler::new(CompileOptions::default());
     for (name, source, measured) in [
-        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), 7_150),
-        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), 5_253),
-        ("calc.ncl", calc::netcl_source(), 1_060),
-        ("paxos.ncl", paxos::full_source(), 8_641),
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), 6_904),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), 5_107),
+        ("calc.ncl", calc::netcl_source(), 1_046),
+        ("paxos.ncl", paxos::full_source(), 8_411),
     ] {
         let (unit, allocs) = allocs_during(|| cc.compile(name, &source));
         unit.unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(allocs <= ceiling(measured), "{name}: a cold compile made {allocs} allocations");
+    }
+}
+
+/// Parse, `analyze` and `lower_device` for every device: the frontend the
+/// cold compiles above start with.
+fn parse_analyze_lower(name: &str, source: &str) -> Vec<netcl::ir::Module> {
+    let (unit, mut diags) = netcl::lang::parse(name, source);
+    let (analysis, sema_diags) = netcl::sema::analyze(&unit);
+    diags.absorb(sema_diags);
+    let devices = analysis.model.mentioned_devices();
+    let modules = (devices.into_iter())
+        .map(|dev| netcl::lower::lower_device(&unit, &analysis, dev, &mut diags))
+        .collect();
+    assert!(!diags.has_errors(), "{name}: {}", diags.render_all(&unit.source_map));
+    modules
+}
+
+/// The frontend alone, per application: `(measured, parent)`. The parent
+/// is the commit before sema became the only resolver — sema kept its types
+/// in a `HashMap`, and lowering resolved every builtin (a `Vec` of path
+/// segments per call), global (a `String` per name, looked up in a map
+/// keyed by it) and type again, with a `HashMap` per scope: 1 286 (AGG),
+/// 1 141 (CACHE), 201 (CALC), 1 523 (P4xos).
+#[test]
+fn frontend_allocations_per_application() {
+    for (name, source, (measured, parent)) in [
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), (1_040, 1_286)),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), (995, 1_141)),
+        ("calc.ncl", calc::netcl_source(), (187, 201)),
+        ("paxos.ncl", paxos::full_source(), (1_293, 1_523)),
+    ] {
+        let (_, allocs) = allocs_during(|| parse_analyze_lower(name, &source));
+        assert!(allocs <= ceiling(measured), "{name}: the frontend made {allocs} allocations");
+        assert!(allocs < parent, "{name}: the frontend made {allocs} allocations");
     }
 }
 
@@ -65,10 +100,11 @@ fn cold_compile_allocations_per_application() {
 /// `build_device`. The tenant driver once had a private copy of the back
 /// half that ran the common stage once per dialect: 45 709; before codegen
 /// planned over dense ids: 42 642; before the passes did (and before the
-/// P4 AST held short names in place): 35 822.
+/// P4 AST held short names in place): 35 822; before sema was the only
+/// resolver: 15 921.
 #[test]
 fn tenant_merge_allocations() {
-    const MEASURED: u64 = 15_921;
+    const MEASURED: u64 = 15_701;
     const PARENT: u64 = 45_709;
     let agg_src = agg::netcl_source(&agg::AggConfig { slot_size: 8, ..Default::default() });
     let cache_src = cache::netcl_source(&cache::CacheConfig { words: 4, ..Default::default() });
