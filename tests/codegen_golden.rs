@@ -4,8 +4,10 @@
 //! every device of every shipped application source (P4xos devices 2–5
 //! included), the AGG / CACHE grids of `tests/split_pipeline.rs`, the paper
 //! listings that compile, one program of the shapes none of those reach,
-//! and the merged and solo devices of the AGG + CACHE tenant pair. A refactor of `netcl::codegen` must leave this file passing
-//! unmodified.
+//! the merged and solo devices of the AGG + CACHE tenant pair, and two
+//! kernels placed at several devices: CALC at sixteen, and a kernel that
+//! reads `device.id` at three. A refactor of `netcl::codegen` must leave
+//! this file passing unmodified.
 //!
 //! After an intended change to what codegen emits, rewrite the file with
 //! `cargo test --test codegen_golden -- --ignored` and review the diff.
@@ -13,7 +15,7 @@
 mod listings;
 
 use netcl::{compile_tenants, CompileOptions, CompiledDevice, Compiler, TenantSource};
-use netcl_apps::{agg, all_apps, cache, paxos};
+use netcl_apps::{agg, all_apps, cache, calc, paxos};
 use netcl_p4::print::print_program;
 use netcl_p4::P4Program;
 use std::fmt::Write;
@@ -47,6 +49,16 @@ _kernel(1) void shapes(unsigned x, uint16_t y, int8_t s, int z, unsigned _spec(4
   u = (x > 5 ? y : 3u) + ncl::crc16<12>(x) + ncl::tna::lpf(x);
   if (q < 0) return ncl::drop();
   return ncl::multicast(y);
+}
+"#;
+
+/// A kernel whose lowered IR differs per device: it reads `device.id`.
+const DEVICE_ID: &str = r#"
+_net_ _at(1, 2, 3) unsigned Seen[4];
+_kernel(1) _at(1, 2, 3) void hop(unsigned x, unsigned &o, unsigned &n) {
+  o = x * 4 + device.id;
+  n = ncl::atomic_add_new(&Seen[device.id], 1);
+  if (device.id == 2) return ncl::reflect();
 }
 "#;
 
@@ -126,6 +138,10 @@ fn render() -> String {
     for t in &merged.tenants {
         device(&mut out, &format!("SOLO tenant {}", t.tenant), &t.solo);
     }
+    let ids: Vec<String> = (1..=16).map(|d| d.to_string()).collect();
+    let calc_at = calc::netcl_source().replace("_at(1)", &format!("_at({})", ids.join(", ")));
+    unit(&mut out, "MULTI-DEVICE CALC", "calc.ncl", &calc_at);
+    unit(&mut out, "MULTI-DEVICE device.id", "listing.ncl", DEVICE_ID);
     out
 }
 
