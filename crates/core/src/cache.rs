@@ -10,31 +10,33 @@
 //!   whose text does not is a miss. A hit returns the [`CompiledUnit`]
 //!   without touching the frontend.
 //! * **device cache** — keyed by a 64-bit hash over (options fingerprint,
-//!   the printed header of the post-sema base IR for that device, the
-//!   lookup-entry data, the device's kernel keys). A hit skips the §VI-B
-//!   pass pipeline and P4 codegen for that device; editing one kernel of
-//!   a multi-device unit therefore re-runs the backend only for the
-//!   devices that kernel is `_at(...)`. The header and every kernel key
-//!   embed the device id (codegen specializes on it), so distinct devices
-//!   never alias.
-//! * **kernel seen-set** — a hash over (options fingerprint, device, the
-//!   kernel's printed IR). Attribution: [`ReuseStats`] reports how many
-//!   kernels of a recompile were already known, so a one-kernel edit is
-//!   visible as exactly one cold kernel while its siblings (and their
-//!   devices' artifacts) stay cache-hit. The same hashes make up the
-//!   device key, so a kernel is printed once per compile.
+//!   the device id, the printed header of the post-sema base IR for that
+//!   device, the lookup-entry data, the device's kernel keys). A hit skips
+//!   the §VI-B pass pipeline and P4 codegen for that device; editing one
+//!   kernel of a multi-device unit therefore re-runs the backend only for
+//!   the devices that kernel is `_at(...)`. The module does not name its
+//!   device and the artifact does (program name, device guard), so the key
+//!   writes the id out: devices with equal modules never alias. A unit's
+//!   devices with equal modules are looked up once, under the first of
+//!   them; the driver places the rest from what that serves.
+//! * **kernel seen-set** — a hash over (options fingerprint, the kernel's
+//!   printed IR). Attribution: [`ReuseStats`] reports how many kernels of a
+//!   recompile were already known, so a one-kernel edit is visible as
+//!   exactly one cold kernel while its siblings (and their devices'
+//!   artifacts) stay cache-hit. The same hashes make up the device key, so
+//!   a kernel is printed once per compile.
 //!
 //! **One copy of each artifact.** The heavy parts of a result — the two
 //! IR modules and two P4 programs of a [`CompiledDevice`], and the unit's
 //! `Model` — are immutable behind `Arc`. The device map, the unit map and
 //! every unit handed to a caller point at the same allocations. What a
-//! serve does own is small: the `Vec` of devices, `device`, `reuse`,
-//! `timings`, `warnings` and any `PassReport`s (an entry is stored as a
-//! hit serves it — `reuse` filled in, reports `from_cache` — and a device
-//! key embeds the device id, so a serve rewrites nothing). A unit hit
-//! therefore costs two reads of the source text (hash it, then compare it), one
-//! allocation for the device `Vec`, four reference-count bumps per device
-//! and one for the model — independent of how large the artifacts are
+//! serve does own is small: the `Vec` of devices, `reuse`, `timings`,
+//! `warnings` and any `PassReport`s (an entry is stored as a hit serves it
+//! — `reuse` filled in, reports `from_cache` — and its key names its
+//! device, so a serve rewrites nothing). A unit hit therefore costs two
+//! reads of the source text (hash it, then compare it), one allocation for
+//! the device `Vec`, four reference-count bumps per device and one for the
+//! model — independent of how large the artifacts are
 //! (`tests/cache_alloc.rs` is the gate). Nothing a caller does to a served
 //! unit (`Arc::make_mut`, pushing devices) reaches the cache's copy.
 //!
@@ -68,15 +70,18 @@ pub struct ReuseStats {
     pub unit_hit: bool,
     /// Devices this unit compiled for.
     pub devices_total: usize,
-    /// Devices whose pass pipeline + codegen were served from the device
-    /// cache (equals `devices_total` on a unit hit).
+    /// Devices that did not run the pass pipeline and codegen: served from
+    /// the device cache, or placed from the program of an earlier device
+    /// with an equal lowered module (equals `devices_total` on a unit hit).
     pub devices_reused: usize,
-    /// Kernels lowered across all devices of this unit.
+    /// Kernels lowered across all devices of this unit (counted when a
+    /// cache is in use).
     pub kernels_total: usize,
-    /// Kernels whose post-sema IR was already known to the cache — the
-    /// per-kernel attribution behind `devices_reused`: a one-kernel edit
-    /// shows up as exactly one cold kernel here, and every device whose
-    /// kernels all reused serves its artifact from the device cache.
+    /// Kernels whose post-sema IR was already known to the cache, or whose
+    /// device was placed from an earlier device's program — the per-kernel
+    /// attribution behind `devices_reused`: a one-kernel edit shows up as
+    /// exactly one cold kernel here, and every device whose kernels all
+    /// reused serves its artifact from the device cache.
     pub kernels_reused: usize,
 }
 
@@ -87,9 +92,10 @@ pub struct CacheStats {
     pub unit_hits: u64,
     /// Whole-unit lookups that missed.
     pub unit_misses: u64,
-    /// Per-device lookups that hit.
+    /// Device-cache lookups that hit: one lookup per group of a unit's
+    /// devices with equal lowered modules.
     pub device_hits: u64,
-    /// Per-device lookups that missed.
+    /// Device-cache lookups that missed.
     pub device_misses: u64,
     /// Per-kernel IR hashes already in the seen-set.
     pub kernel_hits: u64,
@@ -204,7 +210,7 @@ impl CompileCache {
 
 /// Flags every embedded pass report as cache-served so telemetry
 /// consumers don't mistake a replayed report for a live pipeline run.
-fn mark_served(d: &mut CompiledDevice) {
+pub(crate) fn mark_served(d: &mut CompiledDevice) {
     for r in [&mut d.tna_pass_report, &mut d.v1_pass_report].into_iter().flatten() {
         r.from_cache = true;
     }
@@ -276,17 +282,27 @@ pub(crate) fn unit_key(fingerprint: u64, name: &str, source: &str) -> u64 {
     h.0
 }
 
-/// Device key: options fingerprint + the printed header of the post-sema
-/// base IR (unit name, device, globals) + the lookup-entry data (the
+/// Device key: options fingerprint + the device id + the printed header of
+/// the post-sema base IR (unit name, globals) + the lookup-entry data (the
 /// printer records only entry *counts*, but the generated MATs embed the
 /// values) + `kernel_keys`, the [`kernel_key`] of every kernel of `base`
-/// in order. Together these cover everything `print_module` shows, and
-/// the pass pipeline and codegen are pure functions of that, so equal keys
-/// imply equal artifacts.
-pub(crate) fn device_key(fingerprint: u64, base: &netcl_ir::Module, kernel_keys: &[u64]) -> u64 {
+/// in order. The id is written out because the module does not name it
+/// and the artifact does (program name, device guard): without it, two
+/// devices with equal modules would share a key. Together these cover
+/// everything `print_module` shows and the placement, and the pass
+/// pipeline and codegen are pure functions of those, so equal keys imply
+/// equal artifacts.
+pub(crate) fn device_key(
+    fingerprint: u64,
+    device: u16,
+    base: &netcl_ir::Module,
+    kernel_keys: &[u64],
+) -> u64 {
     use netcl_sema::model::LookupEntry;
     let mut h = KeyHasher::new();
-    h.write_u64(fingerprint).write(netcl_ir::print::print_module_header(base).as_bytes());
+    h.write_u64(fingerprint)
+        .write_u64(device as u64)
+        .write(netcl_ir::print::print_module_header(base).as_bytes());
     for g in &base.globals {
         for e in &g.entries {
             match e {
@@ -306,16 +322,14 @@ pub(crate) fn device_key(fingerprint: u64, base: &netcl_ir::Module, kernel_keys:
     h.0
 }
 
-/// Kernel key: options fingerprint + device id + the kernel's printed
-/// post-sema IR. This is the unit of change attribution: a device key is
-/// the combination of its kernels' keys and its globals, so a device
-/// misses exactly when one of its kernels' keys is cold or a global
+/// Kernel key: options fingerprint + the kernel's printed post-sema IR.
+/// This is the unit of change attribution: a device key is the
+/// combination of its device id, its kernels' keys and its globals, so a
+/// device misses exactly when one of its kernels' keys is cold or a global
 /// changed. A comment-only edit leaves every kernel key hot.
-pub(crate) fn kernel_key(fingerprint: u64, device: u16, f: &netcl_ir::Function) -> u64 {
+pub(crate) fn kernel_key(fingerprint: u64, f: &netcl_ir::Function) -> u64 {
     let mut h = KeyHasher::new();
-    h.write_u64(fingerprint)
-        .write(&device.to_le_bytes())
-        .write(netcl_ir::print::print_function(f).as_bytes());
+    h.write_u64(fingerprint).write(netcl_ir::print::print_function(f).as_bytes());
     h.0
 }
 

@@ -46,15 +46,22 @@ impl std::fmt::Display for CodegenError {
     }
 }
 
-/// Generates the P4 program for a compiled device module.
+/// Generates the P4 program for a compiled device module, placed at device
+/// 0 — where a location-less program runs: [`generate_at`] with device 0.
 pub fn generate(module: &Module, target: Target) -> Result<P4Program, CodegenError> {
+    generate_at(module, target, 0)
+}
+
+/// Generates the P4 program for a compiled device module placed at
+/// `device`. The module does not name a device; [`place`] writes the id.
+pub fn generate_at(
+    module: &Module,
+    target: Target,
+    device: u16,
+) -> Result<P4Program, CodegenError> {
     let mut cg = Codegen {
         module,
-        program: P4Program {
-            name: format!("{}_dev{}", module.name, module.device),
-            target,
-            ..Default::default()
-        },
+        program: P4Program { target, ..Default::default() },
         control: ControlDef { name: "Ig".into(), ..Default::default() },
         counters: emit::Counters::default(),
     };
@@ -65,7 +72,35 @@ pub fn generate(module: &Module, target: Target) -> Result<P4Program, CodegenErr
     cg.control.apply = cg.kernels()?;
     let mut program = cg.program;
     program.controls = vec![cg.control].into();
+    place(&mut program, &module.name, device);
     Ok(program)
+}
+
+/// The per-device step of code generation. A module says nothing about the
+/// device it runs on, so a program generated from it differs between two
+/// devices in exactly two places, which this writes: the program name
+/// `<unit>_dev<device>` and the `hdr.ncl.to == <device>` guard around the
+/// kernels (the no-implicit-computation rule, §IV). Applied to a clone of
+/// another device's program, it copies that program's one control and
+/// shares its headers and parser.
+///
+/// # Panics
+///
+/// If `program` was not made by [`generate_at`]: it has no device guard.
+pub fn place(program: &mut P4Program, unit: &str, device: u16) {
+    program.name = format!("{unit}_dev{device}");
+    let apply = Arc::make_mut(&mut program.controls).first_mut().map(|ig| ig.apply.first_mut());
+    let Some(Some(Stmt::If { cond, .. })) = apply else {
+        panic!("`{}` is not a generated program: no device guard", program.name)
+    };
+    let valid =
+        Expr::Field(vec![PathSeg::new("hdr"), PathSeg::new(NCL_HDR), PathSeg::new("$isValid")]);
+    let here = Expr::Bin(
+        P4BinOp::Eq,
+        Box::new(Expr::field(&["hdr", NCL_HDR, "to"])),
+        Box::new(Expr::val(device as u64, 16)),
+    );
+    *cond = Expr::Bin(P4BinOp::LAnd, Box::new(valid), Box::new(here));
 }
 
 /// The name of the NetCL shim header instance.
@@ -206,8 +241,7 @@ impl Codegen<'_> {
     }
 
     /// The apply block: kernels behind a computation-id `if` / `else` chain,
-    /// guarded by "this message targets this device" (the
-    /// no-implicit-computation rule, §IV), then base forwarding.
+    /// inside the device guard [`place`] writes, then base forwarding.
     fn kernels(&mut self) -> Result<Vec<Stmt>, CodegenError> {
         let module = self.module;
         let mut arms = Vec::with_capacity(module.kernels.len());
@@ -226,16 +260,8 @@ impl Codegen<'_> {
             .into_iter()
             .rev()
             .fold(vec![], |els, (cond, then)| vec![Stmt::If { cond, then, els }]);
-        let valid =
-            Expr::Field(vec![PathSeg::new("hdr"), PathSeg::new(NCL_HDR), PathSeg::new("$isValid")]);
-        let here = Expr::Bin(
-            P4BinOp::Eq,
-            Box::new(Expr::field(&["hdr", NCL_HDR, "to"])),
-            Box::new(Expr::val(module.device as u64, 16)),
-        );
-        let guard = Expr::Bin(P4BinOp::LAnd, Box::new(valid), Box::new(here));
         Ok(vec![
-            Stmt::If { cond: guard, then: chain, els: vec![] },
+            Stmt::If { cond: Expr::Bool(false), then: chain, els: vec![] },
             Stmt::ApplyTable("l2_fwd".into()),
         ])
     }

@@ -4,6 +4,7 @@
 //! lowering, the §VI-B pass pipeline, and P4 code generation — and reports
 //! per-phase timings (the `ncc` rows of Table IV).
 
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,8 +38,9 @@ pub struct CompileOptions {
     pub target: EmitTarget,
     /// Pass pipeline flags (§VI-B transformation toggles).
     pub flags: PassFlags,
-    /// Devices to compile for; defaults to every device mentioned in an
-    /// `_at(...)` (or device 0 for location-less programs).
+    /// Devices to compile for, each once, in the order of first mention;
+    /// defaults to every device mentioned in an `_at(...)` (or device 0 for
+    /// location-less programs).
     pub devices: Option<Vec<u16>>,
     /// Collect per-pass telemetry (wall time, IR deltas, rewrite counts)
     /// into [`CompiledDevice::tna_pass_report`] / `v1_pass_report`
@@ -55,9 +57,10 @@ pub struct CompileTimings {
     pub sema: Duration,
     /// Lowering (all devices).
     pub lower: Duration,
-    /// Pass pipelines (all devices, both targets).
+    /// Pass pipelines (each distinct device module, both targets).
     pub passes: Duration,
-    /// P4 code generation (all devices, both targets).
+    /// P4 code generation (each distinct device module, both targets) and
+    /// placing every device's programs.
     pub codegen: Duration,
 }
 
@@ -76,7 +79,10 @@ impl CompileTimings {
 /// when one is really needed; neither reaches the cache's copy.
 #[derive(Clone, Debug)]
 pub struct CompiledDevice {
-    /// Device id.
+    /// The device this output runs on — the one place a compiled device's
+    /// id is kept: the IR does not name it, and the P4 embeds it only in
+    /// what [`codegen::place`] writes. Devices that run one program share
+    /// their IR.
     pub device: u16,
     /// Tofino-legal IR (post Tofino pipeline) — the allocator's input.
     pub tna_ir: Arc<Module>,
@@ -107,8 +113,8 @@ pub struct CompiledUnit {
     pub timings: CompileTimings,
     /// Warnings (rendered).
     pub warnings: Vec<String>,
-    /// What the incremental cache contributed (all-zero for cold
-    /// [`Compiler::compile`] calls).
+    /// What was not built afresh: devices placed from another device's
+    /// program (on every compile) and what the incremental cache served.
     pub reuse: ReuseStats,
 }
 
@@ -172,7 +178,8 @@ impl Compiler {
     }
 
     /// The single compile path: `cache = None` is a cold compile. It probes
-    /// the caches and orders the three phases below; it holds no phase.
+    /// the caches, groups devices by their lowered modules and orders the
+    /// three phases below; it holds no phase.
     fn compile_with(
         &self,
         name: &str,
@@ -186,14 +193,38 @@ impl Compiler {
         }
 
         let mut fe = frontend(name, source)?;
-        let devices =
-            self.options.devices.clone().unwrap_or_else(|| fe.analysis.model.mentioned_devices());
+        let devices = match &self.options.devices {
+            Some(list) => {
+                let mut seen = HashSet::with_capacity(list.len());
+                list.iter().copied().filter(|&d| seen.insert(d)).collect()
+            }
+            None => fe.analysis.model.mentioned_devices(),
+        };
 
-        let mut out_devices = Vec::new();
+        let mut out_devices: Vec<CompiledDevice> = Vec::with_capacity(devices.len());
         let mut reuse = ReuseStats::default();
-        for dev in devices {
+        // Devices whose lowered modules are equal run one program: the first
+        // of them builds it, and each later one is placed from it. `groups`
+        // holds that first device's lowered module, while a later device may
+        // still match it, and its index in `out_devices`; a single-device
+        // unit keeps none and compares nothing.
+        let mut groups: Vec<(Module, usize)> = Vec::new();
+        for (i, &dev) in devices.iter().enumerate() {
+            let later = i + 1 < devices.len();
             let base = lower_verified(&mut fe, dev)?;
             reuse.devices_total += 1;
+
+            if let Some(&(_, first)) = groups.iter().find(|(m, _)| *m == base) {
+                let t0 = Instant::now();
+                out_devices.push(placed(&out_devices[first], dev, self.options.target));
+                fe.timings.codegen += t0.elapsed();
+                reuse.devices_reused += 1;
+                if cache.is_some() {
+                    reuse.kernels_total += base.kernels.len();
+                    reuse.kernels_reused += base.kernels.len();
+                }
+                continue;
+            }
 
             // Kernel-level attribution: record each kernel's IR hash so
             // the reuse stats show *which* edits caused a device miss — a
@@ -203,34 +234,44 @@ impl Compiler {
             // once per compile.
             let dkey = cache.as_deref_mut().map(|c| {
                 let kernel_keys: Vec<u64> =
-                    base.kernels.iter().map(|f| cache::kernel_key(fingerprint, dev, f)).collect();
+                    base.kernels.iter().map(|f| cache::kernel_key(fingerprint, f)).collect();
                 for &k in &kernel_keys {
                     reuse.kernels_total += 1;
                     reuse.kernels_reused += c.kernel(k) as usize;
                 }
-                cache::device_key(fingerprint, &base, &kernel_keys)
+                cache::device_key(fingerprint, dev, &base, &kernel_keys)
             });
 
             // Device-level reuse: the pass pipeline and codegen are pure
-            // functions of (base IR, flags, target), so an unchanged base
-            // IR means the cached artifact is byte-identical to what a
+            // functions of (base IR, device, flags, target), so an unchanged
+            // base IR means the cached artifact is byte-identical to what a
             // fresh run would produce.
-            if let Some(d) = cache.as_deref_mut().zip(dkey).and_then(|(c, k)| c.device(k)) {
-                reuse.devices_reused += 1;
-                out_devices.push(d);
-                continue;
-            }
-
-            let compiled = build_device(
-                base,
-                &self.options,
-                &mut fe.diags,
-                &fe.unit.source_map,
-                &mut fe.timings,
-            )?;
-            if let (Some(c), Some(k)) = (cache.as_deref_mut(), dkey) {
-                c.put_device(k, compiled.clone());
-            }
+            let compiled = match cache.as_deref_mut().zip(dkey).and_then(|(c, k)| c.device(k)) {
+                Some(d) => {
+                    reuse.devices_reused += 1;
+                    if later {
+                        groups.push((base, out_devices.len()));
+                    }
+                    d
+                }
+                None => {
+                    if later {
+                        groups.push((base.clone(), out_devices.len()));
+                    }
+                    let compiled = build_device(
+                        base,
+                        dev,
+                        &self.options,
+                        &mut fe.diags,
+                        &fe.unit.source_map,
+                        &mut fe.timings,
+                    )?;
+                    if let (Some(c), Some(k)) = (cache.as_deref_mut(), dkey) {
+                        c.put_device(k, compiled.clone());
+                    }
+                    compiled
+                }
+            };
             out_devices.push(compiled);
         }
 
@@ -253,6 +294,24 @@ impl Compiler {
         }
         Ok(out)
     }
+}
+
+/// A device that runs the program `first` was built for, placed at
+/// `device`: `first`'s IR shared, its pass reports marked `from_cache`, and
+/// each emitted program re-placed by [`codegen::place`].
+fn placed(first: &CompiledDevice, device: u16, target: EmitTarget) -> CompiledDevice {
+    let mut d = first.clone();
+    d.device = device;
+    let unit = &d.tna_ir.name;
+    for (want, p4) in
+        [(target != EmitTarget::V1Model, &mut d.tna_p4), (target != EmitTarget::Tna, &mut d.v1_p4)]
+    {
+        if want {
+            codegen::place(Arc::make_mut(p4), unit, device);
+        }
+    }
+    cache::mark_served(&mut d);
+    d
 }
 
 /// What [`frontend`] leaves for the per-device phases: the parsed unit (and
@@ -281,7 +340,8 @@ pub(crate) fn frontend(name: &str, source: &str) -> Result<Frontend, CompileErro
     Ok(Frontend { unit, analysis, diags, timings })
 }
 
-/// Phase 2, once per device: the base module, verified.
+/// Phase 2, once per device: the base module, verified. It does not name
+/// `dev`; the caller keeps the id.
 pub(crate) fn lower_verified(fe: &mut Frontend, dev: u16) -> Result<Module, CompileError> {
     let t0 = Instant::now();
     let base = lower::lower_device(&fe.unit, &fe.analysis, dev, &mut fe.diags);
@@ -303,18 +363,19 @@ pub(crate) fn verified(module: &Module, what: &str) -> Result<(), CompileError> 
     })
 }
 
-/// Phase 3, once per device the caches do not hold — and per merged or
-/// solo tenant module (`tenant.rs`): the §VI-B pipeline and P4 codegen for
-/// every emitted dialect. Pipeline rejections land in `diags` and render
-/// against `map`; `timings` gains the passes and codegen time.
+/// Phase 3, once per distinct module of a unit that the caches do not hold
+/// — and per merged or solo tenant module (`tenant.rs`): the §VI-B pipeline
+/// and P4 codegen, placed at `device`, for every emitted dialect. Pipeline
+/// rejections land in `diags` and render against `map`; `timings` gains
+/// the passes and codegen time.
 pub(crate) fn build_device(
     base: Module,
+    device: u16,
     options: &CompileOptions,
     diags: &mut DiagnosticSink,
     map: &SourceMap,
     timings: &mut CompileTimings,
 ) -> Result<CompiledDevice, CompileError> {
-    let device = base.device;
     let want_tna = options.target != EmitTarget::V1Model;
     let want_v1 = options.target != EmitTarget::Tna;
 
@@ -348,7 +409,7 @@ pub(crate) fn build_device(
 
     let t0 = Instant::now();
     let p4 = |want: bool, ir: &Module, target: Target| -> Result<P4Program, CompileError> {
-        Ok(if want { codegen::generate(ir, target)? } else { P4Program::default() })
+        Ok(if want { codegen::generate_at(ir, target, device)? } else { P4Program::default() })
     };
     let tna_p4 = p4(want_tna, &tna_ir, Target::Tna)?;
     let v1_p4 = p4(want_v1, &v1_ir, Target::V1Model)?;
@@ -654,5 +715,177 @@ _kernel(1) _at(1,2) void a(int x, int &o) {
         let unit =
             Compiler::new(CompileOptions::default()).compile("fig4.ncl", FIG4_CACHE).unwrap();
         assert!(unit.timings.total() > Duration::ZERO);
+    }
+
+    /// The CALC application (`netcl_apps::calc`), placed by [`at`].
+    const CALC: &str = r#"
+_kernel(1) _at(DEVICES) void calc(char op, unsigned a, unsigned b, unsigned &result) {
+  if (op == '+') result = a + b;
+  if (op == '-') result = a - b;
+  if (op == '&') result = a & b;
+  if (op == '|') result = a | b;
+  if (op == '^') result = a ^ b;
+  return ncl::reflect();
+}
+"#;
+
+    /// A P4xos acceptor's shape: its vote bit is its `device.id`.
+    const ACCEPTOR: &str = r#"
+_at(2, 3, 4) _net_ uint16_t Round[64];
+_kernel(1) _at(2, 3, 4) void acceptor(uint8_t &type, uint32_t &instance, uint16_t round,
+                                      uint8_t &vote) {
+  if (type == 2) {
+    uint16_t r = ncl::atomic_max_new(&Round[instance & 63], round);
+    if (round >= r) {
+      type = 3;
+      vote = 1 << (device.id - 2);
+      return ncl::send_to_device(5);
+    }
+    return ncl::drop();
+  }
+}
+"#;
+
+    /// A P4xos learner's shape (PLRN): the acceptors' memory is placed at
+    /// devices 2–4 beside the learner, whose kernel runs at 5 alone, so 2–4
+    /// lower to equal kernel-free modules.
+    const LEARNER: &str = r#"
+_at(5) _net_ uint8_t VoteHistory[64];
+_at(2, 3, 4, 5) _net_ uint16_t Round[64];
+_kernel(1) _at(5) void learner(uint8_t &type, uint32_t &instance, uint16_t round,
+                               uint8_t &vote) {
+  if (type == 3) {
+    uint16_t r = ncl::atomic_max_new(&Round[instance & 63], round);
+    if (round >= r) {
+      uint8_t seen = ncl::atomic_or(&VoteHistory[instance & 63], vote);
+      if (seen != 0) return ncl::drop();
+      type = 4;
+    }
+  }
+}
+"#;
+
+    /// `src` with `DEVICES` replaced by `ids`.
+    fn at(src: &str, ids: impl IntoIterator<Item = u16>) -> String {
+        let ids: Vec<String> = ids.into_iter().map(|d| d.to_string()).collect();
+        src.replace("DEVICES", &ids.join(", "))
+    }
+
+    /// `(device, TNA P4, v1model P4)`, printed, per device.
+    type Printed = Vec<(u16, String, String)>;
+
+    fn printed(unit: &CompiledUnit) -> Printed {
+        let print = |p: &P4Program| netcl_p4::print::print_program(p);
+        unit.devices.iter().map(|d| (d.device, print(&d.tna_p4), print(&d.v1_p4))).collect()
+    }
+
+    /// The oracle: every device of `src` built on its own — lowered for it,
+    /// through the pipeline and generated at its id — with nothing shared.
+    fn built_alone(src: &str) -> Printed {
+        let mut fe = frontend("t.ncl", src).unwrap_or_else(|e| panic!("{e}"));
+        let print = |p: &P4Program| netcl_p4::print::print_program(p);
+        let devices = fe.analysis.model.mentioned_devices();
+        devices
+            .into_iter()
+            .map(|dev| {
+                let base = lower_verified(&mut fe, dev).unwrap_or_else(|e| panic!("{e}"));
+                let (options, map) = (CompileOptions::default(), &fe.unit.source_map);
+                let d = build_device(base, dev, &options, &mut fe.diags, map, &mut fe.timings)
+                    .unwrap_or_else(|e| panic!("{e}"));
+                assert_eq!(d.tna_p4.name, format!("t.ncl_dev{dev}"));
+                (dev, print(&d.tna_p4), print(&d.v1_p4))
+            })
+            .collect()
+    }
+
+    fn compile(src: &str) -> CompiledUnit {
+        Compiler::new(CompileOptions::default())
+            .compile("t.ncl", src)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// How many devices ran the pass pipeline and codegen: on a cold
+    /// compile, those not placed from another device's program.
+    fn pipeline_runs(unit: &CompiledUnit) -> usize {
+        unit.reuse.devices_total - unit.reuse.devices_reused
+    }
+
+    /// Whether devices `a` and `b` of `unit` share their IR.
+    fn share_ir(unit: &CompiledUnit, a: u16, b: u16) -> bool {
+        let (a, b) = (unit.device(a).unwrap(), unit.device(b).unwrap());
+        Arc::ptr_eq(&a.tna_ir, &b.tna_ir) && Arc::ptr_eq(&a.v1_ir, &b.v1_ir)
+    }
+
+    #[test]
+    fn calc_at_sixteen_devices_runs_one_pipeline() {
+        let src = at(CALC, 1..=16);
+        let unit = compile(&src);
+        assert_eq!(unit.devices.len(), 16);
+        assert_eq!(pipeline_runs(&unit), 1);
+        assert_eq!(unit.reuse.devices_reused, 15);
+        assert!((2..=16).all(|d| share_ir(&unit, 1, d)));
+        // Placed devices replay the first device's reports, marked.
+        let opts = CompileOptions { pass_report: true, ..Default::default() };
+        let reported = Compiler::new(opts).compile("t.ncl", &src).unwrap();
+        let cached: Vec<bool> = reported
+            .devices
+            .iter()
+            .map(|d| d.tna_pass_report.as_ref().unwrap().from_cache)
+            .collect();
+        assert_eq!(cached, [[false].as_slice(), &[true; 15]].concat());
+        assert_eq!(printed(&unit), built_alone(&src));
+    }
+
+    #[test]
+    fn a_kernel_reading_device_id_runs_one_pipeline_per_device() {
+        let src = "_kernel(1) _at(1, 2, 3) void k(unsigned x, unsigned &o) {
+                     o = x * 4 + device.id;
+                   }";
+        let unit = compile(src);
+        assert_eq!(pipeline_runs(&unit), 3);
+        assert!(!share_ir(&unit, 1, 2) && !share_ir(&unit, 2, 3));
+        assert_eq!(printed(&unit), built_alone(src));
+    }
+
+    #[test]
+    fn p4xos_shares_kernel_free_devices_but_not_acceptors() {
+        let acceptors = compile(ACCEPTOR);
+        assert_eq!(pipeline_runs(&acceptors), 3);
+        assert_eq!(printed(&acceptors), built_alone(ACCEPTOR));
+
+        let learner = compile(LEARNER);
+        assert_eq!(learner.devices.iter().map(|d| d.device).collect::<Vec<_>>(), [2, 3, 4, 5]);
+        assert_eq!(pipeline_runs(&learner), 2);
+        assert!(share_ir(&learner, 2, 3) && share_ir(&learner, 2, 4));
+        assert!(!share_ir(&learner, 2, 5));
+        assert_eq!(printed(&learner), built_alone(LEARNER));
+    }
+
+    /// The device cache is looked up once per group, under its first
+    /// device's id, which the key must write out: the module does not name
+    /// it. Otherwise a compile whose kernel-free devices start at 3 would be
+    /// served the program cached for device 2.
+    #[test]
+    fn kernel_free_devices_keep_their_own_guard_through_the_cache() {
+        let cc = Compiler::new(CompileOptions::default());
+        let mut cache = CompileCache::new();
+        let first = cc.compile_incremental("t.ncl", LEARNER, &mut cache).unwrap();
+        assert_eq!(printed(&first), built_alone(LEARNER));
+        let moved = LEARNER.replace("_at(2, 3, 4, 5)", "_at(3, 4, 5)");
+        let second = cc.compile_incremental("t.ncl", &moved, &mut cache).unwrap();
+        // Device 4 is placed from 3; the learner's device 5 is a hit.
+        assert_eq!((second.reuse.devices_total, second.reuse.devices_reused), (3, 2));
+        let st = cache.stats();
+        assert_eq!((st.device_hits, st.device_misses), (1, 3), "one lookup per group");
+        assert_eq!(printed(&second), built_alone(&moved));
+    }
+
+    /// A device listed twice is compiled once, where it is first listed.
+    #[test]
+    fn repeated_device_ids_compile_once() {
+        let opts = CompileOptions { devices: Some(vec![2, 1, 2, 1, 2]), ..Default::default() };
+        let unit = Compiler::new(opts).compile("t.ncl", &at(CALC, [1, 2])).unwrap();
+        assert_eq!(unit.devices.iter().map(|d| d.device).collect::<Vec<_>>(), [2, 1]);
+        assert_eq!(unit.reuse.devices_total, 2);
     }
 }

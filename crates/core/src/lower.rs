@@ -49,7 +49,9 @@ const ZERO: Operand = Operand::Const(0, IrTy::I32);
 /// dropped, so the value is never used.
 const POISON: (Operand, Ty) = (ZERO, Ty::Void);
 
-/// Lowers all kernels placed at `device` into an IR module.
+/// Lowers all kernels and globals placed at `device` into an IR module. The
+/// module does not record `device`: only the constants `device.id` lowers
+/// to depend on it.
 pub fn lower_device(
     unit: &ParsedUnit,
     analysis: &Analysis,
@@ -58,7 +60,6 @@ pub fn lower_device(
 ) -> Module {
     let mut module = Module {
         name: unit.source_map.file(Span::new(0, 0)).map(|f| f.name.clone()).unwrap_or_default(),
-        device,
         globals: Vec::new(),
         kernels: Vec::new(),
     };

@@ -102,8 +102,8 @@ pub fn compile_tenants(
         units.push(TenantUnit { tenant: ts.tenant, module });
     }
 
-    // Compose. Merge errors are definitional (duplicate tenant, device
-    // mismatch, comp-space exhaustion) — report them as E0501.
+    // Compose. Merge errors are definitional (duplicate tenant, comp-space
+    // exhaustion) — report them as E0501.
     let merged = merge::merge(&units).map_err(|e| CompileError {
         message: format!("tenant merge failed: {e}"),
         codes: vec!["E0501".into()],
@@ -114,7 +114,7 @@ pub fn compile_tenants(
     // pipeline rejection renders bare.
     let build = |base: Module| {
         let (mut diags, map) = (DiagnosticSink::new(), SourceMap::new());
-        compiler::build_device(base, options, &mut diags, &map, &mut Default::default())
+        compiler::build_device(base, device, options, &mut diags, &map, &mut Default::default())
     };
     let merged_dev = build(merged.module.clone())?;
 

@@ -427,7 +427,6 @@ mod tests {
     fn module_with_counter() -> Module {
         Module {
             name: "t".into(),
-            device: 0,
             globals: vec![GlobalDef {
                 name: "cnt".into(),
                 ty: IrTy::I32,
@@ -510,7 +509,6 @@ mod tests {
     fn lookup_hits_and_misses() {
         let m = Module {
             name: "t".into(),
-            device: 0,
             globals: vec![GlobalDef {
                 name: "cache".into(),
                 ty: IrTy::I32,

@@ -46,15 +46,6 @@ pub enum MergeError {
     Empty,
     /// Two units share a tenant id.
     DuplicateTenant(u16),
-    /// Units target different devices.
-    DeviceMismatch {
-        /// The device of the first unit.
-        expected: u16,
-        /// The offending tenant.
-        tenant: u16,
-        /// Its device.
-        got: u16,
-    },
     /// More kernels than the 8-bit computation id space can address.
     CompSpace {
         /// Kernels requested.
@@ -67,10 +58,6 @@ impl std::fmt::Display for MergeError {
         match self {
             MergeError::Empty => write!(f, "no tenant units to merge"),
             MergeError::DuplicateTenant(t) => write!(f, "tenant {t} appears twice"),
-            MergeError::DeviceMismatch { expected, tenant, got } => write!(
-                f,
-                "tenant {tenant} targets device {got}, but the merge set targets {expected}"
-            ),
             MergeError::CompSpace { needed } => {
                 write!(f, "{needed} kernels exceed the 255-computation id space")
             }
@@ -131,12 +118,7 @@ impl MergedTenants {
         for k in &mut kernels {
             offset_mems(k, -(start as i64));
         }
-        Some(Module {
-            name: self.module.name.clone(),
-            device: self.module.device,
-            globals,
-            kernels,
-        })
+        Some(Module { name: self.module.name.clone(), globals, kernels })
     }
 }
 
@@ -176,24 +158,19 @@ fn offset_mems(f: &mut Function, delta: i64) {
 
 /// Merges independently-compiled tenant modules into one device module.
 ///
-/// All units must target the same device. Each unit is namespaced
+/// The units are lowered for the one device the merged module runs on;
+/// which device that is, the caller decides. Each unit is namespaced
 /// ([`namespace`]), its memory ids are offset past the globals already
 /// merged, and its kernels get fresh computation ids (1, 2, … in input
 /// order). The per-tenant old→new comp map comes back in
 /// [`MergedTenants::tenants`].
 pub fn merge(units: &[TenantUnit]) -> Result<MergedTenants, MergeError> {
-    let Some(first) = units.first() else { return Err(MergeError::Empty) };
-    let device = first.module.device;
+    if units.is_empty() {
+        return Err(MergeError::Empty);
+    }
     for (i, u) in units.iter().enumerate() {
         if units[..i].iter().any(|v| v.tenant == u.tenant) {
             return Err(MergeError::DuplicateTenant(u.tenant));
-        }
-        if u.module.device != device {
-            return Err(MergeError::DeviceMismatch {
-                expected: device,
-                tenant: u.tenant,
-                got: u.module.device,
-            });
         }
     }
     let total_kernels: usize = units.iter().map(|u| u.module.kernels.len()).sum();
@@ -204,7 +181,6 @@ pub fn merge(units: &[TenantUnit]) -> Result<MergedTenants, MergeError> {
     let names: Vec<String> = units.iter().map(|u| format!("t{}", u.tenant)).collect();
     let mut merged = Module {
         name: format!("tenants_{}", names.join("_")),
-        device,
         globals: Vec::new(),
         kernels: Vec::new(),
     };
@@ -236,7 +212,7 @@ mod tests {
     use crate::types::{IrTy, Operand};
     use netcl_sema::builtins::{AtomicOp, AtomicRmw};
 
-    fn module_with(tenant_free_name: &str, device: u16, comp: u8) -> Module {
+    fn module_with(tenant_free_name: &str, comp: u8) -> Module {
         let mut b = FuncBuilder::new("k", comp);
         b.emit(
             InstKind::AtomicRmw {
@@ -250,7 +226,6 @@ mod tests {
         let f = b.finish();
         Module {
             name: "unit".into(),
-            device,
             globals: vec![GlobalDef {
                 name: tenant_free_name.into(),
                 ty: IrTy::I32,
@@ -267,8 +242,8 @@ mod tests {
     #[test]
     fn merge_namespaces_offsets_and_renumbers() {
         let units = vec![
-            TenantUnit { tenant: 0, module: module_with("acc", 1, 1) },
-            TenantUnit { tenant: 7, module: module_with("acc", 1, 1) },
+            TenantUnit { tenant: 0, module: module_with("acc", 1) },
+            TenantUnit { tenant: 7, module: module_with("acc", 1) },
         ];
         let m = merge(&units).unwrap();
         assert_eq!(m.module.globals.len(), 2);
@@ -289,8 +264,8 @@ mod tests {
     #[test]
     fn solo_extraction_matches_merged_names_and_comps() {
         let units = vec![
-            TenantUnit { tenant: 0, module: module_with("acc", 1, 1) },
-            TenantUnit { tenant: 7, module: module_with("acc", 1, 1) },
+            TenantUnit { tenant: 0, module: module_with("acc", 1) },
+            TenantUnit { tenant: 7, module: module_with("acc", 1) },
         ];
         let m = merge(&units).unwrap();
         let solo = m.solo(7).unwrap();
@@ -308,17 +283,9 @@ mod tests {
     fn merge_rejects_bad_sets() {
         assert_eq!(merge(&[]).unwrap_err(), MergeError::Empty);
         let dup = vec![
-            TenantUnit { tenant: 3, module: module_with("a", 1, 1) },
-            TenantUnit { tenant: 3, module: module_with("b", 1, 1) },
+            TenantUnit { tenant: 3, module: module_with("a", 1) },
+            TenantUnit { tenant: 3, module: module_with("b", 1) },
         ];
         assert_eq!(merge(&dup).unwrap_err(), MergeError::DuplicateTenant(3));
-        let dev = vec![
-            TenantUnit { tenant: 0, module: module_with("a", 1, 1) },
-            TenantUnit { tenant: 1, module: module_with("b", 2, 1) },
-        ];
-        assert_eq!(
-            merge(&dev).unwrap_err(),
-            MergeError::DeviceMismatch { expected: 1, tenant: 1, got: 2 }
-        );
     }
 }

@@ -18,12 +18,12 @@ pub fn print_module(m: &Module) -> String {
     out
 }
 
-/// Prints everything of a module but its kernels: the name, the device and
-/// the globals. ([`print_module`] is this followed by each kernel's
+/// Prints everything of a module but its kernels: the name and the
+/// globals. ([`print_module`] is this followed by each kernel's
 /// [`print_function`].)
 pub fn print_module_header(m: &Module) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "; module {} (device {})", m.name, m.device);
+    let _ = writeln!(out, "; module {}", m.name);
     for (i, g) in m.globals.iter().enumerate() {
         let dims: Vec<String> = g.dims.iter().map(|d| format!("[{d}]")).collect();
         let mut attrs = Vec::new();

@@ -333,12 +333,8 @@ mod tests {
         let s = b.bin(netcl_ir::types::IrBinOp::Add, Op::Value(v0), Op::Value(v1), IrTy::I32);
         b.emit(InstKind::ArgWrite { arg: out, index: Op::imm(0, IrTy::I32), value: s }, IrTy::I32);
         b.terminate(Terminator::Ret(ActionRef::pass()));
-        let mut m = Module {
-            name: "t".into(),
-            device: 0,
-            globals: vec![global("m")],
-            kernels: vec![b.finish()],
-        };
+        let mut m =
+            Module { name: "t".into(), globals: vec![global("m")], kernels: vec![b.finish()] };
         let d = check(&mut m);
         assert_eq!(reported(&d), [("E0302", vec!["m"])]);
     }
@@ -355,7 +351,7 @@ mod tests {
         b.terminate(Terminator::Ret(ActionRef::pass()));
         let slice = GlobalDef { origin: Some(("bmp".into(), 1)), ..global("bmp__1") };
         let globals = vec![global("c"), global("a"), slice];
-        let mut m = Module { name: "t".into(), device: 0, globals, kernels: vec![b.finish()] };
+        let mut m = Module { name: "t".into(), globals, kernels: vec![b.finish()] };
         let d = check(&mut m);
         let want = [("E0302", vec!["c"]), ("E0302", vec!["a"]), ("E0302", vec!["bmp[1]"])];
         assert_eq!(reported(&d), want);
@@ -374,12 +370,8 @@ mod tests {
         b.switch_to(e);
         b.emit(read(0, 1), IrTy::I32);
         b.terminate(Terminator::Ret(ActionRef::pass()));
-        let mut m = Module {
-            name: "t".into(),
-            device: 0,
-            globals: vec![global("m")],
-            kernels: vec![b.finish()],
-        };
+        let mut m =
+            Module { name: "t".into(), globals: vec![global("m")], kernels: vec![b.finish()] };
         let d = check(&mut m);
         assert!(!d.has_errors(), "{:?}", d.diagnostics());
     }
@@ -413,12 +405,8 @@ mod tests {
         b.switch_to(deep);
         b.emit(read(0, 1), IrTy::I32);
         b.terminate(Terminator::Ret(ActionRef::pass()));
-        let mut m = Module {
-            name: "t".into(),
-            device: 0,
-            globals: vec![global("m")],
-            kernels: vec![b.finish()],
-        };
+        let mut m =
+            Module { name: "t".into(), globals: vec![global("m")], kernels: vec![b.finish()] };
         let d = check(&mut m);
         assert_eq!(reported(&d), [("E0303", vec!["m"])]);
     }
@@ -441,7 +429,6 @@ mod tests {
         b.terminate(Terminator::Ret(ActionRef::pass()));
         let mut m = Module {
             name: "t".into(),
-            device: 0,
             globals: vec![global("m1"), global("m2")],
             kernels: vec![b.finish()],
         };
@@ -476,7 +463,6 @@ mod tests {
         b.terminate(Terminator::Ret(ActionRef::pass()));
         let mut m = Module {
             name: "t".into(),
-            device: 0,
             globals: vec![global("m1"), global("m2")],
             kernels: vec![b.finish()],
         };
@@ -504,7 +490,7 @@ mod tests {
         b.emit(read_at(2, Op::Value(z)), IrTy::I32);
         b.terminate(Terminator::Ret(ActionRef::pass()));
         let globals = vec![global("a"), global("b"), global("c")];
-        let mut m = Module { name: "t".into(), device: 0, globals, kernels: vec![b.finish()] };
+        let mut m = Module { name: "t".into(), globals, kernels: vec![b.finish()] };
         let d = check(&mut m);
         assert_eq!(reported(&d), [("E0304", vec!["a", "c"]), ("E0304", vec!["b", "c"])]);
     }
@@ -527,7 +513,6 @@ mod tests {
         b.terminate(Terminator::Ret(ActionRef::pass()));
         let mut m = Module {
             name: "t".into(),
-            device: 0,
             globals: vec![global("Bitmap__0"), global("Bitmap__1")],
             kernels: vec![b.finish()],
         };

@@ -211,12 +211,8 @@ mod tests {
         b.emit(atomic_or(MemId(0), Op::imm(0, IrTy::I16), Op::Value(i)), IrTy::I16);
         b.emit(atomic_or(MemId(0), Op::imm(1, IrTy::I16), Op::Value(i)), IrTy::I16);
         b.terminate(Terminator::Ret(ActionRef::pass()));
-        let mut m = Module {
-            name: "t".into(),
-            device: 0,
-            globals: vec![bitmap_global()],
-            kernels: vec![b.finish()],
-        };
+        let mut m =
+            Module { name: "t".into(), globals: vec![bitmap_global()], kernels: vec![b.finish()] };
         assert_eq!(partition_module(&mut m), 1);
         // Husk + two parts.
         assert_eq!(m.globals.len(), 3);
@@ -246,12 +242,8 @@ mod tests {
             .unwrap();
         b.emit(atomic_or(MemId(0), Op::Value(i), Op::imm(3, IrTy::I16)), IrTy::I16);
         b.terminate(Terminator::Ret(ActionRef::pass()));
-        let mut m = Module {
-            name: "t".into(),
-            device: 0,
-            globals: vec![bitmap_global()],
-            kernels: vec![b.finish()],
-        };
+        let mut m =
+            Module { name: "t".into(), globals: vec![bitmap_global()], kernels: vec![b.finish()] };
         assert_eq!(partition_module(&mut m), 0);
         assert_eq!(m.globals.len(), 1);
     }
@@ -275,8 +267,7 @@ mod tests {
         b.emit_lookup(MemId(0), Op::Value(kv), IrTy::I32);
         b.emit_lookup(MemId(0), Op::Value(kv), IrTy::I32);
         b.terminate(Terminator::Ret(ActionRef::pass()));
-        let mut m =
-            Module { name: "t".into(), device: 0, globals: vec![table], kernels: vec![b.finish()] };
+        let mut m = Module { name: "t".into(), globals: vec![table], kernels: vec![b.finish()] };
         assert_eq!(duplicate_lookup_memory(&mut m), 2);
         assert_eq!(m.globals.len(), 3);
         assert_eq!(m.globals[1].name, "cache__dup1");
@@ -308,8 +299,7 @@ mod tests {
         b.emit_lookup(MemId(0), Op::imm(1, IrTy::I32), IrTy::I32);
         b.emit_lookup(MemId(0), Op::imm(2, IrTy::I32), IrTy::I32);
         b.terminate(Terminator::Ret(ActionRef::pass()));
-        let mut m =
-            Module { name: "t".into(), device: 0, globals: vec![table], kernels: vec![b.finish()] };
+        let mut m = Module { name: "t".into(), globals: vec![table], kernels: vec![b.finish()] };
         assert_eq!(duplicate_lookup_memory(&mut m), 0);
         assert_eq!(m.globals.len(), 1);
     }

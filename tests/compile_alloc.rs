@@ -60,6 +60,23 @@ fn cold_compile_allocations_per_application() {
     }
 }
 
+/// One `Compiler::compile` of CALC placed at 64 devices. The 64 lowered
+/// modules are equal, so one device runs the pass pipeline and codegen and
+/// 63 are placed from its program. When every device ran both: 59 586.
+#[test]
+fn multi_device_compile_allocations() {
+    const MEASURED: u64 = 23_357;
+    const PARENT: u64 = 59_586;
+    let ids: Vec<String> = (1..=64).map(|d| d.to_string()).collect();
+    let source = calc::netcl_source().replace("_at(1)", &format!("_at({})", ids.join(", ")));
+    let cc = Compiler::new(CompileOptions::default());
+    let (unit, allocs) = allocs_during(|| cc.compile("calc.ncl", &source));
+    assert_eq!(unit.unwrap_or_else(|e| panic!("{e}")).devices.len(), 64);
+    let what = format!("CALC at 64 devices: a cold compile made {allocs} allocations");
+    assert!(allocs <= ceiling(MEASURED), "{what}");
+    assert!(allocs < PARENT, "{what}");
+}
+
 /// Parse, `analyze` and `lower_device` for every device: the frontend the
 /// cold compiles above start with.
 fn parse_analyze_lower(name: &str, source: &str) -> Vec<netcl::ir::Module> {

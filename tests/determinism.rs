@@ -25,6 +25,7 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
 
+use netcl::{CompileOptions, CompiledUnit, Compiler, EmitTarget};
 use netcl_apps::calc;
 use netcl_bmv2::{Switch, SwitchCounters};
 use netcl_net::topo::star;
@@ -34,8 +35,8 @@ use netcl_net::{
 };
 use netcl_runtime::message::{pack, unpack, Message};
 
-fn compile(name: &str, src: &str) -> netcl::CompiledUnit {
-    netcl::Compiler::new(netcl::CompileOptions::default()).compile(name, src).unwrap()
+fn compile(name: &str, src: &str) -> CompiledUnit {
+    Compiler::new(CompileOptions::default()).compile(name, src).unwrap()
 }
 
 /// Seed-matrix base, varied in CI (`NETCL_DETERMINISM_SEED`) so the suite
@@ -670,7 +671,7 @@ type FatTreeOutcome = (NetStats, Vec<(u32, Vec<(u64, Vec<u8>)>)>);
 /// that both executors plan the same rounds, and that at 8 shards the
 /// busiest one handles at most a quarter of the events (event counts are
 /// deterministic, so this is the partitioner's balance on real traffic,
-/// not a timing: 18.0 % at k=8, 13.0 % at k=74). Returns the first run's
+/// not a timing: 18.0 % at k=8, 13.7 % at k=74). Returns the first run's
 /// outcome.
 fn fat_tree_identity(
     ft: &FatTree,
@@ -779,11 +780,7 @@ fn fat_tree_shard_counts_agree_and_every_flow_computes() {
 fn fat_tree_sweep() {
     let flows = 2_000;
     let ft = FatTree::new(8, LinkSpec::default()).unwrap();
-    let switches = ft.core.len() + 2 * ft.edge_by_pod.iter().map(Vec::len).sum::<usize>();
-    let ids: Vec<String> = (0..switches).map(|d| d.to_string()).collect();
-    let source = calc::netcl_source();
-    assert!(source.contains("_at(1)"), "CALC's placement is no longer `_at(1)`");
-    let unit = compile("calc.ncl", &source.replace("_at(1)", &format!("_at({})", ids.join(", "))));
+    let unit = calc_at_every_switch(&ft, EmitTarget::Both);
     let own = |d: u16| unit.device(d).expect("CALC is placed at every switch").tna_p4.clone();
 
     let (stats, received) = fat_tree_identity(&ft, flows, &[1, 2, 4, 8, 16], &own);
@@ -802,19 +799,40 @@ fn fat_tree_sweep() {
     assert_eq!(replies, flows);
 }
 
+/// CALC with its kernel placed `_at` every switch of `ft` (ids 0 to the
+/// switch count), compiled for `target`. Every switch lowers to the same
+/// module, so the compile runs the pass pipeline once and places the
+/// program at each switch.
+fn calc_at_every_switch(ft: &FatTree, target: EmitTarget) -> CompiledUnit {
+    let switches = ft.core.len() + 2 * ft.edge_by_pod.iter().map(Vec::len).sum::<usize>();
+    let ids: Vec<String> = (0..switches).map(|d| d.to_string()).collect();
+    let source = calc::netcl_source();
+    assert!(source.contains("_at(1)"), "CALC's placement is no longer `_at(1)`");
+    let source = source.replace("_at(1)", &format!("_at({})", ids.join(", ")));
+    let unit = Compiler::new(CompileOptions { target, ..Default::default() })
+        .compile("calc.ncl", &source)
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(unit.devices.len(), switches);
+    assert_eq!(unit.reuse.devices_total - unit.reuse.devices_reused, 1, "one pipeline run");
+    unit
+}
+
 /// The 10⁵-host point: k=74 (101 306 hosts, 6 845 switches), 2 000 flows,
-/// 1 and 8 shards. This proves **scale, routing and identity, not
-/// compute**: every switch shares CALC's one `_at(1)` program (6 845
-/// per-device compiles is not a smoke), no flow is addressed to device 1,
-/// so every switch forwards and the kernel body never runs — the test
-/// above is the one that computes. `#[ignore]`d for its build time; CI
-/// runs it with `--release -- --ignored`.
+/// 1 and 8 shards. Like the k=8 sweep above, CALC is placed `_at` every
+/// switch and each switch loads the program compiled for its own id, so
+/// every flow computes at its destination's edge switch: the test proves
+/// scale, routing, identity and compute. Only the TNA programs are kept.
+/// `#[ignore]`d for its build time; CI runs it with `--release --
+/// --ignored`.
 #[test]
 #[ignore = "builds a 101 306-host network four times; run in release"]
 fn fat_tree_100k_hosts_route_and_shard_identically() {
+    let flows = 2_000;
     let ft = FatTree::new(74, LinkSpec::default()).unwrap();
     assert_eq!(ft.num_hosts(), 101_306);
-    let unit = compile("calc.ncl", &calc::netcl_source());
-    let shared = unit.devices[0].tna_p4.clone();
-    fat_tree_identity(&ft, 2_000, &[1, 8], &|_| shared.clone());
+    let unit = calc_at_every_switch(&ft, EmitTarget::Tna);
+    assert_eq!(unit.devices.len(), 6_845);
+    let own = |d: u16| unit.device(d).expect("CALC is placed at every switch").tna_p4.clone();
+    let (stats, _) = fat_tree_identity(&ft, flows, &[1, 8], &own);
+    assert_eq!(stats.kernel_executions, flows as u64, "one kernel execution per flow");
 }

@@ -10,6 +10,7 @@ use netcl_runtime::message::{pack, pack_into, unpack, Message, MessageError};
 use proptest::prelude::*;
 use std::sync::Arc;
 
+mod listings;
 mod shipped;
 
 fn arb_ty() -> impl Strategy<Value = Ty> {
@@ -777,5 +778,74 @@ proptest! {
             _ => text[at] ^= 1 << rng.below(8),
         }
         parse_returns(&text)?;
+    }
+}
+
+/// `Compiler::compile` on `source` returns — a unit, or an error that
+/// carries at least one diagnostic code — rather than panicking.
+fn compile_returns(source: &str) -> Result<(), String> {
+    let cc = Compiler::new(CompileOptions::default());
+    match std::panic::catch_unwind(|| cc.compile("fuzz.ncl", source)) {
+        Ok(Ok(_)) => Ok(()),
+        Ok(Err(e)) if !e.codes.is_empty() => Ok(()),
+        Ok(Err(e)) => Err(format!("an error without a code on {source:?}: {e}")),
+        Err(_) => Err(format!("compile panicked on {source:?}")),
+    }
+}
+
+/// Every shipped NetCL source: each application's, the whole P4xos unit
+/// and the paper's listings that compile.
+fn shipped_sources() -> &'static [String] {
+    static SOURCES: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+    SOURCES.get_or_init(|| {
+        let mut sources: Vec<String> =
+            netcl_apps::all_apps().into_iter().map(|app| app.netcl_source).collect();
+        sources.push(netcl_apps::paxos::full_source());
+        sources.extend(
+            [
+                listings::FIGURE_4,
+                listings::FIGURE_7,
+                listings::SECTION_5A,
+                listings::SECTION_5B,
+                listings::SECTION_5C,
+                listings::SECTION_5D_MEMORY,
+                listings::SECTION_5D_ORDERING,
+            ]
+            .map(String::from),
+        );
+        sources
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Source text never panics the compiler: arbitrary bytes compile, or
+    /// fail with a coded diagnostic.
+    #[test]
+    fn compile_is_total_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        compile_returns(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    /// Nor does a shipped source with one to three bytes inserted, deleted
+    /// or bit-flipped: the mutations land inside text every layer accepts.
+    #[test]
+    fn compile_is_total_on_mutated_shipped_sources(seed in any::<u64>()) {
+        let mut rng = WorkloadRng::new(seed);
+        let sources = shipped_sources();
+        let mut text = sources[rng.below(sources.len() as u64) as usize].clone().into_bytes();
+        for _ in 0..1 + rng.below(3) {
+            let at = rng.below(text.len() as u64) as usize;
+            match rng.below(3) {
+                0 => text.insert(at, rng.next_u64() as u8),
+                1 => {
+                    text.remove(at);
+                }
+                _ => text[at] ^= 1 << rng.below(8),
+            }
+        }
+        compile_returns(&String::from_utf8_lossy(&text))?;
     }
 }

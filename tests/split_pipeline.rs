@@ -2,9 +2,12 @@
 //! pipeline's common half once per device and its target half once per
 //! dialect. What comes out — both IR modules, both P4 programs, both pass
 //! reports — must be what driving `lower_device` → `run_pipeline` per target
-//! → `codegen::generate` by hand produces, byte for byte (wall times aside).
-//! `compile_tenants` builds its merged and solo devices with the same
-//! function, so the same holds for them against `merge::merge`'s modules.
+//! → `codegen::generate_at` by hand produces, byte for byte
+//! (wall times aside). A device whose lowered module an earlier device of
+//! the unit has runs that device's program, so its reports are replayed,
+//! marked cached. `compile_tenants` builds its merged and solo devices with
+//! the same function, so the same holds for them against `merge::merge`'s
+//! modules.
 
 use netcl::ir::merge::{self, TenantUnit};
 use netcl::ir::print::print_module;
@@ -57,25 +60,32 @@ fn untimed(r: &PassReport) -> String {
 /// One device's expected output and its `(tna, v1model)` reports.
 type Whole = (Rendered, String, String);
 
-/// The whole pipeline per target on one lowered (or merged) module, with no
-/// stage shared between the dialects.
-fn whole_device(base: &Module, diags: &mut DiagnosticSink) -> Whole {
+/// The P4 program for `ir` at `device`.
+fn generated(ir: &Module, target: Target, device: u16) -> String {
+    print_program(&codegen::generate_at(ir, target, device).expect("codegen"))
+}
+
+/// The whole pipeline per target on one lowered (or merged) module placed
+/// at `device`, with no stage shared between the dialects; the reports say
+/// `cached` as asked.
+fn whole_device(base: &Module, device: u16, cached: bool, diags: &mut DiagnosticSink) -> Whole {
     let flags = PassFlags::default();
     let mut whole = |target| {
         // The bare and the reporting entry point are one pipeline.
         let (mut ir, mut reported) = (base.clone(), base.clone());
         run_pipeline(&mut ir, target, &flags, diags).expect("pipeline accepts");
-        let (r, report) = run_pipeline_with_report(&mut reported, target, &flags, diags);
+        let (r, mut report) = run_pipeline_with_report(&mut reported, target, &flags, diags);
         r.expect("pipeline accepts");
         assert_eq!(print_module(&ir), print_module(&reported));
+        report.from_cache = cached;
         (ir, untimed(&report))
     };
     let (tna_ir, tna_report) = whole(PipelineTarget::Tofino);
     let (v1_ir, v1_report) = whole(PipelineTarget::V1Model);
     let rendered = Rendered {
-        device: base.device,
-        tna_p4: print_program(&codegen::generate(&tna_ir, Target::Tna).expect("codegen")),
-        v1_p4: print_program(&codegen::generate(&v1_ir, Target::V1Model).expect("codegen")),
+        device,
+        tna_p4: generated(&tna_ir, Target::Tna, device),
+        v1_p4: generated(&v1_ir, Target::V1Model, device),
         tna_ir: print_module(&tna_ir),
         v1_ir: print_module(&v1_ir),
     };
@@ -93,10 +103,12 @@ fn frontend(name: &str, source: &str) -> (ParsedUnit, Analysis, DiagnosticSink) 
 
 fn by_hand(name: &str, source: &str) -> Vec<Whole> {
     let (parsed, analysis, mut diags) = frontend(name, source);
-    let mut out = Vec::new();
+    let (mut out, mut seen) = (Vec::new(), Vec::new());
     for dev in analysis.model.mentioned_devices() {
         let base = lower::lower_device(&parsed, &analysis, dev, &mut diags);
-        out.push(whole_device(&base, &mut diags));
+        let cached = seen.contains(&base);
+        out.push(whole_device(&base, dev, cached, &mut diags));
+        seen.push(base);
     }
     out
 }
@@ -145,6 +157,22 @@ fn every_shipped_application() {
     assert_split_matches_whole("paxos.ncl", &paxos::full_source());
 }
 
+/// Which devices share one program: P4xos's acceptors read `device.id`, so
+/// each runs its own pipeline, while PLRN's devices 2–4 hold only the
+/// acceptors' memory and are placed from device 2's program. That both
+/// print what the by-hand run prints is `every_shipped_application`.
+#[test]
+fn p4xos_devices_share_only_equal_modules() {
+    let cc = Compiler::new(CompileOptions::default());
+    let full = cc.compile("paxos.ncl", &paxos::full_source()).expect("P4xos compiles");
+    assert_eq!((full.reuse.devices_total, full.reuse.devices_reused), (5, 0));
+    let plrn = cc.compile("plrn.ncl", &paxos::learner_source()).expect("PLRN compiles");
+    assert_eq!(plrn.devices.iter().map(|d| d.device).collect::<Vec<_>>(), [2, 3, 4, 5]);
+    assert_eq!(plrn.reuse.devices_reused, 2);
+    let ir = |i: usize| std::sync::Arc::as_ptr(&plrn.devices[i].tna_ir);
+    assert!(ir(1) == ir(0) && ir(2) == ir(0) && ir(3) != ir(0));
+}
+
 /// AGG + CACHE behind one dispatch (the shapes of `tests/fit_golden.rs` and
 /// `crates/bench/tests/tenancy.rs`): the merged device and each solo slice
 /// are what the by-hand run makes of `merge::merge`'s modules, reports
@@ -167,10 +195,13 @@ fn merged_and_solo_tenant_devices() {
         })
         .collect();
     let merged = merge::merge(&units).expect("AGG + CACHE merge");
-    let want_merged = whole_device(&merged.module, &mut diags);
+    let want_merged = whole_device(&merged.module, 1, false, &mut diags);
     let want_solo: Vec<Whole> = sources
         .iter()
-        .map(|ts| whole_device(&merged.solo(ts.tenant).expect("merged tenant"), &mut diags))
+        .map(|ts| {
+            let solo = merged.solo(ts.tenant).expect("merged tenant");
+            whole_device(&solo, 1, false, &mut diags)
+        })
         .collect();
 
     for pass_report in [false, true] {
