@@ -8,11 +8,12 @@
 //! (`src/bin/netcl_e2e/README.md`).
 
 use netcl::compiler::CompileTimings;
+use netcl::passes::PassFlags;
 use netcl::{CompileOptions, Compiler, EmitTarget};
 use netcl_apps::{agg, all_apps, cache, empty_program, netcl_loc, Conditions};
 use netcl_p4::classify::{classify, Category};
 use netcl_p4::print::{loc, print_program};
-use netcl_tofino::{fit, ResourceKind};
+use netcl_tofino::{fit, AllocError, AllocationReport, ResourceKind};
 use std::fmt::Write;
 use std::time::Duration;
 
@@ -184,6 +185,23 @@ pub fn report_table4() -> String {
     out
 }
 
+/// The programs of Tables V and VI, each fitted: every application's
+/// generated program at its kernel device, its handwritten baseline, then
+/// EMPTY.
+fn fitted_programs() -> Vec<(String, Result<AllocationReport, AllocError>)> {
+    let mut rows = Vec::new();
+    for app in all_apps() {
+        let unit = Compiler::new(CompileOptions::default())
+            .compile(app.name, &app.netcl_source)
+            .expect("compiles");
+        let dev = unit.device(app.device).unwrap();
+        rows.push((format!("{} (gen)", app.name), fit(&dev.tna_p4)));
+        rows.push((format!("{} (hand)", app.name), fit(&app.handwritten)));
+    }
+    rows.push(("EMPTY".into(), fit(&empty_program())));
+    rows
+}
+
 /// Table V: Tofino resource utilization, handwritten vs generated vs EMPTY.
 pub fn report_table5() -> String {
     let mut out = String::new();
@@ -193,35 +211,28 @@ pub fn report_table5() -> String {
         "{:<14} {:>6} {:>15} {:>15} {:>13} {:>13}",
         "PROGRAM", "STAGES", "SRAM", "TCAM", "SALUs", "VLIW"
     );
-    let mut row = |label: String, p: &netcl_p4::P4Program| match fit(p) {
-        Ok(r) => {
-            let cell = |k: ResourceKind| {
-                format!("{:.2}/{:.2}", r.total_percent(k), r.worst_stage_percent(k))
-            };
-            let _ = writeln!(
-                out,
-                "{:<14} {:>6} {:>15} {:>15} {:>13} {:>13}",
-                label,
-                r.stages_used,
-                cell(ResourceKind::Sram),
-                cell(ResourceKind::Tcam),
-                cell(ResourceKind::Salus),
-                cell(ResourceKind::Vliw),
-            );
+    for (label, fitted) in fitted_programs() {
+        match fitted {
+            Ok(r) => {
+                let cell = |k: ResourceKind| {
+                    format!("{:.2}/{:.2}", r.total_percent(k), r.worst_stage_percent(k))
+                };
+                let _ = writeln!(
+                    out,
+                    "{:<14} {:>6} {:>15} {:>15} {:>13} {:>13}",
+                    label,
+                    r.stages_used,
+                    cell(ResourceKind::Sram),
+                    cell(ResourceKind::Tcam),
+                    cell(ResourceKind::Salus),
+                    cell(ResourceKind::Vliw),
+                );
+            }
+            Err(e) => {
+                let _ = writeln!(out, "{label:<14} DOES NOT FIT: {e}");
+            }
         }
-        Err(e) => {
-            let _ = writeln!(out, "{label:<14} DOES NOT FIT: {e}");
-        }
-    };
-    for app in all_apps() {
-        let unit = Compiler::new(CompileOptions::default())
-            .compile(app.name, &app.netcl_source)
-            .expect("compiles");
-        let dev = unit.device(app.device).unwrap();
-        row(format!("{} (gen)", app.name), &dev.tna_p4);
-        row(format!("{} (hand)", app.name), &app.handwritten);
     }
-    row("EMPTY".into(), &empty_program());
     let _ = writeln!(
         out,
         "(paper: all fit 12 stages; generated AGG uses no TCAM while handwritten does; \
@@ -239,8 +250,8 @@ pub fn report_table6() -> String {
         "{:<14} {:>12} {:>13} {:>10}",
         "PROGRAM", "HEADER bits", "META bits", "PHV %"
     );
-    let mut row = |label: String, p: &netcl_p4::P4Program| {
-        if let Ok(r) = fit(p) {
+    for (label, fitted) in fitted_programs() {
+        if let Ok(r) = fitted {
             let _ = writeln!(
                 out,
                 "{:<14} {:>12} {:>13} {:>9.2}%",
@@ -250,16 +261,7 @@ pub fn report_table6() -> String {
                 r.phv.percent()
             );
         }
-    };
-    for app in all_apps() {
-        let unit = Compiler::new(CompileOptions::default())
-            .compile(app.name, &app.netcl_source)
-            .expect("compiles");
-        let dev = unit.device(app.device).unwrap();
-        row(format!("{} (gen)", app.name), &dev.tna_p4);
-        row(format!("{} (hand)", app.name), &app.handwritten);
     }
-    row("EMPTY".into(), &empty_program());
     let _ = writeln!(
         out,
         "(paper: NetCL within ~2% of handwritten except the tiny CALC, where the shim dominates)"
@@ -386,6 +388,14 @@ pub fn report_fig14_cache() -> String {
     out
 }
 
+/// Stages the TNA program of `source` (its first device) takes under
+/// `flags`, or why it has none.
+fn tna_stages(name: &str, source: &str, flags: PassFlags) -> Result<u32, &'static str> {
+    let opts = CompileOptions { target: EmitTarget::Tna, flags, ..Default::default() };
+    let unit = Compiler::new(opts).compile(name, source).map_err(|_| "rejected")?;
+    fit(&unit.devices[0].tna_p4).map(|r| r.stages_used).map_err(|_| "no fit")
+}
+
 /// Ablation: speculation and the icmp rewrite (the §VI-B flags).
 pub fn report_ablations() -> String {
     let mut out = String::new();
@@ -395,25 +405,17 @@ pub fn report_ablations() -> String {
         ("AGG", agg::netcl_source(&agg::AggConfig::default())),
         ("CACHE", cache::netcl_source(&cache::CacheConfig::default())),
     ] {
-        let stages = |spec: bool, icmp: bool| -> String {
-            let mut opts = CompileOptions { target: EmitTarget::Tna, ..Default::default() };
-            opts.flags.speculation = spec;
-            opts.flags.icmp_to_sub_msb = icmp;
-            match Compiler::new(opts).compile(name, &source) {
-                Ok(unit) => match fit(&unit.devices[0].tna_p4) {
-                    Ok(r) => r.stages_used.to_string(),
-                    Err(_) => "no fit".into(),
-                },
-                Err(_) => "rejected".into(),
-            }
+        let stages = |flags| match tna_stages(name, &source, flags) {
+            Ok(n) => n.to_string(),
+            Err(why) => why.to_string(),
         };
         let _ = writeln!(
             out,
             "{:<10} {:>12} {:>12} {:>14}",
             name,
-            stages(true, true),
-            stages(false, true),
-            stages(true, false)
+            stages(PassFlags::default()),
+            stages(PassFlags { speculation: false, ..PassFlags::default() }),
+            stages(PassFlags { icmp_to_sub_msb: false, ..PassFlags::default() })
         );
     }
     let _ = writeln!(
@@ -613,13 +615,21 @@ mod tests {
         }
     }
 
+    /// Table V's claims: every program fits Tofino's twelve stages, and the
+    /// generated AGG uses no TCAM where the handwritten one does.
     #[test]
-    fn table5_and_6_shape() {
-        let t = report_table5();
-        assert!(!t.contains("DOES NOT FIT"), "{t}");
-        assert!(t.contains("EMPTY"));
-        let t6 = report_table6();
-        assert!(t6.contains("EMPTY"));
+    fn table5_claims() {
+        let rows = fitted_programs();
+        for (label, fitted) in &rows {
+            let r = fitted.as_ref().unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert!(r.stages_used <= 12, "{label}: {} stages", r.stages_used);
+        }
+        let tcam_free = |label: &str| {
+            let (_, fitted) = rows.iter().find(|(l, _)| l == label).expect(label);
+            fitted.as_ref().unwrap().tcam_free()
+        };
+        assert!(tcam_free("AGG (gen)"), "generated AGG uses TCAM");
+        assert!(!tcam_free("AGG (hand)"), "handwritten AGG uses no TCAM");
     }
 
     #[test]
@@ -633,11 +643,13 @@ mod tests {
         }
     }
 
+    /// The speculation ablation: CACHE takes 8 stages under the default
+    /// flags and 12 with speculation off.
     #[test]
-    fn ablations_run() {
-        let t = report_ablations();
-        assert!(t.contains("AGG"));
-        let d = report_ablate_duplication();
-        assert!(d.contains("duplication=true"));
+    fn ablation_claims() {
+        let source = cache::netcl_source(&cache::CacheConfig::default());
+        assert_eq!(tna_stages("CACHE", &source, PassFlags::default()), Ok(8));
+        let no_spec = PassFlags { speculation: false, ..PassFlags::default() };
+        assert_eq!(tna_stages("CACHE", &source, no_spec), Ok(12));
     }
 }

@@ -268,6 +268,12 @@ impl Switch {
             .map(|(r, cells)| (r.name.as_str(), cells.as_slice()))
     }
 
+    /// A table's current entries, in match order.
+    pub fn table_entries(&self, table: &str) -> Option<&[TableEntry]> {
+        let &i = self.layout.table_index.get(table)?;
+        Some(&self.st.tables[i as usize])
+    }
+
     /// Tables whose names start with `prefix` (lookup duplication creates
     /// `name`, `name__dup1`, ... that must be updated together).
     pub fn tables_with_prefix(&self, prefix: &str) -> Vec<String> {

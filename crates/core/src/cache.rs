@@ -2,53 +2,46 @@
 //!
 //! `ncc` compiles workloads of many translation units; editing one kernel
 //! should not pay the pass pipeline and codegen for the other 999. A
-//! [`CompileCache`] keeps two content-addressed maps and a set:
+//! [`CompileCache`] keeps two content-addressed maps:
 //!
-//! * **unit cache** — keyed by a 64-bit hash over (options fingerprint,
-//!   unit name, source text) and *verified*: the entry keeps the name and
-//!   the source it was compiled from, and a lookup whose key matches but
-//!   whose text does not is a miss. A hit returns the [`CompiledUnit`]
-//!   without touching the frontend.
-//! * **device cache** — keyed by a 64-bit hash over (options fingerprint,
-//!   the device id, the printed header of the post-sema base IR for that
-//!   device, the lookup-entry data, the device's kernel keys). A hit skips
-//!   the §VI-B pass pipeline and P4 codegen for that device; editing one
-//!   kernel of a multi-device unit therefore re-runs the backend only for
-//!   the devices that kernel is `_at(...)`. The module does not name its
-//!   device and the artifact does (program name, device guard), so the key
-//!   writes the id out: devices with equal modules never alias. A unit's
-//!   devices with equal modules are looked up once, under the first of
-//!   them; the driver places the rest from what that serves.
-//! * **kernel seen-set** — a hash over (options fingerprint, the kernel's
-//!   printed IR). Attribution: [`ReuseStats`] reports how many kernels of a
-//!   recompile were already known, so a one-kernel edit is visible as
-//!   exactly one cold kernel while its siblings (and their devices'
-//!   artifacts) stay cache-hit. The same hashes make up the device key, so
-//!   a kernel is printed once per compile.
+//! * **units** — keyed by a 64-bit hash over (options fingerprint, unit
+//!   name, source text) and *verified*: the entry keeps the name and the
+//!   source it was compiled from, and a lookup whose key matches but whose
+//!   text does not is a miss. A hit returns the [`CompiledUnit`] without
+//!   touching the frontend.
+//! * **programs** — keyed by the *program key*: a 64-bit hash over
+//!   (options fingerprint, the lowered module), taken structurally through
+//!   the IR's derived `Hash`. A hit skips the §VI-B pass pipeline and P4
+//!   codegen. A lowered module does not name its device, so neither does
+//!   the key: a program built at one device serves an equal module at any
+//!   other, re-placed by `codegen::place` the way the driver places a
+//!   unit's devices from one another (DESIGN.md §4). Editing one kernel of
+//!   a multi-device unit re-runs the backend only for the devices whose
+//!   lowered modules the edit changed.
 //!
 //! **One copy of each artifact.** The heavy parts of a result — the two
 //! IR modules and two P4 programs of a [`CompiledDevice`], and the unit's
-//! `Model` — are immutable behind `Arc`. The device map, the unit map and
-//! every unit handed to a caller point at the same allocations. What a
+//! `Model` — are immutable behind `Arc`. The program table, the unit map
+//! and every unit handed to a caller point at the same allocations. What a
 //! serve does own is small: the `Vec` of devices, `reuse`, `timings`,
 //! `warnings` and any `PassReport`s (an entry is stored as a hit serves it
-//! — `reuse` filled in, reports `from_cache` — and its key names its
-//! device, so a serve rewrites nothing). A unit hit therefore costs two
-//! reads of the source text (hash it, then compare it), one allocation for
-//! the device `Vec`, four reference-count bumps per device and one for the
-//! model — independent of how large the artifacts are
-//! (`tests/cache_alloc.rs` is the gate). Nothing a caller does to a served
-//! unit (`Arc::make_mut`, pushing devices) reaches the cache's copy.
+//! — `reuse` filled in, reports `from_cache` — so a unit serve rewrites
+//! nothing). A unit hit therefore costs two reads of the source text (hash
+//! it, then compare it), one allocation for the device `Vec`, four
+//! reference-count bumps per device and one for the model — independent of
+//! how large the artifacts are (`tests/cache_alloc.rs` is the gate).
+//! Nothing a caller does to a served unit (`Arc::make_mut`, pushing
+//! devices) reaches the cache's copy.
 //!
-//! **Which entries are verified.** A unit key hashes text the user
-//! controls, and the preimage is small (~0.7 KB against ~150 KB of
-//! artifacts), so the entry keeps it and a 64-bit collision can never
-//! serve one unit's program for another. Device entries stay
-//! hash-addressed: their preimage is the whole printed base IR, which
-//! would cost about one more module per entry to keep and to compare, it
-//! is compiler-canonical text rather than arbitrary input, and a device
-//! lookup happens only after a verified unit miss; at 10⁶ entries the
-//! birthday bound on a 64-bit key is below 3 × 10⁻⁸.
+//! **Which matches are exact.** A unit key hashes text the user controls,
+//! and the preimage is small (~0.7 KB against ~150 KB of artifacts), so the
+//! entry keeps it and a 64-bit collision can never serve one unit's program
+//! for another. Program entries stay hash-addressed: keeping the module to
+//! compare would cost about one more module per entry, a module is compiler
+//! output rather than arbitrary input, and the table is probed only after a
+//! verified unit miss; at 10⁶ entries the birthday bound on a 64-bit key is
+//! below 3 × 10⁻⁸. Within a unit the driver confirms a key match by
+//! comparing the two modules, so placement there is exact.
 //!
 //! Keys are content hashes, so a mutated source simply misses and
 //! recompiles; nothing is ever invalidated in place. Served artifacts are
@@ -59,10 +52,14 @@
 //! miss.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
-use crate::compiler::{CompileOptions, CompiledDevice, CompiledUnit, EmitTarget};
+use netcl_ir::Module;
+use netcl_passes::PassFlags;
 
-/// How much of a [`CompiledUnit`] was served from a [`CompileCache`].
+use crate::compiler::{CompileOptions, CompiledDevice, CompiledUnit};
+
+/// How much of a [`CompiledUnit`] was not built afresh.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReuseStats {
     /// The whole unit was a cache hit (frontend, sema, lowering, passes
@@ -70,19 +67,11 @@ pub struct ReuseStats {
     pub unit_hit: bool,
     /// Devices this unit compiled for.
     pub devices_total: usize,
-    /// Devices that did not run the pass pipeline and codegen: served from
-    /// the device cache, or placed from the program of an earlier device
-    /// with an equal lowered module (equals `devices_total` on a unit hit).
+    /// Devices that did not run the pass pipeline and codegen: placed from
+    /// an earlier device of the unit with an equal lowered module, or from
+    /// the program the cache holds for an equal module (equals
+    /// `devices_total` on a unit hit).
     pub devices_reused: usize,
-    /// Kernels lowered across all devices of this unit (counted when a
-    /// cache is in use).
-    pub kernels_total: usize,
-    /// Kernels whose post-sema IR was already known to the cache, or whose
-    /// device was placed from an earlier device's program — the per-kernel
-    /// attribution behind `devices_reused`: a one-kernel edit shows up as
-    /// exactly one cold kernel here, and every device whose kernels all
-    /// reused serves its artifact from the device cache.
-    pub kernels_reused: usize,
 }
 
 /// Hit/miss counters for a [`CompileCache`].
@@ -92,30 +81,24 @@ pub struct CacheStats {
     pub unit_hits: u64,
     /// Whole-unit lookups that missed.
     pub unit_misses: u64,
-    /// Device-cache lookups that hit: one lookup per group of a unit's
-    /// devices with equal lowered modules.
+    /// Program lookups that hit: at most one per group of a unit's devices
+    /// with equal lowered modules, made for the first of them.
     pub device_hits: u64,
-    /// Device-cache lookups that missed.
+    /// Program lookups that missed.
     pub device_misses: u64,
-    /// Per-kernel IR hashes already in the seen-set.
-    pub kernel_hits: u64,
-    /// Per-kernel IR hashes recorded for the first time.
-    pub kernel_misses: u64,
 }
 
-/// The two-level artifact cache behind `Compiler::compile_incremental`,
-/// plus a per-kernel seen-set that attributes each device hit or miss to
-/// the kernels that caused it.
+/// The unit map and the program table behind
+/// `Compiler::compile_incremental`.
 #[derive(Debug, Default)]
 pub struct CompileCache {
     units: HashMap<u64, UnitEntry>,
-    devices: HashMap<u64, CompiledDevice>,
-    kernels: std::collections::HashSet<u64>,
+    programs: HashMap<u64, CompiledDevice>,
     stats: CacheStats,
 }
 
 /// A cached unit beside the text it was compiled from, which a lookup
-/// compares before serving it (module docs, "Which entries are verified").
+/// compares before serving it (module docs, "Which matches are exact").
 #[derive(Debug)]
 struct UnitEntry {
     name: String,
@@ -139,16 +122,15 @@ impl CompileCache {
         self.units.len()
     }
 
-    /// Cached per-device artifact count.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
+    /// Cached device program count.
+    pub fn program_count(&self) -> usize {
+        self.programs.len()
     }
 
     /// Drops all cached artifacts and resets the counters.
     pub fn clear(&mut self) {
         self.units.clear();
-        self.devices.clear();
-        self.kernels.clear();
+        self.programs.clear();
         self.stats = CacheStats::default();
     }
 
@@ -168,21 +150,18 @@ impl CompileCache {
     }
 
     /// Keeps `unit` as a hit will serve it: everything reused, reports
-    /// marked (see [`CompileCache::put_device`]).
+    /// marked (see [`CompileCache::put_program`]).
     pub(crate) fn put_unit(&mut self, key: u64, name: &str, source: &str, mut unit: CompiledUnit) {
-        unit.reuse = ReuseStats {
-            unit_hit: true,
-            devices_reused: unit.reuse.devices_total,
-            kernels_reused: unit.reuse.kernels_total,
-            ..unit.reuse
-        };
+        unit.reuse =
+            ReuseStats { unit_hit: true, devices_reused: unit.reuse.devices_total, ..unit.reuse };
         unit.devices.iter_mut().for_each(mark_served);
         self.units.insert(key, UnitEntry { name: name.into(), source: source.into(), unit });
     }
 
-    /// Per-device lookup; counts the hit or miss.
-    pub(crate) fn device(&mut self, key: u64) -> Option<CompiledDevice> {
-        let hit = self.devices.get(&key).cloned();
+    /// The program under a [`program_key`], built at whichever device
+    /// first had its module; counts the hit or miss.
+    pub(crate) fn program(&mut self, key: u64) -> Option<&CompiledDevice> {
+        let hit = self.programs.get(&key);
         match hit {
             Some(_) => self.stats.device_hits += 1,
             None => self.stats.device_misses += 1,
@@ -190,21 +169,9 @@ impl CompileCache {
         hit
     }
 
-    pub(crate) fn put_device(&mut self, key: u64, mut device: CompiledDevice) {
+    pub(crate) fn put_program(&mut self, key: u64, mut device: CompiledDevice) {
         mark_served(&mut device);
-        self.devices.insert(key, device);
-    }
-
-    /// Records a kernel's IR hash in the seen-set; returns whether it was
-    /// already known (i.e. this kernel's lowered IR is unchanged since
-    /// some earlier compile through this cache).
-    pub(crate) fn kernel(&mut self, key: u64) -> bool {
-        let seen = !self.kernels.insert(key);
-        match seen {
-            true => self.stats.kernel_hits += 1,
-            false => self.stats.kernel_misses += 1,
-        }
-        seen
+        self.programs.insert(key, device);
     }
 }
 
@@ -219,9 +186,9 @@ pub(crate) fn mark_served(d: &mut CompiledDevice) {
 /// The cache's 64-bit key hash, written out so the cache has no hasher
 /// dependency and keys are stable across runs (`tests/incremental.rs` and
 /// `netcl_e2e`'s `compile_edit` gate hold reuse counts to exact
-/// expectations). It takes eight bytes per step —
-/// xor, multiply, fold the high half down — because hashing the source is
-/// most of what a unit hit costs.
+/// expectations). One step — xor, multiply, fold the high half down — per
+/// integer and per eight bytes of a byte string, because hashing the source
+/// is most of what a unit hit costs.
 struct KeyHasher(u64);
 
 impl KeyHasher {
@@ -229,114 +196,86 @@ impl KeyHasher {
         KeyHasher(0xcbf2_9ce4_8422_2325)
     }
 
-    fn write_u64(&mut self, v: u64) -> &mut Self {
+    fn mix(&mut self, v: u64) {
         self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         self.0 ^= self.0 >> 32;
-        self
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
     }
 
     /// Hashes `bytes` and then their length, so that consecutive writes
     /// cannot run into each other.
-    fn write(&mut self, bytes: &[u8]) -> &mut Self {
+    fn write(&mut self, bytes: &[u8]) {
         let mut words = bytes.chunks_exact(8);
         for w in &mut words {
-            self.write_u64(u64::from_le_bytes(w.try_into().expect("chunks of eight")));
+            self.mix(u64::from_le_bytes(w.try_into().expect("chunks of eight")));
         }
         let mut tail = [0u8; 8];
         tail[..words.remainder().len()].copy_from_slice(words.remainder());
-        self.write_u64(u64::from_le_bytes(tail)).write_u64(bytes.len() as u64)
+        self.mix(u64::from_le_bytes(tail));
+        self.mix(bytes.len() as u64);
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.mix(v.into())
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.mix(v.into())
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.mix(v.into())
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v)
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64)
     }
 }
 
-/// Hashes every [`CompileOptions`] field that can change the artifacts.
+fn key(parts: impl Hash) -> u64 {
+    let mut h = KeyHasher::new();
+    parts.hash(&mut h);
+    h.finish()
+}
+
+/// Hashes every [`CompileOptions`] field: each can change the artifacts.
 /// Two compilers with equal fingerprints produce byte-identical output for
 /// equal input, so fingerprints partition the cache key space.
 pub(crate) fn options_fingerprint(options: &CompileOptions) -> u64 {
-    let mut h = KeyHasher::new();
-    h.write(&[match options.target {
-        EmitTarget::Tna => 0u8,
-        EmitTarget::V1Model => 1,
-        EmitTarget::Both => 2,
-    }]);
-    let f = &options.flags;
-    h.write(&[f.speculation as u8, f.duplicate_lookup as u8, f.icmp_to_sub_msb as u8]);
-    h.write(&[options.pass_report as u8]);
-    match &options.devices {
-        None => {
-            h.write(&[0u8]);
-        }
-        Some(list) => {
-            h.write(&[1u8]).write_u64(list.len() as u64);
-            for d in list {
-                h.write(&d.to_le_bytes());
-            }
-        }
-    }
-    h.0
+    let CompileOptions { target, flags, devices, pass_report } = options;
+    let PassFlags { speculation, duplicate_lookup, icmp_to_sub_msb } = flags;
+    key((target, speculation, duplicate_lookup, icmp_to_sub_msb, pass_report, devices))
 }
 
 /// Unit key: options fingerprint + unit name + full source text.
 pub(crate) fn unit_key(fingerprint: u64, name: &str, source: &str) -> u64 {
-    let mut h = KeyHasher::new();
-    h.write_u64(fingerprint).write(name.as_bytes()).write(source.as_bytes());
-    h.0
+    key((fingerprint, name, source))
 }
 
-/// Device key: options fingerprint + the device id + the printed header of
-/// the post-sema base IR (unit name, globals) + the lookup-entry data (the
-/// printer records only entry *counts*, but the generated MATs embed the
-/// values) + `kernel_keys`, the [`kernel_key`] of every kernel of `base`
-/// in order. The id is written out because the module does not name it
-/// and the artifact does (program name, device guard): without it, two
-/// devices with equal modules would share a key. Together these cover
-/// everything `print_module` shows and the placement, and the pass
-/// pipeline and codegen are pure functions of those, so equal keys imply
-/// equal artifacts.
-pub(crate) fn device_key(
-    fingerprint: u64,
-    device: u16,
-    base: &netcl_ir::Module,
-    kernel_keys: &[u64],
-) -> u64 {
-    use netcl_sema::model::LookupEntry;
-    let mut h = KeyHasher::new();
-    h.write_u64(fingerprint)
-        .write_u64(device as u64)
-        .write(netcl_ir::print::print_module_header(base).as_bytes());
-    for g in &base.globals {
-        for e in &g.entries {
-            match e {
-                LookupEntry::Member { key } => h.write(&[1]).write_u64(*key),
-                LookupEntry::Exact { key, value } => {
-                    h.write(&[2]).write_u64(*key).write_u64(*value)
-                }
-                LookupEntry::Range { lo, hi, value } => {
-                    h.write(&[3]).write_u64(*lo).write_u64(*hi).write_u64(*value)
-                }
-            };
-        }
-    }
-    for &k in kernel_keys {
-        h.write_u64(k);
-    }
-    h.0
-}
-
-/// Kernel key: options fingerprint + the kernel's printed post-sema IR.
-/// This is the unit of change attribution: a device key is the
-/// combination of its device id, its kernels' keys and its globals, so a
-/// device misses exactly when one of its kernels' keys is cold or a global
-/// changed. A comment-only edit leaves every kernel key hot.
-pub(crate) fn kernel_key(fingerprint: u64, f: &netcl_ir::Function) -> u64 {
-    let mut h = KeyHasher::new();
-    h.write_u64(fingerprint).write(netcl_ir::print::print_function(f).as_bytes());
-    h.0
+/// Program key: options fingerprint + every field of the lowered module —
+/// its name, its globals with their lookup entries, its kernels down to
+/// each value's name hint. The pass pipeline and codegen are pure
+/// functions of these, and what they build differs between devices only
+/// in what `codegen::place` writes, so equal keys mean one program.
+pub(crate) fn program_key(fingerprint: u64, module: &Module) -> u64 {
+    key((fingerprint, module))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiler::{tests::FIG4_CACHE, Compiler};
+    use crate::compiler::{frontend, lower_verified, tests::FIG4_CACHE, Compiler, EmitTarget};
+    use netcl_ir::{BlockId, Operand};
+    use netcl_sema::model::LookupEntry;
     use std::sync::Arc;
 
     #[test]
@@ -379,12 +318,12 @@ mod tests {
         let cc = Compiler::new(CompileOptions::default());
         let mut cache = CompileCache::new();
         let cold = cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
-        // The unit entry and the device entry point at the cold compile's
+        // The unit entry and the program entry point at the cold compile's
         // own allocations.
         let in_units = &cache.units.values().next().unwrap().unit;
-        let in_devices = cache.devices.values().next().unwrap();
+        let in_programs = cache.programs.values().next().unwrap();
         assert_eq!(artifacts(&in_units.devices[0]), artifacts(&cold.devices[0]));
-        assert_eq!(artifacts(in_devices), artifacts(&cold.devices[0]));
+        assert_eq!(artifacts(in_programs), artifacts(&cold.devices[0]));
         assert!(Arc::ptr_eq(&in_units.model, &cold.model));
 
         let a = cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
@@ -407,7 +346,7 @@ mod tests {
         assert!(!second.reuse.unit_hit);
         assert!(!Arc::ptr_eq(&first.model, &second.model));
         assert_eq!(artifacts(&first.devices[0]), artifacts(&second.devices[0]));
-        assert_eq!((cache.unit_count(), cache.device_count()), (2, 1));
+        assert_eq!((cache.unit_count(), cache.program_count()), (2, 1));
     }
 
     #[test]
@@ -473,7 +412,7 @@ mod tests {
             for p in parts {
                 h.write(p);
             }
-            h.0
+            h.finish()
         };
         let mut seen = std::collections::HashSet::new();
         assert!(seen.insert(key(&[&base])));
@@ -488,6 +427,116 @@ mod tests {
         }
     }
 
+    /// `src` lowered for `dev`.
+    fn lowered(src: &str, dev: u16) -> Module {
+        let mut fe = frontend("t.ncl", src).unwrap_or_else(|e| panic!("{e}"));
+        lower_verified(&mut fe, dev).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Each edit changes one field of a lowered module, and the key with
+    /// it. An edit returns `false` where the module has no such field.
+    #[test]
+    fn program_key_covers_every_field() {
+        let modules = [
+            lowered(include_str!("../../../artifacts/netcl_src/agg.ncl"), 1),
+            lowered(include_str!("../../../artifacts/netcl_src/cache.ncl"), 1),
+            lowered(include_str!("../../../artifacts/netcl_src/pacc.ncl"), 2),
+            // The three above initialise no lookup table.
+            lowered(FIG4_CACHE, 1),
+        ];
+        type Edit = fn(&mut Module) -> bool;
+        let edits: [(&str, Edit); 8] = [
+            ("a lookup entry's value", |m| {
+                let Some(e) = m.globals.iter_mut().find_map(|g| g.entries.first_mut()) else {
+                    return false;
+                };
+                match e {
+                    LookupEntry::Member { key } => *key += 1,
+                    LookupEntry::Exact { value, .. } | LookupEntry::Range { value, .. } => {
+                        *value += 1
+                    }
+                }
+                true
+            }),
+            ("a global's dims", |m| {
+                let Some(d) = m.globals.iter_mut().find_map(|g| g.dims.first_mut()) else {
+                    return false;
+                };
+                *d += 1;
+                true
+            }),
+            ("a global's managed flag", |m| {
+                let Some(g) = m.globals.first_mut() else { return false };
+                g.managed = !g.managed;
+                true
+            }),
+            ("a local slot's name", |m| {
+                let Some(l) = m.kernels.iter_mut().find_map(|k| k.locals.iter_mut().next()) else {
+                    return false;
+                };
+                l.name.push('_');
+                true
+            }),
+            ("an argument's in_message", |m| {
+                let Some(a) = m.kernels.iter_mut().find_map(|k| k.args.first_mut()) else {
+                    return false;
+                };
+                a.in_message = !a.in_message;
+                true
+            }),
+            ("one constant operand", |m| {
+                let insts = m.kernels.iter_mut().flat_map(|k| k.blocks.iter_mut());
+                for inst in insts.flat_map(|b| b.insts.iter_mut()) {
+                    let mut done = false;
+                    inst.kind.map_operands(|op| match op {
+                        Operand::Const(v, ty) if !done => {
+                            done = true;
+                            Operand::Const(ty.wrap(v ^ 1), ty)
+                        }
+                        op => op,
+                    });
+                    if done {
+                        return true;
+                    }
+                }
+                false
+            }),
+            ("Function::entry", |m| {
+                let Some(k) = m.kernels.first_mut() else { return false };
+                k.entry = BlockId(k.entry.0 + 1);
+                true
+            }),
+            ("the unit name", |m| {
+                m.name.push('_');
+                true
+            }),
+        ];
+        let fp = options_fingerprint(&CompileOptions::default());
+        for (what, edit) in edits {
+            let mut applied = 0;
+            for m in &modules {
+                let mut edited = m.clone();
+                if edit(&mut edited) {
+                    assert_ne!(edited, *m, "{what}: the edit changed nothing");
+                    assert_ne!(
+                        program_key(fp, &edited),
+                        program_key(fp, m),
+                        "{what} in {}",
+                        m.name
+                    );
+                    applied += 1;
+                }
+            }
+            assert!(applied > 0, "{what}: no module has the field");
+        }
+
+        let calc =
+            include_str!("../../../artifacts/netcl_src/calc.ncl").replace("_at(1)", "_at(1, 7)");
+        let (at_1, at_7) = (lowered(&calc, 1), lowered(&calc, 7));
+        assert_eq!(at_1, at_7);
+        assert_eq!(program_key(fp, &at_1), program_key(fp, &at_7));
+    }
+
     #[test]
     fn mutation_misses_and_recompiles() {
         let cc = Compiler::new(CompileOptions::default());
@@ -496,7 +545,7 @@ mod tests {
         let mutated = FIG4_CACHE.replace("#define THRESH 512", "#define THRESH 600");
         let warm = cc.compile_incremental("fig4.ncl", &mutated, &mut cache).unwrap();
         assert!(!warm.reuse.unit_hit, "mutated source must miss the unit cache");
-        assert_eq!(warm.reuse.devices_reused, 0, "mutated IR must miss the device cache");
+        assert_eq!(warm.reuse.devices_reused, 0, "mutated IR must miss the program table");
         // And the mutated artifact matches its own cold compile exactly.
         let cold = cc.compile("fig4.ncl", &mutated).unwrap();
         assert_eq!(
@@ -542,7 +591,7 @@ _kernel(2) _at(2) void kb(int x, int &o) {{ o = ncl::atomic_add(&sb[{idx}], x); 
     #[test]
     fn lookup_entry_values_are_part_of_the_key() {
         // The IR printer shows only the entry *count* for lookup globals;
-        // a value-only edit must still miss the device cache.
+        // a value-only edit must still miss the program table.
         let src = |v: u64| {
             format!(
                 r#"
@@ -566,8 +615,8 @@ _kernel(1) _at(1) void g(unsigned k, unsigned &v, char &hit) {{ hit = ncl::looku
     #[test]
     fn comment_only_edit_keeps_sibling_device_entries_hot() {
         // A comment near kernel A changes the source text (unit miss) but
-        // not any kernel's lowered IR: every kernel key stays hot and
-        // both devices' artifacts are served from the device cache.
+        // not any lowered module: both devices' programs are served from
+        // the program table.
         let src = |note: &str| {
             format!(
                 r#"
@@ -580,54 +629,13 @@ _kernel(2) _at(2) void kb(int x, int &o) {{ o = ncl::atomic_add(&sb[0], x); }}
         };
         let cc = Compiler::new(CompileOptions::default());
         let mut cache = CompileCache::new();
-        let cold = cc.compile_incremental("t.ncl", &src(""), &mut cache).unwrap();
-        assert_eq!((cold.reuse.kernels_total, cold.reuse.kernels_reused), (2, 0));
-
+        cc.compile_incremental("t.ncl", &src(""), &mut cache).unwrap();
         let warm =
             cc.compile_incremental("t.ncl", &src("/* retune threshold */"), &mut cache).unwrap();
         assert!(!warm.reuse.unit_hit, "edited source must miss the unit cache");
-        assert_eq!(
-            (warm.reuse.kernels_total, warm.reuse.kernels_reused),
-            (2, 2),
-            "a comment-only edit must leave every kernel's IR hash hot"
-        );
-        assert_eq!(
-            warm.reuse.devices_reused, 2,
-            "kernel B's (and A's) device entries must be cache-hit"
-        );
+        assert_eq!(warm.reuse.devices_reused, 2, "both devices' programs must be cache-hit");
         let st = cache.stats();
-        assert_eq!((st.kernel_hits, st.kernel_misses), (2, 2));
         assert_eq!((st.device_hits, st.device_misses), (2, 2));
-    }
-
-    #[test]
-    fn one_kernel_edit_attributes_the_miss_to_that_kernel() {
-        // A real edit to kernel B: B's key is cold, A's stays hot, and
-        // only B's device recompiles.
-        let src = |idx: usize| {
-            format!(
-                r#"
-_net_ _at(1) int sa[8];
-_net_ _at(2) int sb[8];
-_kernel(1) _at(1) void ka(int x, int &o) {{ o = ncl::atomic_add(&sa[0], x); }}
-_kernel(2) _at(2) void kb(int x, int &o) {{ o = ncl::atomic_add(&sb[{idx}], x); }}
-"#
-            )
-        };
-        let cc = Compiler::new(CompileOptions::default());
-        let mut cache = CompileCache::new();
-        cc.compile_incremental("t.ncl", &src(0), &mut cache).unwrap();
-        let warm = cc.compile_incremental("t.ncl", &src(1), &mut cache).unwrap();
-        assert_eq!(
-            (warm.reuse.kernels_total, warm.reuse.kernels_reused),
-            (2, 1),
-            "exactly the edited kernel must be cold"
-        );
-        assert_eq!(warm.reuse.devices_reused, 1, "only the edited kernel's device recompiles");
-        // A unit hit reports full kernel reuse without recomputing hashes.
-        let hit = cc.compile_incremental("t.ncl", &src(1), &mut cache).unwrap();
-        assert!(hit.reuse.unit_hit);
-        assert_eq!((hit.reuse.kernels_total, hit.reuse.kernels_reused), (2, 2));
     }
 
     #[test]

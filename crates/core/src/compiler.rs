@@ -20,7 +20,7 @@ use crate::codegen;
 use crate::lower;
 
 /// Which P4 dialects to emit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum EmitTarget {
     /// Intel Tofino (TNA) only.
     Tna,
@@ -165,9 +165,10 @@ impl Compiler {
     }
 
     /// Compiles one unit through the incremental cache (DESIGN.md §16):
-    /// unchanged units are served whole, and devices whose post-sema base
-    /// IR is unchanged skip the pass pipeline and codegen. Served
-    /// artifacts carry [`ReuseStats`] and `from_cache` pass reports.
+    /// unchanged units are served whole, and a device whose lowered module
+    /// equals one the cache holds a program for skips the pass pipeline and
+    /// codegen. Served artifacts carry [`ReuseStats`] and `from_cache` pass
+    /// reports.
     pub fn compile_incremental(
         &self,
         name: &str,
@@ -204,74 +205,43 @@ impl Compiler {
         let mut out_devices: Vec<CompiledDevice> = Vec::with_capacity(devices.len());
         let mut reuse = ReuseStats::default();
         // Devices whose lowered modules are equal run one program: the first
-        // of them builds it, and each later one is placed from it. `groups`
-        // holds that first device's lowered module, while a later device may
-        // still match it, and its index in `out_devices`; a single-device
-        // unit keeps none and compares nothing.
-        let mut groups: Vec<(Module, usize)> = Vec::new();
+        // of them builds it, or the cache serves it, and each later one is
+        // placed from it. `groups` holds that first device's program key,
+        // lowered module and index in `out_devices` while a later device may
+        // still match; a key match is confirmed on the modules, so placement
+        // within a unit is exact. A single-device unit keeps none.
+        let mut groups: Vec<(u64, Module, usize)> = Vec::new();
         for (i, &dev) in devices.iter().enumerate() {
             let later = i + 1 < devices.len();
             let base = lower_verified(&mut fe, dev)?;
+            let key = cache::program_key(fingerprint, &base);
             reuse.devices_total += 1;
 
-            if let Some(&(_, first)) = groups.iter().find(|(m, _)| *m == base) {
+            let first = groups.iter().find(|(k, m, _)| *k == key && *m == base).map(|g| g.2);
+            let program = match first {
+                Some(first) => Some(&out_devices[first]),
+                None => cache.as_deref_mut().and_then(|c| c.program(key)),
+            };
+            if let Some(program) = program {
                 let t0 = Instant::now();
-                out_devices.push(placed(&out_devices[first], dev, self.options.target));
+                let d = placed(program, dev, self.options.target);
                 fe.timings.codegen += t0.elapsed();
                 reuse.devices_reused += 1;
-                if cache.is_some() {
-                    reuse.kernels_total += base.kernels.len();
-                    reuse.kernels_reused += base.kernels.len();
+                if first.is_none() && later {
+                    groups.push((key, base, out_devices.len()));
                 }
+                out_devices.push(d);
                 continue;
             }
 
-            // Kernel-level attribution: record each kernel's IR hash so
-            // the reuse stats show *which* edits caused a device miss — a
-            // one-kernel edit reports one cold kernel, and its siblings'
-            // devices stay served from the device cache below. The device
-            // key is built from the same hashes, so a kernel is printed
-            // once per compile.
-            let dkey = cache.as_deref_mut().map(|c| {
-                let kernel_keys: Vec<u64> =
-                    base.kernels.iter().map(|f| cache::kernel_key(fingerprint, f)).collect();
-                for &k in &kernel_keys {
-                    reuse.kernels_total += 1;
-                    reuse.kernels_reused += c.kernel(k) as usize;
-                }
-                cache::device_key(fingerprint, dev, &base, &kernel_keys)
-            });
-
-            // Device-level reuse: the pass pipeline and codegen are pure
-            // functions of (base IR, device, flags, target), so an unchanged
-            // base IR means the cached artifact is byte-identical to what a
-            // fresh run would produce.
-            let compiled = match cache.as_deref_mut().zip(dkey).and_then(|(c, k)| c.device(k)) {
-                Some(d) => {
-                    reuse.devices_reused += 1;
-                    if later {
-                        groups.push((base, out_devices.len()));
-                    }
-                    d
-                }
-                None => {
-                    if later {
-                        groups.push((base.clone(), out_devices.len()));
-                    }
-                    let compiled = build_device(
-                        base,
-                        dev,
-                        &self.options,
-                        &mut fe.diags,
-                        &fe.unit.source_map,
-                        &mut fe.timings,
-                    )?;
-                    if let (Some(c), Some(k)) = (cache.as_deref_mut(), dkey) {
-                        c.put_device(k, compiled.clone());
-                    }
-                    compiled
-                }
-            };
+            if later {
+                groups.push((key, base.clone(), out_devices.len()));
+            }
+            let (diags, map) = (&mut fe.diags, &fe.unit.source_map);
+            let compiled = build_device(base, dev, &self.options, diags, map, &mut fe.timings)?;
+            if let Some(c) = cache.as_deref_mut() {
+                c.put_program(key, compiled.clone());
+            }
             out_devices.push(compiled);
         }
 
@@ -296,18 +266,21 @@ impl Compiler {
     }
 }
 
-/// A device that runs the program `first` was built for, placed at
-/// `device`: `first`'s IR shared, its pass reports marked `from_cache`, and
-/// each emitted program re-placed by [`codegen::place`].
-fn placed(first: &CompiledDevice, device: u16, target: EmitTarget) -> CompiledDevice {
-    let mut d = first.clone();
-    d.device = device;
-    let unit = &d.tna_ir.name;
-    for (want, p4) in
-        [(target != EmitTarget::V1Model, &mut d.tna_p4), (target != EmitTarget::Tna, &mut d.v1_p4)]
-    {
-        if want {
-            codegen::place(Arc::make_mut(p4), unit, device);
+/// A device that runs `program`, placed at `device`: the IR shared, the
+/// pass reports marked `from_cache`, and — when `program` was built for
+/// another device — each emitted program re-placed by [`codegen::place`].
+fn placed(program: &CompiledDevice, device: u16, target: EmitTarget) -> CompiledDevice {
+    let mut d = program.clone();
+    if d.device != device {
+        d.device = device;
+        let unit = &d.tna_ir.name;
+        for (want, p4) in [
+            (target != EmitTarget::V1Model, &mut d.tna_p4),
+            (target != EmitTarget::Tna, &mut d.v1_p4),
+        ] {
+            if want {
+                codegen::place(Arc::make_mut(p4), unit, device);
+            }
         }
     }
     cache::mark_served(&mut d);
@@ -861,10 +834,9 @@ _kernel(1) _at(5) void learner(uint8_t &type, uint32_t &instance, uint16_t round
         assert_eq!(printed(&learner), built_alone(LEARNER));
     }
 
-    /// The device cache is looked up once per group, under its first
-    /// device's id, which the key must write out: the module does not name
-    /// it. Otherwise a compile whose kernel-free devices start at 3 would be
-    /// served the program cached for device 2.
+    /// The program table is probed once per group and its key names no
+    /// device: a compile whose kernel-free devices start at 3 is served the
+    /// program built at device 2, and must re-place it at 3.
     #[test]
     fn kernel_free_devices_keep_their_own_guard_through_the_cache() {
         let cc = Compiler::new(CompileOptions::default());
@@ -873,10 +845,11 @@ _kernel(1) _at(5) void learner(uint8_t &type, uint32_t &instance, uint16_t round
         assert_eq!(printed(&first), built_alone(LEARNER));
         let moved = LEARNER.replace("_at(2, 3, 4, 5)", "_at(3, 4, 5)");
         let second = cc.compile_incremental("t.ncl", &moved, &mut cache).unwrap();
-        // Device 4 is placed from 3; the learner's device 5 is a hit.
-        assert_eq!((second.reuse.devices_total, second.reuse.devices_reused), (3, 2));
+        // Device 3 is served device 2's program, 4 is placed from 3, and
+        // the learner's device 5 is a hit.
+        assert_eq!((second.reuse.devices_total, second.reuse.devices_reused), (3, 3));
         let st = cache.stats();
-        assert_eq!((st.device_hits, st.device_misses), (1, 3), "one lookup per group");
+        assert_eq!((st.device_hits, st.device_misses), (2, 2), "one lookup per group");
         assert_eq!(printed(&second), built_alone(&moved));
     }
 

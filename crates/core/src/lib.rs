@@ -34,7 +34,7 @@
 //! For workloads of many units, [`Compiler::compile_incremental`] reuses
 //! unchanged artifacts through a content-addressed [`CompileCache`]:
 //! whole units are keyed by source text (and checked against it),
-//! per-device artifacts by the printed post-sema base IR, so an edit
+//! device programs by the lowered module they were built from, so an edit
 //! recompiles only what it touched. The IR modules, P4 programs and model
 //! of a result are immutable behind `Arc` and shared between the cache
 //! and every unit it serves; a hit costs a hash of the source, one small

@@ -12,7 +12,7 @@ define_index!(LocalId, "loc");
 define_index!(MemId, "@g");
 
 /// Metadata for a defined SSA value.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct ValueInfo {
     /// The value's type.
     pub ty: IrTy,
@@ -21,7 +21,7 @@ pub struct ValueInfo {
 }
 
 /// A reference to (an element of) a global memory object.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct MemRef {
     /// Which global.
     pub mem: MemId,
@@ -32,7 +32,7 @@ pub struct MemRef {
 /// A function-local memory slot (LLVM `alloca` analogue): a variable or a
 /// local array. Scalars are promoted to SSA by mem2reg; dynamically indexed
 /// arrays survive to codegen as header stacks with index tables (Fig. 9).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct LocalSlot {
     /// Source name.
     pub name: String,
@@ -43,7 +43,7 @@ pub struct LocalSlot {
 }
 
 /// Kernel argument descriptor (derived from the kernel specification).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct ArgInfo {
     /// Source name.
     pub name: String,
@@ -70,7 +70,7 @@ pub enum MsgField {
 }
 
 /// An instruction: kind plus 0, 1, or 2 result values.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Inst {
     /// The operation.
     pub kind: InstKind,
@@ -79,7 +79,7 @@ pub struct Inst {
 }
 
 /// Instruction kinds.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum InstKind {
     /// Binary integer op; result width = operand width.
     Bin {
@@ -353,7 +353,7 @@ impl InstKind {
 }
 
 /// The action a kernel terminates with, possibly with a target operand.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct ActionRef {
     /// Which action.
     pub kind: ActionKind,
@@ -369,7 +369,7 @@ impl ActionRef {
 }
 
 /// Block terminator.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum Terminator {
     /// Unconditional branch.
     Br(BlockId),
@@ -417,7 +417,7 @@ impl std::ops::Index<BlockId> for Predecessors {
 }
 
 /// A basic block.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Block {
     /// Instructions in order (φ-nodes first).
     pub insts: Vec<Inst>,
@@ -432,7 +432,7 @@ impl Block {
 }
 
 /// A kernel (or, before inlining, a net function) in IR form.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Function {
     /// Source name.
     pub name: String,
@@ -485,7 +485,7 @@ impl Function {
 }
 
 /// A global memory object at module level (placed on one device).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct GlobalDef {
     /// Source name (possibly suffixed by memory partitioning, §VI-B).
     pub name: String,
@@ -517,7 +517,7 @@ impl GlobalDef {
 /// name the device: after lowering, the id survives only as the constants
 /// `device.id` lowered to, so devices whose modules are equal run the same
 /// program (DESIGN.md §4).
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Hash)]
 pub struct Module {
     /// Source unit name.
     pub name: String,

@@ -8,20 +8,9 @@ use crate::func::{Function, Inst, InstKind, Module, Terminator};
 use crate::types::Operand;
 use std::fmt::Write;
 
-/// Prints a module.
+/// Prints a module: its name, its globals, then each kernel's
+/// [`print_function`].
 pub fn print_module(m: &Module) -> String {
-    let mut out = print_module_header(m);
-    for k in &m.kernels {
-        out.push('\n');
-        out.push_str(&print_function(k));
-    }
-    out
-}
-
-/// Prints everything of a module but its kernels: the name and the
-/// globals. ([`print_module`] is this followed by each kernel's
-/// [`print_function`].)
-pub fn print_module_header(m: &Module) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "; module {}", m.name);
     for (i, g) in m.globals.iter().enumerate() {
@@ -47,6 +36,10 @@ pub fn print_module_header(m: &Module) -> String {
                 format!(" {} entries", g.entries.len())
             }
         );
+    }
+    for k in &m.kernels {
+        out.push('\n');
+        out.push_str(&print_function(k));
     }
     out
 }

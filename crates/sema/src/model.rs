@@ -117,7 +117,7 @@ pub struct NetFnInfo {
 }
 
 /// A lookup-table initializer entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LookupEntry {
     /// Scalar set member: `lookup(a, x)` matches when `x == key`.
     Member {

@@ -56,7 +56,7 @@ macro_rules! define_index {
 }
 
 /// A vector indexed by a typed index instead of `usize`.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct IndexVec<I: Idx, T> {
     raw: Vec<T>,
     _marker: PhantomData<I>,

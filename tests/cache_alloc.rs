@@ -1,8 +1,9 @@
 //! What a `CompileCache` unit hit allocates (DESIGN.md §16): the served
 //! artifacts are shared, not copied, so a hit costs a handful of
 //! allocations however large the unit is. A deep clone of one paper
-//! application is over a thousand, so the bound below is the host- and
-//! load-independent gate against the copy coming back.
+//! application is over a thousand, so the first bound below is the host-
+//! and load-independent gate against the copy coming back. The second is
+//! what an edit that leaves every lowered module unchanged costs.
 
 mod counting_alloc;
 
@@ -35,5 +36,36 @@ fn unit_hit_allocates_a_handful() {
         );
         // The counter does count: the cold compile built all of this.
         assert!(cold_allocs > 1_000, "{name}: cold compile counted {cold_allocs} allocations");
+    }
+}
+
+fn ceiling(measured: u64) -> u64 {
+    measured + measured / 10
+}
+
+/// A comment-only edit through a warm cache: a unit miss, then the
+/// frontend, lowering and one program key per device, and every device
+/// served from the program table. Each row is `(measured, parent)`, where
+/// the parent is the commit whose device keys printed every kernel and
+/// each module's header.
+#[test]
+fn comment_only_edit_allocates_the_frontend_and_no_backend() {
+    let cc = Compiler::new(CompileOptions::default());
+    for (name, source, (measured, parent)) in [
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), (1_066, 6_090)),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), (1_020, 3_607)),
+        ("calc.ncl", calc::netcl_source(), (209, 693)),
+        ("paxos.ncl", paxos::full_source(), (1_364, 5_912)),
+    ] {
+        let mut cache = CompileCache::new();
+        cc.compile_incremental(name, &source, &mut cache).expect("compiles");
+        let edited = format!("{source}\n// retuned\n");
+        let (unit, allocs) =
+            allocs_during(|| cc.compile_incremental(name, &edited, &mut cache).expect("compiles"));
+        assert!(!unit.reuse.unit_hit, "{name}: an edited source hit the unit map");
+        assert_eq!(unit.reuse.devices_reused, unit.reuse.devices_total, "{name}");
+        eprintln!("{name}: {allocs}");
+        assert!(allocs <= ceiling(measured), "{name}: the edit made {allocs} allocations");
+        assert!(allocs < parent / 2, "{name}: the edit made {allocs} allocations");
     }
 }

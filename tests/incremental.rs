@@ -11,8 +11,8 @@
 //!   full pipeline re-runs;
 //! - **comment mutations** (CALC, PACC): the source text changes but the
 //!   lowered IR does not, so the unit cache misses while every device's
-//!   backend artifact is served from the device cache — the served clone
-//!   must still match a cold compile exactly.
+//!   program is served from the program table — the served clone must
+//!   still match a cold compile exactly.
 
 use netcl::{CompileCache, CompileOptions, CompiledUnit, Compiler};
 use netcl_apps::{agg, cache, calc, paxos};
@@ -98,6 +98,29 @@ fn one_unit_edit_of_a_workload_recompiles_exactly_that_unit() {
     assert_eq!(rendered(recompiled), rendered(&cc.compile(name, source).expect("cold compiles")));
 }
 
+/// A lowered module does not name its device, so a program cached at one
+/// device serves an equal module at any other: CALC compiled at devices
+/// 1–4 warms the cache for CALC moved anywhere, and every device of the
+/// moved unit is served, re-placed, byte-identical to its cold compile.
+#[test]
+fn a_moved_placement_is_served_whole() {
+    let calc_at = |ids: &[u16]| {
+        let ids: Vec<String> = ids.iter().map(u16::to_string).collect();
+        calc::netcl_source().replace("_at(1)", &format!("_at({})", ids.join(", ")))
+    };
+    let cc = Compiler::new(CompileOptions::default());
+    let mut cache = CompileCache::new();
+    cc.compile_incremental("calc.ncl", &calc_at(&[1, 2, 3, 4]), &mut cache).expect("compiles");
+    for ids in [vec![5], (9..=11).collect(), vec![200, 201], (2..=6).collect()] {
+        let source = calc_at(&ids);
+        let warm = cc.compile_incremental("calc.ncl", &source, &mut cache).expect("compiles");
+        let cold = cc.compile("calc.ncl", &source).expect("cold compiles");
+        assert_eq!(rendered(&warm), rendered(&cold), "_at({ids:?})");
+        let reuse = (warm.reuse.devices_reused, warm.reuse.devices_total);
+        assert_eq!(reuse, (ids.len(), ids.len()), "_at({ids:?}): devices reused / total");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -127,7 +150,7 @@ proptest! {
     }
 
     /// CALC under comment-only mutations: the unit cache misses (source
-    /// text changed) but the device backend is served from the cache —
+    /// text changed) but the device program is served from the cache —
     /// and must still equal a cold compile byte-for-byte.
     #[test]
     fn calc_incremental_equals_cold(n in 0u64..100_000) {

@@ -3,8 +3,9 @@
 use netcl::sema::model::{SpecItem, Specification};
 use netcl::sema::Ty;
 use netcl::{CompileOptions, Compiler};
-use netcl_bmv2::{Engine, Switch};
+use netcl_bmv2::{Engine, Switch, SwitchCounters, TableUpdate};
 use netcl_net::WorkloadRng;
+use netcl_p4::ast::{EntryKey, TableEntry};
 use netcl_p4::{parse::parse_program, print::print_program};
 use netcl_runtime::message::{pack, pack_into, unpack, Message, MessageError};
 use proptest::prelude::*;
@@ -778,6 +779,107 @@ proptest! {
             _ => text[at] ^= 1 << rng.below(8),
         }
         parse_returns(&text)?;
+    }
+}
+
+/// What a table-update batch may change, and what it must leave alone:
+/// every table's entries, every register, every counter.
+#[derive(Debug, PartialEq)]
+struct ControlState {
+    tables: Vec<(String, Vec<TableEntry>)>,
+    registers: Vec<(String, Vec<u64>)>,
+    counters: SwitchCounters,
+}
+
+fn control_state(sw: &Switch) -> ControlState {
+    let tables = (sw.tables_with_prefix("").into_iter())
+        .map(|t| {
+            let entries = sw.table_entries(&t).expect("a listed table").to_vec();
+            (t, entries)
+        })
+        .collect();
+    let registers =
+        sw.registers().map(|(name, cells)| (name.to_string(), cells.to_vec())).collect();
+    ControlState { tables, registers, counters: sw.counters().clone() }
+}
+
+/// A batch of up to four operations on `program`'s tables. One choice in
+/// eight is off: a table it lacks, a wrong key count, an action it does
+/// not define. Any range key may have `lo > hi`.
+fn arbitrary_batch(rng: &mut WorkloadRng, program: &netcl_p4::P4Program) -> TableUpdate {
+    let controls = || program.controls.iter();
+    let tables: Vec<_> = controls().flat_map(|c| &c.tables).collect();
+    let mut actions: Vec<&str> = controls().flat_map(|c| &c.actions).map(|a| &*a.name).collect();
+    actions.push("NoAction");
+    let off = |rng: &mut WorkloadRng| rng.below(8) == 0;
+    let entry = |rng: &mut WorkloadRng, n_keys: usize| {
+        let n_keys = if off(rng) { rng.below(4) as usize } else { n_keys };
+        let keys = (0..n_keys)
+            .map(|_| match rng.below(2) {
+                0 => EntryKey::Value(rng.next_u64()),
+                _ => EntryKey::Range(rng.next_u64(), rng.next_u64()),
+            })
+            .collect();
+        let action = if off(rng) {
+            "no_such_action".to_string()
+        } else {
+            actions[rng.below(actions.len() as u64) as usize].to_string()
+        };
+        let args = (0..rng.below(3)).map(|_| rng.next_u64()).collect();
+        TableEntry { keys, action, args }
+    };
+    let mut batch = TableUpdate::new();
+    for _ in 0..rng.below(5) {
+        let (name, n_keys) = if tables.is_empty() || off(rng) {
+            ("lu_no_such_table".to_string(), rng.below(3) as usize)
+        } else {
+            let t = tables[rng.below(tables.len() as u64) as usize];
+            (t.name.clone(), t.keys.len())
+        };
+        batch = match rng.below(4) {
+            0 => batch.insert(name, entry(rng, n_keys)),
+            1 => batch.modify(name, entry(rng, n_keys)),
+            2 => batch.delete(name, entry(rng, n_keys).keys),
+            _ => {
+                let entries = (0..rng.below(3)).map(|_| entry(rng, n_keys)).collect();
+                batch.set(name, entries)
+            }
+        };
+    }
+    batch
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `apply_update` on an arbitrary batch, against every shipped TNA
+    /// program, returns: an accepted batch leaves what its operations
+    /// applied one at a time leave, and a rejected one changes nothing but
+    /// `update_rejects` — and has an operation that is rejected alone.
+    #[test]
+    fn apply_update_is_total_and_atomic(seed in any::<u64>()) {
+        let mut rng = WorkloadRng::new(seed);
+        for p in reparsed_programs() {
+            let batch = arbitrary_batch(&mut rng, &p.original);
+            let mut one_by_one = Switch::new(p.original.clone());
+            let alone: Vec<bool> = (batch.ops.iter())
+                .map(|op| one_by_one.apply_update(&TableUpdate { ops: vec![op.clone()] }).is_ok())
+                .collect();
+            let mut sw = Switch::new(p.original.clone());
+            let mut before = control_state(&sw);
+            match sw.apply_update(&batch) {
+                Ok(n) => {
+                    prop_assert_eq!(n, batch.len(), "{}", p.label);
+                    prop_assert!(alone.iter().all(|&ok| ok), "{}: {:?}", p.label, batch);
+                    prop_assert_eq!(control_state(&sw), control_state(&one_by_one), "{}", p.label);
+                }
+                Err(e) => {
+                    before.counters.update_rejects += 1;
+                    prop_assert_eq!(control_state(&sw), before, "{}: {}", p.label, e);
+                    prop_assert!(alone.iter().any(|&ok| !ok), "{}: {} on {:?}", p.label, e, batch);
+                }
+            }
+        }
     }
 }
 
