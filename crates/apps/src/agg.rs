@@ -468,6 +468,20 @@ pub struct WorkerState {
     pub last_result_ns: u64,
 }
 
+/// Releases `results` newest first. The last results are among the last
+/// blocks a run allocated, at the top of the heap, and the first of them
+/// freed stay in glibc's per-thread cache, which counts as in use: the
+/// heap's top stays put, and the next run reuses the memory below it
+/// instead of glibc handing it back and the run faulting it in again
+/// (DESIGN.md §18).
+impl Drop for WorkerState {
+    fn drop(&mut self) {
+        for chunk in self.completed.iter().rev() {
+            self.results.remove(chunk);
+        }
+    }
+}
+
 /// Builds the chunk packet worker `w` sends for chunk `c`.
 pub fn chunk_packet(cfg: &AggConfig, w: u32, c: u32) -> Vec<u8> {
     let mut wire = Vec::new();

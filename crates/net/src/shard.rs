@@ -860,7 +860,9 @@ impl ShardedNetwork {
         self.shards.iter().map(Network::now).max().unwrap_or(0)
     }
 
-    /// Messages a host received, with arrival timestamps.
+    /// Messages a sink host received, with arrival timestamps, read from
+    /// the shard that owns it; empty for a handler host
+    /// ([`Network::host_received`]).
     pub fn host_received(&self, id: u32) -> &[(u64, Vec<u8>)] {
         self.home(NodeId::Host(id)).host_received(id)
     }

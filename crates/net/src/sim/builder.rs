@@ -52,13 +52,16 @@ impl NetworkBuilder {
         self
     }
 
-    /// Adds a host with an event handler.
+    /// Adds a host with an event handler. The handler borrows each message
+    /// it receives, which is dropped when the call returns: the host keeps
+    /// no log, and [`Network::host_received`] reads empty for it.
     pub fn host(mut self, id: u32, handler: HostHandler) -> Self {
         self.hosts.push((id, Some(handler)));
         self
     }
 
-    /// Adds a passive host (messages recorded, no reaction).
+    /// Adds a passive host: messages recorded, with their arrival times,
+    /// for [`Network::host_received`]; no reaction.
     pub fn sink_host(mut self, id: u32) -> Self {
         self.hosts.push((id, None));
         self
@@ -183,7 +186,8 @@ impl NetworkBuilder {
         }
         for (id, handler) in self.hosts {
             let i = net.intern(NodeId::Host(id));
-            net.slots[i as usize].host = Some(HostNode { handler, received: Vec::new() });
+            net.slots[i as usize].host =
+                Some(handler.map_or_else(|| HostNode::Sink(Vec::new()), HostNode::Handler));
         }
         for (at, fault) in self.faults {
             net.schedule_fault(at, fault);

@@ -17,7 +17,7 @@ use netcl_runtime::message::Message;
 use netcl_sema::builtins::ActionKind;
 
 use super::stats::tid_of;
-use super::{EventKind, HostEvent, Network, HOST_PROCESS_NS};
+use super::{EventKind, HostEvent, HostNode, Network, HOST_PROCESS_NS};
 use crate::topo::{link_key, NodeId};
 
 impl Network {
@@ -234,16 +234,20 @@ impl Network {
         }
     }
 
-    /// A message lands at a host: counted, lent to the handler (if any),
-    /// then moved into the host's `received` log — one buffer, never copied.
+    /// A message lands at a host and is counted: a sink moves it into its
+    /// log, a handler borrows it for the call, after which it is dropped —
+    /// one buffer, never copied.
     pub(super) fn host_receive(&mut self, host: u32, bytes: Vec<u8>) {
         let (here, now) = (self.slots[host as usize].id, self.clock);
         self.stats.delivered += 1;
         self.count(host).delivered += 1;
         self.trace_instant("deliver", here, now);
-        self.host_handle(host, HostEvent::Message(&bytes), HOST_PROCESS_NS);
-        if let Some(node) = &mut self.slots[host as usize].host {
-            node.received.push((now, bytes));
+        match &mut self.slots[host as usize].host {
+            Some(HostNode::Sink(log)) => log.push((now, bytes)),
+            Some(HostNode::Handler(_)) => {
+                self.host_handle(host, HostEvent::Message(&bytes), HOST_PROCESS_NS)
+            }
+            None => {}
         }
     }
 
@@ -251,9 +255,7 @@ impl Network {
     /// goes out `delay` after now, through the network's one [`Outbox`].
     pub(super) fn host_handle(&mut self, host: u32, ev: HostEvent<'_>, delay: u64) {
         let now = self.clock;
-        let Some(handler) =
-            self.slots[host as usize].host.as_mut().and_then(|h| h.handler.as_mut())
-        else {
+        let Some(HostNode::Handler(handler)) = &mut self.slots[host as usize].host else {
             return;
         };
         handler(now, ev, &mut self.outbox);

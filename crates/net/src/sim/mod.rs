@@ -45,8 +45,8 @@ use stats::tid_of;
 /// Events delivered to a host handler.
 #[derive(Debug, Clone, Copy)]
 pub enum HostEvent<'a> {
-    /// A NetCL message arrived: its wire bytes, lent for the call (the
-    /// host's `received` log keeps the buffer).
+    /// A NetCL message arrived: its wire bytes, lent for the call and
+    /// dropped when it returns.
     Message(&'a [u8]),
     /// A timer the host armed fired.
     Timer(u64),
@@ -155,20 +155,27 @@ struct DeviceNode {
     restart_hook: Option<RestartHook>,
 }
 
-struct HostNode {
-    handler: Option<HostHandler>,
-    received: Vec<(u64, Vec<u8>)>,
+/// What the builder declared at a host: a sink records what it receives,
+/// a handler reacts to it — never both, so a message ends where it is
+/// consumed and a handler host's memory does not grow with the run.
+enum HostNode {
+    /// Every message that landed here, with its arrival time.
+    Sink(Vec<(u64, Vec<u8>)>),
+    Handler(HostHandler),
 }
 
-/// A host's log is released newest first. Its newest buffers are the last
-/// a run allocated — the top of the heap — and the first few a thread
-/// frees of a size stay in glibc's per-thread cache, which counts as in
-/// use: so the heap's top stays put while the rest of the run is freed
-/// below it, and the next run reuses that memory instead of glibc handing
-/// it back and the run faulting it in again (DESIGN.md §18).
+/// A sink's log — only sinks log — is released newest first. Its newest
+/// buffers are the last a run allocated — the top of the heap — and the
+/// first few a thread frees of a size stay in glibc's per-thread cache,
+/// which counts as in use: so the heap's top stays put while the rest of
+/// the run is freed below it, and the next run reuses that memory instead
+/// of glibc handing it back and the run faulting it in again (DESIGN.md
+/// §18).
 impl Drop for HostNode {
     fn drop(&mut self) {
-        while self.received.pop().is_some() {}
+        if let HostNode::Sink(log) = self {
+            while log.pop().is_some() {}
+        }
     }
 }
 
@@ -337,11 +344,14 @@ impl Network {
         })
     }
 
-    /// Messages a host received, with arrival timestamps.
+    /// Messages a sink host ([`NetworkBuilder::sink_host`]) received, with
+    /// arrival timestamps. Empty for a handler host: its handler consumed
+    /// each message, and the buffer was dropped when the call returned.
     pub fn host_received(&self, id: u32) -> &[(u64, Vec<u8>)] {
-        let host =
-            self.index_of(NodeId::Host(id)).and_then(|i| self.slots[i as usize].host.as_ref());
-        host.map_or(&[], |h| &h.received)
+        match self.index_of(NodeId::Host(id)).and_then(|i| self.slots[i as usize].host.as_ref()) {
+            Some(HostNode::Sink(log)) => log,
+            _ => &[],
+        }
     }
 
     /// Direct control-plane access to a device's switch.

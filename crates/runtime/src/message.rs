@@ -144,7 +144,10 @@ impl Message {
 
 /// Checks what `pack_into` and `unpack` both need before they touch a
 /// buffer — one argument per specification item, each element 1 to 8 bytes
-/// on the wire — and returns the packet size.
+/// on the wire — and returns the packet size. The size saturates: a
+/// specification may count more bytes than a `u32` holds (`1 << 29`
+/// eight-byte elements), and a wrapped size would let `unpack` slice past
+/// the buffer.
 fn checked_size(spec: &Specification, args: usize) -> Result<usize, MessageError> {
     if args != spec.items.len() {
         return Err(MessageError::ArgCount { expected: spec.items.len(), got: args });
@@ -155,7 +158,7 @@ fn checked_size(spec: &Specification, args: usize) -> Result<usize, MessageError
         if !(1..=8).contains(&bytes) {
             return Err(MessageError::ArgWidth { arg, bytes });
         }
-        size += (bytes * item.count) as usize;
+        size = size.saturating_add((bytes as usize).saturating_mul(item.count as usize));
     }
     Ok(size)
 }
@@ -390,6 +393,20 @@ mod tests {
         assert_eq!(unpack(&wire, &spec, &mut [None, Some(&mut v)]), Err(refused));
         assert_eq!(v, [9]);
         assert!(MessageError::ArgWidth { arg: 1, bytes: 12 }.to_string().contains("12 bytes"));
+    }
+
+    /// What `unpack_is_total_on_arbitrary_specifications` found, shrunk:
+    /// `1 << 29` eight-byte elements are `1 << 32` bytes, which overflowed a
+    /// `u32` size — a panic in debug; in release the size wrapped to the
+    /// header's and the unpack sliced past the buffer. No buffer is that
+    /// long, so it is `Truncated`.
+    #[test]
+    fn a_count_whose_bytes_overflow_u32_is_truncated() {
+        let spec = Specification { items: vec![SpecItem { count: 1 << 29, ty: Ty::U64 }] };
+        let wire = [0u8; NCL_HEADER_BYTES + 8];
+        let mut v = vec![9];
+        assert_eq!(unpack(&wire, &spec, &mut [Some(&mut v)]), Err(MessageError::Truncated));
+        assert_eq!(v, [9]);
     }
 
     /// The packed bytes parse on the generated P4 program's parser — the

@@ -13,16 +13,23 @@
 //! same network as two shards: the round planner's own allocations. The
 //! third is the host path (DESIGN.md §13): an AGG star whose eight workers
 //! run `agg::worker_handler`, so packing, the reliability helper, the
-//! `Outbox` and the multicast fan-out are inside the measurement.
+//! `Outbox` and the multicast fan-out are inside the measurement. The last
+//! test reads what a run keeps rather than what it allocates: a handler
+//! host consumes each message, so twice the requests hold no more memory.
 
 mod counting_alloc;
 
-use counting_alloc::{allocs_during, Counting};
+use counting_alloc::{allocs_during, live_bytes, Counting};
 use netcl::{CompileOptions, Compiler};
 use netcl_apps::{agg, calc};
 use netcl_bmv2::Switch;
-use netcl_net::{FatTree, FlowStream, LinkSpec, NetworkBuilder, NodeId, PrecomputedRoutes, Zipf};
+use netcl_net::{
+    FatTree, FlowStream, HostEvent, HostHandler, LinkSpec, NetworkBuilder, NodeId, Outbox,
+    PrecomputedRoutes, Zipf,
+};
+use netcl_runtime::device::NO_DEVICE;
 use netcl_runtime::message::{pack, Message};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 #[global_allocator]
@@ -42,20 +49,23 @@ const MEASURED: f64 = 51.0 / 14_846.0;
 const MEASURED_SHARDED: f64 = 50.0 / 14_578.0;
 
 /// Allocations per event with a handler on every host, measured at this
-/// commit: 7 744 over 12 128 events of a lossless 8-worker AllReduce (four
+/// commit: 7 736 over 12 128 events of a lossless 8-worker AllReduce (four
 /// events per chunk and worker: send, arrive at the switch, arrive at the
-/// host, RTO timer). The parent read 3.97 per event on `netcl_e2e`'s
-/// `allreduce_agg`: every chunk cycle rebuilt the specification, the lane
-/// vector, the wire buffer, `Reliable`'s copy, an `Outbox` and the handler's
-/// own copy of the message, and unpacked into vectors that grew by `push`.
-/// What is left has an owner: the result `Vec` that `WorkerState::results`
-/// keeps (1 per cycle), the payload the `HostSend` event owns (1), and the
-/// copy each multicast member but the last is handed and its `received` log
-/// keeps (⅞) — 2.875 per four events in mid-run (0.72, which is what
-/// `allreduce_agg` reads), less here because the run ends in a window of
-/// RTO timers that find their chunk acked. One more allocation per message
-/// anywhere on the path lands above the ceiling, and the ceiling below 1.
-const MEASURED_HANDLERS: f64 = 7_744.0 / 12_128.0;
+/// host, RTO timer); 7 744 while each host also logged what its handler
+/// had read, and the eight logs grew once more in the measured part. Before
+/// the host path was reworked, `netcl_e2e`'s `allreduce_agg` read 3.97 per
+/// event: every chunk cycle rebuilt the specification, the lane vector, the
+/// wire buffer, `Reliable`'s copy, an `Outbox` and the handler's own copy of
+/// the message, and unpacked into vectors that grew by `push`. What is left
+/// has an owner: the result `Vec` that `WorkerState::results` keeps (1 per
+/// cycle), the payload the `HostSend` event owns (1), and the copy each
+/// multicast member but the last is handed, which its handler borrows and
+/// which is dropped after the call (⅞) — 2.875 per four events in mid-run
+/// (0.72, which is what `allreduce_agg` reads), less here because the run
+/// ends in a window of RTO timers that find their chunk acked. One more
+/// allocation per message anywhere on the path lands above the ceiling, and
+/// the ceiling below 1.
+const MEASURED_HANDLERS: f64 = 7_736.0 / 12_128.0;
 const _: () = assert!(MEASURED_HANDLERS * 1.10 < 1.0, "the ceiling stays below one per event");
 
 /// A driver injection: `(at_ns, source host, wire bytes)`.
@@ -174,4 +184,83 @@ fn steady_state_handler_allocations_per_event() {
         assert_eq!(state.retransmits, 0);
     }
     assert_ceiling("AGG star, a handler per host", tail, MEASURED_HANDLERS);
+}
+
+/// A closed-loop client at host 1: one request outstanding, each answer
+/// releasing the next until `answered` reaches `budget`. Even requests ask
+/// the CALC switch (device 1) for `n + 2n`, odd ones go to the echo host 2.
+fn calc_client(budget: Arc<AtomicU64>, answered: Arc<AtomicU64>) -> HostHandler {
+    Box::new(move |_now, ev, out: &mut Outbox| {
+        if let HostEvent::Message(bytes) = ev {
+            let n = answered.load(Ordering::Relaxed);
+            let from_echo = Message::read_header(bytes).expect("a whole header").src == 2;
+            let want = if from_echo { 0 } else { calc::reference(calc::OP_ADD, n, 2 * n) };
+            assert_eq!(
+                calc::result_of(bytes),
+                Some(want),
+                "answer {n}, from the echo: {from_echo}"
+            );
+            answered.store(n + 1, Ordering::Relaxed);
+        }
+        let n = answered.load(Ordering::Relaxed);
+        if n < budget.load(Ordering::Relaxed) {
+            let mut wire = calc::request(1, calc::OP_ADD, n, 2 * n);
+            if n % 2 == 1 {
+                Message::new(1, 2, 1, NO_DEVICE).write_header_into(&mut wire);
+            }
+            out.send(0, wire);
+        }
+    })
+}
+
+/// Host 2: sends every message back to where it came from.
+fn echo() -> HostHandler {
+    Box::new(|_now, ev, out: &mut Outbox| {
+        let HostEvent::Message(bytes) = ev else { return };
+        let m = Message::read_header(bytes).expect("a whole header");
+        let mut reply = bytes.to_vec();
+        Message::new(m.dst, m.src, m.comp, NO_DEVICE).write_header_into(&mut reply);
+        out.send(0, reply);
+    })
+}
+
+/// A message ends where it is consumed: a host with a handler keeps no log
+/// of what it received, so the memory a run holds does not grow with its
+/// history. A closed-loop client and an echo host around one CALC switch
+/// answer `N` requests and then `2N`; what the thread holds after the
+/// second run is within a fixed slack of what it held after the first (it
+/// reads 0). Hosts that logged their messages as well held 173 304 bytes
+/// more.
+#[test]
+fn handler_hosts_retain_nothing() {
+    const N: u64 = 2_000;
+    /// What may differ between the two readings: the event queue and the
+    /// packet buffers are at working size after the first run.
+    const SLACK: i64 = 4 << 10;
+    let unit = Compiler::new(CompileOptions::default())
+        .compile("calc.ncl", &calc::netcl_source())
+        .expect("CALC compiles");
+    let (budget, answered) = (Arc::new(AtomicU64::new(N)), Arc::new(AtomicU64::new(0)));
+    let mut net = NetworkBuilder::new(netcl_net::topo::star(1, &[1, 2], LinkSpec::default()))
+        .device(1, Switch::new(unit.devices[0].tna_p4.clone()), 500)
+        .host(1, calc_client(Arc::clone(&budget), Arc::clone(&answered)))
+        .host(2, echo())
+        .build();
+    let mut run_to = |requests: u64| {
+        budget.store(requests, Ordering::Relaxed);
+        // A timer is the kick-off: the client sends its next request.
+        net.set_host_timer(1, net.now(), 0);
+        net.run(u64::MAX);
+        assert_eq!(answered.load(Ordering::Relaxed), requests, "every request answered");
+        assert!(net.host_received(1).is_empty() && net.host_received(2).is_empty());
+        live_bytes()
+    };
+    let after_n = run_to(N);
+    let after_2n = run_to(2 * N);
+    assert!(
+        after_2n - after_n <= SLACK,
+        "{} more bytes held after {} requests than after {N} (slack {SLACK})",
+        after_2n - after_n,
+        2 * N
+    );
 }

@@ -139,14 +139,41 @@ fn reparsed_programs() -> &'static [Reparsed] {
     })
 }
 
+/// What `f` returns, or — when it panics instead — `what` names the call
+/// and its input.
+fn returns<T>(f: impl FnOnce() -> T, what: impl FnOnce() -> String) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|_| what())
+}
+
 /// `parse_program` on `bytes` (read as UTF-8, invalid sequences replaced)
 /// returns, with a program or a `ParseError`, rather than panicking.
 fn parse_returns(bytes: &[u8]) -> Result<(), String> {
     let text = String::from_utf8_lossy(bytes);
-    match std::panic::catch_unwind(|| parse_program(&text).map(drop)) {
-        Ok(_) => Ok(()),
-        Err(_) => Err(format!("parse_program panicked on {text:?}")),
-    }
+    returns(|| drop(parse_program(&text)), || format!("parse_program panicked on {text:?}"))
+}
+
+/// Any [`Ty`] the type exists to hold, widths the language never makes
+/// included: a message's specification is data a receiver may be handed.
+fn arb_any_ty() -> impl Strategy<Value = Ty> {
+    use netcl::sema::types::ScalarTy;
+    let scalar =
+        || (any::<u8>(), any::<bool>()).prop_map(|(bits, signed)| ScalarTy { bits, signed });
+    prop_oneof![
+        Just(Ty::Void),
+        Just(Ty::Bool),
+        Just(Ty::Action),
+        (any::<u8>(), any::<bool>()).prop_map(|(bits, signed)| Ty::Int { bits, signed }),
+        (scalar(), scalar()).prop_map(|(key, value)| Ty::Kv { key, value }),
+        (scalar(), scalar()).prop_map(|(range, value)| Ty::Rv { range, value }),
+    ]
+}
+
+/// Any specification: any types, and counts from none to `u32::MAX`.
+fn arb_any_spec() -> impl Strategy<Value = Specification> {
+    let count = prop_oneof![0u32..5, any::<u32>()];
+    proptest::collection::vec((arb_any_ty(), count), 0..6).prop_map(|items| Specification {
+        items: items.into_iter().map(|(ty, count)| SpecItem { count, ty }).collect(),
+    })
 }
 
 /// Seeded hand-built control flow — the shapes `netcl-core::codegen` never
@@ -637,6 +664,34 @@ proptest! {
         }
     }
 
+    /// Nor under any specification — any type, any count up to `u32::MAX`,
+    /// any subset of the arguments asked for: an unpack is the arguments or
+    /// a structured error. `ArgWidth` names the first element that is not 1
+    /// to 8 bytes wide; else `Truncated` is exactly a buffer shorter than
+    /// the packet.
+    #[test]
+    fn unpack_is_total_on_arbitrary_specifications(
+        spec in arb_any_spec(),
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        wanted in proptest::collection::vec(any::<bool>(), 6..7),
+    ) {
+        let mut outs: Vec<Vec<u64>> = vec![Vec::new(); spec.items.len()];
+        let mut args: Vec<_> = outs.iter_mut().zip(&wanted).map(|(o, &w)| w.then_some(o)).collect();
+        let what = || format!("unpack panicked on {bytes:?} under {spec:?}");
+        let got = returns(|| unpack(&bytes, &spec, &mut args), what)?;
+        let fits = |i: &SpecItem| (1..=8).contains(&i.ty.size_bytes());
+        let payload = spec.items.iter().map(|i| i.ty.size_bytes() as u64 * i.count as u64);
+        let short = (bytes.len() as u64) < netcl_runtime::NCL_HEADER_BYTES as u64 + payload.sum::<u64>();
+        match got {
+            Err(MessageError::ArgWidth { arg, .. }) => {
+                prop_assert!(spec.items.iter().position(|i| !fits(i)) == Some(arg));
+            }
+            Err(MessageError::Truncated) => prop_assert!(spec.items.iter().all(fits) && short),
+            Ok(_) => prop_assert!(spec.items.iter().all(fits) && !short),
+            Err(e) => prop_assert!(false, "unpack returned {:?}", e),
+        }
+    }
+
     /// Any strict prefix of a well-formed packet is rejected as truncated,
     /// and a single flipped bit never breaks parsing (there is no checksum:
     /// the corrupted packet decodes, just to different field values).
@@ -673,7 +728,9 @@ proptest! {
     /// `SwitchCounters`, same final registers. Header stack lengths are the
     /// exception, restored by [`reparsed_programs`]. v1model is out of
     /// scope: it prints RegisterActions as comments, so its text is not
-    /// meant to be read back.
+    /// meant to be read back. This is also `Switch::process`'s totality
+    /// check on wire bytes: every shipped program answers every wire with
+    /// an output or a `SwitchError`, and a panic fails the case.
     #[test]
     fn reparsed_programs_run_like_the_originals(seed in any::<u64>()) {
         let mut rng = WorkloadRng::new(seed);
