@@ -11,6 +11,7 @@
 
 use std::sync::{Arc, Mutex};
 
+use netcl::codegen::device_guard;
 use netcl_bmv2::Switch;
 use netcl_net::{HostEvent, LinkSpec, NodeId, Outbox};
 use netcl_p4::ast::*;
@@ -195,11 +196,7 @@ pub fn handwritten(cfg: &AggConfig) -> P4Program {
             elem_bits: 32,
             size: ns * 2,
         });
-        let val = Expr::Field(vec![
-            PathSeg::new("hdr"),
-            PathSeg::indexed("arr_c1_a5", i),
-            PathSeg::new("value"),
-        ]);
+        let val = Expr::field(&["hdr", &format!("arr_c1_a5[{i}]"), "value"]);
         c.register_actions.push(RegisterActionDef {
             name: format!("agg_write{i}").into(),
             register: format!("Agg{i}").into(),
@@ -313,19 +310,7 @@ pub fn handwritten(cfg: &AggConfig) -> P4Program {
 
     // Apply: bitmap update, then first-packet vs aggregate paths.
     let mut apply: Vec<Stmt> = Vec::new();
-    let guard = Expr::Bin(
-        P4BinOp::LAnd,
-        Box::new(Expr::Field(vec![
-            PathSeg::new("hdr"),
-            PathSeg::new("ncl"),
-            PathSeg::new("$isValid"),
-        ])),
-        Box::new(Expr::Bin(
-            P4BinOp::Eq,
-            Box::new(Expr::field(&["hdr", "ncl", "to"])),
-            Box::new(Expr::val(1, 16)),
-        )),
-    );
+    let guard = device_guard(1);
     let mut body: Vec<Stmt> = Vec::new();
     body.push(Stmt::If {
         cond: Expr::Bin(
@@ -405,11 +390,7 @@ pub fn handwritten(cfg: &AggConfig) -> P4Program {
     ];
     for i in 0..ss {
         aggr.push(Stmt::ExecuteRegisterAction {
-            dst: Some(Expr::Field(vec![
-                PathSeg::new("hdr"),
-                PathSeg::indexed("arr_c1_a5", i),
-                PathSeg::new("value"),
-            ])),
+            dst: Some(Expr::field(&["hdr", &format!("arr_c1_a5[{i}]"), "value"])),
             ra: format!("agg_add{i}").into(),
             index: idx.clone(),
         });

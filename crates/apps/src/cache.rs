@@ -12,6 +12,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use netcl::codegen::device_guard;
 use netcl::CompiledDevice;
 use netcl_bmv2::{Switch, TableUpdate};
 use netcl_net::{HostEvent, HostHandler, Outbox};
@@ -330,11 +331,7 @@ pub fn handwritten(cfg: &CacheConfig) -> P4Program {
     ));
     c.register_actions.push(ra("hit_inc", "HitCountR", AtomicRmw::Inc, false, vec![]));
     for i in 0..w {
-        let vfield = Expr::Field(vec![
-            PathSeg::new("hdr"),
-            PathSeg::indexed("arr_c1_a4", i),
-            PathSeg::new("value"),
-        ]);
+        let vfield = Expr::field(&["hdr", &format!("arr_c1_a4[{i}]"), "value"]);
         c.register_actions.push(ra(
             &format!("val_read{i}"),
             &format!("Val{i}"),
@@ -386,11 +383,7 @@ pub fn handwritten(cfg: &CacheConfig) -> P4Program {
     let mut get_hit: Vec<Stmt> =
         vec![Stmt::ExecuteRegisterAction { dst: None, ra: "hit_inc".into(), index: idx.clone() }];
     for i in 0..w {
-        let vfield = Expr::Field(vec![
-            PathSeg::new("hdr"),
-            PathSeg::indexed("arr_c1_a4", i),
-            PathSeg::new("value"),
-        ]);
+        let vfield = Expr::field(&["hdr", &format!("arr_c1_a4[{i}]"), "value"]);
         get_hit.push(Stmt::If {
             cond: Expr::Bin(
                 P4BinOp::Eq,
@@ -595,23 +588,7 @@ pub fn handwritten(cfg: &CacheConfig) -> P4Program {
         size: 64,
     });
     c.apply = vec![
-        Stmt::If {
-            cond: Expr::Bin(
-                P4BinOp::LAnd,
-                Box::new(Expr::Field(vec![
-                    PathSeg::new("hdr"),
-                    PathSeg::new("ncl"),
-                    PathSeg::new("$isValid"),
-                ])),
-                Box::new(Expr::Bin(
-                    P4BinOp::Eq,
-                    Box::new(Expr::field(&["hdr", "ncl", "to"])),
-                    Box::new(Expr::val(1, 16)),
-                )),
-            ),
-            then: kernel,
-            els: vec![],
-        },
+        Stmt::If { cond: device_guard(1), then: kernel, els: vec![] },
         Stmt::ApplyTable("l2_fwd".into()),
     ];
 

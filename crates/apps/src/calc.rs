@@ -1,6 +1,7 @@
 //! CALC — the P4-tutorials calculator \[78\], the paper's small stateless
 //! application: the switch computes `a OP b` and reflects the result.
 
+use netcl::codegen::device_guard;
 use netcl_p4::ast::*;
 use netcl_runtime::message::{pack, unpack, Message};
 use netcl_sema::model::Specification;
@@ -172,19 +173,7 @@ pub fn handwritten() -> P4Program {
     });
     c.apply = vec![
         Stmt::If {
-            cond: Expr::Bin(
-                P4BinOp::LAnd,
-                Box::new(Expr::Field(vec![
-                    PathSeg::new("hdr"),
-                    PathSeg::new("ncl"),
-                    PathSeg::new("$isValid"),
-                ])),
-                Box::new(Expr::Bin(
-                    P4BinOp::Eq,
-                    Box::new(Expr::field(&["hdr", "ncl", "to"])),
-                    Box::new(Expr::val(1, 16)),
-                )),
-            ),
+            cond: device_guard(1),
             then: vec![
                 Stmt::ApplyTable("calculate".into()),
                 Stmt::Assign(Expr::field(&["hdr", "ncl", "action"]), Expr::Const(5, 8)),

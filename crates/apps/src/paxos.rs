@@ -12,6 +12,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
+use netcl::codegen::device_guard;
 use netcl::CompiledDevice;
 use netcl_bmv2::Switch;
 use netcl_net::{HostEvent, LinkSpec, NodeId, Outbox, Topology};
@@ -407,23 +408,7 @@ fn common_parser() -> ParserDef {
 
 fn guard(dev: u16, body: Vec<Stmt>) -> Vec<Stmt> {
     vec![
-        Stmt::If {
-            cond: Expr::Bin(
-                P4BinOp::LAnd,
-                Box::new(Expr::Field(vec![
-                    PathSeg::new("hdr"),
-                    PathSeg::new("ncl"),
-                    PathSeg::new("$isValid"),
-                ])),
-                Box::new(Expr::Bin(
-                    P4BinOp::Eq,
-                    Box::new(Expr::field(&["hdr", "ncl", "to"])),
-                    Box::new(Expr::val(dev as u64, 16)),
-                )),
-            ),
-            then: body,
-            els: vec![],
-        },
+        Stmt::If { cond: device_guard(dev), then: body, els: vec![] },
         Stmt::ApplyTable("l2_fwd".into()),
     ]
 }
@@ -519,11 +504,7 @@ pub fn handwritten_acceptor_at(acc: u16) -> P4Program {
             register: format!("ValueR{i}").into(),
             op: AtomicOp { rmw: AtomicRmw::Swap, cond: false, ret_new: false },
             cond: None,
-            operands: vec![Expr::Field(vec![
-                PathSeg::new("hdr"),
-                PathSeg::indexed("arr_c1_a5", i),
-                PathSeg::new("value"),
-            ])],
+            operands: vec![Expr::field(&["hdr", &format!("arr_c1_a5[{i}]"), "value"])],
         });
     }
     c.tables.push(l2());
@@ -625,11 +606,7 @@ pub fn handwritten_learner() -> P4Program {
             register: format!("ValueR{i}").into(),
             op: AtomicOp { rmw: AtomicRmw::Swap, cond: false, ret_new: false },
             cond: None,
-            operands: vec![Expr::Field(vec![
-                PathSeg::new("hdr"),
-                PathSeg::indexed("arr_c1_a5", i),
-                PathSeg::new("value"),
-            ])],
+            operands: vec![Expr::field(&["hdr", &format!("arr_c1_a5[{i}]"), "value"])],
         });
     }
     // The handwritten learner uses a majority MAT over the vote bitmap —

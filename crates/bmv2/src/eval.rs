@@ -1,7 +1,7 @@
 //! Expression evaluation against a packet.
 
 use crate::packet::Packet;
-use netcl_p4::ast::{Expr, P4BinOp, PathSeg};
+use netcl_p4::ast::{Expr, Ns, P4BinOp};
 
 /// Evaluates a P4 expression. Returns the value and its width in bits (the
 /// width drives wrapping; boolean results are 1 bit).
@@ -9,22 +9,20 @@ pub fn eval(e: &Expr, pkt: &Packet, widths: &dyn Fn(&str) -> u32) -> (u64, u32) 
     match e {
         Expr::Const(v, bits) => (*v, *bits),
         Expr::Bool(b) => (*b as u64, 1),
-        Expr::Field(segs) => {
-            // `$isValid` pseudo-field.
-            if segs.last().map(|s| s.name.as_str()) == Some("$isValid") {
-                let inst = instance_of(segs);
-                return (pkt.is_valid(&inst) as u64, 1);
+        Expr::Field(p) => {
+            if p.is_validity() {
+                return (pkt.is_valid(p.instance()) as u64, 1);
             }
-            let path = canonical(segs);
-            let w = widths(&path);
-            match segs.first().map(|s| s.name.as_str()) {
-                Some("meta") => (pkt.get_meta(&path), w),
-                Some("hdr") => (pkt.get(&path), w),
+            let path = p.canonical();
+            let w = widths(path);
+            match p.ns() {
+                Ns::Meta => (pkt.get_meta(path), w),
+                Ns::Hdr => (pkt.get(path), w),
                 // Bare names are action parameters / locals (metadata
                 // namespace) first, header fields otherwise.
-                _ => match pkt.meta_opt(&path) {
+                Ns::Bare => match pkt.meta_opt(path) {
                     Some(v) => (v, w),
-                    None => (pkt.get(&path), w),
+                    None => (pkt.get(path), w),
                 },
             }
         }
@@ -110,30 +108,6 @@ pub fn bin_value(op: P4BinOp, va: u64, wa: u32, vb: u64, wb: u32) -> (u64, u32) 
     }
 }
 
-/// Canonical field path string (matching the code generator's layout).
-pub fn canonical(segs: &[PathSeg]) -> String {
-    use std::fmt::Write;
-    let mut path = String::with_capacity(segs.iter().map(|s| s.name.len() + 4).sum());
-    for (k, s) in segs.iter().filter(|s| s.name != "hdr" && s.name != "meta").enumerate() {
-        if k > 0 {
-            path.push('.');
-        }
-        path.push_str(&s.name);
-        if let Some(i) = s.index {
-            let _ = write!(path, "[{i}]");
-        }
-    }
-    path
-}
-
-/// The header instance a path refers to (`hdr.ncl.src` → `ncl`).
-pub fn instance_of(segs: &[PathSeg]) -> String {
-    segs.iter()
-        .find(|s| s.name != "hdr" && !s.name.starts_with('$'))
-        .map(|s| s.name.to_string())
-        .unwrap_or_default()
-}
-
 /// Low `bits` mask.
 pub fn mask_of(bits: u32) -> u64 {
     if bits >= 64 {
@@ -190,7 +164,7 @@ mod tests {
     fn validity_pseudo_field() {
         let mut p = Packet::default();
         p.set_valid("ncl", true);
-        let e = E::Field(vec![PathSeg::new("hdr"), PathSeg::new("ncl"), PathSeg::new("$isValid")]);
+        let e = E::field(&["hdr", "ncl", "$isValid"]);
         assert_eq!(eval(&e, &p, &widths), (1, 1));
     }
 
@@ -201,13 +175,5 @@ mod tests {
         assert_eq!(eval(&e, &p, &widths), (0xAB, 8));
         let e = E::Cast(8, Box::new(E::Const(0xABCD, 16)));
         assert_eq!(eval(&e, &p, &widths), (0xCD, 8));
-    }
-
-    #[test]
-    fn stack_paths_canonicalize() {
-        let segs =
-            vec![PathSeg::new("hdr"), PathSeg::indexed("arr_c1_a4", 3), PathSeg::new("value")];
-        assert_eq!(canonical(&segs), "arr_c1_a4[3].value");
-        assert_eq!(instance_of(&segs), "arr_c1_a4");
     }
 }

@@ -9,7 +9,7 @@
 //! - It counts, mutates and fails exactly as the threaded engine does:
 //!   same counters on the same events, same error text at the same moment.
 
-use crate::eval::{canonical, eval, instance_of, mask_of};
+use crate::eval::{eval, mask_of};
 use crate::packet::{read_field, write_field, FieldError, Packet, PacketError};
 use crate::switch::{Switch, SwitchError};
 use netcl_ir::interp::eval_intrinsic;
@@ -141,14 +141,13 @@ impl Switch {
     }
 
     fn assign(&self, pkt: &mut Packet, dst: &Expr, value: u64) {
-        let Expr::Field(segs) = dst else { return };
-        let path = canonical(segs);
-        let width = self.layout.width_of(&path);
-        let v = value & mask_of(width);
-        if segs.first().map(|s| s.name.as_str()) == Some("meta") {
-            pkt.set_meta(&path, v);
+        let Expr::Field(p) = dst else { return };
+        let path = p.canonical();
+        let v = value & mask_of(self.layout.width_of(path));
+        if p.ns() == Ns::Meta {
+            pkt.set_meta(path, v);
         } else {
-            pkt.set(&path, v);
+            pkt.set(path, v);
         }
     }
 
@@ -274,19 +273,9 @@ impl Switch {
                     self.assign(pkt, d, v);
                 }
             }
-            Stmt::SetValid(e) => {
-                if let Expr::Field(segs) = e {
-                    let inst = instance_of(segs);
-                    pkt.set_valid(&inst, true);
-                }
-            }
-            Stmt::SetInvalid(e) => {
-                if let Expr::Field(segs) = e {
-                    let inst = instance_of(segs);
-                    pkt.set_valid(&inst, false);
-                }
-            }
-            Stmt::Exit => {}
+            Stmt::SetValid(Expr::Field(p)) => pkt.set_valid(p.instance(), true),
+            Stmt::SetInvalid(Expr::Field(p)) => pkt.set_valid(p.instance(), false),
+            Stmt::SetValid(_) | Stmt::SetInvalid(_) | Stmt::Exit => {}
         }
         Ok(())
     }

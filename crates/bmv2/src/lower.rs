@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::assemble::{assemble, Label, Lowered};
-use crate::eval::{bin_value, canonical, instance_of, mask_of, slice_shape};
+use crate::eval::{bin_value, mask_of, slice_shape};
 use crate::layout::{HeaderId, Layout};
 use crate::switch::SwitchError;
 use crate::threaded::{
@@ -166,19 +166,19 @@ impl Lowerer {
         match e {
             Expr::Const(v, bits) => (Operand::Const(*v), *bits),
             Expr::Bool(b) => (Operand::Const(*b as u64), 1),
-            Expr::Field(segs) => {
-                if segs.last().map(|s| s.name.as_str()) == Some("$isValid") {
-                    let id = self.lay.slots_mut().intern_instance(&instance_of(segs));
+            Expr::Field(p) => {
+                if p.is_validity() {
+                    let id = self.lay.slots_mut().intern_instance(p.instance());
                     return (Operand::Dyn(Box::new(move |p| p.is_valid_id(id) as u64)), 1);
                 }
-                let path = canonical(segs);
-                let width = self.lay.width_of(&path);
+                let path = p.canonical();
+                let width = self.lay.width_of(path);
                 let slots = self.lay.slots_mut();
-                let load = match segs.first().map(|s| s.name.as_str()) {
-                    Some("meta") => Operand::Slot(slots.intern_slot('m', &path)),
-                    Some("hdr") => Operand::Slot(slots.intern_slot('h', &path)),
-                    _ => {
-                        Operand::Bare(slots.intern_slot('m', &path), slots.intern_slot('h', &path))
+                let load = match p.ns() {
+                    Ns::Meta => Operand::Slot(slots.intern_slot('m', path)),
+                    Ns::Hdr => Operand::Slot(slots.intern_slot('h', path)),
+                    Ns::Bare => {
+                        Operand::Bare(slots.intern_slot('m', path), slots.intern_slot('h', path))
                     }
                 };
                 (load, width)
@@ -237,13 +237,13 @@ impl Lowerer {
     }
 
     fn dest(&mut self, dst: &Expr) -> Dest {
-        let Expr::Field(segs) = dst else { return Dest::None };
-        let path = canonical(segs);
-        let m = mask_of(self.lay.width_of(&path));
-        if segs.first().map(|s| s.name.as_str()) == Some("meta") {
-            Dest::Meta(self.lay.slots_mut().intern_slot('m', &path), m)
+        let Expr::Field(p) = dst else { return Dest::None };
+        let path = p.canonical();
+        let m = mask_of(self.lay.width_of(path));
+        if p.ns() == Ns::Meta {
+            Dest::Meta(self.lay.slots_mut().intern_slot('m', path), m)
         } else {
-            Dest::Header(self.lay.slots_mut().intern_slot('h', &path), m)
+            Dest::Header(self.lay.slots_mut().intern_slot('h', path), m)
         }
     }
 
@@ -410,8 +410,8 @@ impl Lowerer {
                 }));
             }
             Stmt::SetValid(e) | Stmt::SetInvalid(e) => {
-                if let Expr::Field(segs) = e {
-                    let h = self.lay.slots_mut().intern_instance(&instance_of(segs));
+                if let Expr::Field(p) = e {
+                    let h = self.lay.slots_mut().intern_instance(p.instance());
                     let valid = matches!(s, Stmt::SetValid(_));
                     self.emit(Lowered::Lin(Box::new(move |_, pkt, _| {
                         pkt.set_valid_id(h, valid);

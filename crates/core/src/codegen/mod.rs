@@ -93,14 +93,16 @@ pub fn place(program: &mut P4Program, unit: &str, device: u16) {
     let Some(Some(Stmt::If { cond, .. })) = apply else {
         panic!("`{}` is not a generated program: no device guard", program.name)
     };
-    let valid =
-        Expr::Field(vec![PathSeg::new("hdr"), PathSeg::new(NCL_HDR), PathSeg::new("$isValid")]);
-    let here = Expr::Bin(
-        P4BinOp::Eq,
-        Box::new(Expr::field(&["hdr", NCL_HDR, "to"])),
-        Box::new(Expr::val(device as u64, 16)),
-    );
-    *cond = Expr::Bin(P4BinOp::LAnd, Box::new(valid), Box::new(here));
+    *cond = device_guard(device);
+}
+
+/// `hdr.ncl.isValid() && hdr.ncl.to == <device>`: the condition a program's
+/// kernels run under, generated or handwritten.
+pub fn device_guard(device: u16) -> Expr {
+    let valid = Expr::field(&["hdr", NCL_HDR, "$isValid"]);
+    let to = Expr::field(&["hdr", NCL_HDR, "to"]);
+    let here = Expr::Bin(P4BinOp::Eq, Box::new(to), Box::new(Expr::val(device as u64, 16)));
+    Expr::Bin(P4BinOp::LAnd, Box::new(valid), Box::new(here))
 }
 
 /// The name of the NetCL shim header instance.

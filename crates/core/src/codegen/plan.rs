@@ -13,10 +13,11 @@
 use netcl_ir::func::{BlockId, Function, Inst, InstKind, Terminator};
 use netcl_ir::types::Operand;
 use netcl_ir::ValueId;
-use netcl_p4::ast::{Expr, Name, PathSeg};
+use netcl_p4::ast::{Expr, Name, Ns, Path};
 use netcl_passes::structurize::immediate_postdominators;
 use netcl_util::bitset::BitSet;
 use netcl_util::idx::{Idx, IndexVec};
+use std::fmt::Write;
 
 use super::{arg_stack, sanitize};
 
@@ -50,7 +51,9 @@ impl Storage {
 
 /// `hdr.<stack>[k].value`.
 pub(super) fn stack_element(stack: &str, k: u32) -> Expr {
-    Expr::Field(vec![PathSeg::new("hdr"), PathSeg::indexed(stack, k), PathSeg::new("value")])
+    let mut path = Path::new(Ns::Hdr);
+    let _ = write!(path, "{stack}[{k}].value");
+    Expr::Field(path)
 }
 
 /// Everything decided about one kernel.

@@ -267,7 +267,7 @@ impl ControlDef {
 }
 
 /// Binary operators in P4 expressions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum P4BinOp {
     /// `+`
     Add,
@@ -341,11 +341,10 @@ impl P4BinOp {
 }
 
 /// P4 expressions.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Expr {
-    /// `hdr.ncl.K`, `meta.tmp_3`, `hdr.v[2].value` — a dotted path where a
-    /// segment may carry a stack index.
-    Field(Vec<PathSeg>),
+    /// `hdr.ncl.K`, `meta.tmp_3`, `hdr.v[2].value` — a field path.
+    Field(Path),
     /// Integer literal with width (`(bit<16>)5` prints as `16w5`).
     Const(u64, u32),
     /// `true`/`false`.
@@ -366,43 +365,159 @@ pub enum Expr {
     TableMiss(String),
 }
 
-/// One segment of a field path: a name plus optional stack index.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PathSeg {
-    /// Segment name.
-    pub name: Name,
-    /// Stack index (`hdr.v[3]`).
-    pub index: Option<u32>,
+// A path is held in place, so an expression node is no larger than its
+// widest boxed form.
+const _: () = assert!(std::mem::size_of::<Expr>() == 32);
+
+/// Text of at most `N` bytes held in place: the first `len` bytes are whole
+/// `str`s appended by [`Inline::push`], the only writer; the rest are zero.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct Inline<const N: usize> {
+    len: u8,
+    bytes: [u8; N],
 }
 
-impl PathSeg {
-    /// Plain segment.
-    pub fn new(name: &str) -> PathSeg {
-        PathSeg { name: name.into(), index: None }
+impl<const N: usize> Inline<N> {
+    const EMPTY: Self = Inline { len: 0, bytes: [0; N] };
+
+    /// Appends `s` if the result fits.
+    fn push(&mut self, s: &str) -> bool {
+        let (start, end) = (self.len as usize, self.len as usize + s.len());
+        if end > N {
+            return false;
+        }
+        self.bytes[start..end].copy_from_slice(s.as_bytes());
+        self.len = end as u8;
+        true
     }
 
-    /// Indexed segment.
-    pub fn indexed(name: &str, index: u32) -> PathSeg {
-        PathSeg { name: name.into(), index: Some(index) }
+    /// The text. Loading a switch and fitting a program read every path and
+    /// name many times over, so this does not re-validate UTF-8: checking
+    /// here made both ≈ 10–15 % slower.
+    fn as_str(&self) -> &str {
+        // SAFETY: `bytes[..len]` is whole `str`s copied byte for byte by
+        // `push`, and nothing else writes them.
+        unsafe { std::str::from_utf8_unchecked(&self.bytes[..self.len as usize]) }
     }
 }
 
-/// A name the AST holds many of — a path segment, a local, a register or
-/// register action — kept in place when it is at most [`Name::INLINE`]
-/// bytes long, as every name the compiler generates is: a field path costs
-/// one allocation, its segment list, not one more per segment. Reads, and
-/// keys a map, as a `&str`.
+/// The namespace a field path starts in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Ns {
+    /// `hdr.…`: a header instance or field.
+    Hdr,
+    /// `meta.…`: a control local.
+    Meta,
+    /// No prefix: an action parameter or a SALU's `m` / `o`, read from the
+    /// metadata namespace first.
+    Bare,
+}
+
+/// A field path: its namespace, then the text after it — segments joined
+/// by `.`, a stack index as `[i]` after its segment, and a validity test as
+/// a last segment `$isValid` (`hdr.ncl.$isValid` prints as
+/// `hdr.ncl.isValid()`). That text is held in place when it is at most
+/// [`Path::INLINE`] bytes long, as every path the compiler and the fleet
+/// make is (the longest text is 19 bytes), so a path allocates nothing; a
+/// longer one spills to one heap block, so equal paths have equal
+/// representations.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Path(PathRepr);
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum PathRepr {
+    Inline(Ns, Inline<{ Path::INLINE }>),
+    Heap(Ns, Box<str>),
+}
+
+impl Path {
+    /// The longest text held in place.
+    pub const INLINE: usize = 30;
+
+    /// The empty path in `ns`.
+    pub fn new(ns: Ns) -> Path {
+        Path(PathRepr::Inline(ns, Inline::EMPTY))
+    }
+
+    /// The namespace.
+    pub fn ns(&self) -> Ns {
+        match self.0 {
+            PathRepr::Inline(ns, _) | PathRepr::Heap(ns, _) => ns,
+        }
+    }
+
+    /// The text after the namespace (`ncl.K`, `v[2].value`): what a switch
+    /// keys the field's slot by, within the namespace.
+    pub fn canonical(&self) -> &str {
+        match &self.0 {
+            PathRepr::Inline(_, text) => text.as_str(),
+            PathRepr::Heap(_, text) => text,
+        }
+    }
+
+    /// The header instance the path is in: its first segment's name (`ncl`
+    /// of `hdr.ncl.K`, `v` of `hdr.v[2].value`), `meta` for a metadata
+    /// path, empty when there is none.
+    pub fn instance(&self) -> &str {
+        let first = self.canonical().split(['.', '[']).next().unwrap_or("");
+        match self.ns() {
+            Ns::Meta => "meta",
+            _ if first.starts_with('$') => "",
+            _ => first,
+        }
+    }
+
+    /// The name a bare, one-segment path is (an action called as a
+    /// statement, a SALU's `m` or `o`).
+    pub fn name(&self) -> Option<&str> {
+        let text = self.canonical();
+        (self.ns() == Ns::Bare && !text.contains(['.', '['])).then_some(text)
+    }
+
+    /// Whether this is a validity test, `….$isValid`.
+    pub fn is_validity(&self) -> bool {
+        self.canonical().rsplit('.').next() == Some("$isValid")
+    }
+
+    /// Appends segment `name`.
+    pub fn push(&mut self, name: &str) {
+        use std::fmt::Write;
+        let dot = if self.canonical().is_empty() { "" } else { "." };
+        let _ = write!(self, "{dot}{name}");
+    }
+}
+
+/// Appends raw text, such as a segment's stack index `[i]`, spilling to the
+/// heap past [`Path::INLINE`] bytes.
+impl std::fmt::Write for Path {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let spilled = match &mut self.0 {
+            PathRepr::Inline(_, text) => match text.push(s) {
+                true => return Ok(()),
+                false => [text.as_str(), s].concat(),
+            },
+            PathRepr::Heap(_, text) => [&**text, s].concat(),
+        };
+        self.0 = PathRepr::Heap(self.ns(), spilled.into_boxed_str());
+        Ok(())
+    }
+}
+
+impl std::fmt::Debug for Path {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Path").field(&self.ns()).field(&self.canonical()).finish()
+    }
+}
+
+/// A name the AST holds many of — a local, a register or register action —
+/// kept in place when it is at most [`Name::INLINE`] bytes long, as every
+/// name the compiler generates is. Reads, and keys a map, as a `&str`.
 #[derive(Clone)]
 pub struct Name(Repr);
 
 #[derive(Clone)]
 enum Repr {
-    /// The first `len` bytes are the name, copied whole from a `str` by
-    /// `From<&str>`, the only constructor; the rest are zero.
-    Inline {
-        len: u8,
-        bytes: [u8; Name::INLINE],
-    },
+    Inline(Inline<{ Name::INLINE }>),
     Heap(Box<str>),
 }
 
@@ -410,16 +525,10 @@ impl Name {
     /// The longest name held in place.
     pub const INLINE: usize = 22;
 
-    /// The name. Loading a switch and fitting a program read every path's
-    /// names many times over, so this does not re-validate UTF-8: checking
-    /// here made both ≈ 10–15 % slower.
+    /// The name.
     pub fn as_str(&self) -> &str {
         match &self.0 {
-            // SAFETY: `bytes[..len]` is a whole `str` copied byte for byte
-            // (`From<&str>`), and nothing else writes an inline name.
-            Repr::Inline { len, bytes } => unsafe {
-                std::str::from_utf8_unchecked(&bytes[..*len as usize])
-            },
+            Repr::Inline(text) => text.as_str(),
             Repr::Heap(s) => s,
         }
     }
@@ -427,22 +536,14 @@ impl Name {
 
 impl From<&str> for Name {
     fn from(s: &str) -> Name {
-        if s.len() > Name::INLINE {
-            return Name(Repr::Heap(s.into()));
-        }
-        let mut bytes = [0; Name::INLINE];
-        bytes[..s.len()].copy_from_slice(s.as_bytes());
-        Name(Repr::Inline { len: s.len() as u8, bytes })
+        let mut text = Inline::EMPTY;
+        Name(if text.push(s) { Repr::Inline(text) } else { Repr::Heap(s.into()) })
     }
 }
 
 impl From<String> for Name {
     fn from(s: String) -> Name {
-        if s.len() <= Name::INLINE {
-            Name::from(s.as_str())
-        } else {
-            Name(Repr::Heap(s.into_boxed_str()))
-        }
+        Name::from(s.as_str())
     }
 }
 
@@ -476,12 +577,6 @@ impl std::borrow::Borrow<str> for Name {
     }
 }
 
-impl PartialEq<str> for Name {
-    fn eq(&self, other: &str) -> bool {
-        self.as_str() == other
-    }
-}
-
 impl PartialEq<&str> for Name {
     fn eq(&self, other: &&str) -> bool {
         self.as_str() == *other
@@ -501,9 +596,19 @@ impl std::fmt::Debug for Name {
 }
 
 impl Expr {
-    /// Builds a field expression from dotted names.
-    pub fn field(path: &[&str]) -> Expr {
-        Expr::Field(path.iter().map(|s| PathSeg::new(s)).collect())
+    /// The field `names` spell; a first name `hdr` or `meta` is its
+    /// namespace, and a name may carry its `[i]`.
+    pub fn field(names: &[&str]) -> Expr {
+        let (ns, rest) = match names {
+            ["hdr", rest @ ..] => (Ns::Hdr, rest),
+            ["meta", rest @ ..] => (Ns::Meta, rest),
+            _ => (Ns::Bare, names),
+        };
+        let mut path = Path::new(ns);
+        for name in rest {
+            path.push(name);
+        }
+        Expr::Field(path)
     }
 
     /// Width-tagged constant.
@@ -592,15 +697,20 @@ mod tests {
     }
 
     #[test]
-    fn expr_builders() {
-        let e = Expr::field(&["hdr", "ncl", "K"]);
-        match &e {
-            Expr::Field(segs) => {
-                assert_eq!(segs.len(), 3);
-                assert_eq!(segs[2].name, "K");
-            }
-            _ => panic!(),
-        }
+    fn paths_hold_their_text_in_place_and_on_the_heap() {
+        use std::fmt::Write;
+        let Expr::Field(mut p) = Expr::field(&["hdr", "arr_c1_a4"]) else { panic!() };
+        write!(p, "[3]").unwrap();
+        p.push("value");
+        assert_eq!(
+            (p.ns(), p.canonical(), p.instance()),
+            (Ns::Hdr, "arr_c1_a4[3].value", "arr_c1_a4")
+        );
+        assert!(matches!(p.0, PathRepr::Inline(..)));
+        p.push("past_the_inline_limit");
+        assert!(matches!(p.0, PathRepr::Heap(..)));
+        let names = ["hdr", "arr_c1_a4[3]", "value", "past_the_inline_limit"];
+        assert_eq!(Expr::Field(p), Expr::field(&names));
     }
 
     #[test]

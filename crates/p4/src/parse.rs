@@ -6,6 +6,7 @@
 
 use crate::ast::*;
 use netcl_sema::builtins::{AtomicOp, AtomicRmw, HashKind};
+use std::fmt::Write;
 
 /// Parse error with line information.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -715,8 +716,8 @@ impl<'a> Parser<'a> {
             // A bare expression statement: only valid for certain shapes.
             return match lhs {
                 Expr::TableHit(t) | Expr::TableMiss(t) => Ok(Stmt::ApplyTable(t)),
-                Expr::Field(segs) if segs.len() == 1 => {
-                    Ok(Stmt::CallAction(segs[0].name.to_string()))
+                Expr::Field(path) if path.name().is_some() => {
+                    Ok(Stmt::CallAction(path.canonical().to_string()))
                 }
                 other => self.err(format!("expression `{other:?}` is not a statement")),
             };
@@ -879,7 +880,16 @@ impl<'a> Parser<'a> {
             Some(Tok::Ident("true")) => Ok(Expr::Bool(true)),
             Some(Tok::Ident("false")) => Ok(Expr::Bool(false)),
             Some(Tok::Ident(first)) => {
-                let mut segs = vec![self.seg(first)?];
+                let dotted = matches!(self.peek(), Some(Tok::Punct(".")));
+                let ns = match first {
+                    "hdr" if dotted => Ns::Hdr,
+                    "meta" if dotted => Ns::Meta,
+                    _ => Ns::Bare,
+                };
+                let mut path = Path::new(ns);
+                if ns == Ns::Bare {
+                    self.seg(&mut path, first)?;
+                }
                 while matches!(self.peek(), Some(Tok::Punct(".")))
                     && matches!(self.peek_at(1), Some(Tok::Ident(_)))
                 {
@@ -892,12 +902,12 @@ impl<'a> Parser<'a> {
                         if self.eat_punct(".") {
                             let what = self.expect_ident()?;
                             return match what {
-                                "hit" => Ok(Expr::TableHit(segs[0].name.to_string())),
-                                "miss" => Ok(Expr::TableMiss(segs[0].name.to_string())),
+                                "hit" => Ok(Expr::TableHit(first.to_string())),
+                                "miss" => Ok(Expr::TableMiss(first.to_string())),
                                 other => self.err(format!("unknown apply result `{other}`")),
                             };
                         }
-                        return Ok(Expr::TableHit(segs[0].name.to_string()));
+                        return Ok(Expr::TableHit(first.to_string()));
                     }
                     let pseudo = match name {
                         "setValid" => Some("$setValid"),
@@ -910,40 +920,39 @@ impl<'a> Parser<'a> {
                         self.expect_punct(")")?;
                         // Validity tests appear in conditions; model as a
                         // field read of a validity pseudo-field.
-                        segs.push(PathSeg::new(pseudo));
-                        return Ok(Expr::Field(segs));
+                        path.push(pseudo);
+                        return Ok(Expr::Field(path));
                     }
-                    segs.push(self.seg(name)?);
+                    self.seg(&mut path, name)?;
                 }
-                Ok(Expr::Field(segs))
+                Ok(Expr::Field(path))
             }
             other => self.err(format!("expected expression, found {other:?}")),
         }
     }
 
-    /// A path segment with optional `[index]` (only constant stack indices
-    /// appear in the printed subset; slices are handled in `postfix`, so a
-    /// `[a:b]` here is left for postfix by not consuming).
-    fn seg(&mut self, name: &str) -> Result<PathSeg, ParseError> {
+    /// Appends segment `name` to `path`, with its stack index if one
+    /// follows (only constant stack indices appear in the printed subset; a
+    /// slice `[a:b]` is left for `postfix`).
+    fn seg(&mut self, path: &mut Path, name: &str) -> Result<(), ParseError> {
+        path.push(name);
         if matches!(self.peek(), Some(Tok::Punct("[")))
             && matches!(self.peek_at(1), Some(Tok::Int(_) | Tok::Wint(..)))
             && matches!(self.peek_at(2), Some(Tok::Punct("]")))
         {
             self.bump();
-            let idx = self.expect_u32()?;
+            let _ = write!(path, "[{}]", self.expect_u32()?);
             self.expect_punct("]")?;
-            Ok(PathSeg::indexed(name, idx))
-        } else {
-            Ok(PathSeg::new(name))
         }
+        Ok(())
     }
 }
 
 /// Reconstructs the structured SALU descriptor from a parsed apply body —
 /// the inverse of `print::salu_body`.
 fn recover_salu(body: &[Stmt]) -> Option<(AtomicOp, Option<Expr>, Vec<Expr>)> {
-    let is_out = |e: &Expr| matches!(e, Expr::Field(s) if s.len() == 1 && s[0].name == "o");
-    let is_mem = |e: &Expr| matches!(e, Expr::Field(s) if s.len() == 1 && s[0].name == "m");
+    let is_out = |e: &Expr| matches!(e, Expr::Field(p) if p.name() == Some("o"));
+    let is_mem = |e: &Expr| matches!(e, Expr::Field(p) if p.name() == Some("m"));
     // Recognize an RMW statement `m = ...`, returning (rmw, operands).
     let rmw_of = |s: &Stmt| -> Option<(AtomicRmw, Vec<Expr>)> {
         // `m = max(m, e);` / `m = min(m, e);`
@@ -1075,7 +1084,7 @@ control C(inout headers_t hdr, inout metadata_t meta) {
         assert_eq!(c.hashes[0].algo, HashKind::Crc16);
         assert_eq!(c.apply.len(), 2);
         assert!(matches!(&c.apply[0], Stmt::HashGet { hash, .. } if hash == "Hash0"));
-        assert!(matches!(&c.apply[1], Stmt::ExecuteRegisterAction { ra, .. } if ra == "Incr0"));
+        assert!(matches!(&c.apply[1], Stmt::ExecuteRegisterAction { ra, .. } if *ra == "Incr0"));
     }
 
     #[test]

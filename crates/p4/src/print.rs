@@ -337,24 +337,27 @@ impl fmt::Display for OrElse<'_> {
     }
 }
 
+/// A path prints its namespace, then its text; the validity pseudo-field
+/// prints as the `isValid()` method.
+impl fmt::Display for Path {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.ns() {
+            Ns::Hdr => f.write_str("hdr.")?,
+            Ns::Meta => f.write_str("meta.")?,
+            Ns::Bare => {}
+        }
+        match self.canonical().strip_suffix("$isValid") {
+            Some(head) if self.is_validity() => write!(f, "{head}isValid()"),
+            _ => f.write_str(self.canonical()),
+        }
+    }
+}
+
 /// An expression prints fully parenthesised: `(a + (b * c))`.
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Expr::Field(segs) => {
-                for (i, s) in segs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(".")?;
-                    }
-                    match (s.index, s.name.as_str()) {
-                        // Validity pseudo-field prints as the isValid() method.
-                        (None, "$isValid") => f.write_str("isValid()")?,
-                        (Some(i), name) => write!(f, "{name}[{i}]")?,
-                        (None, name) => f.write_str(name)?,
-                    }
-                }
-                Ok(())
-            }
+            Expr::Field(path) => path.fmt(f),
             Expr::Const(v, bits) => write!(f, "{bits}w{v}"),
             Expr::Bool(b) => write!(f, "{b}"),
             Expr::Bin(op, a, b) => write!(f, "({a} {} {b})", op.symbol()),
@@ -556,8 +559,7 @@ mod tests {
         assert_eq!(e.to_string(), "(m |+| 32w1)");
         let s = Expr::Slice(Box::new(Expr::field(&["meta", "x"])), 15, 8);
         assert_eq!(s.to_string(), "(meta.x)[15:8]");
-        let idx =
-            Expr::Field(vec![PathSeg::new("hdr"), PathSeg::indexed("v", 3), PathSeg::new("value")]);
-        assert_eq!(idx.to_string(), "hdr.v[3].value");
+        assert_eq!(Expr::field(&["hdr", "v[3]", "value"]).to_string(), "hdr.v[3].value");
+        assert_eq!(Expr::field(&["hdr", "ncl", "$isValid"]).to_string(), "hdr.ncl.isValid()");
     }
 }

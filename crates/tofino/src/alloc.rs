@@ -390,12 +390,11 @@ struct Plan<'a> {
 /// The name tables lowering resolves through; gone once the plan is built.
 struct Lowering<'a> {
     plan: Plan<'a>,
-    field_ids: HashMap<String, u32>,
+    /// A field path, or a non-field expression a statement writes, → id.
+    field_ids: HashMap<&'a Expr, u32>,
     register_ids: HashMap<&'a str, u32>,
     /// Header field name → width, first declaration winning.
     header_bits: HashMap<&'a str, u32>,
-    /// Scratch for rendering a field path before interning it.
-    path: String,
 }
 
 /// One control's name tables.
@@ -434,7 +433,6 @@ impl<'a> Plan<'a> {
             field_ids: HashMap::new(),
             register_ids: HashMap::new(),
             header_bits,
-            path: String::new(),
         };
         for control in program.controls.iter() {
             l.control(control);
@@ -488,49 +486,18 @@ impl<'a> Lowering<'a> {
         id
     }
 
-    /// Interns the path rendered in `self.path`.
-    fn intern_path(&mut self) -> u32 {
-        if let Some(&id) = self.field_ids.get(self.path.as_str()) {
-            return id;
-        }
-        let id = self.field_ids.len() as u32;
-        self.field_ids.insert(self.path.clone(), id);
-        id
-    }
-
-    fn render_path(&mut self, segs: &[PathSeg]) {
-        use std::fmt::Write;
-        self.path.clear();
-        for (i, s) in segs.iter().enumerate() {
-            if i > 0 {
-                self.path.push('.');
-            }
-            self.path.push_str(&s.name);
-            if let Some(index) = s.index {
-                let _ = write!(self.path, "[{index}]");
-            }
-        }
-    }
-
-    /// The field a statement writes.
-    fn written(&mut self, e: &Expr) -> u32 {
-        use std::fmt::Write;
-        match e {
-            Expr::Field(segs) => self.render_path(segs),
-            other => {
-                self.path.clear();
-                let _ = write!(self.path, "{other:?}");
-            }
-        }
-        self.intern_path()
+    /// Interns the field `e` is, or the non-field expression a statement
+    /// writes.
+    fn intern(&mut self, e: &'a Expr) -> u32 {
+        let next = self.field_ids.len() as u32;
+        *self.field_ids.entry(e).or_insert(next)
     }
 
     /// Appends the fields `e` reads to the plan's field arena.
-    fn collect_reads(&mut self, e: &Expr) {
+    fn collect_reads(&mut self, e: &'a Expr) {
         match e {
-            Expr::Field(segs) if !segs.iter().any(|s| s.name.starts_with('$')) => {
-                self.render_path(segs);
-                let id = self.intern_path();
+            Expr::Field(p) if !p.canonical().contains('$') => {
+                let id = self.intern(e);
                 self.plan.fields.push(id);
             }
             Expr::Field(_) => {}
@@ -545,7 +512,7 @@ impl<'a> Lowering<'a> {
         }
     }
 
-    fn reads<'e>(&mut self, exprs: impl IntoIterator<Item = &'e Expr>) -> Span {
+    fn reads(&mut self, exprs: impl IntoIterator<Item = &'a Expr>) -> Span {
         let start = self.plan.fields.len();
         for e in exprs {
             self.collect_reads(e);
@@ -556,10 +523,10 @@ impl<'a> Lowering<'a> {
     /// Bit width of a key expression (header field lookup, else 32).
     fn expr_bits(&self, e: &Expr, names: &ControlNames<'a>) -> u64 {
         match e {
-            Expr::Field(segs) => {
-                let last = segs.last().map(|s| s.name.as_str()).unwrap_or("");
-                let meta = segs.first().is_some_and(|s| s.name == "meta");
-                let bits = meta
+            Expr::Field(p) => {
+                let last = p.canonical().rsplit('.').next().and_then(|s| s.split('[').next());
+                let last = last.unwrap_or_default();
+                let bits = (p.ns() == Ns::Meta)
                     .then(|| names.locals.get(last))
                     .flatten()
                     .or_else(|| self.header_bits.get(last));
@@ -600,7 +567,7 @@ impl<'a> Lowering<'a> {
         for a in actions() {
             for st in &a.body {
                 if let Stmt::Assign(dst, _) = st {
-                    let id = self.written(dst);
+                    let id = self.intern(dst);
                     self.plan.fields.push(id);
                 }
             }
@@ -627,7 +594,7 @@ impl<'a> Lowering<'a> {
                 // evaluate within the stage their inputs arrive in, like
                 // Tofino's per-stage gateway comparators.
                 let flag_dst = self.expr_bits(dst, names) == 1;
-                let dst = self.written(dst);
+                let dst = self.intern(dst);
                 if is_move(rhs) || flag_dst {
                     Op::Move { reads, dst }
                 } else {
@@ -636,11 +603,11 @@ impl<'a> Lowering<'a> {
             }
             Stmt::ExternCall { dst, args, .. } => {
                 let reads = self.reads(args);
-                Op::Extern { reads, dst: dst.as_ref().map(|d| self.written(d)) }
+                Op::Extern { reads, dst: dst.as_ref().map(|d| self.intern(d)) }
             }
             Stmt::HashGet { dst, args, .. } => {
                 let reads = self.reads(args);
-                Op::Hash { reads, dst: self.written(dst) }
+                Op::Hash { reads, dst: self.intern(dst) }
             }
             Stmt::ExecuteRegisterAction { dst, ra, index } => {
                 let Some(radef) = control.register_action(ra) else { return Op::Nop };
@@ -653,7 +620,7 @@ impl<'a> Lowering<'a> {
                     reads,
                     reg: self.register(&radef.register),
                     sram,
-                    dst: dst.as_ref().map(|d| self.written(d)),
+                    dst: dst.as_ref().map(|d| self.intern(d)),
                 }
             }
             Stmt::ApplyTable(t) => names.table(t).map_or(Op::Nop, Op::Table),

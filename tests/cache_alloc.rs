@@ -3,11 +3,12 @@
 //! allocations however large the unit is. A deep clone of one paper
 //! application is over a thousand, so the first bound below is the host-
 //! and load-independent gate against the copy coming back. The second is
-//! what an edit that leaves every lowered module unchanged costs.
+//! what an edit that leaves every lowered module unchanged costs, the third
+//! what a warm cache holds.
 
 mod counting_alloc;
 
-use counting_alloc::{allocs_during, Counting};
+use counting_alloc::{allocs_during, live_bytes, Counting};
 use netcl::{CompileCache, CompileOptions, Compiler};
 use netcl_apps::{agg, cache, calc, paxos};
 
@@ -34,8 +35,9 @@ fn unit_hit_allocates_a_handful() {
             hit_allocs <= 8,
             "{name}: a unit hit made {hit_allocs} allocations (cold compile: {cold_allocs})"
         );
-        // The counter does count: the cold compile built all of this.
-        assert!(cold_allocs > 1_000, "{name}: cold compile counted {cold_allocs} allocations");
+        // The counter does count: the cold compile built all of this (CALC,
+        // the smallest, makes 914).
+        assert!(cold_allocs > 800, "{name}: cold compile counted {cold_allocs} allocations");
     }
 }
 
@@ -68,4 +70,30 @@ fn comment_only_edit_allocates_the_frontend_and_no_backend() {
         assert!(allocs <= ceiling(measured), "{name}: the edit made {allocs} allocations");
         assert!(allocs < parent / 2, "{name}: the edit made {allocs} allocations");
     }
+}
+
+/// The bytes a warm `CompileCache` holds once AGG, CACHE, CALC and P4xos
+/// have been compiled through it: each unit's devices — lowered module,
+/// both programs, the text — and the program table. A P4 field path is
+/// held in place, so the programs hold no block per path. At the parent
+/// commit, where every path was a heap `Vec` of its segments: 1 034 509 B.
+#[test]
+fn warm_cache_holds_no_block_per_field_path() {
+    const MEASURED: i64 = 818_861;
+    const PARENT: i64 = 1_034_509;
+    let cc = Compiler::new(CompileOptions::default());
+    let sources = [
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default())),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default())),
+        ("calc.ncl", calc::netcl_source()),
+        ("paxos.ncl", paxos::full_source()),
+    ];
+    let mut cache = CompileCache::new();
+    let before = live_bytes();
+    for (name, source) in &sources {
+        cc.compile_incremental(name, source, &mut cache).expect("compiles");
+    }
+    let held = live_bytes() - before;
+    assert!(held <= MEASURED + MEASURED / 10, "the warm cache holds {held} B");
+    assert!(held < PARENT, "the warm cache holds {held} B");
 }

@@ -22,10 +22,11 @@ fn ceiling(measured: u64) -> u64 {
 
 /// AGG at `slot_size: 32` is 36 registers and 164 repin rounds. The parent
 /// commit's allocator rebuilt its string-keyed maps in every round: 188 450
-/// allocations for this one fit.
+/// allocations for this one fit; while the plan keyed field ids by each
+/// path's rendered `String`: 202.
 #[test]
 fn fit_of_the_largest_agg_allocates_per_plan_not_per_round() {
-    const MEASURED: u64 = 202;
+    const MEASURED: u64 = 62;
     const PARENT: u64 = 188_450;
     let cfg = agg::AggConfig { slot_size: 32, ..Default::default() };
     let unit = Compiler::new(CompileOptions::default())
@@ -44,15 +45,16 @@ fn fit_of_the_largest_agg_allocates_per_plan_not_per_round() {
 /// dense ids (hash maps keyed by IR ids, analyses rebuilt per instruction)
 /// and the P4 AST held short names in place: 16 239 / 13 094 / 2 413 /
 /// 17 761; before sema was the only resolver: 7 150 / 5 253 / 1 060 /
-/// 8 641.
+/// 8 641; while a P4 field path was a `Vec` of segments: 6 904 / 5 107 /
+/// 1 046 / 8 829.
 #[test]
 fn cold_compile_allocations_per_application() {
     let cc = Compiler::new(CompileOptions::default());
     for (name, source, measured) in [
-        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), 6_904),
-        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), 5_107),
-        ("calc.ncl", calc::netcl_source(), 1_046),
-        ("paxos.ncl", paxos::full_source(), 8_411),
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), 5_546),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), 4_258),
+        ("calc.ncl", calc::netcl_source(), 909),
+        ("paxos.ncl", paxos::full_source(), 7_450),
     ] {
         let (unit, allocs) = allocs_during(|| cc.compile(name, &source));
         unit.unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -62,10 +64,11 @@ fn cold_compile_allocations_per_application() {
 
 /// One `Compiler::compile` of CALC placed at 64 devices. The 64 lowered
 /// modules are equal, so one device runs the pass pipeline and codegen and
-/// 63 are placed from its program. When every device ran both: 59 586.
+/// 63 are placed from its program. When every device ran both: 59 586;
+/// while a P4 field path was a `Vec` of segments: 23 357.
 #[test]
 fn multi_device_compile_allocations() {
-    const MEASURED: u64 = 23_357;
+    const MEASURED: u64 = 15_912;
     const PARENT: u64 = 59_586;
     let ids: Vec<String> = (1..=64).map(|d| d.to_string()).collect();
     let source = calc::netcl_source().replace("_at(1)", &format!("_at({})", ids.join(", ")));
@@ -118,10 +121,10 @@ fn frontend_allocations_per_application() {
 /// half that ran the common stage once per dialect: 45 709; before codegen
 /// planned over dense ids: 42 642; before the passes did (and before the
 /// P4 AST held short names in place): 35 822; before sema was the only
-/// resolver: 15 921.
+/// resolver: 15 921; while a P4 field path was a `Vec` of segments: 15 701.
 #[test]
 fn tenant_merge_allocations() {
-    const MEASURED: u64 = 15_701;
+    const MEASURED: u64 = 13_052;
     const PARENT: u64 = 45_709;
     let agg_src = agg::netcl_source(&agg::AggConfig { slot_size: 8, ..Default::default() });
     let cache_src = cache::netcl_source(&cache::CacheConfig { words: 4, ..Default::default() });
@@ -149,17 +152,20 @@ fn tenant_merge_allocations() {
 /// 331 / 637 / 637 / 637 / 792. Before the slot table's interner kept each
 /// path once instead of twice and widths and registers were keyed by
 /// in-place names: 1 356 / 1 258 / 271 and 327 / 627 / 627 / 627 / 760.
+/// Before the lowering keyed slots by a path's borrowed text, building a
+/// `String` per field reference: 1 040 / 963 / 229 and 284 / 495 / 495 /
+/// 495 / 588.
 #[test]
 fn switch_load_allocations_per_application() {
     let cc = Compiler::new(CompileOptions::default());
     for (name, source, devices) in [
-        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), &[(1_040, 4_684)][..]),
-        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), &[(963, 3_409)]),
-        ("calc.ncl", calc::netcl_source(), &[(229, 585)]),
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), &[(630, 4_684)][..]),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), &[(648, 3_409)]),
+        ("calc.ncl", calc::netcl_source(), &[(179, 585)]),
         (
             "paxos.ncl",
             paxos::full_source(),
-            &[(284, 645), (495, 1_486), (495, 1_486), (495, 1_486), (588, 1_916)],
+            &[(251, 645), (377, 1_486), (377, 1_486), (377, 1_486), (425, 1_916)],
         ),
     ] {
         let unit = cc.compile(name, &source).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -181,27 +187,28 @@ fn switch_load_allocations_per_application() {
 /// (2 764, 4 866) CACHE, (460, 672) CALC, (336, 593) / (1 042, 1 903) × 3 /
 /// (1 406, 2 345) P4xos devices 1–5. Printing writes into one growing
 /// buffer, so it allocates only as that buffer grows; parsing allocates
-/// what the AST keeps, where a short name — a path segment, a local, a
-/// register or register action — is held in place, so a field path is one
-/// allocation, its segment list. With a `String` per name, parsing made
-/// 3 840 (AGG), 2 234 (CACHE), 341 (CALC) and 260 / 862 × 3 / 1 121 (P4xos)
-/// allocations.
+/// what the AST keeps, where a field path and a short name — a local, a
+/// register or register action — are held in place, so a field path
+/// allocates nothing. With a `String` per name, parsing made 3 840 (AGG),
+/// 2 234 (CACHE), 341 (CALC) and 260 / 862 × 3 / 1 121 (P4xos)
+/// allocations; with a `Vec` of segments per field path, grown as the
+/// parser pushed them, 2 026, 1 198, 205 and 156 / 448 × 3 / 593.
 #[test]
 fn print_parse_allocations() {
     let cc = Compiler::new(CompileOptions::default());
     for (name, source, devices) in [
-        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), &[((5, 2_026), 11_823)][..]),
-        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), &[((4, 1_198), 7_630)]),
-        ("calc.ncl", calc::netcl_source(), &[((1, 205), 1_132)]),
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), &[((5, 848), 11_823)][..]),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), &[((4, 467), 7_630)]),
+        ("calc.ncl", calc::netcl_source(), &[((1, 105), 1_132)]),
         (
             "paxos.ncl",
             paxos::full_source(),
             &[
-                ((1, 156), 929),
-                ((2, 448), 2_945),
-                ((2, 448), 2_945),
-                ((2, 448), 2_945),
-                ((3, 593), 3_751),
+                ((1, 86), 929),
+                ((2, 171), 2_945),
+                ((2, 171), 2_945),
+                ((2, 171), 2_945),
+                ((3, 225), 3_751),
             ],
         ),
     ] {

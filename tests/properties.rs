@@ -5,7 +5,7 @@ use netcl::sema::Ty;
 use netcl::{CompileOptions, Compiler};
 use netcl_bmv2::{Engine, Switch, SwitchCounters, TableUpdate};
 use netcl_net::WorkloadRng;
-use netcl_p4::ast::{EntryKey, TableEntry};
+use netcl_p4::ast::{ControlDef, EntryKey, Expr, P4Program, Stmt, TableEntry};
 use netcl_p4::{parse::parse_program, print::print_program};
 use netcl_runtime::message::{pack, pack_into, unpack, Message, MessageError};
 use proptest::prelude::*;
@@ -1006,5 +1006,135 @@ proptest! {
             }
         }
         compile_returns(&String::from_utf8_lossy(&text))?;
+    }
+}
+
+/// A field path as a list of segments `(name, index)`, the AST's form
+/// before a path held its text: an optional namespace keyword first, an
+/// optional `$isValid` last.
+type Segs = Vec<(String, Option<u32>)>;
+
+/// A segment's text: its name, then its `[i]`.
+fn seg_text((name, index): &(String, Option<u32>)) -> String {
+    match index {
+        Some(i) => format!("{name}[{i}]"),
+        None => name.clone(),
+    }
+}
+
+/// `eval::canonical` of that form: every segment but `hdr` and `meta`,
+/// dotted, each with its `[i]`.
+fn oracle_canonical(segs: &Segs) -> String {
+    let kept = segs.iter().filter(|(name, _)| name != "hdr" && name != "meta");
+    kept.map(seg_text).collect::<Vec<_>>().join(".")
+}
+
+/// `eval::instance_of` of that form: the first segment that is not `hdr`
+/// and not a pseudo-field.
+fn oracle_instance(segs: &Segs) -> String {
+    let first = segs.iter().find(|(name, _)| name != "hdr" && !name.starts_with('$'));
+    first.map(|(name, _)| name.clone()).unwrap_or_default()
+}
+
+/// An identifier of 1–12 bytes from a small alphabet, so that two draws
+/// collide often; never a namespace keyword or a boolean literal.
+fn arb_ident(rng: &mut WorkloadRng) -> String {
+    const FIRST: &[u8] = b"abhmtx_";
+    const REST: &[u8] = b"abdr0_";
+    loop {
+        let len = 1 + rng.below(12) as usize;
+        let mut name = String::from(FIRST[rng.below(FIRST.len() as u64) as usize] as char);
+        name.extend((1..len).map(|_| REST[rng.below(REST.len() as u64) as usize] as char));
+        if !matches!(name.as_str(), "hdr" | "meta" | "true" | "false") {
+            return name;
+        }
+    }
+}
+
+/// 1–6 segments after an optional namespace, an index on about a third of
+/// them (up to `u32::MAX`), and `$isValid` last about a quarter of the
+/// time: texts from 1 byte to well past `Path::INLINE`.
+fn arb_segs(rng: &mut WorkloadRng) -> Segs {
+    let mut segs = Segs::new();
+    if let Some(ns) = [Some("hdr"), Some("meta"), None][rng.below(3) as usize] {
+        segs.push((ns.to_string(), None));
+    }
+    for _ in 0..1 + rng.below(6) {
+        let index = match rng.below(6) {
+            0 => Some(u32::MAX - rng.below(3) as u32),
+            1 => Some(rng.below(4) as u32),
+            _ => None,
+        };
+        segs.push((arb_ident(rng), index));
+    }
+    if rng.below(4) == 0 {
+        segs.push(("$isValid".to_string(), None));
+    }
+    segs
+}
+
+/// `segs` with one thing changed, or none: a segment renamed, its index
+/// moved or dropped, the validity test toggled, or the namespace dropped.
+fn mutate_segs(rng: &mut WorkloadRng, mut segs: Segs) -> Segs {
+    let k = rng.below(segs.len() as u64) as usize;
+    match rng.below(6) {
+        0 => segs[k].0 = arb_ident(rng),
+        1 => segs[k].1 = Some(rng.below(4) as u32),
+        2 => segs[k].1 = None,
+        3 if segs.last().is_some_and(|(name, _)| name == "$isValid") => {
+            segs.pop();
+        }
+        3 => segs.push(("$isValid".to_string(), None)),
+        4 if segs.len() > 1 && matches!(segs[0].0.as_str(), "hdr" | "meta") => {
+            segs.remove(0);
+        }
+        _ => {}
+    }
+    segs
+}
+
+/// The path `segs` spell, through the constructor the handwritten
+/// programs call.
+fn build_path(segs: &Segs) -> Expr {
+    let names: Vec<String> = segs.iter().map(seg_text).collect();
+    Expr::field(&names.iter().map(String::as_str).collect::<Vec<_>>())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A field path holds its text: built from segments, it prints and
+    /// parses back equal; its `canonical()` and `instance()` are what the
+    /// segment-list code computed; and two paths are equal exactly when
+    /// their segment lists are.
+    #[test]
+    fn field_paths_round_trip_and_keep_the_segment_semantics(seed in any::<u64>()) {
+        let mut rng = WorkloadRng::new(seed);
+        let segs = arb_segs(&mut rng);
+        let expr = build_path(&segs);
+        let Expr::Field(path) = &expr else { unreachable!() };
+
+        let program = P4Program {
+            controls: vec![ControlDef {
+                name: "C".into(),
+                apply: vec![Stmt::If { cond: expr.clone(), then: vec![], els: vec![] }],
+                ..Default::default()
+            }]
+            .into(),
+            ..Default::default()
+        };
+        let text = print_program(&program);
+        let parsed = parse_program(&text).map_err(|e| format!("{e}\n{text}"))?;
+        let Some(Stmt::If { cond, .. }) = parsed.controls[0].apply.first() else {
+            return Err(format!("no `if` read back:\n{text}"));
+        };
+        prop_assert_eq!(cond, &expr);
+
+        prop_assert_eq!(path.canonical(), oracle_canonical(&segs));
+        prop_assert_eq!(path.instance(), oracle_instance(&segs));
+        prop_assert_eq!(path.is_validity(), segs.last().unwrap().0 == "$isValid");
+
+        let other = mutate_segs(&mut rng, segs.clone());
+        prop_assert_eq!(build_path(&other) == expr, other == segs, "{:?} vs {:?}", other, segs);
     }
 }
