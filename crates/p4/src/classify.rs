@@ -119,6 +119,8 @@ pub fn classify(p: &P4Program) -> Breakdown {
         // `header X {`, one line per field, `}`.
         add(Category::Headers, 2 + h.fields.len());
     }
+    // `struct headers_t {`, one line per instance, `}`.
+    add(Category::Headers, 2 + p.headers.iter().filter(|h| h.name.ends_with("_t")).count());
     // Parser.
     if let Some(parser) = &p.parser {
         let mut n = 2; // parser header + closing

@@ -319,8 +319,11 @@ impl<'a> Parser<'a> {
                 Tok::Ident("control") => {
                     std::sync::Arc::make_mut(&mut p.controls).push(self.control()?)
                 }
+                Tok::Ident("struct") if self.eat_kw("headers_t") => {
+                    self.headers_struct(std::sync::Arc::make_mut(&mut p.headers).as_mut_slice())?
+                }
                 Tok::Ident("struct" | "typedef") => {
-                    // struct defs are layout-only in our subset; skip body.
+                    // Other structs are layout-only in our subset; skip body.
                     while !matches!(self.peek(), Some(Tok::Punct("{")) | None) {
                         self.bump();
                     }
@@ -354,6 +357,38 @@ impl<'a> Parser<'a> {
             fields.push((fname.into(), bits));
         }
         Ok(HeaderDef { name: name.into(), fields, stack: 1 })
+    }
+
+    /// The body of `struct headers_t`: each member `x_t x;` or `x_t[n] x;`
+    /// instantiates the declared header type `x_t` once, `n` deep (1 to
+    /// 2³² − 1).
+    fn headers_struct(&mut self, headers: &mut [HeaderDef]) -> Result<(), ParseError> {
+        self.expect_punct("{")?;
+        let mut seen = vec![false; headers.len()];
+        while !self.eat_punct("}") {
+            let ty = self.expect_ident()?;
+            let Some(k) = headers.iter().position(|h| h.name == ty) else {
+                return self.err(format!("header type `{ty}` is not declared"));
+            };
+            let mut stack = 1;
+            if self.eat_punct("[") {
+                stack = self.expect_u32()?;
+                if stack == 0 {
+                    return self.err(format!("`{ty}[0]` is a stack of no headers"));
+                }
+                self.expect_punct("]")?;
+            }
+            let instance = self.expect_ident()?;
+            if ty.strip_suffix("_t") != Some(instance) {
+                return self.err(format!("an instance of `{ty}` is named `{instance}`"));
+            }
+            if std::mem::replace(&mut seen[k], true) {
+                return self.err(format!("duplicate instance `{instance}`"));
+            }
+            self.expect_punct(";")?;
+            headers[k].stack = stack;
+        }
+        Ok(())
     }
 
     fn parser_def(&mut self) -> Result<ParserDef, ParseError> {
@@ -1213,17 +1248,20 @@ parser P(packet_in pkt, out headers_t hdr) {
         let prog = P4Program {
             name: "rt".into(),
             target: Target::Tna,
-            headers: vec![HeaderDef {
-                name: "ncl_t".into(),
-                fields: vec![("src".into(), 16), ("dst".into(), 16)],
-                stack: 1,
-            }]
+            headers: vec![
+                HeaderDef {
+                    name: "ncl_t".into(),
+                    fields: vec![("src".into(), 16), ("dst".into(), 16)],
+                    stack: 1,
+                },
+                HeaderDef { name: "v_t".into(), fields: vec![("value".into(), 32)], stack: 4 },
+            ]
             .into(),
             parser: Some(Arc::new(ParserDef {
                 name: "IgP".into(),
                 states: vec![ParserState {
                     name: "start".into(),
-                    extracts: vec!["hdr.ncl".into()],
+                    extracts: vec!["hdr.ncl".into(), "hdr.v".into()],
                     transition: Transition::Accept,
                 }],
             })),
@@ -1280,6 +1318,7 @@ parser P(packet_in pkt, out headers_t hdr) {
         };
         let text1 = print_program(&prog);
         let parsed = parse_program(&text1).unwrap_or_else(|e| panic!("{e}\n{text1}"));
+        assert_eq!(parsed.headers, prog.headers);
         let text2 = print_program(&parsed);
         // Compare modulo the program-name comment line.
         let body1: Vec<&str> = text1.lines().skip(1).collect();
@@ -1356,6 +1395,30 @@ parser P(packet_in pkt, out headers_t hdr) {
             "if (true) { } else ".repeat(100_000) + "{ }"
         );
         refused_on_line_2(&chain, "nested more than 128 deep");
+    }
+
+    /// `struct headers_t` sets each declared header's stack length, and
+    /// refuses a member it cannot read as one instance of one declared type.
+    #[test]
+    fn the_headers_struct_reads_stack_lengths_and_fails_closed() {
+        let decls = "header h_t { bit<8> a; }\nheader v_t { bit<32> value; }\n";
+        let p =
+            parse_program(&format!("{decls}struct headers_t {{\nh_t h;\nv_t[32] v;\n}}")).unwrap();
+        assert_eq!(p.headers.iter().map(|h| h.stack).collect::<Vec<_>>(), [1, 32]);
+        let max = parse_program(&format!("{decls}struct headers_t {{ v_t[4294967295] v; }}"));
+        assert_eq!(max.unwrap().headers[1].stack, u32::MAX);
+        let struct_with =
+            |member: &str| format!("{decls}struct headers_t {{\nh_t h;\n{member}\n}}");
+        let refused_on_line_5 = |member: &str, what: &str| {
+            let e = parse_program(&struct_with(member)).expect_err(member);
+            assert_eq!((e.line, e.message.contains(what)), (5, true), "{member}: {e}");
+        };
+        refused_on_line_5("v_t[0] v;", "stack of no headers");
+        refused_on_line_5("v_t[4294967296] v;", "32 bits");
+        refused_on_line_5("w_t w;", "header type `w_t` is not declared");
+        refused_on_line_5("v_t w;", "an instance of `v_t` is named `w`");
+        refused_on_line_5("v_t[2] v_t;", "an instance of `v_t` is named `v_t`");
+        refused_on_line_5("h_t h;", "duplicate instance `h`");
     }
 
     #[test]

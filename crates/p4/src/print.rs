@@ -35,6 +35,7 @@ pub fn print_program(p: &P4Program) -> String {
     for h in p.headers.iter() {
         w.header(h);
     }
+    w.headers_struct(&p.headers);
     if let Some(parser) = &p.parser {
         w.parser(parser);
     }
@@ -71,6 +72,24 @@ impl Writer {
         self.indent += 1;
         for (name, bits) in &h.fields {
             ln!(self, "bit<{bits}> {name};");
+        }
+        self.indent -= 1;
+        self.line("}");
+        self.blank();
+    }
+
+    /// `struct headers_t`: one instance per header type `x_t`, named `x`,
+    /// and `x_t[n] x;` for a stack of `n`. A type without the suffix has no
+    /// instance, as on the switch.
+    fn headers_struct(&mut self, headers: &[HeaderDef]) {
+        self.line("struct headers_t {");
+        self.indent += 1;
+        for h in headers {
+            let Some(instance) = h.name.strip_suffix("_t") else { continue };
+            match h.stack {
+                1 => ln!(self, "{} {instance};", h.name),
+                n => ln!(self, "{}[{n}] {instance};", h.name),
+            }
         }
         self.indent -= 1;
         self.line("}");
@@ -447,6 +466,7 @@ mod tests {
         let text = print_program(&p);
         assert!(text.contains("#include <tna.p4>"));
         assert!(text.contains("header cache_t {"));
+        assert!(text.contains("}\n\nstruct headers_t {\n    cache_t cache;\n}\n\n"));
         assert!(text.contains("Register<bit<32>, bit<32>>(65536) Cnt0;"));
         assert!(text.contains("RegisterAction<bit<32>, bit<32>, bit<32>>(Cnt0) Incr0 = {"));
         assert!(text.contains("m = m |+| 32w1;"));

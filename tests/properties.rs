@@ -122,15 +122,7 @@ fn reparsed_programs() -> &'static [Reparsed] {
             .into_iter()
             .map(|(label, device, program)| {
                 let text = print_program(&program);
-                let mut reparsed = parse_program(&text).unwrap_or_else(|e| panic!("{label}: {e}"));
-                // The text does not carry a header stack's length: the
-                // printer writes no `struct headers_t`, so every header
-                // reads back as a plain one. The length is restored here;
-                // everything else about a header must read back as is.
-                for (h, o) in Arc::make_mut(&mut reparsed.headers).iter_mut().zip(&*program.headers)
-                {
-                    h.stack = o.stack;
-                }
+                let reparsed = parse_program(&text).unwrap_or_else(|e| panic!("{label}: {e}"));
                 assert_eq!(reparsed.headers, program.headers, "{label}");
                 let (original, reparsed) = (Arc::new(program), Arc::new(reparsed));
                 Reparsed { label, device, text, original, reparsed }
@@ -725,8 +717,9 @@ proptest! {
     /// handwritten program `p`, a switch loaded from
     /// `parse_program(&print_program(p))` matches one loaded from `p` on
     /// random wires ([`differential_wire`]) — same outputs and errors, same
-    /// `SwitchCounters`, same final registers. Header stack lengths are the
-    /// exception, restored by [`reparsed_programs`]. v1model is out of
+    /// `SwitchCounters`, same final registers; [`reparsed_programs`] has
+    /// checked that every header, stack length included, reads back as
+    /// printed. v1model is out of
     /// scope: it prints RegisterActions as comments, so its text is not
     /// meant to be read back. This is also `Switch::process`'s totality
     /// check on wire bytes: every shipped program answers every wire with
