@@ -6,8 +6,10 @@
 //! listings that compile, one program of the shapes none of those reach,
 //! the merged and solo devices of the AGG + CACHE tenant pair, and two
 //! kernels placed at several devices: CALC at sixteen, and a kernel that
-//! reads `device.id` at three. A refactor of `netcl::codegen` must leave
-//! this file passing unmodified.
+//! reads `device.id` at three. Then each handwritten baseline at every
+//! configuration the repository runs it at (TNA only: it is written in that
+//! dialect). A refactor of `netcl::codegen` must leave this file passing
+//! unmodified.
 //!
 //! After an intended change to what codegen emits, rewrite the file with
 //! `cargo test --test codegen_golden -- --ignored` and review the diff.
@@ -142,7 +144,28 @@ fn render() -> String {
     let calc_at = calc::netcl_source().replace("_at(1)", &format!("_at({})", ids.join(", ")));
     unit(&mut out, "MULTI-DEVICE CALC", "calc.ncl", &calc_at);
     unit(&mut out, "MULTI-DEVICE device.id", "listing.ncl", DEVICE_ID);
+    handwritten(&mut out);
     out
+}
+
+/// Every handwritten baseline at each configuration something runs it at:
+/// Table III's defaults (`all_apps`), Figure 14's AGG and CACHE, and the
+/// `netcl-apps` unit tests' `agg::tests::small` and `cache::tests::tiny`.
+fn handwritten(out: &mut String) {
+    for app in all_apps() {
+        line(out, &format!("HANDWRITTEN {}", app.name), "tna", &app.handwritten);
+    }
+    for (num_workers, num_slots, slot_size) in [(2, 8, 16), (4, 8, 16), (6, 8, 16), (3, 4, 8)] {
+        let cfg = agg::AggConfig { num_workers, num_slots, slot_size };
+        let label =
+            format!("HANDWRITTEN AGG workers={num_workers} slots={num_slots} size={slot_size}");
+        line(out, &label, "tna", &agg::handwritten(&cfg));
+    }
+    for threshold in [64, 8] {
+        let cfg = cache::CacheConfig { slots: 16, words: 4, threshold, sketch_cols: 256 };
+        let label = format!("HANDWRITTEN CACHE slots=16 words=4 threshold={threshold} cols=256");
+        line(out, &label, "tna", &cache::handwritten(&cfg));
+    }
 }
 
 #[test]
