@@ -9,18 +9,17 @@
 //! Following §VII we add the max-exponent computation SwitchML uses for
 //! quantization.
 
+use std::fmt::Write;
 use std::sync::{Arc, Mutex};
 
-use netcl::codegen::device_guard;
 use netcl_bmv2::Switch;
 use netcl_net::{HostEvent, LinkSpec, NodeId, Outbox};
-use netcl_p4::ast::*;
+use netcl_p4::P4Program;
 use netcl_runtime::message::{pack_into, unpack, Message};
 use netcl_runtime::reliable::{IntMap, Reliable, RetryPolicy};
-use netcl_sema::builtins::{AtomicOp, AtomicRmw};
 use netcl_sema::model::Specification;
 
-use crate::{Conditions, Run};
+use crate::{Conditions, Run, L2_FWD, PRELUDE};
 
 /// AGG parameters.
 #[derive(Clone, Copy, Debug)]
@@ -119,303 +118,194 @@ pub fn spec(cfg: &AggConfig) -> Specification {
 ///   conditions inside the SALUs;
 /// * RegisterActions read and write the argument header fields directly —
 ///   no temporaries, so the handwritten PHV footprint is smaller.
+///
+/// The decision MAT's entries reflect a retransmission to a completed slot
+/// and multicast the contribution that completes one. As in SwitchML, the
+/// counter and the decision come early in the pipe: the MAT depends only on
+/// the counter, and the value lanes fill the later stages independently.
 pub fn handwritten(cfg: &AggConfig) -> P4Program {
-    let ss = cfg.slot_size;
-    let ns = cfg.num_slots;
-    let mut headers = vec![
-        netcl::codegen::ncl_header(),
-        HeaderDef {
-            name: "args_c1_t".into(),
-            fields: vec![
-                ("a0_ver".into(), 8),
-                ("a1_bmp_idx".into(), 16),
-                ("a2_agg_idx".into(), 16),
-                ("a3_mask".into(), 16),
-                ("a4_exp".into(), 8),
-            ],
-            stack: 1,
-        },
-    ];
-    headers.push(HeaderDef {
-        name: "arr_c1_a5_t".into(),
-        fields: vec![("value".into(), 32)],
-        stack: ss,
-    });
+    crate::baseline("agg_handwritten", &handwritten_source(cfg))
+}
 
-    let parser = ParserDef {
-        name: "IgParser".into(),
-        states: vec![
-            ParserState {
-                name: "start".into(),
-                extracts: vec!["hdr.ncl".into()],
-                transition: Transition::Select {
-                    selector: Expr::field(&["hdr", "ncl", "comp"]),
-                    cases: vec![(1, "parse_agg".into())],
-                    default: "accept".into(),
-                },
-            },
-            ParserState {
-                name: "parse_agg".into(),
-                extracts: vec!["hdr.args_c1".into(), "hdr.arr_c1_a5".into()],
-                transition: Transition::Accept,
-            },
-        ],
-    };
-
-    let mut c = ControlDef { name: "Ig".into(), ..Default::default() };
-    let idx = Expr::field(&["hdr", "args_c1", "a2_agg_idx"]);
-    let bidx = Expr::field(&["hdr", "args_c1", "a1_bmp_idx"]);
-    let mask = Expr::field(&["hdr", "args_c1", "a3_mask"]);
-
-    // Bitmaps (one register per version, as SwitchML lays them out).
-    for v in 0..2u32 {
-        c.registers.push(RegisterDef {
-            name: format!("Bitmap{v}").into(),
-            elem_bits: 16,
-            size: ns,
-        });
-        c.register_actions.push(RegisterActionDef {
-            name: format!("bmp_set{v}").into(),
-            register: format!("Bitmap{v}").into(),
-            op: AtomicOp { rmw: AtomicRmw::Or, cond: false, ret_new: false },
-            cond: None,
-            operands: vec![mask.clone()],
-        });
-        c.register_actions.push(RegisterActionDef {
-            name: format!("bmp_clr{v}").into(),
-            register: format!("Bitmap{v}").into(),
-            op: AtomicOp { rmw: AtomicRmw::And, cond: false, ret_new: false },
-            cond: None,
-            operands: vec![Expr::BitNot(Box::new(mask.clone()))],
-        });
+/// The text of [`handwritten`]: one `Agg{i}` register, its two
+/// RegisterActions and their two calls per value lane.
+pub(crate) fn handwritten_source(cfg: &AggConfig) -> String {
+    let (ns, lanes, last) = (cfg.num_slots, cfg.slot_size, cfg.num_workers - 1);
+    let slots = 2 * ns;
+    let (mut registers, mut actions) = (String::new(), String::new());
+    let (mut writes, mut adds) = (String::new(), String::new());
+    for i in 0..lanes {
+        let _ = writeln!(registers, "    Register<bit<32>, bit<32>>({slots}) Agg{i};");
+        let _ = write!(
+            actions,
+            r#"    RegisterAction<bit<32>, bit<32>, bit<32>>(Agg{i}) agg_write{i} = {{
+        void apply(inout bit<32> m, out bit<32> o) {{
+            o = m;
+            m = hdr.arr_c1_a5[{i}].value;
+        }}
+    }};
+    RegisterAction<bit<32>, bit<32>, bit<32>>(Agg{i}) agg_add{i} = {{
+        void apply(inout bit<32> m, out bit<32> o) {{
+            if ((meta.seen == 16w0)) {{
+                m = m + hdr.arr_c1_a5[{i}].value;
+            }}
+            o = m;
+        }}
+    }};
+"#
+        );
+        let _ = writeln!(writes, "                agg_write{i}.execute(hdr.args_c1.a2_agg_idx);");
+        let _ = writeln!(
+            adds,
+            "                hdr.arr_c1_a5[{i}].value = agg_add{i}.execute(hdr.args_c1.a2_agg_idx);"
+        );
     }
-    // Per-element aggregation registers (the SwitchML 32-lane layout).
-    for i in 0..ss {
-        c.registers.push(RegisterDef {
-            name: format!("Agg{i}").into(),
-            elem_bits: 32,
-            size: ns * 2,
-        });
-        let val = Expr::field(&["hdr", &format!("arr_c1_a5[{i}]"), "value"]);
-        c.register_actions.push(RegisterActionDef {
-            name: format!("agg_write{i}").into(),
-            register: format!("Agg{i}").into(),
-            op: AtomicOp { rmw: AtomicRmw::Swap, cond: false, ret_new: false },
-            cond: None,
-            operands: vec![val.clone()],
-        });
-        c.register_actions.push(RegisterActionDef {
-            name: format!("agg_add{i}").into(),
-            register: format!("Agg{i}").into(),
-            op: AtomicOp { rmw: AtomicRmw::Add, cond: true, ret_new: true },
-            cond: Some(Expr::Bin(
-                P4BinOp::Eq,
-                Box::new(Expr::field(&["meta", "seen"])),
-                Box::new(Expr::Const(0, 16)),
-            )),
-            operands: vec![val],
-        });
-    }
-    // Count + Exp.
-    c.registers.push(RegisterDef { name: "Count".into(), elem_bits: 8, size: ns * 2 });
-    c.register_actions.push(RegisterActionDef {
-        name: "count_reset".into(),
-        register: "Count".into(),
-        op: AtomicOp { rmw: AtomicRmw::Swap, cond: false, ret_new: false },
-        cond: None,
-        operands: vec![Expr::Const((cfg.num_workers - 1) as u64, 8)],
-    });
-    c.register_actions.push(RegisterActionDef {
-        name: "count_dec".into(),
-        register: "Count".into(),
-        op: AtomicOp { rmw: AtomicRmw::Dec, cond: true, ret_new: false },
-        cond: Some(Expr::Bin(
-            P4BinOp::Eq,
-            Box::new(Expr::field(&["meta", "seen"])),
-            Box::new(Expr::Const(0, 16)),
-        )),
-        operands: vec![],
-    });
-    c.registers.push(RegisterDef { name: "ExpR".into(), elem_bits: 8, size: ns * 2 });
-    c.register_actions.push(RegisterActionDef {
-        name: "exp_write".into(),
-        register: "ExpR".into(),
-        op: AtomicOp { rmw: AtomicRmw::Swap, cond: false, ret_new: false },
-        cond: None,
-        operands: vec![Expr::field(&["hdr", "args_c1", "a4_exp"])],
-    });
-    c.register_actions.push(RegisterActionDef {
-        name: "exp_max".into(),
-        register: "ExpR".into(),
-        op: AtomicOp { rmw: AtomicRmw::Max, cond: true, ret_new: true },
-        cond: Some(Expr::Bin(
-            P4BinOp::Eq,
-            Box::new(Expr::field(&["meta", "seen"])),
-            Box::new(Expr::Const(0, 16)),
-        )),
-        operands: vec![Expr::field(&["hdr", "args_c1", "a4_exp"])],
-    });
+    format!(
+        r#"{PRELUDE}header args_c1_t {{
+    bit<8> a0_ver;
+    bit<16> a1_bmp_idx;
+    bit<16> a2_agg_idx;
+    bit<16> a3_mask;
+    bit<8> a4_exp;
+}}
 
-    c.locals.push(("bitmap".into(), 16));
-    c.locals.push(("seen".into(), 16));
-    c.locals.push(("cnt".into(), 8));
-    c.locals.push(("decision".into(), 8));
+header arr_c1_a5_t {{
+    bit<32> value;
+}}
 
-    // The SwitchML-style ternary decision table: count → forwarding action
-    // (consumes TCAM, unlike the generated SALU conditionals).
-    for (name, code) in [("act_reflect", 5u64), ("act_mcast", 4), ("act_drop", 1)] {
-        c.actions.push(ActionDef {
-            name: name.into(),
-            params: vec![],
-            body: vec![Stmt::Assign(Expr::field(&["hdr", "ncl", "action"]), Expr::Const(code, 8))],
-        });
-    }
-    c.actions.push(ActionDef {
-        name: "set_mcast_target".into(),
-        params: vec![],
-        body: vec![Stmt::Assign(Expr::field(&["hdr", "ncl", "target"]), Expr::Const(42, 16))],
-    });
-    c.tables.push(TableDef {
-        name: "slot_decision".into(),
-        keys: vec![
-            (Expr::field(&["meta", "seen"]), MatchKind::Ternary),
-            (Expr::field(&["meta", "cnt"]), MatchKind::Ternary),
-        ],
-        actions: vec!["act_reflect".into(), "act_mcast".into(), "act_drop".into()],
-        entries: vec![
-            // Retransmission of a completed slot → return the result.
-            TableEntry {
-                keys: vec![EntryKey::Range(1, 65535), EntryKey::Value(0)],
-                action: "act_reflect".into(),
-                args: vec![],
-            },
-            // Fresh contribution completing the slot → broadcast.
-            TableEntry {
-                keys: vec![EntryKey::Value(0), EntryKey::Value(1)],
-                action: "act_mcast".into(),
-                args: vec![],
-            },
-        ],
-        default_action: "act_drop".into(),
-        size: 4,
-    });
-    c.tables.push(TableDef {
-        name: "l2_fwd".into(),
-        keys: vec![(Expr::field(&["hdr", "ncl", "dst"]), MatchKind::Exact)],
-        actions: vec![],
-        entries: vec![],
-        default_action: "NoAction".into(),
-        size: 64,
-    });
+struct headers_t {{
+    ncl_t ncl;
+    args_c1_t args_c1;
+    arr_c1_a5_t[{lanes}] arr_c1_a5;
+}}
 
-    // Apply: bitmap update, then first-packet vs aggregate paths.
-    let mut apply: Vec<Stmt> = Vec::new();
-    let guard = device_guard(1);
-    let mut body: Vec<Stmt> = Vec::new();
-    body.push(Stmt::If {
-        cond: Expr::Bin(
-            P4BinOp::Eq,
-            Box::new(Expr::field(&["hdr", "args_c1", "a0_ver"])),
-            Box::new(Expr::Const(0, 8)),
-        ),
-        then: vec![
-            Stmt::ExecuteRegisterAction {
-                dst: Some(Expr::field(&["meta", "bitmap"])),
-                ra: "bmp_set0".into(),
-                index: bidx.clone(),
-            },
-            Stmt::ExecuteRegisterAction { dst: None, ra: "bmp_clr1".into(), index: bidx.clone() },
-        ],
-        els: vec![
-            Stmt::ExecuteRegisterAction { dst: None, ra: "bmp_clr0".into(), index: bidx.clone() },
-            Stmt::ExecuteRegisterAction {
-                dst: Some(Expr::field(&["meta", "bitmap"])),
-                ra: "bmp_set1".into(),
-                index: bidx,
-            },
-        ],
-    });
-    body.push(Stmt::Assign(
-        Expr::field(&["meta", "seen"]),
-        Expr::Bin(
-            P4BinOp::And,
-            Box::new(Expr::field(&["meta", "bitmap"])),
-            Box::new(Expr::field(&["hdr", "args_c1", "a3_mask"])),
-        ),
-    ));
-    // SwitchML orders the counter and the completion decision early in the
-    // pipe — the decision MAT depends only on the counter, and the value
-    // lanes fill the later stages independently.
-    let mut first: Vec<Stmt> = Vec::new();
-    first.push(Stmt::ExecuteRegisterAction {
-        dst: None,
-        ra: "exp_write".into(),
-        index: idx.clone(),
-    });
-    first.push(Stmt::ExecuteRegisterAction {
-        dst: None,
-        ra: "count_reset".into(),
-        index: idx.clone(),
-    });
-    first.push(Stmt::Assign(Expr::field(&["hdr", "ncl", "action"]), Expr::Const(1, 8)));
-    for i in 0..ss {
-        first.push(Stmt::ExecuteRegisterAction {
-            dst: None,
-            ra: format!("agg_write{i}").into(),
-            index: idx.clone(),
-        });
-    }
+parser IgParser(packet_in pkt, out headers_t hdr) {{
+    state start {{
+        pkt.extract(hdr.ncl);
+        transition select(hdr.ncl.comp) {{
+            1: parse_agg;
+            default: accept;
+        }}
+    }}
+    state parse_agg {{
+        pkt.extract(hdr.args_c1);
+        pkt.extract(hdr.arr_c1_a5);
+        transition accept;
+    }}
+}}
 
-    let mut aggr: Vec<Stmt> = vec![
-        Stmt::ExecuteRegisterAction {
-            dst: Some(Expr::field(&["hdr", "args_c1", "a4_exp"])),
-            ra: "exp_max".into(),
-            index: idx.clone(),
-        },
-        Stmt::ExecuteRegisterAction {
-            dst: Some(Expr::field(&["meta", "cnt"])),
-            ra: "count_dec".into(),
-            index: idx.clone(),
-        },
-        Stmt::ApplyTable("slot_decision".into()),
-        Stmt::If {
-            cond: Expr::Bin(
-                P4BinOp::Eq,
-                Box::new(Expr::field(&["hdr", "ncl", "action"])),
-                Box::new(Expr::Const(4, 8)),
-            ),
-            then: vec![Stmt::CallAction("set_mcast_target".into())],
-            els: vec![],
-        },
-    ];
-    for i in 0..ss {
-        aggr.push(Stmt::ExecuteRegisterAction {
-            dst: Some(Expr::field(&["hdr", &format!("arr_c1_a5[{i}]"), "value"])),
-            ra: format!("agg_add{i}").into(),
-            index: idx.clone(),
-        });
-    }
+control Ig(inout headers_t hdr, inout metadata_t meta) {{
+    bit<16> bitmap;
+    bit<16> seen;
+    bit<8> cnt;
+    bit<8> decision;
+    Register<bit<16>, bit<32>>({ns}) Bitmap0;
+    Register<bit<16>, bit<32>>({ns}) Bitmap1;
+{registers}    Register<bit<8>, bit<32>>({slots}) Count;
+    Register<bit<8>, bit<32>>({slots}) ExpR;
+    RegisterAction<bit<16>, bit<32>, bit<16>>(Bitmap0) bmp_set0 = {{
+        void apply(inout bit<16> m, out bit<16> o) {{
+            o = m;
+            m = m | hdr.args_c1.a3_mask;
+        }}
+    }};
+    RegisterAction<bit<16>, bit<32>, bit<16>>(Bitmap0) bmp_clr0 = {{
+        void apply(inout bit<16> m, out bit<16> o) {{
+            o = m;
+            m = m & ~(hdr.args_c1.a3_mask);
+        }}
+    }};
+    RegisterAction<bit<16>, bit<32>, bit<16>>(Bitmap1) bmp_set1 = {{
+        void apply(inout bit<16> m, out bit<16> o) {{
+            o = m;
+            m = m | hdr.args_c1.a3_mask;
+        }}
+    }};
+    RegisterAction<bit<16>, bit<32>, bit<16>>(Bitmap1) bmp_clr1 = {{
+        void apply(inout bit<16> m, out bit<16> o) {{
+            o = m;
+            m = m & ~(hdr.args_c1.a3_mask);
+        }}
+    }};
+{actions}    RegisterAction<bit<8>, bit<32>, bit<8>>(Count) count_reset = {{
+        void apply(inout bit<8> m, out bit<8> o) {{
+            o = m;
+            m = 8w{last};
+        }}
+    }};
+    RegisterAction<bit<8>, bit<32>, bit<8>>(Count) count_dec = {{
+        void apply(inout bit<8> m, out bit<8> o) {{
+            o = m;
+            if ((meta.seen == 16w0)) {{
+                m = m |-| 1;
+            }}
+        }}
+    }};
+    RegisterAction<bit<8>, bit<32>, bit<8>>(ExpR) exp_write = {{
+        void apply(inout bit<8> m, out bit<8> o) {{
+            o = m;
+            m = hdr.args_c1.a4_exp;
+        }}
+    }};
+    RegisterAction<bit<8>, bit<32>, bit<8>>(ExpR) exp_max = {{
+        void apply(inout bit<8> m, out bit<8> o) {{
+            if ((meta.seen == 16w0)) {{
+                m = max(m, hdr.args_c1.a4_exp);
+            }}
+            o = m;
+        }}
+    }};
+    action act_reflect() {{
+        hdr.ncl.action = 8w5;
+    }}
+    action act_mcast() {{
+        hdr.ncl.action = 8w4;
+    }}
+    action act_drop() {{
+        hdr.ncl.action = 8w1;
+    }}
+    action set_mcast_target() {{
+        hdr.ncl.target = 16w42;
+    }}
+    table slot_decision {{
+        key = {{ meta.seen : ternary; meta.cnt : ternary }}
+        actions = {{ act_reflect; act_mcast; act_drop; NoAction; }}
+        default_action = act_drop();
+        const entries = {{
+            (1 .. 65535, 0) : act_reflect();
+            (0, 1) : act_mcast();
+        }}
+        size = 4;
+    }}
+{L2_FWD}    apply {{
+        if ((hdr.ncl.isValid() && (hdr.ncl.to == 16w1))) {{
+            if ((hdr.args_c1.a0_ver == 8w0)) {{
+                meta.bitmap = bmp_set0.execute(hdr.args_c1.a1_bmp_idx);
+                bmp_clr1.execute(hdr.args_c1.a1_bmp_idx);
+            }} else {{
+                bmp_clr0.execute(hdr.args_c1.a1_bmp_idx);
+                meta.bitmap = bmp_set1.execute(hdr.args_c1.a1_bmp_idx);
+            }}
+            meta.seen = (meta.bitmap & hdr.args_c1.a3_mask);
+            if ((meta.bitmap == 16w0)) {{
+                exp_write.execute(hdr.args_c1.a2_agg_idx);
+                count_reset.execute(hdr.args_c1.a2_agg_idx);
+                hdr.ncl.action = 8w1;
+{writes}            }} else {{
+                hdr.args_c1.a4_exp = exp_max.execute(hdr.args_c1.a2_agg_idx);
+                meta.cnt = count_dec.execute(hdr.args_c1.a2_agg_idx);
+                slot_decision.apply();
+                if ((hdr.ncl.action == 8w4)) {{
+                    set_mcast_target();
+                }}
+{adds}            }}
+        }}
+        l2_fwd.apply();
+    }}
+}}
 
-    body.push(Stmt::If {
-        cond: Expr::Bin(
-            P4BinOp::Eq,
-            Box::new(Expr::field(&["meta", "bitmap"])),
-            Box::new(Expr::Const(0, 16)),
-        ),
-        then: first,
-        els: aggr,
-    });
-    apply.push(Stmt::If { cond: guard, then: body, els: vec![] });
-    apply.push(Stmt::ApplyTable("l2_fwd".into()));
-    c.apply = apply;
-
-    P4Program {
-        name: "agg_handwritten".into(),
-        target: Target::Tna,
-        headers: headers.into(),
-        parser: Some(parser.into()),
-        controls: vec![c].into(),
-    }
+"#
+    )
 }
 
 // ---------------------------------------------------------------------------

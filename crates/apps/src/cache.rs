@@ -10,20 +10,19 @@
 //! (which then populates the cache through the control plane).
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::sync::{Arc, Mutex};
 
-use netcl::codegen::device_guard;
 use netcl::CompiledDevice;
 use netcl_bmv2::{Switch, TableUpdate};
 use netcl_net::{HostEvent, HostHandler, Outbox};
-use netcl_p4::ast::*;
+use netcl_p4::ast::{EntryKey, P4Program, TableEntry};
 use netcl_runtime::managed::ManagedMemory;
 use netcl_runtime::message::{pack, pack_into, unpack, Message};
 use netcl_runtime::reliable::{Reliable, RetryPolicy};
-use netcl_sema::builtins::{AtomicOp, AtomicRmw, HashKind};
 use netcl_sema::model::{LookupEntry, Specification};
 
-use crate::{Conditions, Run};
+use crate::{Conditions, Run, L2_FWD, PRELUDE};
 
 /// GET opcode.
 pub const OP_GET: u64 = 1;
@@ -203,402 +202,226 @@ pub fn populate(
 /// Handwritten P4₁₆ NetCache over the same wire format: index MAT, per-word
 /// value registers, share/valid registers, CMS + Bloom with hash externs.
 pub fn handwritten(cfg: &CacheConfig) -> P4Program {
-    let w = cfg.words;
-    let cols = cfg.sketch_cols;
-    let headers = vec![
-        netcl::codegen::ncl_header(),
-        HeaderDef {
-            name: "args_c1_t".into(),
-            fields: vec![
-                ("a0_op".into(), 8),
-                ("a1_k".into(), 64),
-                ("a2_hit".into(), 8),
-                ("a3_hot".into(), 32),
-            ],
-            stack: 1,
-        },
-        HeaderDef { name: "arr_c1_a4_t".into(), fields: vec![("value".into(), 32)], stack: w },
-    ];
-    let parser = ParserDef {
-        name: "IgParser".into(),
-        states: vec![
-            ParserState {
-                name: "start".into(),
-                extracts: vec!["hdr.ncl".into()],
-                transition: Transition::Select {
-                    selector: Expr::field(&["hdr", "ncl", "comp"]),
-                    cases: vec![(1, "parse_kv".into())],
-                    default: "accept".into(),
-                },
-            },
-            ParserState {
-                name: "parse_kv".into(),
-                extracts: vec!["hdr.args_c1".into(), "hdr.arr_c1_a4".into()],
-                transition: Transition::Accept,
-            },
-        ],
-    };
+    crate::baseline("cache_handwritten", &handwritten_source(cfg))
+}
 
-    let mut c = ControlDef { name: "Ig".into(), ..Default::default() };
-    let idx = Expr::field(&["meta", "idx"]);
-    c.locals.extend([
-        ("idx".into(), 16),
-        ("cached".into(), 1),
-        ("share".into(), 16),
-        ("valid".into(), 8),
-        ("kh".into(), 32),
-        ("h0".into(), 16),
-        ("h1".into(), 16),
-        ("h2".into(), 16),
-        ("c0".into(), 32),
-        ("c1".into(), 32),
-        ("c2".into(), 32),
-        ("b0".into(), 8),
-        ("b1".into(), 8),
-    ]);
+/// The text of [`handwritten`]: one `Val{i}` register, its two
+/// RegisterActions and their two calls per value word.
+pub(crate) fn handwritten_source(cfg: &CacheConfig) -> String {
+    let CacheConfig { slots, words, threshold, sketch_cols } = *cfg;
+    let (full, col_mask) = ((1u64 << words) - 1, sketch_cols - 1);
+    let (mut registers, mut actions) = (String::new(), String::new());
+    let (mut reads, mut writes) = (String::new(), String::new());
+    for i in 0..words {
+        let _ = writeln!(registers, "    Register<bit<32>, bit<32>>({slots}) Val{i};");
+        let _ = write!(
+            actions,
+            r#"    RegisterAction<bit<32>, bit<32>, bit<32>>(Val{i}) val_read{i} = {{
+        void apply(inout bit<32> m, out bit<32> o) {{
+            o = m;
+        }}
+    }};
+    RegisterAction<bit<32>, bit<32>, bit<32>>(Val{i}) val_write{i} = {{
+        void apply(inout bit<32> m, out bit<32> o) {{
+            o = m;
+            m = hdr.arr_c1_a4[{i}].value;
+        }}
+    }};
+"#
+        );
+        let _ = write!(
+            reads,
+            r#"                    if (((meta.share)[{i}:{i}] == 1w1)) {{
+                        hdr.arr_c1_a4[{i}].value = val_read{i}.execute(meta.idx);
+                    }}
+"#
+        );
+        let _ = writeln!(writes, "                    val_write{i}.execute(meta.idx);");
+    }
+    format!(
+        r#"{PRELUDE}header args_c1_t {{
+    bit<8> a0_op;
+    bit<64> a1_k;
+    bit<8> a2_hit;
+    bit<32> a3_hot;
+}}
 
-    // The index MAT: key → slot (control-plane managed).
-    c.actions.push(ActionDef {
-        name: "set_idx".into(),
-        params: vec![("i".into(), 16)],
-        body: vec![Stmt::Assign(idx.clone(), Expr::field(&["i"]))],
-    });
-    c.tables.push(TableDef {
-        name: "cache_index".into(),
-        keys: vec![(Expr::field(&["hdr", "args_c1", "a1_k"]), MatchKind::Exact)],
-        actions: vec!["set_idx".into()],
-        entries: vec![],
-        default_action: "NoAction".into(),
-        size: cfg.slots,
-    });
+header arr_c1_a4_t {{
+    bit<32> value;
+}}
 
-    // Registers.
-    for (name, bits, size) in
-        [("ShareR", 16, cfg.slots), ("ValidR", 8, cfg.slots), ("HitCountR", 32, cfg.slots)]
-    {
-        c.registers.push(RegisterDef { name: name.into(), elem_bits: bits, size });
-    }
-    for i in 0..w {
-        c.registers.push(RegisterDef {
-            name: format!("Val{i}").into(),
-            elem_bits: 32,
-            size: cfg.slots,
-        });
-    }
-    for i in 0..3 {
-        c.registers.push(RegisterDef { name: format!("Cms{i}").into(), elem_bits: 32, size: cols });
-    }
-    for i in 0..2 {
-        c.registers.push(RegisterDef {
-            name: format!("Bloom{i}").into(),
-            elem_bits: 8,
-            size: cols,
-        });
-    }
+struct headers_t {{
+    ncl_t ncl;
+    args_c1_t args_c1;
+    arr_c1_a4_t[{words}] arr_c1_a4;
+}}
 
-    // Register actions.
-    let ra = |name: &str, reg: &str, rmw: AtomicRmw, ret_new: bool, operands: Vec<Expr>| {
-        RegisterActionDef {
-            name: name.into(),
-            register: reg.into(),
-            op: AtomicOp { rmw, cond: false, ret_new },
-            cond: None,
-            operands,
-        }
-    };
-    c.register_actions.push(ra("share_read", "ShareR", AtomicRmw::Read, false, vec![]));
-    c.register_actions.push(ra(
-        "share_fill",
-        "ShareR",
-        AtomicRmw::Swap,
-        false,
-        vec![Expr::Const((1u64 << w) - 1, 16)],
-    ));
-    c.register_actions.push(ra("valid_read", "ValidR", AtomicRmw::Read, false, vec![]));
-    c.register_actions.push(ra(
-        "valid_set",
-        "ValidR",
-        AtomicRmw::Swap,
-        false,
-        vec![Expr::Const(1, 8)],
-    ));
-    c.register_actions.push(ra(
-        "valid_clr",
-        "ValidR",
-        AtomicRmw::Swap,
-        false,
-        vec![Expr::Const(0, 8)],
-    ));
-    c.register_actions.push(ra("hit_inc", "HitCountR", AtomicRmw::Inc, false, vec![]));
-    for i in 0..w {
-        let vfield = Expr::field(&["hdr", &format!("arr_c1_a4[{i}]"), "value"]);
-        c.register_actions.push(ra(
-            &format!("val_read{i}"),
-            &format!("Val{i}"),
-            AtomicRmw::Read,
-            false,
-            vec![],
-        ));
-        c.register_actions.push(ra(
-            &format!("val_write{i}"),
-            &format!("Val{i}"),
-            AtomicRmw::Swap,
-            false,
-            vec![vfield],
-        ));
-    }
-    for i in 0..3 {
-        c.register_actions.push(ra(
-            &format!("cms_count{i}"),
-            &format!("Cms{i}"),
-            AtomicRmw::SAdd,
-            true,
-            vec![Expr::Const(1, 32)],
-        ));
-    }
-    for i in 0..2 {
-        c.register_actions.push(ra(
-            &format!("bloom_set{i}"),
-            &format!("Bloom{i}"),
-            AtomicRmw::Swap,
-            false,
-            vec![Expr::Const(1, 8)],
-        ));
-    }
+parser IgParser(packet_in pkt, out headers_t hdr) {{
+    state start {{
+        pkt.extract(hdr.ncl);
+        transition select(hdr.ncl.comp) {{
+            1: parse_kv;
+            default: accept;
+        }}
+    }}
+    state parse_kv {{
+        pkt.extract(hdr.args_c1);
+        pkt.extract(hdr.arr_c1_a4);
+        transition accept;
+    }}
+}}
 
-    // Hash engines over the folded key.
-    for (name, algo) in
-        [("HashA", HashKind::Xor16), ("HashB", HashKind::Crc32), ("HashC", HashKind::Crc16)]
-    {
-        c.hashes.push(HashDef { name: name.into(), algo, out_bits: 16 });
-    }
-    c.hashes.push(HashDef { name: "HashK".into(), algo: HashKind::Crc32, out_bits: 32 });
+control Ig(inout headers_t hdr, inout metadata_t meta) {{
+    bit<16> idx;
+    bit<1> cached;
+    bit<16> share;
+    bit<8> valid;
+    bit<32> kh;
+    bit<16> h0;
+    bit<16> h1;
+    bit<16> h2;
+    bit<32> c0;
+    bit<32> c1;
+    bit<32> c2;
+    bit<8> b0;
+    bit<8> b1;
+    Register<bit<16>, bit<32>>({slots}) ShareR;
+    Register<bit<8>, bit<32>>({slots}) ValidR;
+    Register<bit<32>, bit<32>>({slots}) HitCountR;
+{registers}    Register<bit<32>, bit<32>>({sketch_cols}) Cms0;
+    Register<bit<32>, bit<32>>({sketch_cols}) Cms1;
+    Register<bit<32>, bit<32>>({sketch_cols}) Cms2;
+    Register<bit<8>, bit<32>>({sketch_cols}) Bloom0;
+    Register<bit<8>, bit<32>>({sketch_cols}) Bloom1;
+    RegisterAction<bit<16>, bit<32>, bit<16>>(ShareR) share_read = {{
+        void apply(inout bit<16> m, out bit<16> o) {{
+            o = m;
+        }}
+    }};
+    RegisterAction<bit<16>, bit<32>, bit<16>>(ShareR) share_fill = {{
+        void apply(inout bit<16> m, out bit<16> o) {{
+            o = m;
+            m = 16w{full};
+        }}
+    }};
+    RegisterAction<bit<8>, bit<32>, bit<8>>(ValidR) valid_read = {{
+        void apply(inout bit<8> m, out bit<8> o) {{
+            o = m;
+        }}
+    }};
+    RegisterAction<bit<8>, bit<32>, bit<8>>(ValidR) valid_set = {{
+        void apply(inout bit<8> m, out bit<8> o) {{
+            o = m;
+            m = 8w1;
+        }}
+    }};
+    RegisterAction<bit<8>, bit<32>, bit<8>>(ValidR) valid_clr = {{
+        void apply(inout bit<8> m, out bit<8> o) {{
+            o = m;
+            m = 8w0;
+        }}
+    }};
+    RegisterAction<bit<32>, bit<32>, bit<32>>(HitCountR) hit_inc = {{
+        void apply(inout bit<32> m, out bit<32> o) {{
+            o = m;
+            m = m + 1;
+        }}
+    }};
+{actions}    RegisterAction<bit<32>, bit<32>, bit<32>>(Cms0) cms_count0 = {{
+        void apply(inout bit<32> m, out bit<32> o) {{
+            m = m |+| 32w1;
+            o = m;
+        }}
+    }};
+    RegisterAction<bit<32>, bit<32>, bit<32>>(Cms1) cms_count1 = {{
+        void apply(inout bit<32> m, out bit<32> o) {{
+            m = m |+| 32w1;
+            o = m;
+        }}
+    }};
+    RegisterAction<bit<32>, bit<32>, bit<32>>(Cms2) cms_count2 = {{
+        void apply(inout bit<32> m, out bit<32> o) {{
+            m = m |+| 32w1;
+            o = m;
+        }}
+    }};
+    RegisterAction<bit<8>, bit<32>, bit<8>>(Bloom0) bloom_set0 = {{
+        void apply(inout bit<8> m, out bit<8> o) {{
+            o = m;
+            m = 8w1;
+        }}
+    }};
+    RegisterAction<bit<8>, bit<32>, bit<8>>(Bloom1) bloom_set1 = {{
+        void apply(inout bit<8> m, out bit<8> o) {{
+            o = m;
+            m = 8w1;
+        }}
+    }};
+    Hash<bit<16>>(HashAlgorithm_t.XOR16) HashA;
+    Hash<bit<16>>(HashAlgorithm_t.CRC32) HashB;
+    Hash<bit<16>>(HashAlgorithm_t.CRC16) HashC;
+    Hash<bit<32>>(HashAlgorithm_t.CRC32) HashK;
+    action set_idx(bit<16> i) {{
+        meta.idx = i;
+    }}
+    table cache_index {{
+        key = {{ hdr.args_c1.a1_k : exact }}
+        actions = {{ set_idx; NoAction; }}
+        default_action = NoAction();
+        size = {slots};
+    }}
+{L2_FWD}    apply {{
+        if ((hdr.ncl.isValid() && (hdr.ncl.to == 16w1))) {{
+            meta.cached = 1w0;
+            if (cache_index.apply().hit) {{
+                meta.cached = 1w1;
+            }}
+            if ((hdr.args_c1.a0_op == 8w{OP_GET})) {{
+                meta.share = share_read.execute(meta.idx);
+                meta.valid = valid_read.execute(meta.idx);
+                if (((meta.cached == 1w1) && (meta.valid == 8w1))) {{
+                    hit_inc.execute(meta.idx);
+{reads}                    hdr.args_c1.a2_hit = 8w1;
+                    hdr.ncl.action = 8w5;
+                }} else {{
+                    meta.kh = HashK.get({{hdr.args_c1.a1_k}});
+                    meta.h0 = HashA.get({{meta.kh}});
+                    meta.h1 = HashB.get({{meta.kh}});
+                    meta.h2 = HashC.get({{meta.kh}});
+                    meta.c0 = cms_count0.execute((meta.h0 & 16w{col_mask}));
+                    meta.c1 = cms_count1.execute((meta.h1 & 16w{col_mask}));
+                    meta.c2 = cms_count2.execute((meta.h2 & 16w{col_mask}));
+                    if ((meta.c1 < meta.c0)) {{
+                        meta.c0 = meta.c1;
+                    }}
+                    if ((meta.c2 < meta.c0)) {{
+                        meta.c0 = meta.c2;
+                    }}
+                    if ((meta.c0 > 32w{threshold})) {{
+                        meta.b0 = bloom_set0.execute((meta.h0 & 16w{col_mask}));
+                        meta.b1 = bloom_set1.execute((meta.h2 & 16w{col_mask}));
+                        if (((meta.b0 == 8w0) || (meta.b1 == 8w0))) {{
+                            hdr.args_c1.a3_hot = meta.c0;
+                        }}
+                    }}
+                }}
+            }} else {{
+                if (((hdr.args_c1.a0_op == 8w{OP_PUT}) && (meta.cached == 1w1))) {{
+                    share_fill.execute(meta.idx);
+                    valid_set.execute(meta.idx);
+{writes}                }} else {{
+                    if (((hdr.args_c1.a0_op == 8w{OP_DEL}) && (meta.cached == 1w1))) {{
+                        valid_clr.execute(meta.idx);
+                    }}
+                }}
+            }}
+        }}
+        l2_fwd.apply();
+    }}
+}}
 
-    let field = |p: &[&str]| Expr::field(p);
-    let colmask = |e: Expr| {
-        Expr::Bin(P4BinOp::And, Box::new(e), Box::new(Expr::Const((cols - 1) as u64, 16)))
-    };
-
-    // GET hit path.
-    let mut get_hit: Vec<Stmt> =
-        vec![Stmt::ExecuteRegisterAction { dst: None, ra: "hit_inc".into(), index: idx.clone() }];
-    for i in 0..w {
-        let vfield = Expr::field(&["hdr", &format!("arr_c1_a4[{i}]"), "value"]);
-        get_hit.push(Stmt::If {
-            cond: Expr::Bin(
-                P4BinOp::Eq,
-                Box::new(Expr::Slice(Box::new(field(&["meta", "share"])), i, i)),
-                Box::new(Expr::Const(1, 1)),
-            ),
-            then: vec![Stmt::ExecuteRegisterAction {
-                dst: Some(vfield),
-                ra: format!("val_read{i}").into(),
-                index: idx.clone(),
-            }],
-            els: vec![],
-        });
-    }
-    get_hit.push(Stmt::Assign(field(&["hdr", "args_c1", "a2_hit"]), Expr::Const(1, 8)));
-    get_hit.push(Stmt::Assign(field(&["hdr", "ncl", "action"]), Expr::Const(5, 8))); // reflect
-
-    // Miss path: CMS + Bloom.
-    let mut miss: Vec<Stmt> = vec![
-        Stmt::HashGet {
-            dst: field(&["meta", "kh"]),
-            hash: "HashK".into(),
-            args: vec![field(&["hdr", "args_c1", "a1_k"])],
-        },
-        Stmt::HashGet {
-            dst: field(&["meta", "h0"]),
-            hash: "HashA".into(),
-            args: vec![field(&["meta", "kh"])],
-        },
-        Stmt::HashGet {
-            dst: field(&["meta", "h1"]),
-            hash: "HashB".into(),
-            args: vec![field(&["meta", "kh"])],
-        },
-        Stmt::HashGet {
-            dst: field(&["meta", "h2"]),
-            hash: "HashC".into(),
-            args: vec![field(&["meta", "kh"])],
-        },
-    ];
-    for i in 0..3 {
-        let h = field(&["meta", &format!("h{i}")]);
-        miss.push(Stmt::ExecuteRegisterAction {
-            dst: Some(field(&["meta", &format!("c{i}")])),
-            ra: format!("cms_count{i}").into(),
-            index: colmask(h),
-        });
-    }
-    // min(c0, c1, c2) into c0.
-    for i in 1..3 {
-        miss.push(Stmt::If {
-            cond: Expr::Bin(
-                P4BinOp::Lt,
-                Box::new(field(&["meta", &format!("c{i}")])),
-                Box::new(field(&["meta", "c0"])),
-            ),
-            then: vec![Stmt::Assign(field(&["meta", "c0"]), field(&["meta", &format!("c{i}")]))],
-            els: vec![],
-        });
-    }
-    miss.push(Stmt::If {
-        cond: Expr::Bin(
-            P4BinOp::Gt,
-            Box::new(field(&["meta", "c0"])),
-            Box::new(Expr::Const(cfg.threshold as u64, 32)),
-        ),
-        then: vec![
-            Stmt::ExecuteRegisterAction {
-                dst: Some(field(&["meta", "b0"])),
-                ra: "bloom_set0".into(),
-                index: colmask(field(&["meta", "h0"])),
-            },
-            Stmt::ExecuteRegisterAction {
-                dst: Some(field(&["meta", "b1"])),
-                ra: "bloom_set1".into(),
-                index: colmask(field(&["meta", "h2"])),
-            },
-            Stmt::If {
-                cond: Expr::Bin(
-                    P4BinOp::LOr,
-                    Box::new(Expr::Bin(
-                        P4BinOp::Eq,
-                        Box::new(field(&["meta", "b0"])),
-                        Box::new(Expr::Const(0, 8)),
-                    )),
-                    Box::new(Expr::Bin(
-                        P4BinOp::Eq,
-                        Box::new(field(&["meta", "b1"])),
-                        Box::new(Expr::Const(0, 8)),
-                    )),
-                ),
-                then: vec![Stmt::Assign(
-                    field(&["hdr", "args_c1", "a3_hot"]),
-                    field(&["meta", "c0"]),
-                )],
-                els: vec![],
-            },
-        ],
-        els: vec![],
-    });
-
-    // PUT path.
-    let mut put: Vec<Stmt> = vec![
-        Stmt::ExecuteRegisterAction { dst: None, ra: "share_fill".into(), index: idx.clone() },
-        Stmt::ExecuteRegisterAction { dst: None, ra: "valid_set".into(), index: idx.clone() },
-    ];
-    for i in 0..w {
-        put.push(Stmt::ExecuteRegisterAction {
-            dst: None,
-            ra: format!("val_write{i}").into(),
-            index: idx.clone(),
-        });
-    }
-
-    let op = field(&["hdr", "args_c1", "a0_op"]);
-    let get_body = vec![
-        Stmt::ExecuteRegisterAction {
-            dst: Some(field(&["meta", "share"])),
-            ra: "share_read".into(),
-            index: idx.clone(),
-        },
-        Stmt::ExecuteRegisterAction {
-            dst: Some(field(&["meta", "valid"])),
-            ra: "valid_read".into(),
-            index: idx.clone(),
-        },
-        Stmt::If {
-            cond: Expr::Bin(
-                P4BinOp::LAnd,
-                Box::new(Expr::Bin(
-                    P4BinOp::Eq,
-                    Box::new(field(&["meta", "cached"])),
-                    Box::new(Expr::Const(1, 1)),
-                )),
-                Box::new(Expr::Bin(
-                    P4BinOp::Eq,
-                    Box::new(field(&["meta", "valid"])),
-                    Box::new(Expr::Const(1, 8)),
-                )),
-            ),
-            then: get_hit,
-            els: miss,
-        },
-    ];
-
-    let kernel = vec![
-        Stmt::Assign(field(&["meta", "cached"]), Expr::Const(0, 1)),
-        Stmt::If {
-            cond: Expr::TableHit("cache_index".into()),
-            then: vec![Stmt::Assign(field(&["meta", "cached"]), Expr::Const(1, 1))],
-            els: vec![],
-        },
-        Stmt::If {
-            cond: Expr::Bin(P4BinOp::Eq, Box::new(op.clone()), Box::new(Expr::Const(OP_GET, 8))),
-            then: get_body,
-            els: vec![Stmt::If {
-                cond: Expr::Bin(
-                    P4BinOp::LAnd,
-                    Box::new(Expr::Bin(
-                        P4BinOp::Eq,
-                        Box::new(op.clone()),
-                        Box::new(Expr::Const(OP_PUT, 8)),
-                    )),
-                    Box::new(Expr::Bin(
-                        P4BinOp::Eq,
-                        Box::new(field(&["meta", "cached"])),
-                        Box::new(Expr::Const(1, 1)),
-                    )),
-                ),
-                then: put,
-                els: vec![Stmt::If {
-                    cond: Expr::Bin(
-                        P4BinOp::LAnd,
-                        Box::new(Expr::Bin(
-                            P4BinOp::Eq,
-                            Box::new(op),
-                            Box::new(Expr::Const(OP_DEL, 8)),
-                        )),
-                        Box::new(Expr::Bin(
-                            P4BinOp::Eq,
-                            Box::new(field(&["meta", "cached"])),
-                            Box::new(Expr::Const(1, 1)),
-                        )),
-                    ),
-                    then: vec![Stmt::ExecuteRegisterAction {
-                        dst: None,
-                        ra: "valid_clr".into(),
-                        index: idx,
-                    }],
-                    els: vec![],
-                }],
-            }],
-        },
-    ];
-
-    c.tables.push(TableDef {
-        name: "l2_fwd".into(),
-        keys: vec![(Expr::field(&["hdr", "ncl", "dst"]), MatchKind::Exact)],
-        actions: vec![],
-        entries: vec![],
-        default_action: "NoAction".into(),
-        size: 64,
-    });
-    c.apply = vec![
-        Stmt::If { cond: device_guard(1), then: kernel, els: vec![] },
-        Stmt::ApplyTable("l2_fwd".into()),
-    ];
-
-    P4Program {
-        name: "cache_handwritten".into(),
-        target: Target::Tna,
-        headers: headers.into(),
-        parser: Some(parser.into()),
-        controls: vec![c].into(),
-    }
+"#
+    )
 }
 
 /// Populates the handwritten program's cache directly (its register names

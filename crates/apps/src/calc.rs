@@ -1,10 +1,11 @@
 //! CALC — the P4-tutorials calculator \[78\], the paper's small stateless
 //! application: the switch computes `a OP b` and reflects the result.
 
-use netcl::codegen::device_guard;
-use netcl_p4::ast::*;
+use netcl_p4::P4Program;
 use netcl_runtime::message::{pack, unpack, Message};
 use netcl_sema::model::Specification;
+
+use crate::{L2_FWD, PRELUDE};
 
 /// Operation codes (matching the tutorial's ASCII choices).
 pub const OP_ADD: u64 = b'+' as u64;
@@ -75,120 +76,78 @@ pub fn result_of(bytes: &[u8]) -> Option<u64> {
 /// Handwritten P4 baseline: the tutorial's structure — one action per
 /// operation, dispatched by a MAT on the opcode.
 pub fn handwritten() -> P4Program {
-    let headers = vec![
-        netcl::codegen::ncl_header(),
-        HeaderDef {
-            name: "args_c1_t".into(),
-            fields: vec![
-                ("a0_op".into(), 8),
-                ("a1_a".into(), 32),
-                ("a2_b".into(), 32),
-                ("a3_result".into(), 32),
-            ],
-            stack: 1,
-        },
-    ];
-    let parser = ParserDef {
-        name: "IgParser".into(),
-        states: vec![
-            ParserState {
-                name: "start".into(),
-                extracts: vec!["hdr.ncl".into()],
-                transition: Transition::Select {
-                    selector: Expr::field(&["hdr", "ncl", "comp"]),
-                    cases: vec![(1, "parse_calc".into())],
-                    default: "accept".into(),
-                },
-            },
-            ParserState {
-                name: "parse_calc".into(),
-                extracts: vec!["hdr.args_c1".into()],
-                transition: Transition::Accept,
-            },
-        ],
-    };
-    let a = Expr::field(&["hdr", "args_c1", "a1_a"]);
-    let b = Expr::field(&["hdr", "args_c1", "a2_b"]);
-    let res = Expr::field(&["hdr", "args_c1", "a3_result"]);
-    let mut c = ControlDef { name: "Ig".into(), ..Default::default() };
-    for (name, op) in [
-        ("op_add", P4BinOp::Add),
-        ("op_sub", P4BinOp::Sub),
-        ("op_and", P4BinOp::And),
-        ("op_or", P4BinOp::Or),
-        ("op_xor", P4BinOp::Xor),
-    ] {
-        c.actions.push(ActionDef {
-            name: name.into(),
-            params: vec![],
-            body: vec![Stmt::Assign(
-                res.clone(),
-                Expr::Bin(op, Box::new(a.clone()), Box::new(b.clone())),
-            )],
-        });
-    }
-    c.tables.push(TableDef {
-        name: "calculate".into(),
-        keys: vec![(Expr::field(&["hdr", "args_c1", "a0_op"]), MatchKind::Exact)],
-        actions: vec![
-            "op_add".into(),
-            "op_sub".into(),
-            "op_and".into(),
-            "op_or".into(),
-            "op_xor".into(),
-        ],
-        entries: vec![
-            TableEntry {
-                keys: vec![EntryKey::Value(OP_ADD)],
-                action: "op_add".into(),
-                args: vec![],
-            },
-            TableEntry {
-                keys: vec![EntryKey::Value(OP_SUB)],
-                action: "op_sub".into(),
-                args: vec![],
-            },
-            TableEntry {
-                keys: vec![EntryKey::Value(OP_AND)],
-                action: "op_and".into(),
-                args: vec![],
-            },
-            TableEntry { keys: vec![EntryKey::Value(OP_OR)], action: "op_or".into(), args: vec![] },
-            TableEntry {
-                keys: vec![EntryKey::Value(OP_XOR)],
-                action: "op_xor".into(),
-                args: vec![],
-            },
-        ],
-        default_action: "NoAction".into(),
-        size: 8,
-    });
-    c.tables.push(TableDef {
-        name: "l2_fwd".into(),
-        keys: vec![(Expr::field(&["hdr", "ncl", "dst"]), MatchKind::Exact)],
-        actions: vec![],
-        entries: vec![],
-        default_action: "NoAction".into(),
-        size: 64,
-    });
-    c.apply = vec![
-        Stmt::If {
-            cond: device_guard(1),
-            then: vec![
-                Stmt::ApplyTable("calculate".into()),
-                Stmt::Assign(Expr::field(&["hdr", "ncl", "action"]), Expr::Const(5, 8)),
-            ],
-            els: vec![],
-        },
-        Stmt::ApplyTable("l2_fwd".into()),
-    ];
-    P4Program {
-        name: "calc_handwritten".into(),
-        target: Target::Tna,
-        headers: headers.into(),
-        parser: Some(parser.into()),
-        controls: vec![c].into(),
-    }
+    crate::baseline("calc_handwritten", &handwritten_source())
+}
+
+/// The text of [`handwritten`].
+pub(crate) fn handwritten_source() -> String {
+    format!(
+        r#"{PRELUDE}header args_c1_t {{
+    bit<8> a0_op;
+    bit<32> a1_a;
+    bit<32> a2_b;
+    bit<32> a3_result;
+}}
+
+struct headers_t {{
+    ncl_t ncl;
+    args_c1_t args_c1;
+}}
+
+parser IgParser(packet_in pkt, out headers_t hdr) {{
+    state start {{
+        pkt.extract(hdr.ncl);
+        transition select(hdr.ncl.comp) {{
+            1: parse_calc;
+            default: accept;
+        }}
+    }}
+    state parse_calc {{
+        pkt.extract(hdr.args_c1);
+        transition accept;
+    }}
+}}
+
+control Ig(inout headers_t hdr, inout metadata_t meta) {{
+    action op_add() {{
+        hdr.args_c1.a3_result = (hdr.args_c1.a1_a + hdr.args_c1.a2_b);
+    }}
+    action op_sub() {{
+        hdr.args_c1.a3_result = (hdr.args_c1.a1_a - hdr.args_c1.a2_b);
+    }}
+    action op_and() {{
+        hdr.args_c1.a3_result = (hdr.args_c1.a1_a & hdr.args_c1.a2_b);
+    }}
+    action op_or() {{
+        hdr.args_c1.a3_result = (hdr.args_c1.a1_a | hdr.args_c1.a2_b);
+    }}
+    action op_xor() {{
+        hdr.args_c1.a3_result = (hdr.args_c1.a1_a ^ hdr.args_c1.a2_b);
+    }}
+    table calculate {{
+        key = {{ hdr.args_c1.a0_op : exact }}
+        actions = {{ op_add; op_sub; op_and; op_or; op_xor; NoAction; }}
+        default_action = NoAction();
+        const entries = {{
+            {OP_ADD} : op_add();
+            {OP_SUB} : op_sub();
+            {OP_AND} : op_and();
+            {OP_OR} : op_or();
+            {OP_XOR} : op_xor();
+        }}
+        size = 8;
+    }}
+{L2_FWD}    apply {{
+        if ((hdr.ncl.isValid() && (hdr.ncl.to == 16w1))) {{
+            calculate.apply();
+            hdr.ncl.action = 8w5;
+        }}
+        l2_fwd.apply();
+    }}
+}}
+
+"#
+    )
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 //!    is Fig. 11's three kernels; CALC is the P4-tutorials calculator).
 //! 2. **Handwritten P4 baseline** — an idiomatic P4₁₆ implementation of the
 //!    same functionality over the same wire format, playing the role of the
-//!    paper's "P4" column. Baselines deliberately use the structures a P4
+//!    paper's "P4" column. It is P4 text (`handwritten_source`), read by
+//!    `netcl_p4`'s parser. Baselines deliberately use the structures a P4
 //!    programmer would reach for (e.g. AGG decides slot completion with a
 //!    ternary MAT where the NetCL compiler uses in-SALU conditionals —
 //!    the TCAM-vs-SRAM contrast Table V highlights).
@@ -92,6 +93,44 @@ pub fn compile(name: &str, source: &str) -> CompiledUnit {
     Compiler::new(CompileOptions::default())
         .compile(name, source)
         .unwrap_or_else(|e| panic!("{name} failed to compile:\n{e}"))
+}
+
+/// The start of every handwritten baseline's text: the includes and the
+/// NetCL shim header, as `netcl::codegen::ncl_header` declares it.
+const PRELUDE: &str = r#"#include <core.p4>
+#include <tna.p4>
+
+header ncl_t {
+    bit<16> src;
+    bit<16> dst;
+    bit<16> from;
+    bit<16> to;
+    bit<8> comp;
+    bit<8> action;
+    bit<16> target;
+}
+
+"#;
+
+/// The forwarding table every handwritten baseline declares last.
+const L2_FWD: &str = r#"    table l2_fwd {
+        key = { hdr.ncl.dst : exact }
+        actions = { NoAction; }
+        default_action = NoAction();
+        size = 64;
+    }
+"#;
+
+/// A handwritten baseline: its P4 `text`, read by the one P4 parser, named
+/// `name`.
+///
+/// # Panics
+///
+/// If `text` does not parse; every caller passes this crate's own text.
+fn baseline(name: &str, text: &str) -> netcl_p4::P4Program {
+    let mut p = netcl_p4::parse::parse_program(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+    p.name = name.into();
+    p
 }
 
 /// One evaluation application: name, NetCL source, handwritten baseline.
@@ -198,6 +237,36 @@ mod tests {
                 "{}: NetCL {ncl} LoC vs P4 {p4} LoC — expected ≥3x reduction",
                 app.name
             );
+        }
+    }
+
+    /// The shim header the baselines' text declares is the one generated
+    /// programs carry.
+    #[test]
+    fn the_prelude_declares_the_shim_header() {
+        let prelude = netcl_p4::parse::parse_program(PRELUDE).unwrap();
+        assert_eq!(*prelude.headers, [netcl::codegen::ncl_header()]);
+    }
+
+    /// At the default configurations, each baseline's text is what
+    /// `artifacts/handwritten_p4/` ships after its first line (the program
+    /// name), and the program read from it prints back to that file.
+    #[test]
+    fn baseline_texts_are_the_shipped_artifacts() {
+        let texts = [
+            agg::handwritten_source(&Default::default()),
+            cache::handwritten_source(&Default::default()),
+            paxos::handwritten_acceptor_source(),
+            paxos::handwritten_learner_source(),
+            paxos::handwritten_leader_source(),
+            calc::handwritten_source(),
+        ];
+        for (app, text) in all_apps().into_iter().zip(texts) {
+            let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../artifacts/handwritten_p4");
+            let path = format!("{dir}/{}.p4", app.name.to_lowercase());
+            let shipped = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert_eq!(shipped.split_once('\n').map(|(_, body)| body), Some(&*text), "{path}");
+            assert_eq!(netcl_p4::print::print_program(&app.handwritten), shipped, "{path}");
         }
     }
 

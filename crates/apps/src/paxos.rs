@@ -10,19 +10,18 @@
 //! `device.id` (§V-C), which the compiler materializes per device.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
 use std::sync::{Arc, Mutex};
 
-use netcl::codegen::device_guard;
 use netcl::CompiledDevice;
 use netcl_bmv2::Switch;
 use netcl_net::{HostEvent, LinkSpec, NodeId, Outbox, Topology};
-use netcl_p4::ast::*;
+use netcl_p4::P4Program;
 use netcl_runtime::message::{pack, unpack, Message};
 use netcl_runtime::reliable::{Reliable, RetryPolicy};
-use netcl_sema::builtins::{AtomicOp, AtomicRmw};
 use netcl_sema::model::Specification;
 
-use crate::{Conditions, Run};
+use crate::{Conditions, Run, L2_FWD, PRELUDE};
 
 /// Leader device id.
 pub const LEADER_DEV: u16 = 1;
@@ -366,357 +365,231 @@ pub fn run_paxos(
 // Handwritten P4 baselines (one per kernel, as the paper's Table III rows)
 // ---------------------------------------------------------------------------
 
-fn common_headers() -> Vec<HeaderDef> {
-    vec![
-        netcl::codegen::ncl_header(),
-        HeaderDef {
-            name: "args_c1_t".into(),
-            fields: vec![
-                ("a0_type".into(), 8),
-                ("a1_instance".into(), 32),
-                ("a2_round".into(), 16),
-                ("a3_vround".into(), 16),
-                ("a4_vote".into(), 8),
-            ],
-            stack: 1,
-        },
-        HeaderDef { name: "arr_c1_a5_t".into(), fields: vec![("value".into(), 32)], stack: 8 },
-    ]
-}
-
-fn common_parser() -> ParserDef {
-    ParserDef {
-        name: "IgParser".into(),
-        states: vec![
-            ParserState {
-                name: "start".into(),
-                extracts: vec!["hdr.ncl".into()],
-                transition: Transition::Select {
-                    selector: Expr::field(&["hdr", "ncl", "comp"]),
-                    cases: vec![(1, "parse_paxos".into())],
-                    default: "accept".into(),
-                },
-            },
-            ParserState {
-                name: "parse_paxos".into(),
-                extracts: vec!["hdr.args_c1".into(), "hdr.arr_c1_a5".into()],
-                transition: Transition::Accept,
-            },
-        ],
-    }
-}
-
-fn guard(dev: u16, body: Vec<Stmt>) -> Vec<Stmt> {
-    vec![
-        Stmt::If { cond: device_guard(dev), then: body, els: vec![] },
-        Stmt::ApplyTable("l2_fwd".into()),
-    ]
-}
-
-fn l2() -> TableDef {
-    TableDef {
-        name: "l2_fwd".into(),
-        keys: vec![(Expr::field(&["hdr", "ncl", "dst"]), MatchKind::Exact)],
-        actions: vec![],
-        entries: vec![],
-        default_action: "NoAction".into(),
-        size: 64,
-    }
-}
-
 /// Handwritten leader (PLDR).
 pub fn handwritten_leader() -> P4Program {
-    let mut c = ControlDef { name: "Ig".into(), ..Default::default() };
-    c.registers.push(RegisterDef { name: "InstanceR".into(), elem_bits: 32, size: 1 });
-    c.register_actions.push(RegisterActionDef {
-        name: "next_instance".into(),
-        register: "InstanceR".into(),
-        op: AtomicOp { rmw: AtomicRmw::Inc, cond: false, ret_new: true },
-        cond: None,
-        operands: vec![],
-    });
-    c.tables.push(l2());
-    let body = vec![Stmt::If {
-        cond: Expr::Bin(
-            P4BinOp::Eq,
-            Box::new(Expr::field(&["hdr", "args_c1", "a0_type"])),
-            Box::new(Expr::Const(T_REQUEST, 8)),
-        ),
-        then: vec![
-            Stmt::ExecuteRegisterAction {
-                dst: Some(Expr::field(&["hdr", "args_c1", "a1_instance"])),
-                ra: "next_instance".into(),
-                index: Expr::Const(0, 32),
-            },
-            Stmt::Assign(Expr::field(&["hdr", "args_c1", "a0_type"]), Expr::Const(T_PHASE2A, 8)),
-            Stmt::Assign(Expr::field(&["hdr", "ncl", "action"]), Expr::Const(4, 8)),
-            Stmt::Assign(
-                Expr::field(&["hdr", "ncl", "target"]),
-                Expr::Const(ACCEPTOR_GROUP as u64, 16),
-            ),
-        ],
-        els: vec![],
-    }];
-    c.apply = guard(LEADER_DEV, body);
-    P4Program {
-        name: "pldr_handwritten".into(),
-        target: Target::Tna,
-        headers: common_headers().into(),
-        parser: Some(common_parser().into()),
-        controls: vec![c].into(),
-    }
+    crate::baseline("pldr_handwritten", &handwritten_leader_source())
 }
 
-/// Handwritten acceptor (PACC) for acceptor index `acc` (vote bit `1<<acc`).
-pub fn handwritten_acceptor_at(acc: u16) -> P4Program {
-    let mask = (NUM_INSTANCES - 1) as u64;
-    let inst = Expr::Bin(
-        P4BinOp::And,
-        Box::new(Expr::field(&["hdr", "args_c1", "a1_instance"])),
-        Box::new(Expr::Const(mask, 32)),
-    );
-    let mut c = ControlDef { name: "Ig".into(), ..Default::default() };
-    c.locals.push(("rmax".into(), 16));
-    c.registers.push(RegisterDef { name: "RoundR".into(), elem_bits: 16, size: NUM_INSTANCES });
-    c.registers.push(RegisterDef { name: "VRoundR".into(), elem_bits: 16, size: NUM_INSTANCES });
-    c.register_actions.push(RegisterActionDef {
-        name: "round_max".into(),
-        register: "RoundR".into(),
-        op: AtomicOp { rmw: AtomicRmw::Max, cond: false, ret_new: true },
-        cond: None,
-        operands: vec![Expr::field(&["hdr", "args_c1", "a2_round"])],
-    });
-    c.register_actions.push(RegisterActionDef {
-        name: "vround_store".into(),
-        register: "VRoundR".into(),
-        op: AtomicOp { rmw: AtomicRmw::Swap, cond: false, ret_new: false },
-        cond: None,
-        operands: vec![Expr::field(&["hdr", "args_c1", "a2_round"])],
-    });
-    for i in 0..8u32 {
-        c.registers.push(RegisterDef {
-            name: format!("ValueR{i}").into(),
-            elem_bits: 32,
-            size: NUM_INSTANCES,
-        });
-        c.register_actions.push(RegisterActionDef {
-            name: format!("value_store{i}").into(),
-            register: format!("ValueR{i}").into(),
-            op: AtomicOp { rmw: AtomicRmw::Swap, cond: false, ret_new: false },
-            cond: None,
-            operands: vec![Expr::field(&["hdr", &format!("arr_c1_a5[{i}]"), "value"])],
-        });
-    }
-    c.tables.push(l2());
-    let mut accept = vec![Stmt::ExecuteRegisterAction {
-        dst: None,
-        ra: "vround_store".into(),
-        index: inst.clone(),
-    }];
-    for i in 0..8 {
-        accept.push(Stmt::ExecuteRegisterAction {
-            dst: None,
-            ra: format!("value_store{i}").into(),
-            index: inst.clone(),
-        });
-    }
-    accept.extend([
-        Stmt::Assign(Expr::field(&["hdr", "args_c1", "a0_type"]), Expr::Const(T_PHASE2B, 8)),
-        Stmt::Assign(
-            Expr::field(&["hdr", "args_c1", "a3_vround"]),
-            Expr::field(&["hdr", "args_c1", "a2_round"]),
-        ),
-        Stmt::Assign(Expr::field(&["hdr", "args_c1", "a4_vote"]), Expr::Const(1 << acc, 8)),
-        Stmt::Assign(Expr::field(&["hdr", "ncl", "action"]), Expr::Const(3, 8)),
-        Stmt::Assign(Expr::field(&["hdr", "ncl", "target"]), Expr::Const(LEARNER_DEV as u64, 16)),
-    ]);
-    let body = vec![Stmt::If {
-        cond: Expr::Bin(
-            P4BinOp::Eq,
-            Box::new(Expr::field(&["hdr", "args_c1", "a0_type"])),
-            Box::new(Expr::Const(T_PHASE2A, 8)),
-        ),
-        then: vec![
-            Stmt::ExecuteRegisterAction {
-                dst: Some(Expr::field(&["meta", "rmax"])),
-                ra: "round_max".into(),
-                index: inst,
-            },
-            Stmt::If {
-                cond: Expr::Bin(
-                    P4BinOp::Ge,
-                    Box::new(Expr::field(&["hdr", "args_c1", "a2_round"])),
-                    Box::new(Expr::field(&["meta", "rmax"])),
-                ),
-                then: accept,
-                els: vec![Stmt::Assign(Expr::field(&["hdr", "ncl", "action"]), Expr::Const(1, 8))],
-            },
-        ],
-        els: vec![],
-    }];
-    c.apply = guard(ACCEPTOR_DEV + acc, body);
-    P4Program {
-        name: "pacc_handwritten".into(),
-        target: Target::Tna,
-        headers: common_headers().into(),
-        parser: Some(common_parser().into()),
-        controls: vec![c].into(),
-    }
-}
-
-/// Handwritten acceptor at the first acceptor position.
+/// Handwritten acceptor (PACC), at the first acceptor position: its vote
+/// bit is 1.
 pub fn handwritten_acceptor() -> P4Program {
-    handwritten_acceptor_at(0)
+    crate::baseline("pacc_handwritten", &handwritten_acceptor_source())
 }
 
 /// Handwritten learner (PLRN).
 pub fn handwritten_learner() -> P4Program {
-    let mask = (NUM_INSTANCES - 1) as u64;
-    let inst = Expr::Bin(
-        P4BinOp::And,
-        Box::new(Expr::field(&["hdr", "args_c1", "a1_instance"])),
-        Box::new(Expr::Const(mask, 32)),
-    );
-    let mut c = ControlDef { name: "Ig".into(), ..Default::default() };
-    c.locals.extend([("rmax".into(), 16), ("count".into(), 8), ("hist".into(), 8)]);
-    c.registers.push(RegisterDef { name: "RoundR".into(), elem_bits: 16, size: NUM_INSTANCES });
-    c.registers.push(RegisterDef { name: "HistoryR".into(), elem_bits: 8, size: NUM_INSTANCES });
-    c.register_actions.push(RegisterActionDef {
-        name: "round_max".into(),
-        register: "RoundR".into(),
-        op: AtomicOp { rmw: AtomicRmw::Max, cond: false, ret_new: true },
-        cond: None,
-        operands: vec![Expr::field(&["hdr", "args_c1", "a2_round"])],
-    });
-    c.register_actions.push(RegisterActionDef {
-        name: "vote_or".into(),
-        register: "HistoryR".into(),
-        op: AtomicOp { rmw: AtomicRmw::Or, cond: false, ret_new: false },
-        cond: None,
-        operands: vec![Expr::field(&["hdr", "args_c1", "a4_vote"])],
-    });
-    for i in 0..8u32 {
-        c.registers.push(RegisterDef {
-            name: format!("ValueR{i}").into(),
-            elem_bits: 32,
-            size: NUM_INSTANCES,
-        });
-        c.register_actions.push(RegisterActionDef {
-            name: format!("value_store{i}").into(),
-            register: format!("ValueR{i}").into(),
-            op: AtomicOp { rmw: AtomicRmw::Swap, cond: false, ret_new: false },
-            cond: None,
-            operands: vec![Expr::field(&["hdr", &format!("arr_c1_a5[{i}]"), "value"])],
-        });
-    }
-    // The handwritten learner uses a majority MAT over the vote bitmap —
-    // the MAT-based membership idiom P4 programmers reach for.
-    c.actions.push(ActionDef {
-        name: "mark_majority".into(),
-        params: vec![],
-        body: vec![Stmt::Assign(Expr::field(&["meta", "hist"]), Expr::Const(255, 8))],
-    });
-    c.tables.push(TableDef {
-        name: "majority".into(),
-        keys: vec![(Expr::field(&["meta", "count"]), MatchKind::Exact)],
-        actions: vec!["mark_majority".into()],
-        entries: [3u64, 5, 6, 7]
-            .into_iter()
-            .map(|v| TableEntry {
-                keys: vec![EntryKey::Value(v)],
-                action: "mark_majority".into(),
-                args: vec![],
-            })
-            .collect(),
-        default_action: "NoAction".into(),
-        size: 8,
-    });
-    c.tables.push(l2());
+    crate::baseline("plrn_handwritten", &handwritten_learner_source())
+}
 
-    let mut deliver = Vec::new();
+/// The text the three roles share: the includes, the headers and the
+/// parser, up to the control's first member.
+fn role_head() -> String {
+    format!(
+        r#"{PRELUDE}header args_c1_t {{
+    bit<8> a0_type;
+    bit<32> a1_instance;
+    bit<16> a2_round;
+    bit<16> a3_vround;
+    bit<8> a4_vote;
+}}
+
+header arr_c1_a5_t {{
+    bit<32> value;
+}}
+
+struct headers_t {{
+    ncl_t ncl;
+    args_c1_t args_c1;
+    arr_c1_a5_t[8] arr_c1_a5;
+}}
+
+parser IgParser(packet_in pkt, out headers_t hdr) {{
+    state start {{
+        pkt.extract(hdr.ncl);
+        transition select(hdr.ncl.comp) {{
+            1: parse_paxos;
+            default: accept;
+        }}
+    }}
+    state parse_paxos {{
+        pkt.extract(hdr.args_c1);
+        pkt.extract(hdr.arr_c1_a5);
+        transition accept;
+    }}
+}}
+
+control Ig(inout headers_t hdr, inout metadata_t meta) {{
+"#
+    )
+}
+
+/// `hdr.args_c1.a1_instance` as an index into the instance registers.
+fn instance() -> String {
+    format!("(hdr.args_c1.a1_instance & 32w{})", NUM_INSTANCES - 1)
+}
+
+/// The eight value words an acceptor and a learner keep: their registers,
+/// their RegisterActions, and the calls storing a message's value, each
+/// indented by `calls_indent`.
+fn value_words(calls_indent: &str) -> [String; 3] {
+    let (mut registers, mut actions, mut calls) = (String::new(), String::new(), String::new());
+    let inst = instance();
     for i in 0..8 {
-        deliver.push(Stmt::ExecuteRegisterAction {
-            dst: None,
-            ra: format!("value_store{i}").into(),
-            index: inst.clone(),
-        });
+        let _ = writeln!(registers, "    Register<bit<32>, bit<32>>({NUM_INSTANCES}) ValueR{i};");
+        let _ = write!(
+            actions,
+            r#"    RegisterAction<bit<32>, bit<32>, bit<32>>(ValueR{i}) value_store{i} = {{
+        void apply(inout bit<32> m, out bit<32> o) {{
+            o = m;
+            m = hdr.arr_c1_a5[{i}].value;
+        }}
+    }};
+"#
+        );
+        let _ = writeln!(calls, "{calls_indent}value_store{i}.execute({inst});");
     }
-    deliver.extend([
-        Stmt::Assign(Expr::field(&["hdr", "args_c1", "a0_type"]), Expr::Const(T_DELIVER, 8)),
-        Stmt::Assign(Expr::field(&["hdr", "ncl", "action"]), Expr::Const(0, 8)),
-    ]);
+    [registers, actions, calls]
+}
 
-    let body = vec![Stmt::If {
-        cond: Expr::Bin(
-            P4BinOp::Eq,
-            Box::new(Expr::field(&["hdr", "args_c1", "a0_type"])),
-            Box::new(Expr::Const(T_PHASE2B, 8)),
-        ),
-        then: vec![
-            // Default: drop unless a majority forms below.
-            Stmt::Assign(Expr::field(&["hdr", "ncl", "action"]), Expr::Const(1, 8)),
-            Stmt::ExecuteRegisterAction {
-                dst: Some(Expr::field(&["meta", "rmax"])),
-                ra: "round_max".into(),
-                index: inst.clone(),
-            },
-            Stmt::If {
-                cond: Expr::Bin(
-                    P4BinOp::Ge,
-                    Box::new(Expr::field(&["hdr", "args_c1", "a2_round"])),
-                    Box::new(Expr::field(&["meta", "rmax"])),
-                ),
-                then: vec![
-                    Stmt::ExecuteRegisterAction {
-                        dst: Some(Expr::field(&["meta", "count"])),
-                        ra: "vote_or".into(),
-                        index: inst,
-                    },
-                    // Deliver on the edge into majority: old NOT majority,
-                    // new majority.
-                    Stmt::ApplyTable("majority".into()),
-                    Stmt::If {
-                        cond: Expr::Bin(
-                            P4BinOp::Eq,
-                            Box::new(Expr::field(&["meta", "hist"])),
-                            Box::new(Expr::Const(0, 8)),
-                        ),
-                        then: vec![
-                            Stmt::Assign(
-                                Expr::field(&["meta", "count"]),
-                                Expr::Bin(
-                                    P4BinOp::Or,
-                                    Box::new(Expr::field(&["meta", "count"])),
-                                    Box::new(Expr::field(&["hdr", "args_c1", "a4_vote"])),
-                                ),
-                            ),
-                            Stmt::ApplyTable("majority".into()),
-                            Stmt::If {
-                                cond: Expr::Bin(
-                                    P4BinOp::Eq,
-                                    Box::new(Expr::field(&["meta", "hist"])),
-                                    Box::new(Expr::Const(255, 8)),
-                                ),
-                                then: deliver,
-                                els: vec![],
-                            },
-                        ],
-                        els: vec![],
-                    },
-                ],
-                els: vec![],
-            },
-        ],
-        els: vec![],
-    }];
-    c.apply = guard(LEARNER_DEV, body);
-    P4Program {
-        name: "plrn_handwritten".into(),
-        target: Target::Tna,
-        headers: common_headers().into(),
-        parser: Some(common_parser().into()),
-        controls: vec![c].into(),
-    }
+/// The text of [`handwritten_leader`].
+pub(crate) fn handwritten_leader_source() -> String {
+    format!(
+        r#"{head}    Register<bit<32>, bit<32>>(1) InstanceR;
+    RegisterAction<bit<32>, bit<32>, bit<32>>(InstanceR) next_instance = {{
+        void apply(inout bit<32> m, out bit<32> o) {{
+            m = m + 1;
+            o = m;
+        }}
+    }};
+{L2_FWD}    apply {{
+        if ((hdr.ncl.isValid() && (hdr.ncl.to == 16w{LEADER_DEV}))) {{
+            if ((hdr.args_c1.a0_type == 8w{T_REQUEST})) {{
+                hdr.args_c1.a1_instance = next_instance.execute(32w0);
+                hdr.args_c1.a0_type = 8w{T_PHASE2A};
+                hdr.ncl.action = 8w4;
+                hdr.ncl.target = 16w{ACCEPTOR_GROUP};
+            }}
+        }}
+        l2_fwd.apply();
+    }}
+}}
+
+"#,
+        head = role_head(),
+    )
+}
+
+/// The text of [`handwritten_acceptor`].
+pub(crate) fn handwritten_acceptor_source() -> String {
+    let [registers, actions, stores] = value_words(&" ".repeat(20));
+    format!(
+        r#"{head}    bit<16> rmax;
+    Register<bit<16>, bit<32>>({NUM_INSTANCES}) RoundR;
+    Register<bit<16>, bit<32>>({NUM_INSTANCES}) VRoundR;
+{registers}    RegisterAction<bit<16>, bit<32>, bit<16>>(RoundR) round_max = {{
+        void apply(inout bit<16> m, out bit<16> o) {{
+            m = max(m, hdr.args_c1.a2_round);
+            o = m;
+        }}
+    }};
+    RegisterAction<bit<16>, bit<32>, bit<16>>(VRoundR) vround_store = {{
+        void apply(inout bit<16> m, out bit<16> o) {{
+            o = m;
+            m = hdr.args_c1.a2_round;
+        }}
+    }};
+{actions}{L2_FWD}    apply {{
+        if ((hdr.ncl.isValid() && (hdr.ncl.to == 16w{ACCEPTOR_DEV}))) {{
+            if ((hdr.args_c1.a0_type == 8w{T_PHASE2A})) {{
+                meta.rmax = round_max.execute({inst});
+                if ((hdr.args_c1.a2_round >= meta.rmax)) {{
+                    vround_store.execute({inst});
+{stores}                    hdr.args_c1.a0_type = 8w{T_PHASE2B};
+                    hdr.args_c1.a3_vround = hdr.args_c1.a2_round;
+                    hdr.args_c1.a4_vote = 8w1;
+                    hdr.ncl.action = 8w3;
+                    hdr.ncl.target = 16w{LEARNER_DEV};
+                }} else {{
+                    hdr.ncl.action = 8w1;
+                }}
+            }}
+        }}
+        l2_fwd.apply();
+    }}
+}}
+
+"#,
+        head = role_head(),
+        inst = instance(),
+    )
+}
+
+/// The text of [`handwritten_learner`]: it counts votes with a majority
+/// MAT over the vote bitmap, the membership idiom P4 programmers reach for.
+/// A vote is dropped unless it is the one that takes the bitmap from no
+/// majority into one, which delivers the value.
+pub(crate) fn handwritten_learner_source() -> String {
+    let [registers, actions, stores] = value_words(&" ".repeat(28));
+    format!(
+        r#"{head}    bit<16> rmax;
+    bit<8> count;
+    bit<8> hist;
+    Register<bit<16>, bit<32>>({NUM_INSTANCES}) RoundR;
+    Register<bit<8>, bit<32>>({NUM_INSTANCES}) HistoryR;
+{registers}    RegisterAction<bit<16>, bit<32>, bit<16>>(RoundR) round_max = {{
+        void apply(inout bit<16> m, out bit<16> o) {{
+            m = max(m, hdr.args_c1.a2_round);
+            o = m;
+        }}
+    }};
+    RegisterAction<bit<8>, bit<32>, bit<8>>(HistoryR) vote_or = {{
+        void apply(inout bit<8> m, out bit<8> o) {{
+            o = m;
+            m = m | hdr.args_c1.a4_vote;
+        }}
+    }};
+{actions}    action mark_majority() {{
+        meta.hist = 8w255;
+    }}
+    table majority {{
+        key = {{ meta.count : exact }}
+        actions = {{ mark_majority; NoAction; }}
+        default_action = NoAction();
+        const entries = {{
+            3 : mark_majority();
+            5 : mark_majority();
+            6 : mark_majority();
+            7 : mark_majority();
+        }}
+        size = 8;
+    }}
+{L2_FWD}    apply {{
+        if ((hdr.ncl.isValid() && (hdr.ncl.to == 16w{LEARNER_DEV}))) {{
+            if ((hdr.args_c1.a0_type == 8w{T_PHASE2B})) {{
+                hdr.ncl.action = 8w1;
+                meta.rmax = round_max.execute({inst});
+                if ((hdr.args_c1.a2_round >= meta.rmax)) {{
+                    meta.count = vote_or.execute({inst});
+                    majority.apply();
+                    if ((meta.hist == 8w0)) {{
+                        meta.count = (meta.count | hdr.args_c1.a4_vote);
+                        majority.apply();
+                        if ((meta.hist == 8w255)) {{
+{stores}                            hdr.args_c1.a0_type = 8w{T_DELIVER};
+                            hdr.ncl.action = 8w0;
+                        }}
+                    }}
+                }}
+            }}
+        }}
+        l2_fwd.apply();
+    }}
+}}
+
+"#,
+        head = role_head(),
+        inst = instance(),
+    )
 }
 
 #[cfg(test)]

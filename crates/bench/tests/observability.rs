@@ -116,14 +116,25 @@ fn pass_report_populated_for_agg() {
     let kernel_wall: u64 = rep.per_kernel.iter().map(|k| k.wall_ns).sum();
     assert_eq!(kernel_wall, rep.total_ns(), "kernel wall times sum to the pipeline total");
     assert!(table.contains("KERNEL"), "rendered table lists the per-kernel section");
-    // The JSONL event form round-trips through the parser, and each
-    // kernel exports its own event.
+    // Each kernel exports its own JSONL event, and the pipeline one more;
+    // their records are exactly these.
     let events = rep.to_events();
-    assert!(events.iter().any(|e| e.name.starts_with("kernel.")));
-    for ev in events {
-        let back = netcl_obs::Event::from_json(&ev.to_json()).expect("round-trips");
-        assert_eq!(back.name, ev.name);
+    for k in &rep.per_kernel {
+        let name = format!("kernel.{}", k.kernel);
+        let ev = events.iter().find(|e| e.name == name).expect("one event per kernel");
+        let (runs, wall, insts, blocks, rewrites) =
+            (k.runs, k.wall_ns, k.insts_delta, k.blocks_delta, k.rewrites);
+        let json = format!(
+            r#"{{"event":"{name}","ts_ns":0,"runs":{runs},"wall_ns":{wall},"insts":{insts},"blocks":{blocks},"rewrites":{rewrites}}}"#
+        );
+        assert_eq!(ev.to_json(), json);
     }
+    let (wall, insts, blocks, runs) = (rep.total_ns(), rep.insts_end, rep.blocks_end, rep.kernels);
+    let cached = rep.from_cache as u64;
+    let json = format!(
+        r#"{{"event":"pipeline","ts_ns":0,"wall_ns":{wall},"insts":{insts},"blocks":{blocks},"runs":{runs},"from_cache":{cached}}}"#
+    );
+    assert_eq!(events.last().map(|e| e.to_json()), Some(json));
 }
 
 /// The chaos trace export is well-formed Chrome `trace_event` JSON.

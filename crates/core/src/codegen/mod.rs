@@ -97,8 +97,8 @@ pub fn place(program: &mut P4Program, unit: &str, device: u16) {
 }
 
 /// `hdr.ncl.isValid() && hdr.ncl.to == <device>`: the condition a program's
-/// kernels run under, generated or handwritten.
-pub fn device_guard(device: u16) -> Expr {
+/// kernels run under.
+fn device_guard(device: u16) -> Expr {
     let valid = Expr::field(&["hdr", NCL_HDR, "$isValid"]);
     let to = Expr::field(&["hdr", NCL_HDR, "to"]);
     let here = Expr::Bin(P4BinOp::Eq, Box::new(to), Box::new(Expr::val(device as u64, 16)));

@@ -173,42 +173,6 @@ impl Event {
         out
     }
 
-    /// Parses a JSONL record produced by [`Event::to_json`] back into an
-    /// event. Only the subset this crate emits is supported — enough for
-    /// round-trip tests and for tools that post-process our own sinks.
-    pub fn from_json(line: &str) -> Option<Event> {
-        let mut p = JsonParser { s: line.as_bytes(), i: 0 };
-        p.expect(b'{')?;
-        let mut name = None;
-        let mut ts_ns = 0u64;
-        let mut fields = Vec::new();
-        loop {
-            let key = p.string()?;
-            p.expect(b':')?;
-            match key.as_str() {
-                "event" => name = Some(p.string()?),
-                "ts_ns" => {
-                    ts_ns = match p.value()? {
-                        Value::U64(v) => v,
-                        _ => return None,
-                    }
-                }
-                other => {
-                    let v = p.value()?;
-                    // Leak-free static lookup is impossible for arbitrary
-                    // keys; round-tripped events use a small intern table.
-                    fields.push((intern_key(other), v));
-                }
-            }
-            match p.next_non_ws()? {
-                b',' => continue,
-                b'}' => break,
-                _ => return None,
-            }
-        }
-        Some(Event { name: name?, ts_ns, fields })
-    }
-
     /// Aligned console form: `ts  name  k=v k=v`.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
@@ -233,149 +197,6 @@ impl Event {
             }
         }
         out
-    }
-}
-
-/// Interns field keys recovered from JSON so [`Event`] can keep its
-/// `&'static str` key representation. The observability vocabulary is a
-/// small closed set; unknown keys fall back to a leaked allocation (rare,
-/// test-only paths).
-fn intern_key(k: &str) -> &'static str {
-    const KNOWN: &[&str] = &[
-        "app",
-        "device",
-        "kernel",
-        "pass",
-        "wall_ns",
-        "insts",
-        "blocks",
-        "rewrites",
-        "runs",
-        "packets",
-        "hits",
-        "misses",
-        "table",
-        "count",
-        "sum",
-        "min",
-        "max",
-        "p50",
-        "p99",
-        "seed",
-        "delivered",
-        "dropped",
-        "depth",
-        "action",
-        "src",
-        "dst",
-        "recircs",
-        "value",
-    ];
-    for known in KNOWN {
-        if *known == k {
-            return known;
-        }
-    }
-    Box::leak(k.to_string().into_boxed_str())
-}
-
-struct JsonParser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl JsonParser<'_> {
-    fn next_non_ws(&mut self) -> Option<u8> {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-        let b = *self.s.get(self.i)?;
-        self.i += 1;
-        Some(b)
-    }
-
-    fn expect(&mut self, b: u8) -> Option<()> {
-        (self.next_non_ws()? == b).then_some(())
-    }
-
-    fn string(&mut self) -> Option<String> {
-        if self.next_non_ws()? != b'"' {
-            return None;
-        }
-        let mut out = String::new();
-        loop {
-            let b = *self.s.get(self.i)?;
-            self.i += 1;
-            match b {
-                b'"' => return Some(out),
-                b'\\' => {
-                    let e = *self.s.get(self.i)?;
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = std::str::from_utf8(self.s.get(self.i..self.i + 4)?).ok()?;
-                            self.i += 4;
-                            out.push(char::from_u32(u32::from_str_radix(hex, 16).ok()?)?);
-                        }
-                        _ => return None,
-                    }
-                }
-                b => {
-                    // Re-decode multi-byte UTF-8 starting at b.
-                    let start = self.i - 1;
-                    let len = match b {
-                        0x00..=0x7F => 1,
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let chunk = std::str::from_utf8(self.s.get(start..start + len)?).ok()?;
-                    out.push_str(chunk);
-                    self.i = start + len;
-                }
-            }
-        }
-    }
-
-    fn value(&mut self) -> Option<Value> {
-        let b = self.next_non_ws()?;
-        match b {
-            b'"' => {
-                self.i -= 1;
-                Some(Value::Str(self.string()?))
-            }
-            b't' => {
-                self.i += 3;
-                Some(Value::Bool(true))
-            }
-            b'f' => {
-                self.i += 4;
-                Some(Value::Bool(false))
-            }
-            _ => {
-                let start = self.i - 1;
-                while self
-                    .s
-                    .get(self.i)
-                    .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'-' | b'e' | b'E'))
-                {
-                    self.i += 1;
-                }
-                let tok = std::str::from_utf8(&self.s[start..self.i]).ok()?;
-                if tok.contains(['.', 'e', 'E']) {
-                    Some(Value::F64(tok.parse().ok()?))
-                } else if tok.starts_with('-') {
-                    Some(Value::I64(tok.parse().ok()?))
-                } else {
-                    Some(Value::U64(tok.parse().ok()?))
-                }
-            }
-        }
     }
 }
 
@@ -432,18 +253,22 @@ impl JsonlSink {
 mod tests {
     use super::*;
 
+    /// The JSONL record, byte for byte: every value kind, a non-finite
+    /// float as `null`, and a string's quote, backslash and control
+    /// characters escaped.
     #[test]
-    fn event_jsonl_round_trip() {
+    fn to_json_writes_the_exact_record() {
         let e = Event::new("sim.deliver", 12_345)
             .field("dst", 7u64)
-            .field("app", "AGG \"quoted\"\n")
+            .field("app", "AGG \"quoted\"\n\t\\\u{1}")
             .field("depth", -3i64)
             .field("value", 1.5f64)
+            .field("nan", f64::NAN)
             .field("dropped", true);
-        let line = e.to_json();
-        assert!(line.starts_with("{\"event\":\"sim.deliver\",\"ts_ns\":12345,"));
-        let back = Event::from_json(&line).expect("parses");
-        assert_eq!(back, e);
+        assert_eq!(
+            e.to_json(),
+            r#"{"event":"sim.deliver","ts_ns":12345,"dst":7,"app":"AGG \"quoted\"\n\t\\\u0001","depth":-3,"value":1.5,"nan":null,"dropped":true}"#
+        );
     }
 
     #[test]
@@ -451,15 +276,15 @@ mod tests {
         let mut sink = JsonlSink::new();
         assert!(sink.is_empty());
         sink.push(&Event::new("a", 1));
-        sink.push(&Event::new("b", 2).field("count", 3u64));
+        sink.push(&Event::new("b", 2).field("count", 3u64).field("ok", false));
         assert_eq!(sink.len(), 2);
         let mut buf = Vec::new();
         sink.flush_to(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
-            assert!(Event::from_json(line).is_some(), "unparseable: {line}");
-        }
+        assert_eq!(
+            text,
+            "{\"event\":\"a\",\"ts_ns\":1}\n{\"event\":\"b\",\"ts_ns\":2,\"count\":3,\"ok\":false}\n"
+        );
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! * [`mod@print`] — renders a program to P4-16 text (TNA or v1model dialect).
 //! * [`parse`] — parses that same subset back; `print ∘ parse` is a text
 //!   fixpoint on every TNA program the toolchain prints, generated or
-//!   handwritten (`tests/pipeline.rs`). Nothing in the toolchain depends on
-//!   it: generated programs
-//!   and the handwritten baselines in `netcl-apps` are built as [`ast`]
-//!   values in Rust, and `parse_program` is called by `tests/pipeline.rs`
+//!   handwritten (`tests/pipeline.rs`), and the printed `struct headers_t`
+//!   carries each header stack's length, so the program reads back whole.
+//!   Generated programs are built as [`ast`] values by the code generator;
+//!   the handwritten baselines in `netcl-apps` are P4 text that
+//!   `parse_program` reads. It is also called by `tests/pipeline.rs`
 //!   (print → parse → execute round trip) and by `netcl_e2e`'s
 //!   `compile_fleet` stage (`p4.parse_s`, `p4.parse_refused`).
 //! * [`classify`] — assigns each line of a program to a construct category
