@@ -9,13 +9,17 @@
 //!   tables with const entries, actions, and apply blocks. The subset is
 //!   exactly what the NetCL backend emits (paper Fig. 9) plus what our
 //!   handwritten P4 baselines use.
-//! * [`mod@print`] — renders a program to P4-16 text (TNA or v1model dialect).
-//! * [`parse`] — parses that same subset back; `print ∘ parse` is a text
-//!   fixpoint on every TNA program the toolchain prints, generated or
-//!   handwritten (`tests/pipeline.rs`), and the printed `struct headers_t`
-//!   carries each header stack's length, so the program reads back whole.
-//!   Generated programs are built as [`ast`] values by the code generator;
-//!   the handwritten baselines in `netcl-apps` are P4 text that
+//! * [`mod@print`] — renders a program to P4-16 text, in one form for both
+//!   dialects: a TNA and a v1model program differ only in the comment line
+//!   naming the target and the `#include` line.
+//! * [`parse`] — parses that same subset back, the dialect read from the
+//!   `#include` line; `print ∘ parse` is a text fixpoint on every program
+//!   the toolchain prints, TNA and v1model, generated or handwritten
+//!   (`tests/pipeline.rs`), and the printed `struct headers_t` carries each
+//!   header stack's length, so the program reads back whole. Generated
+//!   programs are built as [`ast`] values by the code generator; the
+//!   handwritten baselines in `netcl-apps` and the programs the unit tests
+//!   of `netcl-bmv2`, `netcl-tofino` and [`classify`] run are P4 text that
 //!   `parse_program` reads. It is also called by `tests/pipeline.rs`
 //!   (print → parse → execute round trip) and by `netcl_e2e`'s
 //!   `compile_fleet` stage (`p4.parse_s`, `p4.parse_refused`).

@@ -1,8 +1,10 @@
 //! Parser for the P4-16 subset this toolchain emits and consumes.
 //!
-//! `parse_program(print_program(p))` reproduces `p` up to layout. The text
-//! is untrusted: whatever it holds, parsing returns a program or a
-//! [`ParseError`], never a panic.
+//! `parse_program(print_program(p))` reproduces `p` up to layout, its
+//! dialect included: `#include <v1model.p4>` reads as [`Target::V1Model`],
+//! and a text without it as [`Target::Tna`]. The text is untrusted:
+//! whatever it holds, parsing returns a program or a [`ParseError`], never
+//! a panic.
 
 use crate::ast::*;
 use netcl_sema::builtins::{AtomicOp, AtomicRmw, HashKind};
@@ -25,9 +27,9 @@ impl std::fmt::Display for ParseError {
 
 /// Parses a P4 program from text.
 pub fn parse_program(text: &str) -> Result<P4Program, ParseError> {
-    let tokens = lex(text)?;
+    let (tokens, target) = lex(text)?;
     let mut p = Parser { tokens, pos: 0, depth: 0 };
-    p.program()
+    p.program(target)
 }
 
 // ---- lexer ---------------------------------------------------------------
@@ -92,10 +94,12 @@ fn width(w: u64, line: u32) -> Result<u32, ParseError> {
     }
 }
 
-fn lex(text: &str) -> Result<Vec<Token<'_>>, ParseError> {
+/// The tokens of `text`, and the dialect its `#include` lines name.
+fn lex(text: &str) -> Result<(Vec<Token<'_>>, Target), ParseError> {
     let bytes = text.as_bytes();
     // Printed P4 runs one token per four bytes or a little fewer.
     let mut out = Vec::with_capacity(bytes.len() / 3);
+    let mut target = Target::Tna;
     let mut i = 0;
     let mut line = 1u32;
     while i < bytes.len() {
@@ -127,10 +131,15 @@ fn lex(text: &str) -> Result<Vec<Token<'_>>, ParseError> {
             i = (i + 2).min(bytes.len());
             continue;
         }
-        // Preprocessor-ish lines: `#include <...>` — skip whole line.
+        // A preprocessor line is no token; `#include <v1model.p4>` names
+        // the dialect.
         if c == b'#' {
+            let start = i;
             while i < bytes.len() && bytes[i] != b'\n' {
                 i += 1;
+            }
+            if text[start..i].trim_end() == "#include <v1model.p4>" {
+                target = Target::V1Model;
             }
             continue;
         }
@@ -164,7 +173,7 @@ fn lex(text: &str) -> Result<Vec<Token<'_>>, ParseError> {
         out.push(Token { tok: Tok::Punct(p), line });
         i += p.len();
     }
-    Ok(out)
+    Ok((out, target))
 }
 
 // ---- parser ----------------------------------------------------------------
@@ -307,8 +316,8 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn program(&mut self) -> Result<P4Program, ParseError> {
-        let mut p = P4Program { name: "parsed".into(), target: Target::Tna, ..Default::default() };
+    fn program(&mut self, target: Target) -> Result<P4Program, ParseError> {
+        let mut p = P4Program { name: "parsed".into(), target, ..Default::default() };
         while let Some(tok) = self.peek() {
             self.pos += 1;
             match tok {
@@ -479,7 +488,7 @@ impl<'a> Parser<'a> {
                     self.expect_punct(";")?;
                     c.locals.push((lname.into(), bits));
                 }
-                Some(Tok::Ident("Register" | "register")) => {
+                Some(Tok::Ident("Register")) => {
                     self.bump();
                     self.expect_punct("<")?;
                     let elem_bits = self.bit_type()?;
@@ -754,6 +763,18 @@ impl<'a> Parser<'a> {
                 Expr::Field(path) if path.name().is_some() => {
                     Ok(Stmt::CallAction(path.canonical().to_string()))
                 }
+                // `hdr.x.setValid();` / `hdr.x.setInvalid();`
+                Expr::Field(path) => match path.canonical().rsplit_once('.') {
+                    Some((head, method @ ("$setValid" | "$setInvalid"))) => {
+                        let mut header = Path::new(path.ns());
+                        let _ = header.write_str(head);
+                        Ok(match method {
+                            "$setValid" => Stmt::SetValid(Expr::Field(header)),
+                            _ => Stmt::SetInvalid(Expr::Field(header)),
+                        })
+                    }
+                    _ => self.err(format!("expression `{path:?}` is not a statement")),
+                },
                 other => self.err(format!("expression `{other:?}` is not a statement")),
             };
         }
@@ -1218,6 +1239,20 @@ parser P(packet_in pkt, out headers_t hdr) {
         );
     }
 
+    #[test]
+    fn set_valid_and_set_invalid_are_statements() {
+        let src = "control C(inout h x) { apply { hdr.v[2].setValid(); hdr.ncl.setInvalid(); } }";
+        assert_eq!(
+            parse_program(src).unwrap().controls[0].apply,
+            [
+                Stmt::SetValid(Expr::field(&["hdr", "v[2]"])),
+                Stmt::SetInvalid(Expr::field(&["hdr", "ncl"]))
+            ]
+        );
+        let e = parse_program("control C(inout h x) { apply { hdr.ncl.isValid(); } }");
+        assert!(e.unwrap_err().message.contains("is not a statement"));
+    }
+
     /// A slice is `[hi:lo]` with `lo <= hi < 64`; anything else used to
     /// parse and then underflow `hi - lo + 1` in whoever loaded the program.
     #[test]
@@ -1316,14 +1351,17 @@ parser P(packet_in pkt, out headers_t hdr) {
             }]
             .into(),
         };
-        let text1 = print_program(&prog);
-        let parsed = parse_program(&text1).unwrap_or_else(|e| panic!("{e}\n{text1}"));
-        assert_eq!(parsed.headers, prog.headers);
-        let text2 = print_program(&parsed);
-        // Compare modulo the program-name comment line.
-        let body1: Vec<&str> = text1.lines().skip(1).collect();
-        let body2: Vec<&str> = text2.lines().skip(1).collect();
-        assert_eq!(body1, body2);
+        for target in [Target::Tna, Target::V1Model] {
+            let prog = P4Program { target, ..prog.clone() };
+            let text1 = print_program(&prog);
+            let parsed = parse_program(&text1).unwrap_or_else(|e| panic!("{e}\n{text1}"));
+            assert_eq!((parsed.target, &parsed.headers), (target, &prog.headers));
+            let text2 = print_program(&parsed);
+            // Compare modulo the program-name comment line.
+            let body1: Vec<&str> = text1.lines().skip(1).collect();
+            let body2: Vec<&str> = text2.lines().skip(1).collect();
+            assert_eq!(body1, body2);
+        }
     }
 
     /// Parses `src`, which must be refused at line 2 with a message that

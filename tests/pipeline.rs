@@ -49,17 +49,18 @@ fn print_parse_execute_roundtrip() {
     assert_eq!(sw2.register_read("misses", 0), Some(2));
 }
 
-/// The parser reads everything the TNA printer writes: for every device of
-/// every shipped application, generated and handwritten, printing the parsed
-/// text reproduces it (all but the first line, a comment naming the
-/// program). v1model prints RegisterActions as comments, so its text is not
-/// meant to be read back and is out of scope here.
+/// The parser reads everything the printer writes, in both dialects: for
+/// every device of every shipped application, TNA and v1model, and every
+/// handwritten baseline, the parsed text is in the printed dialect and
+/// printing it reproduces the text (all but the first line, a comment
+/// naming the program).
 #[test]
-fn every_shipped_tna_program_is_a_print_parse_fixpoint() {
+fn every_shipped_program_is_a_print_parse_fixpoint() {
     let body = |text: &str| text.split_once('\n').map(|(_, b)| b.to_string()).unwrap_or_default();
-    for (label, _, program) in shipped::tna_programs() {
+    for (label, _, program) in shipped::programs() {
         let text = print_program(&program);
         let reparsed = parse_program(&text).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(reparsed.target, program.target, "{label}");
         assert_eq!(body(&print_program(&reparsed)), body(&text), "{label}");
     }
 }

@@ -1,20 +1,21 @@
-//! The shipped TNA programs the P4 text hand-off tests read back
-//! (`pipeline.rs`, `properties.rs`): every device of every application in
-//! `netcl_apps::all_apps()`, as the compiler generates it, and each
-//! application's handwritten baseline.
+//! The shipped programs the P4 text hand-off tests read back
+//! (`pipeline.rs`, `properties.rs`): the TNA and the v1model program of
+//! every device of every application in `netcl_apps::all_apps()`, as the
+//! compiler generates them, and each application's handwritten baseline.
 
 use netcl::{CompileOptions, Compiler};
 use netcl_p4::P4Program;
 
 /// `(label, device, program)`; a handwritten baseline runs at its
 /// application's kernel device.
-pub fn tna_programs() -> Vec<(String, u16, P4Program)> {
+pub fn programs() -> Vec<(String, u16, P4Program)> {
     let mut programs = Vec::new();
     for app in netcl_apps::all_apps() {
         let unit = Compiler::new(CompileOptions::default()).compile(app.name, &app.netcl_source);
         for d in &unit.unwrap_or_else(|e| panic!("{}: {e}", app.name)).devices {
-            let label = format!("{} device {}", app.name, d.device);
-            programs.push((label, d.device, (*d.tna_p4).clone()));
+            let label = |dialect| format!("{} device {} {dialect}", app.name, d.device);
+            programs.push((label("tna"), d.device, (*d.tna_p4).clone()));
+            programs.push((label("v1model"), d.device, (*d.v1_p4).clone()));
         }
         programs.push((format!("{} handwritten", app.name), app.device, app.handwritten));
     }
