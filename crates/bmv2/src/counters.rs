@@ -176,93 +176,54 @@ mod tests {
     use super::*;
     use crate::batch::PacketBatch;
     use crate::switch::Engine;
-    use netcl_p4::ast::*;
-    use netcl_sema::builtins::{AtomicOp, AtomicRmw};
+    use netcl_p4::ast::P4Program;
+    use netcl_p4::parse::parse_program;
     use std::sync::Arc;
 
-    /// A hand-built merged two-tenant program. The header mimics the NCL
-    /// shim: 8 bytes of preamble, then the comp byte at wire offset 8.
-    /// Comp 1 is tenant 0's kernel (one reg action on `t0__A`); comp 2 is
-    /// tenant 1's (two reg actions on `t1__B` plus a lookup MAT
-    /// `lu_t1__kv`).
-    fn tenant_program() -> P4Program {
-        let comp_is = |v: u64| {
-            Expr::Bin(
-                P4BinOp::Eq,
-                Box::new(Expr::field(&["hdr", "th", "comp"])),
-                Box::new(Expr::val(v, 8)),
+    /// A merged two-tenant program. The header mimics the NCL shim: 8 bytes
+    /// of preamble, then the comp byte at wire offset 8. Comp 1 is tenant
+    /// 0's kernel (one reg action on `t0__A`); comp 2 is tenant 1's (two
+    /// reg actions on `t1__B` plus a lookup MAT `lu_t1__kv`).
+    fn tenant_program() -> Arc<P4Program> {
+        let bump = |name: &str, register: &str| {
+            format!(
+                "RegisterAction<bit<32>, bit<32>, bit<32>>({register}) {name} = {{
+                    void apply(inout bit<32> m, out bit<32> o) {{ m = m + 32w1; o = m; }}
+                }};"
             )
         };
-        let bump = |name: &str, register: &str| RegisterActionDef {
-            name: name.into(),
-            register: register.into(),
-            op: AtomicOp { rmw: AtomicRmw::Add, cond: false, ret_new: true },
-            cond: None,
-            operands: vec![Expr::val(1, 32)],
-        };
-        let exec = |ra: &str| Stmt::ExecuteRegisterAction {
-            dst: Some(Expr::field(&["meta", "cnt"])),
-            ra: ra.into(),
-            index: Expr::val(0, 32),
-        };
-        P4Program {
-            name: "tenants".into(),
-            target: Target::V1Model,
-            headers: vec![HeaderDef {
-                name: "th_t".into(),
-                fields: vec![("pad".into(), 64), ("comp".into(), 8), ("k".into(), 8)],
-                stack: 1,
-            }]
-            .into(),
-            parser: Some(Arc::new(ParserDef {
-                name: "P".into(),
-                states: vec![ParserState {
-                    name: "start".into(),
-                    extracts: vec!["hdr.th".into()],
-                    transition: Transition::Accept,
-                }],
-            })),
-            controls: vec![ControlDef {
-                name: "Ig".into(),
-                locals: vec![("cnt".into(), 32)],
-                registers: vec![
-                    RegisterDef { name: "t0__A".into(), elem_bits: 32, size: 4 },
-                    RegisterDef { name: "t1__B".into(), elem_bits: 32, size: 4 },
-                ],
-                register_actions: vec![bump("bump0", "t0__A"), bump("bump1", "t1__B")],
-                hashes: vec![],
-                actions: vec![ActionDef {
-                    name: "setk".into(),
-                    params: vec![("x".into(), 8)],
-                    body: vec![Stmt::Assign(Expr::field(&["hdr", "th", "k"]), Expr::field(&["x"]))],
-                }],
-                tables: vec![TableDef {
-                    name: "lu_t1__kv".into(),
-                    keys: vec![(Expr::field(&["hdr", "th", "k"]), MatchKind::Exact)],
-                    actions: vec!["setk".into()],
-                    entries: vec![TableEntry {
-                        keys: vec![EntryKey::Value(7)],
-                        action: "setk".into(),
-                        args: vec![42],
-                    }],
-                    default_action: "NoAction".into(),
-                    size: 8,
-                }],
-                apply: vec![
-                    Stmt::If { cond: comp_is(1), then: vec![exec("bump0")], els: vec![] },
-                    Stmt::If {
-                        cond: comp_is(2),
-                        then: vec![
-                            exec("bump1"),
-                            exec("bump1"),
-                            Stmt::ApplyTable("lu_t1__kv".into()),
-                        ],
-                        els: vec![],
-                    },
-                ],
-            }]
-            .into(),
-        }
+        let (bump0, bump1) = (bump("bump0", "t0__A"), bump("bump1", "t1__B"));
+        let text = format!(
+            "#include <v1model.p4>
+header th_t {{ bit<64> pad; bit<8> comp; bit<8> k; }}
+struct headers_t {{ th_t th; }}
+parser P(packet_in pkt, out headers_t hdr) {{
+    state start {{ pkt.extract(hdr.th); transition accept; }}
+}}
+control Ig(inout headers_t hdr, inout metadata_t meta) {{
+    bit<32> cnt;
+    Register<bit<32>, bit<32>>(4) t0__A;
+    Register<bit<32>, bit<32>>(4) t1__B;
+    {bump0}
+    {bump1}
+    action setk(bit<8> x) {{ hdr.th.k = x; }}
+    table lu_t1__kv {{
+        key = {{ hdr.th.k : exact }}
+        actions = {{ setk; }}
+        const entries = {{ 7 : setk(42); }}
+        size = 8;
+    }}
+    apply {{
+        if (hdr.th.comp == 8w1) {{ meta.cnt = bump0.execute(32w0); }}
+        if (hdr.th.comp == 8w2) {{
+            meta.cnt = bump1.execute(32w0);
+            meta.cnt = bump1.execute(32w0);
+            lu_t1__kv.apply();
+        }}
+    }}
+}}"
+        );
+        parse_program(&text).map(Arc::new).unwrap_or_else(|e| panic!("{e}\n{text}"))
     }
 
     /// A 10-byte wire for [`tenant_program`]: 8 zero bytes, comp, k.

@@ -283,68 +283,50 @@ mod tests {
     use crate::ctrl::TableUpdate;
     use crate::packet::write_field;
     use netcl_p4::ast::*;
-    use netcl_sema::builtins::{AtomicOp, AtomicRmw};
+    use netcl_p4::parse::parse_program;
 
-    /// A tiny hand-built program: parse one header, count packets in a
-    /// register, set a field from a table.
-    fn counting_program() -> P4Program {
-        P4Program {
-            name: "count".into(),
-            target: Target::V1Model,
-            headers: vec![HeaderDef {
-                name: "h_t".into(),
-                fields: vec![("k".into(), 16), ("v".into(), 16)],
-                stack: 1,
-            }]
-            .into(),
-            parser: Some(Arc::new(ParserDef {
-                name: "P".into(),
-                states: vec![ParserState {
-                    name: "start".into(),
-                    extracts: vec!["hdr.h".into()],
-                    transition: Transition::Accept,
-                }],
-            })),
-            controls: vec![ControlDef {
-                name: "Ig".into(),
-                locals: vec![("cnt".into(), 32)],
-                registers: vec![RegisterDef { name: "R".into(), elem_bits: 32, size: 8 }],
-                register_actions: vec![RegisterActionDef {
-                    name: "bump".into(),
-                    register: "R".into(),
-                    op: AtomicOp { rmw: AtomicRmw::Add, cond: false, ret_new: true },
-                    cond: None,
-                    operands: vec![Expr::val(1, 32)],
-                }],
-                hashes: vec![],
-                actions: vec![ActionDef {
-                    name: "setv".into(),
-                    params: vec![("x".into(), 16)],
-                    body: vec![Stmt::Assign(Expr::field(&["hdr", "h", "v"]), Expr::field(&["x"]))],
-                }],
-                tables: vec![TableDef {
-                    name: "t".into(),
-                    keys: vec![(Expr::field(&["hdr", "h", "k"]), MatchKind::Exact)],
-                    actions: vec!["setv".into()],
-                    entries: vec![TableEntry {
-                        keys: vec![EntryKey::Value(7)],
-                        action: "setv".into(),
-                        args: vec![99],
-                    }],
-                    default_action: "NoAction".into(),
-                    size: 8,
-                }],
-                apply: vec![
-                    Stmt::ExecuteRegisterAction {
-                        dst: Some(Expr::field(&["meta", "cnt"])),
-                        ra: "bump".into(),
-                        index: Expr::val(0, 32),
-                    },
-                    Stmt::ApplyTable("t".into()),
-                ],
-            }]
-            .into(),
-        }
+    /// The tiny program the tests run: parse one header, count packets in
+    /// register `R` with `bump`, set a field from table `t`. `states` is
+    /// the parser's body, `ras` declares more RegisterActions and `apply`
+    /// is the apply block's body.
+    fn counting_text(states: &str, ras: &str, apply: &str) -> String {
+        format!(
+            "#include <v1model.p4>
+header h_t {{ bit<16> k; bit<16> v; }}
+struct headers_t {{ h_t h; }}
+parser P(packet_in pkt, out headers_t hdr) {{ {states} }}
+control Ig(inout headers_t hdr, inout metadata_t meta) {{
+    bit<32> cnt;
+    Register<bit<32>, bit<32>>(8) R;
+    RegisterAction<bit<32>, bit<32>, bit<32>>(R) bump = {{
+        void apply(inout bit<32> m, out bit<32> o) {{ m = m + 32w1; o = m; }}
+    }};
+    {ras}
+    action setv(bit<16> x) {{ hdr.h.v = x; }}
+    table t {{
+        key = {{ hdr.h.k : exact }}
+        actions = {{ setv; }}
+        const entries = {{ 7 : setv(99); }}
+        size = 8;
+    }}
+    apply {{ {apply} }}
+}}"
+        )
+    }
+
+    /// `start` extracts `h` and accepts.
+    const START: &str = "state start { pkt.extract(hdr.h); transition accept; }";
+    /// Count the packet, then apply `t`.
+    const APPLY: &str = "meta.cnt = bump.execute(32w0); t.apply();";
+
+    /// The program `text` spells; a switch holds it as an `Arc`, so loading
+    /// it twice copies nothing.
+    fn program(text: &str) -> Arc<P4Program> {
+        parse_program(text).map(Arc::new).unwrap_or_else(|e| panic!("{e}\n{text}"))
+    }
+
+    fn counting_program() -> Arc<P4Program> {
+        program(&counting_text(START, "", APPLY))
     }
 
     fn wire(k: u16, v: u16) -> Vec<u8> {
@@ -465,80 +447,46 @@ mod tests {
     /// the same text at the same moment — same counters, same registers.
     #[test]
     fn deferred_failures_match_the_interpreter() {
-        type Edit = Box<dyn Fn(&mut P4Program)>;
-        let exec = |ra: &str| Stmt::ExecuteRegisterAction {
-            dst: None,
-            ra: ra.into(),
-            index: Expr::val(0, 32),
-        };
         // The statement under test runs only for k == 1, after a SALU
         // execution and in front of a move that must then not happen.
-        let apply = |s: Stmt| -> Edit {
-            let k_is_1 = Expr::Bin(
-                P4BinOp::Eq,
-                Box::new(Expr::field(&["hdr", "h", "k"])),
-                Box::new(Expr::val(1, 16)),
-            );
-            let then = vec![s, Stmt::Assign(Expr::field(&["hdr", "h", "v"]), Expr::val(9, 16))];
-            let body = vec![exec("bump"), Stmt::If { cond: k_is_1, then, els: vec![] }];
-            Box::new(move |p| Arc::make_mut(&mut p.controls)[0].apply = body.clone())
+        let apply_with = |ras: &str, s: &str| {
+            let apply =
+                format!("bump.execute(32w0); if (hdr.h.k == 16w1) {{ {s} hdr.h.v = 16w9; }}");
+            counting_text(START, ras, &apply)
         };
-        let if_table = |cond: Expr| Stmt::If { cond, then: vec![], els: vec![] };
+        let apply = |s: &str| apply_with("", s);
         // `start` extracts `h` and leaves for `target` when k == 1.
-        let parser = |target: &str, detour: Option<(Vec<String>, Transition)>| -> Edit {
-            let mut states = vec![ParserState {
-                name: "start".into(),
-                extracts: vec!["hdr.h".into()],
-                transition: Transition::Select {
-                    selector: Expr::field(&["hdr", "h", "k"]),
-                    cases: vec![(1, target.into())],
-                    default: "accept".into(),
-                },
-            }];
-            states.extend(detour.map(|(extracts, transition)| ParserState {
-                name: "detour".into(),
-                extracts,
-                transition,
-            }));
-            Box::new(move |p| Arc::make_mut(p.parser.as_mut().unwrap()).states = states.clone())
+        let parser = |target: &str, detour: &str| {
+            let states = format!(
+                "state start {{ pkt.extract(hdr.h); transition select(hdr.h.k) {{ 1: {target}; default: accept; }} }} {detour}"
+            );
+            counting_text(&states, "", APPLY)
         };
-        let orphan: Edit = {
-            let site = apply(exec("orphan"));
-            Box::new(move |p| {
-                site(p);
-                let ras = &mut Arc::make_mut(&mut p.controls)[0].register_actions;
-                let orphan = RegisterActionDef {
-                    name: "orphan".into(),
-                    register: "Q".into(),
-                    ..ras[0].clone()
-                };
-                ras.push(orphan);
-            })
-        };
-        let v = Expr::field(&["hdr", "h", "v"]);
-        let rows: Vec<(Edit, &str)> = vec![
-            (apply(Stmt::CallAction("missing".into())), "action `missing`"),
-            (apply(Stmt::ApplyTable("nope".into())), "table `nope`"),
-            (apply(if_table(Expr::TableHit("nope".into()))), "table `nope`"),
-            (apply(if_table(Expr::TableMiss("nope".into()))), "table `nope`"),
-            (apply(exec("ghost")), "RegisterAction `ghost`"),
+        let orphan = apply_with(
+            "RegisterAction<bit<32>, bit<32>, bit<32>>(Q) orphan = {
+                void apply(inout bit<32> m, out bit<32> o) { m = m + 32w1; o = m; }
+            };",
+            "orphan.execute(32w0);",
+        );
+        let rows = [
+            (apply("missing();"), "action `missing`"),
+            (apply("nope.apply();"), "table `nope`"),
+            (apply("if (nope.apply().hit) { }"), "table `nope`"),
+            (apply("if (!nope.apply().hit) { }"), "table `nope`"),
+            (apply("ghost.execute(32w0);"), "RegisterAction `ghost`"),
             (orphan, "register `Q`"),
-            (apply(Stmt::HashGet { dst: v, hash: "h0".into(), args: vec![] }), "hash `h0`"),
+            (apply("hdr.h.v = h0.get({});"), "hash `h0`"),
+            (parser("detour", "state detour { transition nowhere; }"), "parser state `nowhere`"),
+            (parser("nowhere", ""), "parser state `nowhere`"),
             (
-                parser("detour", Some((vec![], Transition::Direct("nowhere".into())))),
-                "parser state `nowhere`",
-            ),
-            (parser("nowhere", None), "parser state `nowhere`"),
-            (
-                parser("detour", Some((vec!["hdr.ghost".into()], Transition::Accept))),
+                parser("detour", "state detour { pkt.extract(hdr.ghost); transition accept; }"),
                 "header `ghost`",
             ),
             // Set valid without a `ghost_t` type: the deparser finds out.
-            (apply(Stmt::SetValid(Expr::field(&["hdr", "ghost"]))), "header `ghost`"),
+            (apply("hdr.ghost.setValid();"), "header `ghost`"),
         ];
-        for (edit, text) in rows {
-            let mut p = counting_program();
-            edit(&mut p);
+        for (source, text) in rows {
+            let p = program(&source);
             let mut fast = Switch::new(p.clone());
             let mut oracle = Switch::new(p);
             oracle.set_engine(Engine::Interpreted);
@@ -563,7 +511,7 @@ mod tests {
                 Box::new(Expr::Slice(k, hi, lo)),
                 Box::new(Expr::val(5, 16)),
             );
-            let mut p = counting_program();
+            let mut p = P4Program::clone(&counting_program());
             Arc::make_mut(&mut p.controls)[0].apply =
                 vec![Stmt::Assign(Expr::field(&["hdr", "h", "v"]), sum)];
             for engine in [Engine::Threaded, Engine::Interpreted] {

@@ -242,11 +242,6 @@ impl JsonlSink {
         }
         out
     }
-
-    /// Writes all buffered records to `w`, newline-terminated.
-    pub fn flush_to(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
-        w.write_all(self.to_jsonl().as_bytes())
-    }
 }
 
 #[cfg(test)]
@@ -278,11 +273,8 @@ mod tests {
         sink.push(&Event::new("a", 1));
         sink.push(&Event::new("b", 2).field("count", 3u64).field("ok", false));
         assert_eq!(sink.len(), 2);
-        let mut buf = Vec::new();
-        sink.flush_to(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
         assert_eq!(
-            text,
+            sink.to_jsonl(),
             "{\"event\":\"a\",\"ts_ns\":1}\n{\"event\":\"b\",\"ts_ns\":2,\"count\":3,\"ok\":false}\n"
         );
     }

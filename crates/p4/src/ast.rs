@@ -23,7 +23,7 @@ pub struct P4Program {
     /// Program name (used in comments and reports).
     pub name: String,
     /// Dialect.
-    pub target: TargetOpt,
+    pub target: Target,
     /// Header type definitions.
     pub headers: Arc<Vec<HeaderDef>>,
     /// Parser (single ingress parser in our subset).
@@ -31,9 +31,6 @@ pub struct P4Program {
     /// Controls (ingress control carries the NetCL runtime + kernels).
     pub controls: Arc<Vec<ControlDef>>,
 }
-
-/// `Target` with a default for `Default` derives.
-pub type TargetOpt = Target;
 
 impl P4Program {
     /// Finds a control by name.

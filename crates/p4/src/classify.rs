@@ -187,81 +187,38 @@ pub fn classification_covers_print(p: &P4Program) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netcl_sema::builtins::{AtomicOp, AtomicRmw, HashKind};
+    use crate::parse::parse_program;
     use std::sync::Arc;
 
-    fn cache_like_program() -> P4Program {
-        P4Program {
-            name: "cache".into(),
-            target: Target::Tna,
-            headers: vec![
-                HeaderDef {
-                    name: "eth_t".into(),
-                    fields: vec![("dst".into(), 48), ("src".into(), 48), ("ty".into(), 16)],
-                    stack: 1,
-                },
-                HeaderDef {
-                    name: "cache_t".into(),
-                    fields: vec![("Op".into(), 8), ("K".into(), 32), ("V".into(), 32)],
-                    stack: 1,
-                },
-            ]
-            .into(),
-            parser: Some(Arc::new(ParserDef {
-                name: "IgParser".into(),
-                states: vec![
-                    ParserState {
-                        name: "start".into(),
-                        extracts: vec!["hdr.eth".into()],
-                        transition: Transition::Select {
-                            selector: Expr::field(&["hdr", "eth", "ty"]),
-                            cases: vec![(0x800, "parse_cache".into())],
-                            default: "accept".into(),
-                        },
-                    },
-                    ParserState {
-                        name: "parse_cache".into(),
-                        extracts: vec!["hdr.cache".into()],
-                        transition: Transition::Accept,
-                    },
-                ],
-            })),
-            controls: vec![ControlDef {
-                name: "Ig".into(),
-                locals: vec![("c0".into(), 32)],
-                registers: vec![RegisterDef { name: "Cnt".into(), elem_bits: 32, size: 64 }],
-                register_actions: vec![RegisterActionDef {
-                    name: "Incr".into(),
-                    register: "Cnt".into(),
-                    op: AtomicOp { rmw: AtomicRmw::SAdd, cond: false, ret_new: true },
-                    cond: None,
-                    operands: vec![Expr::val(1, 32)],
-                }],
-                hashes: vec![HashDef { name: "H".into(), algo: HashKind::Crc16, out_bits: 16 }],
-                actions: vec![ActionDef {
-                    name: "hit".into(),
-                    params: vec![("v".into(), 32)],
-                    body: vec![Stmt::Assign(
-                        Expr::field(&["hdr", "cache", "V"]),
-                        Expr::field(&["v"]),
-                    )],
-                }],
-                tables: vec![TableDef {
-                    name: "cache".into(),
-                    keys: vec![(Expr::field(&["hdr", "cache", "K"]), MatchKind::Exact)],
-                    actions: vec!["hit".into()],
-                    entries: vec![TableEntry {
-                        keys: vec![EntryKey::Value(1)],
-                        action: "hit".into(),
-                        args: vec![42],
-                    }],
-                    default_action: "NoAction".into(),
-                    size: 4,
-                }],
-                apply: vec![Stmt::ApplyTable("cache".into())],
-            }]
-            .into(),
-        }
+    fn cache_like_program() -> Arc<P4Program> {
+        let text = "
+header eth_t { bit<48> dst; bit<48> src; bit<16> ty; }
+header cache_t { bit<8> Op; bit<32> K; bit<32> V; }
+struct headers_t { eth_t eth; cache_t cache; }
+parser IgParser(packet_in pkt, out headers_t hdr) {
+    state start {
+        pkt.extract(hdr.eth);
+        transition select(hdr.eth.ty) { 2048: parse_cache; default: accept; }
+    }
+    state parse_cache { pkt.extract(hdr.cache); transition accept; }
+}
+control Ig(inout headers_t hdr, inout metadata_t meta) {
+    bit<32> c0;
+    Register<bit<32>, bit<32>>(64) Cnt;
+    RegisterAction<bit<32>, bit<32>, bit<32>>(Cnt) Incr = {
+        void apply(inout bit<32> m, out bit<32> o) { m = m |+| 32w1; o = m; }
+    };
+    Hash<bit<16>>(HashAlgorithm_t.CRC16) H;
+    action hit(bit<32> v) { hdr.cache.V = v; }
+    table cache {
+        key = { hdr.cache.K : exact }
+        actions = { hit; }
+        const entries = { 1 : hit(42); }
+        size = 4;
+    }
+    apply { cache.apply(); }
+}";
+        parse_program(text).map(Arc::new).unwrap_or_else(|e| panic!("{e}\n{text}"))
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use crate::managed::{to_table_entry, ManagedError, ManagedMemory};
 use netcl_bmv2::{Switch, TableUpdate, UpdateError};
 use netcl_ir::Module;
-use netcl_p4::ast::{EntryKey, TableEntry};
+use netcl_p4::ast::EntryKey;
 use netcl_sema::model::LookupEntry;
 
 /// Control-plane errors: name resolution or batch validation.
@@ -129,7 +129,7 @@ impl ControlPlane {
 
     /// Builds the atomic batch that inserts `entry` into every MAT of the
     /// source-level lookup `name`. The batch can be applied immediately
-    /// ([`ControlPlane::insert`]) or scheduled against a running
+    /// ([`Switch::apply_update`]) or scheduled against a running
     /// simulation (`Network::schedule_update`).
     pub fn build_insert(
         &self,
@@ -161,19 +161,6 @@ impl ControlPlane {
         self.build(sw, name, |u, t, _| u.delete(t, vec![EntryKey::Value(key)]))
     }
 
-    /// Builds the batch that replaces the lookup's contents wholesale.
-    pub fn build_replace(
-        &self,
-        sw: &Switch,
-        name: &str,
-        entries: &[LookupEntry],
-    ) -> Result<TableUpdate, ControlError> {
-        self.build(sw, name, |u, t, action| {
-            let rows: Vec<TableEntry> = entries.iter().map(|e| to_table_entry(e, action)).collect();
-            u.set(t, rows)
-        })
-    }
-
     fn build(
         &self,
         sw: &Switch,
@@ -189,48 +176,6 @@ impl ControlPlane {
             }
         }
         Ok(update)
-    }
-
-    // ---- immediate application -------------------------------------------
-
-    /// Atomically inserts `entry` into the source-level lookup `name` on a
-    /// running switch. Returns the number of table operations applied.
-    pub fn insert(
-        &self,
-        sw: &mut Switch,
-        name: &str,
-        entry: &LookupEntry,
-    ) -> Result<usize, ControlError> {
-        let u = self.build_insert(sw, name, entry)?;
-        Ok(sw.apply_update(&u)?)
-    }
-
-    /// Atomically upserts `entry` (modify-or-insert by key).
-    pub fn modify(
-        &self,
-        sw: &mut Switch,
-        name: &str,
-        entry: &LookupEntry,
-    ) -> Result<usize, ControlError> {
-        let u = self.build_modify(sw, name, entry)?;
-        Ok(sw.apply_update(&u)?)
-    }
-
-    /// Atomically removes `key` from the lookup.
-    pub fn remove(&self, sw: &mut Switch, name: &str, key: u64) -> Result<usize, ControlError> {
-        let u = self.build_remove(sw, name, key)?;
-        Ok(sw.apply_update(&u)?)
-    }
-
-    /// Atomically replaces the lookup's contents.
-    pub fn replace(
-        &self,
-        sw: &mut Switch,
-        name: &str,
-        entries: &[LookupEntry],
-    ) -> Result<usize, ControlError> {
-        let u = self.build_replace(sw, name, entries)?;
-        Ok(sw.apply_update(&u)?)
     }
 }
 
@@ -275,8 +220,8 @@ _kernel(1) _at(1) void k(unsigned key, unsigned &v, char &hit, unsigned &e) {
     fn live_update_preserves_managed_registers() {
         let (unit, mut sw, cp) = compiled();
         cp.memory().write(&mut sw, "epoch", &[], 7).unwrap();
-        let applied =
-            cp.insert(&mut sw, "cache", &LookupEntry::Exact { key: 9, value: 77 }).unwrap();
+        let u = cp.build_insert(&sw, "cache", &LookupEntry::Exact { key: 9, value: 77 }).unwrap();
+        let applied = sw.apply_update(&u).unwrap();
         assert!(applied >= 1);
         let (v, hit, e) = run_key(&unit, &mut sw, 9);
         assert_eq!((v, hit), (77, 1), "new rule is live");
@@ -289,10 +234,11 @@ _kernel(1) _at(1) void k(unsigned key, unsigned &v, char &hit, unsigned &e) {
     #[test]
     fn modify_and_remove_roundtrip() {
         let (unit, mut sw, cp) = compiled();
-        cp.modify(&mut sw, "cache", &LookupEntry::Exact { key: 1, value: 100 }).unwrap();
+        let u = cp.build_modify(&sw, "cache", &LookupEntry::Exact { key: 1, value: 100 }).unwrap();
+        sw.apply_update(&u).unwrap();
         let (v, hit, _) = run_key(&unit, &mut sw, 1);
         assert_eq!((v, hit), (100, 1), "static entry replaced");
-        cp.remove(&mut sw, "cache", 1).unwrap();
+        sw.apply_update(&cp.build_remove(&sw, "cache", 1).unwrap()).unwrap();
         let (_, hit, _) = run_key(&unit, &mut sw, 1);
         assert_eq!(hit, 0);
     }
@@ -354,7 +300,8 @@ _kernel(1) _at(1) void b(unsigned k, unsigned &v, char &hit) {
         assert_eq!(cp1.scoped_name("kv"), "t1__kv");
         assert_eq!(cp1.scoped_name("t0__kv"), "t0__kv", "namespaced names pass through");
 
-        let applied = cp1.insert(&mut sw, "kv", &LookupEntry::Exact { key: 9, value: 99 }).unwrap();
+        let u = cp1.build_insert(&sw, "kv", &LookupEntry::Exact { key: 9, value: 99 }).unwrap();
+        let applied = sw.apply_update(&u).unwrap();
         assert!(applied >= 1);
 
         let err =
@@ -371,7 +318,8 @@ _kernel(1) _at(1) void b(unsigned k, unsigned &v, char &hit) {
 
         // The operator's unscoped plane still reaches every namespace.
         let cp = ControlPlane::new(&merged.merged.tna_ir);
-        assert!(cp.insert(&mut sw, "t0__kv", &LookupEntry::Exact { key: 5, value: 5 }).is_ok());
+        let u = cp.build_insert(&sw, "t0__kv", &LookupEntry::Exact { key: 5, value: 5 }).unwrap();
+        assert!(sw.apply_update(&u).is_ok());
     }
 
     /// The same update applied to each engine's switch yields identical
@@ -383,8 +331,10 @@ _kernel(1) _at(1) void b(unsigned k, unsigned &v, char &hit) {
         for engine in [Engine::Threaded, Engine::Interpreted] {
             let (unit, mut sw, cp) = compiled();
             sw.set_engine(engine);
-            cp.insert(&mut sw, "cache", &LookupEntry::Exact { key: 3, value: 33 }).unwrap();
-            cp.remove(&mut sw, "cache", 1).unwrap();
+            let u =
+                cp.build_insert(&sw, "cache", &LookupEntry::Exact { key: 3, value: 33 }).unwrap();
+            sw.apply_update(&u).unwrap();
+            sw.apply_update(&cp.build_remove(&sw, "cache", 1).unwrap()).unwrap();
             let out = (run_key(&unit, &mut sw, 3), run_key(&unit, &mut sw, 1));
             results.push((out, sw.counters().clone()));
         }

@@ -193,11 +193,6 @@ impl Model {
         self.kernels.iter().filter(move |k| placed_at(&k.locations, dev))
     }
 
-    /// Globals placed on device `dev`.
-    pub fn globals_at(&self, dev: u16) -> impl Iterator<Item = &GlobalInfo> {
-        self.globals.iter().filter(move |g| placed_at(&g.locations, dev))
-    }
-
     /// Finds a global by name.
     pub fn global(&self, name: &str) -> Option<&GlobalInfo> {
         self.globals.iter().find(|g| g.name == name)

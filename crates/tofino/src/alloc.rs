@@ -917,55 +917,53 @@ fn table_in_cond(e: &Expr) -> Option<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netcl_sema::builtins::{AtomicOp, AtomicRmw, HashKind};
+    use netcl_p4::parse::parse_program;
+    use std::sync::Arc;
 
     fn spec() -> TofinoSpec {
         TofinoSpec::tofino1()
+    }
+
+    /// `hdr.ncl.K`, 32 bits.
+    const NCL: &str = "header ncl_t { bit<32> K; } struct headers_t { ncl_t ncl; }";
+
+    /// A program of `headers` and one control `Ig` whose members are `body`.
+    fn program(headers: &str, body: &str) -> Arc<P4Program> {
+        let text = format!(
+            "{headers}\ncontrol Ig(inout headers_t hdr, inout metadata_t meta) {{\n{body}\n}}"
+        );
+        parse_program(&text).map(Arc::new).unwrap_or_else(|e| panic!("{e}\n{text}"))
+    }
+
+    /// RegisterAction `name` on the `bits`-wide register `register`, its
+    /// apply body `body`.
+    fn ra(name: &str, register: &str, bits: u32, body: &str) -> String {
+        format!(
+            "RegisterAction<bit<{bits}>, bit<32>, bit<{bits}>>({register}) {name} = {{
+                void apply(inout bit<{bits}> m, out bit<{bits}> o) {{ {body} }}
+            }};"
+        )
     }
 
     /// hash → register chain needs two stages: the register index depends on
     /// the hash output.
     #[test]
     fn dependent_units_take_consecutive_stages() {
-        let control = ControlDef {
-            name: "Ig".into(),
-            locals: vec![("h0".into(), 16), ("c0".into(), 32)],
-            registers: vec![RegisterDef { name: "Cnt".into(), elem_bits: 32, size: 1024 }],
-            register_actions: vec![RegisterActionDef {
-                name: "Incr".into(),
-                register: "Cnt".into(),
-                op: AtomicOp { rmw: AtomicRmw::SAdd, cond: false, ret_new: true },
-                cond: None,
-                operands: vec![Expr::val(1, 32)],
-            }],
-            hashes: vec![HashDef { name: "H".into(), algo: HashKind::Crc16, out_bits: 16 }],
-            actions: vec![],
-            tables: vec![],
-            apply: vec![
-                Stmt::HashGet {
-                    dst: Expr::field(&["meta", "h0"]),
-                    hash: "H".into(),
-                    args: vec![Expr::field(&["hdr", "ncl", "K"])],
-                },
-                Stmt::ExecuteRegisterAction {
-                    dst: Some(Expr::field(&["meta", "c0"])),
-                    ra: "Incr".into(),
-                    index: Expr::field(&["meta", "h0"]),
-                },
-            ],
-        };
-        let p = P4Program {
-            name: "t".into(),
-            target: Target::Tna,
-            headers: vec![HeaderDef {
-                name: "ncl_t".into(),
-                fields: vec![("K".into(), 32)],
-                stack: 1,
-            }]
-            .into(),
-            parser: None,
-            controls: vec![control].into(),
-        };
+        let incr = ra("Incr", "Cnt", 32, "m = m |+| 32w1; o = m;");
+        let p = program(
+            NCL,
+            &format!(
+                "bit<16> h0;
+                bit<32> c0;
+                Register<bit<32>, bit<32>>(1024) Cnt;
+                {incr}
+                Hash<bit<16>>(HashAlgorithm_t.CRC16) H;
+                apply {{
+                    meta.h0 = H.get({{hdr.ncl.K}});
+                    meta.c0 = Incr.execute(meta.h0);
+                }}"
+            ),
+        );
         let r = allocate(&p, &spec()).unwrap();
         assert_eq!(r.stages_used, 2, "{:?}", r.per_stage);
         assert_eq!(r.per_stage[0].hash_units, 1);
@@ -976,49 +974,21 @@ mod tests {
     /// Two accesses to one register from sibling branches share its stage.
     #[test]
     fn register_shared_across_exclusive_branches() {
-        let ra = |name: &str| RegisterActionDef {
-            name: name.into(),
-            register: "R".into(),
-            op: AtomicOp { rmw: AtomicRmw::Add, cond: false, ret_new: false },
-            cond: None,
-            operands: vec![Expr::val(1, 16)],
-        };
-        let control = ControlDef {
-            name: "Ig".into(),
-            locals: vec![("x".into(), 16)],
-            registers: vec![RegisterDef { name: "R".into(), elem_bits: 16, size: 64 }],
-            register_actions: vec![ra("a"), ra("b")],
-            apply: vec![Stmt::If {
-                cond: Expr::Bin(
-                    P4BinOp::Eq,
-                    Box::new(Expr::field(&["hdr", "ncl", "K"])),
-                    Box::new(Expr::val(0, 32)),
-                ),
-                then: vec![Stmt::ExecuteRegisterAction {
-                    dst: None,
-                    ra: "a".into(),
-                    index: Expr::val(0, 32),
-                }],
-                els: vec![Stmt::ExecuteRegisterAction {
-                    dst: None,
-                    ra: "b".into(),
-                    index: Expr::val(1, 32),
-                }],
-            }],
-            ..Default::default()
-        };
-        let p = P4Program {
-            name: "t".into(),
-            target: Target::Tna,
-            headers: vec![HeaderDef {
-                name: "ncl_t".into(),
-                fields: vec![("K".into(), 32)],
-                stack: 1,
-            }]
-            .into(),
-            parser: None,
-            controls: vec![control].into(),
-        };
+        let inc = |name: &str| ra(name, "R", 16, "o = m; m = m + 16w1;");
+        let p = program(
+            NCL,
+            &format!(
+                "bit<16> x;
+                Register<bit<16>, bit<32>>(64) R;
+                {}
+                {}
+                apply {{
+                    if (hdr.ncl.K == 32w0) {{ a.execute(32w0); }} else {{ b.execute(32w1); }}
+                }}",
+                inc("a"),
+                inc("b")
+            ),
+        );
         let r = allocate(&p, &spec()).unwrap();
         // One register binds one SALU on one stage, shared by both
         // (mutually-exclusive) RegisterActions.
@@ -1027,51 +997,30 @@ mod tests {
         assert_eq!(r.per_stage.iter().filter(|s| s.salus > 0).count(), 1);
     }
 
-    /// A register read whose index depends on a value computed after the
-    /// register's first access cannot fit → repin, then conflict error.
+    /// A register read whose index depends on the register's own first
+    /// access cannot fit: each repin moves the dependence along with it, so
+    /// repinning never converges and ends in a conflict.
     #[test]
-    fn register_repinning_resolves_late_dependence() {
+    fn register_repinning_that_cannot_converge_is_a_conflict() {
         // First access at stage 0; second access's index depends on the
-        // first's output → needs stage ≥ 2. Repinning moves the register to
-        // stage 2, where both accesses work (the first has no deps).
-        let mk = |name: &str, idx: Expr| Stmt::ExecuteRegisterAction {
-            dst: Some(Expr::field(&["meta", name])),
-            ra: "ra".into(),
-            index: idx,
-        };
-        let control = ControlDef {
-            name: "Ig".into(),
-            locals: vec![("a".into(), 16), ("b".into(), 16), ("c".into(), 16)],
-            registers: vec![RegisterDef { name: "R".into(), elem_bits: 16, size: 64 }],
-            register_actions: vec![RegisterActionDef {
-                name: "ra".into(),
-                register: "R".into(),
-                op: AtomicOp { rmw: AtomicRmw::Read, cond: false, ret_new: false },
-                cond: None,
-                operands: vec![],
-            }],
-            apply: vec![
-                mk("a", Expr::val(0, 32)),
-                // b = a + 1 (stage 1)
-                Stmt::Assign(
-                    Expr::field(&["meta", "b"]),
-                    Expr::Bin(
-                        P4BinOp::Add,
-                        Box::new(Expr::field(&["meta", "a"])),
-                        Box::new(Expr::val(1, 16)),
-                    ),
-                ),
-                mk("c", Expr::field(&["meta", "b"])),
-            ],
-            ..Default::default()
-        };
-        let p = P4Program {
-            name: "t".into(),
-            target: Target::Tna,
-            headers: vec![].into(),
-            parser: None,
-            controls: vec![control].into(),
-        };
+        // first's output → needs stage ≥ 2.
+        let read = ra("ra", "R", 16, "o = m;");
+        let p = program(
+            "",
+            &format!(
+                "bit<16> a;
+                bit<16> b;
+                bit<16> c;
+                Register<bit<16>, bit<32>>(64) R;
+                {read}
+                apply {{
+                    meta.a = ra.execute(32w0);
+                    // b = a + 1 (stage 1)
+                    meta.b = meta.a + 16w1;
+                    meta.c = ra.execute(meta.b);
+                }}"
+            ),
+        );
         // The second access needs stage ≥ 2 while the first pinned R at 0.
         // Repinning moves R to 2 — but then the FIRST access reads R at 2
         // and `b` computes at 3, making the second access need ≥ 4; this
@@ -1083,59 +1032,68 @@ mod tests {
         );
     }
 
+    /// A register whose later access needs a later stage than its first
+    /// access placed it at is repinned once, and both accesses execute at
+    /// the new stage on one SALU.
+    #[test]
+    fn register_repinning_to_a_later_stage_succeeds() {
+        let read = ra("ra", "R", 16, "o = m;");
+        let p = program(
+            NCL,
+            &format!(
+                "bit<16> h0;
+                Register<bit<16>, bit<32>>(64) R;
+                {read}
+                Hash<bit<16>>(HashAlgorithm_t.CRC16) H;
+                apply {{
+                    // A constant index places R at stage 0 ...
+                    ra.execute(32w0);
+                    meta.h0 = H.get({{hdr.ncl.K}});
+                    // ... and a hash-derived one needs it at stage 1: R moves
+                    // there, and the first access, which depends on nothing,
+                    // follows it.
+                    ra.execute(meta.h0);
+                }}"
+            ),
+        );
+        let r = allocate(&p, &spec()).unwrap();
+        assert_eq!(r.stages_used, 2, "{:?}", r.per_stage);
+        assert_eq!(r.per_stage[0].hash_units, 1);
+        let salus: Vec<u32> = r.per_stage.iter().map(|s| s.salus).collect();
+        assert_eq!(salus[..2], [0, 1]);
+        assert_eq!(salus.iter().sum::<u32>(), 1);
+    }
+
     /// A pinned register bumped off the last stage for want of a SALU is an
     /// exhausted pipeline, reported like the same exhaustion on a register
     /// that was never pinned — not a conflict between its accesses.
     #[test]
     fn salu_bump_past_the_last_stage_is_out_of_stages() {
-        let ra = |name: &str, register: &str| RegisterActionDef {
-            name: name.into(),
-            register: register.into(),
-            op: AtomicOp { rmw: AtomicRmw::Read, cond: false, ret_new: false },
-            cond: None,
-            operands: vec![],
-        };
-        let hash = |dst: &str| Stmt::HashGet {
-            dst: Expr::field(&["meta", dst]),
-            hash: "H".into(),
-            args: vec![Expr::field(&["hdr", "ncl", "K"])],
-        };
-        let exec =
-            |ra: &str, index: Expr| Stmt::ExecuteRegisterAction { dst: None, ra: ra.into(), index };
-        let control = ControlDef {
-            name: "Ig".into(),
-            locals: vec![("h0".into(), 16), ("h1".into(), 16)],
-            registers: vec![
-                RegisterDef { name: "X".into(), elem_bits: 16, size: 64 },
-                RegisterDef { name: "Y".into(), elem_bits: 16, size: 64 },
-            ],
-            register_actions: vec![ra("x", "X"), ra("y", "Y")],
-            hashes: vec![HashDef { name: "H".into(), algo: HashKind::Crc16, out_bits: 16 }],
-            apply: vec![
-                // Y's index is a hash output: Y sits at stage 1.
-                hash("h0"),
-                exec("y", Expr::field(&["meta", "h0"])),
-                // X lands at stage 0, then its second access needs stage 1:
-                // the repin finds Y on stage 1's only SALU and bumps X to
-                // stage 2 of a two-stage pipeline.
-                exec("x", Expr::val(0, 32)),
-                hash("h1"),
-                exec("x", Expr::field(&["meta", "h1"])),
-            ],
-            ..Default::default()
-        };
-        let p = P4Program {
-            name: "t".into(),
-            target: Target::Tna,
-            headers: vec![HeaderDef {
-                name: "ncl_t".into(),
-                fields: vec![("K".into(), 32)],
-                stack: 1,
-            }]
-            .into(),
-            parser: None,
-            controls: vec![control].into(),
-        };
+        let p = program(
+            NCL,
+            &format!(
+                "bit<16> h0;
+                bit<16> h1;
+                Register<bit<16>, bit<32>>(64) X;
+                Register<bit<16>, bit<32>>(64) Y;
+                {}
+                {}
+                Hash<bit<16>>(HashAlgorithm_t.CRC16) H;
+                apply {{
+                    // Y's index is a hash output: Y sits at stage 1.
+                    meta.h0 = H.get({{hdr.ncl.K}});
+                    y.execute(meta.h0);
+                    // X lands at stage 0, then its second access needs stage
+                    // 1: the repin finds Y on stage 1's only SALU and bumps X
+                    // to stage 2 of a two-stage pipeline.
+                    x.execute(32w0);
+                    meta.h1 = H.get({{hdr.ncl.K}});
+                    x.execute(meta.h1);
+                }}",
+                ra("x", "X", 16, "o = m;"),
+                ra("y", "Y", 16, "o = m;")
+            ),
+        );
         let two_stages = TofinoSpec { stages: 2, salus_per_stage: 1, ..TofinoSpec::tofino1() };
         assert_eq!(
             allocate(&p, &two_stages).unwrap_err(),
@@ -1149,30 +1107,10 @@ mod tests {
     #[test]
     fn out_of_stages_on_tiny_pipeline() {
         // A chain of 5 dependent ALU ops needs 5 stages; tiny has 3.
-        let mut apply = Vec::new();
-        let mut prev = "f0".to_string();
-        let mut locals = vec![("f0".into(), 16)];
-        for i in 1..=5 {
-            let cur = format!("f{i}");
-            locals.push((cur.as_str().into(), 16));
-            apply.push(Stmt::Assign(
-                Expr::field(&["meta", &cur]),
-                Expr::Bin(
-                    P4BinOp::Add,
-                    Box::new(Expr::field(&["meta", &prev])),
-                    Box::new(Expr::val(1, 16)),
-                ),
-            ));
-            prev = cur;
-        }
-        let p = P4Program {
-            name: "chain".into(),
-            target: Target::Tna,
-            headers: vec![].into(),
-            parser: None,
-            controls: vec![ControlDef { name: "Ig".into(), locals, apply, ..Default::default() }]
-                .into(),
-        };
+        let locals: String = (0..=5).map(|i| format!("bit<16> f{i};\n")).collect();
+        let apply: String =
+            (1..=5).map(|i| format!("meta.f{i} = meta.f{} + 16w1;\n", i - 1)).collect();
+        let p = program("", &format!("{locals}apply {{\n{apply}}}"));
         let r = allocate(&p, &TofinoSpec::tiny());
         assert!(matches!(r, Err(AllocError::OutOfStages { .. })), "{r:?}");
         // But it fits the full pipeline.
@@ -1181,32 +1119,13 @@ mod tests {
 
     #[test]
     fn ternary_tables_consume_tcam_exact_consume_sram() {
-        let mk_table = |name: &str, kind: MatchKind| TableDef {
-            name: name.into(),
-            keys: vec![(Expr::field(&["hdr", "ncl", "K"]), kind)],
-            actions: vec![],
-            entries: vec![],
-            default_action: "NoAction".into(),
-            size: 128,
+        let table = |name: &str, kind: &str| {
+            format!(
+                "table {name} {{ key = {{ hdr.ncl.K : {kind} }} actions = {{ NoAction; }} size = 128; }}"
+            )
         };
-        let p = P4Program {
-            name: "t".into(),
-            target: Target::Tna,
-            headers: vec![HeaderDef {
-                name: "ncl_t".into(),
-                fields: vec![("K".into(), 32)],
-                stack: 1,
-            }]
-            .into(),
-            parser: None,
-            controls: vec![ControlDef {
-                name: "Ig".into(),
-                tables: vec![mk_table("e", MatchKind::Exact), mk_table("r", MatchKind::Range)],
-                apply: vec![Stmt::ApplyTable("e".into()), Stmt::ApplyTable("r".into())],
-                ..Default::default()
-            }]
-            .into(),
-        };
+        let (e, r) = (table("e", "exact"), table("r", "range"));
+        let p = program(NCL, &format!("{e}\n{r}\napply {{ e.apply(); r.apply(); }}"));
         let r = allocate(&p, &spec()).unwrap();
         let sram: u64 = r.per_stage.iter().map(|s| s.sram_bits).sum();
         let tcam: u64 = r.per_stage.iter().map(|s| s.tcam_bits).sum();
@@ -1217,18 +1136,9 @@ mod tests {
 
     #[test]
     fn phv_overflow_rejected() {
-        let p = P4Program {
-            name: "fat".into(),
-            target: Target::Tna,
-            headers: vec![HeaderDef {
-                name: "big_t".into(),
-                fields: vec![("v".into(), 32)],
-                stack: 200, // 6400 bits > 4096
-            }]
-            .into(),
-            parser: None,
-            controls: Default::default(),
-        };
+        // 200 × 32 = 6400 bits > 4096.
+        let p = parse_program("header big_t { bit<32> v; } struct headers_t { big_t[200] big; }")
+            .unwrap();
         let r = allocate(&p, &spec());
         assert!(matches!(r, Err(AllocError::PhvOverflow { .. })));
     }
@@ -1237,55 +1147,32 @@ mod tests {
     /// with a structured diagnostic naming tenant and resource.
     #[test]
     fn tenant_attribution_and_budget_rejection() {
-        let ra = |t: u16| RegisterActionDef {
-            name: format!("t{t}__incr").into(),
-            register: format!("t{t}__Cnt").into(),
-            op: AtomicOp { rmw: AtomicRmw::SAdd, cond: false, ret_new: true },
-            cond: None,
-            operands: vec![Expr::val(1, 32)],
+        let incr = |t: u16| {
+            ra(&format!("t{t}__incr"), &format!("t{t}__Cnt"), 32, "m = m |+| 32w1; o = m;")
         };
-        let reg =
-            |t: u16| RegisterDef { name: format!("t{t}__Cnt").into(), elem_bits: 32, size: 1024 };
-        let control = ControlDef {
-            name: "Ig".into(),
-            locals: vec![("a".into(), 32), ("b".into(), 32)],
-            registers: vec![reg(0), reg(1)],
-            register_actions: vec![ra(0), ra(1)],
-            tables: vec![TableDef {
-                name: "lu_t1__cache_0".into(),
-                keys: vec![(Expr::field(&["hdr", "ncl", "K"]), MatchKind::Exact)],
-                actions: vec![],
-                entries: vec![],
-                default_action: "NoAction".into(),
-                size: 64,
-            }],
-            apply: vec![
-                Stmt::ExecuteRegisterAction {
-                    dst: Some(Expr::field(&["meta", "a"])),
-                    ra: "t0__incr".into(),
-                    index: Expr::val(0, 32),
-                },
-                Stmt::ExecuteRegisterAction {
-                    dst: Some(Expr::field(&["meta", "b"])),
-                    ra: "t1__incr".into(),
-                    index: Expr::val(0, 32),
-                },
-                Stmt::ApplyTable("lu_t1__cache_0".into()),
-            ],
-            ..Default::default()
-        };
-        let p = P4Program {
-            name: "mt".into(),
-            target: Target::Tna,
-            headers: vec![HeaderDef {
-                name: "ncl_t".into(),
-                fields: vec![("K".into(), 32)],
-                stack: 1,
-            }]
-            .into(),
-            parser: None,
-            controls: vec![control].into(),
-        };
+        let p = program(
+            NCL,
+            &format!(
+                "bit<32> a;
+                bit<32> b;
+                Register<bit<32>, bit<32>>(1024) t0__Cnt;
+                Register<bit<32>, bit<32>>(1024) t1__Cnt;
+                {}
+                {}
+                table lu_t1__cache_0 {{
+                    key = {{ hdr.ncl.K : exact }}
+                    actions = {{ NoAction; }}
+                    size = 64;
+                }}
+                apply {{
+                    meta.a = t0__incr.execute(32w0);
+                    meta.b = t1__incr.execute(32w0);
+                    lu_t1__cache_0.apply();
+                }}",
+                incr(0),
+                incr(1)
+            ),
+        );
         let r = allocate(&p, &spec()).unwrap();
         assert_eq!(r.tenants.len(), 2);
         let t0 = &r.tenants[0];

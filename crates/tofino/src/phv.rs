@@ -52,7 +52,7 @@ pub fn account(program: &P4Program, spec: &TofinoSpec) -> PhvReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netcl_p4::ast::{ControlDef, HeaderDef, Target};
+    use netcl_p4::parse::parse_program;
 
     #[test]
     fn container_rounding() {
@@ -66,23 +66,12 @@ mod tests {
 
     #[test]
     fn accounts_stacks_and_metadata() {
-        let p = P4Program {
-            name: "t".into(),
-            target: Target::Tna,
-            headers: vec![HeaderDef {
-                name: "v_t".into(),
-                fields: vec![("value".into(), 32)],
-                stack: 32,
-            }]
-            .into(),
-            parser: None,
-            controls: vec![ControlDef {
-                name: "Ig".into(),
-                locals: vec![("a".into(), 1), ("b".into(), 16)],
-                ..Default::default()
-            }]
-            .into(),
-        };
+        let p = parse_program(
+            "header v_t { bit<32> value; }
+            struct headers_t { v_t[32] v; }
+            control Ig(inout headers_t hdr, inout metadata_t meta) { bit<1> a; bit<16> b; apply { } }",
+        )
+        .unwrap();
         let r = account(&p, &TofinoSpec::tofino1());
         // 32 × 32 bits + 32 validity bits.
         assert_eq!(r.header_bits, 32 * 32 + 32);

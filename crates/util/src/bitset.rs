@@ -70,14 +70,6 @@ impl BitSet {
         }
     }
 
-    /// Sets every bit.
-    pub fn insert_all(&mut self) {
-        for w in &mut self.words {
-            *w = u64::MAX;
-        }
-        self.trim();
-    }
-
     /// Clears every bit.
     pub fn clear(&mut self) {
         for w in &mut self.words {
@@ -88,30 +80,6 @@ impl BitSet {
     /// Number of set bits.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// `self &= other`; returns whether `self` changed. Lengths must match.
-    pub fn intersect_with(&mut self, other: &BitSet) -> bool {
-        assert_eq!(self.len, other.len);
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let old = *a;
-            *a &= b;
-            changed |= old != *a;
-        }
-        changed
-    }
-
-    /// `self |= other`; returns whether `self` changed. Lengths must match.
-    pub fn union_with(&mut self, other: &BitSet) -> bool {
-        assert_eq!(self.len, other.len);
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let old = *a;
-            *a |= b;
-            changed |= old != *a;
-        }
-        changed
     }
 
     /// Iterates over set bit indices in ascending order.
@@ -128,15 +96,6 @@ impl BitSet {
                 }
             })
         })
-    }
-
-    fn trim(&mut self) {
-        let spare = self.words.len() * 64 - self.len;
-        if spare > 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= u64::MAX >> spare;
-            }
-        }
     }
 }
 
@@ -174,27 +133,6 @@ mod tests {
         assert!(s.remove(64));
         assert!(!s.contains(64));
         assert_eq!(s.count(), 2);
-    }
-
-    #[test]
-    fn insert_all_respects_len() {
-        let mut s = BitSet::new(70);
-        s.insert_all();
-        assert_eq!(s.count(), 70);
-        assert!(!s.contains(70));
-    }
-
-    #[test]
-    fn intersection_and_union() {
-        let mut a: BitSet = [1usize, 3, 5].into_iter().collect();
-        let mut b = BitSet::new(a.len());
-        b.insert(3);
-        b.insert(4);
-        let mut inter = a.clone();
-        assert!(inter.intersect_with(&b));
-        assert_eq!(inter.iter().collect::<Vec<_>>(), vec![3]);
-        assert!(a.union_with(&b));
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 3, 4, 5]);
     }
 
     #[test]

@@ -143,14 +143,6 @@ impl SourceMap {
             None => "<unknown>".to_string(),
         }
     }
-
-    /// The source text a span covers, or `""` for dummy spans.
-    pub fn snippet(&self, span: Span) -> &str {
-        match self.file(span) {
-            Some(f) => f.text.get(span.lo as usize..span.hi as usize).unwrap_or(""),
-            None => "",
-        }
-    }
 }
 
 /// How serious a diagnostic is.
@@ -341,12 +333,11 @@ mod tests {
     }
 
     #[test]
-    fn describe_and_snippet() {
+    fn describe_names_the_file_line_and_column() {
         let mut map = SourceMap::new();
         map.add_file("k.ncl", "_kernel(1) void f() {}\n");
         let span = Span::new(11, 15);
         assert_eq!(map.describe(span), "k.ncl:1:12");
-        assert_eq!(map.snippet(span), "void");
     }
 
     #[test]

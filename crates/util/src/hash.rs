@@ -72,16 +72,6 @@ pub fn crc16_u32(key: u32) -> u16 {
     crc16(&key.to_le_bytes())
 }
 
-/// See [`crc16_u32`].
-pub fn crc32_u32(key: u32) -> u32 {
-    crc32(&key.to_le_bytes())
-}
-
-/// See [`crc16_u32`].
-pub fn xor16_u32(key: u32) -> u16 {
-    xor16(&key.to_le_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,8 +122,6 @@ mod tests {
     fn u32_helpers_match_byte_forms() {
         let k = 0x1234_5678u32;
         assert_eq!(crc16_u32(k), crc16(&k.to_le_bytes()));
-        assert_eq!(crc32_u32(k), crc32(&k.to_le_bytes()));
-        assert_eq!(xor16_u32(k), xor16(&k.to_le_bytes()));
     }
 
     #[test]

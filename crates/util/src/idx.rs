@@ -97,11 +97,6 @@ impl<I: Idx, T> IndexVec<I, T> {
         self.raw.is_empty()
     }
 
-    /// The index the *next* push would return.
-    pub fn next_index(&self) -> I {
-        I::from_usize(self.raw.len())
-    }
-
     /// Iterates over `(index, &element)` pairs.
     pub fn iter_enumerated(&self) -> impl Iterator<Item = (I, &T)> {
         self.raw.iter().enumerate().map(|(i, t)| (I::from_usize(i), t))
@@ -180,14 +175,6 @@ mod tests {
         assert_eq!(b.index(), 1);
         assert_eq!(v[a], "a");
         assert_eq!(v[b], "b");
-    }
-
-    #[test]
-    fn next_index_predicts_push() {
-        let mut v: IndexVec<TestId, u32> = IndexVec::new();
-        let predicted = v.next_index();
-        let actual = v.push(7);
-        assert_eq!(predicted, actual);
     }
 
     #[test]
