@@ -169,7 +169,7 @@ pub(crate) fn assemble(
     labels: &[usize],
 ) -> (Box<[OpFn]>, Vec<usize>) {
     let mut pc_of = vec![usize::MAX; items.len() + 1];
-    let mut lens = Vec::new();
+    let mut lens = Vec::with_capacity(items.len());
     let mut i = 0;
     while i < items.len() {
         pc_of[i] = lens.len();

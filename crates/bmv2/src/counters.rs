@@ -114,13 +114,13 @@ impl Switch {
 
     /// Zeroes all counters (e.g. between a warmup and a measured run).
     pub fn reset_counters(&mut self) {
-        self.st.counters = SwitchCounters::new(&self.layout);
+        self.st.counters = SwitchCounters::new(&self.loaded.layout);
     }
 
     /// Per-table `(name, hits, misses)`, in table-state order. Duplicated
     /// lookup tables (`name__dupN`) report separately.
     pub fn table_stats(&self) -> impl Iterator<Item = (&str, u64, u64)> {
-        self.layout.table_states.iter().enumerate().map(|(i, t)| {
+        self.loaded.layout.table_states.iter().enumerate().map(|(i, t)| {
             (t.name.as_str(), self.st.counters.table_hits[i], self.st.counters.table_misses[i])
         })
     }
@@ -161,7 +161,7 @@ impl Switch {
     pub fn tenant_table_stats(&self, tenant: u16) -> (u64, u64) {
         let mut hits = 0;
         let mut misses = 0;
-        for (i, t) in self.layout.table_states.iter().enumerate() {
+        for (i, t) in self.loaded.layout.table_states.iter().enumerate() {
             if netcl_util::tenant::of(&t.name) == Some(tenant) {
                 hits += self.st.counters.table_hits[i];
                 misses += self.st.counters.table_misses[i];

@@ -188,7 +188,7 @@ impl Switch {
         }
         for op in &update.ops {
             // Validation resolved every table name, so indexing cannot miss.
-            let entries = &mut self.st.tables[self.layout.table_index[op.table()] as usize];
+            let entries = &mut self.st.tables[self.loaded.layout.table_index[op.table()] as usize];
             match op {
                 TableOp::Insert { entry, .. } => entries.push(entry.clone()),
                 TableOp::Modify { entry, .. } => {
@@ -208,12 +208,12 @@ impl Switch {
     pub fn validate_update(&self, update: &TableUpdate) -> Result<(), UpdateError> {
         for op in &update.ops {
             let table = op.table();
-            let Some(&state) = self.layout.table_index.get(table) else {
+            let Some(&state) = self.loaded.layout.table_index.get(table) else {
                 return Err(UpdateError::UnknownTable(table.to_string()));
             };
             // The table's first definition gives the key arity and the
             // action scope; every definition of one state agrees on both.
-            let site = &self.layout.table_states[state as usize];
+            let site = &self.loaded.layout.table_states[state as usize];
             match op {
                 TableOp::Insert { entry, .. } | TableOp::Modify { entry, .. } => {
                     validate_entry(entry, site)?;
@@ -242,13 +242,13 @@ impl Switch {
 impl Switch {
     /// Reads one register element.
     pub fn register_read(&self, name: &str, index: usize) -> Option<u64> {
-        let i = *self.layout.reg_index.get(name)?;
+        let i = *self.loaded.layout.reg_index.get(name)?;
         self.st.registers[i as usize].get(index).copied()
     }
 
     /// Writes one register element.
     pub fn register_write(&mut self, name: &str, index: usize, value: u64) -> bool {
-        let Some(&i) = self.layout.reg_index.get(name) else { return false };
+        let Some(&i) = self.loaded.layout.reg_index.get(name) else { return false };
         match self.st.registers[i as usize].get_mut(index) {
             Some(cell) => {
                 *cell = value;
@@ -261,7 +261,8 @@ impl Switch {
     /// All registers with their current contents (diagnostics and
     /// differential tests).
     pub fn registers(&self) -> impl Iterator<Item = (&str, &[u64])> {
-        self.layout
+        self.loaded
+            .layout
             .regs
             .iter()
             .zip(&self.st.registers)
@@ -270,14 +271,15 @@ impl Switch {
 
     /// A table's current entries, in match order.
     pub fn table_entries(&self, table: &str) -> Option<&[TableEntry]> {
-        let &i = self.layout.table_index.get(table)?;
+        let &i = self.loaded.layout.table_index.get(table)?;
         Some(&self.st.tables[i as usize])
     }
 
     /// Tables whose names start with `prefix` (lookup duplication creates
     /// `name`, `name__dup1`, ... that must be updated together).
     pub fn tables_with_prefix(&self, prefix: &str) -> Vec<String> {
-        self.layout
+        self.loaded
+            .layout
             .table_states
             .iter()
             .filter(|t| t.name.starts_with(prefix))

@@ -8,6 +8,7 @@ use netcl_p4::ast::{Expr, Ns, P4BinOp};
 pub fn eval(e: &Expr, pkt: &Packet, widths: &dyn Fn(&str) -> u32) -> (u64, u32) {
     match e {
         Expr::Const(v, bits) => (*v, *bits),
+        Expr::Device => (pkt.device() as u64, 16),
         Expr::Bool(b) => (*b as u64, 1),
         Expr::Field(p) => {
             if p.is_validity() {

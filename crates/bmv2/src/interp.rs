@@ -125,7 +125,7 @@ impl Switch {
     }
 
     fn width_fn(&self) -> impl Fn(&str) -> u32 + '_ {
-        move |path: &str| self.layout.width_of(path)
+        move |path: &str| self.loaded.layout.width_of(path)
     }
 
     fn exec_stmts(
@@ -143,7 +143,7 @@ impl Switch {
     fn assign(&self, pkt: &mut Packet, dst: &Expr, value: u64) {
         let Expr::Field(p) = dst else { return };
         let path = p.canonical();
-        let v = value & mask_of(self.layout.width_of(path));
+        let v = value & mask_of(self.loaded.layout.width_of(path));
         if p.ns() == Ns::Meta {
             pkt.set_meta(path, v);
         } else {
@@ -194,10 +194,9 @@ impl Switch {
                     ops.push(eval(o, pkt, &widths).0 & mask_of(bits));
                 }
                 drop(widths);
-                let reg_i =
-                    self.layout.reg_index.get(&radef.register).copied().ok_or_else(|| {
-                        SwitchError::Unknown(format!("register `{}`", radef.register))
-                    })?;
+                let reg_i = self.loaded.layout.reg_index.get(&radef.register).copied().ok_or_else(
+                    || SwitchError::Unknown(format!("register `{}`", radef.register)),
+                )?;
                 let cells = &mut self.st.registers[reg_i as usize];
                 let i = (idx as usize).min(cells.len().saturating_sub(1));
                 let old = cells.get(i).copied().unwrap_or(0);
@@ -294,7 +293,7 @@ impl Switch {
         let widths = self.width_fn();
         let key_vals: Vec<u64> = t.keys.iter().map(|(k, _)| eval(k, pkt, &widths).0).collect();
         drop(widths);
-        let state = self.layout.table_index.get(name).copied();
+        let state = self.loaded.layout.table_index.get(name).copied();
         let entries = state.map(|i| self.st.tables[i as usize].clone()).unwrap_or_default();
         let hit = entries.iter().find(|e| {
             e.keys.len() == key_vals.len()

@@ -17,14 +17,16 @@
 //! [`Switch::apply_update`] — the only way to change a table — for rules)
 //! backs the NetCL `_managed_` memory API (§V-B).
 //!
-//! A program is lowered once, at [`Switch::new`]: one walk over the AST
-//! builds the layout everything shares (field slots, widths, register and
-//! table identity) and the direct-threaded closure arrays the production
-//! engine runs. Per-packet execution walks those arrays with zero heap
-//! allocation for interned fields. There are exactly two engines:
-//! [`Switch::set_engine`] selects between threaded and the original
-//! tree-walking interpreter, which remains the differential-testing
-//! oracle.
+//! A program is lowered once, at the first [`Switch::new`] of its parts:
+//! one walk over the AST builds the layout everything shares (field slots,
+//! widths, register and table identity) and the direct-threaded closure
+//! arrays the production engine runs. Every later switch loaded from the
+//! same parts — one module placed at many devices — shares that loaded
+//! program and owns only its state and its device. Per-packet execution
+//! walks those arrays with zero heap allocation for interned fields. There
+//! are exactly two engines: [`Switch::set_engine`] selects between threaded
+//! and the original tree-walking interpreter, which remains the
+//! differential-testing oracle.
 //!
 //! DESIGN.md §10 describes the layout, the lowering and the threaded
 //! engine; §12 the data-plane counters ([`Switch::counters`]) both engines
@@ -40,6 +42,7 @@ pub mod ctrl;
 pub mod eval;
 mod interp;
 mod layout;
+mod loaded;
 mod lower;
 pub mod packet;
 pub mod switch;

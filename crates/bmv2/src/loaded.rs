@@ -1,0 +1,106 @@
+//! The loaded program: a program's parts lowered once (`lower.rs`) into
+//! the layout and the threaded ops, and shared by every switch loaded from
+//! those same parts (DESIGN.md §10).
+//!
+//! Invariants:
+//! - A loaded program holds nothing a switch changes or owns. Registers,
+//!   tables and counters live in the switch's `RuntimeState`; the device is
+//!   the switch's, stamped on each packet it runs, and is what a program's
+//!   `Expr::Device` leaf reads on both engines.
+//! - Two programs share a loaded program only when their `headers`,
+//!   `parser` and `controls` are the same allocations. The loaded program
+//!   holds those `Arc`s, so while it lives, the addresses that key it in the
+//!   table name exactly its parts; a hit is still confirmed with
+//!   `Arc::ptr_eq`. Equal parts in distinct allocations load apart.
+//! - The table holds no strong reference. The last switch to drop a loaded
+//!   program frees it, and its `Drop` removes its entry.
+
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError, Weak};
+
+use crate::layout::Layout;
+use crate::lower;
+use crate::threaded::ThreadedProgram;
+use netcl_p4::ast::{ControlDef, HeaderDef, P4Program, ParserDef};
+
+/// A program lowered once, for every switch loaded from its parts.
+pub(crate) struct Loaded {
+    parts: Parts,
+    /// The addresses of `parts`: its entry in the table.
+    key: Key,
+    /// Slots, widths, register and table identity (`layout.rs`): what the
+    /// interpreter, the control plane ([`crate::ctrl`]) and the counters
+    /// share with the threaded ops.
+    pub(crate) layout: Layout,
+    /// The direct-threaded lowering (`threaded.rs`).
+    pub(crate) threaded: ThreadedProgram,
+}
+
+/// The parts of a program that the lowering reads.
+struct Parts {
+    headers: Arc<Vec<HeaderDef>>,
+    parser: Option<Arc<ParserDef>>,
+    controls: Arc<Vec<ControlDef>>,
+}
+
+/// The addresses of a program's parts (0 for no parser).
+type Key = [usize; 3];
+
+fn key(p: &P4Program) -> Key {
+    let parser = p.parser.as_ref().map_or(0, |a| Arc::as_ptr(a) as usize);
+    [Arc::as_ptr(&p.headers) as usize, parser, Arc::as_ptr(&p.controls) as usize]
+}
+
+impl Parts {
+    fn of(p: &P4Program) -> Parts {
+        Parts {
+            headers: Arc::clone(&p.headers),
+            parser: p.parser.clone(),
+            controls: Arc::clone(&p.controls),
+        }
+    }
+
+    /// Whether `p`'s parts are these allocations.
+    fn are(&self, p: &P4Program) -> bool {
+        let parser = |x: &Option<Arc<ParserDef>>| x.as_ref().map(Arc::as_ptr);
+        Arc::ptr_eq(&self.headers, &p.headers)
+            && parser(&self.parser) == parser(&p.parser)
+            && Arc::ptr_eq(&self.controls, &p.controls)
+    }
+}
+
+/// The live loaded programs, by the addresses of their parts.
+fn table() -> MutexGuard<'static, HashMap<Key, Weak<Loaded>>> {
+    static TABLE: LazyLock<Mutex<HashMap<Key, Weak<Loaded>>>> = LazyLock::new(Default::default);
+    // An entry is inserted or removed whole, so a panic elsewhere while the
+    // lock was held leaves the table consistent.
+    TABLE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Loaded {
+    /// The loaded program of `program`'s parts: the live one a switch was
+    /// loaded with from these same allocations, or else a new lowering.
+    pub(crate) fn of(program: &P4Program) -> Arc<Loaded> {
+        let key = key(program);
+        // The guard is released at the end of this statement, before any
+        // `Arc` is dropped: a drop may run `Loaded::drop`, which locks.
+        let live = table().get(&key).and_then(Weak::upgrade);
+        if let Some(loaded) = live.filter(|l| l.parts.are(program)) {
+            return loaded;
+        }
+        let (layout, threaded) = lower::lower(program);
+        let loaded = Arc::new(Loaded { parts: Parts::of(program), key, layout, threaded });
+        table().insert(key, Arc::downgrade(&loaded));
+        loaded
+    }
+}
+
+impl Drop for Loaded {
+    fn drop(&mut self) {
+        let mut table = table();
+        // Another load of these parts may have replaced the entry since.
+        if table.get(&self.key).is_some_and(|w| w.strong_count() == 0) {
+            table.remove(&self.key);
+        }
+    }
+}

@@ -1,5 +1,5 @@
 //! The one lowering: [`P4Program`] → [`Layout`] + [`ThreadedProgram`], in
-//! one walk at [`crate::Switch::new`] (DESIGN.md §10).
+//! one walk, once per loaded program (`loaded.rs`, DESIGN.md §10).
 //!
 //! The walk goes control by control — registers, actions' parameters,
 //! tables, action bodies, `apply` — then the parser. Expressions become
@@ -127,6 +127,9 @@ fn lower_bin(op: P4BinOp, a: Operand, wa: u32, b: Operand, wb: u32) -> (Operand,
             (Operand::Slot(s), Operand::Const(k)) | (Operand::Const(k), Operand::Slot(s)) => {
                 (Operand::EqK(s, k), 1)
             }
+            (Operand::Slot(s), Operand::Device) | (Operand::Device, Operand::Slot(s)) => {
+                (Operand::EqDevice(s), 1)
+            }
             (a, b) => (fuse2(a, b, |x, y| (x == y) as u64), 1),
         },
         P4BinOp::Ne => (fuse2(a, b, |x, y| (x != y) as u64), 1),
@@ -147,15 +150,25 @@ fn lower_bin(op: P4BinOp, a: Operand, wa: u32, b: Operand, wb: u32) -> (Operand,
 }
 
 impl Lowerer {
+    /// A lowerer whose vectors are sized for `program` up front: loading
+    /// allocates each once rather than as it grows.
     fn new(program: &P4Program) -> Lowerer {
+        let controls = program.controls.iter();
+        let bodies = controls.clone().flat_map(|c| c.actions.iter().map(|a| &a.body[..]));
+        let (items, labels) = bodies
+            .chain(controls.clone().map(|c| &c.apply[..]))
+            .map(emitted)
+            .fold((0, 0), |(i, l), (ni, nl)| (i + ni, l + nl));
+        let mut head = Vec::with_capacity(items + 1);
+        head.push(true);
         Lowerer {
             lay: Layout::new(program),
-            items: Vec::new(),
-            head: vec![true],
-            labels: Vec::new(),
-            actions: Vec::new(),
-            tables: Vec::new(),
-            applies: Vec::new(),
+            items: Vec::with_capacity(items),
+            head,
+            labels: Vec::with_capacity(labels),
+            actions: Vec::with_capacity(controls.clone().map(|c| c.actions.len()).sum()),
+            tables: Vec::with_capacity(controls.clone().map(|c| c.tables.len()).sum()),
+            applies: Vec::with_capacity(controls.len()),
         }
     }
 
@@ -165,6 +178,9 @@ impl Lowerer {
     fn operand(&mut self, e: &Expr) -> (Operand, u32) {
         match e {
             Expr::Const(v, bits) => (Operand::Const(*v), *bits),
+            // Read per packet, never folded: one lowering serves every
+            // device its program is placed at (`loaded.rs`).
+            Expr::Device => (Operand::Device, 16),
             Expr::Bool(b) => (Operand::Const(*b as u64), 1),
             Expr::Field(p) => {
                 if p.is_validity() {
@@ -591,6 +607,20 @@ impl Lowerer {
         };
         (lay, tp)
     }
+}
+
+/// At most how many items and labels lowering `stmts` emits: an item per
+/// statement, a jump in front of each `else` and a label per branch target.
+fn emitted(stmts: &[Stmt]) -> (usize, usize) {
+    stmts.iter().fold((0, 0), |(items, labels), s| match s {
+        Stmt::If { then, els, .. } => {
+            let (ti, tl) = emitted(then);
+            let (ei, el) = emitted(els);
+            let split = usize::from(!els.is_empty());
+            (items + 1 + split + ti + ei, labels + 1 + split + tl + el)
+        }
+        _ => (items + 1, labels),
+    })
 }
 
 /// Precomputes a header's fixed byte layout: the aligned prefix, its total

@@ -86,6 +86,9 @@ pub struct Packet {
     dynamic: Option<Box<DynPaths>>,
     /// Bytes following the parsed headers.
     pub payload: Vec<u8>,
+    /// The device the packet is running at, stamped by the switch that
+    /// runs it: what a program's `Expr::Device` leaf reads.
+    device: u16,
 }
 
 impl Default for Packet {
@@ -107,6 +110,7 @@ impl Packet {
             order: Vec::new(),
             dynamic: None,
             payload: Vec::new(),
+            device: 0,
             slots,
         }
     }
@@ -130,6 +134,16 @@ impl Packet {
         self.order.clear();
         self.payload.clear();
         self.dynamic = None;
+    }
+
+    /// The device the packet is running at (0 until a switch runs it).
+    #[inline]
+    pub(crate) fn device(&self) -> u16 {
+        self.device
+    }
+
+    pub(crate) fn set_device(&mut self, device: u16) {
+        self.device = device;
     }
 
     // ---- slot-addressed fast path ---------------------------------------

@@ -1,14 +1,15 @@
 //! The switch: one P4 program, its runtime state, and the packet entry
 //! points. Counters live in `counters.rs`, the interpreter oracle in
-//! `interp.rs`, register access and table updates in `ctrl.rs`.
+//! `interp.rs`, register access and table updates in `ctrl.rs`, the loaded
+//! program switches share in `loaded.rs`.
 //!
 //! Two execution engines share one runtime state (selected with
 //! [`Switch::set_engine`]):
 //!
 //! * the **threaded** production path (default): the program lowered once
-//!   (`lower.rs`) into direct-threaded closure arrays (`threaded.rs`) — no
-//!   per-op `match`, pre-resolved slots, masks, and register/table handles
-//!   (DESIGN.md §10);
+//!   per distinct program (`lower.rs`, `loaded.rs`) into direct-threaded
+//!   closure arrays (`threaded.rs`) — no per-op `match`, pre-resolved
+//!   slots, masks, and register/table handles (DESIGN.md §10);
 //! * the **tree-walking interpreter** (`interp.rs`): re-evaluates the AST
 //!   per packet; the differential oracle for the threaded engine.
 //!
@@ -26,9 +27,9 @@ use crate::batch::PacketBatch;
 use crate::counters::Tenancy;
 pub use crate::counters::{SwitchCounters, TenantCounters};
 use crate::layout::{FieldSlot, Layout};
-use crate::lower;
+use crate::loaded::Loaded;
 use crate::packet::{Packet, PacketError};
-use crate::threaded::{self, ThreadedProgram};
+use crate::threaded;
 use netcl_p4::ast::{P4Program, TableEntry};
 
 /// Which execution engine a [`Switch`] runs (see the module docs).
@@ -115,12 +116,13 @@ pub struct Switch {
     /// loaded from it). Crate-visible so the interpreter (`interp.rs`) can
     /// walk it.
     pub(crate) program: Arc<P4Program>,
-    /// Slots, widths, register and table identity (`layout.rs`): what the
-    /// interpreter, the control plane ([`crate::ctrl`]) and the counters
-    /// share with the lowered program.
-    pub(crate) layout: Layout,
-    /// The direct-threaded lowering of `program` (built once, in `new`).
-    threaded: ThreadedProgram,
+    /// `program`'s layout and threaded ops, shared with every switch loaded
+    /// from the same parts (`loaded.rs`).
+    pub(crate) loaded: Arc<Loaded>,
+    /// `program.device`, stamped on every packet this switch runs: what
+    /// the program's `Expr::Device` leaf reads. Held here so the packet
+    /// loop does not reach into the program.
+    device: u16,
     /// Crate-visible so [`crate::ctrl`] can bump the update counters.
     pub(crate) st: RuntimeState,
     /// Which engine `process` runs ([`Switch::set_engine`]).
@@ -133,22 +135,24 @@ pub struct Switch {
 }
 
 impl Switch {
-    /// Instantiates a switch for `program` with zeroed registers. The
-    /// program is lowered to direct-threaded form here, once. Takes an
-    /// owned `P4Program` or an
-    /// `Arc<P4Program>`; the switch never modifies it, so loading many
-    /// switches from one compiled program copies nothing.
+    /// Instantiates a switch for `program` with zeroed registers. Takes an
+    /// owned `P4Program` or an `Arc<P4Program>`; the switch never modifies
+    /// it. The program is lowered to direct-threaded form once per distinct
+    /// program: a switch loaded from a program whose `headers`, `parser`
+    /// and `controls` are the allocations another live switch was loaded
+    /// from — the programs of one module placed at many devices — shares
+    /// that switch's lowering and owns only its state and device.
     pub fn new(program: impl Into<Arc<P4Program>>) -> Switch {
         // Not generic, so the loader is compiled once, in this crate:
         // instantiated in each calling crate it moved the packet loop's
         // code and `switch_replay` measured 3 % slower.
         fn load(program: Arc<P4Program>) -> Switch {
-            let (layout, threaded) = lower::lower(&program);
-            let st = RuntimeState::new(&layout);
+            let loaded = Loaded::of(&program);
+            let st = RuntimeState::new(&loaded.layout);
             Switch {
+                device: program.device,
                 program,
-                layout,
-                threaded,
+                loaded,
                 st,
                 engine: Engine::default(),
                 timing: None,
@@ -175,6 +179,14 @@ impl Switch {
         &self.program
     }
 
+    /// Whether this switch and `other` run one loaded program: they were
+    /// loaded from programs whose parts are the same allocations while one
+    /// of them was live (module docs of `loaded.rs`). They still share no
+    /// state.
+    pub fn shares_program(&self, other: &Switch) -> bool {
+        Arc::ptr_eq(&self.loaded, &other.loaded)
+    }
+
     /// Selects the execution engine. Registers, tables, and counters carry
     /// over.
     pub fn set_engine(&mut self, engine: Engine) {
@@ -189,7 +201,7 @@ impl Switch {
     /// A packet shaped for this switch's slot table, for reuse with
     /// [`Switch::process_into`].
     pub fn new_packet(&self) -> Packet {
-        Packet::with_slots(Arc::clone(&self.layout.slots))
+        Packet::with_slots(Arc::clone(&self.loaded.layout.slots))
     }
 
     // ---- packet processing ----------------------------------------------
@@ -213,7 +225,7 @@ impl Switch {
         pkt: &mut Packet,
         out: &mut Vec<u8>,
     ) -> Result<(), SwitchError> {
-        pkt.ensure_slots(&self.layout.slots);
+        pkt.ensure_slots(&self.loaded.layout.slots);
         self.run_one(wire, pkt, out)
     }
 
@@ -236,13 +248,14 @@ impl Switch {
         let ra_before = self.st.counters.reg_action_execs;
         out.clear();
         pkt.reset();
+        pkt.set_device(self.device);
         let r = match self.engine {
             Engine::Interpreted => self.run_interp(wire, pkt, out),
-            // Split borrows: the lowered program and the runtime state are
+            // Split borrows: the loaded program and the runtime state are
             // disjoint fields, so no per-packet `Arc` refcount traffic.
             Engine::Threaded => {
-                let Switch { threaded, st, .. } = self;
-                threaded::run_threaded(threaded, wire, pkt, out, st)
+                let Switch { loaded, st, .. } = self;
+                threaded::run_threaded(&loaded.threaded, wire, pkt, out, st)
             }
         };
         if let Some(tid) = tenant {
@@ -268,7 +281,7 @@ impl Switch {
     /// per-packet routine — with packet shaping, output buffers and the
     /// wire arena amortized over the batch.
     pub fn process_batch(&mut self, batch: &mut PacketBatch) {
-        batch.prepare(&self.layout.slots);
+        batch.prepare(&self.loaded.layout.slots);
         for i in 0..batch.len() {
             let (wire, pkt, out) = batch.slot_mut(i);
             let r = self.run_one(wire, pkt, out);

@@ -51,6 +51,9 @@ pub(crate) enum Operand {
     /// `slot == k` (and `(bit<w>)` of it) — how generated code spells a
     /// SALU condition and the move that feeds it.
     EqK(FieldSlot, u64),
+    /// `slot == <device>`: the kernel guard's comparison, against the
+    /// device the switch stamped on the packet.
+    EqDevice(FieldSlot),
     /// Logical not of a slot read (`!flag` — a common conditional SALU
     /// helper condition, so worth an inline arm of its own).
     NotSlot(FieldSlot),
@@ -62,6 +65,8 @@ pub(crate) enum Operand {
     /// local — the dominant conditional-SALU condition shape).
     NotBare(FieldSlot, FieldSlot),
     Const(u64),
+    /// The device the switch stamped on the packet.
+    Device,
     Dyn(ExprFn),
 }
 
@@ -83,10 +88,12 @@ impl Operand {
             Operand::Slot(s) => p.value(*s),
             Operand::Masked(s, m) => p.value(*s) & m,
             Operand::EqK(s, k) => (p.value(*s) == *k) as u64,
+            Operand::EqDevice(s) => (p.value(*s) == p.device() as u64) as u64,
             Operand::NotSlot(s) => (p.value(*s) == 0) as u64,
             Operand::Bare(m, h) => bare(p, *m, *h),
             Operand::NotBare(m, h) => (bare(p, *m, *h) == 0) as u64,
             Operand::Const(v) => *v,
+            Operand::Device => p.device() as u64,
             Operand::Dyn(f) => f(p),
         }
     }

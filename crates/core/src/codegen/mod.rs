@@ -78,31 +78,14 @@ pub fn generate_at(
 
 /// The per-device step of code generation. A module says nothing about the
 /// device it runs on, so a program generated from it differs between two
-/// devices in exactly two places, which this writes: the program name
-/// `<unit>_dev<device>` and the `hdr.ncl.to == <device>` guard around the
-/// kernels (the no-implicit-computation rule, §IV). Applied to a clone of
-/// another device's program, it copies that program's one control and
-/// shares its headers and parser.
-///
-/// # Panics
-///
-/// If `program` was not made by [`generate_at`]: it has no device guard.
+/// devices in exactly two fields, which this writes: the program name
+/// `<unit>_dev<device>` and the device, which the kernels' guard
+/// `hdr.ncl.to == <device>` reads (the no-implicit-computation rule, §IV).
+/// Applied to a clone of another device's program, it shares every part of
+/// that program and copies none.
 pub fn place(program: &mut P4Program, unit: &str, device: u16) {
     program.name = format!("{unit}_dev{device}");
-    let apply = Arc::make_mut(&mut program.controls).first_mut().map(|ig| ig.apply.first_mut());
-    let Some(Some(Stmt::If { cond, .. })) = apply else {
-        panic!("`{}` is not a generated program: no device guard", program.name)
-    };
-    *cond = device_guard(device);
-}
-
-/// `hdr.ncl.isValid() && hdr.ncl.to == <device>`: the condition a program's
-/// kernels run under.
-fn device_guard(device: u16) -> Expr {
-    let valid = Expr::field(&["hdr", NCL_HDR, "$isValid"]);
-    let to = Expr::field(&["hdr", NCL_HDR, "to"]);
-    let here = Expr::Bin(P4BinOp::Eq, Box::new(to), Box::new(Expr::val(device as u64, 16)));
-    Expr::Bin(P4BinOp::LAnd, Box::new(valid), Box::new(here))
+    program.device = device;
 }
 
 /// The name of the NetCL shim header instance.
@@ -243,7 +226,7 @@ impl Codegen<'_> {
     }
 
     /// The apply block: kernels behind a computation-id `if` / `else` chain,
-    /// inside the device guard [`place`] writes, then base forwarding.
+    /// inside the device guard, then base forwarding.
     fn kernels(&mut self) -> Result<Vec<Stmt>, CodegenError> {
         let module = self.module;
         let mut arms = Vec::with_capacity(module.kernels.len());
@@ -263,7 +246,7 @@ impl Codegen<'_> {
             .rev()
             .fold(vec![], |els, (cond, then)| vec![Stmt::If { cond, then, els }]);
         Ok(vec![
-            Stmt::If { cond: Expr::Bool(false), then: chain, els: vec![] },
+            Stmt::If { cond: Expr::device_guard(), then: chain, els: vec![] },
             Stmt::ApplyTable("l2_fwd".into()),
         ])
     }

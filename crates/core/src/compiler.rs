@@ -79,10 +79,10 @@ impl CompileTimings {
 /// when one is really needed; neither reaches the cache's copy.
 #[derive(Clone, Debug)]
 pub struct CompiledDevice {
-    /// The device this output runs on — the one place a compiled device's
-    /// id is kept: the IR does not name it, and the P4 embeds it only in
-    /// what [`codegen::place`] writes. Devices that run one program share
-    /// their IR.
+    /// The device this output runs on. The IR does not name it, and the P4
+    /// programs hold it only in the fields [`codegen::place`] writes.
+    /// Devices that run one program share their IR and every part of their
+    /// P4 programs.
     pub device: u16,
     /// Tofino-legal IR (post Tofino pipeline) — the allocator's input.
     pub tna_ir: Arc<Module>,
@@ -268,7 +268,8 @@ impl Compiler {
 
 /// A device that runs `program`, placed at `device`: the IR shared, the
 /// pass reports marked `from_cache`, and — when `program` was built for
-/// another device — each emitted program re-placed by [`codegen::place`].
+/// another device — each emitted program re-placed by [`codegen::place`],
+/// a new name and device over the same parts.
 fn placed(program: &CompiledDevice, device: u16, target: EmitTarget) -> CompiledDevice {
     let mut d = program.clone();
     if d.device != device {
@@ -807,6 +808,32 @@ _kernel(1) _at(5) void learner(uint8_t &type, uint32_t &instance, uint16_t round
             .collect();
         assert_eq!(cached, [[false].as_slice(), &[true; 15]].concat());
         assert_eq!(printed(&unit), built_alone(&src));
+    }
+
+    /// Whether two programs share every part.
+    fn share_parts(a: &P4Program, b: &P4Program) -> bool {
+        let parser = |p: &P4Program| p.parser.as_ref().map(Arc::as_ptr);
+        Arc::ptr_eq(&a.headers, &b.headers)
+            && parser(a) == parser(b)
+            && Arc::ptr_eq(&a.controls, &b.controls)
+    }
+
+    /// Placing writes a name and a device and copies no part: every placed
+    /// device's programs share their parts with the first device's, and a
+    /// program placed twice still shares them with its source.
+    #[test]
+    fn placing_shares_every_part() {
+        let unit = compile(&at(CALC, 1..=4));
+        let first = &unit.devices[0];
+        for d in &unit.devices {
+            assert!(share_parts(&d.tna_p4, &first.tna_p4) && share_parts(&d.v1_p4, &first.v1_p4));
+            assert_eq!((d.tna_p4.device, d.v1_p4.device), (d.device, d.device));
+        }
+        let mut twice = P4Program::clone(&first.tna_p4);
+        codegen::place(&mut twice, "u", 7);
+        codegen::place(&mut twice, "u", 9);
+        assert_eq!((twice.name.as_str(), twice.device), ("u_dev9", 9));
+        assert!(share_parts(&twice, &first.tna_p4));
     }
 
     #[test]

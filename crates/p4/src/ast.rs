@@ -15,15 +15,19 @@ pub enum Target {
 
 /// A complete P4 program (one device pipeline).
 ///
-/// Everything but the name and dialect is shared: cloning a program copies
-/// its name and bumps three counts. Edit a part through `Arc::make_mut`,
-/// which copies only if shared.
+/// Everything but the name, dialect and device is shared: cloning a program
+/// copies its name and bumps three counts. Edit a part through
+/// `Arc::make_mut`, which copies only if shared.
 #[derive(Clone, Debug, Default)]
 pub struct P4Program {
     /// Program name (used in comments and reports).
     pub name: String,
     /// Dialect.
     pub target: Target,
+    /// The device the program is placed at: the value of every
+    /// [`Expr::Device`] leaf, so one set of parts serves every device a
+    /// program runs on.
+    pub device: u16,
     /// Header type definitions.
     pub headers: Arc<Vec<HeaderDef>>,
     /// Parser (single ingress parser in our subset).
@@ -344,6 +348,9 @@ pub enum Expr {
     Field(Path),
     /// Integer literal with width (`(bit<16>)5` prints as `16w5`).
     Const(u64, u32),
+    /// The program's [`P4Program::device`], a 16-bit constant (`16w<id>`):
+    /// the right-hand side of the kernel guard [`Expr::device_guard`].
+    Device,
     /// `true`/`false`.
     Bool(bool),
     /// Binary operation.
@@ -611,6 +618,16 @@ impl Expr {
     /// Width-tagged constant.
     pub fn val(v: u64, bits: u32) -> Expr {
         Expr::Const(v, bits)
+    }
+
+    /// `hdr.ncl.isValid() && hdr.ncl.to == <device>`: the condition a NetCL
+    /// program's kernels run under (the no-implicit-computation rule, §IV).
+    /// The first statement of a program's first `apply` is an `if` on it.
+    pub fn device_guard() -> Expr {
+        let valid = Expr::field(&["hdr", "ncl", "$isValid"]);
+        let to = Expr::field(&["hdr", "ncl", "to"]);
+        let here = Expr::Bin(P4BinOp::Eq, Box::new(to), Box::new(Expr::Device));
+        Expr::Bin(P4BinOp::LAnd, Box::new(valid), Box::new(here))
     }
 }
 

@@ -29,7 +29,27 @@ impl std::fmt::Display for ParseError {
 pub fn parse_program(text: &str) -> Result<P4Program, ParseError> {
     let (tokens, target) = lex(text)?;
     let mut p = Parser { tokens, pos: 0, depth: 0 };
-    p.program(target)
+    let mut program = p.program(target)?;
+    read_device(&mut program);
+    Ok(program)
+}
+
+/// Reads the program's device from its kernel guard: when the first
+/// statement of the first control's `apply` is an `if` on
+/// [`Expr::device_guard`] with a `16w<id>` constant, the constant becomes
+/// the [`Expr::Device`] leaf and `<id>` the program's device.
+fn read_device(p: &mut P4Program) {
+    let ncl = |e: &Expr, field: &str| matches!(e, Expr::Field(f) if f.ns() == Ns::Hdr && f.canonical().strip_prefix("ncl.") == Some(field));
+    let apply = std::sync::Arc::make_mut(&mut p.controls).first_mut().map(|c| &mut c.apply);
+    let Some(Some(Stmt::If { cond, .. })) = apply.map(|a| a.first_mut()) else { return };
+    let Expr::Bin(P4BinOp::LAnd, valid, here) = cond else { return };
+    let Expr::Bin(P4BinOp::Eq, to, id) = &mut **here else { return };
+    if let Expr::Const(n @ 0..=0xFFFF, 16) = **id {
+        if ncl(valid, "$isValid") && ncl(to, "to") {
+            **id = Expr::Device;
+            p.device = n as u16;
+        }
+    }
 }
 
 // ---- lexer ---------------------------------------------------------------
@@ -1283,6 +1303,7 @@ parser P(packet_in pkt, out headers_t hdr) {
         let prog = P4Program {
             name: "rt".into(),
             target: Target::Tna,
+            device: 0,
             headers: vec![
                 HeaderDef {
                     name: "ncl_t".into(),
@@ -1362,6 +1383,43 @@ parser P(packet_in pkt, out headers_t hdr) {
             let body2: Vec<&str> = text2.lines().skip(1).collect();
             assert_eq!(body1, body2);
         }
+    }
+
+    /// The kernel guard's constant reads back as the device leaf, and the
+    /// program prints back byte for byte; a condition of another shape, or
+    /// one that is not the first statement of the first `apply`, keeps its
+    /// constant and leaves the device 0.
+    #[test]
+    fn the_kernel_guard_reads_back_as_the_device() -> Result<(), ParseError> {
+        let text = |first: &str, cond: &str| {
+            format!(
+                "#include <tna.p4>
+header ncl_t {{ bit<16> from; bit<16> to; }}
+struct headers_t {{ ncl_t ncl; }}
+control Ig(inout headers_t hdr, inout metadata_t meta) {{
+    apply {{ {first} if ({cond}) {{ exit; }} }}
+}}"
+            )
+        };
+        let guard = "(hdr.ncl.isValid() && (hdr.ncl.to == 16w513))";
+        let p = parse_program(&text("", guard))?;
+        assert_eq!(p.device, 513);
+        let first = &p.controls[0].apply[0];
+        assert!(matches!(first, Stmt::If { cond, .. } if *cond == Expr::device_guard()));
+        let printed = print_program(&p);
+        assert!(printed.contains(&format!("if ({guard}) {{")), "{printed}");
+        for (first, cond) in [
+            ("exit;", guard),
+            ("", "(hdr.ncl.isValid() && (hdr.ncl.to == 32w513))"),
+            ("", "(hdr.ncl.isValid() && (hdr.ncl.from == 16w513))"),
+            ("", "(hdr.ncl.isValid() || (hdr.ncl.to == 16w513))"),
+            ("", "((hdr.ncl.to == 16w513) && hdr.ncl.isValid())"),
+        ] {
+            let p = parse_program(&text(first, cond))?;
+            assert_eq!(p.device, 0, "{first} {cond}");
+            assert!(print_program(&p).contains(&format!("if ({cond}) {{")), "{first} {cond}");
+        }
+        Ok(())
     }
 
     /// Parses `src`, which must be refused at line 2 with a message that

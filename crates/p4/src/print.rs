@@ -21,7 +21,7 @@ macro_rules! ln {
 
 /// Prints a full program.
 pub fn print_program(p: &P4Program) -> String {
-    let mut w = Writer { out: String::with_capacity(4096), indent: 0 };
+    let mut w = Writer { out: String::with_capacity(4096), indent: 0, device: p.device };
     let target = match p.target {
         Target::Tna => "Intel Tofino (TNA)",
         Target::V1Model => "v1model",
@@ -49,6 +49,8 @@ pub fn print_program(p: &P4Program) -> String {
 struct Writer {
     out: String,
     indent: usize,
+    /// What [`Expr::Device`] prints as.
+    device: u16,
 }
 
 impl Writer {
@@ -98,6 +100,7 @@ impl Writer {
     }
 
     fn parser(&mut self, p: &ParserDef) {
+        let d = self.device;
         ln!(self, "parser {}(packet_in pkt, out headers_t hdr) {{", p.name);
         self.indent += 1;
         for s in &p.states {
@@ -111,7 +114,7 @@ impl Writer {
                 Transition::Reject => self.line("transition reject;"),
                 Transition::Direct(t) => ln!(self, "transition {t};"),
                 Transition::Select { selector, cases, default } => {
-                    ln!(self, "transition select({selector}) {{");
+                    ln!(self, "transition select({}) {{", Show(selector, d));
                     self.indent += 1;
                     for (v, t) in cases {
                         ln!(self, "{v}: {t};");
@@ -197,14 +200,15 @@ impl Writer {
     /// (last); a conditional update sits in `if (cond) { .. }`.
     fn salu_body(&mut self, ra: &RegisterActionDef) {
         use netcl_sema::builtins::AtomicRmw as R;
+        let d = self.device;
         if !ra.op.ret_new {
             self.line("o = m;");
         }
         if ra.op.cond {
-            ln!(self, "if ({}) {{", OrElse(ra.cond.as_ref(), "true"));
+            ln!(self, "if ({}) {{", OrElse(ra.cond.as_ref(), "true", d));
             self.indent += 1;
         }
-        let a = OrElse(ra.operands.first(), "0");
+        let a = OrElse(ra.operands.first(), "0", d);
         match ra.op.rmw {
             R::Add => ln!(self, "m = m + {a};"),
             R::SAdd => ln!(self, "m = m |+| {a};"),
@@ -218,7 +222,7 @@ impl Writer {
             R::Inc => self.line("m = m + 1;"),
             R::Dec => self.line("m = m |-| 1;"),
             R::Swap => ln!(self, "m = {a};"),
-            R::Cas => ln!(self, "if (m == {a}) {{ m = {}; }}", OrElse(ra.operands.get(1), "0")),
+            R::Cas => ln!(self, "if (m == {a}) {{ m = {}; }}", OrElse(ra.operands.get(1), "0", d)),
             R::Read => {}
         }
         if ra.op.cond {
@@ -231,10 +235,12 @@ impl Writer {
     }
 
     fn table(&mut self, t: &TableDef) {
+        let d = self.device;
         ln!(self, "table {} {{", t.name);
         self.indent += 1;
         if !t.keys.is_empty() {
-            let keys = Join(&t.keys, "; ", |(e, mk), f| write!(f, "{e} : {}", mk.keyword()));
+            let keys =
+                Join(&t.keys, "; ", |(e, mk), f| write!(f, "{} : {}", Show(e, d), mk.keyword()));
             ln!(self, "key = {{ {keys} }}");
         }
         let actions = Join(&t.actions, "; ", fmt::Display::fmt);
@@ -268,21 +274,23 @@ impl Writer {
     }
 
     fn stmt(&mut self, s: &Stmt) {
+        let d = self.device;
         match s {
-            Stmt::Assign(lhs, rhs) => ln!(self, "{lhs} = {rhs};"),
+            Stmt::Assign(lhs, rhs) => ln!(self, "{} = {};", Show(lhs, d), Show(rhs, d)),
             Stmt::CallAction(name) => ln!(self, "{name}();"),
             Stmt::ApplyTable(name) => ln!(self, "{name}.apply();"),
-            Stmt::ExecuteRegisterAction { dst: Some(d), ra, index } => {
-                ln!(self, "{d} = {ra}.execute({index});")
+            Stmt::ExecuteRegisterAction { dst: Some(dst), ra, index } => {
+                ln!(self, "{} = {ra}.execute({});", Show(dst, d), Show(index, d))
             }
             Stmt::ExecuteRegisterAction { dst: None, ra, index } => {
-                ln!(self, "{ra}.execute({index});")
+                ln!(self, "{ra}.execute({});", Show(index, d))
             }
             Stmt::HashGet { dst, hash, args } => {
-                ln!(self, "{dst} = {hash}.get({{{}}});", Join(args, ", ", fmt::Display::fmt))
+                let args = Join(args, ", ", |e, f| fmt::Display::fmt(&Show(e, d), f));
+                ln!(self, "{} = {hash}.get({{{args}}});", Show(dst, d))
             }
             Stmt::If { cond, then, els } => {
-                ln!(self, "if ({cond}) {{");
+                ln!(self, "if ({}) {{", Show(cond, d));
                 self.indent += 1;
                 for s in then {
                     self.stmt(s);
@@ -301,14 +309,14 @@ impl Writer {
                 }
             }
             Stmt::ExternCall { dst, func, args } => {
-                let args = Join(args, ", ", fmt::Display::fmt);
+                let args = Join(args, ", ", |e, f| fmt::Display::fmt(&Show(e, d), f));
                 match dst {
-                    Some(d) => ln!(self, "{d} = {func}({args});"),
+                    Some(dst) => ln!(self, "{} = {func}({args});", Show(dst, d)),
                     None => ln!(self, "{func}({args});"),
                 }
             }
-            Stmt::SetValid(e) => ln!(self, "{e}.setValid();"),
-            Stmt::SetInvalid(e) => ln!(self, "{e}.setInvalid();"),
+            Stmt::SetValid(e) => ln!(self, "{}.setValid();", Show(e, d)),
+            Stmt::SetInvalid(e) => ln!(self, "{}.setInvalid();", Show(e, d)),
             Stmt::Exit => self.line("exit;"),
         }
     }
@@ -329,13 +337,14 @@ impl<T, F: Fn(&T, &mut fmt::Formatter<'_>) -> fmt::Result> fmt::Display for Join
     }
 }
 
-/// An optional expression, or `default` when it is absent.
-struct OrElse<'a>(Option<&'a Expr>, &'static str);
+/// An optional expression of the program at a device, or `default` when it
+/// is absent.
+struct OrElse<'a>(Option<&'a Expr>, &'static str, u16);
 
 impl fmt::Display for OrElse<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.0 {
-            Some(e) => e.fmt(f),
+            Some(e) => fmt::Display::fmt(&Show(e, self.2), f),
             None => f.write_str(self.1),
         }
     }
@@ -357,18 +366,24 @@ impl fmt::Display for Path {
     }
 }
 
-/// An expression prints fully parenthesised: `(a + (b * c))`.
-impl fmt::Display for Expr {
+/// An expression of the program at a device. It prints fully
+/// parenthesised, `(a + (b * c))`, and the device leaf as its constant.
+struct Show<'a>(&'a Expr, u16);
+
+impl fmt::Display for Show<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        let Show(e, device) = *self;
+        let x = |e| Show(e, device);
+        match e {
             Expr::Field(path) => path.fmt(f),
             Expr::Const(v, bits) => write!(f, "{bits}w{v}"),
+            Expr::Device => write!(f, "16w{device}"),
             Expr::Bool(b) => write!(f, "{b}"),
-            Expr::Bin(op, a, b) => write!(f, "({a} {} {b})", op.symbol()),
-            Expr::Not(x) => write!(f, "!({x})"),
-            Expr::BitNot(x) => write!(f, "~({x})"),
-            Expr::Cast(bits, x) => write!(f, "(bit<{bits}>)({x})"),
-            Expr::Slice(x, hi, lo) => write!(f, "({x})[{hi}:{lo}]"),
+            Expr::Bin(op, a, b) => write!(f, "({} {} {})", x(a), op.symbol(), x(b)),
+            Expr::Not(e) => write!(f, "!({})", x(e)),
+            Expr::BitNot(e) => write!(f, "~({})", x(e)),
+            Expr::Cast(bits, e) => write!(f, "(bit<{bits}>)({})", x(e)),
+            Expr::Slice(e, hi, lo) => write!(f, "({})[{hi}:{lo}]", x(e)),
             Expr::TableHit(t) => write!(f, "{t}.apply().hit"),
             Expr::TableMiss(t) => write!(f, "!{t}.apply().hit"),
         }
@@ -439,6 +454,7 @@ mod tests {
         let p = P4Program {
             name: "cache".into(),
             target: Target::Tna,
+            device: 0,
             headers: vec![HeaderDef {
                 name: "cache_t".into(),
                 fields: vec![("Op".into(), 8), ("K".into(), 32)],
@@ -581,12 +597,15 @@ mod tests {
 
     #[test]
     fn expr_printing() {
+        let show = |e: &Expr| Show(e, 7).to_string();
         let e =
             Expr::Bin(P4BinOp::SatAdd, Box::new(Expr::field(&["m"])), Box::new(Expr::val(1, 32)));
-        assert_eq!(e.to_string(), "(m |+| 32w1)");
+        assert_eq!(show(&e), "(m |+| 32w1)");
         let s = Expr::Slice(Box::new(Expr::field(&["meta", "x"])), 15, 8);
-        assert_eq!(s.to_string(), "(meta.x)[15:8]");
-        assert_eq!(Expr::field(&["hdr", "v[3]", "value"]).to_string(), "hdr.v[3].value");
-        assert_eq!(Expr::field(&["hdr", "ncl", "$isValid"]).to_string(), "hdr.ncl.isValid()");
+        assert_eq!(show(&s), "(meta.x)[15:8]");
+        assert_eq!(show(&Expr::field(&["hdr", "v[3]", "value"])), "hdr.v[3].value");
+        assert_eq!(show(&Expr::field(&["hdr", "ncl", "$isValid"])), "hdr.ncl.isValid()");
+        let guard = "(hdr.ncl.isValid() && (hdr.ncl.to == 16w7))";
+        assert_eq!(show(&Expr::device_guard()), guard);
     }
 }

@@ -533,6 +533,7 @@ impl<'a> Lowering<'a> {
                 bits.map_or(32, |&b| b as u64)
             }
             Expr::Const(_, bits) => *bits as u64,
+            Expr::Device => 16,
             Expr::Cast(bits, _) => *bits as u64,
             _ => 32,
         }
@@ -899,7 +900,7 @@ fn op_count(e: &Expr) -> u32 {
 /// folds into the consumer's operand crossbar.
 fn is_move(e: &Expr) -> bool {
     match e {
-        Expr::Field(_) | Expr::Const(..) | Expr::Bool(_) => true,
+        Expr::Field(_) | Expr::Const(..) | Expr::Device | Expr::Bool(_) => true,
         Expr::Cast(_, x) => is_move(x),
         _ => false,
     }

@@ -8,10 +8,11 @@
 
 mod counting_alloc;
 
-use counting_alloc::{allocs_during, Counting};
+use counting_alloc::{allocs_during, live_bytes, Counting};
 use netcl::{compile_tenants, CompileOptions, Compiler, TenantSource};
 use netcl_apps::{agg, cache, calc, paxos};
 use netcl_bmv2::Switch;
+use netcl_p4::P4Program;
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -62,22 +63,50 @@ fn cold_compile_allocations_per_application() {
     }
 }
 
+/// CALC's source with its kernel placed at devices `1..=n`.
+fn calc_at(n: u16) -> String {
+    let ids: Vec<String> = (1..=n).map(|d| d.to_string()).collect();
+    calc::netcl_source().replace("_at(1)", &format!("_at({})", ids.join(", ")))
+}
+
 /// One `Compiler::compile` of CALC placed at 64 devices. The 64 lowered
 /// modules are equal, so one device runs the pass pipeline and codegen and
 /// 63 are placed from its program. When every device ran both: 59 586;
-/// while a P4 field path was a `Vec` of segments: 23 357.
+/// while a P4 field path was a `Vec` of segments: 23 357; while
+/// `codegen::place` copied each placed program's control to rewrite its
+/// device guard: 15 912.
 #[test]
 fn multi_device_compile_allocations() {
-    const MEASURED: u64 = 15_912;
+    const MEASURED: u64 = 6_840;
     const PARENT: u64 = 59_586;
-    let ids: Vec<String> = (1..=64).map(|d| d.to_string()).collect();
-    let source = calc::netcl_source().replace("_at(1)", &format!("_at({})", ids.join(", ")));
+    let source = calc_at(64);
     let cc = Compiler::new(CompileOptions::default());
     let (unit, allocs) = allocs_during(|| cc.compile("calc.ncl", &source));
     assert_eq!(unit.unwrap_or_else(|e| panic!("{e}")).devices.len(), 64);
     let what = format!("CALC at 64 devices: a cold compile made {allocs} allocations");
     assert!(allocs <= ceiling(MEASURED), "{what}");
     assert!(allocs < PARENT, "{what}");
+}
+
+/// What a compiled unit holds per device beyond the first: CALC compiled at
+/// 320 devices against CALC at one, in live bytes. A placed device holds
+/// its `CompiledDevice` and, per dialect, a program's name and device over
+/// parts every device shares. While `codegen::place` copied each placed
+/// program's control to rewrite its device guard: 10 783 B.
+#[test]
+fn multi_device_compile_holds_no_copy_per_device() {
+    let cc = Compiler::new(CompileOptions::default());
+    let held = |n: u16| {
+        let source = calc_at(n);
+        let before = live_bytes();
+        let unit = cc.compile("calc.ncl", &source).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(unit.devices.len(), n as usize);
+        live_bytes() - before
+    };
+    held(1);
+    let per_device = (held(320) - held(1)) / 319;
+    let what = format!("CALC at 320 devices holds {per_device} B per device beyond the first");
+    assert!(per_device <= 512, "{what}");
 }
 
 /// Parse, `analyze` and `lower_device` for every device: the frontend the
@@ -154,18 +183,20 @@ fn tenant_merge_allocations() {
 /// in-place names: 1 356 / 1 258 / 271 and 327 / 627 / 627 / 627 / 760.
 /// Before the lowering keyed slots by a path's borrowed text, building a
 /// `String` per field reference: 1 040 / 963 / 229 and 284 / 495 / 495 /
-/// 495 / 588.
+/// 495 / 588. Before the loaded program was shared between switches (one
+/// more allocation, for it) and the lowering sized its vectors up front:
+/// 630 / 648 / 179 and 251 / 377 / 377 / 377 / 425.
 #[test]
 fn switch_load_allocations_per_application() {
     let cc = Compiler::new(CompileOptions::default());
     for (name, source, devices) in [
-        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), &[(630, 4_684)][..]),
-        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), &[(648, 3_409)]),
-        ("calc.ncl", calc::netcl_source(), &[(179, 585)]),
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), &[(614, 4_684)][..]),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), &[(627, 3_409)]),
+        ("calc.ncl", calc::netcl_source(), &[(168, 585)]),
         (
             "paxos.ncl",
             paxos::full_source(),
-            &[(251, 645), (377, 1_486), (377, 1_486), (377, 1_486), (425, 1_916)],
+            &[(242, 645), (364, 1_486), (364, 1_486), (364, 1_486), (409, 1_916)],
         ),
     ] {
         let unit = cc.compile(name, &source).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -177,6 +208,46 @@ fn switch_load_allocations_per_application() {
             assert!(allocs < parent, "{what}");
         }
     }
+}
+
+/// Loading CALC's 320 placed programs as the fat-tree benchmarks do, each
+/// switch from an owned copy of its device's program. The programs share
+/// their parts, so the first load lowers and every later one shares that
+/// lowering (`Switch::shares_program`): it makes the same few allocations —
+/// the copy, its name, the switch's state — and holds at most 1 KB. When
+/// every load lowered: 6 670–7 900 B held per load. Dropping the switches
+/// frees the shared lowering and its entry in bmv2's table of loaded
+/// programs: live bytes return to the reading before the loads.
+#[test]
+fn loading_one_program_at_many_devices_lowers_it_once() {
+    const LATER_ALLOCS: u64 = 5;
+    let unit = Compiler::new(CompileOptions::default())
+        .compile("calc.ncl", &calc_at(320))
+        .unwrap_or_else(|e| panic!("{e}"));
+    let programs: Vec<P4Program> =
+        unit.devices.iter().map(|d| P4Program::clone(&d.tna_p4)).collect();
+    // Whatever the first load of any program allocates once per process,
+    // through another program: a leaked entry for CALC's parts would be
+    // replaced, and so hidden, by the first load below.
+    let other = Compiler::new(CompileOptions::default()).compile("calc.ncl", &calc_at(1));
+    drop(Switch::new(other.unwrap_or_else(|e| panic!("{e}")).devices[0].tna_p4.clone()));
+    let (mut switches, mut loads) = (Vec::with_capacity(320), Vec::with_capacity(320));
+    let before = live_bytes();
+    for p in &programs {
+        let live = live_bytes();
+        let (switch, allocs) = allocs_during(|| Switch::new(p.clone()));
+        switches.push(switch);
+        loads.push((allocs, live_bytes() - live));
+    }
+    let (first, later) = (loads[0], &loads[1..]);
+    assert!(first.0 > 30 * later[0].0, "the first load lowers: {first:?}");
+    assert!(later.iter().all(|&(allocs, _)| allocs == later[0].0), "{later:?}");
+    assert!(later[0].0 <= ceiling(LATER_ALLOCS), "a later load made {} allocations", later[0].0);
+    assert!(later.iter().all(|&(_, held)| held <= 1024), "{later:?}");
+    assert!(switches.iter().all(|sw| sw.shares_program(&switches[0])));
+    switches.clear();
+    let leaked = live_bytes() - before;
+    assert!(leaked.abs() <= 256, "{leaked} B are still held after every switch was dropped");
 }
 
 /// What the P4 text hand-off allocates, per device: `print_program` then

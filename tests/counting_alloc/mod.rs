@@ -73,7 +73,6 @@ pub fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// The bytes this thread has allocated and not freed, counted from its
 /// start: what it holds now, less what it freed of other threads' blocks.
 /// Only differences between two readings mean anything.
-#[allow(dead_code)] // not read by `compile_alloc.rs`
 pub fn live_bytes() -> i64 {
     LIVE.with(Cell::get)
 }

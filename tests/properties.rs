@@ -396,6 +396,7 @@ mod shapes {
         P4Program {
             name: "shapes".into(),
             target: Target::V1Model,
+            device: 0,
             headers: vec![HeaderDef { name: "h_t".into(), fields, stack: 1 }].into(),
             parser: Some(Arc::new(ParserDef {
                 name: "P".into(),
@@ -928,6 +929,124 @@ proptest! {
                     before.counters.update_rejects += 1;
                     prop_assert_eq!(control_state(&sw), before, "{}: {}", p.label, e);
                     prop_assert!(alone.iter().any(|&ok| !ok), "{}: {} on {:?}", p.label, e, batch);
+                }
+            }
+        }
+    }
+}
+
+/// CALC, CACHE and AGG with their kernels placed at devices 1–3: per
+/// device, the compiled TNA program and that program read back from its
+/// text. The compiled programs of one application share every part, so
+/// switches loaded from them share one loaded program; a read-back program
+/// shares nothing. Compiled once per process.
+#[allow(clippy::type_complexity)]
+fn placed_programs() -> &'static [(&'static str, Vec<(Arc<P4Program>, Arc<P4Program>)>)] {
+    static PROGRAMS: std::sync::OnceLock<Vec<(&str, Vec<(Arc<P4Program>, Arc<P4Program>)>)>> =
+        std::sync::OnceLock::new();
+    PROGRAMS.get_or_init(|| {
+        use netcl_apps::{agg, cache, calc};
+        let cc = Compiler::new(CompileOptions::default());
+        [
+            ("calc", calc::netcl_source()),
+            ("cache", cache::netcl_source(&cache::CacheConfig::default())),
+            ("agg", agg::netcl_source(&agg::AggConfig::default())),
+        ]
+        .into_iter()
+        .map(|(name, source)| {
+            let unit = cc.compile(name, &source.replace("_at(1)", "_at(1, 2, 3)")).unwrap();
+            assert_eq!(unit.devices.len(), 3, "{name}");
+            let programs = (unit.devices.iter())
+                .map(|d| {
+                    let alone = parse_program(&print_program(&d.tna_p4)).unwrap();
+                    assert_eq!(alone.device, d.device, "{name}");
+                    (d.tna_p4.clone(), Arc::new(alone))
+                })
+                .collect();
+            (name, programs)
+        })
+        .collect()
+    })
+}
+
+/// Two switches that share one loaded program share no state. On switch A
+/// (device 1), kernel traffic writes registers through SALUs, a control-plane
+/// batch inserts a forwarding rule and the counters advance; switch B
+/// (device 2) still reads as a switch that has run nothing, and traffic on
+/// B leaves A as it was.
+#[test]
+fn switches_sharing_a_loaded_program_share_no_state() {
+    use netcl_apps::cache;
+    let mut rng = WorkloadRng::new(41);
+    let mut salu_writes = 0;
+    for (name, programs) in placed_programs() {
+        let mut a = Switch::new(programs[0].0.clone());
+        let mut b = Switch::new(programs[1].0.clone());
+        assert!(a.shares_program(&b), "{name}");
+        let untouched = control_state(&b);
+        let rule = TableEntry {
+            keys: vec![EntryKey::Value(9)],
+            action: "set_egress".into(),
+            args: vec![3],
+        };
+        assert_eq!(a.apply_update(&TableUpdate::new().insert("l2_fwd", rule)), Ok(1), "{name}");
+        for key in 0..32 {
+            let _ = a.process(&differential_wire(&mut rng, 1));
+            // A GET the cache misses on counts its key in the sketch.
+            let get = cache::request(&Default::default(), 9, 8, cache::OP_GET, key, None);
+            let _ = a.process(&get);
+        }
+        let a_state = control_state(&a);
+        assert_ne!(a_state.tables, untouched.tables, "{name}: the insert landed on A");
+        assert!(a_state.counters.packets > 0, "{name}");
+        salu_writes += usize::from(a_state.registers != untouched.registers);
+        assert_eq!(control_state(&b), untouched, "{name}: A's state shows on B");
+        for _ in 0..32 {
+            let _ = b.process(&differential_wire(&mut rng, 2));
+        }
+        assert_eq!(control_state(&a), a_state, "{name}: B's traffic shows on A");
+    }
+    assert_eq!(salu_writes, 2, "CACHE's and AGG's kernels wrote their registers on A");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A switch that shares its loaded program with the switches of other
+    /// devices runs exactly like one loaded alone from its program's text:
+    /// for every device of [`placed_programs`], on both engines, the same
+    /// outputs and errors on a seeded stream addressed to each placed
+    /// device and to one where nothing is placed (4), then the same
+    /// `SwitchCounters` and registers.
+    #[test]
+    fn shared_loads_run_like_programs_loaded_alone(seed in any::<u64>()) {
+        let mut rng = WorkloadRng::new(seed);
+        for (name, programs) in placed_programs() {
+            for engine in [Engine::Threaded, Engine::Interpreted] {
+                let load = |p: &Arc<P4Program>| {
+                    let mut sw = Switch::new(p.clone());
+                    sw.set_engine(engine);
+                    sw
+                };
+                let mut shared: Vec<Switch> = programs.iter().map(|(p, _)| load(p)).collect();
+                let mut alone: Vec<Switch> = programs.iter().map(|(_, p)| load(p)).collect();
+                prop_assert!(shared.iter().all(|sw| sw.shares_program(&shared[0])), "{}", name);
+                prop_assert!(!alone[1].shares_program(&alone[2]), "{}", name);
+                for _ in 0..24 {
+                    let at = rng.below(3) as usize;
+                    let to = 1 + rng.below(4) as u16;
+                    let wire = differential_wire(&mut rng, to);
+                    let want = alone[at].process(&wire).map(|(_, out)| out);
+                    let got = shared[at].process(&wire).map(|(_, out)| out);
+                    prop_assert_eq!(
+                        &got, &want,
+                        "{} [{}] at device {}: on {:?}", name, engine.name(), at + 1, wire
+                    );
+                }
+                for (at, (s, a)) in shared.iter().zip(&alone).enumerate() {
+                    let what = format!("{name} [{}] at device {}", engine.name(), at + 1);
+                    prop_assert_eq!(s.counters(), a.counters(), "{}: counters", what);
+                    prop_assert!(s.registers().eq(a.registers()), "{}: registers", what);
                 }
             }
         }
