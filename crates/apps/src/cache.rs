@@ -177,8 +177,10 @@ pub fn server_value(cfg: &CacheConfig, key: u64) -> Vec<u64> {
     (0..cfg.words as u64).map(|i| (key.wrapping_mul(31) + i) & 0xFFFF_FFFF).collect()
 }
 
-/// Populates cache slot `slot` with `key` through the control plane —
-/// what the NetCache controller does when the server reports a hot key.
+/// Populates cache slot `slot` with `key` through `mm` — what the NetCache
+/// controller does when the server reports a hot key. A handle scoped to a
+/// tenant ([`ManagedMemory::for_tenant`]) populates that tenant's CACHE on
+/// a merged switch.
 pub fn populate(
     mm: &ManagedMemory,
     sw: &mut Switch,
@@ -187,7 +189,8 @@ pub fn populate(
     key: u64,
     value: &[u64],
 ) {
-    mm.lookup_insert(sw, "index", LookupEntry::Exact { key, value: slot as u64 }).unwrap();
+    let index = mm.build_insert(sw, "index", &LookupEntry::Exact { key, value: slot as u64 });
+    sw.apply_update(&index.unwrap()).unwrap();
     for (i, &w) in value.iter().enumerate() {
         mm.write(sw, "Val", &[i, slot as usize], w).unwrap();
     }

@@ -5,7 +5,6 @@
 //! switch *answers* like the dedicated ones (outputs, registers, under
 //! faults) is `tests/chaos.rs::tenant_isolation_*`.
 
-use netcl::sema::model::LookupEntry;
 use netcl_apps::{agg, cache};
 use netcl_bmv2::Switch;
 use netcl_runtime::managed::ManagedMemory;
@@ -32,23 +31,6 @@ fn merged() -> netcl::MergedCompilation {
         &Default::default(),
     )
     .expect("AGG + CACHE fit the default per-tenant budgets")
-}
-
-/// Caches keys 0..4 under tenant 1's namespaced state, through the control
-/// plane — the same on whichever switch is passed, so merged and dedicated
-/// start equal and a GET for keys 0..8 hits half the time.
-fn populate_cache(module: &netcl::ir::Module, sw: &mut Switch) {
-    let cfg = cache_cfg();
-    let mm = ManagedMemory::new(module);
-    for key in 0..4u64 {
-        let slot = key as usize;
-        mm.lookup_insert(sw, "t1__index", LookupEntry::Exact { key, value: key }).unwrap();
-        for (i, &word) in cache::server_value(&cfg, key).iter().enumerate() {
-            mm.write(sw, "t1__Val", &[i, slot], word).unwrap();
-        }
-        mm.write(sw, "t1__Share", &[slot], (1u64 << cfg.words) - 1).unwrap();
-        mm.write(sw, "t1__Valid", &[slot], 1).unwrap();
-    }
 }
 
 /// The packet builders write each tenant's original computation id; the
@@ -101,15 +83,25 @@ fn shared_switch_does_the_dedicated_switchs_work_per_packet() {
         .iter()
         .flat_map(|s| s.map.comps.iter().map(|&(_, merged)| (merged, s.tenant)))
         .collect();
+    // Caches keys 0..4 in tenant 1's CACHE, the same on whichever switch
+    // is passed, so merged and dedicated start equal and a GET for keys
+    // 0..8 hits half the time.
+    let cfg = cache_cfg();
+    let populate = |module, sw: &mut Switch| {
+        let tenant1 = ManagedMemory::for_tenant(module, 1);
+        for key in 0..4 {
+            cache::populate(&tenant1, sw, &cfg, key as u16, key, &cache::server_value(&cfg, key));
+        }
+    };
     let pinned = [[72, 0, 0, 72, 0, 864], [24, 0, 12, 36, 12, 144]];
     for ((tenant, packets), pinned) in streams(&m).into_iter().zip(pinned) {
         let slice = m.tenant(tenant).unwrap();
         let mut shared = Switch::new(m.merged.tna_p4.clone());
         shared.set_tenants(&comps);
-        populate_cache(&m.merged.tna_ir, &mut shared);
+        populate(&m.merged.tna_ir, &mut shared);
         let mut dedicated = Switch::new(slice.solo.tna_p4.clone());
         if tenant == 1 {
-            populate_cache(&slice.solo.tna_ir, &mut dedicated);
+            populate(&slice.solo.tna_ir, &mut dedicated);
         }
         // Populating went through the control plane; count packets only.
         shared.reset_counters();

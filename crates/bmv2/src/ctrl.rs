@@ -238,7 +238,7 @@ impl Switch {
     }
 }
 
-/// Register access and table discovery (backs `_managed_` memory, §V-B).
+/// Register access and table contents (back `_managed_` memory, §V-B).
 impl Switch {
     /// Reads one register element.
     pub fn register_read(&self, name: &str, index: usize) -> Option<u64> {
@@ -273,18 +273,6 @@ impl Switch {
     pub fn table_entries(&self, table: &str) -> Option<&[TableEntry]> {
         let &i = self.loaded.layout.table_index.get(table)?;
         Some(&self.st.tables[i as usize])
-    }
-
-    /// Tables whose names start with `prefix` (lookup duplication creates
-    /// `name`, `name__dup1`, ... that must be updated together).
-    pub fn tables_with_prefix(&self, prefix: &str) -> Vec<String> {
-        self.loaded
-            .layout
-            .table_states
-            .iter()
-            .filter(|t| t.name.starts_with(prefix))
-            .map(|t| t.name.clone())
-            .collect()
     }
 }
 

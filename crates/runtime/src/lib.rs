@@ -3,12 +3,12 @@
 //! **Host runtime** — everything a NetCL application links against on the
 //! host side: [`message`] implements `ncl::message` / `ncl::pack` /
 //! `ncl::unpack` over the UDP wire layout of Fig. 10, driven by the kernel
-//! specifications the compiler records (§V-A); [`managed`] implements
-//! `ncl::managed_read` / `ncl::managed_write` and `_managed_ _lookup_`
-//! table updates through the device's control plane, transparently
-//! resolving compiler memory partitioning; [`control`] is the runtime
-//! control plane (DESIGN.md §16) — atomic, validated table-update batches
-//! applied to a *running* switch without a program reload.
+//! specifications the compiler records (§V-A); [`managed`] is the one
+//! handle on a device's `_managed_` state (DESIGN.md §16):
+//! `ncl::managed_read` / `ncl::managed_write`, transparently resolving
+//! compiler memory partitioning, and `_managed_ _lookup_` table updates as
+//! atomic, validated batches applied to a *running* switch without a
+//! program reload — optionally scoped to one tenant of a merged program.
 //!
 //! **Device runtime** — [`device`] implements the NetCL forwarding
 //! semantics: given the action a kernel selected (Table II) and the header
@@ -18,14 +18,17 @@
 //!
 //! DESIGN.md §2 lists both runtimes in the system inventory.
 
-pub mod control;
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod device;
 pub mod managed;
 pub mod message;
 pub mod reliable;
 
-pub use control::{ControlError, ControlPlane};
 pub use device::{DeviceRuntime, Forward, NO_DEVICE};
-pub use managed::ManagedMemory;
+pub use managed::{ManagedError, ManagedMemory};
 pub use message::{Message, MessageError, NCL_HEADER_BYTES};
 pub use reliable::{Reliable, ReliableStats, RetryPolicy, Transport, RELIABLE_TOKEN};

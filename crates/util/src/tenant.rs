@@ -15,9 +15,13 @@ pub fn prefix(id: u16) -> String {
     format!("t{id}__")
 }
 
-/// Applies the tenant prefix to a source-level name.
+/// Applies the tenant prefix to a source-level name, in one allocation.
 pub fn apply(id: u16, name: &str) -> String {
-    format!("t{id}__{name}")
+    use std::fmt::Write;
+    // `t`, at most five digits, `__`.
+    let mut s = String::with_capacity(8 + name.len());
+    let _ = write!(s, "t{id}__{name}");
+    s
 }
 
 /// Recovers the tenant id from a namespaced name, if any.

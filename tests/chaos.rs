@@ -484,20 +484,19 @@ fn rule_updates_survive_restart_and_replay_deterministically() {
     use netcl_net::topo::star;
     use netcl_net::{Fault, NetworkBuilder};
     use netcl_runtime::message::Message;
-    use netcl_runtime::ControlPlane;
 
     let unit = compile("reconf.ncl", RECONF_SRC);
     let p4 = unit.devices[0].tna_p4.clone();
-    let cp = ControlPlane::new(&unit.devices[0].tna_ir);
+    let mm = ManagedMemory::new(&unit.devices[0].tna_ir);
     // Batches are built against a template switch: the table layout is a
     // pure function of the program, so they apply to any instance of it.
     let template = Switch::new(p4.clone());
     let u9 =
-        cp.build_insert(&template, "rules", &LookupEntry::Exact { key: 9, value: 77 }).unwrap();
+        mm.build_insert(&template, "rules", &LookupEntry::Exact { key: 9, value: 77 }).unwrap();
     let u5 =
-        cp.build_insert(&template, "rules", &LookupEntry::Exact { key: 5, value: 55 }).unwrap();
+        mm.build_insert(&template, "rules", &LookupEntry::Exact { key: 5, value: 55 }).unwrap();
     let u3 =
-        cp.build_insert(&template, "rules", &LookupEntry::Exact { key: 3, value: 33 }).unwrap();
+        mm.build_insert(&template, "rules", &LookupEntry::Exact { key: 3, value: 33 }).unwrap();
     let ops_per_batch = u9.len() as u64;
 
     let run = |seed: u64| {
@@ -565,15 +564,14 @@ fn rule_updates_are_engine_uniform_under_chaos() {
     use netcl_net::topo::star;
     use netcl_net::{Fault, NetworkBuilder};
     use netcl_runtime::message::Message;
-    use netcl_runtime::ControlPlane;
 
     let unit = compile("reconf.ncl", RECONF_SRC);
     let p4 = unit.devices[0].tna_p4.clone();
-    let cp = ControlPlane::new(&unit.devices[0].tna_ir);
+    let mm = ManagedMemory::new(&unit.devices[0].tna_ir);
     let template = Switch::new(p4.clone());
     let ins =
-        cp.build_insert(&template, "rules", &LookupEntry::Exact { key: 6, value: 66 }).unwrap();
-    let del = cp.build_remove(&template, "rules", 1).unwrap();
+        mm.build_insert(&template, "rules", &LookupEntry::Exact { key: 6, value: 66 }).unwrap();
+    let del = mm.build_remove(&template, "rules", 1).unwrap();
 
     let run = |engine: Engine, seed: u64| {
         let mut sw = Switch::new(p4.clone());
@@ -624,16 +622,15 @@ fn sharded_rule_updates_equal_scalar() {
     use netcl_net::topo::star;
     use netcl_net::{Fault, NetworkBuilder, NodeId, Partition};
     use netcl_runtime::message::Message;
-    use netcl_runtime::ControlPlane;
 
     let unit = compile("reconf.ncl", RECONF_SRC);
     let p4 = unit.devices[0].tna_p4.clone();
-    let cp = ControlPlane::new(&unit.devices[0].tna_ir);
+    let mm = ManagedMemory::new(&unit.devices[0].tna_ir);
     let template = Switch::new(p4.clone());
     let ins =
-        cp.build_insert(&template, "rules", &LookupEntry::Exact { key: 4, value: 44 }).unwrap();
+        mm.build_insert(&template, "rules", &LookupEntry::Exact { key: 4, value: 44 }).unwrap();
     let upd =
-        cp.build_modify(&template, "rules", &LookupEntry::Exact { key: 1, value: 99 }).unwrap();
+        mm.build_modify(&template, "rules", &LookupEntry::Exact { key: 1, value: 99 }).unwrap();
 
     let builder = |seed: u64| {
         NetworkBuilder::new(star(1, &[1, 2], chaos_link()))
@@ -748,25 +745,6 @@ fn cache_stream(ccfg: &cache::CacheConfig, comp: u8, send: &mut dyn FnMut(u32, u
     }
 }
 
-/// Populates CACHE slot `slot` with `key` under tenant 1's namespaced
-/// state names ([`cache::populate`] hardcodes the un-namespaced ones).
-fn populate_t1(
-    mm: &ManagedMemory,
-    sw: &mut netcl_bmv2::Switch,
-    ccfg: &cache::CacheConfig,
-    slot: u16,
-    key: u64,
-) {
-    use netcl::sema::model::LookupEntry;
-    let value = cache::server_value(ccfg, key);
-    mm.lookup_insert(sw, "t1__index", LookupEntry::Exact { key, value: slot as u64 }).unwrap();
-    for (i, &w) in value.iter().enumerate() {
-        mm.write(sw, "t1__Val", &[i, slot as usize], w).unwrap();
-    }
-    mm.write(sw, "t1__Share", &[slot as usize], (1u64 << ccfg.words) - 1).unwrap();
-    mm.write(sw, "t1__Valid", &[slot as usize], 1).unwrap();
-}
-
 /// A device restart plus a tenant-1-scoped rule-update stream (applied
 /// live, rejected during the outage, journal-replayed across the restart)
 /// leave tenant 0's per-tenant counters, registers, and its hosts'
@@ -780,38 +758,37 @@ fn tenant_isolation_restart_and_updates_leave_other_tenant_byte_identical() {
     use netcl_bmv2::Switch;
     use netcl_net::topo::star;
     use netcl_net::{Fault, Network, NetworkBuilder};
-    use netcl_runtime::{ControlError, ControlPlane};
+    use netcl_runtime::ManagedError;
 
     let (merged, acfg, ccfg) = merged_two_tenants();
     let agg_comp = merged.tenant(0).unwrap().map.comp(1).unwrap();
     let cache_comp = merged.tenant(1).unwrap().map.comp(1).unwrap();
     let comps = tenant_comps(&merged);
     let merged_p4 = merged.merged.tna_p4.clone();
-    let merged_mm = ManagedMemory::new(&merged.merged.tna_ir);
     let solo0_p4 = merged.tenant(0).unwrap().solo.tna_p4.clone();
     let solo1 = merged.tenant(1).unwrap().solo.clone();
-    let solo1_mm = ManagedMemory::new(&solo1.tna_ir);
+    let solo1_tenant1 = ManagedMemory::for_tenant(&solo1.tna_ir, 1);
 
-    // Tenant 1's update stream, built through a tenant-scoped plane: bare
-    // names resolve inside its namespace; the batches are name-based, so
-    // they apply identically to the merged switch and tenant 1's solo
-    // switch (the merge preserves per-tenant table names).
-    let cp1 = ControlPlane::for_tenant(&merged.merged.tna_ir, 1);
+    // Tenant 1's populate and update stream, through a tenant-scoped
+    // handle: bare names resolve inside its namespace; the batches are
+    // name-based, so they apply identically to the merged switch and tenant
+    // 1's solo switch (the merge preserves per-tenant table names).
+    let tenant1 = ManagedMemory::for_tenant(&merged.merged.tna_ir, 1);
     let template = Switch::new(merged_p4.clone());
     let ins3 =
-        cp1.build_insert(&template, "index", &LookupEntry::Exact { key: 3, value: 1 }).unwrap();
+        tenant1.build_insert(&template, "index", &LookupEntry::Exact { key: 3, value: 1 }).unwrap();
     let ins4 =
-        cp1.build_insert(&template, "index", &LookupEntry::Exact { key: 4, value: 2 }).unwrap();
+        tenant1.build_insert(&template, "index", &LookupEntry::Exact { key: 4, value: 2 }).unwrap();
     let ins5 =
-        cp1.build_insert(&template, "index", &LookupEntry::Exact { key: 5, value: 3 }).unwrap();
-    // A tenant-0-scoped plane cannot even *build* a batch against tenant
+        tenant1.build_insert(&template, "index", &LookupEntry::Exact { key: 5, value: 3 }).unwrap();
+    // A tenant-0-scoped handle cannot even *build* a batch against tenant
     // 1's tables — the cross-tenant guard fires before any switch is
     // touched.
-    let cp0 = ControlPlane::for_tenant(&merged.merged.tna_ir, 0);
+    let tenant0 = ManagedMemory::for_tenant(&merged.merged.tna_ir, 0);
     assert!(
         matches!(
-            cp0.build_insert(&template, "t1__index", &LookupEntry::Exact { key: 9, value: 0 }),
-            Err(ControlError::CrossTenant { tenant: 0, .. })
+            tenant0.build_insert(&template, "t1__index", &LookupEntry::Exact { key: 9, value: 0 }),
+            Err(ManagedError::CrossTenant { tenant: 0, .. })
         ),
         "tenant-0 plane must reject tenant-1 tables"
     );
@@ -855,7 +832,7 @@ fn tenant_isolation_restart_and_updates_leave_other_tenant_byte_identical() {
     let merged_net = {
         let mut sw = Switch::new(merged_p4.clone());
         sw.set_tenants(&comps);
-        populate_t1(&merged_mm, &mut sw, &ccfg, 0, 1);
+        cache::populate(&tenant1, &mut sw, &ccfg, 0, 1, &cache::server_value(&ccfg, 1));
         let hook_comps = comps.clone();
         let mut net = updates(base(sw))
             .on_restart(1, Box::new(move |sw| sw.set_tenants(&hook_comps)))
@@ -880,7 +857,7 @@ fn tenant_isolation_restart_and_updates_leave_other_tenant_byte_identical() {
     // Tenant 1's solo baseline: same faults AND the same update stream.
     let solo1_net = {
         let mut sw = Switch::new(solo1.tna_p4.clone());
-        populate_t1(&solo1_mm, &mut sw, &ccfg, 0, 1);
+        cache::populate(&solo1_tenant1, &mut sw, &ccfg, 0, 1, &cache::server_value(&ccfg, 1));
         let mut net = updates(base(sw)).build();
         cache_stream(&ccfg, cache_comp, &mut |h, at, b| net.send_from_host(h, at, b));
         net.run(400_000);
@@ -929,26 +906,23 @@ fn tenant_isolation_chaos_engine_matrix_sharded_equals_scalar() {
     use netcl_bmv2::{Engine, Switch};
     use netcl_net::topo::star;
     use netcl_net::{Fault, NetworkBuilder, Partition};
-    use netcl_runtime::ControlPlane;
 
     let (merged, acfg, ccfg) = merged_two_tenants();
     let agg_comp = merged.tenant(0).unwrap().map.comp(1).unwrap();
     let cache_comp = merged.tenant(1).unwrap().map.comp(1).unwrap();
     let comps = tenant_comps(&merged);
     let p4 = merged.merged.tna_p4.clone();
-    let mm = ManagedMemory::new(&merged.merged.tna_ir);
-
-    let cp1 = ControlPlane::for_tenant(&merged.merged.tna_ir, 1);
+    let tenant1 = ManagedMemory::for_tenant(&merged.merged.tna_ir, 1);
     let template = Switch::new(p4.clone());
     let ins =
-        cp1.build_insert(&template, "index", &LookupEntry::Exact { key: 3, value: 1 }).unwrap();
+        tenant1.build_insert(&template, "index", &LookupEntry::Exact { key: 3, value: 1 }).unwrap();
 
     let hosts = [1u32, 2, 100, 101, 102];
     let builder = |engine: Engine, seed: u64| {
         let mut sw = Switch::new(p4.clone());
         sw.set_engine(engine);
         sw.set_tenants(&comps);
-        populate_t1(&mm, &mut sw, &ccfg, 0, 1);
+        cache::populate(&tenant1, &mut sw, &ccfg, 0, 1, &cache::server_value(&ccfg, 1));
         let hook_comps = comps.clone();
         let mut topo = star(1, &hosts, chaos_link());
         topo.multicast_group(42, vec![NodeId::Host(100), NodeId::Host(101), NodeId::Host(102)]);

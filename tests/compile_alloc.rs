@@ -1,6 +1,7 @@
 //! What the cold compile chain allocates (DESIGN.md §4, §4a): the Tofino
 //! fit of the fleet's most expensive device, the frontend and a cold
-//! `Compiler::compile` of each paper application. Counts are host- and load-independent, so the
+//! `Compiler::compile` of each paper application, and what a loaded CACHE
+//! switch's populate costs. Counts are host- and load-independent, so the
 //! ceilings below — the figures measured at this commit plus 10 % — are the
 //! gate against the string-keyed allocator, the per-dialect common stage or
 //! a `Vec` per operand walk coming back, and the numbers the next
@@ -13,6 +14,7 @@ use netcl::{compile_tenants, CompileOptions, Compiler, TenantSource};
 use netcl_apps::{agg, cache, calc, paxos};
 use netcl_bmv2::Switch;
 use netcl_p4::P4Program;
+use netcl_runtime::ManagedMemory;
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -207,6 +209,54 @@ fn switch_load_allocations_per_application() {
             assert!(allocs <= ceiling(measured), "{what}");
             assert!(allocs < parent, "{what}");
         }
+    }
+}
+
+/// One `cache::populate` — a built `index` batch applied, then the slot's
+/// registers written — on the unscoped handle of CACHE's default shape (8
+/// words) and on the handle scoped to tenant 1 of the merged AGG + CACHE
+/// program (4 words), the second populate of each switch. Each row is
+/// `(measured, parent)`. The parent commit resolved every register access
+/// into an owned `String`, and a tenant's populate spelled its `t1__`
+/// names by hand: 23 and 20. The scoped handle allocates once per name it
+/// prefixes (seven here), the unscoped one nothing per register access.
+#[test]
+fn cache_populate_allocations() {
+    let cfg = cache::CacheConfig::default();
+    let unit = Compiler::new(CompileOptions::default())
+        .compile("cache.ncl", &cache::netcl_source(&cfg))
+        .unwrap_or_else(|e| panic!("{e}"));
+    let mcfg = cache::CacheConfig { words: 4, ..Default::default() };
+    let agg_src = agg::netcl_source(&agg::AggConfig { slot_size: 8, ..Default::default() });
+    let cache_src = cache::netcl_source(&mcfg);
+    let sources = [
+        TenantSource { tenant: 0, name: "agg.ncl", source: &agg_src },
+        TenantSource { tenant: 1, name: "cache.ncl", source: &cache_src },
+    ];
+    let merged = compile_tenants(&sources, 1, &CompileOptions::default(), &Default::default())
+        .unwrap_or_else(|e| panic!("{e}"));
+    for (what, mm, program, cfg, (measured, parent)) in [
+        (
+            "unscoped",
+            ManagedMemory::new(&unit.devices[0].tna_ir),
+            &unit.devices[0].tna_p4,
+            cfg,
+            (8, 23),
+        ),
+        (
+            "tenant 1",
+            ManagedMemory::for_tenant(&merged.merged.tna_ir, 1),
+            &merged.merged.tna_p4,
+            mcfg,
+            (15, 20),
+        ),
+    ] {
+        let mut sw = Switch::new(program.clone());
+        let value = cache::server_value(&cfg, 7);
+        cache::populate(&mm, &mut sw, &cfg, 0, 3, &value);
+        let ((), allocs) = allocs_during(|| cache::populate(&mm, &mut sw, &cfg, 1, 7, &value));
+        assert!(allocs <= ceiling(measured), "{what}: a populate made {allocs} allocations");
+        assert!(allocs <= parent, "{what}: a populate made {allocs} allocations");
     }
 }
 

@@ -765,7 +765,8 @@ proptest! {
         let mut sw = Switch::new(unit.devices[0].tna_p4.clone());
         let mm = ManagedMemory::new(&unit.devices[0].tna_ir);
         for &k in &keys {
-            mm.lookup_insert(&mut sw, "t", LookupEntry::Exact { key: k, value: k * 7 }).unwrap();
+            let batch = mm.build_insert(&sw, "t", &LookupEntry::Exact { key: k, value: k * 7 });
+            sw.apply_update(&batch.unwrap()).unwrap();
         }
         for probe in 0u64..1000 {
             if probe % 97 != 0 && !keys.contains(&probe) {
@@ -844,10 +845,10 @@ struct ControlState {
 }
 
 fn control_state(sw: &Switch) -> ControlState {
-    let tables = (sw.tables_with_prefix("").into_iter())
+    let tables = (sw.program().controls.iter().flat_map(|c| &c.tables))
         .map(|t| {
-            let entries = sw.table_entries(&t).expect("a listed table").to_vec();
-            (t, entries)
+            let entries = sw.table_entries(&t.name).expect("a declared table").to_vec();
+            (t.name.clone(), entries)
         })
         .collect();
     let registers =
@@ -929,6 +930,140 @@ proptest! {
                     before.counters.update_rejects += 1;
                     prop_assert_eq!(control_state(&sw), before, "{}: {}", p.label, e);
                     prop_assert!(alone.iter().any(|&ok| !ok), "{}: {} on {:?}", p.label, e, batch);
+                }
+            }
+        }
+    }
+}
+
+/// A labelled lowered module and the program it compiled to.
+type ManagedTarget = (&'static str, Arc<netcl::ir::Module>, Arc<P4Program>);
+
+/// What the managed-handle proptest drives: CACHE alone and AGG (tenant 0)
+/// merged with CACHE (tenant 1). Compiled once per process.
+fn managed_modules() -> &'static [ManagedTarget] {
+    static MODULES: std::sync::OnceLock<Vec<ManagedTarget>> = std::sync::OnceLock::new();
+    MODULES.get_or_init(|| {
+        use netcl_apps::{agg, cache};
+        let ccfg = cache::CacheConfig { words: 4, ..Default::default() };
+        let (agg_src, cache_src) = (
+            agg::netcl_source(&agg::AggConfig { slot_size: 8, ..Default::default() }),
+            cache::netcl_source(&ccfg),
+        );
+        let solo =
+            Compiler::new(CompileOptions::default()).compile("cache.ncl", &cache_src).unwrap();
+        let sources = [
+            netcl::TenantSource { tenant: 0, name: "agg.ncl", source: &agg_src },
+            netcl::TenantSource { tenant: 1, name: "cache.ncl", source: &cache_src },
+        ];
+        let merged =
+            netcl::compile_tenants(&sources, 1, &CompileOptions::default(), &Default::default())
+                .unwrap();
+        vec![
+            ("cache", solo.devices[0].tna_ir.clone(), solo.devices[0].tna_p4.clone()),
+            ("agg+cache", merged.merged.tna_ir.clone(), merged.merged.tna_p4.clone()),
+        ]
+    })
+}
+
+/// A name to hand the managed handle: a global's bare source name (three
+/// times in four a `_managed_` one), that name under tenant 0 or 1, a table
+/// name, or one the module lacks.
+fn arbitrary_managed_name(rng: &mut WorkloadRng, module: &netcl::ir::Module) -> String {
+    use netcl::util::tenant;
+    let managed = rng.below(4) != 0;
+    let pool: Vec<_> = module.globals.iter().filter(|g| g.managed || !managed).collect();
+    let g = pool[rng.below(pool.len() as u64) as usize];
+    let bare = tenant::strip(g.origin.as_ref().map_or(&g.name, |(base, _)| base)).1;
+    match rng.below(6) {
+        0 | 1 => bare.to_string(),
+        2 => tenant::apply(0, bare),
+        3 => tenant::apply(1, bare),
+        4 => format!("lu_{bare}_0"),
+        _ => ["", "no_such", "t7__Val", "t1__", "Val\0"][rng.below(5) as usize].to_string(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The one `_managed_` handle, unscoped and scoped to each tenant, on
+    /// arbitrary names, indices, values and lookup entries: `read`,
+    /// `write` and `build_*` + `apply_update` return `Ok` or a structured
+    /// error, never panic; a refused call changes no register, no table
+    /// and no counter (a batch the switch rejects counts its one
+    /// `update_rejects`); a written cell reads back; and a scoped handle
+    /// changes only its own tenant's registers and tables.
+    #[test]
+    fn managed_handle_is_total_and_scoped(seed in any::<u64>()) {
+        use netcl::sema::model::LookupEntry;
+        use netcl::util::tenant;
+        use netcl_runtime::{ManagedError, ManagedMemory};
+        let mut rng = WorkloadRng::new(seed);
+        for (label, module, program) in managed_modules() {
+            for scope in [None, Some(0), Some(1)] {
+                let mm = match scope {
+                    None => ManagedMemory::new(module),
+                    Some(t) => ManagedMemory::for_tenant(module, t),
+                };
+                let mut sw = Switch::new(program.clone());
+                for _ in 0..12 {
+                    let name = arbitrary_managed_name(&mut rng, module);
+                    let indices: Vec<usize> = (0..rng.below(3))
+                        .map(|_| match rng.below(8) {
+                            0 => rng.next_u64() as usize,
+                            1 => rng.below(300) as usize,
+                            _ => rng.below(4) as usize,
+                        })
+                        .collect();
+                    let (key, value) = (rng.below(16), rng.next_u64());
+                    let entry = match rng.below(3) {
+                        0 => LookupEntry::Member { key },
+                        1 => LookupEntry::Exact { key, value },
+                        _ => LookupEntry::Range { lo: key, hi: rng.below(16), value },
+                    };
+                    let what = format!("{label} {scope:?} {name:?}{indices:?}");
+                    let mut before = control_state(&sw);
+                    let outcome: Result<(), ManagedError> = match rng.below(5) {
+                        0 => mm.read(&sw, &name, &indices).map(drop),
+                        1 => mm.write(&mut sw, &name, &indices, value).map(|()| {
+                            assert_eq!(mm.read(&sw, &name, &indices), Ok(value), "{what}");
+                        }),
+                        kind => {
+                            let batch = match kind {
+                                2 => mm.build_insert(&sw, &name, &entry),
+                                3 => mm.build_modify(&sw, &name, &entry),
+                                _ => mm.build_remove(&sw, &name, key),
+                            };
+                            match batch.map(|b| (sw.apply_update(&b), b.len())) {
+                                Err(e) => Err(e),
+                                Ok((Ok(n), len)) => {
+                                    prop_assert_eq!(n, len, "{}", what);
+                                    Ok(())
+                                }
+                                Ok((Err(e), _)) => {
+                                    before.counters.update_rejects += 1;
+                                    Err(ManagedError::from(e))
+                                }
+                            }
+                        }
+                    };
+                    let after = control_state(&sw);
+                    if let Err(e) = &outcome {
+                        prop_assert!(!e.to_string().is_empty());
+                        prop_assert_eq!(&after, &before, "{}: {}", what, e);
+                    }
+                    if let Some(t) = scope {
+                        let changed = (after.registers.iter().zip(&before.registers))
+                            .filter(|(a, b)| a != b)
+                            .map(|(a, _)| &a.0)
+                            .chain((after.tables.iter().zip(&before.tables))
+                                .filter(|(a, b)| a != b)
+                                .map(|(a, _)| &a.0));
+                        for n in changed {
+                            prop_assert_eq!(tenant::of(n), Some(t), "{}: changed `{}`", what, n);
+                        }
+                    }
                 }
             }
         }
