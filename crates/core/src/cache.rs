@@ -263,7 +263,7 @@ pub(crate) fn unit_key(fingerprint: u64, name: &str, source: &str) -> u64 {
 
 /// Program key: options fingerprint + every field of the lowered module —
 /// its name, its globals with their lookup entries, its kernels down to
-/// each value's name hint. The pass pipeline and codegen are pure
+/// each value's type. The pass pipeline and codegen are pure
 /// functions of these, and what they build differs between devices only
 /// in what `codegen::place` writes, so equal keys mean one program.
 pub(crate) fn program_key(fingerprint: u64, module: &Module) -> u64 {

@@ -7,7 +7,9 @@
 //! region order: a branch's then-arm before its else-arm, both before the
 //! join.
 
-use netcl_ir::func::{BlockId, Function, Inst, InstKind, MemId, MsgField, Terminator};
+use netcl_ir::func::{
+    Atomic, BlockId, Function, Inst, InstKind, IntrinsicCall, MemId, MsgField, Terminator,
+};
 use netcl_ir::types::{CastKind, IcmpPred, IrBinOp, IrTy, IrUnOp, Operand};
 use netcl_ir::ValueId;
 use netcl_p4::ast::*;
@@ -266,7 +268,8 @@ impl<'a> Emitter<'a> {
                 let value = vec![self.op_expr(*value)];
                 self.register_access(mem.mem, &mem.indices, op, None, value, None, out);
             }
-            InstKind::AtomicRmw { op, mem, cond, operands } => {
+            InstKind::AtomicRmw(a) => {
+                let Atomic { op, mem, cond, operands } = &**a;
                 let dst = Some(self.dst(result()));
                 let cond = cond.map(|c| self.cond_expr(c));
                 let operands = operands.iter().map(|o| self.op_expr(*o)).collect();
@@ -307,7 +310,8 @@ impl<'a> Emitter<'a> {
                 };
                 out.push(Stmt::Assign(self.dst(result()), Expr::field(&["hdr", NCL_HDR, name])));
             }
-            InstKind::Intrinsic { target, name, args } => {
+            InstKind::Intrinsic(call) => {
+                let IntrinsicCall { target, name, args } = &**call;
                 out.push(Stmt::ExternCall {
                     dst: Some(self.dst(result())),
                     func: format!("{target}_{name}"),

@@ -82,7 +82,8 @@ pub struct CompiledDevice {
     /// The device this output runs on. The IR does not name it, and the P4
     /// programs hold it only in the fields [`codegen::place`] writes.
     /// Devices that run one program share their IR and every part of their
-    /// P4 programs.
+    /// P4 programs. When both dialects' stages leave equal modules, the two
+    /// IR fields are one allocation and the two programs share every part.
     pub device: u16,
     /// Tofino-legal IR (post Tofino pipeline) — the allocator's input.
     pub tna_ir: Arc<Module>,
@@ -379,6 +380,10 @@ pub(crate) fn build_device(
     let (tna_ir, tna_pass_report) =
         dialect(want_tna.then(|| shared.clone()), PipelineTarget::Tofino)?;
     let (v1_ir, v1_pass_report) = dialect(want_v1.then_some(shared), PipelineTarget::V1Model)?;
+    // Codegen reads the target only to name the dialect, so when both
+    // dialects leave their stages equal, one module and one generated
+    // program serve both (DESIGN.md §16).
+    let one_artifact = want_tna && want_v1 && tna_ir == v1_ir;
     timings.passes += t0.elapsed();
 
     let t0 = Instant::now();
@@ -386,13 +391,19 @@ pub(crate) fn build_device(
         Ok(if want { codegen::generate_at(ir, target, device)? } else { P4Program::default() })
     };
     let tna_p4 = p4(want_tna, &tna_ir, Target::Tna)?;
-    let v1_p4 = p4(want_v1, &v1_ir, Target::V1Model)?;
+    let v1_p4 = if one_artifact {
+        P4Program { target: Target::V1Model, ..tna_p4.clone() }
+    } else {
+        p4(want_v1, &v1_ir, Target::V1Model)?
+    };
     timings.codegen += t0.elapsed();
 
+    let tna_ir = Arc::new(tna_ir);
+    let v1_ir = if one_artifact { Arc::clone(&tna_ir) } else { Arc::new(v1_ir) };
     Ok(CompiledDevice {
         device,
-        tna_ir: Arc::new(tna_ir),
-        v1_ir: Arc::new(v1_ir),
+        tna_ir,
+        v1_ir,
         tna_p4: Arc::new(tna_p4),
         v1_p4: Arc::new(v1_p4),
         tna_pass_report,

@@ -27,7 +27,8 @@
 //! the aliases inlining creates and the constants unrolling binds.
 
 use netcl_ir::func::{
-    ActionRef, FuncBuilder, InstKind, LocalId, MemId, MemRef, MsgField, Terminator,
+    ActionRef, Atomic, FuncBuilder, InstKind, IntrinsicCall, LocalId, MemId, MemRef, MsgField,
+    Terminator,
 };
 use netcl_ir::types::{CastKind, IcmpPred, IrBinOp, IrTy, IrUnOp, Operand};
 use netcl_ir::{BlockId, GlobalDef, Module};
@@ -735,7 +736,8 @@ impl<'a> Lower<'a> {
                         self.coerce(v, vt, elem)
                     })
                     .collect();
-                let kind = InstKind::AtomicRmw { op: *op, mem, cond, operands };
+                let atomic = Atomic { op: *op, mem, cond, operands };
+                let kind = InstKind::AtomicRmw(Box::new(atomic));
                 (self.value(kind, ir_storage_ty(elem)), elem)
             }
             Builtin::Lookup => {
@@ -813,7 +815,8 @@ impl<'a> Lower<'a> {
             }
             Builtin::TargetIntrinsic { target, name } => {
                 let args = args.iter().map(|a| self.expr(a).0).collect();
-                let kind = InstKind::Intrinsic { target: target.clone(), name: name.clone(), args };
+                let call = IntrinsicCall { target: target.clone(), name: name.clone(), args };
+                let kind = InstKind::Intrinsic(Box::new(call));
                 (self.value(kind, IrTy::I32), Ty::U32)
             }
         }
@@ -923,7 +926,7 @@ impl<'a> Lower<'a> {
         };
         match self.place(e)? {
             Binding::Place(Place::Global { mem, indices, ty }) => {
-                Some((MemRef { mem, indices }, ty))
+                Some((MemRef { mem, indices: indices.into() }, ty))
             }
             _ => {
                 self.unresolved("global memory", e.span);
@@ -984,6 +987,8 @@ impl<'a> Lower<'a> {
             }
             Place::ArgMsg { arg, ty, .. } => Place::ArgMsg { arg, index: i, ty },
             Place::Global { mem, mut indices, ty } => {
+                // Exact, so that the `MemRef` built from it keeps the block.
+                indices.reserve_exact(1);
                 indices.push(i);
                 Place::Global { mem, indices, ty }
             }
@@ -996,7 +1001,7 @@ impl<'a> Lower<'a> {
             Place::Local { slot, index, .. } => InstKind::LocalLoad { slot, index },
             Place::ArgMsg { arg, index, .. } => InstKind::ArgRead { arg, index },
             Place::Global { mem, indices, .. } => {
-                InstKind::MemRead { mem: MemRef { mem, indices } }
+                InstKind::MemRead { mem: MemRef { mem, indices: indices.into() } }
             }
         };
         self.value(kind, ty)
@@ -1040,7 +1045,7 @@ impl<'a> Lower<'a> {
             Place::Local { slot, index, .. } => InstKind::LocalStore { slot, index, value },
             Place::ArgMsg { arg, index, .. } => InstKind::ArgWrite { arg, index, value },
             Place::Global { mem, indices, .. } => {
-                InstKind::MemWrite { mem: MemRef { mem, indices }, value }
+                InstKind::MemWrite { mem: MemRef { mem, indices: indices.into() }, value }
             }
         };
         self.builder.emit(kind, ir_storage_ty(ty));

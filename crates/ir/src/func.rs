@@ -12,12 +12,20 @@ define_index!(LocalId, "loc");
 define_index!(MemId, "@g");
 
 /// Metadata for a defined SSA value.
-#[derive(Clone, Debug, PartialEq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ValueInfo {
     /// The value's type.
     pub ty: IrTy,
-    /// Optional name hint carried from the source, for readable dumps.
-    pub name: Option<String>,
+    /// The slot this value is the φ of, when mem2reg promoted one; phi-elim
+    /// names the φ's variable after it.
+    pub phi_of: Option<LocalId>,
+}
+
+impl ValueInfo {
+    /// A value of type `ty` that is no promoted slot's φ.
+    pub fn of(ty: IrTy) -> ValueInfo {
+        ValueInfo { ty, phi_of: None }
+    }
 }
 
 /// A reference to (an element of) a global memory object.
@@ -26,7 +34,7 @@ pub struct MemRef {
     /// Which global.
     pub mem: MemId,
     /// One index per dimension (empty for scalars).
-    pub indices: Vec<Operand>,
+    pub indices: Box<[Operand]>,
 }
 
 /// A function-local memory slot (LLVM `alloca` analogue): a variable or a
@@ -75,7 +83,63 @@ pub struct Inst {
     /// The operation.
     pub kind: InstKind,
     /// Defined values (`Lookup` defines two: hit and value).
-    pub results: Vec<ValueId>,
+    pub results: Results,
+}
+
+/// An instruction's results, held in place: up to two ids, read as a slice
+/// (`results[0]`, `.iter()`, `.first()`). An unused slot holds
+/// [`Results::UNUSED`], an id no function defines.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Results([ValueId; 2]);
+
+impl Results {
+    /// The id of an unused slot.
+    pub const UNUSED: ValueId = ValueId(u32::MAX);
+    /// No result (stores and writes).
+    pub const NONE: Results = Results([Results::UNUSED; 2]);
+
+    /// One result.
+    pub fn one(v: ValueId) -> Results {
+        debug_assert!(v != Results::UNUSED);
+        Results([v, Results::UNUSED])
+    }
+
+    /// Two results (`Lookup`'s hit and value).
+    pub fn two(a: ValueId, b: ValueId) -> Results {
+        debug_assert!(a != Results::UNUSED && b != Results::UNUSED);
+        Results([a, b])
+    }
+
+    /// The same count of results, each id mapped through `f`.
+    pub fn map(self, mut f: impl FnMut(ValueId) -> ValueId) -> Results {
+        let mut out = Results::NONE;
+        for (slot, &v) in out.0.iter_mut().zip(self.iter()) {
+            *slot = f(v);
+        }
+        out
+    }
+}
+
+impl std::ops::Deref for Results {
+    type Target = [ValueId];
+    fn deref(&self) -> &[ValueId] {
+        let n = self.0.iter().take_while(|&&v| v != Results::UNUSED).count();
+        &self.0[..n]
+    }
+}
+
+impl<'a> IntoIterator for &'a Results {
+    type Item = &'a ValueId;
+    type IntoIter = std::slice::Iter<'a, ValueId>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl std::fmt::Debug for Results {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Instruction kinds.
@@ -175,16 +239,7 @@ pub enum InstKind {
     },
     /// Read-modify-write atomic on a global element; defines the returned
     /// value (old or new per `op.ret_new`).
-    AtomicRmw {
-        /// The atomic descriptor (`atomic_[cond_]op[_new]`).
-        op: AtomicOp,
-        /// Target element.
-        mem: MemRef,
-        /// Condition operand for `_cond` forms.
-        cond: Option<Operand>,
-        /// Value operands (0 for inc/dec, 2 for cas).
-        operands: Vec<Operand>,
-    },
+    AtomicRmw(Box<Atomic>),
     /// Search lookup memory. Defines two results: `hit: i1` and the matched
     /// value (undefined on miss; 0 width-wrapped for membership sets).
     Lookup {
@@ -212,14 +267,32 @@ pub enum InstKind {
         field: MsgField,
     },
     /// Target-specific intrinsic call; single result.
-    Intrinsic {
-        /// Namespace (`tna`, `v1`).
-        target: String,
-        /// Name.
-        name: String,
-        /// Arguments.
-        args: Vec<Operand>,
-    },
+    Intrinsic(Box<IntrinsicCall>),
+}
+
+/// The operands of [`InstKind::AtomicRmw`], behind one box so that the
+/// common instructions stay small.
+#[derive(Clone, Debug, PartialEq, Hash)]
+pub struct Atomic {
+    /// The atomic descriptor (`atomic_[cond_]op[_new]`).
+    pub op: AtomicOp,
+    /// Target element.
+    pub mem: MemRef,
+    /// Condition operand for `_cond` forms.
+    pub cond: Option<Operand>,
+    /// Value operands (0 for inc/dec, 2 for cas).
+    pub operands: Box<[Operand]>,
+}
+
+/// The operands of [`InstKind::Intrinsic`], behind one box.
+#[derive(Clone, Debug, PartialEq, Hash)]
+pub struct IntrinsicCall {
+    /// Namespace (`tna`, `v1`).
+    pub target: String,
+    /// Name.
+    pub name: String,
+    /// Arguments.
+    pub args: Vec<Operand>,
 }
 
 impl InstKind {
@@ -249,7 +322,7 @@ impl InstKind {
     pub fn touches_global(&self) -> Option<MemId> {
         match self {
             InstKind::MemRead { mem } | InstKind::MemWrite { mem, .. } => Some(mem.mem),
-            InstKind::AtomicRmw { mem, .. } => Some(mem.mem),
+            InstKind::AtomicRmw(a) => Some(a.mem.mem),
             InstKind::Lookup { table, .. } => Some(*table),
             _ => None,
         }
@@ -279,16 +352,16 @@ impl InstKind {
                 mem.indices.iter().for_each(|i| f(*i));
                 f(*value);
             }
-            InstKind::AtomicRmw { mem, cond, operands, .. } => {
-                mem.indices.iter().for_each(|i| f(*i));
-                if let Some(c) = cond {
-                    f(*c);
+            InstKind::AtomicRmw(a) => {
+                a.mem.indices.iter().for_each(|i| f(*i));
+                if let Some(c) = a.cond {
+                    f(c);
                 }
-                operands.iter().for_each(|o| f(*o));
+                a.operands.iter().for_each(|o| f(*o));
             }
             InstKind::Lookup { key, .. } => f(*key),
             InstKind::Rand | InstKind::MsgField { .. } => {}
-            InstKind::Intrinsic { args, .. } => args.iter().for_each(|a| f(*a)),
+            InstKind::Intrinsic(call) => call.args.iter().for_each(|a| f(*a)),
         }
     }
 
@@ -320,31 +393,31 @@ impl InstKind {
                 *value = f(*value);
             }
             InstKind::MemRead { mem } => {
-                for i in &mut mem.indices {
+                for i in mem.indices.iter_mut() {
                     *i = f(*i);
                 }
             }
             InstKind::MemWrite { mem, value } => {
-                for i in &mut mem.indices {
+                for i in mem.indices.iter_mut() {
                     *i = f(*i);
                 }
                 *value = f(*value);
             }
-            InstKind::AtomicRmw { mem, cond, operands, .. } => {
-                for i in &mut mem.indices {
+            InstKind::AtomicRmw(a) => {
+                for i in a.mem.indices.iter_mut() {
                     *i = f(*i);
                 }
-                if let Some(c) = cond {
+                if let Some(c) = &mut a.cond {
                     *c = f(*c);
                 }
-                for o in operands {
+                for o in a.operands.iter_mut() {
                     *o = f(*o);
                 }
             }
             InstKind::Lookup { key, .. } => *key = f(*key),
             InstKind::Rand | InstKind::MsgField { .. } => {}
-            InstKind::Intrinsic { args, .. } => {
-                for a in args {
+            InstKind::Intrinsic(call) => {
+                for a in &mut call.args {
                     *a = f(*a);
                 }
             }
@@ -596,24 +669,33 @@ impl FuncBuilder {
         (self.func.args.len() - 1) as u32
     }
 
-    fn fresh_value(&mut self, ty: IrTy, name: Option<&str>) -> ValueId {
-        self.func.values.push(ValueInfo { ty, name: name.map(str::to_string) })
+    fn fresh_value(&mut self, ty: IrTy) -> ValueId {
+        self.func.values.push(ValueInfo::of(ty))
     }
 
-    /// Emits an instruction, returning its primary result (if any).
+    /// Emits an instruction, returning its result if it defines one (of
+    /// type `ty`). A lookup, which defines two, is built by
+    /// [`FuncBuilder::emit_lookup`].
     pub fn emit(&mut self, kind: InstKind, ty: IrTy) -> Option<ValueId> {
-        assert!(!self.is_terminated(), "emitting into terminated block {:?}", self.current);
-        let n = kind.result_count();
-        let mut results = Vec::with_capacity(n);
-        for i in 0..n {
-            // Lookup's second result keeps the same width (value width is set
-            // by the caller through emit_lookup).
-            let _ = i;
-            results.push(self.fresh_value(ty, None));
+        debug_assert!(kind.result_count() < 2, "a lookup is built by emit_lookup");
+        if kind.result_count() == 0 {
+            self.push(Inst { kind, results: Results::NONE });
+            return None;
         }
-        let first = results.first().copied();
-        self.func.blocks[self.current].insts.push(Inst { kind, results });
-        first
+        Some(self.emit_value(kind, ty))
+    }
+
+    /// Emits an instruction that defines one result of type `ty`.
+    pub fn emit_value(&mut self, kind: InstKind, ty: IrTy) -> ValueId {
+        debug_assert_eq!(kind.result_count(), 1, "{kind:?} does not define one result");
+        let v = self.fresh_value(ty);
+        self.push(Inst { kind, results: Results::one(v) });
+        v
+    }
+
+    fn push(&mut self, inst: Inst) {
+        assert!(!self.is_terminated(), "emitting into terminated block {:?}", self.current);
+        self.func.blocks[self.current].insts.push(inst);
     }
 
     /// Emits a lookup with distinct hit (`i1`) and value types.
@@ -623,22 +705,23 @@ impl FuncBuilder {
         key: Operand,
         value_ty: IrTy,
     ) -> (ValueId, ValueId) {
-        let hit = self.fresh_value(IrTy::I1, None);
-        let value = self.fresh_value(value_ty, None);
-        self.func.blocks[self.current]
-            .insts
-            .push(Inst { kind: InstKind::Lookup { table, key }, results: vec![hit, value] });
+        let hit = self.fresh_value(IrTy::I1);
+        let value = self.fresh_value(value_ty);
+        self.push(Inst {
+            kind: InstKind::Lookup { table, key },
+            results: Results::two(hit, value),
+        });
         (hit, value)
     }
 
     /// Convenience: binary op.
     pub fn bin(&mut self, op: IrBinOp, a: Operand, b: Operand, ty: IrTy) -> Operand {
-        Operand::Value(self.emit(InstKind::Bin { op, a, b }, ty).unwrap())
+        Operand::Value(self.emit_value(InstKind::Bin { op, a, b }, ty))
     }
 
     /// Convenience: comparison.
     pub fn icmp(&mut self, pred: IcmpPred, a: Operand, b: Operand) -> Operand {
-        Operand::Value(self.emit(InstKind::Icmp { pred, a, b }, IrTy::I1).unwrap())
+        Operand::Value(self.emit_value(InstKind::Icmp { pred, a, b }, IrTy::I1))
     }
 
     /// Convenience: cast (no-op if widths already match).
@@ -646,7 +729,7 @@ impl FuncBuilder {
         if from == to {
             return a;
         }
-        Operand::Value(self.emit(InstKind::Cast { kind, a, to }, to).unwrap())
+        Operand::Value(self.emit_value(InstKind::Cast { kind, a, to }, to))
     }
 
     /// Terminates the current block.
@@ -735,16 +818,16 @@ mod tests {
 
     #[test]
     fn operand_iteration_and_mapping() {
-        let mut k = InstKind::AtomicRmw {
+        let mut k = InstKind::AtomicRmw(Box::new(Atomic {
             op: netcl_sema::builtins::AtomicOp {
                 rmw: netcl_sema::builtins::AtomicRmw::Add,
                 cond: true,
                 ret_new: true,
             },
-            mem: MemRef { mem: MemId(0), indices: vec![Op::imm(3, IrTy::I16)] },
+            mem: MemRef { mem: MemId(0), indices: [Op::imm(3, IrTy::I16)].into() },
             cond: Some(Op::imm(1, IrTy::I1)),
-            operands: vec![Op::imm(7, IrTy::I32)],
-        };
+            operands: [Op::imm(7, IrTy::I32)].into(),
+        }));
         let operands = |k: &InstKind| {
             let mut out = Vec::new();
             k.for_each_operand(|o| out.push(o));
@@ -761,7 +844,7 @@ mod tests {
     #[test]
     fn side_effect_classification() {
         assert!(InstKind::MemWrite {
-            mem: MemRef { mem: MemId(0), indices: vec![] },
+            mem: MemRef { mem: MemId(0), indices: [].into() },
             value: Op::imm(0, IrTy::I8)
         }
         .has_side_effects());
@@ -771,6 +854,27 @@ mod tests {
             b: Op::imm(2, IrTy::I8)
         }
         .has_side_effects());
+    }
+
+    /// The layout every module in a compile cache is made of: an
+    /// instruction holds its results in place and boxes the rare wide
+    /// kinds, and a value is its type and the φ's slot.
+    #[test]
+    fn instructions_and_values_stay_small() {
+        assert!(std::mem::size_of::<InstKind>() <= 48, "{}", std::mem::size_of::<InstKind>());
+        assert!(std::mem::size_of::<Inst>() <= 56, "{}", std::mem::size_of::<Inst>());
+        assert!(std::mem::size_of::<ValueInfo>() <= 12, "{}", std::mem::size_of::<ValueInfo>());
+    }
+
+    #[test]
+    fn results_read_as_a_slice() {
+        let (a, b) = (ValueId(3), ValueId(9));
+        assert!(Results::NONE.is_empty());
+        assert_eq!(*Results::one(a), [a]);
+        assert_eq!(*Results::two(a, b), [a, b]);
+        assert_eq!(Results::two(a, b)[1], b);
+        assert_eq!(*Results::two(a, b).map(|v| ValueId(v.0 + 1)), [ValueId(4), ValueId(10)]);
+        assert_eq!(format!("{:?}", Results::one(a)), "[%v3]");
     }
 
     #[test]

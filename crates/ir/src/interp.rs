@@ -200,7 +200,8 @@ pub fn execute(
         let mut phi_updates: Vec<(crate::func::ValueId, u64)> = Vec::new();
         for inst in &b.insts {
             let InstKind::Phi { incoming } = &inst.kind else { break };
-            let pb = prev_block.expect("φ in entry block");
+            let pb = prev_block
+                .ok_or_else(|| ExecError::UndefinedValue("φ in the entry block".into()))?;
             let (_, op) = incoming
                 .iter()
                 .find(|(p, _)| *p == pb)
@@ -277,7 +278,7 @@ fn step(
         |mem: &crate::func::MemRef, values: &[Option<u64>]| -> Result<usize, ExecError> {
             let g = module.global(mem.mem);
             let mut idx = 0usize;
-            for (dim, op) in g.dims.iter().zip(&mem.indices) {
+            for (dim, op) in g.dims.iter().zip(mem.indices.iter()) {
                 let i = read_op(*op, values)? as usize;
                 if i >= *dim {
                     return Err(ExecError::OutOfBounds(format!("{}[{i}] (dim {dim})", g.name)));
@@ -316,7 +317,10 @@ fn step(
             let v = read_op(*a, values)?;
             set(values, inst.results[0], kind.eval(v, from, *to));
         }
-        InstKind::Phi { .. } => unreachable!("φ handled at block entry"),
+        InstKind::Phi { .. } => {
+            // `execute` reads φs at block entry and never steps one.
+            return Err(ExecError::UndefinedValue("a φ stepped as an instruction".into()));
+        }
         InstKind::LocalLoad { slot, index } => {
             let i = read_op(*index, values)? as usize;
             let mem = &locals[slot.index()];
@@ -363,14 +367,15 @@ fn step(
             let ty = module.global(mem.mem).ty;
             state.memories[mem.mem.index()][i] = ty.wrap(v);
         }
-        InstKind::AtomicRmw { op, mem, cond, operands } => {
+        InstKind::AtomicRmw(atomic) => {
+            let crate::func::Atomic { op, mem, cond, operands } = &**atomic;
             let i = flat_index(mem, values)?;
             let c = match cond {
                 Some(c) => read_op(*c, values)? != 0,
                 None => true,
             };
             let mut ops = Vec::with_capacity(operands.len());
-            for o in operands {
+            for o in operands.iter() {
                 ops.push(read_op(*o, values)?);
             }
             let gty = module.global(mem.mem).ty;
@@ -405,7 +410,8 @@ fn step(
             };
             set(values, inst.results[0], v as u64);
         }
-        InstKind::Intrinsic { target, name, args: iargs } => {
+        InstKind::Intrinsic(call) => {
+            let crate::func::IntrinsicCall { target, name, args: iargs } = &**call;
             let mut vs = Vec::with_capacity(iargs.len());
             for a in iargs {
                 vs.push(read_op(*a, values)?);
@@ -420,7 +426,9 @@ fn step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::func::{ActionRef, FuncBuilder, GlobalDef, InstKind, MemId, MemRef, Terminator};
+    use crate::func::{
+        ActionRef, Atomic, FuncBuilder, GlobalDef, InstKind, MemId, MemRef, Terminator,
+    };
     use crate::types::{IcmpPred, IrBinOp, IrTy, Operand as Op};
     use netcl_sema::builtins::{AtomicOp, AtomicRmw};
 
@@ -475,12 +483,12 @@ mod tests {
         let v = b.emit(InstKind::ArgRead { arg, index: Op::imm(0, IrTy::I32) }, IrTy::I32).unwrap();
         let new = b
             .emit(
-                InstKind::AtomicRmw {
+                InstKind::AtomicRmw(Box::new(Atomic {
                     op: AtomicOp { rmw: AtomicRmw::Add, cond: false, ret_new: true },
-                    mem: MemRef { mem: MemId(0), indices: vec![Op::imm(2, IrTy::I32)] },
+                    mem: MemRef { mem: MemId(0), indices: [Op::imm(2, IrTy::I32)].into() },
                     cond: None,
-                    operands: vec![Op::Value(v)],
-                },
+                    operands: [Op::Value(v)].into(),
+                })),
                 IrTy::I32,
             )
             .unwrap();
@@ -657,7 +665,7 @@ mod tests {
         let mut b = FuncBuilder::new("k", 1);
         b.emit(
             InstKind::MemRead {
-                mem: MemRef { mem: MemId(0), indices: vec![Op::imm(9, IrTy::I32)] },
+                mem: MemRef { mem: MemId(0), indices: [Op::imm(9, IrTy::I32)].into() },
             },
             IrTy::I32,
         );

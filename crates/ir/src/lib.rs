@@ -19,6 +19,11 @@
 //!
 //! DESIGN.md §4 shows where the IR sits in the `ncc` pipeline.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod dom;
 pub mod func;
 pub mod interp;
@@ -28,7 +33,7 @@ pub mod types;
 pub mod verify;
 
 pub use func::{
-    ArgInfo, Block, BlockId, FuncBuilder, Function, GlobalDef, Inst, InstKind, LocalId, LocalSlot,
-    MemRef, Module, Terminator, ValueId, ValueInfo,
+    ArgInfo, Atomic, Block, BlockId, FuncBuilder, Function, GlobalDef, Inst, InstKind,
+    IntrinsicCall, LocalId, LocalSlot, MemRef, Module, Results, Terminator, ValueId, ValueInfo,
 };
 pub use types::{CastKind, IcmpPred, IrBinOp, IrTy, IrUnOp, Operand};

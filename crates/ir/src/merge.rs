@@ -148,7 +148,7 @@ fn offset_mems(f: &mut Function, delta: i64) {
         for inst in &mut b.insts {
             match &mut inst.kind {
                 InstKind::MemRead { mem } | InstKind::MemWrite { mem, .. } => shift(&mut mem.mem),
-                InstKind::AtomicRmw { mem, .. } => shift(&mut mem.mem),
+                InstKind::AtomicRmw(a) => shift(&mut a.mem.mem),
                 InstKind::Lookup { table, .. } => shift(table),
                 _ => {}
             }
@@ -208,19 +208,19 @@ pub fn merge(units: &[TenantUnit]) -> Result<MergedTenants, MergeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::func::{FuncBuilder, GlobalDef, MemRef};
+    use crate::func::{Atomic, FuncBuilder, GlobalDef, MemRef};
     use crate::types::{IrTy, Operand};
     use netcl_sema::builtins::{AtomicOp, AtomicRmw};
 
     fn module_with(tenant_free_name: &str, comp: u8) -> Module {
         let mut b = FuncBuilder::new("k", comp);
         b.emit(
-            InstKind::AtomicRmw {
+            InstKind::AtomicRmw(Box::new(Atomic {
                 op: AtomicOp { rmw: AtomicRmw::Add, cond: false, ret_new: false },
-                mem: MemRef { mem: MemId(0), indices: vec![Operand::imm(0, IrTy::I32)] },
+                mem: MemRef { mem: MemId(0), indices: [Operand::imm(0, IrTy::I32)].into() },
                 cond: None,
-                operands: vec![Operand::imm(1, IrTy::I32)],
-            },
+                operands: [Operand::imm(1, IrTy::I32)].into(),
+            })),
             IrTy::I32,
         );
         let f = b.finish();

@@ -4,7 +4,7 @@
 //! paper's examples are recognizable in `--dump-ir` output and golden tests
 //! stay readable.
 
-use crate::func::{Function, Inst, InstKind, Module, Terminator};
+use crate::func::{Atomic, Function, Inst, InstKind, IntrinsicCall, Module, Terminator};
 use crate::types::Operand;
 use std::fmt::Write;
 
@@ -143,7 +143,8 @@ pub fn print_inst(f: &Function, inst: &Inst) -> String {
         InstKind::MemWrite { mem, value } => {
             format!("mem.write {}[{}], {}", mem.mem, fmt_ops(&mem.indices), fmt_op(*value))
         }
-        InstKind::AtomicRmw { op, mem, cond, operands } => {
+        InstKind::AtomicRmw(a) => {
+            let Atomic { op, mem, cond, operands } = &**a;
             let mut s = format!("{} {}[{}]", op.name(), mem.mem, fmt_ops(&mem.indices));
             if let Some(c) = cond {
                 let _ = write!(s, " if {}", fmt_op(*c));
@@ -159,7 +160,8 @@ pub fn print_inst(f: &Function, inst: &Inst) -> String {
         }
         InstKind::Rand => format!("rand {ty}"),
         InstKind::MsgField { field } => format!("msg.{:?}", field).to_lowercase(),
-        InstKind::Intrinsic { target, name, args } => {
+        InstKind::Intrinsic(call) => {
+            let IntrinsicCall { target, name, args } = &**call;
             format!("intrinsic {target}::{name}({})", fmt_ops(args))
         }
     };
@@ -169,7 +171,7 @@ pub fn print_inst(f: &Function, inst: &Inst) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::func::{ActionRef, FuncBuilder, InstKind, MemId, MemRef, Terminator};
+    use crate::func::{ActionRef, FuncBuilder, MemId, MemRef, Terminator};
     use crate::types::{IrBinOp, IrTy, Operand as Op};
 
     #[test]
@@ -188,16 +190,16 @@ mod tests {
             )
             .unwrap();
         b.emit(
-            InstKind::AtomicRmw {
+            InstKind::AtomicRmw(Box::new(Atomic {
                 op: netcl_sema::builtins::AtomicOp {
                     rmw: netcl_sema::builtins::AtomicRmw::SAdd,
                     cond: false,
                     ret_new: true,
                 },
-                mem: MemRef { mem: MemId(0), indices: vec![Op::Value(h)] },
+                mem: MemRef { mem: MemId(0), indices: [Op::Value(h)].into() },
                 cond: None,
-                operands: vec![Op::imm(1, IrTy::I32)],
-            },
+                operands: [Op::imm(1, IrTy::I32)].into(),
+            })),
             IrTy::I32,
         );
         b.terminate(Terminator::Ret(ActionRef::pass()));

@@ -256,7 +256,8 @@ impl<'a> Verifier<'a> {
                     }
                 }
             }
-            InstKind::AtomicRmw { op, mem, cond, operands } => {
+            InstKind::AtomicRmw(a) => {
+                let crate::func::Atomic { op, mem, cond, operands } = &**a;
                 if op.cond != cond.is_some() {
                     self.err(Some(bid), "atomic condition operand mismatch");
                 }
@@ -288,7 +289,7 @@ impl<'a> Verifier<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::func::{ActionRef, FuncBuilder, Inst, Terminator};
+    use crate::func::{ActionRef, FuncBuilder, Inst, Results, Terminator};
     use crate::types::{IrBinOp, Operand as Op};
 
     #[test]
@@ -316,10 +317,10 @@ mod tests {
     fn use_before_def_detected() {
         let mut b = FuncBuilder::new("k", 1);
         // Manually craft a use of a value defined later.
-        let later = b.func.values.push(crate::func::ValueInfo { ty: IrTy::I32, name: None });
+        let later = b.func.values.push(crate::func::ValueInfo::of(IrTy::I32));
         b.func.blocks[b.current].insts.push(Inst {
             kind: InstKind::Bin { op: IrBinOp::Add, a: Op::Value(later), b: Op::imm(1, IrTy::I32) },
-            results: vec![b.func.values.push(crate::func::ValueInfo { ty: IrTy::I32, name: None })],
+            results: Results::one(b.func.values.push(crate::func::ValueInfo::of(IrTy::I32))),
         });
         b.func.blocks[b.current].insts.push(Inst {
             kind: InstKind::Bin {
@@ -327,7 +328,7 @@ mod tests {
                 a: Op::imm(1, IrTy::I32),
                 b: Op::imm(2, IrTy::I32),
             },
-            results: vec![later],
+            results: Results::one(later),
         });
         b.terminate(Terminator::Ret(ActionRef::pass()));
         let f = b.finish();

@@ -29,6 +29,11 @@
 //!
 //! DESIGN.md §2 places this interchange format in the system inventory.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod ast;
 pub mod classify;
 pub mod parse;

@@ -151,19 +151,19 @@ mod tests {
 
     #[test]
     fn atomics_never_removed() {
-        use netcl_ir::func::{MemId, MemRef};
+        use netcl_ir::func::{Atomic, MemId, MemRef};
         let mut b = FuncBuilder::new("k", 1);
         b.emit(
-            InstKind::AtomicRmw {
+            InstKind::AtomicRmw(Box::new(Atomic {
                 op: netcl_sema::builtins::AtomicOp {
                     rmw: netcl_sema::builtins::AtomicRmw::Inc,
                     cond: false,
                     ret_new: false,
                 },
-                mem: MemRef { mem: MemId(0), indices: vec![Op::imm(0, IrTy::I32)] },
+                mem: MemRef { mem: MemId(0), indices: [Op::imm(0, IrTy::I32)].into() },
                 cond: None,
-                operands: vec![],
-            },
+                operands: [].into(),
+            })),
             IrTy::I32,
         );
         b.terminate(Terminator::Ret(ActionRef::pass()));

@@ -156,7 +156,7 @@ pub fn hoist_common_values(f: &mut Function) -> usize {
                 (ncd, pos)
             }
         };
-        let keep_results = f.blocks[keep_block].insts[keep_idx].results.clone();
+        let keep_results = f.blocks[keep_block].insts[keep_idx].results;
         for &(b, i) in &sites {
             if (b, i) == (keep_block, keep_idx) {
                 continue;
@@ -320,7 +320,7 @@ mod tests {
         b.switch_to(t);
         b.emit(
             InstKind::MemRead {
-                mem: MemRef { mem: MemId(0), indices: vec![Op::imm(0, IrTy::I32)] },
+                mem: MemRef { mem: MemId(0), indices: [Op::imm(0, IrTy::I32)].into() },
             },
             IrTy::I32,
         );

@@ -13,7 +13,7 @@
 
 use crate::fold::Replacements;
 use netcl_ir::dom::DomTree;
-use netcl_ir::func::{BlockId, Function, Inst, InstKind, LocalId, ValueInfo};
+use netcl_ir::func::{BlockId, Function, Inst, InstKind, LocalId, Results, ValueInfo};
 use netcl_ir::types::Operand;
 use netcl_util::bitset::BitSet;
 use netcl_util::idx::{Idx, IndexVec};
@@ -55,11 +55,10 @@ pub fn run_on_function(f: &mut Function) -> usize {
             }
             for &fr in &df[b] {
                 if placed.insert(fr.index()) {
-                    let name = Some(f.locals[slot].name.clone());
-                    let v = f.values.push(ValueInfo { ty: f.locals[slot].ty, name });
+                    let v = f.values.push(ValueInfo { ty: f.locals[slot].ty, phi_of: Some(slot) });
                     f.blocks[fr].insts.insert(
                         0,
-                        Inst { kind: InstKind::Phi { incoming: vec![] }, results: vec![v] },
+                        Inst { kind: InstKind::Phi { incoming: vec![] }, results: Results::one(v) },
                     );
                     phi_slots.push(slot);
                     work.push(fr);

@@ -304,7 +304,7 @@ mod tests {
     }
 
     fn read_at(mem: u32, index: Op) -> InstKind {
-        InstKind::MemRead { mem: MemRef { mem: MemId(mem), indices: vec![index] } }
+        InstKind::MemRead { mem: MemRef { mem: MemId(mem), indices: [index].into() } }
     }
 
     fn check(m: &mut Module) -> DiagnosticSink {

@@ -40,7 +40,7 @@ fn find_partitionable(module: &Module) -> Option<MemId> {
                 for inst in &b.insts {
                     let mem = match &inst.kind {
                         InstKind::MemRead { mem } | InstKind::MemWrite { mem, .. } => mem,
-                        InstKind::AtomicRmw { mem, .. } => mem,
+                        InstKind::AtomicRmw(a) => &a.mem,
                         _ => continue,
                     };
                     if mem.mem != id {
@@ -87,7 +87,7 @@ fn split_one(module: &mut Module, id: MemId) {
             for inst in &mut b.insts {
                 let mem = match &mut inst.kind {
                     InstKind::MemRead { mem } | InstKind::MemWrite { mem, .. } => mem,
-                    InstKind::AtomicRmw { mem, .. } => mem,
+                    InstKind::AtomicRmw(a) => &mut a.mem,
                     _ => continue,
                 };
                 if mem.mem != id {
@@ -98,7 +98,7 @@ fn split_one(module: &mut Module, id: MemId) {
                     .expect("partitionable access has constant outer index")
                     as usize;
                 mem.mem = parts[outer_idx.min(outer - 1)];
-                mem.indices.remove(0);
+                mem.indices = mem.indices[1..].into();
             }
         }
     }
@@ -173,7 +173,7 @@ pub fn duplicate_lookup_memory(module: &mut Module) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netcl_ir::func::{ActionRef, FuncBuilder, MemRef, Terminator};
+    use netcl_ir::func::{ActionRef, Atomic, FuncBuilder, MemRef, Terminator};
     use netcl_ir::types::{IrTy, Operand, Operand as Op};
     use netcl_ir::{GlobalDef, InstKind};
     use netcl_sema::builtins::{AtomicOp, AtomicRmw};
@@ -192,12 +192,12 @@ mod tests {
     }
 
     fn atomic_or(mem: MemId, outer: Operand, inner: Operand) -> InstKind {
-        InstKind::AtomicRmw {
+        InstKind::AtomicRmw(Box::new(Atomic {
             op: AtomicOp { rmw: AtomicRmw::Or, cond: false, ret_new: false },
-            mem: MemRef { mem, indices: vec![outer, inner] },
+            mem: MemRef { mem, indices: [outer, inner].into() },
             cond: None,
-            operands: vec![Op::imm(1, IrTy::I16)],
-        }
+            operands: [Op::imm(1, IrTy::I16)].into(),
+        }))
     }
 
     #[test]
@@ -226,7 +226,7 @@ mod tests {
         let mems: Vec<(u32, usize)> = insts
             .iter()
             .filter_map(|i| match &i.kind {
-                InstKind::AtomicRmw { mem, .. } => Some((mem.mem.0, mem.indices.len())),
+                InstKind::AtomicRmw(a) => Some((a.mem.mem.0, a.mem.indices.len())),
                 _ => None,
             })
             .collect();

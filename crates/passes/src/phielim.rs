@@ -5,7 +5,7 @@
 //! them with load instructions." The fresh variables are scalar local slots,
 //! which the P4 code generator emits as local metadata variables.
 
-use netcl_ir::func::{Function, Inst, InstKind};
+use netcl_ir::func::{Function, Inst, InstKind, Results};
 use netcl_ir::types::{IrTy, Operand};
 
 /// Eliminates every φ-node; returns how many were removed.
@@ -28,21 +28,26 @@ pub fn run_on_function(f: &mut Function) -> usize {
         let InstKind::Phi { incoming } = inst.kind else { unreachable!() };
         let result = inst.results[0];
         let ty = f.values[result].ty;
-        let name = f.values[result].name.clone().unwrap_or_else(|| format!("phi{}", result.0));
-        let slot =
-            f.locals.push(netcl_ir::func::LocalSlot { name: format!("{name}.ph"), ty, count: 1 });
+        let name = match f.values[result].phi_of {
+            Some(promoted) => format!("{}.ph", f.locals[promoted].name),
+            None => format!("phi{}.ph", result.0),
+        };
+        let slot = f.locals.push(netcl_ir::func::LocalSlot { name, ty, count: 1 });
         let zero_idx = Operand::imm(0, IrTy::I32);
         // Store in each incoming predecessor, before its terminator.
         for (pred, value) in incoming {
             f.blocks[pred].insts.push(Inst {
                 kind: InstKind::LocalStore { slot, index: zero_idx, value },
-                results: vec![],
+                results: Results::NONE,
             });
         }
         // Load at the φ's position, defining the original value id.
         f.blocks[bid].insts.insert(
             i,
-            Inst { kind: InstKind::LocalLoad { slot, index: zero_idx }, results: vec![result] },
+            Inst {
+                kind: InstKind::LocalLoad { slot, index: zero_idx },
+                results: Results::one(result),
+            },
         );
         removed += 1;
     }

@@ -8,7 +8,7 @@
 //! single stage" — [`detect_bswap`] pattern-matches shift/or byte swaps into
 //! the dedicated `bswap` operation the code generator emits as one action.
 
-use netcl_ir::func::{BlockId, Function, Inst, InstKind, ValueId};
+use netcl_ir::func::{BlockId, Function, Inst, InstKind, Results, ValueId};
 use netcl_ir::types::{IcmpPred, IrBinOp, IrTy, Operand};
 use netcl_util::idx::IndexVec;
 
@@ -57,19 +57,19 @@ pub fn icmp_to_sub_msb(f: &mut Function) -> usize {
             // Signed comparisons flip the sign bit of both operands first.
             let mut seq: Vec<Inst> = Vec::new();
             let fresh = |f: &mut Function, ty: IrTy| -> ValueId {
-                f.values.push(netcl_ir::func::ValueInfo { ty, name: None })
+                f.values.push(netcl_ir::func::ValueInfo::of(ty))
             };
             let (lhs, rhs) = if signed {
                 let msb = 1u64 << (ty.bits - 1);
                 let fl = fresh(f, ty);
                 seq.push(Inst {
                     kind: InstKind::Bin { op: IrBinOp::Xor, a: lhs, b: Operand::imm(msb, ty) },
-                    results: vec![fl],
+                    results: Results::one(fl),
                 });
                 let fr = fresh(f, ty);
                 seq.push(Inst {
                     kind: InstKind::Bin { op: IrBinOp::Xor, a: rhs, b: Operand::imm(msb, ty) },
-                    results: vec![fr],
+                    results: Results::one(fr),
                 });
                 (Operand::Value(fl), Operand::Value(fr))
             } else {
@@ -78,7 +78,7 @@ pub fn icmp_to_sub_msb(f: &mut Function) -> usize {
             let diff = fresh(f, ty);
             seq.push(Inst {
                 kind: InstKind::Bin { op: IrBinOp::USubSat, a: rhs, b: lhs },
-                results: vec![diff],
+                results: Results::one(diff),
             });
             let final_pred = if invert { IcmpPred::Eq } else { IcmpPred::Ne };
             seq.push(Inst {
@@ -87,7 +87,7 @@ pub fn icmp_to_sub_msb(f: &mut Function) -> usize {
                     a: Operand::Value(diff),
                     b: Operand::imm(0, ty),
                 },
-                results: vec![result],
+                results: Results::one(result),
             });
 
             let n_new = seq.len();
@@ -145,11 +145,8 @@ pub fn detect_bswap(f: &mut Function) -> usize {
             if src1 != src2 {
                 continue;
             }
-            let result = f.blocks[bid].insts[i].results.clone();
-            f.blocks[bid].insts[i] = Inst {
-                kind: InstKind::Un { op: netcl_ir::types::IrUnOp::Bswap, a: src1 },
-                results: result,
-            };
+            f.blocks[bid].insts[i].kind =
+                InstKind::Un { op: netcl_ir::types::IrUnOp::Bswap, a: src1 };
             found += 1;
         }
     }

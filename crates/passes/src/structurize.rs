@@ -190,7 +190,7 @@ struct Rebuilder<'a> {
 impl<'a> Rebuilder<'a> {
     fn fresh_value(&mut self, of: ValueId) -> ValueId {
         let base = self.src.values.len();
-        let info = self.src.values[of].clone();
+        let info = self.src.values[of];
         self.new_values.push(info);
         ValueId((base + self.new_values.len() - 1) as u32)
     }
@@ -231,12 +231,11 @@ impl<'a> Rebuilder<'a> {
             }
             let mut kind = inst.kind.clone();
             kind.map_operands(|op| self.map_operand(op));
-            let mut results = Vec::with_capacity(inst.results.len());
-            for &r in &inst.results {
+            let results = inst.results.map(|r| {
                 let nr = self.fresh_value(r);
                 self.vmap[r] = Some(Operand::Value(nr));
-                results.push(nr);
-            }
+                nr
+            });
             self.new_blocks[new_b].insts.push(Inst { kind, results });
         }
         let new_term = match &block.term {

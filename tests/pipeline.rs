@@ -1,10 +1,13 @@
 //! Cross-crate integration: source → compiler → P4 → print → parse →
 //! bmv2 execution, checked against the IR interpreter at every step.
 
-use netcl::{CompileOptions, Compiler, EmitTarget};
+use netcl::passes::{run_pipeline, PassFlags, PipelineTarget};
+use netcl::{codegen, CompileOptions, Compiler, EmitTarget};
 use netcl_bmv2::Switch;
-use netcl_p4::{parse::parse_program, print::print_program};
+use netcl_p4::ast::Target;
+use netcl_p4::{parse::parse_program, print::print_program, P4Program};
 use netcl_runtime::message::{pack, unpack, Message};
+use std::sync::Arc;
 
 mod shipped;
 
@@ -110,6 +113,46 @@ fn tna_and_v1model_agree() {
         unpack(&o2, &spec, &mut [None, None, Some(&mut v2v), None]).unwrap();
         assert_eq!(v1v, v2v, "key {key}");
     }
+}
+
+/// A device keeps one artifact for both dialects exactly when their stages
+/// agree (DESIGN.md §16). For every device of every shipped application,
+/// the pipeline is run by hand once per dialect: the device's two IR
+/// fields are those outputs and one allocation exactly when the outputs
+/// are equal, a shared device's v1model program shares its three parts
+/// with the TNA one, and the v1model program prints what codegen makes of
+/// the v1model module.
+#[test]
+fn dialects_share_one_artifact_exactly_when_their_stages_agree() {
+    let parts = |p: &P4Program| {
+        let parser = p.parser.as_ref().map(Arc::as_ptr);
+        (Arc::as_ptr(&p.headers), parser, Arc::as_ptr(&p.controls))
+    };
+    let mut shared = 0;
+    for (app, unit) in shipped::units() {
+        let (parsed, mut diags) = netcl::lang::parse(app.name, &app.netcl_source);
+        let (analysis, sema_diags) = netcl::sema::analyze(&parsed);
+        diags.absorb(sema_diags);
+        for d in &unit.devices {
+            let what = format!("{} device {}", app.name, d.device);
+            let mut stage = |target| {
+                let mut ir = netcl::lower::lower_device(&parsed, &analysis, d.device, &mut diags);
+                run_pipeline(&mut ir, target, &PassFlags::default(), &mut diags).expect("accepts");
+                ir
+            };
+            let (tna, v1) = (stage(PipelineTarget::Tofino), stage(PipelineTarget::V1Model));
+            assert!(*d.tna_ir == tna && *d.v1_ir == v1, "{what}: not the stage outputs");
+            let one = Arc::ptr_eq(&d.tna_ir, &d.v1_ir);
+            assert_eq!(one, tna == v1, "{what}");
+            if one {
+                shared += 1;
+                assert_eq!(parts(&d.v1_p4), parts(&d.tna_p4), "{what}");
+            }
+            let v1_p4 = codegen::generate_at(&d.v1_ir, Target::V1Model, d.device).expect("codegen");
+            assert_eq!(print_program(&d.v1_p4), print_program(&v1_p4), "{what}");
+        }
+    }
+    assert!(shared > 0, "no shipped device keeps one artifact");
 }
 
 /// The host runtime's pack/unpack round-trips through kernel execution for
