@@ -16,7 +16,7 @@ use netcl_bmv2::Switch;
 use netcl_net::{HostEvent, LinkSpec, NodeId, Outbox};
 use netcl_p4::P4Program;
 use netcl_runtime::message::{pack_into, unpack, Message};
-use netcl_runtime::reliable::{IntMap, Reliable, RetryPolicy};
+use netcl_runtime::reliable::{Reliable, RetryPolicy};
 use netcl_sema::model::Specification;
 
 use crate::{Conditions, Run, L2_FWD, PRELUDE};
@@ -322,29 +322,107 @@ pub fn expected(cfg: &AggConfig, c: u32, i: u32) -> u64 {
     (0..cfg.num_workers).map(|w| element(w, c, i)).sum::<u64>() & 0xFFFF_FFFF
 }
 
-/// Per-worker progress shared with the experiment driver.
+/// A map from a dense `u32` index (a chunk or a slot number) to `T`: one
+/// `Option<T>` per index, so a lookup is an index and an entry costs
+/// `size_of::<Option<T>>()` (24 B for a result's `Vec<u64>`), where a hash
+/// table reserved for the same count holds the next power of two above
+/// 8 / 7 of it in wider buckets. It keeps the call shapes of a map
+/// (`get(&k)`, `insert(k, v)`, `contains_key(&k)`), so callers read it as
+/// one.
+#[derive(Debug)]
+pub struct DenseMap<T> {
+    slots: Vec<Option<T>>,
+}
+
+impl<T> Default for DenseMap<T> {
+    fn default() -> Self {
+        DenseMap { slots: Vec::new() }
+    }
+}
+
+impl<T> DenseMap<T> {
+    /// Reserves one block of exactly `len` slots for the indices `0..len`.
+    /// The slots are written as the indices reach them, so a page of the
+    /// block is touched when the first result on it arrives, as a hash
+    /// table's buckets are.
+    pub(crate) fn reserve_len(&mut self, len: u32) {
+        self.slots.reserve_exact((len as usize).saturating_sub(self.slots.len()));
+    }
+
+    /// The value at `index`, if one is stored.
+    pub fn get(&self, index: &u32) -> Option<&T> {
+        self.slots.get(*index as usize)?.as_ref()
+    }
+
+    /// Whether a value is stored at `index`.
+    pub fn contains_key(&self, index: &u32) -> bool {
+        self.get(index).is_some()
+    }
+
+    /// Stores `value` at `index`, growing the map past its end if need be,
+    /// and returns the value it replaces.
+    pub fn insert(&mut self, index: u32, value: T) -> Option<T> {
+        let at = index as usize;
+        if at >= self.slots.len() {
+            self.slots.resize_with(at + 1, || None);
+        }
+        self.slots[at].replace(value)
+    }
+
+    /// Takes the value at `index` out, if one is stored.
+    pub(crate) fn remove(&mut self, index: &u32) -> Option<T> {
+        self.slots.get_mut(*index as usize)?.take()
+    }
+}
+
+/// Per-worker progress shared with the experiment driver. Chunk numbers
+/// are dense (`0..total_chunks`) and so are slot numbers (`0..num_slots`):
+/// [`worker_handler`] sizes each store once, and every lookup is an index.
 #[derive(Debug, Default)]
 pub struct WorkerState {
     /// Chunks whose aggregate this worker has received.
     pub completed: Vec<u32>,
     /// Received aggregates (chunk → values).
-    pub results: IntMap<u32, Vec<u64>>,
-    /// Received max-exponents per chunk.
-    pub exps: IntMap<u32, u64>,
+    pub results: DenseMap<Vec<u64>>,
+    /// Received max-exponent per chunk, one byte each (`bit<8>` on the
+    /// wire); 0, or past the end, until the chunk's result arrives.
+    pub exps: Vec<u8>,
     /// Retransmissions sent.
     pub retransmits: u64,
     /// Outstanding chunk per slot.
-    pub inflight: IntMap<u32, u32>,
+    pub inflight: DenseMap<u32>,
     /// When the last result arrived (simulated ns).
     pub last_result_ns: u64,
 }
 
-/// Releases `results` newest first. The last results are among the last
-/// blocks a run allocated, at the top of the heap, and the first of them
-/// freed stay in glibc's per-thread cache, which counts as in use: the
-/// heap's top stays put, and the next run reuses the memory below it
-/// instead of glibc handing it back and the run faulting it in again
-/// (DESIGN.md §18).
+impl WorkerState {
+    /// Reserves room for `total_chunks` results and `num_slots` slots,
+    /// each store one block of exactly that size.
+    fn reserve(&mut self, total_chunks: u32, num_slots: u32) {
+        self.results.reserve_len(total_chunks);
+        self.inflight.reserve_len(num_slots);
+        self.exps.reserve_exact((total_chunks as usize).saturating_sub(self.exps.len()));
+    }
+
+    /// Records `chunk`'s aggregate: its values, its exponent, its place in
+    /// `completed`. A duplicate overwrites the earlier result.
+    fn record(&mut self, chunk: u32, values: Vec<u64>, exp: u8) {
+        let at = chunk as usize;
+        if at >= self.exps.len() {
+            self.exps.resize(at + 1, 0);
+        }
+        self.exps[at] = exp;
+        self.results.insert(chunk, values);
+        self.completed.push(chunk);
+    }
+}
+
+/// Releases `results` newest first, then the slot vectors (the fields, in
+/// order). The last results are among the last blocks a run allocated, at
+/// the top of the heap, and the first of them freed stay in glibc's
+/// per-thread cache, which counts as in use: the heap's top stays put, and
+/// the next run reuses the memory below it instead of glibc handing it back
+/// and the run faulting it in again (DESIGN.md §18).
 impl Drop for WorkerState {
     fn drop(&mut self) {
         for chunk in self.completed.iter().rev() {
@@ -426,7 +504,7 @@ pub fn worker_handler(
 ) -> netcl_net::HostHandler {
     let s = spec(&cfg);
     let mut rel = Reliable::new(RetryPolicy { base_rto_ns: RTO_NS, ..Default::default() });
-    state.lock().unwrap().results.reserve(total_chunks as usize);
+    state.lock().unwrap().reserve(total_chunks, cfg.num_slots);
     // Scratch the handler reuses; only `values` is new per result, because
     // `results` keeps it.
     let (mut agg_idx, mut exp, mut lanes, mut wire) =
@@ -451,9 +529,7 @@ pub fn worker_handler(
                     return;
                 }
                 rel.ack_key(chunk as u64);
-                st.results.insert(chunk, values);
-                st.exps.insert(chunk, exp[0]);
-                st.completed.push(chunk);
+                st.record(chunk, values, exp[0] as u8);
                 st.last_result_ns = now;
                 let next = chunk + cfg.num_slots;
                 if next < total_chunks {
@@ -568,6 +644,58 @@ mod tests {
         AggConfig { num_workers: 3, num_slots: 4, slot_size: 8 }
     }
 
+    /// A worker's store sized for 4 chunks and 2 slots, as
+    /// [`worker_handler`] sizes it.
+    fn sized_state() -> WorkerState {
+        let mut st = WorkerState::default();
+        st.reserve(4, 2);
+        st
+    }
+
+    #[test]
+    fn dense_store_reads_none_where_nothing_arrived() {
+        let mut st = sized_state();
+        st.record(1, vec![7; 3], 5);
+        assert_eq!(st.results.get(&0), None, "an unreceived chunk");
+        assert_eq!(st.results.get(&4), None, "one past total_chunks");
+        assert_eq!(st.results.get(&u32::MAX), None);
+        assert!(!st.results.contains_key(&3) && st.results.contains_key(&1));
+        assert_eq!(st.inflight.get(&2), None, "one past num_slots");
+        assert_eq!(st.exps, [0, 5]);
+    }
+
+    #[test]
+    fn dense_store_reads_back_out_of_order_inserts() {
+        let mut st = sized_state();
+        for (chunk, exp) in [(3, 9), (0, 1), (2, 4)] {
+            st.record(chunk, vec![chunk as u64; 2], exp);
+        }
+        st.inflight.insert(1, 3);
+        st.inflight.insert(0, 2);
+        for chunk in [0, 2, 3] {
+            assert_eq!(st.results.get(&chunk), Some(&vec![chunk as u64; 2]));
+        }
+        assert_eq!(st.results.get(&1), None);
+        assert_eq!(st.exps, [1, 0, 4, 9]);
+        assert_eq!(st.completed, [3, 0, 2]);
+        assert_eq!((st.inflight.get(&0), st.inflight.get(&1)), (Some(&2), Some(&3)));
+        // Past the sized end the store grows instead of dropping the value.
+        st.record(6, vec![6], 2);
+        assert_eq!((st.results.get(&6), st.exps.get(6)), (Some(&vec![6]), Some(&2)));
+    }
+
+    #[test]
+    fn dense_store_duplicate_overwrites() {
+        let mut st = sized_state();
+        st.record(2, vec![1, 2], 3);
+        st.record(2, vec![4, 5], 6);
+        assert_eq!((st.results.get(&2), st.exps[2]), (Some(&vec![4, 5]), 6));
+        assert_eq!(st.inflight.insert(0, 2), None);
+        assert_eq!(st.inflight.insert(0, 4), Some(2));
+        assert_eq!(st.inflight.remove(&0), Some(4));
+        assert_eq!(st.inflight.get(&0), None);
+    }
+
     #[test]
     fn netcl_agg_compiles_and_fits() {
         let cfg = AggConfig::default();
@@ -639,7 +767,7 @@ mod tests {
         // Worker exponents for chunk 0: w%8 + 0 = {0,1,2}; max = 2.
         for st in &states {
             let st = st.lock().unwrap();
-            assert_eq!(st.exps.get(&0), Some(&2), "{st:?}");
+            assert_eq!(st.exps.first(), Some(&2), "{st:?}");
         }
     }
 }

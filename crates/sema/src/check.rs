@@ -176,13 +176,24 @@ struct FnCtx<'a> {
     is_kernel: bool,
     ret: Ty,
     locations: &'a LocationSet,
-    scopes: Vec<HashMap<Symbol, VarInfo>>,
+    /// The innermost scope; a function body's is the parameters' own.
+    scope: HashMap<Symbol, VarInfo>,
+    /// The scopes around `scope`, outermost first.
+    outer: Vec<HashMap<Symbol, VarInfo>>,
     loop_depth: usize,
 }
 
 impl<'a> FnCtx<'a> {
     fn lookup_var(&self, name: Symbol) -> Option<&VarInfo> {
-        self.scopes.iter().rev().find_map(|s| s.get(&name))
+        self.scope.get(&name).or_else(|| self.outer.iter().rev().find_map(|s| s.get(&name)))
+    }
+
+    fn enter_scope(&mut self) {
+        self.outer.push(std::mem::take(&mut self.scope));
+    }
+
+    fn leave_scope(&mut self) {
+        self.scope = self.outer.pop().unwrap_or_default();
     }
 }
 
@@ -723,7 +734,8 @@ impl<'a> Checker<'a> {
             is_kernel,
             ret,
             locations,
-            scopes: vec![HashMap::new()],
+            scope: HashMap::new(),
+            outer: Vec::new(),
             loop_depth: 0,
         };
         for p in &f.params {
@@ -733,7 +745,7 @@ impl<'a> Checker<'a> {
                 PassMode::Reference => (0, Root::ParamRef),
                 PassMode::Pointer => (1, Root::ParamPtr),
             };
-            ctx.scopes[0].insert(p.name, VarInfo { ty, rank, root });
+            ctx.scope.insert(p.name, VarInfo { ty, rank, root });
         }
         // The function body shares the parameter scope (C semantics: a local
         // redeclaring a parameter is a redefinition error).
@@ -743,11 +755,11 @@ impl<'a> Checker<'a> {
     }
 
     fn check_block(&mut self, block: &Block, ctx: &mut FnCtx<'_>) {
-        ctx.scopes.push(HashMap::new());
+        ctx.enter_scope();
         for stmt in &block.stmts {
             self.check_stmt(stmt, ctx);
         }
-        ctx.scopes.pop();
+        ctx.leave_scope();
     }
 
     fn check_stmt(&mut self, stmt: &Stmt, ctx: &mut FnCtx<'_>) {
@@ -771,7 +783,7 @@ impl<'a> Checker<'a> {
                 }
             }
             Stmt::For { init, cond, step, body, .. } => {
-                ctx.scopes.push(HashMap::new());
+                ctx.enter_scope();
                 if let Some(i) = init {
                     self.check_stmt(i, ctx);
                 }
@@ -784,7 +796,7 @@ impl<'a> Checker<'a> {
                 ctx.loop_depth += 1;
                 self.check_block(body, ctx);
                 ctx.loop_depth -= 1;
-                ctx.scopes.pop();
+                ctx.leave_scope();
             }
             Stmt::While { cond, body, .. } => {
                 self.check_condition(cond, ctx);
@@ -848,7 +860,7 @@ impl<'a> Checker<'a> {
 
     fn check_local_decl(&mut self, d: &LocalDecl, ctx: &mut FnCtx<'_>) {
         // Shadowing within the same scope is an error.
-        if ctx.scopes.last().unwrap().contains_key(&d.name) {
+        if ctx.scope.contains_key(&d.name) {
             self.diags.error(
                 "E0225",
                 format!("redefinition of `{}` in the same scope", self.name(d.name)),
@@ -949,7 +961,7 @@ impl<'a> Checker<'a> {
             }
         }
         let var = VarInfo { ty, rank: dims.len(), root: Root::Local };
-        ctx.scopes.last_mut().unwrap().insert(d.name, var);
+        ctx.scope.insert(d.name, var);
         self.resolve(d.id, Resolution::Local { ty, dims });
     }
 

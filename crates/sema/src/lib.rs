@@ -27,6 +27,11 @@
 //!
 //! DESIGN.md §3 lists every enforced rule with its diagnostic code.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod builtins;
 pub mod check;
 pub mod consteval;

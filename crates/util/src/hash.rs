@@ -9,18 +9,35 @@
 //! generated `Hash.apply` nodes with the same code, so host-side sketches and
 //! in-switch sketches agree exactly.
 
+/// The 256-entry table of a reflected CRC: entry `b` is the register after
+/// shifting byte `b` through eight bit-steps of `poly` (reflected), so one
+/// lookup stands for the eight steps.
+const fn reflected_table(poly: u32) -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut step = 0;
+        while step < 8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ poly } else { crc >> 1 };
+            step += 1;
+        }
+        table[b] = crc;
+        b += 1;
+    }
+    table
+}
+
+/// CRC-16/ARC's table; every entry fits in 16 bits.
+static CRC16_TABLE: [u32; 256] = reflected_table(0xA001);
+/// CRC-32/IEEE's table.
+static CRC32_TABLE: [u32; 256] = reflected_table(0xEDB8_8320);
+
 /// CRC-16/ARC: polynomial 0x8005 (reflected 0xA001), init 0, no final xor.
 pub fn crc16(data: &[u8]) -> u16 {
     let mut crc: u16 = 0;
     for &b in data {
-        crc ^= b as u16;
-        for _ in 0..8 {
-            if crc & 1 != 0 {
-                crc = (crc >> 1) ^ 0xA001;
-            } else {
-                crc >>= 1;
-            }
-        }
+        crc = (crc >> 8) ^ CRC16_TABLE[((crc ^ b as u16) & 0xFF) as usize] as u16;
     }
     crc
 }
@@ -29,14 +46,7 @@ pub fn crc16(data: &[u8]) -> u16 {
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
     for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            if crc & 1 != 0 {
-                crc = (crc >> 1) ^ 0xEDB8_8320;
-            } else {
-                crc >>= 1;
-            }
-        }
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -75,6 +85,54 @@ pub fn crc16_u32(key: u32) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bit-step form the tables stand for: eight shifts of the
+    /// reflected polynomial per byte.
+    fn bitwise(data: &[u8], init: u32, poly: u32) -> u32 {
+        let mut crc = init;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ poly } else { crc >> 1 };
+            }
+        }
+        crc
+    }
+
+    fn crc16_oracle(data: &[u8]) -> u16 {
+        bitwise(data, 0, 0xA001) as u16
+    }
+
+    fn crc32_oracle(data: &[u8]) -> u32 {
+        !bitwise(data, 0xFFFF_FFFF, 0xEDB8_8320)
+    }
+
+    #[test]
+    fn tables_match_the_bit_steps_on_every_byte() {
+        for b in 0..=255u8 {
+            assert_eq!(crc16(&[b]), crc16_oracle(&[b]), "crc16 of {b:#04x}");
+            assert_eq!(crc32(&[b]), crc32_oracle(&[b]), "crc32 of {b:#04x}");
+        }
+    }
+
+    #[test]
+    fn tables_match_the_bit_steps_on_seeded_keys() {
+        // xorshift64*, seeded: 10 000 keys of 1 to 8 bytes.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        for _ in 0..10_000 {
+            let len = 1 + (next() % 8) as usize;
+            let key = next().to_le_bytes();
+            let key = &key[..len];
+            assert_eq!(crc16(key), crc16_oracle(key), "crc16 of {key:02x?}");
+            assert_eq!(crc32(key), crc32_oracle(key), "crc32 of {key:02x?}");
+        }
+    }
 
     // Check-values from the CRC catalogue (input "123456789").
     const CHECK_INPUT: &[u8] = b"123456789";

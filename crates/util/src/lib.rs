@@ -8,6 +8,11 @@
 //!
 //! DESIGN.md §2 shows where this crate sits under everything else.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod bitset;
 pub mod diag;
 pub mod hash;

@@ -14,8 +14,9 @@
 //! third is the host path (DESIGN.md §13): an AGG star whose eight workers
 //! run `agg::worker_handler`, so packing, the reliability helper, the
 //! `Outbox` and the multicast fan-out are inside the measurement. The last
-//! test reads what a run keeps rather than what it allocates: a handler
-//! host consumes each message, so twice the requests hold no more memory.
+//! two tests read what a run keeps rather than what it allocates: what an
+//! AGG worker holds per result it received, and that a handler host
+//! consumes each message, so twice the requests hold no more memory.
 
 mod counting_alloc;
 
@@ -24,13 +25,13 @@ use netcl::{CompileOptions, Compiler};
 use netcl_apps::{agg, calc};
 use netcl_bmv2::Switch;
 use netcl_net::{
-    FatTree, FlowStream, HostEvent, HostHandler, LinkSpec, NetworkBuilder, NodeId, Outbox,
+    FatTree, FlowStream, HostEvent, HostHandler, LinkSpec, Network, NetworkBuilder, NodeId, Outbox,
     PrecomputedRoutes, Zipf,
 };
 use netcl_runtime::device::NO_DEVICE;
 use netcl_runtime::message::{pack, Message};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -49,10 +50,11 @@ const MEASURED: f64 = 51.0 / 14_846.0;
 const MEASURED_SHARDED: f64 = 50.0 / 14_578.0;
 
 /// Allocations per event with a handler on every host, measured at this
-/// commit: 7 736 over 12 128 events of a lossless 8-worker AllReduce (four
+/// commit: 7 720 over 12 128 events of a lossless 8-worker AllReduce (four
 /// events per chunk and worker: send, arrive at the switch, arrive at the
-/// host, RTO timer); 7 744 while each host also logged what its handler
-/// had read, and the eight logs grew once more in the measured part. Before
+/// host, RTO timer); 7 736 while each worker hashed its exponents into a
+/// table that grew twice in the measured part, and 7 744 while each host
+/// also logged what its handler had read. Before
 /// the host path was reworked, `netcl_e2e`'s `allreduce_agg` read 3.97 per
 /// event: every chunk cycle rebuilt the specification, the lane vector, the
 /// wire buffer, `Reliable`'s copy, an `Outbox` and the handler's own copy of
@@ -65,7 +67,7 @@ const MEASURED_SHARDED: f64 = 50.0 / 14_578.0;
 /// ends in a window of RTO timers that find their chunk acked. One more
 /// allocation per message anywhere on the path lands above the ceiling, and
 /// the ceiling below 1.
-const MEASURED_HANDLERS: f64 = 7_736.0 / 12_128.0;
+const MEASURED_HANDLERS: f64 = 7_720.0 / 12_128.0;
 const _: () = assert!(MEASURED_HANDLERS * 1.10 < 1.0, "the ceiling stays below one per event");
 
 /// A driver injection: `(at_ns, source host, wire bytes)`.
@@ -149,16 +151,15 @@ fn steady_state_sharded_allocations_per_event() {
     assert_ceiling("two inline shards", tail, MEASURED_SHARDED);
 }
 
-/// The host path in steady state: eight AGG workers around one switch,
-/// window 16, 32 lanes per chunk, lossless links.
-#[test]
-fn steady_state_handler_allocations_per_event() {
-    let cfg = agg::AggConfig { num_workers: 8, num_slots: 16, slot_size: 32 };
-    let (chunks, link) = (500, LinkSpec::default());
+/// The AGG star of the host-path readings: eight workers around one
+/// switch, window 16, 32 lanes per chunk, lossless links, 500 chunks, every
+/// worker's window kicked off.
+fn agg_star() -> (Network, Vec<Arc<Mutex<agg::WorkerState>>>) {
+    let (chunks, link) = (AGG_CHUNKS, LinkSpec::default());
     let unit = Compiler::new(CompileOptions::default())
-        .compile("agg.ncl", &agg::netcl_source(&cfg))
+        .compile("agg.ncl", &agg::netcl_source(&AGG))
         .expect("AGG compiles");
-    let workers: Vec<u32> = (0..cfg.num_workers).map(|w| 100 + w).collect();
+    let workers: Vec<u32> = (0..AGG.num_workers).map(|w| 100 + w).collect();
     let mut topo = netcl_net::topo::star(1, &workers, link);
     topo.multicast_group(42, workers.iter().map(|&w| NodeId::Host(w)).collect());
     let states: Vec<_> = workers.iter().map(|_| Default::default()).collect();
@@ -166,24 +167,69 @@ fn steady_state_handler_allocations_per_event() {
         NetworkBuilder::new(topo).device(1, Switch::new(unit.devices[0].tna_p4.clone()), 500);
     for (w, state) in states.iter().enumerate() {
         let guard = agg::slot_guard_ns(&link);
-        let handler = agg::worker_handler(cfg, w as u32, chunks, guard, Arc::clone(state));
+        let handler = agg::worker_handler(AGG, w as u32, chunks, guard, Arc::clone(state));
         b = b.host(workers[w], handler);
     }
     let mut net = b.build();
     for (w, state) in states.iter().enumerate() {
-        for c in 0..cfg.num_slots {
+        for c in 0..AGG.num_slots {
             net.set_host_timer(workers[w], w as u64 * 50 + c as u64 * 10, c as u64);
             state.lock().unwrap().inflight.insert(c, c);
         }
     }
-    let tail = measured_tail(|n| net.run(n));
-    for state in &states {
+    (net, states)
+}
+
+const AGG: agg::AggConfig = agg::AggConfig { num_workers: 8, num_slots: 16, slot_size: 32 };
+const AGG_CHUNKS: u32 = 500;
+
+/// Every worker holds every chunk's sum, and none retransmitted.
+fn assert_every_sum(states: &[Arc<Mutex<agg::WorkerState>>]) {
+    let sums = |c| (0..AGG.slot_size).map(|i| agg::expected(&AGG, c, i)).collect::<Vec<_>>();
+    for state in states {
         let state = state.lock().unwrap();
-        let sums = |c| (0..cfg.slot_size).map(|i| agg::expected(&cfg, c, i)).collect::<Vec<_>>();
-        assert!((0..chunks).all(|c| state.results.get(&c) == Some(&sums(c))), "a wrong sum");
+        assert!((0..AGG_CHUNKS).all(|c| state.results.get(&c) == Some(&sums(c))), "a wrong sum");
         assert_eq!(state.retransmits, 0);
     }
+}
+
+/// The host path in steady state: the AGG star, a handler per host.
+#[test]
+fn steady_state_handler_allocations_per_event() {
+    let (mut net, states) = agg_star();
+    let tail = measured_tail(|n| net.run(n));
+    assert_every_sum(&states);
     assert_ceiling("AGG star, a handler per host", tail, MEASURED_HANDLERS);
+}
+
+/// Bytes an AGG worker holds per result it received, measured at this
+/// commit: 1 142 560 over 4 000 results. Each result is its 256-byte lane
+/// vector, its 24-byte slot in the chunk-indexed store and its exponent
+/// byte; `completed` adds 4 bytes a result, the slot table and the state
+/// itself a few hundred bytes per worker. The hashed stores it replaced
+/// read 363.5 bytes per result: `results` reserved to a 1 024-bucket table
+/// of 32-byte entries, `exps` grown to another of 16-byte entries.
+const MEASURED_STATE_BYTES_PER_RESULT: f64 = 1_142_560.0 / 4_000.0;
+
+/// What a finished AllReduce keeps, per result: the network (and with it
+/// every handler's handle on its worker's state) is dropped first, then
+/// what dropping the eight `WorkerState`s frees is read. The ceiling is the
+/// measured figure plus 5 %; a store that spends one more pointer per
+/// chunk lands above it.
+#[test]
+fn worker_state_bytes_per_result() {
+    let (mut net, states) = agg_star();
+    net.run(u64::MAX);
+    assert_every_sum(&states);
+    drop(net);
+    let held = live_bytes();
+    drop(states);
+    let results = (AGG.num_workers * AGG_CHUNKS) as f64;
+    let per_result = (held - live_bytes()) as f64 / results;
+    assert!(
+        per_result <= MEASURED_STATE_BYTES_PER_RESULT * 1.05,
+        "{per_result:.1} bytes per result (ceiling {MEASURED_STATE_BYTES_PER_RESULT:.1} + 5 %)"
+    );
 }
 
 /// A closed-loop client at host 1: one request outstanding, each answer
