@@ -650,7 +650,7 @@ pub fn chaos_trace_json(seed: u64) -> String {
         link: netcl_net::LinkSpec::chaos(0.2),
         seed,
         max_events: 300_000,
-        obs: Some(netcl_net::ObsConfig { trace: true, ..Default::default() }),
+        obs: Some(netcl_net::ObsConfig::default()),
         ..Default::default()
     };
     let run = agg::run_allreduce(&unit.devices[0].tna_p4, &cfg, 8, 500, &c);

@@ -23,9 +23,8 @@ fn switch_counters_match_netstats() {
     let workers: Vec<u32> = (0..cfg.num_workers).map(|w| 100 + w).collect();
     let mut topo = netcl_net::topo::star(1, &workers, LinkSpec::default());
     topo.multicast_group(42, workers.iter().map(|&w| NodeId::Host(w)).collect());
-    let mut builder = NetworkBuilder::new(topo)
-        .device(1, switch, 500)
-        .observe(ObsConfig { trace: true, ..Default::default() });
+    let mut builder =
+        NetworkBuilder::new(topo).device(1, switch, 500).observe(ObsConfig::default());
     for &w in &workers {
         builder = builder.sink_host(w);
     }

@@ -14,6 +14,7 @@ use crate::packet::{read_field, write_field, FieldError, Packet, PacketError};
 use crate::switch::{Switch, SwitchError};
 use netcl_ir::interp::eval_intrinsic;
 use netcl_p4::ast::*;
+use netcl_util::hash::splitmix64;
 use std::sync::Arc;
 
 fn field_err(e: FieldError, header: &str) -> SwitchError {
@@ -255,14 +256,8 @@ impl Switch {
                 }
                 drop(widths);
                 let v = match func.as_str() {
-                    "random" => {
-                        // SplitMix64, mirroring the IR interpreter's RNG.
-                        self.st.rng = self.st.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                        let mut z = self.st.rng;
-                        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                        z ^ (z >> 31)
-                    }
+                    // The IR interpreter's RNG.
+                    "random" => splitmix64(&mut self.st.rng),
                     other => match other.split_once('_') {
                         Some((target, name)) => eval_intrinsic(target, name, &vals),
                         None => eval_intrinsic("", other, &vals),

@@ -36,6 +36,7 @@ use crate::threaded::{
 };
 use netcl_ir::interp::eval_intrinsic;
 use netcl_p4::ast::*;
+use netcl_util::hash::splitmix64;
 
 /// What a control's statements resolve names against.
 struct Scope<'p> {
@@ -401,12 +402,8 @@ impl Lowerer {
                         for f in args.iter() {
                             let _ = f.read(pkt);
                         }
-                        // SplitMix64, mirroring the IR interpreter's RNG.
-                        st.rng = st.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                        let mut z = st.rng;
-                        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                        d.store(pkt, z ^ (z >> 31));
+                        // The IR interpreter's RNG.
+                        d.store(pkt, splitmix64(&mut st.rng));
                         Ok(())
                     })
                 } else {

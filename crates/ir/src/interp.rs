@@ -80,12 +80,7 @@ impl Default for ExecEnv {
 
 impl ExecEnv {
     fn next_rand(&mut self) -> u64 {
-        // SplitMix64 — deterministic and platform-independent.
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        netcl_util::hash::splitmix64(&mut self.rng)
     }
 }
 

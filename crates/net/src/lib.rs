@@ -26,8 +26,8 @@ pub use fault::{Fault, FaultSchedule};
 pub use route::PrecomputedRoutes;
 pub use shard::{Partition, ShardedNetwork};
 pub use sim::{
-    FlowSource, HostEvent, HostHandler, NetObs, NetStats, Network, NetworkBuilder, NodeCounters,
-    ObsConfig, Outbox, RestartHook,
+    FlowSource, HostEvent, HostHandler, NetStats, Network, NetworkBuilder, NodeCounters, ObsConfig,
+    Outbox, RestartHook,
 };
 pub use topo::{LinkSpec, NodeId, Topology};
 pub use workload::{FatTree, Flow, FlowStream, WorkloadRng, Zipf};

@@ -42,12 +42,12 @@
 use crate::fault::Fault;
 use crate::route::{RouteCore, NONE};
 use crate::sim::{
-    Event, EventKind, EventSrc, FlowPump, FlowSource, NetObs, NetStats, Network, NetworkBuilder,
+    Event, EventKind, EventSrc, FlowPump, FlowSource, NetStats, Network, NetworkBuilder,
 };
 use crate::topo::{NodeId, Topology};
 use crate::PrecomputedRoutes;
 use netcl_bmv2::Switch;
-use netcl_obs::trace::Trace;
+use netcl_obs::Trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -691,9 +691,9 @@ fn run_on_workers(shards: &mut [Network], co: &mut Coordinator, max_events: u64)
 /// A set of shard networks advancing in conservative-lookahead windows.
 ///
 /// Mirrors the driver surface of [`Network`] (sends, timers, faults,
-/// accessors); stats and observability are merged across shards on
-/// demand, in shard-index order, via [`NetStats::accumulate`] — whose
-/// order-independence is itself under test.
+/// accessors); stats are merged across shards on demand, in shard-index
+/// order, via [`NetStats::accumulate`] — whose order-independence is
+/// itself under test — and traces by [`ShardedNetwork::take_trace`].
 pub struct ShardedNetwork {
     shards: Vec<Network>,
     co: Coordinator,
@@ -830,28 +830,13 @@ impl ShardedNetwork {
         self.shards.iter().map(|s| &s.stats).collect()
     }
 
-    /// Merged observability across shards, when enabled at build time:
-    /// histograms merged bucket-wise, per-shard traces absorbed into one
-    /// timeline.
-    pub fn obs(&self) -> Option<NetObs> {
-        if self.shards.iter().all(|s| s.obs().is_none()) {
-            return None;
-        }
-        let mut merged = NetObs::default();
-        let mut trace: Option<Trace> = None;
-        for sh in &self.shards {
-            if let Some(o) = sh.obs() {
-                merged.queue_depth.merge(&o.queue_depth);
-                merged.event_wall_ns.merge(&o.event_wall_ns);
-                if let Some(t) = &o.trace {
-                    match &mut trace {
-                        Some(acc) => acc.absorb(t.clone()),
-                        None => trace = Some(t.clone()),
-                    }
-                }
-            }
-        }
-        merged.trace = trace;
+    /// Takes every shard's trace and absorbs them, in shard order, into
+    /// one timeline; `None` when the network was built without
+    /// [`NetworkBuilder::observe`]. Subsequent events are no longer traced.
+    pub fn take_trace(&mut self) -> Option<Trace> {
+        let mut traces = self.shards.iter_mut().filter_map(Network::take_trace);
+        let mut merged = traces.next()?;
+        traces.for_each(|t| merged.absorb(t));
         Some(merged)
     }
 

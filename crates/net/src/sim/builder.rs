@@ -15,8 +15,8 @@ use netcl_runtime::device::DeviceRuntime;
 use super::queue::EventQueue;
 use super::stats::tid_of;
 use super::{
-    DeviceNode, FlowPump, HostHandler, HostNode, NetObs, NetStats, Network, ObsConfig, Outbox,
-    RestartHook, Slot,
+    DeviceNode, FlowPump, HostHandler, HostNode, NetStats, Network, ObsConfig, Outbox, RestartHook,
+    Slot,
 };
 use crate::fault::{Fault, FaultSchedule};
 use crate::route::RouteCache;
@@ -104,8 +104,8 @@ impl NetworkBuilder {
         self
     }
 
-    /// Enables observability (queue-depth and event-latency histograms;
-    /// optionally a Perfetto-loadable trace) for the built network.
+    /// Records a Perfetto-loadable trace of the built network's run,
+    /// optionally bounded ([`ObsConfig::trace_capacity`]).
     pub fn observe(mut self, cfg: ObsConfig) -> Self {
         self.obs = Some(cfg);
         self
@@ -128,26 +128,20 @@ impl NetworkBuilder {
         part: Option<(&[u32], u32)>,
         routes: RouteCache,
     ) -> Network {
-        let obs = self.obs.map(|cfg| {
-            let trace = cfg.trace.then(|| {
-                let mut t = match cfg.trace_capacity {
-                    Some(c) => Trace::bounded(c),
-                    None => Trace::new(),
-                };
-                t.name_process(0, "netcl-sim");
-                let mut dev_ids: Vec<u16> = self.devices.iter().map(|(id, ..)| *id).collect();
-                dev_ids.sort_unstable();
-                for id in dev_ids {
-                    t.name_thread(0, tid_of(NodeId::Device(id)), format!("device {id}"));
-                }
-                let mut host_ids: Vec<u32> = self.hosts.iter().map(|(id, ..)| *id).collect();
-                host_ids.sort_unstable();
-                for id in host_ids {
-                    t.name_thread(0, tid_of(NodeId::Host(id)), format!("host {id}"));
-                }
-                t
-            });
-            NetObs { trace, ..NetObs::default() }
+        let trace = self.obs.map(|cfg| {
+            let mut t = cfg.trace_capacity.map_or_else(Trace::new, Trace::bounded);
+            t.name_process(0, "netcl-sim");
+            let mut dev_ids: Vec<u16> = self.devices.iter().map(|(id, ..)| *id).collect();
+            dev_ids.sort_unstable();
+            for id in dev_ids {
+                t.name_thread(0, tid_of(NodeId::Device(id)), format!("device {id}"));
+            }
+            let mut host_ids: Vec<u32> = self.hosts.iter().map(|(id, ..)| *id).collect();
+            host_ids.sort_unstable();
+            for id in host_ids {
+                t.name_thread(0, tid_of(NodeId::Host(id)), format!("host {id}"));
+            }
+            t
         });
         let nodes = routes.core.nodes.iter().enumerate();
         let slots = nodes
@@ -166,7 +160,7 @@ impl NetworkBuilder {
             downed: HashSet::new(),
             degraded: HashMap::new(),
             island: None,
-            obs,
+            trace,
             routes,
             xs_out: Vec::new(),
             flows: FlowPump::default(),

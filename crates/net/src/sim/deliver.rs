@@ -182,7 +182,7 @@ impl Network {
         msg.action = 0;
         msg.target = 0;
         msg.write_header_into(&mut wire[..netcl_runtime::NCL_HEADER_BYTES]);
-        if let Some(tr) = self.obs.as_mut().and_then(|o| o.trace.as_mut()) {
+        if let Some(tr) = &mut self.trace {
             tr.complete(
                 "kernel",
                 "device",

@@ -28,17 +28,18 @@ mod queue;
 mod stats;
 
 pub use builder::NetworkBuilder;
-pub use stats::{NetObs, NetStats, NodeCounters, ObsConfig};
+pub use stats::{NetStats, NodeCounters, ObsConfig};
 
 use std::collections::{HashMap, HashSet};
 
 use netcl_bmv2::{Packet, Switch, TableUpdate};
-use netcl_obs::{Stopwatch, Trace};
+use netcl_obs::Trace;
 use netcl_runtime::device::DeviceRuntime;
+use netcl_util::hash::{mix64, splitmix64};
 
 use crate::fault::Fault;
 use crate::route::RouteCache;
-use crate::topo::{link_key, mix64, NodeId};
+use crate::topo::{link_key, NodeId};
 use queue::EventQueue;
 use stats::tid_of;
 
@@ -249,8 +250,9 @@ pub struct Network {
     degraded: HashMap<(NodeId, NodeId), u64>,
     /// Active partition: one island of nodes, cut off from the rest.
     island: Option<HashSet<NodeId>>,
-    /// Wall-clock observability; `None` (the default) costs nothing.
-    obs: Option<NetObs>,
+    /// The run's trace, when [`NetworkBuilder::observe`] asked for one;
+    /// `None` (the default) costs nothing.
+    trace: Option<Trace>,
     /// The shared node identity and routing (`route.rs`), with trees
     /// memoized per destination while links are down and invalidated
     /// whenever the downed-link set changes. Pure memoization: the run's
@@ -366,21 +368,15 @@ impl Network {
         self.slots[i as usize].device.as_ref().map(|d| &d.switch)
     }
 
-    /// The run's observability data, when enabled via
-    /// [`NetworkBuilder::observe`].
-    pub fn obs(&self) -> Option<&NetObs> {
-        self.obs.as_ref()
-    }
-
     /// Takes the recorded trace out of the network (e.g. to serialize it
     /// after a run). Subsequent events are no longer traced.
     pub fn take_trace(&mut self) -> Option<Trace> {
-        self.obs.as_mut().and_then(|o| o.trace.take())
+        self.trace.take()
     }
 
     /// Records an instant marker on a node's trace track, if tracing.
     fn trace_instant(&mut self, name: &'static str, node: NodeId, ts: u64) {
-        if let Some(tr) = self.obs.as_mut().and_then(|o| o.trace.as_mut()) {
+        if let Some(tr) = &mut self.trace {
             tr.instant(name, "sim", 0, tid_of(node), ts, Vec::new());
         }
     }
@@ -506,9 +502,7 @@ impl Network {
 
     /// Draws from node `n`'s chaos RNG stream.
     fn rand_u64(&mut self, n: u32) -> u64 {
-        let state = &mut self.slots[n as usize].rng;
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        mix64(*state)
+        splitmix64(&mut self.slots[n as usize].rng)
     }
 
     fn rand01(&mut self, n: u32) -> f64 {
@@ -569,13 +563,8 @@ impl Network {
                 self.stats.events += 1;
             }
             n += 1;
-            let watch = self.obs.as_ref().map(|_| Stopwatch::start());
-            if let Some(o) = self.obs.as_mut() {
-                let depth = self.events.len() as u64;
-                o.queue_depth.record(depth);
-                if let Some(tr) = o.trace.as_mut() {
-                    tr.counter("queue_depth", 0, time, depth);
-                }
+            if let Some(tr) = &mut self.trace {
+                tr.counter("queue_depth", 0, time, self.events.len() as u64);
             }
             match kind {
                 EventKind::HostSend(host, bytes) => self.host_transmit(host, bytes),
@@ -589,9 +578,6 @@ impl Network {
                     let (dev, update) = self.update_list[idx].clone();
                     self.apply_update(dev, &update);
                 }
-            }
-            if let (Some(w), Some(o)) = (watch, self.obs.as_mut()) {
-                o.event_wall_ns.record(w.elapsed_ns());
             }
         }
         n
@@ -934,9 +920,9 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
     }
 
     /// Observability is opt-in, lives outside `NetStats`, and captures the
-    /// run as a Perfetto-loadable trace plus histograms.
+    /// run as a Perfetto-loadable trace with queue depth sampled per event.
     #[test]
-    fn observe_records_trace_and_histograms() {
+    fn observe_records_trace_and_queue_depth() {
         let (p4, spec) = compiled_cache();
         let switch = Switch::new(p4);
         let topo = star(1, &[1, 2], LinkSpec::default());
@@ -944,24 +930,22 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
             .device(1, switch, 500)
             .sink_host(1)
             .sink_host(2)
-            .observe(ObsConfig { trace: true, ..Default::default() })
+            .observe(ObsConfig::default())
             .build();
         let m = Message::new(1, 2, 1, 1);
         let packed = pack(&m, &spec, &[Some(&[1]), Some(&[1]), None, None]).unwrap();
         net.send_from_host(1, 0, packed);
         net.run(100);
-        let obs = net.obs().expect("observability enabled");
-        assert_eq!(obs.queue_depth.count(), net.stats.events, "queue depth sampled per event");
-        assert_eq!(obs.queue_depth.count(), obs.event_wall_ns.count());
         let trace = net.take_trace().expect("trace recorded");
+        let depths = trace.events().filter(|e| e.name == "queue_depth").count() as u64;
+        assert_eq!(depths, net.stats.events, "queue depth sampled per event");
         let names: Vec<&str> = trace.events().map(|e| e.name.as_str()).collect();
         assert!(names.contains(&"kernel"), "device span recorded: {names:?}");
         assert!(names.contains(&"deliver"), "host delivery marked: {names:?}");
         assert!(names.contains(&"thread_name"), "tracks are named");
         let json = trace.to_json();
         assert!(json.contains("\"ph\":\"X\"") && json.contains("\"ph\":\"M\""));
-        // Taking the trace leaves histograms in place.
-        assert!(net.obs().unwrap().trace.is_none());
+        assert!(net.take_trace().is_none(), "taking the trace ends tracing");
     }
 
     /// Turning observability on must not perturb the deterministic stats:
@@ -974,7 +958,7 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
             let topo = star(1, &[1, 2], LinkSpec::default());
             let mut b = NetworkBuilder::new(topo).device(1, switch, 500).sink_host(1).sink_host(2);
             if observe {
-                b = b.observe(ObsConfig { trace: true, ..Default::default() });
+                b = b.observe(ObsConfig::default());
             }
             let mut net = b.build();
             let m = Message::new(1, 2, 1, 1);
@@ -1002,7 +986,7 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
                 .device(1, switch, 500)
                 .sink_host(1)
                 .sink_host(2)
-                .observe(ObsConfig { trace: true, trace_capacity: capacity })
+                .observe(ObsConfig { trace_capacity: capacity })
                 .build();
             for i in 0..32u64 {
                 let m = Message::new(1, 2, 1, 1);
@@ -1265,7 +1249,7 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
             .device(1, Switch::new(p4.clone()), 500)
             .sink_host(1)
             .sink_host(2)
-            .observe(ObsConfig { trace: true, ..Default::default() })
+            .observe(ObsConfig::default())
             .build();
         let dev = net.intern(NodeId::Device(1));
         for (i, bytes) in arrivals.iter().enumerate() {

@@ -1,15 +1,13 @@
-//! What a run reports: deterministic statistics and opt-in observability.
+//! What a run reports: deterministic statistics and an opt-in trace.
 //!
 //! Invariants:
 //! - [`NetStats`] is a pure function of `(seed, fault schedule, injections)`
-//!   — never of wall time, sharding, or whether [`NetObs`] is being kept —
+//!   — never of wall time, sharding, or whether a trace is being kept —
 //!   so two such runs compare `Eq`.
 //! - [`NetStats::accumulate`] is commutative and associative: per-shard
 //!   stats merge to the scalar run's in any order.
 
 use std::collections::BTreeMap;
-
-use netcl_obs::{Histogram, Trace};
 
 use crate::topo::NodeId;
 
@@ -98,34 +96,20 @@ impl NetStats {
     }
 }
 
-/// What [`NetworkBuilder::observe`](super::NetworkBuilder::observe) turns on. Observability is strictly
-/// opt-out-by-default: a network built without `observe` never reads the
-/// wall clock and allocates nothing for telemetry, and results are
-/// identical either way (`sim::tests::stats_identical_with_and_without_obs`).
+/// What [`NetworkBuilder::observe`](super::NetworkBuilder::observe) turns on: a
+/// per-message Chrome `trace_event` timeline in simulated time
+/// ([`Network::take_trace`](super::Network::take_trace)). A network built
+/// without `observe` allocates nothing for it, neither reads the wall
+/// clock, and results are identical with or without it
+/// (`sim::tests::stats_identical_with_and_without_obs`).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ObsConfig {
-    /// Also record a per-message Chrome `trace_event` timeline
-    /// ([`Network::take_trace`](super::Network::take_trace)); histograms alone are much cheaper.
-    pub trace: bool,
     /// Bound the trace to the most recent N data events
-    /// ([`Trace::bounded`]): long chaos runs stay O(capacity) instead of
-    /// O(run length). `None` keeps every event. Track-naming metadata is
-    /// exempt, and stats/counters are unaffected either way.
+    /// ([`Trace::bounded`](netcl_obs::Trace::bounded)): long chaos runs
+    /// stay O(capacity) instead of O(run length). `None` keeps every
+    /// event. Track-naming metadata is exempt, and stats/counters are
+    /// unaffected either way.
     pub trace_capacity: Option<usize>,
-}
-
-/// Wall-clock observability for a run. Kept *outside* [`NetStats`] on
-/// purpose: stats are `Eq` and back the chaos determinism contract, while
-/// everything in here depends on host wall time and would differ between
-/// two otherwise-identical runs.
-#[derive(Debug, Default, Clone)]
-pub struct NetObs {
-    /// Event-queue depth, sampled after each event is popped.
-    pub queue_depth: Histogram,
-    /// Wall-clock nanoseconds spent processing each event.
-    pub event_wall_ns: Histogram,
-    /// The message timeline (simulated time), when tracing was requested.
-    pub trace: Option<Trace>,
 }
 
 /// Trace thread-track id for a node: devices use their id, hosts are

@@ -7,6 +7,8 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
+use netcl_util::hash::mix64;
+
 /// A network node: a host (end system) or a programmable device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeId {
@@ -223,14 +225,6 @@ pub(crate) fn ecmp_rank(root: NodeId, node: NodeId) -> u64 {
         }
     }
     mix64(tag(root).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ tag(node).rotate_left(17))
-}
-
-/// The splitmix64 output function: the one bit mixer behind the ECMP rank,
-/// the simulator's per-node chaos streams and the workload RNG.
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Order-normalized endpoint pair identifying a bidirectional link, the

@@ -11,8 +11,10 @@
 
 use std::collections::HashSet;
 
+use netcl_util::hash::splitmix64;
+
 use crate::shard::Partition;
-use crate::topo::{mix64, LinkSpec, NodeId, Topology};
+use crate::topo::{LinkSpec, NodeId, Topology};
 
 /// A small deterministic RNG (splitmix64) for workload generation —
 /// deliberately separate from the simulator's per-node chaos streams so
@@ -30,8 +32,7 @@ impl WorkloadRng {
 
     /// Next 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        mix64(self.state)
+        splitmix64(&mut self.state)
     }
 
     /// Uniform in `[0, 1)`.

@@ -77,15 +77,6 @@ impl Histogram {
         self.max
     }
 
-    /// Arithmetic mean, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Approximate quantile `q` in `[0, 1]`: the geometric midpoint of the
     /// bucket containing the `ceil(q·count)`-th sample, clamped to the
     /// observed min/max. Exact for single-bucket data; ≤ 2× error overall.
@@ -121,19 +112,6 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// One-line console summary.
-    pub fn pretty(&self) -> String {
-        format!(
-            "n={} mean={:.1} min={} p50={} p99={} max={}",
-            self.count(),
-            self.mean(),
-            self.min(),
-            self.quantile(0.5),
-            self.quantile(0.99),
-            self.max()
-        )
-    }
 }
 
 #[cfg(test)]
@@ -160,7 +138,6 @@ mod tests {
         assert_eq!(h.sum(), 106);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 100);
-        assert!((h.mean() - 21.2).abs() < 1e-9);
     }
 
     #[test]
@@ -202,6 +179,5 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.mean(), 0.0);
     }
 }

@@ -3,17 +3,20 @@
 //! Every layer of the system — the `ncc` pass pipeline, the bmv2 software
 //! switch, and the network simulator — reports what it did through the
 //! types in this crate: log₂-bucketed [`Histogram`]s, wall-clock
-//! [`Stopwatch`] span timers, and structured [`Event`]s. Two sink formats
-//! serialize them without any external dependency: JSON Lines
-//! ([`Event::to_json`], [`JsonlSink`]) for machine consumption, and an
-//! aligned pretty form ([`Event::pretty`]) for consoles. [`trace::Trace`]
-//! additionally collects Chrome `trace_event` records and exports
-//! Perfetto-loadable JSON.
+//! [`Stopwatch`] span timers, and structured [`Event`]s, which serialize
+//! as JSON Lines ([`Event::to_json`], [`JsonlSink`]) without any external
+//! dependency. [`trace::Trace`] additionally collects Chrome
+//! `trace_event` records and exports Perfetto-loadable JSON.
 //!
 //! The design contract is *zero overhead when disabled*: nothing in this
 //! crate installs global state or background threads. Instrumented code
 //! holds an `Option<...>` (or a plain integer counter) and the disabled
 //! path is a branch on `None`.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 pub mod hist;
 pub mod trace;
@@ -172,32 +175,6 @@ impl Event {
         out.push('}');
         out
     }
-
-    /// Aligned console form: `ts  name  k=v k=v`.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{:>12}ns  {:<24}", self.ts_ns, self.name);
-        for (k, v) in &self.fields {
-            match v {
-                Value::Str(s) => {
-                    let _ = write!(out, " {k}={s}");
-                }
-                Value::U64(n) => {
-                    let _ = write!(out, " {k}={n}");
-                }
-                Value::I64(n) => {
-                    let _ = write!(out, " {k}={n}");
-                }
-                Value::F64(n) => {
-                    let _ = write!(out, " {k}={n:.3}");
-                }
-                Value::Bool(b) => {
-                    let _ = write!(out, " {k}={b}");
-                }
-            }
-        }
-        out
-    }
 }
 
 /// An in-memory JSON Lines sink: collects events as serialized lines,
@@ -277,13 +254,6 @@ mod tests {
             sink.to_jsonl(),
             "{\"event\":\"a\",\"ts_ns\":1}\n{\"event\":\"b\",\"ts_ns\":2,\"count\":3,\"ok\":false}\n"
         );
-    }
-
-    #[test]
-    fn pretty_renders_fields() {
-        let p = Event::new("pass.fold", 10).field("insts", 5u64).pretty();
-        assert!(p.contains("pass.fold"));
-        assert!(p.contains("insts=5"));
     }
 
     #[test]

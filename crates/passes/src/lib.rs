@@ -32,6 +32,11 @@
 //! function of (IR, [`PassFlags`], [`PipelineTarget`]) — the property the
 //! cache's content-addressed keys rely on.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod cfg;
 pub mod dce;
 pub mod fold;

@@ -93,6 +93,11 @@ fn split_one(module: &mut Module, id: MemId) {
                 if mem.mem != id {
                     continue;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`find_partitionable` admits a global only when every access to it \
+                              has a constant outer index"
+                )]
                 let outer_idx = mem.indices[0]
                     .as_const()
                     .expect("partitionable access has constant outer index")

@@ -12,20 +12,19 @@ use netcl_ir::types::{IrTy, Operand};
 pub fn run_on_function(f: &mut Function) -> usize {
     let mut removed = 0usize;
     loop {
-        // Find one φ (block, index) at a time; the transform invalidates
-        // instruction indices.
+        // Find one φ (block, index, incoming) at a time; the transform
+        // invalidates instruction indices.
         let mut found = None;
         'outer: for bid in f.blocks.indices() {
-            for (i, inst) in f.blocks[bid].insts.iter().enumerate() {
-                if matches!(inst.kind, InstKind::Phi { .. }) {
-                    found = Some((bid, i));
+            for (i, inst) in f.blocks[bid].insts.iter_mut().enumerate() {
+                if let InstKind::Phi { incoming } = &mut inst.kind {
+                    found = Some((bid, i, std::mem::take(incoming)));
                     break 'outer;
                 }
             }
         }
-        let Some((bid, i)) = found else { break };
+        let Some((bid, i, incoming)) = found else { break };
         let inst = f.blocks[bid].insts.remove(i);
-        let InstKind::Phi { incoming } = inst.kind else { unreachable!() };
         let result = inst.results[0];
         let ty = f.values[result].ty;
         let name = match f.values[result].phi_of {

@@ -153,33 +153,33 @@ impl PassReport {
     }
 
     fn stat_mut(&mut self, name: &'static str) -> &mut PassStat {
-        if let Some(i) = self.passes.iter().position(|p| p.name == name) {
-            return &mut self.passes[i];
-        }
-        self.passes.push(PassStat {
-            name,
-            runs: 0,
-            wall_ns: 0,
-            insts_delta: 0,
-            blocks_delta: 0,
-            rewrites: 0,
+        let i = self.passes.iter().position(|p| p.name == name).unwrap_or_else(|| {
+            self.passes.push(PassStat {
+                name,
+                runs: 0,
+                wall_ns: 0,
+                insts_delta: 0,
+                blocks_delta: 0,
+                rewrites: 0,
+            });
+            self.passes.len() - 1
         });
-        self.passes.last_mut().expect("just pushed")
+        &mut self.passes[i]
     }
 
     fn kernel_mut(&mut self, kernel: &str) -> &mut KernelStat {
-        if let Some(i) = self.per_kernel.iter().position(|k| k.kernel == kernel) {
-            return &mut self.per_kernel[i];
-        }
-        self.per_kernel.push(KernelStat {
-            kernel: kernel.to_string(),
-            runs: 0,
-            wall_ns: 0,
-            insts_delta: 0,
-            blocks_delta: 0,
-            rewrites: 0,
+        let i = self.per_kernel.iter().position(|k| k.kernel == kernel).unwrap_or_else(|| {
+            self.per_kernel.push(KernelStat {
+                kernel: kernel.to_string(),
+                runs: 0,
+                wall_ns: 0,
+                insts_delta: 0,
+                blocks_delta: 0,
+                rewrites: 0,
+            });
+            self.per_kernel.len() - 1
         });
-        self.per_kernel.last_mut().expect("just pushed")
+        &mut self.per_kernel[i]
     }
 
     /// Every measured run lands in both partitions: once under its pass,

@@ -32,7 +32,7 @@ pub fn icmp_to_sub_msb(f: &mut Function) -> usize {
                 continue;
             };
             let dynamic = matches!(a, Operand::Value(_)) && matches!(b, Operand::Value(_));
-            if !dynamic || !pred.needs_sub_msb_rewrite() {
+            if !dynamic {
                 i += 1;
                 continue;
             }
@@ -47,7 +47,10 @@ pub fn icmp_to_sub_msb(f: &mut Function) -> usize {
                 IcmpPred::Ugt | IcmpPred::Sgt => (b, a, false),
                 IcmpPred::Uge | IcmpPred::Sge => (a, b, true), // !(a < b)
                 IcmpPred::Ule | IcmpPred::Sle => (b, a, true), // !(b < a)
-                _ => unreachable!(),
+                IcmpPred::Eq | IcmpPred::Ne => {
+                    i += 1;
+                    continue;
+                }
             };
 
             // The width-preserving Tofino idiom: `a < b ⇔ (b |-| a) != 0`

@@ -56,7 +56,7 @@ pub fn ensure_structured(f: &mut Function) -> Result<StructurizeStats, String> {
         emitted_insts: 0,
         budget,
     };
-    let entry = rb.emit(rb.src.entry, None, None)?;
+    let entry = rb.emit(rb.src.entry, None)?;
     let new_blocks = rb.new_blocks;
     let new_values = rb.new_values;
     let insts_after = new_blocks.iter().map(|b: &Block| b.insts.len()).sum();
@@ -202,17 +202,13 @@ impl<'a> Rebuilder<'a> {
         }
     }
 
-    /// Emits the region starting at `orig` until `stop` (exclusive). When
-    /// control reaches `stop`, it branches to `cont`. Returns the new block
-    /// id corresponding to entering `orig` in this context.
-    fn emit(
-        &mut self,
-        orig: BlockId,
-        stop: Option<BlockId>,
-        cont: Option<BlockId>,
-    ) -> Result<BlockId, String> {
-        if Some(orig) == stop {
-            return Ok(cont.expect("stop requires a continuation"));
+    /// Emits the region starting at `orig` until `exit`'s stop block
+    /// (exclusive); when control reaches it, it branches to `exit`'s
+    /// continuation. Returns the new block id corresponding to entering
+    /// `orig` in this context.
+    fn emit(&mut self, orig: BlockId, exit: Option<(BlockId, BlockId)>) -> Result<BlockId, String> {
+        if let Some((_, cont)) = exit.filter(|&(stop, _)| stop == orig) {
+            return Ok(cont);
         }
         let block = &self.src.blocks[orig];
         let new_b = self.new_blocks.push(Block {
@@ -244,17 +240,18 @@ impl<'a> Rebuilder<'a> {
                 a.target = a.target.map(|t| self.map_operand(t));
                 Terminator::Ret(a)
             }
-            Terminator::Br(t) => Terminator::Br(self.emit(*t, stop, cont)?),
+            Terminator::Br(t) => Terminator::Br(self.emit(*t, exit)?),
             Terminator::CondBr { cond, then_bb, else_bb } => {
                 let cond = self.map_operand(*cond);
                 // The arms reconverge at the join, clamped to the current
                 // region; without one they run on to this region's end.
-                let (arm_stop, arm_cont) = match self.ipd[orig].filter(|&m| Some(m) != stop) {
-                    Some(m) => (Some(m), Some(self.emit(m, stop, cont)?)),
-                    None => (stop, cont),
+                let join = self.ipd[orig].filter(|&m| exit.is_none_or(|(stop, _)| m != stop));
+                let arm_exit = match join {
+                    Some(m) => Some((m, self.emit(m, exit)?)),
+                    None => exit,
                 };
-                let nt = self.emit(*then_bb, arm_stop, arm_cont)?;
-                let ne = self.emit(*else_bb, arm_stop, arm_cont)?;
+                let nt = self.emit(*then_bb, arm_exit)?;
+                let ne = self.emit(*else_bb, arm_exit)?;
                 Terminator::CondBr { cond, then_bb: nt, else_bb: ne }
             }
             Terminator::Unterminated => Terminator::Unterminated,

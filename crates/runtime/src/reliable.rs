@@ -29,7 +29,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// land in distinct buckets; there is no defence against crafted keys, so
 /// never key one by a value read off the wire.
 #[derive(Default)]
-pub struct IntHasher(u64);
+struct IntHasher(u64);
 
 impl Hasher for IntHasher {
     fn finish(&self) -> u64 {
@@ -47,7 +47,7 @@ impl Hasher for IntHasher {
 }
 
 /// A `HashMap` over [`IntHasher`].
-pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// The send/timer surface [`Reliable`] drives. In the simulator this is
 /// implemented by `netcl-net`'s `Outbox`; a real host runtime would back it

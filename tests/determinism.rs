@@ -621,25 +621,33 @@ fn netstats_accumulate_is_order_independent() {
     assert_eq!(forward, net.stats(), "the merge accessor folds in shard order");
 }
 
-/// Sharded observability merges per-shard histograms and traces without
-/// touching the determinism contract: stats still match scalar while the
-/// merged trace contains every shard's track names.
+/// Sharded tracing merges per-shard traces without touching the
+/// determinism contract: stats still match scalar while the merged trace
+/// samples queue depth once per event popped in every shard and names
+/// every shard's tracks.
 #[test]
 fn sharded_obs_merges_across_shards() {
     let unit = compile("calc.ncl", &netcl_apps::calc::netcl_source());
     let p4 = &unit.devices[0].tna_p4;
-    let obs = netcl_net::ObsConfig { trace: true, ..Default::default() };
+    let obs = netcl_net::ObsConfig::default();
+    // `NetStats::events` leaves out `star_builder`'s two scheduled faults,
+    // which every network applies — each shard its own replica.
+    let faults = 2;
     let scalar = {
         let mut net = star_builder(1, p4, 2).observe(obs).build();
         drive_star(&mut net, 1, |n, h, at, b| n.send_from_host(h, at, b), |n, max| n.run(max));
+        let trace = net.take_trace().expect("tracing enabled");
+        let depths = trace.events().filter(|e| e.name == "queue_depth").count() as u64;
+        assert_eq!(depths, net.stats.events + faults);
         net.stats.clone()
     };
     let mut net = star_builder(1, p4, 2).observe(obs).build_sharded(two_shards(1)).unwrap();
     drive_star(&mut net, 1, |n, h, at, b| n.send_from_host(h, at, b), |n, max| n.run(max));
     assert_eq!(scalar, net.stats());
-    let merged = net.obs().expect("observability enabled");
-    assert!(merged.queue_depth.count() > 0);
-    let trace = merged.trace.as_ref().expect("tracing enabled");
+    let trace = net.take_trace().expect("tracing enabled");
+    let depths = trace.events().filter(|e| e.name == "queue_depth").count() as u64;
+    let shards = net.shard_stats().len() as u64;
+    assert_eq!(depths, net.stats().events + faults * shards, "one sample per event, every shard");
     let names: Vec<String> = trace
         .events()
         .filter(|e| e.name == "thread_name")
