@@ -355,7 +355,7 @@ impl<T> DenseMap<T> {
     }
 
     /// Whether a value is stored at `index`.
-    pub fn contains_key(&self, index: &u32) -> bool {
+    pub(crate) fn contains_key(&self, index: &u32) -> bool {
         self.get(index).is_some()
     }
 
@@ -381,18 +381,18 @@ impl<T> DenseMap<T> {
 #[derive(Debug, Default)]
 pub struct WorkerState {
     /// Chunks whose aggregate this worker has received.
-    pub completed: Vec<u32>,
+    pub(crate) completed: Vec<u32>,
     /// Received aggregates (chunk → values).
     pub results: DenseMap<Vec<u64>>,
     /// Received max-exponent per chunk, one byte each (`bit<8>` on the
     /// wire); 0, or past the end, until the chunk's result arrives.
-    pub exps: Vec<u8>,
+    pub(crate) exps: Vec<u8>,
     /// Retransmissions sent.
     pub retransmits: u64,
     /// Outstanding chunk per slot.
     pub inflight: DenseMap<u32>,
     /// When the last result arrived (simulated ns).
-    pub last_result_ns: u64,
+    pub(crate) last_result_ns: u64,
 }
 
 impl WorkerState {
@@ -461,7 +461,7 @@ fn pack_chunk(
 
 /// The base retransmission timeout used by workers (backed off and capped
 /// by the shared [`Reliable`] helper).
-pub const RTO_NS: u64 = 400_000;
+pub(crate) const RTO_NS: u64 = 400_000;
 
 /// Quiet period between acknowledging a chunk and reusing its slot for the
 /// next one. The switch's alternating-bit slot scheme is safe only when a
@@ -472,7 +472,7 @@ pub const RTO_NS: u64 = 400_000;
 /// hold-back, cf. TCP's TIME_WAIT) before reusing the slot drains those
 /// copies. Must exceed the deployment's reorder horizon and stay below
 /// [`RTO_NS`].
-pub const SLOT_REUSE_GUARD_NS: u64 = 100_000;
+pub(crate) const SLOT_REUSE_GUARD_NS: u64 = 100_000;
 
 /// The quiet period `link` requires before a slot can be reused: only links
 /// that can hold packets back (reorder, jitter) or clone them (duplication)

@@ -29,7 +29,7 @@ pub const OP_GET: u64 = 1;
 /// PUT opcode.
 pub const OP_PUT: u64 = 2;
 /// DEL opcode.
-pub const OP_DEL: u64 = 3;
+pub(crate) const OP_DEL: u64 = 3;
 
 /// CACHE parameters.
 #[derive(Clone, Copy, Debug)]
@@ -573,8 +573,6 @@ fn written_value(cfg: &CacheConfig, key: u64) -> Vec<u64> {
 /// Result of a coherence run.
 #[derive(Debug)]
 pub struct CoherenceResult {
-    /// Keys exercised (one PUT then one GET each).
-    pub keys: u64,
     /// GETs completed (PUT acked, GET answered).
     pub completed: u64,
     /// GET responses that did not return the last written value — the
@@ -672,7 +670,7 @@ pub fn run_coherence(
     net.run(c.max_events);
 
     let (completed, stale) = *progress.lock().unwrap();
-    Run::of(CoherenceResult { keys, completed, stale }, &mut net)
+    Run::of(CoherenceResult { completed, stale }, &mut net)
 }
 
 #[cfg(test)]

@@ -75,7 +75,7 @@ pub fn result_of(bytes: &[u8]) -> Option<u64> {
 
 /// Handwritten P4 baseline: the tutorial's structure — one action per
 /// operation, dispatched by a MAT on the opcode.
-pub fn handwritten() -> P4Program {
+pub(crate) fn handwritten() -> P4Program {
     crate::baseline("calc_handwritten", &handwritten_source())
 }
 

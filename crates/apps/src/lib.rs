@@ -20,13 +20,15 @@
 //!
 //! DESIGN.md §5 indexes which driver regenerates which table/figure.
 
+#![warn(unreachable_pub)]
+
 pub mod agg;
 pub mod cache;
 pub mod calc;
 pub mod paxos;
 
 use netcl::{CompileOptions, CompiledUnit, Compiler};
-use netcl_net::{FaultSchedule, LinkSpec, NetStats, Network, NetworkBuilder, ObsConfig, Topology};
+use netcl_net::{FaultSchedule, LinkSpec, NetStats, Network, NetworkBuilder, Topology};
 use netcl_obs::Trace;
 
 /// The network an end-to-end driver runs its workload on, and for how long.
@@ -40,8 +42,8 @@ pub struct Conditions {
     pub faults: FaultSchedule,
     /// Event budget for `Network::run`.
     pub max_events: u64,
-    /// Observability; a trace asked for here comes back in [`Run::trace`].
-    pub obs: Option<ObsConfig>,
+    /// Whether to trace the run; the trace comes back in [`Run::trace`].
+    pub obs: bool,
 }
 
 impl Default for Conditions {
@@ -52,7 +54,7 @@ impl Default for Conditions {
             seed: 0x5DEECE66D,
             faults: FaultSchedule::new(),
             max_events: 4_000_000,
-            obs: None,
+            obs: false,
         }
     }
 }
@@ -62,9 +64,10 @@ impl Conditions {
     /// observability.
     fn network(&self, topology: Topology) -> NetworkBuilder {
         let b = NetworkBuilder::new(topology).seed(self.seed).faults(self.faults.clone());
-        match self.obs {
-            Some(obs) => b.observe(obs),
-            None => b,
+        if self.obs {
+            b.observe()
+        } else {
+            b
         }
     }
 }
@@ -163,19 +166,19 @@ pub fn all_apps() -> Vec<App> {
         App {
             name: "PACC",
             netcl_source: paxos::acceptor_source(),
-            handwritten: paxos::handwritten_acceptor(),
+            handwritten: baseline("pacc_handwritten", &paxos::handwritten_acceptor_source()),
             device: paxos::ACCEPTOR_DEV,
         },
         App {
             name: "PLRN",
             netcl_source: paxos::learner_source(),
-            handwritten: paxos::handwritten_learner(),
+            handwritten: baseline("plrn_handwritten", &paxos::handwritten_learner_source()),
             device: paxos::LEARNER_DEV,
         },
         App {
             name: "PLDR",
             netcl_source: paxos::leader_source(),
-            handwritten: paxos::handwritten_leader(),
+            handwritten: baseline("pldr_handwritten", &paxos::handwritten_leader_source()),
             device: paxos::LEADER_DEV,
         },
         App {

@@ -16,7 +16,6 @@ use std::sync::{Arc, Mutex};
 use netcl::CompiledDevice;
 use netcl_bmv2::Switch;
 use netcl_net::{HostEvent, LinkSpec, NodeId, Outbox, Topology};
-use netcl_p4::P4Program;
 use netcl_runtime::message::{pack, unpack, Message};
 use netcl_runtime::reliable::{Reliable, RetryPolicy};
 use netcl_sema::model::Specification;
@@ -43,10 +42,10 @@ pub const T_PHASE2A: u64 = 2;
 /// Phase 2B (acceptor → learner).
 pub const T_PHASE2B: u64 = 3;
 /// Delivery (learner → replica host).
-pub const T_DELIVER: u64 = 4;
+pub(crate) const T_DELIVER: u64 = 4;
 /// Host-level delivery acknowledgment (replica host → proposer host; pure
 /// transit, no device computes it).
-pub const T_ACK: u64 = 5;
+pub(crate) const T_ACK: u64 = 5;
 
 fn majority_cond(var: &str) -> String {
     // ≥2 of 3 vote bits set.
@@ -285,8 +284,6 @@ pub struct PaxosRunResult {
     /// Instances delivered with more than one distinct value — the safety
     /// violation count; must be 0.
     pub conflicts: u64,
-    /// Acks the proposer received (first acks, not duplicates).
-    pub acked: u64,
 }
 
 /// Runs `proposals` proposals through the full P4xos pipeline, each device
@@ -318,8 +315,6 @@ pub fn run_paxos(
 
     // Proposer (host 1): kickoff timers carry the pid; unacked proposals
     // retransmit with backoff.
-    let acked = Arc::new(Mutex::new(0u64));
-    let acked2 = acked.clone();
     let mut rel = Reliable::new(RetryPolicy { base_rto_ns: 300_000, ..Default::default() });
     let (mut ty, mut val) = (Vec::new(), Vec::new());
     let proposer = Box::new(move |_now: u64, ev: HostEvent, out: &mut Outbox| match ev {
@@ -331,8 +326,8 @@ pub fn run_paxos(
             ) else {
                 return;
             };
-            if ty[0] == T_ACK && rel.ack_key(val[1]) {
-                *acked2.lock().unwrap() += 1;
+            if ty[0] == T_ACK {
+                rel.ack_key(val[1]);
             }
         }
         HostEvent::Timer(token) => {
@@ -352,34 +347,14 @@ pub fn run_paxos(
     let dels = deliveries.lock().unwrap();
     let decided: BTreeSet<u64> = dels.values().flatten().map(|v| v[1]).collect();
     let conflicts = dels.values().filter(|vals| vals.iter().any(|v| *v != vals[0])).count();
-    let result = PaxosRunResult {
-        proposals,
-        decided: decided.len() as u64,
-        conflicts: conflicts as u64,
-        acked: *acked.lock().unwrap(),
-    };
+    let result =
+        PaxosRunResult { proposals, decided: decided.len() as u64, conflicts: conflicts as u64 };
     Run::of(result, &mut net)
 }
 
 // ---------------------------------------------------------------------------
 // Handwritten P4 baselines (one per kernel, as the paper's Table III rows)
 // ---------------------------------------------------------------------------
-
-/// Handwritten leader (PLDR).
-pub fn handwritten_leader() -> P4Program {
-    crate::baseline("pldr_handwritten", &handwritten_leader_source())
-}
-
-/// Handwritten acceptor (PACC), at the first acceptor position: its vote
-/// bit is 1.
-pub fn handwritten_acceptor() -> P4Program {
-    crate::baseline("pacc_handwritten", &handwritten_acceptor_source())
-}
-
-/// Handwritten learner (PLRN).
-pub fn handwritten_learner() -> P4Program {
-    crate::baseline("plrn_handwritten", &handwritten_learner_source())
-}
 
 /// The text the three roles share: the includes, the headers and the
 /// parser, up to the control's first member.
@@ -451,7 +426,7 @@ fn value_words(calls_indent: &str) -> [String; 3] {
     [registers, actions, calls]
 }
 
-/// The text of [`handwritten_leader`].
+/// The handwritten leader (PLDR).
 pub(crate) fn handwritten_leader_source() -> String {
     format!(
         r#"{head}    Register<bit<32>, bit<32>>(1) InstanceR;
@@ -479,7 +454,8 @@ pub(crate) fn handwritten_leader_source() -> String {
     )
 }
 
-/// The text of [`handwritten_acceptor`].
+/// The handwritten acceptor (PACC), at the first acceptor position: its
+/// vote bit is 1.
 pub(crate) fn handwritten_acceptor_source() -> String {
     let [registers, actions, stores] = value_words(&" ".repeat(20));
     format!(
@@ -524,7 +500,7 @@ pub(crate) fn handwritten_acceptor_source() -> String {
     )
 }
 
-/// The text of [`handwritten_learner`]: it counts votes with a majority
+/// The handwritten learner (PLRN): it counts votes with a majority
 /// MAT over the vote bitmap, the membership idiom P4 programmers reach for.
 /// A vote is dropped unless it is the one that takes the bitmap from no
 /// majority into one, which delivers the value.
@@ -681,7 +657,8 @@ mod tests {
 
     #[test]
     fn handwritten_kernels_fit() {
-        for p in [handwritten_leader(), handwritten_acceptor(), handwritten_learner()] {
+        for app in crate::all_apps().into_iter().filter(|app| app.name.starts_with('P')) {
+            let p = app.handwritten;
             let fit = netcl_tofino::fit(&p).unwrap_or_else(|e| panic!("{}: {e}", p.name));
             assert!(fit.stages_used <= 12, "{}", p.name);
         }

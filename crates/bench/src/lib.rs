@@ -650,7 +650,7 @@ pub fn chaos_trace_json(seed: u64) -> String {
         link: netcl_net::LinkSpec::chaos(0.2),
         seed,
         max_events: 300_000,
-        obs: Some(netcl_net::ObsConfig::default()),
+        obs: true,
         ..Default::default()
     };
     let run = agg::run_allreduce(&unit.devices[0].tna_p4, &cfg, 8, 500, &c);
@@ -724,7 +724,7 @@ mod tests {
     /// among the handwritten programs (30.9 %). Among the generated ones it
     /// is not, a named deviation (EXPERIMENTS.md): CACHE (78.6 %) and PLRN
     /// (48.5 %) are above AGG (45.8 %), because every codegen temporary is
-    /// a control local and the PHV counts each one (ROADMAP direction 3).
+    /// a control local and the PHV counts each one (ROADMAP direction 5).
     #[test]
     fn table6_claims() {
         let rows = fitted_programs();

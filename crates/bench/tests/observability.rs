@@ -5,7 +5,7 @@
 
 use netcl_apps::agg;
 use netcl_bmv2::{Engine, Switch};
-use netcl_net::{LinkSpec, NetworkBuilder, NodeId, ObsConfig};
+use netcl_net::{LinkSpec, NetworkBuilder, NodeId};
 
 fn agg_cfg() -> agg::AggConfig {
     agg::AggConfig { num_workers: 3, num_slots: 4, slot_size: 8 }
@@ -23,8 +23,7 @@ fn switch_counters_match_netstats() {
     let workers: Vec<u32> = (0..cfg.num_workers).map(|w| 100 + w).collect();
     let mut topo = netcl_net::topo::star(1, &workers, LinkSpec::default());
     topo.multicast_group(42, workers.iter().map(|&w| NodeId::Host(w)).collect());
-    let mut builder =
-        NetworkBuilder::new(topo).device(1, switch, 500).observe(ObsConfig::default());
+    let mut builder = NetworkBuilder::new(topo).device(1, switch, 500).observe();
     for &w in &workers {
         builder = builder.sink_host(w);
     }

@@ -10,7 +10,8 @@
 //! - one dense-slot scratch [`Packet`], shaped once per batch call against
 //!   the program's slot table instead of once per packet and shared by
 //!   every slot (processing is sequential);
-//! - per-packet **output buffers**, kept across [`PacketBatch::clear`] so
+//! - per-packet **output buffers**, reused by every
+//!   [`process_batch`](crate::Switch::process_batch) call on the batch, so
 //!   the steady state allocates nothing;
 //! - per-packet **outcomes** (`Result<(), SwitchError>`), the same value a
 //!   scalar [`process_into`](crate::Switch::process_into) call returns.
@@ -73,17 +74,6 @@ impl PacketBatch {
         self.ranges.push((start, wire.len() as u32));
     }
 
-    /// Clears the queued packets while keeping every allocation (arena,
-    /// scratch packet, output buffers) in place for the next batch.
-    pub fn clear(&mut self) {
-        self.arena.clear();
-        self.ranges.clear();
-        for o in &mut self.outs {
-            o.clear();
-        }
-        self.outcomes.clear();
-    }
-
     /// The pipeline outcome of packet `i` (meaningful once processed).
     pub fn outcome(&self, i: usize) -> &Result<(), SwitchError> {
         &self.outcomes[i]
@@ -126,6 +116,19 @@ impl PacketBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PacketBatch {
+        /// Clears the queued packets while keeping every allocation (arena,
+        /// scratch packet, output buffers) in place for the next batch.
+        pub(crate) fn clear(&mut self) {
+            self.arena.clear();
+            self.ranges.clear();
+            for o in &mut self.outs {
+                o.clear();
+            }
+            self.outcomes.clear();
+        }
+    }
 
     #[test]
     fn arena_is_contiguous_and_ranges_index_it() {

@@ -37,7 +37,7 @@ pub struct SwitchCounters {
     pub action_calls: u64,
     /// Extern function calls (hash engines count separately under their
     /// tables' keys; this counts `random` and the ncl intrinsics).
-    pub extern_calls: u64,
+    pub(crate) extern_calls: u64,
     /// Control-plane table operations applied through
     /// [`Switch::apply_update`] (one per op in an accepted batch).
     pub table_updates: u64,
@@ -141,12 +141,6 @@ impl Switch {
             map[comp as usize] = tenant;
         }
         self.tenancy = Some(Box::new(Tenancy { comp_tenant: map }));
-    }
-
-    /// Drops tenant attribution; existing per-tenant counts remain until
-    /// [`Switch::reset_counters`].
-    pub fn clear_tenants(&mut self) {
-        self.tenancy = None;
     }
 
     /// One tenant's counter sub-view (zeroes when it processed nothing).
@@ -277,8 +271,7 @@ control Ig(inout headers_t hdr, inout metadata_t meta) {{
     }
 
     /// The batch entry point credits tenants exactly like per-packet
-    /// `process_into` calls, parse errors included, and `clear_tenants`
-    /// stops attribution.
+    /// `process_into` calls, parse errors included.
     #[test]
     fn tenant_counters_batch_matches_scalar() {
         // The 9-byte wire carries a readable comp byte but truncates the
@@ -312,12 +305,5 @@ control Ig(inout headers_t hdr, inout metadata_t meta) {{
             TenantCounters { packets: 3, reg_action_execs: 4 },
             "truncated comp-2 packet charged, zero reg actions"
         );
-
-        // Dropping tenancy stops attribution but not global counting.
-        let before = scalar.tenant_counters(0);
-        scalar.clear_tenants();
-        scalar.process(&twire(1, 7)).unwrap();
-        assert_eq!(scalar.tenant_counters(0), before);
-        assert_eq!(scalar.counters().packets, wires.len() as u64 + 1);
     }
 }

@@ -205,7 +205,7 @@ impl Switch {
 
     /// Validates a batch without applying it (the check
     /// [`Switch::apply_update`] runs before touching any state).
-    pub fn validate_update(&self, update: &TableUpdate) -> Result<(), UpdateError> {
+    pub(crate) fn validate_update(&self, update: &TableUpdate) -> Result<(), UpdateError> {
         for op in &update.ops {
             let table = op.table();
             let Some(&state) = self.loaded.layout.table_index.get(table) else {

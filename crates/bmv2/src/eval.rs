@@ -5,7 +5,7 @@ use netcl_p4::ast::{Expr, Ns, P4BinOp};
 
 /// Evaluates a P4 expression. Returns the value and its width in bits (the
 /// width drives wrapping; boolean results are 1 bit).
-pub fn eval(e: &Expr, pkt: &Packet, widths: &dyn Fn(&str) -> u32) -> (u64, u32) {
+pub(crate) fn eval(e: &Expr, pkt: &Packet, widths: &dyn Fn(&str) -> u32) -> (u64, u32) {
     match e {
         Expr::Const(v, bits) => (*v, *bits),
         Expr::Device => (pkt.device() as u64, 16),
@@ -72,7 +72,7 @@ pub(crate) fn slice_shape(hi: u32, lo: u32) -> Option<(u32, u32)> {
 /// One binary operation at the given operand widths, with the P4 result
 /// width/wrapping rules. Shared by the tree-walking evaluator above and the
 /// lowering's cold arms so the two paths cannot drift.
-pub fn bin_value(op: P4BinOp, va: u64, wa: u32, vb: u64, wb: u32) -> (u64, u32) {
+pub(crate) fn bin_value(op: P4BinOp, va: u64, wa: u32, vb: u64, wb: u32) -> (u64, u32) {
     let w = wa.max(wb);
     let mask = mask_of(w);
     match op {
@@ -110,7 +110,7 @@ pub fn bin_value(op: P4BinOp, va: u64, wa: u32, vb: u64, wb: u32) -> (u64, u32) 
 }
 
 /// Low `bits` mask.
-pub fn mask_of(bits: u32) -> u64 {
+pub(crate) fn mask_of(bits: u32) -> u64 {
     if bits >= 64 {
         u64::MAX
     } else {

@@ -35,6 +35,8 @@
 //! ([`mod@ctrl`]): validated, atomic table-update batches applied to a
 //! running switch without a reload.
 
+#![warn(unreachable_pub)]
+
 mod assemble;
 pub mod batch;
 mod counters;

@@ -85,7 +85,7 @@ pub struct Packet {
     /// by the threaded engine.
     dynamic: Option<Box<DynPaths>>,
     /// Bytes following the parsed headers.
-    pub payload: Vec<u8>,
+    pub(crate) payload: Vec<u8>,
     /// The device the packet is running at, stamped by the switch that
     /// runs it: what a program's `Expr::Device` leaf reads.
     device: u16,
@@ -99,7 +99,7 @@ impl Default for Packet {
 
 impl Packet {
     /// Creates an empty packet sized for `slots`.
-    pub fn with_slots(slots: Arc<SlotTable>) -> Packet {
+    pub(crate) fn with_slots(slots: Arc<SlotTable>) -> Packet {
         let ns = slots.n_slots();
         let ni = slots.n_instances();
         Packet {
@@ -117,7 +117,7 @@ impl Packet {
 
     /// Re-shapes the packet for `slots` if it currently uses a different
     /// table (callers may hand a `Packet::default()` to `process_into`).
-    pub fn ensure_slots(&mut self, slots: &Arc<SlotTable>) {
+    pub(crate) fn ensure_slots(&mut self, slots: &Arc<SlotTable>) {
         if !Arc::ptr_eq(&self.slots, slots) {
             *self = Packet::with_slots(Arc::clone(slots));
         }
@@ -125,7 +125,7 @@ impl Packet {
 
     /// Clears all state, keeping allocated capacity (the hot-path reuse
     /// entry point — no allocation happens here).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.values.truncate(self.slots.n_slots());
         self.values.fill(0);
         self.meta_present.clear();
@@ -150,25 +150,25 @@ impl Packet {
 
     /// Reads a slot value.
     #[inline]
-    pub fn value(&self, slot: FieldSlot) -> u64 {
+    pub(crate) fn value(&self, slot: FieldSlot) -> u64 {
         self.values[slot.index()]
     }
 
     /// Writes a slot value.
     #[inline]
-    pub fn set_value(&mut self, slot: FieldSlot, v: u64) {
+    pub(crate) fn set_value(&mut self, slot: FieldSlot, v: u64) {
         self.values[slot.index()] = v;
     }
 
     /// Whether a metadata slot is bound.
     #[inline]
-    pub fn meta_present(&self, slot: FieldSlot) -> bool {
+    pub(crate) fn meta_present(&self, slot: FieldSlot) -> bool {
         self.meta_present.contains(slot.index())
     }
 
     /// Binds a metadata slot.
     #[inline]
-    pub fn set_meta_slot(&mut self, slot: FieldSlot, v: u64) {
+    pub(crate) fn set_meta_slot(&mut self, slot: FieldSlot, v: u64) {
         self.values[slot.index()] = v;
         self.meta_present.insert(slot.index());
     }
@@ -176,21 +176,21 @@ impl Packet {
     /// Unbinds a metadata slot (reads fall back to 0 / the header
     /// namespace).
     #[inline]
-    pub fn clear_meta_slot(&mut self, slot: FieldSlot) {
+    pub(crate) fn clear_meta_slot(&mut self, slot: FieldSlot) {
         self.values[slot.index()] = 0;
         self.meta_present.remove(slot.index());
     }
 
     /// Header validity by instance id.
     #[inline]
-    pub fn is_valid_id(&self, inst: HeaderId) -> bool {
+    pub(crate) fn is_valid_id(&self, inst: HeaderId) -> bool {
         self.valid.contains(inst.index())
     }
 
     /// Marks a header (in)valid — O(1); the `seen` bitset preserves the
     /// first-validation deparse order without scanning `order`.
     #[inline]
-    pub fn set_valid_id(&mut self, inst: HeaderId, valid: bool) {
+    pub(crate) fn set_valid_id(&mut self, inst: HeaderId, valid: bool) {
         if valid {
             self.valid.insert(inst.index());
             if !self.seen.contains(inst.index()) {
@@ -203,13 +203,13 @@ impl Packet {
     }
 
     /// Instance ids in first-validation order.
-    pub fn order_ids(&self) -> &[HeaderId] {
+    pub(crate) fn order_ids(&self) -> &[HeaderId] {
         &self.order
     }
 
     /// Resolves an instance id to its name (static table first, then the
     /// packet's dynamic overflow).
-    pub fn instance_name(&self, id: HeaderId) -> &str {
+    pub(crate) fn instance_name(&self, id: HeaderId) -> &str {
         if let Some(n) = self.slots.instance_name(id) {
             return n;
         }
@@ -232,13 +232,13 @@ impl Packet {
     }
 
     /// Writes a header field.
-    pub fn set(&mut self, path: &str, value: u64) {
+    pub(crate) fn set(&mut self, path: &str, value: u64) {
         let s = self.resolve_or_insert('h', path);
         self.values[s.index()] = value;
     }
 
     /// Reads metadata (zero default).
-    pub fn get_meta(&self, name: &str) -> u64 {
+    pub(crate) fn get_meta(&self, name: &str) -> u64 {
         match self.resolve('m', name) {
             Some(s) => self.values[s.index()],
             None => 0,
@@ -246,7 +246,7 @@ impl Packet {
     }
 
     /// Writes metadata.
-    pub fn set_meta(&mut self, name: &str, value: u64) {
+    pub(crate) fn set_meta(&mut self, name: &str, value: u64) {
         let s = self.resolve_or_insert('m', name);
         self.values[s.index()] = value;
         self.meta_present.ensure_len(s.index() + 1);
@@ -255,7 +255,7 @@ impl Packet {
 
     /// Reads metadata only if bound (the interpreter's bare-name namespace
     /// probe).
-    pub fn meta_opt(&self, name: &str) -> Option<u64> {
+    pub(crate) fn meta_opt(&self, name: &str) -> Option<u64> {
         let s = self.resolve('m', name)?;
         if self.meta_present.contains(s.index()) {
             Some(self.values[s.index()])
@@ -265,7 +265,7 @@ impl Packet {
     }
 
     /// Unbinds a metadata name.
-    pub fn meta_remove(&mut self, name: &str) {
+    pub(crate) fn meta_remove(&mut self, name: &str) {
         if let Some(s) = self.resolve('m', name) {
             self.values[s.index()] = 0;
             self.meta_present.remove(s.index());
@@ -273,7 +273,7 @@ impl Packet {
     }
 
     /// Header validity.
-    pub fn is_valid(&self, instance: &str) -> bool {
+    pub(crate) fn is_valid(&self, instance: &str) -> bool {
         match self.resolve_instance(instance) {
             Some(id) => self.valid.contains(id.index()),
             None => false,
@@ -281,7 +281,7 @@ impl Packet {
     }
 
     /// Marks a header (in)valid, preserving first-validation order.
-    pub fn set_valid(&mut self, instance: &str, valid: bool) {
+    pub(crate) fn set_valid(&mut self, instance: &str, valid: bool) {
         if !valid {
             // Invalidation of a never-seen instance is a no-op; avoid
             // allocating a dynamic id for it.
@@ -292,11 +292,6 @@ impl Packet {
         }
         let id = self.resolve_or_insert_instance(instance);
         self.set_valid_id(id, true);
-    }
-
-    /// Instance names in first-validation order (test/diagnostic helper).
-    pub fn order_names(&self) -> Vec<String> {
-        self.order.iter().map(|&id| self.instance_name(id).to_string()).collect()
     }
 
     // ---- resolution -----------------------------------------------------
@@ -349,7 +344,7 @@ impl Packet {
 
 /// Reads `bits` (byte-aligned, big-endian network order) from `bytes` at
 /// `*cursor`, advancing it.
-pub fn read_field(bytes: &[u8], cursor: &mut usize, bits: u32) -> Result<u64, FieldError> {
+pub(crate) fn read_field(bytes: &[u8], cursor: &mut usize, bits: u32) -> Result<u64, FieldError> {
     if bits == 0 || !bits.is_multiple_of(8) {
         return Err(FieldError::Unaligned { bits });
     }
@@ -366,7 +361,7 @@ pub fn read_field(bytes: &[u8], cursor: &mut usize, bits: u32) -> Result<u64, Fi
 }
 
 /// Appends `bits` of `value` in network order.
-pub fn write_field(out: &mut Vec<u8>, value: u64, bits: u32) -> Result<(), FieldError> {
+pub(crate) fn write_field(out: &mut Vec<u8>, value: u64, bits: u32) -> Result<(), FieldError> {
     if bits == 0 || !bits.is_multiple_of(8) {
         return Err(FieldError::Unaligned { bits });
     }
@@ -380,6 +375,11 @@ pub fn write_field(out: &mut Vec<u8>, value: u64, bits: u32) -> Result<(), Field
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Instance names in first-validation order.
+    fn order_names(p: &Packet) -> Vec<String> {
+        p.order.iter().map(|&id| p.instance_name(id).to_string()).collect()
+    }
 
     #[test]
     fn field_roundtrip() {
@@ -421,14 +421,14 @@ mod tests {
         p.set_valid("ncl", true);
         p.set_valid("args_c1", true);
         p.set_valid("ncl", true); // re-validation keeps position
-        assert_eq!(p.order_names(), vec!["ncl".to_string(), "args_c1".to_string()]);
+        assert_eq!(order_names(&p), vec!["ncl".to_string(), "args_c1".to_string()]);
         p.set_valid("args_c1", false);
         assert!(!p.is_valid("args_c1"));
         assert!(p.is_valid("ncl"));
         // Re-validating after invalidation keeps the original slot, as the
         // old order-scan implementation did.
         p.set_valid("args_c1", true);
-        assert_eq!(p.order_names(), vec!["ncl".to_string(), "args_c1".to_string()]);
+        assert_eq!(order_names(&p), vec!["ncl".to_string(), "args_c1".to_string()]);
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub struct CacheStats {
     /// with equal lowered modules, made for the first of them.
     pub device_hits: u64,
     /// Program lookups that missed.
-    pub device_misses: u64,
+    pub(crate) device_misses: u64,
 }
 
 /// The unit map and the program table behind
@@ -112,26 +112,9 @@ impl CompileCache {
         CompileCache::default()
     }
 
-    /// Hit/miss counters accumulated since construction (or [`Self::clear`]).
+    /// Hit/miss counters accumulated since construction.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Cached unit count.
-    pub fn unit_count(&self) -> usize {
-        self.units.len()
-    }
-
-    /// Cached device program count.
-    pub fn program_count(&self) -> usize {
-        self.programs.len()
-    }
-
-    /// Drops all cached artifacts and resets the counters.
-    pub fn clear(&mut self) {
-        self.units.clear();
-        self.programs.clear();
-        self.stats = CacheStats::default();
     }
 
     /// Whole-unit lookup; counts the hit or miss. An entry under `key`
@@ -346,7 +329,7 @@ mod tests {
         assert!(!second.reuse.unit_hit);
         assert!(!Arc::ptr_eq(&first.model, &second.model));
         assert_eq!(artifacts(&first.devices[0]), artifacts(&second.devices[0]));
-        assert_eq!((cache.unit_count(), cache.program_count()), (2, 1));
+        assert_eq!((cache.units.len(), cache.programs.len()), (2, 1));
     }
 
     #[test]

@@ -35,9 +35,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct CodegenError {
     /// Error code (`E03xx` range).
-    pub code: &'static str,
+    pub(crate) code: &'static str,
     /// Description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for CodegenError {
@@ -53,7 +53,7 @@ pub fn generate(module: &Module, target: Target) -> Result<P4Program, CodegenErr
 }
 
 /// Generates the P4 program for a compiled device module placed at
-/// `device`. The module does not name a device; [`place`] writes the id.
+/// `device`. The module does not name a device; `place` writes the id.
 pub fn generate_at(
     module: &Module,
     target: Target,
@@ -83,13 +83,13 @@ pub fn generate_at(
 /// `hdr.ncl.to == <device>` reads (the no-implicit-computation rule, §IV).
 /// Applied to a clone of another device's program, it shares every part of
 /// that program and copies none.
-pub fn place(program: &mut P4Program, unit: &str, device: u16) {
+pub(crate) fn place(program: &mut P4Program, unit: &str, device: u16) {
     program.name = format!("{unit}_dev{device}");
     program.device = device;
 }
 
 /// The name of the NetCL shim header instance.
-pub const NCL_HDR: &str = "ncl";
+pub(crate) const NCL_HDR: &str = "ncl";
 
 /// The NetCL shim header type (Fig. 10): 4-tuple + computation + action +
 /// target, in `netcl_runtime::message`'s wire order. Generated programs and

@@ -59,15 +59,15 @@ pub(super) fn stack_element(stack: &str, k: u32) -> Expr {
 /// Everything decided about one kernel.
 pub(super) struct KernelPlan {
     /// Per value; `None` for values no instruction of the kernel defines.
-    pub values: IndexVec<ValueId, Option<Place>>,
+    pub(crate) values: IndexVec<ValueId, Option<Place>>,
     /// Per argument.
-    pub args: Vec<Storage>,
+    pub(crate) args: Vec<Storage>,
     /// Per local slot.
-    pub slots: IndexVec<netcl_ir::LocalId, Storage>,
+    pub(crate) slots: IndexVec<netcl_ir::LocalId, Storage>,
     /// The `meta` locals the plan names, `(name, bits)`.
-    pub locals: Vec<(Name, u32)>,
+    pub(crate) locals: Vec<(Name, u32)>,
     /// Each block's region join (see `immediate_postdominators`).
-    pub ipd: IndexVec<BlockId, Option<BlockId>>,
+    pub(crate) ipd: IndexVec<BlockId, Option<BlockId>>,
     /// Index of each block's first instruction in block-major order.
     first: IndexVec<BlockId, usize>,
     /// Instructions, in block-major order, that are not emitted.

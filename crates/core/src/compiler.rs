@@ -80,7 +80,7 @@ impl CompileTimings {
 #[derive(Clone, Debug)]
 pub struct CompiledDevice {
     /// The device this output runs on. The IR does not name it, and the P4
-    /// programs hold it only in the fields [`codegen::place`] writes.
+    /// programs hold it only in the fields `codegen::place` writes.
     /// Devices that run one program share their IR and every part of their
     /// P4 programs. When both dialects' stages leave equal modules, the two
     /// IR fields are one allocation and the two programs share every part.
@@ -292,9 +292,9 @@ fn placed(program: &CompiledDevice, device: u16, target: EmitTarget) -> Compiled
 /// What [`frontend`] leaves for the per-device phases: the parsed unit (and
 /// its source map), the analysis, every diagnostic so far and the clock.
 pub(crate) struct Frontend {
-    pub unit: ParsedUnit,
-    pub analysis: Analysis,
-    pub diags: DiagnosticSink,
+    pub(crate) unit: ParsedUnit,
+    pub(crate) analysis: Analysis,
+    pub(crate) diags: DiagnosticSink,
     pub timings: CompileTimings,
 }
 
@@ -434,7 +434,7 @@ pub(crate) mod tests {
     use netcl_sema::builtins::ActionKind;
     use netcl_sema::Ty;
 
-    pub const FIG4_CACHE: &str = r#"
+    pub(crate) const FIG4_CACHE: &str = r#"
 #define CMS_HASHES 3
 #define THRESH 512
 #define GET_REQ 1

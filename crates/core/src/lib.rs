@@ -49,6 +49,8 @@
 //! `ncc --emit-pass-report`; §16 covers the runtime control plane and the
 //! incremental recompilation cache ([`cache`]).
 
+#![warn(unreachable_pub)]
+
 pub mod cache;
 pub mod codegen;
 pub mod compiler;

@@ -26,7 +26,6 @@
 
 use netcl_ir::merge::{self, TenantMapEntry, TenantUnit};
 use netcl_ir::Module;
-use netcl_sema::Model;
 use netcl_tofino::{AllocationReport, TenantBudgets, TofinoSpec};
 use netcl_util::{DiagnosticSink, SourceMap};
 
@@ -48,10 +47,6 @@ pub struct TenantSource<'a> {
 pub struct TenantSlice {
     /// Tenant id.
     pub tenant: u16,
-    /// The tenant's semantic model (kernel specs for its hosts). Kernel
-    /// computation ids here are the tenant's *original* ids; translate
-    /// through [`TenantSlice::map`] when talking to the merged switch.
-    pub model: Model,
     /// Original → merged computation ids and the tenant's global range.
     pub map: TenantMapEntry,
     /// The dedicated-switch baseline: this tenant's module alone,
@@ -66,7 +61,7 @@ pub struct MergedCompilation {
     pub device: u16,
     /// The merged switch program (all tenants behind one comp dispatch).
     pub merged: CompiledDevice,
-    /// Per-tenant maps, models, and solo baselines, in input order.
+    /// Per-tenant maps and solo baselines, in input order.
     pub tenants: Vec<TenantSlice>,
     /// The merged TNA program's fit, with per-tenant resource attribution
     /// (`None` when only v1model was emitted).
@@ -90,7 +85,6 @@ pub fn compile_tenants(
 ) -> Result<MergedCompilation, CompileError> {
     // Frontend per tenant: parse, analyze, lower the base module.
     let mut units = Vec::new();
-    let mut models = Vec::new();
     for ts in sources {
         let for_tenant = |e: CompileError| CompileError {
             message: format!("tenant {}: {}", ts.tenant, e.message),
@@ -98,7 +92,6 @@ pub fn compile_tenants(
         };
         let mut fe = compiler::frontend(ts.name, ts.source).map_err(for_tenant)?;
         let module = compiler::lower_verified(&mut fe, device).map_err(for_tenant)?;
-        models.push((ts.tenant, fe.analysis.model));
         units.push(TenantUnit { tenant: ts.tenant, module });
     }
 
@@ -132,10 +125,10 @@ pub fn compile_tenants(
     // Solo baselines: one dedicated-switch artifact per tenant, compiled
     // from the merged module's namespaced slice (wire-compatible comps).
     let mut tenants = Vec::new();
-    for (tenant, model) in models {
+    for &TenantSource { tenant, .. } in sources {
         let map = merged.tenant(tenant).expect("merge returns every input tenant").clone();
         let solo = build(merged.solo(tenant).expect("merge returns every input tenant"))?;
-        tenants.push(TenantSlice { tenant, model, map, solo });
+        tenants.push(TenantSlice { tenant, map, solo });
     }
 
     Ok(MergedCompilation { device, merged: merged_dev, tenants, report })

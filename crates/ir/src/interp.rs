@@ -22,10 +22,10 @@ use netcl_util::idx::Idx;
 #[derive(Clone, Debug)]
 pub struct DeviceState {
     /// Flattened element storage per global (empty for lookup memory).
-    pub memories: Vec<Vec<u64>>,
+    pub(crate) memories: Vec<Vec<u64>>,
     /// Current entries of each lookup table (managed tables can be updated
     /// from the host through the control-plane path).
-    pub tables: Vec<Vec<LookupEntry>>,
+    pub(crate) tables: Vec<Vec<LookupEntry>>,
 }
 
 impl DeviceState {
@@ -49,11 +49,6 @@ impl DeviceState {
     /// Reads one element (host-side `managed_read` path).
     pub fn read(&self, mem: MemId, index: usize) -> u64 {
         self.memories[mem.index()][index]
-    }
-
-    /// Writes one element (host-side `managed_write` path).
-    pub fn write(&mut self, mem: MemId, index: usize, value: u64) {
-        self.memories[mem.index()][index] = value;
     }
 }
 
@@ -90,9 +85,9 @@ pub struct ExecResult {
     /// The selected forwarding action.
     pub action: ActionKind,
     /// Resolved target id for targeted actions.
-    pub target: Option<u64>,
+    pub(crate) target: Option<u64>,
     /// Dynamic instruction count (used by tests and latency sanity checks).
-    pub steps: usize,
+    pub(crate) steps: usize,
 }
 
 /// Interpreter failures (all indicate compiler bugs or unverified IR).
@@ -159,7 +154,7 @@ pub fn eval_intrinsic(target: &str, name: &str, args: &[u64]) -> u64 {
 
 /// Searches a lookup table, mirroring MAT semantics: first matching entry
 /// wins (P4 exact tables have unique keys; range tables use priority order).
-pub fn search_table(entries: &[LookupEntry], key: u64) -> Option<u64> {
+pub(crate) fn search_table(entries: &[LookupEntry], key: u64) -> Option<u64> {
     for e in entries {
         match *e {
             LookupEntry::Member { key: k } if k == key => return Some(1),

@@ -19,6 +19,7 @@
 //!
 //! DESIGN.md §4 shows where the IR sits in the `ncc` pipeline.
 
+#![warn(unreachable_pub)]
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)

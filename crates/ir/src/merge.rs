@@ -6,7 +6,7 @@
 //! program. Three things make the combination collision-free and
 //! attributable:
 //!
-//! 1. **Namespacing** ([`namespace`]): every global (register, `_managed_`
+//! 1. **Namespacing** (`namespace`): every global (register, `_managed_`
 //!    scalar/array, `_lookup_` table) and kernel is renamed under the
 //!    tenant prefix `t<id>__` (`netcl_util::tenant`). The prefix survives
 //!    codegen's identifier sanitization, so the allocator, the bmv2
@@ -76,7 +76,7 @@ pub struct TenantMapEntry {
     pub comps: Vec<(u8, u8)>,
     /// Global index range `[start, end)` owned by this tenant in the
     /// merged module.
-    pub globals: (usize, usize),
+    pub(crate) globals: (usize, usize),
 }
 
 impl TenantMapEntry {
@@ -93,7 +93,7 @@ pub struct MergedTenants {
     /// codegen on it like any single-tenant module).
     pub module: Module,
     /// Per-tenant computation maps and global ranges, in input order.
-    pub tenants: Vec<TenantMapEntry>,
+    pub(crate) tenants: Vec<TenantMapEntry>,
 }
 
 impl MergedTenants {
@@ -126,7 +126,7 @@ impl MergedTenants {
 /// namespace. Idempotent inputs are not expected: call once, on a freshly
 /// lowered module. Computation ids are left alone — [`merge`] re-numbers
 /// them across the whole set.
-pub fn namespace(module: &mut Module, id: u16) {
+pub(crate) fn namespace(module: &mut Module, id: u16) {
     for g in &mut module.globals {
         g.name = tenant::apply(id, &g.name);
         if let Some((base, _)) = &mut g.origin {
@@ -160,10 +160,10 @@ fn offset_mems(f: &mut Function, delta: i64) {
 ///
 /// The units are lowered for the one device the merged module runs on;
 /// which device that is, the caller decides. Each unit is namespaced
-/// ([`namespace`]), its memory ids are offset past the globals already
+/// (`namespace`), its memory ids are offset past the globals already
 /// merged, and its kernels get fresh computation ids (1, 2, … in input
 /// order). The per-tenant old→new comp map comes back in
-/// [`MergedTenants::tenants`].
+/// `MergedTenants::tenants`.
 pub fn merge(units: &[TenantUnit]) -> Result<MergedTenants, MergeError> {
     if units.is_empty() {
         return Err(MergeError::Empty);

@@ -98,7 +98,7 @@ fn fmt_ops(ops: &[Operand]) -> String {
 }
 
 /// Prints a single instruction.
-pub fn print_inst(f: &Function, inst: &Inst) -> String {
+pub(crate) fn print_inst(f: &Function, inst: &Inst) -> String {
     let results = inst.results.iter().map(|r| format!("{r}")).collect::<Vec<_>>().join(", ");
     let lhs = if results.is_empty() { String::new() } else { format!("{results} = ") };
     let ty = inst.results.first().map(|&r| format!("{}", f.value_ty(r))).unwrap_or_default();

@@ -20,11 +20,11 @@ use netcl_util::idx::IndexVec;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyError {
     /// Function name.
-    pub func: String,
+    pub(crate) func: String,
     /// Block in which the problem sits (if applicable).
-    pub block: Option<BlockId>,
+    pub(crate) block: Option<BlockId>,
     /// Description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for VerifyError {

@@ -23,24 +23,6 @@ pub struct Program {
     pub node_count: u32,
 }
 
-impl Program {
-    /// Iterates over global memory declarations.
-    pub fn globals(&self) -> impl Iterator<Item = &GlobalDecl> {
-        self.items.iter().filter_map(|i| match i {
-            Item::Global(g) => Some(g),
-            _ => None,
-        })
-    }
-
-    /// Iterates over function declarations (kernels and net functions).
-    pub fn functions(&self) -> impl Iterator<Item = &FunctionDecl> {
-        self.items.iter().filter_map(|i| match i {
-            Item::Function(f) => Some(f),
-            _ => None,
-        })
-    }
-}
-
 /// A top-level declaration.
 #[derive(Debug, Clone)]
 pub enum Item {
@@ -48,16 +30,6 @@ pub enum Item {
     Global(GlobalDecl),
     /// Kernel or net function.
     Function(FunctionDecl),
-}
-
-impl Item {
-    /// The span of the whole item.
-    pub fn span(&self) -> Span {
-        match self {
-            Item::Global(g) => g.span,
-            Item::Function(f) => f.span,
-        }
-    }
 }
 
 /// NetCL declaration specifiers (paper Table I).
@@ -72,20 +44,13 @@ pub struct Specifiers {
     /// `_lookup_` present.
     pub is_lookup: bool,
     /// `const` present.
-    pub is_const: bool,
+    pub(crate) is_const: bool,
     /// `static` present.
-    pub is_static: bool,
+    pub(crate) is_static: bool,
     /// `_at(l, ...)`: location-set expressions (constants) and the spec span.
     pub at: Option<(Vec<Expr>, Span)>,
     /// Span covering all specifiers.
     pub span: Span,
-}
-
-impl Specifiers {
-    /// True when any NetCL device specifier is present.
-    pub fn any_device(&self) -> bool {
-        self.kernel.is_some() || self.is_net || self.is_managed || self.is_lookup
-    }
 }
 
 /// A syntactic type (before semantic resolution).
@@ -170,18 +135,6 @@ pub struct FunctionDecl {
     pub body: Option<Block>,
     /// Whole-declaration span.
     pub span: Span,
-}
-
-impl FunctionDecl {
-    /// True when declared `_kernel(c)`.
-    pub fn is_kernel(&self) -> bool {
-        self.specs.kernel.is_some()
-    }
-
-    /// True when declared `_net_` (device function).
-    pub fn is_net(&self) -> bool {
-        self.specs.is_net
-    }
 }
 
 /// A global memory declaration.
@@ -286,7 +239,7 @@ pub enum Stmt {
 
 impl Stmt {
     /// The statement's span.
-    pub fn span(&self) -> Span {
+    pub(crate) fn span(&self) -> Span {
         match self {
             Stmt::Decl(d) => d.span,
             Stmt::Expr(e) => e.span,
@@ -504,13 +457,5 @@ mod tests {
     fn type_constants() {
         assert_eq!(TypeExpr::U32, TypeExpr::Int { bits: 32, signed: false });
         assert_eq!(TypeExpr::U8, TypeExpr::Int { bits: 8, signed: false });
-    }
-
-    #[test]
-    fn specifier_device_detection() {
-        let mut s = Specifiers::default();
-        assert!(!s.any_device());
-        s.is_net = true;
-        assert!(s.any_device());
     }
 }

@@ -12,7 +12,7 @@ use netcl_util::{DiagnosticSink, Interner, Span};
 
 /// Lexes `source` into tokens. Errors are reported to `diags`; lexing always
 /// produces an EOF-terminated stream.
-pub fn lex(source: &str, interner: &mut Interner, diags: &mut DiagnosticSink) -> Vec<Token> {
+pub(crate) fn lex(source: &str, interner: &mut Interner, diags: &mut DiagnosticSink) -> Vec<Token> {
     Lexer { src: source.as_bytes(), pos: 0, interner, diags }.run()
 }
 

@@ -11,7 +11,7 @@ use crate::token::{Keyword, Token, TokenKind};
 use netcl_util::{DiagnosticSink, Interner, Span, Symbol};
 
 /// Parses a full translation unit from a token stream.
-pub fn parse_tokens(
+pub(crate) fn parse_tokens(
     tokens: &[Token],
     interner: &mut Interner,
     diags: &mut DiagnosticSink,
@@ -981,6 +981,22 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
+    impl Program {
+        fn globals(&self) -> impl Iterator<Item = &GlobalDecl> {
+            self.items.iter().filter_map(|i| match i {
+                Item::Global(g) => Some(g),
+                _ => None,
+            })
+        }
+
+        fn functions(&self) -> impl Iterator<Item = &FunctionDecl> {
+            self.items.iter().filter_map(|i| match i {
+                Item::Function(f) => Some(f),
+                _ => None,
+            })
+        }
+    }
+
     fn parse_ok(src: &str) -> (Program, Interner) {
         let mut interner = Interner::new();
         let mut diags = DiagnosticSink::new();
@@ -1015,7 +1031,7 @@ mod tests {
             "_kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) { }",
         );
         let f = p.functions().next().unwrap();
-        assert!(f.is_kernel());
+        assert!(f.specs.kernel.is_some());
         assert_eq!(i.resolve(f.name), "query");
         assert_eq!(f.params.len(), 4);
         assert_eq!(f.params[0].mode, PassMode::Value);
@@ -1074,7 +1090,7 @@ _net_ void sketch(unsigned k, unsigned &hot) {
         assert!(!diags.has_errors(), "{}", diags.render_all(&unit.source_map));
         assert_eq!(unit.program.items.len(), 2);
         let f = unit.program.functions().next().unwrap();
-        assert!(f.is_net());
+        assert!(f.specs.is_net);
         assert_eq!(f.params.len(), 2);
         let body = f.body.as_ref().unwrap();
         assert_eq!(body.stmts.len(), 6);

@@ -21,7 +21,7 @@ use netcl_util::{DiagnosticSink, Span};
 use std::collections::HashMap;
 
 /// Strips comments, processes `#define`/`#undef`, expands macros.
-pub fn preprocess(source: &str, diags: &mut DiagnosticSink) -> String {
+pub(crate) fn preprocess(source: &str, diags: &mut DiagnosticSink) -> String {
     let without_comments = strip_comments(source);
     let mut defines: HashMap<String, String> = HashMap::new();
     let mut out = String::with_capacity(without_comments.len());
@@ -92,7 +92,7 @@ fn blank_like(s: &str) -> String {
 
 /// Removes `//...` and `/*...*/` comments, preserving newlines and column
 /// positions (comment bytes become spaces).
-pub fn strip_comments(source: &str) -> String {
+pub(crate) fn strip_comments(source: &str) -> String {
     let bytes = source.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;

@@ -45,22 +45,6 @@ pub enum Fault {
     DeviceRestart(u16),
 }
 
-impl Fault {
-    /// Short tag for logs and stats displays.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Fault::LinkDown(..) => "link-down",
-            Fault::LinkUp(..) => "link-up",
-            Fault::Partition(_) => "partition",
-            Fault::Heal => "heal",
-            Fault::LinkDegrade(..) => "link-degrade",
-            Fault::LinkRestore(..) => "link-restore",
-            Fault::DeviceFail(_) => "device-fail",
-            Fault::DeviceRestart(_) => "device-restart",
-        }
-    }
-}
-
 /// A time-ordered fault schedule. Thin wrapper over `Vec<(at_ns, Fault)>`
 /// with builder-style helpers so tests read declaratively.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -75,7 +59,7 @@ impl FaultSchedule {
     }
 
     /// Adds a fault at an absolute simulated time.
-    pub fn at(mut self, at_ns: u64, fault: Fault) -> FaultSchedule {
+    pub(crate) fn at(mut self, at_ns: u64, fault: Fault) -> FaultSchedule {
         self.events.push((at_ns, fault));
         self
     }
@@ -103,19 +87,9 @@ impl FaultSchedule {
         self.at(fail_ns, Fault::DeviceFail(device)).at(restart_ns, Fault::DeviceRestart(device))
     }
 
-    /// Partitions `island` off at `cut_ns` and heals at `heal_ns`.
-    pub fn partition(self, island: Vec<NodeId>, cut_ns: u64, heal_ns: u64) -> FaultSchedule {
-        self.at(cut_ns, Fault::Partition(island)).at(heal_ns, Fault::Heal)
-    }
-
     /// The scheduled events in insertion order.
-    pub fn events(&self) -> &[(u64, Fault)] {
+    pub(crate) fn events(&self) -> &[(u64, Fault)] {
         &self.events
-    }
-
-    /// Whether the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 }
 
@@ -128,10 +102,11 @@ mod tests {
         let s = FaultSchedule::new()
             .link_outage(NodeId::Host(1), NodeId::Device(1), 100, 200)
             .device_outage(3, 150, 400)
-            .partition(vec![NodeId::Host(1)], 500, 600);
+            .at(500, Fault::Partition(vec![NodeId::Host(1)]))
+            .at(600, Fault::Heal);
         assert_eq!(s.events().len(), 6);
         assert_eq!(s.events()[0], (100, Fault::LinkDown(NodeId::Host(1), NodeId::Device(1))));
         assert_eq!(s.events()[3], (400, Fault::DeviceRestart(3)));
-        assert_eq!(s.events()[5].1.kind(), "heal");
+        assert_eq!(s.events()[5], (600, Fault::Heal));
     }
 }

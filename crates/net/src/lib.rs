@@ -15,6 +15,8 @@
 //! DESIGN.md §11 specifies the fault model and the determinism contract;
 //! §12 covers the opt-in observability layer ([`NetworkBuilder::observe`]).
 
+#![warn(unreachable_pub)]
+
 pub mod fault;
 mod route;
 pub mod shard;
@@ -26,8 +28,8 @@ pub use fault::{Fault, FaultSchedule};
 pub use route::PrecomputedRoutes;
 pub use shard::{Partition, ShardedNetwork};
 pub use sim::{
-    FlowSource, HostEvent, HostHandler, NetStats, Network, NetworkBuilder, NodeCounters, ObsConfig,
-    Outbox, RestartHook,
+    FlowSource, HostEvent, HostHandler, NetStats, Network, NetworkBuilder, NodeCounters, Outbox,
+    RestartHook,
 };
 pub use topo::{LinkSpec, NodeId, Topology};
 pub use workload::{FatTree, Flow, FlowStream, WorkloadRng, Zipf};

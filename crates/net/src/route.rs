@@ -228,7 +228,7 @@ impl std::fmt::Debug for PrecomputedRoutes {
 impl RouteCache {
     /// Indexes `topo`. The topology must not gain links afterwards (the
     /// simulator's is fixed at build time).
-    pub fn new(topo: &Topology) -> RouteCache {
+    pub(crate) fn new(topo: &Topology) -> RouteCache {
         let nodes = topo.nodes();
         let (mut host_ix, mut dev_ix) = (Vec::new(), Vec::new());
         for (i, &n) in nodes.iter().enumerate() {
@@ -290,7 +290,7 @@ impl RouteCache {
     }
 
     /// Drops every memoized tree — call when the downed-link set changes.
-    pub fn invalidate(&mut self) {
+    pub(crate) fn invalidate(&mut self) {
         self.trees.clear();
         self.built = 0;
     }
@@ -307,7 +307,7 @@ impl RouteCache {
     /// distance). This collapses "one tree per host" (10⁴ for a big
     /// fat-tree, far past [`TREE_CAP`] and thrashing) into one tree per
     /// switch.
-    pub fn hop(
+    pub(crate) fn hop(
         &mut self,
         fi: u32,
         ti: u32,

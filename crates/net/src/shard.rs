@@ -39,7 +39,6 @@
 //! round. What a round hands out comes back — a `Turn` per shard, vectors
 //! and all — so a run in steady state allocates nothing between rounds.
 
-use crate::fault::Fault;
 use crate::route::{RouteCore, NONE};
 use crate::sim::{
     Event, EventKind, EventSrc, FlowPump, FlowSource, NetStats, Network, NetworkBuilder,
@@ -209,7 +208,7 @@ impl NetworkBuilder {
                 // Rule-update schedules replicate like faults so update
                 // keys agree in every shard; application is owner-only.
                 updates: self.updates.clone(),
-                obs: self.obs,
+                observe: self.observe,
                 ..NetworkBuilder::default()
             })
             .collect();
@@ -711,11 +710,6 @@ impl std::fmt::Debug for ShardedNetwork {
 }
 
 impl ShardedNetwork {
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Selects where rounds execute: on one thread per shard, the calling
     /// thread among them (the default), or all inline on the calling
     /// thread. One planner drives both, so results and [`Self::rounds`]
@@ -753,29 +747,6 @@ impl ShardedNetwork {
     /// Arms a host timer at an absolute time.
     pub fn set_host_timer(&mut self, host: u32, at_ns: u64, token: u64) {
         self.inject(host, at_ns, |host| EventKind::Timer(host, token));
-    }
-
-    /// Schedules a fault mid-run, replicated into every shard with the
-    /// same key (all shards carry the same fault list, so indices agree).
-    pub fn schedule_fault(&mut self, at_ns: u64, fault: Fault) {
-        for sh in &mut self.shards {
-            sh.schedule_fault(at_ns, fault.clone());
-        }
-    }
-
-    /// Schedules a control-plane rule update mid-run, replicated into
-    /// every shard with the same key; only the shard owning the device
-    /// applies (and counts) it, so merged stats match the scalar run.
-    pub fn schedule_update(&mut self, at_ns: u64, device: u16, update: netcl_bmv2::TableUpdate) {
-        for sh in &mut self.shards {
-            sh.schedule_update(at_ns, device, update.clone());
-        }
-    }
-
-    /// Applies a rule update to a device now, on its owner shard, through
-    /// the journaled path (see [`Network::apply_update`]).
-    pub fn apply_update(&mut self, device: u16, update: &netcl_bmv2::TableUpdate) -> bool {
-        self.home_mut(NodeId::Device(device)).apply_update(device, update)
     }
 
     /// Attaches a lazy flow schedule (see [`Network::set_flow_source`]):
@@ -840,11 +811,6 @@ impl ShardedNetwork {
         Some(merged)
     }
 
-    /// Current simulated time: the furthest any shard has advanced.
-    pub fn now(&self) -> u64 {
-        self.shards.iter().map(Network::now).max().unwrap_or(0)
-    }
-
     /// Messages a sink host received, with arrival timestamps, read from
     /// the shard that owns it; empty for a handler host
     /// ([`Network::host_received`]).
@@ -860,12 +826,6 @@ impl ShardedNetwork {
     /// Immutable switch access.
     pub fn switch(&self, id: u16) -> Option<&Switch> {
         self.home(NodeId::Device(id)).switch(id)
-    }
-
-    /// Whether device `id` is currently failed (fault state is replicated,
-    /// so any shard could answer; the owner is canonical).
-    pub fn device_failed(&self, id: u16) -> bool {
-        self.home(NodeId::Device(id)).device_failed(id)
     }
 
     /// Synchronization rounds executed so far.

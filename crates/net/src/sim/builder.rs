@@ -15,8 +15,7 @@ use netcl_runtime::device::DeviceRuntime;
 use super::queue::EventQueue;
 use super::stats::tid_of;
 use super::{
-    DeviceNode, FlowPump, HostHandler, HostNode, NetStats, Network, ObsConfig, Outbox, RestartHook,
-    Slot,
+    DeviceNode, FlowPump, HostHandler, HostNode, NetStats, Network, Outbox, RestartHook, Slot,
 };
 use crate::fault::{Fault, FaultSchedule};
 use crate::route::RouteCache;
@@ -37,7 +36,7 @@ pub struct NetworkBuilder {
     pub(crate) faults: Vec<(u64, Fault)>,
     pub(crate) updates: Vec<(u64, u16, TableUpdate)>,
     pub(crate) restart_hooks: HashMap<u16, RestartHook>,
-    pub(crate) obs: Option<ObsConfig>,
+    pub(crate) observe: bool,
 }
 
 impl NetworkBuilder {
@@ -104,10 +103,13 @@ impl NetworkBuilder {
         self
     }
 
-    /// Records a Perfetto-loadable trace of the built network's run,
-    /// optionally bounded ([`ObsConfig::trace_capacity`]).
-    pub fn observe(mut self, cfg: ObsConfig) -> Self {
-        self.obs = Some(cfg);
+    /// Records a per-message Chrome `trace_event` timeline of the built
+    /// network's run in simulated time, every event kept
+    /// ([`Network::take_trace`]). A network built without `observe`
+    /// allocates nothing for it, and its results are identical either way
+    /// (`sim::tests::stats_identical_with_and_without_obs`).
+    pub fn observe(mut self) -> Self {
+        self.observe = true;
         self
     }
 
@@ -128,8 +130,8 @@ impl NetworkBuilder {
         part: Option<(&[u32], u32)>,
         routes: RouteCache,
     ) -> Network {
-        let trace = self.obs.map(|cfg| {
-            let mut t = cfg.trace_capacity.map_or_else(Trace::new, Trace::bounded);
+        let trace = self.observe.then(|| {
+            let mut t = Trace::new();
             t.name_process(0, "netcl-sim");
             let mut dev_ids: Vec<u16> = self.devices.iter().map(|(id, ..)| *id).collect();
             dev_ids.sort_unstable();

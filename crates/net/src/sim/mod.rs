@@ -28,7 +28,7 @@ mod queue;
 mod stats;
 
 pub use builder::NetworkBuilder;
-pub use stats::{NetStats, NodeCounters, ObsConfig};
+pub use stats::{NetStats, NodeCounters};
 
 use std::collections::{HashMap, HashSet};
 
@@ -453,7 +453,7 @@ impl Network {
     /// the builder; this form lets tests inject mid-run). Faults are keyed
     /// by schedule index, so replicating one schedule across shards yields
     /// identical keys in every shard.
-    pub fn schedule_fault(&mut self, at_ns: u64, fault: Fault) {
+    pub(crate) fn schedule_fault(&mut self, at_ns: u64, fault: Fault) {
         let idx = self.fault_list.len();
         self.fault_list.push(fault);
         self.push_keyed(at_ns, EventSrc::Control(idx as u64), EventKind::Fault(idx));
@@ -464,16 +464,11 @@ impl Network {
     /// mid-run). Keyed by schedule index in a space disjoint from fault
     /// keys, so replicating one schedule across shards yields identical
     /// keys in every shard.
-    pub fn schedule_update(&mut self, at_ns: u64, device: u16, update: TableUpdate) {
+    pub(crate) fn schedule_update(&mut self, at_ns: u64, device: u16, update: TableUpdate) {
         let idx = self.update_list.len();
         self.update_list.push((device, update));
         let key = EventSrc::Control(RULE_UPDATE_KEY_BIT | idx as u64);
         self.push_keyed(at_ns, key, EventKind::RuleUpdate(idx));
-    }
-
-    /// Whether device `id` is currently failed.
-    pub fn device_failed(&self, id: u16) -> bool {
-        self.index_of(NodeId::Device(id)).is_some_and(|i| self.slots[i as usize].failed)
     }
 
     /// Node `n`'s counts since the last fold, about to be added to.
@@ -916,7 +911,8 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
             .build();
         net.run(100);
         assert_eq!(ran.load(std::sync::atomic::Ordering::SeqCst), 1);
-        assert!(!net.device_failed(1));
+        let slot = net.index_of(NodeId::Device(1)).unwrap();
+        assert!(!net.slots[slot as usize].failed);
     }
 
     /// Observability is opt-in, lives outside `NetStats`, and captures the
@@ -930,7 +926,7 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
             .device(1, switch, 500)
             .sink_host(1)
             .sink_host(2)
-            .observe(ObsConfig::default())
+            .observe()
             .build();
         let m = Message::new(1, 2, 1, 1);
         let packed = pack(&m, &spec, &[Some(&[1]), Some(&[1]), None, None]).unwrap();
@@ -958,7 +954,7 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
             let topo = star(1, &[1, 2], LinkSpec::default());
             let mut b = NetworkBuilder::new(topo).device(1, switch, 500).sink_host(1).sink_host(2);
             if observe {
-                b = b.observe(ObsConfig::default());
+                b = b.observe();
             }
             let mut net = b.build();
             let m = Message::new(1, 2, 1, 1);
@@ -970,52 +966,6 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
         let plain = run(false);
         assert!(run(true) == plain, "observability must not change NetStats");
         assert_eq!(plain.recirculations, 0, "cache kernel never recirculates");
-    }
-
-    /// Bounded tracing caps trace memory at O(capacity) while leaving the
-    /// deterministic stats and counters byte-identical to the unbounded
-    /// run: the ring only changes what the trace *retains*, never what the
-    /// network *does*.
-    #[test]
-    fn bounded_trace_caps_memory_without_changing_stats() {
-        let run = |capacity: Option<usize>| {
-            let (p4, spec) = compiled_cache();
-            let switch = Switch::new(p4);
-            let topo = star(1, &[1, 2], LinkSpec::default());
-            let mut net = NetworkBuilder::new(topo)
-                .device(1, switch, 500)
-                .sink_host(1)
-                .sink_host(2)
-                .observe(ObsConfig { trace_capacity: capacity })
-                .build();
-            for i in 0..32u64 {
-                let m = Message::new(1, 2, 1, 1);
-                let packed = pack(&m, &spec, &[Some(&[1]), Some(&[1]), None, None]).unwrap();
-                net.send_from_host(1, i * 1_000, packed);
-            }
-            net.run(100);
-            let counters = net.switch(1).unwrap().counters().clone();
-            let trace = net.take_trace().expect("trace recorded");
-            (net.stats.clone(), counters, trace)
-        };
-        let (stats_full, counters_full, trace_full) = run(None);
-        let (stats_ring, counters_ring, trace_ring) = run(Some(8));
-        assert!(stats_ring == stats_full, "bounding must not change NetStats");
-        assert_eq!(counters_ring, counters_full, "nor the data-plane counters");
-        // The full run saw many events; the ring kept only its capacity.
-        assert_eq!(trace_full.dropped(), 0);
-        assert!(trace_ring.dropped() > 0, "a 32-message run overflows 8 slots");
-        let data = |t: &netcl_obs::Trace| t.events().filter(|e| e.ph != 'M').count();
-        assert!(data(&trace_full) > 8);
-        assert_eq!(data(&trace_ring), 8, "retained data events == capacity");
-        assert_eq!(
-            data(&trace_ring) as u64 + trace_ring.dropped(),
-            data(&trace_full) as u64,
-            "kept + dropped accounts for every event the full run saw"
-        );
-        // Metadata (track names) survives bounding in full.
-        let meta = |t: &netcl_obs::Trace| t.events().filter(|e| e.ph == 'M').count();
-        assert_eq!(meta(&trace_ring), meta(&trace_full));
     }
 
     /// The flow pump drains in source order, includes flows due exactly at
@@ -1249,7 +1199,7 @@ _kernel(1) _at(1) void query(char op, unsigned k, unsigned &v, char &hit) {
             .device(1, Switch::new(p4.clone()), 500)
             .sink_host(1)
             .sink_host(2)
-            .observe(ObsConfig::default())
+            .observe()
             .build();
         let dev = net.intern(NodeId::Device(1));
         for (i, bytes) in arrivals.iter().enumerate() {

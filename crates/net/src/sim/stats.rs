@@ -55,7 +55,7 @@ pub struct NetStats {
     /// Recirculation passes (kernel executions beyond a message's first).
     pub recirculations: u64,
     /// Control-plane rule-update batches applied to a live device
-    /// ([`Network::schedule_update`](super::Network::schedule_update)); counted only where the device
+    /// (`Network::schedule_update`); counted only where the device
     /// lives, so shards merge exactly.
     pub rule_updates: u64,
     /// Rule-update batches that did not land: the target device was failed
@@ -94,22 +94,6 @@ impl NetStats {
             e.dropped += c.dropped;
         }
     }
-}
-
-/// What [`NetworkBuilder::observe`](super::NetworkBuilder::observe) turns on: a
-/// per-message Chrome `trace_event` timeline in simulated time
-/// ([`Network::take_trace`](super::Network::take_trace)). A network built
-/// without `observe` allocates nothing for it, neither reads the wall
-/// clock, and results are identical with or without it
-/// (`sim::tests::stats_identical_with_and_without_obs`).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ObsConfig {
-    /// Bound the trace to the most recent N data events
-    /// ([`Trace::bounded`](netcl_obs::Trace::bounded)): long chaos runs
-    /// stay O(capacity) instead of O(run length). `None` keeps every
-    /// event. Track-naming metadata is exempt, and stats/counters are
-    /// unaffected either way.
-    pub trace_capacity: Option<usize>,
 }
 
 /// Trace thread-track id for a node: devices use their id, hosts are

@@ -114,7 +114,7 @@ impl LinkSpec {
 pub struct Topology {
     links: HashMap<NodeId, Vec<(NodeId, LinkSpec)>>,
     /// Multicast group id → member nodes.
-    pub groups: HashMap<u16, Vec<NodeId>>,
+    pub(crate) groups: HashMap<u16, Vec<NodeId>>,
 }
 
 impl Topology {
@@ -229,7 +229,7 @@ pub(crate) fn ecmp_rank(root: NodeId, node: NodeId) -> u64 {
 
 /// Order-normalized endpoint pair identifying a bidirectional link, the
 /// key used for scheduled link up/down state.
-pub fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
+pub(crate) fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     if a <= b {
         (a, b)
     } else {

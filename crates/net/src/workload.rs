@@ -36,7 +36,7 @@ impl WorkloadRng {
     }
 
     /// Uniform in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         // 53 mantissa bits.
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
@@ -52,7 +52,6 @@ impl WorkloadRng {
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
-    s: f64,
 }
 
 impl Zipf {
@@ -70,12 +69,7 @@ impl Zipf {
         for c in &mut cdf {
             *c /= total;
         }
-        Zipf { cdf, s }
-    }
-
-    /// The configured skew parameter.
-    pub fn skew(&self) -> f64 {
-        self.s
+        Zipf { cdf }
     }
 
     /// The model probability of rank `r` (1-based) — what the proptest

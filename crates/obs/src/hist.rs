@@ -45,14 +45,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Times `f` with a wall clock and records the elapsed nanoseconds.
-    pub fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let sw = crate::Stopwatch::start();
-        let r = f();
-        self.record(sw.elapsed_ns());
-        r
-    }
-
     /// Number of samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -61,20 +53,6 @@ impl Histogram {
     /// Sum of samples (saturating).
     pub fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// Smallest sample, or 0 when empty.
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> u64 {
-        self.max
     }
 
     /// Approximate quantile `q` in `[0, 1]`: the geometric midpoint of the
@@ -136,8 +114,7 @@ mod tests {
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 106);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 100);
+        assert_eq!((h.min, h.max), (0, 100));
     }
 
     #[test]
@@ -177,7 +154,6 @@ mod tests {
     fn empty_histogram_is_safe() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), 0);
         assert_eq!(h.quantile(0.5), 0);
     }
 }

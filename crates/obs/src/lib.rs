@@ -13,6 +13,7 @@
 //! holds an `Option<...>` (or a plain integer counter) and the disabled
 //! path is a branch on `None`.
 
+#![warn(unreachable_pub)]
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
@@ -62,7 +63,7 @@ pub enum Value {
 
 impl Value {
     /// Serializes the value as a JSON token into `out`.
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         match self {
             Value::U64(v) => {
                 let _ = write!(out, "{v}");
@@ -143,7 +144,7 @@ pub struct Event {
     pub name: String,
     /// Timestamp in nanoseconds. Simulator events carry simulated time;
     /// compiler events carry wall time since process start (or zero).
-    pub ts_ns: u64,
+    pub(crate) ts_ns: u64,
     /// Typed fields, serialized in insertion order.
     pub fields: Vec<(&'static str, Value)>,
 }
@@ -203,11 +204,6 @@ impl JsonlSink {
     /// Whether the sink is empty.
     pub fn is_empty(&self) -> bool {
         self.lines.is_empty()
-    }
-
-    /// The buffered lines.
-    pub fn lines(&self) -> &[String] {
-        &self.lines
     }
 
     /// The whole sink as one newline-terminated string.

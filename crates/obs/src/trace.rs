@@ -7,16 +7,8 @@
 //! [ui.perfetto.dev](https://ui.perfetto.dev) open directly. Timestamps
 //! are kept in nanoseconds internally and emitted as fractional
 //! microseconds, the unit the format mandates.
-//!
-//! A trace is unbounded by default. [`Trace::bounded`] caps it to the
-//! most recent N data events (a ring buffer): long chaos runs with
-//! tracing enabled stay O(buffer) instead of O(run length). Track-naming
-//! metadata (`ph:"M"`) is kept outside the ring — a truncated trace
-//! still labels every process and thread — and [`Trace::dropped`]
-//! reports how many events the ring evicted.
 
 use crate::{write_json_string, Value};
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// One trace record.
@@ -25,49 +17,38 @@ pub struct TraceEvent {
     /// Event name (shown on the slice).
     pub name: String,
     /// Category (comma-separated tags; filterable in the UI).
-    pub cat: &'static str,
+    pub(crate) cat: &'static str,
     /// Phase: `X` complete, `i` instant, `C` counter, `M` metadata.
     pub ph: char,
     /// Start time, nanoseconds.
-    pub ts_ns: u64,
+    pub(crate) ts_ns: u64,
     /// Duration, nanoseconds (complete events only).
-    pub dur_ns: u64,
+    pub(crate) dur_ns: u64,
     /// Process id — we use one pid per subsystem (0 = network).
-    pub pid: u32,
+    pub(crate) pid: u32,
     /// Thread id — we use one tid per node (device/host).
     pub tid: u32,
     /// Extra arguments, shown in the UI's args panel.
     pub args: Vec<(&'static str, Value)>,
 }
 
-/// An in-memory trace: metadata records plus a (optionally ring-bounded)
-/// list of data events.
+/// An in-memory trace: metadata records plus the data events, each in
+/// record order. The JSON lists the metadata first.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct Trace {
-    /// Track-naming metadata (`ph:"M"`), always kept.
+    /// Track-naming metadata (`ph:"M"`).
     meta: Vec<TraceEvent>,
-    /// Data events in record order; a ring of the most recent `capacity`
-    /// when bounded.
-    data: VecDeque<TraceEvent>,
-    /// Ring capacity; `None` grows without bound.
-    capacity: Option<usize>,
-    /// Data events evicted by the ring.
-    dropped: u64,
+    /// Every other event.
+    data: Vec<TraceEvent>,
 }
 
 impl Trace {
-    /// An empty, unbounded trace.
+    /// An empty trace.
     pub fn new() -> Trace {
         Trace::default()
     }
 
-    /// An empty trace that keeps only the most recent `capacity` data
-    /// events (metadata is exempt). `capacity` 0 records metadata only.
-    pub fn bounded(capacity: usize) -> Trace {
-        Trace { capacity: Some(capacity), ..Trace::default() }
-    }
-
-    /// Number of recorded events (metadata + retained data).
+    /// Number of recorded events (metadata + data).
     pub fn len(&self) -> usize {
         self.meta.len() + self.data.len()
     }
@@ -77,49 +58,22 @@ impl Trace {
         self.meta.is_empty() && self.data.is_empty()
     }
 
-    /// The ring capacity, if this trace is bounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Data events evicted by the ring (0 for unbounded traces).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// All retained events: metadata first, then data in record order.
+    /// All events: metadata first, then data in record order.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.meta.iter().chain(self.data.iter())
     }
 
     fn push(&mut self, e: TraceEvent) {
-        if e.ph == 'M' {
-            self.meta.push(e);
-            return;
-        }
-        if let Some(c) = self.capacity {
-            if c == 0 {
-                self.dropped += 1;
-                return;
-            }
-            if self.data.len() >= c {
-                self.data.pop_front();
-                self.dropped += 1;
-            }
-        }
-        self.data.push_back(e);
+        let list = if e.ph == 'M' { &mut self.meta } else { &mut self.data };
+        list.push(e);
     }
 
     /// Appends every event from `other` — how per-shard traces are merged
     /// into one timeline after a sharded run. Metadata records (track
-    /// names) may repeat; the Perfetto UI tolerates duplicates. The
-    /// receiver's bound (if any) keeps applying, and evictions carry over.
+    /// names) may repeat; the Perfetto UI tolerates duplicates.
     pub fn absorb(&mut self, other: Trace) {
-        self.dropped += other.dropped;
         self.meta.extend(other.meta);
-        for e in other.data {
-            self.push(e);
-        }
+        self.data.extend(other.data);
     }
 
     /// Records a complete span (`ph:"X"`).
@@ -269,63 +223,5 @@ mod tests {
     fn empty_trace_still_valid() {
         let json = Trace::new().to_json();
         assert!(json.contains("\"traceEvents\":["));
-    }
-
-    #[test]
-    fn bounded_trace_keeps_most_recent_and_all_metadata() {
-        let mut t = Trace::bounded(3);
-        t.name_process(0, "network");
-        for i in 0..10u64 {
-            t.instant(format!("ev{i}"), "host", 0, 1, i * 100, vec![]);
-            // Metadata interleaved with data never enters the ring.
-            t.name_thread(0, i as u32, format!("node {i}"));
-        }
-        assert_eq!(t.capacity(), Some(3));
-        assert_eq!(t.dropped(), 7);
-        // 11 metadata records + the 3 newest data events.
-        assert_eq!(t.len(), 11 + 3);
-        let data: Vec<&str> = t.events().filter(|e| e.ph != 'M').map(|e| e.name.as_str()).collect();
-        assert_eq!(data, ["ev7", "ev8", "ev9"], "ring keeps the tail, in order");
-        assert_eq!(t.events().filter(|e| e.ph == 'M').count(), 11);
-        // The truncated trace still serializes to well-formed JSON.
-        let json = t.to_json();
-        assert_eq!(json.matches("\"ph\":\"").count(), t.len());
-    }
-
-    #[test]
-    fn capacity_zero_records_metadata_only() {
-        let mut t = Trace::bounded(0);
-        t.name_process(0, "network");
-        t.instant("deliver", "host", 0, 1, 100, vec![]);
-        t.counter("queue_depth", 0, 200, 4);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.dropped(), 2);
-    }
-
-    #[test]
-    fn absorb_respects_receiver_bound() {
-        let mut donor = Trace::new();
-        donor.name_thread(0, 1, "device 1");
-        for i in 0..5u64 {
-            donor.instant(format!("d{i}"), "host", 0, 1, i, vec![]);
-        }
-        let mut t = Trace::bounded(2);
-        t.instant("local", "host", 0, 1, 0, vec![]);
-        t.absorb(donor);
-        assert_eq!(t.dropped(), 4, "local + d0..d2 evicted");
-        let data: Vec<&str> = t.events().filter(|e| e.ph != 'M').map(|e| e.name.as_str()).collect();
-        assert_eq!(data, ["d3", "d4"]);
-        assert_eq!(t.events().filter(|e| e.ph == 'M').count(), 1);
-    }
-
-    #[test]
-    fn unbounded_trace_never_drops() {
-        let mut t = Trace::new();
-        for i in 0..100u64 {
-            t.counter("queue_depth", 0, i, i);
-        }
-        assert_eq!(t.len(), 100);
-        assert_eq!(t.dropped(), 0);
-        assert_eq!(t.capacity(), None);
     }
 }

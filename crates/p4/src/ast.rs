@@ -41,11 +41,6 @@ impl P4Program {
     pub fn control(&self, name: &str) -> Option<&ControlDef> {
         self.controls.iter().find(|c| c.name == name)
     }
-
-    /// Finds a header definition by type name.
-    pub fn header(&self, name: &str) -> Option<&HeaderDef> {
-        self.headers.iter().find(|h| h.name == name)
-    }
 }
 
 /// `header name_t { bit<w> f; ... }`
@@ -58,13 +53,6 @@ pub struct HeaderDef {
     /// Number of stack instances (1 = plain header; >1 = header stack,
     /// used for array arguments per Fig. 9).
     pub stack: u32,
-}
-
-impl HeaderDef {
-    /// Total bits of one instance.
-    pub fn bits(&self) -> u32 {
-        self.fields.iter().map(|(_, w)| w).sum()
-    }
 }
 
 /// A parser definition: a finite-state machine of extract states.
@@ -165,7 +153,7 @@ pub enum MatchKind {
 
 impl MatchKind {
     /// The P4 keyword.
-    pub fn keyword(self) -> &'static str {
+    pub(crate) fn keyword(self) -> &'static str {
         match self {
             MatchKind::Exact => "exact",
             MatchKind::Range => "range",
@@ -310,7 +298,7 @@ pub enum P4BinOp {
 
 impl P4BinOp {
     /// The P4 spelling.
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         use P4BinOp::*;
         match self {
             Add => "+",
@@ -332,12 +320,6 @@ impl P4BinOp {
             LAnd => "&&",
             LOr => "||",
         }
-    }
-
-    /// True for comparison/logical operators (result is `bool`).
-    pub fn is_boolean(self) -> bool {
-        use P4BinOp::*;
-        matches!(self, Eq | Ne | Lt | Le | Gt | Ge | LAnd | LOr)
     }
 }
 
@@ -473,7 +455,7 @@ impl Path {
 
     /// The name a bare, one-segment path is (an action called as a
     /// statement, a SALU's `m` or `o`).
-    pub fn name(&self) -> Option<&str> {
+    pub(crate) fn name(&self) -> Option<&str> {
         let text = self.canonical();
         (self.ns() == Ns::Bare && !text.contains(['.', '['])).then_some(text)
     }
@@ -484,7 +466,7 @@ impl Path {
     }
 
     /// Appends segment `name`.
-    pub fn push(&mut self, name: &str) {
+    pub(crate) fn push(&mut self, name: &str) {
         use std::fmt::Write;
         let dot = if self.canonical().is_empty() { "" } else { "." };
         let _ = write!(self, "{dot}{name}");
@@ -690,16 +672,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn header_bits() {
-        let h = HeaderDef {
-            name: "cache_t".into(),
-            fields: vec![("Op".into(), 8), ("K".into(), 32), ("V".into(), 32)],
-            stack: 1,
-        };
-        assert_eq!(h.bits(), 72);
-    }
-
-    #[test]
     fn control_lookups() {
         let c = ControlDef {
             name: "In".into(),
@@ -743,7 +715,5 @@ mod tests {
     #[test]
     fn binop_symbols() {
         assert_eq!(P4BinOp::SatAdd.symbol(), "|+|");
-        assert!(P4BinOp::Eq.is_boolean());
-        assert!(!P4BinOp::Add.is_boolean());
     }
 }

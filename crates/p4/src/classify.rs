@@ -7,7 +7,6 @@
 //! category, so the percentages sum to the whole program.
 
 use crate::ast::*;
-use crate::print;
 
 /// The categories of Figure 12.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,7 +59,7 @@ impl Category {
     /// RegisterActions and control are (mostly) compute; actions split —
     /// we follow the paper's "52% compute" framing by counting actions as
     /// compute.
-    pub fn is_packet_processing(self) -> bool {
+    pub(crate) fn is_packet_processing(self) -> bool {
         matches!(
             self,
             Category::Headers | Category::Parsers | Category::Tables | Category::Declarations
@@ -72,17 +71,17 @@ impl Category {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Breakdown {
     /// `(category, lines)` in [`Category::all`] order.
-    pub lines: Vec<(Category, usize)>,
+    pub(crate) lines: Vec<(Category, usize)>,
 }
 
 impl Breakdown {
     /// Total classified lines.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.lines.iter().map(|(_, n)| n).sum()
     }
 
     /// Lines in a category.
-    pub fn get(&self, c: Category) -> usize {
+    pub(crate) fn get(&self, c: Category) -> usize {
         self.lines.iter().find(|(cat, _)| *cat == c).map(|(_, n)| *n).unwrap_or(0)
     }
 
@@ -176,14 +175,6 @@ fn count_stmts(stmts: &[Stmt]) -> usize {
         .sum()
 }
 
-/// Sanity check used by tests: classified lines ≈ printed LoC (within the
-/// small delta of instantiation boilerplate).
-pub fn classification_covers_print(p: &P4Program) -> (usize, usize) {
-    let printed = print::loc(&print::print_program(p));
-    let classified = classify(p).total();
-    (classified, printed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,7 +246,8 @@ control Ig(inout headers_t hdr, inout metadata_t meta) {
     #[test]
     fn classification_tracks_printed_loc() {
         let p = cache_like_program();
-        let (classified, printed) = classification_covers_print(&p);
+        let printed = crate::print::loc(&crate::print::print_program(&p));
+        let classified = classify(&p).total();
         // Within 25% of each other (boilerplate accounting differs slightly).
         let ratio = classified as f64 / printed as f64;
         assert!((0.75..=1.25).contains(&ratio), "classified={classified} printed={printed}");

@@ -29,6 +29,7 @@
 //!
 //! DESIGN.md §2 places this interchange format in the system inventory.
 
+#![warn(unreachable_pub)]
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)

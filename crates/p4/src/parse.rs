@@ -14,9 +14,9 @@ use std::fmt::Write;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// 1-based line.
-    pub line: u32,
+    pub(crate) line: u32,
     /// Description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for ParseError {

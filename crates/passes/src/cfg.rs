@@ -193,11 +193,6 @@ pub fn check_dag(f: &Function) -> Result<(), String> {
     Ok(())
 }
 
-/// Number of reachable blocks (handy in tests).
-pub fn reachable_block_count(f: &Function) -> usize {
-    reachable_blocks(f).iter().filter(|&&r| r).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,7 +213,7 @@ mod tests {
         assert!(simplify(&mut f));
         // After threading + merging, the entry returns directly.
         assert!(matches!(f.blocks[f.entry].term, Terminator::Ret(_)));
-        assert_eq!(reachable_block_count(&f), 1);
+        assert_eq!(reachable_blocks(&f).iter().filter(|&&r| r).count(), 1);
     }
 
     #[test]

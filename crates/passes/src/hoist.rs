@@ -97,7 +97,7 @@ fn def_of(defs: &IndexVec<ValueId, Option<BlockId>>, v: ValueId) -> Option<Block
 
 /// Hoists duplicate pure computations to the nearest common dominator.
 /// Returns the number of duplicates eliminated.
-pub fn hoist_common_values(f: &mut Function) -> usize {
+pub(crate) fn hoist_common_values(f: &mut Function) -> usize {
     let dt = DomTree::compute(f);
     let defs = def_blocks(f);
 
@@ -184,7 +184,7 @@ pub fn hoist_common_values(f: &mut Function) -> usize {
 
 /// Aggressively speculates pure instructions to the earliest block where
 /// their operands are available. Returns the number of moved instructions.
-pub fn speculate(f: &mut Function) -> usize {
+pub(crate) fn speculate(f: &mut Function) -> usize {
     let dt = DomTree::compute(f);
     // Built once, and kept current as instructions move.
     let mut defs = def_blocks(f);

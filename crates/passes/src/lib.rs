@@ -32,6 +32,7 @@
 //! function of (IR, [`PassFlags`], [`PipelineTarget`]) — the property the
 //! cache's content-addressed keys rely on.
 
+#![warn(unreachable_pub)]
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)

@@ -26,12 +26,12 @@ use netcl_util::{DiagnosticSink, Span};
 
 /// How many conditional levels apart two mutually-exclusive accesses to one
 /// object may be and still share its stage.
-pub const DISTANCE_THRESHOLD: u32 = 10;
+pub(crate) const DISTANCE_THRESHOLD: u32 = 10;
 
 /// Checks every kernel in the module; diagnostics `E0302` (multiple
 /// non-exclusive accesses), `E0303` (distance), `E0304` (order violation),
 /// each kind in object order.
-pub fn check_module(module: &mut Module, diags: &mut DiagnosticSink) {
+pub(crate) fn check_module(module: &mut Module, diags: &mut DiagnosticSink) {
     // Lookup tables after duplication have one access each and MATs are not
     // SALU-bound in the same way; register objects are what we check.
     let Module { globals, kernels, .. } = module;

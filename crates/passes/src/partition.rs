@@ -17,7 +17,7 @@ use netcl_ir::func::{InstKind, MemId, Module};
 use netcl_util::idx::Idx;
 
 /// Partitions every eligible global. Returns the number of split objects.
-pub fn partition_module(module: &mut Module) -> usize {
+pub(crate) fn partition_module(module: &mut Module) -> usize {
     let mut split_count = 0;
     while let Some(target) = find_partitionable(module) {
         split_one(module, target);
@@ -121,7 +121,7 @@ pub fn is_replaced_husk(g: &netcl_ir::GlobalDef) -> bool {
 
 /// Duplicates non-managed lookup memory once per access site beyond the
 /// first. Returns the number of copies created.
-pub fn duplicate_lookup_memory(module: &mut Module) -> usize {
+pub(crate) fn duplicate_lookup_memory(module: &mut Module) -> usize {
     let mut copies = 0usize;
     let lookup_ids: Vec<MemId> = module
         .globals

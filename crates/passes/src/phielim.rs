@@ -9,7 +9,7 @@ use netcl_ir::func::{Function, Inst, InstKind, Results};
 use netcl_ir::types::{IrTy, Operand};
 
 /// Eliminates every φ-node; returns how many were removed.
-pub fn run_on_function(f: &mut Function) -> usize {
+pub(crate) fn run_on_function(f: &mut Function) -> usize {
     let mut removed = 0usize;
     loop {
         // Find one φ (block, index, incoming) at a time; the transform

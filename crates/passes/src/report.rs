@@ -141,11 +141,6 @@ impl PassReport {
         self.passes.iter().map(|p| p.wall_ns).sum()
     }
 
-    /// The aggregate entry for `name`, if that pass ran.
-    pub fn pass(&self, name: &str) -> Option<&PassStat> {
-        self.passes.iter().find(|p| p.name == name)
-    }
-
     /// The aggregate entry for kernel `name` (or [`MODULE_KERNEL`]), if
     /// any measured pass touched it.
     pub fn kernel(&self, name: &str) -> Option<&KernelStat> {
@@ -210,7 +205,7 @@ impl PassReport {
     }
 
     /// Runs a function pass under measurement, attributed to the kernel.
-    pub fn on_fn<R: PassOutcome>(
+    pub(crate) fn on_fn<R: PassOutcome>(
         &mut self,
         name: &'static str,
         f: &mut Function,
@@ -227,7 +222,7 @@ impl PassReport {
 
     /// Runs a module pass under measurement, attributed to
     /// [`MODULE_KERNEL`].
-    pub fn on_module<R: PassOutcome>(
+    pub(crate) fn on_module<R: PassOutcome>(
         &mut self,
         name: &'static str,
         m: &mut Module,
@@ -368,11 +363,11 @@ impl PassReport {
 /// An optional-report recorder: measures through a `Some` report, runs the
 /// pass bare through `None` — so the pipeline has a single set of call
 /// sites and pays nothing when telemetry is off.
-pub struct Recorder<'a>(pub Option<&'a mut PassReport>);
+pub(crate) struct Recorder<'a>(pub Option<&'a mut PassReport>);
 
 impl Recorder<'_> {
     /// Function-pass dispatch.
-    pub fn on_fn<R: PassOutcome>(
+    pub(crate) fn on_fn<R: PassOutcome>(
         &mut self,
         name: &'static str,
         f: &mut Function,
@@ -385,7 +380,7 @@ impl Recorder<'_> {
     }
 
     /// Module-pass dispatch.
-    pub fn on_module<R: PassOutcome>(
+    pub(crate) fn on_module<R: PassOutcome>(
         &mut self,
         name: &'static str,
         m: &mut Module,

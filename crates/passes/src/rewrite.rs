@@ -2,10 +2,10 @@
 //!
 //! "We found that direct translation of some icmp predicates with dynamic
 //! operands may produce code that does not compile for Tofino. We transform
-//! those into subtractions followed by an MSB check." — [`icmp_to_sub_msb`].
+//! those into subtractions followed by an MSB check." — `icmp_to_sub_msb`.
 //!
 //! "Byte swaps generated as bit-slice concatenations can be done in a
-//! single stage" — [`detect_bswap`] pattern-matches shift/or byte swaps into
+//! single stage" — `detect_bswap` pattern-matches shift/or byte swaps into
 //! the dedicated `bswap` operation the code generator emits as one action.
 
 use netcl_ir::func::{BlockId, Function, Inst, InstKind, Results, ValueId};
@@ -21,7 +21,7 @@ use netcl_util::idx::IndexVec;
 /// the subtraction happens at 2w bits so the borrow lands in a real bit.
 /// Signed comparisons sign-extend instead. Non-strict forms compute the
 /// strict complement and invert.
-pub fn icmp_to_sub_msb(f: &mut Function) -> usize {
+pub(crate) fn icmp_to_sub_msb(f: &mut Function) -> usize {
     let mut rewritten = 0usize;
     for bid in f.blocks.indices() {
         let mut i = 0;
@@ -108,7 +108,7 @@ pub fn icmp_to_sub_msb(f: &mut Function) -> usize {
 /// 16-bit: `(x << 8) | (x >> 8)` (at width 16, wrapping covers the mask).
 /// 32-bit idioms are left to the frontend's `ncl::bswap`; the shift/or form
 /// at 32 bits has too many variants to enumerate profitably.
-pub fn detect_bswap(f: &mut Function) -> usize {
+pub(crate) fn detect_bswap(f: &mut Function) -> usize {
     let mut found = 0usize;
     // Each value's definition site. A rewrite turns an `or` into a `bswap`,
     // which matches as a shift no more than the `or` did.

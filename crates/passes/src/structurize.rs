@@ -22,23 +22,16 @@ use netcl_util::idx::{Idx, IndexVec};
 
 /// Structurization statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StructurizeStats {
+pub(crate) struct StructurizeStats {
     /// Instructions in the function before the rebuild.
-    pub insts_before: usize,
+    pub(crate) insts_before: usize,
     /// Instructions after (>= before when duplication occurred).
-    pub insts_after: usize,
-}
-
-impl StructurizeStats {
-    /// True when the input was already structured.
-    pub fn was_structured(&self) -> bool {
-        self.insts_after == self.insts_before
-    }
+    pub(crate) insts_after: usize,
 }
 
 /// Rebuilds `f` into structured form. Returns statistics, or `Err` when the
 /// duplication budget is exceeded (pathologically unstructured input).
-pub fn ensure_structured(f: &mut Function) -> Result<StructurizeStats, String> {
+pub(crate) fn ensure_structured(f: &mut Function) -> Result<StructurizeStats, String> {
     assert!(
         !f.blocks.iter().any(|b| b.insts.iter().any(|i| matches!(i.kind, InstKind::Phi { .. }))),
         "structurize requires φ-free IR (run phielim first)"
@@ -292,7 +285,7 @@ mod tests {
         b.terminate(Terminator::Ret(ActionRef::pass()));
         let mut f = b.finish();
         let stats = ensure_structured(&mut f).unwrap();
-        assert!(stats.was_structured());
+        assert_eq!(stats.insts_after, stats.insts_before, "already structured");
         verify_function(&f, None).unwrap();
     }
 

@@ -45,7 +45,7 @@ pub enum Forward {
 #[derive(Clone, Copy, Debug)]
 pub struct DeviceRuntime {
     /// This device's id.
-    pub device: u16,
+    pub(crate) device: u16,
 }
 
 impl DeviceRuntime {

@@ -18,6 +18,7 @@
 //!
 //! DESIGN.md §2 lists both runtimes in the system inventory.
 
+#![warn(unreachable_pub)]
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)

@@ -88,13 +88,13 @@ impl Default for RetryPolicy {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReliableStats {
     /// First transmissions.
-    pub sent: u64,
+    pub(crate) sent: u64,
     /// Retransmissions.
     pub retransmits: u64,
     /// Messages acked.
-    pub acked: u64,
+    pub(crate) acked: u64,
     /// Messages abandoned after `max_attempts`.
-    pub gave_up: u64,
+    pub(crate) gave_up: u64,
 }
 
 struct Pending {
@@ -194,16 +194,6 @@ impl Reliable {
         self.stats.retransmits += 1;
         true
     }
-
-    /// Whether `key` is still awaiting an ack.
-    pub fn is_pending(&self, key: u64) -> bool {
-        self.by_key.contains_key(&key)
-    }
-
-    /// Number of in-flight messages.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]
@@ -236,11 +226,11 @@ mod tests {
         let seq = rel.send(7, &[1, 2, 3], &mut t);
         assert_eq!(t.sends.len(), 1);
         assert_eq!(t.timers, vec![(100, RELIABLE_TOKEN | seq)]);
-        assert!(rel.is_pending(7));
+        assert!(rel.by_key.contains_key(&7));
 
         assert!(rel.ack_key(7));
         assert!(!rel.ack_key(7), "duplicate ack reports not-pending");
-        assert!(!rel.is_pending(7));
+        assert!(!rel.by_key.contains_key(&7));
 
         // The stale timer is a no-op.
         assert!(rel.on_timer(RELIABLE_TOKEN | seq, &mut t));
@@ -265,7 +255,7 @@ mod tests {
         // Fifth timer exhausts max_attempts = 4: give up, no resend.
         rel.on_timer(token, &mut t);
         assert_eq!(t.sends.len(), 4);
-        assert!(!rel.is_pending(1));
+        assert!(!rel.by_key.contains_key(&1));
         assert_eq!(rel.stats.gave_up, 1);
         assert_eq!(rel.stats.retransmits, 3);
     }
@@ -302,7 +292,7 @@ mod tests {
         let s0 = rel.send(5, &[1], &mut t);
         let s1 = rel.send(5, &[2], &mut t);
         assert_ne!(s0, s1);
-        assert_eq!(rel.pending_count(), 1);
+        assert_eq!(rel.pending.len(), 1);
         // Old seq's timer finds nothing; new seq retransmits payload [2].
         rel.on_timer(RELIABLE_TOKEN | s0, &mut t);
         assert_eq!(t.sends.len(), 2);

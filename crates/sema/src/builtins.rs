@@ -39,7 +39,7 @@ pub enum ActionKind {
 
 impl ActionKind {
     /// Number of arguments the action takes.
-    pub fn arg_count(self) -> usize {
+    pub(crate) fn arg_count(self) -> usize {
         match self {
             ActionKind::SendToHost | ActionKind::SendToDevice | ActionKind::Multicast => 1,
             _ => 0,
@@ -47,7 +47,7 @@ impl ActionKind {
     }
 
     /// The `ncl::` function name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ActionKind::Drop => "drop",
             ActionKind::SendToHost => "send_to_host",
@@ -81,7 +81,7 @@ impl ActionKind {
     }
 
     /// All actions, for table-driven tests.
-    pub fn all() -> [ActionKind; 8] {
+    pub(crate) fn all() -> [ActionKind; 8] {
         [
             ActionKind::Drop,
             ActionKind::SendToHost,
@@ -143,7 +143,7 @@ impl AtomicRmw {
     /// the new memory value. (Shared by the IR interpreter and bmv2's
     /// RegisterAction evaluation, so semantics are defined exactly once.)
     #[inline]
-    pub fn apply(self, old: u64, ops: &[u64], ty: Ty) -> u64 {
+    pub(crate) fn apply(self, old: u64, ops: &[u64], ty: Ty) -> u64 {
         let m = |v: u64| ty.wrap(v);
         match self {
             AtomicRmw::Add => m(old.wrapping_add(ops[0])),
@@ -217,7 +217,7 @@ pub struct AtomicOp {
 
 impl AtomicOp {
     /// Total operand count including address and condition.
-    pub fn arg_count(self) -> usize {
+    pub(crate) fn arg_count(self) -> usize {
         1 + self.cond as usize + self.rmw.value_operands()
     }
 
@@ -353,7 +353,7 @@ pub enum ResolveError {
 ///
 /// `targs` carries template *widths*: for `crc32<16>` it is `[16]`; for
 /// `rand<u8>` the frontend passes the type's bit width.
-pub fn resolve(segments: &[&str], targs: &[u64]) -> Result<Builtin, ResolveError> {
+pub(crate) fn resolve(segments: &[&str], targs: &[u64]) -> Result<Builtin, ResolveError> {
     if segments.first() != Some(&"ncl") {
         return Err(ResolveError::NotNcl);
     }

@@ -597,13 +597,7 @@ impl<'a> Checker<'a> {
                     );
                 }
             }
-            params.push(ParamInfo {
-                name: self.name(p.name).to_string(),
-                ty,
-                count,
-                mode: p.mode,
-                span: p.span,
-            });
+            params.push(ParamInfo { name: self.name(p.name).to_string(), ty, count, mode: p.mode });
         }
         params
     }

@@ -11,7 +11,7 @@ use netcl_util::{DiagnosticSink, Symbol};
 use crate::types::Ty;
 
 /// Evaluates `expr` as a 64-bit constant. Reports `E0212` on failure.
-pub fn eval_const(expr: &Expr, diags: &mut DiagnosticSink) -> Option<u64> {
+pub(crate) fn eval_const(expr: &Expr, diags: &mut DiagnosticSink) -> Option<u64> {
     match try_eval(expr) {
         Some(v) => Some(v),
         None => {
@@ -23,7 +23,12 @@ pub fn eval_const(expr: &Expr, diags: &mut DiagnosticSink) -> Option<u64> {
 
 /// Evaluates and range-checks a constant against `ty`, reporting `E0215` if
 /// it does not fit.
-pub fn eval_const_in(expr: &Expr, ty: Ty, what: &str, diags: &mut DiagnosticSink) -> Option<u64> {
+pub(crate) fn eval_const_in(
+    expr: &Expr,
+    ty: Ty,
+    what: &str,
+    diags: &mut DiagnosticSink,
+) -> Option<u64> {
     let v = eval_const(expr, diags)?;
     if v > ty.max_value() {
         diags.error("E0215", format!("{what} `{v}` does not fit in {ty}"), expr.span);
@@ -100,7 +105,7 @@ pub fn try_eval_with(expr: &Expr, iv: Option<(Symbol, u64)>) -> Option<u64> {
 }
 
 /// Evaluates an array dimension: constant, nonzero. Reports `E0228`.
-pub fn eval_dim(expr: &Expr, diags: &mut DiagnosticSink) -> Option<usize> {
+pub(crate) fn eval_dim(expr: &Expr, diags: &mut DiagnosticSink) -> Option<usize> {
     let v = eval_const(expr, diags)?;
     if v == 0 {
         diags.error("E0228", "array dimension must be nonzero", expr.span);

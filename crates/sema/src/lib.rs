@@ -27,6 +27,7 @@
 //!
 //! DESIGN.md §3 lists every enforced rule with its diagnostic code.
 
+#![warn(unreachable_pub)]
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)

@@ -11,7 +11,7 @@ use netcl_util::Span;
 
 /// A location set: `None` = location-less (placed everywhere, §V-C),
 /// `Some(ids)` = explicit `_at(...)` list.
-pub type LocationSet = Option<Vec<u16>>;
+pub(crate) type LocationSet = Option<Vec<u16>>;
 
 /// Whether an entity placed with `locs` is present on device `dev`.
 pub fn placed_at(locs: &LocationSet, dev: u16) -> bool {
@@ -45,11 +45,6 @@ impl Specification {
         self.items.iter().map(|i| i.count * i.ty.size_bytes()).sum()
     }
 
-    /// Byte offset of argument `arg` within the packed payload.
-    pub fn offset_of(&self, arg: usize) -> u32 {
-        self.items[..arg].iter().map(|i| i.count * i.ty.size_bytes()).sum()
-    }
-
     /// Human-readable form like `[1,2,1][uint8_t,uint32_t,uint32_t]`.
     pub fn describe(&self) -> String {
         let counts: Vec<String> = self.items.iter().map(|i| i.count.to_string()).collect();
@@ -69,8 +64,6 @@ pub struct ParamInfo {
     pub count: u32,
     /// Pass mode — by-value updates are device-local (§V-A).
     pub mode: PassMode,
-    /// Source span.
-    pub span: Span,
 }
 
 /// A checked kernel.
@@ -87,7 +80,7 @@ pub struct KernelInfo {
     /// Index of the corresponding `FunctionDecl` in `Program::items`.
     pub item_index: usize,
     /// Declaration span.
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
 impl KernelInfo {
@@ -113,7 +106,7 @@ pub struct NetFnInfo {
     /// Index of the corresponding `FunctionDecl` in `Program::items`.
     pub item_index: usize,
     /// Declaration span.
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
 /// A lookup-table initializer entry.
@@ -160,19 +153,7 @@ pub struct GlobalInfo {
     /// Initial lookup entries (lookup memory only).
     pub entries: Vec<LookupEntry>,
     /// Declaration span.
-    pub span: Span,
-}
-
-impl GlobalInfo {
-    /// Total element count.
-    pub fn element_count(&self) -> usize {
-        self.dims.iter().product::<usize>().max(1)
-    }
-
-    /// Total size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.element_count() * self.elem.size_bytes() as usize
-    }
+    pub(crate) span: Span,
 }
 
 /// The complete checked model of one translation unit.
@@ -194,7 +175,7 @@ impl Model {
     }
 
     /// Finds a global by name.
-    pub fn global(&self, name: &str) -> Option<&GlobalInfo> {
+    pub(crate) fn global(&self, name: &str) -> Option<&GlobalInfo> {
         self.globals.iter().find(|g| g.name == name)
     }
 
@@ -232,9 +213,6 @@ mod tests {
         // kernel(4) void d(int x, int y[2], int *z) → [1,2,1][int,int,int]
         let s = spec(&[(1, Ty::I32), (2, Ty::I32), (1, Ty::I32)]);
         assert_eq!(s.payload_bytes(), 16);
-        assert_eq!(s.offset_of(0), 0);
-        assert_eq!(s.offset_of(1), 4);
-        assert_eq!(s.offset_of(2), 12);
         assert_eq!(s.describe(), "[1,2,1][int32_t,int32_t,int32_t]");
     }
 
@@ -275,21 +253,5 @@ mod tests {
         let at3: Vec<_> = m.kernels_at(3).map(|k| k.name.as_str()).collect();
         assert_eq!(at3, vec!["b"]);
         assert_eq!(m.mentioned_devices(), vec![1, 2]);
-    }
-
-    #[test]
-    fn global_sizes() {
-        let g = GlobalInfo {
-            name: "cms".into(),
-            elem: Ty::U32,
-            dims: vec![3, 65536],
-            managed: true,
-            lookup: false,
-            locations: None,
-            entries: vec![],
-            span: Span::DUMMY,
-        };
-        assert_eq!(g.element_count(), 3 * 65536);
-        assert_eq!(g.size_bytes(), 3 * 65536 * 4);
     }
 }

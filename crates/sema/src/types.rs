@@ -71,22 +71,22 @@ impl Ty {
     pub const I32: Ty = Ty::Int { bits: 32, signed: true };
 
     /// True for integer types (not bool).
-    pub fn is_int(self) -> bool {
+    pub(crate) fn is_int(self) -> bool {
         matches!(self, Ty::Int { .. })
     }
 
     /// True for types usable in arithmetic (int or bool, which promotes).
-    pub fn is_arith(self) -> bool {
+    pub(crate) fn is_arith(self) -> bool {
         matches!(self, Ty::Int { .. } | Ty::Bool)
     }
 
     /// True for kv/rv lookup entry types.
-    pub fn is_lookup_entry(self) -> bool {
+    pub(crate) fn is_lookup_entry(self) -> bool {
         matches!(self, Ty::Kv { .. } | Ty::Rv { .. })
     }
 
     /// Bit width when laid out in a message or register (bool = 8 on wire).
-    pub fn bits(self) -> u32 {
+    pub(crate) fn bits(self) -> u32 {
         match self {
             Ty::Void | Ty::Action => 0,
             Ty::Bool => 8,
@@ -122,7 +122,7 @@ impl Ty {
     }
 
     /// Maximum representable value (as u64 bit pattern).
-    pub fn max_value(self) -> u64 {
+    pub(crate) fn max_value(self) -> u64 {
         match self {
             Ty::Bool => 1,
             Ty::Int { bits: 64, signed: false } => u64::MAX,
@@ -171,7 +171,7 @@ impl Ty {
 
     /// Whether `self` can be implicitly converted to `to` (C integer model:
     /// any int↔int, int↔bool; actions and lookup entries never convert).
-    pub fn converts_to(self, to: Ty) -> bool {
+    pub(crate) fn converts_to(self, to: Ty) -> bool {
         match (self, to) {
             (a, b) if a == b => true,
             (Ty::Int { .. } | Ty::Bool, Ty::Int { .. } | Ty::Bool) => true,
@@ -181,7 +181,7 @@ impl Ty {
 
     /// Resolves a syntactic type. `auto` and `Named` yield `None` (callers
     /// report the error or infer from an initializer).
-    pub fn from_type_expr(te: &TypeExpr) -> Option<Ty> {
+    pub(crate) fn from_type_expr(te: &TypeExpr) -> Option<Ty> {
         match te {
             TypeExpr::Void => Some(Ty::Void),
             TypeExpr::Bool => Some(Ty::Bool),
@@ -201,7 +201,7 @@ impl Ty {
     }
 
     /// Narrow to a scalar descriptor, if this is an integer type.
-    pub fn as_scalar(self) -> Option<ScalarTy> {
+    pub(crate) fn as_scalar(self) -> Option<ScalarTy> {
         match self {
             Ty::Int { bits, signed } => Some(ScalarTy { bits, signed }),
             Ty::Bool => Some(ScalarTy { bits: 8, signed: false }),

@@ -51,21 +51,6 @@ pub struct TenantBudget {
     pub tables: u32,
 }
 
-impl TenantBudget {
-    /// An even split of `spec` across `n` tenants (stage span is not
-    /// divided: kernels dispatch exclusively, so tenants may overlap in
-    /// stages).
-    pub fn split(spec: &TofinoSpec, n: u32) -> TenantBudget {
-        let n = n.max(1);
-        TenantBudget {
-            stages: spec.stages,
-            sram_bits: spec.sram_bits_per_stage * spec.stages as u64 / n as u64,
-            salus: spec.salus_per_stage * spec.stages / n,
-            tables: spec.tables_per_stage * spec.stages / n,
-        }
-    }
-}
-
 /// Per-tenant budget assignment: specific tenants first, then an optional
 /// default for everyone else. Tenants with no budget are uncapped (the
 /// global per-stage limits still apply).
@@ -79,7 +64,7 @@ pub struct TenantBudgets {
 
 impl TenantBudgets {
     /// The budget applying to `tenant`, if any.
-    pub fn budget_for(&self, tenant: u16) -> Option<&TenantBudget> {
+    pub(crate) fn budget_for(&self, tenant: u16) -> Option<&TenantBudget> {
         self.per_tenant
             .iter()
             .find(|(t, _)| *t == tenant)
@@ -920,6 +905,38 @@ mod tests {
     use super::*;
     use netcl_p4::parse::parse_program;
     use std::sync::Arc;
+
+    impl TenantBudget {
+        /// An even split of `spec` across `n` tenants (stage span is not
+        /// divided: kernels dispatch exclusively, so tenants may overlap
+        /// in stages).
+        fn split(spec: &TofinoSpec, n: u32) -> TenantBudget {
+            let n = n.max(1);
+            TenantBudget {
+                stages: spec.stages,
+                sram_bits: spec.sram_bits_per_stage * spec.stages as u64 / n as u64,
+                salus: spec.salus_per_stage * spec.stages / n,
+                tables: spec.tables_per_stage * spec.stages / n,
+            }
+        }
+    }
+
+    impl TofinoSpec {
+        /// A deliberately tiny pipeline for overflow tests.
+        fn tiny() -> TofinoSpec {
+            TofinoSpec {
+                stages: 3,
+                sram_bits_per_stage: 8 * 1024,
+                tcam_bits_per_stage: 2 * 1024,
+                salus_per_stage: 1,
+                vliw_per_stage: 4,
+                hash_units_per_stage: 1,
+                tables_per_stage: 2,
+                phv_bits: 512,
+                ..TofinoSpec::tofino1()
+            }
+        }
+    }
 
     fn spec() -> TofinoSpec {
         TofinoSpec::tofino1()

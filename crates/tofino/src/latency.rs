@@ -11,7 +11,7 @@
 use crate::spec::TofinoSpec;
 
 /// Worst-case (no egress bypass) pipeline transit: `(cycles, nanoseconds)`.
-pub fn pipeline_latency(spec: &TofinoSpec, stages_used: u32) -> (u32, f64) {
+pub(crate) fn pipeline_latency(spec: &TofinoSpec, stages_used: u32) -> (u32, f64) {
     let ingress = spec.parser_cycles + stages_used * spec.stage_cycles + spec.deparser_cycles;
     // No egress bypass: the packet traverses the egress pipe's parser and
     // deparser even when no egress logic is enabled.

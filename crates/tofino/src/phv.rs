@@ -12,7 +12,7 @@ use crate::spec::TofinoSpec;
 use netcl_p4::ast::P4Program;
 
 /// Rounds a field width up to its PHV container size.
-pub fn container_bits(width: u32) -> u32 {
+pub(crate) fn container_bits(width: u32) -> u32 {
     match width {
         0 => 0,
         1..=8 => 8,
@@ -24,7 +24,7 @@ pub fn container_bits(width: u32) -> u32 {
 }
 
 /// Accounts a program's PHV demand.
-pub fn account(program: &P4Program, spec: &TofinoSpec) -> PhvReport {
+pub(crate) fn account(program: &P4Program, spec: &TofinoSpec) -> PhvReport {
     let mut header_bits = 0u32;
     for h in program.headers.iter() {
         let one: u32 = h.fields.iter().map(|(_, w)| container_bits(*w)).sum();

@@ -17,12 +17,12 @@ pub enum ResourceKind {
 
 impl ResourceKind {
     /// All kinds in Table V order.
-    pub fn all() -> [ResourceKind; 4] {
+    pub(crate) fn all() -> [ResourceKind; 4] {
         [ResourceKind::Sram, ResourceKind::Tcam, ResourceKind::Salus, ResourceKind::Vliw]
     }
 
     /// Display label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ResourceKind::Sram => "SRAM",
             ResourceKind::Tcam => "TCAM",
@@ -69,7 +69,7 @@ pub struct PhvReport {
 
 impl PhvReport {
     /// Total occupied bits.
-    pub fn used_bits(&self) -> u32 {
+    pub(crate) fn used_bits(&self) -> u32 {
         self.header_bits + self.metadata_bits
     }
 
@@ -102,7 +102,7 @@ pub struct TenantUsage {
 
 impl TenantUsage {
     /// Inclusive stage span.
-    pub fn stage_span(&self) -> u32 {
+    pub(crate) fn stage_span(&self) -> u32 {
         self.last_stage - self.first_stage + 1
     }
 }
@@ -111,7 +111,7 @@ impl TenantUsage {
 #[derive(Clone, Debug)]
 pub struct AllocationReport {
     /// Program name.
-    pub program: String,
+    pub(crate) program: String,
     /// Stages actually used (highest occupied stage + 1).
     pub stages_used: u32,
     /// Per-stage consumption (length = spec.stages).
@@ -119,7 +119,7 @@ pub struct AllocationReport {
     /// PHV occupancy.
     pub phv: PhvReport,
     /// The spec allocated against.
-    pub spec: TofinoSpec,
+    pub(crate) spec: TofinoSpec,
     /// Worst-case per-packet latency in nanoseconds (no egress bypass).
     pub latency_ns: f64,
     /// Latency in cycles.

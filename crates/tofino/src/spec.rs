@@ -4,31 +4,31 @@
 #[derive(Clone, Debug)]
 pub struct TofinoSpec {
     /// Match-action stages per pipe (Tofino 1: 12).
-    pub stages: u32,
+    pub(crate) stages: u32,
     /// SRAM bits per stage (80 blocks × 16 KB ≈ 10 Mb).
-    pub sram_bits_per_stage: u64,
+    pub(crate) sram_bits_per_stage: u64,
     /// TCAM bits per stage (24 blocks × 512 × 44 b ≈ 540 Kb).
-    pub tcam_bits_per_stage: u64,
+    pub(crate) tcam_bits_per_stage: u64,
     /// Stateful ALUs per stage.
-    pub salus_per_stage: u32,
+    pub(crate) salus_per_stage: u32,
     /// VLIW action slots per stage.
-    pub vliw_per_stage: u32,
+    pub(crate) vliw_per_stage: u32,
     /// Hash distribution units per stage.
-    pub hash_units_per_stage: u32,
+    pub(crate) hash_units_per_stage: u32,
     /// Logical tables per stage.
-    pub tables_per_stage: u32,
+    pub(crate) tables_per_stage: u32,
     /// Total PHV capacity in bits (64×8b + 96×16b + 64×32b containers).
-    pub phv_bits: u32,
+    pub(crate) phv_bits: u32,
     /// Core clock in Hz.
-    pub clock_hz: f64,
+    pub(crate) clock_hz: f64,
     /// Parser latency in cycles.
-    pub parser_cycles: u32,
+    pub(crate) parser_cycles: u32,
     /// Per-stage latency in cycles.
-    pub stage_cycles: u32,
+    pub(crate) stage_cycles: u32,
     /// Deparser latency in cycles.
-    pub deparser_cycles: u32,
+    pub(crate) deparser_cycles: u32,
     /// Traffic-manager transit in cycles (ingress→egress, no bypass).
-    pub tm_cycles: u32,
+    pub(crate) tm_cycles: u32,
 }
 
 impl TofinoSpec {
@@ -48,21 +48,6 @@ impl TofinoSpec {
             stage_cycles: 22,
             deparser_cycles: 30,
             tm_cycles: 120,
-        }
-    }
-
-    /// A deliberately tiny pipeline for overflow tests.
-    pub fn tiny() -> TofinoSpec {
-        TofinoSpec {
-            stages: 3,
-            sram_bits_per_stage: 8 * 1024,
-            tcam_bits_per_stage: 2 * 1024,
-            salus_per_stage: 1,
-            vliw_per_stage: 4,
-            hash_units_per_stage: 1,
-            tables_per_stage: 2,
-            phv_bits: 512,
-            ..TofinoSpec::tofino1()
         }
     }
 }

@@ -17,16 +17,6 @@ impl BitSet {
         BitSet { words: vec![0; len.div_ceil(64)], len }
     }
 
-    /// Number of bits tracked.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when `len() == 0`.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Sets bit `i`, returning whether it changed.
     #[inline]
     pub fn insert(&mut self, i: usize) -> bool {

@@ -13,11 +13,11 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Span {
     /// Byte offset of the first character.
-    pub lo: u32,
+    pub(crate) lo: u32,
     /// Byte offset one past the last character.
-    pub hi: u32,
+    pub(crate) hi: u32,
     /// Index of the file in the owning [`SourceMap`].
-    pub file: u16,
+    pub(crate) file: u16,
 }
 
 impl Span {
@@ -49,13 +49,8 @@ impl Span {
     }
 
     /// Length in bytes.
-    pub fn len(self) -> u32 {
+    pub(crate) fn len(self) -> u32 {
         self.hi.saturating_sub(self.lo)
-    }
-
-    /// True when the span covers zero bytes.
-    pub fn is_empty(self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -75,7 +70,7 @@ pub struct SourceFile {
     /// Display name (path or synthetic name like `<agg.ncl>`).
     pub name: String,
     /// Complete file contents.
-    pub text: String,
+    pub(crate) text: String,
     /// Byte offsets of the first character of each line.
     line_starts: Vec<u32>,
 }
@@ -92,7 +87,7 @@ impl SourceFile {
     }
 
     /// 1-based (line, column) of a byte offset.
-    pub fn line_col(&self, offset: u32) -> (u32, u32) {
+    pub(crate) fn line_col(&self, offset: u32) -> (u32, u32) {
         let line = match self.line_starts.binary_search(&offset) {
             Ok(l) => l,
             Err(l) => l - 1,
@@ -101,7 +96,7 @@ impl SourceFile {
     }
 
     /// The text of the 1-based line `line`, without the trailing newline.
-    pub fn line_text(&self, line: u32) -> &str {
+    pub(crate) fn line_text(&self, line: u32) -> &str {
         let idx = (line - 1) as usize;
         let start = self.line_starts[idx] as usize;
         let end = self.line_starts.get(idx + 1).map(|&s| s as usize).unwrap_or(self.text.len());
@@ -121,7 +116,7 @@ impl SourceMap {
         Self::default()
     }
 
-    /// Registers a file, returning its index for use in [`Span::file`].
+    /// Registers a file, returning its index for use in `Span::file`.
     pub fn add_file(&mut self, name: impl Into<String>, text: impl Into<String>) -> u16 {
         let id = self.files.len() as u16;
         self.files.push(SourceFile::new(name.into(), text.into()));
@@ -134,7 +129,7 @@ impl SourceMap {
     }
 
     /// Formats `span` as `name:line:col`.
-    pub fn describe(&self, span: Span) -> String {
+    pub(crate) fn describe(&self, span: Span) -> String {
         match self.file(span) {
             Some(f) => {
                 let (l, c) = f.line_col(span.lo);
@@ -176,9 +171,9 @@ pub struct Diagnostic {
     /// Human-readable description.
     pub message: String,
     /// Primary source location.
-    pub span: Span,
+    pub(crate) span: Span,
     /// Secondary locations with labels (e.g. "previous kernel here").
-    pub notes: Vec<(Span, String)>,
+    pub(crate) notes: Vec<(Span, String)>,
 }
 
 impl Diagnostic {
@@ -188,7 +183,7 @@ impl Diagnostic {
     }
 
     /// Creates a warning diagnostic.
-    pub fn warning(code: &'static str, message: impl Into<String>, span: Span) -> Self {
+    pub(crate) fn warning(code: &'static str, message: impl Into<String>, span: Span) -> Self {
         Diagnostic {
             severity: Severity::Warning,
             code,
@@ -258,7 +253,7 @@ impl DiagnosticSink {
         self.emit(Diagnostic::error(code, message, span));
     }
 
-    /// Shorthand for [`DiagnosticSink::emit`] with [`Diagnostic::warning`].
+    /// Shorthand for [`DiagnosticSink::emit`] with a warning.
     pub fn warning(&mut self, code: &'static str, message: impl Into<String>, span: Span) {
         self.emit(Diagnostic::warning(code, message, span));
     }
@@ -266,11 +261,6 @@ impl DiagnosticSink {
     /// True if at least one error was emitted.
     pub fn has_errors(&self) -> bool {
         self.errors > 0
-    }
-
-    /// Number of errors emitted.
-    pub fn error_count(&self) -> usize {
-        self.errors
     }
 
     /// All diagnostics in emission order.
@@ -281,12 +271,6 @@ impl DiagnosticSink {
     /// True when a diagnostic with the given code was emitted.
     pub fn has_code(&self, code: &str) -> bool {
         self.diags.iter().any(|d| d.code == code)
-    }
-
-    /// Moves all diagnostics out of the sink.
-    pub fn take(&mut self) -> Vec<Diagnostic> {
-        self.errors = 0;
-        std::mem::take(&mut self.diags)
     }
 
     /// Merges another sink's diagnostics into this one.
@@ -347,7 +331,7 @@ mod tests {
         assert!(!sink.has_errors());
         sink.error("E0001", "bad", Span::new(0, 1));
         sink.error("E0002", "worse", Span::new(0, 1));
-        assert_eq!(sink.error_count(), 2);
+        assert_eq!(sink.errors, 2);
         assert!(sink.has_code("E0002"));
         assert!(!sink.has_code("E0404"));
     }
@@ -370,7 +354,7 @@ mod tests {
         let mut b = DiagnosticSink::new();
         b.error("E2", "y", Span::DUMMY);
         a.absorb(b);
-        assert_eq!(a.error_count(), 2);
+        assert_eq!(a.errors, 2);
         assert_eq!(a.diagnostics().len(), 2);
     }
 }

@@ -82,11 +82,6 @@ pub fn fold_to_bits(value: u32, bits: u32) -> u32 {
     }
 }
 
-/// Hashes a `u32` key the way NetCL device code does: over its LE bytes.
-pub fn crc16_u32(key: u32) -> u16 {
-    crc16(&key.to_le_bytes())
-}
-
 /// The SplitMix64 output function: a bijective 64-bit mixer.
 #[inline]
 pub fn mix64(mut z: u64) -> u64 {
@@ -199,18 +194,12 @@ mod tests {
     }
 
     #[test]
-    fn u32_helpers_match_byte_forms() {
-        let k = 0x1234_5678u32;
-        assert_eq!(crc16_u32(k), crc16(&k.to_le_bytes()));
-    }
-
-    #[test]
     fn different_keys_rarely_collide_in_16_bits() {
         // Smoke-test distribution: 1000 sequential keys, expect near-unique
         // CRC16 images (collisions allowed but bounded).
         let mut seen = std::collections::HashSet::new();
         for k in 0u32..1000 {
-            seen.insert(crc16_u32(k));
+            seen.insert(crc16(&k.to_le_bytes()));
         }
         assert!(seen.len() > 980, "too many CRC16 collisions: {}", 1000 - seen.len());
     }

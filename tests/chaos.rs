@@ -27,7 +27,7 @@ fn chaos_link() -> LinkSpec {
 
 /// One chaos-matrix run: the chaos link, `seed`, `faults`, `max_events`.
 fn chaos(seed: u64, faults: FaultSchedule, max_events: u64) -> Conditions {
-    Conditions { link: chaos_link(), seed, faults, max_events, obs: None }
+    Conditions { link: chaos_link(), seed, faults, max_events, obs: false }
 }
 
 fn seed_matrix() -> u64 {

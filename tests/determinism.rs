@@ -11,11 +11,11 @@
 //! never both at once. One planner drives both executors, so they must
 //! also report the same number of rounds.
 //!
-//! CI runs this suite at three `NETCL_DETERMINISM_SEED` bases with
-//! unconstrained `--test-threads`, so a lucky interleaving cannot hide
-//! scheduling nondeterminism, and once more pinned to a single core
-//! (`taskset -c 0`), where every shard thread has to give the core away to
-//! the one it waits for.
+//! CI runs this suite at 34 `NETCL_DETERMINISM_SEED` bases (0–31, 100
+//! and 200) with unconstrained `--test-threads`, so a lucky interleaving
+//! cannot hide scheduling nondeterminism, and once more pinned to a single
+//! core (`taskset -c 0`), where every shard thread has to give the core
+//! away to the one it waits for.
 //!
 //! The star topologies above put every node one hop from the device; the
 //! fat-tree tests at the end run the same contract where it is meant to
@@ -215,7 +215,10 @@ fn sharded_matches_scalar_all_apps() {
 /// device counters, and host byte streams as `send_from_host`-ing every
 /// flow before `run()` — whether the sharded run is one `run` call or
 /// many capped ones. One flow comes from a host the topology does not
-/// know: unroutable everywhere, a panic nowhere.
+/// know: unroutable everywhere, a panic nowhere. Flows 10 to 15 leave
+/// flow 10's host at flow 10's instant: a burst of six, twice the sliced
+/// runs' cap of 3, so a capped run must stop that host's shard mid-round
+/// whatever the seed.
 #[test]
 fn streamed_flows_equal_materialized_all_apps() {
     let hosts = [1u32, 2, 3, 4];
@@ -223,7 +226,16 @@ fn streamed_flows_equal_materialized_all_apps() {
     let seed = seed_base() ^ 0xF10A;
     let schedule = || {
         let stream = FlowStream::new(seed, &hosts, &zipf, 80, 4_000);
-        stream.enumerate().map(|(i, f)| if i == 40 { Flow { src: 9_999, ..f } } else { f })
+        let mut burst = (0, 0);
+        stream.enumerate().map(move |(i, f)| match i {
+            10 => {
+                burst = (f.src, f.at_ns);
+                f
+            }
+            11..=15 => Flow { src: burst.0, at_ns: burst.1, ..f },
+            40 => Flow { src: 9_999, ..f },
+            _ => f,
+        })
     };
     let flows: Vec<Flow> = schedule().collect();
     // One flow rendered to bytes: a kernel message whose payload is a
@@ -284,8 +296,8 @@ fn streamed_flows_equal_materialized_all_apps() {
         // flows not yet delivered — must lose and reorder nothing. The
         // threaded executor makes and releases its workers in every call,
         // so this is also what says no posted turn or report goes missing
-        // between them. On the five-shard partition a cap of 3 stops
-        // shards short of their horizons, which shows as extra rounds.
+        // between them. On the five-shard partition a cap of 3 stops the
+        // burst's shard short of its horizon, which shows as extra rounds.
         for (partition, slice) in [(two_shards(dev), 7), (max_shards(dev), 3)] {
             let shards = partition.num_shards();
             let mut rounds = Vec::new();
@@ -629,19 +641,18 @@ fn netstats_accumulate_is_order_independent() {
 fn sharded_obs_merges_across_shards() {
     let unit = compile("calc.ncl", &netcl_apps::calc::netcl_source());
     let p4 = &unit.devices[0].tna_p4;
-    let obs = netcl_net::ObsConfig::default();
     // `NetStats::events` leaves out `star_builder`'s two scheduled faults,
     // which every network applies — each shard its own replica.
     let faults = 2;
     let scalar = {
-        let mut net = star_builder(1, p4, 2).observe(obs).build();
+        let mut net = star_builder(1, p4, 2).observe().build();
         drive_star(&mut net, 1, |n, h, at, b| n.send_from_host(h, at, b), |n, max| n.run(max));
         let trace = net.take_trace().expect("tracing enabled");
         let depths = trace.events().filter(|e| e.name == "queue_depth").count() as u64;
         assert_eq!(depths, net.stats.events + faults);
         net.stats.clone()
     };
-    let mut net = star_builder(1, p4, 2).observe(obs).build_sharded(two_shards(1)).unwrap();
+    let mut net = star_builder(1, p4, 2).observe().build_sharded(two_shards(1)).unwrap();
     drive_star(&mut net, 1, |n, h, at, b| n.send_from_host(h, at, b), |n, max| n.run(max));
     assert_eq!(scalar, net.stats());
     let trace = net.take_trace().expect("tracing enabled");
