@@ -12,6 +12,9 @@
 //!   holds those `Arc`s, so while it lives, the addresses that key it in the
 //!   table name exactly its parts; a hit is still confirmed with
 //!   `Arc::ptr_eq`. Equal parts in distinct allocations load apart.
+//! - Threads that load the same parts at once, finding none live, may
+//!   each lower them; the first lowering entered in the table is the one
+//!   they all keep.
 //! - The table holds no strong reference. The last switch to drop a loaded
 //!   program frees it, and its `Drop` removes its entry.
 
@@ -89,9 +92,19 @@ impl Loaded {
             return loaded;
         }
         let (layout, threaded) = lower::lower(program);
-        let loaded = Arc::new(Loaded { parts: Parts::of(program), key, layout, threaded });
-        table().insert(key, Arc::downgrade(&loaded));
-        loaded
+        let lowered = Arc::new(Loaded { parts: Parts::of(program), key, layout, threaded });
+        // Another thread may have loaded these parts while this one lowered
+        // them: its entry stays, so that every switch shares one lowering,
+        // and this lowering is dropped after the guard.
+        let live = {
+            let mut table = table();
+            let live = table.get(&key).and_then(Weak::upgrade);
+            if !live.as_ref().is_some_and(|l| l.parts.are(program)) {
+                table.insert(key, Arc::downgrade(&lowered));
+            }
+            live
+        };
+        live.filter(|l| l.parts.are(program)).unwrap_or(lowered)
     }
 }
 
