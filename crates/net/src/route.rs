@@ -15,11 +15,12 @@
 //!   plain arrays, host id → index and device id → index) is the only
 //!   id → index lookup in the crate, and the simulator's node table, the
 //!   shard owner table and the trees here are all indexed by it.
-//! - One tree builder ([`RouteCore::fill_tree`]). Equal-cost ties are broken
-//!   by the [`ecmp_rank`] hash over candidates in neighbor-list order, so
-//!   tree contents are a pure function of (topology, downed set), every
-//!   shard computes identical trees, and the cache agrees hop for hop with
-//!   the reference (tested on the diamond and a k=4 fat-tree).
+//! - One tree builder ([`RouteCore::fill_tree`], one scan per node).
+//!   Equal-cost ties are broken by the [`ecmp_rank`] hash over candidates in
+//!   neighbor-list order, so tree contents are a pure function of
+//!   (topology, downed set), every shard computes identical trees, and the
+//!   cache agrees hop for hop with the reference (tested on the diamond, a
+//!   k=4 fat-tree and random small topologies with downed links).
 //! - The fault-free case is served by a switch-level [`Forest`] built once
 //!   and shared (`Arc`) by every clone — at k=74 it is ~190 MB, and per-shard
 //!   rebuilds of the same trees once dominated sharded runs. Trees for
@@ -132,9 +133,12 @@ impl RouteCore {
 
     /// Writes one routing tree: `set(i, e)` for every node `i` that reaches
     /// `ti` around the links in `down`, `e` being the CSR edge to its next
-    /// hop — a reverse BFS for the levels, then an [`ecmp_rank`]-selected
-    /// edge to a neighbor one level closer. Pure `u32` CSR traversal; `dist`
-    /// (one entry per node) and `order` are scratch.
+    /// hop. One scan of each node's edges, in BFS order from the target:
+    /// every level d−1 node has its level before the first level-d node is
+    /// dequeued, so dequeuing `p` both enqueues its unvisited neighbors and
+    /// collects, in neighbor-list order, its open edges to level d−1 — of
+    /// which the [`ecmp_rank`] hash picks one. Pure `u32` CSR traversal over
+    /// the buffers in `scratch`; nodes are set in BFS order.
     ///
     /// On a connected fault-free topology the BFS never descends into
     /// degree-1 nodes: sources there are answered by the shortcut in
@@ -145,8 +149,7 @@ impl RouteCore {
         &self,
         ti: u32,
         down: &HashSet<(NodeId, NodeId)>,
-        dist: &mut [u32],
-        order: &mut Vec<u32>,
+        scratch: &mut Scratch,
         mut set: impl FnMut(u32, u32),
     ) {
         let skip_leaves = self.connected && down.is_empty();
@@ -154,37 +157,60 @@ impl RouteCore {
             !down.is_empty()
                 && down.contains(&link_key(self.nodes[a as usize], self.nodes[b as usize]))
         };
-        // Pass 1: BFS levels from the target; `order` is the visit queue.
-        dist.fill(NONE);
+        // The hash keys on the target's ECMP alias, so leaf-target trees
+        // equal their uplink's.
+        let root = self.ecmp_root(ti);
+        let Scratch { dist, order, cands } = scratch;
+        dist.clear();
+        dist.resize(self.nodes.len(), NONE);
         dist[ti as usize] = 0;
         order.clear();
         order.push(ti);
         let mut head = 0;
         while let Some(&p) = order.get(head) {
             head += 1;
-            for &m in self.neigh(p) {
-                if dist[m as usize] == NONE
-                    && !(skip_leaves && self.leaf[m as usize])
-                    && !closed(m, p)
-                {
-                    dist[m as usize] = dist[p as usize] + 1;
-                    order.push(m);
+            let d = dist[p as usize];
+            cands.clear();
+            for e in self.edges(p) {
+                let m = self.adj_to[e];
+                let dm = dist[m as usize];
+                if dm == NONE {
+                    // Unvisited: level d + 1, unless a skipped leaf or
+                    // behind a downed link.
+                    if !(skip_leaves && self.leaf[m as usize] || closed(m, p)) {
+                        dist[m as usize] = d + 1;
+                        order.push(m);
+                    }
+                } else if dm + 1 == d && !closed(m, p) {
+                    // Level d − 1 over an open link: a candidate next hop.
+                    cands.push(e as u32);
                 }
             }
+            // Every node but the target was reached over an open edge from
+            // level d−1, so it has a candidate.
+            if p != ti {
+                let pick = ecmp_rank(root, self.nodes[p as usize]) % cands.len() as u64;
+                set(p, cands[pick as usize]);
+            }
         }
-        // Pass 2: hashed pick among each reached node's candidates, keyed on
-        // the target's ECMP alias so leaf-target trees equal their uplink's.
-        let root = self.ecmp_root(ti);
-        for &i in &order[1..] {
-            let want = dist[i as usize] - 1;
-            let cands = self.edges(i).filter(|&e| {
-                let m = self.adj_to[e];
-                dist[m as usize] == want && !closed(m, i)
-            });
-            let len = cands.clone().count() as u64;
-            let pick = (ecmp_rank(root, self.nodes[i as usize]) % len) as usize;
-            set(i, cands.clone().nth(pick).expect("pick < len") as u32);
-        }
+    }
+}
+
+/// The buffers one tree build works in: BFS levels (one entry per node),
+/// the visit queue and one node's candidate edges. Kept by each
+/// [`RouteCache`] so a memo miss allocates only its tree.
+#[derive(Debug, Default)]
+struct Scratch {
+    dist: Vec<u32>,
+    order: Vec<u32>,
+    cands: Vec<u32>,
+}
+
+/// A clone starts empty: the contents are meaningless between builds, and
+/// every shard's cache is a clone (a k=74 `dist` is ~430 KB).
+impl Clone for Scratch {
+    fn clone(&self) -> Scratch {
+        Scratch::default()
     }
 }
 
@@ -199,6 +225,7 @@ pub(crate) struct RouteCache {
     trees: Vec<Vec<u32>>,
     /// Trees currently built, for [`TREE_CAP`].
     built: usize,
+    scratch: Scratch,
 }
 
 /// A route cache built once and shared across network builds — the public
@@ -263,11 +290,11 @@ impl RouteCache {
         // One tree toward node 0 answers connectivity (the graph is
         // undirected): its BFS visits every node, or the graph is split.
         let none = HashSet::new();
-        let (mut dist, mut order) = (vec![NONE; n], Vec::new());
+        let mut scratch = Scratch::default();
         if n > 0 {
-            core.fill_tree(0, &none, &mut dist, &mut order, |_, _| {});
+            core.fill_tree(0, &none, &mut scratch, |_, _| {});
         }
-        core.connected = order.len() == n;
+        core.connected = scratch.order.len() == n;
         if core.connected {
             // The fault-free switch forest: one tree per non-leaf node,
             // over the switch subgraph only.
@@ -280,13 +307,13 @@ impl RouteCache {
             let mut parents = vec![NONE; n_sw * n_sw];
             for (t, &ti) in sw.iter().enumerate() {
                 let row = &mut parents[t * n_sw..(t + 1) * n_sw];
-                core.fill_tree(ti, &none, &mut dist, &mut order, |i, e| {
+                core.fill_tree(ti, &none, &mut scratch, |i, e| {
                     row[slot[i as usize] as usize] = e;
                 });
             }
             core.forest = Some(Forest { slot, n_sw, parents });
         }
-        RouteCache { core: Arc::new(core), trees: Vec::new(), built: 0 }
+        RouteCache { core: Arc::new(core), trees: Vec::new(), built: 0, scratch }
     }
 
     /// Drops every memoized tree — call when the downed-link set changes.
@@ -357,9 +384,7 @@ impl RouteCache {
                 let tree = &mut self.trees[ti as usize];
                 if tree.is_empty() {
                     tree.resize(n, NONE);
-                    let (mut dist, mut order) = (vec![NONE; n], Vec::new());
-                    self.core
-                        .fill_tree(ti, down, &mut dist, &mut order, |i, e| tree[i as usize] = e);
+                    self.core.fill_tree(ti, down, &mut self.scratch, |i, e| tree[i as usize] = e);
                     self.built += 1;
                 }
                 tree[fi as usize]
@@ -461,6 +486,119 @@ mod tests {
                             "hop {from:?} → {target:?} with {n_down} downed links"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// The two-pass tree builder, the oracle [`RouteCore::fill_tree`] must
+    /// match call for call: a BFS for the levels, then each reached node's
+    /// edges scanned again to count its candidates and once more to take
+    /// the hashed one.
+    fn two_pass_tree(
+        core: &RouteCore,
+        ti: u32,
+        down: &HashSet<(NodeId, NodeId)>,
+    ) -> Vec<(u32, u32)> {
+        let skip_leaves = core.connected && down.is_empty();
+        let closed = |a: u32, b: u32| {
+            down.contains(&link_key(core.nodes[a as usize], core.nodes[b as usize]))
+        };
+        let mut dist = vec![NONE; core.nodes.len()];
+        dist[ti as usize] = 0;
+        let mut order = vec![ti];
+        let mut head = 0;
+        while let Some(&p) = order.get(head) {
+            head += 1;
+            for &m in core.neigh(p) {
+                if dist[m as usize] == NONE
+                    && !(skip_leaves && core.leaf[m as usize])
+                    && !closed(m, p)
+                {
+                    dist[m as usize] = dist[p as usize] + 1;
+                    order.push(m);
+                }
+            }
+        }
+        let root = core.ecmp_root(ti);
+        let mut out = Vec::new();
+        for &i in &order[1..] {
+            let want = dist[i as usize] - 1;
+            let cands = core.edges(i).filter(|&e| {
+                let m = core.adj_to[e];
+                dist[m as usize] == want && !closed(m, i)
+            });
+            let len = cands.clone().count() as u64;
+            let pick = (ecmp_rank(root, core.nodes[i as usize]) % len) as usize;
+            out.push((i, cands.clone().nth(pick).expect("pick < len") as u32));
+        }
+        out
+    }
+
+    /// A topology of `n` nodes (every third one a host) linking the index
+    /// pairs of `edges` taken mod `n`, self-loops dropped, each link with a
+    /// [`distinct`] spec; and the keys of the links `downs` names (indices
+    /// into the links, mod their count).
+    fn random_topology(
+        n: usize,
+        edges: &[(usize, usize)],
+        downs: &[usize],
+    ) -> (Topology, HashSet<(NodeId, NodeId)>) {
+        let node = |i: usize| match i % 3 {
+            0 => NodeId::Host(i as u32),
+            _ => NodeId::Device(i as u16),
+        };
+        let (mut t, mut links) = (Topology::new(), Vec::new());
+        for &(a, b) in edges {
+            let (a, b) = (node(a % n), node(b % n));
+            if a != b {
+                t.link(a, b, distinct(links.len() as u64));
+                links.push(link_key(a, b));
+            }
+        }
+        let down = match links.len() {
+            0 => HashSet::new(),
+            len => downs.iter().map(|&d| links[d % len]).collect(),
+        };
+        (t, down)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// On shapes that are not fat-trees — random small graphs,
+        /// connected or split, with leaves, parallel links and 0–3 downed
+        /// links — the one-scan builder writes exactly the two-pass
+        /// oracle's tree toward every node (with the downed links and
+        /// without), and every ordered pair's hop equals
+        /// [`Topology::routing_tree`], spec bits included.
+        #[test]
+        fn random_topologies_route_like_the_reference(
+            n in 2usize..10,
+            edges in proptest::collection::vec((0usize..10, 0usize..10), 1..16),
+            downs in proptest::collection::vec(0usize..64, 0..4),
+        ) {
+            let (topo, down) = random_topology(n, &edges, &downs);
+            let mut cache = RouteCache::new(&topo);
+            let core = Arc::clone(&cache.core);
+            for down in [&HashSet::new(), &down] {
+                for ti in 0..core.nodes.len() as u32 {
+                    let mut built = Vec::new();
+                    core.fill_tree(ti, down, &mut Scratch::default(), |i, e| built.push((i, e)));
+                    proptest::prop_assert_eq!(built, two_pass_tree(&core, ti, down));
+                }
+            }
+            for target in topo.nodes() {
+                let reference = topo.routing_tree(target, &down);
+                for from in topo.nodes().into_iter().filter(|&f| f != target) {
+                    proptest::prop_assert_eq!(
+                        hop(&mut cache, from, target, &down),
+                        reference.get(&from).map(|&(h, spec)| (h, spec.bits())),
+                        "hop {:?} → {:?}, down {:?}",
+                        from,
+                        target,
+                        down
+                    );
                 }
             }
         }

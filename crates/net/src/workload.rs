@@ -10,9 +10,11 @@
 //! pins down.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
-use netcl_util::hash::splitmix64;
+use netcl_util::hash::{splitmix64, IntMap};
 
+use crate::route::RouteCore;
 use crate::shard::Partition;
 use crate::topo::{LinkSpec, NodeId, Topology};
 
@@ -47,11 +49,23 @@ impl WorkloadRng {
     }
 }
 
-/// Zipf(n, s) sampler over ranks `1..=n`: `P(r) ∝ r⁻ˢ`. Samples by
-/// binary-searching a precomputed CDF, so a draw is O(log n).
+/// Zipf(n, s) sampler over ranks `1..=n`: `P(r) ∝ r⁻ˢ`. A draw `u`
+/// inverts the CDF through a guide table (Chen & Asau): `guide[j]` is the
+/// CDF index of `u = j/n`, so `u` searches only the few entries between the
+/// guide entries around `u·n` — O(1) expected instead of O(log n) — and
+/// lands exactly where a search of the whole CDF would. The tables are
+/// shared, so a clone (each [`FlowStream`] holds one) is a reference count.
 #[derive(Debug, Clone)]
 pub struct Zipf {
+    tables: Arc<ZipfTables>,
+}
+
+#[derive(Debug)]
+struct ZipfTables {
+    /// `cdf[r - 1]`: the probability of a rank ≤ r; the last entry is 1.
     cdf: Vec<f64>,
+    /// `guide[j]`: the number of `cdf` entries ≤ `j / n`, for `j ∈ 0..=n`.
+    guide: Vec<usize>,
 }
 
 impl Zipf {
@@ -69,22 +83,46 @@ impl Zipf {
         for c in &mut cdf {
             *c /= total;
         }
-        Zipf { cdf }
+        // `j / n` rises with `j`, so one sweep finds every guide entry.
+        let mut guide = Vec::with_capacity(n + 1);
+        let mut i = 0;
+        for j in 0..=n {
+            let u = j as f64 / n as f64;
+            while i < n && cdf[i] <= u {
+                i += 1;
+            }
+            guide.push(i);
+        }
+        Zipf { tables: Arc::new(ZipfTables { cdf, guide }) }
     }
 
     /// The model probability of rank `r` (1-based) — what the proptest
     /// suite checks empirical frequencies against.
     pub fn prob(&self, r: usize) -> f64 {
-        assert!((1..=self.cdf.len()).contains(&r));
-        let lo = if r == 1 { 0.0 } else { self.cdf[r - 2] };
-        self.cdf[r - 1] - lo
+        let cdf = &self.tables.cdf;
+        assert!((1..=cdf.len()).contains(&r));
+        let lo = if r == 1 { 0.0 } else { cdf[r - 2] };
+        cdf[r - 1] - lo
+    }
+
+    /// The number of CDF entries ≤ `u` for `u ∈ [0, 1)`: exactly
+    /// `cdf.partition_point(|&c| c <= u)`. With `j* = ⌊u·n⌋`, the rounded
+    /// `u·n` truncates to `j*` or `j* + 1` (never below: `j*` is exact and
+    /// rounding is monotone), and a rounded `j / n` may sit an ulp to
+    /// either side of the true one; so the answer lies between
+    /// `guide[j − 1]` and `guide[j + 2]`, clamped to the table.
+    fn index(&self, u: f64) -> usize {
+        let ZipfTables { cdf, guide } = &*self.tables;
+        let n = cdf.len();
+        let j = ((u * n as f64) as usize).min(n);
+        let (lo, hi) = (guide[j.saturating_sub(1)], guide[(j + 2).min(n)]);
+        lo + cdf[lo..hi].partition_point(|&c| c <= u)
     }
 
     /// Draws a rank in `1..=n`.
     pub fn sample(&self, rng: &mut WorkloadRng) -> u64 {
-        let u = rng.next_f64();
-        let idx = self.cdf.partition_point(|&c| c <= u);
-        (idx.min(self.cdf.len() - 1) + 1) as u64
+        let idx = self.index(rng.next_f64());
+        (idx.min(self.tables.cdf.len() - 1) + 1) as u64
     }
 }
 
@@ -106,7 +144,7 @@ pub struct Flow {
 /// through a [`crate::sim::FlowSource`] with memory O(live events) — the
 /// enabling piece for 10⁶-flow drives of the 10⁵-host fat-tree — or
 /// `collect()` the schedule up front; the determinism suite holds the two
-/// to byte-identical results.
+/// to byte-identical results. The stream shares `zipf`'s tables.
 #[derive(Debug, Clone)]
 pub struct FlowStream {
     rng: WorkloadRng,
@@ -247,12 +285,16 @@ impl FatTree {
     /// Zipf workload the pods holding the popular destinations do several
     /// times the work of the rest (~38 % of events on the busiest of 8
     /// shards at k=36), and the busiest shard bounds what sharding can
-    /// gain. This traces each flow's
-    /// round-trip — source host up to its executing switch and back —
-    /// through the real routing tables in `routes`, charges one event
-    /// unit per node touched, and then packs pods (plus individual core
-    /// switches) onto shards by longest-processing-time
-    /// ([`Partition::balanced_with_weights`]).
+    /// gain. This counts each distinct `(source host, executing device)`
+    /// pair of `flows`, traces the pair's round trip — source host up to
+    /// its executing switch and back — once through the real routing tables
+    /// in `routes`, and charges its count to the source (the injection) and
+    /// to every node the trip arrives at. It then packs pods (plus
+    /// individual core switches) onto shards by longest-processing-time
+    /// ([`Partition::balanced_with_weights`]). The weights are the sums a
+    /// per-flow trace would charge, so the work grows with the distinct
+    /// pairs (≈ 7 900 of the fat-tree workloads' 60 000 flows), not the
+    /// flows.
     ///
     /// `flows` yields `(source host, executing device)` pairs — for the
     /// CALC fat-tree workloads, the destination's edge switch. The result
@@ -266,16 +308,20 @@ impl FatTree {
         shards: usize,
     ) -> (Partition, Vec<u64>) {
         let mut cache = routes.cache.clone();
-        let core = cache.core.clone();
-        let ix = |n: NodeId| core.index(n).expect("a node of this fat-tree") as usize;
+        let core = Arc::clone(&cache.core);
+        let ix = |n: NodeId| core.index(n).expect("a node of this fat-tree");
+        let mut pairs: IntMap<(u32, u32), u64> = IntMap::default();
+        for (src, dev) in flows {
+            *pairs.entry((ix(NodeId::Host(src)), ix(NodeId::Device(dev)))).or_default() += 1;
+        }
         // Event weight per node, by dense index.
         let mut w = vec![0u64; core.nodes.len()];
         let down = HashSet::new();
-        for (src, dev) in flows {
-            // The injection event itself, then one arrival per hop of the
-            // round trip: up to the executing switch, reply back down.
-            let (src, dev) = (ix(NodeId::Host(src)) as u32, ix(NodeId::Device(dev)) as u32);
-            w[src as usize] += 1;
+        for (&(src, dev), &count) in &pairs {
+            // Each of the pair's flows is an injection event, then one
+            // arrival per hop of the round trip: up to the executing
+            // switch, reply back down.
+            w[src as usize] += count;
             for (from, to) in [(src, dev), (dev, src)] {
                 let mut cur = from;
                 // A fat-tree round trip is ≤ 6 hops; the bound only guards
@@ -285,11 +331,18 @@ impl FatTree {
                         break;
                     }
                     let Some((hop, _)) = cache.hop(cur, to, &down) else { break };
-                    w[hop as usize] += 1;
+                    w[hop as usize] += count;
                     cur = hop;
                 }
             }
         }
+        self.pack(&core, &w, shards)
+    }
+
+    /// Packs pods and core switches onto `shards` by the per-node weights
+    /// `w`, indexed as `core` indexes nodes.
+    fn pack(&self, core: &RouteCore, w: &[u64], shards: usize) -> (Partition, Vec<u64>) {
+        let ix = |n: NodeId| core.index(n).expect("a node of this fat-tree") as usize;
         let mut units: Vec<(Vec<NodeId>, u64)> = Vec::with_capacity(self.k as usize);
         for (p, pod_hosts) in self.hosts_by_pod.iter().enumerate() {
             let mut nodes: Vec<NodeId> = pod_hosts.iter().map(|&h| NodeId::Host(h)).collect();
@@ -336,6 +389,140 @@ mod tests {
         assert_ne!(a, c, "different seed, different flows");
         // Injection times strictly increase.
         assert!(a.windows(2).all(|w| w[0].at_ns < w[1].at_ns));
+    }
+
+    /// Where a guided index is checked: every CDF entry, every guide point
+    /// `j / n`, the floats either side of each, 0, the float just below 1
+    /// and 256 seeded draws.
+    fn guided_points(z: &Zipf, seed: u64) -> Vec<f64> {
+        let (cdf, n) = (&z.tables.cdf, z.tables.cdf.len());
+        let mut rng = WorkloadRng::new(seed);
+        let edges = cdf.iter().copied().chain((0..=n).map(|j| j as f64 / n as f64));
+        let near = edges.flat_map(|c| [c.next_down(), c, c.next_up()]);
+        let random = (0..256).map(|_| rng.next_f64()).collect::<Vec<_>>();
+        near.chain([0.0, 1.0f64.next_down()])
+            .chain(random)
+            .filter(|u| (0.0..1.0).contains(u))
+            .collect()
+    }
+
+    /// The per-flow trace, the oracle the pair counts must equal: every
+    /// flow's round trip walked hop by hop, one unit per arrival.
+    fn per_flow_partition(
+        ft: &FatTree,
+        routes: &crate::PrecomputedRoutes,
+        flows: &[(u32, u16)],
+        shards: usize,
+    ) -> (Partition, Vec<u64>) {
+        let mut cache = routes.cache.clone();
+        let core = Arc::clone(&cache.core);
+        let ix = |n: NodeId| core.index(n).expect("a node of this fat-tree");
+        let mut w = vec![0u64; core.nodes.len()];
+        for &(src, dev) in flows {
+            let (src, dev) = (ix(NodeId::Host(src)), ix(NodeId::Device(dev)));
+            w[src as usize] += 1;
+            for (from, to) in [(src, dev), (dev, src)] {
+                let mut cur = from;
+                while cur != to {
+                    let (hop, _) = cache.hop(cur, to, &HashSet::new()).expect("connected");
+                    w[hop as usize] += 1;
+                    cur = hop;
+                }
+            }
+        }
+        ft.pack(&core, &w, shards)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The guided index is the search of the whole CDF at every
+        /// [`guided_points`] point, for n ∈ 1..=4096 and s ∈ [0, 2].
+        #[test]
+        fn guided_zipf_index_is_the_full_search(
+            n in 1usize..=4096,
+            milli_s in 0u32..=2000,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // Uniform too: its CDF entries are the guide points `j / n`
+            // themselves, where the widened bounds are what keep it exact.
+            for s in [milli_s as f64 / 1000.0, 0.0] {
+                let z = Zipf::new(n, s);
+                for u in guided_points(&z, seed) {
+                    let full = z.tables.cdf.partition_point(|&c| c <= u);
+                    proptest::prop_assert_eq!(z.index(u), full, "u = {:e}, n = {}, s = {}", u, n, s);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// Counting pairs charges what tracing every flow charges: on
+        /// k ∈ {4, 6, 8}, 1–8 shards and seeded schedules in which each
+        /// pair repeats 1–50 times, shuffled, the groups and loads equal
+        /// the per-flow oracle's.
+        #[test]
+        fn pair_counts_partition_like_the_per_flow_trace(
+            half_k in 2u16..=4,
+            shards in 1usize..=8,
+            distinct in 1usize..40,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let ft = FatTree::new(2 * half_k, LinkSpec::default()).unwrap();
+            let routes = crate::PrecomputedRoutes::new(&ft.topology);
+            let switches: Vec<u16> = ft.edge_by_pod.iter().chain(&ft.agg_by_pod).flatten()
+                .chain(&ft.core).copied().collect();
+            let mut rng = WorkloadRng::new(seed);
+            let mut pick = |n: usize| rng.below(n as u64) as usize;
+            let mut flows = Vec::new();
+            for _ in 0..distinct {
+                let pair = (ft.hosts[pick(ft.hosts.len())], switches[pick(switches.len())]);
+                flows.extend(std::iter::repeat_n(pair, 1 + pick(50)));
+            }
+            for i in (1..flows.len()).rev() {
+                flows.swap(i, pick(i + 1));
+            }
+            let (p, loads) = ft.partition_balanced(&routes, flows.iter().copied(), shards);
+            let (oracle, oracle_loads) = per_flow_partition(&ft, &routes, &flows, shards);
+            proptest::prop_assert_eq!(p.groups(), oracle.groups());
+            proptest::prop_assert_eq!(loads, oracle_loads);
+        }
+    }
+
+    /// The first 20 flows of the k=16 fat-tree's schedule at seed 7, as
+    /// the full-CDF search drew them: a change to the Zipf tables or the
+    /// draw order shows here first.
+    #[test]
+    fn flow_stream_at_seed_7_is_pinned() {
+        let ft = FatTree::new(16, LinkSpec::default()).unwrap();
+        let zipf = Zipf::new(ft.num_hosts(), 0.99);
+        let flows: Vec<(u64, u32, u64)> =
+            FlowStream::new(7, &ft.hosts, &zipf, 20, 10).map(|f| (f.at_ns, f.src, f.key)).collect();
+        let pinned = [
+            (8, 540, 498),
+            (12, 474, 4),
+            (31, 766, 2),
+            (37, 747, 766),
+            (48, 48, 381),
+            (49, 687, 7),
+            (67, 760, 95),
+            (77, 925, 14),
+            (78, 489, 1),
+            (98, 839, 14),
+            (111, 172, 11),
+            (130, 513, 57),
+            (139, 629, 3),
+            (151, 481, 573),
+            (160, 748, 1),
+            (171, 527, 293),
+            (190, 744, 92),
+            (201, 338, 4),
+            (221, 275, 25),
+            (229, 682, 61),
+        ];
+        assert_eq!(flows, pinned);
     }
 
     #[test]

@@ -467,24 +467,51 @@ impl Path {
 
     /// Appends segment `name`.
     pub(crate) fn push(&mut self, name: &str) {
-        use std::fmt::Write;
-        let dot = if self.canonical().is_empty() { "" } else { "." };
-        let _ = write!(self, "{dot}{name}");
+        if !self.canonical().is_empty() {
+            self.append(".");
+        }
+        self.append(name);
     }
-}
 
-/// Appends raw text, such as a segment's stack index `[i]`, spilling to the
-/// heap past [`Path::INLINE`] bytes.
-impl std::fmt::Write for Path {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+    /// Appends a constant stack index `[i]`, its digits written by hand:
+    /// the parser appends one per stack access, and `core::fmt` would cost
+    /// more than the append.
+    pub(crate) fn push_index(&mut self, i: u32) {
+        // `[`, at most ten digits, `]`: filled from the back.
+        let mut buf = [b']'; 12];
+        let (mut at, mut v) = (buf.len() - 1, i);
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        at -= 1;
+        buf[at] = b'[';
+        if let Ok(text) = std::str::from_utf8(&buf[at..]) {
+            self.append(text);
+        }
+    }
+
+    /// Appends raw text, spilling to the heap past [`Path::INLINE`] bytes.
+    fn append(&mut self, s: &str) {
         let spilled = match &mut self.0 {
             PathRepr::Inline(_, text) => match text.push(s) {
-                true => return Ok(()),
+                true => return,
                 false => [text.as_str(), s].concat(),
             },
             PathRepr::Heap(_, text) => [&**text, s].concat(),
         };
         self.0 = PathRepr::Heap(self.ns(), spilled.into_boxed_str());
+    }
+}
+
+/// Appends raw text, such as a generated stack access `v[2].value`.
+impl std::fmt::Write for Path {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.append(s);
         Ok(())
     }
 }
@@ -697,6 +724,18 @@ mod tests {
         assert!(matches!(p.0, PathRepr::Heap(..)));
         let names = ["hdr", "arr_c1_a4[3]", "value", "past_the_inline_limit"];
         assert_eq!(Expr::Field(p), Expr::field(&names));
+    }
+
+    #[test]
+    fn a_stack_index_appends_as_formatted() {
+        use std::fmt::Write;
+        for i in [0, 7, 10, 42, 999, 1_000_000, u32::MAX] {
+            let (mut by_hand, mut formatted) = (Path::new(Ns::Hdr), Path::new(Ns::Hdr));
+            by_hand.push("v");
+            by_hand.push_index(i);
+            write!(formatted, "v[{i}]").unwrap();
+            assert_eq!(by_hand.canonical(), formatted.canonical());
+        }
     }
 
     #[test]

@@ -70,24 +70,49 @@ struct Token<'a> {
     line: u32,
 }
 
-/// The punctuation token at the start of `rest` (non-empty): picked by its
-/// first byte, longest match first.
+/// The punctuation token at the start of `rest` (non-empty): one match on
+/// its first three bytes, longest token first.
 fn punct(rest: &[u8]) -> Option<&'static str> {
-    let longer: &[&'static str] = match rest[0] {
-        b'|' => &["|+|", "|-|", "||"],
-        b'<' => &["<<=", "<<", "<="],
-        b'>' => &[">>=", ">>", ">="],
-        b'=' => &["=="],
-        b'!' => &["!="],
-        b'&' => &["&&"],
-        b'.' => &[".."],
-        _ => &[],
-    };
-    if let Some(p) = longer.iter().find(|p| rest.starts_with(p.as_bytes())) {
-        return Some(p);
-    }
-    const SINGLE: &str = "(){}[]<>;,.:=+-*/&|^~!@";
-    SINGLE.bytes().position(|b| b == rest[0]).map(|k| &SINGLE[k..k + 1])
+    let (a, b, c) = (rest[0], rest.get(1).copied(), rest.get(2).copied());
+    Some(match (a, b, c) {
+        (b'|', Some(b'+'), Some(b'|')) => "|+|",
+        (b'|', Some(b'-'), Some(b'|')) => "|-|",
+        (b'|', Some(b'|'), _) => "||",
+        (b'<', Some(b'<'), Some(b'=')) => "<<=",
+        (b'<', Some(b'<'), _) => "<<",
+        (b'<', Some(b'='), _) => "<=",
+        (b'>', Some(b'>'), Some(b'=')) => ">>=",
+        (b'>', Some(b'>'), _) => ">>",
+        (b'>', Some(b'='), _) => ">=",
+        (b'=', Some(b'='), _) => "==",
+        (b'!', Some(b'='), _) => "!=",
+        (b'&', Some(b'&'), _) => "&&",
+        (b'.', Some(b'.'), _) => "..",
+        (b'(', ..) => "(",
+        (b')', ..) => ")",
+        (b'{', ..) => "{",
+        (b'}', ..) => "}",
+        (b'[', ..) => "[",
+        (b']', ..) => "]",
+        (b'<', ..) => "<",
+        (b'>', ..) => ">",
+        (b';', ..) => ";",
+        (b',', ..) => ",",
+        (b'.', ..) => ".",
+        (b':', ..) => ":",
+        (b'=', ..) => "=",
+        (b'+', ..) => "+",
+        (b'-', ..) => "-",
+        (b'*', ..) => "*",
+        (b'/', ..) => "/",
+        (b'&', ..) => "&",
+        (b'|', ..) => "|",
+        (b'^', ..) => "^",
+        (b'~', ..) => "~",
+        (b'!', ..) => "!",
+        (b'@', ..) => "@",
+        _ => return None,
+    })
 }
 
 /// The literal number at `bytes[*i..]`, `0x` hexadecimal or decimal; one
@@ -1017,7 +1042,7 @@ impl<'a> Parser<'a> {
             && matches!(self.peek_at(2), Some(Tok::Punct("]")))
         {
             self.bump();
-            let _ = write!(path, "[{}]", self.expect_u32()?);
+            path.push_index(self.expect_u32()?);
             self.expect_punct("]")?;
         }
         Ok(())
@@ -1125,6 +1150,35 @@ mod tests {
     use super::*;
     use crate::print::print_program;
     use std::sync::Arc;
+
+    /// The lexer's punctuation as a scan over candidate tokens, longest
+    /// first: the oracle the byte match must equal.
+    fn punct_by_scan(rest: &[u8]) -> Option<&'static str> {
+        const TOKENS: [&str; 36] = [
+            "|+|", "|-|", "<<=", ">>=", "||", "<<", "<=", ">>", ">=", "==", "!=", "&&", "..", "(",
+            ")", "{", "}", "[", "]", "<", ">", ";", ",", ".", ":", "=", "+", "-", "*", "/", "&",
+            "|", "^", "~", "!", "@",
+        ];
+        TOKENS.into_iter().find(|t| rest.starts_with(t.as_bytes()))
+    }
+
+    /// Every byte, and every pair and triple of punctuation bytes (the
+    /// longer tokens' prefixes among them), lexes as the scan does.
+    #[test]
+    fn punct_matches_the_scan_over_tokens() {
+        let chars = b"(){}[]<>;,.:=+-*/&|^~!@a0 ";
+        for a in 0..=255u8 {
+            assert_eq!(punct(&[a]), punct_by_scan(&[a]), "{:?}", a as char);
+        }
+        for &a in chars {
+            for &b in chars {
+                assert_eq!(punct(&[a, b]), punct_by_scan(&[a, b]));
+                for &c in chars {
+                    assert_eq!(punct(&[a, b, c]), punct_by_scan(&[a, b, c]));
+                }
+            }
+        }
+    }
 
     #[test]
     fn parses_header() {

@@ -21,33 +21,7 @@
 //! recycled from a message that was acked, superseded or given up on, so a
 //! steady stream allocates only the former.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiplicative hashing for maps keyed by small integers this program
-/// makes up itself — sequence numbers, chunk ids, slots. Consecutive keys
-/// land in distinct buckets; there is no defence against crafted keys, so
-/// never key one by a value read off the wire.
-#[derive(Default)]
-struct IntHasher(u64);
-
-impl Hasher for IntHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(b as u64));
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n as u64);
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// A `HashMap` over [`IntHasher`].
-type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+use netcl_util::hash::IntMap;
 
 /// The send/timer surface [`Reliable`] drives. In the simulator this is
 /// implemented by `netcl-net`'s `Outbox`; a real host runtime would back it

@@ -13,6 +13,13 @@
 //! `random` extern on both engines and the IR interpreter, the simulator's
 //! per-node chaos streams and the workload generator all draw from it, and
 //! [`mix64`], its output function, is the simulator's bit mixer.
+//!
+//! [`IntMap`] is the map for small integer keys the program makes up
+//! itself: the reliable-delivery tables and the fat-tree partitioner's
+//! flow-pair counts.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The 256-entry table of a reflected CRC: entry `b` is the register after
 /// shifting byte `b` through eight bit-steps of `poly` (reflected), so one
@@ -98,6 +105,31 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     mix64(*state)
 }
+
+/// Multiplicative hashing for maps keyed by small integers this program
+/// makes up itself — sequence numbers, chunk ids, slots, dense node
+/// indices. Consecutive keys land in distinct buckets; there is no defence
+/// against crafted keys, so never key one by a value read off the wire.
+#[derive(Default)]
+pub struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b as u64));
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n as u64);
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A `HashMap` over [`IntHasher`].
+pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -151,6 +151,38 @@ fn steady_state_sharded_allocations_per_event() {
     assert_ceiling("two inline shards", tail, MEASURED_SHARDED);
 }
 
+/// Allocations of a fat-tree's routing set-up, measured at this commit:
+/// 117 for the k=8 forest and a 2-shard partition of 2 000 flows. The
+/// per-flow trace it replaced made 105: counting the distinct pairs first
+/// adds the pair map's doublings, logarithmic in the number of pairs.
+const SETUP_MEASURED: u64 = 117;
+
+/// The set-up the fat-tree workloads run before their first event, on k=8:
+/// `PrecomputedRoutes::new` (the CSR index and the switch forest) and
+/// `partition_balanced` over 2 000 Zipf flows (the pair counts, the weights
+/// and the packed units). The flow list is built first, so the schedule's
+/// own allocations are not counted. The ceiling is the measured figure
+/// plus 10 %; a tree build that allocates per target, or a partition that
+/// allocates per flow, lands above it.
+#[test]
+fn fat_tree_setup_allocations() {
+    let ft = FatTree::new(8, LinkSpec::default()).expect("k=8");
+    let zipf = Zipf::new(ft.num_hosts(), 0.99);
+    let edges = ft.edge_by_pod.concat();
+    let per_edge = ft.num_hosts() / edges.len();
+    let flows: Vec<(u32, u16)> = FlowStream::new(7, &ft.hosts, &zipf, 2_000, 10)
+        .map(|f| (f.src, edges[(f.key as usize - 1) / per_edge]))
+        .collect();
+    let (_, allocs) = allocs_during(|| {
+        let routes = PrecomputedRoutes::new(&ft.topology);
+        ft.partition_balanced(&routes, flows.iter().copied(), 2)
+    });
+    assert!(
+        allocs as f64 <= SETUP_MEASURED as f64 * 1.10,
+        "{allocs} allocations (ceiling {SETUP_MEASURED} + 10 %)"
+    );
+}
+
 /// The AGG star of the host-path readings: eight workers around one
 /// switch, window 16, 32 lanes per chunk, lossless links, 500 chunks, every
 /// worker's window kicked off.
