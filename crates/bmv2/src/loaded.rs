@@ -8,7 +8,8 @@
 //!   the switch's, stamped on each packet it runs, and is what a program's
 //!   `Expr::Device` leaf reads on both engines.
 //! - Two programs share a loaded program only when their `headers`,
-//!   `parser` and `controls` are the same allocations. The loaded program
+//!   `parser` and `controls` are the same allocations (`netcl_p4::Parts`,
+//!   the identity the Tofino fit memo uses too). The loaded program
 //!   holds those `Arc`s, so while it lives, the addresses that key it in the
 //!   table name exactly its parts; a hit is still confirmed with
 //!   `Arc::ptr_eq`. Equal parts in distinct allocations load apart.
@@ -24,13 +25,14 @@ use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError, Weak};
 use crate::layout::Layout;
 use crate::lower;
 use crate::threaded::ThreadedProgram;
-use netcl_p4::ast::{ControlDef, HeaderDef, P4Program, ParserDef};
+use netcl_p4::ast::{P4Program, Parts, PartsKey};
 
 /// A program lowered once, for every switch loaded from its parts.
 pub(crate) struct Loaded {
+    /// The parts the lowering read.
     parts: Parts,
     /// The addresses of `parts`: its entry in the table.
-    key: Key,
+    key: PartsKey,
     /// Slots, widths, register and table identity (`layout.rs`): what the
     /// interpreter, the control plane ([`crate::ctrl`]) and the counters
     /// share with the threaded ops.
@@ -39,42 +41,10 @@ pub(crate) struct Loaded {
     pub(crate) threaded: ThreadedProgram,
 }
 
-/// The parts of a program that the lowering reads.
-struct Parts {
-    headers: Arc<Vec<HeaderDef>>,
-    parser: Option<Arc<ParserDef>>,
-    controls: Arc<Vec<ControlDef>>,
-}
-
-/// The addresses of a program's parts (0 for no parser).
-type Key = [usize; 3];
-
-fn key(p: &P4Program) -> Key {
-    let parser = p.parser.as_ref().map_or(0, |a| Arc::as_ptr(a) as usize);
-    [Arc::as_ptr(&p.headers) as usize, parser, Arc::as_ptr(&p.controls) as usize]
-}
-
-impl Parts {
-    fn of(p: &P4Program) -> Parts {
-        Parts {
-            headers: Arc::clone(&p.headers),
-            parser: p.parser.clone(),
-            controls: Arc::clone(&p.controls),
-        }
-    }
-
-    /// Whether `p`'s parts are these allocations.
-    fn are(&self, p: &P4Program) -> bool {
-        let parser = |x: &Option<Arc<ParserDef>>| x.as_ref().map(Arc::as_ptr);
-        Arc::ptr_eq(&self.headers, &p.headers)
-            && parser(&self.parser) == parser(&p.parser)
-            && Arc::ptr_eq(&self.controls, &p.controls)
-    }
-}
-
 /// The live loaded programs, by the addresses of their parts.
-fn table() -> MutexGuard<'static, HashMap<Key, Weak<Loaded>>> {
-    static TABLE: LazyLock<Mutex<HashMap<Key, Weak<Loaded>>>> = LazyLock::new(Default::default);
+fn table() -> MutexGuard<'static, HashMap<PartsKey, Weak<Loaded>>> {
+    static TABLE: LazyLock<Mutex<HashMap<PartsKey, Weak<Loaded>>>> =
+        LazyLock::new(Default::default);
     // An entry is inserted or removed whole, so a panic elsewhere while the
     // lock was held leaves the table consistent.
     TABLE.lock().unwrap_or_else(PoisonError::into_inner)
@@ -84,7 +54,7 @@ impl Loaded {
     /// The loaded program of `program`'s parts: the live one a switch was
     /// loaded with from these same allocations, or else a new lowering.
     pub(crate) fn of(program: &P4Program) -> Arc<Loaded> {
-        let key = key(program);
+        let key = Parts::key(program);
         // The guard is released at the end of this statement, before any
         // `Arc` is dropped: a drop may run `Loaded::drop`, which locks.
         let live = table().get(&key).and_then(Weak::upgrade);

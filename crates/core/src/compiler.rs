@@ -162,7 +162,7 @@ impl Compiler {
 
     /// Compiles one NetCL-C translation unit (no caching).
     pub fn compile(&self, name: &str, source: &str) -> Result<CompiledUnit, CompileError> {
-        self.compile_with(name, source, None)
+        self.compile_with(name, source, None, lowered)
     }
 
     /// Compiles one unit through the incremental cache (DESIGN.md §16):
@@ -176,17 +176,19 @@ impl Compiler {
         source: &str,
         cache: &mut CompileCache,
     ) -> Result<CompiledUnit, CompileError> {
-        self.compile_with(name, source, Some(cache))
+        self.compile_with(name, source, Some(cache), lowered)
     }
 
     /// The single compile path: `cache = None` is a cold compile. It probes
     /// the caches, groups devices by their lowered modules and orders the
-    /// three phases below; it holds no phase.
+    /// three phases below; it holds no phase. `lower` is [`lowered`] but in
+    /// the tests that hand the grouping a module the verifier rejects.
     fn compile_with(
         &self,
         name: &str,
         source: &str,
         mut cache: Option<&mut CompileCache>,
+        lower: fn(&mut Frontend, u16) -> Result<Module, CompileError>,
     ) -> Result<CompiledUnit, CompileError> {
         let fingerprint = cache::options_fingerprint(&self.options);
         let ukey = cache::unit_key(fingerprint, name, source);
@@ -205,23 +207,30 @@ impl Compiler {
 
         let mut out_devices: Vec<CompiledDevice> = Vec::with_capacity(devices.len());
         let mut reuse = ReuseStats::default();
-        // Devices whose lowered modules are equal run one program: the first
-        // of them builds it, or the cache serves it, and each later one is
-        // placed from it. `groups` holds that first device's program key,
-        // lowered module and index in `out_devices` while a later device may
-        // still match; a key match is confirmed on the modules, so placement
-        // within a unit is exact. A single-device unit keeps none.
-        let mut groups: Vec<(u64, Module, usize)> = Vec::new();
+        // Devices whose lowered modules are equal run one program. The first
+        // of them is verified — and keyed and probed, when there is a cache
+        // — and builds the program or is served it; each later one is
+        // compared with the groups first and, equal to one, placed from its
+        // first device with no verification and no key: an equal module
+        // passed both already. `groups` is kept while a later device may
+        // still match; a single-device unit keeps none.
+        let mut groups: Vec<Group> = Vec::new();
         for (i, &dev) in devices.iter().enumerate() {
             let later = i + 1 < devices.len();
-            let base = lower_verified(&mut fe, dev)?;
-            let key = cache::program_key(fingerprint, &base);
+            let base = lower(&mut fe, dev)?;
             reuse.devices_total += 1;
 
-            let first = groups.iter().find(|(k, m, _)| *k == key && *m == base).map(|g| g.2);
+            let shape = Group::shape(&base);
+            let first = groups.iter().find(|g| g.shape == shape && g.module == base);
+            let first = first.map(|g| g.first);
+            let mut key = None;
             let program = match first {
                 Some(first) => Some(&out_devices[first]),
-                None => cache.as_deref_mut().and_then(|c| c.program(key)),
+                None => {
+                    verified(&base, "lowered")?;
+                    key = cache.is_some().then(|| cache::program_key(fingerprint, &base));
+                    cache.as_deref_mut().zip(key).and_then(|(c, key)| c.program(key))
+                }
             };
             if let Some(program) = program {
                 let t0 = Instant::now();
@@ -229,18 +238,18 @@ impl Compiler {
                 fe.timings.codegen += t0.elapsed();
                 reuse.devices_reused += 1;
                 if first.is_none() && later {
-                    groups.push((key, base, out_devices.len()));
+                    groups.push(Group { shape, module: base, first: out_devices.len() });
                 }
                 out_devices.push(d);
                 continue;
             }
 
             if later {
-                groups.push((key, base.clone(), out_devices.len()));
+                groups.push(Group { shape, module: base.clone(), first: out_devices.len() });
             }
             let (diags, map) = (&mut fe.diags, &fe.unit.source_map);
             let compiled = build_device(base, dev, &self.options, diags, map, &mut fe.timings)?;
-            if let Some(c) = cache.as_deref_mut() {
+            if let (Some(c), Some(key)) = (cache.as_deref_mut(), key) {
                 c.put_program(key, compiled.clone());
             }
             out_devices.push(compiled);
@@ -264,6 +273,22 @@ impl Compiler {
             c.put_unit(ukey, name, source, out.clone());
         }
         Ok(out)
+    }
+}
+
+/// The devices of a unit whose lowered modules equal `module`: the first
+/// of them is `first` in the unit's devices. `shape` is the module's kernel
+/// and instruction counts, which modules that differ in length fail before
+/// they are compared whole.
+struct Group {
+    shape: (usize, usize),
+    module: Module,
+    first: usize,
+}
+
+impl Group {
+    fn shape(module: &Module) -> (usize, usize) {
+        (module.kernels.len(), module.kernels.iter().map(|k| k.inst_count()).sum())
     }
 }
 
@@ -315,13 +340,20 @@ pub(crate) fn frontend(name: &str, source: &str) -> Result<Frontend, CompileErro
     Ok(Frontend { unit, analysis, diags, timings })
 }
 
-/// Phase 2, once per device: the base module, verified. It does not name
-/// `dev`; the caller keeps the id.
-pub(crate) fn lower_verified(fe: &mut Frontend, dev: u16) -> Result<Module, CompileError> {
+/// Phase 2, once per device: the base module. It does not name `dev`; the
+/// caller keeps the id, and verifies the module unless it equals one
+/// verified already.
+pub(crate) fn lowered(fe: &mut Frontend, dev: u16) -> Result<Module, CompileError> {
     let t0 = Instant::now();
     let base = lower::lower_device(&fe.unit, &fe.analysis, dev, &mut fe.diags);
     fe.timings.lower += t0.elapsed();
     check(&fe.diags, &fe.unit.source_map)?;
+    Ok(base)
+}
+
+/// [`lowered`], then [`verified`].
+pub(crate) fn lower_verified(fe: &mut Frontend, dev: u16) -> Result<Module, CompileError> {
+    let base = lowered(fe, dev)?;
     verified(&base, "lowered")?;
     Ok(base)
 }
@@ -431,6 +463,7 @@ fn render(diags: &DiagnosticSink, map: &SourceMap) -> CompileError {
 pub(crate) mod tests {
     use super::*;
     use netcl_ir::interp::{execute, DeviceState, ExecEnv};
+    use netcl_p4::Parts;
     use netcl_sema::builtins::ActionKind;
     use netcl_sema::Ty;
 
@@ -821,19 +854,12 @@ _kernel(1) _at(5) void learner(uint8_t &type, uint32_t &instance, uint16_t round
         assert_eq!(printed(&unit), built_alone(&src));
     }
 
-    /// Whether two programs share every part.
-    fn share_parts(a: &P4Program, b: &P4Program) -> bool {
-        let parser = |p: &P4Program| p.parser.as_ref().map(Arc::as_ptr);
-        Arc::ptr_eq(&a.headers, &b.headers)
-            && parser(a) == parser(b)
-            && Arc::ptr_eq(&a.controls, &b.controls)
-    }
-
     /// Placing writes a name and a device and copies no part: every placed
     /// device's programs share their parts with the first device's, and a
     /// program placed twice still shares them with its source.
     #[test]
     fn placing_shares_every_part() {
+        let share_parts = |a: &P4Program, b| Parts::of(a).are(b);
         let unit = compile(&at(CALC, 1..=4));
         let first = &unit.devices[0];
         for d in &unit.devices {
@@ -889,6 +915,65 @@ _kernel(1) _at(5) void learner(uint8_t &type, uint32_t &instance, uint16_t round
         let st = cache.stats();
         assert_eq!((st.device_hits, st.device_misses), (2, 2), "one lookup per group");
         assert_eq!(printed(&second), built_alone(&moved));
+    }
+
+    /// A kernel that reads `device.id` at three devices, and one that does
+    /// not at four others: three groups of one and one of four.
+    const MIXED: &str = "
+        _kernel(1) _at(1, 2, 3) void k(unsigned x, unsigned &o) { o = x * 4 + device.id; }
+        _kernel(2) _at(4, 5, 6, 7) void s(unsigned x, unsigned &o) { o = x + 1; }";
+
+    /// The grouping oracle: whatever groups a device falls in, it gets the
+    /// IR and the printed programs of a compile restricted to it.
+    #[test]
+    fn every_device_equals_a_compile_restricted_to_it() {
+        let unit = compile(MIXED);
+        assert_eq!(
+            unit.devices.iter().map(|d| d.device).collect::<Vec<_>>(),
+            [1, 2, 3, 4, 5, 6, 7]
+        );
+        assert_eq!(pipeline_runs(&unit), 4);
+        assert!((5..=7).all(|d| share_ir(&unit, 4, d)));
+        for (d, printed) in unit.devices.iter().zip(printed(&unit)) {
+            let opts = CompileOptions { devices: Some(vec![d.device]), ..Default::default() };
+            let alone = Compiler::new(opts).compile("t.ncl", MIXED).unwrap();
+            let a = &alone.devices[0];
+            assert_eq!((a.device, &a.tna_ir, &a.v1_ir), (d.device, &d.tna_ir, &d.v1_ir));
+            assert_eq!(self::printed(&alone), [printed]);
+        }
+    }
+
+    /// `lowered`, with device `D`'s entry block left without a terminator:
+    /// the module keeps its kernel and instruction counts.
+    fn unterminated_at<const D: u16>(fe: &mut Frontend, dev: u16) -> Result<Module, CompileError> {
+        let mut base = lowered(fe, dev)?;
+        if dev == D {
+            let k = &mut base.kernels[0];
+            let entry = k.entry;
+            k.blocks[entry].term = netcl_ir::Terminator::Unterminated;
+        }
+        Ok(base)
+    }
+
+    /// A lowered module no earlier device had is verified, whether it is
+    /// the unit's first, the first of its group, or a later device of the
+    /// same shape as a group it does not belong to; cold or through a cache.
+    #[test]
+    fn a_lowered_module_the_verifier_rejects_reports_e0399() {
+        type Lowering = fn(&mut Frontend, u16) -> Result<Module, CompileError>;
+        let cc = Compiler::new(CompileOptions::default());
+        let cases: [(Lowering, &str); 3] =
+            [(unterminated_at::<1>, "k"), (unterminated_at::<4>, "s"), (unterminated_at::<6>, "s")];
+        for (lower, kernel) in cases {
+            for cache in [None, Some(&mut CompileCache::new())] {
+                let err = cc.compile_with("t.ncl", MIXED, cache, lower).unwrap_err();
+                // The lowered module's verification reports it, not the
+                // passes' closing one.
+                let want = format!("internal: lowered IR fails verification:\n{kernel}/bb0: block");
+                assert_eq!(err.codes, ["E0399"], "{}", err.message);
+                assert!(err.message.starts_with(&want), "{}", err.message);
+            }
+        }
     }
 
     /// A device listed twice is compiled once, where it is first listed.

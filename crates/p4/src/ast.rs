@@ -1,7 +1,7 @@
 //! Typed P4-16 subset AST.
 
 use netcl_sema::builtins::{AtomicOp, HashKind};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Which P4 architecture dialect a program is written against.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -40,6 +40,80 @@ impl P4Program {
     /// Finds a control by name.
     pub fn control(&self, name: &str) -> Option<&ControlDef> {
         self.controls.iter().find(|c| c.name == name)
+    }
+}
+
+/// The addresses of a program's `headers`, `parser` (0 for none) and
+/// `controls` allocations: [`Parts::key`].
+pub type PartsKey = [usize; 3];
+
+/// A hold on a program's three shared parts: all of a program but its
+/// name, dialect and device. Two programs whose parts are the same
+/// allocations are one program to whatever reads only the parts: bmv2
+/// lowers them once (its table of loaded programs is keyed by
+/// [`Parts::key`]) and the Tofino fit memo fits them once. Equal parts in
+/// distinct allocations are not the same parts.
+pub struct Parts {
+    headers: Arc<Vec<HeaderDef>>,
+    parser: Option<Arc<ParserDef>>,
+    controls: Arc<Vec<ControlDef>>,
+}
+
+impl Parts {
+    /// `p`'s parts, held.
+    pub fn of(p: &P4Program) -> Parts {
+        Parts {
+            headers: Arc::clone(&p.headers),
+            parser: p.parser.clone(),
+            controls: Arc::clone(&p.controls),
+        }
+    }
+
+    /// The addresses of `p`'s parts. While something holds those parts,
+    /// no other allocation has their addresses, so an equal key names them
+    /// — confirm a key found in a table with [`Parts::are`].
+    pub fn key(p: &P4Program) -> PartsKey {
+        let parser = p.parser.as_ref().map_or(0, |a| Arc::as_ptr(a) as usize);
+        [Arc::as_ptr(&p.headers) as usize, parser, Arc::as_ptr(&p.controls) as usize]
+    }
+
+    /// Whether `p`'s parts are these allocations.
+    pub fn are(&self, p: &P4Program) -> bool {
+        let parser = |x: &Option<Arc<ParserDef>>| x.as_ref().map(Arc::as_ptr);
+        Arc::ptr_eq(&self.headers, &p.headers)
+            && parser(&self.parser) == parser(&p.parser)
+            && Arc::ptr_eq(&self.controls, &p.controls)
+    }
+}
+
+/// A program's parts held weakly: they stay the same allocations, but
+/// nothing is kept alive. While a `WeakParts` lives, `Arc::get_mut` on a
+/// part fails and `Arc::make_mut` moves its value to a new allocation, so
+/// the parts cannot change in place under it: an upgrade either yields the
+/// parts as they were taken or fails.
+pub struct WeakParts {
+    headers: Weak<Vec<HeaderDef>>,
+    parser: Option<Weak<ParserDef>>,
+    controls: Weak<Vec<ControlDef>>,
+}
+
+impl WeakParts {
+    /// `p`'s parts, held weakly.
+    pub fn of(p: &P4Program) -> WeakParts {
+        WeakParts {
+            headers: Arc::downgrade(&p.headers),
+            parser: p.parser.as_ref().map(Arc::downgrade),
+            controls: Arc::downgrade(&p.controls),
+        }
+    }
+
+    /// The parts, if every one of them is still alive.
+    pub fn upgrade(&self) -> Option<Parts> {
+        let parser = match &self.parser {
+            Some(w) => Some(w.upgrade()?),
+            None => None,
+        };
+        Some(Parts { headers: self.headers.upgrade()?, parser, controls: self.controls.upgrade()? })
     }
 }
 

@@ -41,6 +41,6 @@ pub mod parse;
 pub mod print;
 
 pub use ast::{
-    ActionDef, ControlDef, Expr, HeaderDef, MatchKind, P4Program, ParserDef, ParserState,
-    RegisterActionDef, RegisterDef, Stmt, TableDef, TableEntry, Target,
+    ActionDef, ControlDef, Expr, HeaderDef, MatchKind, P4Program, ParserDef, ParserState, Parts,
+    PartsKey, RegisterActionDef, RegisterDef, Stmt, TableDef, TableEntry, Target, WeakParts,
 };

@@ -219,7 +219,7 @@ pub fn allocate_with_budgets(
         return Ok(AllocationReport {
             program: program.name.clone(),
             stages_used,
-            per_stage: round.stages,
+            per_stage: round.stages.into(),
             phv,
             spec: spec.clone(),
             latency_cycles,

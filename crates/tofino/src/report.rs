@@ -1,5 +1,7 @@
 //! Allocation results: the data behind Tables V, VI, and Fig. 13.
 
+use std::sync::Arc;
+
 use crate::spec::TofinoSpec;
 
 /// The four per-stage resources Table V reports.
@@ -57,7 +59,7 @@ impl StageUse {
 }
 
 /// PHV accounting (Table VI).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhvReport {
     /// Header bits carried (incl. stacks).
     pub header_bits: u32,
@@ -108,14 +110,15 @@ impl TenantUsage {
 }
 
 /// The full fit report.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AllocationReport {
     /// Program name.
     pub(crate) program: String,
     /// Stages actually used (highest occupied stage + 1).
     pub stages_used: u32,
-    /// Per-stage consumption (length = spec.stages).
-    pub per_stage: Vec<StageUse>,
+    /// Per-stage consumption (length = spec.stages), shared by the reports
+    /// the fit memo hands out for one program's parts.
+    pub per_stage: Arc<[StageUse]>,
     /// PHV occupancy.
     pub phv: PhvReport,
     /// The spec allocated against.
@@ -178,6 +181,22 @@ impl AllocationReport {
         self.per_stage.iter().all(|s| s.tcam_bits == 0)
     }
 
+    /// This report under `program`'s name: what the fit memo hands out. The
+    /// stages are shared; nothing else holds a heap block but the name and
+    /// a tenant attribution.
+    pub(crate) fn named(&self, program: &str) -> AllocationReport {
+        AllocationReport {
+            program: program.to_owned(),
+            stages_used: self.stages_used,
+            per_stage: Arc::clone(&self.per_stage),
+            phv: self.phv.clone(),
+            spec: self.spec.clone(),
+            latency_ns: self.latency_ns,
+            latency_cycles: self.latency_cycles,
+            tenants: self.tenants.clone(),
+        }
+    }
+
     /// Formats the Table V row pair for this program.
     pub fn table_v_row(&self) -> String {
         let mut out = format!("{:<10} stages={:<2}", self.program, self.stages_used);
@@ -205,7 +224,7 @@ mod tests {
                 .rposition(|s| !s.is_empty())
                 .map(|i| i as u32 + 1)
                 .unwrap_or(0),
-            per_stage: stages,
+            per_stage: stages.into(),
             phv: PhvReport { header_bits: 200, metadata_bits: 100, capacity_bits: 4096 },
             spec: TofinoSpec::tofino1(),
             latency_ns: 500.0,

@@ -1,7 +1,7 @@
 //! Pipeline parameters.
 
 /// The modeled switch pipeline.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TofinoSpec {
     /// Match-action stages per pipe (Tofino 1: 12).
     pub(crate) stages: u32,
