@@ -2,13 +2,15 @@
 //!
 //! `ncc` compiles workloads of many translation units; editing one kernel
 //! should not pay the pass pipeline and codegen for the other 999. A
-//! [`CompileCache`] keeps two content-addressed maps:
+//! [`CompileCache`] keeps two maps:
 //!
-//! * **units** — keyed by a 64-bit hash over (options fingerprint, unit
-//!   name, source text) and *verified*: the entry keeps the name and the
-//!   source it was compiled from, and a lookup whose key matches but whose
-//!   text does not is a miss. A hit returns the [`CompiledUnit`] without
-//!   touching the frontend.
+//! * **units** — keyed by unit name. Each name holds its revisions: the
+//!   options fingerprint and the source text each was compiled from, and
+//!   the [`CompiledUnit`] behind an `Arc`. A lookup walks that name's
+//!   revisions newest first and compares the fingerprint, then the text;
+//!   nothing hashes the source. A hit returns the cache's `Arc` without
+//!   touching the frontend. Every revision stays servable: A → B → A hits
+//!   A's entry.
 //! * **programs** — keyed by the *program key*: a 64-bit hash over
 //!   (options fingerprint, the lowered module), taken structurally through
 //!   the IR's derived `Hash`. A hit skips the §VI-B pass pipeline and P4
@@ -22,30 +24,24 @@
 //! **One copy of each artifact.** The heavy parts of a result — the two
 //! IR modules and two P4 programs of a [`CompiledDevice`], and the unit's
 //! `Model` — are immutable behind `Arc`. The program table, the unit map
-//! and every unit handed to a caller point at the same allocations. What a
-//! serve does own is small: the `Vec` of devices, `reuse`, `timings`,
-//! `warnings` and any `PassReport`s (an entry is stored as a hit serves it
-//! — `reuse` filled in, reports `from_cache` — so a unit serve rewrites
-//! nothing). A unit hit therefore costs two reads of the source text (hash
-//! it, then compare it), one allocation for the device `Vec`, four
-//! reference-count bumps per device and one for the model — independent of
-//! how large the artifacts are (`tests/cache_alloc.rs` is the gate).
-//! Nothing a caller does to a served unit (`Arc::make_mut`, pushing
-//! devices) reaches the cache's copy.
+//! and every unit handed to a caller point at the same allocations. A unit
+//! entry is stored as a hit serves it — `reuse` filled in, reports
+//! `from_cache` — and is itself shared: a unit hit is one text compare and
+//! one reference count, with no allocation, however large the unit
+//! (`tests/cache_alloc.rs` is the gate). Nothing a caller does to a served
+//! unit (`Arc::make_mut`, pushing devices) reaches the cache's copy.
 //!
-//! **Which matches are exact.** A unit key hashes text the user controls,
-//! and the preimage is small (~0.7 KB against ~150 KB of artifacts), so the
-//! entry keeps it and a 64-bit collision can never serve one unit's program
-//! for another. Program entries stay hash-addressed: keeping the module to
+//! **Which matches are exact.** A unit match compares the text, so it is
+//! exact. Program entries stay hash-addressed: keeping the module to
 //! compare would cost about one more module per entry, a module is compiler
 //! output rather than arbitrary input, and the table is probed only after a
-//! verified unit miss; at 10⁶ entries the birthday bound on a 64-bit key is
-//! below 3 × 10⁻⁸. Within a unit the driver confirms a key match by
-//! comparing the two modules, so placement there is exact.
+//! unit miss; at 10⁶ entries the birthday bound on a 64-bit key is below
+//! 3 × 10⁻⁸. Within a unit the compiler confirms a key match by comparing the
+//! two modules, so placement there is exact.
 //!
-//! Keys are content hashes, so a mutated source simply misses and
-//! recompiles; nothing is ever invalidated in place. Served artifacts are
-//! marked by [`CompiledUnit::reuse`] and by `from_cache` on any embedded
+//! A mutated source simply misses and recompiles; nothing is ever
+//! invalidated in place. Served artifacts are marked by
+//! [`CompiledUnit::reuse`] and by `from_cache` on any embedded
 //! `PassReport`s, so telemetry consumers can tell a replayed report from a
 //! live pipeline run. `tests/incremental.rs` counts [`CacheStats`] across a
 //! one-unit edit of a 34-unit workload to prove there is no silent cache
@@ -53,6 +49,7 @@
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use netcl_ir::Module;
 use netcl_passes::PassFlags;
@@ -92,18 +89,18 @@ pub struct CacheStats {
 /// `Compiler::compile_incremental`.
 #[derive(Debug, Default)]
 pub struct CompileCache {
-    units: HashMap<u64, UnitEntry>,
+    units: HashMap<String, Vec<UnitEntry>>,
     programs: HashMap<u64, CompiledDevice>,
     stats: CacheStats,
 }
 
-/// A cached unit beside the text it was compiled from, which a lookup
-/// compares before serving it (module docs, "Which matches are exact").
+/// One revision of a named unit: what it was compiled under and from,
+/// which a lookup compares before serving it.
 #[derive(Debug)]
 struct UnitEntry {
-    name: String,
+    fingerprint: u64,
     source: String,
-    unit: CompiledUnit,
+    unit: Arc<CompiledUnit>,
 }
 
 impl CompileCache {
@@ -117,14 +114,18 @@ impl CompileCache {
         self.stats
     }
 
-    /// Whole-unit lookup; counts the hit or miss. An entry under `key`
-    /// that was compiled from other text is a miss.
-    pub(crate) fn unit(&mut self, key: u64, name: &str, source: &str) -> Option<CompiledUnit> {
-        let hit = self
-            .units
-            .get(&key)
-            .filter(|e| e.name == name && e.source == source)
-            .map(|e| e.unit.clone());
+    /// Whole-unit lookup; counts the hit or miss. The revisions of `name`
+    /// are walked newest first, and only one compiled under `fingerprint`
+    /// from exactly `source` is served.
+    pub(crate) fn unit(
+        &mut self,
+        fingerprint: u64,
+        name: &str,
+        source: &str,
+    ) -> Option<Arc<CompiledUnit>> {
+        let revisions = self.units.get(name).into_iter().flatten().rev();
+        let hit = revisions.filter(|e| e.fingerprint == fingerprint).find(|e| e.source == source);
+        let hit = hit.map(|e| Arc::clone(&e.unit));
         match hit {
             Some(_) => self.stats.unit_hits += 1,
             None => self.stats.unit_misses += 1,
@@ -132,13 +133,26 @@ impl CompileCache {
         hit
     }
 
-    /// Keeps `unit` as a hit will serve it: everything reused, reports
-    /// marked (see [`CompileCache::put_program`]).
-    pub(crate) fn put_unit(&mut self, key: u64, name: &str, source: &str, mut unit: CompiledUnit) {
+    /// Keeps `unit` as the newest revision of `name`, as a hit will serve
+    /// it: everything reused, reports marked (see
+    /// [`CompileCache::put_program`]).
+    pub(crate) fn put_unit(
+        &mut self,
+        fingerprint: u64,
+        name: &str,
+        source: &str,
+        mut unit: CompiledUnit,
+    ) {
         unit.reuse =
             ReuseStats { unit_hit: true, devices_reused: unit.reuse.devices_total, ..unit.reuse };
         unit.devices.iter_mut().for_each(mark_served);
-        self.units.insert(key, UnitEntry { name: name.into(), source: source.into(), unit });
+        let entry = UnitEntry { fingerprint, source: source.into(), unit: Arc::new(unit) };
+        match self.units.get_mut(name) {
+            Some(revisions) => revisions.push(entry),
+            None => {
+                self.units.insert(name.into(), vec![entry]);
+            }
+        }
     }
 
     /// The program under a [`program_key`], built at whichever device
@@ -166,12 +180,11 @@ pub(crate) fn mark_served(d: &mut CompiledDevice) {
     }
 }
 
-/// The cache's 64-bit key hash, written out so the cache has no hasher
-/// dependency and keys are stable across runs (`tests/incremental.rs` and
-/// `netcl_e2e`'s `compile_edit` gate hold reuse counts to exact
+/// The program table's 64-bit key hash, written out so the cache has no
+/// hasher dependency and keys are stable across runs (`tests/incremental.rs`
+/// and `netcl_e2e`'s `compile_edit` gate hold reuse counts to exact
 /// expectations). One step — xor, multiply, fold the high half down — per
-/// integer and per eight bytes of a byte string, because hashing the source
-/// is most of what a unit hit costs.
+/// integer and per eight bytes of a byte string.
 struct KeyHasher(u64);
 
 impl KeyHasher {
@@ -232,16 +245,12 @@ fn key(parts: impl Hash) -> u64 {
 
 /// Hashes every [`CompileOptions`] field: each can change the artifacts.
 /// Two compilers with equal fingerprints produce byte-identical output for
-/// equal input, so fingerprints partition the cache key space.
+/// equal input, so fingerprints partition both the unit revisions and the
+/// program keys.
 pub(crate) fn options_fingerprint(options: &CompileOptions) -> u64 {
     let CompileOptions { target, flags, devices, pass_report } = options;
     let PassFlags { speculation, duplicate_lookup, icmp_to_sub_msb } = flags;
     key((target, speculation, duplicate_lookup, icmp_to_sub_msb, pass_report, devices))
-}
-
-/// Unit key: options fingerprint + unit name + full source text.
-pub(crate) fn unit_key(fingerprint: u64, name: &str, source: &str) -> u64 {
-    key((fingerprint, name, source))
 }
 
 /// Program key: options fingerprint + every field of the lowered module —
@@ -303,7 +312,7 @@ mod tests {
         let cold = cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
         // The unit entry and the program entry point at the cold compile's
         // own allocations.
-        let in_units = &cache.units.values().next().unwrap().unit;
+        let in_units = &cache.units["fig4.ncl"][0].unit;
         let in_programs = cache.programs.values().next().unwrap();
         assert_eq!(artifacts(&in_units.devices[0]), artifacts(&cold.devices[0]));
         assert_eq!(artifacts(in_programs), artifacts(&cold.devices[0]));
@@ -329,7 +338,22 @@ mod tests {
         assert!(!second.reuse.unit_hit);
         assert!(!Arc::ptr_eq(&first.model, &second.model));
         assert_eq!(artifacts(&first.devices[0]), artifacts(&second.devices[0]));
-        assert_eq!((cache.units.len(), cache.programs.len()), (2, 1));
+        assert_eq!((cache.units["fig4.ncl"].len(), cache.programs.len()), (2, 1));
+    }
+
+    /// Both dialects and the TNA IR of every device, printed.
+    fn rendered(u: &CompiledUnit) -> Vec<(u16, String, String, String)> {
+        u.devices
+            .iter()
+            .map(|d| {
+                (
+                    d.device,
+                    netcl_p4::print::print_program(&d.tna_p4),
+                    netcl_p4::print::print_program(&d.v1_p4),
+                    netcl_ir::print::print_module(&d.tna_ir),
+                )
+            })
+            .collect()
     }
 
     #[test]
@@ -338,51 +362,78 @@ mod tests {
         let mut cache = CompileCache::new();
         cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
         let mut served = cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
-        Arc::make_mut(&mut Arc::make_mut(&mut served.devices[0].tna_p4).controls).clear();
-        Arc::make_mut(&mut served.devices[0].tna_ir).kernels.clear();
-        served.devices[0].device = 99;
-        let extra = served.devices[0].clone();
-        served.devices.push(extra);
+        let unit = Arc::make_mut(&mut served);
+        Arc::make_mut(&mut Arc::make_mut(&mut unit.devices[0].tna_p4).controls).clear();
+        Arc::make_mut(&mut unit.devices[0].tna_ir).kernels.clear();
+        unit.devices[0].device = 99;
+        let extra = unit.devices[0].clone();
+        unit.devices.push(extra);
 
         let next = cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
         let cold = cc.compile("fig4.ncl", FIG4_CACHE).unwrap();
         assert!(next.reuse.unit_hit);
-        let rendered = |u: &CompiledUnit| -> Vec<(u16, String, String, String)> {
-            u.devices
-                .iter()
-                .map(|d| {
-                    (
-                        d.device,
-                        netcl_p4::print::print_program(&d.tna_p4),
-                        netcl_p4::print::print_program(&d.v1_p4),
-                        netcl_ir::print::print_module(&d.tna_ir),
-                    )
-                })
-                .collect()
-        };
+        assert!(!Arc::ptr_eq(&next, &served));
         assert_eq!(rendered(&next), rendered(&cold));
     }
 
     #[test]
-    fn unit_entry_under_a_colliding_key_is_not_served() {
-        // Plant unit B under unit A's key, as a 64-bit collision would.
+    fn every_revision_stays_served_as_one_shared_unit() {
         const B: &str = "_kernel(1) _at(1) void b(unsigned x, unsigned &o) { o = x + 1; }\n";
         let cc = Compiler::new(CompileOptions::default());
         let mut cache = CompileCache::new();
-        let key_a = unit_key(options_fingerprint(&CompileOptions::default()), "a.ncl", FIG4_CACHE);
-        cache.put_unit(key_a, "b.ncl", B, cc.compile("b.ncl", B).unwrap());
+        let cold = |source| rendered(&cc.compile("u.ncl", source).unwrap());
+        let (cold_a, cold_b) = (cold(FIG4_CACHE), cold(B));
+        let mut serve = |source| cc.compile_incremental("u.ncl", source, &mut cache).unwrap();
 
-        let a = cc.compile_incremental("a.ncl", FIG4_CACHE, &mut cache).unwrap();
-        assert!(!a.reuse.unit_hit, "served another unit's artifacts on a key match alone");
-        let cold = cc.compile("a.ncl", FIG4_CACHE).unwrap();
-        assert_eq!(
-            netcl_p4::print::print_program(&a.devices[0].tna_p4),
-            netcl_p4::print::print_program(&cold.devices[0].tna_p4),
-        );
+        let first = serve(FIG4_CACHE);
+        let a = serve(FIG4_CACHE);
+        let b = serve(B);
+        let b_again = serve(B);
+        let a_again = serve(FIG4_CACHE);
+        for (unit, want) in [(&first, &cold_a), (&a, &cold_a), (&b, &cold_b), (&a_again, &cold_a)] {
+            assert_eq!(rendered(unit), *want);
+        }
+        assert!(!first.reuse.unit_hit && !b.reuse.unit_hit);
+        assert!(a.reuse.unit_hit && b_again.reuse.unit_hit && a_again.reuse.unit_hit);
+        // A hit hands out the cache's own unit, the same one every time.
+        assert!(Arc::ptr_eq(&a, &a_again));
         let st = cache.stats();
-        assert_eq!((st.unit_hits, st.unit_misses), (0, 1));
-        // The recompile took the slot over: A now hits.
-        assert!(cc.compile_incremental("a.ncl", FIG4_CACHE, &mut cache).unwrap().reuse.unit_hit);
+        assert_eq!((st.unit_hits, st.unit_misses), (3, 2));
+    }
+
+    #[test]
+    fn compilers_with_other_options_never_serve_each_others_units() {
+        let options = [
+            CompileOptions::default(),
+            CompileOptions { target: EmitTarget::Tna, ..Default::default() },
+            CompileOptions { pass_report: true, ..Default::default() },
+        ];
+        let compilers: Vec<Compiler> = options.into_iter().map(Compiler::new).collect();
+        let mut cache = CompileCache::new();
+        for cc in &compilers {
+            let unit = cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
+            assert!(!unit.reuse.unit_hit, "served a unit compiled under other options");
+        }
+        for cc in &compilers {
+            let unit = cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
+            assert!(unit.reuse.unit_hit);
+            assert_eq!(rendered(&unit), rendered(&cc.compile("fig4.ncl", FIG4_CACHE).unwrap()));
+        }
+        let st = cache.stats();
+        assert_eq!((st.unit_hits, st.unit_misses), (3, 3));
+    }
+
+    #[test]
+    fn the_same_text_under_another_name_misses() {
+        let cc = Compiler::new(CompileOptions::default());
+        let mut cache = CompileCache::new();
+        cc.compile_incremental("a.ncl", FIG4_CACHE, &mut cache).unwrap();
+        let b = cc.compile_incremental("b.ncl", FIG4_CACHE, &mut cache).unwrap();
+        assert!(!b.reuse.unit_hit);
+        // A unit's name is its modules' name, so B's programs are its own.
+        assert_eq!(rendered(&b), rendered(&cc.compile("b.ncl", FIG4_CACHE).unwrap()));
+        let st = cache.stats();
+        assert_eq!((st.unit_hits, st.unit_misses), (0, 2));
     }
 
     #[test]

@@ -74,9 +74,10 @@ impl CompileTimings {
 /// The output for one device.
 ///
 /// The four artifacts are immutable and shared: cloning a device — which
-/// is all a [`CompileCache`] hit does — bumps four reference counts. Take
-/// an owned copy with `P4Program::clone(&d.tna_p4)` (or `Arc::make_mut`)
-/// when one is really needed; neither reaches the cache's copy.
+/// is all a [`CompileCache`] program hit does — bumps four reference
+/// counts. Take an owned copy with `P4Program::clone(&d.tna_p4)` (or
+/// `Arc::make_mut`) when one is really needed; neither reaches the cache's
+/// copy.
 #[derive(Clone, Debug)]
 pub struct CompiledDevice {
     /// The device this output runs on. The IR does not name it, and the P4
@@ -152,12 +153,15 @@ impl From<codegen::CodegenError> for CompileError {
 /// The NetCL compiler.
 pub struct Compiler {
     options: CompileOptions,
+    /// [`cache::options_fingerprint`] of `options`, which never change.
+    fingerprint: u64,
 }
 
 impl Compiler {
     /// Creates a compiler with the given options.
     pub fn new(options: CompileOptions) -> Compiler {
-        Compiler { options }
+        let fingerprint = cache::options_fingerprint(&options);
+        Compiler { options, fingerprint }
     }
 
     /// Compiles one NetCL-C translation unit (no caching).
@@ -166,23 +170,29 @@ impl Compiler {
     }
 
     /// Compiles one unit through the incremental cache (DESIGN.md §16):
-    /// unchanged units are served whole, and a device whose lowered module
-    /// equals one the cache holds a program for skips the pass pipeline and
-    /// codegen. Served artifacts carry [`ReuseStats`] and `from_cache` pass
-    /// reports.
+    /// an unchanged unit is served whole — the cache's own `Arc`, one
+    /// reference count — and a device whose lowered module equals one the
+    /// cache holds a program for skips the pass pipeline and codegen.
+    /// Served artifacts carry [`ReuseStats`] and `from_cache` pass reports.
     pub fn compile_incremental(
         &self,
         name: &str,
         source: &str,
         cache: &mut CompileCache,
-    ) -> Result<CompiledUnit, CompileError> {
-        self.compile_with(name, source, Some(cache), lowered)
+    ) -> Result<Arc<CompiledUnit>, CompileError> {
+        if let Some(unit) = cache.unit(self.fingerprint, name, source) {
+            return Ok(unit);
+        }
+        let unit = self.compile_with(name, source, Some(cache), lowered)?;
+        cache.put_unit(self.fingerprint, name, source, unit.clone());
+        Ok(Arc::new(unit))
     }
 
-    /// The single compile path: `cache = None` is a cold compile. It probes
-    /// the caches, groups devices by their lowered modules and orders the
-    /// three phases below; it holds no phase. `lower` is [`lowered`] but in
-    /// the tests that hand the grouping a module the verifier rejects.
+    /// The single compile path below the unit map: `cache = None` is a cold
+    /// compile. It probes the program table, groups devices by their
+    /// lowered modules and orders the three phases below; it holds no
+    /// phase. `lower` is [`lowered`] but in the tests that hand the grouping
+    /// a module the verifier rejects.
     fn compile_with(
         &self,
         name: &str,
@@ -190,12 +200,6 @@ impl Compiler {
         mut cache: Option<&mut CompileCache>,
         lower: fn(&mut Frontend, u16) -> Result<Module, CompileError>,
     ) -> Result<CompiledUnit, CompileError> {
-        let fingerprint = cache::options_fingerprint(&self.options);
-        let ukey = cache::unit_key(fingerprint, name, source);
-        if let Some(unit) = cache.as_deref_mut().and_then(|c| c.unit(ukey, name, source)) {
-            return Ok(unit);
-        }
-
         let mut fe = frontend(name, source)?;
         let devices = match &self.options.devices {
             Some(list) => {
@@ -228,7 +232,7 @@ impl Compiler {
                 Some(first) => Some(&out_devices[first]),
                 None => {
                     verified(&base, "lowered")?;
-                    key = cache.is_some().then(|| cache::program_key(fingerprint, &base));
+                    key = cache.is_some().then(|| cache::program_key(self.fingerprint, &base));
                     cache.as_deref_mut().zip(key).and_then(|(c, key)| c.program(key))
                 }
             };
@@ -262,17 +266,13 @@ impl Compiler {
             .filter(|d| d.severity == netcl_util::Severity::Warning)
             .map(|d| d.render(&fe.unit.source_map))
             .collect();
-        let out = CompiledUnit {
+        Ok(CompiledUnit {
             model: Arc::new(fe.analysis.model),
             devices: out_devices,
             timings: fe.timings,
             warnings,
             reuse,
-        };
-        if let Some(c) = cache {
-            c.put_unit(ukey, name, source, out.clone());
-        }
-        Ok(out)
+        })
     }
 }
 

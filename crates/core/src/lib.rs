@@ -32,14 +32,15 @@
 //! ```
 //!
 //! For workloads of many units, [`Compiler::compile_incremental`] reuses
-//! unchanged artifacts through a content-addressed [`CompileCache`]:
-//! whole units are keyed by source text (and checked against it),
-//! device programs by the lowered module they were built from, so an edit
-//! recompiles only what it touched. The IR modules, P4 programs and model
-//! of a result are immutable behind `Arc` and shared between the cache
-//! and every unit it serves; a hit costs a hash of the source, one small
-//! allocation and a few reference counts, whatever the size of the unit
-//! (`tests/cache_alloc.rs` holds it to that). Served results carry
+//! unchanged artifacts through a [`CompileCache`]: whole units are kept by
+//! name, one entry per revision and compared by source text, device
+//! programs by a hash of the lowered module they were built from, so an
+//! edit recompiles only what it touched. The IR modules, P4 programs and
+//! model of a result are immutable behind `Arc` and shared between the
+//! cache and every unit it serves, and a served unit is itself the cache's
+//! `Arc`: a hit costs one text compare and one reference count, with no
+//! allocation, whatever the size of the unit (`tests/cache_alloc.rs`
+//! holds it to that). Served results carry
 //! [`compiler::CompiledUnit::reuse`] and mark their pass reports
 //! `from_cache` (`tests/incremental.rs` counts the hits of a one-unit edit;
 //! `cache::tests::cached_pass_reports_are_marked`).

@@ -13,10 +13,11 @@ use netcl_util::{DiagnosticSink, Interner, Span};
 /// Lexes `source` into tokens. Errors are reported to `diags`; lexing always
 /// produces an EOF-terminated stream.
 pub(crate) fn lex(source: &str, interner: &mut Interner, diags: &mut DiagnosticSink) -> Vec<Token> {
-    Lexer { src: source.as_bytes(), pos: 0, interner, diags }.run()
+    Lexer { text: source, src: source.as_bytes(), pos: 0, interner, diags }.run()
 }
 
 struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     interner: &'a mut Interner,
@@ -278,9 +279,17 @@ impl<'a> Lexer<'a> {
                 _ => Gt,
             },
             other => {
+                // A character outside ASCII is one error, spanning its bytes.
+                let ch = match self.text.get(start..).and_then(|s| s.chars().next()) {
+                    Some(ch) => {
+                        self.pos = start + ch.len_utf8();
+                        ch
+                    }
+                    None => other as char,
+                };
                 self.diags.error(
                     "E0015",
-                    format!("unexpected character `{}`", other as char),
+                    format!("unexpected character `{ch}`"),
                     self.span_from(start),
                 );
                 return None;

@@ -55,3 +55,26 @@ pub fn parse(name: &str, source: &str) -> (ParsedUnit, DiagnosticSink) {
     let program = parser::parse_tokens(&tokens, &mut interner, &mut diags);
     (ParsedUnit { program, interner, source_map }, diags)
 }
+
+#[cfg(test)]
+mod tests {
+    /// A character outside ASCII is one E0015 naming it, on a line with a
+    /// macro expansion or without one, and the rendered line shows it as
+    /// written.
+    #[test]
+    fn a_non_ascii_character_is_one_error_naming_it() {
+        for (defines, line, rendered) in [
+            ("", "  r = a + 3 + é;", "  r = a + 3 + é;"),
+            ("#define K 3\n", "  r = a + K + é;", "  r = a + 3 + é;"),
+        ] {
+            let source = format!("{defines}_kernel(1) void k(int a, int &r) {{\n{line}\n}}\n");
+            let (unit, diags) = crate::parse("t.ncl", &source);
+            let bad: Vec<_> = diags.diagnostics().iter().filter(|d| d.code == "E0015").collect();
+            let [d] = bad.as_slice() else { panic!("{line}: {} E0015 errors", bad.len()) };
+            assert_eq!(d.message, "unexpected character `é`");
+            let text = d.render(&unit.source_map);
+            let shown = text.lines().nth(1).and_then(|l| l.split_once(" | ")).map(|(_, l)| l);
+            assert_eq!(shown, Some(rendered), "{text}");
+        }
+    }
+}

@@ -171,8 +171,14 @@ fn expand_once(line: &str, defines: &HashMap<String, String>) -> (String, bool) 
                 out.push_str(word);
             }
         } else {
-            out.push(c);
-            i += 1;
+            // Everything up to the next identifier, verbatim: identifiers
+            // start with an ASCII byte, so the run ends on a character
+            // boundary and a multi-byte character passes through whole.
+            let start = i;
+            while i < bytes.len() && !(bytes[i].is_ascii_alphabetic() || bytes[i] == b'_') {
+                i += 1;
+            }
+            out.push_str(&line[start..i]);
         }
     }
     (out, changed)

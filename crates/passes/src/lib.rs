@@ -30,7 +30,7 @@
 //! reports replayed by the incremental recompilation cache (DESIGN.md
 //! §16) are distinguishable from live runs. The pipeline itself is a pure
 //! function of (IR, [`PassFlags`], [`PipelineTarget`]) — the property the
-//! cache's content-addressed keys rely on.
+//! cache's program keys rely on.
 
 #![warn(unreachable_pub)]
 #![cfg_attr(

@@ -215,9 +215,13 @@ impl Diagnostic {
             let (line, col) = f.line_col(self.span.lo);
             let text = f.line_text(line);
             let _ = write!(out, "\n  {} | {}", line, text);
-            let pad = col as usize - 1 + line.to_string().len() + 4;
-            let carets = (self.span.len().max(1) as usize)
-                .min(text.len().saturating_sub(col as usize - 1).max(1));
+            // Pad and carets count characters, so a span after or over a
+            // multi-byte character still sits under it.
+            let start = col as usize - 1;
+            let end = (start + self.span.len() as usize).min(text.len());
+            let before = text.get(..start).map_or(start, |s| s.chars().count());
+            let carets = text.get(start..end).map_or(0, |s| s.chars().count()).max(1);
+            let pad = line.to_string().len() + 5 + before;
             let _ = write!(out, "\n{}{}", " ".repeat(pad), "^".repeat(carets));
         }
         for (span, label) in &self.notes {
@@ -345,6 +349,22 @@ mod tests {
         assert!(rendered.contains("a.ncl:1:9"));
         assert!(rendered.contains("E0101"));
         assert!(rendered.contains("int x = y;"));
+    }
+
+    #[test]
+    fn render_puts_one_caret_per_character_under_the_span() {
+        let mut map = SourceMap::new();
+        map.add_file("a.ncl", "é = y + zw;\n");
+        // `y` sits after a two-byte character; `zw` is two characters.
+        for (lo, hi, under) in [(5, 6, "y"), (9, 11, "zw"), (0, 2, "é")] {
+            let rendered = Diagnostic::error("E0101", "x", Span::new(lo, hi)).render(&map);
+            let lines: Vec<&str> = rendered.lines().collect();
+            let excerpt: Vec<char> = lines[1].chars().collect();
+            let caret_row = lines[2];
+            let col = caret_row.chars().position(|c| c == '^').unwrap();
+            let shown: String = excerpt[col..col + caret_row.matches('^').count()].iter().collect();
+            assert_eq!(shown, under, "{rendered}");
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   program is served from the program table — the served clone must
 //!   still match a cold compile exactly.
 
+use std::sync::Arc;
+
 use netcl::{CompileCache, CompileOptions, CompiledUnit, Compiler};
 use netcl_apps::{agg, cache, calc, paxos};
 use proptest::prelude::*;
@@ -35,7 +37,7 @@ fn rendered(unit: &CompiledUnit) -> String {
 /// Warm a cache with `base`, then compile `mutated` both incrementally
 /// (through the warm cache) and cold; the outputs must be byte-identical.
 /// Returns the incrementally compiled unit for reuse-shape assertions.
-fn check_incremental(name: &str, base: &str, mutated: &str) -> CompiledUnit {
+fn check_incremental(name: &str, base: &str, mutated: &str) -> Arc<CompiledUnit> {
     let cc = Compiler::new(CompileOptions::default());
     let mut cache = CompileCache::new();
     cc.compile_incremental(name, base, &mut cache).expect("base compiles");
@@ -83,7 +85,7 @@ fn one_unit_edit_of_a_workload_recompiles_exactly_that_unit() {
     assert_eq!(units[edited].0, "cache_8.ncl");
     units[edited].1 = cache::netcl_source(&cache_cfg(8, 999));
     let before = cache.stats();
-    let misses: Vec<CompiledUnit> = units
+    let misses: Vec<Arc<CompiledUnit>> = units
         .iter()
         .map(|(name, source)| cc.compile_incremental(name, source, &mut cache).expect("compiles"))
         .filter(|unit| !unit.reuse.unit_hit)
