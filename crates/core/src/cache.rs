@@ -36,8 +36,8 @@
 //! compare would cost about one more module per entry, a module is compiler
 //! output rather than arbitrary input, and the table is probed only after a
 //! unit miss; at 10⁶ entries the birthday bound on a 64-bit key is below
-//! 3 × 10⁻⁸. Within a unit the compiler confirms a key match by comparing the
-//! two modules, so placement there is exact.
+//! 3 × 10⁻⁸. Within a unit no key decides anything: devices placed alike
+//! share one lowering (DESIGN.md §4), so placement there is exact.
 //!
 //! A mutated source simply misses and recompiles; nothing is ever
 //! invalidated in place. Served artifacts are marked by
@@ -65,9 +65,9 @@ pub struct ReuseStats {
     /// Devices this unit compiled for.
     pub devices_total: usize,
     /// Devices that did not run the pass pipeline and codegen: placed from
-    /// an earlier device of the unit with an equal lowered module, or from
-    /// the program the cache holds for an equal module (equals
-    /// `devices_total` on a unit hit).
+    /// an earlier device of the unit placed alike, or from the program the
+    /// cache holds for an equal lowered module (equals `devices_total` on a
+    /// unit hit).
     pub devices_reused: usize,
 }
 
@@ -79,7 +79,7 @@ pub struct CacheStats {
     /// Whole-unit lookups that missed.
     pub unit_misses: u64,
     /// Program lookups that hit: at most one per group of a unit's devices
-    /// with equal lowered modules, made for the first of them.
+    /// placed alike, made for the first of them.
     pub device_hits: u64,
     /// Program lookups that missed.
     pub(crate) device_misses: u64,
@@ -265,7 +265,7 @@ pub(crate) fn program_key(fingerprint: u64, module: &Module) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiler::{frontend, lower_verified, tests::FIG4_CACHE, Compiler, EmitTarget};
+    use crate::compiler::{self, frontend, tests::FIG4_CACHE, Compiler, EmitTarget};
     use netcl_ir::{BlockId, Operand};
     use netcl_sema::model::LookupEntry;
     use std::sync::Arc;
@@ -464,7 +464,9 @@ mod tests {
     /// `src` lowered for `dev`.
     fn lowered(src: &str, dev: u16) -> Module {
         let mut fe = frontend("t.ncl", src).unwrap_or_else(|e| panic!("{e}"));
-        lower_verified(&mut fe, dev).unwrap_or_else(|e| panic!("{e}"))
+        let (module, _) = compiler::lowered(&mut fe, dev).unwrap_or_else(|e| panic!("{e}"));
+        compiler::verified(&module, "lowered").unwrap_or_else(|e| panic!("{e}"));
+        module
     }
 
     /// Each edit changes one field of a lowered module, and the key with

@@ -12,6 +12,7 @@ use netcl_ir::Module;
 use netcl_lang::ParsedUnit;
 use netcl_p4::ast::{P4Program, Target};
 use netcl_passes::{PassFlags, PassReport, PipelineTarget};
+use netcl_sema::model::placed_at;
 use netcl_sema::{Analysis, Model};
 use netcl_util::{DiagnosticSink, SourceMap};
 
@@ -55,7 +56,7 @@ pub struct CompileTimings {
     pub frontend: Duration,
     /// Semantic analysis.
     pub sema: Duration,
-    /// Lowering (all devices).
+    /// Lowering (once per group of devices placed alike, DESIGN.md §4).
     pub lower: Duration,
     /// Pass pipelines (each distinct device module, both targets).
     pub passes: Duration,
@@ -189,16 +190,16 @@ impl Compiler {
     }
 
     /// The single compile path below the unit map: `cache = None` is a cold
-    /// compile. It probes the program table, groups devices by their
-    /// lowered modules and orders the three phases below; it holds no
-    /// phase. `lower` is [`lowered`] but in the tests that hand the grouping
-    /// a module the verifier rejects.
+    /// compile. It probes the program table, groups devices by placement
+    /// and orders the three phases below; it holds no phase. `lower` is
+    /// [`lowered`] but in the tests that count lowerings or hand the
+    /// compile a module the verifier rejects.
     fn compile_with(
         &self,
         name: &str,
         source: &str,
         mut cache: Option<&mut CompileCache>,
-        lower: fn(&mut Frontend, u16) -> Result<Module, CompileError>,
+        lower: Lowering,
     ) -> Result<CompiledUnit, CompileError> {
         let mut fe = frontend(name, source)?;
         let devices = match &self.options.devices {
@@ -210,47 +211,35 @@ impl Compiler {
         };
 
         let mut out_devices: Vec<CompiledDevice> = Vec::with_capacity(devices.len());
-        let mut reuse = ReuseStats::default();
-        // Devices whose lowered modules are equal run one program. The first
-        // of them is verified — and keyed and probed, when there is a cache
-        // — and builds the program or is served it; each later one is
-        // compared with the groups first and, equal to one, placed from its
-        // first device with no verification and no key: an equal module
-        // passed both already. `groups` is kept while a later device may
-        // still match; a single-device unit keeps none.
-        let mut groups: Vec<Group> = Vec::new();
+        let mut reuse = ReuseStats { devices_total: devices.len(), ..Default::default() };
+        // Devices placed alike run one program unless the lowering reads
+        // `device.id`. The first of them is lowered and verified — and keyed
+        // and probed, when there is a cache — and builds the program or is
+        // served it; each later one is only placed from it. `groups` holds
+        // each such first device and its index in `out_devices` while a later
+        // device may still join it; a single-device unit keeps none.
+        let mut groups: Vec<(u16, usize)> = Vec::new();
         for (i, &dev) in devices.iter().enumerate() {
-            let later = i + 1 < devices.len();
-            let base = lower(&mut fe, dev)?;
-            reuse.devices_total += 1;
-
-            let shape = Group::shape(&base);
-            let first = groups.iter().find(|g| g.shape == shape && g.module == base);
-            let first = first.map(|g| g.first);
-            let mut key = None;
-            let program = match first {
-                Some(first) => Some(&out_devices[first]),
-                None => {
-                    verified(&base, "lowered")?;
-                    key = cache.is_some().then(|| cache::program_key(self.fingerprint, &base));
-                    cache.as_deref_mut().zip(key).and_then(|(c, key)| c.program(key))
-                }
-            };
-            if let Some(program) = program {
-                let t0 = Instant::now();
-                let d = placed(program, dev, self.options.target);
-                fe.timings.codegen += t0.elapsed();
-                reuse.devices_reused += 1;
-                if first.is_none() && later {
-                    groups.push(Group { shape, module: base, first: out_devices.len() });
-                }
+            let model = &fe.analysis.model;
+            if let Some(&(_, first)) = groups.iter().find(|&&(f, _)| placed_alike(model, f, dev)) {
+                let d = placed(&out_devices[first], dev, self.options.target, &mut fe.timings);
                 out_devices.push(d);
+                reuse.devices_reused += 1;
+                continue;
+            }
+            let (base, read_device) = lower(&mut fe, dev)?;
+            verified(&base, "lowered")?;
+            if !read_device && i + 1 < devices.len() {
+                groups.push((dev, out_devices.len()));
+            }
+            let key = cache.is_some().then(|| cache::program_key(self.fingerprint, &base));
+            if let Some(program) = cache.as_deref_mut().zip(key).and_then(|(c, key)| c.program(key))
+            {
+                out_devices.push(placed(program, dev, self.options.target, &mut fe.timings));
+                reuse.devices_reused += 1;
                 continue;
             }
 
-            if later {
-                groups.push(Group { shape, module: base.clone(), first: out_devices.len() });
-            }
             let (diags, map) = (&mut fe.diags, &fe.unit.source_map);
             let compiled = build_device(base, dev, &self.options, diags, map, &mut fe.timings)?;
             if let (Some(c), Some(key)) = (cache.as_deref_mut(), key) {
@@ -276,41 +265,39 @@ impl Compiler {
     }
 }
 
-/// The devices of a unit whose lowered modules equal `module`: the first
-/// of them is `first` in the unit's devices. `shape` is the module's kernel
-/// and instruction counts, which modules that differ in length fail before
-/// they are compared whole.
-struct Group {
-    shape: (usize, usize),
-    module: Module,
-    first: usize,
-}
-
-impl Group {
-    fn shape(module: &Module) -> (usize, usize) {
-        (module.kernels.len(), module.kernels.iter().map(|k| k.inst_count()).sum())
-    }
+/// Whether devices `a` and `b` are placed alike: each kernel and each
+/// global at both or at neither. Their lowerings then differ at most in the
+/// constants `device.id` lowers to.
+fn placed_alike(model: &Model, a: u16, b: u16) -> bool {
+    let alike = |locations| placed_at(locations, a) == placed_at(locations, b);
+    model.kernels.iter().all(|k| alike(&k.locations))
+        && model.globals.iter().all(|g| alike(&g.locations))
 }
 
 /// A device that runs `program`, placed at `device`: the IR shared, the
 /// pass reports marked `from_cache`, and — when `program` was built for
 /// another device — each emitted program re-placed by [`codegen::place`],
-/// a new name and device over the same parts.
-fn placed(program: &CompiledDevice, device: u16, target: EmitTarget) -> CompiledDevice {
+/// a new name and device over the same parts. The time counts as codegen.
+fn placed(
+    program: &CompiledDevice,
+    device: u16,
+    target: EmitTarget,
+    timings: &mut CompileTimings,
+) -> CompiledDevice {
+    let t0 = Instant::now();
     let mut d = program.clone();
     if d.device != device {
         d.device = device;
         let unit = &d.tna_ir.name;
-        for (want, p4) in [
-            (target != EmitTarget::V1Model, &mut d.tna_p4),
-            (target != EmitTarget::Tna, &mut d.v1_p4),
-        ] {
-            if want {
-                codegen::place(Arc::make_mut(p4), unit, device);
-            }
+        if target != EmitTarget::V1Model {
+            codegen::place(Arc::make_mut(&mut d.tna_p4), unit, device);
+        }
+        if target != EmitTarget::Tna {
+            codegen::place(Arc::make_mut(&mut d.v1_p4), unit, device);
         }
     }
     cache::mark_served(&mut d);
+    timings.codegen += t0.elapsed();
     d
 }
 
@@ -340,22 +327,17 @@ pub(crate) fn frontend(name: &str, source: &str) -> Result<Frontend, CompileErro
     Ok(Frontend { unit, analysis, diags, timings })
 }
 
-/// Phase 2, once per device: the base module. It does not name `dev`; the
-/// caller keeps the id, and verifies the module unless it equals one
-/// verified already.
-pub(crate) fn lowered(fe: &mut Frontend, dev: u16) -> Result<Module, CompileError> {
+/// [`lowered`] or, in tests, a stand-in for it.
+type Lowering = fn(&mut Frontend, u16) -> Result<(Module, bool), CompileError>;
+
+/// Phase 2, once per group of devices placed alike: the base module and
+/// whether its lowering read `dev` (`device.id`). The caller verifies it.
+pub(crate) fn lowered(fe: &mut Frontend, dev: u16) -> Result<(Module, bool), CompileError> {
     let t0 = Instant::now();
-    let base = lower::lower_device(&fe.unit, &fe.analysis, dev, &mut fe.diags);
+    let lowered = lower::lower_reporting(&fe.unit, &fe.analysis, dev, &mut fe.diags);
     fe.timings.lower += t0.elapsed();
     check(&fe.diags, &fe.unit.source_map)?;
-    Ok(base)
-}
-
-/// [`lowered`], then [`verified`].
-pub(crate) fn lower_verified(fe: &mut Frontend, dev: u16) -> Result<Module, CompileError> {
-    let base = lowered(fe, dev)?;
-    verified(&base, "lowered")?;
-    Ok(base)
+    Ok(lowered)
 }
 
 /// A module a driver built itself (`what`: "lowered", "merged") must
@@ -466,6 +448,7 @@ pub(crate) mod tests {
     use netcl_p4::Parts;
     use netcl_sema::builtins::ActionKind;
     use netcl_sema::Ty;
+    use std::cell::Cell;
 
     pub(crate) const FIG4_CACHE: &str = r#"
 #define CMS_HASHES 3
@@ -806,7 +789,8 @@ _kernel(1) _at(5) void learner(uint8_t &type, uint32_t &instance, uint16_t round
         devices
             .into_iter()
             .map(|dev| {
-                let base = lower_verified(&mut fe, dev).unwrap_or_else(|e| panic!("{e}"));
+                let (base, _) = lowered(&mut fe, dev).unwrap_or_else(|e| panic!("{e}"));
+                verified(&base, "lowered").unwrap_or_else(|e| panic!("{e}"));
                 let (options, map) = (CompileOptions::default(), &fe.unit.source_map);
                 let d = build_device(base, dev, &options, &mut fe.diags, map, &mut fe.timings)
                     .unwrap_or_else(|e| panic!("{e}"));
@@ -923,47 +907,95 @@ _kernel(1) _at(5) void learner(uint8_t &type, uint32_t &instance, uint16_t round
         _kernel(1) _at(1, 2, 3) void k(unsigned x, unsigned &o) { o = x * 4 + device.id; }
         _kernel(2) _at(4, 5, 6, 7) void s(unsigned x, unsigned &o) { o = x + 1; }";
 
-    /// The grouping oracle: whatever groups a device falls in, it gets the
-    /// IR and the printed programs of a compile restricted to it.
+    /// A `_net_` helper that reads `device.id`, inlined into a kernel at
+    /// three devices: only the lowering sees the read.
+    const HELPER: &str = "
+        _net_ unsigned plus_id(unsigned x) { return x * 4 + device.id; }
+        _kernel(1) _at(1, 2, 3) void k(unsigned x, unsigned &o) { o = plus_id(x); }";
+
+    /// One kernel at four devices, a global at two of them: the kernels
+    /// are placed alike, the globals are not.
+    const PARTIAL: &str = "
+        _at(1, 2) _net_ unsigned G[4];
+        _kernel(1) _at(1, 2, 3, 4) void k(unsigned x, unsigned &o) { o = x + 1; }";
+
+    /// The grouping oracle: whatever group a device falls in, it gets the
+    /// IR and the printed programs of a compile restricted to it. The last
+    /// case lists device 9, which no `_at` mentions: it gets the kernel-free
+    /// module alone.
     #[test]
     fn every_device_equals_a_compile_restricted_to_it() {
+        for (src, devices, want, runs) in [
+            (MIXED, None, vec![1, 2, 3, 4, 5, 6, 7], 4),
+            (HELPER, None, vec![1, 2, 3], 3),
+            (PARTIAL, None, vec![1, 2, 3, 4], 2),
+            (MIXED, Some(vec![4, 9, 1, 5]), vec![4, 9, 1, 5], 3),
+        ] {
+            let opts = CompileOptions { devices, ..Default::default() };
+            let unit = Compiler::new(opts).compile("t.ncl", src).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(unit.devices.iter().map(|d| d.device).collect::<Vec<_>>(), want, "{src}");
+            assert_eq!(pipeline_runs(&unit), runs, "{src}");
+            for (d, printed) in unit.devices.iter().zip(printed(&unit)) {
+                let opts = CompileOptions { devices: Some(vec![d.device]), ..Default::default() };
+                let alone = Compiler::new(opts).compile("t.ncl", src).unwrap();
+                let a = &alone.devices[0];
+                assert_eq!((a.device, &a.tna_ir, &a.v1_ir), (d.device, &d.tna_ir, &d.v1_ir));
+                assert_eq!(self::printed(&alone), [printed]);
+            }
+        }
         let unit = compile(MIXED);
-        assert_eq!(
-            unit.devices.iter().map(|d| d.device).collect::<Vec<_>>(),
-            [1, 2, 3, 4, 5, 6, 7]
-        );
-        assert_eq!(pipeline_runs(&unit), 4);
         assert!((5..=7).all(|d| share_ir(&unit, 4, d)));
-        for (d, printed) in unit.devices.iter().zip(printed(&unit)) {
-            let opts = CompileOptions { devices: Some(vec![d.device]), ..Default::default() };
-            let alone = Compiler::new(opts).compile("t.ncl", MIXED).unwrap();
-            let a = &alone.devices[0];
-            assert_eq!((a.device, &a.tna_ir, &a.v1_ir), (d.device, &d.tna_ir, &d.v1_ir));
-            assert_eq!(self::printed(&alone), [printed]);
+        let unit = compile(PARTIAL);
+        assert!(share_ir(&unit, 1, 2) && share_ir(&unit, 3, 4) && !share_ir(&unit, 2, 3));
+    }
+
+    thread_local! {
+        /// How many lowerings [`counted`] has run on this thread.
+        static LOWERINGS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// `lowered`, counted in [`LOWERINGS`].
+    fn counted(fe: &mut Frontend, dev: u16) -> Result<(Module, bool), CompileError> {
+        LOWERINGS.with(|n| n.set(n.get() + 1));
+        lowered(fe, dev)
+    }
+
+    /// Devices placed alike are lowered once, unless the lowering reads
+    /// `device.id`; a device joins a group before it is lowered.
+    #[test]
+    fn devices_placed_alike_are_lowered_once() {
+        let cc = Compiler::new(CompileOptions::default());
+        let calc = at(CALC, 1..=16);
+        for (src, want) in [(calc.as_str(), 1), (MIXED, 4), (LEARNER, 2), (ACCEPTOR, 3)] {
+            LOWERINGS.with(|n| n.set(0));
+            cc.compile_with("t.ncl", src, None, counted).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(LOWERINGS.with(Cell::get), want, "{src}");
         }
     }
 
-    /// `lowered`, with device `D`'s entry block left without a terminator:
-    /// the module keeps its kernel and instruction counts.
-    fn unterminated_at<const D: u16>(fe: &mut Frontend, dev: u16) -> Result<Module, CompileError> {
-        let mut base = lowered(fe, dev)?;
+    /// `lowered`, with device `D`'s entry block left without a terminator.
+    fn unterminated_at<const D: u16>(
+        fe: &mut Frontend,
+        dev: u16,
+    ) -> Result<(Module, bool), CompileError> {
+        let (mut base, read_device) = lowered(fe, dev)?;
         if dev == D {
             let k = &mut base.kernels[0];
             let entry = k.entry;
             k.blocks[entry].term = netcl_ir::Terminator::Unterminated;
         }
-        Ok(base)
+        Ok((base, read_device))
     }
 
-    /// A lowered module no earlier device had is verified, whether it is
-    /// the unit's first, the first of its group, or a later device of the
-    /// same shape as a group it does not belong to; cold or through a cache.
+    /// Every lowered module is verified, whether its device is the unit's
+    /// first, the first of a group placed alike, or a later device whose
+    /// kernel reads `device.id` and is lowered on its own; cold or through
+    /// a cache.
     #[test]
     fn a_lowered_module_the_verifier_rejects_reports_e0399() {
-        type Lowering = fn(&mut Frontend, u16) -> Result<Module, CompileError>;
         let cc = Compiler::new(CompileOptions::default());
         let cases: [(Lowering, &str); 3] =
-            [(unterminated_at::<1>, "k"), (unterminated_at::<4>, "s"), (unterminated_at::<6>, "s")];
+            [(unterminated_at::<1>, "k"), (unterminated_at::<4>, "s"), (unterminated_at::<2>, "k")];
         for (lower, kernel) in cases {
             for cache in [None, Some(&mut CompileCache::new())] {
                 let err = cc.compile_with("t.ncl", MIXED, cache, lower).unwrap_err();

@@ -8,7 +8,8 @@
 //!   alias the caller's place (C++ reference semantics).
 //! * **`device.id` materialization** — the builtin is replaced by the
 //!   constant of the device being compiled for, so multi-location SPMD
-//!   kernels constant-fold their branches away.
+//!   kernels constant-fold their branches away. Nothing else in a module
+//!   depends on its device; the lowering reports whether it read the id.
 //! * **full loop unrolling** — `for` loops with compile-time iteration
 //!   spaces are replicated per iteration with the induction variable bound
 //!   to a constant; anything else is rejected (`E0306`), matching the
@@ -59,6 +60,16 @@ pub fn lower_device(
     device: u16,
     diags: &mut DiagnosticSink,
 ) -> Module {
+    lower_reporting(unit, analysis, device, diags).0
+}
+
+/// [`lower_device`], and whether the module depends on `device` at all.
+pub(crate) fn lower_reporting(
+    unit: &ParsedUnit,
+    analysis: &Analysis,
+    device: u16,
+    diags: &mut DiagnosticSink,
+) -> (Module, bool) {
     let mut module = Module {
         name: unit.source_map.file(Span::new(0, 0)).map(|f| f.name.clone()).unwrap_or_default(),
         globals: Vec::new(),
@@ -86,7 +97,8 @@ pub fn lower_device(
         })
         .collect();
 
-    for kinfo in analysis.model.kernels_at(device) {
+    let mut read_device = false;
+    for kinfo in analysis.model.kernels.iter().filter(|k| placed_at(&k.locations, device)) {
         let Item::Function(decl) = &unit.program.items[kinfo.item_index] else { continue };
         let mut lctx = Lower {
             unit,
@@ -100,13 +112,14 @@ pub fn lower_device(
             loop_stack: Vec::new(),
             inline_depth: 0,
             failed: false,
+            read_device: &mut read_device,
         };
         lctx.lower_kernel(decl, kinfo);
         if !lctx.failed {
             module.kernels.push(lctx.builder.finish());
         }
     }
-    module
+    (module, read_device)
 }
 
 /// Storage width for a sema type (bool stores as 8 bits on the wire and in
@@ -201,9 +214,18 @@ struct Lower<'a> {
     loop_stack: Vec<LoopCtx>,
     inline_depth: usize,
     failed: bool,
+    /// Set once [`Lower::device`] is called: the module depends on it.
+    read_device: &'a mut bool,
 }
 
 impl<'a> Lower<'a> {
+    /// The device being lowered for: every read goes through here, so any
+    /// construct that makes a module depend on its device is reported.
+    fn device(&mut self) -> u16 {
+        *self.read_device = true;
+        self.device
+    }
+
     fn error(&mut self, code: &'static str, msg: String, span: Span) -> (Operand, Ty) {
         self.diags.error(code, msg, span);
         self.failed = true;
@@ -566,7 +588,7 @@ impl<'a> Lower<'a> {
                 let ty = self.ty(e);
                 let field = match member {
                     Member::DeviceId => {
-                        return (Operand::imm(self.device as u64, ir_value_ty(ty)), ty)
+                        return (Operand::imm(self.device() as u64, ir_value_ty(ty)), ty)
                     }
                     Member::DeviceKind => return (Operand::imm(1, ir_value_ty(ty)), ty),
                     Member::MsgSrc => MsgField::Src,

@@ -91,7 +91,8 @@ pub fn compile_tenants(
             codes: e.codes,
         };
         let mut fe = compiler::frontend(ts.name, ts.source).map_err(for_tenant)?;
-        let module = compiler::lower_verified(&mut fe, device).map_err(for_tenant)?;
+        let (module, _) = compiler::lowered(&mut fe, device).map_err(for_tenant)?;
+        compiler::verified(&module, "lowered").map_err(for_tenant)?;
         units.push(TenantUnit { tenant: ts.tenant, module });
     }
 

@@ -62,6 +62,14 @@ impl<'a> Lexer<'a> {
         c
     }
 
+    /// The character at the cursor, decoded, and the cursor past all its
+    /// bytes. The cursor only ever stops at a character boundary.
+    fn bump_char(&mut self) -> Option<char> {
+        let c = self.text[self.pos..].chars().next()?;
+        self.pos += c.len_utf8();
+        Some(c)
+    }
+
     fn span_from(&self, start: usize) -> Span {
         Span::new(start as u32, self.pos as u32)
     }
@@ -141,29 +149,38 @@ impl<'a> Lexer<'a> {
     fn lex_char(&mut self) -> Option<TokenKind> {
         let start = self.pos;
         self.bump(); // opening quote
-        let value = match self.bump() {
-            Some(b'\\') => match self.bump() {
-                Some(b'n') => b'\n',
-                Some(b't') => b'\t',
-                Some(b'0') => 0,
-                Some(b'\\') => b'\\',
-                Some(b'\'') => b'\'',
+        let value = match self.bump_char() {
+            Some('\\') => match self.bump_char() {
+                Some('n') => b'\n',
+                Some('t') => b'\t',
+                Some('0') => 0,
+                Some('\\') => b'\\',
+                Some('\'') => b'\'',
                 other => {
                     self.diags.error(
                         "E0013",
-                        format!("unknown escape `\\{}`", other.map(|c| c as char).unwrap_or('?')),
+                        format!("unknown escape `\\{}`", other.unwrap_or('?')),
                         self.span_from(start),
                     );
                     b'?'
                 }
             },
-            Some(c) => c,
+            Some(c) if c.is_ascii() => c as u8,
+            Some(c) => {
+                let at = self.pos - c.len_utf8();
+                self.diags.error(
+                    "E0015",
+                    format!("unexpected character `{c}`"),
+                    self.span_from(at),
+                );
+                b'?'
+            }
             None => {
                 self.diags.error("E0014", "unterminated character literal", self.span_from(start));
                 return Some(TokenKind::Char(0));
             }
         };
-        if self.bump() != Some(b'\'') {
+        if self.bump_char() != Some('\'') {
             self.diags.error("E0014", "unterminated character literal", self.span_from(start));
         }
         Some(TokenKind::Char(value))
@@ -278,15 +295,10 @@ impl<'a> Lexer<'a> {
                 }
                 _ => Gt,
             },
-            other => {
+            _ => {
                 // A character outside ASCII is one error, spanning its bytes.
-                let ch = match self.text.get(start..).and_then(|s| s.chars().next()) {
-                    Some(ch) => {
-                        self.pos = start + ch.len_utf8();
-                        ch
-                    }
-                    None => other as char,
-                };
+                self.pos = start;
+                let ch = self.bump_char().expect("a byte was peeked at `start`");
                 self.diags.error(
                     "E0015",
                     format!("unexpected character `{ch}`"),
@@ -375,6 +387,27 @@ mod tests {
         let mut diags = DiagnosticSink::new();
         lex("int x = $;", &mut interner, &mut diags);
         assert!(diags.has_code("E0015"));
+    }
+
+    /// Every string of up to four pieces drawn from quotes, escapes, ASCII
+    /// and multi-byte characters lexes without stopping inside a character
+    /// (`bump_char` would panic there), and every diagnostic names whole
+    /// characters.
+    #[test]
+    fn lexing_never_splits_a_character() {
+        let pieces = ["'", "\\", "é", "€", "a", "1", "0x", " ", "$"];
+        let (mut texts, mut longest) = (vec![], vec![String::new()]);
+        for _ in 0..4 {
+            longest = longest.iter().flat_map(|t| pieces.map(|p| format!("{t}{p}"))).collect();
+            texts.extend_from_slice(&longest);
+        }
+        for text in &texts {
+            let (mut interner, mut diags) = (Interner::new(), DiagnosticSink::new());
+            lex(text, &mut interner, &mut diags);
+            for d in diags.diagnostics() {
+                assert!(!d.message.contains(['Ã', 'â']), "{text:?}: {}", d.message);
+            }
+        }
     }
 
     #[test]

@@ -77,4 +77,28 @@ mod tests {
             assert_eq!(shown, Some(rendered), "{text}");
         }
     }
+
+    /// A character literal or escape outside ASCII is the unit's one error,
+    /// naming the decoded character: the literal still ends at its closing
+    /// quote, so nothing cascades. The caret row covers the character (the
+    /// literal, for an escape).
+    #[test]
+    fn a_non_ascii_character_literal_is_one_error_naming_it() {
+        for (line, code, message, carets) in [
+            ("  r = a + 'é';", "E0015", "unexpected character `é`", "^"),
+            ("  r = a + '\\é';", "E0013", "unknown escape `\\é`", "^^^"),
+        ] {
+            let source = format!("_kernel(1) void k(int a, int &r) {{\n{line}\n}}\n");
+            let (unit, diags) = crate::parse("t.ncl", &source);
+            let [d] = diags.diagnostics() else {
+                panic!("{line}: {}", diags.render_all(&unit.source_map))
+            };
+            assert_eq!((d.code, d.message.as_str()), (code, message));
+            let text = d.render(&unit.source_map);
+            let mut rows = text.lines().skip(1);
+            let shown = rows.next().and_then(|l| l.split_once(" | ")).map(|(_, l)| l);
+            assert_eq!(shown, Some(line), "{text}");
+            assert_eq!(rows.next().map(str::trim), Some(carets), "{text}");
+        }
+    }
 }

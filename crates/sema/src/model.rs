@@ -13,12 +13,10 @@ use netcl_util::Span;
 /// `Some(ids)` = explicit `_at(...)` list.
 pub(crate) type LocationSet = Option<Vec<u16>>;
 
-/// Whether an entity placed with `locs` is present on device `dev`.
+/// Whether an entity placed with `locs` is present on device `dev` (§V-C:
+/// a location-less entity is on every device compiled for).
 pub fn placed_at(locs: &LocationSet, dev: u16) -> bool {
-    match locs {
-        None => true,
-        Some(ids) => ids.contains(&dev),
-    }
+    locs.as_ref().is_none_or(|ids| ids.contains(&dev))
 }
 
 /// One element of a kernel specification: `count` elements of scalar `ty`.
@@ -168,12 +166,6 @@ pub struct Model {
 }
 
 impl Model {
-    /// Kernels placed on device `dev` (§V-C: location-less entities are on
-    /// every device we compile for).
-    pub fn kernels_at(&self, dev: u16) -> impl Iterator<Item = &KernelInfo> {
-        self.kernels.iter().filter(move |k| placed_at(&k.locations, dev))
-    }
-
     /// Finds a global by name.
     pub(crate) fn global(&self, name: &str) -> Option<&GlobalInfo> {
         self.globals.iter().find(|g| g.name == name)
@@ -248,9 +240,10 @@ mod tests {
             net_fns: vec![],
             globals: vec![],
         };
-        let at1: Vec<_> = m.kernels_at(1).map(|k| k.name.as_str()).collect();
+        let at = |dev| m.kernels.iter().filter(move |k| placed_at(&k.locations, dev));
+        let at1: Vec<_> = at(1).map(|k| k.name.as_str()).collect();
         assert_eq!(at1, vec!["a", "b"]);
-        let at3: Vec<_> = m.kernels_at(3).map(|k| k.name.as_str()).collect();
+        let at3: Vec<_> = at(3).map(|k| k.name.as_str()).collect();
         assert_eq!(at3, vec!["b"]);
         assert_eq!(m.mentioned_devices(), vec![1, 2]);
     }

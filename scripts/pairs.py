@@ -15,15 +15,23 @@ metric `BENCHMARK.json` lists, the script prints:
   rank-based (Wilcoxon signed-rank) interval at ≈ 95 % — the confidence
   the exact distribution achieves at N pairs is printed beside it;
 * the largest gap between neighbouring values of both sides pooled, and
-  how many runs of each side fall below and above it: a host that steps
-  between speed modes shows as two clusters, and a side whose runs sit in
-  one cluster while the other side's sit in both is a mode, not a change.
+  for each side how many runs fall below and above it and their median
+  there: a host that steps between speed modes shows as two clusters, and
+  a side whose runs sit in one cluster while the other side's sit in both
+  is a mode, not a change;
+* for each mode that holds at least 2 runs of each side, the change /
+  parent ratio of the two medians within it: the change judged against
+  the parent at one speed.
 
 A run that exits non-zero or reports failed operations stops the script.
 
 Usage:
     python3 scripts/pairs.py PARENT CHANGE [--workload W] [--pairs N]
         [--seconds T] [--seed S] [--target-root DIR]
+    python3 scripts/pairs.py --self-test
+
+`--self-test` checks the statistics on synthetic two-mode values, builds
+and runs nothing, and exits non-zero on a failure.
 
 PARENT and CHANGE are checkouts (e.g. `git archive HEAD~ | tar -x -C
 DIR`). Build directories are DIR/parent-target and DIR/change-target under
@@ -118,6 +126,21 @@ def largest_gap(values):
     return pooled[best], pooled[best + 1]
 
 
+def modes(parent, change):
+    """Splits both sides at the pooled largest gap. Returns the gap's two
+    neighbours, each side's `(runs, median)` below and above it (median
+    `None` for no runs), and per mode the change / parent ratio of the
+    medians where both sides have at least 2 runs there (else `None`)."""
+    below, above = largest_gap([parent, change])
+    split = {side: ([v for v in xs if v <= below], [v for v in xs if v >= above])
+             for side, xs in zip(SIDES, (parent, change))}
+    sides = {side: [(len(m), statistics.median(m) if m else None) for m in split[side]]
+             for side in SIDES}
+    ratios = [statistics.median(c) / statistics.median(p) if len(p) >= 2 and len(c) >= 2
+              else None for p, c in zip(split["parent"], split["change"])]
+    return below, above, sides, ratios
+
+
 def report(name, better, pairs):
     parent = [p for p, _ in pairs]
     change = [c for _, c in pairs]
@@ -138,24 +161,61 @@ def report(name, better, pairs):
     est, lo, hi, conf = hodges_lehmann(diffs)
     print(f"  Hodges-Lehmann ratio {math.exp(est):.3f}  interval {math.exp(lo):.3f} .. "
           f"{math.exp(hi):.3f} ({100 * conf:.1f} % confidence)")
-    below, above = largest_gap([parent, change])
-    counts = [(sum(v <= below for v in xs), sum(v >= above for v in xs))
-              for xs in (parent, change)]
-    print(f"  largest gap {below:.6g} .. {above:.6g} (x{above / below:.3f}): "
-          f"parent {counts[0][0]} below / {counts[0][1]} above, "
-          f"change {counts[1][0]} below / {counts[1][1]} above")
+    below, above, sides, ratios = modes(parent, change)
+    print(f"  largest gap {below:.6g} .. {above:.6g} (x{above / below:.3f})")
+    for side in SIDES:
+        cells = [f"{where} {n} runs, median {'-' if m is None else f'{m:.6g}'}"
+                 for where, (n, m) in zip(("below", "above"), sides[side])]
+        print(f"  {side:6}  {';  '.join(cells)}")
+    for where, ratio in zip(("below", "above"), ratios):
+        if ratio is not None:
+            print(f"  {where} the gap, change / parent median {ratio:.3f}")
+
+
+def self_test():
+    """The statistics on synthetic values: both sides step between a slow
+    and a fast mode, and the change is 2 % faster within each."""
+    def close(a, b):
+        return abs(a - b) <= 1e-9 * abs(b)
+
+    slow = [100.0, 101.0, 99.0, 100.5]
+    fast = [150.0, 151.0, 149.0]
+    parent = slow + fast
+    change = [v * 1.02 for v in slow[:2] + fast]
+    below, above, sides, ratios = modes(parent, change)
+    assert close(below, 101.0 * 1.02) and above == 149.0, (below, above)
+    assert sides["parent"] == [(4, 100.25), (3, 150.0)], sides
+    (n_slow, m_slow), (n_fast, m_fast) = sides["change"]
+    assert (n_slow, n_fast) == (2, 3) and close(m_slow, 100.5 * 1.02), sides
+    assert close(m_fast, 153.0), sides
+    assert close(ratios[0], 100.5 * 1.02 / 100.25) and close(ratios[1], 1.02), ratios
+    # One change run below the gap: no ratio there, one above it.
+    _, _, sides, ratios = modes(parent, [v * 1.02 for v in slow[:1] + fast])
+    assert sides["change"][0] == (1, 102.0) and ratios[0] is None, (sides, ratios)
+    assert close(ratios[1], 1.02), ratios
+    # Every pair 2 % ahead: the shift is exactly that, inside its interval.
+    est, lo, hi, _ = hodges_lehmann([math.log(1.02)] * 10)
+    assert close(math.exp(est), 1.02) and lo <= est <= hi, (est, lo, hi)
+    report("work_per_s", "higher", [(v, v * 1.02) for v in parent])
+    print("self-test passed")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent")
-    ap.add_argument("change")
+    ap.add_argument("parent", nargs="?")
+    ap.add_argument("change", nargs="?")
+    ap.add_argument("--self-test", action="store_true",
+                    help="check the statistics on synthetic two-mode values and exit")
     ap.add_argument("--workload", default="compile_edit")
     ap.add_argument("--pairs", type=int, default=8)
     ap.add_argument("--seconds", type=float, default=12)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--target-root", default=os.path.join(tempfile.gettempdir(), "netcl-pairs"))
     args = ap.parse_args()
+    if args.self_test:
+        return self_test()
+    if args.change is None:
+        ap.error("PARENT and CHANGE are required")
     if args.pairs < 2:
         sys.exit("--pairs must be at least 2")
 
