@@ -2,7 +2,7 @@
 //!
 //! `ncc` compiles workloads of many translation units; editing one kernel
 //! should not pay the pass pipeline and codegen for the other 999. A
-//! [`CompileCache`] keeps two maps:
+//! [`CompileCache`] keeps two maps and serves from three tiers:
 //!
 //! * **units** — keyed by unit name. Each name holds its revisions: the
 //!   options fingerprint and the source text each was compiled from, and
@@ -11,6 +11,23 @@
 //!   nothing hashes the source. A hit returns the cache's `Arc` without
 //!   touching the frontend. Every revision stays servable: A → B → A hits
 //!   A's entry.
+//! * **the token tier** — below the text match, no map of its own. After a
+//!   text miss the new source is preprocessed once; the newest revision of
+//!   the name under the same options is preprocessed again from the source
+//!   its entry holds, and the two are compared line by line, the
+//!   whitespace the lexer skips trimmed from line ends and trailing blank
+//!   lines ignored. Equal means every token at the same line and column,
+//!   so every phase would build what it built for the revision, and the
+//!   revision's unit is served: a unit miss (`unit_hit` false) with every
+//!   device reused, counted in [`CacheStats::expansion_hits`], and the new
+//!   text stored as a revision sharing the revision's `Arc`. Its public
+//!   fields equal a cold compile's except `timings` and `reuse`; the
+//!   model's crate-private declaration spans are byte offsets read only
+//!   during analysis, and keep the revision's values. A revision with
+//!   warnings is refused (their rendered excerpts show the line, where a
+//!   comment may have changed), as is a new text whose preprocessing
+//!   reported anything. Nothing preprocessed is stored; otherwise the
+//!   frontend continues from the text the probe preprocessed.
 //! * **programs** — keyed by the *program key*: a 64-bit hash over
 //!   (options fingerprint, the lowered module), taken structurally through
 //!   the IR's derived `Hash`. A hit skips the §VI-B pass pipeline and P4
@@ -31,12 +48,12 @@
 //! (`tests/cache_alloc.rs` is the gate). Nothing a caller does to a served
 //! unit (`Arc::make_mut`, pushing devices) reaches the cache's copy.
 //!
-//! **Which matches are exact.** A unit match compares the text, so it is
-//! exact. Program entries stay hash-addressed: keeping the module to
-//! compare would cost about one more module per entry, a module is compiler
-//! output rather than arbitrary input, and the table is probed only after a
-//! unit miss; at 10⁶ entries the birthday bound on a 64-bit key is below
-//! 3 × 10⁻⁸. Within a unit no key decides anything: devices placed alike
+//! **Which matches are exact.** A unit match compares the text, and the
+//! token tier the preprocessed text, so both are exact. Program entries
+//! stay hash-addressed: keeping the module to compare would cost about one
+//! more module per entry, a module is compiler output rather than
+//! arbitrary input, and the table is probed only after a unit miss; at 10⁶
+//! entries the birthday bound on a 64-bit key is below 3 × 10⁻⁸. Within a unit no key decides anything: devices placed alike
 //! share one lowering (DESIGN.md §4), so placement there is exact.
 //!
 //! A mutated source simply misses and recompiles; nothing is ever
@@ -52,6 +69,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use netcl_ir::Module;
+use netcl_lang::Preprocessed;
 use netcl_passes::PassFlags;
 
 use crate::compiler::{CompileOptions, CompiledDevice, CompiledUnit};
@@ -59,8 +77,10 @@ use crate::compiler::{CompileOptions, CompiledDevice, CompiledUnit};
 /// How much of a [`CompiledUnit`] was not built afresh.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReuseStats {
-    /// The whole unit was a cache hit (frontend, sema, lowering, passes
-    /// and codegen all skipped).
+    /// The whole unit was a cache hit on its exact text (frontend, sema,
+    /// lowering, passes and codegen all skipped). A unit the token tier
+    /// served — an edit that moved no token — is not a hit: it reads
+    /// `false`, with `devices_reused == devices_total`.
     pub unit_hit: bool,
     /// Devices this unit compiled for.
     pub devices_total: usize,
@@ -76,8 +96,12 @@ pub struct ReuseStats {
 pub struct CacheStats {
     /// Whole-unit lookups that hit.
     pub unit_hits: u64,
-    /// Whole-unit lookups that missed.
+    /// Whole-unit lookups that missed, served by the token tier or not.
     pub unit_misses: u64,
+    /// Unit misses served whole by the token tier: the edited text
+    /// preprocesses to the newest revision's tokens at the same lines and
+    /// columns, so no phase ran (see [`CompileCache`]).
+    pub expansion_hits: u64,
     /// Program lookups that hit: at most one per group of a unit's devices
     /// placed alike, made for the first of them.
     pub device_hits: u64,
@@ -131,6 +155,38 @@ impl CompileCache {
             None => self.stats.unit_misses += 1,
         }
         hit
+    }
+
+    /// The token tier, probed after a text miss with `pre`, the new
+    /// source preprocessed. The newest revision of `name` compiled under
+    /// `fingerprint` is served when it has no warnings, `pre` has no
+    /// diagnostics, and its own source, preprocessed again, places every
+    /// token where `pre` does. `source` then becomes a revision sharing
+    /// that revision's unit, and the caller gets a copy of the unit marked
+    /// as a miss with every device reused.
+    pub(crate) fn same_tokens(
+        &mut self,
+        fingerprint: u64,
+        name: &str,
+        source: &str,
+        pre: &Preprocessed,
+    ) -> Option<Arc<CompiledUnit>> {
+        if !pre.diags.diagnostics().is_empty() {
+            return None;
+        }
+        let revisions = self.units.get_mut(name)?;
+        let newest = revisions.iter().rev().find(|e| e.fingerprint == fingerprint)?;
+        if !newest.unit.warnings.is_empty()
+            || !netcl_lang::preprocess(&newest.source).places_tokens_as(pre)
+        {
+            return None;
+        }
+        let unit = Arc::clone(&newest.unit);
+        let served =
+            CompiledUnit { reuse: ReuseStats { unit_hit: false, ..unit.reuse }, ..(*unit).clone() };
+        revisions.push(UnitEntry { fingerprint, source: source.into(), unit });
+        self.stats.expansion_hits += 1;
+        Some(Arc::new(served))
     }
 
     /// Keeps `unit` as the newest revision of `name`, as a hit will serve
@@ -326,19 +382,70 @@ mod tests {
         assert!(Arc::ptr_eq(&a.model, &b.model));
     }
 
+    /// A comment line inserted at the top moves every token down a line:
+    /// a fresh frontend run and model around the same device artifacts.
     #[test]
     fn comment_only_edit_shares_the_previous_revisions_artifacts() {
         let cc = Compiler::new(CompileOptions::default());
         let mut cache = CompileCache::new();
         let first = cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
-        let edited = format!("{FIG4_CACHE}// retuned\n");
+        let edited = format!("// retuned\n{FIG4_CACHE}");
         let second = cc.compile_incremental("fig4.ncl", &edited, &mut cache).unwrap();
-        // A new unit (fresh frontend run, fresh model) around the same
-        // device artifacts.
         assert!(!second.reuse.unit_hit);
         assert!(!Arc::ptr_eq(&first.model, &second.model));
         assert_eq!(artifacts(&first.devices[0]), artifacts(&second.devices[0]));
         assert_eq!((cache.units["fig4.ncl"].len(), cache.programs.len()), (2, 1));
+        assert_eq!(cache.stats().expansion_hits, 0);
+    }
+
+    /// An edit that moves no token is served the newest revision whole: a
+    /// miss with every device reused, the revision's model and artifacts,
+    /// and a new revision sharing the revision's stored unit.
+    #[test]
+    fn an_edit_that_moves_no_token_is_served_the_newest_revision() {
+        let cc = Compiler::new(CompileOptions::default());
+        let mut cache = CompileCache::new();
+        let first = cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
+        let line = "_managed_ unsigned cms[CMS_HASHES][65536];";
+        let edited =
+            FIG4_CACHE.replace(line, &format!("{line} /* sketch */")) + "   \n// retuned\n\n";
+        let second = cc.compile_incremental("fig4.ncl", &edited, &mut cache).unwrap();
+        assert!(!second.reuse.unit_hit);
+        assert_eq!(second.reuse.devices_reused, second.reuse.devices_total);
+        assert!(Arc::ptr_eq(&first.model, &second.model));
+        assert_eq!(artifacts(&first.devices[0]), artifacts(&second.devices[0]));
+        let revisions = &cache.units["fig4.ncl"];
+        assert_eq!(revisions.len(), 2);
+        assert!(Arc::ptr_eq(&revisions[0].unit, &revisions[1].unit));
+        let st = cache.stats();
+        assert_eq!((st.unit_misses, st.expansion_hits, st.device_hits), (2, 1, 0));
+        // The new text is now an exact revision: a hit.
+        let third = cc.compile_incremental("fig4.ncl", &edited, &mut cache).unwrap();
+        assert!(third.reuse.unit_hit);
+    }
+
+    /// The tier refuses a revision with warnings — their rendered excerpts
+    /// show the line's text, which an edit may change — and a new text its
+    /// preprocessing reports anything about, however its tokens compare.
+    #[test]
+    fn the_tier_refuses_warnings_and_preprocessing_errors() {
+        let cc = Compiler::new(CompileOptions::default());
+        let mut cache = CompileCache::new();
+        let warned = "_net_ void f(unsigned _spec(2) *x) { x[0] = x[0] + 1; }\n\
+                      _kernel(1) _at(1) void k(unsigned _spec(2) *a) { f(a); }\n";
+        let first = cc.compile_incremental("w.ncl", warned, &mut cache).unwrap();
+        assert!(!first.warnings.is_empty());
+        let edited = warned.replacen("+ 1; }", "+ 1; } // note", 1);
+        let second = cc.compile_incremental("w.ncl", &edited, &mut cache).unwrap();
+        assert_eq!(second.warnings, cc.compile("w.ncl", &edited).unwrap().warnings);
+        assert_ne!(second.warnings, first.warnings, "the excerpt shows the blanked comment");
+        assert_eq!(cache.stats().expansion_hits, 0);
+
+        cc.compile_incremental("fig4.ncl", FIG4_CACHE, &mut cache).unwrap();
+        let bogus = format!("{FIG4_CACHE}#bogus\n");
+        let err = cc.compile_incremental("fig4.ncl", &bogus, &mut cache).unwrap_err();
+        assert_eq!(err.codes, ["E0007"]);
+        assert_eq!(cache.stats().expansion_hits, 0);
     }
 
     /// Both dialects and the TNA IR of every device, printed.

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netcl_ir::Module;
-use netcl_lang::ParsedUnit;
+use netcl_lang::{ParsedUnit, Preprocessed};
 use netcl_p4::ast::{P4Program, Target};
 use netcl_passes::{PassFlags, PassReport, PipelineTarget};
 use netcl_sema::model::placed_at;
@@ -167,14 +167,17 @@ impl Compiler {
 
     /// Compiles one NetCL-C translation unit (no caching).
     pub fn compile(&self, name: &str, source: &str) -> Result<CompiledUnit, CompileError> {
-        self.compile_with(name, source, None, lowered)
+        self.compile_with(name, preprocessed(source), None, lowered)
     }
 
     /// Compiles one unit through the incremental cache (DESIGN.md §16):
     /// an unchanged unit is served whole — the cache's own `Arc`, one
-    /// reference count — and a device whose lowered module equals one the
-    /// cache holds a program for skips the pass pipeline and codegen.
-    /// Served artifacts carry [`ReuseStats`] and `from_cache` pass reports.
+    /// reference count. An edit that moves no token (a comment rewritten,
+    /// blank lines or trailing spaces) is served the newest revision's
+    /// artifacts once its preprocessed text is compared with theirs. Past
+    /// that, a device whose lowered module equals one the cache holds a
+    /// program for skips the pass pipeline and codegen. Served artifacts
+    /// carry [`ReuseStats`] and `from_cache` pass reports.
     pub fn compile_incremental(
         &self,
         name: &str,
@@ -184,12 +187,17 @@ impl Compiler {
         if let Some(unit) = cache.unit(self.fingerprint, name, source) {
             return Ok(unit);
         }
-        let unit = self.compile_with(name, source, Some(cache), lowered)?;
+        let pre = preprocessed(source);
+        if let Some(unit) = cache.same_tokens(self.fingerprint, name, source, &pre.0) {
+            return Ok(unit);
+        }
+        let unit = self.compile_with(name, pre, Some(cache), lowered)?;
         cache.put_unit(self.fingerprint, name, source, unit.clone());
         Ok(Arc::new(unit))
     }
 
-    /// The single compile path below the unit map: `cache = None` is a cold
+    /// The single compile path below the unit map, from the preprocessed
+    /// source and the time preprocessing took: `cache = None` is a cold
     /// compile. It probes the program table, groups devices by placement
     /// and orders the three phases below; it holds no phase. `lower` is
     /// [`lowered`] but in the tests that count lowerings or hand the
@@ -197,11 +205,11 @@ impl Compiler {
     fn compile_with(
         &self,
         name: &str,
-        source: &str,
+        pre: (Preprocessed, Duration),
         mut cache: Option<&mut CompileCache>,
         lower: Lowering,
     ) -> Result<CompiledUnit, CompileError> {
-        let mut fe = frontend(name, source)?;
+        let mut fe = frontend_of(name, pre)?;
         let devices = match &self.options.devices {
             Some(list) => {
                 let mut seen = HashSet::with_capacity(list.len());
@@ -310,13 +318,28 @@ pub(crate) struct Frontend {
     pub timings: CompileTimings,
 }
 
+/// `source` preprocessed, and the time that took.
+fn preprocessed(source: &str) -> (Preprocessed, Duration) {
+    let t0 = Instant::now();
+    let pre = netcl_lang::preprocess(source);
+    (pre, t0.elapsed())
+}
+
 /// Phase 1, once per unit: parse and semantic analysis.
 pub(crate) fn frontend(name: &str, source: &str) -> Result<Frontend, CompileError> {
+    frontend_of(name, preprocessed(source))
+}
+
+/// [`frontend`] from the preprocessed source and its time.
+fn frontend_of(
+    name: &str,
+    (pre, took): (Preprocessed, Duration),
+) -> Result<Frontend, CompileError> {
     let mut timings = CompileTimings::default();
 
     let t0 = Instant::now();
-    let (unit, mut diags) = netcl_lang::parse(name, source);
-    timings.frontend = t0.elapsed();
+    let (unit, mut diags) = netcl_lang::parse_preprocessed(name, pre);
+    timings.frontend = took + t0.elapsed();
     check(&diags, &unit.source_map)?;
 
     let t0 = Instant::now();
@@ -968,7 +991,8 @@ _kernel(1) _at(5) void learner(uint8_t &type, uint32_t &instance, uint16_t round
         let calc = at(CALC, 1..=16);
         for (src, want) in [(calc.as_str(), 1), (MIXED, 4), (LEARNER, 2), (ACCEPTOR, 3)] {
             LOWERINGS.with(|n| n.set(0));
-            cc.compile_with("t.ncl", src, None, counted).unwrap_or_else(|e| panic!("{e}"));
+            cc.compile_with("t.ncl", preprocessed(src), None, counted)
+                .unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(LOWERINGS.with(Cell::get), want, "{src}");
         }
     }
@@ -998,7 +1022,7 @@ _kernel(1) _at(5) void learner(uint8_t &type, uint32_t &instance, uint16_t round
             [(unterminated_at::<1>, "k"), (unterminated_at::<4>, "s"), (unterminated_at::<2>, "k")];
         for (lower, kernel) in cases {
             for cache in [None, Some(&mut CompileCache::new())] {
-                let err = cc.compile_with("t.ncl", MIXED, cache, lower).unwrap_err();
+                let err = cc.compile_with("t.ncl", preprocessed(MIXED), cache, lower).unwrap_err();
                 // The lowered module's verification reports it, not the
                 // passes' closing one.
                 let want = format!("internal: lowered IR fails verification:\n{kernel}/bb0: block");

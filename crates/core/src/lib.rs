@@ -33,9 +33,11 @@
 //!
 //! For workloads of many units, [`Compiler::compile_incremental`] reuses
 //! unchanged artifacts through a [`CompileCache`]: whole units are kept by
-//! name, one entry per revision and compared by source text, device
-//! programs by a hash of the lowered module they were built from, so an
-//! edit recompiles only what it touched. The IR modules, P4 programs and
+//! name, one entry per revision and compared by source text, an edit that
+//! moves no token (a comment, blank lines, trailing spaces) is served the
+//! newest revision once their preprocessed texts compare equal, and device
+//! programs are kept by a hash of the lowered module they were built from,
+//! so an edit recompiles only what it touched. The IR modules, P4 programs and
 //! model of a result are immutable behind `Arc` and shared between the
 //! cache and every unit it serves, and a served unit is itself the cache's
 //! `Arc`: a hit costs one text compare and one reference count, with no

@@ -28,6 +28,7 @@ mod preprocess;
 mod token;
 
 pub use ast::Program;
+pub use preprocess::EXPANSION_LIMIT;
 
 use netcl_util::{DiagnosticSink, Interner, SourceMap};
 
@@ -41,19 +42,59 @@ pub struct ParsedUnit {
     pub source_map: SourceMap,
 }
 
+/// A unit's source after preprocessing, and what preprocessing reported.
+pub struct Preprocessed {
+    /// The text the lexer reads: comments and directives blanked, macros
+    /// expanded, every line where it was.
+    pub text: String,
+    /// Preprocessing diagnostics (all errors).
+    pub diags: DiagnosticSink,
+}
+
+impl Preprocessed {
+    /// Whether `self` and `other` lex to the same tokens at the same lines
+    /// and columns: line by line equal once the whitespace the lexer skips
+    /// is trimmed from each line's end, trailing blank lines ignored.
+    pub fn places_tokens_as(&self, other: &Preprocessed) -> bool {
+        fn lines(text: &str) -> impl Iterator<Item = &str> {
+            let text = text.trim_end_matches(is_space);
+            text.split('\n').map(|l| l.trim_end_matches(is_space))
+        }
+        lines(&self.text).eq(lines(&other.text))
+    }
+}
+
+/// The whitespace the lexer skips.
+fn is_space(c: char) -> bool {
+    matches!(c, ' ' | '\t' | '\n' | '\r')
+}
+
+/// Preprocesses `source`: one pass that strips comments, reads directives
+/// and expands macros (DESIGN.md §3).
+pub fn preprocess(source: &str) -> Preprocessed {
+    let mut diags = DiagnosticSink::new();
+    let text = preprocess::preprocess(source, &mut diags);
+    Preprocessed { text, diags }
+}
+
+/// Lexes and parses an already preprocessed unit; its diagnostics come
+/// first in the returned sink.
+pub fn parse_preprocessed(name: &str, pre: Preprocessed) -> (ParsedUnit, DiagnosticSink) {
+    let Preprocessed { text, mut diags } = pre;
+    let mut interner = Interner::new();
+    let tokens = lexer::lex(&text, &mut interner, &mut diags);
+    let program = parser::parse_tokens(&tokens, &mut interner, &mut diags);
+    let mut source_map = SourceMap::new();
+    source_map.add_file(name, text);
+    (ParsedUnit { program, interner, source_map }, diags)
+}
+
 /// Convenience entry point: preprocess, lex, and parse `source`.
 ///
 /// Returns the parsed unit and any diagnostics; `program` is best-effort when
 /// errors were reported.
 pub fn parse(name: &str, source: &str) -> (ParsedUnit, DiagnosticSink) {
-    let mut diags = DiagnosticSink::new();
-    let mut interner = Interner::new();
-    let mut source_map = SourceMap::new();
-    let expanded = preprocess::preprocess(source, &mut diags);
-    source_map.add_file(name, expanded.clone());
-    let tokens = lexer::lex(&expanded, &mut interner, &mut diags);
-    let program = parser::parse_tokens(&tokens, &mut interner, &mut diags);
-    (ParsedUnit { program, interner, source_map }, diags)
+    parse_preprocessed(name, preprocess(source))
 }
 
 #[cfg(test)]

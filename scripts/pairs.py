@@ -14,11 +14,14 @@ metric `BENCHMARK.json` lists, the script prints:
 * the Hodges–Lehmann shift of the paired log-ratios, as a ratio, with its
   rank-based (Wilcoxon signed-rank) interval at ≈ 95 % — the confidence
   the exact distribution achieves at N pairs is printed beside it;
-* the largest gap between neighbouring values of both sides pooled, and
-  for each side how many runs fall below and above it and their median
-  there: a host that steps between speed modes shows as two clusters, and
-  a side whose runs sit in one cluster while the other side's sit in both
-  is a mode, not a change;
+* the largest gap between neighbouring values of both sides pooled. It
+  splits the runs into two modes only when it is wider, as a log-ratio,
+  than the spread inside the clusters it leaves (`MODE_GAP`); otherwise
+  the runs are one cluster and the script says so. For two modes, each
+  side's runs below and above the gap and their median there: a host that
+  steps between speed modes shows as two clusters, and a side whose runs
+  sit in one cluster while the other side's sit in both is a mode, not a
+  change;
 * for each mode that holds at least 2 runs of each side, the change /
   parent ratio of the two medians within it: the change judged against
   the parent at one speed.
@@ -30,8 +33,8 @@ Usage:
         [--seconds T] [--seed S] [--target-root DIR]
     python3 scripts/pairs.py --self-test
 
-`--self-test` checks the statistics on synthetic two-mode values, builds
-and runs nothing, and exits non-zero on a failure.
+`--self-test` checks the statistics on synthetic two-mode and one-cluster
+values, builds and runs nothing, and exits non-zero on a failure.
 
 PARENT and CHANGE are checkouts (e.g. `git archive HEAD~ | tar -x -C
 DIR`). Build directories are DIR/parent-target and DIR/change-target under
@@ -50,6 +53,10 @@ import tempfile
 
 MANIFEST = "crates/bench/src/bin/netcl_e2e/Cargo.toml"
 SIDES = ("parent", "change")
+# The largest gap splits two modes only when its log-ratio exceeds this
+# many times the wider log-range of the two clusters it leaves: a gap no
+# wider than the spread inside the clusters is one more step within one.
+MODE_GAP = 1.0
 
 
 def build(checkout, target):
@@ -126,12 +133,25 @@ def largest_gap(values):
     return pooled[best], pooled[best + 1]
 
 
+def one_cluster(values, below, above):
+    """Whether the gap `below .. above` in the pooled `values` is no wider,
+    as a log-ratio, than `MODE_GAP` times the wider cluster beside it."""
+    pooled = sorted(v for side in values for v in side)
+    low = [v for v in pooled if v <= below]
+    high = [v for v in pooled if v >= above]
+    spread = max(math.log(low[-1] / low[0]), math.log(high[-1] / high[0]))
+    return math.log(above / below) <= MODE_GAP * spread
+
+
 def modes(parent, change):
-    """Splits both sides at the pooled largest gap. Returns the gap's two
+    """Splits both sides at the pooled largest gap, or returns `None` when
+    the runs are one cluster (`one_cluster`). Returns the gap's two
     neighbours, each side's `(runs, median)` below and above it (median
     `None` for no runs), and per mode the change / parent ratio of the
     medians where both sides have at least 2 runs there (else `None`)."""
     below, above = largest_gap([parent, change])
+    if one_cluster([parent, change], below, above):
+        return None
     split = {side: ([v for v in xs if v <= below], [v for v in xs if v >= above])
              for side, xs in zip(SIDES, (parent, change))}
     sides = {side: [(len(m), statistics.median(m) if m else None) for m in split[side]]
@@ -161,7 +181,13 @@ def report(name, better, pairs):
     est, lo, hi, conf = hodges_lehmann(diffs)
     print(f"  Hodges-Lehmann ratio {math.exp(est):.3f}  interval {math.exp(lo):.3f} .. "
           f"{math.exp(hi):.3f} ({100 * conf:.1f} % confidence)")
-    below, above, sides, ratios = modes(parent, change)
+    split = modes(parent, change)
+    if split is None:
+        below, above = largest_gap([parent, change])
+        print(f"  one cluster: the largest gap {below:.6g} .. {above:.6g} "
+              f"(x{above / below:.3f}) is no wider than the spread inside it")
+        return
+    below, above, sides, ratios = split
     print(f"  largest gap {below:.6g} .. {above:.6g} (x{above / below:.3f})")
     for side in SIDES:
         cells = [f"{where} {n} runs, median {'-' if m is None else f'{m:.6g}'}"
@@ -193,10 +219,18 @@ def self_test():
     _, _, sides, ratios = modes(parent, [v * 1.02 for v in slow[:1] + fast])
     assert sides["change"][0] == (1, 102.0) and ratios[0] is None, (sides, ratios)
     assert close(ratios[1], 1.02), ratios
+    # One cluster: values spread evenly, and values spread unevenly whose
+    # largest gap is still narrower than the cluster below it.
+    even = [100.0, 101.0, 102.5, 103.0, 104.2, 105.0]
+    assert modes(even, [v * 1.01 for v in even]) is None
+    assert modes([100.0, 100.4, 110.0, 111.0], [100.2, 105.0, 120.0, 121.0]) is None
+    # Two modes still split when the clusters are tight beside the gap.
+    assert modes([100.0, 100.5, 150.0], [100.2, 150.3, 150.6]) is not None
     # Every pair 2 % ahead: the shift is exactly that, inside its interval.
     est, lo, hi, _ = hodges_lehmann([math.log(1.02)] * 10)
     assert close(math.exp(est), 1.02) and lo <= est <= hi, (est, lo, hi)
     report("work_per_s", "higher", [(v, v * 1.02) for v in parent])
+    report("work_per_s", "higher", [(v, v * 1.01) for v in even])
     print("self-test passed")
 
 

@@ -3,8 +3,10 @@
 //! large the unit is. A deep clone of one paper application is over a
 //! thousand allocations and a shallow one (the device `Vec`) is one, so the
 //! first bound below is the host- and load-independent gate against either
-//! coming back. The second is what an edit that leaves every lowered module
-//! unchanged costs, the third what a warm cache holds.
+//! coming back. The second is what an edit that moves every token but
+//! leaves every lowered module unchanged costs, the third what an edit that
+//! moves no token costs (the token tier), the fourth what a warm cache
+//! holds.
 
 mod counting_alloc;
 
@@ -45,22 +47,54 @@ fn ceiling(measured: u64) -> u64 {
     measured + measured / 10
 }
 
-/// A comment-only edit through a warm cache: a unit miss, then the
-/// frontend, lowering and one program key per device, every device served
-/// from the program table, and two `Arc`s — the stored revision and the
-/// unit handed back. Each row is `(measured, parent)`, where the parent is
-/// the commit whose device keys printed every kernel and each module's
-/// header. While each instruction held its results in a `Vec`: 1 066 /
-/// 1 020 / 209 / 1 364; while a miss returned the unit by value, two
-/// fewer each.
+/// A comment line inserted at the top, through a warm cache: a unit miss,
+/// the token tier's probe (the new text and the newest revision
+/// preprocessed, compared, refused: every token moved down a line), then
+/// the frontend, lowering and one program key per device, every device
+/// served from the program table, and two `Arc`s — the stored revision and
+/// the unit handed back. Each row is `(measured, parent)`, where the parent
+/// is the commit whose device keys printed every kernel and each module's
+/// header (an appended comment there). With the line-by-line preprocessor
+/// and no tier: 785 / 873 / 170 / 1 092 (an appended comment, which took
+/// this path then: 787 / 875 / 172 / 1 094). While each instruction held
+/// its results in a `Vec`: 1 066 / 1 020 / 209 / 1 364; while a miss
+/// returned the unit by value, two fewer each.
 #[test]
 fn comment_only_edit_allocates_the_frontend_and_no_backend() {
     let cc = Compiler::new(CompileOptions::default());
     for (name, source, (measured, parent)) in [
-        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), (787, 6_090)),
-        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), (875, 3_607)),
-        ("calc.ncl", calc::netcl_source(), (172, 693)),
-        ("paxos.ncl", paxos::full_source(), (1_094, 5_912)),
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), (698, 6_090)),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), (716, 3_607)),
+        ("calc.ncl", calc::netcl_source(), (149, 693)),
+        ("paxos.ncl", paxos::full_source(), (935, 5_912)),
+    ] {
+        let mut cache = CompileCache::new();
+        cc.compile_incremental(name, &source, &mut cache).expect("compiles");
+        let edited = format!("// retuned\n{source}");
+        let (unit, allocs) =
+            allocs_during(|| cc.compile_incremental(name, &edited, &mut cache).expect("compiles"));
+        assert!(!unit.reuse.unit_hit, "{name}: an edited source hit the unit map");
+        assert_eq!(unit.reuse.devices_reused, unit.reuse.devices_total, "{name}");
+        eprintln!("{name}: {allocs}");
+        assert!(allocs <= ceiling(measured), "{name}: the edit made {allocs} allocations");
+        assert!(allocs < parent / 2, "{name}: the edit made {allocs} allocations");
+    }
+}
+
+/// An edit that moves no token (a comment appended) through a warm cache:
+/// the new text and the newest revision's preprocessed once each and
+/// compared, then the revision's unit served — a copy of its device list
+/// and one `Arc` handed back, the new text and its entry stored. Each row is
+/// `(measured, before)`, where before is what the same edit cost while it
+/// ran the frontend, lowering and one program key per device.
+#[test]
+fn token_keeping_edit_allocates_two_preprocessings_and_no_phase() {
+    let cc = Compiler::new(CompileOptions::default());
+    for (name, source, (measured, before)) in [
+        ("agg.ncl", agg::netcl_source(&agg::AggConfig::default()), (20, 787)),
+        ("cache.ncl", cache::netcl_source(&cache::CacheConfig::default()), (30, 875)),
+        ("calc.ncl", calc::netcl_source(), (6, 172)),
+        ("paxos.ncl", paxos::full_source(), (28, 1_094)),
     ] {
         let mut cache = CompileCache::new();
         cc.compile_incremental(name, &source, &mut cache).expect("compiles");
@@ -69,9 +103,10 @@ fn comment_only_edit_allocates_the_frontend_and_no_backend() {
             allocs_during(|| cc.compile_incremental(name, &edited, &mut cache).expect("compiles"));
         assert!(!unit.reuse.unit_hit, "{name}: an edited source hit the unit map");
         assert_eq!(unit.reuse.devices_reused, unit.reuse.devices_total, "{name}");
+        assert_eq!(cache.stats().expansion_hits, 1, "{name}: the tier did not serve the edit");
         eprintln!("{name}: {allocs}");
         assert!(allocs <= ceiling(measured), "{name}: the edit made {allocs} allocations");
-        assert!(allocs < parent / 2, "{name}: the edit made {allocs} allocations");
+        assert!(allocs < before / 10, "{name}: the edit made {allocs} allocations");
     }
 }
 
